@@ -44,7 +44,15 @@ from .errors import (
     NotFoundError,
     StateCorruptionError,
 )
-from .hashing import MASK64, FilterConfig, HashStream, extension_chunk, split, split_batch
+from .hashing import (
+    MASK64,
+    FilterConfig,
+    HashStream,
+    extension_chunk,
+    extension_chunk_batch,
+    split,
+    split_batch,
+)
 from .snapshot import ByteReader, pack_section
 
 SNAPSHOT_MAGIC = b"AQF1"
@@ -179,6 +187,9 @@ class SlotArray:
         self.fp_count = 0
         self.ext_slot_count = 0
         self.ctr_slot_count = 0
+        # FrozenIndex whose positives are a superset of the current ones,
+        # or None; see superset_index()
+        self._superset = None
 
     # ------------------------------------------------------------------
     # word-level bit plumbing
@@ -393,6 +404,7 @@ class SlotArray:
             raise FilterFullError(
                 f"insert of {width} slot(s) would exceed the load limit"
             )
+        self._superset = None
         vb = self.value_bits
         vmask = (1 << vb) - 1
         payloads = [(rem << vb) | (value & vmask)]
@@ -548,6 +560,7 @@ class SlotArray:
         current = self.get_ext(mid, rank)
         if keep >= len(current):
             return
+        self._superset = None
         self._edit_cluster(mid, rank, ("ext", current[:keep]))
 
     # ------------------------------------------------------------------
@@ -692,6 +705,32 @@ class SlotArray:
                     yield Fingerprint(qt, rem, tuple(ext), count), value
             pos = (pos + length) % n
             visited += length
+
+    # ------------------------------------------------------------------
+    # bulk probing
+
+    def frozen_index(self) -> "FrozenIndex":
+        """Exact index of the table as it is now.
+
+        It also replaces the cached superset index, being the tightest
+        one available.
+        """
+        self._superset = None  # not kept alive through the build
+        self._superset = FrozenIndex(self)
+        return self._superset
+
+    def superset_index(self) -> "FrozenIndex":
+        """Index whose positives include every key the table matches now.
+
+        Built on first use and kept until a mutation that can widen the
+        match set.  Extending a fingerprint only narrows what it matches,
+        and removing one, rewriting its count or its value leaves the
+        other fingerprints as they were, so only insert_fp and
+        truncate_ext drop the cache.
+        """
+        if self._superset is None:
+            self._superset = FrozenIndex(self)
+        return self._superset
 
     # ------------------------------------------------------------------
     # accounting and serialization
@@ -893,9 +932,12 @@ class FrozenIndex:
     """Read-only decode of a slot array for bulk membership probes.
 
     Baseline pairs go into one sorted array; the rare miniruns whose
-    fingerprints are all extended keep their chunk tuples on the side.
-    Must be rebuilt after any mutation.  Equivalence with the slot-walk
-    query is pinned by tests.
+    fingerprints are all extended keep their chunks on the side, in a
+    zero-padded matrix that queries compare against column by column.
+    Exact for the table it was built from.  Afterwards its positives stay
+    a superset of the table's until a fingerprint is inserted or an
+    extension truncated, since extending only narrows what a fingerprint
+    matches.  Equivalence with the slot-walk query is pinned by tests.
     """
 
     def __init__(self, arr: SlotArray):
@@ -905,7 +947,6 @@ class FrozenIndex:
         if arr.fp_count == 0:
             self.base = np.empty(0, dtype=np.uint64)
             self.ext_only = np.empty(0, dtype=np.uint64)
-            self.ext_map = {}
             return
         rot = (arr._find_first_unused(0) + 1) % n
         def unpack(vec):
@@ -928,53 +969,67 @@ class FrozenIndex:
         rems &= np.uint64((1 << cfg.r) - 1)
         packed = (quot << np.uint64(cfg.r)) | rems
 
-        nxt = R + 1
-        has_ext = np.zeros(len(R), dtype=bool)
-        ok = nxt < n
-        has_ext[ok] = ext_b[nxt[ok]] & ~run_b[nxt[ok]]
+        # extension chunk slots, each owned by the remainder slot before it
+        chunk_at = np.flatnonzero(ext_b & ~run_b)
+        owner = np.searchsorted(R, chunk_at, side="right") - 1
+        ext_len = np.bincount(owner, minlength=len(R))
 
         order = np.argsort(packed, kind="stable")
         ps = packed[order]
-        he = has_ext[order].astype(np.uint8)
+        he = (ext_len[order] > 0).astype(np.uint8)
         uniq, starts = np.unique(ps, return_index=True)
         all_ext = np.minimum.reduceat(he, starts).astype(bool)
         self.base = uniq
         self.ext_only = uniq[all_ext]
-        self.ext_map: dict[int, list[tuple[int, ...]]] = {}
-        if self.ext_only.size:
-            vb = arr.value_bits
-            need = np.isin(packed, self.ext_only)
-            for i in np.flatnonzero(need):
-                chunks = []
-                p = int(R[i]) + 1
-                while p < n and ext_b[p] and not run_b[p]:
-                    chunks.append(int(slots_r[p]) >> vb)
-                    p += 1
-                self.ext_map.setdefault(int(packed[i]), []).append(tuple(chunks))
+        # every fingerprint of an ext_only pair, sorted by pair, chunks
+        # zero-padded to the longest extension
+        cand = order[np.isin(ps, self.ext_only)]
+        self.cand_packed = packed[cand]
+        self.cand_len = ext_len[cand]
+        width = int(self.cand_len.max()) if cand.size else 0
+        self.cand_chunks = np.zeros((cand.size, width), dtype=np.uint64)
+        if cand.size:
+            row_of = np.full(len(R), -1, dtype=np.int64)
+            row_of[cand] = np.arange(cand.size)
+            mine = row_of[owner] >= 0
+            at, own = chunk_at[mine], owner[mine]
+            self.cand_chunks[row_of[own], at - R[own] - 1] = (
+                slots_r[at] >> np.uint64(arr.value_bits)
+            )
 
     def query_keys(self, keys: np.ndarray) -> np.ndarray:
         """Membership verdict per key, adaptation frozen."""
-        cfg = self.cfg
-        packed = split_batch(np.asarray(keys, dtype=np.uint64), cfg)
+        keys = np.asarray(keys, dtype=np.uint64)
+        packed = split_batch(keys, self.cfg)
         if self.base.size == 0:
             return np.zeros(len(packed), dtype=bool)
         idx = np.searchsorted(self.base, packed)
         idx_c = np.minimum(idx, self.base.size - 1)
         found = self.base[idx_c] == packed
-        if self.ext_map:
-            recheck = found & np.isin(packed, self.ext_only)
-            for i in np.flatnonzero(recheck):
-                stream = HashStream(int(keys[i]), cfg.seed)
-                hit = False
-                for chunks in self.ext_map[int(packed[i])]:
-                    if all(
-                        extension_chunk(stream, cfg, t) == ch
-                        for t, ch in enumerate(chunks)
-                    ):
-                        hit = True
-                        break
-                found[i] = hit
+        if self.ext_only.size:
+            recheck = np.flatnonzero(found & np.isin(packed, self.ext_only))
+            lo = np.searchsorted(self.cand_packed, packed[recheck], side="left")
+            hi = np.searchsorted(self.cand_packed, packed[recheck], side="right")
+            found[recheck] = self._ext_match(keys[recheck], lo, hi)
         return found
+
+    def _ext_match(self, keys: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """Per key: whether one of the candidate rows [lo, hi) has every
+        extension chunk equal to the key's chunk at the same index."""
+        counts = hi - lo
+        key_of = np.repeat(np.arange(len(keys)), counts)
+        first = np.cumsum(counts) - counts
+        row = np.arange(int(counts.sum())) + np.repeat(lo - first, counts)
+        need = self.cand_len[row]
+        hit = np.zeros(len(keys), dtype=bool)
+        t = 0
+        while key_of.size:
+            same = extension_chunk_batch(keys[key_of], self.cfg, t) == self.cand_chunks[row, t]
+            hit[key_of[same & (need == t + 1)]] = True
+            going = same & (need > t + 1)
+            key_of, row, need = key_of[going], row[going], need[going]
+            t += 1
+        return hit
 
     def contains(self, key: int) -> bool:
         return bool(self.query_keys(np.array([key], dtype=np.uint64))[0])

@@ -17,9 +17,12 @@ space, which is why shortening defaults to off.
 from __future__ import annotations
 
 import enum
+import operator
 import struct
 from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 from .core import (
     Fingerprint,
@@ -76,6 +79,20 @@ class LookupResult(enum.Enum):
     FALSE_POSITIVE_CORRECTED = "false_positive_corrected"
     # answered positive with adaptation off; will answer positive again
     FALSE_POSITIVE = "false_positive"
+
+
+def _key_array(keys) -> np.ndarray:
+    """keys as a 1-D uint64 array; refuses anything but ints in [0, 2**64)."""
+    if isinstance(keys, np.ndarray) and keys.dtype.kind in "iu":
+        if keys.ndim != 1:
+            raise InvalidConfigError("keys must be a flat sequence")
+        if keys.dtype.kind == "i" and keys.size and keys.min() < 0:
+            raise InvalidConfigError("keys must be ints in [0, 2**64)")
+        return keys.astype(np.uint64, copy=False)
+    try:
+        return np.fromiter(map(operator.index, keys), dtype=np.uint64)
+    except (OverflowError, TypeError) as exc:
+        raise InvalidConfigError(f"keys must be ints in [0, 2**64): {exc}") from exc
 
 
 class AdaptiveFilter:
@@ -221,6 +238,25 @@ class AdaptiveFilter:
             hit = self.arr.query_fp(stream)
         return LookupResult.FALSE_POSITIVE_CORRECTED, None
 
+    def lookup_many(self, keys) -> list[tuple[LookupResult, bytes | None]]:
+        """lookup() of each key in turn, as one batch.
+
+        Element i is what lookup(keys[i]) returns when the keys are
+        looked up one by one in order, and the filter, its counters and
+        the reverse map end in the same state.  The batch is first
+        probed against the array's superset index: a key it rejects
+        cannot match now, nor after any adaptation of this batch, so it
+        answers NOT_PRESENT without a walk.  The survivors go through
+        lookup() in order.  keys is a uint64 array or an iterable of
+        ints in [0, 2**64).
+        """
+        keys = _key_array(keys)
+        out = [(LookupResult.NOT_PRESENT, None)] * len(keys)
+        survivors = np.flatnonzero(self.arr.superset_index().query_keys(keys))
+        for i, key in zip(survivors.tolist(), keys[survivors].tolist()):
+            out[i] = self.lookup(key)
+        return out
+
     def contains(self, key: int) -> bool:
         """Fingerprint match only; never adapts, never reads the map."""
         return self.arr.query_fp(HashStream(key, self.cfg.seed)) is not None
@@ -287,7 +323,7 @@ class AdaptiveFilter:
 
     def frozen_index(self) -> FrozenIndex:
         """Read-only snapshot for bulk probing; stale after any mutation."""
-        return FrozenIndex(self.arr)
+        return self.arr.frozen_index()
 
     # ------------------------------------------------------------------
     # snapshot

@@ -154,3 +154,21 @@ def split_batch(keys: np.ndarray, cfg: FilterConfig) -> np.ndarray:
     """Packed ``(quotient << r) | remainder`` values for a uint64 key array."""
     word0 = hash_word_batch(keys, cfg.seed, 0)
     return word0 >> np.uint64(64 - cfg.q - cfg.r)
+
+
+def extension_chunk_batch(keys: np.ndarray, cfg: FilterConfig, i: int) -> np.ndarray:
+    """Vectorized :func:`extension_chunk` over a uint64 key array."""
+    if i < 0:
+        raise ValueError("chunk index must be non-negative")
+    lo = cfg.q + cfg.r + i * cfg.r
+    hi = lo + cfg.r
+    w0, w1 = lo >> 6, (hi - 1) >> 6
+    mask = np.uint64((1 << cfg.r) - 1)
+    word = hash_word_batch(keys, cfg.seed, w0)
+    if w0 == w1:
+        return (word >> np.uint64(((w0 + 1) << 6) - hi)) & mask
+    # the chunk ends ``right`` bits into the next word: its low bits are
+    # that word's top bits, the rest are the low bits of this one
+    right = hi - (w1 << 6)
+    nxt = hash_word_batch(keys, cfg.seed, w1)
+    return ((word << np.uint64(right)) | (nxt >> np.uint64(64 - right))) & mask

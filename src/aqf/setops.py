@@ -19,7 +19,14 @@ from collections import defaultdict
 
 import numpy as np
 
-from .core import SlotArray, _count_digits, new_filter, pack_minirun_id
+from .core import (
+    _LOAD_DEN,
+    _LOAD_NUM,
+    SlotArray,
+    _count_digits,
+    new_filter,
+    pack_minirun_id,
+)
 from .errors import (
     ConfigMismatchError,
     FilterFullError,
@@ -29,8 +36,6 @@ from .errors import (
 from .filter import AdaptiveFilter, Policy
 from .hashing import FilterConfig, HashStream, extension_chunk, split, split_batch
 from .revmap import ReverseMap
-
-_LOAD_NUM, _LOAD_DEN = 19, 20
 
 # grow the merge output when the inputs together would pass this load
 _GROW_AT = 0.90

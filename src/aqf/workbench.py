@@ -275,8 +275,7 @@ def run_adaptation_trace(
     done = 0
     while done < len(queries):
         stop = min(done + step, len(queries))
-        for k in queries[done:stop]:
-            f.lookup(int(k))
+        f.lookup_many(queries[done:stop])
         done = stop
         rows.append(checkpoint(done))
     return rows
@@ -308,34 +307,23 @@ def run_adversary(
     adversarial = rng.random(size=total) < adv_frac
     t0 = time.perf_counter_ns()
 
-    pool: list[int] = []
     positive = (
         LookupResult.PRESENT,
         LookupResult.FALSE_POSITIVE,
         LookupResult.FALSE_POSITIVE_CORRECTED,
     )
     false_pos = positive[1:]
-    for i in range(warmup):
-        result, _ = f.lookup(int(benign[i]))
-        if result in false_pos:
-            pool.append(int(benign[i]))
+    warm = f.lookup_many(benign[:warmup])
+    pool = benign[:warmup][np.array([r in false_pos for r, _ in warm], dtype=bool)]
 
-    realized = 0
-    positives = 0
-    degenerate = 0
     pool_picks = rng.integers(0, max(1, len(pool)), size=total)
-    for i in range(total):
-        if adversarial[i] and pool:
-            key = pool[int(pool_picks[i])]
-        else:
-            if adversarial[i]:
-                degenerate += 1
-            key = int(benign[warmup + i])
-        result, _ = f.lookup(key)
-        if result in positive:
-            positives += 1
-        if result in false_pos:
-            realized += 1
+    attack = benign[warmup:].copy()
+    if len(pool):
+        attack[adversarial] = pool[pool_picks[adversarial]]
+    degenerate = 0 if len(pool) else int(adversarial.sum())
+    verdicts = [result for result, _ in f.lookup_many(attack)]
+    positives = sum(result in positive for result in verdicts)
+    realized = sum(result in false_pos for result in verdicts)
 
     sim_ns = total * latency.base_ns + positives * latency.hit_ns
     return AdversaryReport(
@@ -392,8 +380,7 @@ def run_churn(
     done = 0
     while done < len(queries):
         stop = min(done + step, len(queries))
-        for k in queries[done:stop]:
-            f.lookup(int(k))
+        f.lookup_many(queries[done:stop])
         done = stop
         rows.append(checkpoint(done))
         if done < len(queries) and spec.replace_pct:

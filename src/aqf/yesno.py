@@ -25,9 +25,7 @@ import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
-from .core import pack_minirun_id
+from .core import _LOAD_DEN, _LOAD_NUM, pack_minirun_id
 from .errors import (
     ConstructionFailedError,
     FilterFullError,
@@ -39,8 +37,6 @@ from .hashing import FilterConfig, HashStream, extension_chunk, split
 
 YES = 1
 NO = 0
-
-_LOAD_NUM, _LOAD_DEN = 19, 20
 
 # advisory floor on the universe for the lower bound's regime
 _UNIVERSE_FACTOR = 10
@@ -266,23 +262,18 @@ def build_static(
             budget_bits=f.budget_bits,
         ) from exc
 
-    if no_keys:
-        # extensions only ever shrink the match set, so a NO key that
-        # misses the frozen snapshot can never collide later; only the
-        # survivors of this prefilter need the slow path
-        verdicts = inner.frozen_index().query_keys(np.array(no_keys, dtype=np.uint64))
-        for i in np.flatnonzero(verdicts):
-            z = no_keys[int(i)]
-            result, _ = inner.lookup(z)
-            if result is LookupResult.PRESENT:
-                raise InvalidConfigError(f"NO key {z} is stored as YES")
-            if result is LookupResult.FALSE_POSITIVE:
-                # lookup degrades to an uncorrected verdict when the
-                # array cannot take another extension; here that means
-                # the construction failed, not the query
-                raise ConstructionFailedError(
-                    f"ran out of room extending away NO key {z}",
-                    consumed_bits=inner.adaptivity_bits,
-                    budget_bits=f.budget_bits,
-                )
+    # NO keys are never stored and the lists are disjoint, so no verdict
+    # is PRESENT; a fresh filter counts one adaptation failure per
+    # uncorrected verdict, which spares a Python pass over the list
+    verdicts = inner.lookup_many(no_keys)
+    if inner.adaptation_failures:
+        # lookup degrades to an uncorrected verdict when the array
+        # cannot take another extension; here that means the
+        # construction failed, not the query
+        z = no_keys[verdicts.index((LookupResult.FALSE_POSITIVE, None))]
+        raise ConstructionFailedError(
+            f"ran out of room extending away NO key {z}",
+            consumed_bits=inner.adaptivity_bits,
+            budget_bits=f.budget_bits,
+        )
     return f

@@ -10,6 +10,7 @@ from aqf.hashing import (
     FilterConfig,
     HashStream,
     extension_chunk,
+    extension_chunk_batch,
     hash_word,
     hash_word_batch,
     is_prefix,
@@ -140,6 +141,16 @@ class TestExtensionChunk:
             s = HashStream(key, 1)
             for i in (0, 3, 7, 15, 30):
                 assert extension_chunk(s, cfg, i) == ref_chunk(key, 1, 20, 9, i)
+
+    def test_batch_matches_reference(self):
+        # q=20, r=9: chunk 3 spans bits 56..65, across the first seam
+        rng = np.random.default_rng(25)
+        keys = rng.integers(0, 1 << 64, size=64, dtype=np.uint64)
+        for q, r in ((20, 9), (8, 9), (6, 2), (1, 56)):
+            cfg = FilterConfig(q=q, r=r, seed=9)
+            for i in range(12):
+                want = [ref_chunk(int(k), 9, q, r, i) for k in keys]
+                assert extension_chunk_batch(keys, cfg, i).tolist() == want
 
 
 class TestIsPrefix:
