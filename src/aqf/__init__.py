@@ -12,7 +12,6 @@ from .core import (
     FrozenIndex,
     SlotArray,
     SpaceReport,
-    new_filter,
     pack_minirun_id,
     unpack_minirun_id,
 )
@@ -110,7 +109,6 @@ __all__ = [
     "make_probe_sets",
     "measure_fpr",
     "merge",
-    "new_filter",
     "pack_minirun_id",
     "parse_csv",
     "rebuild",

@@ -25,16 +25,22 @@ which is what lets adaptation leave the reverse map untouched.
 A slot's duplicate count ``c`` occupies zero extra slots when ``c == 1``
 and otherwise the little-endian base-``2**r`` digits of ``c - 1``.
 
-Metadata bit vectors live in uint64 word arrays.  Navigation is cluster
-local: scans gather the handful of words covering one cluster into
-Python ints and bit-twiddle from there, so nothing pays for the size of
-the whole table.
+Metadata bit vectors are the uint64 rows of one word matrix.  Queries,
+inserts and growing edits stay cluster local: scans gather the words
+covering one cluster into Python ints and bit-twiddle from there.
+Everything else goes through two helpers: ``SlotArray._columns``
+decodes the clusters of a slot range into numpy columns (quotient,
+remainder, value, extension and counter-digit spans), and
+``SlotArray._lay_out`` writes such columns back, placing every run with
+one cumulative max.  Shrinking edits use them on one cluster; iteration,
+the bulk index, consistency checks, merge and bulk load on the table.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -106,8 +112,69 @@ def _count_digits(count: int, r: int) -> list[int]:
     return out
 
 
+def _ranges(off: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """The aranges [off[i], off[i] + length[i]), concatenated."""
+    ends = np.cumsum(length)
+    total = int(ends[-1]) if len(ends) else 0
+    return np.repeat(off - (ends - length), length) + np.arange(total)
+
+
+class _Cols(NamedTuple):
+    """Per-fingerprint columns, one row per fingerprint in filter order.
+
+    A fingerprint's extension chunks are chunks[ext_off:ext_off+ext_len]
+    and its counter digits the ctr_len entries right after them.
+    Quotients and spans are int64; remainders, values and chunks uint64.
+    """
+
+    quot: np.ndarray
+    rem: np.ndarray
+    value: np.ndarray
+    ext_off: np.ndarray
+    ext_len: np.ndarray
+    ctr_len: np.ndarray
+    chunks: np.ndarray
+
+    @classmethod
+    def build(cls, quot, rem, value, ext_len, ctr_len, chunks) -> "_Cols":
+        """Columns over a chunk array holding, fingerprint after
+        fingerprint, its extension chunks and then its counter digits."""
+        ext_len = np.asarray(ext_len, dtype=np.int64)
+        ctr_len = np.asarray(ctr_len, dtype=np.int64)
+        return cls(np.asarray(quot, dtype=np.int64), np.asarray(rem, dtype=np.uint64),
+                   np.asarray(value, dtype=np.uint64),
+                   np.cumsum(ext_len + ctr_len) - ext_len - ctr_len, ext_len, ctr_len,
+                   np.asarray(chunks, dtype=np.uint64))
+
+    def take(self, idx) -> "_Cols":
+        """The rows idx (indices or a mask), sharing the chunk array."""
+        return _Cols(*(col[idx] for col in self[:-1]), self.chunks)
+
+    def concat(self, other: "_Cols") -> "_Cols":
+        """self's rows followed by other's."""
+        moved = other._replace(ext_off=other.ext_off + len(self.chunks))
+        return _Cols(*(np.concatenate(pair) for pair in zip(self, moved)))
+
+    def packed(self, r: int) -> np.ndarray:
+        """(quotient << r) | remainder: the hash order of each row."""
+        return (self.quot.astype(np.uint64) << np.uint64(r)) | self.rem
+
+    def mids(self, q: int) -> np.ndarray:
+        """Minirun id of each row (see pack_minirun_id)."""
+        return (self.rem << np.uint64(q)) | self.quot.astype(np.uint64)
+
+    def counts(self, r: int) -> list[int]:
+        """Duplicate count of each row, as Python ints."""
+        out = [1] * len(self.quot)
+        for i in np.flatnonzero(self.ctr_len).tolist():
+            o = int(self.ext_off[i] + self.ext_len[i])
+            digits = self.chunks[o : o + int(self.ctr_len[i])].tolist()
+            out[i] += sum(d << (k * r) for k, d in enumerate(digits))
+        return out
+
+
 class _Win:
-    """Cluster-local window over the metadata bit vectors.
+    """Cluster-local window over the runend and extension bit vectors.
 
     Gathers bits lazily, anchored at a cluster start, so per-operation
     cost tracks the cluster length rather than the table size.  Reads
@@ -117,19 +184,16 @@ class _Win:
     valid walks never see because they stop at the first unused slot.
     """
 
-    __slots__ = ("arr", "base", "length", "run", "ext", "occ", "used", "_full")
+    __slots__ = ("arr", "base", "length", "run", "ext")
 
     _CHUNK = 128
 
-    def __init__(self, arr: "SlotArray", base: int, full: bool = False):
+    def __init__(self, arr: "SlotArray", base: int):
         self.arr = arr
         self.base = base
         self.length = 0
         self.run = 0
         self.ext = 0
-        self.occ = 0
-        self.used = 0
-        self._full = full
 
     def _grow(self, upto: int):
         arr = self.arr
@@ -138,9 +202,6 @@ class _Win:
             take = self._CHUNK
             self.run |= arr._read_bits(arr.run, at, take) << self.length
             self.ext |= arr._read_bits(arr.ext, at, take) << self.length
-            if self._full:
-                self.occ |= arr._read_bits(arr.occ, at, take) << self.length
-                self.used |= arr._read_bits(arr.used, at, take) << self.length
             self.length += take
             if self.length > 2 * arr.nslots + self._CHUNK:
                 raise StateCorruptionError("window walk escaped the table")
@@ -155,16 +216,6 @@ class _Win:
             self._grow(i)
         return (self.ext >> i) & 1
 
-    def occ_bit(self, i: int) -> int:
-        if i >= self.length:
-            self._grow(i)
-        return (self.occ >> i) & 1
-
-    def used_bit(self, i: int) -> int:
-        if i >= self.length:
-            self._grow(i)
-        return (self.used >> i) & 1
-
 
 class SlotArray:
     """Physical quotient-filter table; all indices are slot numbers mod 2**q."""
@@ -178,10 +229,10 @@ class SlotArray:
         n = cfg.nslots
         self.nslots = n
         self.nwords = (n + 63) >> 6
-        self.occ = np.zeros(self.nwords, dtype=np.uint64)
-        self.run = np.zeros(self.nwords, dtype=np.uint64)
-        self.ext = np.zeros(self.nwords, dtype=np.uint64)
-        self.used = np.zeros(self.nwords, dtype=np.uint64)
+        # the four metadata bit vectors are rows of one word matrix, so
+        # that a range of all four moves in one numpy call
+        self._meta = np.zeros((4, self.nwords), dtype=np.uint64)
+        self.used, self.run, self.ext, self.occ = self._meta
         self.slots = np.zeros(n, dtype=np.uint64)
         self.used_count = 0
         self.fp_count = 0
@@ -236,6 +287,34 @@ class SlotArray:
             vec[w] = (int(vec[w]) & ~(mask << off) & MASK64) | (chunk << off)
             put += take
             pos += take
+
+    def _segments(self, start: int, length: int) -> list[tuple[int, int, int]]:
+        """Slots [start, start+length) circularly, as at most two linear
+        pieces (a, b, o): slots a..b-1, which begin o slots into the range."""
+        end = start + length
+        if end <= self.nslots:
+            return [(start, end, 0)]
+        return [(start, self.nslots, 0), (0, end - self.nslots, self.nslots - start)]
+
+    def _load_bits(self, start: int, length: int) -> np.ndarray:
+        """Metadata bits of slots [start, start+length) circularly, as a
+        (4, length) bool array with rows used, run, ext, occ."""
+        parts = []
+        for a, b, _ in self._segments(start, length):
+            w = a >> 6
+            words = self._meta[:, w : (b + 63) >> 6].view(np.uint8)
+            bits = np.unpackbits(words, axis=1, bitorder="little")
+            parts.append(bits[:, a - (w << 6) : b - (w << 6)])
+        return np.concatenate(parts, axis=1).view(bool)
+
+    def _store_bits(self, start: int, bits: np.ndarray) -> None:
+        """Overwrite the metadata bits of slots [start, start+length)
+        circularly with a (4, length) array laid out as _load_bits'."""
+        for a, b, o in self._segments(start, bits.shape[1]):
+            w0, w1 = a >> 6, (b + 63) >> 6
+            cur = np.unpackbits(self._meta[:, w0:w1].view(np.uint8), axis=1, bitorder="little")
+            cur[:, a - (w0 << 6) : b - (w0 << 6)] = bits[:, o : o + b - a]
+            self._meta[:, w0:w1] = np.packbits(cur, axis=1, bitorder="little").view(np.uint64)
 
     def _find_first_unused(self, start: int) -> int:
         n = self.nslots
@@ -557,154 +636,154 @@ class SlotArray:
 
     def truncate_ext(self, mid: int, rank: int, keep: int) -> None:
         """Drop extension chunks beyond the first ``keep``."""
-        current = self.get_ext(mid, rank)
-        if keep >= len(current):
+        if keep >= len(self.get_ext(mid, rank)):
             return
         self._superset = None
-        self._edit_cluster(mid, rank, ("ext", current[:keep]))
+        self._edit_cluster(mid, rank, ("ext", keep))
 
     # ------------------------------------------------------------------
-    # cluster rewrite (shrinking edits)
+    # columnar decode and layout
 
-    def _decode_cluster(self, c: int) -> tuple[list, int]:
-        """Decode the cluster starting at ``c`` into
-        [(quotient, [[remainder, value, ext list, count], ...]), ...]
-        plus the cluster length in slots."""
-        win = _Win(self, c, full=True)
-        n, vb, r = self.nslots, self.value_bits, self.cfg.r
-        runs = []
-        pos = 0
-        occ_at = 0
-        while True:
-            while not win.occ_bit(occ_at):
-                occ_at += 1
-            qt = (c + occ_at) % n
-            fps = []
-            while True:
-                payload = int(self.slots[(c + pos) % n])
-                e0, c0, nxt, is_term = self._scan_fp(win, pos)
-                ext = [int(self.slots[(c + i) % n]) >> vb for i in range(e0, c0)]
-                v = 0
-                for i in range(nxt - c0):
-                    v |= (int(self.slots[(c + c0 + i) % n]) >> vb) << (i * r)
-                fps.append([payload >> vb, payload & ((1 << vb) - 1), ext, v + 1])
-                pos = nxt
-                if is_term:
-                    break
-            runs.append((qt, fps))
-            occ_at += 1
-            if not win.used_bit(pos):
-                return runs, pos
+    def _columns(self, start: int | None = None, length: int | None = None) -> _Cols:
+        """Decode the whole clusters in slots [start, start+length).
+
+        Without arguments, the whole table from just past its first
+        unused slot, where no cluster can straddle the range ends.  Rows
+        come in storage order: by quotient from the range start, then
+        remainder, then minirun rank.  A remainder slot is a used slot
+        without the extension bit; the k-th of them with runend set ends
+        the k-th run, whose quotient is the k-th occupied slot of the
+        range.  A fingerprint's other slots follow its remainder slot:
+        extension chunks (extension bit only), then counter digits
+        (both bits).
+        """
+        n, vb = self.nslots, self.value_bits
+        if start is None:
+            start, length = (self._find_first_unused(0) + 1) % n, n
+        used, run, ext, occ = self._load_bits(start, length)
+        pay = np.concatenate([self.slots[a:b] for a, b, _ in self._segments(start, length)])
+        R = np.flatnonzero(used & ~ext)
+        Q = np.flatnonzero(occ)
+        ends_run = run[R]
+        run_of = np.cumsum(ends_run) - ends_run  # terminators before each row
+        tails = np.flatnonzero(used & ext)
+        owner = np.searchsorted(R, tails, side="right") - 1
+        if ends_run.sum() != len(Q) or (R.size and not ends_run[-1]) or (owner < 0).any():
+            raise StateCorruptionError("runs and occupied quotients do not pair up")
+        ctr_len = np.bincount(owner[run[tails]], minlength=len(R))
+        head = pay[R]
+        return _Cols(
+            quot=(Q[run_of] + start) % n,
+            rem=head >> np.uint64(vb),
+            value=head & np.uint64((1 << vb) - 1),
+            ext_off=R + 1,
+            ext_len=np.bincount(owner, minlength=len(R)) - ctr_len,
+            ctr_len=ctr_len,
+            chunks=pay >> np.uint64(vb),
+        )
+
+    def _lay_out(self, start: int, length: int, cols: _Cols) -> None:
+        """Write fingerprints over slots [start, start+length), replacing
+        whatever the range held, and add them to the slot counters (a
+        caller replacing fingerprints takes those off with _count).
+
+        ``cols`` lists the fingerprints in run order: quotients, taken
+        relative to ``start``, never decrease.  Each run starts at the
+        larger of its canonical slot and the end of the run before it
+        (the counting quotient filter's placement), so with P the slots
+        taken by the fingerprints before row i, row i lands at
+        P[i] + max over j <= i of (quotient j - P[j]): one cumulative max.
+        Only a range covering the whole table wraps.  Its overflow past
+        the top pushes the first runs right, so the positions are
+        recomputed with that overflow as a floor until it settles; the
+        load cap leaves a free slot, which ends the chase.
+        """
+        n, vb = self.nslots, self.value_bits
+        width = 1 + cols.ext_len + cols.ctr_len
+        ends = np.cumsum(width)
+        before = ends - width
+        drift = np.maximum.accumulate((cols.quot - start) % n - before)
+        at, floor = before + drift, 0
+        for _ in range(n + 1):
+            over = max(0, int(at[-1] + width[-1]) - length) if len(at) else 0
+            if over == floor:
+                break
+            if length < n:
+                raise StateCorruptionError("layout outgrew its range")
+            floor = over
+            at = before + np.maximum(drift, floor)
+        else:
+            raise StateCorruptionError("layout overflow chase did not settle")
+
+        # one entry per slot filled: its row and its offset in that row
+        row = np.repeat(np.arange(len(width)), width)
+        inrow = np.arange(len(row)) - before[row]
+        slot = (at[row] + inrow) % length
+        tail = inrow > 0
+        last = np.ones(len(width), dtype=bool)  # run terminators
+        last[:-1] = cols.quot[1:] != cols.quot[:-1]
+        bits = np.zeros((4, length), dtype=bool)  # used, run, ext, occ
+        bits[0, slot] = True
+        bits[1, slot[inrow > cols.ext_len[row]]] = True
+        bits[1, slot[before[last]]] = True
+        bits[2, slot[tail]] = True
+        bits[3, (cols.quot[last] - start) % n] = True
+        pay = np.zeros(length, dtype=np.uint64)
+        pay[slot[before]] = (cols.rem << np.uint64(vb)) | cols.value
+        pay[slot[tail]] = cols.chunks[(cols.ext_off[row] + inrow - 1)[tail]] << np.uint64(vb)
+        self._store_bits(start, bits)
+        for a, b, o in self._segments(start, length):
+            self.slots[a:b] = pay[o : o + b - a]
+        self._count(cols, 1)
+
+    def _count(self, cols: _Cols, sign: int) -> None:
+        """Add (sign 1) or take away (sign -1) the slots of cols."""
+        e, c = int(cols.ext_len.sum()), int(cols.ctr_len.sum())
+        self.fp_count += sign * len(cols.quot)
+        self.ext_slot_count += sign * e
+        self.ctr_slot_count += sign * c
+        self.used_count += sign * (len(cols.quot) + e + c)
 
     def _edit_cluster(self, mid: int, rank: int, edit: tuple) -> None:
-        """Apply a shrinking edit to one fingerprint and rewrite its cluster."""
+        """Apply a shrinking edit to one fingerprint and lay its cluster
+        out again: ("remove",), ("ext", chunks kept) or ("count", count)."""
         qt, rem = unpack_minirun_id(mid, self.cfg.q)
-        self._locate_fp(mid, rank)  # existence check, uniform errors
+        if not self._get_bit(self.occ, qt):
+            raise NotFoundError(f"quotient {qt} has no run")
         c = self._cluster_start(qt)
-        runs, old_len = self._decode_cluster(c)
-        for ri, (rq, fps) in enumerate(runs):
-            if rq != qt:
-                continue
-            seen = 0
-            for fi, rec in enumerate(fps):
-                if rec[0] != rem:
-                    continue
-                if seen == rank:
-                    old_slots = 1 + len(rec[2]) + len(_count_digits(rec[3], self.cfg.r))
-                    if edit[0] == "remove":
-                        fps.pop(fi)
-                        self.fp_count -= 1
-                        self.ext_slot_count -= len(rec[2])
-                        self.ctr_slot_count -= len(_count_digits(rec[3], self.cfg.r))
-                        self.used_count -= old_slots
-                        if not fps:
-                            runs.pop(ri)
-                            self._clear_bit(self.occ, qt)
-                    elif edit[0] == "ext":
-                        dropped = len(rec[2]) - len(edit[1])
-                        rec[2] = list(edit[1])
-                        self.ext_slot_count -= dropped
-                        self.used_count -= dropped
-                    elif edit[0] == "count":
-                        dropped = len(_count_digits(rec[3], self.cfg.r)) - len(
-                            _count_digits(edit[1], self.cfg.r)
-                        )
-                        rec[3] = edit[1]
-                        self.ctr_slot_count -= dropped
-                        self.used_count -= dropped
-                    self._rewrite_cluster(c, old_len, runs)
-                    return
-                seen += 1
-        raise NotFoundError(f"minirun {mid} has no rank {rank}")
-
-    def _rewrite_cluster(self, c: int, old_len: int, runs: list) -> None:
-        n = self.nslots
-        self._write_bits(self.run, c, old_len, 0)
-        self._write_bits(self.ext, c, old_len, 0)
-        self._write_bits(self.used, c, old_len, 0)
-        end = c + old_len
-        if end <= n:
-            self.slots[c:end] = 0
+        length = (self._find_first_unused(c) - c) % self.nslots
+        cols = self._columns(c, length)
+        hits = np.flatnonzero((cols.quot == qt) & (cols.rem == rem))
+        if not 0 <= rank < len(hits):
+            raise NotFoundError(f"minirun {mid} has no rank {rank}")
+        i = hits[rank]
+        self._count(cols, -1)
+        if edit[0] == "remove":
+            cols = cols.take(np.arange(len(cols.quot)) != i)
         else:
-            self.slots[c:n] = 0
-            self.slots[0 : end - n] = 0
-        vb, r = self.value_bits, self.cfg.r
-        prev_end = -1
-        for qt, fps in runs:
-            qt_rel = (qt - c) % n
-            pos = max(qt_rel, prev_end + 1)
-            for k, (rem, value, ext, count) in enumerate(fps):
-                digits = _count_digits(count, r)
-                p = (c + pos) % n
-                self.slots[p] = (rem << vb) | value
-                self._set_bit(self.used, p)
-                if k == len(fps) - 1:
-                    self._set_bit(self.run, p)
-                pos += 1
-                for ch in ext:
-                    p = (c + pos) % n
-                    self.slots[p] = ch << vb
-                    self._set_bit(self.used, p)
-                    self._set_bit(self.ext, p)
-                    pos += 1
-                for d in digits:
-                    p = (c + pos) % n
-                    self.slots[p] = d << vb
-                    self._set_bit(self.used, p)
-                    self._set_bit(self.ext, p)
-                    self._set_bit(self.run, p)
-                    pos += 1
-            prev_end = pos - 1
-        if prev_end + 1 > old_len:
-            raise StateCorruptionError("cluster rewrite grew the cluster")
-
-    # ------------------------------------------------------------------
-    # whole-table iteration
+            # rewrite the row's tail in place: it only shrinks
+            o, e, d = int(cols.ext_off[i]), int(cols.ext_len[i]), int(cols.ctr_len[i])
+            if edit[0] == "ext":
+                k = edit[1]
+                cols.chunks[o + k : o + k + d] = cols.chunks[o + e : o + e + d]
+                cols.ext_len[i] = k
+            else:
+                digits = _count_digits(edit[1], self.cfg.r)
+                cols.chunks[o + e : o + e + len(digits)] = digits
+                cols.ctr_len[i] = len(digits)
+        self._lay_out(c, length, cols)
 
     def iter_fps(self):
-        """Yield (Fingerprint, value) in filter order: by quotient, then
-        remainder, then minirun rank."""
-        n = self.nslots
-        if self.used_count == 0:
-            return
-        anchor = (self._find_first_unused(0) + 1) % n
-        visited = 0
-        pos = anchor
-        while visited < n:
-            if (pos & 63) == 0 and visited + 64 <= n and int(self.used[pos >> 6]) == 0:
-                pos = (pos + 64) % n
-                visited += 64
-                continue
-            if not self._get_bit(self.used, pos):
-                pos = (pos + 1) % n
-                visited += 1
-                continue
-            runs, length = self._decode_cluster(pos)
-            for qt, fps in runs:
-                for rem, value, ext, count in fps:
-                    yield Fingerprint(qt, rem, tuple(ext), count), value
-            pos = (pos + length) % n
-            visited += length
+        """Yield (Fingerprint, value) in storage order from just past the
+        first unused slot: by quotient from there, then remainder, then
+        minirun rank."""
+        cols = self._columns()
+        chunks = cols.chunks.tolist()
+        for qt, rem, value, off, ln, count in zip(
+            cols.quot.tolist(), cols.rem.tolist(), cols.value.tolist(),
+            cols.ext_off.tolist(), cols.ext_len.tolist(), cols.counts(self.cfg.r),
+        ):
+            yield Fingerprint(qt, rem, tuple(chunks[off : off + ln]), count), value
 
     # ------------------------------------------------------------------
     # bulk probing
@@ -867,65 +946,42 @@ class SlotArray:
         """Rebuild the derived used bits from the canonical vectors.
 
         ``anchor`` must name an unused slot (the block offsets encode
-        one).  Runs are replayed left to right in coordinates rotated so
-        the anchor sits at the top; no cluster can cross it, which makes
-        the replay a single linear pass.
+        one).  In coordinates rotated to start just past it no cluster
+        wraps, so the k-th occupied quotient owns the k-th terminator
+        (runend without extension).  Run k starts at the larger of its
+        quotient and the end of run k-1, and ends past the extension
+        slots that follow its terminator.
         """
         n = self.nslots
         if expect_used > (_LOAD_NUM * n) // _LOAD_DEN:
             raise FormatError("used-slot count exceeds the load limit")
         rot = (anchor + 1) % n
-        occ_b = np.unpackbits(self.occ.view(np.uint8), bitorder="little")[:n]
-        quotients = np.sort((np.flatnonzero(occ_b) - rot) % n)
-        run_words = [int(x) for x in self.run]
-        ext_words = [int(x) for x in self.ext]
-
-        def rbit(i):
-            i = (i + rot) % n
-            return (run_words[i >> 6] >> (i & 63)) & 1
-
-        def ebit(i):
-            i = (i + rot) % n
-            return (ext_words[i >> 6] >> (i & 63)) & 1
-
-        pos = 0
-        total = 0
-        for qt in quotients:
-            start = max(int(qt), pos)
-            t = start
-            while t < n and not (rbit(t) and not ebit(t)):
-                t += 1
-            if t == n:
-                raise FormatError("run has no terminator")
-            t += 1
-            while t < n and ebit(t):
-                t += 1
-            if self._read_bits(self.used, (start + rot) % n, t - start):
-                raise FormatError("runs overlap")
-            self._write_bits(
-                self.used, (start + rot) % n, t - start, (1 << (t - start)) - 1
-            )
-            total += t - start
-            pos = t
+        bits = self._load_bits(rot, n)
+        used, run, ext, occ = bits
+        Q = np.flatnonzero(occ)
+        T = np.flatnonzero(run & ~ext)
+        if len(T) != len(Q):
+            raise FormatError(f"{len(T)} run terminators for {len(Q)} occupied quotients")
+        plain = np.append(np.flatnonzero(~ext), n)
+        end = plain[np.searchsorted(plain, T, side="right")]
+        start = np.maximum(Q, np.append(0, end[:-1]))
+        if (T < start).any():
+            raise FormatError("run has no terminator")
+        total = int((end - start).sum())
         if total != expect_used:
             raise FormatError(
                 f"decoded {total} used slots, header says {expect_used}"
             )
-        if self._get_bit(self.used, anchor):
+        if len(end) and end[-1] == n:
             raise FormatError("anchor slot decoded as used")
+        used[_ranges(start, end - start)] = True
+        if ((run | ext) & ~used).any():
+            raise FormatError("runend or extension bit on an unused slot")
+        self._store_bits(rot, bits)
         self.used_count = total
-        ext_only = np.bitwise_count(self.ext & ~self.run).sum()
-        ctr = np.bitwise_count(self.ext & self.run).sum()
-        fps = np.bitwise_count(self.used & ~self.ext).sum()
-        self.ext_slot_count = int(ext_only)
-        self.ctr_slot_count = int(ctr)
-        self.fp_count = int(fps)
-        if int(np.bitwise_count(self.used).sum()) != total:
-            raise StateCorruptionError("used bit accounting mismatch")
-
-
-def new_filter(cfg: FilterConfig, value_bits: int = 0) -> SlotArray:
-    return SlotArray(cfg, value_bits=value_bits)
+        self.fp_count = int(np.bitwise_count(self.used & ~self.ext).sum())
+        self.ext_slot_count = int(np.bitwise_count(self.ext & ~self.run).sum())
+        self.ctr_slot_count = int(np.bitwise_count(self.ext & self.run).sum())
 
 
 class FrozenIndex:
@@ -942,42 +998,13 @@ class FrozenIndex:
 
     def __init__(self, arr: SlotArray):
         self.cfg = arr.cfg
-        cfg = arr.cfg
-        n = arr.nslots
-        if arr.fp_count == 0:
-            self.base = np.empty(0, dtype=np.uint64)
-            self.ext_only = np.empty(0, dtype=np.uint64)
-            return
-        rot = (arr._find_first_unused(0) + 1) % n
-        def unpack(vec):
-            return np.unpackbits(vec.view(np.uint8), bitorder="little")[:n]
-        used_b = np.roll(unpack(arr.used), -rot).astype(bool)
-        run_b = np.roll(unpack(arr.run), -rot).astype(bool)
-        ext_b = np.roll(unpack(arr.ext), -rot).astype(bool)
-        occ_b = np.roll(unpack(arr.occ), -rot).astype(bool)
-        slots_r = np.roll(arr.slots, -rot)
-
-        rem_mask = used_b & ~ext_b
-        R = np.flatnonzero(rem_mask)
-        T = np.flatnonzero(rem_mask & run_b)
-        Q = np.flatnonzero(occ_b)
-        if len(T) != len(Q):
-            raise StateCorruptionError("terminator and quotient counts differ")
-        run_idx = np.searchsorted(T, R, side="left")
-        quot = ((Q[run_idx] + rot) % n).astype(np.uint64)
-        rems = slots_r[R] >> np.uint64(arr.value_bits)
-        rems &= np.uint64((1 << cfg.r) - 1)
-        packed = (quot << np.uint64(cfg.r)) | rems
-
-        # extension chunk slots, each owned by the remainder slot before it
-        chunk_at = np.flatnonzero(ext_b & ~run_b)
-        owner = np.searchsorted(R, chunk_at, side="right") - 1
-        ext_len = np.bincount(owner, minlength=len(R))
-
+        cols = arr._columns()
+        packed = cols.packed(arr.cfg.r)
         order = np.argsort(packed, kind="stable")
         ps = packed[order]
-        he = (ext_len[order] > 0).astype(np.uint8)
-        uniq, starts = np.unique(ps, return_index=True)
+        he = (cols.ext_len[order] > 0).astype(np.uint8)
+        starts = np.flatnonzero(np.diff(ps, prepend=~ps[:1]))
+        uniq = ps[starts]
         all_ext = np.minimum.reduceat(he, starts).astype(bool)
         self.base = uniq
         self.ext_only = uniq[all_ext]
@@ -985,17 +1012,13 @@ class FrozenIndex:
         # zero-padded to the longest extension
         cand = order[np.isin(ps, self.ext_only)]
         self.cand_packed = packed[cand]
-        self.cand_len = ext_len[cand]
+        self.cand_len = cols.ext_len[cand]
         width = int(self.cand_len.max()) if cand.size else 0
         self.cand_chunks = np.zeros((cand.size, width), dtype=np.uint64)
-        if cand.size:
-            row_of = np.full(len(R), -1, dtype=np.int64)
-            row_of[cand] = np.arange(cand.size)
-            mine = row_of[owner] >= 0
-            at, own = chunk_at[mine], owner[mine]
-            self.cand_chunks[row_of[own], at - R[own] - 1] = (
-                slots_r[at] >> np.uint64(arr.value_bits)
-            )
+        off = cols.ext_off[cand]
+        at = _ranges(off, self.cand_len)
+        row = np.repeat(np.arange(cand.size), self.cand_len)
+        self.cand_chunks[row, at - off[row]] = cols.chunks[at]
 
     def query_keys(self, keys: np.ndarray) -> np.ndarray:
         """Membership verdict per key, adaptation frozen."""

@@ -17,6 +17,7 @@ space, which is why shortening defaults to off.
 from __future__ import annotations
 
 import enum
+import itertools
 import operator
 import struct
 from dataclasses import dataclass
@@ -28,7 +29,6 @@ from .core import (
     Fingerprint,
     FrozenIndex,
     SlotArray,
-    new_filter,
     pack_minirun_id,
 )
 from .errors import (
@@ -39,7 +39,14 @@ from .errors import (
     NotFoundError,
     StateCorruptionError,
 )
-from .hashing import FilterConfig, HashStream, extension_chunk, is_prefix, split
+from .hashing import (
+    FilterConfig,
+    HashStream,
+    extension_chunk,
+    extension_chunk_batch,
+    split,
+    split_batch,
+)
 from .revmap import ReverseMap
 from .snapshot import ByteReader, pack_section
 
@@ -105,7 +112,7 @@ class AdaptiveFilter:
     ):
         self.cfg = cfg
         self.policy = policy if policy is not None else Policy()
-        self.arr = new_filter(cfg, value_bits=value_bits)
+        self.arr = SlotArray(cfg, value_bits=value_bits)
         self.map = ReverseMap(cfg.q, path=map_path)
         # r bits per extension chunk written by adapt()
         self.adaptivity_bits = 0
@@ -146,6 +153,7 @@ class AdaptiveFilter:
         without them).  With dedupe_keys on, re-inserting a key bumps
         its fingerprint's counter instead of storing a second copy.
         """
+        self.map.check_entry(key, value)
         stream = HashStream(key, self.cfg.seed)
         qt, rem = split(stream, self.cfg)
         mid = pack_minirun_id(qt, rem, self.cfg.q)
@@ -302,24 +310,36 @@ class AdaptiveFilter:
         prefix of its owner key's hash.  Raises StateCorruptionError.
         """
         cfg = self.cfg
-        groups: dict[int, list[Fingerprint]] = {}
-        for fp, _ in self.arr.iter_fps():
-            mid = pack_minirun_id(fp.quotient, fp.remainder, cfg.q)
-            groups.setdefault(mid, []).append(fp)
-        if set(groups) != set(self.map.entries):
+        cols = self.arr._columns()
+        mids = cols.mids(cfg.q)
+        # rows grouped by minirun id, rank order kept inside each group
+        order = np.argsort(mids, kind="stable")
+        ids, first, sizes = np.unique(mids[order], return_index=True, return_counts=True)
+        ids = ids.tolist()
+        lists = list(map(self.map.entries.get, ids))
+        if len(lists) != len(self.map.entries) or None in lists:
             raise StateCorruptionError("filter and map disagree on minirun ids")
-        for mid, fps in groups.items():
-            lst = self.map.entries[mid]
-            if len(lst) != len(fps):
-                raise StateCorruptionError(
-                    f"minirun {mid}: {len(fps)} fingerprints, {len(lst)} map entries"
-                )
-            for rank, fp in enumerate(fps):
-                key = lst[rank][0]
-                if not is_prefix(fp, HashStream(key, cfg.seed), cfg):
-                    raise StateCorruptionError(
-                        f"minirun {mid} rank {rank} is not a prefix of key {key}"
-                    )
+        short = np.flatnonzero(np.fromiter(map(len, lists), dtype=np.int64) != sizes)
+        if short.size:
+            g = int(short[0])
+            raise StateCorruptionError(
+                f"minirun {ids[g]}: {sizes[g]} fingerprints, {len(lists[g])} map entries"
+            )
+        flat = itertools.chain.from_iterable(lists)
+        keys = np.empty(len(mids), dtype=np.uint64)
+        keys[order] = np.fromiter(map(operator.itemgetter(0), flat), dtype=np.uint64,
+                                  count=len(mids))
+        bad = split_batch(keys, cfg) != cols.packed(cfg.r)
+        for t in range(int(cols.ext_len.max(initial=0))):
+            rows = np.flatnonzero(cols.ext_len > t)
+            bad[rows] |= (extension_chunk_batch(keys[rows], cfg, t)
+                          != cols.chunks[cols.ext_off[rows] + t])
+        if bad.any():
+            at = int(np.flatnonzero(bad[order])[0])
+            g = int(np.searchsorted(first, at, side="right")) - 1
+            raise StateCorruptionError(
+                f"minirun {ids[g]} rank {at - first[g]} is not a prefix of key {keys[order[at]]}"
+            )
 
     def frozen_index(self) -> FrozenIndex:
         """Read-only snapshot for bulk probing; stale after any mutation."""

@@ -49,12 +49,17 @@ class ReverseMap:
         if self.path is not None and self.path.exists():
             self._read(self.path.read_bytes())
 
-    def map_insert(self, mid: int, rank: int, key: int, value: bytes | None = None) -> None:
-        """Insert key at position rank; later entries shift back one."""
+    @staticmethod
+    def check_entry(key: int, value: bytes | None) -> None:
+        """Raise InvalidConfigError unless (key, value) can be stored."""
         if not 0 <= key <= _MASK64:
             raise InvalidConfigError("key must fit in 64 bits")
         if value is not None and not isinstance(value, bytes):
             raise InvalidConfigError("value must be bytes or None")
+
+    def map_insert(self, mid: int, rank: int, key: int, value: bytes | None = None) -> None:
+        """Insert key at position rank; later entries shift back one."""
+        self.check_entry(key, value)
         lst = self.entries.setdefault(mid, [])
         if not 0 <= rank <= len(lst):
             if not lst:

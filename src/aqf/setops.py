@@ -1,19 +1,19 @@
 """Whole-filter operations: merge, bulk load, reseed.
 
-All three build their output with the same linear placement routine
-instead of repeated single inserts.  Given runs in quotient order, each
-run starts at the larger of its canonical slot and the previous run's
-end, so nothing ever shifts.  A cluster running past the top of the
-array wraps; the wrapped tail pushes early runs to the right, which the
-placement resolves by re-running its layout pass with the overflow fed
-back in until the overflow stops changing.  Load stays capped at 19/20,
-so a free slot always breaks the chase and the fixpoint is the same
-layout sequential insertion would have produced (pinned by tests).
+All three build their output by handing fingerprint columns in
+(quotient, remainder) order to the slot array's one layout writer,
+``SlotArray._lay_out``, instead of repeated single inserts.  Each run
+starts at the larger of its canonical slot and the previous run's end,
+so nothing ever shifts.  A cluster running past the top of the array
+wraps; the writer feeds the wrapped tail back in as a floor for the
+first runs until it stops changing.  Load stays capped at 19/20, so a
+free slot always breaks the chase and the fixpoint is the same layout
+sequential insertion would have produced (pinned by tests).  Merge reads
+its inputs with the matching columnar decoder, ``SlotArray._columns``.
 """
 
 from __future__ import annotations
 
-import heapq
 import warnings
 from collections import defaultdict
 
@@ -23,8 +23,8 @@ from .core import (
     _LOAD_DEN,
     _LOAD_NUM,
     SlotArray,
+    _Cols,
     _count_digits,
-    new_filter,
     pack_minirun_id,
 )
 from .errors import (
@@ -41,82 +41,18 @@ from .revmap import ReverseMap
 _GROW_AT = 0.90
 
 
-def _place(arr: SlotArray, records) -> None:
-    """Write sorted fingerprint records into a fresh slot array.
+def _place(arr: SlotArray, cols: _Cols) -> None:
+    """Lay fingerprint columns out over a fresh slot array.
 
-    records: iterable of (quotient, remainder, ext, count, tag) in
-    non-decreasing (quotient, remainder) order; ties are miniruns and
-    keep their arrival order as rank order.
+    Rows must be in non-decreasing (quotient, remainder) order; ties are
+    miniruns and keep their row order as rank order.
     """
     if arr.used_count:
         raise StateCorruptionError("placement needs an empty array")
-    cfg = arr.cfg
-    n = arr.nslots
-    vb = arr.value_bits
-
-    runs = []  # (quotient, [(payload, is_ext, is_ctr), ...], last fp's remainder offset)
-    prev_packed = -1
-    total = 0
-    fp_total = 0
-    ext_total = 0
-    ctr_total = 0
-    for qt, rem, ext, count, tag in records:
-        packed = (qt << cfg.r) | rem
-        if packed < prev_packed:
-            raise UnsortedInputError(
-                f"record (q={qt}, rem={rem}) arrived after a larger one"
-            )
-        prev_packed = packed
-        if not runs or runs[-1][0] != qt:
-            runs.append((qt, [], [0]))
-        slots = runs[-1][1]
-        runs[-1][2][0] = len(slots)
-        slots.append(((rem << vb) | tag, False, False))
-        for ch in ext:
-            slots.append(((ch << vb), True, False))
-        digits = _count_digits(count, cfg.r)
-        for d in digits:
-            slots.append(((d << vb), True, True))
-        width = 1 + len(ext) + len(digits)
-        total += width
-        fp_total += 1
-        ext_total += len(ext)
-        ctr_total += len(digits)
-
-    if _LOAD_DEN * total > _LOAD_NUM * n:
-        raise FilterFullError(f"{total} slots exceed the load limit of {n}")
-
-    carry = 0
-    for _ in range(n + 1):
-        pos = carry
-        for qt, slots, _ in runs:
-            pos = max(qt, pos) + len(slots)
-        overflow = max(0, pos - n)
-        if overflow == carry:
-            break
-        carry = overflow
-    else:
-        raise StateCorruptionError("layout overflow chase did not settle")
-
-    pos = carry
-    for qt, slots, (term_off,) in runs:
-        start = max(qt, pos)
-        arr._set_bit(arr.occ, qt)
-        for off, (payload, is_ext, is_ctr) in enumerate(slots):
-            p = (start + off) % n
-            arr.slots[p] = payload
-            arr._set_bit(arr.used, p)
-            if is_ext:
-                arr._set_bit(arr.ext, p)
-            if is_ctr:
-                arr._set_bit(arr.run, p)
-        arr._set_bit(arr.run, (start + term_off) % n)
-        pos = start + len(slots)
-
-    arr.used_count = total
-    arr.fp_count = fp_total
-    arr.ext_slot_count = ext_total
-    arr.ctr_slot_count = ctr_total
+    total = len(cols.quot) + int(cols.ext_len.sum() + cols.ctr_len.sum())
+    if _LOAD_DEN * total > _LOAD_NUM * arr.nslots:
+        raise FilterFullError(f"{total} slots exceed the load limit of {arr.nslots}")
+    arr._lay_out(0, arr.nslots, cols)
 
 
 def bulk_load(items, cfg: FilterConfig, policy: Policy | None = None,
@@ -136,7 +72,7 @@ def bulk_load(items, cfg: FilterConfig, policy: Policy | None = None,
         keys.append(key)
         values.append(value)
 
-    arr = new_filter(cfg, value_bits=value_bits)
+    arr = SlotArray(cfg, value_bits=value_bits)
     revmap = ReverseMap(cfg.q)
     f = AdaptiveFilter._from_parts(arr, revmap, policy if policy is not None else Policy())
     if not keys:
@@ -145,11 +81,12 @@ def bulk_load(items, cfg: FilterConfig, policy: Policy | None = None,
     packed = split_batch(np.array(keys, dtype=np.uint64), cfg)
     if np.any(packed[1:] < packed[:-1]):
         raise UnsortedInputError("keys are not in (quotient, remainder) order")
-    rmask = np.uint64((1 << cfg.r) - 1)
-    quots = (packed >> np.uint64(cfg.r)).tolist()
-    rems = (packed & rmask).tolist()
+    quots = packed >> np.uint64(cfg.r)
+    rems = packed & np.uint64((1 << cfg.r) - 1)
+    bare = np.zeros(len(keys), dtype=np.int64)
+    _place(arr, _Cols.build(quots, rems, bare, bare, bare, ()))
 
-    _place(arr, ((quots[i], rems[i], (), 1, 0) for i in range(len(keys))))
+    quots, rems = quots.tolist(), rems.tolist()
 
     ranks: dict[int, int] = defaultdict(int)
     for i, key in enumerate(keys):
@@ -159,25 +96,20 @@ def bulk_load(items, cfg: FilterConfig, policy: Policy | None = None,
     return f
 
 
-def _fingerprint_records(f: AdaptiveFilter):
-    """(quotient, remainder, ext, count, tag) per fingerprint, filter order."""
-    for fp, tag in f.arr.iter_fps():
-        yield fp.quotient, fp.remainder, fp.ext, fp.count, tag
-
-
 def _key_records(f: AdaptiveFilter):
     """Pair each fingerprint with its map entry, in filter order.
 
     Yields (key, value, tag, count, ext_len).  Relies on map lists
     mirroring minirun rank order; check_consistency() proves that.
     """
+    cols = f.arr._columns()
     seen: dict[int, int] = defaultdict(int)
-    for fp, tag in f.arr.iter_fps():
-        mid = pack_minirun_id(fp.quotient, fp.remainder, f.cfg.q)
+    for mid, tag, count, ext_len in zip(cols.mids(f.cfg.q).tolist(), cols.value.tolist(),
+                                        cols.counts(f.cfg.r), cols.ext_len.tolist()):
         rank = seen[mid]
         seen[mid] += 1
         key, value = f.map.entries[mid][rank]
-        yield key, value, tag, fp.count, len(fp.ext)
+        yield key, value, tag, count, ext_len
 
 
 def _build_rederived(key_records, cfg: FilterConfig, policy: Policy,
@@ -195,14 +127,16 @@ def _build_rederived(key_records, cfg: FilterConfig, policy: Policy,
         ext = ()
         if keep_ext and ext_len:
             ext = tuple(extension_chunk(stream, cfg, i) for i in range(ext_len))
-        out.append((qt, rem, ext, count, tag, key, value))
+        out.append((qt, rem, tag, ext, tuple(_count_digits(count, cfg.r)), key, value))
     out.sort(key=lambda t: (t[0], t[1]))
+    qts, rems, tags, exts, digits, keys, values = zip(*out) if out else [()] * 7
 
-    arr = new_filter(cfg, value_bits=value_bits)
+    arr = SlotArray(cfg, value_bits=value_bits)
     revmap = ReverseMap(cfg.q)
-    _place(arr, ((qt, rem, ext, count, tag) for qt, rem, ext, count, tag, _, _ in out))
+    _place(arr, _Cols.build(qts, rems, tags, [len(e) for e in exts], [len(d) for d in digits],
+                            [c for e, d in zip(exts, digits) for c in e + d]))
     ranks: dict[int, int] = defaultdict(int)
-    for qt, rem, _, _, _, key, value in out:
+    for qt, rem, key, value in zip(qts, rems, keys, values):
         mid = pack_minirun_id(qt, rem, cfg.q)
         revmap.map_insert(mid, ranks[mid], key, value)
         ranks[mid] += 1
@@ -212,12 +146,13 @@ def _build_rederived(key_records, cfg: FilterConfig, policy: Policy,
 def merge(a: AdaptiveFilter, b: AdaptiveFilter) -> AdaptiveFilter:
     """Combine two filters built under the same (q, r, seed).
 
-    When both fit, a linear co-scan emits runs in fingerprint order
-    with a's entries ahead of b's for shared minirun ids, extensions
-    kept verbatim.  When the union would pass 90% load, the output
-    takes one more quotient bit; fingerprints are re-derived from the
-    keys (the shared seed makes the streams agree), extension lengths
-    preserved so prior corrections keep holding.
+    When both fit, both tables' columns are concatenated and stably
+    sorted into fingerprint order, so a's entries come ahead of b's for
+    shared minirun ids; extensions and counts are kept verbatim.  When
+    the union would pass 90% load, the output takes one more quotient
+    bit; fingerprints are re-derived from the keys (the shared seed
+    makes the streams agree), extension lengths preserved so prior
+    corrections keep holding.
     """
     if a.cfg != b.cfg:
         raise ConfigMismatchError(f"configs differ: {a.cfg} vs {b.cfg}")
@@ -228,9 +163,9 @@ def merge(a: AdaptiveFilter, b: AdaptiveFilter) -> AdaptiveFilter:
     cfg = a.cfg
     combined = a.arr.used_count + b.arr.used_count
     if combined <= _GROW_AT * cfg.nslots:
-        arr = new_filter(cfg, value_bits=a.value_bits)
-        key = lambda rec: (rec[0], rec[1])
-        _place(arr, heapq.merge(_fingerprint_records(a), _fingerprint_records(b), key=key))
+        arr = SlotArray(cfg, value_bits=a.value_bits)
+        cols = a.arr._columns().concat(b.arr._columns())
+        _place(arr, cols.take(np.argsort(cols.packed(cfg.r), kind="stable")))
         return AdaptiveFilter._from_parts(arr, a.map.map_concat(b.map), a.policy)
 
     grown = FilterConfig(q=cfg.q + 1, r=cfg.r, seed=cfg.seed)

@@ -38,9 +38,6 @@ class ByteReader:
     def u64(self) -> int:
         return struct.unpack("<Q", self.take(8))[0]
 
-    def f64(self) -> float:
-        return struct.unpack("<d", self.take(8))[0]
-
     def section(self) -> bytes:
         return self.take(self.u64())
 

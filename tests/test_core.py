@@ -10,7 +10,6 @@ from aqf.core import (
     FrozenIndex,
     HEADER_BITS,
     SlotArray,
-    new_filter,
     pack_minirun_id,
     unpack_minirun_id,
 )
@@ -55,7 +54,7 @@ class TestMinirunIds:
 
 class TestNewFilter:
     def test_small_geometry(self):
-        arr = new_filter(C44)
+        arr = SlotArray(C44)
         assert arr.nslots == 16
         assert arr.fp_count == 0
         rep = arr.space_report()
@@ -63,21 +62,21 @@ class TestNewFilter:
         assert rep.load_factor == 0.0
 
     def test_large_geometry(self):
-        arr = new_filter(FilterConfig(q=20, r=9))
+        arr = SlotArray(FilterConfig(q=20, r=9))
         assert arr.space_report().total_bits == 2**20 * 12 + 2**14 * 8 + HEADER_BITS
 
     def test_value_bits_widen_slots(self):
-        arr = new_filter(C44, value_bits=2)
+        arr = SlotArray(C44, value_bits=2)
         assert arr.slot_bits == 6
         with pytest.raises(ValueError):
-            new_filter(C44, value_bits=60)
+            SlotArray(C44, value_bits=60)
         with pytest.raises(ValueError):
-            new_filter(C44, value_bits=-1)
+            SlotArray(C44, value_bits=-1)
 
 
 class TestInsertPlacement:
     def test_first_insert_lands_on_canonical_slot(self):
-        arr = new_filter(C44)
+        arr = SlotArray(C44)
         mid, rank = arr.insert_fp(Fingerprint(3, 0xA))
         assert (mid, rank) == (pack_minirun_id(3, 0xA, 4), 0)
         assert int(arr.slots[3]) == 0xA
@@ -87,7 +86,7 @@ class TestInsertPlacement:
         assert decode_raw(arr) == [(3, 0xA, (), 1, 0)]
 
     def test_duplicate_fingerprint_appends_at_next_rank(self):
-        arr = new_filter(C44)
+        arr = SlotArray(C44)
         arr.insert_fp(Fingerprint(3, 0xA))
         _, rank = arr.insert_fp(Fingerprint(3, 0xA))
         assert rank == 1
@@ -95,7 +94,7 @@ class TestInsertPlacement:
         assert decode_raw(arr) == [(3, 0xA, (), 1, 0)] * 2
 
     def test_insert_shifts_later_run_aside(self):
-        arr = new_filter(C44)
+        arr = SlotArray(C44)
         arr.insert_fp(Fingerprint(3, 2))
         arr.insert_fp(Fingerprint(4, 9))
         arr.insert_fp(Fingerprint(3, 7))
@@ -103,7 +102,7 @@ class TestInsertPlacement:
         assert [int(arr.slots[i]) for i in (3, 4, 5)] == [2, 7, 9]
 
     def test_minirun_keeps_insertion_order(self):
-        arr = new_filter(FilterConfig(q=8, r=4))
+        arr = SlotArray(FilterConfig(q=8, r=4))
         marks = [(5,), (11,), (2,)]
         for m in marks:
             arr.insert_fp(Fingerprint(40, 6, ext=m))
@@ -111,7 +110,7 @@ class TestInsertPlacement:
 
     def test_random_inserts_match_decoder(self):
         rng = np.random.default_rng(32)
-        arr = new_filter(FilterConfig(q=11, r=4))
+        arr = SlotArray(FilterConfig(q=11, r=4))
         inserted = random_fps(rng, 11, 4, 500, max_ext=2, max_count=4)
         for fp in inserted:
             arr.insert_fp(fp)
@@ -120,7 +119,7 @@ class TestInsertPlacement:
         )
 
     def test_rejects_insert_past_load_cap(self):
-        arr = new_filter(C44)
+        arr = SlotArray(C44)
         for qt in range(15):
             arr.insert_fp(Fingerprint(qt, 1))
         with pytest.raises(FilterFullError):
@@ -131,22 +130,22 @@ class TestInsertPlacement:
 
 class TestFindRun:
     def test_empty(self):
-        arr = new_filter(C44)
+        arr = SlotArray(C44)
         assert all(arr.find_run(qt) is None for qt in range(16))
 
     def test_singleton(self):
-        arr = new_filter(C44)
+        arr = SlotArray(C44)
         arr.insert_fp(Fingerprint(3, 0xA))
         assert arr.find_run(3) == (3, 1)
 
     def test_includes_trailing_extension_and_counter_slots(self):
-        arr = new_filter(FilterConfig(q=8, r=4))
+        arr = SlotArray(FilterConfig(q=8, r=4))
         mid, rank = arr.insert_fp(Fingerprint(10, 7, ext=(1, 2), count=4))
         assert arr.find_run(10) == (10, 4)
 
     def test_random_layout_consistent_with_decoder(self):
         rng = np.random.default_rng(33)
-        arr = new_filter(FilterConfig(q=8, r=4))
+        arr = SlotArray(FilterConfig(q=8, r=4))
         for fp in random_fps(rng, 8, 4, 110, max_ext=1, max_count=2):
             arr.insert_fp(fp)
         by_qt = {}
@@ -173,7 +172,7 @@ class TestFindRun:
         assert all(_bit(arr.used, s) for s in covered)
 
     def test_unoccupied_quotient_in_live_cluster(self):
-        arr = new_filter(C44)
+        arr = SlotArray(C44)
         arr.insert_fp(Fingerprint(3, 1))
         arr.insert_fp(Fingerprint(3, 2))
         # slot 4 is used by quotient 3's run, but quotient 4 has no run
@@ -182,19 +181,19 @@ class TestFindRun:
 
 class TestQueryFp:
     def test_empty_filter_is_negative(self):
-        arr = new_filter(C44)
+        arr = SlotArray(C44)
         assert arr.query_fp(HashStream(99, 0)) is None
 
     def test_inserted_baseline_matches_its_key(self):
         cfg = FilterConfig(q=8, r=9, seed=4)
-        arr = new_filter(cfg)
+        arr = SlotArray(cfg)
         s = HashStream(1234, 4)
         arr.insert_fp(Fingerprint(*split(s, cfg)))
         assert arr.query_fp(s) == (0, 0)
 
     def test_reports_rank_and_matched_extension_length(self):
         cfg = FilterConfig(q=8, r=4, seed=4)
-        arr = new_filter(cfg)
+        arr = SlotArray(cfg)
         s = HashStream(1234, 4)
         qt, rem = split(s, cfg)
         mid, _ = arr.insert_fp(Fingerprint(qt, rem))
@@ -208,7 +207,7 @@ class TestQueryFp:
     def test_agrees_with_prefix_semantics_at_random(self):
         cfg = FilterConfig(q=8, r=4, seed=6)
         rng = np.random.default_rng(34)
-        arr = new_filter(cfg)
+        arr = SlotArray(cfg)
         stored = rng.integers(0, 1 << 48, size=180, dtype=np.uint64)
         baselines = set()
         for k in stored:
@@ -222,14 +221,14 @@ class TestQueryFp:
 
 class TestCounters:
     def test_singleton_count_occupies_no_slots(self):
-        arr = new_filter(FilterConfig(q=8, r=4))
+        arr = SlotArray(FilterConfig(q=8, r=4))
         mid, rank = arr.insert_fp(Fingerprint(9, 3))
         arr.set_count(mid, rank, 1)
         assert arr.get_count(mid, rank) == 1
         assert arr.used_count == 1 and arr.ctr_slot_count == 0
 
     def test_count_two_stores_one_digit(self):
-        arr = new_filter(FilterConfig(q=8, r=4))
+        arr = SlotArray(FilterConfig(q=8, r=4))
         mid, rank = arr.insert_fp(Fingerprint(9, 3))
         arr.set_count(mid, rank, 2)
         assert arr.get_count(mid, rank) == 2
@@ -241,7 +240,7 @@ class TestCounters:
     @pytest.mark.parametrize("r", [4, 9])
     def test_roundtrip_across_magnitudes(self, r):
         cfg = FilterConfig(q=8, r=r)
-        arr = new_filter(cfg)
+        arr = SlotArray(cfg)
         mid, rank = arr.insert_fp(Fingerprint(200, 1))
         rng = np.random.default_rng(35)
         counts = [1, 2, 3, (1 << r), (1 << r) + 1, 1 << 20] + [
@@ -255,7 +254,7 @@ class TestCounters:
         assert arr.used_count == 1 and arr.ctr_slot_count == 0
 
     def test_rejects_nonpositive_count(self):
-        arr = new_filter(C44)
+        arr = SlotArray(C44)
         mid, rank = arr.insert_fp(Fingerprint(0, 0))
         with pytest.raises(ValueError):
             arr.set_count(mid, rank, 0)
@@ -263,7 +262,7 @@ class TestCounters:
 
 class TestRemove:
     def test_single_insert_remove_clears_everything(self):
-        arr = new_filter(C44)
+        arr = SlotArray(C44)
         mid, rank = arr.insert_fp(Fingerprint(5, 2, ext=(7,), count=3))
         arr.remove_fp(mid, rank)
         assert decode_raw(arr) == []
@@ -273,7 +272,7 @@ class TestRemove:
             assert not np.any(vec)
 
     def test_removing_middle_rank_preserves_sibling_order(self):
-        arr = new_filter(FilterConfig(q=8, r=4))
+        arr = SlotArray(FilterConfig(q=8, r=4))
         mid = None
         for mark in [(5,), (11,), (2,)]:
             mid, _ = arr.insert_fp(Fingerprint(40, 6, ext=mark))
@@ -281,7 +280,7 @@ class TestRemove:
         assert [rec[2] for rec in decode_raw(arr)] == [(5,), (2,)]
 
     def test_remove_from_wrapped_cluster(self):
-        arr = new_filter(C44)
+        arr = SlotArray(C44)
         mid, _ = arr.insert_fp(Fingerprint(15, 1))
         arr.insert_fp(Fingerprint(15, 9))
         arr.insert_fp(Fingerprint(0, 4))
@@ -291,7 +290,7 @@ class TestRemove:
         assert decode_raw(arr) == [(15, 9, (), 1, 0), (0, 4, (), 1, 0)]
 
     def test_missing_rank_raises(self):
-        arr = new_filter(C44)
+        arr = SlotArray(C44)
         mid, _ = arr.insert_fp(Fingerprint(5, 2))
         with pytest.raises(NotFoundError):
             arr.remove_fp(mid, 1)
@@ -301,7 +300,7 @@ class TestRemove:
 
 class TestExtendTruncate:
     def test_extend_marks_following_slot(self):
-        arr = new_filter(C44)
+        arr = SlotArray(C44)
         mid, rank = arr.insert_fp(Fingerprint(3, 0xA))
         arr.extend_fp(mid, rank, [0x5])
         assert arr.used_count == 2 and arr.ext_slot_count == 1
@@ -310,7 +309,7 @@ class TestExtendTruncate:
 
     def test_owner_still_matches_after_extension(self):
         cfg = FilterConfig(q=8, r=4, seed=8)
-        arr = new_filter(cfg)
+        arr = SlotArray(cfg)
         s = HashStream(31337, 8)
         qt, rem = split(s, cfg)
         mid, rank = arr.insert_fp(Fingerprint(qt, rem))
@@ -318,7 +317,7 @@ class TestExtendTruncate:
         assert arr.query_fp(s) == (0, 2)
 
     def test_truncate_back_to_baseline(self):
-        arr = new_filter(C44)
+        arr = SlotArray(C44)
         mid, rank = arr.insert_fp(Fingerprint(3, 0xA))
         arr.extend_fp(mid, rank, [1, 2, 3])
         arr.truncate_ext(mid, rank, 1)
@@ -328,7 +327,7 @@ class TestExtendTruncate:
         assert arr.used_count == 1 and arr.ext_slot_count == 0
 
     def test_truncate_keeping_everything_is_a_no_op(self):
-        arr = new_filter(C44)
+        arr = SlotArray(C44)
         mid, rank = arr.insert_fp(Fingerprint(3, 0xA, ext=(1,)))
         before = arr.to_bytes()
         arr.truncate_ext(mid, rank, 5)
@@ -337,7 +336,7 @@ class TestExtendTruncate:
     def test_random_extend_sequences_match_decoder(self):
         rng = np.random.default_rng(36)
         cfg = FilterConfig(q=9, r=4)
-        arr = new_filter(cfg)
+        arr = SlotArray(cfg)
         records = {}
         for fp in random_fps(rng, 9, 4, 100):
             key = (fp.quotient, fp.remainder)
@@ -356,7 +355,7 @@ class TestExtendTruncate:
 class TestAccounting:
     def test_bit_vector_populations_match_counters(self):
         rng = np.random.default_rng(37)
-        arr = new_filter(FilterConfig(q=10, r=4))
+        arr = SlotArray(FilterConfig(q=10, r=4))
         for fp in random_fps(rng, 10, 4, 300, max_ext=2, max_count=5):
             arr.insert_fp(fp)
         recs = decode_raw(arr)
@@ -371,7 +370,7 @@ class TestAccounting:
         assert arr.ext_slot_count == sum(len(e) for _, _, e, _, _ in recs)
 
     def test_space_report_tracks_contents(self):
-        arr = new_filter(FilterConfig(q=10, r=6))
+        arr = SlotArray(FilterConfig(q=10, r=6))
         for qt in range(50):
             arr.insert_fp(Fingerprint(qt * 19 % 1024, qt))
         rep = arr.space_report()
@@ -381,7 +380,7 @@ class TestAccounting:
 
     def test_runs_keep_remainders_sorted(self):
         rng = np.random.default_rng(38)
-        arr = new_filter(FilterConfig(q=8, r=8))
+        arr = SlotArray(FilterConfig(q=8, r=8))
         for fp in random_fps(rng, 8, 8, 220):
             arr.insert_fp(fp)
         by_qt = {}
@@ -402,21 +401,21 @@ class TestSnapshot:
         return back
 
     def test_empty_and_small(self):
-        self.roundtrip(new_filter(C44))
-        arr = new_filter(C44)
+        self.roundtrip(SlotArray(C44))
+        arr = SlotArray(C44)
         arr.insert_fp(Fingerprint(3, 0xA, ext=(1,), count=3))
         self.roundtrip(arr)
 
     def test_random_contents(self):
         rng = np.random.default_rng(39)
-        arr = new_filter(FilterConfig(q=10, r=7, seed=123))
+        arr = SlotArray(FilterConfig(q=10, r=7, seed=123))
         for fp in random_fps(rng, 10, 7, 250, max_ext=2, max_count=9):
             arr.insert_fp(fp)
         back = self.roundtrip(arr)
         assert back.cfg == arr.cfg
 
     def test_cluster_wrapping_the_seam(self):
-        arr = new_filter(C44)
+        arr = SlotArray(C44)
         for rem in (1, 5, 9, 13):
             arr.insert_fp(Fingerprint(14, rem))
         arr.insert_fp(Fingerprint(15, 2, ext=(6,)))
@@ -424,14 +423,14 @@ class TestSnapshot:
         self.roundtrip(arr)
 
     def test_value_payloads_survive(self):
-        arr = new_filter(FilterConfig(q=6, r=5), value_bits=2)
+        arr = SlotArray(FilterConfig(q=6, r=5), value_bits=2)
         arr.insert_fp(Fingerprint(7, 9), value=3)
         arr.insert_fp(Fingerprint(7, 9), value=1)
         back = self.roundtrip(arr)
         assert [rec[4] for rec in decode_raw(back)] == [3, 1]
 
     def test_corrupt_snapshots_are_rejected(self):
-        arr = new_filter(C44)
+        arr = SlotArray(C44)
         arr.insert_fp(Fingerprint(3, 0xA))
         blob = arr.to_bytes()
         with pytest.raises(FormatError):
@@ -442,7 +441,7 @@ class TestSnapshot:
             SlotArray.from_bytes(blob + b"\0")
 
     def test_file_roundtrip(self, tmp_path):
-        arr = new_filter(C44)
+        arr = SlotArray(C44)
         arr.insert_fp(Fingerprint(2, 2))
         p = tmp_path / "table.aqf"
         arr.save(p)
@@ -453,7 +452,7 @@ class TestFrozenIndex:
     def test_matches_scalar_queries(self):
         cfg = FilterConfig(q=10, r=6, seed=10)
         rng = np.random.default_rng(40)
-        arr = new_filter(cfg)
+        arr = SlotArray(cfg)
         keys = rng.integers(0, 1 << 62, size=400, dtype=np.uint64)
         mids = []
         for k in keys:

@@ -113,6 +113,19 @@ class TestInsertLookup:
         assert f.arr.get_value(mid, rank) == 1
 
 
+    @pytest.mark.parametrize("key, value", [(-1, None), (2**64, None), (7, "text")])
+    def test_rejected_insert_leaves_no_trace(self, key, value):
+        f = AdaptiveFilter(FilterConfig(q=6, r=4, seed=51))
+        for k in range(20):
+            f.insert(k)
+        before = f.to_bytes()
+        with pytest.raises(InvalidConfigError):
+            f.insert(key, value=value)
+        assert f.to_bytes() == before
+        f.check_consistency()
+        assert f.lookup(2**64 - 1)[0] is not PRESENT
+
+
 class TestCorrection:
     CFG = FilterConfig(q=8, r=4, seed=54)
 
@@ -289,6 +302,17 @@ class TestConsistency:
         mid, rank = f.insert(1001)
         f.map.entries[mid][rank] = (2002, None)
         with pytest.raises(StateCorruptionError):
+            f.check_consistency()
+
+    def test_detects_an_extension_its_owner_does_not_share(self):
+        cfg = FilterConfig(q=8, r=4, seed=62)
+        f = AdaptiveFilter(cfg)
+        for k in range(40):
+            f.insert(k)
+        mid, rank = f.insert(1001)
+        wrong = extension_chunk(HashStream(1001, cfg.seed), cfg, 0) ^ 1
+        f.arr.extend_fp(mid, rank, [wrong])
+        with pytest.raises(StateCorruptionError, match="key 1001"):
             f.check_consistency()
 
     def test_detects_missing_map_entry(self):

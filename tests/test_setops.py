@@ -144,6 +144,20 @@ class TestMerge:
         mid, rank = a.insert(42)  # fetch the id; count is now 4 in a only
         assert m.arr.get_count(mid, rank) == 3
 
+    def test_cluster_across_the_seam_merges(self):
+        cfg = FilterConfig(q=6, r=8, seed=83)
+        rng = np.random.default_rng(84)
+        cand = rng.integers(0, 1 << 62, size=4000, dtype=np.uint64)
+        quots = split_batch(cand, cfg) >> np.uint64(cfg.r)
+        # a's last cluster runs past the top of the table into slot 0
+        left = [int(k) for k in cand[quots >= 61][:6]] + [int(k) for k in cand[quots == 0][:1]]
+        right = [int(k) for k in cand[(quots > 2) & (quots < 60)][:10]]
+        a, b = sequential(left, cfg), sequential(right, cfg)
+        assert decode_raw(a.arr)[-1][0] == 0
+        m = merge(a, b)
+        assert m.to_bytes() == sequential(hash_sorted(left + right, cfg), cfg).to_bytes()
+        m.check_consistency()
+
     def test_mismatched_inputs_are_rejected(self):
         base = FilterConfig(q=8, r=6, seed=1)
         a = AdaptiveFilter(base)
