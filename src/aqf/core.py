@@ -867,12 +867,12 @@ class SlotArray:
             cfg.seed,
             self.used_count,
         )
-        n = self.nslots
         w = self.slot_bits
-        cols = (self.slots[:, None] >> np.arange(w, dtype=np.uint64)) & np.uint64(1)
-        payload_bits = np.packbits(
-            cols.astype(np.uint8).reshape(-1), bitorder="little"
-        ).tobytes()
+        # bit k of slot i is payload bit i*w + k; one bit column per pass
+        bits = np.empty((self.nslots, w), dtype=np.uint8)
+        for k in range(w):
+            bits[:, k] = (self.slots >> np.uint64(k)) & np.uint64(1)
+        payload_bits = np.packbits(bits, bitorder="little").tobytes()
         out = bytearray(head)
         out += pack_section(self._bits_to_bytes(self.occ))
         out += pack_section(self._bits_to_bytes(self.run))
@@ -921,8 +921,9 @@ class SlotArray:
             padded = blob + b"\0" * (arr.nwords * 8 - len(blob))
             vec[:] = np.frombuffer(padded, dtype=np.uint64)
         bits = np.unpackbits(np.frombuffer(payload[1:], dtype=np.uint8), bitorder="little")
-        bits = bits[: n * w].reshape(n, w).astype(np.uint64)
-        arr.slots[:] = (bits << np.arange(w, dtype=np.uint64)).sum(axis=1, dtype=np.uint64)
+        bits = bits[: n * w].reshape(n, w)
+        for k in range(w):
+            arr.slots |= bits[:, k].astype(np.uint64) << np.uint64(k)
         anchor = None
         for b, off in enumerate(offsets):
             if off < 64:

@@ -17,7 +17,6 @@ space, which is why shortening defaults to off.
 from __future__ import annotations
 
 import enum
-import itertools
 import operator
 import struct
 from dataclasses import dataclass
@@ -311,34 +310,34 @@ class AdaptiveFilter:
         """
         cfg = self.cfg
         cols = self.arr._columns()
+        # hash order, which the map's columns come in; the stable sort
+        # keeps rank order inside each minirun
+        cols = cols.take(np.argsort(cols.packed(cfg.r), kind="stable"))
         mids = cols.mids(cfg.q)
-        # rows grouped by minirun id, rank order kept inside each group
-        order = np.argsort(mids, kind="stable")
-        ids, first, sizes = np.unique(mids[order], return_index=True, return_counts=True)
-        ids = ids.tolist()
-        lists = list(map(self.map.entries.get, ids))
-        if len(lists) != len(self.map.entries) or None in lists:
+        opens = np.ones(len(mids), dtype=bool)
+        opens[1:] = mids[1:] != mids[:-1]
+        first = np.flatnonzero(opens)
+        ids = mids[first]
+        sizes = np.diff(first, append=len(mids))
+        map_ids, lengths, keys, _ = self.map._columns()
+        if len(map_ids) != len(ids) or (map_ids != ids).any():
             raise StateCorruptionError("filter and map disagree on minirun ids")
-        short = np.flatnonzero(np.fromiter(map(len, lists), dtype=np.int64) != sizes)
+        short = np.flatnonzero(lengths != sizes)
         if short.size:
             g = int(short[0])
             raise StateCorruptionError(
-                f"minirun {ids[g]}: {sizes[g]} fingerprints, {len(lists[g])} map entries"
+                f"minirun {ids[g]}: {sizes[g]} fingerprints, {lengths[g]} map entries"
             )
-        flat = itertools.chain.from_iterable(lists)
-        keys = np.empty(len(mids), dtype=np.uint64)
-        keys[order] = np.fromiter(map(operator.itemgetter(0), flat), dtype=np.uint64,
-                                  count=len(mids))
         bad = split_batch(keys, cfg) != cols.packed(cfg.r)
         for t in range(int(cols.ext_len.max(initial=0))):
             rows = np.flatnonzero(cols.ext_len > t)
             bad[rows] |= (extension_chunk_batch(keys[rows], cfg, t)
                           != cols.chunks[cols.ext_off[rows] + t])
         if bad.any():
-            at = int(np.flatnonzero(bad[order])[0])
+            at = int(np.flatnonzero(bad)[0])
             g = int(np.searchsorted(first, at, side="right")) - 1
             raise StateCorruptionError(
-                f"minirun {ids[g]} rank {at - first[g]} is not a prefix of key {keys[order[at]]}"
+                f"minirun {ids[g]} rank {at - first[g]} is not a prefix of key {keys[at]}"
             )
 
     def frozen_index(self) -> FrozenIndex:

@@ -10,12 +10,14 @@ first runs until it stops changing.  Load stays capped at 19/20, so a
 free slot always breaks the chase and the fixpoint is the same layout
 sequential insertion would have produced (pinned by tests).  Merge reads
 its inputs with the matching columnar decoder, ``SlotArray._columns``.
+The reverse map goes the same way: merge and rebuild read their inputs'
+maps with ``ReverseMap._columns``, and every output map is built in one
+pass over hash-ordered rows by ``ReverseMap._from_columns``.
 """
 
 from __future__ import annotations
 
 import warnings
-from collections import defaultdict
 
 import numpy as np
 
@@ -24,8 +26,7 @@ from .core import (
     _LOAD_NUM,
     SlotArray,
     _Cols,
-    _count_digits,
-    pack_minirun_id,
+    _ranges,
 )
 from .errors import (
     ConfigMismatchError,
@@ -33,8 +34,17 @@ from .errors import (
     StateCorruptionError,
     UnsortedInputError,
 )
-from .filter import AdaptiveFilter, Policy
-from .hashing import FilterConfig, HashStream, extension_chunk, split, split_batch
+from .filter import AdaptiveFilter, Policy, _key_array
+# HashStream, split and extension_chunk are unused here but stay module
+# attributes: the benchmark's tracer (perfbench/spans.py) wraps them
+from .hashing import (  # noqa: F401
+    FilterConfig,
+    HashStream,
+    extension_chunk,
+    extension_chunk_batch,
+    split,
+    split_batch,
+)
 from .revmap import ReverseMap
 
 # grow the merge output when the inputs together would pass this load
@@ -60,86 +70,80 @@ def bulk_load(items, cfg: FilterConfig, policy: Policy | None = None,
     """Build a filter from (key, value) pairs sorted by hash order.
 
     Input must be sorted by (quotient, remainder) under cfg; bare keys
-    are accepted in place of pairs.  One left-to-right pass, no shifts.
+    are accepted in place of pairs, and so is an integer key array.
+    Every key and value is checked before anything is placed.  One
+    left-to-right pass, no shifts.
     """
-    keys = []
-    values = []
-    for it in items:
-        if isinstance(it, tuple):
-            key, value = it
-        else:
-            key, value = int(it), None
-        keys.append(key)
-        values.append(value)
+    if isinstance(items, np.ndarray):
+        keys = _key_array(items)
+        values = [None] * len(keys)
+    else:
+        pairs = [it if isinstance(it, tuple) else (it, None) for it in items]
+        keys = _key_array([key for key, _ in pairs])
+        values = [value for _, value in pairs]
+        for key, value in zip(keys.tolist(), values):
+            ReverseMap.check_entry(key, value)
 
     arr = SlotArray(cfg, value_bits=value_bits)
-    revmap = ReverseMap(cfg.q)
-    f = AdaptiveFilter._from_parts(arr, revmap, policy if policy is not None else Policy())
-    if not keys:
-        return f
-
-    packed = split_batch(np.array(keys, dtype=np.uint64), cfg)
+    policy = policy if policy is not None else Policy()
+    if not len(keys):
+        return AdaptiveFilter._from_parts(arr, ReverseMap(cfg.q), policy)
+    packed = split_batch(keys, cfg)
     if np.any(packed[1:] < packed[:-1]):
         raise UnsortedInputError("keys are not in (quotient, remainder) order")
-    quots = packed >> np.uint64(cfg.r)
-    rems = packed & np.uint64((1 << cfg.r) - 1)
     bare = np.zeros(len(keys), dtype=np.int64)
-    _place(arr, _Cols.build(quots, rems, bare, bare, bare, ()))
-
-    quots, rems = quots.tolist(), rems.tolist()
-
-    ranks: dict[int, int] = defaultdict(int)
-    for i, key in enumerate(keys):
-        mid = pack_minirun_id(quots[i], rems[i], cfg.q)
-        revmap.map_insert(mid, ranks[mid], key, values[i])
-        ranks[mid] += 1
-    return f
+    cols = _Cols.build(packed >> np.uint64(cfg.r), packed & np.uint64((1 << cfg.r) - 1),
+                       bare, bare, bare, ())
+    _place(arr, cols)
+    revmap = ReverseMap._from_columns(cfg.q, cols.mids(cfg.q), keys, values)
+    return AdaptiveFilter._from_parts(arr, revmap, policy)
 
 
-def _key_records(f: AdaptiveFilter):
-    """Pair each fingerprint with its map entry, in filter order.
+def _key_columns(f: AdaptiveFilter) -> tuple[_Cols, np.ndarray, list]:
+    """f's slot columns, in filter order, with each row's key and value.
 
-    Yields (key, value, tag, count, ext_len).  Relies on map lists
-    mirroring minirun rank order; check_consistency() proves that.
+    The map's columns come in hash order.  Filter order is hash order
+    rotated to start past the first unused slot, and a stable sort by
+    hash order keeps minirun rank order, which map lists mirror
+    (check_consistency() proves that), so one permutation pairs them.
     """
     cols = f.arr._columns()
-    seen: dict[int, int] = defaultdict(int)
-    for mid, tag, count, ext_len in zip(cols.mids(f.cfg.q).tolist(), cols.value.tolist(),
-                                        cols.counts(f.cfg.r), cols.ext_len.tolist()):
-        rank = seen[mid]
-        seen[mid] += 1
-        key, value = f.map.entries[mid][rank]
-        yield key, value, tag, count, ext_len
+    back = np.empty(len(cols.quot), dtype=np.int64)
+    back[np.argsort(cols.packed(f.cfg.r), kind="stable")] = np.arange(len(back))
+    _, _, keys, values = f.map._columns()
+    return cols, keys[back], list(map(values.__getitem__, back.tolist()))
 
 
-def _build_rederived(key_records, cfg: FilterConfig, policy: Policy,
-                     value_bits: int, keep_ext: bool) -> AdaptiveFilter:
+def _build_rederived(cols: _Cols, keys: np.ndarray, values: list, cfg: FilterConfig,
+                     policy: Policy, value_bits: int, keep_ext: bool) -> AdaptiveFilter:
     """Re-derive fingerprints from keys under cfg and place them.
 
-    keep_ext re-derives each fingerprint's extension chunks at their
-    prior length from the key's own hash, so corrections carry over;
-    otherwise extensions are dropped and everything reverts to baseline.
+    cols are the keys' rows in their old filter, in filter order; tags
+    and counter digits (cfg keeps r) carry over.  keep_ext re-derives
+    each fingerprint's extension chunks at their prior length from the
+    key's own hash, so corrections carry over; otherwise extensions are
+    dropped and everything reverts to baseline.  Rows whose fingerprints
+    tie keep their order as rank order.
     """
-    out = []
-    for key, value, tag, count, ext_len in key_records:
-        stream = HashStream(key, cfg.seed)
-        qt, rem = split(stream, cfg)
-        ext = ()
-        if keep_ext and ext_len:
-            ext = tuple(extension_chunk(stream, cfg, i) for i in range(ext_len))
-        out.append((qt, rem, tag, ext, tuple(_count_digits(count, cfg.r)), key, value))
-    out.sort(key=lambda t: (t[0], t[1]))
-    qts, rems, tags, exts, digits, keys, values = zip(*out) if out else [()] * 7
+    packed = split_batch(keys, cfg)
+    order = np.argsort(packed, kind="stable")
+    cols, keys, packed = cols.take(order), keys[order], packed[order]
+    ext_len = cols.ext_len if keep_ext else np.zeros_like(cols.ext_len)
+    width = ext_len + cols.ctr_len
+    off = np.cumsum(width) - width
+    chunks = np.empty(int(width.sum()), dtype=np.uint64)
+    for t in range(int(ext_len.max(initial=0))):
+        rows = np.flatnonzero(ext_len > t)
+        chunks[off[rows] + t] = extension_chunk_batch(keys[rows], cfg, t)
+    chunks[_ranges(off + ext_len, cols.ctr_len)] = cols.chunks[
+        _ranges(cols.ext_off + cols.ext_len, cols.ctr_len)]
 
     arr = SlotArray(cfg, value_bits=value_bits)
-    revmap = ReverseMap(cfg.q)
-    _place(arr, _Cols.build(qts, rems, tags, [len(e) for e in exts], [len(d) for d in digits],
-                            [c for e, d in zip(exts, digits) for c in e + d]))
-    ranks: dict[int, int] = defaultdict(int)
-    for qt, rem, key, value in zip(qts, rems, keys, values):
-        mid = pack_minirun_id(qt, rem, cfg.q)
-        revmap.map_insert(mid, ranks[mid], key, value)
-        ranks[mid] += 1
+    new = _Cols.build(packed >> np.uint64(cfg.r), packed & np.uint64((1 << cfg.r) - 1),
+                      cols.value, ext_len, cols.ctr_len, chunks)
+    _place(arr, new)
+    revmap = ReverseMap._from_columns(cfg.q, new.mids(cfg.q), keys,
+                                      list(map(values.__getitem__, order.tolist())))
     return AdaptiveFilter._from_parts(arr, revmap, policy)
 
 
@@ -169,8 +173,9 @@ def merge(a: AdaptiveFilter, b: AdaptiveFilter) -> AdaptiveFilter:
         return AdaptiveFilter._from_parts(arr, a.map.map_concat(b.map), a.policy)
 
     grown = FilterConfig(q=cfg.q + 1, r=cfg.r, seed=cfg.seed)
-    records = list(_key_records(a)) + list(_key_records(b))
-    return _build_rederived(records, grown, a.policy, a.value_bits, keep_ext=True)
+    (ca, ka, va), (cb, kb, vb) = _key_columns(a), _key_columns(b)
+    return _build_rederived(ca.concat(cb), np.concatenate([ka, kb]), va + vb, grown,
+                            a.policy, a.value_bits, keep_ext=True)
 
 
 def rebuild(f: AdaptiveFilter, new_seed: int) -> AdaptiveFilter:
@@ -184,4 +189,4 @@ def rebuild(f: AdaptiveFilter, new_seed: int) -> AdaptiveFilter:
         warnings.warn("rebuilding with the same seed keeps the same collisions",
                       stacklevel=2)
     cfg = FilterConfig(q=f.cfg.q, r=f.cfg.r, seed=new_seed)
-    return _build_rederived(_key_records(f), cfg, f.policy, f.value_bits, keep_ext=False)
+    return _build_rederived(*_key_columns(f), cfg, f.policy, f.value_bits, keep_ext=False)

@@ -14,6 +14,8 @@ point.
 
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 
 MASK64 = (1 << 64) - 1
@@ -150,6 +152,35 @@ def decode_raw(arr) -> list[tuple[int, int, tuple[int, ...], int, int]]:
             if last:
                 break
     return out
+
+
+# ----------------------------------------------------------------------
+# reverse-map snapshot, one entry at a time
+
+
+def encode_map_v1(m) -> bytes:
+    """Version 1 reverse-map snapshot of m, written entry by entry.
+
+    Records in hash order (quotient, then remainder): q u8, minirun id
+    u64, list length u32; then per entry key length u32 (8), key u64,
+    value length u32 (0xFFFFFFFF for None) and the value's bytes.  All
+    little-endian, after magic, version u32 and record count u64.
+    """
+    q = m.qbits
+    qmask = (1 << q) - 1
+    out = [struct.pack("<4sIQ", b"AQFM", 1, len(m.entries))]
+    for mid in sorted(m.entries, key=lambda i: (i & qmask, i >> q)):
+        lst = m.entries[mid]
+        out.append(struct.pack("<BQI", q, mid, len(lst)))
+        for key, value in lst:
+            out.append(struct.pack("<I", 8))
+            out.append(key.to_bytes(8, "little"))
+            if value is None:
+                out.append(struct.pack("<I", 0xFFFFFFFF))
+            else:
+                out.append(struct.pack("<I", len(value)))
+                out.append(value)
+    return b"".join(out)
 
 
 # ----------------------------------------------------------------------

@@ -2,9 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from aqf.errors import ConfigMismatchError, FormatError, InvalidConfigError, NotFoundError
+from aqf.errors import (
+    ConfigMismatchError,
+    FilterError,
+    FormatError,
+    InvalidConfigError,
+    NotFoundError,
+)
 from aqf.revmap import ReverseMap
+from oracles import encode_map_v1
 
 
 class TestBasicOps:
@@ -187,3 +196,114 @@ class TestSnapshot:
         assert again == m
         loaded = ReverseMap.load(path)
         assert loaded == m and loaded.path == path
+
+
+entry_st = st.tuples(
+    st.integers(0, (1 << 64) - 1),
+    st.one_of(st.none(), st.just(b""), st.binary(min_size=1, max_size=6)),
+)
+
+
+@st.composite
+def maps(draw):
+    """Maps at the extreme widths and in between; ids up to 2**64 - 1 put
+    high remainder bits above the quotient."""
+    q = draw(st.one_of(st.sampled_from([1, 56]), st.integers(2, 55)))
+    ids = st.one_of(st.integers(0, (1 << 64) - 1), st.integers(0, (1 << (q + 2)) - 1))
+    m = ReverseMap(q)
+    for mid, lst in draw(st.dictionaries(ids, st.lists(entry_st, min_size=1, max_size=4),
+                                         max_size=12)).items():
+        for key, value in lst:
+            m.map_insert(mid, m.list_size(mid), key, value)
+    return m
+
+
+class TestColumnarSnapshot:
+    @settings(max_examples=300, deadline=None)
+    @given(m=maps())
+    def test_bytes_equal_the_entry_by_entry_encoder(self, m):
+        blob = m.to_bytes()
+        assert blob == encode_map_v1(m)
+        back = ReverseMap.from_bytes(blob, qbits=m.qbits)
+        assert back == m and back.to_bytes() == blob
+
+    def test_empty_map_is_just_the_head(self):
+        assert ReverseMap(56).to_bytes() == encode_map_v1(ReverseMap(56))
+
+    def test_columns_come_in_hash_order(self):
+        m = ReverseMap(4)
+        for mid, key in [(0x31, 1), (0x12, 2), (0x21, 3), (0x21, 4)]:
+            m.map_insert(mid, m.list_size(mid), key, None if key % 2 else b"v")
+        mids, lengths, keys, values = m._columns()
+        assert mids.tolist() == [0x21, 0x31, 0x12]
+        assert lengths.tolist() == [2, 1, 1]
+        assert keys.tolist() == [3, 4, 1, 2]
+        assert values == [None, b"v", None, b"v"]
+
+    def test_from_columns_slices_one_list_per_id(self):
+        mids = np.array([5, 5, 9, 7, 7, 7], dtype=np.uint64)
+        keys = np.arange(6, dtype=np.uint64)
+        values = [None, b"", b"a", None, b"bc", None]
+        m = ReverseMap._from_columns(3, mids, keys, values)
+        want = ReverseMap(3)
+        for mid, key, value in zip(mids.tolist(), keys.tolist(), values):
+            want.map_insert(mid, want.list_size(mid), key, value)
+        assert m == want and m.accesses == want.accesses == 6
+        assert ReverseMap._from_columns(3, mids[:0], keys[:0], []) == ReverseMap(3)
+
+
+def two_records(q=6):
+    m = ReverseMap(q)
+    m.map_insert(1, 0, 10, b"x")
+    m.map_insert(2, 0, 20)
+    return m.to_bytes()
+
+
+class TestDecoderRejects:
+    @pytest.mark.parametrize("swap", [True, False])
+    def test_records_out_of_hash_order(self, swap):
+        blob = two_records()
+        head, first, second = blob[:16], blob[16:16 + 13 + 17], blob[16 + 13 + 17:]
+        with pytest.raises(FormatError):
+            ReverseMap.from_bytes(head + (second + first if swap else first + first))
+
+    @pytest.mark.parametrize("q", [0, 57, 255])
+    def test_record_width_out_of_range(self, q):
+        blob = bytearray(two_records())
+        blob[16] = q
+        for qbits in (None, 6):
+            with pytest.raises(FormatError):
+                ReverseMap.from_bytes(bytes(blob), qbits=qbits)
+
+
+@pytest.fixture(scope="module")
+def small_snapshot():
+    """12 entries under 8 ids at q=6, with None, empty and longer values."""
+    rng = np.random.default_rng(44)
+    ids = rng.choice(1 << 8, size=8, replace=False).tolist()
+    m = ReverseMap(6)
+    for i in range(12):
+        value = [None, b"", b"val", bytes([i])][i % 4]
+        m.map_insert(ids[i % 8], m.list_size(ids[i % 8]),
+                     int(rng.integers(0, 1 << 64, dtype=np.uint64)), value)
+    return m.to_bytes()
+
+
+def test_every_bit_flip_and_truncation_fails_cleanly_or_reencodes_identically(small_snapshot):
+    assert len(ReverseMap.from_bytes(small_snapshot).entries) == 8
+    mutants = [small_snapshot[:cut] for cut in range(len(small_snapshot))]
+    for bit in range(len(small_snapshot) * 8):
+        blob = bytearray(small_snapshot)
+        blob[bit >> 3] ^= 1 << (bit & 7)
+        mutants.append(bytes(blob))
+    loaded = 0
+    for blob in mutants:
+        for qbits in (None, 6):
+            try:
+                m = ReverseMap.from_bytes(blob, qbits=qbits)
+            except FilterError:
+                continue
+            assert m.to_bytes() == blob
+            loaded += 1
+    # key and value bits carry no redundancy, so their flips must load
+    assert loaded >= 2 * 12 * 64

@@ -2,13 +2,21 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aqf.core import pack_minirun_id
-from aqf.errors import ConfigMismatchError, FilterFullError, UnsortedInputError
+from aqf.errors import (
+    ConfigMismatchError,
+    FilterFullError,
+    InvalidConfigError,
+    UnsortedInputError,
+)
 from aqf.filter import AdaptiveFilter, LookupResult, Policy
 from aqf.hashing import FilterConfig, HashStream, split, split_batch
+from aqf.revmap import ReverseMap
 from aqf.setops import bulk_load, merge, rebuild
-from oracles import decode_raw, find_colliders
+from oracles import decode_raw, find_colliders, ref_split
 
 PRESENT = LookupResult.PRESENT
 
@@ -243,3 +251,84 @@ class TestRebuild:
         f = sequential([1, 2, 3], FilterConfig(q=8, r=8, seed=105))
         with pytest.warns(UserWarning):
             rebuild(f, new_seed=105)
+
+
+class TestBulkLoadValidation:
+    @pytest.mark.parametrize("items", [[-1], [1 << 64], [(5, "text")], np.array([-1])])
+    def test_bad_keys_and_values_are_rejected(self, items):
+        with pytest.raises(InvalidConfigError):
+            bulk_load(items, FilterConfig(q=6, r=4, seed=1))
+
+
+def filter_order_records(f):
+    """(key, value) of every fingerprint in the raw decoder's order."""
+    ranks = {}
+    out = []
+    for qt, rem, _, _, _ in decode_raw(f.arr):
+        mid = pack_minirun_id(qt, rem, f.cfg.q)
+        rank = ranks[mid] = ranks.get(mid, -1) + 1
+        out.append(f.map.entries[mid][rank])
+    return out
+
+
+def in_hash_order(records, cfg):
+    """(key, value) records stably sorted by their keys' fingerprints."""
+    return sorted(records, key=lambda kv: ref_split(kv[0], cfg.seed, cfg.q, cfg.r))
+
+
+def sequential_map(records, cfg):
+    """The map that map_insert builds from records in hash order under
+    cfg, each appended to its minirun's list."""
+    m = ReverseMap(cfg.q)
+    for key, value in in_hash_order(records, cfg):
+        mid = pack_minirun_id(*ref_split(key, cfg.seed, cfg.q, cfg.r), cfg.q)
+        m.map_insert(mid, m.list_size(mid), key, value)
+    return m
+
+
+# few distinct keys, so duplicates and shared miniruns are common
+record_st = st.tuples(st.integers(0, 60),
+                      st.one_of(st.none(), st.just(b""), st.binary(min_size=1, max_size=3)))
+
+
+def adapted(records, cfg, probes):
+    f = AdaptiveFilter(cfg)
+    for key, value in records:
+        f.insert(key, value)
+    for p in probes:
+        f.lookup(p)
+    return f
+
+
+class TestMapsMatchSequentialConstruction:
+    @settings(max_examples=100, deadline=None)
+    @given(records=st.lists(record_st, max_size=24), seed=st.integers(0, 3))
+    def test_bulk_load(self, records, seed):
+        cfg = FilterConfig(q=5, r=3, seed=seed)
+        records = in_hash_order(records, cfg)
+        f = bulk_load(records, cfg)
+        assert f.map == sequential_map(records, cfg)
+        assert f.to_bytes() == adapted(records, cfg, ()).to_bytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(records=st.lists(record_st, max_size=24),
+           probes=st.lists(st.integers(61, 400), max_size=30), seed=st.integers(0, 3))
+    def test_rebuild(self, records, probes, seed):
+        f = adapted(records, FilterConfig(q=5, r=3, seed=seed), probes)
+        g = rebuild(f, new_seed=seed + 10)
+        records = filter_order_records(f)
+        assert g.map == sequential_map(records, g.cfg)
+        assert g.to_bytes() == adapted(in_hash_order(records, g.cfg), g.cfg, ()).to_bytes()
+        g.check_consistency()
+
+    @settings(max_examples=100, deadline=None)
+    @given(left=st.lists(record_st, min_size=15, max_size=20),
+           right=st.lists(record_st, min_size=15, max_size=20),
+           probes=st.lists(st.integers(61, 400), max_size=30), seed=st.integers(0, 3))
+    def test_merge_that_grows_the_table(self, left, right, probes, seed):
+        cfg = FilterConfig(q=5, r=3, seed=seed)
+        a, b = adapted(left, cfg, probes), adapted(right, cfg, ())
+        m = merge(a, b)
+        assert m.cfg.q == cfg.q + 1
+        assert m.map == sequential_map(filter_order_records(a) + filter_order_records(b), m.cfg)
+        m.check_consistency()
