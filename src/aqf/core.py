@@ -988,14 +988,23 @@ class SlotArray:
 class FrozenIndex:
     """Read-only decode of a slot array for bulk membership probes.
 
-    Baseline pairs go into one sorted array; the rare miniruns whose
-    fingerprints are all extended keep their chunks on the side, in a
-    zero-padded matrix that queries compare against column by column.
-    Exact for the table it was built from.  Afterwards its positives stay
-    a superset of the table's until a fingerprint is inserted or an
-    extension truncated, since extending only narrows what a fingerprint
-    matches.  Equivalence with the slot-walk query is pinned by tests.
+    Baseline pairs, packed as (quotient << r) | remainder, go into one
+    sorted array ``base``.  A quotient directory locates each quotient's
+    pairs without a search, as the counting quotient filter's offsets
+    do: ``base[dir[qt]:dir[qt + 1]]`` holds quotient qt's pairs, so a
+    probe gathers its bucket bounds and compares at most the few
+    remainders of one bucket.  The rare pairs whose fingerprints are all
+    extended are flagged in ``all_ext``; their fingerprints keep their
+    chunks on the side, in a zero-padded matrix that a probe hitting such
+    a pair compares column by column.  Exact for the table it was built
+    from.  Afterwards its positives stay a superset of the table's until
+    a fingerprint is inserted or an extension truncated, since extending
+    only narrows what a fingerprint matches.  Equivalence with the
+    slot-walk query is pinned by tests.
     """
+
+    # keys probed per pass; bounds the temporaries of a large batch
+    CHUNK = 1 << 16
 
     def __init__(self, arr: SlotArray):
         self.cfg = arr.cfg
@@ -1005,13 +1014,16 @@ class FrozenIndex:
         ps = packed[order]
         he = (cols.ext_len[order] > 0).astype(np.uint8)
         starts = np.flatnonzero(np.diff(ps, prepend=~ps[:1]))
-        uniq = ps[starts]
-        all_ext = np.minimum.reduceat(he, starts).astype(bool)
-        self.base = uniq
-        self.ext_only = uniq[all_ext]
-        # every fingerprint of an ext_only pair, sorted by pair, chunks
-        # zero-padded to the longest extension
-        cand = order[np.isin(ps, self.ext_only)]
+        self.base = ps[starts]
+        self.all_ext = np.minimum.reduceat(he, starts).astype(bool)
+        counts = np.bincount((self.base >> np.uint64(arr.cfg.r)).astype(np.intp),
+                             minlength=arr.nslots)
+        dtype = np.int32 if self.base.size < 1 << 31 else np.int64
+        self.dir = np.zeros(arr.nslots + 1, dtype=dtype)
+        np.cumsum(counts, out=self.dir[1:])
+        # every fingerprint of an all-extended pair, sorted by pair,
+        # chunks zero-padded to the longest extension
+        cand = order[np.isin(ps, self.base[self.all_ext])]
         self.cand_packed = packed[cand]
         self.cand_len = cols.ext_len[cand]
         width = int(self.cand_len.max()) if cand.size else 0
@@ -1024,14 +1036,31 @@ class FrozenIndex:
     def query_keys(self, keys: np.ndarray) -> np.ndarray:
         """Membership verdict per key, adaptation frozen."""
         keys = np.asarray(keys, dtype=np.uint64)
+        found = np.zeros(len(keys), dtype=bool)
+        for a in range(0, len(keys), self.CHUNK):
+            part = keys[a : a + self.CHUNK]
+            found[a : a + len(part)] = self._probe(part)
+        return found
+
+    def _probe(self, keys: np.ndarray) -> np.ndarray:
+        """query_keys for one chunk of keys."""
         packed = split_batch(keys, self.cfg)
-        if self.base.size == 0:
-            return np.zeros(len(packed), dtype=bool)
-        idx = np.searchsorted(self.base, packed)
-        idx_c = np.minimum(idx, self.base.size - 1)
-        found = self.base[idx_c] == packed
-        if self.ext_only.size:
-            recheck = np.flatnonzero(found & np.isin(packed, self.ext_only))
+        qt = (packed >> np.uint64(self.cfg.r)).astype(np.intp)
+        pos, end = self.dir[qt], self.dir[qt + 1]
+        found = np.zeros(len(keys), dtype=bool)
+        # step k compares entry k of every bucket still live: a bucket is
+        # sorted, so a key leaves at its match (pos stays on it), at a
+        # larger pair, or at the bucket's end
+        live = np.flatnonzero(pos < end)
+        while live.size:
+            seen = self.base[pos[live]]
+            want = packed[live]
+            found[live[seen == want]] = True
+            live = live[(seen < want) & (pos[live] + 1 < end[live])]
+            pos[live] += 1
+        if self.cand_packed.size:
+            recheck = np.flatnonzero(found)
+            recheck = recheck[self.all_ext[pos[recheck]]]
             lo = np.searchsorted(self.cand_packed, packed[recheck], side="left")
             hi = np.searchsorted(self.cand_packed, packed[recheck], side="right")
             found[recheck] = self._ext_match(keys[recheck], lo, hi)

@@ -55,6 +55,7 @@ COMBINED_VERSION = 1
 _F_AUTO_ADAPT = 1
 _F_DEDUPE = 2
 _F_SHORTEN = 4
+_F_KNOWN = _F_AUTO_ADAPT | _F_DEDUPE | _F_SHORTEN
 
 
 @dataclass(frozen=True)
@@ -85,6 +86,10 @@ class LookupResult(enum.Enum):
     FALSE_POSITIVE_CORRECTED = "false_positive_corrected"
     # answered positive with adaptation off; will answer positive again
     FALSE_POSITIVE = "false_positive"
+
+
+# verdicts after which no stored fingerprint matches the key
+_SETTLED = (LookupResult.NOT_PRESENT, LookupResult.FALSE_POSITIVE_CORRECTED)
 
 
 def _key_array(keys) -> np.ndarray:
@@ -254,14 +259,26 @@ class AdaptiveFilter:
         probed against the array's superset index: a key it rejects
         cannot match now, nor after any adaptation of this batch, so it
         answers NOT_PRESENT without a walk.  The survivors go through
-        lookup() in order.  keys is a uint64 array or an iterable of
-        ints in [0, 2**64).
+        lookup() in order, except for settled keys: once lookup() has
+        answered a key NOT_PRESENT or FALSE_POSITIVE_CORRECTED, no
+        fingerprint matches it, and the only mutation inside a batch is
+        extension, which only narrows matches, so its later copies in
+        the batch answer NOT_PRESENT without a walk.  PRESENT and
+        FALSE_POSITIVE copies still go through lookup(), which charges
+        the reverse map or adaptation_failures each time.  The settled
+        set lives for one batch.  keys is a uint64 array or an iterable
+        of ints in [0, 2**64).
         """
         keys = _key_array(keys)
         out = [(LookupResult.NOT_PRESENT, None)] * len(keys)
         survivors = np.flatnonzero(self.arr.superset_index().query_keys(keys))
+        settled = set()
         for i, key in zip(survivors.tolist(), keys[survivors].tolist()):
+            if key in settled:
+                continue
             out[i] = self.lookup(key)
+            if out[i][0] in _SETTLED:
+                settled.add(key)
         return out
 
     def contains(self, key: int) -> bool:
@@ -376,7 +393,11 @@ class AdaptiveFilter:
         flags = rd.u8()
         max_ext = rd.u8()
         value_bits = rd.u8()
-        rd.u8()
+        reserved = rd.u8()
+        if flags & ~_F_KNOWN:
+            raise FormatError(f"unknown policy flags {flags & ~_F_KNOWN:#04x}")
+        if reserved:
+            raise FormatError(f"reserved header byte is {reserved}, not 0")
         arr = SlotArray.from_bytes(rd.section())
         if arr.value_bits != value_bits:
             raise FormatError(

@@ -4,6 +4,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aqf.core import (
     Fingerprint,
@@ -468,3 +470,84 @@ class TestFrozenIndex:
         for k, verdict in zip(probes[::37], got[::37]):
             assert verdict == (arr.query_fp(HashStream(int(k), 10)) is not None)
             assert index.contains(int(k)) == verdict
+
+
+def assert_index_exact(arr, probes):
+    """FrozenIndex verdicts equal the slot walk on every probe."""
+    index = FrozenIndex(arr)
+    got = index.query_keys(probes)
+    want = [arr.query_fp(HashStream(int(k), arr.cfg.seed)) is not None for k in probes]
+    assert got.tolist() == want
+    index.CHUNK = 37  # probe chunk boundaries fall mid-batch
+    assert index.query_keys(probes).tolist() == want
+    return index
+
+
+def probe_fp(cfg, key, ext_len, differ, count=1):
+    """key's baseline pair and first ext_len chunks, chunk differ flipped."""
+    s = HashStream(key, cfg.seed)
+    ext = [extension_chunk(s, cfg, t) for t in range(ext_len)]
+    if differ < ext_len:
+        ext[differ] ^= 1
+    return Fingerprint(*split(s, cfg), tuple(ext), count)
+
+
+# where a stored fingerprint comes from: a probe key's own hash (so probes
+# meet its extension chunks), the top quotient (so its cluster wraps the
+# seam) or any quotient
+fp_spec = st.tuples(
+    st.sampled_from(["probe", "top", "any"]),
+    st.integers(0, 1 << 16),
+    st.integers(0, 3),
+    st.integers(0, 4),
+    st.sampled_from([1, 1, 1, 2, 40]),
+)
+
+
+class TestFrozenIndexExact:
+    @settings(max_examples=80, deadline=None)
+    @given(q=st.integers(2, 8), r=st.integers(1, 4), seed=st.integers(0, 1 << 16),
+           specs=st.lists(fp_spec, max_size=40))
+    def test_every_probe_matches_the_slot_walk(self, q, r, seed, specs):
+        cfg = FilterConfig(q=q, r=r, seed=seed)
+        probes = np.random.default_rng(seed).integers(0, 1 << 64, size=500, dtype=np.uint64)
+        arr = SlotArray(cfg)
+        for source, a, ext_len, differ, count in specs:
+            if source == "probe":
+                fp = probe_fp(cfg, int(probes[a % len(probes)]), ext_len, differ, count)
+            else:
+                qt = (1 << q) - 1 if source == "top" else a % (1 << q)
+                ext = tuple((a >> (2 * t)) % (1 << r) for t in range(ext_len))
+                fp = Fingerprint(qt, a % (1 << r), ext, count)
+            try:
+                arr.insert_fp(fp)
+            except FilterFullError:
+                break
+        assert_index_exact(arr, probes)
+
+    def test_empty_table(self):
+        arr = SlotArray(FilterConfig(q=3, r=2, seed=1))
+        probes = np.arange(2000, dtype=np.uint64)
+        index = assert_index_exact(arr, probes)
+        assert index.base.size == 0 and not index.query_keys(probes).any()
+
+    def test_all_extended_cluster_across_the_seam(self):
+        cfg = FilterConfig(q=4, r=2, seed=5)
+        top = (1 << cfg.q) - 1
+        probes = np.arange(4000, dtype=np.uint64)
+        on_top = [int(k) for k in probes
+                  if split(HashStream(int(k), cfg.seed), cfg)[0] == top]
+        arr = SlotArray(cfg)
+        # three all-extended fingerprints in the top quotient's run, one
+        # of them a two-fingerprint minirun, and a bare pair at quotient 0
+        for key, ext_len, differ in ((on_top[0], 1, 5), (on_top[0], 2, 1),
+                                     (on_top[1], 2, 0), (on_top[2], 1, 5)):
+            arr.insert_fp(probe_fp(cfg, key, ext_len, differ))
+        arr.insert_fp(Fingerprint(0, 1))
+        index = assert_index_exact(arr, probes)
+        assert index.all_ext.sum() >= 2 and index.dir[-1] == index.base.size
+        # slot 0 is used, yet quotient 0's run follows the top run there
+        assert arr._get_bit(arr.used, 0) and arr._get_bit(arr.occ, 0)
+        assert arr.find_run(0)[0] > 0
+        hits = index.query_keys(probes)
+        assert hits[[on_top[0], on_top[2]]].all() and 0 < hits.sum() < len(probes)

@@ -5,6 +5,8 @@ import pytest
 
 from aqf.errors import (
     AdaptationExhaustedError,
+    FilterError,
+    FormatError,
     InvalidConfigError,
     NotFoundError,
     StateCorruptionError,
@@ -354,3 +356,45 @@ class TestCombinedSnapshot:
             AdaptiveFilter.from_bytes(b"AQFX" + blob[4:])
         with pytest.raises(FormatError):
             AdaptiveFilter.from_bytes(blob + b"!")
+
+    @pytest.mark.parametrize("at, value", [(8, 8), (8, 0x80), (8, 0xFF), (11, 1), (11, 0x80)])
+    def test_unknown_flags_and_reserved_byte_are_rejected(self, at, value):
+        f = AdaptiveFilter(FilterConfig(q=8, r=4, seed=65))
+        f.insert(5)
+        blob = bytearray(f.to_bytes())
+        assert blob[8] == 1 and blob[11] == 0  # auto_adapt alone; reserved
+        blob[at] |= value
+        with pytest.raises(FormatError):
+            AdaptiveFilter.from_bytes(bytes(blob))
+
+
+@pytest.fixture(scope="module")
+def small_snapshot():
+    """A q=6 combined snapshot with a value bit, map values and extensions."""
+    cfg = FilterConfig(q=6, r=3, seed=66)
+    f = AdaptiveFilter(cfg, policy=Policy(dedupe_keys=True), value_bits=1)
+    for i in range(20):
+        f.insert(i, value=[None, b"", bytes([i])][i % 3], tag=i & 1)
+    f.insert(4)  # a counted duplicate
+    f.lookup_many(range(100, 400))
+    assert f.adaptations and f.arr.ext_slot_count and f.arr.ctr_slot_count
+    return f.to_bytes()
+
+
+def test_every_bit_flip_and_truncation_fails_cleanly_or_reloads_identically(small_snapshot):
+    mutants = [small_snapshot[:cut] for cut in range(len(small_snapshot))]
+    for bit in range(len(small_snapshot) * 8):
+        blob = bytearray(small_snapshot)
+        blob[bit >> 3] ^= 1 << (bit & 7)
+        mutants.append(bytes(blob))
+    loaded = 0
+    for blob in mutants:
+        try:
+            g = AdaptiveFilter.from_bytes(blob)
+        except FilterError:
+            continue
+        assert g.to_bytes() == blob
+        loaded += 1
+    # slot payload, key and value bits carry no redundancy, so their
+    # flips must load
+    assert loaded >= 20 * 64

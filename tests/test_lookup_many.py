@@ -113,6 +113,74 @@ def test_duplicates_in_one_batch_are_corrected_once():
     assert state(a) == state(b)
 
 
+def counting_lookup(f: AdaptiveFilter, monkeypatch):
+    """Record every key that f.lookup is called with."""
+    calls = []
+    inner = f.lookup
+
+    def lookup(key):
+        calls.append(key)
+        return inner(key)
+
+    monkeypatch.setattr(f, "lookup", lookup)
+    return calls
+
+
+def test_repeated_present_keys_read_the_map_every_copy(monkeypatch):
+    a, b = twins(Policy(), list(range(30)), True)
+    calls = counting_lookup(b, monkeypatch)
+    batch = [7, 7, 9, 7, 7]
+    before = b.map.accesses
+    got = b.lookup_many(batch)
+    assert got == scalar(a, batch)
+    assert {v for v, _ in got} == {LookupResult.PRESENT}
+    assert calls == batch
+    assert b.map.accesses - before >= len(batch)
+    assert state(a) == state(b)
+
+
+def test_repeated_false_positives_on_a_full_table_fail_every_copy(monkeypatch):
+    fs = []
+    for _ in range(2):
+        f = AdaptiveFilter(SMALL)
+        k = 0
+        while True:
+            try:
+                f.insert(k)
+            except FilterFullError:
+                break
+            k += 1
+        fs.append(f)
+    a, b = fs
+    probes = np.arange(1000, 2000, dtype=np.uint64)
+    fp = int(probes[a.frozen_index().query_keys(probes)][0])
+    calls = counting_lookup(b, monkeypatch)
+    got = b.lookup_many([fp] * 4)
+    assert got == scalar(a, [fp] * 4) == [(LookupResult.FALSE_POSITIVE, None)] * 4
+    assert calls == [fp] * 4
+    assert b.adaptation_failures == 4
+    assert state(a) == state(b)
+
+
+def test_a_corrected_key_is_walked_once_per_batch(monkeypatch):
+    a, b = twins(Policy(), list(range(30)), False)
+    probes = np.arange(100, 1000, dtype=np.uint64)
+    fp = int(probes[a.frozen_index().query_keys(probes)][0])
+    calls = counting_lookup(b, monkeypatch)
+    batch = [fp] * 6 + [3, fp]
+    got = b.lookup_many(batch)
+    assert got == scalar(a, batch)
+    assert got[0][0] is LookupResult.FALSE_POSITIVE_CORRECTED
+    assert calls == [fp, 3]
+    # the cached index still lets fp through; its walk answers
+    # NOT_PRESENT once, and the copies after it are settled
+    assert b.arr.superset_index().contains(fp)
+    calls.clear()
+    assert b.lookup_many([fp] * 3) == scalar(a, [fp] * 3)
+    assert calls == [fp]
+    assert state(a) == state(b)
+
+
 def test_stored_values_come_back():
     a, b = twins(Policy(dedupe_keys=True), [5, 9, 9, 77], True)
     got = b.lookup_many([9, 5, 77])

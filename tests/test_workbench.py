@@ -360,7 +360,10 @@ class TestCli:
         rc = main(["bench", "--qbits", "8", "--rbits", "8", "--load", "0.5",
                    "--count", "200"])
         assert rc == 0
-        assert "/s" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        for line in ("positive lookups", "negative lookups", "batch lookups", "frozen batch"):
+            assert line in out
+        assert out.count("/s") == 4
 
     def test_usage_errors_exit_one(self):
         with pytest.raises(SystemExit) as info:
