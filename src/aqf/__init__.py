@@ -11,9 +11,7 @@ from .core import (
     Fingerprint,
     FrozenIndex,
     SlotArray,
-    SpaceReport,
     pack_minirun_id,
-    unpack_minirun_id,
 )
 from .errors import (
     AdaptationExhaustedError,
@@ -32,17 +30,13 @@ from .hashing import (
     FilterConfig,
     HashStream,
     extension_chunk,
-    hash_word,
-    is_prefix,
     split,
     split_batch,
 )
 from .revmap import ReverseMap
 from .setops import bulk_load, merge, rebuild
 from .workbench import (
-    AdversaryReport,
     LatencyModel,
-    TraceRow,
     WorkloadSpec,
     fill_to_load,
     gen_workload,
@@ -70,7 +64,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AdaptationExhaustedError",
     "AdaptiveFilter",
-    "AdversaryReport",
     "ConfigMismatchError",
     "ConstructionFailedError",
     "FilterConfig",
@@ -88,9 +81,7 @@ __all__ = [
     "Policy",
     "ReverseMap",
     "SlotArray",
-    "SpaceReport",
     "StateCorruptionError",
-    "TraceRow",
     "UnsortedInputError",
     "WorkloadSpec",
     "YES",
@@ -103,8 +94,6 @@ __all__ = [
     "extension_chunk",
     "fill_to_load",
     "gen_workload",
-    "hash_word",
-    "is_prefix",
     "lower_bound_bits",
     "make_probe_sets",
     "measure_fpr",
@@ -118,5 +107,4 @@ __all__ = [
     "run_churn",
     "split",
     "split_batch",
-    "unpack_minirun_id",
 ]

@@ -32,8 +32,9 @@ Everything else goes through two helpers: ``SlotArray._columns``
 decodes the clusters of a slot range into numpy columns (quotient,
 remainder, value, extension and counter-digit spans), and
 ``SlotArray._lay_out`` writes such columns back, placing every run with
-one cumulative max.  Shrinking edits use them on one cluster; iteration,
-the bulk index, consistency checks, merge and bulk load on the table.
+one cumulative max.  A delete, with the shortening of its minirun's
+survivors, and a shrinking counter edit use them on one cluster; the
+bulk index, consistency checks, merge and bulk load on the table.
 """
 
 from __future__ import annotations
@@ -112,6 +113,16 @@ def _count_digits(count: int, r: int) -> list[int]:
     return out
 
 
+def _common_prefix(a: list, b: list) -> int:
+    """Length of the longest common prefix of a and b."""
+    n = 0
+    for x, y in zip(a, b):
+        if x != y:
+            break
+        n += 1
+    return n
+
+
 def _ranges(off: np.ndarray, length: np.ndarray) -> np.ndarray:
     """The aranges [off[i], off[i] + length[i]), concatenated."""
     ends = np.cumsum(length)
@@ -163,14 +174,26 @@ class _Cols(NamedTuple):
         """Minirun id of each row (see pack_minirun_id)."""
         return (self.rem << np.uint64(q)) | self.quot.astype(np.uint64)
 
-    def counts(self, r: int) -> list[int]:
-        """Duplicate count of each row, as Python ints."""
-        out = [1] * len(self.quot)
-        for i in np.flatnonzero(self.ctr_len).tolist():
-            o = int(self.ext_off[i] + self.ext_len[i])
-            digits = self.chunks[o : o + int(self.ctr_len[i])].tolist()
-            out[i] += sum(d << (k * r) for k, d in enumerate(digits))
-        return out
+    def shorten(self, rows: np.ndarray) -> bool:
+        """Cut the extensions of rows, one minirun's fingerprints, to what
+        keeps them apart: each keeps one chunk past its longest common
+        prefix with any other of them (identical twins stay whole), and
+        a lone row goes back to its baseline.  Counter digits move down
+        behind the kept chunks.  Returns whether a row was cut."""
+        if not self.ext_len[rows].any():
+            return False
+        exts = [self.chunks[o : o + e].tolist()
+                for o, e in zip(self.ext_off[rows].tolist(), self.ext_len[rows].tolist())]
+        cut = False
+        for k, (i, ext) in enumerate(zip(rows.tolist(), exts)):
+            need = max((min(_common_prefix(ext, other) + 1, len(ext))
+                        for j, other in enumerate(exts) if j != k), default=0)
+            if need < len(ext):
+                o, d = int(self.ext_off[i]), int(self.ctr_len[i])
+                self.chunks[o + need : o + need + d] = self.chunks[o + len(ext) : o + len(ext) + d]
+                self.ext_len[i] = need
+                cut = True
+        return cut
 
 
 class _Win:
@@ -438,6 +461,10 @@ class SlotArray:
     # ------------------------------------------------------------------
     # public operations
 
+    def has_room(self, extra: int) -> bool:
+        """Whether ``extra`` more used slots stay within the load cap."""
+        return _LOAD_DEN * (self.used_count + extra) <= _LOAD_NUM * self.nslots
+
     def query_fp(self, stream: HashStream) -> tuple[int, int] | None:
         """First stored fingerprint that is a prefix of ``stream``.
 
@@ -479,7 +506,7 @@ class SlotArray:
         qt, rem = fp.quotient, fp.remainder
         digits = _count_digits(fp.count, cfg.r)
         width = 1 + len(fp.ext) + len(digits)
-        if _LOAD_DEN * (self.used_count + width) > _LOAD_NUM * self.nslots:
+        if not self.has_room(width):
             raise FilterFullError(
                 f"insert of {width} slot(s) would exceed the load limit"
             )
@@ -576,7 +603,7 @@ class SlotArray:
         chunks = list(chunks)
         if not chunks:
             return
-        if _LOAD_DEN * (self.used_count + len(chunks)) > _LOAD_NUM * self.nslots:
+        if not self.has_room(len(chunks)):
             raise FilterFullError("extension would exceed the load limit")
         c, _, _, e0, c0, _ = self._locate_fp(mid, rank)
         n, vb = self.nslots, self.value_bits
@@ -605,7 +632,7 @@ class SlotArray:
         n, vb = self.nslots, self.value_bits
         if len(digits) >= have:
             extra = len(digits) - have
-            if _LOAD_DEN * (self.used_count + extra) > _LOAD_NUM * self.nslots:
+            if not self.has_room(extra):
                 raise FilterFullError("counter growth would exceed the load limit")
             for i in range(have):
                 p = (c + c0 + i) % n
@@ -618,28 +645,29 @@ class SlotArray:
                 self._set_bit(self.run, p)
             self.ctr_slot_count += extra
         else:
-            self._edit_cluster(mid, rank, ("count", count))
+            c, length, cols, rows = self._take_cluster(mid, rank)
+            i = rows[rank]
+            o = int(cols.ext_off[i] + cols.ext_len[i])
+            cols.chunks[o : o + len(digits)] = digits
+            cols.ctr_len[i] = len(digits)
+            self._lay_out(c, length, cols)
 
     def get_value(self, mid: int, rank: int) -> int:
         c, _, pos, _, _, _ = self._locate_fp(mid, rank)
         return int(self.slots[(c + pos) % self.nslots]) & ((1 << self.value_bits) - 1)
 
-    def set_value(self, mid: int, rank: int, value: int) -> None:
-        c, _, pos, _, _, _ = self._locate_fp(mid, rank)
-        p = (c + pos) % self.nslots
-        vb = self.value_bits
-        rem_part = (int(self.slots[p]) >> vb) << vb
-        self.slots[p] = rem_part | (value & ((1 << vb) - 1))
+    def remove_fp(self, mid: int, rank: int, shorten: bool = False) -> None:
+        """Remove one fingerprint with its extension and counter slots.
 
-    def remove_fp(self, mid: int, rank: int) -> None:
-        self._edit_cluster(mid, rank, ("remove",))
-
-    def truncate_ext(self, mid: int, rank: int, keep: int) -> None:
-        """Drop extension chunks beyond the first ``keep``."""
-        if keep >= len(self.get_ext(mid, rank)):
-            return
-        self._superset = None
-        self._edit_cluster(mid, rank, ("ext", keep))
+        With shorten, the survivors of its minirun also drop the
+        extension chunks they no longer need (see _Cols.shorten).  One
+        decode of the cluster and one layout either way.
+        """
+        c, length, cols, rows = self._take_cluster(mid, rank)
+        i = rows[rank]
+        if shorten and cols.shorten(rows[rows != i]):
+            self._superset = None
+        self._lay_out(c, length, cols.take(np.arange(len(cols.quot)) != i))
 
     # ------------------------------------------------------------------
     # columnar decode and layout
@@ -744,46 +772,24 @@ class SlotArray:
         self.ctr_slot_count += sign * c
         self.used_count += sign * (len(cols.quot) + e + c)
 
-    def _edit_cluster(self, mid: int, rank: int, edit: tuple) -> None:
-        """Apply a shrinking edit to one fingerprint and lay its cluster
-        out again: ("remove",), ("ext", chunks kept) or ("count", count)."""
+    def _take_cluster(self, mid: int, rank: int) -> tuple[int, int, _Cols, np.ndarray]:
+        """(start, length, columns) of the cluster holding the rank-th
+        fingerprint of minirun mid, and the minirun's rows in rank order.
+
+        The cluster's slots come off the counters: the caller edits the
+        columns and lays them out again over the same range.
+        """
         qt, rem = unpack_minirun_id(mid, self.cfg.q)
         if not self._get_bit(self.occ, qt):
             raise NotFoundError(f"quotient {qt} has no run")
         c = self._cluster_start(qt)
         length = (self._find_first_unused(c) - c) % self.nslots
         cols = self._columns(c, length)
-        hits = np.flatnonzero((cols.quot == qt) & (cols.rem == rem))
-        if not 0 <= rank < len(hits):
+        rows = np.flatnonzero((cols.quot == qt) & (cols.rem == rem))
+        if not 0 <= rank < len(rows):
             raise NotFoundError(f"minirun {mid} has no rank {rank}")
-        i = hits[rank]
         self._count(cols, -1)
-        if edit[0] == "remove":
-            cols = cols.take(np.arange(len(cols.quot)) != i)
-        else:
-            # rewrite the row's tail in place: it only shrinks
-            o, e, d = int(cols.ext_off[i]), int(cols.ext_len[i]), int(cols.ctr_len[i])
-            if edit[0] == "ext":
-                k = edit[1]
-                cols.chunks[o + k : o + k + d] = cols.chunks[o + e : o + e + d]
-                cols.ext_len[i] = k
-            else:
-                digits = _count_digits(edit[1], self.cfg.r)
-                cols.chunks[o + e : o + e + len(digits)] = digits
-                cols.ctr_len[i] = len(digits)
-        self._lay_out(c, length, cols)
-
-    def iter_fps(self):
-        """Yield (Fingerprint, value) in storage order from just past the
-        first unused slot: by quotient from there, then remainder, then
-        minirun rank."""
-        cols = self._columns()
-        chunks = cols.chunks.tolist()
-        for qt, rem, value, off, ln, count in zip(
-            cols.quot.tolist(), cols.rem.tolist(), cols.value.tolist(),
-            cols.ext_off.tolist(), cols.ext_len.tolist(), cols.counts(self.cfg.r),
-        ):
-            yield Fingerprint(qt, rem, tuple(chunks[off : off + ln]), count), value
+        return c, length, cols, rows
 
     # ------------------------------------------------------------------
     # bulk probing
@@ -803,9 +809,9 @@ class SlotArray:
 
         Built on first use and kept until a mutation that can widen the
         match set.  Extending a fingerprint only narrows what it matches,
-        and removing one, rewriting its count or its value leaves the
-        other fingerprints as they were, so only insert_fp and
-        truncate_ext drop the cache.
+        and removing one or rewriting its count leaves the other
+        fingerprints as they were, so only insert_fp and a shortening
+        remove_fp that cuts an extension drop the cache.
         """
         if self._superset is None:
             self._superset = FrozenIndex(self)
@@ -998,9 +1004,9 @@ class FrozenIndex:
     chunks on the side, in a zero-padded matrix that a probe hitting such
     a pair compares column by column.  Exact for the table it was built
     from.  Afterwards its positives stay a superset of the table's until
-    a fingerprint is inserted or an extension truncated, since extending
-    only narrows what a fingerprint matches.  Equivalence with the
-    slot-walk query is pinned by tests.
+    a fingerprint is inserted or a shortening delete cuts an extension,
+    since extending only narrows what a fingerprint matches.  Equivalence
+    with the slot-walk query is pinned by tests.
     """
 
     # keys probed per pass; bounds the temporaries of a large batch

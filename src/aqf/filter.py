@@ -112,12 +112,11 @@ class AdaptiveFilter:
         cfg: FilterConfig,
         policy: Policy | None = None,
         value_bits: int = 0,
-        map_path=None,
     ):
         self.cfg = cfg
         self.policy = policy if policy is not None else Policy()
         self.arr = SlotArray(cfg, value_bits=value_bits)
-        self.map = ReverseMap(cfg.q, path=map_path)
+        self.map = ReverseMap(cfg.q)
         # r bits per extension chunk written by adapt()
         self.adaptivity_bits = 0
         self.adaptations = 0
@@ -173,9 +172,12 @@ class AdaptiveFilter:
     def delete(self, key: int) -> None:
         """Remove one occurrence of key.
 
-        Counted duplicates just decrement.  With shorten_on_delete on,
-        the survivors of the key's minirun drop extension chunks they no
-        longer need to stay distinct from each other.
+        A counted duplicate just decrements; a table without counter
+        digits holds only count-1 fingerprints and skips reading the
+        count.  Otherwise the fingerprint leaves in one edit of its
+        cluster, and with shorten_on_delete on, that same edit cuts the
+        survivors of its minirun back to the extension chunks they need
+        to stay distinct from each other.
         """
         stream = HashStream(key, self.cfg.seed)
         qt, rem = split(stream, self.cfg)
@@ -183,32 +185,13 @@ class AdaptiveFilter:
         rank = self.map.find_rank(mid, key)
         if rank is None:
             raise NotFoundError(f"key {key} is not stored")
-        count = self.arr.get_count(mid, rank)
-        if count > 1:
-            self.arr.set_count(mid, rank, count - 1)
-            return
-        self.arr.remove_fp(mid, rank)
+        if self.arr.ctr_slot_count:
+            count = self.arr.get_count(mid, rank)
+            if count > 1:
+                self.arr.set_count(mid, rank, count - 1)
+                return
+        self.arr.remove_fp(mid, rank, shorten=self.policy.shorten_on_delete)
         self.map.map_remove(mid, rank)
-        if self.policy.shorten_on_delete:
-            self._shorten_minirun(mid)
-
-    def _shorten_minirun(self, mid: int) -> None:
-        size = self.map.list_size(mid)
-        if size == 0:
-            return
-        exts = [self.arr.get_ext(mid, k) for k in range(size)]
-        for k, ext in enumerate(exts):
-            need = 0
-            for j, other in enumerate(exts):
-                if j == k:
-                    continue
-                lcp = 0
-                while lcp < len(ext) and lcp < len(other) and ext[lcp] == other[lcp]:
-                    lcp += 1
-                # one chunk past the split point; identical twins stay whole
-                need = max(need, min(lcp + 1, len(ext)))
-            if need < len(ext):
-                self.arr.truncate_ext(mid, k, need)
 
     # ------------------------------------------------------------------
     # lookup and adaptation
@@ -293,6 +276,15 @@ class AdaptiveFilter:
         were appended (at least 1).  Raises before mutating when the
         streams agree past policy.max_extensions.
         """
+        chunks = self._adapt_chunks(mid, rank, owner_key, query_stream)
+        self.arr.extend_fp(mid, rank, chunks)
+        self.adaptations += 1
+        self.adaptivity_bits += len(chunks) * self.cfg.r
+        return len(chunks)
+
+    def _adapt_chunks(self, mid: int, rank: int, owner_key: int,
+                      query_stream: HashStream) -> list[int]:
+        """The chunks adapt() would append, without appending them."""
         cfg = self.cfg
         stored = self.arr.get_ext(mid, rank)
         owner_stream = HashStream(owner_key, cfg.seed)
@@ -309,11 +301,7 @@ class AdaptiveFilter:
                     f"streams still agree after {t} chunks; owner and query "
                     "are likely the same key"
                 )
-        chunks = [extension_chunk(owner_stream, cfg, i) for i in range(len(stored), t + 1)]
-        self.arr.extend_fp(mid, rank, chunks)
-        self.adaptations += 1
-        self.adaptivity_bits += len(chunks) * cfg.r
-        return len(chunks)
+        return [extension_chunk(owner_stream, cfg, i) for i in range(len(stored), t + 1)]
 
     # ------------------------------------------------------------------
     # verification

@@ -10,10 +10,6 @@ Values are optional byte strings.  Storing them makes the map double as
 a small key-value store (the merged setup); leaving them None keeps the
 map a pure key index (the split setup, values living elsewhere).
 
-A map constructed with a path persists as a single snapshot file on
-flush(); the in-memory dict is the only index and is rebuilt whenever
-the file is read back.
-
 Whole-map passes move the map as columns.  ``_columns()`` hands out the
 ids, list lengths, keys and values in hash order; the snapshot encoder,
 the filter's consistency check, merge and rebuild read it.
@@ -76,15 +72,12 @@ class ReverseMap:
     can prove a code path never touched the map.
     """
 
-    def __init__(self, qbits: int, path=None):
+    def __init__(self, qbits: int):
         if not 1 <= qbits <= 56:
             raise InvalidConfigError(f"qbits {qbits} out of range [1, 56]")
         self.qbits = qbits
         self.entries: dict[int, list[tuple[int, bytes | None]]] = {}
         self.accesses = 0
-        self.path = Path(path) if path is not None else None
-        if self.path is not None and self.path.exists():
-            self._read(self.path.read_bytes())
 
     @staticmethod
     def check_entry(key: int, value: bytes | None) -> None:
@@ -310,12 +303,4 @@ class ReverseMap:
 
     @classmethod
     def load(cls, path, qbits: int | None = None) -> "ReverseMap":
-        m = cls.from_bytes(Path(path).read_bytes(), qbits)
-        m.path = Path(path)
-        return m
-
-    def flush(self) -> None:
-        """Persist to the backing file; only file-backed maps have one."""
-        if self.path is None:
-            raise InvalidConfigError("map has no backing path")
-        self.save(self.path)
+        return cls.from_bytes(Path(path).read_bytes(), qbits)

@@ -21,13 +21,7 @@ import warnings
 
 import numpy as np
 
-from .core import (
-    _LOAD_DEN,
-    _LOAD_NUM,
-    SlotArray,
-    _Cols,
-    _ranges,
-)
+from .core import SlotArray, _Cols, _ranges
 from .errors import (
     ConfigMismatchError,
     FilterFullError,
@@ -60,7 +54,7 @@ def _place(arr: SlotArray, cols: _Cols) -> None:
     if arr.used_count:
         raise StateCorruptionError("placement needs an empty array")
     total = len(cols.quot) + int(cols.ext_len.sum() + cols.ctr_len.sum())
-    if _LOAD_DEN * total > _LOAD_NUM * arr.nslots:
+    if not arr.has_room(total):
         raise FilterFullError(f"{total} slots exceed the load limit of {arr.nslots}")
     arr._lay_out(0, arr.nslots, cols)
 

@@ -184,27 +184,36 @@ class YesNoFilter:
         Any stored fingerprint of the other class that matches the new
         key's hash would shadow or be shadowed by it, so each one grows
         until the new key stops matching it.  Same-class matches are
-        harmless and stay untouched.
+        harmless and stay untouched.  Every extension is worked out and
+        checked against the load cap before anything is stored, so a
+        raised error leaves the filter as it was.
         """
         inner = self.inner
         cfg = inner.cfg
         stream = HashStream(key, cfg.seed)
         qt, rem = split(stream, cfg)
         mid = pack_minirun_id(qt, rem, cfg.q)
+        colliders = []
         for rank in range(inner.map.list_size(mid)):
-            owner, _ = inner.map.map_get(mid, rank)
-            if owner == key and inner.arr.get_value(mid, rank) != bit:
-                raise InvalidConfigError(
-                    f"key {key} is already stored with the opposite answer"
-                )
-        inner.insert(key, tag=bit)
-        for rank in range(inner.map.list_size(mid) - 1):
             if inner.arr.get_value(mid, rank) == bit:
                 continue
             owner, _ = inner.map.map_get(mid, rank)
+            if owner == key:
+                raise InvalidConfigError(
+                    f"key {key} is already stored with the opposite answer"
+                )
             ext = inner.arr.get_ext(mid, rank)
             if all(ch == extension_chunk(stream, cfg, i) for i, ch in enumerate(ext)):
-                inner.adapt(mid, rank, owner, stream)
+                colliders.append((rank, owner))
+        # the insert takes one slot, or at most one counter digit
+        need = 1 + sum(len(inner._adapt_chunks(mid, rank, owner, stream))
+                       for rank, owner in colliders)
+        if not inner.arr.has_room(need):
+            raise FilterFullError(f"insert and its {need - 1} extension chunk(s) "
+                                  "would exceed the load limit")
+        inner.insert(key, tag=bit)
+        for rank, owner in colliders:
+            inner.adapt(mid, rank, owner, stream)
 
     def yn_delete(self, key: int) -> None:
         self.inner.delete(key)

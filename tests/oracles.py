@@ -154,6 +154,27 @@ def decode_raw(arr) -> list[tuple[int, int, tuple[int, ...], int, int]]:
     return out
 
 
+def shorten_minirun(exts: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """Extensions of one minirun's survivors after a shortening delete.
+
+    Each survivor keeps one chunk past its longest common prefix with
+    any other survivor (identical twins stay whole); a lone survivor
+    goes back to its baseline.  Pairwise, chunk by chunk.
+    """
+    out = []
+    for k, ext in enumerate(exts):
+        need = 0
+        for j, other in enumerate(exts):
+            if j == k:
+                continue
+            lcp = 0
+            while lcp < len(ext) and lcp < len(other) and ext[lcp] == other[lcp]:
+                lcp += 1
+            need = max(need, min(lcp + 1, len(ext)))
+        out.append(ext[:need])
+    return out
+
+
 # ----------------------------------------------------------------------
 # reverse-map snapshot, one entry at a time
 

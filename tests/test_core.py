@@ -319,21 +319,33 @@ class TestExtendTruncate:
         assert arr.query_fp(s) == (0, 2)
 
     def test_truncate_back_to_baseline(self):
+        # a shortening remove cuts (3, 0xA, (1, 2, 3)) to one chunk past
+        # its common prefix with the other survivor, then, once it is
+        # alone, back to its baseline
         arr = SlotArray(C44)
-        mid, rank = arr.insert_fp(Fingerprint(3, 0xA))
-        arr.extend_fp(mid, rank, [1, 2, 3])
-        arr.truncate_ext(mid, rank, 1)
-        assert decode_raw(arr) == [(3, 0xA, (1,), 1, 0)]
-        arr.truncate_ext(mid, rank, 0)
+        mid, _ = arr.insert_fp(Fingerprint(3, 0xA, ext=(7,)))
+        arr.insert_fp(Fingerprint(3, 0xA, ext=(1, 2, 3)))
+        arr.insert_fp(Fingerprint(3, 0xA, ext=(4,)))
+        arr.remove_fp(mid, 0, shorten=True)
+        assert decode_raw(arr) == [(3, 0xA, (1,), 1, 0), (3, 0xA, (4,), 1, 0)]
+        arr.remove_fp(mid, 1, shorten=True)
         assert decode_raw(arr) == [(3, 0xA, (), 1, 0)]
         assert arr.used_count == 1 and arr.ext_slot_count == 0
 
     def test_truncate_keeping_everything_is_a_no_op(self):
-        arr = SlotArray(C44)
-        mid, rank = arr.insert_fp(Fingerprint(3, 0xA, ext=(1,)))
-        before = arr.to_bytes()
-        arr.truncate_ext(mid, rank, 5)
-        assert arr.to_bytes() == before
+        # survivors that need every chunk they have: the shortening
+        # remove writes what a plain one does and keeps the cached index
+        plain, short = SlotArray(C44), SlotArray(C44)
+        for arr in (plain, short):
+            mid, _ = arr.insert_fp(Fingerprint(3, 0xA, ext=(1,)))
+            arr.insert_fp(Fingerprint(3, 0xA, ext=(1, 2)))
+            arr.insert_fp(Fingerprint(3, 0xA, ext=(1, 3)))
+        index = short.superset_index()
+        plain.remove_fp(mid, 0)
+        short.remove_fp(mid, 0, shorten=True)
+        assert short.to_bytes() == plain.to_bytes()
+        assert decode_raw(short) == [(3, 0xA, (1, 2), 1, 0), (3, 0xA, (1, 3), 1, 0)]
+        assert short.superset_index() is index
 
     def test_random_extend_sequences_match_decoder(self):
         rng = np.random.default_rng(36)

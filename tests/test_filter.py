@@ -1,8 +1,11 @@
 """Adaptive filter behavior: lookup semantics, correction, degradation."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from aqf.core import SlotArray
 from aqf.errors import (
     AdaptationExhaustedError,
     FilterError,
@@ -13,6 +16,8 @@ from aqf.errors import (
 )
 from aqf.filter import AdaptiveFilter, LookupResult, Policy
 from aqf.hashing import FilterConfig, HashStream, extension_chunk, hash_word_batch, split
+
+from oracles import shorten_minirun
 
 NOT_PRESENT = LookupResult.NOT_PRESENT
 PRESENT = LookupResult.PRESENT
@@ -279,6 +284,34 @@ class TestDelete:
         f, mid, x = self._extended_siblings(Policy())
         f.delete(x)
         assert len(f.arr.get_ext(mid, 0)) >= 1
+
+    def test_shortening_delete_is_one_cluster_edit(self, monkeypatch):
+        cfg = self.CFG
+        f = AdaptiveFilter(cfg, policy=Policy(shorten_on_delete=True))
+        x = 271828
+        keys = [x, *colliders(cfg, x, 0, 3)]
+        for k in keys:
+            mid, _ = f.insert(k)
+        z = colliders(cfg, x, 0, 1, salt=2)[0]
+        assert z not in keys
+        assert f.lookup(z)[0] is CORRECTED  # extends all four fingerprints
+        exts = [f.arr.get_ext(mid, rank) for rank in range(4)]
+        assert all(exts) and f.arr.ctr_slot_count == 0
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("_columns", "_lay_out", "_locate_fp", "get_ext", "get_count"):
+            monkeypatch.setattr(SlotArray, name, counted(name, getattr(SlotArray, name)))
+        f.delete(x)
+        monkeypatch.undo()
+        assert calls == {"_columns": 1, "_lay_out": 1}
+        assert [f.arr.get_ext(mid, rank) for rank in range(3)] == shorten_minirun(exts[1:])
+        f.check_consistency()
 
 
 class TestConsistency:

@@ -10,7 +10,7 @@ from aqf.core import Fingerprint, SlotArray, pack_minirun_id
 from aqf.errors import FilterFullError, FormatError
 from aqf.hashing import FilterConfig
 
-from oracles import decode_raw
+from oracles import decode_raw, shorten_minirun
 
 
 def populations(arr):
@@ -28,10 +28,23 @@ def grouped(rows):
     return out
 
 
+def column_rows(arr):
+    """arr._columns() as decode_raw rows, counts rebuilt from the digits."""
+    cols = arr._columns()
+    chunks, r = cols.chunks.tolist(), arr.cfg.r
+    rows = []
+    for qt, rem, value, o, e, d in zip(*(col.tolist() for col in (
+            cols.quot, cols.rem, cols.value, cols.ext_off, cols.ext_len, cols.ctr_len))):
+        digits = chunks[o + e : o + e + d]
+        count = 1 + sum(dg << (k * r) for k, dg in enumerate(digits))
+        rows.append((qt, rem, tuple(chunks[o : o + e]), count, value))
+    return rows
+
+
 def check(arr, model):
     rows = decode_raw(arr)
     assert grouped(rows) == {k: v for k, v in model.items() if v}
-    assert [(fp.quotient, fp.remainder, fp.ext, fp.count, v) for fp, v in arr.iter_fps()] == rows
+    assert column_rows(arr) == rows
     assert populations(arr) == (arr.used_count, arr.fp_count, arr.ext_slot_count,
                                 arr.ctr_slot_count)
     back = SlotArray.from_bytes(arr.to_bytes())
@@ -57,7 +70,7 @@ def tables(draw):
             draw(st.lists(st.tuples(fp, st.integers(0, 3)), max_size=40)))
 
 
-edit_st = st.tuples(st.sampled_from(["remove", "truncate", "count"]),
+edit_st = st.tuples(st.sampled_from(["remove", "shorten", "count"]),
                     st.integers(0, 10**6), st.integers(0, 10**6))
 
 
@@ -85,10 +98,16 @@ def test_decoder_and_writer_match_the_oracle(table, edits):
         if op == "remove":
             arr.remove_fp(mid, rank)
             model[(qt, rem)].pop(rank)
-        elif op == "truncate":
-            keep = arg % (len(ext) + 1)
-            arr.truncate_ext(mid, rank, keep)
-            model[(qt, rem)][rank] = (ext[:keep], count, value)
+        elif op == "shorten":
+            index = arr.superset_index()
+            arr.remove_fp(mid, rank, shorten=True)
+            rest = model[(qt, rem)]
+            rest.pop(rank)
+            exts = shorten_minirun([row[0] for row in rest])
+            cut = exts != [row[0] for row in rest]
+            model[(qt, rem)] = [(e, *row[1:]) for e, row in zip(exts, rest)]
+            # only a cut can widen what the table matches
+            assert (arr.superset_index() is index) == (not cut)
         else:
             count = 1 + arg % count
             arr.set_count(mid, rank, count)

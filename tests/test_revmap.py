@@ -185,18 +185,6 @@ class TestSnapshot:
         with pytest.raises(ConfigMismatchError):
             ReverseMap.from_bytes(blob, qbits=9)
 
-    def test_file_backed_lifecycle(self, tmp_path):
-        path = tmp_path / "map.aqfm"
-        m = ReverseMap(8, path=path)
-        m.map_insert(3, 0, 77)
-        with pytest.raises(InvalidConfigError):
-            ReverseMap(8).flush()
-        m.flush()
-        again = ReverseMap(8, path=path)
-        assert again == m
-        loaded = ReverseMap.load(path)
-        assert loaded == m and loaded.path == path
-
 
 entry_st = st.tuples(
     st.integers(0, (1 << 64) - 1),

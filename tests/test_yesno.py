@@ -8,7 +8,12 @@ import numpy as np
 import pytest
 
 from aqf.core import pack_minirun_id
-from aqf.errors import ConstructionFailedError, FormatError, InvalidConfigError
+from aqf.errors import (
+    ConstructionFailedError,
+    FilterFullError,
+    FormatError,
+    InvalidConfigError,
+)
 from aqf.filter import AdaptiveFilter
 from aqf.hashing import FilterConfig, HashStream, split
 from aqf.yesno import (
@@ -271,6 +276,24 @@ class TestDynamic:
         assert f.inner.arr.ext_slot_count == 0
         assert f.yn_query(x) == YES
         assert f.yn_query(y) == YES
+
+    def test_full_table_refuses_an_insert_without_a_trace(self):
+        # the NO key fits in the last free slot but its YES collider
+        # needs one more for its extension
+        inner = AdaptiveFilter(FilterConfig(q=6, r=3, seed=4), value_bits=1)
+        f = YesNoFilter(inner, YesNoParams(60, 1, 2**-3))
+        key = 0
+        while inner.arr.used_count < 59:
+            key += 1
+            f.yn_insert_yes(key)
+        stored = {split(HashStream(y, 4), inner.cfg) for y in range(1, key + 1)}
+        k = next(k for k in range(10**6, 10**7) if split(HashStream(k, 4), inner.cfg) in stored)
+        before = inner.to_bytes()
+        with pytest.raises(FilterFullError):
+            f.yn_insert_no(k)
+        assert inner.to_bytes() == before
+        assert (len(inner), inner.adaptivity_bits, inner.adaptations) == (59, 0, 0)
+        inner.check_consistency()
 
     def test_delete_frees_the_slot(self):
         f = self._fresh()
