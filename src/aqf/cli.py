@@ -156,8 +156,7 @@ def cmd_yesno(args) -> int:
     else:
         rng = np.random.default_rng(args.seed + 1)
         no = rng.integers(CHURN_SPACE[0], CHURN_SPACE[1], size=args.no, dtype=np.uint64)
-    yn = build_static(yes.tolist(), no.tolist(), args.epsilon,
-                      slack=args.slack, seed=args.seed)
+    yn = build_static(yes, no, args.epsilon, slack=args.slack, seed=args.seed)
     p = yn.params
     print(f"n {p.n}  m {p.m}  epsilon {p.epsilon}  mu {p.mu:.4f}")
     print(f"qbits {yn.inner.cfg.q}  rbits {yn.inner.cfg.r}")

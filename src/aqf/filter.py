@@ -39,6 +39,7 @@ from .errors import (
     StateCorruptionError,
 )
 from .hashing import (
+    MASK64,
     FilterConfig,
     HashStream,
     extension_chunk,
@@ -90,6 +91,17 @@ class LookupResult(enum.Enum):
 
 # verdicts after which no stored fingerprint matches the key
 _SETTLED = (LookupResult.NOT_PRESENT, LookupResult.FALSE_POSITIVE_CORRECTED)
+
+
+def _key(key) -> int:
+    """key as an int; refuses anything but an int in [0, 2**64)."""
+    try:
+        key = operator.index(key)
+    except TypeError as exc:
+        raise InvalidConfigError(f"key must be an int in [0, 2**64): {exc}") from exc
+    if not 0 <= key <= MASK64:
+        raise InvalidConfigError(f"key {key} outside [0, 2**64)")
+    return key
 
 
 def _key_array(keys) -> np.ndarray:
@@ -156,6 +168,7 @@ class AdaptiveFilter:
         without them).  With dedupe_keys on, re-inserting a key bumps
         its fingerprint's counter instead of storing a second copy.
         """
+        key = _key(key)
         self.map.check_entry(key, value)
         stream = HashStream(key, self.cfg.seed)
         qt, rem = split(stream, self.cfg)
@@ -179,6 +192,7 @@ class AdaptiveFilter:
         survivors of its minirun back to the extension chunks they need
         to stay distinct from each other.
         """
+        key = _key(key)
         stream = HashStream(key, self.cfg.seed)
         qt, rem = split(stream, self.cfg)
         mid = pack_minirun_id(qt, rem, self.cfg.q)
@@ -207,6 +221,7 @@ class AdaptiveFilter:
         cap, the query degrades to an uncorrected FALSE_POSITIVE and
         adaptation_failures is bumped.
         """
+        key = _key(key)
         stream = HashStream(key, self.cfg.seed)
         hit = self.arr.query_fp(stream)
         if hit is None:
@@ -266,7 +281,7 @@ class AdaptiveFilter:
 
     def contains(self, key: int) -> bool:
         """Fingerprint match only; never adapts, never reads the map."""
-        return self.arr.query_fp(HashStream(key, self.cfg.seed)) is not None
+        return self.arr.query_fp(HashStream(_key(key), self.cfg.seed)) is not None
 
     def adapt(self, mid: int, rank: int, owner_key: int, query_stream: HashStream) -> int:
         """Extend one stored fingerprint until the query stops matching.

@@ -25,15 +25,18 @@ import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
-from .core import _LOAD_DEN, _LOAD_NUM, pack_minirun_id
+import numpy as np
+
+from .core import _LOAD_DEN, _LOAD_NUM, _Cols, pack_minirun_id
 from .errors import (
     ConstructionFailedError,
     FilterFullError,
     FormatError,
     InvalidConfigError,
 )
-from .filter import AdaptiveFilter, LookupResult, Policy
+from .filter import AdaptiveFilter, LookupResult, Policy, _key, _key_array
 from .hashing import FilterConfig, HashStream, extension_chunk, split
+from .setops import _build_rederived
 
 YES = 1
 NO = 0
@@ -161,7 +164,7 @@ class YesNoFilter:
     def yn_query(self, key: int) -> int:
         """YES or NO.  Pure read: no adaptation, no map access."""
         inner = self.inner
-        stream = HashStream(key, inner.cfg.seed)
+        stream = HashStream(_key(key), inner.cfg.seed)
         hit = inner.arr.query_fp(stream)
         if hit is None:
             return NO
@@ -188,6 +191,7 @@ class YesNoFilter:
         checked against the load cap before anything is stored, so a
         raised error leaves the filter as it was.
         """
+        key = _key(key)
         inner = self.inner
         cfg = inner.cfg
         stream = HashStream(key, cfg.seed)
@@ -242,31 +246,37 @@ def build_static(
 ) -> YesNoFilter:
     """Construct a filter that is exact on both lists.
 
-    Inserts every YES key, then queries every NO key and adapts every
-    false positive to death.  True negatives cost nothing and nothing
-    from the NO list is ever stored.  Raises ConstructionFailedError,
-    with consumed vs budgeted bits attached, if the filter fills before
-    the NO list is exhausted.
+    Places every YES key in one pass, then queries every NO key and
+    adapts every false positive to death.  True negatives cost nothing
+    and nothing from the NO list is ever stored.  Both lists are uint64
+    arrays or iterables of ints in [0, 2**64).  Raises
+    ConstructionFailedError, with consumed vs budgeted bits attached, if
+    the filter fills before the NO list is exhausted.
     """
-    yes_keys = list(yes_keys)
-    no_keys = list(no_keys)
-    overlap = set(yes_keys) & set(no_keys)
-    if overlap:
-        raise InvalidConfigError(
-            f"{len(overlap)} key(s) appear on both lists; lists must be disjoint"
-        )
-    if not yes_keys:
+    yes, no = _key_array(yes_keys), _key_array(no_keys)
+    if not len(yes):
         raise InvalidConfigError("need at least one YES key")
+    distinct = np.unique(yes)
+    at = np.minimum(np.searchsorted(distinct, no), len(distinct) - 1)
+    both = no[distinct[at] == no]
+    if len(both):
+        raise InvalidConfigError(
+            f"{len(np.unique(both))} key(s) appear on both lists; lists must be disjoint"
+        )
 
-    params = YesNoParams(n=len(yes_keys), m=len(no_keys), epsilon=epsilon)
+    params = YesNoParams(n=len(yes), m=len(no), epsilon=epsilon)
     f = YesNoFilter.create(params, slack=slack, seed=seed)
     inner = f.inner
+    # fresh YES fingerprints: tag 1, no extension, no counter digits; the
+    # stable hash sort keeps list order as rank order, as inserts would
+    bare = np.zeros(len(yes), dtype=np.int64)
+    cols = _Cols.build(bare, bare, np.full(len(yes), YES), bare, bare, ())
     try:
-        for y in yes_keys:
-            inner.insert(y, tag=YES)
+        f.inner = inner = _build_rederived(cols, yes, [None] * len(yes), inner.cfg,
+                                           inner.policy, inner.value_bits, keep_ext=False)
     except FilterFullError as exc:
         raise ConstructionFailedError(
-            f"filter filled during YES inserts: {exc}",
+            f"filter filled placing the YES keys: {exc}",
             consumed_bits=inner.adaptivity_bits,
             budget_bits=f.budget_bits,
         ) from exc
@@ -274,12 +284,12 @@ def build_static(
     # NO keys are never stored and the lists are disjoint, so no verdict
     # is PRESENT; a fresh filter counts one adaptation failure per
     # uncorrected verdict, which spares a Python pass over the list
-    verdicts = inner.lookup_many(no_keys)
+    verdicts = inner.lookup_many(no)
     if inner.adaptation_failures:
         # lookup degrades to an uncorrected verdict when the array
         # cannot take another extension; here that means the
         # construction failed, not the query
-        z = no_keys[verdicts.index((LookupResult.FALSE_POSITIVE, None))]
+        z = int(no[verdicts.index((LookupResult.FALSE_POSITIVE, None))])
         raise ConstructionFailedError(
             f"ran out of room extending away NO key {z}",
             consumed_bits=inner.adaptivity_bits,

@@ -205,6 +205,61 @@ def encode_map_v1(m) -> bytes:
 
 
 # ----------------------------------------------------------------------
+# static yes/no construction, one scalar insert per YES key
+
+
+def build_static_sequential(yes_keys, no_keys, epsilon, slack=1.5, seed=0):
+    """The yes/no build as the paper states it: insert every YES key,
+    then query every NO key and adapt every false positive away.
+
+    Runs on the package's scalar insert and lookup_many, so a bulk build
+    must match it byte for byte, counter for counter, error for error.
+    """
+    from aqf.errors import ConstructionFailedError, FilterFullError, InvalidConfigError
+    from aqf.filter import LookupResult
+    from aqf.yesno import YES, YesNoFilter, YesNoParams
+
+    yes_keys = list(yes_keys)
+    no_keys = list(no_keys)
+    overlap = set(yes_keys) & set(no_keys)
+    if overlap:
+        raise InvalidConfigError(
+            f"{len(overlap)} key(s) appear on both lists; lists must be disjoint"
+        )
+    if not yes_keys:
+        raise InvalidConfigError("need at least one YES key")
+
+    params = YesNoParams(n=len(yes_keys), m=len(no_keys), epsilon=epsilon)
+    f = YesNoFilter.create(params, slack=slack, seed=seed)
+    inner = f.inner
+    try:
+        for y in yes_keys:
+            inner.insert(y, tag=YES)
+    except FilterFullError as exc:
+        raise ConstructionFailedError(
+            f"filter filled during YES inserts: {exc}",
+            consumed_bits=inner.adaptivity_bits,
+            budget_bits=f.budget_bits,
+        ) from exc
+
+    # NO keys are never stored and the lists are disjoint, so no verdict
+    # is PRESENT; a fresh filter counts one adaptation failure per
+    # uncorrected verdict, which spares a Python pass over the list
+    verdicts = inner.lookup_many(no_keys)
+    if inner.adaptation_failures:
+        # lookup degrades to an uncorrected verdict when the array
+        # cannot take another extension; here that means the
+        # construction failed, not the query
+        z = no_keys[verdicts.index((LookupResult.FALSE_POSITIVE, None))]
+        raise ConstructionFailedError(
+            f"ran out of room extending away NO key {z}",
+            consumed_bits=inner.adaptivity_bits,
+            budget_bits=f.budget_bits,
+        )
+    return f
+
+
+# ----------------------------------------------------------------------
 # whole-filter membership model
 
 

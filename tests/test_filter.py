@@ -133,6 +133,46 @@ class TestInsertLookup:
         assert f.lookup(2**64 - 1)[0] is not PRESENT
 
 
+class TestScalarKeys:
+    """Every scalar entry point takes the keys lookup_many takes."""
+
+    CFG = FilterConfig(q=8, r=4, seed=54)
+
+    @pytest.mark.parametrize("key", [2**64 + 7, -1, "x", 2.5, None, b"7"])
+    @pytest.mark.parametrize("op", ["insert", "delete", "lookup", "contains"])
+    def test_bad_key_is_refused_without_a_trace(self, op, key):
+        f = AdaptiveFilter(self.CFG)
+        f.insert(7)
+        before = (f.to_bytes(), f.map_accesses, f.adaptation_failures, f.adaptations)
+        with pytest.raises(InvalidConfigError):
+            getattr(f, op)(key)
+        assert (f.to_bytes(), f.map_accesses, f.adaptation_failures, f.adaptations) == before
+
+    def test_a_key_past_64_bits_is_not_its_masked_twin(self):
+        f = AdaptiveFilter(self.CFG)
+        f.insert(7)
+        with pytest.raises(InvalidConfigError):
+            f.lookup(2**64 + 7)
+        with pytest.raises(InvalidConfigError):
+            f.contains(2**64 + 7)
+        assert f.adaptation_failures == 0
+        assert f.lookup(7)[0] is PRESENT
+
+    @pytest.mark.parametrize("kind", [np.uint64, np.int64, np.uint8])
+    def test_numpy_integer_keys_act_as_ints(self, kind):
+        f, g = AdaptiveFilter(self.CFG), AdaptiveFilter(self.CFG)
+        for k in (3, 5, 200):
+            f.insert(kind(k))
+            g.insert(k)
+        assert f.to_bytes() == g.to_bytes()
+        assert f.lookup(kind(5)) == (PRESENT, None)
+        assert f.contains(kind(200))
+        f.delete(kind(3))
+        g.delete(3)
+        assert f.to_bytes() == g.to_bytes()
+        assert f.lookup(kind(3)) == g.lookup(3)
+
+
 class TestCorrection:
     CFG = FilterConfig(q=8, r=4, seed=54)
 

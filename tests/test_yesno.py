@@ -6,6 +6,8 @@ from decimal import Decimal, getcontext
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aqf.core import pack_minirun_id
 from aqf.errors import (
@@ -26,7 +28,16 @@ from aqf.yesno import (
     expected_adaptivity_bits,
     lower_bound_bits,
 )
-from oracles import find_colliders
+from oracles import build_static_sequential, find_colliders
+
+
+def adversarial_lists(seed, q, r, depth, n):
+    """n random YES keys, and per YES key one NO key that agrees with
+    its fingerprint for depth extension chunks under (q, r, seed)."""
+    rng = np.random.default_rng(75)
+    yes = [int(k) for k in rng.choice(1 << 62, size=n, replace=False)]
+    no = [find_colliders(q, r, seed, x, depth, 1)[0] for x in yes]
+    return yes, no
 
 
 class TestParams:
@@ -200,14 +211,99 @@ class TestStaticBuild:
         with pytest.raises(InvalidConfigError):
             build_static([], [1, 2], epsilon=0.1)
 
+    def test_uint64_arrays_build_like_int_lists(self):
+        rng = np.random.default_rng(78)
+        pool = rng.choice(1 << 62, size=400, replace=False).astype(np.uint64)
+        pool[0] = 2**64 - 1
+        a = build_static(pool[:50], pool[50:], epsilon=2**-4, seed=2)
+        b = build_static(pool[:50].tolist(), pool[50:].tolist(), epsilon=2**-4, seed=2)
+        assert a.inner.to_bytes() == b.inner.to_bytes()
+        f = build_static(np.array([5, 6], dtype=np.uint64), np.array([7], dtype=np.uint64),
+                         epsilon=0.1)
+        assert (f.yn_query(5), f.yn_query(6), f.yn_query(7)) == (YES, YES, NO)
+
+    @pytest.mark.parametrize("yes, no", [
+        (["5"], [7]),
+        ([5], [7.0]),
+        ([2.5], []),
+        (np.array([5.0, 6.0]), []),
+        ([-1], [7]),
+        ([5], [2**64]),
+        (np.array([5, -6]), []),
+    ])
+    def test_keys_that_are_not_uint64_are_refused(self, yes, no):
+        with pytest.raises(InvalidConfigError):
+            build_static(yes, no, epsilon=0.1)
+
+
+def _outcome(build, yes, no, epsilon, slack, seed):
+    """What a build leaves behind: the filter's bytes and counters, or
+    the error it raised with the bits it reports."""
+    try:
+        f = build(yes, no, epsilon, slack=slack, seed=seed)
+    except ConstructionFailedError as exc:
+        return type(exc), exc.consumed_bits, exc.budget_bits
+    except InvalidConfigError as exc:
+        return type(exc), str(exc)
+    inner = f.inner
+    return (inner.to_bytes(), inner.map.accesses, inner.adaptivity_bits, inner.adaptations,
+            inner.adaptation_failures, f.budget_bits, f.params)
+
+
+class TestBulkBuild:
+    """build_static places the YES list in one pass; it must leave what
+    one insert per YES key followed by the NO pass leaves."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        yes=st.lists(st.one_of(st.integers(0, 40), st.integers(0, 2**63 - 1)),
+                     min_size=1, max_size=60),
+        no=st.lists(st.one_of(st.integers(0, 40), st.integers(0, 2**63 - 1)), max_size=300),
+        repeat=st.integers(0, 3),
+        shared=st.integers(0, 2),
+        log_eps=st.integers(1, 6),
+        slack=st.sampled_from([1.0, 1.5, 3.0]),
+        seed=st.integers(0, 1 << 16),
+        as_array=st.booleans(),
+    )
+    def test_matches_sequential_inserts(self, yes, no, repeat, shared, log_eps, slack,
+                                        seed, as_array):
+        # even YES keys, odd NO keys: disjoint unless keys are shared on
+        # purpose; small draws repeat keys on either list
+        yes = [2 * k for k in yes]
+        no = ([2 * k + 1 for k in no] + yes[:shared]) * (1 + repeat)
+        want = _outcome(build_static_sequential, yes, no, 2.0**-log_eps, slack, seed)
+        if as_array:
+            yes, no = np.array(yes, dtype=np.uint64), np.array(no, dtype=np.uint64)
+        assert _outcome(build_static, yes, no, 2.0**-log_eps, slack, seed) == want
+
+    @pytest.mark.parametrize("slack", [1.0, 1.5, 3.0])
+    def test_adversarial_lists_fail_or_succeed_alike(self, slack):
+        yes, no = adversarial_lists(7, 7, 1, depth=10, n=20)
+        want = _outcome(build_static_sequential, yes, no, 0.5, slack, 7)
+        assert _outcome(build_static, yes, no, 0.5, slack, 7) == want
+        assert _outcome(build_static, yes + yes[:3], no + no[:5], 0.5, slack, 7) == \
+            _outcome(build_static_sequential, yes + yes[:3], no + no[:5], 0.5, slack, 7)
+
+    def test_yes_list_past_the_load_cap_fails_construction(self, monkeypatch):
+        # create() always leaves room for the YES list; shrink the table
+        # to reach the placement's load check
+        create = YesNoFilter.create.__func__
+
+        def cramped(cls, params, slack=1.5, seed=0, dynamic=False, policy=None):
+            f = create(cls, params, slack, seed, dynamic, policy)
+            f.inner = AdaptiveFilter(FilterConfig(q=3, r=f.inner.cfg.r, seed=seed),
+                                     value_bits=1)
+            return f
+
+        monkeypatch.setattr(YesNoFilter, "create", classmethod(cramped))
+        yes = list(range(0, 20, 2))
+        want = _outcome(build_static_sequential, yes, [1, 3], 0.25, 1.5, 4)
+        assert want[0] is ConstructionFailedError
+        assert _outcome(build_static, yes, [1, 3], 0.25, 1.5, 4) == want
+
 
 class TestConstructionFailure:
-    def _adversarial_lists(self, seed, q, r, depth, n):
-        rng = np.random.default_rng(75)
-        yes = [int(k) for k in rng.choice(1 << 62, size=n, replace=False)]
-        no = [find_colliders(q, r, seed, x, depth, 1)[0] for x in yes]
-        return yes, no
-
     def test_deep_colliders_blow_the_reserve(self):
         # epsilon 1/2 gives one-bit chunks, so ten-deep agreement is
         # cheap to mine and each NO key burns eleven slots
@@ -215,7 +311,7 @@ class TestConstructionFailure:
         p = YesNoParams(20, 20, 0.5)
         probe = YesNoFilter.create(p, slack=1.0, seed=seed)
         assert (probe.inner.cfg.q, probe.inner.cfg.r) == (7, 1)
-        yes, no = self._adversarial_lists(seed, 7, 1, depth=10, n=20)
+        yes, no = adversarial_lists(seed, 7, 1, depth=10, n=20)
         with pytest.raises(ConstructionFailedError) as info:
             build_static(yes, no, epsilon=0.5, slack=1.0, seed=seed)
         assert info.value.budget_bits == adaptivity_budget(p, 1.0)
@@ -223,7 +319,7 @@ class TestConstructionFailure:
 
     def test_more_slack_absorbs_the_same_lists(self):
         seed = 7
-        yes, no = self._adversarial_lists(seed, 7, 1, depth=10, n=20)
+        yes, no = adversarial_lists(seed, 7, 1, depth=10, n=20)
         f = build_static(yes, no, epsilon=0.5, slack=3.0, seed=seed)
         assert all(f.yn_query(y) == YES for y in yes)
         assert all(f.yn_query(z) == NO for z in no)
@@ -294,6 +390,23 @@ class TestDynamic:
         assert inner.to_bytes() == before
         assert (len(inner), inner.adaptivity_bits, inner.adaptations) == (59, 0, 0)
         inner.check_consistency()
+
+    def test_scalar_keys_are_checked(self):
+        f = self._fresh()
+        f.yn_insert_yes(np.uint64(5))
+        f.yn_insert_no(np.int64(6))
+        assert (f.yn_query(np.uint64(5)), f.yn_query(6)) == (YES, NO)
+        before = f.inner.to_bytes()
+        for bad in (2**64 + 5, -1, "5", 5.0):
+            with pytest.raises(InvalidConfigError):
+                f.yn_query(bad)
+            with pytest.raises(InvalidConfigError):
+                f.yn_insert_yes(bad)
+            with pytest.raises(InvalidConfigError):
+                f.yn_insert_no(bad)
+            with pytest.raises(InvalidConfigError):
+                f.yn_delete(bad)
+        assert f.inner.to_bytes() == before
 
     def test_delete_frees_the_slot(self):
         f = self._fresh()
