@@ -10,18 +10,34 @@ Values are optional byte strings.  Storing them makes the map double as
 a small key-value store (the merged setup); leaving them None keeps the
 map a pure key index (the split setup, values living elsewhere).
 
+The map is stored flat.  The base holds one row per entry in hash order
+(quotient, then remainder; the id rotated right by q bits), ties in rank
+order: a uint64 id array, a uint64 key array, and a list of values that
+is dropped while every value is None.  A directory over the top bits of
+the quotient (the whole quotient once the map holds half as many rows as
+there are quotients), like the slot array's ``FrozenIndex.dir``, bounds
+each bucket's rows, so a scalar read is a dict miss, two directory reads
+and a scan of about one row.  Writes go to an overlay, a dict holding
+the whole list of every id written since the last compaction: the first
+write to an id copies its base rows there, and reads try the overlay
+first.  Once the overlay holds more ids than a fixed share of the base
+rows, it is merged back with one stable sort.  Live, a map without
+values takes about 20 bytes per key at q=20: 16 in the two columns, the
+rest in the directory.
+
 Whole-map passes move the map as columns.  ``_columns()`` hands out the
 ids, list lengths, keys and values in hash order; the snapshot encoder,
 the filter's consistency check, merge and rebuild read it.
-``_from_columns()`` builds a map from hash-ordered rows, one list per
-run of equal ids; bulk load, merge and rebuild build their maps with
-it.  The decoder is one loop of precompiled struct unpacks and accepts
-records only in strictly increasing hash order, so every snapshot it
-loads encodes back to its own bytes.
+``_from_columns()`` stores hash-ordered rows as the base; bulk load,
+merge and rebuild build their maps with it.  The decoder appends to the
+columns in one loop of precompiled struct unpacks and accepts records
+only in strictly increasing hash order, so every snapshot it loads
+encodes back to its own bytes.
 """
 
 from __future__ import annotations
 
+import array
 import itertools
 import operator
 import struct
@@ -29,6 +45,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .core import _ranges
 from .errors import ConfigMismatchError, FormatError, InvalidConfigError, NotFoundError
 
 MAP_MAGIC = b"AQFM"
@@ -39,10 +56,17 @@ _NO_VALUE = 0xFFFFFFFF
 
 _MASK64 = (1 << 64) - 1
 
-# snapshot head, per-id record and per-entry header
+# the overlay is merged into the base once it holds more ids than this
+# share of the base rows, and more than _COMPACT_MIN
+_COMPACT_SHARE = 0.125
+_COMPACT_MIN = 64
+
+# snapshot head, per-id record and per-entry header; a record and its
+# first entry are read with one unpack, since every list has one
 _HEAD = struct.Struct("<4sIQ")
 _REC = struct.Struct("<BQI")
 _ENT = struct.Struct("<IQI")
+_REC_ENT = struct.Struct("<BQIIQI")
 _REC_DT = np.dtype([("q", "u1"), ("mid", "<u8"), ("n", "<u4")])
 _ENT_DT = np.dtype([("klen", "<u4"), ("key", "<u8"), ("vlen", "<u4")])
 
@@ -65,19 +89,94 @@ def _head(data) -> int:
     return count
 
 
+def _join_values(*parts: tuple[list | None, int]) -> list | None:
+    """(value column, row count) parts joined; None stands for a column
+    of all None, in the parts and in the result."""
+    if all(v is None or v.count(None) == n for v, n in parts):
+        return None
+    return [x for v, n in parts for x in (itertools.repeat(None, n) if v is None else v)]
+
+
+def _sort_rows(q: int, mids: np.ndarray, keys: np.ndarray, values: list | None):
+    """Rows stably sorted into hash order, so each id's rows keep their order."""
+    perm = np.argsort(_rotr(mids, q), kind="stable")
+    return (mids[perm], keys[perm],
+            None if values is None else list(map(values.__getitem__, perm.tolist())))
+
+
 class ReverseMap:
     """Ordered key lists per minirun id, with rank addressing.
 
     ``accesses`` counts every list read or write and exists so callers
-    can prove a code path never touched the map.
+    can prove a code path never touched the map.  Compaction, the
+    column passes and the decoder count nothing.
     """
 
     def __init__(self, qbits: int):
         if not 1 <= qbits <= 56:
             raise InvalidConfigError(f"qbits {qbits} out of range [1, 56]")
         self.qbits = qbits
-        self.entries: dict[int, list[tuple[int, bytes | None]]] = {}
         self.accesses = 0
+        self._set_base(np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=np.uint64), None)
+
+    def _set_base(self, mids: np.ndarray, keys: np.ndarray, values: list | None) -> None:
+        """Make hash-ordered rows the base and empty the overlay.
+
+        values is None when every value is None.
+        """
+        n = len(mids)
+        # at most one row per bucket on average; a whole quotient per
+        # bucket once the map holds over half as many rows as quotients
+        bits = min(self.qbits, n.bit_length())
+        self._qmask, self._qshift = (1 << self.qbits) - 1, self.qbits - bits
+        # a bucket is the top bits of the quotient, the id's low q bits
+        bucket = (mids & np.uint64(self._qmask)) >> np.uint64(self._qshift)
+        dirs = np.zeros((1 << bits) + 1, dtype=np.int32 if n < 1 << 31 else np.int64)
+        np.cumsum(np.bincount(bucket.astype(np.intp), minlength=1 << bits), out=dirs[1:])
+        self._mids, self._keys, self._values = mids, keys, values
+        # memoryviews index to Python ints without a numpy scalar
+        self._midv, self._keyv, self._dirv = memoryview(mids), memoryview(keys), memoryview(dirs)
+        self._over: dict[int, list[tuple[int, bytes | None]]] = {}
+        self._nkeys = n
+        self._nids = int(np.count_nonzero(mids[1:] != mids[:-1])) + (n > 0)
+        # overlay size past which a write compacts
+        self._limit = max(_COMPACT_MIN, _COMPACT_SHARE * n)
+
+    def _span(self, mid: int) -> tuple[int, int]:
+        """Base rows [lo, hi) of mid; an empty range when it has none."""
+        b = (mid & self._qmask) >> self._qshift
+        midv, dv = self._midv, self._dirv
+        lo, end = dv[b], dv[b + 1]
+        while lo < end and midv[lo] != mid:
+            lo += 1
+        hi = lo
+        while hi < end and midv[hi] == mid:
+            hi += 1
+        return lo, hi
+
+    def _writable(self, mid: int, rank: int, room: int) -> list:
+        """mid's overlay list, for a write at a rank below its length
+        plus room; a first write copies the id's base rows there."""
+        lst = self._over.get(mid)
+        if lst is None:
+            lo, hi = self._span(mid)
+            size = hi - lo
+        else:
+            size = len(lst)
+        if not 0 <= rank < size + room:
+            raise NotFoundError(f"rank {rank} out of bounds for the {size} entries "
+                                f"of minirun {mid}")
+        if lst is None:
+            keyv, values = self._keyv, self._values
+            lst = self._over[mid] = []
+            while lo < hi:
+                lst.append((keyv[lo], None if values is None else values[lo]))
+                lo += 1
+        return lst
+
+    def _compact(self) -> None:
+        """Merge the overlay into the base."""
+        self._set_base(*self._merged())
 
     @staticmethod
     def check_entry(key: int, value: bytes | None) -> None:
@@ -90,42 +189,73 @@ class ReverseMap:
     def map_insert(self, mid: int, rank: int, key: int, value: bytes | None = None) -> None:
         """Insert key at position rank; later entries shift back one."""
         self.check_entry(key, value)
-        lst = self.entries.setdefault(mid, [])
-        if not 0 <= rank <= len(lst):
-            if not lst:
-                del self.entries[mid]
-            raise NotFoundError(f"rank {rank} out of bounds for list of {len(lst)}")
+        if not 0 <= mid <= _MASK64:
+            raise InvalidConfigError("minirun id must fit in 64 bits")
+        lst = self._writable(mid, rank, 1)
         lst.insert(rank, (key, value))
+        self._nids += len(lst) == 1
+        self._nkeys += 1
         self.accesses += 1
+        if len(self._over) > self._limit:
+            self._compact()
 
     def map_get(self, mid: int, rank: int) -> tuple[int, bytes | None]:
-        lst = self.entries.get(mid)
-        if lst is None or not 0 <= rank < len(lst):
-            raise NotFoundError(f"minirun {mid} has no entry at rank {rank}")
-        self.accesses += 1
-        return lst[rank]
+        lst = self._over.get(mid)
+        if lst is not None:
+            if not 0 <= rank < len(lst):
+                raise NotFoundError(f"minirun {mid} has no entry at rank {rank}")
+            self.accesses += 1
+            return lst[rank]
+        b = (mid & self._qmask) >> self._qshift
+        midv, dv = self._midv, self._dirv
+        row, end = dv[b], dv[b + 1]
+        while row < end and midv[row] != mid:
+            row += 1
+        row += rank
+        if rank >= 0 and row < end and midv[row] == mid:
+            self.accesses += 1
+            values = self._values
+            return self._keyv[row], None if values is None else values[row]
+        raise NotFoundError(f"minirun {mid} has no entry at rank {rank}")
 
     def map_remove(self, mid: int, rank: int) -> tuple[int, bytes | None]:
         """Remove and return the entry at rank; empty ids are dropped."""
-        lst = self.entries.get(mid)
-        if lst is None or not 0 <= rank < len(lst):
-            raise NotFoundError(f"minirun {mid} has no entry at rank {rank}")
-        self.accesses += 1
+        lst = self._writable(mid, rank, 0)
         out = lst.pop(rank)
-        if not lst:
-            del self.entries[mid]
+        self._nids -= not lst
+        self._nkeys -= 1
+        self.accesses += 1
+        if len(self._over) > self._limit:
+            self._compact()
         return out
 
     def find_rank(self, mid: int, key: int) -> int | None:
         """Rank of the first exact occurrence of key, or None."""
         self.accesses += 1
-        for rank, (k, _) in enumerate(self.entries.get(mid, ())):
-            if k == key:
-                return rank
+        lst = self._over.get(mid)
+        if lst is not None:
+            for rank, (k, _) in enumerate(lst):
+                if k == key:
+                    return rank
+            return None
+        b = (mid & self._qmask) >> self._qshift
+        midv, dv, keyv = self._midv, self._dirv, self._keyv
+        lo, end = dv[b], dv[b + 1]
+        while lo < end and midv[lo] != mid:
+            lo += 1
+        row = lo
+        while row < end and midv[row] == mid:
+            if keyv[row] == key:
+                return row - lo
+            row += 1
         return None
 
     def list_size(self, mid: int) -> int:
-        return len(self.entries.get(mid, ()))
+        lst = self._over.get(mid)
+        if lst is not None:
+            return len(lst)
+        lo, hi = self._span(mid)
+        return hi - lo
 
     def map_concat(self, other: "ReverseMap") -> "ReverseMap":
         """New map holding self's lists with other's appended per id."""
@@ -133,27 +263,69 @@ class ReverseMap:
             raise ConfigMismatchError(
                 f"cannot concat maps with qbits {self.qbits} and {other.qbits}"
             )
+        (ma, ka, va), (mb, kb, vb) = self._merged(), other._merged()
         out = ReverseMap(self.qbits)
-        for mid, lst in self.entries.items():
-            out.entries[mid] = list(lst)
-        for mid, lst in other.entries.items():
-            out.entries.setdefault(mid, []).extend(lst)
+        # the stable sort keeps self's rows ahead of other's on shared ids
+        out._set_base(*_sort_rows(self.qbits, np.concatenate([ma, mb]),
+                                  np.concatenate([ka, kb]),
+                                  _join_values((va, len(ma)), (vb, len(mb)))))
         return out
 
     @property
     def key_count(self) -> int:
-        return sum(len(lst) for lst in self.entries.values())
+        return self._nkeys
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return self._nids
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ReverseMap):
             return NotImplemented
-        return self.qbits == other.qbits and self.entries == other.entries
+        if self.qbits != other.qbits:
+            return False
+        (ma, ka, va), (mb, kb, vb) = self._merged(), other._merged()
+        return (np.array_equal(ma, mb) and np.array_equal(ka, kb)
+                and _join_values((va, len(ma))) == _join_values((vb, len(mb))))
 
     # ------------------------------------------------------------------
     # columns: the one way out of the map and the one way in
+
+    def _merged(self) -> tuple[np.ndarray, np.ndarray, list | None]:
+        """(ids, keys, values) of every entry, overlay included.
+
+        Rows in hash order, ties in rank order; values is None when
+        every value is None.
+        """
+        over = self._over
+        if not over:
+            return self._mids, self._keys, self._values
+        q, mids, values = self.qbits, self._mids, self._values
+        order = _rotr(mids, q)
+        ids = np.fromiter(over, dtype=np.uint64, count=len(over))
+        lo = np.searchsorted(order, _rotr(ids, q), side="left")
+        hi = np.searchsorted(order, _rotr(ids, q), side="right")
+        keep = np.ones(len(mids), dtype=bool)
+        keep[_ranges(lo, hi - lo)] = False
+
+        lists = list(over.values())
+        lengths = np.fromiter(map(len, lists), dtype=np.int64, count=len(lists))
+        flat = list(itertools.chain.from_iterable(lists))
+        new_keys = np.fromiter(map(operator.itemgetter(0), flat), dtype=np.uint64,
+                               count=len(flat))
+        new_values = list(map(operator.itemgetter(1), flat))
+        kept_values = (None if values is None
+                       else list(itertools.compress(values, keep.tolist())))
+        # the overlay's ids are not in the kept rows, and each list
+        # arrives in rank order, which the stable sort keeps
+        return _sort_rows(q, np.concatenate([mids[keep], np.repeat(ids, lengths)]),
+                          np.concatenate([self._keys[keep], new_keys]),
+                          _join_values((kept_values, int(keep.sum())), (new_values, len(flat))))
+
+    def _lists(self):
+        """_columns(), except that values is None when every value is."""
+        mids, keys, values = self._merged()
+        starts = np.flatnonzero(np.diff(mids, prepend=~mids[:1]))
+        return mids[starts], np.diff(starts, append=len(mids)), keys, values
 
     def _columns(self):
         """(ids, lengths, keys, values) in hash order.
@@ -163,33 +335,27 @@ class ReverseMap:
         (uint64) and values (a list) hold the entries of those lists one
         after the other, each list in rank order.
         """
-        q = self.qbits
-        mids = np.fromiter(self.entries, dtype=np.uint64, count=len(self.entries))
-        # rotating an id right by q bits puts its quotient on top
-        mids = _rotr(np.sort(_rotr(mids, q)), 64 - q)
-        lists = list(map(self.entries.__getitem__, mids.tolist()))
-        lengths = np.fromiter(map(len, lists), dtype=np.int64, count=len(lists))
-        flat = list(itertools.chain.from_iterable(lists))
-        keys = np.fromiter(map(operator.itemgetter(0), flat), dtype=np.uint64, count=len(flat))
-        return mids, lengths, keys, list(map(operator.itemgetter(1), flat))
+        mids, lengths, keys, values = self._lists()
+        return mids, lengths, keys, [None] * len(keys) if values is None else list(values)
 
     @classmethod
     def _from_columns(cls, qbits: int, mids: np.ndarray, keys: np.ndarray,
                       values) -> "ReverseMap":
         """Map holding (keys[i], values[i]) under mids[i].
 
-        Rows come in hash order, so equal ids are adjacent, and ties in
-        rank order: each list is one slice of the rows.  Counts one
-        access per entry, as building it with map_insert would.
+        Each list's rows come in rank order.  Rows in hash order become
+        the base as they are; others are stably sorted into it first.
+        Counts one access per entry, as building it with map_insert
+        would.
         """
         m = cls(qbits)
-        if not len(mids):
-            return m
-        rows = list(zip(keys.tolist(), values))
-        bounds = [0, *(np.flatnonzero(np.diff(mids)) + 1).tolist(), len(rows)]
-        m.entries = {mid: rows[a:b] for mid, a, b
-                     in zip(mids[bounds[:-1]].tolist(), bounds, bounds[1:])}
-        m.accesses = len(rows)
+        rows = (np.array(mids, dtype=np.uint64), np.array(keys, dtype=np.uint64),
+                _join_values((values, len(values))))
+        order = _rotr(rows[0], qbits)
+        if (order[1:] < order[:-1]).any():
+            rows = _sort_rows(qbits, *rows)
+        m._set_base(*rows)
+        m.accesses = len(keys)
         return m
 
     # ------------------------------------------------------------------
@@ -203,15 +369,19 @@ class ReverseMap:
         entry a 16-byte header (key length u32, always 8; key u64; value
         length u32, 0xFFFFFFFF for None) and then the value's bytes.
         """
-        mids, lengths, keys, values = self._columns()
+        mids, lengths, keys, values = self._lists()
         nrec, nent = len(mids), len(keys)
         rec = np.empty(nrec, dtype=_REC_DT)
         rec["q"], rec["mid"], rec["n"] = self.qbits, mids, lengths
         ent = np.empty(nent, dtype=_ENT_DT)
         ent["klen"], ent["key"] = 8, keys
-        ent["vlen"] = np.fromiter((_NO_VALUE if v is None else len(v) for v in values),
-                                  dtype=np.uint32, count=nent)
-        vbytes = np.where(ent["vlen"] == _NO_VALUE, 0, ent["vlen"])
+        if values is None:
+            ent["vlen"], vbytes, blob = _NO_VALUE, np.zeros(nent, dtype=np.int64), b""
+        else:
+            ent["vlen"] = np.fromiter((_NO_VALUE if v is None else len(v) for v in values),
+                                      dtype=np.uint32, count=nent)
+            vbytes = np.where(ent["vlen"] == _NO_VALUE, 0, ent["vlen"])
+            blob = b"".join(filter(None, values))
 
         # segments in file order: a record, then per entry its header
         # and its value; one kind code (0, 1, 2) per byte routes each
@@ -228,7 +398,7 @@ class ReverseMap:
         out = np.empty(_HEAD.size + len(kind), dtype=np.uint8)
         out[: _HEAD.size] = np.frombuffer(_HEAD.pack(MAP_MAGIC, MAP_VERSION, nrec), np.uint8)
         body = out[_HEAD.size :]
-        for code, part in enumerate((rec, ent, b"".join(filter(None, values)))):
+        for code, part in enumerate((rec, ent, blob)):
             body[kind == code] = np.frombuffer(part, dtype=np.uint8)
         return out.tobytes()
 
@@ -237,50 +407,77 @@ class ReverseMap:
 
         Records must come in strictly increasing hash order, as
         to_bytes writes them, so that every snapshot that loads encodes
-        back to its own bytes.
+        back to its own bytes.  Rows go straight into growing columns;
+        nothing is sized from a count or length field.
         """
         count = _head(data)
         mv = memoryview(data)
         end = len(mv)
-        q = self.qbits
-        rec, ent = _REC.unpack_from, _ENT.unpack_from
-        entries = self.entries
+        q, shift, mask, none = self.qbits, 64 - self.qbits, _MASK64, _NO_VALUE
+        first, rec, ent = _REC_ENT.unpack_from, _REC.unpack_from, _ENT.unpack_from
+        step, last = _REC_ENT.size, end - _REC_ENT.size
+        mids, keys = array.array("Q"), array.array("Q")
+        add_mid, add_key = mids.append, keys.append
+        # rows that carry a value, and their values
+        vrows: list[int] = []
+        vals: list[bytes] = []
         pos, prev = _HEAD.size, -1
         try:
             for _ in range(count):
-                rq, mid, length = rec(mv, pos)
-                pos += _REC.size
+                if pos <= last:
+                    rq, mid, length, klen, key, vlen = first(mv, pos)
+                else:
+                    # too short for a record and an entry: check the
+                    # record, if it is there, then report the cut
+                    rq, mid, length = rec(mv, pos)
+                    klen = None
+                pos += step
                 if rq != q:
                     if not 1 <= rq <= 56:
                         raise FormatError(f"record qbits {rq} out of range [1, 56]")
                     raise ConfigMismatchError(
                         f"snapshot records qbits {rq}, map expects {q}"
                     )
-                order = ((mid << (64 - q)) & _MASK64) | (mid >> q)
+                order = ((mid << shift) & mask) | (mid >> q)
                 if order <= prev:
                     raise FormatError(f"minirun id {mid} is not past its predecessor "
                                       "in hash order")
                 prev = order
-                lst = []
-                for _ in range(length):
-                    klen, key, vlen = ent(mv, pos)
-                    pos += _ENT.size
+                if length == 1 and klen == 8 and vlen == none:
+                    add_mid(mid)
+                    add_key(key)
+                    continue
+                if not length:
+                    raise FormatError(f"minirun id {mid} has an empty list")
+                if klen is None:
+                    raise FormatError("snapshot truncated")
+                while True:
                     if klen != 8:
                         raise FormatError(f"key record of {klen} bytes, expected 8")
-                    if vlen == _NO_VALUE:
-                        lst.append((key, None))
-                        continue
-                    if pos + vlen > end:
-                        raise FormatError("snapshot truncated")
-                    lst.append((key, mv[pos : pos + vlen].tobytes()))
-                    pos += vlen
-                if not lst:
-                    raise FormatError(f"minirun id {mid} has an empty list")
-                entries[mid] = lst
+                    add_mid(mid)
+                    add_key(key)
+                    if vlen != none:
+                        if pos + vlen > end:
+                            raise FormatError("snapshot truncated")
+                        vrows.append(len(keys) - 1)
+                        vals.append(mv[pos : pos + vlen].tobytes())
+                        pos += vlen
+                    length -= 1
+                    if not length:
+                        break
+                    klen, key, vlen = ent(mv, pos)
+                    pos += _ENT.size
         except struct.error as exc:
             raise FormatError("snapshot truncated") from exc
         if pos != end:
             raise FormatError(f"{end - pos} trailing bytes")
+        values = None
+        if vrows:
+            values = [None] * len(keys)
+            for row, value in zip(vrows, vals):
+                values[row] = value
+        self._set_base(np.frombuffer(mids, dtype=np.uint64),
+                       np.frombuffer(keys, dtype=np.uint64), values)
 
     @classmethod
     def from_bytes(cls, data: bytes, qbits: int | None = None) -> "ReverseMap":

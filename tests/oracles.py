@@ -179,19 +179,20 @@ def shorten_minirun(exts: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
 # reverse-map snapshot, one entry at a time
 
 
-def encode_map_v1(m) -> bytes:
-    """Version 1 reverse-map snapshot of m, written entry by entry.
+def encode_map_v1(q: int, entries: dict) -> bytes:
+    """Version 1 snapshot of a reverse map at quotient width q whose
+    entries are {minirun id: [(key, value), ...]} (no empty lists),
+    written entry by entry.
 
     Records in hash order (quotient, then remainder): q u8, minirun id
     u64, list length u32; then per entry key length u32 (8), key u64,
     value length u32 (0xFFFFFFFF for None) and the value's bytes.  All
     little-endian, after magic, version u32 and record count u64.
     """
-    q = m.qbits
     qmask = (1 << q) - 1
-    out = [struct.pack("<4sIQ", b"AQFM", 1, len(m.entries))]
-    for mid in sorted(m.entries, key=lambda i: (i & qmask, i >> q)):
-        lst = m.entries[mid]
+    out = [struct.pack("<4sIQ", b"AQFM", 1, len(entries))]
+    for mid in sorted(entries, key=lambda i: (i & qmask, i >> q)):
+        lst = entries[mid]
         out.append(struct.pack("<BQI", q, mid, len(lst)))
         for key, value in lst:
             out.append(struct.pack("<I", 8))

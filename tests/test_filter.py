@@ -5,6 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from aqf import revmap
 from aqf.core import SlotArray
 from aqf.errors import (
     AdaptationExhaustedError,
@@ -372,12 +373,34 @@ class TestConsistency:
                 f.lookup(int(rng.integers(0, 1 << 60)))
         f.check_consistency()
 
+    @staticmethod
+    def swap_key(f, mid, rank):
+        """Put another key at (mid, rank) of f's map; check_consistency
+        must notice."""
+        f.map.map_remove(mid, rank)
+        f.map.map_insert(mid, rank, 2002)
+        assert f.map.map_get(mid, rank) == (2002, None)
+        with pytest.raises(StateCorruptionError):
+            f.check_consistency()
+
     def test_detects_map_tampering(self):
         f = AdaptiveFilter(FilterConfig(q=8, r=4, seed=62))
         mid, rank = f.insert(1001)
-        f.map.entries[mid][rank] = (2002, None)
-        with pytest.raises(StateCorruptionError):
-            f.check_consistency()
+        assert f.map._over
+        self.swap_key(f, mid, rank)
+        assert f.map._over
+
+    def test_detects_map_tampering_in_the_base_columns(self, monkeypatch):
+        f = AdaptiveFilter(FilterConfig(q=8, r=4, seed=62))
+        mid, rank = f.insert(1001)
+        # a reload puts every entry in the map's base columns, and
+        # compacting on every write puts the swapped entry there too
+        monkeypatch.setattr(revmap, "_COMPACT_MIN", 0)
+        monkeypatch.setattr(revmap, "_COMPACT_SHARE", 0)
+        f = AdaptiveFilter.from_bytes(f.to_bytes())
+        assert not f.map._over
+        self.swap_key(f, mid, rank)
+        assert not f.map._over
 
     def test_detects_an_extension_its_owner_does_not_share(self):
         cfg = FilterConfig(q=8, r=4, seed=62)

@@ -1,10 +1,20 @@
 """Reverse map semantics against a plain dictionary-of-lists oracle."""
 
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    invariant,
+    rule,
+    run_state_machine_as_test,
+)
 
+from aqf import revmap
 from aqf.errors import (
     ConfigMismatchError,
     FilterError,
@@ -14,6 +24,26 @@ from aqf.errors import (
 )
 from aqf.revmap import ReverseMap
 from oracles import encode_map_v1
+
+
+def model_columns(q: int, entries: dict) -> tuple[list, list, list, list]:
+    """(ids, lengths, keys, values) of a dict of lists, in hash order:
+    ids sorted by quotient (the low q bits), then remainder."""
+    ids = sorted(entries, key=lambda i: (i & ((1 << q) - 1), i >> q))
+    rows = [row for mid in ids for row in entries[mid]]
+    return (ids, [len(entries[mid]) for mid in ids],
+            [key for key, _ in rows], [value for _, value in rows])
+
+
+def assert_same_content(m: ReverseMap, entries: dict) -> None:
+    """m holds exactly the lists of entries, a dict of non-empty lists."""
+    mids, lengths, keys, values = m._columns()
+    assert (mids.tolist(), lengths.tolist(), keys.tolist(), values) == \
+        model_columns(m.qbits, entries)
+    assert len(m) == len(entries)
+    assert m.key_count == sum(map(len, entries.values()))
+    for mid, lst in entries.items():
+        assert m.list_size(mid) == len(lst)
 
 
 class TestBasicOps:
@@ -121,8 +151,7 @@ class TestDictOracle:
                         m.map_remove(mid, 0)
             else:
                 assert m.list_size(mid) == len(lst)
-        assert m.entries == oracle
-        assert m.key_count == sum(len(v) for v in oracle.values())
+        assert_same_content(m, oracle)
 
 
 class TestConcat:
@@ -194,29 +223,32 @@ entry_st = st.tuples(
 
 @st.composite
 def maps(draw):
-    """Maps at the extreme widths and in between; ids up to 2**64 - 1 put
-    high remainder bits above the quotient."""
+    """(map, its entries as a dict of lists) at the extreme widths and in
+    between; ids up to 2**64 - 1 put high remainder bits above the
+    quotient."""
     q = draw(st.one_of(st.sampled_from([1, 56]), st.integers(2, 55)))
     ids = st.one_of(st.integers(0, (1 << 64) - 1), st.integers(0, (1 << (q + 2)) - 1))
     m = ReverseMap(q)
-    for mid, lst in draw(st.dictionaries(ids, st.lists(entry_st, min_size=1, max_size=4),
-                                         max_size=12)).items():
+    entries = draw(st.dictionaries(ids, st.lists(entry_st, min_size=1, max_size=4),
+                                   max_size=12))
+    for mid, lst in entries.items():
         for key, value in lst:
             m.map_insert(mid, m.list_size(mid), key, value)
-    return m
+    return m, entries
 
 
 class TestColumnarSnapshot:
     @settings(max_examples=300, deadline=None)
-    @given(m=maps())
-    def test_bytes_equal_the_entry_by_entry_encoder(self, m):
+    @given(drawn=maps())
+    def test_bytes_equal_the_entry_by_entry_encoder(self, drawn):
+        m, entries = drawn
         blob = m.to_bytes()
-        assert blob == encode_map_v1(m)
+        assert blob == encode_map_v1(m.qbits, entries)
         back = ReverseMap.from_bytes(blob, qbits=m.qbits)
         assert back == m and back.to_bytes() == blob
 
     def test_empty_map_is_just_the_head(self):
-        assert ReverseMap(56).to_bytes() == encode_map_v1(ReverseMap(56))
+        assert ReverseMap(56).to_bytes() == encode_map_v1(56, {})
 
     def test_columns_come_in_hash_order(self):
         m = ReverseMap(4)
@@ -278,7 +310,7 @@ def small_snapshot():
 
 
 def test_every_bit_flip_and_truncation_fails_cleanly_or_reencodes_identically(small_snapshot):
-    assert len(ReverseMap.from_bytes(small_snapshot).entries) == 8
+    assert len(ReverseMap.from_bytes(small_snapshot)) == 8
     mutants = [small_snapshot[:cut] for cut in range(len(small_snapshot))]
     for bit in range(len(small_snapshot) * 8):
         blob = bytearray(small_snapshot)
@@ -295,3 +327,153 @@ def test_every_bit_flip_and_truncation_fails_cleanly_or_reencodes_identically(sm
             loaded += 1
     # key and value bits carry no redundancy, so their flips must load
     assert loaded >= 2 * 12 * 64
+
+
+class TestDecoderBounds:
+    """Count and length fields are never trusted ahead of the bytes."""
+
+    @staticmethod
+    def fails_fast(blob: bytes) -> None:
+        tracemalloc.start()
+        t = time.perf_counter()
+        try:
+            with pytest.raises(FormatError):
+                ReverseMap.from_bytes(blob, qbits=6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - t < 1.0
+        assert peak < 4 << 20
+
+    def test_head_claiming_two_to_the_64_records(self):
+        blob = bytearray(two_records())
+        blob[8:16] = ((1 << 64) - 1).to_bytes(8, "little")
+        self.fails_fast(bytes(blob))
+
+    def test_record_claiming_two_to_the_32_entries(self):
+        blob = bytearray(two_records())
+        # the first record's list length field
+        blob[16 + 9 : 16 + 13] = (0xFFFFFFFF).to_bytes(4, "little")
+        self.fails_fast(bytes(blob))
+
+
+MASK64 = (1 << 64) - 1
+# few ids, so lists grow and share quotients; the wide ones put
+# remainder bits above the quotient
+machine_ids = st.one_of(st.integers(0, 24), st.sampled_from([MASK64, 1 << 63, (1 << 40) + 3]))
+machine_keys = st.one_of(st.integers(0, 40), st.integers(0, MASK64))
+machine_values = st.one_of(st.none(), st.just(b""), st.binary(min_size=1, max_size=3))
+machine_lists = st.dictionaries(machine_ids, st.lists(st.tuples(machine_keys, machine_values),
+                                                      min_size=1, max_size=3), max_size=4)
+
+
+class MapMachine(RuleBasedStateMachine):
+    """ReverseMap against a dict of lists, writes driving it through
+    compaction (the test shrinks the compaction point)."""
+
+    Q = 3
+    # times the overlay was merged into the base, over all runs
+    compactions = 0
+
+    def __init__(self):
+        super().__init__()
+        self.m = ReverseMap(self.Q)
+        self.model: dict[int, list] = {}
+        self.accesses = 0
+
+    def state(self):
+        return self.m.to_bytes(), len(self.m), self.m.key_count, self.m.accesses
+
+    def refused(self, call, *args):
+        """call raises NotFoundError and leaves the map as it was."""
+        before = self.state()
+        with pytest.raises(NotFoundError):
+            call(*args)
+        assert self.state() == before
+
+    @rule(mid=machine_ids, rank=st.integers(-1, 4), key=machine_keys, value=machine_values)
+    def insert(self, mid, rank, key, value):
+        args = (mid, rank, key) if value is None else (mid, rank, key, value)
+        lst = self.model.get(mid, [])
+        if not 0 <= rank <= len(lst):
+            self.refused(self.m.map_insert, *args)
+            return
+        self.m.map_insert(*args)
+        self.model[mid] = lst
+        lst.insert(rank, (key, value))
+        self.accesses += 1
+
+    @rule(mid=machine_ids, rank=st.integers(-1, 4))
+    def get(self, mid, rank):
+        lst = self.model.get(mid, [])
+        if not 0 <= rank < len(lst):
+            self.refused(self.m.map_get, mid, rank)
+            return
+        assert self.m.map_get(mid, rank) == lst[rank]
+        self.accesses += 1
+
+    @rule(mid=machine_ids, rank=st.integers(-1, 4))
+    def remove(self, mid, rank):
+        lst = self.model.get(mid, [])
+        if not 0 <= rank < len(lst):
+            self.refused(self.m.map_remove, mid, rank)
+            return
+        assert self.m.map_remove(mid, rank) == lst.pop(rank)
+        if not lst:
+            del self.model[mid]
+        self.accesses += 1
+
+    @rule(mid=machine_ids, pick=st.integers(0, 4), key=machine_keys)
+    def find_rank(self, mid, pick, key):
+        lst = self.model.get(mid, [])
+        if pick < len(lst):
+            key = lst[pick][0]
+        want = next((rank for rank, (k, _) in enumerate(lst) if k == key), None)
+        assert self.m.find_rank(mid, key) == want
+        self.accesses += 1
+
+    @rule(mid=machine_ids)
+    def list_size(self, mid):
+        assert self.m.list_size(mid) == len(self.model.get(mid, []))
+
+    @rule()
+    def roundtrip(self):
+        self.m = ReverseMap.from_bytes(self.m.to_bytes(), qbits=self.Q)
+        self.accesses = 0
+
+    @rule(other=machine_lists)
+    def concat(self, other):
+        om = ReverseMap(self.Q)
+        for mid, lst in other.items():
+            for key, value in lst:
+                om.map_insert(mid, om.list_size(mid), key, value)
+        self.m = self.m.map_concat(om)
+        for mid, lst in other.items():
+            self.model.setdefault(mid, []).extend(lst)
+        self.accesses = 0
+
+    @invariant()
+    def agrees(self):
+        assert_same_content(self.m, self.model)
+        assert self.m.accesses == self.accesses
+        blob = self.m.to_bytes()
+        assert blob == encode_map_v1(self.Q, self.model)
+        # all in the base; self.m may keep part of its content in the overlay
+        flat = ReverseMap.from_bytes(blob, qbits=self.Q)
+        assert flat == self.m and self.m == flat
+
+
+def test_map_machine_through_compaction(monkeypatch):
+    compact = ReverseMap._compact
+
+    def counted(m):
+        compact(m)
+        MapMachine.compactions += 1
+
+    monkeypatch.setattr(ReverseMap, "_compact", counted)
+    monkeypatch.setattr(revmap, "_COMPACT_MIN", 3)
+    monkeypatch.setattr(revmap, "_COMPACT_SHARE", 0.5)
+    MapMachine.compactions = 0
+    run_state_machine_as_test(MapMachine, settings=settings(
+        max_examples=150, stateful_step_count=40, deadline=None))
+    assert MapMachine.compactions > 0

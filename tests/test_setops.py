@@ -267,7 +267,7 @@ def filter_order_records(f):
     for qt, rem, _, _, _ in decode_raw(f.arr):
         mid = pack_minirun_id(qt, rem, f.cfg.q)
         rank = ranks[mid] = ranks.get(mid, -1) + 1
-        out.append(f.map.entries[mid][rank])
+        out.append(f.map.map_get(mid, rank))
     return out
 
 

@@ -1,0 +1,165 @@
+"""The adaptive filter against the prefix model under any sequence of
+inserts, deletes, lookups and reloads.
+
+At q=3..6 clusters wrap the seam, counters and extensions compete for
+slots and inserts run into the load cap.  After every step: no stored
+key is missed, the table's positives are exactly the model's over a
+probe universe, a key answered FALSE_POSITIVE_CORRECTED answers
+NOT_PRESENT until the next insert or delete, and check_consistency()
+passes.  A refused mutation leaves the snapshot bytes as they were.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    precondition,
+    rule,
+    run_state_machine_as_test,
+)
+
+from aqf.core import pack_minirun_id
+from aqf.errors import FilterFullError, NotFoundError
+from aqf.filter import AdaptiveFilter, LookupResult
+from aqf.hashing import FilterConfig
+
+from oracles import PrefixModel, ref_chunk, ref_split, shorten_minirun, vector_word0
+
+# stored keys come from [0, 300]; probes also from above it, so some
+# probes are never stored
+STORED = st.integers(0, 300)
+PROBES = np.arange(600, dtype=np.uint64)
+PROBE = st.integers(0, len(PROBES) - 1)
+
+
+class FilterMachine(RuleBasedStateMachine):
+    """AdaptiveFilter against oracles.PrefixModel.
+
+    With dedupe_keys on, a repeated insert folds into the key's first
+    model entry as an extra copy, which deletes use up before the entry
+    goes, as the filter's counter does.
+    """
+
+    @initialize(q=st.integers(3, 6), r=st.integers(2, 5), seed=st.integers(0, 1 << 16))
+    def start(self, q, r, seed):
+        self.cfg = FilterConfig(q=q, r=r, seed=seed)
+        self.f = AdaptiveFilter(self.cfg)
+        self.model = PrefixModel(q, r, seed)
+        # id() of a model entry -> copies folded into it by dedupe
+        self.extra: dict[int, int] = {}
+        self.corrected: set[int] = set()
+        self.word0 = vector_word0(PROBES, seed)
+
+    def use(self, **policy):
+        self.f.policy = replace(self.f.policy, **policy)
+
+    def entry(self, key):
+        """key's minirun in the model and its first entry there, or None."""
+        lst = self.model.miniruns.get(ref_split(key, self.cfg.seed, self.cfg.q, self.cfg.r), [])
+        return lst, next((e for e in lst if e[0] == key), None)
+
+    def resync(self):
+        """Take every entry's length from the table, after a lookup that
+        stopped part-way because an extension found no room."""
+        q, r = self.cfg.q, self.cfg.r
+        for (qt, rem), lst in self.model.miniruns.items():
+            mid = pack_minirun_id(qt, rem, q)
+            for rank, e in enumerate(lst):
+                e[1] = q + r + r * len(self.f.arr.get_ext(mid, rank))
+
+    @rule(keys=st.lists(STORED, min_size=1, max_size=6), dedupe=st.booleans())
+    def insert(self, keys, dedupe):
+        self.use(dedupe_keys=dedupe)
+        for key in keys:
+            before = self.f.to_bytes()
+            try:
+                self.f.insert(key)
+            except FilterFullError:
+                assert self.f.to_bytes() == before
+                return
+            self.corrected.clear()
+            _, e = self.entry(key)
+            if dedupe and e is not None:
+                self.extra[id(e)] = self.extra.get(id(e), 0) + 1
+            else:
+                self.model.insert(key)
+
+    @precondition(lambda self: self.model.miniruns)
+    @rule(pick=st.integers(0, 1 << 16), shorten=st.booleans())
+    def delete(self, pick, shorten):
+        keys = self.model.keys()
+        key = keys[pick % len(keys)]
+        self.use(shorten_on_delete=shorten)
+        self.f.delete(key)
+        self.corrected.clear()
+        lst, e = self.entry(key)
+        if self.extra.get(id(e)):
+            self.extra[id(e)] -= 1
+            return
+        self.extra.pop(id(e), None)
+        assert self.model.delete(key)
+        if shorten and lst:
+            q, r, seed = self.cfg.q, self.cfg.r, self.cfg.seed
+            exts = [tuple(ref_chunk(owner, seed, q, r, i) for i in range((nbits - q - r) // r))
+                    for owner, nbits in lst]
+            for e, ext in zip(lst, shorten_minirun(exts)):
+                e[1] = q + r + r * len(ext)
+
+    @rule(key=st.integers(301, 600))
+    def delete_absent(self, key):
+        before = self.f.to_bytes()
+        with pytest.raises(NotFoundError):
+            self.f.delete(key)
+        assert self.f.to_bytes() == before
+
+    @rule(i=PROBE)
+    def lookup(self, i):
+        key = int(PROBES[i])
+        failures = self.f.adaptation_failures
+        verdict, _ = self.f.lookup(key)
+        if verdict is LookupResult.FALSE_POSITIVE:
+            assert self.f.adaptation_failures == failures + 1
+            self.resync()
+            return
+        assert verdict.value == self.model.lookup(key)
+        if verdict is LookupResult.FALSE_POSITIVE_CORRECTED:
+            self.corrected.add(key)
+
+    @rule(picks=st.lists(PROBE, max_size=12))
+    def lookup_many(self, picks):
+        keys = [int(PROBES[i]) for i in picks]
+        failures = self.f.adaptation_failures
+        verdicts = [v for v, _ in self.f.lookup_many(keys)]
+        self.corrected.update(k for k, v in zip(keys, verdicts)
+                              if v is LookupResult.FALSE_POSITIVE_CORRECTED)
+        if self.f.adaptation_failures != failures:
+            self.resync()
+            return
+        assert [v.value for v in verdicts] == [self.model.lookup(k) for k in keys]
+
+    @rule()
+    def save_load(self):
+        blob = self.f.to_bytes()
+        self.f = AdaptiveFilter.from_bytes(blob)
+        assert self.f.to_bytes() == blob
+
+    @invariant()
+    def guarantees_hold(self):
+        self.f.check_consistency()
+        index = self.f.frozen_index()
+        stored = np.array(self.model.keys(), dtype=np.uint64)
+        assert index.query_keys(stored).all()
+        assert (index.query_keys(PROBES) == self.model.positive_mask(PROBES, self.word0)).all()
+        for key in self.corrected:
+            assert self.f.lookup(key)[0] is LookupResult.NOT_PRESENT
+
+
+def test_filter_machine():
+    run_state_machine_as_test(FilterMachine, settings=settings(
+        max_examples=80, stateful_step_count=40, deadline=None))
