@@ -35,6 +35,12 @@ remainder, value, extension and counter-digit spans), and
 one cumulative max.  A delete, with the shortening of its minirun's
 survivors, and a shrinking counter edit use them on one cluster; the
 bulk index, consistency checks, merge and bulk load on the table.
+
+Snapshot (version 2).  Only the occupied, runend and extension vectors
+and the payloads are written, with a header that names the first unused
+slot; the used bits are rebuilt from those on load, and a CRC32 trailer
+covers all of it.  Loading accepts only bytes the encoder writes: a
+table that loads encodes back to the same bytes.
 """
 
 from __future__ import annotations
@@ -60,10 +66,12 @@ from .hashing import (
     split,
     split_batch,
 )
-from .snapshot import ByteReader, pack_section
+from .snapshot import ByteReader, pack_section, seal, unseal
 
 SNAPSHOT_MAGIC = b"AQF1"
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
+# magic, version, q, r, seed, used-slot count, first unused slot
+_HEAD = struct.Struct("<4sIBBQQQ")
 
 # magic + version + q + r + seed + occupied slot count = 26 bytes
 HEADER_BITS = (4 + 4 + 1 + 1 + 8 + 8) * 8
@@ -169,6 +177,11 @@ class _Cols(NamedTuple):
     def packed(self, r: int) -> np.ndarray:
         """(quotient << r) | remainder: the hash order of each row."""
         return (self.quot.astype(np.uint64) << np.uint64(r)) | self.rem
+
+    def hash_order(self, r: int) -> np.ndarray:
+        """Row indices sorted into hash order, each minirun's rows kept in
+        rank order: the order of the reverse map's rows."""
+        return np.argsort(self.packed(r), kind="stable")
 
     def mids(self, q: int) -> np.ndarray:
         """Minirun id of each row (see pack_minirun_id)."""
@@ -840,39 +853,23 @@ class SlotArray:
             bits_per_item=per_item,
         )
 
-    def _block_offsets(self) -> np.ndarray:
-        """Derived per-block acceleration bytes: distance from each block
-        base to the next unused slot, saturating at 255."""
-        n = self.nslots
-        nblocks = (n + 63) >> 6
-        used_b = np.unpackbits(self.used.view(np.uint8), bitorder="little")[:n]
-        zeros = np.flatnonzero(used_b == 0)
-        out = np.zeros(nblocks, dtype=np.uint8)
-        if zeros.size == 0:
-            out[:] = 255
-            return out
-        bases = np.arange(nblocks, dtype=np.int64) << 6
-        idx = np.searchsorted(zeros, bases)
-        wrapped = np.concatenate([zeros, zeros[:1] + n])
-        dist = wrapped[idx] - bases
-        out[:] = np.minimum(dist, 255).astype(np.uint8)
-        return out
-
     def _bits_to_bytes(self, vec: np.ndarray) -> bytes:
         nbytes = (self.nslots + 7) >> 3
         return vec.tobytes()[:nbytes]
 
     def to_bytes(self) -> bytes:
+        """Serialize as version 2.
+
+        Little-endian: magic, version (u32), q (u8), r (u8), seed (u64),
+        used-slot count (u64) and the first unused slot (u64), the
+        anchor from which the used bits are rebuilt on load.  Then
+        length-prefixed sections: the occupied, runend and extension bit
+        vectors, and the slot width (u8) followed by the payloads packed
+        at that width.  A CRC32 of everything before it ends the bytes.
+        """
         cfg = self.cfg
-        head = struct.pack(
-            "<4sIBBQQ",
-            SNAPSHOT_MAGIC,
-            SNAPSHOT_VERSION,
-            cfg.q,
-            cfg.r,
-            cfg.seed,
-            self.used_count,
-        )
+        head = _HEAD.pack(SNAPSHOT_MAGIC, SNAPSHOT_VERSION, cfg.q, cfg.r, cfg.seed,
+                          self.used_count, self._find_first_unused(0))
         w = self.slot_bits
         # bit k of slot i is payload bit i*w + k; one bit column per pass
         bits = np.empty((self.nslots, w), dtype=np.uint8)
@@ -883,9 +880,8 @@ class SlotArray:
         out += pack_section(self._bits_to_bytes(self.occ))
         out += pack_section(self._bits_to_bytes(self.run))
         out += pack_section(self._bits_to_bytes(self.ext))
-        out += pack_section(self._block_offsets().tobytes())
         out += pack_section(bytes([w]) + payload_bits)
-        return bytes(out)
+        return seal(bytes(out))
 
     def save(self, path) -> None:
         with open(path, "wb") as fh:
@@ -893,14 +889,12 @@ class SlotArray:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "SlotArray":
-        rd = ByteReader(data)
-        rd.expect_magic(SNAPSHOT_MAGIC)
-        version = rd.u32()
+        rd = ByteReader(unseal(data))
+        magic, version, q, r, seed, used_count, anchor = _HEAD.unpack(rd.take(_HEAD.size))
+        if magic != SNAPSHOT_MAGIC:
+            raise FormatError(f"bad magic {magic!r}, expected {SNAPSHOT_MAGIC!r}")
         if version != SNAPSHOT_VERSION:
             raise FormatError(f"unsupported filter snapshot version {version}")
-        q, r = rd.u8(), rd.u8()
-        seed = rd.u64()
-        used_count = rd.u64()
         try:
             cfg = FilterConfig(q=q, r=r, seed=seed)
         except ValueError as exc:
@@ -908,13 +902,10 @@ class SlotArray:
         n = 1 << q
         nbytes = (n + 7) >> 3
         sections = [rd.section() for _ in range(3)]
-        offsets = rd.section()
         payload = rd.section()
         rd.done()
         if any(len(s) != nbytes for s in sections):
             raise FormatError("bit vector section has the wrong size")
-        if len(offsets) != (n + 63) >> 6:
-            raise FormatError("block offset section has the wrong size")
         if not payload:
             raise FormatError("payload section empty")
         w = payload[0]
@@ -922,26 +913,19 @@ class SlotArray:
             raise FormatError("slot width out of range")
         if len(payload) - 1 != (n * w + 7) >> 3:
             raise FormatError("payload section has the wrong size")
+        if anchor >= n:
+            raise FormatError(f"anchor slot {anchor} outside the table of {n} slots")
         arr = cls(cfg, value_bits=w - r)
         for vec, blob in zip((arr.occ, arr.run, arr.ext), sections):
-            padded = blob + b"\0" * (arr.nwords * 8 - len(blob))
+            padded = bytes(blob) + b"\0" * (arr.nwords * 8 - len(blob))
             vec[:] = np.frombuffer(padded, dtype=np.uint64)
         bits = np.unpackbits(np.frombuffer(payload[1:], dtype=np.uint8), bitorder="little")
         bits = bits[: n * w].reshape(n, w)
         for k in range(w):
             arr.slots |= bits[:, k].astype(np.uint64) << np.uint64(k)
-        anchor = None
-        for b, off in enumerate(offsets):
-            if off < 64:
-                cand = (b << 6) + off
-                if cand < n:
-                    anchor = cand
-                    break
-        if anchor is None:
-            raise FormatError("block offsets identify no unused slot")
         arr._reconstruct_used(used_count, anchor)
-        if arr._block_offsets().tobytes() != offsets:
-            raise FormatError("block offsets disagree with the decoded table")
+        if arr._find_first_unused(0) != anchor:
+            raise FormatError(f"anchor slot {anchor} is not the first unused slot")
         return arr
 
     @classmethod
@@ -952,9 +936,9 @@ class SlotArray:
     def _reconstruct_used(self, expect_used: int, anchor: int) -> None:
         """Rebuild the derived used bits from the canonical vectors.
 
-        ``anchor`` must name an unused slot (the block offsets encode
-        one).  In coordinates rotated to start just past it no cluster
-        wraps, so the k-th occupied quotient owns the k-th terminator
+        ``anchor`` must name an unused slot (the snapshot header carries
+        the first one).  In coordinates rotated to start just past it no
+        cluster wraps, so the k-th occupied quotient owns the k-th terminator
         (runend without extension).  Run k starts at the larger of its
         quotient and the end of run k-1, and ends past the extension
         slots that follow its terminator.

@@ -12,6 +12,11 @@ Once corrected, a query key stays corrected for as long as the filter is
 not mutated: extensions only ever narrow what a fingerprint matches.
 Deletes with shortening enabled trade that guarantee away to reclaim
 space, which is why shortening defaults to off.
+
+A snapshot (version 2) holds the policy and the adaptation counters in
+its header, then the slot array's snapshot and the reverse map's key
+column, under one CRC32 trailer.  The map's minirun ids are not stored:
+loading rebuilds them from the slot array's columns in hash order.
 """
 
 from __future__ import annotations
@@ -48,10 +53,13 @@ from .hashing import (
     split_batch,
 )
 from .revmap import ReverseMap
-from .snapshot import ByteReader, pack_section
+from .snapshot import ByteReader, pack_section, seal, unseal
 
 COMBINED_MAGIC = b"AQFS"
-COMBINED_VERSION = 1
+COMBINED_VERSION = 2
+# magic, version, flags, max_extensions, value bits, reserved byte, and
+# the adaptations, adaptivity_bits and adaptation_failures counters
+_HEAD = struct.Struct("<4sIBBBBQQQ")
 
 _F_AUTO_ADAPT = 1
 _F_DEDUPE = 2
@@ -135,15 +143,17 @@ class AdaptiveFilter:
         self.adaptation_failures = 0
 
     @classmethod
-    def _from_parts(cls, arr: SlotArray, revmap: ReverseMap, policy: Policy) -> "AdaptiveFilter":
+    def _from_parts(cls, arr: SlotArray, revmap: ReverseMap, policy: Policy,
+                    adaptations: int = 0, adaptivity_bits: int = 0,
+                    adaptation_failures: int = 0) -> "AdaptiveFilter":
         f = cls.__new__(cls)
         f.cfg = arr.cfg
         f.policy = policy
         f.arr = arr
         f.map = revmap
-        f.adaptivity_bits = 0
-        f.adaptations = 0
-        f.adaptation_failures = 0
+        f.adaptivity_bits = adaptivity_bits
+        f.adaptations = adaptations
+        f.adaptation_failures = adaptation_failures
         return f
 
     @property
@@ -330,9 +340,7 @@ class AdaptiveFilter:
         """
         cfg = self.cfg
         cols = self.arr._columns()
-        # hash order, which the map's columns come in; the stable sort
-        # keeps rank order inside each minirun
-        cols = cols.take(np.argsort(cols.packed(cfg.r), kind="stable"))
+        cols = cols.take(cols.hash_order(cfg.r))
         mids = cols.mids(cfg.q)
         opens = np.ones(len(mids), dtype=bool)
         opens[1:] = mids[1:] != mids[:-1]
@@ -368,6 +376,15 @@ class AdaptiveFilter:
     # snapshot
 
     def to_bytes(self) -> bytes:
+        """Serialize as version 2.
+
+        Little-endian: magic, version (u32), policy flags (u8),
+        max_extensions (u8), value bits (u8), a reserved zero byte, and
+        the adaptations, adaptivity_bits and adaptation_failures
+        counters (u64 each); then the slot array's and the reverse map's
+        snapshots as length-prefixed sections, and a CRC32 of everything
+        before it.
+        """
         flags = 0
         if self.policy.auto_adapt:
             flags |= _F_AUTO_ADAPT
@@ -375,32 +392,35 @@ class AdaptiveFilter:
             flags |= _F_DEDUPE
         if self.policy.shorten_on_delete:
             flags |= _F_SHORTEN
-        head = struct.pack(
-            "<4sIBBBB",
-            COMBINED_MAGIC,
-            COMBINED_VERSION,
-            flags,
-            self.policy.max_extensions,
-            self.arr.value_bits,
-            0,
-        )
-        return head + pack_section(self.arr.to_bytes()) + pack_section(self.map.to_bytes())
+        head = _HEAD.pack(COMBINED_MAGIC, COMBINED_VERSION, flags,
+                          self.policy.max_extensions, self.arr.value_bits, 0,
+                          self.adaptations, self.adaptivity_bits, self.adaptation_failures)
+        return seal(head + pack_section(self.arr.to_bytes())
+                    + pack_section(self.map.to_bytes()))
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "AdaptiveFilter":
-        rd = ByteReader(data)
-        rd.expect_magic(COMBINED_MAGIC)
-        version = rd.u32()
+        """Parse a snapshot; the map's minirun ids come from the slot array."""
+        rd = ByteReader(unseal(data))
+        magic, version, flags, max_ext, value_bits, reserved, *counters = _HEAD.unpack(
+            rd.take(_HEAD.size))
+        if magic != COMBINED_MAGIC:
+            raise FormatError(f"bad magic {magic!r}, expected {COMBINED_MAGIC!r}")
         if version != COMBINED_VERSION:
             raise FormatError(f"unsupported combined snapshot version {version}")
-        flags = rd.u8()
-        max_ext = rd.u8()
-        value_bits = rd.u8()
-        reserved = rd.u8()
         if flags & ~_F_KNOWN:
             raise FormatError(f"unknown policy flags {flags & ~_F_KNOWN:#04x}")
         if reserved:
             raise FormatError(f"reserved header byte is {reserved}, not 0")
+        try:
+            policy = Policy(
+                auto_adapt=bool(flags & _F_AUTO_ADAPT),
+                max_extensions=max_ext,
+                dedupe_keys=bool(flags & _F_DEDUPE),
+                shorten_on_delete=bool(flags & _F_SHORTEN),
+            )
+        except InvalidConfigError as exc:
+            raise FormatError(str(exc)) from exc
         arr = SlotArray.from_bytes(rd.section())
         if arr.value_bits != value_bits:
             raise FormatError(
@@ -408,15 +428,10 @@ class AdaptiveFilter:
             )
         map_blob = rd.section()
         rd.done()
-        revmap = ReverseMap.from_bytes(bytes(map_blob), qbits=arr.cfg.q)
-        policy = Policy(
-            auto_adapt=bool(flags & _F_AUTO_ADAPT),
-            max_extensions=max_ext,
-            dedupe_keys=bool(flags & _F_DEDUPE),
-            shorten_on_delete=bool(flags & _F_SHORTEN),
-        )
-        f = cls._from_parts(arr, revmap, policy)
-        return f
+        cols = arr._columns()
+        revmap = ReverseMap.from_bytes(map_blob, arr.cfg.q,
+                                       cols.mids(arr.cfg.q)[cols.hash_order(arr.cfg.r)])
+        return cls._from_parts(arr, revmap, policy, *counters)
 
     def save(self, path) -> None:
         Path(path).write_bytes(self.to_bytes())

@@ -26,30 +26,35 @@ values takes about 20 bytes per key at q=20: 16 in the two columns, the
 rest in the directory.
 
 Whole-map passes move the map as columns.  ``_columns()`` hands out the
-ids, list lengths, keys and values in hash order; the snapshot encoder,
-the filter's consistency check, merge and rebuild read it.
-``_from_columns()`` stores hash-ordered rows as the base; bulk load,
-merge and rebuild build their maps with it.  The decoder appends to the
-columns in one loop of precompiled struct unpacks and accepts records
-only in strictly increasing hash order, so every snapshot it loads
-encodes back to its own bytes.
+ids, list lengths, keys and values in hash order; the filter's
+consistency check, merge and rebuild read it.  ``_from_columns()``
+stores hash-ordered rows as the base; bulk load, merge and rebuild build
+their maps with it.
+
+The snapshot (version 2) is the key column in hash order, plus a length
+column and the value bytes only when some value is stored, and a CRC32
+trailer: 8 bytes per key without values.  No minirun id is written.
+The ids are the slot array's, one per fingerprint in hash order, so the
+filter's decoder hands them to ``from_bytes``, which loads the key
+column as an array and checks every length against the bytes at hand.
 """
 
 from __future__ import annotations
 
-import array
 import itertools
 import operator
-import struct
-from pathlib import Path
 
 import numpy as np
 
 from .core import _ranges
-from .errors import ConfigMismatchError, FormatError, InvalidConfigError, NotFoundError
-
-MAP_MAGIC = b"AQFM"
-MAP_VERSION = 1
+from .errors import (
+    ConfigMismatchError,
+    FormatError,
+    InvalidConfigError,
+    NotFoundError,
+    UnsortedInputError,
+)
+from .snapshot import seal, unseal
 
 # value length sentinel meaning "no value stored"
 _NO_VALUE = 0xFFFFFFFF
@@ -61,32 +66,10 @@ _MASK64 = (1 << 64) - 1
 _COMPACT_SHARE = 0.125
 _COMPACT_MIN = 64
 
-# snapshot head, per-id record and per-entry header; a record and its
-# first entry are read with one unpack, since every list has one
-_HEAD = struct.Struct("<4sIQ")
-_REC = struct.Struct("<BQI")
-_ENT = struct.Struct("<IQI")
-_REC_ENT = struct.Struct("<BQIIQI")
-_REC_DT = np.dtype([("q", "u1"), ("mid", "<u8"), ("n", "<u4")])
-_ENT_DT = np.dtype([("klen", "<u4"), ("key", "<u8"), ("vlen", "<u4")])
-
 
 def _rotr(x: np.ndarray, k: int) -> np.ndarray:
     """uint64 values rotated right by k bits, 0 < k < 64."""
     return (x >> np.uint64(k)) | (x << np.uint64(64 - k))
-
-
-def _head(data) -> int:
-    """Record count of a map snapshot, after checking magic and version."""
-    try:
-        magic, version, count = _HEAD.unpack_from(data)
-    except struct.error as exc:
-        raise FormatError("snapshot truncated") from exc
-    if magic != MAP_MAGIC:
-        raise FormatError(f"bad magic {magic!r}, expected {MAP_MAGIC!r}")
-    if version != MAP_VERSION:
-        raise FormatError(f"unsupported map snapshot version {version}")
-    return count
 
 
 def _join_values(*parts: tuple[list | None, int]) -> list | None:
@@ -321,12 +304,6 @@ class ReverseMap:
                           np.concatenate([self._keys[keep], new_keys]),
                           _join_values((kept_values, int(keep.sum())), (new_values, len(flat))))
 
-    def _lists(self):
-        """_columns(), except that values is None when every value is."""
-        mids, keys, values = self._merged()
-        starts = np.flatnonzero(np.diff(mids, prepend=~mids[:1]))
-        return mids[starts], np.diff(starts, append=len(mids)), keys, values
-
     def _columns(self):
         """(ids, lengths, keys, values) in hash order.
 
@@ -335,8 +312,10 @@ class ReverseMap:
         (uint64) and values (a list) hold the entries of those lists one
         after the other, each list in rank order.
         """
-        mids, lengths, keys, values = self._lists()
-        return mids, lengths, keys, [None] * len(keys) if values is None else list(values)
+        mids, keys, values = self._merged()
+        starts = np.flatnonzero(np.diff(mids, prepend=~mids[:1]))
+        return (mids[starts], np.diff(starts, append=len(mids)), keys,
+                [None] * len(keys) if values is None else list(values))
 
     @classmethod
     def _from_columns(cls, qbits: int, mids: np.ndarray, keys: np.ndarray,
@@ -362,142 +341,57 @@ class ReverseMap:
     # snapshot
 
     def to_bytes(self) -> bytes:
-        """Serialize in hash order (quotient, then remainder).
+        """Serialize as version 2: the key column in hash order.
 
-        v1, little-endian: magic, version (u32), record count (u64); per
-        minirun id a 13-byte record (q u8, id u64, list length u32); per
-        entry a 16-byte header (key length u32, always 8; key u64; value
-        length u32, 0xFFFFFFFF for None) and then the value's bytes.
+        Little-endian: one u64 key per entry, ties in rank order.  When
+        some value is stored, a u32 length per entry follows
+        (0xFFFFFFFF for None), then the values' bytes one after the
+        other.  A CRC32 of everything before it ends the bytes.  The
+        minirun ids are not written: the slot array implies them.
         """
-        mids, lengths, keys, values = self._lists()
-        nrec, nent = len(mids), len(keys)
-        rec = np.empty(nrec, dtype=_REC_DT)
-        rec["q"], rec["mid"], rec["n"] = self.qbits, mids, lengths
-        ent = np.empty(nent, dtype=_ENT_DT)
-        ent["klen"], ent["key"] = 8, keys
-        if values is None:
-            ent["vlen"], vbytes, blob = _NO_VALUE, np.zeros(nent, dtype=np.int64), b""
-        else:
-            ent["vlen"] = np.fromiter((_NO_VALUE if v is None else len(v) for v in values),
-                                      dtype=np.uint32, count=nent)
-            vbytes = np.where(ent["vlen"] == _NO_VALUE, 0, ent["vlen"])
-            blob = b"".join(filter(None, values))
-
-        # segments in file order: a record, then per entry its header
-        # and its value; one kind code (0, 1, 2) per byte routes each
-        # stream of bytes to its places
-        seg_rec = np.arange(nrec) + 2 * (np.cumsum(lengths) - lengths)
-        seg_ent = np.repeat(np.arange(nrec), lengths) + 1 + 2 * np.arange(nent)
-        kind = np.full(nrec + 2 * nent, 2, dtype=np.uint8)
-        kind[seg_rec], kind[seg_ent] = 0, 1
-        size = np.empty(len(kind), dtype=np.int64)
-        size[seg_rec], size[seg_ent], size[seg_ent + 1] = _REC.size, _ENT.size, vbytes
-        del seg_rec, seg_ent
-        kind = np.repeat(kind, size)
-
-        out = np.empty(_HEAD.size + len(kind), dtype=np.uint8)
-        out[: _HEAD.size] = np.frombuffer(_HEAD.pack(MAP_MAGIC, MAP_VERSION, nrec), np.uint8)
-        body = out[_HEAD.size :]
-        for code, part in enumerate((rec, ent, blob)):
-            body[kind == code] = np.frombuffer(part, dtype=np.uint8)
-        return out.tobytes()
-
-    def _read(self, data) -> None:
-        """Load the records of a v1 snapshot into this (empty) map.
-
-        Records must come in strictly increasing hash order, as
-        to_bytes writes them, so that every snapshot that loads encodes
-        back to its own bytes.  Rows go straight into growing columns;
-        nothing is sized from a count or length field.
-        """
-        count = _head(data)
-        mv = memoryview(data)
-        end = len(mv)
-        q, shift, mask, none = self.qbits, 64 - self.qbits, _MASK64, _NO_VALUE
-        first, rec, ent = _REC_ENT.unpack_from, _REC.unpack_from, _ENT.unpack_from
-        step, last = _REC_ENT.size, end - _REC_ENT.size
-        mids, keys = array.array("Q"), array.array("Q")
-        add_mid, add_key = mids.append, keys.append
-        # rows that carry a value, and their values
-        vrows: list[int] = []
-        vals: list[bytes] = []
-        pos, prev = _HEAD.size, -1
-        try:
-            for _ in range(count):
-                if pos <= last:
-                    rq, mid, length, klen, key, vlen = first(mv, pos)
-                else:
-                    # too short for a record and an entry: check the
-                    # record, if it is there, then report the cut
-                    rq, mid, length = rec(mv, pos)
-                    klen = None
-                pos += step
-                if rq != q:
-                    if not 1 <= rq <= 56:
-                        raise FormatError(f"record qbits {rq} out of range [1, 56]")
-                    raise ConfigMismatchError(
-                        f"snapshot records qbits {rq}, map expects {q}"
-                    )
-                order = ((mid << shift) & mask) | (mid >> q)
-                if order <= prev:
-                    raise FormatError(f"minirun id {mid} is not past its predecessor "
-                                      "in hash order")
-                prev = order
-                if length == 1 and klen == 8 and vlen == none:
-                    add_mid(mid)
-                    add_key(key)
-                    continue
-                if not length:
-                    raise FormatError(f"minirun id {mid} has an empty list")
-                if klen is None:
-                    raise FormatError("snapshot truncated")
-                while True:
-                    if klen != 8:
-                        raise FormatError(f"key record of {klen} bytes, expected 8")
-                    add_mid(mid)
-                    add_key(key)
-                    if vlen != none:
-                        if pos + vlen > end:
-                            raise FormatError("snapshot truncated")
-                        vrows.append(len(keys) - 1)
-                        vals.append(mv[pos : pos + vlen].tobytes())
-                        pos += vlen
-                    length -= 1
-                    if not length:
-                        break
-                    klen, key, vlen = ent(mv, pos)
-                    pos += _ENT.size
-        except struct.error as exc:
-            raise FormatError("snapshot truncated") from exc
-        if pos != end:
-            raise FormatError(f"{end - pos} trailing bytes")
-        values = None
-        if vrows:
-            values = [None] * len(keys)
-            for row, value in zip(vrows, vals):
-                values[row] = value
-        self._set_base(np.frombuffer(mids, dtype=np.uint64),
-                       np.frombuffer(keys, dtype=np.uint64), values)
+        _, keys, values = self._merged()
+        parts = [keys.astype("<u8").tobytes()]
+        if values is not None:
+            lengths = np.fromiter((_NO_VALUE if v is None else len(v) for v in values),
+                                  dtype="<u4", count=len(values))
+            parts += [lengths.tobytes(), b"".join(filter(None, values))]
+        return seal(b"".join(parts))
 
     @classmethod
-    def from_bytes(cls, data: bytes, qbits: int | None = None) -> "ReverseMap":
-        """Parse a snapshot.  qbits may be omitted when records exist,
-        since every record carries it; an empty snapshot needs it."""
-        if qbits is None:
-            if _head(data) == 0:
-                raise FormatError("empty snapshot does not record the quotient width")
-            if len(data) <= _HEAD.size:
-                raise FormatError("snapshot truncated")
-            qbits = data[_HEAD.size]
-            if not 1 <= qbits <= 56:
-                raise FormatError(f"record qbits {qbits} out of range [1, 56]")
+    def from_bytes(cls, data: bytes, qbits: int, mids: np.ndarray) -> "ReverseMap":
+        """Parse a snapshot whose entries belong to mids, the uint64 id
+        of each entry in hash order (ties: one id per rank).
+
+        Only what to_bytes writes loads: a length column appears only
+        when some entry holds a value, and the value bytes must fill the
+        rest exactly.  The lengths are summed and checked against the
+        bytes at hand before any value is cut out.
+        """
         m = cls(qbits)
-        m._read(data)
+        body = unseal(data)
+        n = len(mids)
+        if len(body) < 8 * n:
+            raise FormatError(f"map section of {len(body)} bytes is short of {n} keys")
+        mids = np.asarray(mids, dtype=np.uint64)
+        order = _rotr(mids, qbits)
+        if (order[1:] < order[:-1]).any():
+            raise UnsortedInputError("minirun ids are not in hash order")
+        keys = np.frombuffer(body, dtype="<u8", count=n).astype(np.uint64)
+        rest = body[8 * n :]
+        values = None
+        if len(rest):
+            if len(rest) < 4 * n:
+                raise FormatError(f"map section is short of a length column for {n} keys")
+            lengths = np.frombuffer(rest, dtype="<u4", count=n).astype(np.int64)
+            held = lengths != _NO_VALUE
+            if not held.any():
+                raise FormatError("length column without a value")
+            ends = np.cumsum(np.where(held, lengths, 0))
+            blob = bytes(rest[4 * n :])
+            if ends[-1] != len(blob):
+                raise FormatError(f"lengths add up to {ends[-1]} value bytes, "
+                                  f"the section holds {len(blob)}")
+            values = [blob[a - k : a] if h else None
+                      for a, k, h in zip(ends.tolist(), lengths.tolist(), held.tolist())]
+        m._set_base(mids, keys, values)
         return m
-
-    def save(self, path) -> None:
-        Path(path).write_bytes(self.to_bytes())
-
-    @classmethod
-    def load(cls, path, qbits: int | None = None) -> "ReverseMap":
-        return cls.from_bytes(Path(path).read_bytes(), qbits)

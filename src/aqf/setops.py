@@ -103,7 +103,7 @@ def _key_columns(f: AdaptiveFilter) -> tuple[_Cols, np.ndarray, list]:
     """
     cols = f.arr._columns()
     back = np.empty(len(cols.quot), dtype=np.int64)
-    back[np.argsort(cols.packed(f.cfg.r), kind="stable")] = np.arange(len(back))
+    back[cols.hash_order(f.cfg.r)] = np.arange(len(back))
     _, _, keys, values = f.map._columns()
     return cols, keys[back], list(map(values.__getitem__, back.tolist()))
 
@@ -163,7 +163,7 @@ def merge(a: AdaptiveFilter, b: AdaptiveFilter) -> AdaptiveFilter:
     if combined <= _GROW_AT * cfg.nslots:
         arr = SlotArray(cfg, value_bits=a.value_bits)
         cols = a.arr._columns().concat(b.arr._columns())
-        _place(arr, cols.take(np.argsort(cols.packed(cfg.r), kind="stable")))
+        _place(arr, cols.take(cols.hash_order(cfg.r)))
         return AdaptiveFilter._from_parts(arr, a.map.map_concat(b.map), a.policy)
 
     grown = FilterConfig(q=cfg.q + 1, r=cfg.r, seed=cfg.seed)

@@ -3,9 +3,11 @@
 Everything here is rebuilt from the documented definitions: the hash
 from its mixer constants, the slot decoder from the published bit
 layout, the membership model from "a stored fingerprint is a prefix of
-its owner's hash stream".  Nothing imports the package's internals
-beyond reading raw state off a slot array, so agreement between the two
-sides is evidence rather than tautology.
+its owner's hash stream", the snapshot encoders from their byte layouts
+(version 1 kept here as the reference its successor is checked
+against).  Nothing imports the package's internals beyond reading raw
+state off a slot array or the columns of a reverse map, so agreement
+between the two sides is evidence rather than tautology.
 
 The bit-string extractor is deliberately naive: materialize hash words
 as binary text and slice.  Slow and obviously correct, which is the
@@ -15,6 +17,7 @@ point.
 from __future__ import annotations
 
 import struct
+import zlib
 
 import numpy as np
 
@@ -176,7 +179,45 @@ def shorten_minirun(exts: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
 
 
 # ----------------------------------------------------------------------
-# reverse-map snapshot, one entry at a time
+# snapshots: the version 1 encoders as they were last written, and the
+# version 2 map section entry by entry
+
+
+def mutants(snapshot: bytes) -> list[bytes]:
+    """Every proper prefix of snapshot, and every single-bit flip of it."""
+    out = [snapshot[:cut] for cut in range(len(snapshot))]
+    for bit in range(len(snapshot) * 8):
+        blob = bytearray(snapshot)
+        blob[bit >> 3] ^= 1 << (bit & 7)
+        out.append(bytes(blob))
+    return out
+
+
+def reseal(blob: bytes) -> bytes:
+    """blob with its CRC32 trailer recomputed over the bytes before it,
+    so that a test's edit reaches the field checks behind the trailer."""
+    body = bytes(blob[:-4])
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+def reseal_filter(blob: bytes) -> bytes:
+    """A combined snapshot with every trailer recomputed: each of its
+    two sections' (while their length fields still frame them), then
+    the whole's.  The header takes 36 bytes."""
+    out, pos = bytearray(blob[:36]), 36
+    for _ in range(2):
+        size = int.from_bytes(blob[pos : pos + 8], "little")
+        if not 4 <= size <= len(blob) - 4 - pos - 8:
+            return reseal(blob)
+        out += blob[pos : pos + 8] + reseal(blob[pos + 8 : pos + 8 + size])
+        pos += 8 + size
+    return reseal(bytes(out) + blob[pos:])
+
+
+def hash_sorted_ids(q: int, entries: dict) -> list[int]:
+    """Minirun ids in hash order (quotient, then remainder)."""
+    qmask = (1 << q) - 1
+    return sorted(entries, key=lambda i: (i & qmask, i >> q))
 
 
 def encode_map_v1(q: int, entries: dict) -> bytes:
@@ -189,9 +230,8 @@ def encode_map_v1(q: int, entries: dict) -> bytes:
     value length u32 (0xFFFFFFFF for None) and the value's bytes.  All
     little-endian, after magic, version u32 and record count u64.
     """
-    qmask = (1 << q) - 1
     out = [struct.pack("<4sIQ", b"AQFM", 1, len(entries))]
-    for mid in sorted(entries, key=lambda i: (i & qmask, i >> q)):
+    for mid in hash_sorted_ids(q, entries):
         lst = entries[mid]
         out.append(struct.pack("<BQI", q, mid, len(lst)))
         for key, value in lst:
@@ -203,6 +243,78 @@ def encode_map_v1(q: int, entries: dict) -> bytes:
                 out.append(struct.pack("<I", len(value)))
                 out.append(value)
     return b"".join(out)
+
+
+def encode_map_v2(q: int, entries: dict) -> bytes:
+    """Version 2 map section of the same entries, entry by entry: every
+    key (u64) in hash order, each list in rank order; when some value is
+    not None, every value length (u32, 0xFFFFFFFF for None) and then
+    every value's bytes; a CRC32 of all of it last."""
+    rows = [row for mid in hash_sorted_ids(q, entries) for row in entries[mid]]
+    out = [key.to_bytes(8, "little") for key, _ in rows]
+    if any(value is not None for _, value in rows):
+        out += [struct.pack("<I", 0xFFFFFFFF if v is None else len(v)) for _, v in rows]
+        out += [v for _, v in rows if v is not None]
+    return reseal(b"".join(out) + bytes(4))
+
+
+def _section(payload: bytes) -> bytes:
+    return struct.pack("<Q", len(payload)) + payload
+
+
+def _block_offsets_v1(arr) -> np.ndarray:
+    """Derived per-block acceleration bytes: distance from each block
+    base to the next unused slot, saturating at 255."""
+    n = arr.nslots
+    nblocks = (n + 63) >> 6
+    used_b = np.unpackbits(arr.used.view(np.uint8), bitorder="little")[:n]
+    zeros = np.flatnonzero(used_b == 0)
+    out = np.zeros(nblocks, dtype=np.uint8)
+    if zeros.size == 0:
+        out[:] = 255
+        return out
+    bases = np.arange(nblocks, dtype=np.int64) << 6
+    idx = np.searchsorted(zeros, bases)
+    wrapped = np.concatenate([zeros, zeros[:1] + n])
+    dist = wrapped[idx] - bases
+    out[:] = np.minimum(dist, 255).astype(np.uint8)
+    return out
+
+
+def encode_slots_v1(arr) -> bytes:
+    """Version 1 snapshot of a slot array: header (magic, version, q, r,
+    seed, used-slot count), the occupied, runend and extension vectors,
+    the block offsets and the packed payloads, as sections."""
+    cfg = arr.cfg
+    head = struct.pack("<4sIBBQQ", b"AQF1", 1, cfg.q, cfg.r, cfg.seed, arr.used_count)
+    w = arr.slot_bits
+    # bit k of slot i is payload bit i*w + k; one bit column per pass
+    bits = np.empty((arr.nslots, w), dtype=np.uint8)
+    for k in range(w):
+        bits[:, k] = (arr.slots >> np.uint64(k)) & np.uint64(1)
+    payload_bits = np.packbits(bits, bitorder="little").tobytes()
+    nbytes = (arr.nslots + 7) >> 3
+    out = bytearray(head)
+    for vec in (arr.occ, arr.run, arr.ext):
+        out += _section(vec.tobytes()[:nbytes])
+    out += _section(_block_offsets_v1(arr).tobytes())
+    out += _section(bytes([w]) + payload_bits)
+    return bytes(out)
+
+
+def encode_filter_v1(f) -> bytes:
+    """Version 1 combined snapshot of an adaptive filter: magic, version,
+    policy flags (auto_adapt 1, dedupe 2, shorten 4), max_extensions,
+    value bits and a zero byte, then the slot array's and the map's
+    version 1 snapshots as sections.  No counters, no checksum."""
+    p = f.policy
+    flags = p.auto_adapt | p.dedupe_keys << 1 | p.shorten_on_delete << 2
+    head = struct.pack("<4sIBBBB", b"AQFS", 1, flags, p.max_extensions, f.value_bits, 0)
+    mids, lengths, keys, values = f.map._columns()
+    rows = iter(zip(keys.tolist(), values))
+    entries = {mid: [next(rows) for _ in range(n)]
+               for mid, n in zip(mids.tolist(), lengths.tolist())}
+    return head + _section(encode_slots_v1(f.arr)) + _section(encode_map_v1(f.cfg.q, entries))
 
 
 # ----------------------------------------------------------------------

@@ -18,7 +18,7 @@ from aqf.core import (
 from aqf.errors import FilterFullError, FormatError, NotFoundError
 from aqf.hashing import FilterConfig, HashStream, extension_chunk, split
 
-from oracles import _bit, decode_raw, ref_split
+from oracles import _bit, decode_raw, encode_slots_v1, ref_split, reseal
 
 C44 = FilterConfig(q=4, r=4)
 
@@ -453,6 +453,17 @@ class TestSnapshot:
             SlotArray.from_bytes(blob[:-3])
         with pytest.raises(FormatError):
             SlotArray.from_bytes(blob + b"\0")
+        with pytest.raises(FormatError, match="checksum"):
+            SlotArray.from_bytes(encode_slots_v1(arr))
+        with pytest.raises(FormatError, match="version 1"):
+            SlotArray.from_bytes(reseal(encode_slots_v1(arr) + bytes(4)))
+        # the anchor (bytes 26-33) must be the first unused slot: 0 here
+        for anchor, match in ((1, "not the first unused"), (3, "decoded as used"),
+                              (16, "outside the table")):
+            bad = bytearray(blob)
+            bad[26:34] = anchor.to_bytes(8, "little")
+            with pytest.raises(FormatError, match=match):
+                SlotArray.from_bytes(reseal(bad))
 
     def test_file_roundtrip(self, tmp_path):
         arr = SlotArray(C44)

@@ -4,12 +4,15 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aqf import revmap
 from aqf.core import SlotArray
 from aqf.errors import (
     AdaptationExhaustedError,
     FilterError,
+    FilterFullError,
     FormatError,
     InvalidConfigError,
     NotFoundError,
@@ -18,7 +21,7 @@ from aqf.errors import (
 from aqf.filter import AdaptiveFilter, LookupResult, Policy
 from aqf.hashing import FilterConfig, HashStream, extension_chunk, hash_word_batch, split
 
-from oracles import shorten_minirun
+from oracles import encode_filter_v1, mutants, reseal, reseal_filter, shorten_minirun
 
 NOT_PRESENT = LookupResult.NOT_PRESENT
 PRESENT = LookupResult.PRESENT
@@ -440,11 +443,24 @@ class TestCombinedSnapshot:
             assert g.lookup(k) == (PRESENT, bytes([i % 251]))
         assert g.to_bytes() == f.to_bytes()
 
+    def test_roundtrip_keeps_the_counters(self):
+        f = AdaptiveFilter(FilterConfig(q=8, r=4, seed=67), policy=Policy(max_extensions=1))
+        for k in range(200):
+            f.insert(k)
+        f.lookup_many(range(1000, 30_000))
+        counters = (f.adaptations, f.adaptivity_bits, f.adaptation_failures)
+        assert all(counters)
+        g = AdaptiveFilter.from_bytes(f.to_bytes())
+        assert (g.adaptations, g.adaptivity_bits, g.adaptation_failures) == counters
+        g.adaptations, g.adaptivity_bits, g.adaptation_failures = 2**64 - 1, 2**40 + 3, 1
+        h = AdaptiveFilter.from_bytes(g.to_bytes())
+        assert (h.adaptations, h.adaptivity_bits, h.adaptation_failures) == (
+            2**64 - 1, 2**40 + 3, 1)
+
     def test_corruption_is_rejected(self):
         f = AdaptiveFilter(FilterConfig(q=8, r=4, seed=65))
         f.insert(5)
         blob = f.to_bytes()
-        from aqf.errors import FormatError
 
         with pytest.raises(FormatError):
             AdaptiveFilter.from_bytes(blob[:-1])
@@ -452,16 +468,31 @@ class TestCombinedSnapshot:
             AdaptiveFilter.from_bytes(b"AQFX" + blob[4:])
         with pytest.raises(FormatError):
             AdaptiveFilter.from_bytes(blob + b"!")
+        with pytest.raises(FormatError, match="bad magic"):
+            AdaptiveFilter.from_bytes(reseal(b"AQFX" + blob[4:]))
 
-    @pytest.mark.parametrize("at, value", [(8, 8), (8, 0x80), (8, 0xFF), (11, 1), (11, 0x80)])
+    def test_version_1_is_not_read(self):
+        f = AdaptiveFilter(FilterConfig(q=8, r=4, seed=65))
+        f.insert(5)
+        v1 = encode_filter_v1(f)
+        with pytest.raises(FormatError, match="checksum"):
+            AdaptiveFilter.from_bytes(v1)
+        # given a trailer, its version number refuses it
+        with pytest.raises(FormatError, match="unsupported combined snapshot version 1"):
+            AdaptiveFilter.from_bytes(reseal(v1 + bytes(4)))
+
+    @pytest.mark.parametrize("at, value", [(8, 8), (8, 0x80), (8, 0xFF), (11, 1), (11, 0x80),
+                                           (9, 0)])
     def test_unknown_flags_and_reserved_byte_are_rejected(self, at, value):
+        """Unknown flag bits, a reserved byte other than 0 and a
+        max_extensions of 0, each behind a recomputed trailer."""
         f = AdaptiveFilter(FilterConfig(q=8, r=4, seed=65))
         f.insert(5)
         blob = bytearray(f.to_bytes())
-        assert blob[8] == 1 and blob[11] == 0  # auto_adapt alone; reserved
-        blob[at] |= value
+        assert blob[8] == 1 and blob[9] == 56 and blob[11] == 0
+        blob[at] = value
         with pytest.raises(FormatError):
-            AdaptiveFilter.from_bytes(bytes(blob))
+            AdaptiveFilter.from_bytes(reseal(blob))
 
 
 @pytest.fixture(scope="module")
@@ -477,20 +508,49 @@ def small_snapshot():
     return f.to_bytes()
 
 
+def test_every_bit_flip_and_truncation_fails(small_snapshot):
+    """No mutant loads: the trailer catches every single-bit flip and
+    every cut."""
+    for blob in mutants(small_snapshot):
+        with pytest.raises(FormatError):
+            AdaptiveFilter.from_bytes(blob)
+
+
 def test_every_bit_flip_and_truncation_fails_cleanly_or_reloads_identically(small_snapshot):
-    mutants = [small_snapshot[:cut] for cut in range(len(small_snapshot))]
-    for bit in range(len(small_snapshot) * 8):
-        blob = bytearray(small_snapshot)
-        blob[bit >> 3] ^= 1 << (bit & 7)
-        mutants.append(bytes(blob))
+    """Behind the trailers: with every trailer recomputed, a mutant
+    either fails a field check or loads a filter that encodes to the
+    same bytes."""
     loaded = 0
-    for blob in mutants:
+    for blob in mutants(small_snapshot[:-4]):
+        blob = reseal_filter(blob + bytes(4))
         try:
             g = AdaptiveFilter.from_bytes(blob)
         except FilterError:
             continue
         assert g.to_bytes() == blob
         loaded += 1
-    # slot payload, key and value bits carry no redundancy, so their
-    # flips must load
-    assert loaded >= 20 * 64
+    # counter, slot payload, key and value bits carry no redundancy, so
+    # their flips must load
+    assert loaded >= 3 * 64 + 20 * 64
+
+
+@settings(max_examples=80, deadline=None)
+@given(q=st.integers(3, 7), r=st.integers(2, 6), seed=st.integers(0, 1 << 16),
+       value_bits=st.integers(0, 2), dedupe=st.booleans(),
+       items=st.lists(st.tuples(st.one_of(st.integers(0, 60), st.integers(0, (1 << 64) - 1)),
+                                st.one_of(st.none(), st.binary(max_size=3)),
+                                st.integers(0, 3)), max_size=40),
+       probes=st.lists(st.integers(0, 3000), max_size=300))
+def test_reloaded_filter_encodes_to_the_same_v1_bytes(q, r, seed, value_bits, dedupe, items,
+                                                       probes):
+    """The version 1 encoder, kept as an oracle, sees the same filter
+    before a version 2 save and after the load."""
+    f = AdaptiveFilter(FilterConfig(q=q, r=r, seed=seed), policy=Policy(dedupe_keys=dedupe),
+                       value_bits=value_bits)
+    for key, value, tag in items:
+        try:
+            f.insert(key, value, tag & ((1 << value_bits) - 1))
+        except FilterFullError:
+            break
+    f.lookup_many(probes)
+    assert encode_filter_v1(AdaptiveFilter.from_bytes(f.to_bytes())) == encode_filter_v1(f)

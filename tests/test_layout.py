@@ -1,5 +1,6 @@
 """The columnar decoder and the layout writer against the raw-state
-oracle, and snapshot loading under every single-bit flip."""
+oracle, and snapshot loading under every single-bit flip, with the
+checksum trailer as written and recomputed."""
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from aqf.core import Fingerprint, SlotArray, pack_minirun_id
 from aqf.errors import FilterFullError, FormatError
 from aqf.hashing import FilterConfig
 
-from oracles import decode_raw, shorten_minirun
+from oracles import decode_raw, reseal, shorten_minirun
 
 
 def populations(arr):
@@ -117,7 +118,7 @@ def test_decoder_and_writer_match_the_oracle(table, edits):
 
 @pytest.fixture(scope="module")
 def snapshot():
-    """A 213-byte snapshot: q=7, r=5, one value bit, filled to the load cap."""
+    """A 215-byte snapshot: q=7, r=5, one value bit, filled to the load cap."""
     rng = np.random.default_rng(7)
     arr = SlotArray(FilterConfig(q=7, r=5, seed=3), value_bits=1)
     while True:
@@ -133,17 +134,30 @@ def snapshot():
 
 def test_snapshot_is_at_the_load_cap(snapshot):
     arr = SlotArray.from_bytes(snapshot)
-    assert len(snapshot) == 213
+    assert len(snapshot) == 215
     assert arr.used_count == 121 and arr.ext_slot_count and arr.ctr_slot_count
 
 
-def test_every_bit_flip_fails_cleanly_or_reloads_identically(snapshot):
-    loaded = 0
+def test_every_bit_flip_fails(snapshot):
+    """No flip loads: the trailer catches every single-bit flip, payload
+    bits included."""
     for bit in range(len(snapshot) * 8):
         blob = bytearray(snapshot)
         blob[bit >> 3] ^= 1 << (bit & 7)
+        with pytest.raises(FormatError):
+            SlotArray.from_bytes(bytes(blob))
+
+
+def test_every_bit_flip_fails_cleanly_or_reloads_identically(snapshot):
+    """Behind the trailer: with the trailer recomputed, a flip either
+    fails a field check or loads a table that encodes to the same bytes."""
+    loaded = 0
+    for bit in range((len(snapshot) - 4) * 8):
+        blob = bytearray(snapshot)
+        blob[bit >> 3] ^= 1 << (bit & 7)
+        blob = reseal(blob)
         try:
-            arr = SlotArray.from_bytes(bytes(blob))
+            arr = SlotArray.from_bytes(blob)
         except FormatError:
             continue
         assert arr.to_bytes() == blob

@@ -17,13 +17,18 @@ from hypothesis.stateful import (
 from aqf import revmap
 from aqf.errors import (
     ConfigMismatchError,
-    FilterError,
     FormatError,
     InvalidConfigError,
     NotFoundError,
+    UnsortedInputError,
 )
+from aqf.filter import AdaptiveFilter
+from aqf.hashing import FilterConfig
 from aqf.revmap import ReverseMap
-from oracles import encode_map_v1
+from aqf.snapshot import pack_section
+from oracles import encode_map_v2, mutants, reseal
+
+NO_IDS = np.zeros(0, dtype=np.uint64)
 
 
 def model_columns(q: int, entries: dict) -> tuple[list, list, list, list]:
@@ -33,6 +38,18 @@ def model_columns(q: int, entries: dict) -> tuple[list, list, list, list]:
     rows = [row for mid in ids for row in entries[mid]]
     return (ids, [len(entries[mid]) for mid in ids],
             [key for key, _ in rows], [value for _, value in rows])
+
+
+def model_ids(q: int, entries: dict) -> np.ndarray:
+    """The minirun id of every entry in hash order, as the slot array
+    hands them to the map's decoder."""
+    ids, lengths, _, _ = model_columns(q, entries)
+    return np.repeat(np.array(ids, dtype=np.uint64), lengths)
+
+
+def ids_of(m: ReverseMap) -> np.ndarray:
+    mids, lengths, _, _ = m._columns()
+    return np.repeat(mids, lengths)
 
 
 def assert_same_content(m: ReverseMap, entries: dict) -> None:
@@ -181,14 +198,16 @@ class TestSnapshot:
     def test_single_entry_roundtrip(self):
         m = ReverseMap(8)
         m.map_insert(3, 0, 123, b"payload")
-        assert ReverseMap.from_bytes(m.to_bytes()) == m
+        assert ReverseMap.from_bytes(m.to_bytes(), 8, ids_of(m)) == m
 
     def test_empty_roundtrip_needs_explicit_width(self):
         m = ReverseMap(8)
         blob = m.to_bytes()
-        assert ReverseMap.from_bytes(blob, qbits=8) == m
-        with pytest.raises(FormatError):
+        assert ReverseMap.from_bytes(blob, 8, NO_IDS) == m
+        # the bytes record no width: the caller's is the map's
+        with pytest.raises(TypeError):
             ReverseMap.from_bytes(blob)
+        assert ReverseMap.from_bytes(blob, 9, NO_IDS).qbits == 9
 
     def test_large_random_roundtrip(self):
         rng = np.random.default_rng(43)
@@ -197,22 +216,21 @@ class TestSnapshot:
             mid = int(rng.integers(0, 40_000))
             value = None if rng.random() < 0.7 else bytes(rng.bytes(int(rng.integers(0, 9))))
             m.map_insert(mid, m.list_size(mid), int(rng.integers(0, 1 << 64, dtype=np.uint64)), value)
-        back = ReverseMap.from_bytes(m.to_bytes())
+        back = ReverseMap.from_bytes(m.to_bytes(), 12, ids_of(m))
         assert back == m
         assert back.to_bytes() == m.to_bytes()
 
     def test_rejects_corruption(self):
         m = ReverseMap(8)
         m.map_insert(3, 0, 123)
-        blob = m.to_bytes()
-        with pytest.raises(FormatError):
-            ReverseMap.from_bytes(b"ZZZZ" + blob[4:])
-        with pytest.raises(FormatError):
-            ReverseMap.from_bytes(blob[:-2])
-        with pytest.raises(FormatError):
-            ReverseMap.from_bytes(blob + b"\0")
-        with pytest.raises(ConfigMismatchError):
-            ReverseMap.from_bytes(blob, qbits=9)
+        blob, ids = m.to_bytes(), ids_of(m)
+        for bad in (bytes([blob[0] ^ 1]) + blob[1:], blob[:-2], blob + b"\0"):
+            with pytest.raises(FormatError, match="checksum"):
+                ReverseMap.from_bytes(bad, 8, ids)
+        # a section whose size does not fit the id count
+        for other in (NO_IDS, np.repeat(ids, 2)):
+            with pytest.raises(FormatError):
+                ReverseMap.from_bytes(blob, 8, other)
 
 
 entry_st = st.tuples(
@@ -243,12 +261,18 @@ class TestColumnarSnapshot:
     def test_bytes_equal_the_entry_by_entry_encoder(self, drawn):
         m, entries = drawn
         blob = m.to_bytes()
-        assert blob == encode_map_v1(m.qbits, entries)
-        back = ReverseMap.from_bytes(blob, qbits=m.qbits)
+        assert blob == encode_map_v2(m.qbits, entries)
+        ids = model_ids(m.qbits, entries)
+        back = ReverseMap.from_bytes(blob, m.qbits, ids)
         assert back == m and back.to_bytes() == blob
+        assert back.accesses == 0
+        # more ids than the section holds keys for
+        extra = np.full(len(blob) // 8 + 1 - len(ids), MASK64, dtype=np.uint64)
+        with pytest.raises(FormatError):
+            ReverseMap.from_bytes(blob, m.qbits, np.append(ids, extra))
 
-    def test_empty_map_is_just_the_head(self):
-        assert ReverseMap(56).to_bytes() == encode_map_v1(56, {})
+    def test_empty_map_is_just_the_trailer(self):
+        assert ReverseMap(56).to_bytes() == encode_map_v2(56, {}) == bytes(4)
 
     def test_columns_come_in_hash_order(self):
         m = ReverseMap(4)
@@ -279,26 +303,44 @@ def two_records(q=6):
     return m.to_bytes()
 
 
+TWO_IDS = np.array([1, 2], dtype=np.uint64)
+
+
 class TestDecoderRejects:
     @pytest.mark.parametrize("swap", [True, False])
     def test_records_out_of_hash_order(self, swap):
-        blob = two_records()
-        head, first, second = blob[:16], blob[16:16 + 13 + 17], blob[16 + 13 + 17:]
-        with pytest.raises(FormatError):
-            ReverseMap.from_bytes(head + (second + first if swap else first + first))
+        """The ids handed in must be in hash order: swapped, or sorted as
+        plain integers, which puts a remainder above a small quotient
+        first, they are refused."""
+        m = ReverseMap(6)
+        ids = [(1 << 6) | 2, 3, 5]  # quotients 2, 3, 5
+        for mid in ids:
+            m.map_insert(mid, 0, mid)
+        blob = m.to_bytes()
+        assert ReverseMap.from_bytes(blob, 6, np.array(ids, dtype=np.uint64)) == m
+        bad = [ids[1], ids[0], ids[2]] if swap else sorted(ids)
+        with pytest.raises(UnsortedInputError):
+            ReverseMap.from_bytes(blob, 6, np.array(bad, dtype=np.uint64))
 
     @pytest.mark.parametrize("q", [0, 57, 255])
     def test_record_width_out_of_range(self, q):
-        blob = bytearray(two_records())
-        blob[16] = q
-        for qbits in (None, 6):
-            with pytest.raises(FormatError):
-                ReverseMap.from_bytes(bytes(blob), qbits=qbits)
+        """The map section records no width; a combined snapshot reads it
+        under the slot array's q, which must be in range."""
+        f = AdaptiveFilter(FilterConfig(q=6, r=4, seed=1))
+        f.insert(10, b"x")
+        f.insert(20)
+        arr = bytearray(f.arr.to_bytes())
+        arr[8] = q
+        blob = (f.to_bytes()[:36] + pack_section(reseal(arr))
+                + pack_section(f.map.to_bytes()) + bytes(4))
+        with pytest.raises(FormatError, match="q must be"):
+            AdaptiveFilter.from_bytes(reseal(blob))
 
 
 @pytest.fixture(scope="module")
 def small_snapshot():
-    """12 entries under 8 ids at q=6, with None, empty and longer values."""
+    """12 entries under 8 ids at q=6, with None, empty and longer values,
+    and the hash-ordered id of each entry."""
     rng = np.random.default_rng(44)
     ids = rng.choice(1 << 8, size=8, replace=False).tolist()
     m = ReverseMap(6)
@@ -306,55 +348,63 @@ def small_snapshot():
         value = [None, b"", b"val", bytes([i])][i % 4]
         m.map_insert(ids[i % 8], m.list_size(ids[i % 8]),
                      int(rng.integers(0, 1 << 64, dtype=np.uint64)), value)
-    return m.to_bytes()
+    return m.to_bytes(), ids_of(m)
+
+
+def test_every_bit_flip_and_truncation_fails(small_snapshot):
+    """No mutant loads: the trailer catches every single-bit flip and
+    every cut, key and value bits included."""
+    snapshot, ids = small_snapshot
+    assert len(ReverseMap.from_bytes(snapshot, 6, ids)) == 8
+    for blob in mutants(snapshot):
+        with pytest.raises(FormatError):
+            ReverseMap.from_bytes(blob, 6, ids)
 
 
 def test_every_bit_flip_and_truncation_fails_cleanly_or_reencodes_identically(small_snapshot):
-    assert len(ReverseMap.from_bytes(small_snapshot)) == 8
-    mutants = [small_snapshot[:cut] for cut in range(len(small_snapshot))]
-    for bit in range(len(small_snapshot) * 8):
-        blob = bytearray(small_snapshot)
-        blob[bit >> 3] ^= 1 << (bit & 7)
-        mutants.append(bytes(blob))
+    """Behind the trailer: with the trailer recomputed, a mutant either
+    fails a field check or loads a map that encodes to the same bytes."""
+    snapshot, ids = small_snapshot
     loaded = 0
-    for blob in mutants:
-        for qbits in (None, 6):
-            try:
-                m = ReverseMap.from_bytes(blob, qbits=qbits)
-            except FilterError:
-                continue
-            assert m.to_bytes() == blob
-            loaded += 1
+    for blob in mutants(snapshot[:-4]):
+        blob = reseal(blob + bytes(4))
+        try:
+            m = ReverseMap.from_bytes(blob, 6, ids)
+        except FormatError:
+            continue
+        assert m.to_bytes() == blob
+        loaded += 1
     # key and value bits carry no redundancy, so their flips must load
-    assert loaded >= 2 * 12 * 64
+    assert loaded >= 12 * 64
 
 
 class TestDecoderBounds:
     """Count and length fields are never trusted ahead of the bytes."""
 
     @staticmethod
-    def fails_fast(blob: bytes) -> None:
+    def fails_fast(blob: bytes, ids: np.ndarray, match: str) -> None:
         tracemalloc.start()
         t = time.perf_counter()
         try:
-            with pytest.raises(FormatError):
-                ReverseMap.from_bytes(blob, qbits=6)
+            with pytest.raises(FormatError, match=match):
+                ReverseMap.from_bytes(blob, 6, ids)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert time.perf_counter() - t < 1.0
         assert peak < 4 << 20
 
-    def test_head_claiming_two_to_the_64_records(self):
-        blob = bytearray(two_records())
-        blob[8:16] = ((1 << 64) - 1).to_bytes(8, "little")
-        self.fails_fast(bytes(blob))
+    def test_ids_claiming_more_keys_than_the_section(self):
+        self.fails_fast(two_records(), np.repeat(TWO_IDS, 1 << 22), "short of")
 
-    def test_record_claiming_two_to_the_32_entries(self):
-        blob = bytearray(two_records())
-        # the first record's list length field
-        blob[16 + 9 : 16 + 13] = (0xFFFFFFFF).to_bytes(4, "little")
-        self.fails_fast(bytes(blob))
+    def test_value_length_of_two_to_the_32_minus_1(self):
+        """The first entry's length field, after the two keys, claims
+        2^32-1 bytes, which reads as no value and leaves no value at all,
+        or 2^32-2 bytes."""
+        for length, match in ((0xFFFFFFFF, "without a value"), (0xFFFFFFFE, "add up to")):
+            blob = bytearray(two_records())
+            blob[16:20] = length.to_bytes(4, "little")
+            self.fails_fast(reseal(blob), TWO_IDS, match)
 
 
 MASK64 = (1 << 64) - 1
@@ -438,7 +488,8 @@ class MapMachine(RuleBasedStateMachine):
 
     @rule()
     def roundtrip(self):
-        self.m = ReverseMap.from_bytes(self.m.to_bytes(), qbits=self.Q)
+        self.m = ReverseMap.from_bytes(self.m.to_bytes(), self.Q,
+                                       model_ids(self.Q, self.model))
         self.accesses = 0
 
     @rule(other=machine_lists)
@@ -457,9 +508,9 @@ class MapMachine(RuleBasedStateMachine):
         assert_same_content(self.m, self.model)
         assert self.m.accesses == self.accesses
         blob = self.m.to_bytes()
-        assert blob == encode_map_v1(self.Q, self.model)
+        assert blob == encode_map_v2(self.Q, self.model)
         # all in the base; self.m may keep part of its content in the overlay
-        flat = ReverseMap.from_bytes(blob, qbits=self.Q)
+        flat = ReverseMap.from_bytes(blob, self.Q, model_ids(self.Q, self.model))
         assert flat == self.m and self.m == flat
 
 

@@ -1,15 +1,20 @@
 """The adaptive filter against the prefix model under any sequence of
-inserts, deletes, lookups and reloads.
+inserts, deletes, lookups and reloads, and the dynamic yes/no filter
+under any sequence of its updates, queries and reloads.
 
 At q=3..6 clusters wrap the seam, counters and extensions compete for
 slots and inserts run into the load cap.  After every step: no stored
 key is missed, the table's positives are exactly the model's over a
 probe universe, a key answered FALSE_POSITIVE_CORRECTED answers
 NOT_PRESENT until the next insert or delete, and check_consistency()
-passes.  A refused mutation leaves the snapshot bytes as they were.
+passes.  For the yes/no filter, every stored key answers its own class.
+A refused mutation leaves the snapshot bytes as they were, and a reload
+keeps the bytes and the counters.
 """
 
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,9 +30,10 @@ from hypothesis.stateful import (
 )
 
 from aqf.core import pack_minirun_id
-from aqf.errors import FilterFullError, NotFoundError
+from aqf.errors import FilterFullError, InvalidConfigError, NotFoundError
 from aqf.filter import AdaptiveFilter, LookupResult
 from aqf.hashing import FilterConfig
+from aqf.yesno import NO, YES, YesNoFilter, YesNoParams
 
 from oracles import PrefixModel, ref_chunk, ref_split, shorten_minirun, vector_word0
 
@@ -146,7 +152,10 @@ class FilterMachine(RuleBasedStateMachine):
     @rule()
     def save_load(self):
         blob = self.f.to_bytes()
+        counters = (self.f.adaptations, self.f.adaptivity_bits, self.f.adaptation_failures)
         self.f = AdaptiveFilter.from_bytes(blob)
+        assert (self.f.adaptations, self.f.adaptivity_bits,
+                self.f.adaptation_failures) == counters
         assert self.f.to_bytes() == blob
 
     @invariant()
@@ -162,4 +171,88 @@ class FilterMachine(RuleBasedStateMachine):
 
 def test_filter_machine():
     run_state_machine_as_test(FilterMachine, settings=settings(
+        max_examples=80, stateful_step_count=40, deadline=None))
+
+
+YN_KEYS = st.integers(0, 200)
+
+
+class YesNoMachine(RuleBasedStateMachine):
+    """The dynamic YesNoFilter against a dict of stored keys, each with
+    its class and its number of copies."""
+
+    @initialize(q=st.integers(3, 6), r=st.integers(2, 5), seed=st.integers(0, 1 << 16))
+    def start(self, q, r, seed):
+        inner = AdaptiveFilter(FilterConfig(q=q, r=r, seed=seed), value_bits=1)
+        self.f = YesNoFilter(inner, YesNoParams(n=1, m=0, epsilon=2.0**-r))
+        # key -> [class, copies]
+        self.stored: dict[int, list[int]] = {}
+
+    def insert(self, key, bit, call):
+        held = self.stored.get(key)
+        before = self.f.inner.to_bytes()
+        try:
+            call(key)
+        except InvalidConfigError:
+            assert held is not None and held[0] != bit
+            assert self.f.inner.to_bytes() == before
+            return
+        except FilterFullError:
+            assert self.f.inner.to_bytes() == before
+            return
+        assert held is None or held[0] == bit
+        if held is None:
+            self.stored[key] = [bit, 1]
+        else:
+            held[1] += 1
+
+    @rule(key=YN_KEYS)
+    def yn_insert_yes(self, key):
+        self.insert(key, YES, self.f.yn_insert_yes)
+
+    @rule(key=YN_KEYS)
+    def yn_insert_no(self, key):
+        self.insert(key, NO, self.f.yn_insert_no)
+
+    @rule(key=YN_KEYS)
+    def yn_delete(self, key):
+        held = self.stored.get(key)
+        if held is None:
+            before = self.f.inner.to_bytes()
+            with pytest.raises(NotFoundError):
+                self.f.yn_delete(key)
+            assert self.f.inner.to_bytes() == before
+            return
+        self.f.yn_delete(key)
+        held[1] -= 1
+        if not held[1]:
+            del self.stored[key]
+
+    @rule(key=st.integers(0, 400))
+    def yn_query(self, key):
+        before = (self.f.inner.to_bytes(), self.f.inner.map_accesses)
+        answer = self.f.yn_query(key)
+        assert (self.f.inner.to_bytes(), self.f.inner.map_accesses) == before
+        if key in self.stored:
+            assert answer == self.stored[key][0]
+
+    @rule()
+    def save_load(self):
+        blob, bits = self.f.inner.to_bytes(), self.f.consumed_adaptivity_bits
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "yn.aqfs"
+            self.f.save(path)
+            self.f = YesNoFilter.load(path, self.f.params)
+        assert self.f.consumed_adaptivity_bits == bits
+        assert self.f.inner.to_bytes() == blob
+
+    @invariant()
+    def every_stored_key_answers_its_class(self):
+        self.f.inner.check_consistency()
+        for key, (bit, _) in self.stored.items():
+            assert self.f.yn_query(key) == bit
+
+
+def test_yesno_machine():
+    run_state_machine_as_test(YesNoMachine, settings=settings(
         max_examples=80, stateful_step_count=40, deadline=None))

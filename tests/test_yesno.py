@@ -426,6 +426,7 @@ class TestSnapshot:
         f.save(path)
         g = YesNoFilter.load(path, f.params, budget_bits=f.budget_bits)
         assert g.budget_bits == f.budget_bits
+        assert g.consumed_adaptivity_bits == f.consumed_adaptivity_bits > 0
         assert g.space_bits() == f.space_bits()
         assert all(g.yn_query(y) == YES for y in yes)
         assert all(g.yn_query(z) == NO for z in no)
