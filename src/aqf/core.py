@@ -25,16 +25,20 @@ which is what lets adaptation leave the reverse map untouched.
 A slot's duplicate count ``c`` occupies zero extra slots when ``c == 1``
 and otherwise the little-endian base-``2**r`` digits of ``c - 1``.
 
-Metadata bit vectors are the uint64 rows of one word matrix.  Queries,
-inserts and growing edits stay cluster local: scans gather the words
-covering one cluster into Python ints and bit-twiddle from there.
-Everything else goes through two helpers: ``SlotArray._columns``
-decodes the clusters of a slot range into numpy columns (quotient,
-remainder, value, extension and counter-digit spans), and
-``SlotArray._lay_out`` writes such columns back, placing every run with
-one cumulative max.  A delete, with the shortening of its minirun's
-survivors, and a shrinking counter edit use them on one cluster; the
-bulk index, consistency checks, merge and bulk load on the table.
+Metadata bit vectors are the uint64 rows of one word matrix.  Scalar
+edits stay cluster local: scans gather the words covering one cluster
+into Python ints and bit-twiddle from there, finding run ends a word at
+a time.  Inserts, extensions and growing counters open slots by shifting
+the cluster's tail right (``SlotArray._open_slot``); deletes, the
+shortening of a minirun's survivors and shrinking counters close them
+(``SlotArray._close_span``), moving each later run left by no more than
+its distance from its canonical slot.  Whole-table work goes through two
+helpers: ``SlotArray._columns`` decodes the table into numpy columns
+(quotient, remainder, value, extension and counter-digit spans) for the
+bulk index, consistency checks and merge, and
+``SlotArray._lay_out`` writes such columns over a table, placing every
+run with one cumulative max, for merge and bulk load.  Both scalar edits
+leave the layout that ``_lay_out`` would write.
 
 Snapshot (version 2).  Only the occupied, runend and extension vectors
 and the payloads are written, with a header that names the first unused
@@ -131,6 +135,16 @@ def _common_prefix(a: list, b: list) -> int:
     return n
 
 
+def _kept_chunks(exts: list[list[int]]) -> list[int]:
+    """How many leading extension chunks each of one minirun's surviving
+    fingerprints keeps after a shortening delete: one past its longest
+    common prefix with any other of them (identical twins stay whole),
+    and none for a lone survivor."""
+    return [max((min(_common_prefix(ext, other) + 1, len(ext))
+                 for j, other in enumerate(exts) if j != k), default=0)
+            for k, ext in enumerate(exts)]
+
+
 def _ranges(off: np.ndarray, length: np.ndarray) -> np.ndarray:
     """The aranges [off[i], off[i] + length[i]), concatenated."""
     ends = np.cumsum(length)
@@ -187,30 +201,10 @@ class _Cols(NamedTuple):
         """Minirun id of each row (see pack_minirun_id)."""
         return (self.rem << np.uint64(q)) | self.quot.astype(np.uint64)
 
-    def shorten(self, rows: np.ndarray) -> bool:
-        """Cut the extensions of rows, one minirun's fingerprints, to what
-        keeps them apart: each keeps one chunk past its longest common
-        prefix with any other of them (identical twins stay whole), and
-        a lone row goes back to its baseline.  Counter digits move down
-        behind the kept chunks.  Returns whether a row was cut."""
-        if not self.ext_len[rows].any():
-            return False
-        exts = [self.chunks[o : o + e].tolist()
-                for o, e in zip(self.ext_off[rows].tolist(), self.ext_len[rows].tolist())]
-        cut = False
-        for k, (i, ext) in enumerate(zip(rows.tolist(), exts)):
-            need = max((min(_common_prefix(ext, other) + 1, len(ext))
-                        for j, other in enumerate(exts) if j != k), default=0)
-            if need < len(ext):
-                o, d = int(self.ext_off[i]), int(self.ctr_len[i])
-                self.chunks[o + need : o + need + d] = self.chunks[o + len(ext) : o + len(ext) + d]
-                self.ext_len[i] = need
-                cut = True
-        return cut
-
 
 class _Win:
-    """Cluster-local window over the runend and extension bit vectors.
+    """Cluster-local window over the runend, extension and occupied bit
+    vectors.
 
     Gathers bits lazily, anchored at a cluster start, so per-operation
     cost tracks the cluster length rather than the table size.  Reads
@@ -220,7 +214,7 @@ class _Win:
     valid walks never see because they stop at the first unused slot.
     """
 
-    __slots__ = ("arr", "base", "length", "run", "ext")
+    __slots__ = ("arr", "base", "length", "run", "ext", "occ")
 
     _CHUNK = 128
 
@@ -230,15 +224,17 @@ class _Win:
         self.length = 0
         self.run = 0
         self.ext = 0
+        self.occ = 0
 
     def _grow(self, upto: int):
         arr = self.arr
         while self.length <= upto:
             at = (self.base + self.length) % arr.nslots
-            take = self._CHUNK
-            self.run |= arr._read_bits(arr.run, at, take) << self.length
-            self.ext |= arr._read_bits(arr.ext, at, take) << self.length
-            self.length += take
+            run, ext, occ = arr._read_bits(arr._meta[1:], at, self._CHUNK)
+            self.run |= run << self.length
+            self.ext |= ext << self.length
+            self.occ |= occ << self.length
+            self.length += self._CHUNK
             if self.length > 2 * arr.nslots + self._CHUNK:
                 raise StateCorruptionError("window walk escaped the table")
 
@@ -251,6 +247,36 @@ class _Win:
         if i >= self.length:
             self._grow(i)
         return (self.ext >> i) & 1
+
+    def ends(self) -> int:
+        """Run ends: bit i is set when offset i is just past a run, past
+        its terminator (runend without extension) and the extension slots
+        that trail it.  Adding each terminator's next bit to the extension
+        bits carries through those slots, so the bits that the sum sets
+        outside the extension bits are the ends.  A carry cut off at the
+        top of the window lands past it: only bits below length hold."""
+        ext = self.ext
+        return (ext + ((self.run & ~ext) << 1)) & ~ext
+
+    def run_end(self, pos: int, k: int = 1) -> int:
+        """Offset just past the k-th run ending at or after offset pos, a
+        remainder slot, selected a word of ends() at a time."""
+        while True:
+            ends = self.ends() >> (pos + 1)
+            left, at = k, 0
+            while ends >> at:
+                word = (ends >> at) & MASK64
+                have = word.bit_count()
+                if have >= left:
+                    for _ in range(left - 1):
+                        word &= word - 1
+                    end = pos + at + (word & -word).bit_length()
+                    if end < self.length:
+                        return end
+                    break
+                left -= have
+                at += 64
+            self._grow(self.length)
 
 
 class SlotArray:
@@ -290,39 +316,42 @@ class SlotArray:
     def _clear_bit(self, vec: np.ndarray, i: int):
         vec[i >> 6] = int(vec[i >> 6]) & ~(1 << (i & 63)) & MASK64
 
-    def _read_bits(self, vec: np.ndarray, start: int, length: int) -> int:
-        """Bits [start, start+length) circularly; bit k of the result is
-        slot start+k.  Bits past the table read as zero via wraparound."""
+    def _read_bits(self, rows: np.ndarray, start: int, length: int) -> list[int]:
+        """Bits [start, start+length) circularly of each row of a block of
+        the word matrix, one int per row whose bit k is slot start+k.  A
+        range longer than the table repeats it."""
         n = self.nslots
-        out = 0
-        got = 0
-        pos = start
-        while got < length:
-            if pos >= n:
-                pos -= n
-            off = pos & 63
-            take = min(length - got, 64 - off, n - pos)
-            chunk = (int(vec[pos >> 6]) >> off) & ((1 << take) - 1)
-            out |= chunk << got
-            got += take
-            pos += take
+        if start + length > n:
+            head = n - start
+            tail = self._read_bits(rows, 0, length - head)
+            return [a | (b << head) for a, b in zip(self._read_bits(rows, start, head), tail)]
+        w0, w1 = start >> 6, (start + length + 63) >> 6
+        block = int.from_bytes(rows[:, w0:w1].tobytes(), "little") >> (start & 63)
+        step, mask = (w1 - w0) << 6, (1 << length) - 1
+        out = []
+        for _ in range(len(rows)):
+            out.append(block & mask)
+            block >>= step
         return out
 
-    def _write_bits(self, vec: np.ndarray, start: int, length: int, value: int):
+    def _write_bits(self, rows: np.ndarray, start: int, length: int, values: list[int]):
+        """Overwrite bits [start, start+length) circularly of each row of a
+        block with the low bits of its value, laid out as _read_bits'."""
         n = self.nslots
-        pos = start
-        put = 0
-        while put < length:
-            if pos >= n:
-                pos -= n
-            off = pos & 63
-            take = min(length - put, 64 - off, n - pos)
-            mask = (1 << take) - 1
-            chunk = (value >> put) & mask
-            w = pos >> 6
-            vec[w] = (int(vec[w]) & ~(mask << off) & MASK64) | (chunk << off)
-            put += take
-            pos += take
+        if start + length > n:
+            head = n - start
+            self._write_bits(rows, start, head, values)
+            self._write_bits(rows, 0, length - head, [v >> head for v in values])
+            return
+        w0, w1 = start >> 6, (start + length + 63) >> 6
+        block = int.from_bytes(rows[:, w0:w1].tobytes(), "little")
+        step, at = (w1 - w0) << 6, start & 63
+        for v in values:
+            mask = ((1 << length) - 1) << at
+            block = (block & ~mask) | ((v << at) & mask)
+            at += step
+        out = block.to_bytes(len(values) * step >> 3, "little")
+        rows[:, w0:w1] = np.frombuffer(out, dtype=np.uint64).reshape(len(values), -1)
 
     def _segments(self, start: int, length: int) -> list[tuple[int, int, int]]:
         """Slots [start, start+length) circularly, as at most two linear
@@ -414,9 +443,9 @@ class SlotArray:
         if free != pos:
             length = (free - pos) % self.nslots
             self._shift_payload_right(pos, free)
-            for vec in (self.run, self.ext):
-                v = self._read_bits(vec, pos, length)
-                self._write_bits(vec, pos, length + 1, v << 1)
+            rows = self._meta[1:3]  # runend, extension
+            bits = self._read_bits(rows, pos, length)
+            self._write_bits(rows, pos, length + 1, [v << 1 for v in bits])
         self._set_bit(self.used, free)
         self.used_count += 1
 
@@ -431,31 +460,21 @@ class SlotArray:
         run would begin.
         """
         c = self._cluster_start(qt)
-        dist = (qt - c) % self.nslots
-        skip = self._read_bits(self.occ, c, dist).bit_count() if dist else 0
         win = _Win(self, c)
-        pos = 0
-        for _ in range(skip):
-            while not (win.run_bit(pos) and not win.ext_bit(pos)):
-                pos += 1
-            pos += 1
-            while win.ext_bit(pos):
-                pos += 1
-        return c, win, pos
+        dist = (qt - c) % self.nslots
+        if not dist:
+            return c, win, 0
+        win._grow(dist - 1)
+        skip = (win.occ & ((1 << dist) - 1)).bit_count()
+        return c, win, win.run_end(0, skip)
 
     def find_run(self, quotient: int) -> tuple[int, int] | None:
         """Physical (start, length) of the run for ``quotient``, trailing
         extension and counter slots included, or None if unoccupied."""
         if not self._get_bit(self.occ, quotient):
             return None
-        c, win, pos = self._walk_to_run(quotient)
-        start = pos
-        while not (win.run_bit(pos) and not win.ext_bit(pos)):
-            pos += 1
-        pos += 1
-        while win.ext_bit(pos):
-            pos += 1
-        return (c + start) % self.nslots, pos - start
+        c, win, start = self._walk_to_run(quotient)
+        return (c + start) % self.nslots, win.run_end(start) - start
 
     def _scan_fp(self, win: _Win, pos: int) -> tuple[int, int, int, bool]:
         """From a remainder slot at window offset ``pos``: offsets of the
@@ -581,33 +600,39 @@ class SlotArray:
         self.ctr_slot_count += len(digits)
         return mid, rank
 
-    def _locate_fp(self, mid: int, rank: int) -> tuple[int, _Win, int, int, int, int]:
-        """(cluster, window, fp offset, ext group offset, ctr offset, next)
-        for the rank-th fingerprint of a minirun.  Raises if missing."""
+    def _minirun(self, mid: int):
+        """Yield (cluster, window, previous fp offset, fp offset, ext group
+        offset, ctr offset, next) for each fingerprint of a minirun, in
+        rank order.  The previous fingerprint is the one before it in its
+        run, whatever its minirun, or None for the run's first."""
         qt, rem = unpack_minirun_id(mid, self.cfg.q)
         if not self._get_bit(self.occ, qt):
-            raise NotFoundError(f"quotient {qt} has no run")
+            return
         c, win, pos = self._walk_to_run(qt)
         n = self.nslots
         vb = self.value_bits
-        seen = 0
+        prev = None
         while True:
-            payload = int(self.slots[(c + pos) % n])
-            rem_i = payload >> vb
-            e0, c0, nxt, is_term = self._scan_fp(win, pos)
+            rem_i = int(self.slots[(c + pos) % n]) >> vb
             if rem_i > rem:
-                break
+                return
+            e0, c0, nxt, is_term = self._scan_fp(win, pos)
             if rem_i == rem:
-                if seen == rank:
-                    return c, win, pos, e0, c0, nxt
-                seen += 1
+                yield c, win, prev, pos, e0, c0, nxt
             if is_term:
-                break
-            pos = nxt
+                return
+            prev, pos = pos, nxt
+
+    def _locate_fp(self, mid: int, rank: int) -> tuple[int, _Win, int | None, int, int, int, int]:
+        """The rank-th fingerprint of a minirun as _minirun yields it.
+        Raises if missing."""
+        for i, found in enumerate(self._minirun(mid)):
+            if i == rank:
+                return found
         raise NotFoundError(f"minirun {mid} has no rank {rank}")
 
     def get_ext(self, mid: int, rank: int) -> tuple[int, ...]:
-        c, _, _, e0, c0, _ = self._locate_fp(mid, rank)
+        c, _, _, _, e0, c0, _ = self._locate_fp(mid, rank)
         n, vb = self.nslots, self.value_bits
         return tuple(int(self.slots[(c + i) % n]) >> vb for i in range(e0, c0))
 
@@ -618,7 +643,7 @@ class SlotArray:
             return
         if not self.has_room(len(chunks)):
             raise FilterFullError("extension would exceed the load limit")
-        c, _, _, e0, c0, _ = self._locate_fp(mid, rank)
+        c, _, _, _, e0, c0, _ = self._locate_fp(mid, rank)
         n, vb = self.nslots, self.value_bits
         for t, ch in enumerate(chunks):
             p = (c + c0 + t) % n
@@ -628,7 +653,7 @@ class SlotArray:
         self.ext_slot_count += len(chunks)
 
     def get_count(self, mid: int, rank: int) -> int:
-        c, _, _, e0, c0, nxt = self._locate_fp(mid, rank)
+        c, _, _, _, e0, c0, nxt = self._locate_fp(mid, rank)
         n, vb = self.nslots, self.value_bits
         r = self.cfg.r
         v = 0
@@ -637,59 +662,140 @@ class SlotArray:
         return v + 1
 
     def set_count(self, mid: int, rank: int, count: int) -> None:
+        """Rewrite one fingerprint's counter digits in place.  Growth opens
+        slots behind the digits it keeps, shrinkage closes the gap the
+        dropped digits leave (see _close_span)."""
         if count < 1:
             raise ValueError("count must be at least 1")
-        c, _, pos, e0, c0, nxt = self._locate_fp(mid, rank)
+        c, win, _, pos, e0, c0, nxt = self._locate_fp(mid, rank)
         digits = _count_digits(count, self.cfg.r)
         have = nxt - c0
+        if not self.has_room(len(digits) - have):
+            raise FilterFullError("counter growth would exceed the load limit")
         n, vb = self.nslots, self.value_bits
-        if len(digits) >= have:
-            extra = len(digits) - have
-            if not self.has_room(extra):
-                raise FilterFullError("counter growth would exceed the load limit")
-            for i in range(have):
-                p = (c + c0 + i) % n
-                self.slots[p] = digits[i] << vb
-            for i in range(have, len(digits)):
-                p = (c + c0 + i) % n
+        for i, digit in enumerate(digits):
+            p = (c + c0 + i) % n
+            if i >= have:
                 self._open_slot(p)
-                self.slots[p] = digits[i] << vb
                 self._set_bit(self.ext, p)
                 self._set_bit(self.run, p)
-            self.ctr_slot_count += extra
-        else:
-            c, length, cols, rows = self._take_cluster(mid, rank)
-            i = rows[rank]
-            o = int(cols.ext_off[i] + cols.ext_len[i])
-            cols.chunks[o : o + len(digits)] = digits
-            cols.ctr_len[i] = len(digits)
-            self._lay_out(c, length, cols)
+            self.slots[p] = digit << vb
+        if len(digits) < have:
+            qt = mid & ((1 << self.cfg.q) - 1)
+            self._close_span(c, win, qt, pos, c0 + len(digits), have - len(digits))
+        self.ctr_slot_count += len(digits) - have
 
     def get_value(self, mid: int, rank: int) -> int:
-        c, _, pos, _, _, _ = self._locate_fp(mid, rank)
+        c, _, _, pos, _, _, _ = self._locate_fp(mid, rank)
         return int(self.slots[(c + pos) % self.nslots]) & ((1 << self.value_bits) - 1)
 
     def remove_fp(self, mid: int, rank: int, shorten: bool = False) -> None:
         """Remove one fingerprint with its extension and counter slots.
 
-        With shorten, the survivors of its minirun also drop the
-        extension chunks they no longer need (see _Cols.shorten).  One
-        decode of the cluster and one layout either way.
+        Its slots close like a gap (see _close_span).  If it ended its
+        run, the runend bit moves to the fingerprint before it, and an
+        emptied run clears its occupied bit.  With shorten, the survivors
+        of its minirun also drop the extension chunks they no longer need
+        to stay apart from each other (see _kept_chunks), one closed span
+        each, highest first so that the offsets below stay valid.
         """
-        c, length, cols, rows = self._take_cluster(mid, rank)
-        i = rows[rank]
-        if shorten and cols.shorten(rows[rows != i]):
+        fps = list(self._minirun(mid))
+        if not 0 <= rank < len(fps):
+            raise NotFoundError(f"minirun {mid} has no rank {rank}")
+        c, win, prev, pos, e0, c0, nxt = fps[rank]
+        width = nxt - pos
+        cuts = []  # (fingerprint, first chunk cut, chunks cut), offsets after the removal
+        if shorten:
+            n, vb = self.nslots, self.value_bits
+            rest = [fp[3:6] for i, fp in enumerate(fps) if i != rank]
+            exts = [[int(self.slots[(c + i) % n]) >> vb for i in range(x0, y0)]
+                    for _, x0, y0 in rest]
+            for (at, x0, y0), keep in zip(rest, _kept_chunks(exts)):
+                if keep < y0 - x0:
+                    moved = width if at > pos else 0
+                    cuts.append((at - moved, x0 + keep - moved, y0 - x0 - keep))
+        qt = mid & ((1 << self.cfg.q) - 1)
+        is_term = (win.run >> pos) & 1
+        self._close_span(c, win, qt, pos, pos, width)
+        if is_term and prev is None:
+            self._clear_bit(self.occ, qt)
+        elif is_term:
+            self._set_bit(self.run, (c + prev) % self.nslots)
+            win.run |= 1 << prev
+        self.fp_count -= 1
+        self.ext_slot_count -= c0 - e0
+        self.ctr_slot_count -= nxt - c0
+        for at, start, length in sorted(cuts, reverse=True):
+            self._close_span(c, win, qt, at, start, length)
+            self.ext_slot_count -= length
+        if cuts:
             self._superset = None
-        self._lay_out(c, length, cols.take(np.arange(len(cols.quot)) != i))
+
+    def _close_span(self, c: int, win: _Win, qt: int, fp: int, at: int, length: int) -> None:
+        """Remove the slots at window offsets [at, at+length), all of them
+        slots of the fingerprint at offset fp in the run of quotient qt, and
+        close the gap: the inverse of _open_slot.
+
+        The rest of the run moves left by length.  Each later run of the
+        cluster moves by the smaller of the previous run's shift and its
+        distance from its canonical slot, which is where _lay_out would
+        place it, so the shift stops at the first run already at its
+        canonical slot or at the end of the cluster.  The runend,
+        extension and used bits move as bit strings, the payloads as one
+        slice per shift, and the slots left behind are cleared.  The
+        window follows the edit; the occupied bits and the fingerprint
+        counters are the caller's.
+        """
+        n = self.nslots
+        stop = (self._find_first_unused((c + at) % n) - c) % n  # end of the cluster
+        if stop >= win.length:
+            win._grow(stop)
+        ends, occ = win.ends(), win.occ
+        rest = ends >> (fp + 1)
+        end = fp + (rest & -rest).bit_length()
+        moves = [(at + length, end, length)]  # (from, to, shift)
+        shift, q = length, (qt - c) % n
+        while end < stop:
+            rest = occ >> (q + 1)
+            q += (rest & -rest).bit_length()  # the next run's quotient
+            if q == end:
+                break
+            shift = min(shift, end - q)
+            rest = ends >> (end + 1)
+            nxt = end + (rest & -rest).bit_length()
+            if nxt == end:
+                raise StateCorruptionError("run without a terminator")
+            if shift == moves[-1][2]:
+                moves[-1] = (moves[-1][0], nxt, shift)
+            else:
+                moves.append((end, nxt, shift))
+            end = nxt
+        span = end - at
+        keep = (1 << span) - 1
+        run, ext = (win.run >> at) & keep, (win.ext >> at) & keep
+        new_run = new_ext = new_used = 0
+        out = np.zeros(span, dtype=np.uint64)
+        idx = np.arange(c + at, c + end)
+        pay = self.slots.take(idx, mode="wrap")
+        for a, b, d in moves:
+            m = ((1 << (b - a)) - 1) << (a - at)
+            new_run |= (run & m) >> d
+            new_ext |= (ext & m) >> d
+            new_used |= m >> d
+            out[a - d - at : b - d - at] = pay[a - at : b - at]
+        start = (c + at) % n
+        self._write_bits(self._meta[:3], start, span, [new_used, new_run, new_ext])
+        self.slots.put(idx, out, mode="wrap")
+        win.run = (win.run & ~(keep << at)) | (new_run << at)
+        win.ext = (win.ext & ~(keep << at)) | (new_ext << at)
+        self.used_count -= length
 
     # ------------------------------------------------------------------
     # columnar decode and layout
 
-    def _columns(self, start: int | None = None, length: int | None = None) -> _Cols:
-        """Decode the whole clusters in slots [start, start+length).
-
-        Without arguments, the whole table from just past its first
-        unused slot, where no cluster can straddle the range ends.  Rows
+    def _columns(self) -> _Cols:
+        """Decode the whole table, read from just past its first unused
+        slot, where no cluster can straddle the ends of the range.  Rows
         come in storage order: by quotient from the range start, then
         remainder, then minirun rank.  A remainder slot is a used slot
         without the extension bit; the k-th of them with runend set ends
@@ -699,10 +805,9 @@ class SlotArray:
         (both bits).
         """
         n, vb = self.nslots, self.value_bits
-        if start is None:
-            start, length = (self._find_first_unused(0) + 1) % n, n
-        used, run, ext, occ = self._load_bits(start, length)
-        pay = np.concatenate([self.slots[a:b] for a, b, _ in self._segments(start, length)])
+        start = (self._find_first_unused(0) + 1) % n
+        used, run, ext, occ = self._load_bits(start, n)
+        pay = np.concatenate([self.slots[start:], self.slots[:start]])
         R = np.flatnonzero(used & ~ext)
         Q = np.flatnonzero(occ)
         ends_run = run[R]
@@ -723,34 +828,30 @@ class SlotArray:
             chunks=pay >> np.uint64(vb),
         )
 
-    def _lay_out(self, start: int, length: int, cols: _Cols) -> None:
-        """Write fingerprints over slots [start, start+length), replacing
-        whatever the range held, and add them to the slot counters (a
-        caller replacing fingerprints takes those off with _count).
+    def _lay_out(self, cols: _Cols) -> None:
+        """Write fingerprints over the whole table, replacing whatever it
+        held, and set the slot counters to match.
 
-        ``cols`` lists the fingerprints in run order: quotients, taken
-        relative to ``start``, never decrease.  Each run starts at the
-        larger of its canonical slot and the end of the run before it
-        (the counting quotient filter's placement), so with P the slots
-        taken by the fingerprints before row i, row i lands at
-        P[i] + max over j <= i of (quotient j - P[j]): one cumulative max.
-        Only a range covering the whole table wraps.  Its overflow past
-        the top pushes the first runs right, so the positions are
-        recomputed with that overflow as a floor until it settles; the
-        load cap leaves a free slot, which ends the chase.
+        ``cols`` lists the fingerprints in run order: quotients never
+        decrease.  Each run starts at the larger of its canonical slot and
+        the end of the run before it (the counting quotient filter's
+        placement), so with P the slots taken by the fingerprints before
+        row i, row i lands at P[i] + max over j <= i of (quotient j - P[j]):
+        one cumulative max.  The overflow past the top of the table pushes
+        the first runs right, so the positions are recomputed with that
+        overflow as a floor until it settles; the load cap leaves a free
+        slot, which ends the chase.
         """
         n, vb = self.nslots, self.value_bits
         width = 1 + cols.ext_len + cols.ctr_len
         ends = np.cumsum(width)
         before = ends - width
-        drift = np.maximum.accumulate((cols.quot - start) % n - before)
+        drift = np.maximum.accumulate(cols.quot - before)
         at, floor = before + drift, 0
         for _ in range(n + 1):
-            over = max(0, int(at[-1] + width[-1]) - length) if len(at) else 0
+            over = max(0, int(at[-1] + width[-1]) - n) if len(at) else 0
             if over == floor:
                 break
-            if length < n:
-                raise StateCorruptionError("layout outgrew its range")
             floor = over
             at = before + np.maximum(drift, floor)
         else:
@@ -759,50 +860,24 @@ class SlotArray:
         # one entry per slot filled: its row and its offset in that row
         row = np.repeat(np.arange(len(width)), width)
         inrow = np.arange(len(row)) - before[row]
-        slot = (at[row] + inrow) % length
+        slot = (at[row] + inrow) % n
         tail = inrow > 0
         last = np.ones(len(width), dtype=bool)  # run terminators
         last[:-1] = cols.quot[1:] != cols.quot[:-1]
-        bits = np.zeros((4, length), dtype=bool)  # used, run, ext, occ
+        bits = np.zeros((4, n), dtype=bool)  # used, run, ext, occ
         bits[0, slot] = True
         bits[1, slot[inrow > cols.ext_len[row]]] = True
         bits[1, slot[before[last]]] = True
         bits[2, slot[tail]] = True
-        bits[3, (cols.quot[last] - start) % n] = True
-        pay = np.zeros(length, dtype=np.uint64)
-        pay[slot[before]] = (cols.rem << np.uint64(vb)) | cols.value
-        pay[slot[tail]] = cols.chunks[(cols.ext_off[row] + inrow - 1)[tail]] << np.uint64(vb)
-        self._store_bits(start, bits)
-        for a, b, o in self._segments(start, length):
-            self.slots[a:b] = pay[o : o + b - a]
-        self._count(cols, 1)
-
-    def _count(self, cols: _Cols, sign: int) -> None:
-        """Add (sign 1) or take away (sign -1) the slots of cols."""
-        e, c = int(cols.ext_len.sum()), int(cols.ctr_len.sum())
-        self.fp_count += sign * len(cols.quot)
-        self.ext_slot_count += sign * e
-        self.ctr_slot_count += sign * c
-        self.used_count += sign * (len(cols.quot) + e + c)
-
-    def _take_cluster(self, mid: int, rank: int) -> tuple[int, int, _Cols, np.ndarray]:
-        """(start, length, columns) of the cluster holding the rank-th
-        fingerprint of minirun mid, and the minirun's rows in rank order.
-
-        The cluster's slots come off the counters: the caller edits the
-        columns and lays them out again over the same range.
-        """
-        qt, rem = unpack_minirun_id(mid, self.cfg.q)
-        if not self._get_bit(self.occ, qt):
-            raise NotFoundError(f"quotient {qt} has no run")
-        c = self._cluster_start(qt)
-        length = (self._find_first_unused(c) - c) % self.nslots
-        cols = self._columns(c, length)
-        rows = np.flatnonzero((cols.quot == qt) & (cols.rem == rem))
-        if not 0 <= rank < len(rows):
-            raise NotFoundError(f"minirun {mid} has no rank {rank}")
-        self._count(cols, -1)
-        return c, length, cols, rows
+        bits[3, cols.quot[last]] = True
+        self._store_bits(0, bits)
+        self.slots[:] = 0
+        self.slots[slot[before]] = (cols.rem << np.uint64(vb)) | cols.value
+        self.slots[slot[tail]] = cols.chunks[(cols.ext_off[row] + inrow - 1)[tail]] << np.uint64(vb)
+        self.fp_count = len(cols.quot)
+        self.ext_slot_count = int(cols.ext_len.sum())
+        self.ctr_slot_count = int(cols.ctr_len.sum())
+        self.used_count = len(row)
 
     # ------------------------------------------------------------------
     # bulk probing

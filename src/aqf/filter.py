@@ -197,10 +197,11 @@ class AdaptiveFilter:
 
         A counted duplicate just decrements; a table without counter
         digits holds only count-1 fingerprints and skips reading the
-        count.  Otherwise the fingerprint leaves in one edit of its
-        cluster, and with shorten_on_delete on, that same edit cuts the
-        survivors of its minirun back to the extension chunks they need
-        to stay distinct from each other.
+        count.  Otherwise the fingerprint's slots close in place, moving
+        only the slots between it and the first run at its canonical slot
+        (see SlotArray.remove_fp).  With shorten_on_delete on, the
+        survivors of its minirun are also cut back to the extension chunks
+        they need to stay distinct from each other.
         """
         key = _key(key)
         stream = HashStream(key, self.cfg.seed)

@@ -56,7 +56,7 @@ def _place(arr: SlotArray, cols: _Cols) -> None:
     total = len(cols.quot) + int(cols.ext_len.sum() + cols.ctr_len.sum())
     if not arr.has_room(total):
         raise FilterFullError(f"{total} slots exceed the load limit of {arr.nslots}")
-    arr._lay_out(0, arr.nslots, cols)
+    arr._lay_out(cols)
 
 
 def bulk_load(items, cfg: FilterConfig, policy: Policy | None = None,

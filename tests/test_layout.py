@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aqf.core import Fingerprint, SlotArray, pack_minirun_id
-from aqf.errors import FilterFullError, FormatError
+from aqf.errors import FilterFullError, FormatError, NotFoundError
 from aqf.hashing import FilterConfig
 
 from oracles import decode_raw, reseal, shorten_minirun
@@ -42,10 +42,21 @@ def column_rows(arr):
     return rows
 
 
+def relaid(arr):
+    """A fresh table that _lay_out writes from arr's columns."""
+    cols = arr._columns()
+    out = SlotArray(arr.cfg, value_bits=arr.value_bits)
+    out._lay_out(cols.take(np.argsort(cols.quot, kind="stable")))
+    return out
+
+
 def check(arr, model):
     rows = decode_raw(arr)
     assert grouped(rows) == {k: v for k, v in model.items() if v}
     assert column_rows(arr) == rows
+    # the canonical layout, vacated payloads zeroed: what the snapshot
+    # bytes of the benchmark's behaviour line depend on
+    assert arr.to_bytes() == relaid(arr).to_bytes()
     assert populations(arr) == (arr.used_count, arr.fp_count, arr.ext_slot_count,
                                 arr.ctr_slot_count)
     back = SlotArray.from_bytes(arr.to_bytes())
@@ -114,6 +125,131 @@ def test_decoder_and_writer_match_the_oracle(table, edits):
             arr.set_count(mid, rank, count)
             model[(qt, rem)][rank] = (ext, count, value)
         check(arr, model)
+
+
+# Deterministic cases of the in-place delete and counter shrink: each is
+# checked against the raw-state oracle and against the canonical layout
+# that _lay_out writes from the same columns.
+
+C52 = FilterConfig(q=5, r=2)
+
+
+def filled(fps, cfg=C52):
+    arr = SlotArray(cfg)
+    for fp in fps:
+        arr.insert_fp(fp)
+    return arr
+
+
+def removed(fps, k):
+    """decode_raw rows of fps, in insert order (already storage order),
+    without the k-th."""
+    return [(fp.quotient, fp.remainder, fp.ext, fp.count, 0)
+            for i, fp in enumerate(fps) if i != k]
+
+
+def check_edit(arr, rows):
+    assert decode_raw(arr) == rows
+    assert column_rows(arr) == rows
+    assert arr.to_bytes() == relaid(arr).to_bytes()
+    assert populations(arr) == (arr.used_count, arr.fp_count, arr.ext_slot_count,
+                                arr.ctr_slot_count)
+
+
+# quotient 4 holds a three-fingerprint run at slots 4-6, which pushes
+# quotient 5 to slot 7 and quotient 6 to slot 8; quotient 9 sits at its
+# canonical slot behind them
+RUN3 = [Fingerprint(4, 1), Fingerprint(4, 2), Fingerprint(4, 3), Fingerprint(5, 0),
+        Fingerprint(6, 1), Fingerprint(9, 2)]
+
+
+@pytest.mark.parametrize("k", [0, 1, 2], ids=["first", "middle", "terminator"])
+def test_remove_from_a_run(k):
+    arr = filled(RUN3)
+    fp = RUN3[k]
+    arr.remove_fp(pack_minirun_id(fp.quotient, fp.remainder, C52.q), 0)
+    check_edit(arr, removed(RUN3, k))
+    assert arr.find_run(4) == (4, 2)
+    assert arr.find_run(5) == (6, 1) and arr.find_run(6) == (7, 1)
+    assert arr.find_run(9) == (9, 1)
+
+
+def test_remove_the_only_fingerprint_of_its_run():
+    arr = filled(RUN3)
+    arr.remove_fp(pack_minirun_id(5, 0, C52.q), 0)
+    check_edit(arr, removed(RUN3, 3))
+    assert not arr._get_bit(arr.occ, 5)
+    # quotient 6 moves back one slot, to slot 7: still one past canonical
+    assert arr.find_run(6) == (7, 1)
+
+
+def test_remove_from_a_run_that_wraps_the_seam():
+    # quotient 30's run takes slots 30-1, and the three runs behind it
+    # wait one to three slots past their quotients
+    fps = [Fingerprint(30, 0), Fingerprint(30, 1), Fingerprint(30, 2), Fingerprint(30, 3),
+           Fingerprint(31, 3), Fingerprint(0, 1), Fingerprint(1, 2)]
+    arr = filled(fps)
+    assert arr.find_run(30) == (30, 4)
+    assert [arr.find_run(qt)[0] for qt in (31, 0, 1)] == [2, 3, 4]
+    arr.remove_fp(pack_minirun_id(30, 0, C52.q), 0)
+    check_edit(arr, removed(fps, 0))
+    assert arr.find_run(30) == (30, 3)
+    assert [arr.find_run(qt)[0] for qt in (31, 0, 1)] == [1, 2, 3]
+    assert arr.used_count == 6 and not arr._get_bit(arr.used, 4)
+
+
+def test_the_shift_shrinks_at_a_run_near_its_canonical_slot():
+    # quotient 10's three-slot fingerprint (two extension chunks) pushes
+    # quotient 11 two slots, quotient 12 two, quotient 14 one; quotient
+    # 16 sits at its canonical slot
+    fps = [Fingerprint(10, 1, (2, 3)), Fingerprint(11, 0), Fingerprint(12, 0),
+           Fingerprint(14, 1), Fingerprint(16, 0)]
+    arr = filled(fps)
+    assert [arr.find_run(qt)[0] for qt in (10, 11, 12, 14, 16)] == [10, 13, 14, 15, 16]
+    arr.remove_fp(pack_minirun_id(10, 1, C52.q), 0)
+    check_edit(arr, removed(fps, 0))
+    # shifts of 2, 2 and 1, then nothing: slots 13 and 15 fall empty
+    assert [arr.find_run(qt)[0] for qt in (11, 12, 14, 16)] == [11, 12, 14, 16]
+    assert [arr._get_bit(arr.used, i) for i in range(10, 18)] == [0, 1, 1, 0, 1, 0, 1, 0]
+
+
+def test_remove_a_fingerprint_with_extension_and_counter_slots():
+    # the middle fingerprint holds two chunks and the digits of 40 - 1
+    fps = [Fingerprint(4, 1, (3,)), Fingerprint(4, 2, (1, 2), 40), Fingerprint(4, 3, (), 3),
+           Fingerprint(6, 0), Fingerprint(7, 1)]
+    arr = filled(fps)
+    assert arr.ext_slot_count == 3 and arr.ctr_slot_count == 4
+    arr.remove_fp(pack_minirun_id(4, 2, C52.q), 0)
+    check_edit(arr, removed(fps, 1))
+    assert (arr.ext_slot_count, arr.ctr_slot_count, arr.used_count) == (1, 1, 6)
+
+
+@pytest.mark.parametrize("before,after,digits", [(10, 2, 1), (2, 1, 0), (10, 1, 0)],
+                         ids=["two_digits_to_one", "one_digit_to_none", "two_digits_to_none"])
+def test_counter_shrinks(before, after, digits):
+    # r=2: 10 - 1 takes two base-4 digits, 2 - 1 one, 1 - 1 none
+    fps = [Fingerprint(4, 1), Fingerprint(4, 2, (3,), before), Fingerprint(4, 3),
+           Fingerprint(5, 0), Fingerprint(8, 1)]
+    arr = filled(fps)
+    arr.set_count(pack_minirun_id(4, 2, C52.q), 0, after)
+    fps[1] = Fingerprint(4, 2, (3,), after)
+    check_edit(arr, removed(fps, None))
+    assert arr.ctr_slot_count == digits
+
+
+def test_a_missing_rank_or_quotient_changes_nothing():
+    arr = filled(RUN3 + [Fingerprint(9, 2, (), 5)])
+    blob = arr.to_bytes()
+    for mid, rank in ((pack_minirun_id(4, 1, C52.q), 1), (pack_minirun_id(4, 0, C52.q), 0),
+                      (pack_minirun_id(12, 1, C52.q), 0), (pack_minirun_id(9, 2, C52.q), 2)):
+        with pytest.raises(NotFoundError):
+            arr.remove_fp(mid, rank)
+        with pytest.raises(NotFoundError):
+            arr.remove_fp(mid, rank, shorten=True)
+        for count in (1, 2, 100):
+            with pytest.raises(NotFoundError):
+                arr.set_count(mid, rank, count)
+        assert arr.to_bytes() == blob
 
 
 @pytest.fixture(scope="module")
