@@ -330,8 +330,9 @@ class TestDelete:
         assert len(f.arr.get_ext(mid, 0)) >= 1
 
     def test_shortening_delete_is_one_cluster_edit(self, monkeypatch):
-        """A plain or a shortening delete closes gaps in place: no columnar
-        decode or layout of the cluster."""
+        """A plain or a shortening delete closes gaps in place in one walk of
+        the minirun: no columnar decode or layout of the cluster, and no
+        per-fingerprint relocation or read."""
         cfg = self.CFG
         x = 271828
         keys = [x, *colliders(cfg, x, 0, 3)]
@@ -354,7 +355,7 @@ class TestDelete:
                 return fn(*args, **kwargs)
             return wrapper
 
-        for name in ("_columns", "_lay_out"):
+        for name in ("_columns", "_lay_out", "_locate_fp", "get_ext", "get_count"):
             monkeypatch.setattr(SlotArray, name, counted(name, getattr(SlotArray, name)))
         for f in filters:
             f.delete(x)
