@@ -28,9 +28,12 @@ and otherwise the little-endian base-``2**r`` digits of ``c - 1``.
 Metadata bit vectors are the uint64 rows of one word matrix.  Scalar
 edits stay cluster local: scans gather the words covering one cluster
 into Python ints and bit-twiddle from there, finding run ends a word at
-a time.  Inserts, extensions and growing counters open slots by shifting
-the cluster's tail right (``SlotArray._open_slot``); deletes, the
-shortening of a minirun's survivors and shrinking counters close them
+a time.  One generator, ``SlotArray._run``, reads a run fingerprint by
+fingerprint; it is the only scalar walk, behind queries, inserts and the
+minirun access of extension, counter edits and delete.  Inserts,
+extensions and growing counters open slots by shifting the cluster's
+tail right (``SlotArray._open_slot``); deletes, the shortening of a
+minirun's survivors and shrinking counters close them
 (``SlotArray._close_span``), moving each later run left by no more than
 its distance from its canonical slot.  Whole-table work goes through two
 helpers: ``SlotArray._columns`` decodes the table into numpy columns
@@ -230,7 +233,7 @@ class _Win:
         arr = self.arr
         while self.length <= upto:
             at = (self.base + self.length) % arr.nslots
-            run, ext, occ = arr._read_bits(arr._meta[1:], at, self._CHUNK)
+            run, ext, occ = arr._read_bits(arr._win_rows, at, self._CHUNK)
             self.run |= run << self.length
             self.ext |= ext << self.length
             self.occ |= occ << self.length
@@ -295,6 +298,9 @@ class SlotArray:
         # that a range of all four moves in one numpy call
         self._meta = np.zeros((4, self.nwords), dtype=np.uint64)
         self.used, self.run, self.ext, self.occ = self._meta
+        # runend, extension and occupied: the rows every walk's window
+        # reads, sliced once rather than per read
+        self._win_rows = self._meta[1:]
         self.slots = np.zeros(n, dtype=np.uint64)
         self.used_count = 0
         self.fp_count = 0
@@ -381,49 +387,39 @@ class SlotArray:
             cur[:, a - (w0 << 6) : b - (w0 << 6)] = bits[:, o : o + b - a]
             self._meta[:, w0:w1] = np.packbits(cur, axis=1, bitorder="little").view(np.uint64)
 
-    def _find_first_unused(self, start: int) -> int:
-        n = self.nslots
-        nw = self.nwords
-        tail = n & 63
-        w = start >> 6
-        off = start & 63
-        scanned = 0
-        while scanned <= n + 64:
-            inv = ~int(self.used[w]) & MASK64
+    def _nearest_unused(self, pos: int, step: int) -> int | None:
+        """The first unused slot met walking circularly from ``pos``, itself
+        included, forward (step 1) or backward (step -1); None when every
+        slot is used.  Reads a word of used bits at a time."""
+        n, nw = self.nslots, self.nwords
+        tail = n & 63  # slots in a partial last word, or 0
+        w, b = pos >> 6, pos & 63
+        # bits of the first word at or past pos in the walk's direction
+        keep = (MASK64 >> b) << b if step > 0 else (2 << b) - 1
+        left = nw + 1
+        while left:
+            inv = ~int(self.used[w]) & keep
             if tail and w == nw - 1:
                 inv &= (1 << tail) - 1
-            inv &= ~((1 << off) - 1) & MASK64
             if inv:
-                return (w << 6) + ((inv & -inv).bit_length() - 1)
-            scanned += 64 - off
-            off = 0
-            w += 1
-            if w == nw:
-                w = 0
-        raise FilterFullError("no unused slot in the table")
+                return (w << 6) + ((inv & -inv) if step > 0 else inv).bit_length() - 1
+            w = (w + step) % nw
+            keep = MASK64
+            left -= 1
+        return None
+
+    def _find_first_unused(self, start: int) -> int:
+        free = self._nearest_unused(start, 1)
+        if free is None:
+            raise FilterFullError("no unused slot in the table")
+        return free
 
     def _cluster_start(self, pos: int) -> int:
         """First slot of the cluster containing used slot ``pos``."""
-        n = self.nslots
-        nw = self.nwords
-        tail = n & 63
-        w = pos >> 6
-        limit = pos & 63
-        scanned = 0
-        while scanned <= n + 64:
-            inv = ~int(self.used[w]) & MASK64
-            if tail and w == nw - 1:
-                inv &= (1 << tail) - 1
-            if limit is not None:
-                inv &= (1 << limit) - 1
-            if inv:
-                return ((w << 6) + inv.bit_length()) % n
-            scanned += 64
-            w -= 1
-            if w < 0:
-                w = nw - 1
-            limit = tail if (tail and w == nw - 1) else None
-        raise StateCorruptionError("no cluster boundary found")
+        free = self._nearest_unused(pos, -1)
+        if free is None:
+            raise StateCorruptionError("no cluster boundary found")
+        return (free + 1) % self.nslots
 
     def _shift_payload_right(self, start: int, free: int):
         """Move payloads [start, free) one slot right; ``free`` is unused."""
@@ -483,12 +479,35 @@ class SlotArray:
         is_term = bool(win.run_bit(pos))
         pos += 1
         e0 = pos
-        while win.ext_bit(pos) and not win.run_bit(pos):
+        ext = win.ext_bit(pos)
+        while ext and not win.run_bit(pos):
             pos += 1
+            ext = win.ext_bit(pos)
         c0 = pos
-        while win.ext_bit(pos) and win.run_bit(pos):
+        while ext and win.run_bit(pos):
             pos += 1
+            ext = win.ext_bit(pos)
         return e0, c0, pos, is_term
+
+    def _run(self, qt: int):
+        """Yield (cluster, window, previous fp offset, fp offset, remainder,
+        ext group offset, ctr offset, next fp offset, is_terminator) for
+        each fingerprint of quotient ``qt``'s run in storage order, and
+        nothing when ``qt`` is unoccupied.  Offsets are window offsets;
+        the previous fingerprint is the one before it in the run, or None
+        for the run's first.  The one scalar reader of a run: queries,
+        inserts and minirun access all walk through it."""
+        if not self._get_bit(self.occ, qt):
+            return
+        c, win, pos = self._walk_to_run(qt)
+        n, vb, slots = self.nslots, self.value_bits, self.slots
+        prev = None
+        while True:
+            e0, c0, nxt, is_term = self._scan_fp(win, pos)
+            yield c, win, prev, pos, int(slots[(c + pos) % n]) >> vb, e0, c0, nxt, is_term
+            if is_term:
+                return
+            prev, pos = pos, nxt
 
     # ------------------------------------------------------------------
     # public operations
@@ -497,37 +516,28 @@ class SlotArray:
         """Whether ``extra`` more used slots stay within the load cap."""
         return _LOAD_DEN * (self.used_count + extra) <= _LOAD_NUM * self.nslots
 
-    def query_fp(self, stream: HashStream) -> tuple[int, int] | None:
-        """First stored fingerprint that is a prefix of ``stream``.
+    def query_fp(self, stream: HashStream, start: int = 0) -> tuple[int, int] | None:
+        """First stored fingerprint that is a prefix of ``stream``, at
+        minirun rank ``start`` or later.
 
         Returns (minirun rank, matched extension length) or None.
         """
         cfg = self.cfg
         qt, rem = split(stream, cfg)
-        if not self._get_bit(self.occ, qt):
-            return None
-        c, win, pos = self._walk_to_run(qt)
-        n = self.nslots
-        vb = self.value_bits
+        n, vb, slots = self.nslots, self.value_bits, self.slots
         rank = 0
-        while True:
-            payload = int(self.slots[(c + pos) % n])
-            rem_i = payload >> vb
-            e0, c0, nxt, is_term = self._scan_fp(win, pos)
+        for c, _, _, _, rem_i, e0, c0, _, _ in self._run(qt):
             if rem_i > rem:
                 return None
             if rem_i == rem:
-                n_ext = c0 - e0
-                for t in range(n_ext):
-                    stored = int(self.slots[(c + e0 + t) % n]) >> vb
-                    if stored != extension_chunk(stream, cfg, t):
-                        break
-                else:
-                    return rank, n_ext
+                if rank >= start:
+                    for t in range(c0 - e0):
+                        if int(slots[(c + e0 + t) % n]) >> vb != extension_chunk(stream, cfg, t):
+                            break
+                    else:
+                        return rank, c0 - e0
                 rank += 1
-            if is_term:
-                return None
-            pos = nxt
+        return None
 
     def insert_fp(self, fp: Fingerprint, value: int = 0) -> tuple[int, int]:
         """Insert a fingerprint; returns (minirun id, rank).
@@ -552,34 +562,20 @@ class SlotArray:
         mid = pack_minirun_id(qt, rem, cfg.q)
         n = self.nslots
 
-        if not self._get_bit(self.occ, qt) and not self._get_bit(self.used, qt):
-            at, rank, new_term, old_term_abs = qt, 0, True, None
-        elif not self._get_bit(self.occ, qt):
-            c, win, pos = self._walk_to_run(qt)
-            at, rank, new_term, old_term_abs = (c + pos) % n, 0, True, None
-        else:
-            c, win, pos = self._walk_to_run(qt)
-            rank = 0
-            insert_rel = None
-            new_term = False
-            term_rem_rel = None
-            while True:
-                payload = int(self.slots[(c + pos) % n])
-                rem_i = payload >> vb
-                term_rem_rel = pos
-                e0, c0, nxt, is_term = self._scan_fp(win, pos)
+        # the new fingerprint goes before the run's first larger remainder,
+        # or past its terminator, taking over the runend bit
+        at, rank, new_term, old_term = qt, 0, True, None
+        if self._get_bit(self.occ, qt):
+            for c, _, _, pos, rem_i, _, _, nxt, _ in self._run(qt):
                 if rem_i > rem:
-                    insert_rel = pos
+                    at, new_term = (c + pos) % n, False
                     break
-                if rem_i == rem:
-                    rank += 1
-                if is_term:
-                    insert_rel = nxt
-                    new_term = True
-                    break
-                pos = nxt
-            at = (c + insert_rel) % n
-            old_term_abs = (c + term_rem_rel) % n if new_term else None
+                rank += rem_i == rem
+            else:
+                at, old_term = (c + nxt) % n, (c + pos) % n
+        elif self._get_bit(self.used, qt):
+            c, _, pos = self._walk_to_run(qt)
+            at = (c + pos) % n
 
         for i, payload in enumerate(payloads):
             p = (at + i) % n
@@ -592,8 +588,8 @@ class SlotArray:
                 self._set_bit(self.ext, p)
                 if i > len(fp.ext):
                     self._set_bit(self.run, p)
-        if old_term_abs is not None:
-            self._clear_bit(self.run, old_term_abs)
+        if old_term is not None:
+            self._clear_bit(self.run, old_term)
         self._set_bit(self.occ, qt)
         self.fp_count += 1
         self.ext_slot_count += len(fp.ext)
@@ -603,25 +599,14 @@ class SlotArray:
     def _minirun(self, mid: int):
         """Yield (cluster, window, previous fp offset, fp offset, ext group
         offset, ctr offset, next) for each fingerprint of a minirun, in
-        rank order.  The previous fingerprint is the one before it in its
-        run, whatever its minirun, or None for the run's first."""
+        rank order: the fingerprints of _run with the minirun's
+        remainder."""
         qt, rem = unpack_minirun_id(mid, self.cfg.q)
-        if not self._get_bit(self.occ, qt):
-            return
-        c, win, pos = self._walk_to_run(qt)
-        n = self.nslots
-        vb = self.value_bits
-        prev = None
-        while True:
-            rem_i = int(self.slots[(c + pos) % n]) >> vb
+        for c, win, prev, pos, rem_i, e0, c0, nxt, _ in self._run(qt):
             if rem_i > rem:
                 return
-            e0, c0, nxt, is_term = self._scan_fp(win, pos)
             if rem_i == rem:
                 yield c, win, prev, pos, e0, c0, nxt
-            if is_term:
-                return
-            prev, pos = pos, nxt
 
     def _locate_fp(self, mid: int, rank: int) -> tuple[int, _Win, int | None, int, int, int, int]:
         """The rank-th fingerprint of a minirun as _minirun yields it.

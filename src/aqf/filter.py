@@ -4,9 +4,11 @@ Inserts write both structures.  Lookups walk the slot array alone until
 a fingerprint matches; only then is the map consulted to tell a true
 positive from a false one.  A false positive triggers adaptation: the
 matched fingerprint is extended with chunks of its owner's hash until it
-stops matching the offending query, and the loop re-runs in case another
-stored fingerprint still matches.  The map never changes during
-adaptation, which is what keeps it cheap.
+stops matching the offending query, and the walk goes on from the next
+rank in case another stored fingerprint matches.  The map never changes
+during adaptation, which is what keeps it cheap.  With adaptation off,
+or once an extension finds no room, the walk still goes on, so a stored
+key answers PRESENT whatever fingerprints of other keys precede its own.
 
 Once corrected, a query key stays corrected for as long as the filter is
 not mutated: extensions only ever narrow what a fingerprint matches.
@@ -224,13 +226,17 @@ class AdaptiveFilter:
     def lookup(self, key: int) -> tuple[LookupResult, bytes | None]:
         """Membership verdict plus the stored value on a true hit.
 
-        Negative answers never touch the reverse map.  A false positive
-        is adapted away (policy permitting) and the match is re-run, so
-        one call settles every stored fingerprint the query collides
-        with.  Adaptation is best effort: if the array is too full to
-        take another extension, or the streams agree past the policy
-        cap, the query degrades to an uncorrected FALSE_POSITIVE and
-        adaptation_failures is bumped.
+        Negative answers never touch the reverse map.  The matches of the
+        key's hash are read in rank order, each checked against the map:
+        the key's own fingerprint answers PRESENT with its value, and
+        another key's is adapted away (policy permitting) before the walk
+        goes on from the next rank, so one call settles every stored
+        fingerprint the query collides with.  Adaptation is best effort:
+        after the first failure (the array too full to take another
+        extension, or the streams agreeing past the policy cap)
+        adaptation_failures is bumped, once per call, and the call
+        adapts no more but keeps reading matches.  It answers PRESENT if
+        the key's own fingerprint turns up, else FALSE_POSITIVE.
         """
         key = _key(key)
         stream = HashStream(key, self.cfg.seed)
@@ -239,6 +245,8 @@ class AdaptiveFilter:
             return LookupResult.NOT_PRESENT, None
         qt, rem = split(stream, self.cfg)
         mid = pack_minirun_id(qt, rem, self.cfg.q)
+        adapting = self.policy.auto_adapt
+        verdict = LookupResult.FALSE_POSITIVE_CORRECTED
         while hit is not None:
             rank, _ = hit
             try:
@@ -249,15 +257,18 @@ class AdaptiveFilter:
                 ) from exc
             if owner == key:
                 return LookupResult.PRESENT, value
-            if not self.policy.auto_adapt:
-                return LookupResult.FALSE_POSITIVE, None
-            try:
-                self.adapt(mid, rank, owner, stream)
-            except (FilterFullError, AdaptationExhaustedError):
-                self.adaptation_failures += 1
-                return LookupResult.FALSE_POSITIVE, None
-            hit = self.arr.query_fp(stream)
-        return LookupResult.FALSE_POSITIVE_CORRECTED, None
+            if adapting:
+                try:
+                    self.adapt(mid, rank, owner, stream)
+                except (FilterFullError, AdaptationExhaustedError):
+                    self.adaptation_failures += 1
+                    adapting = False
+            if not adapting:
+                verdict = LookupResult.FALSE_POSITIVE
+            # extension only narrows matches: the ranks before this one
+            # still miss, and an adapted one now misses too
+            hit = self.arr.query_fp(stream, rank + 1)
+        return verdict, None
 
     def lookup_many(self, keys) -> list[tuple[LookupResult, bytes | None]]:
         """lookup() of each key in turn, as one batch.

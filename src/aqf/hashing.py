@@ -136,20 +136,6 @@ def extension_chunk(stream: HashStream, cfg: FilterConfig, i: int) -> int:
     return stream.bits(lo, cfg.r)
 
 
-def is_prefix(fp, stream: HashStream, cfg: FilterConfig) -> bool:
-    """True iff a stored fingerprint matches the leading bits of ``stream``.
-
-    ``fp`` needs ``quotient``, ``remainder`` and ``ext`` attributes; the
-    duplicate count is irrelevant here.
-    """
-    if split(stream, cfg) != (fp.quotient, fp.remainder):
-        return False
-    for i, chunk in enumerate(fp.ext):
-        if extension_chunk(stream, cfg, i) != chunk:
-            return False
-    return True
-
-
 def split_batch(keys: np.ndarray, cfg: FilterConfig) -> np.ndarray:
     """Packed ``(quotient << r) | remainder`` values for a uint64 key array."""
     word0 = hash_word_batch(keys, cfg.seed, 0)

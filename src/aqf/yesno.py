@@ -35,7 +35,9 @@ from .errors import (
     InvalidConfigError,
 )
 from .filter import AdaptiveFilter, LookupResult, Policy, _key, _key_array
-from .hashing import FilterConfig, HashStream, extension_chunk, split
+# extension_chunk is unused here but stays a module attribute: the
+# benchmark's tracer (perfbench/spans.py) wraps it
+from .hashing import FilterConfig, HashStream, extension_chunk, split  # noqa: F401
 from .setops import _build_rederived
 
 YES = 1
@@ -198,17 +200,17 @@ class YesNoFilter:
         qt, rem = split(stream, cfg)
         mid = pack_minirun_id(qt, rem, cfg.q)
         colliders = []
-        for rank in range(inner.map.list_size(mid)):
-            if inner.arr.get_value(mid, rank) == bit:
-                continue
-            owner, _ = inner.map.map_get(mid, rank)
-            if owner == key:
-                raise InvalidConfigError(
-                    f"key {key} is already stored with the opposite answer"
-                )
-            ext = inner.arr.get_ext(mid, rank)
-            if all(ch == extension_chunk(stream, cfg, i) for i, ch in enumerate(ext)):
+        hit = inner.arr.query_fp(stream)
+        while hit is not None:
+            rank, _ = hit
+            if inner.arr.get_value(mid, rank) != bit:
+                owner, _ = inner.map.map_get(mid, rank)
+                if owner == key:
+                    raise InvalidConfigError(
+                        f"key {key} is already stored with the opposite answer"
+                    )
                 colliders.append((rank, owner))
+            hit = inner.arr.query_fp(stream, rank + 1)
         # the insert takes one slot, or at most one counter digit
         need = 1 + sum(len(inner._adapt_chunks(mid, rank, owner, stream))
                        for rank, owner in colliders)

@@ -382,10 +382,13 @@ class PrefixModel:
     Since every stored fingerprint is a prefix of its owner's stream,
     filter state is fully described by how many bits of each owner are
     pinned down.  Miniruns keep insertion order, mirroring rank order.
+    With adapt off, lookups leave every entry as it is, as a filter
+    with auto_adapt off does.
     """
 
-    def __init__(self, q: int, r: int, seed: int):
+    def __init__(self, q: int, r: int, seed: int, adapt: bool = True):
         self.q, self.r, self.seed = q, r, seed
+        self.adapt = adapt
         self.miniruns: dict[tuple[int, int], list[list]] = {}
 
     def _entry_matches(self, entry: list, key: int) -> bool:
@@ -411,7 +414,8 @@ class PrefixModel:
     def lookup(self, key: int) -> str:
         """Adapting lookup: walk the minirun in rank order, growing each
         colliding entry in whole chunks until it no longer covers the
-        query, stopping early on an entry the query itself owns."""
+        query, stopping early on an entry the query itself owns.  With
+        adapt off a colliding entry stays and the walk goes on past it."""
         qr = ref_split(key, self.seed, self.q, self.r)
         outcome = "not_present"
         for entry in self.miniruns.get(qr, []):
@@ -419,6 +423,9 @@ class PrefixModel:
                 continue
             if entry[0] == key:
                 return "present"
+            if not self.adapt:
+                outcome = "false_positive"
+                continue
             nbits = entry[1]
             while bit_text(entry[0], self.seed, nbits) == bit_text(key, self.seed, nbits):
                 nbits += self.r

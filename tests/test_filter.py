@@ -284,6 +284,50 @@ class TestDegradation:
         assert (f.adaptations, f.adaptation_failures) == (1, 2)
 
 
+class TestStoredKeysArePresent:
+    """A stored key answers PRESENT with its value even when fingerprints
+    of other keys that lookup cannot adapt away come first in its
+    minirun: 2-bit remainders put many keys in one minirun."""
+
+    KEYS = np.random.default_rng(0).choice(1 << 40, size=400, replace=False).tolist()
+
+    def test_without_adaptation(self):
+        f = AdaptiveFilter(FilterConfig(q=8, r=2, seed=0), policy=Policy(auto_adapt=False))
+        keys = self.KEYS[:200]
+        for k in keys:
+            f.insert(k, value=k.to_bytes(8, "little"))
+        reads = f.map_accesses
+        assert [f.lookup(k) for k in keys] == [(PRESENT, k.to_bytes(8, "little")) for k in keys]
+        # some keys read other keys' entries before their own
+        assert f.map_accesses - reads > len(keys)
+        assert (f.adaptations, f.adaptation_failures) == (0, 0)
+
+    def test_at_the_load_cap(self):
+        f = AdaptiveFilter(FilterConfig(q=8, r=2, seed=1))
+        keys = []
+        for k in self.KEYS:
+            try:
+                f.insert(k, value=k.to_bytes(8, "little"))
+            except FilterFullError:
+                break
+            keys.append(k)
+        assert not f.arr.has_room(1)
+        # per call: (verdict, value, failures added, map entries read)
+        calls = []
+        for k in keys:
+            failures, reads = f.adaptation_failures, f.map_accesses
+            verdict, value = f.lookup(k)
+            calls.append((verdict, value, f.adaptation_failures - failures,
+                          f.map_accesses - reads))
+        assert [c[:2] for c in calls] == [(PRESENT, k.to_bytes(8, "little")) for k in keys]
+        assert f.adaptations == 0
+        assert f.adaptation_failures == sum(c[2] for c in calls) > 0
+        # a call that met two other keys' fingerprints counts one failure
+        assert max(c[2] for c in calls) == 1
+        assert any(c[2:] == (1, 3) for c in calls)
+        f.check_consistency()
+
+
 class TestDelete:
     CFG = FilterConfig(q=8, r=4, seed=59)
 

@@ -4,7 +4,6 @@ string extractor in oracles.py."""
 import numpy as np
 import pytest
 
-from aqf.core import Fingerprint
 from aqf.errors import InvalidConfigError
 from aqf.hashing import (
     FilterConfig,
@@ -13,12 +12,11 @@ from aqf.hashing import (
     extension_chunk_batch,
     hash_word,
     hash_word_batch,
-    is_prefix,
     split,
     split_batch,
 )
 
-from oracles import bit_text, ref_chunk, ref_split, ref_word
+from oracles import ref_chunk, ref_split, ref_word
 
 
 def fixed_stream(*words) -> HashStream:
@@ -151,29 +149,6 @@ class TestExtensionChunk:
             for i in range(12):
                 want = [ref_chunk(int(k), 9, q, r, i) for k in keys]
                 assert extension_chunk_batch(keys, cfg, i).tolist() == want
-
-
-class TestIsPrefix:
-    def test_baseline_match(self):
-        cfg = FilterConfig(q=8, r=9, seed=2)
-        s = HashStream(424242, 2)
-        qt, rem = split(s, cfg)
-        assert is_prefix(Fingerprint(qt, rem), s, cfg)
-        assert not is_prefix(Fingerprint(qt, rem ^ 1), s, cfg)
-        assert not is_prefix(Fingerprint(qt ^ 1, rem), s, cfg)
-
-    def test_extended_fingerprint_agrees_with_string_compare(self):
-        cfg = FilterConfig(q=8, r=4, seed=9)
-        base = 777
-        bs = HashStream(base, 9)
-        qt, rem = split(bs, cfg)
-        fp = Fingerprint(qt, rem, ext=(extension_chunk(bs, cfg, 0), extension_chunk(bs, cfg, 1)))
-        prefix = bit_text(base, 9, 8 + 4 + 2 * 4)
-        rng = np.random.default_rng(25)
-        keys = [base] + [int(k) for k in rng.integers(0, 1 << 64, size=1000, dtype=np.uint64)]
-        for key in keys:
-            expect = bit_text(key, 9, len(prefix)) == prefix
-            assert is_prefix(fp, HashStream(key, 9), cfg) == expect
 
 
 class TestFilterConfig:

@@ -245,6 +245,34 @@ def test_nearly_full_filter_degrades_the_same_way():
     assert state(a) == state(b)
 
 
+@pytest.mark.parametrize("auto_adapt", [False, True])
+def test_stored_keys_behind_unadaptable_matches(auto_adapt):
+    """Without adaptation, or with it at the load cap, a stored key's own
+    fingerprint can sit behind others it matches; the batch still equals
+    the scalar loop, and every stored key answers PRESENT."""
+    fs = []
+    for _ in range(2):
+        f = AdaptiveFilter(SMALL, policy=Policy(auto_adapt=auto_adapt))
+        stored = []
+        for k in range(200):
+            try:
+                f.insert(k, value=k.to_bytes(8, "little"))
+            except FilterFullError:
+                break
+            stored.append(k)
+        fs.append(f)
+    a, b = fs
+    assert not a.arr.has_room(1)
+    probes = stored + list(range(1000, 1200)) + stored[::3]
+    want = scalar(a, probes)
+    assert b.lookup_many(probes) == want
+    assert want[:len(stored)] == [(LookupResult.PRESENT, k.to_bytes(8, "little"))
+                                  for k in stored]
+    assert LookupResult.FALSE_POSITIVE in {v for v, _ in want}
+    assert (a.adaptation_failures > 0) == auto_adapt
+    assert state(a) == state(b)
+
+
 @pytest.mark.parametrize("bad", [[-1], [1 << 64], [3, -7], np.array([4, -2]),
                                  [1.5], ["7"], np.array([[1, 2]], dtype=np.uint64)])
 def test_rejects_keys_outside_u64(bad):

@@ -3,9 +3,12 @@ inserts, deletes, lookups and reloads, and the dynamic yes/no filter
 under any sequence of its updates, queries and reloads.
 
 At q=3..6 clusters wrap the seam, counters and extensions compete for
-slots and inserts run into the load cap.  After every step: no stored
-key is missed, the table's positives are exactly the model's over a
-probe universe, a key answered FALSE_POSITIVE_CORRECTED answers
+slots and inserts run into the load cap.  The filter machine runs with
+adaptation on and, as the traditional filter the paper measures
+against, off.  Every lookup of a stored key answers PRESENT with its
+value, also when an extension found no room.  After every step: no
+stored key is missed, the table's positives are exactly the model's
+over a probe universe, a key answered FALSE_POSITIVE_CORRECTED answers
 NOT_PRESENT until the next insert or delete, and check_consistency()
 passes.  For the yes/no filter, every stored key answers its own class.
 A refused mutation leaves the snapshot bytes as they were, and a reload
@@ -31,7 +34,7 @@ from hypothesis.stateful import (
 
 from aqf.core import pack_minirun_id
 from aqf.errors import FilterFullError, InvalidConfigError, NotFoundError
-from aqf.filter import AdaptiveFilter, LookupResult
+from aqf.filter import AdaptiveFilter, LookupResult, Policy
 from aqf.hashing import FilterConfig
 from aqf.yesno import NO, YES, YesNoFilter, YesNoParams
 
@@ -44,6 +47,11 @@ PROBES = np.arange(600, dtype=np.uint64)
 PROBE = st.integers(0, len(PROBES) - 1)
 
 
+def value_of(key):
+    """The value stored with key."""
+    return key.to_bytes(2, "little")
+
+
 class FilterMachine(RuleBasedStateMachine):
     """AdaptiveFilter against oracles.PrefixModel.
 
@@ -52,11 +60,13 @@ class FilterMachine(RuleBasedStateMachine):
     goes, as the filter's counter does.
     """
 
+    AUTO_ADAPT = True
+
     @initialize(q=st.integers(3, 6), r=st.integers(2, 5), seed=st.integers(0, 1 << 16))
     def start(self, q, r, seed):
         self.cfg = FilterConfig(q=q, r=r, seed=seed)
-        self.f = AdaptiveFilter(self.cfg)
-        self.model = PrefixModel(q, r, seed)
+        self.f = AdaptiveFilter(self.cfg, policy=Policy(auto_adapt=self.AUTO_ADAPT))
+        self.model = PrefixModel(q, r, seed, adapt=self.AUTO_ADAPT)
         # id() of a model entry -> copies folded into it by dedupe
         self.extra: dict[int, int] = {}
         self.corrected: set[int] = set()
@@ -72,7 +82,7 @@ class FilterMachine(RuleBasedStateMachine):
 
     def resync(self):
         """Take every entry's length from the table, after a lookup that
-        stopped part-way because an extension found no room."""
+        stopped adapting because an extension found no room."""
         q, r = self.cfg.q, self.cfg.r
         for (qt, rem), lst in self.model.miniruns.items():
             mid = pack_minirun_id(qt, rem, q)
@@ -85,7 +95,7 @@ class FilterMachine(RuleBasedStateMachine):
         for key in keys:
             before = self.f.to_bytes()
             try:
-                self.f.insert(key)
+                self.f.insert(key, value=value_of(key))
             except FilterFullError:
                 assert self.f.to_bytes() == before
                 return
@@ -124,26 +134,42 @@ class FilterMachine(RuleBasedStateMachine):
             self.f.delete(key)
         assert self.f.to_bytes() == before
 
-    @rule(i=PROBE)
-    def lookup(self, i):
-        key = int(PROBES[i])
+    def check_lookup(self, key):
+        """lookup(key) against the model.  A lookup whose extension found
+        no room counts one failure, adapts no further and answers PRESENT
+        for a stored key, FALSE_POSITIVE for any other."""
         failures = self.f.adaptation_failures
-        verdict, _ = self.f.lookup(key)
-        if verdict is LookupResult.FALSE_POSITIVE:
+        got = self.f.lookup(key)
+        if self.f.adaptation_failures != failures:
             assert self.f.adaptation_failures == failures + 1
             self.resync()
-            return
-        assert verdict.value == self.model.lookup(key)
-        if verdict is LookupResult.FALSE_POSITIVE_CORRECTED:
+            verdict = "present" if self.entry(key)[1] is not None else "false_positive"
+        else:
+            verdict = self.model.lookup(key)
+        assert got == (LookupResult(verdict), value_of(key) if verdict == "present" else None)
+        if verdict == "false_positive_corrected":
             self.corrected.add(key)
+
+    @rule(i=PROBE)
+    def lookup(self, i):
+        self.check_lookup(int(PROBES[i]))
+
+    @rule()
+    def lookup_stored(self):
+        for key in self.model.keys():
+            self.check_lookup(key)
 
     @rule(picks=st.lists(PROBE, max_size=12))
     def lookup_many(self, picks):
         keys = [int(PROBES[i]) for i in picks]
         failures = self.f.adaptation_failures
-        verdicts = [v for v, _ in self.f.lookup_many(keys)]
+        got = self.f.lookup_many(keys)
+        verdicts = [v for v, _ in got]
         self.corrected.update(k for k, v in zip(keys, verdicts)
                               if v is LookupResult.FALSE_POSITIVE_CORRECTED)
+        for k, answer in zip(keys, got):
+            if self.entry(k)[1] is not None:
+                assert answer == (LookupResult.PRESENT, value_of(k))
         if self.f.adaptation_failures != failures:
             self.resync()
             return
@@ -171,6 +197,17 @@ class FilterMachine(RuleBasedStateMachine):
 
 def test_filter_machine():
     run_state_machine_as_test(FilterMachine, settings=settings(
+        max_examples=80, stateful_step_count=40, deadline=None))
+
+
+class NoAdaptFilterMachine(FilterMachine):
+    """The filter machine with auto_adapt off."""
+
+    AUTO_ADAPT = False
+
+
+def test_filter_machine_without_adaptation():
+    run_state_machine_as_test(NoAdaptFilterMachine, settings=settings(
         max_examples=80, stateful_step_count=40, deadline=None))
 
 
