@@ -37,11 +37,13 @@ minirun's survivors and shrinking counters close them
 (``SlotArray._close_span``), moving each later run left by no more than
 its distance from its canonical slot.  Whole-table work goes through two
 helpers: ``SlotArray._columns`` decodes the table into numpy columns
-(quotient, remainder, value, extension and counter-digit spans) for the
-bulk index, consistency checks and merge, and
-``SlotArray._lay_out`` writes such columns over a table, placing every
-run with one cumulative max, for merge and bulk load.  Both scalar edits
-leave the layout that ``_lay_out`` would write.
+(quotient, remainder, value, extension and counter-digit spans), one row
+per fingerprint in hash order (by quotient, then remainder, then rank),
+for the bulk index, consistency checks, snapshot loading, merge and
+rebuild; it is the only code that knows the stored runs are a rotation
+of that order.  ``SlotArray._lay_out`` writes such columns over a table,
+placing every run with one cumulative max, for merge, rebuild and bulk
+load.  Both scalar edits leave the layout that ``_lay_out`` would write.
 
 Snapshot (version 2).  Only the occupied, runend and extension vectors
 and the payloads are written, with a header that names the first unused
@@ -61,6 +63,7 @@ import numpy as np
 from .errors import (
     FilterFullError,
     FormatError,
+    InvalidConfigError,
     NotFoundError,
     StateCorruptionError,
 )
@@ -68,6 +71,7 @@ from .hashing import (
     MASK64,
     FilterConfig,
     HashStream,
+    as_index,
     extension_chunk,
     extension_chunk_batch,
     split,
@@ -156,7 +160,8 @@ def _ranges(off: np.ndarray, length: np.ndarray) -> np.ndarray:
 
 
 class _Cols(NamedTuple):
-    """Per-fingerprint columns, one row per fingerprint in filter order.
+    """Per-fingerprint columns, one row per fingerprint; _columns hands
+    them out in hash order, and _lay_out takes them so.
 
     A fingerprint's extension chunks are chunks[ext_off:ext_off+ext_len]
     and its counter digits the ctr_len entries right after them.
@@ -194,11 +199,6 @@ class _Cols(NamedTuple):
     def packed(self, r: int) -> np.ndarray:
         """(quotient << r) | remainder: the hash order of each row."""
         return (self.quot.astype(np.uint64) << np.uint64(r)) | self.rem
-
-    def hash_order(self, r: int) -> np.ndarray:
-        """Row indices sorted into hash order, each minirun's rows kept in
-        rank order: the order of the reverse map's rows."""
-        return np.argsort(self.packed(r), kind="stable")
 
     def mids(self, q: int) -> np.ndarray:
         """Minirun id of each row (see pack_minirun_id)."""
@@ -286,8 +286,9 @@ class SlotArray:
     """Physical quotient-filter table; all indices are slot numbers mod 2**q."""
 
     def __init__(self, cfg: FilterConfig, value_bits: int = 0):
+        value_bits = as_index(value_bits, "value_bits")
         if value_bits < 0 or cfg.r + value_bits > 63:
-            raise ValueError("value_bits out of range")
+            raise InvalidConfigError(f"value_bits {value_bits} out of range [0, {63 - cfg.r}]")
         self.cfg = cfg
         self.value_bits = value_bits
         self.slot_bits = cfg.r + value_bits
@@ -359,33 +360,21 @@ class SlotArray:
         out = block.to_bytes(len(values) * step >> 3, "little")
         rows[:, w0:w1] = np.frombuffer(out, dtype=np.uint64).reshape(len(values), -1)
 
-    def _segments(self, start: int, length: int) -> list[tuple[int, int, int]]:
-        """Slots [start, start+length) circularly, as at most two linear
-        pieces (a, b, o): slots a..b-1, which begin o slots into the range."""
-        end = start + length
-        if end <= self.nslots:
-            return [(start, end, 0)]
-        return [(start, self.nslots, 0), (0, end - self.nslots, self.nslots - start)]
+    def _unpack(self, start: int) -> np.ndarray:
+        """Metadata bits of every slot, read circularly from slot start: a
+        (4, nslots) bool array with rows used, run, ext, occ."""
+        n = self.nslots
+        bits = np.unpackbits(self._meta.view(np.uint8), axis=1, bitorder="little")
+        return np.concatenate([bits[:, start:n], bits[:, :start]], axis=1).view(bool)
 
-    def _load_bits(self, start: int, length: int) -> np.ndarray:
-        """Metadata bits of slots [start, start+length) circularly, as a
-        (4, length) bool array with rows used, run, ext, occ."""
-        parts = []
-        for a, b, _ in self._segments(start, length):
-            w = a >> 6
-            words = self._meta[:, w : (b + 63) >> 6].view(np.uint8)
-            bits = np.unpackbits(words, axis=1, bitorder="little")
-            parts.append(bits[:, a - (w << 6) : b - (w << 6)])
-        return np.concatenate(parts, axis=1).view(bool)
-
-    def _store_bits(self, start: int, bits: np.ndarray) -> None:
-        """Overwrite the metadata bits of slots [start, start+length)
-        circularly with a (4, length) array laid out as _load_bits'."""
-        for a, b, o in self._segments(start, bits.shape[1]):
-            w0, w1 = a >> 6, (b + 63) >> 6
-            cur = np.unpackbits(self._meta[:, w0:w1].view(np.uint8), axis=1, bitorder="little")
-            cur[:, a - (w0 << 6) : b - (w0 << 6)] = bits[:, o : o + b - a]
-            self._meta[:, w0:w1] = np.packbits(cur, axis=1, bitorder="little").view(np.uint64)
+    def _pack(self, bits: np.ndarray, start: int) -> None:
+        """Overwrite the leading rows of the word matrix with bits laid out
+        as _unpack(start)'s: all four rows, or only the used bits."""
+        n = self.nslots
+        flat = np.zeros((len(bits), self.nwords << 6), dtype=bool)
+        flat[:, start:n] = bits[:, : n - start]
+        flat[:, :start] = bits[:, n - start :]
+        self._meta[: len(bits)] = np.packbits(flat, axis=1, bitorder="little").view(np.uint64)
 
     def _nearest_unused(self, pos: int, step: int) -> int | None:
         """The first unused slot met walking circularly from ``pos``, itself
@@ -651,7 +640,7 @@ class SlotArray:
         slots behind the digits it keeps, shrinkage closes the gap the
         dropped digits leave (see _close_span)."""
         if count < 1:
-            raise ValueError("count must be at least 1")
+            raise InvalidConfigError("count must be at least 1")
         c, win, _, pos, e0, c0, nxt = self._locate_fp(mid, rank)
         digits = _count_digits(count, self.cfg.r)
         have = nxt - c0
@@ -779,46 +768,53 @@ class SlotArray:
     # columnar decode and layout
 
     def _columns(self) -> _Cols:
-        """Decode the whole table, read from just past its first unused
-        slot, where no cluster can straddle the ends of the range.  Rows
-        come in storage order: by quotient from the range start, then
-        remainder, then minirun rank.  A remainder slot is a used slot
-        without the extension bit; the k-th of them with runend set ends
-        the k-th run, whose quotient is the k-th occupied slot of the
-        range.  A fingerprint's other slots follow its remainder slot:
-        extension chunks (extension bit only), then counter digits
-        (both bits).
+        """Decode the whole table into rows in hash order: by quotient,
+        then remainder, then minirun rank.  That is the order of the
+        reverse map's rows and the order _lay_out takes.
+
+        The table is read circularly from the first slot of the run of
+        its smallest occupied quotient, so that the runs come in quotient
+        order: the k-th run belongs to the k-th occupied quotient.  A
+        remainder slot is a used slot without the extension bit; the k-th
+        of them with runend set ends the k-th run.  A fingerprint's other
+        slots follow its remainder slot: extension chunks (extension bit
+        only), then counter digits (both bits).
         """
         n, vb = self.nslots, self.value_bits
-        start = (self._find_first_unused(0) + 1) % n
-        used, run, ext, occ = self._load_bits(start, n)
+        Q = np.flatnonzero(np.unpackbits(self.occ.view(np.uint8), bitorder="little")[:n].view(bool))
+        start = 0
+        if len(Q):
+            c, _, at = self._walk_to_run(int(Q[0]))
+            start = (c + at) % n
+        used, run, ext, _ = self._unpack(start)
         pay = np.concatenate([self.slots[start:], self.slots[:start]])
         R = np.flatnonzero(used & ~ext)
-        Q = np.flatnonzero(occ)
         ends_run = run[R]
-        run_of = np.cumsum(ends_run) - ends_run  # terminators before each row
+        run_of = np.cumsum(ends_run)
+        run_of -= ends_run  # terminators before each row
         tails = np.flatnonzero(used & ext)
         owner = np.searchsorted(R, tails, side="right") - 1
         if ends_run.sum() != len(Q) or (R.size and not ends_run[-1]) or (owner < 0).any():
             raise StateCorruptionError("runs and occupied quotients do not pair up")
         ctr_len = np.bincount(owner[run[tails]], minlength=len(R))
-        head = pay[R]
-        return _Cols(
-            quot=(Q[run_of] + start) % n,
-            rem=head >> np.uint64(vb),
-            value=head & np.uint64((1 << vb) - 1),
-            ext_off=R + 1,
-            ext_len=np.bincount(owner, minlength=len(R)) - ctr_len,
-            ctr_len=ctr_len,
-            chunks=pay >> np.uint64(vb),
-        )
+        ext_len = np.bincount(owner, minlength=len(R))
+        ext_len -= ctr_len
+        # the last columns are made in place of the arrays they come
+        # from, so that the decode holds fewer whole-table temporaries
+        value = pay[R]
+        rem = value >> np.uint64(vb)
+        value &= np.uint64((1 << vb) - 1)
+        R += 1  # the extension offsets
+        pay >>= np.uint64(vb)  # the chunks
+        return _Cols(quot=Q[run_of], rem=rem, value=value, ext_off=R, ext_len=ext_len,
+                     ctr_len=ctr_len, chunks=pay)
 
     def _lay_out(self, cols: _Cols) -> None:
         """Write fingerprints over the whole table, replacing whatever it
         held, and set the slot counters to match.
 
-        ``cols`` lists the fingerprints in run order: quotients never
-        decrease.  Each run starts at the larger of its canonical slot and
+        ``cols`` lists the fingerprints in hash order, as _columns hands
+        them out.  Each run starts at the larger of its canonical slot and
         the end of the run before it (the counting quotient filter's
         placement), so with P the slots taken by the fingerprints before
         row i, row i lands at P[i] + max over j <= i of (quotient j - P[j]):
@@ -855,7 +851,7 @@ class SlotArray:
         bits[1, slot[before[last]]] = True
         bits[2, slot[tail]] = True
         bits[3, cols.quot[last]] = True
-        self._store_bits(0, bits)
+        self._pack(bits, 0)
         self.slots[:] = 0
         self.slots[slot[before]] = (cols.rem << np.uint64(vb)) | cols.value
         self.slots[slot[tail]] = cols.chunks[(cols.ext_off[row] + inrow - 1)[tail]] << np.uint64(vb)
@@ -1007,8 +1003,7 @@ class SlotArray:
         if expect_used > (_LOAD_NUM * n) // _LOAD_DEN:
             raise FormatError("used-slot count exceeds the load limit")
         rot = (anchor + 1) % n
-        bits = self._load_bits(rot, n)
-        used, run, ext, occ = bits
+        _, run, ext, occ = self._unpack(rot)
         Q = np.flatnonzero(occ)
         T = np.flatnonzero(run & ~ext)
         if len(T) != len(Q):
@@ -1025,10 +1020,11 @@ class SlotArray:
             )
         if len(end) and end[-1] == n:
             raise FormatError("anchor slot decoded as used")
-        used[_ranges(start, end - start)] = True
-        if ((run | ext) & ~used).any():
+        used = np.zeros((1, n), dtype=bool)
+        used[0, _ranges(start, end - start)] = True
+        self._pack(used, rot)
+        if ((self.run | self.ext) & ~self.used).any():
             raise FormatError("runend or extension bit on an unused slot")
-        self._store_bits(rot, bits)
         self.used_count = total
         self.fp_count = int(np.bitwise_count(self.used & ~self.ext).sum())
         self.ext_slot_count = int(np.bitwise_count(self.ext & ~self.run).sum())
@@ -1060,12 +1056,10 @@ class FrozenIndex:
         self.cfg = arr.cfg
         cols = arr._columns()
         packed = cols.packed(arr.cfg.r)
-        order = np.argsort(packed, kind="stable")
-        ps = packed[order]
-        he = (cols.ext_len[order] > 0).astype(np.uint8)
-        starts = np.flatnonzero(np.diff(ps, prepend=~ps[:1]))
-        self.base = ps[starts]
-        self.all_ext = np.minimum.reduceat(he, starts).astype(bool)
+        starts = np.flatnonzero(np.diff(packed, prepend=~packed[:1]))
+        self.base = packed[starts]
+        self.all_ext = np.minimum.reduceat((cols.ext_len > 0).astype(np.uint8),
+                                           starts).astype(bool)
         counts = np.bincount((self.base >> np.uint64(arr.cfg.r)).astype(np.intp),
                              minlength=arr.nslots)
         dtype = np.int32 if self.base.size < 1 << 31 else np.int64
@@ -1073,7 +1067,7 @@ class FrozenIndex:
         np.cumsum(counts, out=self.dir[1:])
         # every fingerprint of an all-extended pair, sorted by pair,
         # chunks zero-padded to the longest extension
-        cand = order[np.isin(ps, self.base[self.all_ext])]
+        cand = np.flatnonzero(np.repeat(self.all_ext, np.diff(starts, append=len(packed))))
         self.cand_packed = packed[cand]
         self.cand_len = cols.ext_len[cand]
         width = int(self.cand_len.max()) if cand.size else 0

@@ -49,6 +49,7 @@ from .hashing import (
     MASK64,
     FilterConfig,
     HashStream,
+    as_index,
     extension_chunk,
     extension_chunk_batch,
     split,
@@ -84,6 +85,7 @@ class Policy:
     shorten_on_delete: bool = False
 
     def __post_init__(self):
+        as_index(self.max_extensions, "max_extensions")
         if not 1 <= self.max_extensions <= 255:
             raise InvalidConfigError(
                 f"max_extensions {self.max_extensions} out of range [1, 255]"
@@ -352,7 +354,6 @@ class AdaptiveFilter:
         """
         cfg = self.cfg
         cols = self.arr._columns()
-        cols = cols.take(cols.hash_order(cfg.r))
         mids = cols.mids(cfg.q)
         opens = np.ones(len(mids), dtype=bool)
         opens[1:] = mids[1:] != mids[:-1]
@@ -440,9 +441,7 @@ class AdaptiveFilter:
             )
         map_blob = rd.section()
         rd.done()
-        cols = arr._columns()
-        revmap = ReverseMap.from_bytes(map_blob, arr.cfg.q,
-                                       cols.mids(arr.cfg.q)[cols.hash_order(arr.cfg.r)])
+        revmap = ReverseMap.from_bytes(map_blob, arr.cfg.q, arr._columns().mids(arr.cfg.q))
         return cls._from_parts(arr, revmap, policy, *counters)
 
     def save(self, path) -> None:

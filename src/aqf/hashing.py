@@ -16,6 +16,7 @@ and the finalizer provides both.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,6 +62,15 @@ def hash_word_batch(keys: np.ndarray, seed: int, index: int = 0) -> np.ndarray:
     return z
 
 
+def as_index(value, name: str) -> int:
+    """value as an int, as operator.index takes it; InvalidConfigError
+    for anything else."""
+    try:
+        return operator.index(value)
+    except TypeError as exc:
+        raise InvalidConfigError(f"{name} must be an int, got {value!r}") from exc
+
+
 @dataclass(frozen=True)
 class FilterConfig:
     """Geometry of a filter: 2**q slots of r-bit remainders, one hash seed."""
@@ -70,6 +80,8 @@ class FilterConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("q", "r", "seed"):
+            as_index(getattr(self, name), name)
         if not (1 <= self.q <= 56):
             raise InvalidConfigError(f"q must be in [1, 56], got {self.q}")
         if not (1 <= self.r <= 56):
@@ -131,7 +143,7 @@ def split(stream: HashStream, cfg: FilterConfig) -> tuple[int, int]:
 def extension_chunk(stream: HashStream, cfg: FilterConfig, i: int) -> int:
     """The i-th r-bit adaptation chunk, drawn after the baseline prefix."""
     if i < 0:
-        raise ValueError("chunk index must be non-negative")
+        raise InvalidConfigError("chunk index must be non-negative")
     lo = cfg.q + cfg.r + i * cfg.r
     return stream.bits(lo, cfg.r)
 
@@ -145,7 +157,7 @@ def split_batch(keys: np.ndarray, cfg: FilterConfig) -> np.ndarray:
 def extension_chunk_batch(keys: np.ndarray, cfg: FilterConfig, i: int) -> np.ndarray:
     """Vectorized :func:`extension_chunk` over a uint64 key array."""
     if i < 0:
-        raise ValueError("chunk index must be non-negative")
+        raise InvalidConfigError("chunk index must be non-negative")
     lo = cfg.q + cfg.r + i * cfg.r
     hi = lo + cfg.r
     w0, w1 = lo >> 6, (hi - 1) >> 6

@@ -26,10 +26,12 @@ values takes about 20 bytes per key at q=20: 16 in the two columns, the
 rest in the directory.
 
 Whole-map passes move the map as columns.  ``_columns()`` hands out the
-ids, list lengths, keys and values in hash order; the filter's
-consistency check, merge and rebuild read it.  ``_from_columns()``
-stores hash-ordered rows as the base; bulk load, merge and rebuild build
-their maps with it.
+ids, list lengths, keys and values in hash order, the row order of the
+slot array's ``_columns()``, so the two pair row by row: the filter's
+consistency check reads it, and merge and rebuild read it through
+``setops._key_columns``.  ``_from_columns()`` stores hash-ordered rows
+as the base; bulk load, merge and rebuild build their maps with it, and
+no map is built by joining two maps.
 
 The snapshot (version 2) is the key column in hash order, plus a length
 column and the value bytes only when some value is stored, and a CRC32
@@ -48,7 +50,6 @@ import numpy as np
 
 from .core import _ranges
 from .errors import (
-    ConfigMismatchError,
     FormatError,
     InvalidConfigError,
     NotFoundError,
@@ -189,17 +190,12 @@ class ReverseMap:
                 raise NotFoundError(f"minirun {mid} has no entry at rank {rank}")
             self.accesses += 1
             return lst[rank]
-        b = (mid & self._qmask) >> self._qshift
-        midv, dv = self._midv, self._dirv
-        row, end = dv[b], dv[b + 1]
-        while row < end and midv[row] != mid:
-            row += 1
-        row += rank
-        if rank >= 0 and row < end and midv[row] == mid:
-            self.accesses += 1
-            values = self._values
-            return self._keyv[row], None if values is None else values[row]
-        raise NotFoundError(f"minirun {mid} has no entry at rank {rank}")
+        lo, hi = self._span(mid)
+        if not 0 <= rank < hi - lo:
+            raise NotFoundError(f"minirun {mid} has no entry at rank {rank}")
+        self.accesses += 1
+        values = self._values
+        return self._keyv[lo + rank], None if values is None else values[lo + rank]
 
     def map_remove(self, mid: int, rank: int) -> tuple[int, bytes | None]:
         """Remove and return the entry at rank; empty ids are dropped."""
@@ -221,16 +217,11 @@ class ReverseMap:
                 if k == key:
                     return rank
             return None
-        b = (mid & self._qmask) >> self._qshift
-        midv, dv, keyv = self._midv, self._dirv, self._keyv
-        lo, end = dv[b], dv[b + 1]
-        while lo < end and midv[lo] != mid:
-            lo += 1
-        row = lo
-        while row < end and midv[row] == mid:
+        lo, hi = self._span(mid)
+        keyv = self._keyv
+        for row in range(lo, hi):
             if keyv[row] == key:
                 return row - lo
-            row += 1
         return None
 
     def list_size(self, mid: int) -> int:
@@ -239,20 +230,6 @@ class ReverseMap:
             return len(lst)
         lo, hi = self._span(mid)
         return hi - lo
-
-    def map_concat(self, other: "ReverseMap") -> "ReverseMap":
-        """New map holding self's lists with other's appended per id."""
-        if self.qbits != other.qbits:
-            raise ConfigMismatchError(
-                f"cannot concat maps with qbits {self.qbits} and {other.qbits}"
-            )
-        (ma, ka, va), (mb, kb, vb) = self._merged(), other._merged()
-        out = ReverseMap(self.qbits)
-        # the stable sort keeps self's rows ahead of other's on shared ids
-        out._set_base(*_sort_rows(self.qbits, np.concatenate([ma, mb]),
-                                  np.concatenate([ka, kb]),
-                                  _join_values((va, len(ma)), (vb, len(mb)))))
-        return out
 
     @property
     def key_count(self) -> int:

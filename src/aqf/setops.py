@@ -8,11 +8,14 @@ so nothing ever shifts.  A cluster running past the top of the array
 wraps; the writer feeds the wrapped tail back in as a floor for the
 first runs until it stops changing.  Load stays capped at 19/20, so a
 free slot always breaks the chase and the fixpoint is the same layout
-sequential insertion would have produced (pinned by tests).  Merge reads
-its inputs with the matching columnar decoder, ``SlotArray._columns``.
-The reverse map goes the same way: merge and rebuild read their inputs'
-maps with ``ReverseMap._columns``, and every output map is built in one
-pass over hash-ordered rows by ``ReverseMap._from_columns``.
+sequential insertion would have produced (pinned by tests).
+
+Merge and rebuild take one path, ``_build_rederived``: they read their
+inputs' tables and maps as columns in hash order
+(``SlotArray._columns`` and ``ReverseMap._columns``), which pair row by
+row, re-derive every fingerprint from its key under the output config,
+and place the result.  Every output map is built in one pass over
+hash-ordered rows by ``ReverseMap._from_columns``.
 """
 
 from __future__ import annotations
@@ -94,30 +97,26 @@ def bulk_load(items, cfg: FilterConfig, policy: Policy | None = None,
 
 
 def _key_columns(f: AdaptiveFilter) -> tuple[_Cols, np.ndarray, list]:
-    """f's slot columns, in filter order, with each row's key and value.
+    """f's slot columns with each row's key and value.
 
-    The map's columns come in hash order.  Filter order is hash order
-    rotated to start past the first unused slot, and a stable sort by
-    hash order keeps minirun rank order, which map lists mirror
-    (check_consistency() proves that), so one permutation pairs them.
+    Both the table's columns and the map's come in hash order, ties in
+    rank order, which map lists mirror (check_consistency() proves
+    that), so row i of one is row i of the other.
     """
-    cols = f.arr._columns()
-    back = np.empty(len(cols.quot), dtype=np.int64)
-    back[cols.hash_order(f.cfg.r)] = np.arange(len(back))
     _, _, keys, values = f.map._columns()
-    return cols, keys[back], list(map(values.__getitem__, back.tolist()))
+    return f.arr._columns(), keys, values
 
 
 def _build_rederived(cols: _Cols, keys: np.ndarray, values: list, cfg: FilterConfig,
                      policy: Policy, value_bits: int, keep_ext: bool) -> AdaptiveFilter:
     """Re-derive fingerprints from keys under cfg and place them.
 
-    cols are the keys' rows in their old filter, in filter order; tags
-    and counter digits (cfg keeps r) carry over.  keep_ext re-derives
-    each fingerprint's extension chunks at their prior length from the
-    key's own hash, so corrections carry over; otherwise extensions are
-    dropped and everything reverts to baseline.  Rows whose fingerprints
-    tie keep their order as rank order.
+    cols hold one row per key, whose tag and counter digits carry over
+    (cfg keeps r).  keep_ext re-derives each fingerprint's extension
+    chunks at their prior length from the key's own hash, so corrections
+    carry over; otherwise extensions are dropped and everything reverts
+    to baseline.  Rows whose fingerprints tie under cfg keep their order
+    as rank order.
     """
     packed = split_batch(keys, cfg)
     order = np.argsort(packed, kind="stable")
@@ -144,13 +143,13 @@ def _build_rederived(cols: _Cols, keys: np.ndarray, values: list, cfg: FilterCon
 def merge(a: AdaptiveFilter, b: AdaptiveFilter) -> AdaptiveFilter:
     """Combine two filters built under the same (q, r, seed).
 
-    When both fit, both tables' columns are concatenated and stably
-    sorted into fingerprint order, so a's entries come ahead of b's for
-    shared minirun ids; extensions and counts are kept verbatim.  When
-    the union would pass 90% load, the output takes one more quotient
-    bit; fingerprints are re-derived from the keys (the shared seed
-    makes the streams agree), extension lengths preserved so prior
-    corrections keep holding.
+    Fingerprints are re-derived from both filters' keys, a's rows ahead
+    of b's, and placed in one pass, so a's entries come ahead of b's in
+    a shared minirun.  Extension lengths, counts and tags are kept, so
+    prior corrections keep holding.  Under the inputs' config the
+    re-derived fingerprints are the stored ones (the shared seed makes
+    the streams agree).  When the union would pass 90% load, the output
+    takes one more quotient bit, and every fingerprint one more bit.
     """
     if a.cfg != b.cfg:
         raise ConfigMismatchError(f"configs differ: {a.cfg} vs {b.cfg}")
@@ -159,16 +158,10 @@ def merge(a: AdaptiveFilter, b: AdaptiveFilter) -> AdaptiveFilter:
             f"value widths differ: {a.value_bits} vs {b.value_bits}"
         )
     cfg = a.cfg
-    combined = a.arr.used_count + b.arr.used_count
-    if combined <= _GROW_AT * cfg.nslots:
-        arr = SlotArray(cfg, value_bits=a.value_bits)
-        cols = a.arr._columns().concat(b.arr._columns())
-        _place(arr, cols.take(cols.hash_order(cfg.r)))
-        return AdaptiveFilter._from_parts(arr, a.map.map_concat(b.map), a.policy)
-
-    grown = FilterConfig(q=cfg.q + 1, r=cfg.r, seed=cfg.seed)
+    if a.arr.used_count + b.arr.used_count > _GROW_AT * cfg.nslots:
+        cfg = FilterConfig(q=cfg.q + 1, r=cfg.r, seed=cfg.seed)
     (ca, ka, va), (cb, kb, vb) = _key_columns(a), _key_columns(b)
-    return _build_rederived(ca.concat(cb), np.concatenate([ka, kb]), va + vb, grown,
+    return _build_rederived(ca.concat(cb), np.concatenate([ka, kb]), va + vb, cfg,
                             a.policy, a.value_bits, keep_ext=True)
 
 

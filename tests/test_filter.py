@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aqf import revmap
-from aqf.core import SlotArray
+from aqf.core import Fingerprint, SlotArray
 from aqf.errors import (
     AdaptationExhaustedError,
     FilterError,
@@ -19,7 +19,14 @@ from aqf.errors import (
     StateCorruptionError,
 )
 from aqf.filter import AdaptiveFilter, LookupResult, Policy
-from aqf.hashing import FilterConfig, HashStream, extension_chunk, hash_word_batch, split
+from aqf.hashing import (
+    FilterConfig,
+    HashStream,
+    extension_chunk,
+    extension_chunk_batch,
+    hash_word_batch,
+    split,
+)
 
 from oracles import encode_filter_v1, mutants, reseal, reseal_filter, shorten_minirun
 
@@ -63,6 +70,33 @@ class TestPolicy:
         with pytest.raises(InvalidConfigError):
             Policy(max_extensions=256)
         assert Policy(max_extensions=255).max_extensions == 255
+
+
+def _count_of_zero():
+    arr = SlotArray(FilterConfig(q=4, r=4))
+    arr.set_count(*arr.insert_fp(Fingerprint(0, 0)), 0)
+
+
+# each raises InvalidConfigError, not a bare ValueError or TypeError
+BAD_CONFIGS = {
+    "q_float": lambda: FilterConfig(q=8.0, r=4),
+    "q_str": lambda: FilterConfig(q="8", r=4),
+    "seed_float": lambda: FilterConfig(q=8, r=4, seed=1.5),
+    "value_bits_float": lambda: AdaptiveFilter(FilterConfig(q=8, r=4), value_bits=1.5),
+    "value_bits_too_wide": lambda: AdaptiveFilter(FilterConfig(q=8, r=4), value_bits=60),
+    "value_bits_negative": lambda: AdaptiveFilter(FilterConfig(q=8, r=4), value_bits=-1),
+    "max_extensions_float": lambda: Policy(max_extensions=2.5),
+    "chunk_index_negative": lambda: extension_chunk(HashStream(1, 0), FilterConfig(q=4, r=4), -1),
+    "chunk_batch_index_negative": lambda: extension_chunk_batch(
+        np.arange(3, dtype=np.uint64), FilterConfig(q=4, r=4), -1),
+    "count_of_zero": _count_of_zero,
+}
+
+
+@pytest.mark.parametrize("make", BAD_CONFIGS.values(), ids=BAD_CONFIGS.keys())
+def test_bad_configuration_raises_invalid_config(make):
+    with pytest.raises(InvalidConfigError):
+        make()
 
 
 class TestInsertLookup:

@@ -16,7 +16,6 @@ from hypothesis.stateful import (
 
 from aqf import revmap
 from aqf.errors import (
-    ConfigMismatchError,
     FormatError,
     InvalidConfigError,
     NotFoundError,
@@ -169,29 +168,6 @@ class TestDictOracle:
             else:
                 assert m.list_size(mid) == len(lst)
         assert_same_content(m, oracle)
-
-
-class TestConcat:
-    def test_disjoint_union(self):
-        a, b = ReverseMap(8), ReverseMap(8)
-        a.map_insert(1, 0, 10)
-        b.map_insert(2, 0, 20)
-        c = a.map_concat(b)
-        assert c.map_get(1, 0)[0] == 10 and c.map_get(2, 0)[0] == 20
-        assert len(c) == 2
-
-    def test_shared_id_appends_in_argument_order(self):
-        a, b = ReverseMap(8), ReverseMap(8)
-        a.map_insert(1, 0, 10)
-        b.map_insert(1, 0, 20)
-        c = a.map_concat(b)
-        assert [c.map_get(1, k)[0] for k in range(2)] == [10, 20]
-        # inputs untouched
-        assert a.list_size(1) == 1 and b.list_size(1) == 1
-
-    def test_mismatched_widths_rejected(self):
-        with pytest.raises(ConfigMismatchError):
-            ReverseMap(8).map_concat(ReverseMap(9))
 
 
 class TestSnapshot:
@@ -413,8 +389,6 @@ MASK64 = (1 << 64) - 1
 machine_ids = st.one_of(st.integers(0, 24), st.sampled_from([MASK64, 1 << 63, (1 << 40) + 3]))
 machine_keys = st.one_of(st.integers(0, 40), st.integers(0, MASK64))
 machine_values = st.one_of(st.none(), st.just(b""), st.binary(min_size=1, max_size=3))
-machine_lists = st.dictionaries(machine_ids, st.lists(st.tuples(machine_keys, machine_values),
-                                                      min_size=1, max_size=3), max_size=4)
 
 
 class MapMachine(RuleBasedStateMachine):
@@ -490,17 +464,6 @@ class MapMachine(RuleBasedStateMachine):
     def roundtrip(self):
         self.m = ReverseMap.from_bytes(self.m.to_bytes(), self.Q,
                                        model_ids(self.Q, self.model))
-        self.accesses = 0
-
-    @rule(other=machine_lists)
-    def concat(self, other):
-        om = ReverseMap(self.Q)
-        for mid, lst in other.items():
-            for key, value in lst:
-                om.map_insert(mid, om.list_size(mid), key, value)
-        self.m = self.m.map_concat(om)
-        for mid, lst in other.items():
-            self.model.setdefault(mid, []).extend(lst)
         self.accesses = 0
 
     @invariant()

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from aqf.core import pack_minirun_id
@@ -15,7 +15,7 @@ from aqf.errors import (
 from aqf.filter import AdaptiveFilter, LookupResult, Policy
 from aqf.hashing import FilterConfig, HashStream, split, split_batch
 from aqf.revmap import ReverseMap
-from aqf.setops import bulk_load, merge, rebuild
+from aqf.setops import _GROW_AT, bulk_load, merge, rebuild
 from oracles import decode_raw, find_colliders, ref_split
 
 PRESENT = LookupResult.PRESENT
@@ -260,11 +260,21 @@ class TestBulkLoadValidation:
             bulk_load(items, FilterConfig(q=6, r=4, seed=1))
 
 
-def filter_order_records(f):
-    """(key, value) of every fingerprint in the raw decoder's order."""
+def fingerprints(f):
+    """(minirun id, rank, extension chunks) of every fingerprint of f."""
+    ranks = {}
+    for qt, rem, ext, _, _ in decode_raw(f.arr):
+        mid = pack_minirun_id(qt, rem, f.cfg.q)
+        ranks[mid] = ranks.get(mid, -1) + 1
+        yield mid, ranks[mid], ext
+
+
+def hash_order_records(f):
+    """(key, value) of every fingerprint in hash order, ties in rank
+    order: the raw decoder's rows stably sorted by quotient."""
     ranks = {}
     out = []
-    for qt, rem, _, _, _ in decode_raw(f.arr):
+    for qt, rem, _, _, _ in sorted(decode_raw(f.arr), key=lambda row: row[0]):
         mid = pack_minirun_id(qt, rem, f.cfg.q)
         rank = ranks[mid] = ranks.get(mid, -1) + 1
         out.append(f.map.map_get(mid, rank))
@@ -316,10 +326,34 @@ class TestMapsMatchSequentialConstruction:
     def test_rebuild(self, records, probes, seed):
         f = adapted(records, FilterConfig(q=5, r=3, seed=seed), probes)
         g = rebuild(f, new_seed=seed + 10)
-        records = filter_order_records(f)
+        records = hash_order_records(f)
         assert g.map == sequential_map(records, g.cfg)
         assert g.to_bytes() == adapted(in_hash_order(records, g.cfg), g.cfg, ()).to_bytes()
         g.check_consistency()
+
+    @settings(max_examples=100, deadline=None)
+    @given(left=st.lists(record_st, max_size=16), right=st.lists(record_st, max_size=16),
+           probes=st.lists(st.integers(61, 400), max_size=30), seed=st.integers(0, 3))
+    def test_merge_that_fits(self, left, right, probes, seed):
+        cfg = FilterConfig(q=6, r=3, seed=seed)
+        a, b = adapted(left, cfg, probes), adapted(right, cfg, probes[::-1])
+        assume(a.arr.used_count + b.arr.used_count <= _GROW_AT * cfg.nslots)
+        m = merge(a, b)
+        assert m.cfg == cfg
+        assert m.map == sequential_map(hash_order_records(a) + hash_order_records(b), cfg)
+        # every key keeps its chunks; b's entries follow a's in a minirun
+        for mid, rank, ext in fingerprints(a):
+            assert m.map.map_get(mid, rank) == a.map.map_get(mid, rank)
+            assert m.arr.get_ext(mid, rank) == ext
+        for mid, rank, ext in fingerprints(b):
+            at = a.map.list_size(mid) + rank
+            assert m.map.map_get(mid, at) == b.map.map_get(mid, rank)
+            assert m.arr.get_ext(mid, at) == ext
+        universe = np.arange(1024, dtype=np.uint64)
+        assert np.array_equal(m.frozen_index().query_keys(universe),
+                              a.frozen_index().query_keys(universe)
+                              | b.frozen_index().query_keys(universe))
+        m.check_consistency()
 
     @settings(max_examples=100, deadline=None)
     @given(left=st.lists(record_st, min_size=15, max_size=20),
@@ -330,5 +364,5 @@ class TestMapsMatchSequentialConstruction:
         a, b = adapted(left, cfg, probes), adapted(right, cfg, ())
         m = merge(a, b)
         assert m.cfg.q == cfg.q + 1
-        assert m.map == sequential_map(filter_order_records(a) + filter_order_records(b), m.cfg)
+        assert m.map == sequential_map(hash_order_records(a) + hash_order_records(b), m.cfg)
         m.check_consistency()

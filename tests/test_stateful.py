@@ -1,6 +1,6 @@
 """The adaptive filter against the prefix model under any sequence of
-inserts, deletes, lookups and reloads, and the dynamic yes/no filter
-under any sequence of its updates, queries and reloads.
+inserts, deletes, lookups, merges, rebuilds and reloads, and the dynamic
+yes/no filter under any sequence of its updates, queries and reloads.
 
 At q=3..6 clusters wrap the seam, counters and extensions compete for
 slots and inserts run into the load cap.  The filter machine runs with
@@ -9,9 +9,10 @@ against, off.  Every lookup of a stored key answers PRESENT with its
 value, also when an extension found no room.  After every step: no
 stored key is missed, the table's positives are exactly the model's
 over a probe universe, a key answered FALSE_POSITIVE_CORRECTED answers
-NOT_PRESENT until the next insert or delete, and check_consistency()
-passes.  For the yes/no filter, every stored key answers its own class.
-A refused mutation leaves the snapshot bytes as they were, and a reload
+NOT_PRESENT until the next insert, delete or rebuild (or a merge with a
+filter that matches it), and check_consistency() passes.  For the
+yes/no filter, every stored key answers its own class.  A refused
+mutation leaves the snapshot bytes as they were, and a reload
 keeps the bytes and the counters.
 """
 
@@ -36,6 +37,7 @@ from aqf.core import pack_minirun_id
 from aqf.errors import FilterFullError, InvalidConfigError, NotFoundError
 from aqf.filter import AdaptiveFilter, LookupResult, Policy
 from aqf.hashing import FilterConfig
+from aqf.setops import _GROW_AT, merge, rebuild
 from aqf.yesno import NO, YES, YesNoFilter, YesNoParams
 
 from oracles import PrefixModel, ref_chunk, ref_split, shorten_minirun, vector_word0
@@ -50,6 +52,16 @@ PROBE = st.integers(0, len(PROBES) - 1)
 def value_of(key):
     """The value stored with key."""
     return key.to_bytes(2, "little")
+
+
+def sync_lengths(miniruns, f):
+    """Set every model entry's length from f's table: entry k of a
+    minirun is the fingerprint of rank k."""
+    q, r = f.cfg.q, f.cfg.r
+    for (qt, rem), lst in miniruns.items():
+        mid = pack_minirun_id(qt, rem, q)
+        for rank, e in enumerate(lst):
+            e[1] = q + r + r * len(f.arr.get_ext(mid, rank))
 
 
 class FilterMachine(RuleBasedStateMachine):
@@ -83,11 +95,7 @@ class FilterMachine(RuleBasedStateMachine):
     def resync(self):
         """Take every entry's length from the table, after a lookup that
         stopped adapting because an extension found no room."""
-        q, r = self.cfg.q, self.cfg.r
-        for (qt, rem), lst in self.model.miniruns.items():
-            mid = pack_minirun_id(qt, rem, q)
-            for rank, e in enumerate(lst):
-                e[1] = q + r + r * len(self.f.arr.get_ext(mid, rank))
+        sync_lengths(self.model.miniruns, self.f)
 
     @rule(keys=st.lists(STORED, min_size=1, max_size=6), dedupe=st.booleans())
     def insert(self, keys, dedupe):
@@ -174,6 +182,53 @@ class FilterMachine(RuleBasedStateMachine):
             self.resync()
             return
         assert [v.value for v in verdicts] == [self.model.lookup(k) for k in keys]
+
+    def regroup(self, cfg, grow):
+        """Move every model entry to its minirun under cfg, keeping rank
+        order, its stored length grown by grow bits."""
+        miniruns = {}
+        for _, lst in sorted(self.model.miniruns.items()):
+            for e in lst:
+                e[1] += grow
+                miniruns.setdefault(ref_split(e[0], cfg.seed, cfg.q, cfg.r), []).append(e)
+        self.cfg = cfg
+        self.model = PrefixModel(cfg.q, cfg.r, cfg.seed, adapt=self.AUTO_ADAPT)
+        self.model.miniruns = miniruns
+
+    @rule(keys=st.lists(STORED, min_size=1, max_size=6), probes=st.lists(PROBE, max_size=8))
+    def merge(self, keys, probes):
+        other = AdaptiveFilter(self.cfg)
+        theirs = {}
+        for key in keys:
+            other.insert(key, value=value_of(key))
+            theirs.setdefault(ref_split(key, self.cfg.seed, self.cfg.q, self.cfg.r),
+                              []).append([key, 0])
+        for i in probes:
+            other.lookup(int(PROBES[i]))
+        sync_lengths(theirs, other)
+        grow = int(self.f.arr.used_count + other.arr.used_count > _GROW_AT * self.cfg.nslots)
+        corrected = sorted(self.corrected)
+        matched = other.frozen_index().query_keys(np.array(corrected, dtype=np.uint64))
+        self.f = merge(self.f, other)
+        assert self.f.cfg.q == self.cfg.q + grow
+        for qr, lst in theirs.items():
+            self.model.miniruns.setdefault(qr, []).extend(lst)
+        self.regroup(self.f.cfg, grow)
+        # a correction holds unless the other filter matches the key
+        self.corrected = {k for k, hit in zip(corrected, matched.tolist()) if not hit}
+
+    @rule(seed=st.integers(0, 1 << 16))
+    def rebuild(self, seed):
+        if seed == self.cfg.seed:
+            seed += 1
+        self.f = rebuild(self.f, new_seed=seed)
+        for lst in self.model.miniruns.values():
+            for e in lst:
+                e[1] = self.cfg.q + self.cfg.r
+        self.regroup(self.f.cfg, 0)
+        self.word0 = vector_word0(PROBES, seed)
+        self.corrected.clear()
+        self.lookup_stored()
 
     @rule()
     def save_load(self):
