@@ -26,11 +26,13 @@ A slot's duplicate count ``c`` occupies zero extra slots when ``c == 1``
 and otherwise the little-endian base-``2**r`` digits of ``c - 1``.
 
 Metadata bit vectors are the uint64 rows of one word matrix.  Scalar
-edits stay cluster local: scans gather the words covering one cluster
-into Python ints and bit-twiddle from there, finding run ends a word at
-a time.  One generator, ``SlotArray._run``, reads a run fingerprint by
-fingerprint; it is the only scalar walk, behind queries, inserts and the
-minirun access of extension, counter edits and delete.  Inserts,
+edits stay cluster local: a walk reads the four rows over its whole
+cluster into Python ints at once (``SlotArray._walk_to_run``, which
+doubles the read until both cluster bounds fall inside it) and
+bit-twiddles from there, finding run ends and fingerprint bounds a word
+at a time.  One generator, ``SlotArray._run``, reads a run fingerprint
+by fingerprint; it is the only scalar walk, behind queries, inserts and
+the minirun access of extension, counter edits and delete.  Inserts,
 extensions and growing counters open slots by shifting the cluster's
 tail right (``SlotArray._open_slot``); deletes, the shortening of a
 minirun's survivors and shrinking counters close them
@@ -84,7 +86,9 @@ SNAPSHOT_VERSION = 2
 # magic, version, q, r, seed, used-slot count, first unused slot
 _HEAD = struct.Struct("<4sIBBQQQ")
 
-# magic + version + q + r + seed + occupied slot count = 26 bytes
+# the space accounting's header: magic + version + q + r + seed +
+# occupied slot count = 26 bytes, a model fixed by the acceptance tests
+# rather than the size of _HEAD (34 bytes)
 HEADER_BITS = (4 + 4 + 1 + 1 + 8 + 8) * 8
 
 # load factor ceiling: used slots may not exceed 19/20 of the table
@@ -206,80 +210,53 @@ class _Cols(NamedTuple):
 
 
 class _Win:
-    """Cluster-local window over the runend, extension and occupied bit
-    vectors.
+    """One cluster's used, runend, extension and occupied bits, read at
+    once by SlotArray._walk_to_run.
 
-    Gathers bits lazily, anchored at a cluster start, so per-operation
-    cost tracks the cluster length rather than the table size.  Reads
-    past the gathered region extend it; reads past the cluster hit the
-    zero bits of unused slots, which every walk treats as a stop sign.
-    For tables smaller than one chunk the window wraps and repeats, which
-    valid walks never see because they stop at the first unused slot.
+    ``base`` is the cluster's first slot, and bit i of each row is slot
+    base + i, wrapping past the top of the table.  Every bit past the
+    cluster is zero, so walks stop at its end without bounds checks: the
+    unused slot there ends the last run, and no fingerprint follows it.
     """
 
-    __slots__ = ("arr", "base", "length", "run", "ext", "occ")
+    __slots__ = ("base", "used", "run", "ext", "occ")
 
-    _CHUNK = 128
+    # slots read on each side of the walk's quotient; doubled until the
+    # read holds the whole cluster
+    _READ = 128
 
-    def __init__(self, arr: "SlotArray", base: int):
-        self.arr = arr
+    def __init__(self, base: int, used: int, run: int, ext: int, occ: int):
         self.base = base
-        self.length = 0
-        self.run = 0
-        self.ext = 0
-        self.occ = 0
-
-    def _grow(self, upto: int):
-        arr = self.arr
-        while self.length <= upto:
-            at = (self.base + self.length) % arr.nslots
-            run, ext, occ = arr._read_bits(arr._win_rows, at, self._CHUNK)
-            self.run |= run << self.length
-            self.ext |= ext << self.length
-            self.occ |= occ << self.length
-            self.length += self._CHUNK
-            if self.length > 2 * arr.nslots + self._CHUNK:
-                raise StateCorruptionError("window walk escaped the table")
-
-    def run_bit(self, i: int) -> int:
-        if i >= self.length:
-            self._grow(i)
-        return (self.run >> i) & 1
-
-    def ext_bit(self, i: int) -> int:
-        if i >= self.length:
-            self._grow(i)
-        return (self.ext >> i) & 1
+        self.used = used
+        self.run = run
+        self.ext = ext
+        self.occ = occ
 
     def ends(self) -> int:
         """Run ends: bit i is set when offset i is just past a run, past
         its terminator (runend without extension) and the extension slots
         that trail it.  Adding each terminator's next bit to the extension
         bits carries through those slots, so the bits that the sum sets
-        outside the extension bits are the ends.  A carry cut off at the
-        top of the window lands past it: only bits below length hold."""
+        outside the extension bits are the ends; the last run's carry
+        lands on the unused slot past the cluster."""
         ext = self.ext
         return (ext + ((self.run & ~ext) << 1)) & ~ext
 
     def run_end(self, pos: int, k: int = 1) -> int:
         """Offset just past the k-th run ending at or after offset pos, a
         remainder slot, selected a word of ends() at a time."""
-        while True:
-            ends = self.ends() >> (pos + 1)
-            left, at = k, 0
-            while ends >> at:
-                word = (ends >> at) & MASK64
-                have = word.bit_count()
-                if have >= left:
-                    for _ in range(left - 1):
-                        word &= word - 1
-                    end = pos + at + (word & -word).bit_length()
-                    if end < self.length:
-                        return end
-                    break
-                left -= have
-                at += 64
-            self._grow(self.length)
+        ends = self.ends() >> (pos + 1)
+        while ends:
+            word = ends & MASK64
+            have = word.bit_count()
+            if have >= k:
+                for _ in range(k - 1):
+                    word &= word - 1
+                return pos + (word & -word).bit_length()
+            k -= have
+            ends >>= 64
+            pos += 64
+        raise StateCorruptionError("run without a terminator")
 
 
 class SlotArray:
@@ -299,9 +276,6 @@ class SlotArray:
         # that a range of all four moves in one numpy call
         self._meta = np.zeros((4, self.nwords), dtype=np.uint64)
         self.used, self.run, self.ext, self.occ = self._meta
-        # runend, extension and occupied: the rows every walk's window
-        # reads, sliced once rather than per read
-        self._win_rows = self._meta[1:]
         self.slots = np.zeros(n, dtype=np.uint64)
         self.used_count = 0
         self.fp_count = 0
@@ -376,39 +350,22 @@ class SlotArray:
         flat[:, :start] = bits[:, n - start :]
         self._meta[: len(bits)] = np.packbits(flat, axis=1, bitorder="little").view(np.uint64)
 
-    def _nearest_unused(self, pos: int, step: int) -> int | None:
-        """The first unused slot met walking circularly from ``pos``, itself
-        included, forward (step 1) or backward (step -1); None when every
-        slot is used.  Reads a word of used bits at a time."""
+    def _find_first_unused(self, start: int) -> int:
+        """The first unused slot met walking circularly from ``start``,
+        itself included, reading a word of used bits at a time."""
         n, nw = self.nslots, self.nwords
         tail = n & 63  # slots in a partial last word, or 0
-        w, b = pos >> 6, pos & 63
-        # bits of the first word at or past pos in the walk's direction
-        keep = (MASK64 >> b) << b if step > 0 else (2 << b) - 1
-        left = nw + 1
-        while left:
-            inv = ~int(self.used[w]) & keep
+        w, b = start >> 6, start & 63
+        keep = (MASK64 >> b) << b  # bits of the first word at or past start
+        for _ in range(nw + 1):
+            free = ~int(self.used[w]) & keep
             if tail and w == nw - 1:
-                inv &= (1 << tail) - 1
-            if inv:
-                return (w << 6) + ((inv & -inv) if step > 0 else inv).bit_length() - 1
-            w = (w + step) % nw
+                free &= (1 << tail) - 1
+            if free:
+                return (w << 6) + (free & -free).bit_length() - 1
+            w = (w + 1) % nw
             keep = MASK64
-            left -= 1
-        return None
-
-    def _find_first_unused(self, start: int) -> int:
-        free = self._nearest_unused(start, 1)
-        if free is None:
-            raise FilterFullError("no unused slot in the table")
-        return free
-
-    def _cluster_start(self, pos: int) -> int:
-        """First slot of the cluster containing used slot ``pos``."""
-        free = self._nearest_unused(pos, -1)
-        if free is None:
-            raise StateCorruptionError("no cluster boundary found")
-        return (free + 1) % self.nslots
+        raise FilterFullError("no unused slot in the table")
 
     def _shift_payload_right(self, start: int, free: int):
         """Move payloads [start, free) one slot right; ``free`` is unused."""
@@ -437,63 +394,81 @@ class SlotArray:
     # ------------------------------------------------------------------
     # run navigation
 
-    def _walk_to_run(self, qt: int) -> tuple[int, _Win, int]:
-        """(cluster start, window, run start relative to cluster).
+    def _walk_to_run(self, qt: int) -> tuple[_Win, int]:
+        """(window over the cluster holding slot ``qt``, run start offset).
 
         Precondition: slot ``qt`` is used.  The run located is the one
         for quotient ``qt`` if occupied, else the position where that
-        run would begin.
+        run would begin.  One read of all four metadata rows over slots
+        [qt - s, qt + s) finds the cluster's bounds, the unused slots
+        nearest to qt on either side; s starts at _Win._READ, or the
+        table size if that is smaller, and doubles while a bound lies
+        outside the read.
         """
-        c = self._cluster_start(qt)
-        win = _Win(self, c)
-        dist = (qt - c) % self.nslots
-        if not dist:
-            return c, win, 0
-        win._grow(dist - 1)
-        skip = (win.occ & ((1 << dist) - 1)).bit_count()
-        return c, win, win.run_end(0, skip)
+        n = self.nslots
+        s = min(_Win._READ, n)
+        while True:
+            used, run, ext, occ = self._read_bits(self._meta, (qt - s) % n, 2 * s)
+            half = (1 << s) - 1
+            before, after = ~used & half, ~(used >> s) & half  # unused slots
+            if before and after:
+                break
+            if s >= n:
+                raise StateCorruptionError("no cluster boundary found")
+            s <<= 1
+        lo = before.bit_length()  # the cluster's first slot, in read offsets
+        keep = (1 << (s - lo + (after & -after).bit_length() - 1)) - 1
+        win = _Win((qt - s + lo) % n, (used >> lo) & keep, (run >> lo) & keep,
+                   (ext >> lo) & keep, (occ >> lo) & keep)
+        # qt's run starts at the end of the run of the last occupied
+        # quotient before qt; of those runs, the ones ending by qt's slot
+        # are counted off, and the rest end past it
+        dist = s - lo
+        skip = ((win.occ & ((1 << dist) - 1)).bit_count()
+                - (win.ends() & ((2 << dist) - 1)).bit_count())
+        return win, win.run_end(dist, skip) if skip else dist
 
     def find_run(self, quotient: int) -> tuple[int, int] | None:
         """Physical (start, length) of the run for ``quotient``, trailing
         extension and counter slots included, or None if unoccupied."""
         if not self._get_bit(self.occ, quotient):
             return None
-        c, win, start = self._walk_to_run(quotient)
-        return (c + start) % self.nslots, win.run_end(start) - start
+        win, start = self._walk_to_run(quotient)
+        return (win.base + start) % self.nslots, win.run_end(start) - start
 
     def _scan_fp(self, win: _Win, pos: int) -> tuple[int, int, int, bool]:
         """From a remainder slot at window offset ``pos``: offsets of the
         extension and counter groups and whether this fp ends the run.
-        Returns (first_ext, first_ctr, next_fp, is_terminator)."""
-        is_term = bool(win.run_bit(pos))
-        pos += 1
-        e0 = pos
-        ext = win.ext_bit(pos)
-        while ext and not win.run_bit(pos):
-            pos += 1
-            ext = win.ext_bit(pos)
-        c0 = pos
-        while ext and win.run_bit(pos):
-            pos += 1
-            ext = win.ext_bit(pos)
-        return e0, c0, pos, is_term
+        Returns (first_ext, first_ctr, next_fp, is_terminator).  The next
+        fingerprint starts at the first slot past pos without the
+        extension bit, and its counter digits at the first slot between
+        them with the runend bit."""
+        is_term = bool((win.run >> pos) & 1)
+        e0 = pos + 1
+        tail = win.ext >> e0
+        if not tail & 1:
+            return e0, e0, e0, is_term
+        nxt = e0 + ((tail + 1) & ~tail).bit_length() - 1
+        digits = (win.run >> e0) & ((1 << (nxt - e0)) - 1)
+        c0 = e0 + (digits & -digits).bit_length() - 1 if digits else nxt
+        return e0, c0, nxt, is_term
 
     def _run(self, qt: int):
-        """Yield (cluster, window, previous fp offset, fp offset, remainder,
-        ext group offset, ctr offset, next fp offset, is_terminator) for
-        each fingerprint of quotient ``qt``'s run in storage order, and
+        """Yield (window, previous fp offset, fp offset, remainder, ext
+        group offset, ctr offset, next fp offset, is_terminator) for each
+        fingerprint of quotient ``qt``'s run in storage order, and
         nothing when ``qt`` is unoccupied.  Offsets are window offsets;
         the previous fingerprint is the one before it in the run, or None
         for the run's first.  The one scalar reader of a run: queries,
         inserts and minirun access all walk through it."""
         if not self._get_bit(self.occ, qt):
             return
-        c, win, pos = self._walk_to_run(qt)
-        n, vb, slots = self.nslots, self.value_bits, self.slots
+        win, pos = self._walk_to_run(qt)
+        n, vb, slots, base = self.nslots, self.value_bits, self.slots, win.base
         prev = None
         while True:
             e0, c0, nxt, is_term = self._scan_fp(win, pos)
-            yield c, win, prev, pos, int(slots[(c + pos) % n]) >> vb, e0, c0, nxt, is_term
+            yield win, prev, pos, int(slots[(base + pos) % n]) >> vb, e0, c0, nxt, is_term
             if is_term:
                 return
             prev, pos = pos, nxt
@@ -515,13 +490,13 @@ class SlotArray:
         qt, rem = split(stream, cfg)
         n, vb, slots = self.nslots, self.value_bits, self.slots
         rank = 0
-        for c, _, _, _, rem_i, e0, c0, _, _ in self._run(qt):
+        for win, _, _, rem_i, e0, c0, _, _ in self._run(qt):
             if rem_i > rem:
                 return None
             if rem_i == rem:
                 if rank >= start:
                     for t in range(c0 - e0):
-                        if int(slots[(c + e0 + t) % n]) >> vb != extension_chunk(stream, cfg, t):
+                        if int(slots[(win.base + e0 + t) % n]) >> vb != extension_chunk(stream, cfg, t):
                             break
                     else:
                         return rank, c0 - e0
@@ -555,16 +530,16 @@ class SlotArray:
         # or past its terminator, taking over the runend bit
         at, rank, new_term, old_term = qt, 0, True, None
         if self._get_bit(self.occ, qt):
-            for c, _, _, pos, rem_i, _, _, nxt, _ in self._run(qt):
+            for win, _, pos, rem_i, _, _, nxt, _ in self._run(qt):
                 if rem_i > rem:
-                    at, new_term = (c + pos) % n, False
+                    at, new_term = (win.base + pos) % n, False
                     break
                 rank += rem_i == rem
             else:
-                at, old_term = (c + nxt) % n, (c + pos) % n
+                at, old_term = (win.base + nxt) % n, (win.base + pos) % n
         elif self._get_bit(self.used, qt):
-            c, _, pos = self._walk_to_run(qt)
-            at = (c + pos) % n
+            win, pos = self._walk_to_run(qt)
+            at = (win.base + pos) % n
 
         for i, payload in enumerate(payloads):
             p = (at + i) % n
@@ -586,18 +561,17 @@ class SlotArray:
         return mid, rank
 
     def _minirun(self, mid: int):
-        """Yield (cluster, window, previous fp offset, fp offset, ext group
-        offset, ctr offset, next) for each fingerprint of a minirun, in
-        rank order: the fingerprints of _run with the minirun's
-        remainder."""
+        """Yield (window, previous fp offset, fp offset, ext group offset,
+        ctr offset, next) for each fingerprint of a minirun, in rank
+        order: the fingerprints of _run with the minirun's remainder."""
         qt, rem = unpack_minirun_id(mid, self.cfg.q)
-        for c, win, prev, pos, rem_i, e0, c0, nxt, _ in self._run(qt):
+        for win, prev, pos, rem_i, e0, c0, nxt, _ in self._run(qt):
             if rem_i > rem:
                 return
             if rem_i == rem:
-                yield c, win, prev, pos, e0, c0, nxt
+                yield win, prev, pos, e0, c0, nxt
 
-    def _locate_fp(self, mid: int, rank: int) -> tuple[int, _Win, int | None, int, int, int, int]:
+    def _locate_fp(self, mid: int, rank: int) -> tuple[_Win, int | None, int, int, int, int]:
         """The rank-th fingerprint of a minirun as _minirun yields it.
         Raises if missing."""
         for i, found in enumerate(self._minirun(mid)):
@@ -606,9 +580,9 @@ class SlotArray:
         raise NotFoundError(f"minirun {mid} has no rank {rank}")
 
     def get_ext(self, mid: int, rank: int) -> tuple[int, ...]:
-        c, _, _, _, e0, c0, _ = self._locate_fp(mid, rank)
+        win, _, _, e0, c0, _ = self._locate_fp(mid, rank)
         n, vb = self.nslots, self.value_bits
-        return tuple(int(self.slots[(c + i) % n]) >> vb for i in range(e0, c0))
+        return tuple(int(self.slots[(win.base + i) % n]) >> vb for i in range(e0, c0))
 
     def extend_fp(self, mid: int, rank: int, chunks) -> None:
         """Append extension chunks to one fingerprint, in place."""
@@ -617,22 +591,22 @@ class SlotArray:
             return
         if not self.has_room(len(chunks)):
             raise FilterFullError("extension would exceed the load limit")
-        c, _, _, _, e0, c0, _ = self._locate_fp(mid, rank)
+        win, _, _, _, c0, _ = self._locate_fp(mid, rank)
         n, vb = self.nslots, self.value_bits
         for t, ch in enumerate(chunks):
-            p = (c + c0 + t) % n
+            p = (win.base + c0 + t) % n
             self._open_slot(p)
             self.slots[p] = ch << vb
             self._set_bit(self.ext, p)
         self.ext_slot_count += len(chunks)
 
     def get_count(self, mid: int, rank: int) -> int:
-        c, _, _, _, e0, c0, nxt = self._locate_fp(mid, rank)
+        win, _, _, _, c0, nxt = self._locate_fp(mid, rank)
         n, vb = self.nslots, self.value_bits
         r = self.cfg.r
         v = 0
         for i in range(nxt - c0):
-            v |= (int(self.slots[(c + c0 + i) % n]) >> vb) << (i * r)
+            v |= (int(self.slots[(win.base + c0 + i) % n]) >> vb) << (i * r)
         return v + 1
 
     def set_count(self, mid: int, rank: int, count: int) -> None:
@@ -641,14 +615,14 @@ class SlotArray:
         dropped digits leave (see _close_span)."""
         if count < 1:
             raise InvalidConfigError("count must be at least 1")
-        c, win, _, pos, e0, c0, nxt = self._locate_fp(mid, rank)
+        win, _, pos, _, c0, nxt = self._locate_fp(mid, rank)
         digits = _count_digits(count, self.cfg.r)
         have = nxt - c0
         if not self.has_room(len(digits) - have):
             raise FilterFullError("counter growth would exceed the load limit")
         n, vb = self.nslots, self.value_bits
         for i, digit in enumerate(digits):
-            p = (c + c0 + i) % n
+            p = (win.base + c0 + i) % n
             if i >= have:
                 self._open_slot(p)
                 self._set_bit(self.ext, p)
@@ -656,12 +630,12 @@ class SlotArray:
             self.slots[p] = digit << vb
         if len(digits) < have:
             qt = mid & ((1 << self.cfg.q) - 1)
-            self._close_span(c, win, qt, pos, c0 + len(digits), have - len(digits))
+            self._close_span(win, qt, pos, c0 + len(digits), have - len(digits))
         self.ctr_slot_count += len(digits) - have
 
     def get_value(self, mid: int, rank: int) -> int:
-        c, _, _, pos, _, _, _ = self._locate_fp(mid, rank)
-        return int(self.slots[(c + pos) % self.nslots]) & ((1 << self.value_bits) - 1)
+        win, _, pos, _, _, _ = self._locate_fp(mid, rank)
+        return int(self.slots[(win.base + pos) % self.nslots]) & ((1 << self.value_bits) - 1)
 
     def remove_fp(self, mid: int, rank: int, shorten: bool = False) -> None:
         """Remove one fingerprint with its extension and counter slots.
@@ -676,13 +650,13 @@ class SlotArray:
         fps = list(self._minirun(mid))
         if not 0 <= rank < len(fps):
             raise NotFoundError(f"minirun {mid} has no rank {rank}")
-        c, win, prev, pos, e0, c0, nxt = fps[rank]
+        win, prev, pos, e0, c0, nxt = fps[rank]
         width = nxt - pos
         cuts = []  # (fingerprint, first chunk cut, chunks cut), offsets after the removal
         if shorten:
             n, vb = self.nslots, self.value_bits
-            rest = [fp[3:6] for i, fp in enumerate(fps) if i != rank]
-            exts = [[int(self.slots[(c + i) % n]) >> vb for i in range(x0, y0)]
+            rest = [fp[2:5] for i, fp in enumerate(fps) if i != rank]
+            exts = [[int(self.slots[(win.base + i) % n]) >> vb for i in range(x0, y0)]
                     for _, x0, y0 in rest]
             for (at, x0, y0), keep in zip(rest, _kept_chunks(exts)):
                 if keep < y0 - x0:
@@ -690,22 +664,22 @@ class SlotArray:
                     cuts.append((at - moved, x0 + keep - moved, y0 - x0 - keep))
         qt = mid & ((1 << self.cfg.q) - 1)
         is_term = (win.run >> pos) & 1
-        self._close_span(c, win, qt, pos, pos, width)
+        self._close_span(win, qt, pos, pos, width)
         if is_term and prev is None:
             self._clear_bit(self.occ, qt)
         elif is_term:
-            self._set_bit(self.run, (c + prev) % self.nslots)
+            self._set_bit(self.run, (win.base + prev) % self.nslots)
             win.run |= 1 << prev
         self.fp_count -= 1
         self.ext_slot_count -= c0 - e0
         self.ctr_slot_count -= nxt - c0
         for at, start, length in sorted(cuts, reverse=True):
-            self._close_span(c, win, qt, at, start, length)
+            self._close_span(win, qt, at, start, length)
             self.ext_slot_count -= length
         if cuts:
             self._superset = None
 
-    def _close_span(self, c: int, win: _Win, qt: int, fp: int, at: int, length: int) -> None:
+    def _close_span(self, win: _Win, qt: int, fp: int, at: int, length: int) -> None:
         """Remove the slots at window offsets [at, at+length), all of them
         slots of the fingerprint at offset fp in the run of quotient qt, and
         close the gap: the inverse of _open_slot.
@@ -720,10 +694,9 @@ class SlotArray:
         window follows the edit; the occupied bits and the fingerprint
         counters are the caller's.
         """
-        n = self.nslots
-        stop = (self._find_first_unused((c + at) % n) - c) % n  # end of the cluster
-        if stop >= win.length:
-            win._grow(stop)
+        n, c = self.nslots, win.base
+        used = win.used >> at
+        stop = at + ((used + 1) & ~used).bit_length() - 1  # the first unused slot at or past at
         ends, occ = win.ends(), win.occ
         rest = ends >> (fp + 1)
         end = fp + (rest & -rest).bit_length()
@@ -760,6 +733,7 @@ class SlotArray:
         start = (c + at) % n
         self._write_bits(self._meta[:3], start, span, [new_used, new_run, new_ext])
         self.slots.put(idx, out, mode="wrap")
+        win.used = (win.used & ~(keep << at)) | (new_used << at)
         win.run = (win.run & ~(keep << at)) | (new_run << at)
         win.ext = (win.ext & ~(keep << at)) | (new_ext << at)
         self.used_count -= length
@@ -784,8 +758,8 @@ class SlotArray:
         Q = np.flatnonzero(np.unpackbits(self.occ.view(np.uint8), bitorder="little")[:n].view(bool))
         start = 0
         if len(Q):
-            c, _, at = self._walk_to_run(int(Q[0]))
-            start = (c + at) % n
+            win, at = self._walk_to_run(int(Q[0]))
+            start = (win.base + at) % n
         used, run, ext, _ = self._unpack(start)
         pay = np.concatenate([self.slots[start:], self.slots[:start]])
         R = np.flatnonzero(used & ~ext)
@@ -821,11 +795,15 @@ class SlotArray:
         one cumulative max.  The overflow past the top of the table pushes
         the first runs right, so the positions are recomputed with that
         overflow as a floor until it settles; the load cap leaves a free
-        slot, which ends the chase.
+        slot, which ends the chase.  Fingerprints that would pass the cap
+        raise FilterFullError before anything is written.
         """
         n, vb = self.nslots, self.value_bits
         width = 1 + cols.ext_len + cols.ctr_len
         ends = np.cumsum(width)
+        total = int(ends[-1]) if len(ends) else 0
+        if _LOAD_DEN * total > _LOAD_NUM * n:
+            raise FilterFullError(f"{total} slots exceed the load limit of {n}")
         before = ends - width
         drift = np.maximum.accumulate(cols.quot - before)
         at, floor = before + drift, 0
@@ -858,7 +836,7 @@ class SlotArray:
         self.fp_count = len(cols.quot)
         self.ext_slot_count = int(cols.ext_len.sum())
         self.ctr_slot_count = int(cols.ctr_len.sum())
-        self.used_count = len(row)
+        self.used_count = total
 
     # ------------------------------------------------------------------
     # bulk probing
@@ -888,10 +866,6 @@ class SlotArray:
 
     # ------------------------------------------------------------------
     # accounting and serialization
-
-    @property
-    def load_factor(self) -> float:
-        return self.used_count / self.nslots
 
     def space_report(self) -> SpaceReport:
         n = self.nslots
@@ -939,10 +913,6 @@ class SlotArray:
         out += pack_section(bytes([w]) + payload_bits)
         return seal(bytes(out))
 
-    def save(self, path) -> None:
-        with open(path, "wb") as fh:
-            fh.write(self.to_bytes())
-
     @classmethod
     def from_bytes(cls, data: bytes) -> "SlotArray":
         rd = ByteReader(unseal(data))
@@ -984,11 +954,6 @@ class SlotArray:
             raise FormatError(f"anchor slot {anchor} is not the first unused slot")
         return arr
 
-    @classmethod
-    def load(cls, path) -> "SlotArray":
-        with open(path, "rb") as fh:
-            return cls.from_bytes(fh.read())
-
     def _reconstruct_used(self, expect_used: int, anchor: int) -> None:
         """Rebuild the derived used bits from the canonical vectors.
 
@@ -996,8 +961,9 @@ class SlotArray:
         the first one).  In coordinates rotated to start just past it no
         cluster wraps, so the k-th occupied quotient owns the k-th terminator
         (runend without extension).  Run k starts at the larger of its
-        quotient and the end of run k-1, and ends past the extension
-        slots that follow its terminator.
+        quotient and the end of run k-1, and ends at the first slot past
+        its terminator without the extension bit.  A slot is then used
+        while more runs have reached their quotient than have ended.
         """
         n = self.nslots
         if expect_used > (_LOAD_NUM * n) // _LOAD_DEN:
@@ -1008,8 +974,10 @@ class SlotArray:
         T = np.flatnonzero(run & ~ext)
         if len(T) != len(Q):
             raise FormatError(f"{len(T)} run terminators for {len(Q)} occupied quotients")
-        plain = np.append(np.flatnonzero(~ext), n)
-        end = plain[np.searchsorted(plain, T, side="right")]
+        # plain[i]: the first slot at or past i without the extension bit
+        plain = np.arange(n + 1)
+        plain[:n][ext] = n
+        end = np.minimum.accumulate(plain[::-1])[::-1][T + 1]
         start = np.maximum(Q, np.append(0, end[:-1]))
         if (T < start).any():
             raise FormatError("run has no terminator")
@@ -1020,9 +988,11 @@ class SlotArray:
             )
         if len(end) and end[-1] == n:
             raise FormatError("anchor slot decoded as used")
-        used = np.zeros((1, n), dtype=bool)
-        used[0, _ranges(start, end - start)] = True
-        self._pack(used, rot)
+        depth = np.zeros(n + 1, dtype=np.int64)
+        depth[Q] = 1
+        depth[end] -= 1
+        np.cumsum(depth, out=depth)
+        self._pack((depth[:n] > 0)[None], rot)
         if ((self.run | self.ext) & ~self.used).any():
             raise FormatError("runend or extension bit on an unused slot")
         self.used_count = total

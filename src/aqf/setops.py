@@ -25,12 +25,7 @@ import warnings
 import numpy as np
 
 from .core import SlotArray, _Cols, _ranges
-from .errors import (
-    ConfigMismatchError,
-    FilterFullError,
-    StateCorruptionError,
-    UnsortedInputError,
-)
+from .errors import ConfigMismatchError, UnsortedInputError
 from .filter import AdaptiveFilter, Policy, _key_array
 # HashStream, split and extension_chunk are unused here but stay module
 # attributes: the benchmark's tracer (perfbench/spans.py) wraps them
@@ -46,20 +41,6 @@ from .revmap import ReverseMap
 
 # grow the merge output when the inputs together would pass this load
 _GROW_AT = 0.90
-
-
-def _place(arr: SlotArray, cols: _Cols) -> None:
-    """Lay fingerprint columns out over a fresh slot array.
-
-    Rows must be in non-decreasing (quotient, remainder) order; ties are
-    miniruns and keep their row order as rank order.
-    """
-    if arr.used_count:
-        raise StateCorruptionError("placement needs an empty array")
-    total = len(cols.quot) + int(cols.ext_len.sum() + cols.ctr_len.sum())
-    if not arr.has_room(total):
-        raise FilterFullError(f"{total} slots exceed the load limit of {arr.nslots}")
-    arr._lay_out(cols)
 
 
 def bulk_load(items, cfg: FilterConfig, policy: Policy | None = None,
@@ -91,7 +72,7 @@ def bulk_load(items, cfg: FilterConfig, policy: Policy | None = None,
     bare = np.zeros(len(keys), dtype=np.int64)
     cols = _Cols.build(packed >> np.uint64(cfg.r), packed & np.uint64((1 << cfg.r) - 1),
                        bare, bare, bare, ())
-    _place(arr, cols)
+    arr._lay_out(cols)
     revmap = ReverseMap._from_columns(cfg.q, cols.mids(cfg.q), keys, values)
     return AdaptiveFilter._from_parts(arr, revmap, policy)
 
@@ -134,7 +115,7 @@ def _build_rederived(cols: _Cols, keys: np.ndarray, values: list, cfg: FilterCon
     arr = SlotArray(cfg, value_bits=value_bits)
     new = _Cols.build(packed >> np.uint64(cfg.r), packed & np.uint64((1 << cfg.r) - 1),
                       cols.value, ext_len, cols.ctr_len, chunks)
-    _place(arr, new)
+    arr._lay_out(new)
     revmap = ReverseMap._from_columns(cfg.q, new.mids(cfg.q), keys,
                                       list(map(values.__getitem__, order.tolist())))
     return AdaptiveFilter._from_parts(arr, revmap, policy)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import FrozenIndex
+from .core import _LOAD_DEN, _LOAD_NUM, FrozenIndex
 from .errors import InvalidConfigError, StateCorruptionError
 from .filter import AdaptiveFilter, LookupResult, Policy
 from .hashing import FilterConfig, split_batch
@@ -193,8 +193,9 @@ def fill_to_load(
     Keys are uniform over the fill space, sorted into hash order, and
     placed in one pass.
     """
-    if not 0.0 <= load <= 0.95:
-        raise InvalidConfigError(f"load {load} outside [0, 0.95]")
+    cap = _LOAD_NUM / _LOAD_DEN
+    if not 0.0 <= load <= cap:
+        raise InvalidConfigError(f"load {load} outside [0, {cap}]")
     n_keys = int(load * cfg.nslots)
     rng = np.random.default_rng(seed)
     keys = rng.integers(FILL_SPACE[0], FILL_SPACE[1], size=n_keys, dtype=np.uint64)

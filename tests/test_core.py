@@ -469,8 +469,8 @@ class TestSnapshot:
         arr = SlotArray(C44)
         arr.insert_fp(Fingerprint(2, 2))
         p = tmp_path / "table.aqf"
-        arr.save(p)
-        assert decode_raw(SlotArray.load(p)) == decode_raw(arr)
+        p.write_bytes(arr.to_bytes())
+        assert decode_raw(SlotArray.from_bytes(p.read_bytes())) == decode_raw(arr)
 
 
 class TestFrozenIndex:

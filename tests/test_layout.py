@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aqf.core import Fingerprint, SlotArray, pack_minirun_id
-from aqf.errors import FilterFullError, FormatError, NotFoundError
-from aqf.hashing import FilterConfig
+from aqf.errors import FilterFullError, FormatError, NotFoundError, StateCorruptionError
+from aqf.hashing import FilterConfig, HashStream, extension_chunk, split, split_batch
 
 from oracles import decode_raw, reseal, shorten_minirun
 
@@ -251,6 +251,116 @@ def test_a_missing_rank_or_quotient_changes_nothing():
             with pytest.raises(NotFoundError):
                 arr.set_count(mid, rank, count)
         assert arr.to_bytes() == blob
+
+
+# Walks read their whole cluster at once: a long cluster whose read
+# doubles, a cluster across the seam, and a table smaller than one read.
+# Fingerprints come from keys, so query_fp can be checked against the
+# prefix model: a query matches the first fingerprint of its minirun,
+# in rank order, whose extension chunks are a prefix of its own.
+
+
+def chunks(cfg, key, count):
+    stream = HashStream(key, cfg.seed)
+    return tuple(extension_chunk(stream, cfg, t) for t in range(count))
+
+
+def model_query(cfg, model, key):
+    """(rank, extension length) of the prefix model's match, or None."""
+    for rank, (ext, _, _) in enumerate(model.get(split(HashStream(key, cfg.seed), cfg), [])):
+        if ext == chunks(cfg, key, len(ext)):
+            return rank, len(ext)
+    return None
+
+
+def reads_of_walk(arr, qt):
+    """How many bit reads one walk to quotient qt's run makes."""
+    calls = []
+    read = arr._read_bits
+    arr._read_bits = lambda *args: calls.append(args) or read(*args)
+    try:
+        arr._walk_to_run(qt)
+    finally:
+        del arr._read_bits
+    return len(calls)
+
+
+@pytest.mark.parametrize("q,quots,size,walked,reads", [
+    (10, range(100, 400), 600, 399, 3),  # the walked run sits 299 slots into the cluster
+    (8, range(-30, 10), 60, 5, 1),  # the cluster wraps past slot 255
+    (5, range(8, 22), 16, 20, 1),  # 32 slots: one read holds the table twice
+], ids=["doubling", "seam", "small"])
+def test_cluster_reads(q, quots, size, walked, reads):
+    cfg = FilterConfig(q=q, r=4, seed=q)
+    n = 1 << q
+    pool = np.random.default_rng(q).integers(0, 1 << 62, size=40 * n, dtype=np.uint64)
+    quot = (split_batch(pool, cfg) >> np.uint64(cfg.r)).astype(np.int64)
+    inside = pool[np.isin(quot, [x % n for x in quots])].tolist()
+    keys, spare = inside[:size], inside[size:]
+    arr = SlotArray(cfg, value_bits=1)
+    model, owner = {}, {}  # owner: the key of each model entry
+
+    def insert(key, nchunks, value):
+        fp = split(HashStream(key, cfg.seed), cfg)
+        ext = chunks(cfg, key, nchunks)
+        lst = model.setdefault(fp, [])
+        assert arr.insert_fp(Fingerprint(*fp, ext), value=value) == (
+            pack_minirun_id(*fp, q), len(lst))
+        lst.append((ext, 1, value))
+        owner.setdefault(fp, []).append(key)
+
+    def verify():
+        check(arr, model)
+        for key in keys + spare[:300]:
+            assert arr.query_fp(HashStream(key, cfg.seed)) == model_query(cfg, model, key)
+
+    for i, key in enumerate(keys):
+        insert(key, (i % 7 == 0) + (i % 11 == 0), i & 1)
+    verify()
+    assert arr._get_bit(arr.used, walked) and reads_of_walk(arr, walked) >= reads
+    win, _ = arr._walk_to_run(walked)
+    if q == 8:
+        assert (win.base - walked) % n > n // 2 and win.used >> (n - win.base)  # wraps
+    # the runs of walked's cluster, in storage order
+    length = win.used.bit_length()
+    runs = sorted((qt for qt in {fp[0] for fp, lst in model.items() if lst}
+                   if (qt - win.base) % n < length), key=lambda qt: (qt - win.base) % n)
+    first, middle, last = runs[0], runs[len(runs) // 2], runs[-1]
+    live = lambda qt: min(fp for fp, lst in model.items() if fp[0] == qt and lst)
+
+    # insert into the middle run, then extend, grow and shrink the
+    # counter of one of its fingerprints
+    insert(next(k for k in spare if split(HashStream(k, cfg.seed), cfg)[0] == middle), 0, 0)
+    verify()
+    fp = live(middle)
+    mid = pack_minirun_id(*fp, q)
+    ext, count, value = model[fp][0]
+    more = chunks(cfg, owner[fp][0], len(ext) + 2)[len(ext):]
+    arr.extend_fp(mid, 0, more)
+    model[fp][0] = (ext + more, count, value)
+    verify()
+    for count in (1000, 2, 1):  # r=4: three counter digits, then one, then none
+        arr.set_count(mid, 0, count)
+        model[fp][0] = (ext + more, count, value)
+        verify()
+    # delete at the first, a middle and the last run of the cluster
+    for qt in (first, middle, last):
+        fp = live(qt)
+        arr.remove_fp(pack_minirun_id(*fp, q), 0)
+        model[fp].pop(0)
+        owner[fp].pop(0)
+        verify()
+
+
+@pytest.mark.parametrize("q", [5, 10])
+def test_a_table_without_an_unused_slot_fails_the_walk(q):
+    arr = SlotArray(FilterConfig(q=q, r=2))
+    arr.insert_fp(Fingerprint(3, 1))
+    arr.used[:] = np.uint64((1 << 64) - 1)
+    with pytest.raises(StateCorruptionError, match="no cluster boundary"):
+        arr.find_run(3)
+    with pytest.raises(StateCorruptionError, match="no cluster boundary"):
+        arr.remove_fp(pack_minirun_id(3, 1, q), 0)
 
 
 @pytest.fixture(scope="module")
