@@ -428,14 +428,6 @@ class SlotArray:
                 - (win.ends() & ((2 << dist) - 1)).bit_count())
         return win, win.run_end(dist, skip) if skip else dist
 
-    def find_run(self, quotient: int) -> tuple[int, int] | None:
-        """Physical (start, length) of the run for ``quotient``, trailing
-        extension and counter slots included, or None if unoccupied."""
-        if not self._get_bit(self.occ, quotient):
-            return None
-        win, start = self._walk_to_run(quotient)
-        return (win.base + start) % self.nslots, win.run_end(start) - start
-
     def _scan_fp(self, win: _Win, pos: int) -> tuple[int, int, int, bool]:
         """From a remainder slot at window offset ``pos``: offsets of the
         extension and counter groups and whether this fp ends the run.
@@ -480,17 +472,18 @@ class SlotArray:
         """Whether ``extra`` more used slots stay within the load cap."""
         return _LOAD_DEN * (self.used_count + extra) <= _LOAD_NUM * self.nslots
 
-    def query_fp(self, stream: HashStream, start: int = 0) -> tuple[int, int] | None:
+    def query_fp(self, stream: HashStream, start: int = 0) -> tuple[int, int, int] | None:
         """First stored fingerprint that is a prefix of ``stream``, at
         minirun rank ``start`` or later.
 
-        Returns (minirun rank, matched extension length) or None.
+        Returns (minirun rank, matched extension length, value bits of
+        its remainder slot) or None.
         """
         cfg = self.cfg
         qt, rem = split(stream, cfg)
         n, vb, slots = self.nslots, self.value_bits, self.slots
         rank = 0
-        for win, _, _, rem_i, e0, c0, _, _ in self._run(qt):
+        for win, _, pos, rem_i, e0, c0, _, _ in self._run(qt):
             if rem_i > rem:
                 return None
             if rem_i == rem:
@@ -499,7 +492,8 @@ class SlotArray:
                         if int(slots[(win.base + e0 + t) % n]) >> vb != extension_chunk(stream, cfg, t):
                             break
                     else:
-                        return rank, c0 - e0
+                        value = int(slots[(win.base + pos) % n]) & ((1 << vb) - 1)
+                        return rank, c0 - e0, value
                 rank += 1
         return None
 

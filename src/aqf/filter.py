@@ -23,6 +23,7 @@ loading rebuilds them from the slot array's columns in hash order.
 
 from __future__ import annotations
 
+import array
 import enum
 import operator
 import struct
@@ -125,7 +126,12 @@ def _key_array(keys) -> np.ndarray:
             raise InvalidConfigError("keys must be ints in [0, 2**64)")
         return keys.astype(np.uint64, copy=False)
     try:
-        return np.fromiter(map(operator.index, keys), dtype=np.uint64)
+        # an unsigned 64-bit array takes each element through __index__
+        # and range-checks it, as operator.index and the bounds would; all
+        # but a list go in as an iterator, so bytes count as ints, not as
+        # a raw buffer
+        items = keys if isinstance(keys, list) else iter(keys)
+        return np.frombuffer(array.array("Q", items), dtype=np.uint64)
     except (OverflowError, TypeError) as exc:
         raise InvalidConfigError(f"keys must be ints in [0, 2**64): {exc}") from exc
 
@@ -250,7 +256,7 @@ class AdaptiveFilter:
         adapting = self.policy.auto_adapt
         verdict = LookupResult.FALSE_POSITIVE_CORRECTED
         while hit is not None:
-            rank, _ = hit
+            rank = hit[0]
             try:
                 owner, value = self.map.map_get(mid, rank)
             except NotFoundError as exc:

@@ -1,11 +1,22 @@
 """Yes/no-list filtering on top of the adaptive filter.
 
 Given a YES list that must always answer YES and a NO list that must
-always answer NO, the static construction stores only the YES keys and
-then queries every NO key, extending whichever stored fingerprints they
-collide with until each collision dies.  No NO key is ever stored;
-exactness on the NO side is carried entirely by extensions.  Keys
-outside both lists see the usual baseline false-positive rate.
+always answer NO, the static construction stores only the YES keys, each
+fingerprint extended with chunks of its own key's hash until no NO key
+matches it.  No NO key is ever stored; exactness on the NO side is
+carried entirely by extensions.  Keys outside both lists see the usual
+baseline false-positive rate.
+
+The result is the one the paper's sequential construction leaves:
+insert every YES key, then look up every NO key in order and adapt each
+false positive away.  It is reached in bulk.  A superset index of the
+bare YES table rejects almost every NO key; for each remaining pair of
+a NO key and a YES key with the same fingerprint, the first chunk at
+which their hash streams differ fixes how far that fingerprint must
+grow, and whether the NO key's lookup would have adapted it.  The YES
+keys are then laid out once with those extensions.  When the extensions
+would not fit, the remaining NO keys are looked up one by one, so that
+the failure is the sequential one.
 
 Each fingerprint carries one payload bit tagging its key YES or NO.
 The static build only ever writes 1s; the bit earns its keep in the
@@ -27,7 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import _LOAD_DEN, _LOAD_NUM, _Cols, pack_minirun_id
+from .core import _LOAD_DEN, _LOAD_NUM, _Cols, _ranges, pack_minirun_id
 from .errors import (
     ConstructionFailedError,
     FilterFullError,
@@ -37,7 +48,14 @@ from .errors import (
 from .filter import AdaptiveFilter, LookupResult, Policy, _key, _key_array
 # extension_chunk is unused here but stays a module attribute: the
 # benchmark's tracer (perfbench/spans.py) wraps it
-from .hashing import FilterConfig, HashStream, extension_chunk, split  # noqa: F401
+from .hashing import (  # noqa: F401
+    FilterConfig,
+    HashStream,
+    extension_chunk,
+    extension_chunk_batch,
+    split,
+    split_batch,
+)
 from .setops import _build_rederived
 
 YES = 1
@@ -164,15 +182,11 @@ class YesNoFilter:
     # queries
 
     def yn_query(self, key: int) -> int:
-        """YES or NO.  Pure read: no adaptation, no map access."""
-        inner = self.inner
-        stream = HashStream(_key(key), inner.cfg.seed)
-        hit = inner.arr.query_fp(stream)
-        if hit is None:
-            return NO
-        qt, rem = split(stream, inner.cfg)
-        mid = pack_minirun_id(qt, rem, inner.cfg.q)
-        return YES if inner.arr.get_value(mid, hit[0]) else NO
+        """YES or NO: the tag of the first stored fingerprint the key
+        matches, read by the same walk.  Pure read: no adaptation, no map
+        access."""
+        hit = self.inner.arr.query_fp(HashStream(_key(key), self.inner.cfg.seed))
+        return YES if hit is not None and hit[2] else NO
 
     # ------------------------------------------------------------------
     # dynamic updates
@@ -202,8 +216,8 @@ class YesNoFilter:
         colliders = []
         hit = inner.arr.query_fp(stream)
         while hit is not None:
-            rank, _ = hit
-            if inner.arr.get_value(mid, rank) != bit:
+            rank, _, tag = hit
+            if tag != bit:
                 owner, _ = inner.map.map_get(mid, rank)
                 if owner == key:
                     raise InvalidConfigError(
@@ -239,6 +253,73 @@ class YesNoFilter:
         return cls(inner, params, budget_bits=budget_bits)
 
 
+def _check_disjoint(yes: np.ndarray, no: np.ndarray) -> None:
+    """Raise InvalidConfigError when a key of no is also a key of yes."""
+    distinct = np.unique(yes)
+    at = np.minimum(np.searchsorted(distinct, no), len(distinct) - 1)
+    both = no[distinct[at] == no]
+    if len(both):
+        raise InvalidConfigError(
+            f"{len(np.unique(both))} key(s) appear on both lists; lists must be disjoint"
+        )
+
+
+def _place_yes(inner: AdaptiveFilter, yes: np.ndarray, ext_len: np.ndarray) -> AdaptiveFilter:
+    """A filter like inner holding every YES key, tagged YES, with
+    ext_len[i] chunks of its own stream after key i's fingerprint.  The
+    stable hash sort keeps list order as rank order, as inserts would."""
+    bare = np.zeros(len(yes), dtype=np.int64)
+    cols = _Cols.build(bare, bare, np.full(len(yes), YES), ext_len, bare, ())
+    return _build_rederived(cols, yes, [None] * len(yes), inner.cfg, inner.policy,
+                            inner.value_bits, keep_ext=True)
+
+
+def _no_pass(yes: np.ndarray, hits: np.ndarray, cfg: FilterConfig,
+             max_extensions: int) -> tuple[np.ndarray, int] | None:
+    """What looking up hits in order does to bare YES fingerprints.
+
+    hits are NO keys, in list order, that share a YES key's (quotient,
+    remainder) pair.  For each such pair of keys, d is the first chunk
+    at which the NO key's stream leaves the YES key's.  A fingerprint of
+    length L matches the NO key while d >= L, and adapting it appends
+    its owner's chunks up to index d.  Extensions only grow, so the YES
+    key's fingerprint ends at max(d + 1) over its pairs, and a pair
+    adapts, with one map read, exactly when its d + 1 beats every
+    earlier NO key's on that fingerprint.  Returns each YES key's
+    extension length and the number of adaptations, or None when some
+    pair agrees for max_extensions chunks, where the scalar pass would
+    give up on it.
+    """
+    packed = split_batch(yes, cfg)
+    order = np.argsort(packed, kind="stable")
+    packed = packed[order]
+    want = split_batch(hits, cfg)
+    lo = np.searchsorted(packed, want, side="left")
+    count = np.searchsorted(packed, want, side="right") - lo
+    # one row per pair: NO keys in list order, each with its YES keys
+    # in rank order
+    no_of = np.repeat(np.arange(len(hits)), count)
+    yes_of = order[_ranges(lo, count)]
+    reach = np.zeros(len(yes_of), dtype=np.int64)  # d + 1
+    live = np.arange(len(yes_of))
+    for t in range(max_extensions):
+        if not live.size:
+            break
+        same = (extension_chunk_batch(hits[no_of[live]], cfg, t)
+                == extension_chunk_batch(yes[yes_of[live]], cfg, t))
+        reach[live[~same]] = t + 1
+        live = live[same]
+    if live.size:
+        return None
+    ext_len = np.zeros(len(yes), dtype=np.int64)
+    np.maximum.at(ext_len, yes_of, reach)
+    # the running max of reach per YES key, pairs in list order; reach
+    # is at most max_extensions <= 255, so it fits below the key's bits
+    by_key = np.argsort(yes_of, kind="stable")
+    top = np.maximum.accumulate((yes_of[by_key] << 8) | reach[by_key])
+    return ext_len, int(np.count_nonzero(np.diff(top, prepend=0)))
+
+
 def build_static(
     yes_keys,
     no_keys,
@@ -248,50 +329,65 @@ def build_static(
 ) -> YesNoFilter:
     """Construct a filter that is exact on both lists.
 
-    Places every YES key in one pass, then queries every NO key and
-    adapts every false positive to death.  True negatives cost nothing
-    and nothing from the NO list is ever stored.  Both lists are uint64
-    arrays or iterables of ints in [0, 2**64).  Raises
+    Leaves what inserting every YES key and then looking up every NO key
+    in order leaves: the same bytes, counters and errors.  The NO keys
+    are probed against the superset index of the bare YES table; the few
+    that share a YES key's (quotient, remainder) pair settle in closed
+    form (see _no_pass), and the YES keys are placed once more with the
+    extensions that leaves, in one layout.  True negatives cost nothing
+    and nothing from the NO list is ever stored.  When the extensions
+    would pass the load cap, or a NO key agrees with a YES key for
+    policy.max_extensions chunks, the hits are looked up one by one
+    instead, so the failure is the sequential one.  Both lists are
+    uint64 arrays or iterables of ints in [0, 2**64).  Raises
     ConstructionFailedError, with consumed vs budgeted bits attached, if
     the filter fills before the NO list is exhausted.
     """
     yes, no = _key_array(yes_keys), _key_array(no_keys)
     if not len(yes):
         raise InvalidConfigError("need at least one YES key")
-    distinct = np.unique(yes)
-    at = np.minimum(np.searchsorted(distinct, no), len(distinct) - 1)
-    both = no[distinct[at] == no]
-    if len(both):
-        raise InvalidConfigError(
-            f"{len(np.unique(both))} key(s) appear on both lists; lists must be disjoint"
-        )
-
-    params = YesNoParams(n=len(yes), m=len(no), epsilon=epsilon)
-    f = YesNoFilter.create(params, slack=slack, seed=seed)
-    inner = f.inner
-    # fresh YES fingerprints: tag 1, no extension, no counter digits; the
-    # stable hash sort keeps list order as rank order, as inserts would
-    bare = np.zeros(len(yes), dtype=np.int64)
-    cols = _Cols.build(bare, bare, np.full(len(yes), YES), bare, bare, ())
+    # overlapping lists are reported ahead of every other error, as a
+    # sequential build reports them; without an error, the hits below
+    # hold every overlap, since a NO key that is a YES key matches it
     try:
-        f.inner = inner = _build_rederived(cols, yes, [None] * len(yes), inner.cfg,
-                                           inner.policy, inner.value_bits, keep_ext=False)
+        params = YesNoParams(n=len(yes), m=len(no), epsilon=epsilon)
+        f = YesNoFilter.create(params, slack=slack, seed=seed)
+    except InvalidConfigError:
+        _check_disjoint(yes, no)
+        raise
+    inner = f.inner
+    try:
+        inner = _place_yes(inner, yes, np.zeros(len(yes), dtype=np.int64))
     except FilterFullError as exc:
+        _check_disjoint(yes, no)
         raise ConstructionFailedError(
             f"filter filled placing the YES keys: {exc}",
             consumed_bits=inner.adaptivity_bits,
             budget_bits=f.budget_bits,
         ) from exc
+    hits = no[inner.arr.superset_index().query_keys(no)]
+    _check_disjoint(yes, hits)
 
-    # NO keys are never stored and the lists are disjoint, so no verdict
-    # is PRESENT; a fresh filter counts one adaptation failure per
-    # uncorrected verdict, which spares a Python pass over the list
-    verdicts = inner.lookup_many(no)
+    settled = _no_pass(yes, hits, inner.cfg, inner.policy.max_extensions)
+    if settled is not None and inner.arr.has_room(int(settled[0].sum())):
+        ext_len, adaptations = settled
+        f.inner = _place_yes(inner, yes, ext_len)
+        f.inner.adaptations = adaptations
+        f.inner.adaptivity_bits = int(ext_len.sum()) * inner.cfg.r
+        f.inner.map.accesses += adaptations
+        return f
+
+    # the keys the index rejects answer NOT_PRESENT untouched, so the
+    # hits alone reach the state and the first failure of the whole list
+    f.inner = inner
+    verdicts = inner.lookup_many(hits)
     if inner.adaptation_failures:
-        # lookup degrades to an uncorrected verdict when the array
-        # cannot take another extension; here that means the
+        # NO keys are never stored and the lists are disjoint, so no
+        # verdict is PRESENT, and a fresh filter counts one adaptation
+        # failure per uncorrected verdict: lookup degrades to one when
+        # the array cannot take another extension, which here means the
         # construction failed, not the query
-        z = int(no[verdicts.index((LookupResult.FALSE_POSITIVE, None))])
+        z = int(hits[verdicts.index((LookupResult.FALSE_POSITIVE, None))])
         raise ConstructionFailedError(
             f"ran out of room extending away NO key {z}",
             consumed_bits=inner.adaptivity_bits,

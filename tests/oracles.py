@@ -7,7 +7,9 @@ its owner's hash stream", the snapshot encoders from their byte layouts
 (version 1 kept here as the reference its successor is checked
 against).  Nothing imports the package's internals beyond reading raw
 state off a slot array or the columns of a reverse map, so agreement
-between the two sides is evidence rather than tautology.
+between the two sides is evidence rather than tautology.  The one
+exception, find_run, reports where the package's own walk lands, so
+that layout tests can pin it.
 
 The bit-string extractor is deliberately naive: materialize hash words
 as binary text and slice.  Slow and obviously correct, which is the
@@ -100,6 +102,17 @@ def find_colliders(q, r, seed, owner, chunks_equal, count, salt=0):
 
 def _bit(vec, i: int) -> int:
     return (int(vec[i >> 6]) >> (i & 63)) & 1
+
+
+def find_run(arr, quotient: int) -> tuple[int, int] | None:
+    """Physical (start, length) of quotient's run, trailing extension and
+    counter slots included, or None if unoccupied.  Read through the
+    package's own walk (SlotArray._walk_to_run), so that tests can pin
+    where the walk lands."""
+    if not _bit(arr.occ, quotient):
+        return None
+    win, start = arr._walk_to_run(quotient)
+    return (win.base + start) % arr.nslots, win.run_end(start) - start
 
 
 def decode_raw(arr) -> list[tuple[int, int, tuple[int, ...], int, int]]:

@@ -18,7 +18,7 @@ from aqf.core import (
 from aqf.errors import FilterFullError, FormatError, NotFoundError
 from aqf.hashing import FilterConfig, HashStream, extension_chunk, split
 
-from oracles import _bit, decode_raw, encode_slots_v1, ref_split, reseal
+from oracles import _bit, decode_raw, encode_slots_v1, find_run, ref_split, reseal
 
 C44 = FilterConfig(q=4, r=4)
 
@@ -133,17 +133,17 @@ class TestInsertPlacement:
 class TestFindRun:
     def test_empty(self):
         arr = SlotArray(C44)
-        assert all(arr.find_run(qt) is None for qt in range(16))
+        assert all(find_run(arr, qt) is None for qt in range(16))
 
     def test_singleton(self):
         arr = SlotArray(C44)
         arr.insert_fp(Fingerprint(3, 0xA))
-        assert arr.find_run(3) == (3, 1)
+        assert find_run(arr, 3) == (3, 1)
 
     def test_includes_trailing_extension_and_counter_slots(self):
         arr = SlotArray(FilterConfig(q=8, r=4))
         mid, rank = arr.insert_fp(Fingerprint(10, 7, ext=(1, 2), count=4))
-        assert arr.find_run(10) == (10, 4)
+        assert find_run(arr, 10) == (10, 4)
 
     def test_random_layout_consistent_with_decoder(self):
         rng = np.random.default_rng(33)
@@ -157,7 +157,7 @@ class TestFindRun:
         seen_slots = 0
         ranges = {}
         for qt, recs in by_qt.items():
-            start, length = arr.find_run(qt)
+            start, length = find_run(arr, qt)
             width = sum(1 + len(e) + digits(c) for _, _, e, c, _ in recs)
             assert length == width
             # run must begin with its first fingerprint's remainder
@@ -178,7 +178,7 @@ class TestFindRun:
         arr.insert_fp(Fingerprint(3, 1))
         arr.insert_fp(Fingerprint(3, 2))
         # slot 4 is used by quotient 3's run, but quotient 4 has no run
-        assert arr.find_run(4) is None
+        assert find_run(arr, 4) is None
 
 
 class TestQueryFp:
@@ -191,7 +191,7 @@ class TestQueryFp:
         arr = SlotArray(cfg)
         s = HashStream(1234, 4)
         arr.insert_fp(Fingerprint(*split(s, cfg)))
-        assert arr.query_fp(s) == (0, 0)
+        assert arr.query_fp(s) == (0, 0, 0)
 
     def test_reports_rank_and_matched_extension_length(self):
         cfg = FilterConfig(q=8, r=4, seed=4)
@@ -201,10 +201,10 @@ class TestQueryFp:
         mid, _ = arr.insert_fp(Fingerprint(qt, rem))
         arr.insert_fp(Fingerprint(qt, rem))
         arr.extend_fp(mid, 0, [extension_chunk(s, cfg, 0)])
-        assert arr.query_fp(s) == (0, 1)
+        assert arr.query_fp(s) == (0, 1, 0)
         arr.extend_fp(mid, 0, [extension_chunk(s, cfg, 1) ^ 1])
         # rank 0 now disagrees with the stream's second chunk; rank 1 is bare
-        assert arr.query_fp(s) == (1, 0)
+        assert arr.query_fp(s) == (1, 0, 0)
 
     def test_agrees_with_prefix_semantics_at_random(self):
         cfg = FilterConfig(q=8, r=4, seed=6)
@@ -316,7 +316,7 @@ class TestExtendTruncate:
         qt, rem = split(s, cfg)
         mid, rank = arr.insert_fp(Fingerprint(qt, rem))
         arr.extend_fp(mid, rank, [extension_chunk(s, cfg, 0), extension_chunk(s, cfg, 1)])
-        assert arr.query_fp(s) == (0, 2)
+        assert arr.query_fp(s) == (0, 2, 0)
 
     def test_truncate_back_to_baseline(self):
         # a shortening remove cuts (3, 0xA, (1, 2, 3)) to one chunk past
@@ -571,6 +571,6 @@ class TestFrozenIndexExact:
         assert index.all_ext.sum() >= 2 and index.dir[-1] == index.base.size
         # slot 0 is used, yet quotient 0's run follows the top run there
         assert arr._get_bit(arr.used, 0) and arr._get_bit(arr.occ, 0)
-        assert arr.find_run(0)[0] > 0
+        assert find_run(arr, 0)[0] > 0
         hits = index.query_keys(probes)
         assert hits[[on_top[0], on_top[2]]].all() and 0 < hits.sum() < len(probes)

@@ -11,7 +11,7 @@ from aqf.core import Fingerprint, SlotArray, pack_minirun_id
 from aqf.errors import FilterFullError, FormatError, NotFoundError, StateCorruptionError
 from aqf.hashing import FilterConfig, HashStream, extension_chunk, split, split_batch
 
-from oracles import decode_raw, reseal, shorten_minirun
+from oracles import decode_raw, find_run, reseal, shorten_minirun
 
 
 def populations(arr):
@@ -170,9 +170,9 @@ def test_remove_from_a_run(k):
     fp = RUN3[k]
     arr.remove_fp(pack_minirun_id(fp.quotient, fp.remainder, C52.q), 0)
     check_edit(arr, removed(RUN3, k))
-    assert arr.find_run(4) == (4, 2)
-    assert arr.find_run(5) == (6, 1) and arr.find_run(6) == (7, 1)
-    assert arr.find_run(9) == (9, 1)
+    assert find_run(arr, 4) == (4, 2)
+    assert find_run(arr, 5) == (6, 1) and find_run(arr, 6) == (7, 1)
+    assert find_run(arr, 9) == (9, 1)
 
 
 def test_remove_the_only_fingerprint_of_its_run():
@@ -181,7 +181,7 @@ def test_remove_the_only_fingerprint_of_its_run():
     check_edit(arr, removed(RUN3, 3))
     assert not arr._get_bit(arr.occ, 5)
     # quotient 6 moves back one slot, to slot 7: still one past canonical
-    assert arr.find_run(6) == (7, 1)
+    assert find_run(arr, 6) == (7, 1)
 
 
 def test_remove_from_a_run_that_wraps_the_seam():
@@ -190,12 +190,12 @@ def test_remove_from_a_run_that_wraps_the_seam():
     fps = [Fingerprint(30, 0), Fingerprint(30, 1), Fingerprint(30, 2), Fingerprint(30, 3),
            Fingerprint(31, 3), Fingerprint(0, 1), Fingerprint(1, 2)]
     arr = filled(fps)
-    assert arr.find_run(30) == (30, 4)
-    assert [arr.find_run(qt)[0] for qt in (31, 0, 1)] == [2, 3, 4]
+    assert find_run(arr, 30) == (30, 4)
+    assert [find_run(arr, qt)[0] for qt in (31, 0, 1)] == [2, 3, 4]
     arr.remove_fp(pack_minirun_id(30, 0, C52.q), 0)
     check_edit(arr, removed(fps, 0))
-    assert arr.find_run(30) == (30, 3)
-    assert [arr.find_run(qt)[0] for qt in (31, 0, 1)] == [1, 2, 3]
+    assert find_run(arr, 30) == (30, 3)
+    assert [find_run(arr, qt)[0] for qt in (31, 0, 1)] == [1, 2, 3]
     assert arr.used_count == 6 and not arr._get_bit(arr.used, 4)
 
 
@@ -206,11 +206,11 @@ def test_the_shift_shrinks_at_a_run_near_its_canonical_slot():
     fps = [Fingerprint(10, 1, (2, 3)), Fingerprint(11, 0), Fingerprint(12, 0),
            Fingerprint(14, 1), Fingerprint(16, 0)]
     arr = filled(fps)
-    assert [arr.find_run(qt)[0] for qt in (10, 11, 12, 14, 16)] == [10, 13, 14, 15, 16]
+    assert [find_run(arr, qt)[0] for qt in (10, 11, 12, 14, 16)] == [10, 13, 14, 15, 16]
     arr.remove_fp(pack_minirun_id(10, 1, C52.q), 0)
     check_edit(arr, removed(fps, 0))
     # shifts of 2, 2 and 1, then nothing: slots 13 and 15 fall empty
-    assert [arr.find_run(qt)[0] for qt in (11, 12, 14, 16)] == [11, 12, 14, 16]
+    assert [find_run(arr, qt)[0] for qt in (11, 12, 14, 16)] == [11, 12, 14, 16]
     assert [arr._get_bit(arr.used, i) for i in range(10, 18)] == [0, 1, 1, 0, 1, 0, 1, 0]
 
 
@@ -266,10 +266,10 @@ def chunks(cfg, key, count):
 
 
 def model_query(cfg, model, key):
-    """(rank, extension length) of the prefix model's match, or None."""
-    for rank, (ext, _, _) in enumerate(model.get(split(HashStream(key, cfg.seed), cfg), [])):
+    """(rank, extension length, value) of the prefix model's match, or None."""
+    for rank, (ext, _, value) in enumerate(model.get(split(HashStream(key, cfg.seed), cfg), [])):
         if ext == chunks(cfg, key, len(ext)):
-            return rank, len(ext)
+            return rank, len(ext), value
     return None
 
 
@@ -358,7 +358,7 @@ def test_a_table_without_an_unused_slot_fails_the_walk(q):
     arr.insert_fp(Fingerprint(3, 1))
     arr.used[:] = np.uint64((1 << 64) - 1)
     with pytest.raises(StateCorruptionError, match="no cluster boundary"):
-        arr.find_run(3)
+        find_run(arr, 3)
     with pytest.raises(StateCorruptionError, match="no cluster boundary"):
         arr.remove_fp(pack_minirun_id(3, 1, q), 0)
 

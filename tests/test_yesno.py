@@ -16,7 +16,7 @@ from aqf.errors import (
     FormatError,
     InvalidConfigError,
 )
-from aqf.filter import AdaptiveFilter
+from aqf.filter import AdaptiveFilter, Policy
 from aqf.hashing import FilterConfig, HashStream, split
 from aqf.yesno import (
     NO,
@@ -301,6 +301,97 @@ class TestBulkBuild:
         want = _outcome(build_static_sequential, yes, [1, 3], 0.25, 1.5, 4)
         assert want[0] is ConstructionFailedError
         assert _outcome(build_static, yes, [1, 3], 0.25, 1.5, 4) == want
+
+
+def refuse_lookups(monkeypatch):
+    """Make AdaptiveFilter.lookup raise, so that a build that still
+    calls it, one that fell back to the scalar pass, fails."""
+    def lookup(self, key):
+        raise AssertionError(f"scalar lookup of {key}")
+
+    monkeypatch.setattr(AdaptiveFilter, "lookup", lookup)
+
+
+def count_lookups(monkeypatch) -> list:
+    """Record every key AdaptiveFilter.lookup is called with."""
+    calls = []
+    lookup = AdaptiveFilter.lookup
+    monkeypatch.setattr(AdaptiveFilter, "lookup",
+                        lambda self, key: calls.append(key) or lookup(self, key))
+    return calls
+
+
+class TestClosedFormNoPass:
+    """build_static settles the NO keys that reach a YES fingerprint in
+    closed form; each case pins one rule of it against the scalar pass.
+    At epsilon 1/2 a chunk is one bit, so keys that agree with a YES key
+    for d chunks are cheap to mine."""
+
+    SEED = 3
+
+    def _lists(self, owned, pairs):
+        """YES keys owners[i] for i in owned, and one NO key per (i, d)
+        that shares owners[i]'s fingerprint and its first d chunks and
+        leaves its stream at chunk d; equal pairs give equal keys."""
+        owners = [5000, 7000]
+        yes = [owners[i] for i in owned]
+        q = YesNoFilter.create(YesNoParams(len(yes), len(pairs), 0.5), seed=self.SEED).inner.cfg.q
+        no = [find_colliders(q, 1, self.SEED, owners[i], d, 1, salt=d)[0] for i, d in pairs]
+        return yes, no
+
+    @pytest.mark.parametrize("owned, pairs, adaptations, chunks", [
+        # a later key with a smaller d misses the longer fingerprint
+        ([0], [(0, 3), (0, 1)], 1, 4),
+        # a later key with a larger d still matches it and adapts again
+        ([0], [(0, 1), (0, 3)], 2, 4),
+        # repeats of a key settle with its first copy
+        ([0], [(0, 2), (0, 2), (0, 0), (0, 2)], 1, 3),
+        # each YES copy is its own fingerprint, adapted in its own turn
+        ([0, 0], [(0, 1), (0, 2), (0, 0)], 4, 6),
+        # keys of two YES fingerprints keep to their own
+        ([0, 1], [(1, 2), (0, 1), (1, 0), (0, 4)], 3, 8),
+    ], ids=["smaller-later", "larger-later", "repeated-no", "yes-copies", "two-owners"])
+    def test_matches_the_scalar_pass(self, monkeypatch, owned, pairs, adaptations, chunks):
+        yes, no = self._lists(owned, pairs)
+        want = _outcome(build_static_sequential, yes, no, 0.5, 1.5, self.SEED)
+        refuse_lookups(monkeypatch)
+        got = _outcome(build_static, yes, no, 0.5, 1.5, self.SEED)
+        assert got == want
+        _, accesses, bits, adapted, *_ = got
+        assert (adapted, bits, accesses) == (adaptations, chunks, len(yes) + adaptations)
+
+    def test_a_succeeding_build_makes_no_scalar_lookup(self, monkeypatch):
+        pool = np.random.default_rng(79).choice(1 << 62, size=10300, replace=False)
+        yes, no = pool[:300].tolist(), pool[300:].tolist()
+        want = _outcome(build_static_sequential, yes, no, 2**-4, 1.5, 5)
+        assert want[3] > 100  # adaptations
+        refuse_lookups(monkeypatch)
+        assert _outcome(build_static, yes, no, 2**-4, 1.5, 5) == want
+
+    def test_adversarial_lists_fall_back_and_fail_alike(self, monkeypatch):
+        yes, no = adversarial_lists(7, 7, 1, depth=10, n=20)
+        with pytest.raises(ConstructionFailedError) as want:
+            build_static_sequential(yes, no, 0.5, slack=1.0, seed=7)
+        calls = count_lookups(monkeypatch)
+        with pytest.raises(ConstructionFailedError) as got:
+            build_static(yes, no, 0.5, slack=1.0, seed=7)
+        assert calls
+        assert (str(got.value), got.value.consumed_bits, got.value.budget_bits) == (
+            str(want.value), want.value.consumed_bits, want.value.budget_bits)
+
+    def test_agreement_to_max_extensions_falls_back(self, monkeypatch):
+        create = YesNoFilter.create.__func__
+
+        def capped(cls, params, slack=1.5, seed=0, dynamic=False, policy=None):
+            return create(cls, params, slack, seed, dynamic, Policy(max_extensions=3))
+
+        monkeypatch.setattr(YesNoFilter, "create", classmethod(capped))
+        yes, no = self._lists([0], [(0, 1), (0, 3)])
+        want = _outcome(build_static_sequential, yes, no, 0.5, 1.5, self.SEED)
+        assert want[0] is ConstructionFailedError
+        calls = count_lookups(monkeypatch)
+        assert _outcome(build_static, yes, no, 0.5, 1.5, self.SEED) == want
+        assert calls == no
 
 
 class TestConstructionFailure:
