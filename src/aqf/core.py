@@ -56,6 +56,7 @@ table that loads encodes back to the same bytes.
 
 from __future__ import annotations
 
+import copy
 import struct
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -284,6 +285,9 @@ class SlotArray:
         # FrozenIndex whose positives are a superset of the current ones,
         # or None; see superset_index()
         self._superset = None
+        # minirun ids extended since _superset was exact, or None when it
+        # cannot be patched back to exact; see frozen_index()
+        self._touched = None
 
     # ------------------------------------------------------------------
     # word-level bit plumbing
@@ -510,7 +514,7 @@ class SlotArray:
             raise FilterFullError(
                 f"insert of {width} slot(s) would exceed the load limit"
             )
-        self._superset = None
+        self._superset = self._touched = None
         vb = self.value_bits
         vmask = (1 << vb) - 1
         payloads = [(rem << vb) | (value & vmask)]
@@ -593,6 +597,8 @@ class SlotArray:
             self.slots[p] = ch << vb
             self._set_bit(self.ext, p)
         self.ext_slot_count += len(chunks)
+        if self._touched is not None:
+            self._touched.add(mid)
 
     def get_count(self, mid: int, rank: int) -> int:
         win, _, _, _, c0, nxt = self._locate_fp(mid, rank)
@@ -670,6 +676,7 @@ class SlotArray:
         for at, start, length in sorted(cuts, reverse=True):
             self._close_span(win, qt, at, start, length)
             self.ext_slot_count -= length
+        self._touched = None
         if cuts:
             self._superset = None
 
@@ -838,11 +845,19 @@ class SlotArray:
     def frozen_index(self) -> "FrozenIndex":
         """Exact index of the table as it is now.
 
-        It also replaces the cached superset index, being the tightest
-        one available.
+        The cached index comes back as it is when the table has not
+        changed since it was made, and patched (FrozenIndex.patched) when
+        fingerprints were only extended since; after an insert or a
+        removal the table is decoded again.  The result replaces the
+        cached superset index, being the tightest one available.  An
+        index once handed out never changes.
         """
-        self._superset = None  # not kept alive through the build
-        self._superset = FrozenIndex(self)
+        if self._touched is None:
+            self._superset = None  # not kept alive through the build
+            self._superset = FrozenIndex(self)
+        elif self._touched:
+            self._superset = self._superset.patched(self, self._touched)
+        self._touched = set()
         return self._superset
 
     def superset_index(self) -> "FrozenIndex":
@@ -852,10 +867,13 @@ class SlotArray:
         match set.  Extending a fingerprint only narrows what it matches,
         and removing one or rewriting its count leaves the other
         fingerprints as they were, so only insert_fp and a shortening
-        remove_fp that cuts an extension drop the cache.
+        remove_fp that cuts an extension drop the cache.  Extensions
+        since the cache was exact are recorded by minirun id, so that
+        frozen_index can patch it back to exact; any removal stops that.
         """
         if self._superset is None:
             self._superset = FrozenIndex(self)
+            self._touched = set()
         return self._superset
 
     # ------------------------------------------------------------------
@@ -1009,8 +1027,9 @@ class FrozenIndex:
     a pair compares column by column.  Exact for the table it was built
     from.  Afterwards its positives stay a superset of the table's until
     a fingerprint is inserted or a shortening delete cuts an extension,
-    since extending only narrows what a fingerprint matches.  Equivalence
-    with the slot-walk query is pinned by tests.
+    since extending only narrows what a fingerprint matches.  After
+    extensions alone, patched() makes it exact again without decoding
+    the table.  Equivalence with the slot-walk query is pinned by tests.
     """
 
     # keys probed per pass; bounds the temporaries of a large batch
@@ -1040,6 +1059,45 @@ class FrozenIndex:
         at = _ranges(off, self.cand_len)
         row = np.repeat(np.arange(cand.size), self.cand_len)
         self.cand_chunks[row, at - off[row]] = cols.chunks[at]
+
+    def patched(self, arr: SlotArray, mids) -> "FrozenIndex":
+        """A new index equal to FrozenIndex(arr), given that arr has had
+        only fingerprints of the miniruns ``mids`` extended since this
+        index was exact for it.
+
+        Extension keeps every pair, so ``base`` and ``dir`` are shared.
+        Each touched pair's ``all_ext`` flag and candidate rows are read
+        again from its minirun; the other candidate rows are kept.
+        """
+        n, vb, q, r = arr.nslots, arr.value_bits, self.cfg.q, self.cfg.r
+        mids = list(mids)
+        touched = [((m & ((1 << q) - 1)) << r) | (m >> q) for m in mids]
+        at = np.searchsorted(self.base, np.array(touched, dtype=np.uint64)).tolist()
+        new = copy.copy(self)
+        new.all_ext = self.all_ext.copy()
+        pairs, exts = [], []
+        for mid, pair, row in zip(mids, touched, at):
+            fps = [[int(arr.slots[(win.base + i) % n]) >> vb for i in range(e0, c0)]
+                   for win, _, _, e0, c0, _ in arr._minirun(mid)]
+            new.all_ext[row] = all(fps)
+            if all(fps):
+                pairs += [pair] * len(fps)
+                exts += fps
+        gone = set(touched)
+        keep = np.array([p not in gone for p in self.cand_packed.tolist()], dtype=bool)
+        kept = int(keep.sum())
+        cand_packed = np.concatenate([self.cand_packed[keep], np.array(pairs, dtype=np.uint64)])
+        cand_len = np.concatenate([self.cand_len[keep], np.array([len(e) for e in exts],
+                                                                 dtype=np.int64)])
+        chunks = np.zeros((cand_len.size, int(cand_len.max(initial=0))), dtype=np.uint64)
+        chunks[:kept, :self.cand_chunks.shape[1]] = self.cand_chunks[keep]
+        for i, ext in enumerate(exts, kept):
+            chunks[i, :len(ext)] = ext
+        # stable, so that each pair's rows stay in rank order
+        order = np.argsort(cand_packed, kind="stable")
+        new.cand_packed, new.cand_len, new.cand_chunks = (
+            cand_packed[order], cand_len[order], chunks[order])
+        return new
 
     def query_keys(self, keys: np.ndarray) -> np.ndarray:
         """Membership verdict per key, adaptation frozen."""

@@ -8,8 +8,10 @@ replacements come from the top.  Probe keys therefore never collide
 with stored keys and every positive probe is a real false positive.
 
 The instantaneous false-positive rate is measured with adaptation
-frozen: the filter is decoded once into a read-only index and probed
-with independent query sets drawn from the workload's distribution.
+frozen: the filter's read-only index (decoded at the first checkpoint,
+then patched where lookups extended fingerprints) is probed with
+independent query sets drawn from the workload's distribution, each
+distinct probe key once.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 
 from .core import _LOAD_DEN, _LOAD_NUM, FrozenIndex
 from .errors import InvalidConfigError, StateCorruptionError
-from .filter import AdaptiveFilter, LookupResult, Policy
+from .filter import AdaptiveFilter, LookupResult, Policy, _key_array
 from .hashing import FilterConfig, split_batch
 from .setops import bulk_load
 
@@ -155,6 +157,8 @@ def _permute(idx: np.ndarray, universe: int, seed: int) -> np.ndarray:
 
 def _zipf_ranks(rng: np.random.Generator, s: float, universe: int, count: int) -> np.ndarray:
     """count draws of 0-based ranks with P(rank) ~ (rank+1)**(-s), truncated."""
+    if not count:
+        return np.empty(0, dtype=np.uint64)
     out = []
     got = 0
     while got < count:
@@ -167,12 +171,16 @@ def _zipf_ranks(rng: np.random.Generator, s: float, universe: int, count: int) -
 
 
 def gen_workload(spec: WorkloadSpec) -> np.ndarray:
-    """Deterministic key sequence for the spec, dtype uint64."""
+    """Deterministic key sequence for the spec, dtype uint64.
+
+    Zipfian ranks repeat heavily, so each distinct rank is permuted once.
+    """
     rng = np.random.default_rng(spec.seed)
     if spec.kind in ("uniform", "adversarial"):
         return rng.integers(0, spec.universe, size=spec.count, dtype=np.uint64)
-    ranks = _zipf_ranks(rng, spec.s, spec.universe, spec.count)
-    return _permute(ranks, spec.universe, spec.perm_seed ^ 0xD6E8FEB8)
+    ranks, inverse = np.unique(_zipf_ranks(rng, spec.s, spec.universe, spec.count),
+                               return_inverse=True)
+    return _permute(ranks, spec.universe, spec.perm_seed ^ 0xD6E8FEB8)[inverse]
 
 
 def zipf_normalizer(s: float, universe: int) -> float:
@@ -204,14 +212,22 @@ def fill_to_load(
 
 
 def measure_fpr(index: FrozenIndex, probe_sets: list[np.ndarray]) -> float:
-    """Mean false-positive fraction over independent probe sets.
+    """Mean false-positive fraction over independent, non-empty probe sets.
 
     Probes must be true negatives (the key-space carve-up guarantees
     this for generated workloads), so every positive verdict counts.
+    Each distinct key of a set is probed once; the set's fraction is its
+    positive probes over its size, the same float as the mean of its
+    verdicts.
     """
     if not probe_sets:
         raise InvalidConfigError("need at least one probe set")
-    fracs = [float(np.mean(index.query_keys(p))) for p in probe_sets]
+    fracs = []
+    for probes in probe_sets:
+        if not len(probes):
+            raise InvalidConfigError("a probe set cannot be empty")
+        keys, counts = np.unique(probes, return_counts=True)
+        fracs.append(int(counts[index.query_keys(keys)].sum()) / len(probes))
     return sum(fracs) / len(fracs)
 
 
@@ -249,15 +265,20 @@ def run_adaptation_trace(
     measure_every_pct of the workload.  A key array in place of a spec
     is treated as an external trace: probe sets become bootstrap
     resamples of it, which only estimate an FPR if the trace keys are
-    disjoint from the stored ones.
+    disjoint from the stored ones.  Such a trace holds at least one key,
+    and every key is an int in [0, 2**64).
     """
     if not 1 <= measure_every_pct <= 100:
         raise InvalidConfigError("measure_every_pct must be in [1, 100]")
+    if probe_size < 1:
+        raise InvalidConfigError(f"probe_size must be at least 1, got {probe_size}")
     if isinstance(workload, WorkloadSpec):
         queries = gen_workload(workload)
         probes = make_probe_sets(workload, probe_sets, probe_size)
     else:
-        queries = np.asarray(workload, dtype=np.uint64)
+        queries = _key_array(workload)
+        if not len(queries):
+            raise InvalidConfigError("an external trace needs at least one key")
         rng = np.random.default_rng(0x5EED)
         probes = [rng.choice(queries, size=probe_size) for _ in range(probe_sets)]
     t0 = time.perf_counter_ns()
@@ -355,6 +376,8 @@ def run_churn(
     immediately before each churn event and at the end, and each one
     re-checks that every live key still answers positive.
     """
+    if probe_size < 1:
+        raise InvalidConfigError(f"probe_size must be at least 1, got {probe_size}")
     live = [int(k) for k in live_keys]
     queries = gen_workload(spec)
     probes = make_probe_sets(spec, probe_sets, probe_size)

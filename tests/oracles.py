@@ -7,9 +7,11 @@ its owner's hash stream", the snapshot encoders from their byte layouts
 (version 1 kept here as the reference its successor is checked
 against).  Nothing imports the package's internals beyond reading raw
 state off a slot array or the columns of a reverse map, so agreement
-between the two sides is evidence rather than tautology.  The one
-exception, find_run, reports where the package's own walk lands, so
-that layout tests can pin it.
+between the two sides is evidence rather than tautology.  The
+exceptions: find_run reports where the package's own walk lands, so
+that layout tests can pin it, and the sequential yes/no build and the
+rebuilt adaptation trace run the package's own pieces the slow, plain
+way, so that its faster paths must match them.
 
 The bit-string extractor is deliberately naive: materialize hash words
 as binary text and slice.  Slow and obviously correct, which is the
@@ -383,6 +385,54 @@ def build_static_sequential(yes_keys, no_keys, epsilon, slack=1.5, seed=0):
             budget_bits=f.budget_bits,
         )
     return f
+
+
+# ----------------------------------------------------------------------
+# adaptation trace, every checkpoint decoded afresh
+
+
+def gen_workload_every_rank(spec) -> np.ndarray:
+    """gen_workload with the rank permutation applied to every draw, not
+    once per distinct rank."""
+    from aqf.workbench import _permute, _zipf_ranks
+
+    rng = np.random.default_rng(spec.seed)
+    if spec.kind in ("uniform", "adversarial"):
+        return rng.integers(0, spec.universe, size=spec.count, dtype=np.uint64)
+    ranks = _zipf_ranks(rng, spec.s, spec.universe, spec.count)
+    return _permute(ranks, spec.universe, spec.perm_seed ^ 0xD6E8FEB8)
+
+
+def trace_fprs_rebuilt(f, workload, measure_every_pct, probe_sets, probe_size) -> list[float]:
+    """run_adaptation_trace's FPR column, each checkpoint a fresh
+    FrozenIndex of the table probed with every probe, duplicates
+    included, and averaged with np.mean."""
+    from dataclasses import replace
+
+    from aqf.core import FrozenIndex
+    from aqf.workbench import WorkloadSpec
+
+    if isinstance(workload, WorkloadSpec):
+        queries = gen_workload_every_rank(workload)
+        probes = [gen_workload_every_rank(replace(workload, count=probe_size,
+                                                  seed=workload.seed + 7919 * (i + 1)))
+                  for i in range(probe_sets)]
+    else:
+        queries = np.asarray(workload, dtype=np.uint64)
+        rng = np.random.default_rng(0x5EED)
+        probes = [rng.choice(queries, size=probe_size) for _ in range(probe_sets)]
+
+    def checkpoint() -> float:
+        index = FrozenIndex(f.arr)
+        fracs = [float(np.mean(index.query_keys(p))) for p in probes]
+        return sum(fracs) / len(fracs)
+
+    fprs = [checkpoint()]
+    step = max(1, len(queries) * measure_every_pct // 100)
+    for done in range(0, len(queries), step):
+        f.lookup_many(queries[done : done + step])
+        fprs.append(checkpoint())
+    return fprs
 
 
 # ----------------------------------------------------------------------

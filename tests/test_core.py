@@ -16,6 +16,7 @@ from aqf.core import (
     unpack_minirun_id,
 )
 from aqf.errors import FilterFullError, FormatError, NotFoundError
+from aqf.filter import AdaptiveFilter, Policy
 from aqf.hashing import FilterConfig, HashStream, extension_chunk, split
 
 from oracles import _bit, decode_raw, encode_slots_v1, find_run, ref_split, reseal
@@ -515,6 +516,18 @@ def probe_fp(cfg, key, ext_len, differ, count=1):
     return Fingerprint(*split(s, cfg), tuple(ext), count)
 
 
+def assert_fresh(index, arr, probes):
+    """index equals FrozenIndex(arr) field for field and on the probes."""
+    want = FrozenIndex(arr)
+    assert vars(index).keys() == vars(want).keys() and index.cfg == want.cfg
+    for name, col in vars(want).items():
+        if isinstance(col, np.ndarray):
+            got = getattr(index, name)
+            assert got.dtype == col.dtype and got.shape == col.shape, name
+            assert (got == col).all(), name
+    assert index.query_keys(probes).tolist() == want.query_keys(probes).tolist()
+
+
 # where a stored fingerprint comes from: a probe key's own hash (so probes
 # meet its extension chunks), the top quotient (so its cluster wraps the
 # seam) or any quotient
@@ -574,3 +587,79 @@ class TestFrozenIndexExact:
         assert find_run(arr, 0)[0] > 0
         hits = index.query_keys(probes)
         assert hits[[on_top[0], on_top[2]]].all() and 0 < hits.sum() < len(probes)
+
+    @settings(max_examples=60, deadline=None)
+    @given(q=st.integers(3, 8), r=st.integers(1, 3), seed=st.integers(0, 1 << 16),
+           n_keys=st.integers(0, 200), shorten=st.booleans(),
+           steps=st.lists(st.sampled_from(["lookup", "lookup", "delete", "insert", "again"]),
+                          min_size=1, max_size=8))
+    def test_patched_index_equals_a_fresh_build(self, q, r, seed, n_keys, shorten, steps):
+        """Adapting lookups between calls of frozen_index: its index
+        equals FrozenIndex(arr) every time, is patched from the last one
+        (same base array) after extensions alone, is rebuilt after a
+        delete or an insert, comes back as the same object when nothing
+        changed, and leaves every index handed out before as it was."""
+        cfg = FilterConfig(q=q, r=r, seed=seed)
+        rng = np.random.default_rng(seed)
+        f = AdaptiveFilter(cfg, policy=Policy(shorten_on_delete=shorten))
+        stored = []
+        for k in rng.integers(0, 1 << 62, size=n_keys, dtype=np.uint64).tolist():
+            try:
+                f.insert(k)
+            except FilterFullError:
+                break
+            stored.append(k)
+        probes = rng.integers(1 << 62, 1 << 63, size=400, dtype=np.uint64)
+        handed = []  # (index, copy of its arrays)
+        last = None
+        for step in steps:
+            adapted = f.adaptations
+            if step == "delete" and stored:
+                f.delete(stored.pop(int(rng.integers(len(stored)))))
+            elif step == "insert":
+                try:
+                    f.insert(int(rng.integers(0, 1 << 62)))
+                except FilterFullError:
+                    step = "again"
+            elif step == "lookup":
+                f.lookup_many(rng.choice(probes, size=60))
+            else:
+                step = "again"
+            got = f.frozen_index()
+            assert_fresh(got, f.arr, probes)
+            if last is not None:
+                if step in ("delete", "insert"):
+                    assert got.base is not last.base
+                elif f.adaptations > adapted:
+                    assert got is not last and got.base is last.base
+                else:
+                    assert got is last
+            assert f.frozen_index() is got
+            for index, arrays in handed:
+                assert all((getattr(index, k) == v).all() for k, v in arrays.items())
+            handed.append((got, {k: v.copy() for k, v in vars(got).items()
+                                 if isinstance(v, np.ndarray)}))
+            last = got
+
+    def test_patch_flags_a_pair_once_all_its_fingerprints_are_extended(self):
+        cfg = FilterConfig(q=4, r=2, seed=7)
+        probes = np.arange(3000, dtype=np.uint64)
+        arr = SlotArray(cfg)
+        for fp in (Fingerprint(3, 1), Fingerprint(3, 1), Fingerprint(3, 2, (1,)),
+                   Fingerprint(9, 0)):
+            arr.insert_fp(fp)
+        first = arr.frozen_index()
+        pair = int(np.searchsorted(first.base, (3 << cfg.r) | 1))
+        twins = pack_minirun_id(3, 1, cfg.q)
+        arr.extend_fp(twins, 0, [2, 3])
+        half = arr.frozen_index()
+        assert_fresh(half, arr, probes)
+        assert not half.all_ext[pair] and half.cand_len.tolist() == [1]
+        arr.extend_fp(twins, 1, [1])
+        # a longer extension than any before widens the chunk matrix
+        arr.extend_fp(pack_minirun_id(3, 2, cfg.q), 0, [0, 0, 1])
+        full = arr.frozen_index()
+        assert_fresh(full, arr, probes)
+        assert full.all_ext[pair] and full.cand_len.tolist() == [2, 1, 4]
+        assert full.base is half.base is first.base and full.dir is first.dir
+        assert first.cand_len.tolist() == [1] and not first.all_ext[pair]

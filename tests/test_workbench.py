@@ -26,7 +26,7 @@ from aqf.workbench import (
     run_churn,
     zipf_normalizer,
 )
-from oracles import bit_text
+from oracles import bit_text, gen_workload_every_rank, trace_fprs_rebuilt
 
 
 class TestWorkloadSpec:
@@ -102,6 +102,19 @@ class TestGenWorkload:
             image = _permute(np.arange(universe, dtype=np.uint64), universe, seed=11)
             assert np.array_equal(np.sort(image), np.arange(universe))
 
+    @pytest.mark.parametrize("kind", ["zipfian", "churn"])
+    def test_each_distinct_rank_permuted_once_changes_nothing(self, kind):
+        for count, seed in ((30_000, 12), (1, 13), (2000, 14)):
+            spec = WorkloadSpec(kind=kind, count=count, seed=seed, universe=10**5,
+                                perm_seed=15)
+            got = gen_workload(spec)
+            assert got.dtype == np.uint64 and got.tolist() == gen_workload_every_rank(spec).tolist()
+
+    @pytest.mark.parametrize("kind", ["uniform", "zipfian", "churn"])
+    def test_zero_count_is_empty(self, kind):
+        got = gen_workload(WorkloadSpec(kind=kind, count=0, seed=16))
+        assert got.dtype == np.uint64 and got.size == 0
+
     def test_zeta_sum_small_case(self):
         want = sum(k**-1.5 for k in range(1, 6))
         assert zipf_normalizer(1.5, 5) == pytest.approx(want, rel=1e-12)
@@ -142,6 +155,20 @@ class TestFillAndMeasure:
         f, _ = fill_to_load(FilterConfig(q=8, r=4, seed=22), 0.2)
         with pytest.raises(InvalidConfigError):
             measure_fpr(f.frozen_index(), [])
+        with pytest.raises(InvalidConfigError):
+            measure_fpr(f.frozen_index(), [np.arange(5, dtype=np.uint64),
+                                           np.zeros(0, dtype=np.uint64)])
+
+    def test_measure_fpr_counts_repeated_probes(self):
+        cfg = FilterConfig(q=8, r=3, seed=28)
+        f, _ = fill_to_load(cfg, 0.5, seed=29)
+        index = f.frozen_index()
+        rng = np.random.default_rng(30)
+        pool = rng.integers(0, 1 << 20, size=400, dtype=np.uint64)
+        probe_sets = [rng.choice(pool, size=n) for n in (1, 7, 3000, 4999)]
+        want = [float(np.mean(index.query_keys(p))) for p in probe_sets]
+        assert 0 < sum(want) < len(want)
+        assert measure_fpr(index, probe_sets) == sum(want) / len(want)
 
     def test_extra_bits_accounting(self):
         cfg = FilterConfig(q=10, r=4, seed=25)
@@ -189,6 +216,42 @@ class TestAdaptationTrace:
             run_adaptation_trace(self._filter(seed=34),
                                  WorkloadSpec(kind="uniform", count=10),
                                  measure_every_pct=0)
+
+    @pytest.mark.parametrize("probe_size", [0, -3])
+    @pytest.mark.parametrize("workload", ["spec", "trace"])
+    def test_bad_probe_size_rejected(self, probe_size, workload):
+        if workload == "spec":
+            workload = WorkloadSpec(kind="zipfian", count=10)
+        else:
+            workload = np.arange(10, dtype=np.uint64)
+        with pytest.raises(InvalidConfigError):
+            run_adaptation_trace(self._filter(seed=35), workload, probe_size=probe_size)
+
+    @pytest.mark.parametrize("trace", [[1.5, 2.5], [-1, 2], [], np.array([-1, 2]),
+                                       np.array([1.5, 2.5]), [1 << 64]])
+    def test_bad_external_trace_rejected(self, trace):
+        f = self._filter(seed=36)
+        before = f.to_bytes()
+        with pytest.raises(InvalidConfigError):
+            run_adaptation_trace(f, trace, probe_sets=1, probe_size=10)
+        assert f.to_bytes() == before
+
+    @pytest.mark.parametrize("workload", [
+        WorkloadSpec(kind="zipfian", count=3000, seed=37, universe=10**5, perm_seed=38),
+        WorkloadSpec(kind="uniform", count=3000, seed=39, universe=10**5),
+        "trace",
+    ])
+    def test_checkpoints_equal_a_fresh_index_over_every_probe(self, workload):
+        if workload == "trace":
+            rng = np.random.default_rng(40)
+            workload = rng.integers(0, 2000, size=3000, dtype=np.uint64)
+        args = dict(measure_every_pct=20, probe_sets=4, probe_size=1500)
+        f, twin = self._filter(seed=41), self._filter(seed=41)
+        rows = run_adaptation_trace(f, workload, **args)
+        want = trace_fprs_rebuilt(twin, workload, **args)
+        assert [row.instantaneous_fpr for row in rows] == want
+        assert want[-1] < want[0] and f.adaptations > 0
+        assert f.to_bytes() == twin.to_bytes()
 
 
 class TestAdversary:
@@ -267,6 +330,12 @@ class TestChurn:
         assert len(rows) == 6
         assert len(f) == len(keys)
         f.check_consistency()
+
+    def test_bad_probe_size_rejected(self):
+        cfg = FilterConfig(q=10, r=4, seed=57)
+        f, keys = fill_to_load(cfg, 0.5, seed=58)
+        with pytest.raises(InvalidConfigError):
+            run_churn(f, keys, self.SPEC, probe_sets=1, probe_size=0)
 
     def test_lost_key_is_caught(self):
         cfg = FilterConfig(q=10, r=4, seed=55)
