@@ -59,6 +59,8 @@ from __future__ import annotations
 import copy
 import struct
 from dataclasses import dataclass
+from itertools import compress, count
+from operator import sub
 from typing import NamedTuple
 
 import numpy as np
@@ -95,9 +97,11 @@ HEADER_BITS = (4 + 4 + 1 + 1 + 8 + 8) * 8
 # load factor ceiling: used slots may not exceed 19/20 of the table
 _LOAD_NUM, _LOAD_DEN = 19, 20
 
+# slots a walk reads first on each side of its quotient
+_READ = 128
 
-@dataclass(frozen=True)
-class Fingerprint:
+
+class Fingerprint(NamedTuple):
     """Decoded fingerprint: baseline pair, extension chunks, duplicate count."""
 
     quotient: int
@@ -164,6 +168,15 @@ def _ranges(off: np.ndarray, length: np.ndarray) -> np.ndarray:
     return np.repeat(off - (ends - length), length) + np.arange(total)
 
 
+_BITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _ones(x: int) -> list[int]:
+    """Positions of the set bits of x, lowest first, found in C: one
+    byte per bit of x's binary text, and compress keeps the nonzero."""
+    return list(compress(count(), bin(x)[:1:-1].encode().translate(_BITS)))
+
+
 class _Cols(NamedTuple):
     """Per-fingerprint columns, one row per fingerprint; _columns hands
     them out in hash order, and _lay_out takes them so.
@@ -218,13 +231,13 @@ class _Win:
     base + i, wrapping past the top of the table.  Every bit past the
     cluster is zero, so walks stop at its end without bounds checks: the
     unused slot there ends the last run, and no fingerprint follows it.
+
+    Scalar mutations edit these ints and store them back in one write
+    (SlotArray._store).  A close keeps the window whole; an open holds
+    true only up to the end of its edit, so nothing walks on after one.
     """
 
     __slots__ = ("base", "used", "run", "ext", "occ")
-
-    # slots read on each side of the walk's quotient; doubled until the
-    # read holds the whole cluster
-    _READ = 128
 
     def __init__(self, base: int, used: int, run: int, ext: int, occ: int):
         self.base = base
@@ -245,19 +258,25 @@ class _Win:
 
     def run_end(self, pos: int, k: int = 1) -> int:
         """Offset just past the k-th run ending at or after offset pos, a
-        remainder slot, selected a word of ends() at a time."""
-        ends = self.ends() >> (pos + 1)
-        while ends:
-            word = ends & MASK64
-            have = word.bit_count()
-            if have >= k:
-                for _ in range(k - 1):
-                    word &= word - 1
-                return pos + (word & -word).bit_length()
-            k -= have
-            ends >>= 64
-            pos += 64
-        raise StateCorruptionError("run without a terminator")
+        remainder slot."""
+        return _select_end(self.ends(), pos, k)
+
+
+def _select_end(ends: int, pos: int, k: int) -> int:
+    """Offset just past the k-th run ending at or after offset pos, given
+    the run ends of _Win.ends, selected a word at a time."""
+    ends >>= pos + 1
+    while ends:
+        word = ends & MASK64
+        have = word.bit_count()
+        if have >= k:
+            for _ in range(k - 1):
+                word &= word - 1
+            return pos + (word & -word).bit_length()
+        k -= have
+        ends >>= 64
+        pos += 64
+    raise StateCorruptionError("run without a terminator")
 
 
 class SlotArray:
@@ -293,50 +312,22 @@ class SlotArray:
     # word-level bit plumbing
 
     def _get_bit(self, vec: np.ndarray, i: int) -> int:
-        return (int(vec[i >> 6]) >> (i & 63)) & 1
+        return (vec.item(i >> 6) >> (i & 63)) & 1
 
-    def _set_bit(self, vec: np.ndarray, i: int):
-        vec[i >> 6] = int(vec[i >> 6]) | (1 << (i & 63))
-
-    def _clear_bit(self, vec: np.ndarray, i: int):
-        vec[i >> 6] = int(vec[i >> 6]) & ~(1 << (i & 63)) & MASK64
-
-    def _read_bits(self, rows: np.ndarray, start: int, length: int) -> list[int]:
-        """Bits [start, start+length) circularly of each row of a block of
-        the word matrix, one int per row whose bit k is slot start+k.  A
-        range longer than the table repeats it."""
+    def _read_bits(self, start: int, length: int) -> list[int]:
+        """Bits [start, start+length) circularly of the four rows of the
+        word matrix (used, run, ext, occ), one int per row whose bit k is
+        slot start+k.  A range longer than the table repeats it."""
         n = self.nslots
         if start + length > n:
             head = n - start
-            tail = self._read_bits(rows, 0, length - head)
-            return [a | (b << head) for a, b in zip(self._read_bits(rows, start, head), tail)]
-        w0, w1 = start >> 6, (start + length + 63) >> 6
-        block = int.from_bytes(rows[:, w0:w1].tobytes(), "little") >> (start & 63)
-        step, mask = (w1 - w0) << 6, (1 << length) - 1
-        out = []
-        for _ in range(len(rows)):
-            out.append(block & mask)
-            block >>= step
-        return out
-
-    def _write_bits(self, rows: np.ndarray, start: int, length: int, values: list[int]):
-        """Overwrite bits [start, start+length) circularly of each row of a
-        block with the low bits of its value, laid out as _read_bits'."""
-        n = self.nslots
-        if start + length > n:
-            head = n - start
-            self._write_bits(rows, start, head, values)
-            self._write_bits(rows, 0, length - head, [v >> head for v in values])
-            return
-        w0, w1 = start >> 6, (start + length + 63) >> 6
-        block = int.from_bytes(rows[:, w0:w1].tobytes(), "little")
-        step, at = (w1 - w0) << 6, start & 63
-        for v in values:
-            mask = ((1 << length) - 1) << at
-            block = (block & ~mask) | ((v << at) & mask)
-            at += step
-        out = block.to_bytes(len(values) * step >> 3, "little")
-        rows[:, w0:w1] = np.frombuffer(out, dtype=np.uint64).reshape(len(values), -1)
+            tail = self._read_bits(0, length - head)
+            return [a | (b << head) for a, b in zip(self._read_bits(start, head), tail)]
+        block = self._meta[:, start >> 6 : (start + length + 63) >> 6]
+        bits = int.from_bytes(block.tobytes(), "little") >> (start & 63)
+        step, mask = block.shape[1] << 6, (1 << length) - 1
+        return [bits & mask, (bits >> step) & mask, (bits >> 2 * step) & mask,
+                (bits >> 3 * step) & mask]
 
     def _unpack(self, start: int) -> np.ndarray:
         """Metadata bits of every slot, read circularly from slot start: a
@@ -371,29 +362,94 @@ class SlotArray:
             keep = MASK64
         raise FilterFullError("no unused slot in the table")
 
-    def _shift_payload_right(self, start: int, free: int):
-        """Move payloads [start, free) one slot right; ``free`` is unused."""
-        s = self.slots
+    def _payloads(self, start: int, length: int) -> np.ndarray:
+        """Payloads of slots [start, start+length) circularly: a view of
+        the table, or across the seam a copy that _set_payloads stores."""
         n = self.nslots
-        if free >= start:
-            s[start + 1 : free + 1] = s[start:free]
-        else:
-            s[1 : free + 1] = s[0:free]
-            s[0] = s[n - 1]
-            s[start + 1 : n] = s[start : n - 1]
+        if start + length <= n:
+            return self.slots[start : start + length]
+        return np.concatenate((self.slots[start:], self.slots[: start + length - n]))
 
-    def _open_slot(self, pos: int):
-        """Make slot ``pos`` writable, shifting the tail of its cluster
-        right by one.  Leaves runend/extension clear at ``pos``."""
-        free = self._find_first_unused(pos)
-        if free != pos:
-            length = (free - pos) % self.nslots
-            self._shift_payload_right(pos, free)
-            rows = self._meta[1:3]  # runend, extension
-            bits = self._read_bits(rows, pos, length)
-            self._write_bits(rows, pos, length + 1, [v << 1 for v in bits])
-        self._set_bit(self.used, free)
-        self.used_count += 1
+    def _set_payloads(self, start: int, buf: np.ndarray) -> None:
+        """Store what _payloads(start, len(buf)) handed out, once edited."""
+        head = self.nslots - start
+        if len(buf) > head:
+            self.slots[start:] = buf[:head]
+            self.slots[: len(buf) - head] = buf[head:]
+
+    def _store(self, win: _Win, lo: int, hi: int) -> None:
+        """Write the window's four rows over its offsets [lo, hi): one
+        read-modify-write of the words they touch, two across the seam."""
+        n = self.nslots
+        start = (win.base + lo) % n
+        if start + hi - lo > n:
+            self._store(win, lo, lo + n - start)
+            self._store(win, lo + n - start, hi)
+            return
+        block = self._meta[:, start >> 6 : (start + hi - lo + 63) >> 6]
+        step, m = block.shape[1] << 6, (1 << (hi - lo)) - 1
+        new = ((win.used >> lo) & m | ((win.run >> lo) & m) << step
+               | ((win.ext >> lo) & m) << 2 * step | ((win.occ >> lo) & m) << 3 * step)
+        m |= m << step
+        m |= m << 2 * step
+        at = start & 63
+        bits = int.from_bytes(block.tobytes(), "little") & ~(m << at) | new << at
+        block[:] = np.ndarray(block.shape, np.uint64, bits.to_bytes(block.size << 3, "little"))
+
+    def _open_slot(self, win: _Win, at: int, run: int, ext: int, payloads: list[int]) -> int:
+        """Open len(payloads) slots at window offset ``at`` and fill them
+        with the payloads, runend bits ``run`` and extension bits ``ext``
+        (bit i for the i-th new slot).  Returns the offset just past the
+        edit, which the caller stores (_store) with its own bit edits.
+
+        The slots from ``at`` to the cluster's end move right by the
+        width opened, into the unused slots past it.  When fewer unused
+        slots than that follow the cluster, the clusters behind them move
+        too, each by the part of the width that the unused slots before
+        it have not taken up, and merge: the slots from ``at`` to the
+        last unused slot taken all end up used, new ones first, which is
+        where _lay_out places every run.  The window's used, runend and
+        extension bits follow the edit (a merge reads the clusters it
+        takes in), and the payloads move with one slice per stretch
+        between the unused slots taken, one in all but a merge.
+        """
+        k = len(payloads)
+        end = win.used.bit_length()  # the cluster's end, an unused slot
+        stop = end + k
+        moves = [(at, end, k)]  # (first, stop, shift): used slots moving right
+        if k > 1:
+            # the first k unused slots from end on, read in one piece
+            width = 2 * k + 64
+            while True:
+                rows = self._read_bits((win.base + end) % self.nslots, width)
+                gaps = _ones(~rows[0] & ((1 << width) - 1))[:k]
+                if len(gaps) == k:
+                    break
+                width <<= 1
+            stop = end + gaps[-1] + 1
+            keep = (1 << (stop - end)) - 1
+            win.used |= (rows[0] & keep) << end
+            win.run |= (rows[1] & keep) << end
+            win.ext |= (rows[2] & keep) << end
+            win.occ |= (rows[3] & keep) << end
+            moves += [(end + f + 1, end + g, k - i) for i, (f, g) in enumerate(zip(gaps, gaps[1:]), 1)
+                      if g > f + 1]
+        for a, b, d in moves:
+            m = (1 << (b - a)) - 1
+            run |= ((win.run >> a) & m) << (a + d - at)
+            ext |= ((win.ext >> a) & m) << (a + d - at)
+        span = ((1 << (stop - at)) - 1) << at
+        win.used |= span
+        win.run = win.run & ~span | run << at
+        win.ext = win.ext & ~span | ext << at
+        start = (win.base + at) % self.nslots
+        buf = self._payloads(start, stop - at)
+        for a, b, d in reversed(moves):
+            buf[a + d - at : b + d - at] = buf[a - at : b - at]
+        buf[:k] = payloads
+        self._set_payloads(start, buf)
+        self.used_count += k
+        return stop
 
     # ------------------------------------------------------------------
     # run navigation
@@ -401,45 +457,56 @@ class SlotArray:
     def _walk_to_run(self, qt: int) -> tuple[_Win, int]:
         """(window over the cluster holding slot ``qt``, run start offset).
 
-        Precondition: slot ``qt`` is used.  The run located is the one
-        for quotient ``qt`` if occupied, else the position where that
-        run would begin.  One read of all four metadata rows over slots
-        [qt - s, qt + s) finds the cluster's bounds, the unused slots
-        nearest to qt on either side; s starts at _Win._READ, or the
-        table size if that is smaller, and doubles while a bound lies
-        outside the read.
+        The run located is the one for quotient ``qt`` if occupied, else
+        the position where that run would begin.  One read of all four
+        metadata rows over slots [qt - _READ, qt + _READ), or the whole
+        table if that is smaller, finds the cluster's bounds, the unused
+        slots nearest to qt on either side.  While a bound lies outside
+        the read, the read grows on that side by as much as it already
+        holds there, reading only the new margin.  An unused slot ``qt``
+        gets an empty window based at it.
         """
         n = self.nslots
-        s = min(_Win._READ, n)
+        left = right = _READ if n > _READ else n  # slots read before qt, and from it on
+        used, run, ext, occ = self._read_bits((qt - left) % n, 2 * left)
+        if not (used >> left) & 1:
+            return _Win(qt, 0, 0, 0, 0), 0
         while True:
-            used, run, ext, occ = self._read_bits(self._meta, (qt - s) % n, 2 * s)
-            half = (1 << s) - 1
-            before, after = ~used & half, ~(used >> s) & half  # unused slots
-            if before and after:
+            lo = (~used & ((1 << left) - 1)).bit_length()  # the cluster's first slot
+            tail = used >> left
+            end = ((tail + 1) & ~tail).bit_length() - 1  # its end, counted from qt
+            if lo and end < right:
                 break
-            if s >= n:
+            if (not lo and left >= n) or (end >= right and right >= n):
                 raise StateCorruptionError("no cluster boundary found")
-            s <<= 1
-        lo = before.bit_length()  # the cluster's first slot, in read offsets
-        keep = (1 << (s - lo + (after & -after).bit_length() - 1)) - 1
-        win = _Win((qt - s + lo) % n, (used >> lo) & keep, (run >> lo) & keep,
-                   (ext >> lo) & keep, (occ >> lo) & keep)
+            if not lo:
+                more = self._read_bits((qt - 2 * left) % n, left)
+                used, run, ext, occ = (m | (x << left) for m, x in zip(more, (used, run, ext, occ)))
+                left <<= 1
+            if end >= right:
+                more = self._read_bits((qt + right) % n, right)
+                used, run, ext, occ = (x | (m << (left + right))
+                                       for x, m in zip((used, run, ext, occ), more))
+                right <<= 1
+        keep = (1 << (left - lo + end)) - 1
+        run, ext, occ = (run >> lo) & keep, (ext >> lo) & keep, (occ >> lo) & keep
+        win = _Win((qt - left + lo) % n, (used >> lo) & keep, run, ext, occ)
         # qt's run starts at the end of the run of the last occupied
         # quotient before qt; of those runs, the ones ending by qt's slot
         # are counted off, and the rest end past it
-        dist = s - lo
-        skip = ((win.occ & ((1 << dist) - 1)).bit_count()
-                - (win.ends() & ((2 << dist) - 1)).bit_count())
-        return win, win.run_end(dist, skip) if skip else dist
+        dist = left - lo
+        ends = (ext + ((run & ~ext) << 1)) & ~ext  # as _Win.ends
+        skip = (occ & ((1 << dist) - 1)).bit_count() - (ends & ((2 << dist) - 1)).bit_count()
+        return win, _select_end(ends, dist, skip) if skip else dist
 
-    def _scan_fp(self, win: _Win, pos: int) -> tuple[int, int, int, bool]:
+    def _scan_fp(self, win: _Win, pos: int) -> tuple[int, int, int, int]:
         """From a remainder slot at window offset ``pos``: offsets of the
         extension and counter groups and whether this fp ends the run.
         Returns (first_ext, first_ctr, next_fp, is_terminator).  The next
         fingerprint starts at the first slot past pos without the
         extension bit, and its counter digits at the first slot between
         them with the runend bit."""
-        is_term = bool((win.run >> pos) & 1)
+        is_term = (win.run >> pos) & 1
         e0 = pos + 1
         tail = win.ext >> e0
         if not tail & 1:
@@ -457,14 +524,14 @@ class SlotArray:
         the previous fingerprint is the one before it in the run, or None
         for the run's first.  The one scalar reader of a run: queries,
         inserts and minirun access all walk through it."""
-        if not self._get_bit(self.occ, qt):
+        if not (self.occ.item(qt >> 6) >> (qt & 63)) & 1:
             return
         win, pos = self._walk_to_run(qt)
         n, vb, slots, base = self.nslots, self.value_bits, self.slots, win.base
         prev = None
         while True:
             e0, c0, nxt, is_term = self._scan_fp(win, pos)
-            yield win, prev, pos, int(slots[(base + pos) % n]) >> vb, e0, c0, nxt, is_term
+            yield win, prev, pos, slots.item((base + pos) % n) >> vb, e0, c0, nxt, is_term
             if is_term:
                 return
             prev, pos = pos, nxt
@@ -476,15 +543,17 @@ class SlotArray:
         """Whether ``extra`` more used slots stay within the load cap."""
         return _LOAD_DEN * (self.used_count + extra) <= _LOAD_NUM * self.nslots
 
-    def query_fp(self, stream: HashStream, start: int = 0) -> tuple[int, int, int] | None:
+    def query_fp(self, stream: HashStream, start: int = 0,
+                 pair: tuple[int, int] | None = None) -> tuple[int, int, int] | None:
         """First stored fingerprint that is a prefix of ``stream``, at
-        minirun rank ``start`` or later.
+        minirun rank ``start`` or later.  ``pair`` is the stream's
+        (quotient, remainder) when the caller has split it already.
 
         Returns (minirun rank, matched extension length, value bits of
         its remainder slot) or None.
         """
         cfg = self.cfg
-        qt, rem = split(stream, cfg)
+        qt, rem = split(stream, cfg) if pair is None else pair
         n, vb, slots = self.nslots, self.value_bits, self.slots
         rank = 0
         for win, _, pos, rem_i, e0, c0, _, _ in self._run(qt):
@@ -493,10 +562,10 @@ class SlotArray:
             if rem_i == rem:
                 if rank >= start:
                     for t in range(c0 - e0):
-                        if int(slots[(win.base + e0 + t) % n]) >> vb != extension_chunk(stream, cfg, t):
+                        if slots.item((win.base + e0 + t) % n) >> vb != extension_chunk(stream, cfg, t):
                             break
                     else:
-                        value = int(slots[(win.base + pos) % n]) & ((1 << vb) - 1)
+                        value = slots.item((win.base + pos) % n) & ((1 << vb) - 1)
                         return rank, c0 - e0, value
                 rank += 1
         return None
@@ -504,59 +573,53 @@ class SlotArray:
     def insert_fp(self, fp: Fingerprint, value: int = 0) -> tuple[int, int]:
         """Insert a fingerprint; returns (minirun id, rank).
 
-        Appends at the end of its minirun so existing ranks survive.
+        Appends at the end of its minirun so existing ranks survive.  One
+        walk finds the place, one _open_slot opens the remainder,
+        extension and counter slots together, and one store writes their
+        bits with the moved terminator and the occupied bit.
         """
-        cfg = self.cfg
-        qt, rem = fp.quotient, fp.remainder
-        digits = _count_digits(fp.count, cfg.r)
-        width = 1 + len(fp.ext) + len(digits)
+        qt, rem, ext, count = fp
+        digits = _count_digits(count, self.cfg.r) if count > 1 else ()
+        chunks = len(ext)
+        width = 1 + chunks + len(digits)
         if not self.has_room(width):
             raise FilterFullError(
                 f"insert of {width} slot(s) would exceed the load limit"
             )
         self._superset = self._touched = None
         vb = self.value_bits
-        vmask = (1 << vb) - 1
-        payloads = [(rem << vb) | (value & vmask)]
-        payloads += [(ch << vb) for ch in fp.ext]
-        payloads += [(d << vb) for d in digits]
-
-        mid = pack_minirun_id(qt, rem, cfg.q)
-        n = self.nslots
+        payloads = [(rem << vb) | (value & ((1 << vb) - 1))]
+        if width > 1:
+            payloads += [ch << vb for ch in (*ext, *digits)]
 
         # the new fingerprint goes before the run's first larger remainder,
         # or past its terminator, taking over the runend bit
-        at, rank, new_term, old_term = qt, 0, True, None
-        if self._get_bit(self.occ, qt):
-            for win, _, pos, rem_i, _, _, nxt, _ in self._run(qt):
+        win, at = self._walk_to_run(qt)
+        home = (qt - win.base) % self.nslots
+        lo, rank, new_term = at, 0, 1
+        if (win.occ >> home) & 1:
+            slots, n, base = self.slots, self.nslots, win.base
+            while True:
+                _, _, nxt, is_term = self._scan_fp(win, at)
+                rem_i = slots.item((base + at) % n) >> vb
                 if rem_i > rem:
-                    at, new_term = (win.base + pos) % n, False
+                    lo, new_term = at, 0
                     break
                 rank += rem_i == rem
-            else:
-                at, old_term = (win.base + nxt) % n, (win.base + pos) % n
-        elif self._get_bit(self.used, qt):
-            win, pos = self._walk_to_run(qt)
-            at = (win.base + pos) % n
-
-        for i, payload in enumerate(payloads):
-            p = (at + i) % n
-            self._open_slot(p)
-            self.slots[p] = payload
-            if i == 0:
-                if new_term:
-                    self._set_bit(self.run, p)
-            else:
-                self._set_bit(self.ext, p)
-                if i > len(fp.ext):
-                    self._set_bit(self.run, p)
-        if old_term is not None:
-            self._clear_bit(self.run, old_term)
-        self._set_bit(self.occ, qt)
+                if is_term:
+                    win.run ^= 1 << at
+                    lo, at = at, nxt
+                    break
+                at = nxt
+        else:
+            win.occ |= 1 << home
+            lo = home
+        run = new_term | (((1 << len(digits)) - 1) << (1 + chunks))
+        self._store(win, lo, self._open_slot(win, at, run, (1 << width) - 2, payloads))
         self.fp_count += 1
-        self.ext_slot_count += len(fp.ext)
+        self.ext_slot_count += chunks
         self.ctr_slot_count += len(digits)
-        return mid, rank
+        return pack_minirun_id(qt, rem, self.cfg.q), rank
 
     def _minirun(self, mid: int):
         """Yield (window, previous fp offset, fp offset, ext group offset,
@@ -580,22 +643,20 @@ class SlotArray:
     def get_ext(self, mid: int, rank: int) -> tuple[int, ...]:
         win, _, _, e0, c0, _ = self._locate_fp(mid, rank)
         n, vb = self.nslots, self.value_bits
-        return tuple(int(self.slots[(win.base + i) % n]) >> vb for i in range(e0, c0))
+        return tuple(self.slots.item((win.base + i) % n) >> vb for i in range(e0, c0))
 
     def extend_fp(self, mid: int, rank: int, chunks) -> None:
-        """Append extension chunks to one fingerprint, in place."""
+        """Append extension chunks to one fingerprint, in place: one open
+        of all of them behind its last chunk (see _open_slot)."""
         chunks = list(chunks)
         if not chunks:
             return
         if not self.has_room(len(chunks)):
             raise FilterFullError("extension would exceed the load limit")
         win, _, _, _, c0, _ = self._locate_fp(mid, rank)
-        n, vb = self.nslots, self.value_bits
-        for t, ch in enumerate(chunks):
-            p = (win.base + c0 + t) % n
-            self._open_slot(p)
-            self.slots[p] = ch << vb
-            self._set_bit(self.ext, p)
+        vb = self.value_bits
+        ext = (1 << len(chunks)) - 1
+        self._store(win, c0, self._open_slot(win, c0, 0, ext, [ch << vb for ch in chunks]))
         self.ext_slot_count += len(chunks)
         if self._touched is not None:
             self._touched.add(mid)
@@ -606,13 +667,14 @@ class SlotArray:
         r = self.cfg.r
         v = 0
         for i in range(nxt - c0):
-            v |= (int(self.slots[(win.base + c0 + i) % n]) >> vb) << (i * r)
+            v |= (self.slots.item((win.base + c0 + i) % n) >> vb) << (i * r)
         return v + 1
 
     def set_count(self, mid: int, rank: int, count: int) -> None:
-        """Rewrite one fingerprint's counter digits in place.  Growth opens
-        slots behind the digits it keeps, shrinkage closes the gap the
-        dropped digits leave (see _close_span)."""
+        """Rewrite one fingerprint's counter digits in place.  The digits
+        it keeps are overwritten; growth opens the new ones behind them
+        in one _open_slot, shrinkage closes the gap the dropped digits
+        leave (see _close_span)."""
         if count < 1:
             raise InvalidConfigError("count must be at least 1")
         win, _, pos, _, c0, nxt = self._locate_fp(mid, rank)
@@ -621,21 +683,22 @@ class SlotArray:
         if not self.has_room(len(digits) - have):
             raise FilterFullError("counter growth would exceed the load limit")
         n, vb = self.nslots, self.value_bits
-        for i, digit in enumerate(digits):
-            p = (win.base + c0 + i) % n
-            if i >= have:
-                self._open_slot(p)
-                self._set_bit(self.ext, p)
-                self._set_bit(self.run, p)
-            self.slots[p] = digit << vb
-        if len(digits) < have:
-            qt = mid & ((1 << self.cfg.q) - 1)
-            self._close_span(win, qt, pos, c0 + len(digits), have - len(digits))
-        self.ctr_slot_count += len(digits) - have
+        for i, digit in enumerate(digits[:have]):
+            self.slots[(win.base + c0 + i) % n] = digit << vb
+        grow = len(digits) - have
+        if grow > 0:
+            ones = (1 << grow) - 1
+            self._store(win, nxt, self._open_slot(win, nxt, ones, ones,
+                                                  [d << vb for d in digits[have:]]))
+        elif grow < 0:
+            at = c0 + len(digits)
+            self._store(win, at, self._close_span(win, mid & ((1 << self.cfg.q) - 1),
+                                                  pos, at, -grow))
+        self.ctr_slot_count += grow
 
     def get_value(self, mid: int, rank: int) -> int:
         win, _, pos, _, _, _ = self._locate_fp(mid, rank)
-        return int(self.slots[(win.base + pos) % self.nslots]) & ((1 << self.value_bits) - 1)
+        return self.slots.item((win.base + pos) % self.nslots) & ((1 << self.value_bits) - 1)
 
     def remove_fp(self, mid: int, rank: int, shorten: bool = False) -> None:
         """Remove one fingerprint with its extension and counter slots.
@@ -645,7 +708,8 @@ class SlotArray:
         emptied run clears its occupied bit.  With shorten, the survivors
         of its minirun also drop the extension chunks they no longer need
         to stay apart from each other (see _kept_chunks), one closed span
-        each, highest first so that the offsets below stay valid.
+        each, highest first so that the offsets below stay valid.  All of
+        it edits the one window the walk read, stored in one write.
         """
         fps = list(self._minirun(mid))
         if not 0 <= rank < len(fps):
@@ -656,7 +720,7 @@ class SlotArray:
         if shorten:
             n, vb = self.nslots, self.value_bits
             rest = [fp[2:5] for i, fp in enumerate(fps) if i != rank]
-            exts = [[int(self.slots[(win.base + i) % n]) >> vb for i in range(x0, y0)]
+            exts = [[self.slots.item((win.base + i) % n) >> vb for i in range(x0, y0)]
                     for _, x0, y0 in rest]
             for (at, x0, y0), keep in zip(rest, _kept_chunks(exts)):
                 if keep < y0 - x0:
@@ -664,80 +728,100 @@ class SlotArray:
                     cuts.append((at - moved, x0 + keep - moved, y0 - x0 - keep))
         qt = mid & ((1 << self.cfg.q) - 1)
         is_term = (win.run >> pos) & 1
-        self._close_span(win, qt, pos, pos, width)
+        lo, hi = pos, self._close_span(win, qt, pos, pos, width)
         if is_term and prev is None:
-            self._clear_bit(self.occ, qt)
+            lo = (qt - win.base) % self.nslots
+            win.occ ^= 1 << lo
         elif is_term:
-            self._set_bit(self.run, (win.base + prev) % self.nslots)
+            lo = prev
             win.run |= 1 << prev
         self.fp_count -= 1
         self.ext_slot_count -= c0 - e0
         self.ctr_slot_count -= nxt - c0
         for at, start, length in sorted(cuts, reverse=True):
-            self._close_span(win, qt, at, start, length)
+            lo, hi = min(lo, start), max(hi, self._close_span(win, qt, at, start, length))
             self.ext_slot_count -= length
+        self._store(win, lo, hi)
         self._touched = None
         if cuts:
             self._superset = None
 
-    def _close_span(self, win: _Win, qt: int, fp: int, at: int, length: int) -> None:
+    def _close_span(self, win: _Win, qt: int, fp: int, at: int, length: int) -> int:
         """Remove the slots at window offsets [at, at+length), all of them
         slots of the fingerprint at offset fp in the run of quotient qt, and
-        close the gap: the inverse of _open_slot.
+        close the gap: the inverse of _open_slot.  Returns the offset just
+        past the edit, which the caller stores (_store).
 
         The rest of the run moves left by length.  Each later run of the
         cluster moves by the smaller of the previous run's shift and its
         distance from its canonical slot, which is where _lay_out would
         place it, so the shift stops at the first run already at its
-        canonical slot or at the end of the cluster.  The runend,
-        extension and used bits move as bit strings, the payloads as one
-        slice per shift, and the slots left behind are cleared.  The
-        window follows the edit; the occupied bits and the fingerprint
-        counters are the caller's.
+        canonical slot or at the end of the cluster.  The shifts come as a
+        running minimum over the runs' distances, taken in C from the
+        positions of the run starts and the occupied bits (_ones); for
+        each shift from length down to 1, a bisection finds the first run
+        that moves less.  The window's runend, extension and used bits
+        move as bit strings, the payloads as one slice per shift, and the
+        slot each shift leaves behind is cleared.  The occupied bits and
+        the fingerprint counters are the caller's.
         """
         n, c = self.nslots, win.base
-        used = win.used >> at
-        stop = at + ((used + 1) & ~used).bit_length() - 1  # the first unused slot at or past at
-        ends, occ = win.ends(), win.occ
+        ends = win.ends()
         rest = ends >> (fp + 1)
-        end = fp + (rest & -rest).bit_length()
-        moves = [(at + length, end, length)]  # (from, to, shift)
-        shift, q = length, (qt - c) % n
-        while end < stop:
-            rest = occ >> (q + 1)
-            q += (rest & -rest).bit_length()  # the next run's quotient
-            if q == end:
-                break
-            shift = min(shift, end - q)
-            rest = ends >> (end + 1)
-            nxt = end + (rest & -rest).bit_length()
-            if nxt == end:
-                raise StateCorruptionError("run without a terminator")
-            if shift == moves[-1][2]:
-                moves[-1] = (moves[-1][0], nxt, shift)
-            else:
-                moves.append((end, nxt, shift))
-            end = nxt
-        span = end - at
+        end = fp + (rest & -rest).bit_length()  # just past fp's run
+        used = win.used >> end
+        stop = end + ((used + 1) & ~used).bit_length() - 1  # the cluster's end
+        # bounds[s]: the first slot that shifts by s or less.  Later run j
+        # starts starts[j] slots past q0, the slot after qt's, and its
+        # quotient, the j-th occupied one past qt, is quots[j] slots past
+        # it: the run sits dist[j] slots past its canonical slot.  Its
+        # shift is the smallest of length and the dists up to its own, so
+        # the runs shifting by s or less begin at the first dist of s or
+        # less.  The runs are read from a prefix of the cluster that
+        # doubles until it holds one that does not move; nothing is read
+        # when no run follows, or the next one does not move.
+        q0 = (qt - c) % n + 1
+        occ = win.occ >> q0
+        if end == stop or (occ & -occ).bit_length() - 1 == end - q0:
+            bounds = [end] * length
+        else:
+            reach = 64
+            while True:
+                lim = min(stop, end + reach)
+                starts = _ones(((ends >> end) & ((1 << (lim - end)) - 1)) << (end - q0))
+                quots = _ones(occ & ((1 << (lim - q0)) - 1))
+                dist = list(map(sub, starts, quots))
+                if lim == stop or 0 in dist:
+                    break
+                reach <<= 1
+            bounds, j = [], len(dist)
+            for s in range(length):
+                if s in dist:
+                    j = min(j, dist.index(s))
+                bounds.append(q0 + starts[j] if j < len(dist) else stop)
+        span = bounds[0] - at
         keep = (1 << span) - 1
-        run, ext = (win.run >> at) & keep, (win.ext >> at) & keep
-        new_run = new_ext = new_used = 0
-        out = np.zeros(span, dtype=np.uint64)
-        idx = np.arange(c + at, c + end)
-        pay = self.slots.take(idx, mode="wrap")
-        for a, b, d in moves:
-            m = ((1 << (b - a)) - 1) << (a - at)
-            new_run |= (run & m) >> d
-            new_ext |= (ext & m) >> d
-            new_used |= m >> d
-            out[a - d - at : b - d - at] = pay[a - at : b - at]
+        new_run = new_ext = 0
+        new_used = keep
         start = (c + at) % n
-        self._write_bits(self._meta[:3], start, span, [new_used, new_run, new_ext])
-        self.slots.put(idx, out, mode="wrap")
-        win.used = (win.used & ~(keep << at)) | (new_used << at)
-        win.run = (win.run & ~(keep << at)) | (new_run << at)
-        win.ext = (win.ext & ~(keep << at)) | (new_ext << at)
+        buf = self._payloads(start, span)
+        a = at + length
+        for d in range(length, 0, -1):  # slots [a, b) move left by d
+            b = bounds[d - 1]
+            m = (1 << (b - a)) - 1
+            new_run |= ((win.run >> a) & m) << (a - d - at)
+            new_ext |= ((win.ext >> a) & m) << (a - d - at)
+            new_used ^= 1 << (b - d - at)  # the slot this shift leaves behind
+            buf[a - d - at : b - d - at] = buf[a - at : b - at]
+            buf[b - d - at] = 0
+            a = b
+        self._set_payloads(start, buf)
+        keep <<= at
+        win.used = (win.used & ~keep) | (new_used << at)
+        win.run = (win.run & ~keep) | (new_run << at)
+        win.ext = (win.ext & ~keep) | (new_ext << at)
         self.used_count -= length
+        return at + span
 
     # ------------------------------------------------------------------
     # columnar decode and layout
@@ -1077,7 +1161,7 @@ class FrozenIndex:
         new.all_ext = self.all_ext.copy()
         pairs, exts = [], []
         for mid, pair, row in zip(mids, touched, at):
-            fps = [[int(arr.slots[(win.base + i) % n]) >> vb for i in range(e0, c0)]
+            fps = [[arr.slots.item((win.base + i) % n) >> vb for i in range(e0, c0)]
                    for win, _, _, e0, c0, _ in arr._minirun(mid)]
             new.all_ext[row] = all(fps)
             if all(fps):

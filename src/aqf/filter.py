@@ -190,15 +190,14 @@ class AdaptiveFilter:
         """
         key = _key(key)
         self.map.check_entry(key, value)
-        stream = HashStream(key, self.cfg.seed)
-        qt, rem = split(stream, self.cfg)
-        mid = pack_minirun_id(qt, rem, self.cfg.q)
+        qt, rem = split(HashStream(key, self.cfg.seed), self.cfg)
         if self.policy.dedupe_keys:
+            mid = pack_minirun_id(qt, rem, self.cfg.q)
             rank = self.map.find_rank(mid, key)
             if rank is not None:
                 self.arr.set_count(mid, rank, self.arr.get_count(mid, rank) + 1)
                 return mid, rank
-        _, rank = self.arr.insert_fp(Fingerprint(quotient=qt, remainder=rem), value=tag)
+        mid, rank = self.arr.insert_fp(Fingerprint(qt, rem), tag)
         self.map.map_insert(mid, rank, key, value)
         return mid, rank
 
@@ -214,9 +213,7 @@ class AdaptiveFilter:
         they need to stay distinct from each other.
         """
         key = _key(key)
-        stream = HashStream(key, self.cfg.seed)
-        qt, rem = split(stream, self.cfg)
-        mid = pack_minirun_id(qt, rem, self.cfg.q)
+        mid = pack_minirun_id(*split(HashStream(key, self.cfg.seed), self.cfg), self.cfg.q)
         rank = self.map.find_rank(mid, key)
         if rank is None:
             raise NotFoundError(f"key {key} is not stored")
@@ -248,11 +245,11 @@ class AdaptiveFilter:
         """
         key = _key(key)
         stream = HashStream(key, self.cfg.seed)
-        hit = self.arr.query_fp(stream)
+        pair = split(stream, self.cfg)
+        hit = self.arr.query_fp(stream, 0, pair)
         if hit is None:
             return LookupResult.NOT_PRESENT, None
-        qt, rem = split(stream, self.cfg)
-        mid = pack_minirun_id(qt, rem, self.cfg.q)
+        mid = pack_minirun_id(*pair, self.cfg.q)
         adapting = self.policy.auto_adapt
         verdict = LookupResult.FALSE_POSITIVE_CORRECTED
         while hit is not None:
@@ -275,7 +272,7 @@ class AdaptiveFilter:
                 verdict = LookupResult.FALSE_POSITIVE
             # extension only narrows matches: the ranks before this one
             # still miss, and an adapted one now misses too
-            hit = self.arr.query_fp(stream, rank + 1)
+            hit = self.arr.query_fp(stream, rank + 1, pair)
         return verdict, None
 
     def lookup_many(self, keys) -> list[tuple[LookupResult, bytes | None]]:

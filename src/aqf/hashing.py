@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -40,10 +41,16 @@ def _fmix64(z: int) -> int:
     return z
 
 
+@lru_cache(maxsize=1024)
+def _salt(seed: int, index: int) -> int:
+    """The mixed (seed, word index) that word ``index`` of every stream
+    under ``seed`` xors into its key; a filter asks for a handful."""
+    return _fmix64((seed + index * _GOLDEN) & MASK64)
+
+
 def hash_word(key: int, seed: int, index: int) -> int:
     """Word ``index`` of ``key``'s stream under ``seed``."""
-    salt = _fmix64((seed + index * _GOLDEN) & MASK64)
-    return _fmix64((key & MASK64) ^ salt)
+    return _fmix64((key & MASK64) ^ _salt(seed, index))
 
 
 def hash_word_batch(keys: np.ndarray, seed: int, index: int = 0) -> np.ndarray:
@@ -51,7 +58,7 @@ def hash_word_batch(keys: np.ndarray, seed: int, index: int = 0) -> np.ndarray:
 
     Bit-identical to the scalar path; tests pin the equivalence.
     """
-    salt = np.uint64(_fmix64((seed + index * _GOLDEN) & MASK64))
+    salt = np.uint64(_salt(seed, index))
     z = keys.astype(np.uint64, copy=True)
     z ^= salt
     z ^= z >> np.uint64(33)
@@ -101,8 +108,10 @@ class FilterConfig:
 class HashStream:
     """Lazy view of one key's unbounded hash bit string.
 
-    Words are computed on demand and cached, so asking for deep extension
-    chunks during adaptation only ever pays for the words it touches.
+    Word 0, which holds the quotient and remainder, is computed when the
+    stream is made; later words on demand, and cached, so asking for deep
+    extension chunks during adaptation only ever pays for the words it
+    touches.
     """
 
     __slots__ = ("key", "seed", "_words")
@@ -110,7 +119,7 @@ class HashStream:
     def __init__(self, key: int, seed: int):
         self.key = key & MASK64
         self.seed = seed
-        self._words: list[int] = []
+        self._words = [_fmix64(self.key ^ _salt(seed, 0))]
 
     def word(self, i: int) -> int:
         while len(self._words) <= i:
@@ -134,10 +143,9 @@ class HashStream:
 
 def split(stream: HashStream, cfg: FilterConfig) -> tuple[int, int]:
     """Leading (quotient, remainder) pair of the stream under ``cfg``."""
-    word0 = stream.word(0)
-    quotient = word0 >> (64 - cfg.q)
-    remainder = (word0 >> (64 - cfg.q - cfg.r)) & ((1 << cfg.r) - 1)
-    return quotient, remainder
+    r = cfg.r
+    pair = stream._words[0] >> (64 - cfg.q - r)
+    return pair >> r, pair & ((1 << r) - 1)
 
 
 def extension_chunk(stream: HashStream, cfg: FilterConfig, i: int) -> int:

@@ -214,7 +214,7 @@ class YesNoFilter:
         qt, rem = split(stream, cfg)
         mid = pack_minirun_id(qt, rem, cfg.q)
         colliders = []
-        hit = inner.arr.query_fp(stream)
+        hit = inner.arr.query_fp(stream, 0, (qt, rem))
         while hit is not None:
             rank, _, tag = hit
             if tag != bit:
@@ -224,7 +224,7 @@ class YesNoFilter:
                         f"key {key} is already stored with the opposite answer"
                     )
                 colliders.append((rank, owner))
-            hit = inner.arr.query_fp(stream, rank + 1)
+            hit = inner.arr.query_fp(stream, rank + 1, (qt, rem))
         # the insert takes one slot, or at most one counter digit
         need = 1 + sum(len(inner._adapt_chunks(mid, rank, owner, stream))
                        for rank, owner in colliders)
