@@ -26,18 +26,22 @@ A slot's duplicate count ``c`` occupies zero extra slots when ``c == 1``
 and otherwise the little-endian base-``2**r`` digits of ``c - 1``.
 
 Metadata bit vectors are the uint64 rows of one word matrix.  Scalar
-edits stay cluster local: a walk reads the four rows over its whole
-cluster into Python ints at once (``SlotArray._walk_to_run``, which
-doubles the read until both cluster bounds fall inside it) and
-bit-twiddles from there, finding run ends and fingerprint bounds a word
-at a time.  One generator, ``SlotArray._run``, reads a run fingerprint
-by fingerprint; it is the only scalar walk, behind queries, inserts and
-the minirun access of extension, counter edits and delete.  Inserts,
-extensions and growing counters open slots by shifting the cluster's
-tail right (``SlotArray._open_slot``); deletes, the shortening of a
-minirun's survivors and shrinking counters close them
+work stays cluster local: a walk reads the four rows over its whole
+cluster into Python ints at once, a window (``SlotArray._walk_to_run``,
+which widens the read by its missing margins until both cluster bounds
+fall inside it), and bit-twiddles from there, finding run ends and
+fingerprint bounds a word at a time.  One generator, ``SlotArray._run``,
+reads a run fingerprint by fingerprint; it is the only scalar walk,
+behind queries, inserts and the minirun access of extension, counter
+edits and delete.  A mutation edits the window it walked and writes it
+back once (``SlotArray._store``).  Inserts, extensions and growing
+counters open all their slots in one edit (``SlotArray._open_slot``),
+moving the cluster's tail right into the unused slots past it, and the
+clusters behind those too where fewer are free; deletes, the shortening
+of a minirun's survivors and shrinking counters close them
 (``SlotArray._close_span``), moving each later run left by no more than
-its distance from its canonical slot.  Whole-table work goes through two
+its distance from its canonical slot.  Payloads move by slices, one per
+stretch that moves by the same shift.  Whole-table work goes through two
 helpers: ``SlotArray._columns`` decodes the table into numpy columns
 (quotient, remainder, value, extension and counter-digit spans), one row
 per fingerprint in hash order (by quotient, then remainder, then rank),
@@ -434,14 +438,17 @@ class SlotArray:
             win.occ |= (rows[3] & keep) << end
             moves += [(end + f + 1, end + g, k - i) for i, (f, g) in enumerate(zip(gaps, gaps[1:]), 1)
                       if g > f + 1]
+        old_run, old_ext = win.run, win.ext
+        run <<= at
+        ext <<= at
         for a, b, d in moves:
-            m = (1 << (b - a)) - 1
-            run |= ((win.run >> a) & m) << (a + d - at)
-            ext |= ((win.ext >> a) & m) << (a + d - at)
+            m = ((1 << (b - a)) - 1) << a
+            run |= (old_run & m) << d
+            ext |= (old_ext & m) << d
         span = ((1 << (stop - at)) - 1) << at
         win.used |= span
-        win.run = win.run & ~span | run << at
-        win.ext = win.ext & ~span | ext << at
+        win.run = old_run & ~span | run
+        win.ext = old_ext & ~span | ext
         start = (win.base + at) % self.nslots
         buf = self._payloads(start, stop - at)
         for a, b, d in reversed(moves):
@@ -499,38 +506,32 @@ class SlotArray:
         skip = (occ & ((1 << dist) - 1)).bit_count() - (ends & ((2 << dist) - 1)).bit_count()
         return win, _select_end(ends, dist, skip) if skip else dist
 
-    def _scan_fp(self, win: _Win, pos: int) -> tuple[int, int, int, int]:
-        """From a remainder slot at window offset ``pos``: offsets of the
-        extension and counter groups and whether this fp ends the run.
-        Returns (first_ext, first_ctr, next_fp, is_terminator).  The next
-        fingerprint starts at the first slot past pos without the
-        extension bit, and its counter digits at the first slot between
-        them with the runend bit."""
-        is_term = (win.run >> pos) & 1
-        e0 = pos + 1
-        tail = win.ext >> e0
-        if not tail & 1:
-            return e0, e0, e0, is_term
-        nxt = e0 + ((tail + 1) & ~tail).bit_length() - 1
-        digits = (win.run >> e0) & ((1 << (nxt - e0)) - 1)
-        c0 = e0 + (digits & -digits).bit_length() - 1 if digits else nxt
-        return e0, c0, nxt, is_term
-
     def _run(self, qt: int):
         """Yield (window, previous fp offset, fp offset, remainder, ext
         group offset, ctr offset, next fp offset, is_terminator) for each
         fingerprint of quotient ``qt``'s run in storage order, and
         nothing when ``qt`` is unoccupied.  Offsets are window offsets;
         the previous fingerprint is the one before it in the run, or None
-        for the run's first.  The one scalar reader of a run: queries,
-        inserts and minirun access all walk through it."""
+        for the run's first.  The next fingerprint starts at the first
+        slot past the remainder slot without the extension bit, and the
+        counter digits at the first slot between them with the runend
+        bit.  The one scalar reader of a run: queries, inserts and
+        minirun access all walk through it."""
         if not (self.occ.item(qt >> 6) >> (qt & 63)) & 1:
             return
         win, pos = self._walk_to_run(qt)
         n, vb, slots, base = self.nslots, self.value_bits, self.slots, win.base
         prev = None
         while True:
-            e0, c0, nxt, is_term = self._scan_fp(win, pos)
+            is_term = (win.run >> pos) & 1
+            e0 = pos + 1
+            tail = win.ext >> e0
+            if tail & 1:
+                nxt = e0 + ((tail + 1) & ~tail).bit_length() - 1
+                digits = (win.run >> e0) & ((1 << (nxt - e0)) - 1)
+                c0 = e0 + (digits & -digits).bit_length() - 1 if digits else nxt
+            else:
+                c0 = nxt = e0
             yield win, prev, pos, slots.item((base + pos) % n) >> vb, e0, c0, nxt, is_term
             if is_term:
                 return
@@ -593,27 +594,23 @@ class SlotArray:
             payloads += [ch << vb for ch in (*ext, *digits)]
 
         # the new fingerprint goes before the run's first larger remainder,
-        # or past its terminator, taking over the runend bit
-        win, at = self._walk_to_run(qt)
-        home = (qt - win.base) % self.nslots
-        lo, rank, new_term = at, 0, 1
-        if (win.occ >> home) & 1:
-            slots, n, base = self.slots, self.nslots, win.base
-            while True:
-                _, _, nxt, is_term = self._scan_fp(win, at)
-                rem_i = slots.item((base + at) % n) >> vb
+        # or past its terminator, taking over the runend bit; a new run
+        # goes where the walk finds it would begin
+        rank, new_term = 0, 1
+        if (self.occ.item(qt >> 6) >> (qt & 63)) & 1:
+            for win, _, pos, rem_i, _, _, nxt, _ in self._run(qt):
                 if rem_i > rem:
-                    lo, new_term = at, 0
+                    at = lo = pos
+                    new_term = 0
                     break
                 rank += rem_i == rem
-                if is_term:
-                    win.run ^= 1 << at
-                    lo, at = at, nxt
-                    break
-                at = nxt
+            else:
+                win.run ^= 1 << pos
+                lo, at = pos, nxt
         else:
-            win.occ |= 1 << home
-            lo = home
+            win, at = self._walk_to_run(qt)
+            lo = (qt - win.base) % self.nslots
+            win.occ |= 1 << lo
         run = new_term | (((1 << len(digits)) - 1) << (1 + chunks))
         self._store(win, lo, self._open_slot(win, at, run, (1 << width) - 2, payloads))
         self.fp_count += 1
@@ -621,24 +618,26 @@ class SlotArray:
         self.ctr_slot_count += len(digits)
         return pack_minirun_id(qt, rem, self.cfg.q), rank
 
-    def _minirun(self, mid: int):
-        """Yield (window, previous fp offset, fp offset, ext group offset,
-        ctr offset, next) for each fingerprint of a minirun, in rank
-        order: the fingerprints of _run with the minirun's remainder."""
+    def _minirun(self, mid: int) -> list[tuple[_Win, int | None, int, int, int, int]]:
+        """(window, previous fp offset, fp offset, ext group offset, ctr
+        offset, next) of each fingerprint of a minirun, in rank order:
+        the fingerprints of _run with the minirun's remainder."""
         qt, rem = unpack_minirun_id(mid, self.cfg.q)
+        fps = []
         for win, prev, pos, rem_i, e0, c0, nxt, _ in self._run(qt):
             if rem_i > rem:
-                return
+                break
             if rem_i == rem:
-                yield win, prev, pos, e0, c0, nxt
+                fps.append((win, prev, pos, e0, c0, nxt))
+        return fps
 
     def _locate_fp(self, mid: int, rank: int) -> tuple[_Win, int | None, int, int, int, int]:
-        """The rank-th fingerprint of a minirun as _minirun yields it.
+        """The rank-th fingerprint of a minirun as _minirun lists it.
         Raises if missing."""
-        for i, found in enumerate(self._minirun(mid)):
-            if i == rank:
-                return found
-        raise NotFoundError(f"minirun {mid} has no rank {rank}")
+        fps = self._minirun(mid)
+        if not 0 <= rank < len(fps):
+            raise NotFoundError(f"minirun {mid} has no rank {rank}")
+        return fps[rank]
 
     def get_ext(self, mid: int, rank: int) -> tuple[int, ...]:
         win, _, _, e0, c0, _ = self._locate_fp(mid, rank)
@@ -709,9 +708,10 @@ class SlotArray:
         of its minirun also drop the extension chunks they no longer need
         to stay apart from each other (see _kept_chunks), one closed span
         each, highest first so that the offsets below stay valid.  All of
-        it edits the one window the walk read, stored in one write.
+        it edits the one window the walk read, and one store writes the
+        moved bits with the moved terminator or the cleared occupied bit.
         """
-        fps = list(self._minirun(mid))
+        fps = self._minirun(mid)
         if not 0 <= rank < len(fps):
             raise NotFoundError(f"minirun {mid} has no rank {rank}")
         win, prev, pos, e0, c0, nxt = fps[rank]
@@ -756,13 +756,13 @@ class SlotArray:
         cluster moves by the smaller of the previous run's shift and its
         distance from its canonical slot, which is where _lay_out would
         place it, so the shift stops at the first run already at its
-        canonical slot or at the end of the cluster.  The shifts come as a
-        running minimum over the runs' distances, taken in C from the
-        positions of the run starts and the occupied bits (_ones); for
-        each shift from length down to 1, a bisection finds the first run
-        that moves less.  The window's runend, extension and used bits
-        move as bit strings, the payloads as one slice per shift, and the
-        slot each shift leaves behind is cleared.  The occupied bits and
+        canonical slot or at the end of the cluster.  The distances come
+        from the positions of the run starts and of the occupied bits,
+        found in C (_ones), and the first distance of each size below
+        length bounds the runs that move by it: no loop over the runs.
+        The window's runend, extension and used bits move as bit
+        strings, the payloads as one slice per shift, and the slot each
+        shift leaves behind is cleared.  The occupied bits, the store and
         the fingerprint counters are the caller's.
         """
         n, c = self.nslots, win.base
@@ -799,29 +799,29 @@ class SlotArray:
                 if s in dist:
                     j = min(j, dist.index(s))
                 bounds.append(q0 + starts[j] if j < len(dist) else stop)
-        span = bounds[0] - at
-        keep = (1 << span) - 1
+        hi = bounds[0]
+        start = (c + at) % n
+        buf = self._payloads(start, hi - at)
+        run, ext = win.run, win.ext
+        keep = ((1 << (hi - at)) - 1) << at
         new_run = new_ext = 0
         new_used = keep
-        start = (c + at) % n
-        buf = self._payloads(start, span)
         a = at + length
         for d in range(length, 0, -1):  # slots [a, b) move left by d
             b = bounds[d - 1]
-            m = (1 << (b - a)) - 1
-            new_run |= ((win.run >> a) & m) << (a - d - at)
-            new_ext |= ((win.ext >> a) & m) << (a - d - at)
-            new_used ^= 1 << (b - d - at)  # the slot this shift leaves behind
+            m = ((1 << (b - a)) - 1) << a
+            new_run |= (run & m) >> d
+            new_ext |= (ext & m) >> d
+            new_used ^= 1 << (b - d)  # the slot this shift leaves behind
             buf[a - d - at : b - d - at] = buf[a - at : b - at]
             buf[b - d - at] = 0
             a = b
         self._set_payloads(start, buf)
-        keep <<= at
-        win.used = (win.used & ~keep) | (new_used << at)
-        win.run = (win.run & ~keep) | (new_run << at)
-        win.ext = (win.ext & ~keep) | (new_ext << at)
+        win.used = win.used & ~keep | new_used
+        win.run = run & ~keep | new_run
+        win.ext = ext & ~keep | new_ext
         self.used_count -= length
-        return at + span
+        return hi
 
     # ------------------------------------------------------------------
     # columnar decode and layout

@@ -9,9 +9,11 @@ against).  Nothing imports the package's internals beyond reading raw
 state off a slot array or the columns of a reverse map, so agreement
 between the two sides is evidence rather than tautology.  The
 exceptions: find_run reports where the package's own walk lands, so
-that layout tests can pin it, and the sequential yes/no build and the
-rebuilt adaptation trace run the package's own pieces the slow, plain
-way, so that its faster paths must match them.
+that layout tests can pin it; relaid lays a table's own columns out
+again, so that scalar edits can be held to the one layout writer; and
+the sequential yes/no build and the rebuilt adaptation trace run the
+package's own pieces the slow, plain way, so that its faster paths must
+match them.
 
 The bit-string extractor is deliberately naive: materialize hash words
 as binary text and slice.  Slow and obviously correct, which is the
@@ -115,6 +117,15 @@ def find_run(arr, quotient: int) -> tuple[int, int] | None:
         return None
     win, start = arr._walk_to_run(quotient)
     return (win.base + start) % arr.nslots, win.run_end(start) - start
+
+
+def relaid(arr):
+    """A fresh table that the package's layout writer (SlotArray._lay_out)
+    writes from arr's columns: what every scalar edit must leave, vacated
+    payloads zeroed, since the snapshot bytes depend on it."""
+    out = type(arr)(arr.cfg, value_bits=arr.value_bits)
+    out._lay_out(arr._columns())
+    return out
 
 
 def decode_raw(arr) -> list[tuple[int, int, tuple[int, ...], int, int]]:

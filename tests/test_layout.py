@@ -2,16 +2,19 @@
 oracle, and snapshot loading under every single-bit flip, with the
 checksum trailer as written and recomputed."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from aqf import core
 from aqf.core import Fingerprint, SlotArray, pack_minirun_id
 from aqf.errors import FilterFullError, FormatError, NotFoundError, StateCorruptionError
 from aqf.hashing import FilterConfig, HashStream, extension_chunk, split, split_batch
 
-from oracles import decode_raw, find_run, reseal, shorten_minirun
+from oracles import decode_raw, find_run, relaid, reseal, shorten_minirun
 
 
 def populations(arr):
@@ -40,13 +43,6 @@ def column_rows(arr):
         count = 1 + sum(dg << (k * r) for k, dg in enumerate(digits))
         rows.append((qt, rem, tuple(chunks[o : o + e]), count, value))
     return rows
-
-
-def relaid(arr):
-    """A fresh table that _lay_out writes from arr's columns."""
-    out = SlotArray(arr.cfg, value_bits=arr.value_bits)
-    out._lay_out(arr._columns())
-    return out
 
 
 def check(arr, model):
@@ -273,11 +269,29 @@ def model_query(cfg, model, key):
     return None
 
 
+def counting_reads(arr):
+    """Wrap arr's bit reads; returns the list that each read appends its
+    (start, length) to.  A read across the seam is one read, not the two
+    pieces it reads itself in."""
+    calls, depth = [], [0]
+    read = arr._read_bits
+
+    def counted(start, length):
+        if not depth[0]:
+            calls.append((start, length))
+        depth[0] += 1
+        try:
+            return read(start, length)
+        finally:
+            depth[0] -= 1
+
+    arr._read_bits = counted
+    return calls
+
+
 def reads_of_walk(arr, qt):
     """How many bit reads one walk to quotient qt's run makes."""
-    calls = []
-    read = arr._read_bits
-    arr._read_bits = lambda *args: calls.append(args) or read(*args)
+    calls = counting_reads(arr)
     try:
         arr._walk_to_run(qt)
     finally:
@@ -286,7 +300,9 @@ def reads_of_walk(arr, qt):
 
 
 @pytest.mark.parametrize("q,quots,size,walked,reads", [
-    (10, range(100, 400), 600, 399, 3),  # the walked run sits 299 slots into the cluster
+    # the walked run sits 299 slots into the cluster: one read, then both
+    # sides grow twice, 128 -> 256 -> 512 slots, one margin read each time
+    (10, range(100, 400), 600, 399, 5),
     (8, range(-30, 10), 60, 5, 1),  # the cluster wraps past slot 255
     (5, range(8, 22), 16, 20, 1),  # 32 slots: one read holds the table twice
 ], ids=["doubling", "seam", "small"])
@@ -317,7 +333,7 @@ def test_cluster_reads(q, quots, size, walked, reads):
     for i, key in enumerate(keys):
         insert(key, (i % 7 == 0) + (i % 11 == 0), i & 1)
     verify()
-    assert arr._get_bit(arr.used, walked) and reads_of_walk(arr, walked) >= reads
+    assert arr._get_bit(arr.used, walked) and reads_of_walk(arr, walked) == reads
     win, _ = arr._walk_to_run(walked)
     if q == 8:
         assert (win.base - walked) % n > n // 2 and win.used >> (n - win.base)  # wraps
@@ -361,6 +377,138 @@ def test_a_table_without_an_unused_slot_fails_the_walk(q):
         find_run(arr, 3)
     with pytest.raises(StateCorruptionError, match="no cluster boundary"):
         arr.remove_fp(pack_minirun_id(3, 1, q), 0)
+
+
+# Scalar edits in any order on small tables run up to the load cap, each
+# checked against the model and the layout writer.  The edits that reach
+# past one cluster are counted, as test_cluster_reads counts reads, and
+# every run must meet each of them: an open that merges its cluster with
+# the next one, a multi-slot open that moves the next cluster, an open
+# and a close across the seam, and a walk whose read grows.  The first
+# read is narrowed for some tables, so that walks grow their reads on
+# tables smaller than the usual read.
+
+CASES = ("open merges clusters", "multi-slot open moves the next cluster",
+         "open across the seam", "close across the seam", "walk grows its read")
+
+
+def count_cases(arr, seen):
+    """Wrap arr's opens, closes and walks to count the CASES they meet."""
+    n = arr.nslots
+    open_slot, close_span, walk = arr._open_slot, arr._close_span, arr._walk_to_run
+    reads = counting_reads(arr)
+
+    def opened(win, at, run, ext, payloads):
+        end = win.used.bit_length()
+        stop = open_slot(win, at, run, ext, payloads)
+        seen[CASES[0]] += arr._get_bit(arr.used, (win.base + stop) % n)
+        seen[CASES[1]] += stop > end + len(payloads)
+        seen[CASES[2]] += (win.base + at) % n + stop - at > n
+        return stop
+
+    def closed(win, qt, fp, at, length):
+        hi = close_span(win, qt, fp, at, length)
+        seen[CASES[3]] += (win.base + at) % n + hi - at > n
+        return hi
+
+    def walked(qt):
+        before = len(reads)
+        out = walk(qt)
+        seen[CASES[4]] += len(reads) - before > 1
+        return out
+
+    arr._open_slot, arr._close_span, arr._walk_to_run = opened, closed, walked
+
+
+@st.composite
+def edit_programs(draw):
+    q = draw(st.integers(2, 6))
+    r = draw(st.integers(2, 4))
+    n = 1 << q
+    quot = st.one_of(st.integers(n - 3, n - 1), st.integers(0, n - 1))
+    ext = st.lists(st.integers(0, (1 << r) - 1), max_size=3).map(tuple)
+    count = st.one_of(st.just(1), st.integers(2, 1 << (2 * r + 1)))
+    pick = st.integers(0, 10**6)
+    insert = st.tuples(st.just("insert"), quot, st.integers(0, 1), ext, count, st.integers(0, 3))
+    edit = st.one_of(
+        insert,
+        st.tuples(st.just("extend"), pick, ext.filter(bool)),
+        st.tuples(st.just("count"), pick, count),
+        st.tuples(st.just("remove"), pick, st.booleans()),
+    )
+    # enough inserts to run into the load cap, then edits of every kind
+    fill = draw(st.lists(insert, min_size=n // 2, max_size=n))
+    return (FilterConfig(q=q, r=r), draw(st.integers(0, 2)), draw(st.sampled_from([1, 4, 128])),
+            fill + draw(st.lists(edit, max_size=3 * n)))
+
+
+def run_edits(program, seen):
+    """Apply an edit program to a table and the model, checking each edit."""
+    cfg, value_bits, read, edits = program
+    arr = SlotArray(cfg, value_bits=value_bits)
+    count_cases(arr, seen)
+    model = {}
+    for op, pick, *args in edits:
+        blob = arr.to_bytes()
+        live = [(k, rank) for k, lst in model.items() for rank in range(len(lst))]
+        if op == "insert":
+            qt, (rem, ext, count, value) = pick, args
+            value &= (1 << value_bits) - 1
+            key = (qt, rem)
+        elif not live:
+            continue
+        else:
+            key, rank = live[pick % len(live)]
+            mid = pack_minirun_id(*key, cfg.q)
+            ext, count, value = model[key][rank]
+        try:
+            if op == "insert":
+                arr.insert_fp(Fingerprint(qt, rem, ext, count), value)
+                model.setdefault(key, []).append((ext, count, value))
+            elif op == "extend":
+                arr.extend_fp(mid, rank, args[0])
+                model[key][rank] = (ext + args[0], count, value)
+            elif op == "count":
+                arr.set_count(mid, rank, args[0])
+                model[key][rank] = (ext, args[0], value)
+            else:
+                arr.remove_fp(mid, rank, shorten=args[0])
+                rest = model[key]
+                rest.pop(rank)
+                if args[0]:
+                    exts = shorten_minirun([row[0] for row in rest])
+                    model[key] = [(e, *row[1:]) for e, row in zip(exts, rest)]
+        except FilterFullError:
+            assert arr.to_bytes() == blob
+            continue
+        check(arr, model)
+
+
+EDIT_CASES = Counter()
+
+# meets every case, whatever the random programs do: quotient 14's run
+# wraps the seam and an insert into it moves the wrapped tail; quotient
+# 2 joins its cluster to quotient 3's; three slots opened at 8 move the
+# run at 10; the first delete closes across the seam; and a one-slot
+# first read grows in every walk of a longer cluster
+PINNED = (FilterConfig(q=4, r=2), 0, 1, [
+    ("insert", 14, 0, (), 1, 0), ("insert", 14, 1, (), 1, 0), ("insert", 15, 0, (), 1, 0),
+    ("insert", 14, 0, (), 1, 0), ("insert", 3, 0, (), 1, 0), ("insert", 2, 0, (), 1, 0),
+    ("insert", 10, 0, (), 1, 0), ("insert", 8, 0, (1, 2), 1, 0), ("remove", 0, False)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(program=edit_programs())
+@example(program=PINNED)
+def run_edit_programs(program, monkeypatch):
+    monkeypatch.setattr(core, "_READ", program[2])
+    run_edits(program, EDIT_CASES)
+
+
+def test_scalar_edits_keep_the_layout(monkeypatch):
+    EDIT_CASES.clear()
+    run_edit_programs(monkeypatch=monkeypatch)
+    assert all(EDIT_CASES[case] for case in CASES), EDIT_CASES
 
 
 @pytest.fixture(scope="module")

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
+    initialize,
     invariant,
     rule,
     run_state_machine_as_test,
@@ -404,6 +405,16 @@ class MapMachine(RuleBasedStateMachine):
         self.m = ReverseMap(self.Q)
         self.model: dict[int, list] = {}
         self.accesses = 0
+
+    @initialize(mids=st.lists(machine_ids, min_size=4, max_size=6, unique=True),
+                key=machine_keys, value=machine_values)
+    def spread(self, mids, key, value):
+        """Write to more distinct ids than the shrunken compaction point
+        lets the overlay of the empty base hold, so that every run
+        compacts at least once before its rules take over."""
+        assert len(mids) > revmap._COMPACT_MIN
+        for mid in mids:
+            self.insert(mid, 0, key, value)
 
     def state(self):
         return self.m.to_bytes(), len(self.m), self.m.key_count, self.m.accesses

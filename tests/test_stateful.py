@@ -10,7 +10,8 @@ value, also when an extension found no room.  After every step: no
 stored key is missed, the table's positives are exactly the model's
 over a probe universe, a key answered FALSE_POSITIVE_CORRECTED answers
 NOT_PRESENT until the next insert, delete or rebuild (or a merge with a
-filter that matches it), and check_consistency() passes.  For the
+filter that matches it), check_consistency() passes, and the table is
+byte for byte what the layout writer makes of its columns.  For the
 yes/no filter, every stored key answers its own class.  A refused
 mutation leaves the snapshot bytes as they were, and a reload
 keeps the bytes and the counters.
@@ -40,7 +41,7 @@ from aqf.hashing import FilterConfig
 from aqf.setops import _GROW_AT, merge, rebuild
 from aqf.yesno import NO, YES, YesNoFilter, YesNoParams
 
-from oracles import PrefixModel, ref_chunk, ref_split, shorten_minirun, vector_word0
+from oracles import PrefixModel, ref_chunk, ref_split, relaid, shorten_minirun, vector_word0
 
 # stored keys come from [0, 300]; probes also from above it, so some
 # probes are never stored
@@ -238,6 +239,12 @@ class FilterMachine(RuleBasedStateMachine):
         assert (self.f.adaptations, self.f.adaptivity_bits,
                 self.f.adaptation_failures) == counters
         assert self.f.to_bytes() == blob
+
+    @invariant()
+    def laid_out_as_the_columns_say(self):
+        """Every scalar insert, adaptation, counter bump and delete leaves
+        the bytes that the layout writer makes of the table's columns."""
+        assert self.f.arr.to_bytes() == relaid(self.f.arr).to_bytes()
 
     @invariant()
     def guarantees_hold(self):
