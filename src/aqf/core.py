@@ -315,9 +315,6 @@ class SlotArray:
     # ------------------------------------------------------------------
     # word-level bit plumbing
 
-    def _get_bit(self, vec: np.ndarray, i: int) -> int:
-        return (vec.item(i >> 6) >> (i & 63)) & 1
-
     def _read_bits(self, start: int, length: int) -> list[int]:
         """Bits [start, start+length) circularly of the four rows of the
         word matrix (used, run, ext, occ), one int per row whose bit k is

@@ -213,7 +213,8 @@ class AdaptiveFilter:
         they need to stay distinct from each other.
         """
         key = _key(key)
-        mid = pack_minirun_id(*split(HashStream(key, self.cfg.seed), self.cfg), self.cfg.q)
+        qt, rem = split(HashStream(key, self.cfg.seed), self.cfg)
+        mid = pack_minirun_id(qt, rem, self.cfg.q)
         rank = self.map.find_rank(mid, key)
         if rank is None:
             raise NotFoundError(f"key {key} is not stored")

@@ -119,7 +119,7 @@ class HashStream:
     def __init__(self, key: int, seed: int):
         self.key = key & MASK64
         self.seed = seed
-        self._words = [_fmix64(self.key ^ _salt(seed, 0))]
+        self._words = [hash_word(self.key, seed, 0)]
 
     def word(self, i: int) -> int:
         while len(self._words) <= i:

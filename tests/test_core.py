@@ -583,7 +583,7 @@ class TestFrozenIndexExact:
         index = assert_index_exact(arr, probes)
         assert index.all_ext.sum() >= 2 and index.dir[-1] == index.base.size
         # slot 0 is used, yet quotient 0's run follows the top run there
-        assert arr._get_bit(arr.used, 0) and arr._get_bit(arr.occ, 0)
+        assert _bit(arr.used, 0) and _bit(arr.occ, 0)
         assert find_run(arr, 0)[0] > 0
         hits = index.query_keys(probes)
         assert hits[[on_top[0], on_top[2]]].all() and 0 < hits.sum() < len(probes)

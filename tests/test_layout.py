@@ -14,7 +14,7 @@ from aqf.core import Fingerprint, SlotArray, pack_minirun_id
 from aqf.errors import FilterFullError, FormatError, NotFoundError, StateCorruptionError
 from aqf.hashing import FilterConfig, HashStream, extension_chunk, split, split_batch
 
-from oracles import decode_raw, find_run, relaid, reseal, shorten_minirun
+from oracles import _bit, decode_raw, find_run, relaid, reseal, shorten_minirun
 
 
 def populations(arr):
@@ -175,7 +175,7 @@ def test_remove_the_only_fingerprint_of_its_run():
     arr = filled(RUN3)
     arr.remove_fp(pack_minirun_id(5, 0, C52.q), 0)
     check_edit(arr, removed(RUN3, 3))
-    assert not arr._get_bit(arr.occ, 5)
+    assert not _bit(arr.occ, 5)
     # quotient 6 moves back one slot, to slot 7: still one past canonical
     assert find_run(arr, 6) == (7, 1)
 
@@ -192,7 +192,7 @@ def test_remove_from_a_run_that_wraps_the_seam():
     check_edit(arr, removed(fps, 0))
     assert find_run(arr, 30) == (30, 3)
     assert [find_run(arr, qt)[0] for qt in (31, 0, 1)] == [1, 2, 3]
-    assert arr.used_count == 6 and not arr._get_bit(arr.used, 4)
+    assert arr.used_count == 6 and not _bit(arr.used, 4)
 
 
 def test_the_shift_shrinks_at_a_run_near_its_canonical_slot():
@@ -207,7 +207,7 @@ def test_the_shift_shrinks_at_a_run_near_its_canonical_slot():
     check_edit(arr, removed(fps, 0))
     # shifts of 2, 2 and 1, then nothing: slots 13 and 15 fall empty
     assert [find_run(arr, qt)[0] for qt in (11, 12, 14, 16)] == [11, 12, 14, 16]
-    assert [arr._get_bit(arr.used, i) for i in range(10, 18)] == [0, 1, 1, 0, 1, 0, 1, 0]
+    assert [_bit(arr.used, i) for i in range(10, 18)] == [0, 1, 1, 0, 1, 0, 1, 0]
 
 
 def test_remove_a_fingerprint_with_extension_and_counter_slots():
@@ -333,7 +333,7 @@ def test_cluster_reads(q, quots, size, walked, reads):
     for i, key in enumerate(keys):
         insert(key, (i % 7 == 0) + (i % 11 == 0), i & 1)
     verify()
-    assert arr._get_bit(arr.used, walked) and reads_of_walk(arr, walked) == reads
+    assert _bit(arr.used, walked) and reads_of_walk(arr, walked) == reads
     win, _ = arr._walk_to_run(walked)
     if q == 8:
         assert (win.base - walked) % n > n // 2 and win.used >> (n - win.base)  # wraps
@@ -401,7 +401,7 @@ def count_cases(arr, seen):
     def opened(win, at, run, ext, payloads):
         end = win.used.bit_length()
         stop = open_slot(win, at, run, ext, payloads)
-        seen[CASES[0]] += arr._get_bit(arr.used, (win.base + stop) % n)
+        seen[CASES[0]] += _bit(arr.used, (win.base + stop) % n)
         seen[CASES[1]] += stop > end + len(payloads)
         seen[CASES[2]] += (win.base + at) % n + stop - at > n
         return stop
