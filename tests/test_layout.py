@@ -438,7 +438,7 @@ def edit_programs(draw):
     )
     # enough inserts to run into the load cap, then edits of every kind
     fill = draw(st.lists(insert, min_size=n // 2, max_size=n))
-    return (FilterConfig(q=q, r=r), draw(st.integers(0, 2)), draw(st.sampled_from([1, 4, 128])),
+    return (FilterConfig(q=q, r=r), draw(st.integers(0, 2)), draw(st.sampled_from([1, 4, core._READ])),
             fill + draw(st.lists(edit, max_size=3 * n)))
 
 
