@@ -1,6 +1,7 @@
-"""The columnar decoder and the layout writer against the raw-state
-oracle, and snapshot loading under every single-bit flip, with the
-checksum trailer as written and recomputed."""
+"""The columnar decoder, the layout writer and the scalar edits against
+the raw-state oracle, the walk's reads, and snapshot loading under
+every single-bit flip, with the checksum trailer as written and
+recomputed."""
 
 from collections import Counter
 
