@@ -658,7 +658,27 @@ class SlotArray:
             self._touched.add(mid)
 
     def get_count(self, mid: int, rank: int) -> int:
-        win, _, _, _, c0, nxt = self._locate_fp(mid, rank)
+        return self._count(self._locate_fp(mid, rank))
+
+    def set_count(self, mid: int, rank: int, count: int) -> None:
+        if count < 1:
+            raise InvalidConfigError("count must be at least 1")
+        self._write_count(mid, self._locate_fp(mid, rank), count)
+
+    def add_count(self, mid: int, rank: int, delta: int) -> int:
+        """Add delta to one fingerprint's count, reading and rewriting it
+        in one walk; returns the new count.  A count that would fall
+        below 1 is left as it is, for the caller to remove the
+        fingerprint instead."""
+        fp = self._locate_fp(mid, rank)
+        count = self._count(fp) + delta
+        if count >= 1:
+            self._write_count(mid, fp, count)
+        return count
+
+    def _count(self, fp: tuple[_Win, int | None, int, int, int, int]) -> int:
+        """The count of a fingerprint as _minirun lists it."""
+        win, _, _, _, c0, nxt = fp
         n, vb = self.nslots, self.value_bits
         r = self.cfg.r
         v = 0
@@ -666,14 +686,14 @@ class SlotArray:
             v |= (self.slots.item((win.base + c0 + i) % n) >> vb) << (i * r)
         return v + 1
 
-    def set_count(self, mid: int, rank: int, count: int) -> None:
-        """Rewrite one fingerprint's counter digits in place.  The digits
-        it keeps are overwritten; growth opens the new ones behind them
-        in one _open_slot, shrinkage closes the gap the dropped digits
-        leave (see _close_span)."""
-        if count < 1:
-            raise InvalidConfigError("count must be at least 1")
-        win, _, pos, _, c0, nxt = self._locate_fp(mid, rank)
+    def _write_count(self, mid: int, fp: tuple[_Win, int | None, int, int, int, int],
+                     count: int) -> None:
+        """Rewrite the counter digits of minirun mid's fingerprint fp (as
+        _minirun lists it) in place.  The digits it keeps are
+        overwritten; growth opens the new ones behind them in one
+        _open_slot, shrinkage closes the gap the dropped digits leave
+        (see _close_span)."""
+        win, _, pos, _, c0, nxt = fp
         digits = _count_digits(count, self.cfg.r)
         have = nxt - c0
         if not self.has_room(len(digits) - have):

@@ -186,7 +186,8 @@ class AdaptiveFilter:
         value lands in the reverse map; tag is a small integer kept in
         the slot payload's low value_bits (0 when the filter was built
         without them).  With dedupe_keys on, re-inserting a key bumps
-        its fingerprint's counter instead of storing a second copy.
+        its fingerprint's counter, in one walk, instead of storing a
+        second copy.
         """
         key = _key(key)
         self.map.check_entry(key, value)
@@ -195,7 +196,7 @@ class AdaptiveFilter:
             mid = pack_minirun_id(qt, rem, self.cfg.q)
             rank = self.map.find_rank(mid, key)
             if rank is not None:
-                self.arr.set_count(mid, rank, self.arr.get_count(mid, rank) + 1)
+                self.arr.add_count(mid, rank, 1)
                 return mid, rank
         mid, rank = self.arr.insert_fp(Fingerprint(qt, rem), tag)
         self.map.map_insert(mid, rank, key, value)
@@ -204,13 +205,14 @@ class AdaptiveFilter:
     def delete(self, key: int) -> None:
         """Remove one occurrence of key.
 
-        A counted duplicate just decrements; a table without counter
-        digits holds only count-1 fingerprints and skips reading the
-        count.  Otherwise the fingerprint's slots close in place, moving
-        only the slots between it and the first run at its canonical slot
-        (see SlotArray.remove_fp).  With shorten_on_delete on, the
-        survivors of its minirun are also cut back to the extension chunks
-        they need to stay distinct from each other.
+        A counted duplicate just decrements, in the one walk that reads
+        its count; a table without counter digits holds only count-1
+        fingerprints and skips reading the count.  Otherwise the
+        fingerprint's slots close in place, moving only the slots between
+        it and the first run at its canonical slot (see
+        SlotArray.remove_fp).  With shorten_on_delete on, the survivors of
+        its minirun are also cut back to the extension chunks they need to
+        stay distinct from each other.
         """
         key = _key(key)
         qt, rem = split(HashStream(key, self.cfg.seed), self.cfg)
@@ -218,11 +220,8 @@ class AdaptiveFilter:
         rank = self.map.find_rank(mid, key)
         if rank is None:
             raise NotFoundError(f"key {key} is not stored")
-        if self.arr.ctr_slot_count:
-            count = self.arr.get_count(mid, rank)
-            if count > 1:
-                self.arr.set_count(mid, rank, count - 1)
-                return
+        if self.arr.ctr_slot_count and self.arr.add_count(mid, rank, -1) >= 1:
+            return
         self.arr.remove_fp(mid, rank, shorten=self.policy.shorten_on_delete)
         self.map.map_remove(mid, rank)
 

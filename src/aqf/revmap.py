@@ -121,6 +121,7 @@ class ReverseMap:
         # memoryviews index to Python ints without a numpy scalar
         self._midv, self._keyv, self._dirv = memoryview(mids), memoryview(keys), memoryview(dirs)
         self._over: dict[int, list[tuple[int, bytes | None]]] = {}
+        self._found = (None, 0, 0)  # (id, lo, hi) of find_rank's last base scan
         self._nkeys = n
         self._nids = int(np.count_nonzero(mids[1:] != mids[:-1])) + (n > 0)
         # overlay size past which a write compacts
@@ -140,10 +141,14 @@ class ReverseMap:
 
     def _writable(self, mid: int, rank: int, room: int) -> list:
         """mid's overlay list, for a write at a rank below its length
-        plus room; a first write copies the id's base rows there."""
+        plus room; a first write copies the id's base rows there.  The
+        rows come from find_rank's scan when it was the last to look mid
+        up in the base, so a delete or a deduplicated insert scans once."""
         lst = self._over.get(mid)
         if lst is None:
-            lo, hi = self._span(mid)
+            found, lo, hi = self._found
+            if found != mid:
+                lo, hi = self._span(mid)
             size = hi - lo
         else:
             size = len(lst)
@@ -218,6 +223,7 @@ class ReverseMap:
                     return rank
             return None
         lo, hi = self._span(mid)
+        self._found = (mid, lo, hi)
         keyv = self._keyv
         for row in range(lo, hi):
             if keyv[row] == key:

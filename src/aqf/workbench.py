@@ -7,6 +7,14 @@ of the 64-bit space, workload universes sit at the bottom, churn
 replacements come from the top.  Probe keys therefore never collide
 with stored keys and every positive probe is a real false positive.
 
+Zipfian ranks are the draws of numpy's ``Generator.zipf`` for the same
+seed, bit for bit, kept while within the universe.  They are made in
+batches of array arithmetic rather than by numpy's one-at-a-time
+rejection loop; since np.power can differ from the libm pow that loop
+calls in the last bit, any attempt that close to an integer or to the
+acceptance boundary is redone in scalar with math.pow, so the stream
+stays the one ``rng.zipf`` gives (see ``_zipf_ranks``).
+
 The instantaneous false-positive rate is measured with adaptation
 frozen: the filter's read-only index (decoded at the first checkpoint,
 then patched where lookups extended fingerprints) is probed with
@@ -17,6 +25,7 @@ distinct probe key once.
 from __future__ import annotations
 
 import csv
+import math
 import time
 from dataclasses import dataclass, replace
 
@@ -35,6 +44,14 @@ FILL_SPACE = (1 << 32, 1 << 62)
 CHURN_SPACE = (1 << 62, 1 << 63)
 
 WORKLOAD_KINDS = ("uniform", "zipfian", "adversarial", "churn")
+
+# zipf attempts per batch, two doubles each: bounds _zipf_ranks' memory
+_ZIPF_BATCH = 1 << 16
+# relative error allowed np.power against libm's pow; an attempt that
+# this much error could change is redone in scalar (_zipf_attempt)
+_POW_SLACK = 32 * float(np.finfo(np.float64).eps)
+# numpy's zipf sampler rejects X above (double)INT64_MAX
+_INT64_MAX_F = float((1 << 63) - 1)
 
 
 @dataclass(frozen=True)
@@ -155,19 +172,86 @@ def _permute(idx: np.ndarray, universe: int, seed: int) -> np.ndarray:
     return out
 
 
+def _zipf_attempt(u01: float, v: float, am1: float, b: float, umin: float) -> float:
+    """One attempt of numpy's zipf sampler on its two doubles, in its C
+    order of operations and through libm's pow: X, or 0.0 if rejected.
+    Where C's pow returns inf, math.pow raises; that X is rejected too."""
+    u = u01 * umin + (1 - u01)
+    try:
+        x = float(math.floor(math.pow(u, -1.0 / am1)))
+    except OverflowError:
+        return 0.0
+    if x > _INT64_MAX_F or x < 1.0:
+        return 0.0
+    t = math.pow(1.0 + 1.0 / x, am1)
+    return x if v * x * (t - 1.0) / (b - 1.0) <= t / b else 0.0
+
+
 def _zipf_ranks(rng: np.random.Generator, s: float, universe: int, count: int) -> np.ndarray:
-    """count draws of 0-based ranks with P(rank) ~ (rank+1)**(-s), truncated."""
+    """count draws of 0-based ranks with P(rank) ~ (rank+1)**(-s), truncated.
+
+    The ranks are exactly those of ``rng.zipf(s)`` draws kept while at
+    most universe: numpy's sampler makes attempts, each on two doubles
+    (U01, V), and returns the X of the first one its test accepts.  So
+    the attempts are drawn in batches of _ZIPF_BATCH as ``rng.random``
+    pairs and run as array arithmetic in the C order of operations, and
+    the accepted X up to universe are kept in order.  np.power may
+    differ from libm's pow in the last bit, so an attempt whose X lies
+    near an integer, or whose test lies near its boundary, is redone by
+    _zipf_attempt; the boundary margin grows with X/(s-1), by which
+    T - 1 amplifies an error in T.  rng ends past the last attempt
+    used, at a point rng.zipf would not leave it.
+    """
     if not count:
         return np.empty(0, dtype=np.uint64)
-    out = []
-    got = 0
+    if s >= 1025:  # numpy returns 1 and reads nothing
+        return np.zeros(count, dtype=np.uint64)
+    am1 = s - 1.0
+    b = math.pow(2.0, am1)
+    umin = math.pow(_INT64_MAX_F, -am1)
+    # p is capped at top: an X past universe yields no rank, whatever it is
+    top = universe + 1.5
+    # unsure: p within near of an integer, or the test's two sides within
+    # _POW_SLACK * (2 + (x+1)/(s-1)) = (x + k1) * k2 of each other, relative
+    near = _POW_SLACK * (universe + 2)
+    k1, k2 = 2 * am1 + 1, _POW_SLACK / am1
+    out, got, tried = [], 0, 0
     while got < count:
-        draw = rng.zipf(s, size=max(count - got, 1024))
-        draw = draw[draw <= universe]
-        out.append(draw)
-        got += len(draw)
-    ranks = np.concatenate(out)[:count]
-    return ranks.astype(np.uint64) - np.uint64(1)
+        rate = max(got, 1) / tried if tried else 1.0  # ranks per attempt so far
+        pairs = min(_ZIPF_BATCH, int((count - got) / rate * 1.05) + 64)
+        tried += pairs
+        d = rng.random(2 * pairs)
+        u01, v = d[0::2], d[1::2]
+        with np.errstate(all="ignore"):
+            p = 1 - u01
+            p += u01 * umin
+            np.power(p, -1.0 / am1, out=p)
+            np.minimum(p, top, out=p)
+            x = np.floor(p)
+            p -= x  # p's fraction
+            t = 1.0 / x
+            t += 1.0
+            np.power(t, am1, out=t)
+            diff = v * x
+            diff *= t - 1.0
+            diff /= b - 1.0
+            t /= b
+            diff -= t  # the test's left side minus its right side, t/b
+            keep = diff <= 0
+            keep &= x <= universe
+            np.abs(diff, out=diff)
+            t *= x + k1
+            t *= k2
+            unsure = diff <= t
+            unsure |= p <= near
+            unsure |= p >= 1 - near
+        for i in np.flatnonzero(unsure).tolist():
+            x[i] = _zipf_attempt(float(u01[i]), float(v[i]), am1, b, umin)
+            keep[i] = 1 <= x[i] <= universe
+        ranks = x[keep]
+        out.append(ranks)
+        got += len(ranks)
+    return np.concatenate(out)[:count].astype(np.uint64) - np.uint64(1)
 
 
 def gen_workload(spec: WorkloadSpec) -> np.ndarray:

@@ -5,7 +5,7 @@ from its mixer constants, the slot decoder from the published bit
 layout, the membership model from "a stored fingerprint is a prefix of
 its owner's hash stream", the snapshot encoders from their byte layouts
 (version 1 kept here as the reference its successor is checked
-against).  Nothing imports the package's internals beyond reading raw
+against), the zipf workload's ranks from numpy's own sampler.  Nothing imports the package's internals beyond reading raw
 state off a slot array or the columns of a reverse map, so agreement
 between the two sides is evidence rather than tautology.  The
 exceptions: find_run reports where the package's own walk lands, so
@@ -402,15 +402,31 @@ def build_static_sequential(yes_keys, no_keys, epsilon, slack=1.5, seed=0):
 # adaptation trace, every checkpoint decoded afresh
 
 
+def zipf_ranks_numpy(rng, s: float, universe: int, count: int) -> np.ndarray:
+    """count 0-based zipf ranks up to universe, straight from numpy's own
+    sampler: ``rng.zipf`` draws, those past universe dropped."""
+    if not count:
+        return np.empty(0, dtype=np.uint64)
+    out = []
+    got = 0
+    while got < count:
+        draw = rng.zipf(s, size=max(count - got, 1024))
+        draw = draw[draw <= universe]
+        out.append(draw)
+        got += len(draw)
+    ranks = np.concatenate(out)[:count]
+    return ranks.astype(np.uint64) - np.uint64(1)
+
+
 def gen_workload_every_rank(spec) -> np.ndarray:
-    """gen_workload with the rank permutation applied to every draw, not
-    once per distinct rank."""
-    from aqf.workbench import _permute, _zipf_ranks
+    """gen_workload with numpy's zipf sampler and the rank permutation
+    applied to every draw, not once per distinct rank."""
+    from aqf.workbench import _permute
 
     rng = np.random.default_rng(spec.seed)
     if spec.kind in ("uniform", "adversarial"):
         return rng.integers(0, spec.universe, size=spec.count, dtype=np.uint64)
-    ranks = _zipf_ranks(rng, spec.s, spec.universe, spec.count)
+    ranks = zipf_ranks_numpy(rng, spec.s, spec.universe, spec.count)
     return _permute(ranks, spec.universe, spec.perm_seed ^ 0xD6E8FEB8)
 
 

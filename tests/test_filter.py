@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aqf import revmap
-from aqf.core import Fingerprint, SlotArray
+from aqf.core import Fingerprint, SlotArray, pack_minirun_id
 from aqf.errors import (
     AdaptationExhaustedError,
     FilterError,
@@ -27,8 +27,9 @@ from aqf.hashing import (
     hash_word_batch,
     split,
 )
+from aqf.workbench import fill_to_load
 
-from oracles import encode_filter_v1, mutants, reseal, reseal_filter, shorten_minirun
+from oracles import encode_filter_v1, mutants, relaid, reseal, reseal_filter, shorten_minirun
 
 NOT_PRESENT = LookupResult.NOT_PRESENT
 PRESENT = LookupResult.PRESENT
@@ -444,6 +445,61 @@ class TestDelete:
         assert [short.arr.get_ext(mid, rank) for rank in range(3)] == shorten_minirun(exts[1:])
         for f in filters:
             f.check_consistency()
+
+    def test_counted_duplicates_take_one_walk(self, monkeypatch):
+        """A counted re-insert and a counted delete read and rewrite the
+        count in one walk of the cluster, and the table stays as the
+        layout writer would lay it out."""
+        f = AdaptiveFilter(FilterConfig(q=10, r=4, seed=60), policy=Policy(dedupe_keys=True))
+        keys = range(1000, 1100)
+        for k in keys:
+            f.insert(k)
+        walks = Counter()
+        walk = f.arr._walk_to_run
+
+        def counted(qt):
+            walks["walks"] += 1
+            return walk(qt)
+
+        monkeypatch.setattr(f.arr, "_walk_to_run", counted)
+        for _ in range(2):
+            for k in keys:
+                f.insert(k)
+        assert walks["walks"] == 2 * len(keys)
+        walks.clear()
+        for k in keys:
+            f.delete(k)
+        assert walks["walks"] == len(keys)
+        monkeypatch.undo()
+        assert f.arr.to_bytes() == relaid(f.arr).to_bytes()
+        for k in keys:
+            mid = pack_minirun_id(*split(HashStream(k, f.cfg.seed), f.cfg), f.cfg.q)
+            assert f.arr.get_count(mid, f.map.find_rank(mid, k)) == 2
+        for _ in range(2):
+            for k in keys:
+                f.delete(k)
+        assert len(f) == 0 and f.arr.used_count == 0
+
+    def test_delete_scans_the_map_bucket_once(self, monkeypatch):
+        """find_rank's scan of the id's base rows serves map_remove too;
+        the map still counts two accesses per delete."""
+        f, keys = fill_to_load(FilterConfig(q=10, r=6, seed=61), 0.5, seed=62)
+        scans = Counter()
+        span = f.map._span
+
+        def counted(mid):
+            scans["scans"] += 1
+            return span(mid)
+
+        monkeypatch.setattr(f.map, "_span", counted)
+        before = f.map.accesses
+        victims = [int(k) for k in keys[:50]]
+        for k in victims:
+            f.delete(k)
+        assert scans["scans"] == len(victims)
+        assert f.map.accesses == before + 2 * len(victims)
+        monkeypatch.undo()
+        f.check_consistency()
 
 
 class TestConsistency:

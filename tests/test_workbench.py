@@ -1,8 +1,11 @@
 """Workload generation, experiment drivers, CSV plumbing, CLI surface."""
 
+import math
+
 import numpy as np
 import pytest
 
+import aqf.workbench as workbench
 from aqf.cli import main
 from aqf.errors import InvalidConfigError, StateCorruptionError
 from aqf.filter import AdaptiveFilter, Policy
@@ -14,6 +17,7 @@ from aqf.workbench import (
     TraceRow,
     WorkloadSpec,
     _permute,
+    _zipf_ranks,
     extra_bits_per_item,
     fill_to_load,
     gen_workload,
@@ -26,7 +30,7 @@ from aqf.workbench import (
     run_churn,
     zipf_normalizer,
 )
-from oracles import bit_text, gen_workload_every_rank, trace_fprs_rebuilt
+from oracles import bit_text, gen_workload_every_rank, trace_fprs_rebuilt, zipf_ranks_numpy
 
 
 class TestWorkloadSpec:
@@ -118,6 +122,92 @@ class TestGenWorkload:
     def test_zeta_sum_small_case(self):
         want = sum(k**-1.5 for k in range(1, 6))
         assert zipf_normalizer(1.5, 5) == pytest.approx(want, rel=1e-12)
+
+
+class RecordingRng:
+    """A Generator that records the size of every ``random`` request."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.sizes = []
+
+    def random(self, size):
+        self.sizes.append(size)
+        return self.rng.random(size)
+
+
+class TestZipfRanks:
+    """_zipf_ranks against numpy's own sampler, draw for draw."""
+
+    @staticmethod
+    def same(seed, s, universe, count):
+        got = _zipf_ranks(np.random.default_rng(seed), s, universe, count)
+        want = zipf_ranks_numpy(np.random.default_rng(seed), s, universe, count)
+        assert got.dtype == np.uint64 and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("s", [1.01, 1.5, 2.0, 10.0, 1025.0, float("inf")])
+    @pytest.mark.parametrize("universe", [1, 7, 10**5, 1 << 32])
+    def test_equals_numpy_across_batches(self, monkeypatch, s, universe):
+        monkeypatch.setattr(workbench, "_ZIPF_BATCH", 256)
+        for count, seed in ((0, 40), (1, 41), (3000, 42)):
+            self.same(seed, s, universe, count)
+
+    def test_equals_numpy_past_a_full_batch(self):
+        self.same(43, 1.5, 10**7, 3 * workbench._ZIPF_BATCH + 5)
+
+    def test_pinned_seed_takes_the_scalar_redo(self, monkeypatch):
+        calls = []
+        attempt = workbench._zipf_attempt
+
+        def counted(*args):
+            calls.append(args)
+            return attempt(*args)
+
+        monkeypatch.setattr(workbench, "_zipf_attempt", counted)
+        self.same(44, 1.01, 1 << 32, 5000)
+        assert calls
+
+    # (U01, V) pairs at s=1.5 whose attempts np.power's AVX-512 loop and
+    # libm's pow, the one numpy's sampler calls, settle differently
+    UMIN = math.pow(float((1 << 63) - 1), -0.5)
+
+    @staticmethod
+    def repeating(*pairs):
+        doubles = np.array(pairs, dtype=np.float64).ravel()
+
+        class Repeating:
+            def random(self, size):
+                return np.resize(doubles, size)
+
+        return Repeating()
+
+    def test_libm_settles_a_power_that_straddles_an_integer(self):
+        """U = 0.20851441405707477: libm's pow(U, -2) is 23.0, np.power's
+        22.999999999999996.  V = 0 always accepts."""
+        u01 = 7129068382190758 / 2**53
+        assert math.floor(math.pow(u01 * self.UMIN + (1 - u01), -2.0)) == 23
+        got = _zipf_ranks(self.repeating((u01, 0.0)), 1.5, 10**5, 300)
+        assert got.tolist() == [22] * 300
+
+    def test_libm_settles_a_test_at_its_boundary(self):
+        """X = 144, and V sits where libm's T rejects the attempt while
+        np.power's T, one ulp lower, would accept it; the attempts after
+        each of them make X = 2 and accept."""
+        u01, v = 8257899060692351 / 2**53, 5303760020207408 / 2**53
+        b = math.pow(2.0, 0.5)
+        x = math.floor(math.pow(u01 * self.UMIN + (1 - u01), -2.0))
+        t = math.pow(1.0 + 1.0 / x, 0.5)
+        assert x == 144 and not v * x * (t - 1.0) / (b - 1.0) <= t / b
+        plain = (3310546259040520 / 2**53, 0.0)
+        got = _zipf_ranks(self.repeating((u01, v), plain), 1.5, 10**5, 300)
+        assert got.tolist() == [1] * 300
+
+    def test_no_random_request_passes_the_batch_cap(self):
+        rec = RecordingRng(45)
+        got = _zipf_ranks(rec, 1.5, 10**7, 4 * workbench._ZIPF_BATCH)
+        want = zipf_ranks_numpy(np.random.default_rng(45), 1.5, 10**7, len(got))
+        assert np.array_equal(got, want)
+        assert len(rec.sizes) > 4 and max(rec.sizes) <= 2 * workbench._ZIPF_BATCH
 
 
 class TestFillAndMeasure:
