@@ -209,6 +209,13 @@ class _Cols(NamedTuple):
                    np.cumsum(ext_len + ctr_len) - ext_len - ctr_len, ext_len, ctr_len,
                    np.asarray(chunks, dtype=np.uint64))
 
+    @classmethod
+    def bare(cls, packed: np.ndarray, r: int) -> "_Cols":
+        """Bare fingerprints of the pairs packed (see packed), valued 0."""
+        zero = np.zeros(len(packed), dtype=np.int64)
+        return cls.build(packed >> np.uint64(r), packed & np.uint64((1 << r) - 1),
+                         zero, zero, zero, ())
+
     def take(self, idx) -> "_Cols":
         """The rows idx (indices or a mask), sharing the chunk array."""
         return _Cols(*(col[idx] for col in self[:-1]), self.chunks)
@@ -259,11 +266,6 @@ class _Win:
         lands on the unused slot past the cluster."""
         ext = self.ext
         return (ext + ((self.run & ~ext) << 1)) & ~ext
-
-    def run_end(self, pos: int, k: int = 1) -> int:
-        """Offset just past the k-th run ending at or after offset pos, a
-        remainder slot."""
-        return _select_end(self.ends(), pos, k)
 
 
 def _select_end(ends: int, pos: int, k: int) -> int:
@@ -955,7 +957,7 @@ class SlotArray:
         """
         if self._touched is None:
             self._superset = None  # not kept alive through the build
-            self._superset = FrozenIndex(self)
+            self._superset = FrozenIndex(self.cfg, self._columns())
         elif self._touched:
             self._superset = self._superset.patched(self, self._touched)
         self._touched = set()
@@ -973,7 +975,7 @@ class SlotArray:
         frozen_index can patch it back to exact; any removal stops that.
         """
         if self._superset is None:
-            self._superset = FrozenIndex(self)
+            self._superset = FrozenIndex(self.cfg, self._columns())
             self._touched = set()
         return self._superset
 
@@ -1115,19 +1117,21 @@ class SlotArray:
 
 
 class FrozenIndex:
-    """Read-only decode of a slot array for bulk membership probes.
+    """Read-only index of fingerprint columns for bulk membership probes.
 
-    Baseline pairs, packed as (quotient << r) | remainder, go into one
-    sorted array ``base``.  A quotient directory locates each quotient's
-    pairs without a search, as the counting quotient filter's offsets
-    do: ``base[dir[qt]:dir[qt + 1]]`` holds quotient qt's pairs, so a
-    probe gathers its bucket bounds and compares at most the few
-    remainders of one bucket.  The rare pairs whose fingerprints are all
-    extended are flagged in ``all_ext``; their fingerprints keep their
-    chunks on the side, in a zero-padded matrix that a probe hitting such
-    a pair compares column by column.  Exact for the table it was built
-    from.  Afterwards its positives stay a superset of the table's until
-    a fingerprint is inserted or a shortening delete cuts an extension,
+    Built from columns in hash order: a table's decode, or bare
+    fingerprints sorted by pair with no table at all.  Baseline pairs,
+    packed as (quotient << r) | remainder, go into one sorted array
+    ``base``.  A quotient directory locates each quotient's pairs
+    without a search, as the counting quotient filter's offsets do:
+    ``base[dir[qt]:dir[qt + 1]]`` holds quotient qt's pairs, so a probe
+    gathers its bucket bounds and compares at most the few remainders of
+    one bucket.  The rare pairs whose fingerprints are all extended are
+    flagged in ``all_ext``; their fingerprints keep their chunks on the
+    side, in a zero-padded matrix that a probe hitting such a pair
+    compares column by column.  Exact for the columns it was built from.
+    Afterwards its positives stay a superset of the table's until a
+    fingerprint is inserted or a shortening delete cuts an extension,
     since extending only narrows what a fingerprint matches.  After
     extensions alone, patched() makes it exact again without decoding
     the table.  Equivalence with the slot-walk query is pinned by tests.
@@ -1136,18 +1140,17 @@ class FrozenIndex:
     # keys probed per pass; bounds the temporaries of a large batch
     CHUNK = 1 << 16
 
-    def __init__(self, arr: SlotArray):
-        self.cfg = arr.cfg
-        cols = arr._columns()
-        packed = cols.packed(arr.cfg.r)
+    def __init__(self, cfg: FilterConfig, cols: _Cols):
+        self.cfg = cfg
+        packed = cols.packed(cfg.r)
         starts = np.flatnonzero(np.diff(packed, prepend=~packed[:1]))
         self.base = packed[starts]
         self.all_ext = np.minimum.reduceat((cols.ext_len > 0).astype(np.uint8),
                                            starts).astype(bool)
-        counts = np.bincount((self.base >> np.uint64(arr.cfg.r)).astype(np.intp),
-                             minlength=arr.nslots)
+        counts = np.bincount((self.base >> np.uint64(cfg.r)).astype(np.intp),
+                             minlength=cfg.nslots)
         dtype = np.int32 if self.base.size < 1 << 31 else np.int64
-        self.dir = np.zeros(arr.nslots + 1, dtype=dtype)
+        self.dir = np.zeros(cfg.nslots + 1, dtype=dtype)
         np.cumsum(counts, out=self.dir[1:])
         # every fingerprint of an all-extended pair, sorted by pair,
         # chunks zero-padded to the longest extension
@@ -1162,9 +1165,9 @@ class FrozenIndex:
         self.cand_chunks[row, at - off[row]] = cols.chunks[at]
 
     def patched(self, arr: SlotArray, mids) -> "FrozenIndex":
-        """A new index equal to FrozenIndex(arr), given that arr has had
-        only fingerprints of the miniruns ``mids`` extended since this
-        index was exact for it.
+        """A new index equal to the FrozenIndex of arr's columns, given
+        that arr has had only fingerprints of the miniruns ``mids``
+        extended since this index was exact for it.
 
         Extension keeps every pair, so ``base`` and ``dir`` are shared.
         Each touched pair's ``all_ext`` flag and candidate rows are read

@@ -55,12 +55,11 @@ from .errors import (
     NotFoundError,
     UnsortedInputError,
 )
+from .hashing import MASK64
 from .snapshot import seal, unseal
 
 # value length sentinel meaning "no value stored"
 _NO_VALUE = 0xFFFFFFFF
-
-_MASK64 = (1 << 64) - 1
 
 # the overlay is merged into the base once it holds more ids than this
 # share of the base rows, and more than _COMPACT_MIN
@@ -170,7 +169,7 @@ class ReverseMap:
     @staticmethod
     def check_entry(key: int, value: bytes | None) -> None:
         """Raise InvalidConfigError unless (key, value) can be stored."""
-        if not 0 <= key <= _MASK64:
+        if not 0 <= key <= MASK64:
             raise InvalidConfigError("key must fit in 64 bits")
         if value is not None and not isinstance(value, bytes):
             raise InvalidConfigError("value must be bytes or None")
@@ -178,7 +177,7 @@ class ReverseMap:
     def map_insert(self, mid: int, rank: int, key: int, value: bytes | None = None) -> None:
         """Insert key at position rank; later entries shift back one."""
         self.check_entry(key, value)
-        if not 0 <= mid <= _MASK64:
+        if not 0 <= mid <= MASK64:
             raise InvalidConfigError("minirun id must fit in 64 bits")
         lst = self._writable(mid, rank, 1)
         lst.insert(rank, (key, value))

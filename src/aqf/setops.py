@@ -69,9 +69,7 @@ def bulk_load(items, cfg: FilterConfig, policy: Policy | None = None,
     packed = split_batch(keys, cfg)
     if np.any(packed[1:] < packed[:-1]):
         raise UnsortedInputError("keys are not in (quotient, remainder) order")
-    bare = np.zeros(len(keys), dtype=np.int64)
-    cols = _Cols.build(packed >> np.uint64(cfg.r), packed & np.uint64((1 << cfg.r) - 1),
-                       bare, bare, bare, ())
+    cols = _Cols.bare(packed, cfg.r)
     arr._lay_out(cols)
     revmap = ReverseMap._from_columns(cfg.q, cols.mids(cfg.q), keys, values)
     return AdaptiveFilter._from_parts(arr, revmap, policy)

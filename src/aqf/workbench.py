@@ -34,10 +34,8 @@ import numpy as np
 from .core import _LOAD_DEN, _LOAD_NUM, FrozenIndex
 from .errors import InvalidConfigError, StateCorruptionError
 from .filter import AdaptiveFilter, LookupResult, Policy, _key_array
-from .hashing import FilterConfig, split_batch
+from .hashing import MASK64, FilterConfig, split_batch
 from .setops import bulk_load
-
-_MASK64 = (1 << 64) - 1
 
 # key-space carve-up (inclusive low, exclusive high)
 FILL_SPACE = (1 << 32, 1 << 62)
@@ -147,7 +145,7 @@ def _permute(idx: np.ndarray, universe: int, seed: int) -> np.ndarray:
     half = max(1, ((universe - 1).bit_length() + 1) // 2)
     hmask = np.uint64((1 << half) - 1)
     rks = [
-        np.uint64((seed * 0x9E3779B97F4A7C15 + i * 0xBF58476D1CE4E5B9) & _MASK64)
+        np.uint64((seed * 0x9E3779B97F4A7C15 + i * 0xBF58476D1CE4E5B9) & MASK64)
         for i in range(4)
     ]
 
@@ -336,6 +334,38 @@ def make_probe_sets(spec: WorkloadSpec, probe_sets: int, probe_size: int) -> lis
     ]
 
 
+def _trace(f: AdaptiveFilter, queries: np.ndarray, probes: list[np.ndarray],
+           every_pct: int, check=None, event=None) -> list[TraceRow]:
+    """Adapting lookups of queries in steps of every_pct percent, with a
+    checkpoint row before the first step and after each.  check(index,
+    done) vets each checkpoint's frozen index; event() runs between steps."""
+    t0 = time.perf_counter_ns()
+
+    def checkpoint(done: int) -> TraceRow:
+        index = f.frozen_index()
+        if check is not None:
+            check(index, done)
+        return TraceRow(
+            ops_done=done,
+            instantaneous_fpr=measure_fpr(index, probes),
+            bits_per_item_extra=extra_bits_per_item(f),
+            map_accesses=f.map_accesses,
+            wall_nanos=time.perf_counter_ns() - t0,
+        )
+
+    rows = [checkpoint(0)]
+    step = max(1, len(queries) * every_pct // 100)
+    done = 0
+    while done < len(queries):
+        stop = min(done + step, len(queries))
+        f.lookup_many(queries[done:stop])
+        done = stop
+        rows.append(checkpoint(done))
+        if done < len(queries) and event is not None:
+            event()
+    return rows
+
+
 def run_adaptation_trace(
     f: AdaptiveFilter,
     workload: WorkloadSpec | np.ndarray,
@@ -365,26 +395,7 @@ def run_adaptation_trace(
             raise InvalidConfigError("an external trace needs at least one key")
         rng = np.random.default_rng(0x5EED)
         probes = [rng.choice(queries, size=probe_size) for _ in range(probe_sets)]
-    t0 = time.perf_counter_ns()
-
-    def checkpoint(done: int) -> TraceRow:
-        return TraceRow(
-            ops_done=done,
-            instantaneous_fpr=measure_fpr(f.frozen_index(), probes),
-            bits_per_item_extra=extra_bits_per_item(f),
-            map_accesses=f.map_accesses,
-            wall_nanos=time.perf_counter_ns() - t0,
-        )
-
-    rows = [checkpoint(0)]
-    step = max(1, len(queries) * measure_every_pct // 100)
-    done = 0
-    while done < len(queries):
-        stop = min(done + step, len(queries))
-        f.lookup_many(queries[done:stop])
-        done = stop
-        rows.append(checkpoint(done))
-    return rows
+    return _trace(f, queries, probes, measure_every_pct)
 
 
 def run_adversary(
@@ -408,6 +419,9 @@ def run_adversary(
         latency = LatencyModel()
     if not 0.0 <= adv_frac <= 1.0:
         raise InvalidConfigError(f"adv_frac {adv_frac} outside [0, 1]")
+    if warmup < 0 or total < 0 or universe < 1:
+        raise InvalidConfigError(f"need warmup, total >= 0 and universe >= 1, got "
+                                 f"{warmup}, {total}, {universe}")
     rng = np.random.default_rng(seed)
     benign = rng.integers(0, universe, size=warmup + total, dtype=np.uint64)
     adversarial = rng.random(size=total) < adv_frac
@@ -466,44 +480,27 @@ def run_churn(
     queries = gen_workload(spec)
     probes = make_probe_sets(spec, probe_sets, probe_size)
     rng = np.random.default_rng(churn_seed)
-    t0 = time.perf_counter_ns()
 
-    def checkpoint(done: int) -> TraceRow:
-        index = f.frozen_index()
+    def check(index: FrozenIndex, done: int) -> None:
         alive = index.query_keys(np.array(live, dtype=np.uint64))
         if not alive.all():
             raise StateCorruptionError(
                 f"{int((~alive).sum())} live keys answered negative at op {done}"
             )
-        return TraceRow(
-            ops_done=done,
-            instantaneous_fpr=measure_fpr(index, probes),
-            bits_per_item_extra=extra_bits_per_item(f),
-            map_accesses=f.map_accesses,
-            wall_nanos=time.perf_counter_ns() - t0,
-        )
 
-    rows = [checkpoint(0)]
-    step = max(1, len(queries) * spec.interval_pct // 100)
-    done = 0
-    while done < len(queries):
-        stop = min(done + step, len(queries))
-        f.lookup_many(queries[done:stop])
-        done = stop
-        rows.append(checkpoint(done))
-        if done < len(queries) and spec.replace_pct:
-            n_replace = len(live) * spec.replace_pct // 100
-            victims = set(int(v) for v in rng.choice(len(live), size=n_replace,
-                                                     replace=False))
-            for v in victims:
-                f.delete(live[v])
-            live = [k for i, k in enumerate(live) if i not in victims]
-            fresh = rng.integers(CHURN_SPACE[0], CHURN_SPACE[1], size=n_replace,
-                                 dtype=np.uint64)
-            for k in fresh:
-                f.insert(int(k))
-                live.append(int(k))
-    return rows
+    def replace_keys() -> None:
+        n_replace = len(live) * spec.replace_pct // 100
+        victims = set(int(v) for v in rng.choice(len(live), size=n_replace, replace=False))
+        for v in victims:
+            f.delete(live[v])
+        live[:] = [k for i, k in enumerate(live) if i not in victims]
+        fresh = rng.integers(CHURN_SPACE[0], CHURN_SPACE[1], size=n_replace, dtype=np.uint64)
+        for k in fresh:
+            f.insert(int(k))
+            live.append(int(k))
+
+    return _trace(f, queries, probes, spec.interval_pct, check,
+                  replace_keys if spec.replace_pct else None)
 
 
 CSV_HEADER = ["ops", "fpr", "extra_bits_per_item", "map_accesses", "wall_nanos"]

@@ -9,14 +9,15 @@ baseline false-positive rate.
 
 The result is the one the paper's sequential construction leaves:
 insert every YES key, then look up every NO key in order and adapt each
-false positive away.  It is reached in bulk.  A superset index of the
-bare YES table rejects almost every NO key; for each remaining pair of
-a NO key and a YES key with the same fingerprint, the first chunk at
-which their hash streams differ fixes how far that fingerprint must
-grow, and whether the NO key's lookup would have adapted it.  The YES
-keys are then laid out once with those extensions.  When the extensions
-would not fit, the remaining NO keys are looked up one by one, so that
-the failure is the sequential one.
+false positive away.  It is reached in bulk.  An index of the YES keys'
+bare fingerprints, sorted by pair, rejects almost every NO key; for
+each remaining pair of a NO key and a YES key with the same
+fingerprint, the first chunk at which their hash streams differ fixes
+how far that fingerprint must grow, and whether the NO key's lookup
+would have adapted it.  The YES keys are then laid out once with those
+extensions.  When they would not fit, the bare YES keys are laid out
+and the remaining NO keys looked up one by one, so that the failure is
+the sequential one.
 
 Each fingerprint carries one payload bit tagging its key YES or NO.
 The static build only ever writes 1s; the bit earns its keep in the
@@ -38,7 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import _LOAD_DEN, _LOAD_NUM, _Cols, _ranges, pack_minirun_id
+from .core import _LOAD_DEN, _LOAD_NUM, FrozenIndex, _Cols, _ranges, pack_minirun_id
 from .errors import (
     ConstructionFailedError,
     FilterFullError,
@@ -102,8 +103,8 @@ def adaptivity_budget(p: YesNoParams, slack: float = 1.5) -> int:
     variance; 1.5 makes the reference construction succeed in at least
     95 of 100 seeds (see the calibration run in the workbench docs).
     """
-    if slack < 1:
-        raise InvalidConfigError(f"slack {slack} must be at least 1")
+    if not 1 <= slack < math.inf:
+        raise InvalidConfigError(f"slack {slack} must be finite and at least 1")
     return math.ceil(slack * p.n * (2 + math.log2(math.e) + math.log2(1 + p.mu)))
 
 
@@ -266,40 +267,38 @@ def _check_disjoint(yes: np.ndarray, no: np.ndarray) -> None:
 
 def _place_yes(inner: AdaptiveFilter, yes: np.ndarray, ext_len: np.ndarray) -> AdaptiveFilter:
     """A filter like inner holding every YES key, tagged YES, with
-    ext_len[i] chunks of its own stream after key i's fingerprint.  The
-    stable hash sort keeps list order as rank order, as inserts would."""
+    ext_len[i] chunks of its own stream after key i's fingerprint.  yes
+    is in hash order, ties in rank order."""
     bare = np.zeros(len(yes), dtype=np.int64)
     cols = _Cols.build(bare, bare, np.full(len(yes), YES), ext_len, bare, ())
     return _build_rederived(cols, yes, [None] * len(yes), inner.cfg, inner.policy,
                             inner.value_bits, keep_ext=True)
 
 
-def _no_pass(yes: np.ndarray, hits: np.ndarray, cfg: FilterConfig,
+def _no_pass(yes: np.ndarray, packed: np.ndarray, hits: np.ndarray, cfg: FilterConfig,
              max_extensions: int) -> tuple[np.ndarray, int] | None:
     """What looking up hits in order does to bare YES fingerprints.
 
-    hits are NO keys, in list order, that share a YES key's (quotient,
-    remainder) pair.  For each such pair of keys, d is the first chunk
-    at which the NO key's stream leaves the YES key's.  A fingerprint of
-    length L matches the NO key while d >= L, and adapting it appends
-    its owner's chunks up to index d.  Extensions only grow, so the YES
-    key's fingerprint ends at max(d + 1) over its pairs, and a pair
-    adapts, with one map read, exactly when its d + 1 beats every
-    earlier NO key's on that fingerprint.  Returns each YES key's
-    extension length and the number of adaptations, or None when some
-    pair agrees for max_extensions chunks, where the scalar pass would
-    give up on it.
+    yes are the YES keys in hash order, ties in rank order, and packed
+    their (quotient, remainder) pairs.  hits are NO keys, in list order,
+    that share a YES key's pair.  For each such pair of keys, d is the
+    first chunk at which the NO key's stream leaves the YES key's.  A
+    fingerprint of length L matches the NO key while d >= L, and
+    adapting it appends its owner's chunks up to index d.  Extensions
+    only grow, so the YES key's fingerprint ends at max(d + 1) over its
+    pairs, and a pair adapts, with one map read, exactly when its d + 1
+    beats every earlier NO key's on that fingerprint.  Returns each YES
+    key's extension length and the number of adaptations, or None when
+    some pair agrees for max_extensions chunks, where the scalar pass
+    would give up on it.
     """
-    packed = split_batch(yes, cfg)
-    order = np.argsort(packed, kind="stable")
-    packed = packed[order]
     want = split_batch(hits, cfg)
     lo = np.searchsorted(packed, want, side="left")
     count = np.searchsorted(packed, want, side="right") - lo
     # one row per pair: NO keys in list order, each with its YES keys
     # in rank order
     no_of = np.repeat(np.arange(len(hits)), count)
-    yes_of = order[_ranges(lo, count)]
+    yes_of = _ranges(lo, count)
     reach = np.zeros(len(yes_of), dtype=np.int64)  # d + 1
     live = np.arange(len(yes_of))
     for t in range(max_extensions):
@@ -330,15 +329,16 @@ def build_static(
     """Construct a filter that is exact on both lists.
 
     Leaves what inserting every YES key and then looking up every NO key
-    in order leaves: the same bytes, counters and errors.  The NO keys
-    are probed against the superset index of the bare YES table; the few
-    that share a YES key's (quotient, remainder) pair settle in closed
-    form (see _no_pass), and the YES keys are placed once more with the
-    extensions that leaves, in one layout.  True negatives cost nothing
-    and nothing from the NO list is ever stored.  When the extensions
-    would pass the load cap, or a NO key agrees with a YES key for
-    policy.max_extensions chunks, the hits are looked up one by one
-    instead, so the failure is the sequential one.  Both lists are
+    in order leaves: the same bytes, counters and errors.  The YES keys
+    are sorted into hash order once, and the NO keys probed against an
+    index of their bare fingerprints; the few that share a YES key's
+    (quotient, remainder) pair settle in closed form (see _no_pass), and
+    the YES keys are placed with the extensions that leaves, in the one
+    layout of the build.  True negatives cost nothing and nothing from
+    the NO list is ever stored.  When the extensions would pass the load
+    cap, or a NO key agrees with a YES key for policy.max_extensions
+    chunks, the bare YES keys are placed and the hits looked up one by
+    one instead, so the failure is the sequential one.  Both lists are
     uint64 arrays or iterables of ints in [0, 2**64).  Raises
     ConstructionFailedError, with consumed vs budgeted bits attached, if
     the filter fills before the NO list is exhausted.
@@ -355,31 +355,32 @@ def build_static(
     except InvalidConfigError:
         _check_disjoint(yes, no)
         raise
-    inner = f.inner
-    try:
-        inner = _place_yes(inner, yes, np.zeros(len(yes), dtype=np.int64))
-    except FilterFullError as exc:
-        _check_disjoint(yes, no)
-        raise ConstructionFailedError(
-            f"filter filled placing the YES keys: {exc}",
-            consumed_bits=inner.adaptivity_bits,
-            budget_bits=f.budget_bits,
-        ) from exc
-    hits = no[inner.arr.superset_index().query_keys(no)]
+    inner, cfg = f.inner, f.inner.cfg
+    packed = split_batch(yes, cfg)
+    order = np.argsort(packed, kind="stable")  # list order stays rank order
+    yes, packed = yes[order], packed[order]
+    hits = no[FrozenIndex(cfg, _Cols.bare(packed, cfg.r)).query_keys(no)]
     _check_disjoint(yes, hits)
 
-    settled = _no_pass(yes, hits, inner.cfg, inner.policy.max_extensions)
-    if settled is not None and inner.arr.has_room(int(settled[0].sum())):
+    settled = _no_pass(yes, packed, hits, cfg, inner.policy.max_extensions)
+    if settled is not None and inner.arr.has_room(len(yes) + int(settled[0].sum())):
         ext_len, adaptations = settled
         f.inner = _place_yes(inner, yes, ext_len)
         f.inner.adaptations = adaptations
-        f.inner.adaptivity_bits = int(ext_len.sum()) * inner.cfg.r
+        f.inner.adaptivity_bits = int(ext_len.sum()) * cfg.r
         f.inner.map.accesses += adaptations
         return f
 
     # the keys the index rejects answer NOT_PRESENT untouched, so the
     # hits alone reach the state and the first failure of the whole list
-    f.inner = inner
+    try:
+        f.inner = inner = _place_yes(inner, yes, np.zeros(len(yes), dtype=np.int64))
+    except FilterFullError as exc:
+        raise ConstructionFailedError(
+            f"filter filled placing the YES keys: {exc}",
+            consumed_bits=inner.adaptivity_bits,
+            budget_bits=f.budget_bits,
+        ) from exc
     verdicts = inner.lookup_many(hits)
     if inner.adaptation_failures:
         # NO keys are never stored and the lists are disjoint, so no

@@ -113,10 +113,12 @@ def find_run(arr, quotient: int) -> tuple[int, int] | None:
     counter slots included, or None if unoccupied.  Read through the
     package's own walk (SlotArray._walk_to_run), so that tests can pin
     where the walk lands."""
+    from aqf.core import _select_end
+
     if not _bit(arr.occ, quotient):
         return None
     win, start = arr._walk_to_run(quotient)
-    return (win.base + start) % arr.nslots, win.run_end(start) - start
+    return (win.base + start) % arr.nslots, _select_end(win.ends(), start, 1) - start
 
 
 def relaid(arr):
@@ -450,7 +452,7 @@ def trace_fprs_rebuilt(f, workload, measure_every_pct, probe_sets, probe_size) -
         probes = [rng.choice(queries, size=probe_size) for _ in range(probe_sets)]
 
     def checkpoint() -> float:
-        index = FrozenIndex(f.arr)
+        index = FrozenIndex(f.cfg, f.arr._columns())
         fracs = [float(np.mean(index.query_keys(p))) for p in probes]
         return sum(fracs) / len(fracs)
 

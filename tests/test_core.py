@@ -487,7 +487,7 @@ class TestFrozenIndex:
         for (mid, rank), k in list(zip(mids, keys))[::3]:
             s = HashStream(int(k), 10)
             arr.extend_fp(mid, rank, [extension_chunk(s, cfg, 0)])
-        index = FrozenIndex(arr)
+        index = FrozenIndex(arr.cfg, arr._columns())
         probes = np.concatenate([keys, rng.integers(0, 1 << 62, size=20_000, dtype=np.uint64)])
         got = index.query_keys(probes)
         assert got[: len(keys)].all()
@@ -498,7 +498,7 @@ class TestFrozenIndex:
 
 def assert_index_exact(arr, probes):
     """FrozenIndex verdicts equal the slot walk on every probe."""
-    index = FrozenIndex(arr)
+    index = FrozenIndex(arr.cfg, arr._columns())
     got = index.query_keys(probes)
     want = [arr.query_fp(HashStream(int(k), arr.cfg.seed)) is not None for k in probes]
     assert got.tolist() == want
@@ -517,8 +517,9 @@ def probe_fp(cfg, key, ext_len, differ, count=1):
 
 
 def assert_fresh(index, arr, probes):
-    """index equals FrozenIndex(arr) field for field and on the probes."""
-    want = FrozenIndex(arr)
+    """index equals a fresh FrozenIndex of arr's columns, field for field
+    and on the probes."""
+    want = FrozenIndex(arr.cfg, arr._columns())
     assert vars(index).keys() == vars(want).keys() and index.cfg == want.cfg
     for name, col in vars(want).items():
         if isinstance(col, np.ndarray):
@@ -595,10 +596,11 @@ class TestFrozenIndexExact:
                           min_size=1, max_size=8))
     def test_patched_index_equals_a_fresh_build(self, q, r, seed, n_keys, shorten, steps):
         """Adapting lookups between calls of frozen_index: its index
-        equals FrozenIndex(arr) every time, is patched from the last one
-        (same base array) after extensions alone, is rebuilt after a
-        delete or an insert, comes back as the same object when nothing
-        changed, and leaves every index handed out before as it was."""
+        equals a fresh FrozenIndex of the table every time, is patched
+        from the last one (same base array) after extensions alone, is
+        rebuilt after a delete or an insert, comes back as the same
+        object when nothing changed, and leaves every index handed out
+        before as it was."""
         cfg = FilterConfig(q=q, r=r, seed=seed)
         rng = np.random.default_rng(seed)
         f = AdaptiveFilter(cfg, policy=Policy(shorten_on_delete=shorten))

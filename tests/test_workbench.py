@@ -387,6 +387,21 @@ class TestAdversary:
         with pytest.raises(InvalidConfigError):
             run_adversary(f, warmup=10, total=10, adv_frac=1.5)
 
+    @pytest.mark.parametrize("kwargs", [
+        dict(warmup=-1, total=10),
+        dict(warmup=10, total=-1),
+        dict(warmup=10, total=10, universe=0),
+    ], ids=["negative-warmup", "negative-total", "empty-universe"])
+    def test_counts_and_universe_are_validated_before_any_lookup(self, kwargs):
+        f, _ = fill_to_load(FilterConfig(q=8, r=4, seed=46), 0.5)
+        # adapt the filter first, so that state a refused call moved shows
+        run_adversary(f, warmup=10_000, total=0, adv_frac=0.0, universe=10**6)
+        blob, adapted, accesses = f.to_bytes(), f.adaptations, f.map.accesses
+        assert adapted > 0
+        with pytest.raises(InvalidConfigError):
+            run_adversary(f, adv_frac=0.5, **kwargs)
+        assert (f.to_bytes(), f.adaptations, f.map.accesses) == (blob, adapted, accesses)
+
     def test_latency_model_scales_qps(self):
         cfg = FilterConfig(q=10, r=4, seed=47)
         f, _ = fill_to_load(cfg, 0.8, seed=48)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aqf.core import pack_minirun_id
+from aqf.core import FrozenIndex, SlotArray, _Cols, pack_minirun_id
 from aqf.errors import (
     ConstructionFailedError,
     FilterFullError,
@@ -17,12 +17,13 @@ from aqf.errors import (
     InvalidConfigError,
 )
 from aqf.filter import AdaptiveFilter, Policy
-from aqf.hashing import FilterConfig, HashStream, split
+from aqf.hashing import FilterConfig, HashStream, split, split_batch
 from aqf.yesno import (
     NO,
     YES,
     YesNoFilter,
     YesNoParams,
+    _place_yes,
     adaptivity_budget,
     build_static,
     expected_adaptivity_bits,
@@ -70,6 +71,17 @@ class TestBudget:
     def test_slack_below_one_is_rejected(self):
         with pytest.raises(InvalidConfigError):
             adaptivity_budget(YesNoParams(10, 10, 0.1), slack=0.99)
+
+    @pytest.mark.parametrize("slack", [math.nan, math.inf, -math.inf])
+    def test_slack_that_is_not_a_finite_number_is_rejected(self, slack):
+        # NaN compares false against every bound, and an infinite budget
+        # has no ceiling; each build entry point refuses both alike
+        with pytest.raises(InvalidConfigError):
+            adaptivity_budget(YesNoParams(10, 10, 0.1), slack=slack)
+        with pytest.raises(InvalidConfigError):
+            YesNoFilter.create(YesNoParams(10, 10, 0.1), slack=slack)
+        with pytest.raises(InvalidConfigError):
+            build_static([2, 4], [1, 3], epsilon=0.1, slack=slack)
 
     def test_budget_dominates_expectation_by_a_bit_per_key(self):
         for n in (1, 10, 1000):
@@ -392,6 +404,53 @@ class TestClosedFormNoPass:
         calls = count_lookups(monkeypatch)
         assert _outcome(build_static, yes, no, 0.5, 1.5, self.SEED) == want
         assert calls == no
+
+
+class TestOneLayout:
+    """build_static finds the NO keys that reach a YES fingerprint with
+    an index of the YES keys' bare fingerprints, sorted by pair, rather
+    than of a table holding them."""
+
+    def test_a_closed_form_build_lays_out_one_table_and_decodes_none(self, monkeypatch):
+        calls = {"_lay_out": 0, "_columns": 0}
+        for name in calls:
+            def counted(self, *args, _name=name, _fn=getattr(SlotArray, name)):
+                calls[_name] += 1
+                return _fn(self, *args)
+
+            monkeypatch.setattr(SlotArray, name, counted)
+        pool = np.random.default_rng(79).choice(1 << 62, size=10300, replace=False)
+        f = build_static(pool[:300], pool[300:], 2**-4, seed=5)
+        assert f.inner.adaptations > 100
+        assert calls == {"_lay_out": 1, "_columns": 0}
+
+    @settings(max_examples=120, deadline=None)
+    @given(q=st.integers(1, 8), r=st.integers(1, 5), seed=st.integers(0, 1 << 16),
+           keys=st.lists(st.one_of(st.integers(0, 30), st.integers(0, 2**64 - 1)),
+                         min_size=1, max_size=240))
+    def test_bare_sorted_columns_index_like_the_laid_out_table(self, q, r, seed, keys):
+        cfg = FilterConfig(q=q, r=r, seed=seed)
+        # small draws repeat keys; the table must stay under the load cap
+        yes = np.array(keys[: cfg.nslots * 19 // 20], dtype=np.uint64)
+        if not len(yes):
+            return
+        packed = split_batch(yes, cfg)
+        order = np.argsort(packed, kind="stable")
+        got = FrozenIndex(cfg, _Cols.bare(packed[order], cfg.r))
+        table = _place_yes(AdaptiveFilter(cfg, value_bits=1), yes[order],
+                           np.zeros(len(yes), dtype=np.int64)).arr
+        want = FrozenIndex(cfg, table._columns())
+        assert vars(got).keys() == vars(want).keys()
+        for name, col in vars(want).items():
+            if isinstance(col, np.ndarray):
+                other = getattr(got, name)
+                assert other.dtype == col.dtype and other.shape == col.shape, name
+                assert (other == col).all(), name
+        probes = np.concatenate([
+            yes, np.random.default_rng(seed).integers(0, 1 << 64, size=300, dtype=np.uint64)])
+        verdicts = got.query_keys(probes)
+        assert verdicts[: len(yes)].all()
+        assert verdicts.tolist() == want.query_keys(probes).tolist()
 
 
 class TestConstructionFailure:
