@@ -7,12 +7,7 @@ mergeable set operations, a static yes/no filter construction with
 provable adaptivity budgets, and a workload workbench.
 """
 
-from .core import (
-    Fingerprint,
-    FrozenIndex,
-    SlotArray,
-    pack_minirun_id,
-)
+from .core import FrozenIndex, SlotArray, pack_minirun_id
 from .errors import (
     AdaptationExhaustedError,
     ConfigMismatchError,
@@ -69,7 +64,6 @@ __all__ = [
     "FilterConfig",
     "FilterError",
     "FilterFullError",
-    "Fingerprint",
     "FormatError",
     "FrozenIndex",
     "HashStream",

@@ -13,7 +13,7 @@ stores a per-fingerprint flag) plus three metadata bits:
   with runend clear it holds one adaptation chunk, with runend set one
   base-``2**r`` digit of the duplicate count.
 
-Fingerprints with equal quotient form a run, stored contiguously at or
+The fingerprints of one quotient form a run, stored contiguously at or
 after their canonical slot (Robin Hood displacement, wrapping past the
 top of the array).  Inside a run, fingerprints are ordered by remainder;
 the group sharing one (quotient, remainder) is a minirun, and a
@@ -34,28 +34,31 @@ fingerprint bounds a word at a time.  One generator, ``SlotArray._run``,
 reads a run fingerprint by fingerprint; it is the only scalar walk,
 behind queries, inserts and the minirun access of extension, counter
 edits and delete.  A mutation edits the window it walked and writes it
-back once (``SlotArray._store``).  Inserts, extensions and growing
-counters open all their slots in one edit (``SlotArray._open_slot``),
-moving the cluster's tail right into the unused slots past it, and the
-clusters behind those too where fewer are free; deletes, the shortening
-of a minirun's survivors and shrinking counters close them
-(``SlotArray._close_span``), moving each later run left by no more than
-its distance from its canonical slot.  Payloads move by slices, one per
-stretch that moves by the same shift.  Whole-table work goes through two
-helpers: ``SlotArray._columns`` decodes the table into numpy columns
-(quotient, remainder, value, extension and counter-digit spans), one row
-per fingerprint in hash order (by quotient, then remainder, then rank),
-for the bulk index, consistency checks, snapshot loading, merge and
-rebuild; it is the only code that knows the stored runs are a rotation
-of that order.  ``SlotArray._lay_out`` writes such columns over a table,
-placing every run with one cumulative max, for merge, rebuild and bulk
-load.  Both scalar edits leave the layout that ``_lay_out`` would write.
+back once (``SlotArray._store``).  An insert opens the one slot of a
+bare fingerprint, and extensions and growing counters all their new
+slots, in one edit (``SlotArray._open_slot``), moving the cluster's
+tail right into the unused slots past it, and the clusters behind those
+too where fewer are free; deletes, the shortening of a minirun's
+survivors and shrinking counters close them (``SlotArray._close_span``),
+moving each later run left by no more than its distance from its
+canonical slot.  Payloads move by slices, one per stretch that moves
+by the same shift.  Whole-table work goes through two helpers:
+``SlotArray._columns`` decodes the table into numpy columns (quotient,
+remainder, value, extension and counter-digit spans), one row per
+fingerprint in hash order (by quotient, then remainder, then rank), for
+the bulk index, consistency checks, snapshot loading, merge and rebuild;
+it is the only code that knows the stored runs are a rotation of that
+order.  ``SlotArray._lay_out`` writes such columns over a table, placing
+every run with one cumulative max, for merge, rebuild and bulk load.
+Both scalar edits leave the layout that ``_lay_out`` would write.
 
 Snapshot (version 2).  Only the occupied, runend and extension vectors
 and the payloads are written, with a header that names the first unused
 slot; the used bits are rebuilt from those on load, and a CRC32 trailer
 covers all of it.  Loading accepts only bytes the encoder writes: a
-table that loads encodes back to the same bytes.
+table that loads is in the layout ``_lay_out`` writes, which
+``SlotArray._reconstruct_used`` checks, and encodes back to the same
+bytes.
 """
 
 from __future__ import annotations
@@ -103,15 +106,6 @@ _LOAD_NUM, _LOAD_DEN = 19, 20
 
 # slots a walk reads first on each side of its quotient
 _READ = 128
-
-
-class Fingerprint(NamedTuple):
-    """Decoded fingerprint: baseline pair, extension chunks, duplicate count."""
-
-    quotient: int
-    remainder: int
-    ext: tuple[int, ...] = ()
-    count: int = 1
 
 
 def pack_minirun_id(quotient: int, remainder: int, q: int) -> int:
@@ -348,23 +342,6 @@ class SlotArray:
         flat[:, :start] = bits[:, n - start :]
         self._meta[: len(bits)] = np.packbits(flat, axis=1, bitorder="little").view(np.uint64)
 
-    def _find_first_unused(self, start: int) -> int:
-        """The first unused slot met walking circularly from ``start``,
-        itself included, reading a word of used bits at a time."""
-        n, nw = self.nslots, self.nwords
-        tail = n & 63  # slots in a partial last word, or 0
-        w, b = start >> 6, start & 63
-        keep = (MASK64 >> b) << b  # bits of the first word at or past start
-        for _ in range(nw + 1):
-            free = ~int(self.used[w]) & keep
-            if tail and w == nw - 1:
-                free &= (1 << tail) - 1
-            if free:
-                return (w << 6) + (free & -free).bit_length() - 1
-            w = (w + 1) % nw
-            keep = MASK64
-        raise FilterFullError("no unused slot in the table")
-
     def _payloads(self, start: int, length: int) -> np.ndarray:
         """Payloads of slots [start, start+length) circularly: a view of
         the table, or across the seam a copy that _set_payloads stores."""
@@ -402,8 +379,10 @@ class SlotArray:
     def _open_slot(self, win: _Win, at: int, run: int, ext: int, payloads: list[int]) -> int:
         """Open len(payloads) slots at window offset ``at`` and fill them
         with the payloads, runend bits ``run`` and extension bits ``ext``
-        (bit i for the i-th new slot).  Returns the offset just past the
-        edit, which the caller stores (_store) with its own bit edits.
+        (bit i for the i-th new slot): one for an insert, the new chunks
+        or digits for an extension or a growing counter.  Returns the
+        offset just past the edit, which the caller stores (_store) with
+        its own bit edits.
 
         The slots from ``at`` to the cluster's end move right by the
         width opened, into the unused slots past it.  When fewer unused
@@ -570,27 +549,21 @@ class SlotArray:
                 rank += 1
         return None
 
-    def insert_fp(self, fp: Fingerprint, value: int = 0) -> tuple[int, int]:
-        """Insert a fingerprint; returns (minirun id, rank).
+    def insert_fp(self, qt: int, rem: int, value: int = 0) -> tuple[int, int]:
+        """Insert the bare fingerprint (qt, rem) with value bits ``value``;
+        returns (minirun id, rank).
 
         Appends at the end of its minirun so existing ranks survive.  One
-        walk finds the place, one _open_slot opens the remainder,
-        extension and counter slots together, and one store writes their
-        bits with the moved terminator and the occupied bit.
+        walk finds the place, one _open_slot opens its one slot, and one
+        store writes its bits with the moved terminator and the occupied
+        bit.  Extension chunks come later through extend_fp, a count
+        through set_count or add_count.
         """
-        qt, rem, ext, count = fp
-        digits = _count_digits(count, self.cfg.r) if count > 1 else ()
-        chunks = len(ext)
-        width = 1 + chunks + len(digits)
-        if not self.has_room(width):
-            raise FilterFullError(
-                f"insert of {width} slot(s) would exceed the load limit"
-            )
+        if not self.has_room(1):
+            raise FilterFullError("insert would exceed the load limit")
         self._superset = self._touched = None
         vb = self.value_bits
-        payloads = [(rem << vb) | (value & ((1 << vb) - 1))]
-        if width > 1:
-            payloads += [ch << vb for ch in (*ext, *digits)]
+        payload = (rem << vb) | (value & ((1 << vb) - 1))
 
         # the new fingerprint goes before the run's first larger remainder,
         # or past its terminator, taking over the runend bit; a new run
@@ -610,11 +583,8 @@ class SlotArray:
             win, at = self._walk_to_run(qt)
             lo = (qt - win.base) % self.nslots
             win.occ |= 1 << lo
-        run = new_term | (((1 << len(digits)) - 1) << (1 + chunks))
-        self._store(win, lo, self._open_slot(win, at, run, (1 << width) - 2, payloads))
+        self._store(win, lo, self._open_slot(win, at, new_term, 0, [payload]))
         self.fp_count += 1
-        self.ext_slot_count += chunks
-        self.ctr_slot_count += len(digits)
         return pack_minirun_id(qt, rem, self.cfg.q), rank
 
     def _minirun(self, mid: int) -> list[tuple[_Win, int | None, int, int, int, int]]:
@@ -899,7 +869,7 @@ class SlotArray:
         one cumulative max.  The overflow past the top of the table pushes
         the first runs right, so the positions are recomputed with that
         overflow as a floor until it settles; the load cap leaves a free
-        slot, which ends the chase.  Fingerprints that would pass the cap
+        slot, which ends the chase.  Columns whose slots would pass the cap
         raise FilterFullError before anything is written.
         """
         n, vb = self.nslots, self.value_bits
@@ -1013,8 +983,12 @@ class SlotArray:
         at that width.  A CRC32 of everything before it ends the bytes.
         """
         cfg = self.cfg
+        # the first unused slot, which the load cap guarantees
+        word = int(np.flatnonzero(~self.used)[0])
+        free = ~int(self.used[word])
+        anchor = (word << 6) + (free & -free).bit_length() - 1
         head = _HEAD.pack(SNAPSHOT_MAGIC, SNAPSHOT_VERSION, cfg.q, cfg.r, cfg.seed,
-                          self.used_count, self._find_first_unused(0))
+                          self.used_count, anchor)
         w = self.slot_bits
         # bit k of slot i is payload bit i*w + k; one bit column per pass
         bits = np.empty((self.nslots, w), dtype=np.uint8)
@@ -1065,22 +1039,26 @@ class SlotArray:
         for k in range(w):
             arr.slots |= bits[:, k].astype(np.uint64) << np.uint64(k)
         arr._reconstruct_used(used_count, anchor)
-        if arr._find_first_unused(0) != anchor:
-            raise FormatError(f"anchor slot {anchor} is not the first unused slot")
         return arr
 
     def _reconstruct_used(self, expect_used: int, anchor: int) -> None:
-        """Rebuild the derived used bits from the canonical vectors.
+        """Rebuild the derived used bits from the canonical vectors, and
+        refuse a table that is not in the layout the encoder writes.
 
-        ``anchor`` must name an unused slot (the snapshot header carries
-        the first one).  In coordinates rotated to start just past it no
-        cluster wraps, so the k-th occupied quotient owns the k-th terminator
+        ``anchor`` must name the first unused slot, as the snapshot header
+        does.  In coordinates rotated to start just past it no cluster
+        wraps, so the k-th occupied quotient owns the k-th terminator
         (runend without extension).  Run k starts at the larger of its
         quotient and the end of run k-1, and ends at the first slot past
         its terminator without the extension bit.  A slot is then used
         while more runs have reached their quotient than have ended.
+
+        The layout checks: every run starts with a remainder slot, the
+        remainders of a run ascend, no extension chunk follows a counter
+        digit, an unused slot holds no payload and an extension or
+        counter slot no value bits.
         """
-        n = self.nslots
+        n, vb = self.nslots, self.value_bits
         if expect_used > (_LOAD_NUM * n) // _LOAD_DEN:
             raise FormatError("used-slot count exceeds the load limit")
         rot = (anchor + 1) % n
@@ -1107,11 +1085,28 @@ class SlotArray:
         depth[Q] = 1
         depth[end] -= 1
         np.cumsum(depth, out=depth)
-        self._pack((depth[:n] > 0)[None], rot)
-        if ((self.run | self.ext) & ~self.used).any():
+        used = depth[:n] > 0
+        if ((run | ext) & ~used).any():
             raise FormatError("runend or extension bit on an unused slot")
+        # slots 0 .. anchor - 1 sit at the rotated end, just before the anchor
+        if not used[n - 1 - anchor : n - 1].all():
+            raise FormatError(f"anchor slot {anchor} is not the first unused slot")
+        if ext[start].any():
+            raise FormatError("run starts with an extension or counter slot")
+        if (run[:-1] & ext[:-1] & ext[1:] & ~run[1:]).any():
+            raise FormatError("extension chunk after a counter digit")
+        pay = np.concatenate([self.slots[rot:], self.slots[:rot]])
+        R = np.flatnonzero(used & ~ext)
+        rem = pay[R] >> np.uint64(vb)
+        if ((rem[1:] < rem[:-1]) & ~run[R[:-1]]).any():
+            raise FormatError("remainders out of order within a run")
+        if np.logical_and(pay, ~used).any():
+            raise FormatError("payload in an unused slot")
+        if (pay[ext] & np.uint64((1 << vb) - 1)).any():
+            raise FormatError("value bits on an extension or counter slot")
+        self._pack(used[None], rot)
         self.used_count = total
-        self.fp_count = int(np.bitwise_count(self.used & ~self.ext).sum())
+        self.fp_count = len(R)
         self.ext_slot_count = int(np.bitwise_count(self.ext & ~self.run).sum())
         self.ctr_slot_count = int(np.bitwise_count(self.ext & self.run).sum())
 

@@ -32,12 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import (
-    Fingerprint,
-    FrozenIndex,
-    SlotArray,
-    pack_minirun_id,
-)
+from .core import FrozenIndex, SlotArray, pack_minirun_id
 from .errors import (
     AdaptationExhaustedError,
     FilterFullError,
@@ -198,7 +193,7 @@ class AdaptiveFilter:
             if rank is not None:
                 self.arr.add_count(mid, rank, 1)
                 return mid, rank
-        mid, rank = self.arr.insert_fp(Fingerprint(qt, rem), tag)
+        mid, rank = self.arr.insert_fp(qt, rem, tag)
         self.map.map_insert(mid, rank, key, value)
         return mid, rank
 
@@ -307,7 +302,7 @@ class AdaptiveFilter:
         return out
 
     def contains(self, key: int) -> bool:
-        """Fingerprint match only; never adapts, never reads the map."""
+        """Slot-array match only; never adapts, never reads the map."""
         return self.arr.query_fp(HashStream(_key(key), self.cfg.seed)) is not None
 
     def adapt(self, mid: int, rank: int, owner_key: int, query_stream: HashStream) -> int:

@@ -43,8 +43,7 @@ from .revmap import ReverseMap
 _GROW_AT = 0.90
 
 
-def bulk_load(items, cfg: FilterConfig, policy: Policy | None = None,
-              value_bits: int = 0) -> AdaptiveFilter:
+def bulk_load(items, cfg: FilterConfig, policy: Policy | None = None) -> AdaptiveFilter:
     """Build a filter from (key, value) pairs sorted by hash order.
 
     Input must be sorted by (quotient, remainder) under cfg; bare keys
@@ -62,7 +61,7 @@ def bulk_load(items, cfg: FilterConfig, policy: Policy | None = None,
         for key, value in zip(keys.tolist(), values):
             ReverseMap.check_entry(key, value)
 
-    arr = SlotArray(cfg, value_bits=value_bits)
+    arr = SlotArray(cfg)
     policy = policy if policy is not None else Policy()
     if not len(keys):
         return AdaptiveFilter._from_parts(arr, ReverseMap(cfg.q), policy)
@@ -122,7 +121,7 @@ def _build_rederived(cols: _Cols, keys: np.ndarray, values: list, cfg: FilterCon
 def merge(a: AdaptiveFilter, b: AdaptiveFilter) -> AdaptiveFilter:
     """Combine two filters built under the same (q, r, seed).
 
-    Fingerprints are re-derived from both filters' keys, a's rows ahead
+    Every fingerprint is re-derived from both filters' keys, a's rows ahead
     of b's, and placed in one pass, so a's entries come ahead of b's in
     a shared minirun.  Extension lengths, counts and tags are kept, so
     prior corrections keep holding.  Under the inputs' config the

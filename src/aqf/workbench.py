@@ -41,7 +41,7 @@ from .setops import bulk_load
 FILL_SPACE = (1 << 32, 1 << 62)
 CHURN_SPACE = (1 << 62, 1 << 63)
 
-WORKLOAD_KINDS = ("uniform", "zipfian", "adversarial", "churn")
+WORKLOAD_KINDS = ("uniform", "zipfian", "churn")
 
 # zipf attempts per batch, two doubles each: bounds _zipf_ranks' memory
 _ZIPF_BATCH = 1 << 16
@@ -58,9 +58,10 @@ class WorkloadSpec:
 
     kind picks the generator; the remaining fields apply per kind:
     uniform and zipfian draw from [0, universe), zipfian with rank
-    frequencies proportional to rank**(-s); adversarial reads warmup
-    and adv_frac; churn reads interval_pct and replace_pct on top of
-    the zipfian fields.  Percent fields are whole percents.
+    frequencies proportional to rank**(-s); churn reads interval_pct
+    and replace_pct on top of the zipfian fields.  Percent fields are
+    whole percents.  An adversary takes its own arguments
+    (run_adversary), not a spec.
 
     seed drives the draws; perm_seed fixes which keys the zipfian ranks
     land on.  Two specs sharing perm_seed (and s, universe) describe
@@ -73,8 +74,6 @@ class WorkloadSpec:
     seed: int = 0
     s: float = 1.5
     universe: int = 10_000_000
-    warmup: int = 0
-    adv_frac: float = 0.0
     interval_pct: int = 10
     replace_pct: int = 20
     perm_seed: int = 0
@@ -90,10 +89,6 @@ class WorkloadSpec:
             )
         if self.kind in ("zipfian", "churn") and not self.s > 1:
             raise InvalidConfigError(f"zipf exponent must exceed 1, got {self.s}")
-        if not 0.0 <= self.adv_frac <= 1.0:
-            raise InvalidConfigError(f"adv_frac {self.adv_frac} outside [0, 1]")
-        if self.warmup < 0:
-            raise InvalidConfigError("warmup cannot be negative")
         if not 1 <= self.interval_pct <= 100:
             raise InvalidConfigError("interval_pct must be in [1, 100]")
         if not 0 <= self.replace_pct < 100:
@@ -258,7 +253,7 @@ def gen_workload(spec: WorkloadSpec) -> np.ndarray:
     Zipfian ranks repeat heavily, so each distinct rank is permuted once.
     """
     rng = np.random.default_rng(spec.seed)
-    if spec.kind in ("uniform", "adversarial"):
+    if spec.kind == "uniform":
         return rng.integers(0, spec.universe, size=spec.count, dtype=np.uint64)
     ranks, inverse = np.unique(_zipf_ranks(rng, spec.s, spec.universe, spec.count),
                                return_inverse=True)
@@ -276,7 +271,6 @@ def fill_to_load(
     load: float,
     seed: int = 0,
     policy: Policy | None = None,
-    value_bits: int = 0,
 ) -> tuple[AdaptiveFilter, np.ndarray]:
     """Fresh filter at the target load, plus the keys that went in.
 
@@ -290,7 +284,7 @@ def fill_to_load(
     rng = np.random.default_rng(seed)
     keys = rng.integers(FILL_SPACE[0], FILL_SPACE[1], size=n_keys, dtype=np.uint64)
     keys = keys[np.argsort(split_batch(keys, cfg), kind="stable")]
-    return bulk_load(keys, cfg, policy=policy, value_bits=value_bits), keys
+    return bulk_load(keys, cfg, policy=policy), keys
 
 
 def measure_fpr(index: FrozenIndex, probe_sets: list[np.ndarray]) -> float:
@@ -465,21 +459,22 @@ def run_churn(
     spec: WorkloadSpec,
     probe_sets: int = 20,
     probe_size: int = 100_000,
-    churn_seed: int = 1,
 ) -> list[TraceRow]:
     """Adapting queries with periodic delete-and-replace events.
 
     Every spec.interval_pct of the run, spec.replace_pct percent of the
     live keys leave and as many fresh ones arrive.  Checkpoints land
     immediately before each churn event and at the end, and each one
-    re-checks that every live key still answers positive.
+    re-checks that every live key still answers positive.  Which keys
+    leave, and the fresh keys, come from a fixed seed, the same for
+    every spec.
     """
     if probe_size < 1:
         raise InvalidConfigError(f"probe_size must be at least 1, got {probe_size}")
     live = [int(k) for k in live_keys]
     queries = gen_workload(spec)
     probes = make_probe_sets(spec, probe_sets, probe_size)
-    rng = np.random.default_rng(churn_seed)
+    rng = np.random.default_rng(1)
 
     def check(index: FrozenIndex, done: int) -> None:
         alive = index.query_keys(np.array(live, dtype=np.uint64))

@@ -10,10 +10,11 @@ state off a slot array or the columns of a reverse map, so agreement
 between the two sides is evidence rather than tautology.  The
 exceptions: find_run reports where the package's own walk lands, so
 that layout tests can pin it; relaid lays a table's own columns out
-again, so that scalar edits can be held to the one layout writer; and
-the sequential yes/no build and the rebuilt adaptation trace run the
-package's own pieces the slow, plain way, so that its faster paths must
-match them.
+again, so that scalar edits can be held to the one layout writer;
+insert_whole stores an extended or counted fingerprint through the
+package's own insert, extend and count edits; and the sequential yes/no
+build and the rebuilt adaptation trace run the package's own pieces the
+slow, plain way, so that its faster paths must match them.
 
 The bit-string extractor is deliberately naive: materialize hash words
 as binary text and slice.  Slow and obviously correct, which is the
@@ -130,6 +131,28 @@ def relaid(arr):
     return out
 
 
+def insert_whole(arr, qt: int, rem: int, ext=(), count: int = 1,
+                 value: int = 0) -> tuple[int, int]:
+    """Store fingerprint (qt, rem) with extension chunks ext and duplicate
+    count count as three scalar edits: a bare insert_fp, then extend_fp
+    and set_count.  A fingerprint that would pass the load cap raises
+    FilterFullError before the first of them, leaving arr as it was.
+    Returns insert_fp's (minirun id, rank)."""
+    from aqf.errors import FilterFullError
+
+    digits, v = 0, count - 1
+    while v:
+        digits += 1
+        v >>= arr.cfg.r
+    if not arr.has_room(1 + len(ext) + digits):
+        raise FilterFullError("fingerprint would exceed the load limit")
+    mid, rank = arr.insert_fp(qt, rem, value)
+    arr.extend_fp(mid, rank, ext)
+    if count > 1:
+        arr.set_count(mid, rank, count)
+    return mid, rank
+
+
 def decode_raw(arr) -> list[tuple[int, int, tuple[int, ...], int, int]]:
     """Decode a slot array by walking its raw state.
 
@@ -240,6 +263,46 @@ def reseal_filter(blob: bytes) -> bytes:
         out += blob[pos : pos + 8] + reseal(blob[pos + 8 : pos + 8 + size])
         pos += 8 + size
     return reseal(bytes(out) + blob[pos:])
+
+
+def _slot_offsets(blob: bytes) -> tuple[int, int, int, int]:
+    """(slots, bytes per bit vector, offset of the first bit vector, slot
+    width) of a version 2 slot snapshot: a 34-byte header with q at byte
+    8, then three length-prefixed bit vectors and the payload section,
+    whose first byte is the width."""
+    n = 1 << blob[8]
+    nbytes = (n + 7) >> 3
+    return n, nbytes, 34, blob[34 + 3 * (8 + nbytes) + 8]
+
+
+def slot_fields(blob: bytes) -> tuple[list[np.ndarray], np.ndarray]:
+    """The occupied, runend and extension bits (bool, one per slot) and
+    the payloads (uint64, one per slot) of a version 2 slot snapshot,
+    read from its byte layout."""
+    n, nbytes, pos, w = _slot_offsets(blob)
+    rows = []
+    for _ in range(3):
+        raw = np.frombuffer(blob[pos + 8 : pos + 8 + nbytes], dtype=np.uint8)
+        rows.append(np.unpackbits(raw, bitorder="little")[:n].astype(bool))
+        pos += 8 + nbytes
+    raw = np.frombuffer(blob[pos + 9 : pos + 9 + ((n * w + 7) >> 3)], dtype=np.uint8)
+    bits = np.unpackbits(raw, bitorder="little")[: n * w].reshape(n, w).astype(np.uint64)
+    return rows, (bits << np.arange(w, dtype=np.uint64)).sum(axis=1, dtype=np.uint64)
+
+
+def with_slot_fields(blob: bytes, rows: list[np.ndarray], payloads: np.ndarray) -> bytes:
+    """blob with its three bit vectors and its payloads replaced by rows
+    and payloads (as slot_fields hands them out), the trailer
+    recomputed."""
+    n, nbytes, pos, w = _slot_offsets(blob)
+    out = bytearray(blob)
+    for row in rows:
+        out[pos + 8 : pos + 8 + nbytes] = np.packbits(row, bitorder="little").tobytes()
+        pos += 8 + nbytes
+    bits = (payloads[:, None] >> np.arange(w, dtype=np.uint64)) & np.uint64(1)
+    packed = np.packbits(bits.astype(np.uint8).ravel(), bitorder="little").tobytes()
+    out[pos + 9 : pos + 9 + len(packed)] = packed
+    return reseal(bytes(out))
 
 
 def hash_sorted_ids(q: int, entries: dict) -> list[int]:
@@ -426,7 +489,7 @@ def gen_workload_every_rank(spec) -> np.ndarray:
     from aqf.workbench import _permute
 
     rng = np.random.default_rng(spec.seed)
-    if spec.kind in ("uniform", "adversarial"):
+    if spec.kind == "uniform":
         return rng.integers(0, spec.universe, size=spec.count, dtype=np.uint64)
     ranks = zipf_ranks_numpy(rng, spec.s, spec.universe, spec.count)
     return _permute(ranks, spec.universe, spec.perm_seed ^ 0xD6E8FEB8)

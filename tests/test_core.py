@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aqf.core import (
-    Fingerprint,
     FrozenIndex,
     HEADER_BITS,
     SlotArray,
@@ -19,7 +18,15 @@ from aqf.errors import FilterFullError, FormatError, NotFoundError
 from aqf.filter import AdaptiveFilter, Policy
 from aqf.hashing import FilterConfig, HashStream, extension_chunk, split
 
-from oracles import _bit, decode_raw, encode_slots_v1, find_run, ref_split, reseal
+from oracles import (
+    _bit,
+    decode_raw,
+    encode_slots_v1,
+    find_run,
+    insert_whole,
+    ref_split,
+    reseal,
+)
 
 C44 = FilterConfig(q=4, r=4)
 
@@ -36,9 +43,7 @@ def random_fps(rng, q, r, n, max_ext=0, max_count=1):
             int(c) for c in rng.integers(0, 1 << r, size=rng.integers(0, max_ext + 1))
         )
         count = int(rng.integers(1, max_count + 1))
-        out.append(
-            Fingerprint(int(rng.integers(0, 1 << q)), int(rng.integers(0, 1 << r)), ext, count)
-        )
+        out.append((int(rng.integers(0, 1 << q)), int(rng.integers(0, 1 << r)), ext, count))
     return out
 
 
@@ -80,7 +85,7 @@ class TestNewFilter:
 class TestInsertPlacement:
     def test_first_insert_lands_on_canonical_slot(self):
         arr = SlotArray(C44)
-        mid, rank = arr.insert_fp(Fingerprint(3, 0xA))
+        mid, rank = arr.insert_fp(3, 0xA)
         assert (mid, rank) == (pack_minirun_id(3, 0xA, 4), 0)
         assert int(arr.slots[3]) == 0xA
         for vec in (arr.occ, arr.run, arr.used):
@@ -90,17 +95,17 @@ class TestInsertPlacement:
 
     def test_duplicate_fingerprint_appends_at_next_rank(self):
         arr = SlotArray(C44)
-        arr.insert_fp(Fingerprint(3, 0xA))
-        _, rank = arr.insert_fp(Fingerprint(3, 0xA))
+        arr.insert_fp(3, 0xA)
+        _, rank = arr.insert_fp(3, 0xA)
         assert rank == 1
         assert int(arr.slots[3]) == int(arr.slots[4]) == 0xA
         assert decode_raw(arr) == [(3, 0xA, (), 1, 0)] * 2
 
     def test_insert_shifts_later_run_aside(self):
         arr = SlotArray(C44)
-        arr.insert_fp(Fingerprint(3, 2))
-        arr.insert_fp(Fingerprint(4, 9))
-        arr.insert_fp(Fingerprint(3, 7))
+        arr.insert_fp(3, 2)
+        arr.insert_fp(4, 9)
+        arr.insert_fp(3, 7)
         assert decode_raw(arr) == [(3, 2, (), 1, 0), (3, 7, (), 1, 0), (4, 9, (), 1, 0)]
         assert [int(arr.slots[i]) for i in (3, 4, 5)] == [2, 7, 9]
 
@@ -108,7 +113,7 @@ class TestInsertPlacement:
         arr = SlotArray(FilterConfig(q=8, r=4))
         marks = [(5,), (11,), (2,)]
         for m in marks:
-            arr.insert_fp(Fingerprint(40, 6, ext=m))
+            insert_whole(arr, 40, 6, m)
         assert [rec[2] for rec in decode_raw(arr)] == marks
 
     def test_random_inserts_match_decoder(self):
@@ -116,17 +121,15 @@ class TestInsertPlacement:
         arr = SlotArray(FilterConfig(q=11, r=4))
         inserted = random_fps(rng, 11, 4, 500, max_ext=2, max_count=4)
         for fp in inserted:
-            arr.insert_fp(fp)
-        assert logical(arr) == Counter(
-            (fp.quotient, fp.remainder, fp.ext, fp.count, 0) for fp in inserted
-        )
+            insert_whole(arr, *fp)
+        assert logical(arr) == Counter((*fp, 0) for fp in inserted)
 
     def test_rejects_insert_past_load_cap(self):
         arr = SlotArray(C44)
         for qt in range(15):
-            arr.insert_fp(Fingerprint(qt, 1))
+            arr.insert_fp(qt, 1)
         with pytest.raises(FilterFullError):
-            arr.insert_fp(Fingerprint(15, 1))
+            arr.insert_fp(15, 1)
         # nothing was written by the refused insert
         assert arr.used_count == 15 and arr.fp_count == 15
 
@@ -138,19 +141,19 @@ class TestFindRun:
 
     def test_singleton(self):
         arr = SlotArray(C44)
-        arr.insert_fp(Fingerprint(3, 0xA))
+        arr.insert_fp(3, 0xA)
         assert find_run(arr, 3) == (3, 1)
 
     def test_includes_trailing_extension_and_counter_slots(self):
         arr = SlotArray(FilterConfig(q=8, r=4))
-        mid, rank = arr.insert_fp(Fingerprint(10, 7, ext=(1, 2), count=4))
+        mid, rank = insert_whole(arr, 10, 7, (1, 2), 4)
         assert find_run(arr, 10) == (10, 4)
 
     def test_random_layout_consistent_with_decoder(self):
         rng = np.random.default_rng(33)
         arr = SlotArray(FilterConfig(q=8, r=4))
         for fp in random_fps(rng, 8, 4, 110, max_ext=1, max_count=2):
-            arr.insert_fp(fp)
+            insert_whole(arr, *fp)
         by_qt = {}
         for rec in decode_raw(arr):
             by_qt.setdefault(rec[0], []).append(rec)
@@ -176,8 +179,8 @@ class TestFindRun:
 
     def test_unoccupied_quotient_in_live_cluster(self):
         arr = SlotArray(C44)
-        arr.insert_fp(Fingerprint(3, 1))
-        arr.insert_fp(Fingerprint(3, 2))
+        arr.insert_fp(3, 1)
+        arr.insert_fp(3, 2)
         # slot 4 is used by quotient 3's run, but quotient 4 has no run
         assert find_run(arr, 4) is None
 
@@ -191,7 +194,7 @@ class TestQueryFp:
         cfg = FilterConfig(q=8, r=9, seed=4)
         arr = SlotArray(cfg)
         s = HashStream(1234, 4)
-        arr.insert_fp(Fingerprint(*split(s, cfg)))
+        arr.insert_fp(*split(s, cfg))
         assert arr.query_fp(s) == (0, 0, 0)
 
     def test_reports_rank_and_matched_extension_length(self):
@@ -199,8 +202,8 @@ class TestQueryFp:
         arr = SlotArray(cfg)
         s = HashStream(1234, 4)
         qt, rem = split(s, cfg)
-        mid, _ = arr.insert_fp(Fingerprint(qt, rem))
-        arr.insert_fp(Fingerprint(qt, rem))
+        mid, _ = arr.insert_fp(qt, rem)
+        arr.insert_fp(qt, rem)
         arr.extend_fp(mid, 0, [extension_chunk(s, cfg, 0)])
         assert arr.query_fp(s) == (0, 1, 0)
         arr.extend_fp(mid, 0, [extension_chunk(s, cfg, 1) ^ 1])
@@ -214,7 +217,7 @@ class TestQueryFp:
         stored = rng.integers(0, 1 << 48, size=180, dtype=np.uint64)
         baselines = set()
         for k in stored:
-            arr.insert_fp(Fingerprint(*split(HashStream(int(k), 6), cfg)))
+            arr.insert_fp(*split(HashStream(int(k), 6), cfg))
             baselines.add(ref_split(int(k), 6, 8, 4))
         probes = rng.integers(0, 1 << 48, size=3000, dtype=np.uint64)
         for p in probes:
@@ -225,14 +228,14 @@ class TestQueryFp:
 class TestCounters:
     def test_singleton_count_occupies_no_slots(self):
         arr = SlotArray(FilterConfig(q=8, r=4))
-        mid, rank = arr.insert_fp(Fingerprint(9, 3))
+        mid, rank = arr.insert_fp(9, 3)
         arr.set_count(mid, rank, 1)
         assert arr.get_count(mid, rank) == 1
         assert arr.used_count == 1 and arr.ctr_slot_count == 0
 
     def test_count_two_stores_one_digit(self):
         arr = SlotArray(FilterConfig(q=8, r=4))
-        mid, rank = arr.insert_fp(Fingerprint(9, 3))
+        mid, rank = arr.insert_fp(9, 3)
         arr.set_count(mid, rank, 2)
         assert arr.get_count(mid, rank) == 2
         assert arr.ctr_slot_count == 1
@@ -244,7 +247,7 @@ class TestCounters:
     def test_roundtrip_across_magnitudes(self, r):
         cfg = FilterConfig(q=8, r=r)
         arr = SlotArray(cfg)
-        mid, rank = arr.insert_fp(Fingerprint(200, 1))
+        mid, rank = arr.insert_fp(200, 1)
         rng = np.random.default_rng(35)
         counts = [1, 2, 3, (1 << r), (1 << r) + 1, 1 << 20] + [
             int(c) for c in np.exp(rng.uniform(0, np.log(2**20), size=50)).astype(np.int64) + 1
@@ -258,7 +261,7 @@ class TestCounters:
 
     def test_rejects_nonpositive_count(self):
         arr = SlotArray(C44)
-        mid, rank = arr.insert_fp(Fingerprint(0, 0))
+        mid, rank = arr.insert_fp(0, 0)
         with pytest.raises(ValueError):
             arr.set_count(mid, rank, 0)
 
@@ -266,7 +269,7 @@ class TestCounters:
 class TestRemove:
     def test_single_insert_remove_clears_everything(self):
         arr = SlotArray(C44)
-        mid, rank = arr.insert_fp(Fingerprint(5, 2, ext=(7,), count=3))
+        mid, rank = insert_whole(arr, 5, 2, (7,), 3)
         arr.remove_fp(mid, rank)
         assert decode_raw(arr) == []
         assert arr.used_count == arr.fp_count == 0
@@ -278,15 +281,15 @@ class TestRemove:
         arr = SlotArray(FilterConfig(q=8, r=4))
         mid = None
         for mark in [(5,), (11,), (2,)]:
-            mid, _ = arr.insert_fp(Fingerprint(40, 6, ext=mark))
+            mid, _ = insert_whole(arr, 40, 6, mark)
         arr.remove_fp(mid, 1)
         assert [rec[2] for rec in decode_raw(arr)] == [(5,), (2,)]
 
     def test_remove_from_wrapped_cluster(self):
         arr = SlotArray(C44)
-        mid, _ = arr.insert_fp(Fingerprint(15, 1))
-        arr.insert_fp(Fingerprint(15, 9))
-        arr.insert_fp(Fingerprint(0, 4))
+        mid, _ = arr.insert_fp(15, 1)
+        arr.insert_fp(15, 9)
+        arr.insert_fp(0, 4)
         # quotient 15's run holds slots 15 and 0; quotient 0 shifted to 1
         assert decode_raw(arr) == [(15, 1, (), 1, 0), (15, 9, (), 1, 0), (0, 4, (), 1, 0)]
         arr.remove_fp(mid, 0)
@@ -294,7 +297,7 @@ class TestRemove:
 
     def test_missing_rank_raises(self):
         arr = SlotArray(C44)
-        mid, _ = arr.insert_fp(Fingerprint(5, 2))
+        mid, _ = arr.insert_fp(5, 2)
         with pytest.raises(NotFoundError):
             arr.remove_fp(mid, 1)
         with pytest.raises(NotFoundError):
@@ -304,7 +307,7 @@ class TestRemove:
 class TestExtendTruncate:
     def test_extend_marks_following_slot(self):
         arr = SlotArray(C44)
-        mid, rank = arr.insert_fp(Fingerprint(3, 0xA))
+        mid, rank = arr.insert_fp(3, 0xA)
         arr.extend_fp(mid, rank, [0x5])
         assert arr.used_count == 2 and arr.ext_slot_count == 1
         assert _bit(arr.ext, 4) == 1 and _bit(arr.run, 4) == 0
@@ -315,7 +318,7 @@ class TestExtendTruncate:
         arr = SlotArray(cfg)
         s = HashStream(31337, 8)
         qt, rem = split(s, cfg)
-        mid, rank = arr.insert_fp(Fingerprint(qt, rem))
+        mid, rank = arr.insert_fp(qt, rem)
         arr.extend_fp(mid, rank, [extension_chunk(s, cfg, 0), extension_chunk(s, cfg, 1)])
         assert arr.query_fp(s) == (0, 2, 0)
 
@@ -324,9 +327,9 @@ class TestExtendTruncate:
         # its common prefix with the other survivor, then, once it is
         # alone, back to its baseline
         arr = SlotArray(C44)
-        mid, _ = arr.insert_fp(Fingerprint(3, 0xA, ext=(7,)))
-        arr.insert_fp(Fingerprint(3, 0xA, ext=(1, 2, 3)))
-        arr.insert_fp(Fingerprint(3, 0xA, ext=(4,)))
+        mid, _ = insert_whole(arr, 3, 0xA, (7,))
+        insert_whole(arr, 3, 0xA, (1, 2, 3))
+        insert_whole(arr, 3, 0xA, (4,))
         arr.remove_fp(mid, 0, shorten=True)
         assert decode_raw(arr) == [(3, 0xA, (1,), 1, 0), (3, 0xA, (4,), 1, 0)]
         arr.remove_fp(mid, 1, shorten=True)
@@ -338,9 +341,9 @@ class TestExtendTruncate:
         # remove writes what a plain one does and keeps the cached index
         plain, short = SlotArray(C44), SlotArray(C44)
         for arr in (plain, short):
-            mid, _ = arr.insert_fp(Fingerprint(3, 0xA, ext=(1,)))
-            arr.insert_fp(Fingerprint(3, 0xA, ext=(1, 2)))
-            arr.insert_fp(Fingerprint(3, 0xA, ext=(1, 3)))
+            mid, _ = insert_whole(arr, 3, 0xA, (1,))
+            insert_whole(arr, 3, 0xA, (1, 2))
+            insert_whole(arr, 3, 0xA, (1, 3))
         index = short.superset_index()
         plain.remove_fp(mid, 0)
         short.remove_fp(mid, 0, shorten=True)
@@ -353,10 +356,9 @@ class TestExtendTruncate:
         cfg = FilterConfig(q=9, r=4)
         arr = SlotArray(cfg)
         records = {}
-        for fp in random_fps(rng, 9, 4, 100):
-            key = (fp.quotient, fp.remainder)
-            mid, rank = arr.insert_fp(fp)
-            records[(mid, rank)] = [fp.quotient, fp.remainder, []]
+        for qt, rem, _, _ in random_fps(rng, 9, 4, 100):
+            mid, rank = arr.insert_fp(qt, rem)
+            records[(mid, rank)] = [qt, rem, []]
         for mid, rank in list(records) * 2:
             if rng.random() < 0.5:
                 chunks = [int(c) for c in rng.integers(0, 16, size=rng.integers(1, 3))]
@@ -372,7 +374,7 @@ class TestAccounting:
         rng = np.random.default_rng(37)
         arr = SlotArray(FilterConfig(q=10, r=4))
         for fp in random_fps(rng, 10, 4, 300, max_ext=2, max_count=5):
-            arr.insert_fp(fp)
+            insert_whole(arr, *fp)
         recs = decode_raw(arr)
         digits = lambda c: 0 if c == 1 else -(-int.bit_length(c - 1) // 4)
         assert int(np.bitwise_count(arr.used).sum()) == arr.used_count
@@ -387,7 +389,7 @@ class TestAccounting:
     def test_space_report_tracks_contents(self):
         arr = SlotArray(FilterConfig(q=10, r=6))
         for qt in range(50):
-            arr.insert_fp(Fingerprint(qt * 19 % 1024, qt))
+            arr.insert_fp(qt * 19 % 1024, qt)
         rep = arr.space_report()
         assert rep.extension_slots == 0 and rep.counter_slots == 0
         assert rep.load_factor == 50 / 1024
@@ -397,7 +399,7 @@ class TestAccounting:
         rng = np.random.default_rng(38)
         arr = SlotArray(FilterConfig(q=8, r=8))
         for fp in random_fps(rng, 8, 8, 220):
-            arr.insert_fp(fp)
+            insert_whole(arr, *fp)
         by_qt = {}
         for qt, rem, _, _, _ in decode_raw(arr):
             by_qt.setdefault(qt, []).append(rem)
@@ -418,35 +420,35 @@ class TestSnapshot:
     def test_empty_and_small(self):
         self.roundtrip(SlotArray(C44))
         arr = SlotArray(C44)
-        arr.insert_fp(Fingerprint(3, 0xA, ext=(1,), count=3))
+        insert_whole(arr, 3, 0xA, (1,), 3)
         self.roundtrip(arr)
 
     def test_random_contents(self):
         rng = np.random.default_rng(39)
         arr = SlotArray(FilterConfig(q=10, r=7, seed=123))
         for fp in random_fps(rng, 10, 7, 250, max_ext=2, max_count=9):
-            arr.insert_fp(fp)
+            insert_whole(arr, *fp)
         back = self.roundtrip(arr)
         assert back.cfg == arr.cfg
 
     def test_cluster_wrapping_the_seam(self):
         arr = SlotArray(C44)
         for rem in (1, 5, 9, 13):
-            arr.insert_fp(Fingerprint(14, rem))
-        arr.insert_fp(Fingerprint(15, 2, ext=(6,)))
+            arr.insert_fp(14, rem)
+        insert_whole(arr, 15, 2, (6,))
         # the run for 14 covers 14..1, pushing 15's past the wrap
         self.roundtrip(arr)
 
     def test_value_payloads_survive(self):
         arr = SlotArray(FilterConfig(q=6, r=5), value_bits=2)
-        arr.insert_fp(Fingerprint(7, 9), value=3)
-        arr.insert_fp(Fingerprint(7, 9), value=1)
+        arr.insert_fp(7, 9, value=3)
+        arr.insert_fp(7, 9, value=1)
         back = self.roundtrip(arr)
         assert [rec[4] for rec in decode_raw(back)] == [3, 1]
 
     def test_corrupt_snapshots_are_rejected(self):
         arr = SlotArray(C44)
-        arr.insert_fp(Fingerprint(3, 0xA))
+        arr.insert_fp(3, 0xA)
         blob = arr.to_bytes()
         with pytest.raises(FormatError):
             SlotArray.from_bytes(b"XXXX" + blob[4:])
@@ -468,7 +470,7 @@ class TestSnapshot:
 
     def test_file_roundtrip(self, tmp_path):
         arr = SlotArray(C44)
-        arr.insert_fp(Fingerprint(2, 2))
+        arr.insert_fp(2, 2)
         p = tmp_path / "table.aqf"
         p.write_bytes(arr.to_bytes())
         assert decode_raw(SlotArray.from_bytes(p.read_bytes())) == decode_raw(arr)
@@ -483,7 +485,7 @@ class TestFrozenIndex:
         mids = []
         for k in keys:
             s = HashStream(int(k), 10)
-            mids.append(arr.insert_fp(Fingerprint(*split(s, cfg))))
+            mids.append(arr.insert_fp(*split(s, cfg)))
         for (mid, rank), k in list(zip(mids, keys))[::3]:
             s = HashStream(int(k), 10)
             arr.extend_fp(mid, rank, [extension_chunk(s, cfg, 0)])
@@ -513,7 +515,7 @@ def probe_fp(cfg, key, ext_len, differ, count=1):
     ext = [extension_chunk(s, cfg, t) for t in range(ext_len)]
     if differ < ext_len:
         ext[differ] ^= 1
-    return Fingerprint(*split(s, cfg), tuple(ext), count)
+    return (*split(s, cfg), tuple(ext), count)
 
 
 def assert_fresh(index, arr, probes):
@@ -555,9 +557,9 @@ class TestFrozenIndexExact:
             else:
                 qt = (1 << q) - 1 if source == "top" else a % (1 << q)
                 ext = tuple((a >> (2 * t)) % (1 << r) for t in range(ext_len))
-                fp = Fingerprint(qt, a % (1 << r), ext, count)
+                fp = (qt, a % (1 << r), ext, count)
             try:
-                arr.insert_fp(fp)
+                insert_whole(arr, *fp)
             except FilterFullError:
                 break
         assert_index_exact(arr, probes)
@@ -579,8 +581,8 @@ class TestFrozenIndexExact:
         # of them a two-fingerprint minirun, and a bare pair at quotient 0
         for key, ext_len, differ in ((on_top[0], 1, 5), (on_top[0], 2, 1),
                                      (on_top[1], 2, 0), (on_top[2], 1, 5)):
-            arr.insert_fp(probe_fp(cfg, key, ext_len, differ))
-        arr.insert_fp(Fingerprint(0, 1))
+            insert_whole(arr, *probe_fp(cfg, key, ext_len, differ))
+        arr.insert_fp(0, 1)
         index = assert_index_exact(arr, probes)
         assert index.all_ext.sum() >= 2 and index.dir[-1] == index.base.size
         # slot 0 is used, yet quotient 0's run follows the top run there
@@ -647,9 +649,8 @@ class TestFrozenIndexExact:
         cfg = FilterConfig(q=4, r=2, seed=7)
         probes = np.arange(3000, dtype=np.uint64)
         arr = SlotArray(cfg)
-        for fp in (Fingerprint(3, 1), Fingerprint(3, 1), Fingerprint(3, 2, (1,)),
-                   Fingerprint(9, 0)):
-            arr.insert_fp(fp)
+        for fp in ((3, 1), (3, 1), (3, 2, (1,)), (9, 0)):
+            insert_whole(arr, *fp)
         first = arr.frozen_index()
         pair = int(np.searchsorted(first.base, (3 << cfg.r) | 1))
         twins = pack_minirun_id(3, 1, cfg.q)

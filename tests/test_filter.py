@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aqf import revmap
-from aqf.core import Fingerprint, SlotArray, pack_minirun_id
+from aqf.core import SlotArray, pack_minirun_id
 from aqf.errors import (
     AdaptationExhaustedError,
     FilterError,
@@ -75,7 +75,7 @@ class TestPolicy:
 
 def _count_of_zero():
     arr = SlotArray(FilterConfig(q=4, r=4))
-    arr.set_count(*arr.insert_fp(Fingerprint(0, 0)), 0)
+    arr.set_count(*arr.insert_fp(0, 0), 0)
 
 
 # each raises InvalidConfigError, not a bare ValueError or TypeError

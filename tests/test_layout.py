@@ -1,7 +1,7 @@
 """The columnar decoder, the layout writer and the scalar edits against
 the raw-state oracle, the walk's reads, and snapshot loading under
 every single-bit flip, with the checksum trailer as written and
-recomputed."""
+recomputed, and under edits that leave the encoder's layout."""
 
 from collections import Counter
 
@@ -11,11 +11,23 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aqf import core
-from aqf.core import Fingerprint, SlotArray, pack_minirun_id
+from aqf.core import SlotArray, pack_minirun_id
 from aqf.errors import FilterFullError, FormatError, NotFoundError, StateCorruptionError
+from aqf.filter import AdaptiveFilter, LookupResult, Policy
 from aqf.hashing import FilterConfig, HashStream, extension_chunk, split, split_batch
 
-from oracles import _bit, decode_raw, find_run, relaid, reseal, shorten_minirun
+from oracles import (
+    _bit,
+    decode_raw,
+    find_run,
+    insert_whole,
+    relaid,
+    reseal,
+    reseal_filter,
+    shorten_minirun,
+    slot_fields,
+    with_slot_fields,
+)
 
 
 def populations(arr):
@@ -68,8 +80,7 @@ def tables(draw):
     n = 1 << q
     # quotients near the top of the table make clusters wrap the seam
     quot = st.one_of(st.integers(n - 3, n - 1), st.integers(0, n - 1))
-    fp = st.builds(
-        Fingerprint,
+    fp = st.tuples(
         quot,
         st.integers(0, 1),  # two remainders: miniruns of several ranks
         st.lists(st.integers(0, (1 << r) - 1), max_size=3).map(tuple),
@@ -89,13 +100,13 @@ def test_decoder_and_writer_match_the_oracle(table, edits):
     cfg, value_bits, fps = table
     arr = SlotArray(cfg, value_bits=value_bits)
     model = {}
-    for fp, value in fps:
+    for (qt, rem, ext, count), value in fps:
         value &= (1 << value_bits) - 1
         try:
-            arr.insert_fp(fp, value=value)
+            insert_whole(arr, qt, rem, ext, count, value)
         except FilterFullError:
             continue
-        model.setdefault((fp.quotient, fp.remainder), []).append((fp.ext, fp.count, value))
+        model.setdefault((qt, rem), []).append((ext, count, value))
     check(arr, model)
     for op, pick, arg in edits:
         live = [(k, rank) for k, lst in model.items() for rank in range(len(lst))]
@@ -131,18 +142,22 @@ def test_decoder_and_writer_match_the_oracle(table, edits):
 C52 = FilterConfig(q=5, r=2)
 
 
+def wide(qt, rem, ext=(), count=1):
+    """A fingerprint as (quotient, remainder, extension chunks, count)."""
+    return qt, rem, ext, count
+
+
 def filled(fps, cfg=C52):
     arr = SlotArray(cfg)
     for fp in fps:
-        arr.insert_fp(fp)
+        insert_whole(arr, *fp)
     return arr
 
 
 def removed(fps, k):
     """decode_raw rows of fps, in insert order (already storage order),
     without the k-th."""
-    return [(fp.quotient, fp.remainder, fp.ext, fp.count, 0)
-            for i, fp in enumerate(fps) if i != k]
+    return [(*fp, 0) for i, fp in enumerate(fps) if i != k]
 
 
 def check_edit(arr, rows):
@@ -157,15 +172,13 @@ def check_edit(arr, rows):
 # quotient 4 holds a three-fingerprint run at slots 4-6, which pushes
 # quotient 5 to slot 7 and quotient 6 to slot 8; quotient 9 sits at its
 # canonical slot behind them
-RUN3 = [Fingerprint(4, 1), Fingerprint(4, 2), Fingerprint(4, 3), Fingerprint(5, 0),
-        Fingerprint(6, 1), Fingerprint(9, 2)]
+RUN3 = [wide(4, 1), wide(4, 2), wide(4, 3), wide(5, 0), wide(6, 1), wide(9, 2)]
 
 
 @pytest.mark.parametrize("k", [0, 1, 2], ids=["first", "middle", "terminator"])
 def test_remove_from_a_run(k):
     arr = filled(RUN3)
-    fp = RUN3[k]
-    arr.remove_fp(pack_minirun_id(fp.quotient, fp.remainder, C52.q), 0)
+    arr.remove_fp(pack_minirun_id(*RUN3[k][:2], C52.q), 0)
     check_edit(arr, removed(RUN3, k))
     assert find_run(arr, 4) == (4, 2)
     assert find_run(arr, 5) == (6, 1) and find_run(arr, 6) == (7, 1)
@@ -184,8 +197,8 @@ def test_remove_the_only_fingerprint_of_its_run():
 def test_remove_from_a_run_that_wraps_the_seam():
     # quotient 30's run takes slots 30-1, and the three runs behind it
     # wait one to three slots past their quotients
-    fps = [Fingerprint(30, 0), Fingerprint(30, 1), Fingerprint(30, 2), Fingerprint(30, 3),
-           Fingerprint(31, 3), Fingerprint(0, 1), Fingerprint(1, 2)]
+    fps = [wide(30, 0), wide(30, 1), wide(30, 2), wide(30, 3), wide(31, 3), wide(0, 1),
+           wide(1, 2)]
     arr = filled(fps)
     assert find_run(arr, 30) == (30, 4)
     assert [find_run(arr, qt)[0] for qt in (31, 0, 1)] == [2, 3, 4]
@@ -200,8 +213,7 @@ def test_the_shift_shrinks_at_a_run_near_its_canonical_slot():
     # quotient 10's three-slot fingerprint (two extension chunks) pushes
     # quotient 11 two slots, quotient 12 two, quotient 14 one; quotient
     # 16 sits at its canonical slot
-    fps = [Fingerprint(10, 1, (2, 3)), Fingerprint(11, 0), Fingerprint(12, 0),
-           Fingerprint(14, 1), Fingerprint(16, 0)]
+    fps = [wide(10, 1, (2, 3)), wide(11, 0), wide(12, 0), wide(14, 1), wide(16, 0)]
     arr = filled(fps)
     assert [find_run(arr, qt)[0] for qt in (10, 11, 12, 14, 16)] == [10, 13, 14, 15, 16]
     arr.remove_fp(pack_minirun_id(10, 1, C52.q), 0)
@@ -213,8 +225,8 @@ def test_the_shift_shrinks_at_a_run_near_its_canonical_slot():
 
 def test_remove_a_fingerprint_with_extension_and_counter_slots():
     # the middle fingerprint holds two chunks and the digits of 40 - 1
-    fps = [Fingerprint(4, 1, (3,)), Fingerprint(4, 2, (1, 2), 40), Fingerprint(4, 3, (), 3),
-           Fingerprint(6, 0), Fingerprint(7, 1)]
+    fps = [wide(4, 1, (3,)), wide(4, 2, (1, 2), 40), wide(4, 3, (), 3),
+           wide(6, 0), wide(7, 1)]
     arr = filled(fps)
     assert arr.ext_slot_count == 3 and arr.ctr_slot_count == 4
     arr.remove_fp(pack_minirun_id(4, 2, C52.q), 0)
@@ -226,17 +238,16 @@ def test_remove_a_fingerprint_with_extension_and_counter_slots():
                          ids=["two_digits_to_one", "one_digit_to_none", "two_digits_to_none"])
 def test_counter_shrinks(before, after, digits):
     # r=2: 10 - 1 takes two base-4 digits, 2 - 1 one, 1 - 1 none
-    fps = [Fingerprint(4, 1), Fingerprint(4, 2, (3,), before), Fingerprint(4, 3),
-           Fingerprint(5, 0), Fingerprint(8, 1)]
+    fps = [wide(4, 1), wide(4, 2, (3,), before), wide(4, 3), wide(5, 0), wide(8, 1)]
     arr = filled(fps)
     arr.set_count(pack_minirun_id(4, 2, C52.q), 0, after)
-    fps[1] = Fingerprint(4, 2, (3,), after)
+    fps[1] = wide(4, 2, (3,), after)
     check_edit(arr, removed(fps, None))
     assert arr.ctr_slot_count == digits
 
 
 def test_a_missing_rank_or_quotient_changes_nothing():
-    arr = filled(RUN3 + [Fingerprint(9, 2, (), 5)])
+    arr = filled(RUN3 + [wide(9, 2, (), 5)])
     blob = arr.to_bytes()
     for mid, rank in ((pack_minirun_id(4, 1, C52.q), 1), (pack_minirun_id(4, 0, C52.q), 0),
                       (pack_minirun_id(12, 1, C52.q), 0), (pack_minirun_id(9, 2, C52.q), 2)):
@@ -321,7 +332,7 @@ def test_cluster_reads(q, quots, size, walked, reads):
         fp = split(HashStream(key, cfg.seed), cfg)
         ext = chunks(cfg, key, nchunks)
         lst = model.setdefault(fp, [])
-        assert arr.insert_fp(Fingerprint(*fp, ext), value=value) == (
+        assert insert_whole(arr, *fp, ext, value=value) == (
             pack_minirun_id(*fp, q), len(lst))
         lst.append((ext, 1, value))
         owner.setdefault(fp, []).append(key)
@@ -372,7 +383,7 @@ def test_cluster_reads(q, quots, size, walked, reads):
 @pytest.mark.parametrize("q", [5, 10])
 def test_a_table_without_an_unused_slot_fails_the_walk(q):
     arr = SlotArray(FilterConfig(q=q, r=2))
-    arr.insert_fp(Fingerprint(3, 1))
+    arr.insert_fp(3, 1)
     arr.used[:] = np.uint64((1 << 64) - 1)
     with pytest.raises(StateCorruptionError, match="no cluster boundary"):
         find_run(arr, 3)
@@ -464,7 +475,7 @@ def run_edits(program, seen):
             ext, count, value = model[key][rank]
         try:
             if op == "insert":
-                arr.insert_fp(Fingerprint(qt, rem, ext, count), value)
+                insert_whole(arr, qt, rem, ext, count, value)
                 model.setdefault(key, []).append((ext, count, value))
             elif op == "extend":
                 arr.extend_fp(mid, rank, args[0])
@@ -520,9 +531,9 @@ def snapshot():
     while True:
         ext = tuple(int(c) for c in rng.integers(0, 32, size=rng.integers(0, 3)))
         count = int(rng.choice([1, 1, 1, 40, 2000]))
-        fp = Fingerprint(int(rng.integers(0, 128)), int(rng.integers(0, 32)), ext, count)
+        fp = (int(rng.integers(0, 128)), int(rng.integers(0, 32)), ext, count)
         try:
-            arr.insert_fp(fp, value=int(rng.integers(0, 2)))
+            insert_whole(arr, *fp, value=int(rng.integers(0, 2)))
         except FilterFullError:
             if arr.used_count >= 121:
                 return arr.to_bytes()
@@ -560,7 +571,9 @@ def test_every_bit_flip_fails_cleanly_or_reloads_identically(snapshot):
         assert populations(arr) == (arr.used_count, arr.fp_count, arr.ext_slot_count,
                                     arr.ctr_slot_count)
         loaded += 1
-    # payload bits carry no redundancy, so their flips must load
+    # the seed and most payload bits carry no redundancy, so their flips
+    # must load; those of unused slots, of a tail slot's value bit and
+    # of remainders that would leave their run's order fail
     assert loaded >= 128 * 6
 
 
@@ -568,3 +581,115 @@ def test_every_truncation_fails_cleanly(snapshot):
     for cut in range(len(snapshot)):
         with pytest.raises(FormatError):
             SlotArray.from_bytes(snapshot[:cut])
+
+
+# Snapshots that are not in the encoder's layout, behind a valid trailer:
+# each must fail with FormatError, through the slot array's loader and
+# through the filter's.
+
+
+@pytest.fixture(scope="module")
+def laid_filter():
+    """A q=6 filter with a value bit and counted keys: quotient 10's run
+    holds remainders 0 and 1 at slots 10-11, and slots 30-33 hold
+    quotient 30's one fingerprint with two extension chunks and one
+    counter digit; every other slot is unused."""
+    cfg = FilterConfig(q=6, r=3, seed=11)
+    pairs = {}
+    for k in range(1 << 12):
+        pairs.setdefault(split(HashStream(k, cfg.seed), cfg), []).append(k)
+    owner, other = pairs[(30, 0)][:2]
+    f = AdaptiveFilter(cfg, policy=Policy(dedupe_keys=True), value_bits=1)
+    f.insert(pairs[(10, 1)][0], tag=1)
+    f.insert(pairs[(10, 0)][0])
+    f.insert(owner, tag=1)
+    f.insert(owner)
+    assert f.lookup(other)[0] == LookupResult.FALSE_POSITIVE_CORRECTED
+    assert decode_raw(f.arr) == [(10, 0, (), 1, 0), (10, 1, (), 1, 1), (30, 0, (4, 4), 2, 1)]
+    assert find_run(f.arr, 10) == (10, 2) and find_run(f.arr, 30) == (30, 4)
+    return f
+
+
+def swap_remainders(rows, pay):
+    pay[[10, 11]] = pay[[11, 10]]
+
+
+def digit_before_chunk(rows, pay):
+    run = rows[1]
+    run[32], run[33] = True, False
+    pay[[32, 33]] = pay[[33, 32]]
+
+
+def run_starts_extended(rows, pay):
+    rows[2][10] = True
+
+
+def payload_in_unused(rows, pay):
+    pay[40] = 2
+
+
+def value_bit_on_chunk(rows, pay):
+    pay[31] |= np.uint64(1)
+
+
+OFF_LAYOUT = {
+    "swapped_remainders": (swap_remainders, "out of order"),
+    "digit_before_chunk": (digit_before_chunk, "after a counter digit"),
+    "run_starts_extended": (run_starts_extended, "run starts with"),
+    "payload_in_unused_slot": (payload_in_unused, "payload in an unused slot"),
+    "value_bit_on_chunk": (value_bit_on_chunk, "value bits on an extension"),
+}
+
+
+@pytest.mark.parametrize("edit,match", OFF_LAYOUT.values(), ids=OFF_LAYOUT.keys())
+def test_a_snapshot_off_the_layout_is_rejected(laid_filter, edit, match):
+    slots = laid_filter.arr.to_bytes()
+    rows, pay = slot_fields(slots)
+    assert with_slot_fields(slots, rows, pay) == slots
+    edit(rows, pay)
+    bad = with_slot_fields(slots, rows, pay)
+    with pytest.raises(FormatError, match=match):
+        SlotArray.from_bytes(bad)
+    # the same slot snapshot inside a combined one, every trailer resealed
+    whole = laid_filter.to_bytes()
+    size = int.from_bytes(whole[36:44], "little")
+    assert whole[44 : 44 + size] == slots
+    with pytest.raises(FormatError, match=match):
+        AdaptiveFilter.from_bytes(reseal_filter(whole[:44] + bad + whole[44 + size :]))
+
+
+MUTATIONS = ("swap", "occupied", "runend", "extension", "value")
+
+
+@settings(max_examples=200, deadline=None)
+@given(table=tables(), kind=st.sampled_from(MUTATIONS), i=st.integers(0, 63),
+       j=st.integers(0, 63), value=st.integers(1, 3))
+def test_a_mutated_snapshot_fails_or_loads_in_the_layout(table, kind, i, j, value):
+    """One edit of a valid slot snapshot, behind a recomputed trailer:
+    two payloads swapped, one occupied, runend or extension bit flipped,
+    or value bits set.  The loader refuses it or loads a table in the
+    layout that _lay_out writes, which encodes back to the same bytes."""
+    cfg, value_bits, fps = table
+    arr = SlotArray(cfg, value_bits=value_bits)
+    for (qt, rem, ext, count), v in fps:
+        try:
+            insert_whole(arr, qt, rem, ext, count, v & ((1 << value_bits) - 1))
+        except FilterFullError:
+            pass
+    blob = arr.to_bytes()
+    rows, pay = slot_fields(blob)
+    i, j = i % arr.nslots, j % arr.nslots
+    if kind == "swap":
+        pay[[i, j]] = pay[[j, i]]
+    elif kind == "value":
+        pay[i] |= np.uint64(value & ((1 << value_bits) - 1))
+    else:
+        row = rows[MUTATIONS.index(kind) - 1]
+        row[i] = not row[i]
+    bad = with_slot_fields(blob, rows, pay)
+    try:
+        back = SlotArray.from_bytes(bad)
+    except FormatError:
+        return
+    assert back.to_bytes() == bad
+    assert relaid(back).to_bytes() == bad

@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aqf.core import Fingerprint, FrozenIndex, SlotArray
+from aqf.core import FrozenIndex, SlotArray
 from aqf.errors import FilterFullError, InvalidConfigError
 from aqf.filter import AdaptiveFilter, LookupResult, Policy
 from aqf.hashing import FilterConfig, HashStream, extension_chunk, split, split_batch
+
+from oracles import insert_whole
 
 # 64 slots and 2-bit remainders: false positives, corrections, long
 # extensions and a full table are all a few keys away
@@ -304,9 +306,9 @@ def test_frozen_recheck_matches_the_slot_walk_on_long_extensions():
             ext = list(chunks)
             if differ < len(ext):
                 ext[differ] ^= 1
-            arr.insert_fp(Fingerprint(qt, rem, tuple(ext)))
+            insert_whole(arr, qt, rem, tuple(ext))
         if i % 10 == 0:  # a pair with a bare fingerprint is always positive
-            arr.insert_fp(Fingerprint(qt, rem))
+            arr.insert_fp(qt, rem)
     index = FrozenIndex(arr.cfg, arr._columns())
     got = index.query_keys(np.array(probes, dtype=np.uint64))
     want = [arr.query_fp(HashStream(k, cfg.seed)) is not None for k in probes]

@@ -43,8 +43,7 @@ class TestWorkloadSpec:
             dict(kind="uniform", count=10, universe=(1 << 32) + 1),
             dict(kind="zipfian", count=10, s=1.0),
             dict(kind="churn", count=10, s=0.5),
-            dict(kind="adversarial", count=10, adv_frac=1.5),
-            dict(kind="adversarial", count=10, warmup=-1),
+            dict(kind="adversarial", count=10),
             dict(kind="churn", count=10, interval_pct=0),
             dict(kind="churn", count=10, replace_pct=100),
         ],
