@@ -26,13 +26,7 @@ from .workbench import (
     run_adversary,
     run_churn,
 )
-from .yesno import (
-    YesNoParams,
-    adaptivity_budget,
-    build_static,
-    expected_adaptivity_bits,
-    lower_bound_bits,
-)
+from .yesno import build_static, expected_adaptivity_bits, lower_bound_bits
 
 
 class _Parser(argparse.ArgumentParser):

@@ -34,15 +34,15 @@ fingerprint bounds a word at a time.  One generator, ``SlotArray._run``,
 reads a run fingerprint by fingerprint; it is the only scalar walk,
 behind queries, inserts and the minirun access of extension, counter
 edits and delete.  A mutation edits the window it walked and writes it
-back once (``SlotArray._store``).  An insert opens the one slot of a
-bare fingerprint, and extensions and growing counters all their new
-slots, in one edit (``SlotArray._open_slot``), moving the cluster's
-tail right into the unused slots past it, and the clusters behind those
-too where fewer are free; deletes, the shortening of a minirun's
-survivors and shrinking counters close them (``SlotArray._close_span``),
-moving each later run left by no more than its distance from its
-canonical slot.  Payloads move by slices, one per stretch that moves
-by the same shift.  Whole-table work goes through two helpers:
+back once (``SlotArray._store``), one slot at a time: an open
+(``SlotArray._open_slot``) moves the cluster's tail right by one into
+the unused slot past it, joining the next cluster when that slot was
+its last gap, and a close (``SlotArray._close_slot``) moves the rest of
+the run and the later runs left by one, up to the first run at its
+canonical slot.  An insert is one open; extensions and growing counters
+open one slot per chunk or digit, and deletes, shortening cuts and
+shrinking counters close theirs from the last.  Whole-table work goes
+through two helpers:
 ``SlotArray._columns`` decodes the table into numpy columns (quotient,
 remainder, value, extension and counter-digit spans), one row per
 fingerprint in hash order (by quotient, then remainder, then rank), for
@@ -67,7 +67,6 @@ import copy
 import struct
 from dataclasses import dataclass
 from itertools import compress, count
-from operator import sub
 from typing import NamedTuple
 
 import numpy as np
@@ -103,6 +102,9 @@ HEADER_BITS = (4 + 4 + 1 + 1 + 8 + 8) * 8
 
 # load factor ceiling: used slots may not exceed 19/20 of the table
 _LOAD_NUM, _LOAD_DEN = 19, 20
+
+# metadata bits per slot: occupied, runend and extension
+_META_BITS = 3
 
 # slots a walk reads first on each side of its quotient
 _READ = 128
@@ -238,8 +240,11 @@ class _Win:
     unused slot there ends the last run, and no fingerprint follows it.
 
     Scalar mutations edit these ints and store them back in one write
-    (SlotArray._store).  A close keeps the window whole; an open holds
-    true only up to the end of its edit, so nothing walks on after one.
+    (SlotArray._store), opening or closing one slot per edit.  A close
+    keeps the window whole.  An open holds true only up to the end of
+    its edit, so nothing walks on after one; the next open reads in the
+    cluster the edit joined (see SlotArray._open_slot).  The edits
+    between a walk and its store are all opens or all closes.
     """
 
     __slots__ = ("base", "used", "run", "ext", "occ")
@@ -376,65 +381,45 @@ class SlotArray:
         bits = int.from_bytes(block.tobytes(), "little") & ~(m << at) | new << at
         block[:] = np.ndarray(block.shape, np.uint64, bits.to_bytes(block.size << 3, "little"))
 
-    def _open_slot(self, win: _Win, at: int, run: int, ext: int, payloads: list[int]) -> int:
-        """Open len(payloads) slots at window offset ``at`` and fill them
-        with the payloads, runend bits ``run`` and extension bits ``ext``
-        (bit i for the i-th new slot): one for an insert, the new chunks
-        or digits for an extension or a growing counter.  Returns the
-        offset just past the edit, which the caller stores (_store) with
-        its own bit edits.
+    def _open_slot(self, win: _Win, at: int, run: int, ext: int, payload: int) -> int:
+        """Open one slot at window offset ``at`` and fill it with
+        ``payload`` and the runend and extension bits ``run`` and ``ext``.
+        Returns the offset just past the edit, which the caller stores
+        (_store) with its own bit edits.
 
-        The slots from ``at`` to the cluster's end move right by the
-        width opened, into the unused slots past it.  When fewer unused
-        slots than that follow the cluster, the clusters behind them move
-        too, each by the part of the width that the unused slots before
-        it have not taken up, and merge: the slots from ``at`` to the
-        last unused slot taken all end up used, new ones first, which is
-        where _lay_out places every run.  The window's used, runend and
-        extension bits follow the edit (a merge reads the clusters it
-        takes in), and the payloads move with one slice per stretch
-        between the unused slots taken, one in all but a merge.
+        The slots [at, end) move right by one into the unused slot at
+        the cluster's end, which is where _lay_out places every run.
+        That slot may lie just before the next cluster, which the open
+        then joins; the window is known only up to the edit.  So when
+        the table has the slot at the window's end used, an earlier open
+        on this window joined the cluster that begins there, and this one
+        reads it in first, a margin at a time as _walk_to_run grows its
+        reads.  A lone open reads nothing past the walk's window.
         """
-        k = len(payloads)
-        end = win.used.bit_length()  # the cluster's end, an unused slot
-        stop = end + k
-        moves = [(at, end, k)]  # (first, stop, shift): used slots moving right
-        if k > 1:
-            # the first k unused slots from end on, read in one piece
-            width = 2 * k + 64
-            while True:
-                rows = self._read_bits((win.base + end) % self.nslots, width)
-                gaps = _ones(~rows[0] & ((1 << width) - 1))[:k]
-                if len(gaps) == k:
-                    break
-                width <<= 1
-            stop = end + gaps[-1] + 1
-            keep = (1 << (stop - end)) - 1
-            win.used |= (rows[0] & keep) << end
-            win.run |= (rows[1] & keep) << end
-            win.ext |= (rows[2] & keep) << end
-            win.occ |= (rows[3] & keep) << end
-            moves += [(end + f + 1, end + g, k - i) for i, (f, g) in enumerate(zip(gaps, gaps[1:]), 1)
-                      if g > f + 1]
-        old_run, old_ext = win.run, win.ext
-        run <<= at
-        ext <<= at
-        for a, b, d in moves:
-            m = ((1 << (b - a)) - 1) << a
-            run |= (old_run & m) << d
-            ext |= (old_ext & m) << d
-        span = ((1 << (stop - at)) - 1) << at
-        win.used |= span
-        win.run = old_run & ~span | run
-        win.ext = old_ext & ~span | ext
-        start = (win.base + at) % self.nslots
-        buf = self._payloads(start, stop - at)
-        for a, b, d in reversed(moves):
-            buf[a + d - at : b + d - at] = buf[a - at : b - at]
-        buf[:k] = payloads
+        n = self.nslots
+        end = win.used.bit_length()
+        width = _READ if n > _READ else n
+        s = (win.base + end) % n
+        while (self.used.item(s >> 6) >> (s & 63)) & 1:
+            rows = self._read_bits(s, width)
+            part = ((rows[0] + 1) & ~rows[0]).bit_length() - 1  # the used slots leading it
+            keep = (1 << part) - 1
+            win.used, win.run, win.ext, win.occ = (
+                x | (y & keep) << end for x, y in zip((win.used, win.run, win.ext, win.occ), rows))
+            end += part
+            s = (win.base + end) % n
+            width <<= 1
+        low = (1 << at) - 1
+        win.used |= 1 << end
+        win.run = win.run & low | (win.run & ~low) << 1 | run << at
+        win.ext = win.ext & low | (win.ext & ~low) << 1 | ext << at
+        start = (win.base + at) % n
+        buf = self._payloads(start, end + 1 - at)
+        buf[1:] = buf[:-1]
+        buf[0] = payload
         self._set_payloads(start, buf)
-        self.used_count += k
-        return stop
+        self.used_count += 1
+        return end + 1
 
     # ------------------------------------------------------------------
     # run navigation
@@ -583,7 +568,7 @@ class SlotArray:
             win, at = self._walk_to_run(qt)
             lo = (qt - win.base) % self.nslots
             win.occ |= 1 << lo
-        self._store(win, lo, self._open_slot(win, at, new_term, 0, [payload]))
+        self._store(win, lo, self._open_slot(win, at, new_term, 0, payload))
         self.fp_count += 1
         return pack_minirun_id(qt, rem, self.cfg.q), rank
 
@@ -615,7 +600,8 @@ class SlotArray:
 
     def extend_fp(self, mid: int, rank: int, chunks) -> None:
         """Append extension chunks to one fingerprint, in place: one open
-        of all of them behind its last chunk (see _open_slot)."""
+        per chunk behind its last chunk (see _open_slot), on the window
+        of one walk, stored once."""
         chunks = list(chunks)
         if not chunks:
             return
@@ -623,8 +609,9 @@ class SlotArray:
             raise FilterFullError("extension would exceed the load limit")
         win, _, _, _, c0, _ = self._locate_fp(mid, rank)
         vb = self.value_bits
-        ext = (1 << len(chunks)) - 1
-        self._store(win, c0, self._open_slot(win, c0, 0, ext, [ch << vb for ch in chunks]))
+        for i, chunk in enumerate(chunks):
+            hi = self._open_slot(win, c0 + i, 0, 1, chunk << vb)
+        self._store(win, c0, hi)
         self.ext_slot_count += len(chunks)
         if self._touched is not None:
             self._touched.add(mid)
@@ -662,9 +649,9 @@ class SlotArray:
                      count: int) -> None:
         """Rewrite the counter digits of minirun mid's fingerprint fp (as
         _minirun lists it) in place.  The digits it keeps are
-        overwritten; growth opens the new ones behind them in one
-        _open_slot, shrinkage closes the gap the dropped digits leave
-        (see _close_span)."""
+        overwritten; growth opens the new ones behind them one at a time
+        (_open_slot), shrinkage closes the dropped ones from the last
+        (_close_slot), all on the walk's window, stored once."""
         win, _, pos, _, c0, nxt = fp
         digits = _count_digits(count, self.cfg.r)
         have = nxt - c0
@@ -673,16 +660,15 @@ class SlotArray:
         n, vb = self.nslots, self.value_bits
         for i, digit in enumerate(digits[:have]):
             self.slots[(win.base + c0 + i) % n] = digit << vb
-        grow = len(digits) - have
-        if grow > 0:
-            ones = (1 << grow) - 1
-            self._store(win, nxt, self._open_slot(win, nxt, ones, ones,
-                                                  [d << vb for d in digits[have:]]))
-        elif grow < 0:
-            at = c0 + len(digits)
-            self._store(win, at, self._close_span(win, mid & ((1 << self.cfg.q) - 1),
-                                                  pos, at, -grow))
-        self.ctr_slot_count += grow
+        qt = mid & ((1 << self.cfg.q) - 1)
+        hi = 0
+        for i in range(have, len(digits)):
+            hi = self._open_slot(win, c0 + i, 1, 1, digits[i] << vb)
+        for at in range(nxt - 1, c0 + len(digits) - 1, -1):
+            hi = max(hi, self._close_slot(win, qt, pos, at))
+        if len(digits) != have:
+            self._store(win, c0 + min(have, len(digits)), hi)
+        self.ctr_slot_count += len(digits) - have
 
     def get_value(self, mid: int, rank: int) -> int:
         win, _, pos, _, _, _ = self._locate_fp(mid, rank)
@@ -691,125 +677,101 @@ class SlotArray:
     def remove_fp(self, mid: int, rank: int, shorten: bool = False) -> None:
         """Remove one fingerprint with its extension and counter slots.
 
-        Its slots close like a gap (see _close_span).  If it ended its
+        Its slots close one at a time (see _close_slot).  If it ended its
         run, the runend bit moves to the fingerprint before it, and an
         emptied run clears its occupied bit.  With shorten, the survivors
         of its minirun also drop the extension chunks they no longer need
-        to stay apart from each other (see _kept_chunks), one closed span
-        each, highest first so that the offsets below stay valid.  All of
-        it edits the one window the walk read, and one store writes the
-        moved bits with the moved terminator or the cleared occupied bit.
+        to stay apart from each other (see _kept_chunks).  The slots close
+        from the last backwards, so that the offsets below each stay valid
+        and every state on the way is a layout.  All of it edits the one
+        window the walk read, and one store writes the moved bits with the
+        moved terminator or the cleared occupied bit.
         """
         fps = self._minirun(mid)
         if not 0 <= rank < len(fps):
             raise NotFoundError(f"minirun {mid} has no rank {rank}")
         win, prev, pos, e0, c0, nxt = fps[rank]
-        width = nxt - pos
-        cuts = []  # (fingerprint, first chunk cut, chunks cut), offsets after the removal
+        gone = [(at, pos) for at in range(pos, nxt)]  # (slot, its fingerprint's offset)
         if shorten:
             n, vb = self.nslots, self.value_bits
             rest = [fp[2:5] for i, fp in enumerate(fps) if i != rank]
             exts = [[self.slots.item((win.base + i) % n) >> vb for i in range(x0, y0)]
                     for _, x0, y0 in rest]
             for (at, x0, y0), keep in zip(rest, _kept_chunks(exts)):
-                if keep < y0 - x0:
-                    moved = width if at > pos else 0
-                    cuts.append((at - moved, x0 + keep - moved, y0 - x0 - keep))
+                gone += [(i, at) for i in range(x0 + keep, y0)]
         qt = mid & ((1 << self.cfg.q) - 1)
-        is_term = (win.run >> pos) & 1
-        lo, hi = pos, self._close_span(win, qt, pos, pos, width)
-        if is_term and prev is None:
+        lo = min(gone)[0]
+        if (win.run >> pos) & 1 and prev is None:
             lo = (qt - win.base) % self.nslots
             win.occ ^= 1 << lo
-        elif is_term:
-            lo = prev
+        elif (win.run >> pos) & 1:
+            lo = min(lo, prev)
             win.run |= 1 << prev
-        self.fp_count -= 1
-        self.ext_slot_count -= c0 - e0
-        self.ctr_slot_count -= nxt - c0
-        for at, start, length in sorted(cuts, reverse=True):
-            lo, hi = min(lo, start), max(hi, self._close_span(win, qt, at, start, length))
-            self.ext_slot_count -= length
+        hi = 0
+        for at, fp in sorted(gone, reverse=True):
+            hi = max(hi, self._close_slot(win, qt, fp, at))
         self._store(win, lo, hi)
+        cut = len(gone) - (nxt - pos)
+        self.fp_count -= 1
+        self.ext_slot_count -= c0 - e0 + cut
+        self.ctr_slot_count -= nxt - c0
         self._touched = None
-        if cuts:
+        if cut:
             self._superset = None
 
-    def _close_span(self, win: _Win, qt: int, fp: int, at: int, length: int) -> int:
-        """Remove the slots at window offsets [at, at+length), all of them
-        slots of the fingerprint at offset fp in the run of quotient qt, and
-        close the gap: the inverse of _open_slot.  Returns the offset just
-        past the edit, which the caller stores (_store).
+    def _close_slot(self, win: _Win, qt: int, fp: int, at: int) -> int:
+        """Remove the slot at window offset ``at``, a slot of the
+        fingerprint at offset fp in the run of quotient qt, and close the
+        gap: the inverse of _open_slot.  Returns the offset just past the
+        edit, which the caller stores (_store).
 
-        The rest of the run moves left by length.  Each later run of the
-        cluster moves by the smaller of the previous run's shift and its
-        distance from its canonical slot, which is where _lay_out would
-        place it, so the shift stops at the first run already at its
-        canonical slot or at the end of the cluster.  The distances come
-        from the positions of the run starts and of the occupied bits,
-        found in C (_ones), and the first distance of each size below
-        length bounds the runs that move by it: no loop over the runs.
-        The window's runend, extension and used bits move as bit
-        strings, the payloads as one slice per shift, and the slot each
-        shift leaves behind is cleared.  The occupied bits, the store and
-        the fingerprint counters are the caller's.
+        The rest of the run moves left by one, and so does each later
+        run of the cluster up to the first one already at its canonical
+        slot, which is where _lay_out would place them; with no such run
+        the shift reaches the end of the cluster.  A run sits at its
+        canonical slot when its start and its quotient are the same
+        distance past qt's slot: the run starts and the occupied bits
+        are paired off in order (_ones), from a prefix of the cluster
+        that doubles until it holds such a run.  Nothing is read when no
+        run follows, or the next one does not move.  The window's
+        runend, extension and used bits move as bit strings, the payloads
+        as one slice, and the slot the shift leaves behind is cleared.
+        The occupied bits, the store and the fingerprint counters are the
+        caller's.
         """
-        n, c = self.nslots, win.base
+        n = self.nslots
         ends = win.ends()
         rest = ends >> (fp + 1)
         end = fp + (rest & -rest).bit_length()  # just past fp's run
         used = win.used >> end
-        stop = end + ((used + 1) & ~used).bit_length() - 1  # the cluster's end
-        # bounds[s]: the first slot that shifts by s or less.  Later run j
-        # starts starts[j] slots past q0, the slot after qt's, and its
-        # quotient, the j-th occupied one past qt, is quots[j] slots past
-        # it: the run sits dist[j] slots past its canonical slot.  Its
-        # shift is the smallest of length and the dists up to its own, so
-        # the runs shifting by s or less begin at the first dist of s or
-        # less.  The runs are read from a prefix of the cluster that
-        # doubles until it holds one that does not move; nothing is read
-        # when no run follows, or the next one does not move.
-        q0 = (qt - c) % n + 1
+        hi = end + ((used + 1) & ~used).bit_length() - 1  # the cluster's end
+        q0 = (qt - win.base) % n + 1
         occ = win.occ >> q0
-        if end == stop or (occ & -occ).bit_length() - 1 == end - q0:
-            bounds = [end] * length
-        else:
+        if end < hi and (occ & -occ).bit_length() - 1 == end - q0:
+            hi = end
+        elif end < hi:
             reach = 64
             while True:
-                lim = min(stop, end + reach)
+                lim = min(hi, end + reach)
                 starts = _ones(((ends >> end) & ((1 << (lim - end)) - 1)) << (end - q0))
                 quots = _ones(occ & ((1 << (lim - q0)) - 1))
-                dist = list(map(sub, starts, quots))
-                if lim == stop or 0 in dist:
+                fixed = [s for s, t in zip(starts, quots) if s == t]
+                if fixed or lim == hi:
                     break
                 reach <<= 1
-            bounds, j = [], len(dist)
-            for s in range(length):
-                if s in dist:
-                    j = min(j, dist.index(s))
-                bounds.append(q0 + starts[j] if j < len(dist) else stop)
-        hi = bounds[0]
-        start = (c + at) % n
+            if fixed:
+                hi = q0 + fixed[0]
+        start = (win.base + at) % n
         buf = self._payloads(start, hi - at)
-        run, ext = win.run, win.ext
-        keep = ((1 << (hi - at)) - 1) << at
-        new_run = new_ext = 0
-        new_used = keep
-        a = at + length
-        for d in range(length, 0, -1):  # slots [a, b) move left by d
-            b = bounds[d - 1]
-            m = ((1 << (b - a)) - 1) << a
-            new_run |= (run & m) >> d
-            new_ext |= (ext & m) >> d
-            new_used ^= 1 << (b - d)  # the slot this shift leaves behind
-            buf[a - d - at : b - d - at] = buf[a - at : b - at]
-            buf[b - d - at] = 0
-            a = b
+        buf[:-1] = buf[1:]
+        buf[-1] = 0
         self._set_payloads(start, buf)
-        win.used = win.used & ~keep | new_used
-        win.run = run & ~keep | new_run
-        win.ext = ext & ~keep | new_ext
-        self.used_count -= length
+        low = (1 << at) - 1
+        moved = (1 << (hi - 1)) - 1 - low  # [at, hi - 1): each takes the next slot's bits
+        win.used ^= 1 << (hi - 1)  # the slot the shift leaves behind
+        win.run = win.run & (low | -1 << hi) | (win.run >> 1) & moved
+        win.ext = win.ext & (low | -1 << hi) | (win.ext >> 1) & moved
+        self.used_count -= 1
         return hi
 
     # ------------------------------------------------------------------
@@ -954,7 +916,7 @@ class SlotArray:
 
     def space_report(self) -> SpaceReport:
         n = self.nslots
-        metadata = 3 * n + ((n * 8) >> 6) + HEADER_BITS
+        metadata = _META_BITS * n + ((n * 8) >> 6) + HEADER_BITS
         remainder = n * self.slot_bits
         total = metadata + remainder
         per_item = total / self.fp_count if self.fp_count else float("inf")
@@ -1055,8 +1017,9 @@ class SlotArray:
 
         The layout checks: every run starts with a remainder slot, the
         remainders of a run ascend, no extension chunk follows a counter
-        digit, an unused slot holds no payload and an extension or
-        counter slot no value bits.
+        digit, an unused slot holds no payload, an extension or counter
+        slot no value bits, and a fingerprint's last counter digit is not
+        zero (_count_digits writes none).
         """
         n, vb = self.nslots, self.value_bits
         if expect_used > (_LOAD_NUM * n) // _LOAD_DEN:
@@ -1104,6 +1067,9 @@ class SlotArray:
             raise FormatError("payload in an unused slot")
         if (pay[ext] & np.uint64((1 << vb) - 1)).any():
             raise FormatError("value bits on an extension or counter slot")
+        digit = run & ext
+        if not pay[digit & ~np.append(digit[1:], False)].all():
+            raise FormatError("count ends in a zero counter digit")
         self._pack(used[None], rot)
         self.used_count = total
         self.fp_count = len(R)

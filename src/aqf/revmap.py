@@ -291,18 +291,20 @@ class ReverseMap:
 
         ids is a uint64 array of the minirun ids sorted by quotient, then
         remainder; lengths (int64) gives each id's list length; keys
-        (uint64) and values (a list) hold the entries of those lists one
-        after the other, each list in rank order.
+        (uint64) and values (a list, or None when every value is None)
+        hold the entries of those lists one after the other, each list in
+        rank order.
         """
         mids, keys, values = self._merged()
         starts = np.flatnonzero(np.diff(mids, prepend=~mids[:1]))
         return (mids[starts], np.diff(starts, append=len(mids)), keys,
-                [None] * len(keys) if values is None else list(values))
+                None if values is None else list(values))
 
     @classmethod
     def _from_columns(cls, qbits: int, mids: np.ndarray, keys: np.ndarray,
                       values) -> "ReverseMap":
-        """Map holding (keys[i], values[i]) under mids[i].
+        """Map holding (keys[i], values[i]) under mids[i]; values None
+        stands for a value of None at every key.
 
         Each list's rows come in rank order.  Rows in hash order become
         the base as they are; others are stably sorted into it first.
@@ -311,7 +313,7 @@ class ReverseMap:
         """
         m = cls(qbits)
         rows = (np.array(mids, dtype=np.uint64), np.array(keys, dtype=np.uint64),
-                _join_values((values, len(values))))
+                _join_values((values, len(keys))))
         order = _rotr(rows[0], qbits)
         if (order[1:] < order[:-1]).any():
             rows = _sort_rows(qbits, *rows)

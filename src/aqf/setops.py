@@ -37,7 +37,7 @@ from .hashing import (  # noqa: F401
     split,
     split_batch,
 )
-from .revmap import ReverseMap
+from .revmap import ReverseMap, _join_values
 
 # grow the merge output when the inputs together would pass this load
 _GROW_AT = 0.90
@@ -53,7 +53,7 @@ def bulk_load(items, cfg: FilterConfig, policy: Policy | None = None) -> Adaptiv
     """
     if isinstance(items, np.ndarray):
         keys = _key_array(items)
-        values = [None] * len(keys)
+        values = None
     else:
         pairs = [it if isinstance(it, tuple) else (it, None) for it in items]
         keys = _key_array([key for key, _ in pairs])
@@ -74,8 +74,9 @@ def bulk_load(items, cfg: FilterConfig, policy: Policy | None = None) -> Adaptiv
     return AdaptiveFilter._from_parts(arr, revmap, policy)
 
 
-def _key_columns(f: AdaptiveFilter) -> tuple[_Cols, np.ndarray, list]:
-    """f's slot columns with each row's key and value.
+def _key_columns(f: AdaptiveFilter) -> tuple[_Cols, np.ndarray, list | None]:
+    """f's slot columns with each row's key and value (None when every
+    value is None).
 
     Both the table's columns and the map's come in hash order, ties in
     rank order, which map lists mirror (check_consistency() proves
@@ -85,16 +86,16 @@ def _key_columns(f: AdaptiveFilter) -> tuple[_Cols, np.ndarray, list]:
     return f.arr._columns(), keys, values
 
 
-def _build_rederived(cols: _Cols, keys: np.ndarray, values: list, cfg: FilterConfig,
+def _build_rederived(cols: _Cols, keys: np.ndarray, values: list | None, cfg: FilterConfig,
                      policy: Policy, value_bits: int, keep_ext: bool) -> AdaptiveFilter:
     """Re-derive fingerprints from keys under cfg and place them.
 
     cols hold one row per key, whose tag and counter digits carry over
-    (cfg keeps r).  keep_ext re-derives each fingerprint's extension
-    chunks at their prior length from the key's own hash, so corrections
-    carry over; otherwise extensions are dropped and everything reverts
-    to baseline.  Rows whose fingerprints tie under cfg keep their order
-    as rank order.
+    (cfg keeps r), as does its value in values (None: no key has one).
+    keep_ext re-derives each fingerprint's extension chunks at their
+    prior length from the key's own hash, so corrections carry over;
+    otherwise extensions are dropped and everything reverts to baseline.
+    Rows whose fingerprints tie under cfg keep their order as rank order.
     """
     packed = split_batch(keys, cfg)
     order = np.argsort(packed, kind="stable")
@@ -113,8 +114,9 @@ def _build_rederived(cols: _Cols, keys: np.ndarray, values: list, cfg: FilterCon
     new = _Cols.build(packed >> np.uint64(cfg.r), packed & np.uint64((1 << cfg.r) - 1),
                       cols.value, ext_len, cols.ctr_len, chunks)
     arr._lay_out(new)
-    revmap = ReverseMap._from_columns(cfg.q, new.mids(cfg.q), keys,
-                                      list(map(values.__getitem__, order.tolist())))
+    if values is not None:
+        values = list(map(values.__getitem__, order.tolist()))
+    revmap = ReverseMap._from_columns(cfg.q, new.mids(cfg.q), keys, values)
     return AdaptiveFilter._from_parts(arr, revmap, policy)
 
 
@@ -139,7 +141,8 @@ def merge(a: AdaptiveFilter, b: AdaptiveFilter) -> AdaptiveFilter:
     if a.arr.used_count + b.arr.used_count > _GROW_AT * cfg.nslots:
         cfg = FilterConfig(q=cfg.q + 1, r=cfg.r, seed=cfg.seed)
     (ca, ka, va), (cb, kb, vb) = _key_columns(a), _key_columns(b)
-    return _build_rederived(ca.concat(cb), np.concatenate([ka, kb]), va + vb, cfg,
+    return _build_rederived(ca.concat(cb), np.concatenate([ka, kb]),
+                            _join_values((va, len(ka)), (vb, len(kb))), cfg,
                             a.policy, a.value_bits, keep_ext=True)
 
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import _LOAD_DEN, _LOAD_NUM, FrozenIndex
+from .core import _LOAD_DEN, _LOAD_NUM, _META_BITS, FrozenIndex
 from .errors import InvalidConfigError, StateCorruptionError
 from .filter import AdaptiveFilter, LookupResult, Policy, _key_array
 from .hashing import MASK64, FilterConfig, split_batch
@@ -312,7 +312,7 @@ def extra_bits_per_item(f: AdaptiveFilter) -> float:
     arr = f.arr
     if arr.fp_count == 0:
         return 0.0
-    per_slot = arr.cfg.r + arr.value_bits + 3
+    per_slot = arr.slot_bits + _META_BITS
     return arr.ext_slot_count * per_slot / arr.fp_count
 
 

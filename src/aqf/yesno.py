@@ -35,7 +35,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -271,7 +270,7 @@ def _place_yes(inner: AdaptiveFilter, yes: np.ndarray, ext_len: np.ndarray) -> A
     is in hash order, ties in rank order."""
     bare = np.zeros(len(yes), dtype=np.int64)
     cols = _Cols.build(bare, bare, np.full(len(yes), YES), ext_len, bare, ())
-    return _build_rederived(cols, yes, [None] * len(yes), inner.cfg, inner.policy,
+    return _build_rederived(cols, yes, None, inner.cfg, inner.policy,
                             inner.value_bits, keep_ext=True)
 
 

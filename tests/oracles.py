@@ -23,6 +23,7 @@ point.
 
 from __future__ import annotations
 
+import itertools
 import struct
 import zlib
 
@@ -402,7 +403,7 @@ def encode_filter_v1(f) -> bytes:
     flags = p.auto_adapt | p.dedupe_keys << 1 | p.shorten_on_delete << 2
     head = struct.pack("<4sIBBBB", b"AQFS", 1, flags, p.max_extensions, f.value_bits, 0)
     mids, lengths, keys, values = f.map._columns()
-    rows = iter(zip(keys.tolist(), values))
+    rows = iter(zip(keys.tolist(), itertools.repeat(None) if values is None else values))
     entries = {mid: [next(rows) for _ in range(n)]
                for mid, n in zip(mids.tolist(), lengths.tolist())}
     return head + _section(encode_slots_v1(f.arr)) + _section(encode_map_v1(f.cfg.q, entries))

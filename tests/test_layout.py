@@ -391,35 +391,95 @@ def test_a_table_without_an_unused_slot_fails_the_walk(q):
         arr.remove_fp(pack_minirun_id(3, 1, q), 0)
 
 
+def counting_walks(arr):
+    """Wrap arr's walks, stores and bit reads.  Returns a Counter of
+    walks, stores and the reads the walks make, and the list of every
+    read (counting_reads).  A store across the seam is one store, not
+    the two pieces it writes itself in."""
+    seen, depth = Counter(), [0]
+    walk, store, reads = arr._walk_to_run, arr._store, counting_reads(arr)
+
+    def walked(qt):
+        seen["walks"] += 1
+        before = len(reads)
+        out = walk(qt)
+        seen["walk reads"] += len(reads) - before
+        return out
+
+    def stored(win, lo, hi):
+        seen["stores"] += not depth[0]
+        depth[0] += 1
+        try:
+            store(win, lo, hi)
+        finally:
+            depth[0] -= 1
+
+    arr._walk_to_run, arr._store = walked, stored
+    return seen, reads
+
+
+C64 = FilterConfig(q=6, r=4)
+MID = {qt: pack_minirun_id(qt, rem, C64.q) for qt, rem in [(10, 1), (13, 2), (20, 3)]}
+
+# (edit, reads outside the walk): one walk and one store each.  Slots
+# 10-12 hold (10, 1) with two chunks, 13 holds (13, 2), 20 holds (20, 3)
+# and 22 (22, 1).  The bare edits read nothing past the walk; the wide
+# edits at 20 open into slot 21, which joins the cluster at 22, and the
+# next open reads that cluster in.
+SCALAR_EDITS = {
+    "insert into a run": (lambda arr: arr.insert_fp(13, 5), 0),
+    "insert a new run": (lambda arr: arr.insert_fp(30, 0), 0),
+    "remove a bare fingerprint": (lambda arr: arr.remove_fp(MID[13], 0), 0),
+    "extend by 3 chunks": (lambda arr: arr.extend_fp(MID[20], 0, [1, 2, 3]), 1),
+    "grow the count by 2 digits": (lambda arr: arr.set_count(MID[20], 0, 100), 1),
+    "remove a fingerprint 3 slots wide": (lambda arr: arr.remove_fp(MID[10], 0), 0),
+}
+
+
+@pytest.mark.parametrize("edit,reads", SCALAR_EDITS.values(), ids=SCALAR_EDITS.keys())
+def test_a_scalar_edit_walks_once_and_stores_once(edit, reads):
+    arr = SlotArray(C64)
+    for qt, rem, ext in [(10, 1, (5, 6)), (13, 2, ()), (20, 3, ()), (22, 1, ())]:
+        insert_whole(arr, qt, rem, ext)
+    assert decode_raw(arr) == [(10, 1, (5, 6), 1, 0), (13, 2, (), 1, 0), (20, 3, (), 1, 0),
+                               (22, 1, (), 1, 0)]
+    assert find_run(arr, 13) == (13, 1) and find_run(arr, 22) == (22, 1)
+    seen, all_reads = counting_walks(arr)
+    edit(arr)
+    assert (seen["walks"], seen["stores"], len(all_reads) - seen["walk reads"]) == (1, 1, reads)
+    assert arr.to_bytes() == relaid(arr).to_bytes()
+
+
 # Scalar edits in any order on small tables run up to the load cap, each
 # checked against the model and the layout writer.  The edits that reach
 # past one cluster are counted, as test_cluster_reads counts reads, and
 # every run must meet each of them: an open that merges its cluster with
-# the next one, a multi-slot open that moves the next cluster, an open
-# and a close across the seam, and a walk whose read grows.  The first
-# read is narrowed for some tables, so that walks grow their reads on
-# tables smaller than the usual read.
+# the next one, a later open on the same window that reads in the
+# cluster an earlier one joined, an open and a close across the seam,
+# and a walk whose read grows.  The first read is narrowed for some
+# tables, so that walks grow their reads on tables smaller than the
+# usual read.
 
-CASES = ("open merges clusters", "multi-slot open moves the next cluster",
+CASES = ("open merges clusters", "a later open reads the cluster it joins",
          "open across the seam", "close across the seam", "walk grows its read")
 
 
 def count_cases(arr, seen):
     """Wrap arr's opens, closes and walks to count the CASES they meet."""
     n = arr.nslots
-    open_slot, close_span, walk = arr._open_slot, arr._close_span, arr._walk_to_run
+    open_slot, close_slot, walk = arr._open_slot, arr._close_slot, arr._walk_to_run
     reads = counting_reads(arr)
 
-    def opened(win, at, run, ext, payloads):
+    def opened(win, at, run, ext, payload):
         end = win.used.bit_length()
-        stop = open_slot(win, at, run, ext, payloads)
+        stop = open_slot(win, at, run, ext, payload)
         seen[CASES[0]] += _bit(arr.used, (win.base + stop) % n)
-        seen[CASES[1]] += stop > end + len(payloads)
+        seen[CASES[1]] += stop > end + 1
         seen[CASES[2]] += (win.base + at) % n + stop - at > n
         return stop
 
-    def closed(win, qt, fp, at, length):
-        hi = close_span(win, qt, fp, at, length)
+    def closed(win, qt, fp, at):
+        hi = close_slot(win, qt, fp, at)
         seen[CASES[3]] += (win.base + at) % n + hi - at > n
         return hi
 
@@ -429,7 +489,7 @@ def count_cases(arr, seen):
         seen[CASES[4]] += len(reads) - before > 1
         return out
 
-    arr._open_slot, arr._close_span, arr._walk_to_run = opened, closed, walked
+    arr._open_slot, arr._close_slot, arr._walk_to_run = opened, closed, walked
 
 
 @st.composite
@@ -500,8 +560,9 @@ EDIT_CASES = Counter()
 
 # meets every case, whatever the random programs do: quotient 14's run
 # wraps the seam and an insert into it moves the wrapped tail; quotient
-# 2 joins its cluster to quotient 3's; three slots opened at 8 move the
-# run at 10; the first delete closes across the seam; and a one-slot
+# 2 joins its cluster to quotient 3's; the first chunk opened behind
+# quotient 8's fingerprint joins the run at 10, which the second reads in
+# and moves; the first delete closes across the seam; and a one-slot
 # first read grows in every walk of a longer cluster
 PINNED = (FilterConfig(q=4, r=2), 0, 1, [
     ("insert", 14, 0, (), 1, 0), ("insert", 14, 1, (), 1, 0), ("insert", 15, 0, (), 1, 0),
@@ -558,14 +619,15 @@ def test_every_bit_flip_fails(snapshot):
 def test_every_bit_flip_fails_cleanly_or_reloads_identically(snapshot):
     """Behind the trailer: with the trailer recomputed, a flip either
     fails a field check or loads a table that encodes to the same bytes."""
-    loaded = 0
+    loaded = zeroed = 0
     for bit in range((len(snapshot) - 4) * 8):
         blob = bytearray(snapshot)
         blob[bit >> 3] ^= 1 << (bit & 7)
         blob = reseal(blob)
         try:
             arr = SlotArray.from_bytes(blob)
-        except FormatError:
+        except FormatError as exc:
+            zeroed += "zero counter digit" in str(exc)
             continue
         assert arr.to_bytes() == blob
         assert populations(arr) == (arr.used_count, arr.fp_count, arr.ext_slot_count,
@@ -573,8 +635,15 @@ def test_every_bit_flip_fails_cleanly_or_reloads_identically(snapshot):
         loaded += 1
     # the seed and most payload bits carry no redundancy, so their flips
     # must load; those of unused slots, of a tail slot's value bit and
-    # of remainders that would leave their run's order fail
-    assert loaded >= 128 * 6
+    # of remainders that would leave their run's order fail, and so does
+    # the flip of a count's last digit to zero, one per last digit that
+    # holds a single set bit, each of which loaded before the loader
+    # refused zero last digits
+    (_, run, ext), pay = slot_fields(snapshot)
+    digit = run & ext
+    last = pay[digit & ~np.roll(digit, -1)] >> np.uint64(1)  # one value bit
+    assert zeroed == sum(int(d).bit_count() == 1 for d in last) > 0
+    assert loaded + zeroed >= 128 * 6
 
 
 def test_every_truncation_fails_cleanly(snapshot):
@@ -632,12 +701,17 @@ def value_bit_on_chunk(rows, pay):
     pay[31] |= np.uint64(1)
 
 
+def zero_last_digit(rows, pay):
+    pay[33] = 0  # count 1 with one digit, where the encoder writes none
+
+
 OFF_LAYOUT = {
     "swapped_remainders": (swap_remainders, "out of order"),
     "digit_before_chunk": (digit_before_chunk, "after a counter digit"),
     "run_starts_extended": (run_starts_extended, "run starts with"),
     "payload_in_unused_slot": (payload_in_unused, "payload in an unused slot"),
     "value_bit_on_chunk": (value_bit_on_chunk, "value bits on an extension"),
+    "zero_last_digit": (zero_last_digit, "zero counter digit"),
 }
 
 

@@ -55,6 +55,8 @@ def ids_of(m: ReverseMap) -> np.ndarray:
 def assert_same_content(m: ReverseMap, entries: dict) -> None:
     """m holds exactly the lists of entries, a dict of non-empty lists."""
     mids, lengths, keys, values = m._columns()
+    if values is None:  # every value None
+        values = [None] * len(keys)
     assert (mids.tolist(), lengths.tolist(), keys.tolist(), values) == \
         model_columns(m.qbits, entries)
     assert len(m) == len(entries)
