@@ -1214,6 +1214,3 @@ class FrozenIndex:
             key_of, row, need = key_of[going], row[going], need[going]
             t += 1
         return hit
-
-    def contains(self, key: int) -> bool:
-        return bool(self.query_keys(np.array([key], dtype=np.uint64))[0])

@@ -18,8 +18,10 @@ stays the one ``rng.zipf`` gives (see ``_zipf_ranks``).
 The instantaneous false-positive rate is measured with adaptation
 frozen: the filter's read-only index (decoded at the first checkpoint,
 then patched where lookups extended fingerprints) is probed with
-independent query sets drawn from the workload's distribution, each
-distinct probe key once.
+independent query sets drawn from the workload's distribution.  Each
+set is drawn once per trace and kept as its distinct keys with their
+counts, and each checkpoint probes the union of all sets' keys in one
+batch.
 """
 
 from __future__ import annotations
@@ -244,7 +246,35 @@ def _zipf_ranks(rng: np.random.Generator, s: float, universe: int, count: int) -
         ranks = x[keep]
         out.append(ranks)
         got += len(ranks)
-    return np.concatenate(out)[:count].astype(np.uint64) - np.uint64(1)
+    # at most two whole-stream arrays alive at once; X, an integer of at
+    # most 2^32, stays exact through the float subtraction
+    ranks = np.concatenate(out)[:count]
+    del out
+    ranks -= 1
+    return ranks.astype(np.uint64)
+
+
+def _draws(spec: WorkloadSpec) -> np.ndarray:
+    """The spec's draws: uniform keys as uint64, zipfian ranks as uint32.
+
+    Every draw lies below the universe, at most 2^32, so uint32 holds a
+    rank and halves the bytes that sorting the ranks moves.
+    """
+    rng = np.random.default_rng(spec.seed)
+    if spec.kind == "uniform":
+        return rng.integers(0, spec.universe, size=spec.count, dtype=np.uint64)
+    return _zipf_ranks(rng, spec.s, spec.universe, spec.count).astype(np.uint32)
+
+
+def _rank_keys(spec: WorkloadSpec, ranks: np.ndarray) -> np.ndarray:
+    """The keys that the spec's zipfian ranks land on."""
+    return _permute(ranks, spec.universe, spec.perm_seed ^ 0xD6E8FEB8)
+
+
+def _sorted_distinct(a: np.ndarray) -> np.ndarray:
+    """np.unique(a) through numpy's sort path: asked for values alone,
+    numpy 2 builds a hash table instead, several times slower here."""
+    return np.unique(a, return_counts=True)[0]
 
 
 def gen_workload(spec: WorkloadSpec) -> np.ndarray:
@@ -252,12 +282,21 @@ def gen_workload(spec: WorkloadSpec) -> np.ndarray:
 
     Zipfian ranks repeat heavily, so each distinct rank is permuted once.
     """
-    rng = np.random.default_rng(spec.seed)
+    draws = _draws(spec)
     if spec.kind == "uniform":
-        return rng.integers(0, spec.universe, size=spec.count, dtype=np.uint64)
-    ranks, inverse = np.unique(_zipf_ranks(rng, spec.s, spec.universe, spec.count),
-                               return_inverse=True)
-    return _permute(ranks, spec.universe, spec.perm_seed ^ 0xD6E8FEB8)[inverse]
+        return draws
+    ranks = _sorted_distinct(draws)
+    return _rank_keys(spec, ranks)[np.searchsorted(ranks, draws)]
+
+
+def _distinct_draws(spec: WorkloadSpec) -> tuple[np.ndarray, np.ndarray]:
+    """gen_workload(spec) as its distinct keys, each with its count of
+    draws; the sequence itself is never built."""
+    vals, counts = np.unique(_draws(spec).astype(np.uint32, copy=False),
+                             return_counts=True)
+    if spec.kind == "uniform":
+        return vals.astype(np.uint64), counts
+    return _rank_keys(spec, vals), counts
 
 
 def zipf_normalizer(s: float, universe: int) -> float:
@@ -287,23 +326,54 @@ def fill_to_load(
     return bulk_load(keys, cfg, policy=policy), keys
 
 
-def measure_fpr(index: FrozenIndex, probe_sets: list[np.ndarray]) -> float:
+@dataclass(frozen=True, eq=False)
+class ProbeSets:
+    """Independent probe sets, each kept as its distinct keys with counts.
+
+    keys is the sorted union of every set's distinct keys.  Set i drew
+    keys[rows[i]] counts[i] times each, sizes[i] draws in all.
+    """
+
+    keys: np.ndarray
+    rows: tuple[np.ndarray, ...]
+    counts: tuple[np.ndarray, ...]
+    sizes: tuple[int, ...]
+
+    @classmethod
+    def of(cls, sets) -> "ProbeSets":
+        """From one (distinct keys, counts) pair per set; there must be
+        at least one set, and none may be empty."""
+        sets = list(sets)
+        if not sets:
+            raise InvalidConfigError("need at least one probe set")
+        sizes = tuple(int(counts.sum()) for _, counts in sets)
+        if not all(sizes):
+            raise InvalidConfigError("a probe set cannot be empty")
+        keys = _sorted_distinct(np.concatenate([k for k, _ in sets]))
+        return cls(keys, tuple(np.searchsorted(keys, k) for k, _ in sets),
+                   tuple(counts for _, counts in sets), sizes)
+
+    @classmethod
+    def from_arrays(cls, arrays) -> "ProbeSets":
+        """From plain key arrays, repeats allowed."""
+        return cls.of(np.unique(np.asarray(a, dtype=np.uint64), return_counts=True)
+                      for a in arrays)
+
+
+def measure_fpr(index: FrozenIndex, probe_sets: ProbeSets | list[np.ndarray]) -> float:
     """Mean false-positive fraction over independent, non-empty probe sets.
 
     Probes must be true negatives (the key-space carve-up guarantees
     this for generated workloads), so every positive verdict counts.
-    Each distinct key of a set is probed once; the set's fraction is its
-    positive probes over its size, the same float as the mean of its
-    verdicts.
+    The union of the sets' distinct keys is probed in one batch; a set's
+    fraction is its positive draws over its size, the same float as the
+    mean of its verdicts.  Plain key arrays are deduplicated first.
     """
-    if not probe_sets:
-        raise InvalidConfigError("need at least one probe set")
-    fracs = []
-    for probes in probe_sets:
-        if not len(probes):
-            raise InvalidConfigError("a probe set cannot be empty")
-        keys, counts = np.unique(probes, return_counts=True)
-        fracs.append(int(counts[index.query_keys(keys)].sum()) / len(probes))
+    if not isinstance(probe_sets, ProbeSets):
+        probe_sets = ProbeSets.from_arrays(probe_sets)
+    hit = index.query_keys(probe_sets.keys)
+    fracs = [int(counts[hit[rows]].sum()) / size for rows, counts, size
+             in zip(probe_sets.rows, probe_sets.counts, probe_sets.sizes)]
     return sum(fracs) / len(fracs)
 
 
@@ -316,19 +386,21 @@ def extra_bits_per_item(f: AdaptiveFilter) -> float:
     return arr.ext_slot_count * per_slot / arr.fp_count
 
 
-def make_probe_sets(spec: WorkloadSpec, probe_sets: int, probe_size: int) -> list[np.ndarray]:
+def make_probe_sets(spec: WorkloadSpec, probe_sets: int, probe_size: int) -> ProbeSets:
     """Independent query sets from the spec's distribution.
 
     Seeds are derived from the spec's, offset so they never collide
-    with the trace stream itself.
+    with the trace stream itself.  Set i holds the distinct keys of
+    gen_workload(replace(spec, count=probe_size, seed=...)) with their
+    counts, drawn once; the key sequence is never built.
     """
-    return [
-        gen_workload(replace(spec, count=probe_size, seed=spec.seed + 7919 * (i + 1)))
+    return ProbeSets.of(
+        _distinct_draws(replace(spec, count=probe_size, seed=spec.seed + 7919 * (i + 1)))
         for i in range(probe_sets)
-    ]
+    )
 
 
-def _trace(f: AdaptiveFilter, queries: np.ndarray, probes: list[np.ndarray],
+def _trace(f: AdaptiveFilter, queries: np.ndarray, probes: ProbeSets,
            every_pct: int, check=None, event=None) -> list[TraceRow]:
     """Adapting lookups of queries in steps of every_pct percent, with a
     checkpoint row before the first step and after each.  check(index,
@@ -388,7 +460,8 @@ def run_adaptation_trace(
         if not len(queries):
             raise InvalidConfigError("an external trace needs at least one key")
         rng = np.random.default_rng(0x5EED)
-        probes = [rng.choice(queries, size=probe_size) for _ in range(probe_sets)]
+        probes = ProbeSets.from_arrays(rng.choice(queries, size=probe_size)
+                                       for _ in range(probe_sets))
     return _trace(f, queries, probes, measure_every_pct)
 
 

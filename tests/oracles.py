@@ -496,20 +496,26 @@ def gen_workload_every_rank(spec) -> np.ndarray:
     return _permute(ranks, spec.universe, spec.perm_seed ^ 0xD6E8FEB8)
 
 
+def probe_arrays(spec, probe_sets: int, probe_size: int) -> list[np.ndarray]:
+    """make_probe_sets' sets as plain draws, each drawn by
+    gen_workload_every_rank."""
+    from dataclasses import replace
+
+    return [gen_workload_every_rank(replace(spec, count=probe_size,
+                                            seed=spec.seed + 7919 * (i + 1)))
+            for i in range(probe_sets)]
+
+
 def trace_fprs_rebuilt(f, workload, measure_every_pct, probe_sets, probe_size) -> list[float]:
     """run_adaptation_trace's FPR column, each checkpoint a fresh
     FrozenIndex of the table probed with every probe, duplicates
     included, and averaged with np.mean."""
-    from dataclasses import replace
-
     from aqf.core import FrozenIndex
     from aqf.workbench import WorkloadSpec
 
     if isinstance(workload, WorkloadSpec):
         queries = gen_workload_every_rank(workload)
-        probes = [gen_workload_every_rank(replace(workload, count=probe_size,
-                                                  seed=workload.seed + 7919 * (i + 1)))
-                  for i in range(probe_sets)]
+        probes = probe_arrays(workload, probe_sets, probe_size)
     else:
         queries = np.asarray(workload, dtype=np.uint64)
         rng = np.random.default_rng(0x5EED)

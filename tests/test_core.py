@@ -495,7 +495,7 @@ class TestFrozenIndex:
         assert got[: len(keys)].all()
         for k, verdict in zip(probes[::37], got[::37]):
             assert verdict == (arr.query_fp(HashStream(int(k), 10)) is not None)
-            assert index.contains(int(k)) == verdict
+            assert index.query_keys(np.array([k], dtype=np.uint64))[0] == verdict
 
 
 def assert_index_exact(arr, probes):

@@ -27,7 +27,8 @@ from aqf.hashing import (
     hash_word_batch,
     split,
 )
-from aqf.workbench import fill_to_load
+from aqf.setops import rebuild
+from aqf.workbench import CHURN_SPACE, fill_to_load
 
 from oracles import encode_filter_v1, mutants, relaid, reseal, reseal_filter, shorten_minirun
 
@@ -115,8 +116,8 @@ class TestInsertLookup:
             f.insert(k)
         rng = np.random.default_rng(52)
         index = f.frozen_index()
-        probes = [int(p) for p in rng.integers(1 << 32, 1 << 60, size=5000, dtype=np.uint64)
-                  if not index.contains(int(p))]
+        draws = rng.integers(1 << 32, 1 << 60, size=5000, dtype=np.uint64)
+        probes = [int(p) for p in draws[~index.query_keys(draws)]]
         before = f.map_accesses
         for p in probes:
             assert f.lookup(p) == (NOT_PRESENT, None)
@@ -317,6 +318,31 @@ class TestDegradation:
         assert f.lookup(y)[0] is CORRECTED
         assert f.lookup(y)[0] is NOT_PRESENT
         assert (f.adaptations, f.adaptation_failures) == (1, 2)
+
+    def test_adaptation_at_the_load_cap(self):
+        """Negatives alone fill the room below the load cap with
+        extension slots; this pins what the filter does from there."""
+        cfg = FilterConfig(q=10, r=4, seed=2)
+        f, keys = fill_to_load(cfg, 0.85, seed=2)
+        rng = np.random.default_rng(2)
+        negatives = rng.integers(CHURN_SPACE[0], CHURN_SPACE[1], size=20_000, dtype=np.uint64)
+        f.lookup_many(negatives)
+        assert not f.arr.has_room(1)
+        assert f.arr.ext_slot_count > 0 and f.adaptation_failures > 0
+        assert f.frozen_index().query_keys(keys).all()
+        assert {verdict for verdict, _ in f.lookup_many(keys)} == {PRESENT}
+
+        state = (f.to_bytes(), f.adaptations, f.adaptation_failures, f.map.accesses)
+        with pytest.raises(FilterFullError):
+            f.insert(CHURN_SPACE[0] + 5)
+        assert (f.to_bytes(), f.adaptations, f.adaptation_failures, f.map.accesses) == state
+
+        g = rebuild(f, 102)
+        assert g.arr.ext_slot_count == 0 and g.arr.has_room(1)
+        assert g.frozen_index().query_keys(keys).all()
+        more = rng.integers(CHURN_SPACE[0], CHURN_SPACE[1], size=2000, dtype=np.uint64)
+        assert CORRECTED in {verdict for verdict, _ in g.lookup_many(more)}
+        assert g.adaptations > 0
 
 
 class TestStoredKeysArePresent:

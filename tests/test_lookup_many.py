@@ -176,7 +176,7 @@ def test_a_corrected_key_is_walked_once_per_batch(monkeypatch):
     assert calls == [fp, 3]
     # the cached index still lets fp through; its walk answers
     # NOT_PRESENT once, and the copies after it are settled
-    assert b.arr.superset_index().contains(fp)
+    assert b.arr.superset_index().query_keys(np.array([fp], dtype=np.uint64))[0]
     calls.clear()
     assert b.lookup_many([fp] * 3) == scalar(a, [fp] * 3)
     assert calls == [fp]
@@ -216,7 +216,8 @@ def test_shortening_between_batches_drops_the_superset_index():
     stale = b.frozen_index()
     assert b.arr.superset_index() is stale
     # a key of the pair that the extended fingerprints both reject
-    probe = next(k for k in mates[60:] if not stale.contains(k))
+    probe = next(k for k in mates[60:]
+                 if not stale.query_keys(np.array([k], dtype=np.uint64))[0])
     a.delete(mates[0])
     b.delete(mates[0])
     # the owner's extension is gone, so probe collides with it again

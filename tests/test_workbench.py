@@ -1,12 +1,14 @@
 """Workload generation, experiment drivers, CSV plumbing, CLI surface."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import aqf.workbench as workbench
 from aqf.cli import main
+from aqf.core import FrozenIndex
 from aqf.errors import InvalidConfigError, StateCorruptionError
 from aqf.filter import AdaptiveFilter, Policy
 from aqf.hashing import FilterConfig
@@ -30,7 +32,13 @@ from aqf.workbench import (
     run_churn,
     zipf_normalizer,
 )
-from oracles import bit_text, gen_workload_every_rank, trace_fprs_rebuilt, zipf_ranks_numpy
+from oracles import (
+    bit_text,
+    gen_workload_every_rank,
+    probe_arrays,
+    trace_fprs_rebuilt,
+    zipf_ranks_numpy,
+)
 
 
 class TestWorkloadSpec:
@@ -270,6 +278,96 @@ class TestFillAndMeasure:
         assert f.arr.ext_slot_count > 0
         want = f.arr.ext_slot_count * (cfg.r + 3) / f.arr.fp_count
         assert extra_bits_per_item(f) == pytest.approx(want)
+
+
+class TestProbeSets:
+    SPECS = {
+        "zipfian": WorkloadSpec(kind="zipfian", count=0, seed=60, universe=10**5, perm_seed=61),
+        "uniform": WorkloadSpec(kind="uniform", count=0, seed=62, universe=3000),
+        "churn": WorkloadSpec(kind="churn", count=0, seed=63, universe=10**5, perm_seed=61),
+    }
+
+    @pytest.mark.parametrize("probe_size", [1, 2000])
+    @pytest.mark.parametrize("kind", SPECS)
+    def test_measure_fpr_is_the_mean_over_every_draw(self, kind, probe_size):
+        spec, n = self.SPECS[kind], 6
+        index = fill_to_load(FilterConfig(q=8, r=3, seed=64), 0.5, seed=65)[0].frozen_index()
+        sets = probe_arrays(spec, n, probe_size)
+        want = sum(float(np.mean(index.query_keys(p))) for p in sets) / n
+        probes = make_probe_sets(spec, n, probe_size)
+        assert measure_fpr(index, probes) == want
+        assert measure_fpr(index, sets) == want
+        if probe_size > 1:
+            assert want > 0
+        # each set is its distinct draws with their counts, and the union
+        # holds a key that several sets drew once
+        distinct = [np.unique(p, return_counts=True) for p in sets]
+        for (keys, counts), rows, got, size in zip(distinct, probes.rows, probes.counts,
+                                                   probes.sizes):
+            order = np.argsort(probes.keys[rows])
+            assert np.array_equal(probes.keys[rows][order], keys)
+            assert np.array_equal(got[order], counts) and size == probe_size
+        assert np.array_equal(probes.keys, np.unique(np.concatenate([k for k, _ in distinct])))
+        if probe_size > 1:
+            assert len(probes.keys) < sum(len(k) for k, _ in distinct)
+
+    def test_empty_sets_are_refused(self):
+        spec = self.SPECS["zipfian"]
+        for n, size in ((0, 10), (2, 0)):
+            with pytest.raises(InvalidConfigError):
+                make_probe_sets(spec, n, size)
+
+    @staticmethod
+    def count_calls(monkeypatch):
+        """Count FrozenIndex.query_keys (with its batch sizes),
+        workbench._zipf_ranks and np.unique calls."""
+        calls = {"query_keys": [], "_zipf_ranks": 0, "unique": 0}
+        query_keys, zipf_ranks, unique = FrozenIndex.query_keys, workbench._zipf_ranks, np.unique
+
+        def counted_query(index, keys):
+            calls["query_keys"].append(len(keys))
+            return query_keys(index, keys)
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(FrozenIndex, "query_keys", counted_query)
+        monkeypatch.setattr(workbench, "_zipf_ranks", counted("_zipf_ranks", zipf_ranks))
+        monkeypatch.setattr(np, "unique", counted("unique", unique))
+        return calls
+
+    @pytest.mark.parametrize("every_pct", [50, 10])
+    def test_one_probe_per_checkpoint_and_one_draw_per_set(self, monkeypatch, every_pct):
+        f = fill_to_load(FilterConfig(q=10, r=4, seed=66), 0.5, seed=67)[0]
+        spec = replace(self.SPECS["zipfian"], count=3000)
+        union = len(make_probe_sets(spec, 4, 500).keys)
+        calls = self.count_calls(monkeypatch)
+        rows = run_adaptation_trace(f, spec, measure_every_pct=every_pct, probe_sets=4,
+                                    probe_size=500)
+        assert len(rows) == 1 + 100 // every_pct
+        # a checkpoint probes the union once; between checkpoints
+        # lookup_many probes its batch against the superset index
+        step = 3000 * every_pct // 100
+        assert calls["query_keys"] == [union, step] * (len(rows) - 1) + [union]
+        assert calls["_zipf_ranks"] == 4 + 1
+        # the trace's ranks, each set's draws and the sets' union
+        assert calls["unique"] == 1 + 4 + 1
+
+    def test_churn_checkpoints_probe_the_union_once(self, monkeypatch):
+        f, keys = fill_to_load(FilterConfig(q=10, r=4, seed=68), 0.5, seed=69)
+        spec = WorkloadSpec(kind="churn", count=2000, seed=70, universe=10**5,
+                            interval_pct=25, replace_pct=20)
+        union = len(make_probe_sets(spec, 3, 400).keys)
+        calls = self.count_calls(monkeypatch)
+        rows = run_churn(f, keys, spec, probe_sets=3, probe_size=400)
+        # each checkpoint: the live-key check, then the probe sets' union;
+        # lookup_many's superset probe of each step's batch in between
+        assert calls["query_keys"] == [len(keys), union, 500] * (len(rows) - 1) + [
+            len(keys), union]
+        assert calls["_zipf_ranks"] == 3 + 1
 
 
 class TestAdaptationTrace:
