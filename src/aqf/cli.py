@@ -191,7 +191,7 @@ def cmd_bench(args) -> int:
     for k in neg:
         f.contains(int(k))
     t2 = time.perf_counter()
-    # builds the cached superset index on the way, as a first batch does
+    # builds the cached index on the way, as a first batch does
     f.lookup_many(neg)
     t3 = time.perf_counter()
     idx = f.frozen_index()

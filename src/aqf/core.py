@@ -110,6 +110,11 @@ _META_BITS = 3
 _READ = 128
 
 
+def max_used(nslots: int) -> int:
+    """The most used slots that a table of nslots slots may hold."""
+    return _LOAD_NUM * nslots // _LOAD_DEN
+
+
 def pack_minirun_id(quotient: int, remainder: int, q: int) -> int:
     """Minirun ids carry the remainder above the quotient so that the
     quotient width alone suffices to unpack them."""
@@ -306,12 +311,10 @@ class SlotArray:
         self.fp_count = 0
         self.ext_slot_count = 0
         self.ctr_slot_count = 0
-        # FrozenIndex whose positives are a superset of the current ones,
-        # or None; see superset_index()
-        self._superset = None
-        # minirun ids extended since _superset was exact, or None when it
-        # cannot be patched back to exact; see frozen_index()
-        self._touched = None
+        # the last exact FrozenIndex, or None, and the minirun ids
+        # extended since it was built; see frozen_index()
+        self._index = None
+        self._touched = set()
 
     # ------------------------------------------------------------------
     # word-level bit plumbing
@@ -465,7 +468,7 @@ class SlotArray:
         # quotient before qt; of those runs, the ones ending by qt's slot
         # are counted off, and the rest end past it
         dist = left - lo
-        ends = (ext + ((run & ~ext) << 1)) & ~ext  # as _Win.ends
+        ends = win.ends()
         skip = (occ & ((1 << dist) - 1)).bit_count() - (ends & ((2 << dist) - 1)).bit_count()
         return win, _select_end(ends, dist, skip) if skip else dist
 
@@ -505,7 +508,7 @@ class SlotArray:
 
     def has_room(self, extra: int) -> bool:
         """Whether ``extra`` more used slots stay within the load cap."""
-        return _LOAD_DEN * (self.used_count + extra) <= _LOAD_NUM * self.nslots
+        return self.used_count + extra <= max_used(self.nslots)
 
     def query_fp(self, stream: HashStream, start: int = 0,
                  pair: tuple[int, int] | None = None) -> tuple[int, int, int] | None:
@@ -546,7 +549,7 @@ class SlotArray:
         """
         if not self.has_room(1):
             raise FilterFullError("insert would exceed the load limit")
-        self._superset = self._touched = None
+        self._index = None
         vb = self.value_bits
         payload = (rem << vb) | (value & ((1 << vb) - 1))
 
@@ -613,7 +616,7 @@ class SlotArray:
             hi = self._open_slot(win, c0 + i, 0, 1, chunk << vb)
         self._store(win, c0, hi)
         self.ext_slot_count += len(chunks)
-        if self._touched is not None:
+        if self._index is not None:
             self._touched.add(mid)
 
     def get_count(self, mid: int, rank: int) -> int:
@@ -715,9 +718,7 @@ class SlotArray:
         self.fp_count -= 1
         self.ext_slot_count -= c0 - e0 + cut
         self.ctr_slot_count -= nxt - c0
-        self._touched = None
-        if cut:
-            self._superset = None
+        self._index = None
 
     def _close_slot(self, win: _Win, qt: int, fp: int, at: int) -> int:
         """Remove the slot at window offset ``at``, a slot of the
@@ -838,7 +839,7 @@ class SlotArray:
         width = 1 + cols.ext_len + cols.ctr_len
         ends = np.cumsum(width)
         total = int(ends[-1]) if len(ends) else 0
-        if _LOAD_DEN * total > _LOAD_NUM * n:
+        if total > max_used(n):
             raise FilterFullError(f"{total} slots exceed the load limit of {n}")
         before = ends - width
         drift = np.maximum.accumulate(cols.quot - before)
@@ -880,36 +881,17 @@ class SlotArray:
     def frozen_index(self) -> "FrozenIndex":
         """Exact index of the table as it is now.
 
-        The cached index comes back as it is when the table has not
-        changed since it was made, and patched (FrozenIndex.patched) when
-        fingerprints were only extended since; after an insert or a
-        removal the table is decoded again.  The result replaces the
-        cached superset index, being the tightest one available.  An
-        index once handed out never changes.
+        The last index is cached.  insert_fp and remove_fp drop it, and
+        the table is decoded again; extend_fp records its minirun id, and
+        the cached index is patched (FrozenIndex.patched); a count edit
+        leaves it as it is.  An index once handed out never changes.
         """
-        if self._touched is None:
-            self._superset = None  # not kept alive through the build
-            self._superset = FrozenIndex(self.cfg, self._columns())
+        if self._index is None:
+            self._index = FrozenIndex(self.cfg, self._columns())
         elif self._touched:
-            self._superset = self._superset.patched(self, self._touched)
-        self._touched = set()
-        return self._superset
-
-    def superset_index(self) -> "FrozenIndex":
-        """Index whose positives include every key the table matches now.
-
-        Built on first use and kept until a mutation that can widen the
-        match set.  Extending a fingerprint only narrows what it matches,
-        and removing one or rewriting its count leaves the other
-        fingerprints as they were, so only insert_fp and a shortening
-        remove_fp that cuts an extension drop the cache.  Extensions
-        since the cache was exact are recorded by minirun id, so that
-        frozen_index can patch it back to exact; any removal stops that.
-        """
-        if self._superset is None:
-            self._superset = FrozenIndex(self.cfg, self._columns())
-            self._touched = set()
-        return self._superset
+            self._index = self._index.patched(self, self._touched)
+        self._touched.clear()
+        return self._index
 
     # ------------------------------------------------------------------
     # accounting and serialization
@@ -1022,7 +1004,7 @@ class SlotArray:
         zero (_count_digits writes none).
         """
         n, vb = self.nslots, self.value_bits
-        if expect_used > (_LOAD_NUM * n) // _LOAD_DEN:
+        if expect_used > max_used(n):
             raise FormatError("used-slot count exceeds the load limit")
         rot = (anchor + 1) % n
         _, run, ext, occ = self._unpack(rot)
@@ -1090,12 +1072,10 @@ class FrozenIndex:
     one bucket.  The rare pairs whose fingerprints are all extended are
     flagged in ``all_ext``; their fingerprints keep their chunks on the
     side, in a zero-padded matrix that a probe hitting such a pair
-    compares column by column.  Exact for the columns it was built from.
-    Afterwards its positives stay a superset of the table's until a
-    fingerprint is inserted or a shortening delete cuts an extension,
-    since extending only narrows what a fingerprint matches.  After
-    extensions alone, patched() makes it exact again without decoding
-    the table.  Equivalence with the slot-walk query is pinned by tests.
+    compares column by column.  Exact for the columns it was built from;
+    after extensions alone, patched() makes it exact again without
+    decoding the table.  Equivalence with the slot-walk query is pinned
+    by tests.
     """
 
     # keys probed per pass; bounds the temporaries of a large batch

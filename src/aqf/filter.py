@@ -276,9 +276,9 @@ class AdaptiveFilter:
         Element i is what lookup(keys[i]) returns when the keys are
         looked up one by one in order, and the filter, its counters and
         the reverse map end in the same state.  The batch is first
-        probed against the array's superset index: a key it rejects
-        cannot match now, nor after any adaptation of this batch, so it
-        answers NOT_PRESENT without a walk.  The survivors go through
+        probed against the array's exact index (frozen_index): a key it
+        rejects cannot match now, nor after any adaptation of this batch,
+        so it answers NOT_PRESENT without a walk.  The survivors go through
         lookup() in order, except for settled keys: once lookup() has
         answered a key NOT_PRESENT or FALSE_POSITIVE_CORRECTED, no
         fingerprint matches it, and the only mutation inside a batch is
@@ -291,7 +291,7 @@ class AdaptiveFilter:
         """
         keys = _key_array(keys)
         out = [(LookupResult.NOT_PRESENT, None)] * len(keys)
-        survivors = np.flatnonzero(self.arr.superset_index().query_keys(keys))
+        survivors = np.flatnonzero(self.arr.frozen_index().query_keys(keys))
         settled = set()
         for i, key in zip(survivors.tolist(), keys[survivors].tolist()):
             if key in settled:

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _LOAD_DEN, _LOAD_NUM, FrozenIndex, _Cols, _ranges, pack_minirun_id
+from .core import FrozenIndex, _Cols, _ranges, max_used, pack_minirun_id
 from .errors import (
     ConstructionFailedError,
     FilterFullError,
@@ -161,7 +161,7 @@ class YesNoFilter:
         budget = adaptivity_budget(params, slack)
         need = params.n + (params.m if dynamic else 0) + -(-budget // r)
         q = 1
-        while _LOAD_DEN * need > _LOAD_NUM * (1 << q):
+        while need > max_used(1 << q):
             q += 1
             if q + r > 64:
                 raise InvalidConfigError(
@@ -255,9 +255,9 @@ class YesNoFilter:
 
 def _check_disjoint(yes: np.ndarray, no: np.ndarray) -> None:
     """Raise InvalidConfigError when a key of no is also a key of yes."""
-    distinct = np.unique(yes)
-    at = np.minimum(np.searchsorted(distinct, no), len(distinct) - 1)
-    both = no[distinct[at] == no]
+    ordered = np.sort(yes)
+    at = np.minimum(np.searchsorted(ordered, no), len(ordered) - 1)
+    both = no[ordered[at] == no]
     if len(both):
         raise InvalidConfigError(
             f"{len(np.unique(both))} key(s) appear on both lists; lists must be disjoint"

@@ -115,23 +115,22 @@ def test_decoder_and_writer_match_the_oracle(table, edits):
         (qt, rem), rank = live[pick % len(live)]
         mid = pack_minirun_id(qt, rem, cfg.q)
         ext, count, value = model[(qt, rem)][rank]
+        index = arr.frozen_index()
         if op == "remove":
             arr.remove_fp(mid, rank)
             model[(qt, rem)].pop(rank)
         elif op == "shorten":
-            index = arr.superset_index()
             arr.remove_fp(mid, rank, shorten=True)
             rest = model[(qt, rem)]
             rest.pop(rank)
             exts = shorten_minirun([row[0] for row in rest])
-            cut = exts != [row[0] for row in rest]
             model[(qt, rem)] = [(e, *row[1:]) for e, row in zip(exts, rest)]
-            # only a cut can widen what the table matches
-            assert (arr.superset_index() is index) == (not cut)
         else:
             count = 1 + arg % count
             arr.set_count(mid, rank, count)
             model[(qt, rem)][rank] = (ext, count, value)
+        # any removal rebuilds the cached index; a count edit keeps it
+        assert (arr.frozen_index() is index) == (op == "count")
         check(arr, model)
 
 

@@ -174,12 +174,12 @@ def test_a_corrected_key_is_walked_once_per_batch(monkeypatch):
     assert got == scalar(a, batch)
     assert got[0][0] is LookupResult.FALSE_POSITIVE_CORRECTED
     assert calls == [fp, 3]
-    # the cached index still lets fp through; its walk answers
-    # NOT_PRESENT once, and the copies after it are settled
-    assert b.arr.superset_index().query_keys(np.array([fp], dtype=np.uint64))[0]
+    # the next batch patches fp's correction into the cached index,
+    # which then rejects every copy of fp without a walk
     calls.clear()
     assert b.lookup_many([fp] * 3) == scalar(a, [fp] * 3)
-    assert calls == [fp]
+    assert calls == []
+    assert not b.frozen_index().query_keys(np.array([fp], dtype=np.uint64))[0]
     assert state(a) == state(b)
 
 
@@ -199,7 +199,23 @@ def test_insert_between_batches_is_seen():
     assert f.lookup_many([500]) == [(LookupResult.PRESENT, None)]
 
 
-def test_shortening_between_batches_drops_the_superset_index():
+def test_a_delete_drops_the_cached_index(monkeypatch):
+    owner = 12345
+    probe = same_pair_keys(SMALL, owner, 1)[0]
+    a, b = twins(Policy(), [owner], False)
+    # the first batch builds the index, which matches probe through
+    # owner's fingerprint, the only one stored
+    assert b.lookup_many([owner]) == scalar(a, [owner])
+    assert b.frozen_index().query_keys(np.array([probe], dtype=np.uint64))[0]
+    a.delete(owner)
+    b.delete(owner)
+    calls = counting_lookup(b, monkeypatch)
+    assert b.lookup_many([probe]) == scalar(a, [probe]) == [(LookupResult.NOT_PRESENT, None)]
+    assert calls == []
+    assert state(a) == state(b)
+
+
+def test_shortening_between_batches_drops_the_cached_index():
     cfg = FilterConfig(q=8, r=4, seed=11)
     owner = 12345
     mates = same_pair_keys(cfg, owner, 400)
@@ -211,10 +227,11 @@ def test_shortening_between_batches_drops_the_superset_index():
         f.insert(mates[0])
         fs.append(f)
     a, b = fs
-    # both fingerprints of the pair get extended, then the index is rebuilt
+    # both fingerprints of the pair get extended, then patched into the
+    # cached index
     assert b.lookup_many(mates[:60]) == scalar(a, mates[:60])
     stale = b.frozen_index()
-    assert b.arr.superset_index() is stale
+    assert b.frozen_index() is stale
     # a key of the pair that the extended fingerprints both reject
     probe = next(k for k in mates[60:]
                  if not stale.query_keys(np.array([k], dtype=np.uint64))[0])
@@ -224,6 +241,8 @@ def test_shortening_between_batches_drops_the_superset_index():
     want = scalar(a, [probe])
     assert want[0][0] is LookupResult.FALSE_POSITIVE_CORRECTED
     assert b.lookup_many([probe]) == want
+    # the delete dropped the index: the batch's one is built anew
+    assert b.frozen_index().base is not stale.base
     assert state(a) == state(b)
 
 

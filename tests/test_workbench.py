@@ -349,7 +349,7 @@ class TestProbeSets:
                                     probe_size=500)
         assert len(rows) == 1 + 100 // every_pct
         # a checkpoint probes the union once; between checkpoints
-        # lookup_many probes its batch against the superset index
+        # lookup_many probes its batch against the cached frozen_index()
         step = 3000 * every_pct // 100
         assert calls["query_keys"] == [union, step] * (len(rows) - 1) + [union]
         assert calls["_zipf_ranks"] == 4 + 1
@@ -364,7 +364,7 @@ class TestProbeSets:
         calls = self.count_calls(monkeypatch)
         rows = run_churn(f, keys, spec, probe_sets=3, probe_size=400)
         # each checkpoint: the live-key check, then the probe sets' union;
-        # lookup_many's superset probe of each step's batch in between
+        # lookup_many's frozen_index() probe of each step's batch in between
         assert calls["query_keys"] == [len(keys), union, 500] * (len(rows) - 1) + [
             len(keys), union]
         assert calls["_zipf_ranks"] == 3 + 1
