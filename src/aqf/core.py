@@ -55,10 +55,14 @@ Both scalar edits leave the layout that ``_lay_out`` would write.
 Snapshot (version 2).  Only the occupied, runend and extension vectors
 and the payloads are written, with a header that names the first unused
 slot; the used bits are rebuilt from those on load, and a CRC32 trailer
-covers all of it.  Loading accepts only bytes the encoder writes: a
-table that loads is in the layout ``_lay_out`` writes, which
-``SlotArray._reconstruct_used`` checks, and encodes back to the same
-bytes.
+covers all of it.  The payloads are packed with word arithmetic, 64
+slots to w words (``_pack_slots``), and the encoder hands out views of
+the table's words rather than copies (``SlotArray._parts``).  Loading
+accepts only bytes the encoder writes: a table that loads is in the
+layout ``_lay_out`` writes, which ``SlotArray._reconstruct_used``
+checks, with zero padding bits, and encodes back to the same bytes.
+The same pass over the rows yields the minirun ids in hash order, which
+a filter's load hands to the reverse map (``SlotArray._decode``).
 """
 
 from __future__ import annotations
@@ -88,7 +92,7 @@ from .hashing import (
     split,
     split_batch,
 )
-from .snapshot import ByteReader, pack_section, seal, unseal
+from .snapshot import ByteReader, le_bytes, section, sealed, unseal
 
 SNAPSHOT_MAGIC = b"AQF1"
 SNAPSHOT_VERSION = 2
@@ -108,6 +112,11 @@ _META_BITS = 3
 
 # slots a walk reads first on each side of its quotient
 _READ = 128
+
+# groups of 64 slots that the payload codec packs or unpacks per pass:
+# 256 KiB of slots, so that a pass's steps find them and their packed
+# words still in cache
+_CODEC_GROUPS = 1 << 9
 
 
 def max_used(nslots: int) -> int:
@@ -180,6 +189,73 @@ def _ones(x: int) -> list[int]:
     """Positions of the set bits of x, lowest first, found in C: one
     byte per bit of x's binary text, and compress keeps the nonzero."""
     return list(compress(count(), bin(x)[:1:-1].encode().translate(_BITS)))
+
+
+def _codec_plan(w: int):
+    """Where slot k of a 64-slot group lies in the group's w payload
+    words: its low bits' word k*w >> 6 and shift k*w & 63, the first
+    slot of each word, and the slots whose top bits spill into the next
+    word."""
+    k = np.arange(64)
+    word = (k * w) >> 6
+    shift = ((k * w) & 63).astype(np.uint64)
+    spill = np.flatnonzero(shift + np.uint64(w) > 64)
+    return word, shift, np.searchsorted(word, np.arange(w)), spill
+
+
+def _le_words(data, nwords: int) -> np.ndarray:
+    """data's bytes as nwords little-endian uint64 words, zero-padded."""
+    words = np.zeros(nwords, dtype="<u8")
+    words.view(np.uint8)[: len(data)] = np.frombuffer(data, dtype=np.uint8)
+    return words
+
+
+def _pack_slots(slots: np.ndarray, w: int) -> np.ndarray:
+    """Payloads below 2**w as a little-endian stream of w bits each, bit
+    k of slot i at stream bit i*w + k: its (n*w + 7) >> 3 bytes, uint8.
+
+    Each group of 64 slots fills exactly w uint64 words (see _codec_plan),
+    a block of _CODEC_GROUPS groups per pass: every slot shifted to its
+    place, the slots of each word or-ed together, and the spilled top
+    bits or-ed into the next words.  A partial last group is padded with
+    zero slots.
+    """
+    n = len(slots)
+    groups = (n + 63) >> 6
+    word, shift, firsts, spill = _codec_plan(w)
+    grid = slots
+    if n & 63:
+        grid = np.zeros(groups << 6, dtype=np.uint64)
+        grid[:n] = slots
+    grid = grid.reshape(groups, 64)
+    words = np.empty((groups, w), dtype="<u8")
+    for a in range(0, groups, _CODEC_GROUPS):
+        blk, out = grid[a : a + _CODEC_GROUPS], words[a : a + _CODEC_GROUPS]
+        np.bitwise_or.reduceat(blk << shift, firsts, axis=1, out=out)
+        out[:, word[spill] + 1] |= blk[:, spill] >> (np.uint64(64) - shift[spill])
+    return words.reshape(-1).view(np.uint8)[: (n * w + 7) >> 3]
+
+
+def _unpack_slots(data, n: int, w: int) -> np.ndarray:
+    """The n payloads that _pack_slots packed into data, as uint64; the
+    stream's padding bits are ignored."""
+    groups = (n + 63) >> 6
+    word, shift, _, spill = _codec_plan(w)
+    words = _le_words(data, groups * w).reshape(groups, w)
+    slots = np.empty((groups, 64), dtype=np.uint64)
+    mask = np.uint64((1 << w) - 1)
+    for a in range(0, groups, _CODEC_GROUPS):
+        blk, out = words[a : a + _CODEC_GROUPS], slots[a : a + _CODEC_GROUPS]
+        np.right_shift(blk[:, word], shift, out=out)
+        out[:, spill] |= blk[:, word[spill] + 1] << (np.uint64(64) - shift[spill])
+        out &= mask
+    return slots.reshape(-1)[:n]
+
+
+def _check_padding(blob, nbits: int, what: str) -> None:
+    """Refuse a set bit past the first nbits bits of blob's last byte."""
+    if nbits & 7 and blob[-1] >> (nbits & 7):
+        raise FormatError(f"padding bits set past the {what}")
 
 
 class _Cols(NamedTuple):
@@ -912,10 +988,6 @@ class SlotArray:
             bits_per_item=per_item,
         )
 
-    def _bits_to_bytes(self, vec: np.ndarray) -> bytes:
-        nbytes = (self.nslots + 7) >> 3
-        return vec.tobytes()[:nbytes]
-
     def to_bytes(self) -> bytes:
         """Serialize as version 2.
 
@@ -923,31 +995,42 @@ class SlotArray:
         used-slot count (u64) and the first unused slot (u64), the
         anchor from which the used bits are rebuilt on load.  Then
         length-prefixed sections: the occupied, runend and extension bit
-        vectors, and the slot width (u8) followed by the payloads packed
-        at that width.  A CRC32 of everything before it ends the bytes.
+        vectors, and the slot width w (u8) followed by the payloads
+        packed at w bits each, bit k of slot i at bit i*w + k of the
+        stream.  Each group of 64 slots so fills exactly w u64 words:
+        slot k of a group lies at shift k*w & 63 of its word k*w >> 6 and
+        spills into the next word when it crosses a word's end.  Padding
+        bits, past the last slot of a bit vector or the last payload, are
+        zero.  A CRC32 of everything before it ends the bytes.
         """
+        return b"".join(self._parts())
+
+    def _parts(self) -> list:
+        """to_bytes as a list of parts (see snapshot), the bit vectors as
+        views of their words."""
         cfg = self.cfg
         # the first unused slot, which the load cap guarantees
         word = int(np.flatnonzero(~self.used)[0])
         free = ~int(self.used[word])
         anchor = (word << 6) + (free & -free).bit_length() - 1
-        head = _HEAD.pack(SNAPSHOT_MAGIC, SNAPSHOT_VERSION, cfg.q, cfg.r, cfg.seed,
-                          self.used_count, anchor)
+        parts = [_HEAD.pack(SNAPSHOT_MAGIC, SNAPSHOT_VERSION, cfg.q, cfg.r, cfg.seed,
+                            self.used_count, anchor)]
+        nbytes = (self.nslots + 7) >> 3
+        for vec in (self.occ, self.run, self.ext):
+            parts += section([le_bytes(vec, "<u8")[:nbytes]])
         w = self.slot_bits
-        # bit k of slot i is payload bit i*w + k; one bit column per pass
-        bits = np.empty((self.nslots, w), dtype=np.uint8)
-        for k in range(w):
-            bits[:, k] = (self.slots >> np.uint64(k)) & np.uint64(1)
-        payload_bits = np.packbits(bits, bitorder="little").tobytes()
-        out = bytearray(head)
-        out += pack_section(self._bits_to_bytes(self.occ))
-        out += pack_section(self._bits_to_bytes(self.run))
-        out += pack_section(self._bits_to_bytes(self.ext))
-        out += pack_section(bytes([w]) + payload_bits)
-        return seal(bytes(out))
+        parts += section([bytes([w]), memoryview(_pack_slots(self.slots, w))])
+        return sealed(parts)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "SlotArray":
+        """Parse a version 2 snapshot (see to_bytes)."""
+        return cls._decode(data)[0]
+
+    @classmethod
+    def _decode(cls, data) -> tuple["SlotArray", np.ndarray]:
+        """from_bytes, and the minirun id of each fingerprint in hash
+        order, from the same pass over the table's rows."""
         rd = ByteReader(unseal(data))
         magic, version, q, r, seed, used_count, anchor = _HEAD.unpack(rd.take(_HEAD.size))
         if magic != SNAPSHOT_MAGIC:
@@ -975,27 +1058,31 @@ class SlotArray:
         if anchor >= n:
             raise FormatError(f"anchor slot {anchor} outside the table of {n} slots")
         arr = cls(cfg, value_bits=w - r)
-        for vec, blob in zip((arr.occ, arr.run, arr.ext), sections):
-            padded = bytes(blob) + b"\0" * (arr.nwords * 8 - len(blob))
-            vec[:] = np.frombuffer(padded, dtype=np.uint64)
-        bits = np.unpackbits(np.frombuffer(payload[1:], dtype=np.uint8), bitorder="little")
-        bits = bits[: n * w].reshape(n, w)
-        for k in range(w):
-            arr.slots |= bits[:, k].astype(np.uint64) << np.uint64(k)
-        arr._reconstruct_used(used_count, anchor)
-        return arr
+        for vec, blob, name in zip((arr.occ, arr.run, arr.ext), sections,
+                                   ("occupied", "runend", "extension")):
+            _check_padding(blob, n, f"last slot's {name} bit")
+            vec[:] = _le_words(blob, arr.nwords)
+        _check_padding(payload[1:], n * w, "last payload")
+        arr.slots = _unpack_slots(payload[1:], n, w)
+        return arr, arr._reconstruct_used(used_count, anchor)
 
-    def _reconstruct_used(self, expect_used: int, anchor: int) -> None:
-        """Rebuild the derived used bits from the canonical vectors, and
-        refuse a table that is not in the layout the encoder writes.
+    def _reconstruct_used(self, expect_used: int, anchor: int) -> np.ndarray:
+        """Rebuild the derived used bits from the canonical vectors, refuse
+        a table that is not in the layout the encoder writes, and return
+        the minirun id of each fingerprint in hash order, the reverse
+        map's row order: one pass over the table's rows for all of it.
 
         ``anchor`` must name the first unused slot, as the snapshot header
         does.  In coordinates rotated to start just past it no cluster
         wraps, so the k-th occupied quotient owns the k-th terminator
         (runend without extension).  Run k starts at the larger of its
         quotient and the end of run k-1, and ends at the first slot past
-        its terminator without the extension bit.  A slot is then used
-        while more runs have reached their quotient than have ended.
+        its terminator without the extension bit.  The runs tile the
+        clusters, so the used slots are those from each cluster's first
+        run start to its last run end.  Hash order is the rotated order
+        of the rows, turned so that the run of the smallest quotient
+        comes first.  Whole-table temporaries are dropped as soon as
+        they are spent, which bounds the peak of a load.
 
         The layout checks: every run starts with a remainder slot, the
         remainders of a run ascend, no extension chunk follows a counter
@@ -1012,13 +1099,19 @@ class SlotArray:
         T = np.flatnonzero(run & ~ext)
         if len(T) != len(Q):
             raise FormatError(f"{len(T)} run terminators for {len(Q)} occupied quotients")
-        # plain[i]: the first slot at or past i without the extension bit
-        plain = np.arange(n + 1)
-        plain[:n][ext] = n
-        end = np.minimum.accumulate(plain[::-1])[::-1][T + 1]
+        # a run ends at the first slot past its terminator without the
+        # extension bit: past the stretch of extension slots that follows
+        # the terminator, if one does
+        end = T + 1
+        tails = np.flatnonzero(np.append(ext, False)[end])
+        if tails.size:
+            E = np.flatnonzero(ext)
+            last = np.flatnonzero(np.diff(E, append=n + 1) != 1)  # each stretch's last
+            end[tails] = E[last[np.searchsorted(last, np.searchsorted(E, end[tails]))]] + 1
         start = np.maximum(Q, np.append(0, end[:-1]))
         if (T < start).any():
             raise FormatError("run has no terminator")
+        del T
         total = int((end - start).sum())
         if total != expect_used:
             raise FormatError(
@@ -1026,11 +1119,15 @@ class SlotArray:
             )
         if len(end) and end[-1] == n:
             raise FormatError("anchor slot decoded as used")
-        depth = np.zeros(n + 1, dtype=np.int64)
-        depth[Q] = 1
-        depth[end] -= 1
-        np.cumsum(depth, out=depth)
-        used = depth[:n] > 0
+        # the runs tile the clusters: a run that does not start where the
+        # run before it ends starts a cluster, and the run before it ends one
+        apart = np.ones(len(start) + 1, dtype=bool)
+        apart[1:-1] = start[1:] != end[:-1]
+        edge = np.zeros(n + 1, dtype=np.int8)
+        edge[start[apart[:-1]]] = 1
+        edge[end[apart[1:]]] = -1
+        used = np.cumsum(edge[:n], dtype=np.int8).view(bool)
+        del edge
         if ((run | ext) & ~used).any():
             raise FormatError("runend or extension bit on an unused slot")
         # slots 0 .. anchor - 1 sit at the rotated end, just before the anchor
@@ -1038,12 +1135,15 @@ class SlotArray:
             raise FormatError(f"anchor slot {anchor} is not the first unused slot")
         if ext[start].any():
             raise FormatError("run starts with an extension or counter slot")
+        del start, end
         if (run[:-1] & ext[:-1] & ext[1:] & ~run[1:]).any():
             raise FormatError("extension chunk after a counter digit")
         pay = np.concatenate([self.slots[rot:], self.slots[:rot]])
         R = np.flatnonzero(used & ~ext)
-        rem = pay[R] >> np.uint64(vb)
-        if ((rem[1:] < rem[:-1]) & ~run[R[:-1]]).any():
+        term = run[R]  # whether each row ends its run
+        mids = pay[R] >> np.uint64(vb)  # the remainders, then the ids
+        del R
+        if ((mids[1:] < mids[:-1]) & ~term[:-1]).any():
             raise FormatError("remainders out of order within a run")
         if np.logical_and(pay, ~used).any():
             raise FormatError("payload in an unused slot")
@@ -1052,11 +1152,25 @@ class SlotArray:
         digit = run & ext
         if not pay[digit & ~np.append(digit[1:], False)].all():
             raise FormatError("count ends in a zero counter digit")
+        del pay
+        run_of = np.cumsum(term)
+        run_of -= term
+        # hash order starts at quotient 0: the runs of the rotated
+        # quotients n - rot and up come first
+        cut = int(np.searchsorted(run_of, np.searchsorted(Q, n - rot)))
+        quot = Q[run_of]
+        del run_of
+        quot += rot
+        quot &= n - 1
+        mids <<= np.uint64(self.cfg.q)
+        mids |= quot.view(np.uint64)
+        del quot
         self._pack(used[None], rot)
         self.used_count = total
-        self.fp_count = len(R)
+        self.fp_count = len(mids)
         self.ext_slot_count = int(np.bitwise_count(self.ext & ~self.run).sum())
         self.ctr_slot_count = int(np.bitwise_count(self.ext & self.run).sum())
+        return np.concatenate((mids[cut:], mids[:cut]))
 
 
 class FrozenIndex:

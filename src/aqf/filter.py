@@ -18,7 +18,10 @@ space, which is why shortening defaults to off.
 A snapshot (version 2) holds the policy and the adaptation counters in
 its header, then the slot array's snapshot and the reverse map's key
 column, under one CRC32 trailer.  The map's minirun ids are not stored:
-loading rebuilds them from the slot array's columns in hash order.
+the slot array's loader derives them in hash order from the same pass
+over the rows that checks its layout.  The encoder collects the parts
+of all three (headers, length prefixes and views of the columns) and
+joins them once.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ from .hashing import (
     split_batch,
 )
 from .revmap import ReverseMap
-from .snapshot import ByteReader, pack_section, seal, unseal
+from .snapshot import ByteReader, section, sealed, unseal
 
 COMBINED_MAGIC = b"AQFS"
 COMBINED_VERSION = 2
@@ -406,8 +409,8 @@ class AdaptiveFilter:
         head = _HEAD.pack(COMBINED_MAGIC, COMBINED_VERSION, flags,
                           self.policy.max_extensions, self.arr.value_bits, 0,
                           self.adaptations, self.adaptivity_bits, self.adaptation_failures)
-        return seal(head + pack_section(self.arr.to_bytes())
-                    + pack_section(self.map.to_bytes()))
+        parts = [head, *section(self.arr._parts()), *section(self.map._parts())]
+        return b"".join(sealed(parts))
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "AdaptiveFilter":
@@ -432,14 +435,14 @@ class AdaptiveFilter:
             )
         except InvalidConfigError as exc:
             raise FormatError(str(exc)) from exc
-        arr = SlotArray.from_bytes(rd.section())
+        arr, mids = SlotArray._decode(rd.section())
         if arr.value_bits != value_bits:
             raise FormatError(
                 f"header says {value_bits} value bits, payload carries {arr.value_bits}"
             )
         map_blob = rd.section()
         rd.done()
-        revmap = ReverseMap.from_bytes(map_blob, arr.cfg.q, arr._columns().mids(arr.cfg.q))
+        revmap = ReverseMap.from_bytes(map_blob, arr.cfg.q, mids)
         return cls._from_parts(arr, revmap, policy, *counters)
 
     def save(self, path) -> None:

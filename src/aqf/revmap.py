@@ -56,7 +56,7 @@ from .errors import (
     UnsortedInputError,
 )
 from .hashing import MASK64
-from .snapshot import seal, unseal
+from .snapshot import le_bytes, sealed, unseal
 
 # value length sentinel meaning "no value stored"
 _NO_VALUE = 0xFFFFFFFF
@@ -333,13 +333,18 @@ class ReverseMap:
         other.  A CRC32 of everything before it ends the bytes.  The
         minirun ids are not written: the slot array implies them.
         """
+        return b"".join(self._parts())
+
+    def _parts(self) -> list:
+        """to_bytes as a list of parts (see snapshot), the key column as
+        a view of the map's own array."""
         _, keys, values = self._merged()
-        parts = [keys.astype("<u8").tobytes()]
+        parts = [le_bytes(keys, "<u8")]
         if values is not None:
             lengths = np.fromiter((_NO_VALUE if v is None else len(v) for v in values),
                                   dtype="<u4", count=len(values))
-            parts += [lengths.tobytes(), b"".join(filter(None, values))]
-        return seal(b"".join(parts))
+            parts += [le_bytes(lengths, "<u4"), b"".join(filter(None, values))]
+        return sealed(parts)
 
     @classmethod
     def from_bytes(cls, data: bytes, qbits: int, mids: np.ndarray) -> "ReverseMap":

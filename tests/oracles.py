@@ -276,6 +276,21 @@ def _slot_offsets(blob: bytes) -> tuple[int, int, int, int]:
     return n, nbytes, 34, blob[34 + 3 * (8 + nbytes) + 8]
 
 
+def payload_bits(payloads: np.ndarray, w: int) -> bytes:
+    """Payloads below 2**w packed through an n x w bit matrix: bit k of
+    payload i is bit i*w + k of the little-endian stream, zero-padded to
+    whole bytes."""
+    bits = (payloads[:, None] >> np.arange(w, dtype=np.uint64)) & np.uint64(1)
+    return np.packbits(bits.astype(np.uint8).ravel(), bitorder="little").tobytes()
+
+
+def payloads_of_bits(raw: bytes, n: int, w: int) -> np.ndarray:
+    """The n payloads (uint64) that payload_bits packed into raw."""
+    flat = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
+    bits = flat[: n * w].reshape(n, w).astype(np.uint64)
+    return (bits << np.arange(w, dtype=np.uint64)).sum(axis=1, dtype=np.uint64)
+
+
 def slot_fields(blob: bytes) -> tuple[list[np.ndarray], np.ndarray]:
     """The occupied, runend and extension bits (bool, one per slot) and
     the payloads (uint64, one per slot) of a version 2 slot snapshot,
@@ -286,9 +301,7 @@ def slot_fields(blob: bytes) -> tuple[list[np.ndarray], np.ndarray]:
         raw = np.frombuffer(blob[pos + 8 : pos + 8 + nbytes], dtype=np.uint8)
         rows.append(np.unpackbits(raw, bitorder="little")[:n].astype(bool))
         pos += 8 + nbytes
-    raw = np.frombuffer(blob[pos + 9 : pos + 9 + ((n * w + 7) >> 3)], dtype=np.uint8)
-    bits = np.unpackbits(raw, bitorder="little")[: n * w].reshape(n, w).astype(np.uint64)
-    return rows, (bits << np.arange(w, dtype=np.uint64)).sum(axis=1, dtype=np.uint64)
+    return rows, payloads_of_bits(blob[pos + 9 : pos + 9 + ((n * w + 7) >> 3)], n, w)
 
 
 def with_slot_fields(blob: bytes, rows: list[np.ndarray], payloads: np.ndarray) -> bytes:
@@ -300,8 +313,7 @@ def with_slot_fields(blob: bytes, rows: list[np.ndarray], payloads: np.ndarray) 
     for row in rows:
         out[pos + 8 : pos + 8 + nbytes] = np.packbits(row, bitorder="little").tobytes()
         pos += 8 + nbytes
-    bits = (payloads[:, None] >> np.arange(w, dtype=np.uint64)) & np.uint64(1)
-    packed = np.packbits(bits.astype(np.uint8).ravel(), bitorder="little").tobytes()
+    packed = payload_bits(payloads, w)
     out[pos + 9 : pos + 9 + len(packed)] = packed
     return reseal(bytes(out))
 

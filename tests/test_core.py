@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aqf import core
 from aqf.core import (
     FrozenIndex,
     HEADER_BITS,
@@ -24,8 +25,11 @@ from oracles import (
     encode_slots_v1,
     find_run,
     insert_whole,
+    payload_bits,
     ref_split,
     reseal,
+    slot_fields,
+    with_slot_fields,
 )
 
 C44 = FilterConfig(q=4, r=4)
@@ -475,6 +479,61 @@ class TestSnapshot:
         p = tmp_path / "table.aqf"
         p.write_bytes(arr.to_bytes())
         assert decode_raw(SlotArray.from_bytes(p.read_bytes())) == decode_raw(arr)
+
+
+@st.composite
+def payload_arrays(draw):
+    """(payloads below 2**w, w) for any slot width w; up to 300 slots, so
+    that some tables end in a partial group of 64."""
+    w = draw(st.integers(1, 63))
+    values = draw(st.lists(st.integers(0, (1 << w) - 1), min_size=1, max_size=300))
+    return np.array(values, dtype=np.uint64), w
+
+
+class TestPayloadCodec:
+    """The word-arithmetic packing against the bit-matrix reference."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=payload_arrays())
+    def test_pack_matches_the_bit_matrix_and_unpack_inverts_it(self, case):
+        payloads, w = case
+        packed = core._pack_slots(payloads, w)
+        assert packed.tobytes() == payload_bits(payloads, w)
+        assert np.array_equal(core._unpack_slots(packed, len(payloads), w), payloads)
+
+    @pytest.mark.parametrize("w", [1, 7, 9, 32, 63])
+    def test_blocks_join_seamlessly(self, monkeypatch, w):
+        """With two groups a block, 300 slots take three blocks, the last
+        of one partial group."""
+        monkeypatch.setattr(core, "_CODEC_GROUPS", 2)
+        payloads = np.random.default_rng(w).integers(0, 1 << w, size=300, dtype=np.uint64)
+        packed = core._pack_slots(payloads, w)
+        assert packed.tobytes() == payload_bits(payloads, w)
+        assert np.array_equal(core._unpack_slots(packed, 300, w), payloads)
+
+    @pytest.mark.parametrize("q", range(1, 9))
+    def test_filters_with_value_bits_round_trip(self, q):
+        """Tagged keys up to an eighth of the table short of the load
+        cap, then false positives corrected into that room: the
+        snapshot's payloads are the oracle's packing of the table's, and
+        it reloads to the same bytes."""
+        f = AdaptiveFilter(FilterConfig(q=q, r=5, seed=q), value_bits=2)
+        rng = np.random.default_rng(q)
+        keys = iter(rng.integers(0, 1 << 62, size=1 << 12).tolist())
+        while f.arr.has_room(1 + (1 << q) // 8):
+            f.insert(next(keys), tag=len(f) & 3)
+        for key in rng.integers(1 << 62, 1 << 63, size=500).tolist():
+            f.lookup(key)
+        assert f.arr.ext_slot_count or q < 3
+        blob = f.arr.to_bytes()
+        rows, pay = slot_fields(blob)
+        assert np.array_equal(pay, f.arr.slots)
+        assert with_slot_fields(blob, rows, pay) == blob
+        assert SlotArray.from_bytes(blob).to_bytes() == blob
+        whole = f.to_bytes()
+        back = AdaptiveFilter.from_bytes(whole)
+        assert back.to_bytes() == whole
+        back.check_consistency()
 
 
 class TestFrozenIndex:

@@ -731,6 +731,56 @@ def test_a_snapshot_off_the_layout_is_rejected(laid_filter, edit, match):
         AdaptiveFilter.from_bytes(reseal_filter(whole[:44] + bad + whole[44 + size :]))
 
 
+PADDED = ("occupied", "runend", "extension", "payload")
+
+
+@pytest.mark.parametrize("section", PADDED)
+@pytest.mark.parametrize("q", [1, 2])
+def test_a_set_padding_bit_is_rejected(q, section):
+    """At q <= 2 a bit vector's one byte holds bits past the last slot,
+    and 5-bit payloads end in a partial byte.  The encoder leaves those
+    bits zero, so a snapshot that sets them behind a valid trailer is
+    refused, through the slot array's loader and the filter's."""
+    f = AdaptiveFilter(FilterConfig(q=q, r=5, seed=1))
+    f.insert(7)
+    slots = f.arr.to_bytes()
+    n = 1 << q
+    if section == "payload":
+        at, nbits = len(slots) - 5, 5 * n
+    else:
+        at, nbits = 34 + 8 + 9 * PADDED.index(section), n
+    bad = bytearray(slots)
+    bad[at] |= 0xFF << (nbits & 7) & 0xFF
+    bad = reseal(bad)
+    with pytest.raises(FormatError, match="padding bits"):
+        SlotArray.from_bytes(bad)
+    whole = f.to_bytes()
+    size = int.from_bytes(whole[36:44], "little")
+    assert whole[44 : 44 + size] == slots
+    with pytest.raises(FormatError, match="padding bits"):
+        AdaptiveFilter.from_bytes(reseal_filter(whole[:44] + bad + whole[44 + size :]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(table=tables())
+def test_the_loader_derives_the_ids_of_the_columns(table):
+    """The minirun ids that a load derives from its one pass over the
+    rows, which the filter's load hands to the reverse map, are those of
+    the loaded table's columns in hash order, whatever cluster wraps the
+    seam and wherever the first unused slot lies."""
+    cfg, value_bits, fps = table
+    arr = SlotArray(cfg, value_bits=value_bits)
+    for (qt, rem, ext, count), v in fps:
+        try:
+            insert_whole(arr, qt, rem, ext, count, v & ((1 << value_bits) - 1))
+        except FilterFullError:
+            pass
+    back, mids = SlotArray._decode(arr.to_bytes())
+    assert mids.dtype == np.uint64
+    assert mids.tolist() == arr._columns().mids(cfg.q).tolist()
+    assert back.fp_count == len(mids) == arr.fp_count
+
+
 MUTATIONS = ("swap", "occupied", "runend", "extension", "value")
 
 

@@ -25,7 +25,7 @@ from aqf.errors import (
 from aqf.filter import AdaptiveFilter
 from aqf.hashing import FilterConfig
 from aqf.revmap import ReverseMap
-from aqf.snapshot import pack_section
+from aqf.snapshot import section
 from oracles import encode_map_v2, mutants, reseal
 
 NO_IDS = np.zeros(0, dtype=np.uint64)
@@ -310,8 +310,8 @@ class TestDecoderRejects:
         f.insert(20)
         arr = bytearray(f.arr.to_bytes())
         arr[8] = q
-        blob = (f.to_bytes()[:36] + pack_section(reseal(arr))
-                + pack_section(f.map.to_bytes()) + bytes(4))
+        blob = b"".join([f.to_bytes()[:36], *section([reseal(arr)]),
+                         *section([f.map.to_bytes()]), bytes(4)])
         with pytest.raises(FormatError, match="q must be"):
             AdaptiveFilter.from_bytes(reseal(blob))
 
