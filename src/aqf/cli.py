@@ -14,8 +14,8 @@ import numpy as np
 
 from .errors import ConstructionFailedError, FilterError, FilterFullError
 from .filter import AdaptiveFilter, Policy
-from .hashing import FilterConfig, split_batch
-from .setops import bulk_load, merge
+from .hashing import FilterConfig
+from .setops import _fill, merge
 from .workbench import (
     CHURN_SPACE,
     FILL_SPACE,
@@ -59,9 +59,7 @@ def _build_filter(args) -> tuple[AdaptiveFilter, np.ndarray]:
     cfg = FilterConfig(q=args.qbits, r=args.rbits, seed=args.seed)
     policy = Policy(auto_adapt=not getattr(args, "no_adapt", False))
     if getattr(args, "keys_file", None):
-        keys = _load_keys(args.keys_file)
-        keys = keys[np.argsort(split_batch(keys, cfg), kind="stable")]
-        return bulk_load(keys, cfg, policy=policy), keys
+        return _fill(_load_keys(args.keys_file), cfg, policy)
     return fill_to_load(cfg, args.load, seed=args.seed, policy=policy)
 
 

@@ -182,6 +182,26 @@ def _ranges(off: np.ndarray, length: np.ndarray) -> np.ndarray:
     return np.repeat(off - (ends - length), length) + np.arange(total)
 
 
+def _stable_order(keys: np.ndarray, bits: int) -> np.ndarray:
+    """The stable argsort of integer keys in [0, 2**bits), exactly.
+
+    Each key is joined with its index below it, (key << b) | i with b the
+    bit length of len(keys) - 1, so the composites are distinct and one
+    plain sort of them is the stable order; the indices are then read
+    back from their low bits in place.  When a key and an index do not
+    fit one 64-bit word together, numpy's stable argsort does the work.
+    """
+    b = max(len(keys) - 1, 0).bit_length()
+    if bits + b > 64:
+        return np.argsort(keys, kind="stable")
+    order = keys.astype(np.uint64)
+    order <<= np.uint64(b)
+    order |= np.arange(len(keys), dtype=np.uint64)
+    order.sort()
+    order &= np.uint64((1 << b) - 1)
+    return order.view(np.intp)
+
+
 _BITS = bytes.maketrans(b"01", b"\0\1")
 
 
@@ -912,7 +932,8 @@ class SlotArray:
         raise FilterFullError before anything is written.
         """
         n, vb = self.nslots, self.value_bits
-        width = 1 + cols.ext_len + cols.ctr_len
+        tails = cols.ext_len + cols.ctr_len
+        width = tails + 1
         ends = np.cumsum(width)
         total = int(ends[-1]) if len(ends) else 0
         if total > max_used(n):
@@ -929,23 +950,26 @@ class SlotArray:
         else:
             raise StateCorruptionError("layout overflow chase did not settle")
 
-        # one entry per slot filled: its row and its offset in that row
-        row = np.repeat(np.arange(len(width)), width)
-        inrow = np.arange(len(row)) - before[row]
-        slot = (at[row] + inrow) % n
-        tail = inrow > 0
+        # each row's remainder lands at its head slot, and its extension
+        # chunks, then its counter digits, in the tail slots after it
+        head = at % n
+        rows = np.flatnonzero(tails)
+        tail = _ranges(at[rows] + 1, tails[rows]) % n
+        digit = _ranges(at[rows] + 1 + cols.ext_len[rows], cols.ctr_len[rows]) % n
         last = np.ones(len(width), dtype=bool)  # run terminators
         last[:-1] = cols.quot[1:] != cols.quot[:-1]
-        bits = np.zeros((4, n), dtype=bool)  # used, run, ext, occ
-        bits[0, slot] = True
-        bits[1, slot[inrow > cols.ext_len[row]]] = True
-        bits[1, slot[before[last]]] = True
-        bits[2, slot[tail]] = True
-        bits[3, cols.quot[last]] = True
+        bits = np.zeros((4, n), dtype=bool)
+        used, run, ext, occ = bits
+        used[head] = True
+        used[tail] = True
+        run[head[last]] = True
+        run[digit] = True
+        ext[tail] = True
+        occ[cols.quot[last]] = True
         self._pack(bits, 0)
         self.slots[:] = 0
-        self.slots[slot[before]] = (cols.rem << np.uint64(vb)) | cols.value
-        self.slots[slot[tail]] = cols.chunks[(cols.ext_off[row] + inrow - 1)[tail]] << np.uint64(vb)
+        self.slots[head] = (cols.rem << np.uint64(vb)) | cols.value
+        self.slots[tail] = cols.chunks[_ranges(cols.ext_off[rows], tails[rows])] << np.uint64(vb)
         self.fp_count = len(cols.quot)
         self.ext_slot_count = int(cols.ext_len.sum())
         self.ctr_slot_count = int(cols.ctr_len.sum())
@@ -1253,7 +1277,7 @@ class FrozenIndex:
         for i, ext in enumerate(exts, kept):
             chunks[i, :len(ext)] = ext
         # stable, so that each pair's rows stay in rank order
-        order = np.argsort(cand_packed, kind="stable")
+        order = _stable_order(cand_packed, q + r)
         new.cand_packed, new.cand_len, new.cand_chunks = (
             cand_packed[order], cand_len[order], chunks[order])
         return new

@@ -10,6 +10,12 @@ first runs until it stops changing.  Load stays capped at 19/20, so a
 free slot always breaks the chase and the fixpoint is the same layout
 sequential insertion would have produced (pinned by tests).
 
+Keys in any order are sorted into hash order once, by ``_hash_order``
+(one ``core._stable_order`` sort of their packed pairs).  ``bulk_load``
+checks its sorted input, and ``_fill``, behind ``workbench.fill_to_load``
+and the CLI's key files, sorts its own; both hand the pairs to
+``_place``, so each key is hashed once.
+
 Merge and rebuild take one path, ``_build_rederived``: they read their
 inputs' tables and maps as columns in hash order
 (``SlotArray._columns`` and ``ReverseMap._columns``), which pair row by
@@ -24,7 +30,7 @@ import warnings
 
 import numpy as np
 
-from .core import SlotArray, _Cols, _ranges
+from .core import SlotArray, _Cols, _ranges, _stable_order
 from .errors import ConfigMismatchError, UnsortedInputError
 from .filter import AdaptiveFilter, Policy, _key_array
 # HashStream, split and extension_chunk are unused here but stay module
@@ -61,17 +67,39 @@ def bulk_load(items, cfg: FilterConfig, policy: Policy | None = None) -> Adaptiv
         for key, value in zip(keys.tolist(), values):
             ReverseMap.check_entry(key, value)
 
-    arr = SlotArray(cfg)
-    policy = policy if policy is not None else Policy()
-    if not len(keys):
-        return AdaptiveFilter._from_parts(arr, ReverseMap(cfg.q), policy)
     packed = split_batch(keys, cfg)
     if np.any(packed[1:] < packed[:-1]):
         raise UnsortedInputError("keys are not in (quotient, remainder) order")
+    return _place(keys, packed, values, cfg, policy)
+
+
+def _hash_order(keys: np.ndarray, cfg: FilterConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The stable order that sorts keys into hash order, so tied keys
+    keep their list order as rank order, and the keys' (quotient,
+    remainder) pairs (see split_batch) in that order."""
+    packed = split_batch(keys, cfg)
+    order = _stable_order(packed, cfg.q + cfg.r)
+    return order, packed[order]
+
+
+def _fill(keys: np.ndarray, cfg: FilterConfig,
+          policy: Policy | None) -> tuple[AdaptiveFilter, np.ndarray]:
+    """A filter of the uint64 keys, given in any order, and the keys in
+    the hash order they were placed in; each key is hashed once."""
+    order, packed = _hash_order(keys, cfg)
+    keys = keys[order]
+    return _place(keys, packed, None, cfg, policy), keys
+
+
+def _place(keys: np.ndarray, packed: np.ndarray, values: list | None, cfg: FilterConfig,
+           policy: Policy | None) -> AdaptiveFilter:
+    """A filter of bare fingerprints: keys[i], with values[i] (None: no
+    key has a value), at the pair packed[i]; packed is in hash order."""
     cols = _Cols.bare(packed, cfg.r)
+    arr = SlotArray(cfg)
     arr._lay_out(cols)
     revmap = ReverseMap._from_columns(cfg.q, cols.mids(cfg.q), keys, values)
-    return AdaptiveFilter._from_parts(arr, revmap, policy)
+    return AdaptiveFilter._from_parts(arr, revmap, policy if policy is not None else Policy())
 
 
 def _key_columns(f: AdaptiveFilter) -> tuple[_Cols, np.ndarray, list | None]:
@@ -97,9 +125,8 @@ def _build_rederived(cols: _Cols, keys: np.ndarray, values: list | None, cfg: Fi
     otherwise extensions are dropped and everything reverts to baseline.
     Rows whose fingerprints tie under cfg keep their order as rank order.
     """
-    packed = split_batch(keys, cfg)
-    order = np.argsort(packed, kind="stable")
-    cols, keys, packed = cols.take(order), keys[order], packed[order]
+    order, packed = _hash_order(keys, cfg)
+    cols, keys = cols.take(order), keys[order]
     ext_len = cols.ext_len if keep_ext else np.zeros_like(cols.ext_len)
     width = ext_len + cols.ctr_len
     off = np.cumsum(width) - width

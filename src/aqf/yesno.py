@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FrozenIndex, _Cols, _ranges, max_used, pack_minirun_id
+from .core import FrozenIndex, _Cols, _ranges, _stable_order, max_used, pack_minirun_id
 from .errors import (
     ConstructionFailedError,
     FilterFullError,
@@ -56,7 +56,7 @@ from .hashing import (  # noqa: F401
     split,
     split_batch,
 )
-from .setops import _build_rederived
+from .setops import _build_rederived, _hash_order
 
 YES = 1
 NO = 0
@@ -313,7 +313,7 @@ def _no_pass(yes: np.ndarray, packed: np.ndarray, hits: np.ndarray, cfg: FilterC
     np.maximum.at(ext_len, yes_of, reach)
     # the running max of reach per YES key, pairs in list order; reach
     # is at most max_extensions <= 255, so it fits below the key's bits
-    by_key = np.argsort(yes_of, kind="stable")
+    by_key = _stable_order(yes_of, (len(yes) - 1).bit_length())
     top = np.maximum.accumulate((yes_of[by_key] << 8) | reach[by_key])
     return ext_len, int(np.count_nonzero(np.diff(top, prepend=0)))
 
@@ -355,9 +355,8 @@ def build_static(
         _check_disjoint(yes, no)
         raise
     inner, cfg = f.inner, f.inner.cfg
-    packed = split_batch(yes, cfg)
-    order = np.argsort(packed, kind="stable")  # list order stays rank order
-    yes, packed = yes[order], packed[order]
+    order, packed = _hash_order(yes, cfg)  # list order stays rank order
+    yes = yes[order]
     hits = no[FrozenIndex(cfg, _Cols.bare(packed, cfg.r)).query_keys(no)]
     _check_disjoint(yes, hits)
 

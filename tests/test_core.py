@@ -64,6 +64,53 @@ class TestMinirunIds:
             assert unpack_minirun_id(pack_minirun_id(qt, rem, q), q) == (qt, rem)
 
 
+@st.composite
+def sort_keys(draw):
+    """(keys, bits): up to 200 int64 or uint64 keys below 2**bits, drawn
+    from a pool of at most 8 values that may hold 0 and 2**bits - 1, so
+    that ties are heavy."""
+    bits = draw(st.integers(0, 64))
+    top = (1 << bits) - 1
+    pool = draw(st.lists(st.one_of(st.just(0), st.just(top), st.integers(0, top)),
+                         min_size=1, max_size=8))
+    keys = draw(st.lists(st.sampled_from(pool), max_size=200))
+    dtype = np.uint64 if bits == 64 or draw(st.booleans()) else np.int64
+    return np.array(keys, dtype=dtype), bits
+
+
+class TestStableOrder:
+    """core._stable_order against numpy's stable argsort."""
+
+    @staticmethod
+    def check(keys, bits):
+        got = core._stable_order(keys, bits)
+        assert got.dtype == np.intp
+        assert np.array_equal(got, np.argsort(keys, kind="stable"))
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=sort_keys())
+    def test_equals_the_stable_argsort(self, case):
+        self.check(*case)
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint64])
+    def test_tiny_inputs(self, n, dtype):
+        self.check(np.array([5, 5][:n], dtype=dtype), 3)
+        self.check(np.array([6, 1][:n], dtype=dtype), 3)
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint64])
+    def test_all_equal_keys_at_the_top(self, dtype):
+        self.check(np.full(1000, (1 << 40) - 1, dtype=dtype), 40)
+
+    @pytest.mark.parametrize("bits", [57, 58, 59, 63, 64])
+    def test_both_sides_of_the_fallback(self, bits):
+        """64 keys need 6 index bits: up to bits 58 they share a word
+        with the key, past it the stable argsort takes over."""
+        pool = np.array([0, 1, (1 << bits - 1) - 1, 1 << bits - 1, (1 << bits) - 1],
+                        dtype=np.uint64)
+        self.check(np.random.default_rng(bits).choice(pool, size=64), bits)
+
+
 class TestNewFilter:
     def test_small_geometry(self):
         arr = SlotArray(C44)

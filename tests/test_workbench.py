@@ -11,7 +11,8 @@ from aqf.cli import main
 from aqf.core import FrozenIndex
 from aqf.errors import InvalidConfigError, StateCorruptionError
 from aqf.filter import AdaptiveFilter, Policy
-from aqf.hashing import FilterConfig
+from aqf.hashing import FilterConfig, split_batch
+from aqf.setops import bulk_load
 from aqf.workbench import (
     CHURN_SPACE,
     FILL_SPACE,
@@ -226,6 +227,22 @@ class TestFillAndMeasure:
         assert f.arr.space_report().load_factor == pytest.approx(0.5, abs=0.01)
         assert keys.min() >= FILL_SPACE[0] and keys.max() < FILL_SPACE[1]
         assert f.frozen_index().query_keys(keys).all()
+
+    @pytest.mark.parametrize("q", [8, 12, 16])
+    def test_fill_to_load_is_bulk_load_of_the_keys_in_hash_order(self, q):
+        """The fill hashes its keys once and places them itself; its keys,
+        table bytes and map are bulk_load's of the same draws sorted by
+        the stable argsort of their hashes."""
+        cfg = FilterConfig(q=q, r=9, seed=q)
+        f, keys = fill_to_load(cfg, 0.9, seed=q + 1)
+        drawn = np.random.default_rng(q + 1).integers(
+            FILL_SPACE[0], FILL_SPACE[1], size=int(0.9 * cfg.nslots), dtype=np.uint64)
+        sorted_keys = drawn[np.argsort(split_batch(drawn, cfg), kind="stable")]
+        ref = bulk_load(sorted_keys, cfg)
+        assert np.array_equal(keys, sorted_keys)
+        assert f.arr.to_bytes() == ref.arr.to_bytes()
+        assert f.map == ref.map
+        assert f.to_bytes() == ref.to_bytes()
 
     def test_fill_load_bounds(self):
         cfg = FilterConfig(q=8, r=6, seed=20)
@@ -647,6 +664,20 @@ class TestCli:
         rc = main(["build", "--qbits", "8", "--rbits", "8",
                    "--keys-file", str(empty)])
         assert rc == 1
+
+    def test_build_from_a_keys_file_places_them_in_hash_order(self, tmp_path, capsys):
+        """Keys from a file, repeats included, go in as bulk_load of the
+        same keys sorted by the stable argsort of their hashes."""
+        keys = np.random.default_rng(76).integers(0, 1 << 64, size=700, dtype=np.uint64)
+        keys[::7] = keys[1]
+        path, snap = tmp_path / "keys.u64", tmp_path / "f.aqf"
+        keys.astype("<u8").tofile(path)
+        assert main(["build", "--qbits", "10", "--rbits", "7", "--seed", "5",
+                     "--keys-file", str(path), "--out", str(snap)]) == 0
+        cfg = FilterConfig(q=10, r=7, seed=5)
+        ref = bulk_load(keys[np.argsort(split_batch(keys, cfg), kind="stable")], cfg)
+        assert snap.read_bytes() == ref.to_bytes()
+        assert "fingerprints 700" in capsys.readouterr().out
 
     def test_construction_failure_exits_two(self, tmp_path):
         from oracles import find_colliders
