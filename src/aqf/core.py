@@ -52,6 +52,17 @@ order.  ``SlotArray._lay_out`` writes such columns over a table, placing
 every run with one cumulative max, for merge, rebuild and bulk load.
 Both scalar edits leave the layout that ``_lay_out`` would write.
 
+Widths.  The payloads are stored in the smallest unsigned dtype that
+holds ``r + value_bits`` bits (``_slot_dtype``: uint16 at r = 9), and
+whole-table columns of slot and row positions, offsets and span lengths
+are int32 while the table has fewer than 2**31 slots, int64 past that
+(``_pos_dtype``); in columns, remainders, values and chunks take the
+slot dtype.  Scalar walks read a slot through ``.item()`` whatever its
+dtype.  Whole-table passes drop each temporary once it is spent, and
+the ones that count rows into buckets sorted by hash (the quotient
+directories) or compare them with hashes go a block of rows at a time
+(``_BLOCK``), so their temporaries stay small.
+
 Snapshot (version 2).  Only the occupied, runend and extension vectors
 and the payloads are written, with a header that names the first unused
 slot; the used bits are rebuilt from those on load, and a CRC32 trailer
@@ -113,6 +124,9 @@ _META_BITS = 3
 # slots a walk reads first on each side of its quotient
 _READ = 128
 
+# rows that a blockwise pass over whole-table columns takes at once
+_BLOCK = 1 << 14
+
 # groups of 64 slots that the payload codec packs or unpacks per pass:
 # 256 KiB of slots, so that a pass's steps find them and their packed
 # words still in cache
@@ -173,6 +187,50 @@ def _kept_chunks(exts: list[list[int]]) -> list[int]:
     return [max((min(_common_prefix(ext, other) + 1, len(ext))
                  for j, other in enumerate(exts) if j != k), default=0)
             for k, ext in enumerate(exts)]
+
+
+def _pos_dtype(n: int) -> type:
+    """The dtype of positions, offsets and counts below n: int32 while
+    n < 2**31, int64 past that.  Whole-table columns of slot positions,
+    row positions and span lengths take it."""
+    return np.int32 if n < 1 << 31 else np.int64
+
+
+def _slot_dtype(bits: int) -> type:
+    """The smallest unsigned dtype that holds bits-bit payloads: uint16
+    for a 9-bit remainder.  The table's slots, and remainders, values
+    and chunks in columns, take it."""
+    return next(t for t in (np.uint8, np.uint16, np.uint32, np.uint64)
+                if bits <= np.iinfo(t).bits)
+
+
+def _where(mask: np.ndarray) -> np.ndarray:
+    """Positions of the set entries of a bool array, in _pos_dtype."""
+    return np.flatnonzero(mask).astype(_pos_dtype(len(mask)))
+
+
+def _group_starts(*cols: np.ndarray) -> np.ndarray:
+    """Mask of the rows that open a group: the first row, and each row
+    that differs from the row before it in one of the columns."""
+    first = np.zeros(len(cols[0]), dtype=bool)
+    first[:1] = True
+    for col in cols:
+        first[1:] |= col[1:] != col[:-1]
+    return first
+
+
+def _bucket_starts(blocks, nbuckets: int, nrows: int) -> np.ndarray:
+    """A directory over nrows rows in bucket order, given their bucket
+    numbers in [0, nbuckets) block after block: entry b is the first row
+    of bucket b or a later one, entry nbuckets is nrows.  A block of
+    sorted buckets spans few of them, so each counts into its own span."""
+    out = np.zeros(nbuckets + 1, dtype=_pos_dtype(nrows))
+    for bucket in blocks:
+        if len(bucket):
+            lo = int(bucket[0])
+            out[lo + 1 : int(bucket[-1]) + 2] += np.bincount(bucket - lo)
+    np.cumsum(out, out=out)
+    return out
 
 
 def _ranges(off: np.ndarray, length: np.ndarray) -> np.ndarray:
@@ -245,7 +303,7 @@ def _pack_slots(slots: np.ndarray, w: int) -> np.ndarray:
     word, shift, firsts, spill = _codec_plan(w)
     grid = slots
     if n & 63:
-        grid = np.zeros(groups << 6, dtype=np.uint64)
+        grid = np.zeros(groups << 6, dtype=slots.dtype)
         grid[:n] = slots
     grid = grid.reshape(groups, 64)
     words = np.empty((groups, w), dtype="<u8")
@@ -257,18 +315,19 @@ def _pack_slots(slots: np.ndarray, w: int) -> np.ndarray:
 
 
 def _unpack_slots(data, n: int, w: int) -> np.ndarray:
-    """The n payloads that _pack_slots packed into data, as uint64; the
-    stream's padding bits are ignored."""
+    """The n payloads that _pack_slots packed into data, in _slot_dtype(w);
+    the stream's padding bits are ignored.  Each block is decoded in
+    uint64 words and narrowed as it is stored."""
     groups = (n + 63) >> 6
     word, shift, _, spill = _codec_plan(w)
     words = _le_words(data, groups * w).reshape(groups, w)
-    slots = np.empty((groups, 64), dtype=np.uint64)
+    slots = np.empty((groups, 64), dtype=_slot_dtype(w))
     mask = np.uint64((1 << w) - 1)
     for a in range(0, groups, _CODEC_GROUPS):
-        blk, out = words[a : a + _CODEC_GROUPS], slots[a : a + _CODEC_GROUPS]
-        np.right_shift(blk[:, word], shift, out=out)
-        out[:, spill] |= blk[:, word[spill] + 1] << (np.uint64(64) - shift[spill])
-        out &= mask
+        blk = words[a : a + _CODEC_GROUPS]
+        wide = blk[:, word] >> shift
+        wide[:, spill] |= blk[:, word[spill] + 1] << (np.uint64(64) - shift[spill])
+        np.bitwise_and(wide, mask, out=slots[a : a + _CODEC_GROUPS], casting="unsafe")
     return slots.reshape(-1)[:n]
 
 
@@ -284,7 +343,10 @@ class _Cols(NamedTuple):
 
     A fingerprint's extension chunks are chunks[ext_off:ext_off+ext_len]
     and its counter digits the ctr_len entries right after them.
-    Quotients and spans are int64; remainders, values and chunks uint64.
+    Quotients, extension offsets and spans take the table's position
+    dtype (_pos_dtype of its slot count), which holds any span a table
+    can store; remainders, values and chunks take its slot dtype
+    (_slot_dtype of its payload width).
     """
 
     quot: np.ndarray
@@ -296,22 +358,39 @@ class _Cols(NamedTuple):
     chunks: np.ndarray
 
     @classmethod
-    def build(cls, quot, rem, value, ext_len, ctr_len, chunks) -> "_Cols":
-        """Columns over a chunk array holding, fingerprint after
-        fingerprint, its extension chunks and then its counter digits."""
-        ext_len = np.asarray(ext_len, dtype=np.int64)
-        ctr_len = np.asarray(ctr_len, dtype=np.int64)
-        return cls(np.asarray(quot, dtype=np.int64), np.asarray(rem, dtype=np.uint64),
-                   np.asarray(value, dtype=np.uint64),
-                   np.cumsum(ext_len + ctr_len) - ext_len - ctr_len, ext_len, ctr_len,
-                   np.asarray(chunks, dtype=np.uint64))
+    def build(cls, cfg: FilterConfig, value_bits: int, packed: np.ndarray, value,
+              ext_len, ctr_len, chunks) -> "_Cols":
+        """Columns for a table of cfg with value_bits value bits, of the
+        pairs packed (see packed), over a chunk array holding,
+        fingerprint after fingerprint, its extension chunks and then its
+        counter digits."""
+        pos, slot = _pos_dtype(cfg.nslots), _slot_dtype(cfg.r + value_bits)
+        ext_len = np.asarray(ext_len, dtype=pos)
+        ctr_len = np.asarray(ctr_len, dtype=pos)
+        ext_off = ext_len + ctr_len
+        np.cumsum(ext_off, out=ext_off)
+        ext_off -= ext_len
+        ext_off -= ctr_len
+        return cls(*cls._split(packed, cfg, slot), np.asarray(value, dtype=slot), ext_off,
+                   ext_len, ctr_len, np.asarray(chunks, dtype=slot))
 
     @classmethod
-    def bare(cls, packed: np.ndarray, r: int) -> "_Cols":
+    def bare(cls, packed: np.ndarray, cfg: FilterConfig) -> "_Cols":
         """Bare fingerprints of the pairs packed (see packed), valued 0."""
-        zero = np.zeros(len(packed), dtype=np.int64)
-        return cls.build(packed >> np.uint64(r), packed & np.uint64((1 << r) - 1),
-                         zero, zero, zero, ())
+        zero = np.zeros(len(packed), dtype=_pos_dtype(cfg.nslots))
+        slot = _slot_dtype(cfg.r)
+        return cls(*cls._split(packed, cfg, slot), np.zeros(len(packed), dtype=slot),
+                   zero, zero, zero, np.zeros(0, dtype=slot))
+
+    @staticmethod
+    def _split(packed: np.ndarray, cfg: FilterConfig, slot: type) -> tuple[np.ndarray, np.ndarray]:
+        """The quotient and remainder columns of the pairs packed, each
+        narrowed as it is computed."""
+        quot = np.empty(len(packed), dtype=_pos_dtype(cfg.nslots))
+        np.right_shift(packed, np.uint64(cfg.r), out=quot, casting="unsafe")
+        rem = packed.astype(slot)  # the low bits, the remainder's among them
+        rem &= (1 << cfg.r) - 1
+        return quot, rem
 
     def take(self, idx) -> "_Cols":
         """The rows idx (indices or a mask), sharing the chunk array."""
@@ -322,13 +401,21 @@ class _Cols(NamedTuple):
         moved = other._replace(ext_off=other.ext_off + len(self.chunks))
         return _Cols(*(np.concatenate(pair) for pair in zip(self, moved)))
 
-    def packed(self, r: int) -> np.ndarray:
-        """(quotient << r) | remainder: the hash order of each row."""
-        return (self.quot.astype(np.uint64) << np.uint64(r)) | self.rem
+    def packed(self, r: int, rows=slice(None)) -> np.ndarray:
+        """(quotient << r) | remainder: the hash order of each row, or of
+        the rows ``rows`` (a slice, indices or a mask)."""
+        out = self.quot[rows].astype(np.uint64)
+        out <<= np.uint64(r)
+        out |= self.rem[rows]
+        return out
 
-    def mids(self, q: int) -> np.ndarray:
-        """Minirun id of each row (see pack_minirun_id)."""
-        return (self.rem << np.uint64(q)) | self.quot.astype(np.uint64)
+    def mids(self, q: int, rows=slice(None)) -> np.ndarray:
+        """Minirun id of each row, or of the rows ``rows`` (see
+        pack_minirun_id)."""
+        out = self.rem[rows].astype(np.uint64)
+        out <<= np.uint64(q)
+        np.bitwise_or(out, self.quot[rows], out=out, dtype=np.uint64, casting="unsafe")
+        return out
 
 
 class _Win:
@@ -402,7 +489,7 @@ class SlotArray:
         # that a range of all four moves in one numpy call
         self._meta = np.zeros((4, self.nwords), dtype=np.uint64)
         self.used, self.run, self.ext, self.occ = self._meta
-        self.slots = np.zeros(n, dtype=np.uint64)
+        self.slots = np.zeros(n, dtype=_slot_dtype(self.slot_bits))
         self.used_count = 0
         self.fp_count = 0
         self.ext_slot_count = 0
@@ -441,9 +528,11 @@ class SlotArray:
         """Overwrite the leading rows of the word matrix with bits laid out
         as _unpack(start)'s: all four rows, or only the used bits."""
         n = self.nslots
-        flat = np.zeros((len(bits), self.nwords << 6), dtype=bool)
-        flat[:, start:n] = bits[:, : n - start]
-        flat[:, :start] = bits[:, n - start :]
+        flat = bits  # already laid out as the words are
+        if start or n & 63:
+            flat = np.zeros((len(bits), self.nwords << 6), dtype=bool)
+            flat[:, start:n] = bits[:, : n - start]
+            flat[:, :start] = bits[:, n - start :]
         self._meta[: len(bits)] = np.packbits(flat, axis=1, bitorder="little").view(np.uint64)
 
     def _payloads(self, start: int, length: int) -> np.ndarray:
@@ -888,31 +977,36 @@ class SlotArray:
         only), then counter digits (both bits).
         """
         n, vb = self.nslots, self.value_bits
-        Q = np.flatnonzero(np.unpackbits(self.occ.view(np.uint8), bitorder="little")[:n].view(bool))
+        pos = _pos_dtype(n)
+        Q = _where(np.unpackbits(self.occ.view(np.uint8), bitorder="little")[:n].view(bool))
         start = 0
         if len(Q):
             win, at = self._walk_to_run(int(Q[0]))
             start = (win.base + at) % n
-        used, run, ext, _ = self._unpack(start)
+        used, run, ext = self._unpack(start)[:3]
         pay = np.concatenate([self.slots[start:], self.slots[:start]])
-        R = np.flatnonzero(used & ~ext)
+        R = _where(used & ~ext)
         ends_run = run[R]
-        run_of = np.cumsum(ends_run)
+        run_of = np.cumsum(ends_run, dtype=pos)
         run_of -= ends_run  # terminators before each row
         tails = np.flatnonzero(used & ext)
+        digits = run[tails]
+        del used, run, ext
         owner = np.searchsorted(R, tails, side="right") - 1
         if ends_run.sum() != len(Q) or (R.size and not ends_run[-1]) or (owner < 0).any():
             raise StateCorruptionError("runs and occupied quotients do not pair up")
-        ctr_len = np.bincount(owner[run[tails]], minlength=len(R))
-        ext_len = np.bincount(owner, minlength=len(R))
+        del ends_run, tails
+        ctr_len = np.bincount(owner[digits], minlength=len(R)).astype(pos)
+        ext_len = np.bincount(owner, minlength=len(R)).astype(pos)
         ext_len -= ctr_len
+        del owner, digits
         # the last columns are made in place of the arrays they come
         # from, so that the decode holds fewer whole-table temporaries
         value = pay[R]
-        rem = value >> np.uint64(vb)
-        value &= np.uint64((1 << vb) - 1)
+        rem = value >> vb
+        value &= (1 << vb) - 1
         R += 1  # the extension offsets
-        pay >>= np.uint64(vb)  # the chunks
+        pay >>= vb  # the chunks
         return _Cols(quot=Q[run_of], rem=rem, value=value, ext_off=R, ext_len=ext_len,
                      ctr_len=ctr_len, chunks=pay)
 
@@ -932,31 +1026,41 @@ class SlotArray:
         raise FilterFullError before anything is written.
         """
         n, vb = self.nslots, self.value_bits
+        pos = _pos_dtype(n)
         tails = cols.ext_len + cols.ctr_len
-        width = tails + 1
-        ends = np.cumsum(width)
-        total = int(ends[-1]) if len(ends) else 0
+        total = int(tails.sum()) + len(tails)
         if total > max_used(n):
             raise FilterFullError(f"{total} slots exceed the load limit of {n}")
-        before = ends - width
-        drift = np.maximum.accumulate(cols.quot - before)
-        at, floor = before + drift, 0
-        for _ in range(n + 1):
-            over = max(0, int(at[-1] + width[-1]) - n) if len(at) else 0
-            if over == floor:
-                break
-            floor = over
-            at = before + np.maximum(drift, floor)
-        else:
-            raise StateCorruptionError("layout overflow chase did not settle")
+        at = np.cumsum(tails, dtype=pos)
+        at -= tails
+        at += np.arange(len(tails), dtype=pos)  # the slots before each row
+        drift = cols.quot - at
+        np.maximum.accumulate(drift, out=drift)
+        # the overflow past the top of the table, the floor of every
+        # row's drift, follows the last row alone
+        floor = 0
+        if len(at):
+            # the last row's end less its drift, and its drift
+            tip, top = int(at[-1]) + int(tails[-1]) + 1, int(drift[-1])
+            for _ in range(n + 1):
+                over = max(0, tip + max(top, floor) - n)
+                if over == floor:
+                    break
+                floor = over
+            else:
+                raise StateCorruptionError("layout overflow chase did not settle")
+        np.maximum(drift, floor, out=drift)
+        at += drift
+        del drift
 
         # each row's remainder lands at its head slot, and its extension
         # chunks, then its counter digits, in the tail slots after it
-        head = at % n
         rows = np.flatnonzero(tails)
         tail = _ranges(at[rows] + 1, tails[rows]) % n
         digit = _ranges(at[rows] + 1 + cols.ext_len[rows], cols.ctr_len[rows]) % n
-        last = np.ones(len(width), dtype=bool)  # run terminators
+        head = at
+        head %= n
+        last = np.ones(len(tails), dtype=bool)  # run terminators
         last[:-1] = cols.quot[1:] != cols.quot[:-1]
         bits = np.zeros((4, n), dtype=bool)
         used, run, ext, occ = bits
@@ -966,10 +1070,13 @@ class SlotArray:
         run[digit] = True
         ext[tail] = True
         occ[cols.quot[last]] = True
+        del last, digit
         self._pack(bits, 0)
+        del bits, used, run, ext, occ
         self.slots[:] = 0
-        self.slots[head] = (cols.rem << np.uint64(vb)) | cols.value
-        self.slots[tail] = cols.chunks[_ranges(cols.ext_off[rows], tails[rows])] << np.uint64(vb)
+        self.slots[head] = (cols.rem << vb) | cols.value
+        del head
+        self.slots[tail] = cols.chunks[_ranges(cols.ext_off[rows], tails[rows])] << vb
         self.fp_count = len(cols.quot)
         self.ext_slot_count = int(cols.ext_len.sum())
         self.ctr_slot_count = int(cols.ctr_len.sum())
@@ -1115,28 +1222,32 @@ class SlotArray:
         zero (_count_digits writes none).
         """
         n, vb = self.nslots, self.value_bits
+        pos = _pos_dtype(n)
         if expect_used > max_used(n):
             raise FormatError("used-slot count exceeds the load limit")
         rot = (anchor + 1) % n
-        _, run, ext, occ = self._unpack(rot)
-        Q = np.flatnonzero(occ)
-        T = np.flatnonzero(run & ~ext)
+        run, ext, occ = self._unpack(rot)[1:]
+        Q = _where(occ)
+        T = _where(run & ~ext)
         if len(T) != len(Q):
             raise FormatError(f"{len(T)} run terminators for {len(Q)} occupied quotients")
         # a run ends at the first slot past its terminator without the
         # extension bit: past the stretch of extension slots that follows
-        # the terminator, if one does
+        # the terminator, if one does, whose last slot is the first
+        # stretch end at or after the slot past the terminator
         end = T + 1
         tails = np.flatnonzero(np.append(ext, False)[end])
         if tails.size:
-            E = np.flatnonzero(ext)
-            last = np.flatnonzero(np.diff(E, append=n + 1) != 1)  # each stretch's last
-            end[tails] = E[last[np.searchsorted(last, np.searchsorted(E, end[tails]))]] + 1
-        start = np.maximum(Q, np.append(0, end[:-1]))
+            last = _where(ext & ~np.append(ext[1:], False))
+            end[tails] = last[np.searchsorted(last, end[tails])] + 1
+        start = np.empty_like(end)
+        start[:1] = 0
+        start[1:] = end[:-1]
+        np.maximum(start, Q, out=start)
         if (T < start).any():
             raise FormatError("run has no terminator")
         del T
-        total = int((end - start).sum())
+        total = int(end.sum()) - int(start.sum())
         if total != expect_used:
             raise FormatError(
                 f"decoded {total} used slots, header says {expect_used}"
@@ -1163,38 +1274,42 @@ class SlotArray:
         if (run[:-1] & ext[:-1] & ext[1:] & ~run[1:]).any():
             raise FormatError("extension chunk after a counter digit")
         pay = np.concatenate([self.slots[rot:], self.slots[:rot]])
-        R = np.flatnonzero(used & ~ext)
+        R = _where(used & ~ext)
         term = run[R]  # whether each row ends its run
-        mids = pay[R] >> np.uint64(vb)  # the remainders, then the ids
+        rems = pay[R] >> vb
         del R
-        if ((mids[1:] < mids[:-1]) & ~term[:-1]).any():
+        if ((rems[1:] < rems[:-1]) & ~term[:-1]).any():
             raise FormatError("remainders out of order within a run")
         if np.logical_and(pay, ~used).any():
             raise FormatError("payload in an unused slot")
-        if (pay[ext] & np.uint64((1 << vb) - 1)).any():
+        if (pay[ext] & ((1 << vb) - 1)).any():
             raise FormatError("value bits on an extension or counter slot")
         digit = run & ext
         if not pay[digit & ~np.append(digit[1:], False)].all():
             raise FormatError("count ends in a zero counter digit")
         del pay
-        run_of = np.cumsum(term)
+        run_of = np.cumsum(term, dtype=pos)
         run_of -= term
+        quot = Q[run_of]
+        quot += rot
+        quot &= n - 1
         # hash order starts at quotient 0: the runs of the rotated
         # quotients n - rot and up come first
         cut = int(np.searchsorted(run_of, np.searchsorted(Q, n - rot)))
-        quot = Q[run_of]
         del run_of
-        quot += rot
-        quot &= n - 1
-        mids <<= np.uint64(self.cfg.q)
-        mids |= quot.view(np.uint64)
-        del quot
+        mids = np.empty(len(rems), dtype=np.uint64)
+        for part, rows in ((mids[: len(rems) - cut], slice(cut, None)),
+                           (mids[len(rems) - cut :], slice(0, cut))):
+            part[:] = rems[rows]
+            part <<= np.uint64(self.cfg.q)
+            np.bitwise_or(part, quot[rows], out=part, dtype=np.uint64, casting="unsafe")
+        del rems, quot
         self._pack(used[None], rot)
         self.used_count = total
         self.fp_count = len(mids)
         self.ext_slot_count = int(np.bitwise_count(self.ext & ~self.run).sum())
         self.ctr_slot_count = int(np.bitwise_count(self.ext & self.run).sum())
-        return np.concatenate((mids[cut:], mids[:cut]))
+        return mids
 
 
 class FrozenIndex:
@@ -1221,27 +1336,34 @@ class FrozenIndex:
 
     def __init__(self, cfg: FilterConfig, cols: _Cols):
         self.cfg = cfg
-        packed = cols.packed(cfg.r)
-        starts = np.flatnonzero(np.diff(packed, prepend=~packed[:1]))
-        self.base = packed[starts]
-        self.all_ext = np.minimum.reduceat((cols.ext_len > 0).astype(np.uint8),
-                                           starts).astype(bool)
-        counts = np.bincount((self.base >> np.uint64(cfg.r)).astype(np.intp),
-                             minlength=cfg.nslots)
-        dtype = np.int32 if self.base.size < 1 << 31 else np.int64
-        self.dir = np.zeros(cfg.nslots + 1, dtype=dtype)
-        np.cumsum(counts, out=self.dir[1:])
+        first = _group_starts(cols.quot, cols.rem)  # the first row of each pair
+        pair = np.cumsum(first, dtype=_pos_dtype(len(first)))
+        pair -= 1  # each row's pair
+        qt = cols.quot[first]
+        self.dir = _bucket_starts((qt[a : a + _BLOCK] for a in range(0, len(qt), _BLOCK)),
+                                  cfg.nslots, len(qt))
+        self.base = qt.astype(np.uint64)
+        del qt
+        self.base <<= np.uint64(cfg.r)
+        self.base |= cols.rem[first]
+        # a pair is all-extended when its first row is and no other row
+        # of it has no chunk
+        extended = cols.ext_len > 0
+        self.all_ext = extended[first]
+        self.all_ext[pair[~(extended | first)]] = False
+        del first
         # every fingerprint of an all-extended pair, sorted by pair,
         # chunks zero-padded to the longest extension
-        cand = np.flatnonzero(np.repeat(self.all_ext, np.diff(starts, append=len(packed))))
-        self.cand_packed = packed[cand]
-        self.cand_len = cols.ext_len[cand]
-        width = int(self.cand_len.max()) if cand.size else 0
-        self.cand_chunks = np.zeros((cand.size, width), dtype=np.uint64)
-        off = cols.ext_off[cand]
-        at = _ranges(off, self.cand_len)
-        row = np.repeat(np.arange(cand.size), self.cand_len)
-        self.cand_chunks[row, at - off[row]] = cols.chunks[at]
+        rows = np.flatnonzero(extended)
+        cand = cols.take(rows[self.all_ext[pair[rows]]])
+        del pair, extended
+        self.cand_packed = cand.packed(cfg.r)
+        self.cand_len = cand.ext_len
+        width = int(self.cand_len.max(initial=0))
+        self.cand_chunks = np.zeros((len(self.cand_len), width), dtype=_slot_dtype(cfg.r))
+        at = _ranges(cand.ext_off, self.cand_len)
+        row = np.repeat(np.arange(len(self.cand_len)), self.cand_len)
+        self.cand_chunks[row, at - cand.ext_off[row]] = cols.chunks[at]
 
     def patched(self, arr: SlotArray, mids) -> "FrozenIndex":
         """A new index equal to the FrozenIndex of arr's columns, given
@@ -1271,8 +1393,9 @@ class FrozenIndex:
         kept = int(keep.sum())
         cand_packed = np.concatenate([self.cand_packed[keep], np.array(pairs, dtype=np.uint64)])
         cand_len = np.concatenate([self.cand_len[keep], np.array([len(e) for e in exts],
-                                                                 dtype=np.int64)])
-        chunks = np.zeros((cand_len.size, int(cand_len.max(initial=0))), dtype=np.uint64)
+                                                                 dtype=self.cand_len.dtype)])
+        chunks = np.zeros((cand_len.size, int(cand_len.max(initial=0))),
+                          dtype=self.cand_chunks.dtype)
         chunks[:kept, :self.cand_chunks.shape[1]] = self.cand_chunks[keep]
         for i, ext in enumerate(exts, kept):
             chunks[i, :len(ext)] = ext

@@ -35,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import FrozenIndex, SlotArray, pack_minirun_id
+from .core import _BLOCK, FrozenIndex, SlotArray, pack_minirun_id
 from .errors import (
     AdaptationExhaustedError,
     FilterFullError,
@@ -352,34 +352,39 @@ class AdaptiveFilter:
         Verifies the map holds exactly one entry per fingerprint at the
         matching (id, rank), and that every stored fingerprint is a
         prefix of its owner key's hash.  Raises StateCorruptionError.
+
+        The table's columns and the map's rows both come in hash order,
+        ties in rank order, so they hold the same entries exactly when
+        every row has the same minirun id in both; the rows are compared
+        a block at a time.
         """
         cfg = self.cfg
         cols = self.arr._columns()
-        mids = cols.mids(cfg.q)
-        opens = np.ones(len(mids), dtype=bool)
-        opens[1:] = mids[1:] != mids[:-1]
-        first = np.flatnonzero(opens)
-        ids = mids[first]
-        sizes = np.diff(first, append=len(mids))
-        map_ids, lengths, keys, _ = self.map._columns()
-        if len(map_ids) != len(ids) or (map_ids != ids).any():
-            raise StateCorruptionError("filter and map disagree on minirun ids")
-        short = np.flatnonzero(lengths != sizes)
-        if short.size:
-            g = int(short[0])
-            raise StateCorruptionError(
-                f"minirun {ids[g]}: {sizes[g]} fingerprints, {lengths[g]} map entries"
-            )
-        bad = split_batch(keys, cfg) != cols.packed(cfg.r)
+        mids, keys, _ = self.map._merged()
+        if len(mids) != len(cols.quot):
+            raise StateCorruptionError(f"{len(cols.quot)} fingerprints, {len(mids)} map entries")
+        bad = np.empty(len(keys), dtype=bool)
+        for a in range(0, len(keys), _BLOCK):
+            rows = slice(a, a + _BLOCK)
+            ids = cols.mids(cfg.q, rows)
+            off = np.flatnonzero(ids != mids[rows])
+            if off.size:
+                at = int(off[0])
+                raise StateCorruptionError(
+                    f"filter and map disagree on minirun ids at row {a + at}: "
+                    f"{ids[at]} in the filter, {mids[a + at]} in the map")
+            bad[rows] = split_batch(keys[rows], cfg) != cols.packed(cfg.r, rows)
         for t in range(int(cols.ext_len.max(initial=0))):
             rows = np.flatnonzero(cols.ext_len > t)
             bad[rows] |= (extension_chunk_batch(keys[rows], cfg, t)
                           != cols.chunks[cols.ext_off[rows] + t])
         if bad.any():
             at = int(np.flatnonzero(bad)[0])
-            g = int(np.searchsorted(first, at, side="right")) - 1
+            first = at  # the minirun's first row
+            while first and mids[first - 1] == mids[at]:
+                first -= 1
             raise StateCorruptionError(
-                f"minirun {ids[g]} rank {at - first[g]} is not a prefix of key {keys[at]}"
+                f"minirun {mids[at]} rank {at - first} is not a prefix of key {keys[at]}"
             )
 
     def frozen_index(self) -> FrozenIndex:

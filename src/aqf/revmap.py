@@ -28,11 +28,11 @@ and leaves the overlay in place.  Live, a map without
 values takes about 20 bytes per key at q=20: 16 in the two columns, the
 rest in the directory.
 
-Whole-map passes move the map as columns.  ``_columns()`` hands out the
-ids, list lengths, keys and values in hash order, the row order of the
-slot array's ``_columns()``, so the two pair row by row: the filter's
-consistency check reads it, and merge and rebuild read it through
-``setops._key_columns``.  ``_from_columns()`` stores hash-ordered rows
+Whole-map passes move the map as columns.  ``_merged()`` hands out the
+id, key and value of every row in hash order, the row order of the slot
+array's ``_columns()``, so the two pair row by row, which the filter's
+consistency check compares; ``_columns()`` groups those rows by id, and
+merge and rebuild read it through ``setops._key_columns``.  ``_from_columns()`` stores hash-ordered rows
 as the base; bulk load, merge and rebuild build their maps with it, and
 no map is built by joining two maps.
 
@@ -51,7 +51,7 @@ import operator
 
 import numpy as np
 
-from .core import _ranges, _stable_order
+from .core import _BLOCK, _bucket_starts, _group_starts, _ranges, _stable_order, _where
 from .errors import (
     FormatError,
     InvalidConfigError,
@@ -73,6 +73,21 @@ _COMPACT_MIN = 64
 def _rotr(x: np.ndarray, k: int) -> np.ndarray:
     """uint64 values rotated right by k bits, 0 < k < 64."""
     return (x >> np.uint64(k)) | (x << np.uint64(64 - k))
+
+
+def _check_qbits(qbits: int) -> None:
+    if not 1 <= qbits <= 56:
+        raise InvalidConfigError(f"qbits {qbits} out of range [1, 56]")
+
+
+def _hash_ordered(mids: np.ndarray, q: int) -> bool:
+    """Whether ids are in hash order (quotient, then remainder), checked
+    a block at a time so that no whole-column temporary is made."""
+    for a in range(0, len(mids), _BLOCK):
+        at = _rotr(mids[a : a + _BLOCK + 1], q)
+        if (at[1:] < at[:-1]).any():
+            return False
+    return True
 
 
 def _join_values(*parts: tuple[list | None, int]) -> list | None:
@@ -98,15 +113,19 @@ class ReverseMap:
     column passes and the decoder count nothing.
     """
 
-    def __init__(self, qbits: int):
-        if not 1 <= qbits <= 56:
-            raise InvalidConfigError(f"qbits {qbits} out of range [1, 56]")
+    def __init__(self, qbits: int, base: tuple | None = None):
+        """An empty map, or one whose base is the rows base, as
+        _set_base takes them."""
+        _check_qbits(qbits)
         self.qbits = qbits
         self.accesses = 0
-        self._set_base(np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=np.uint64), None)
+        if base is None:
+            base = np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=np.uint64), None
+        self._set_base(*base)
 
     def _set_base(self, mids: np.ndarray, keys: np.ndarray, values: list | None) -> None:
-        """Make hash-ordered rows the base and empty the overlay.
+        """Make hash-ordered rows the base and empty the overlay; the
+        map keeps the arrays it is handed.
 
         values is None when every value is None.
         """
@@ -115,10 +134,10 @@ class ReverseMap:
         # bucket once the map holds over half as many rows as quotients
         bits = min(self.qbits, n.bit_length())
         self._qmask, self._qshift = (1 << self.qbits) - 1, self.qbits - bits
-        # a bucket is the top bits of the quotient, the id's low q bits
-        bucket = (mids & np.uint64(self._qmask)) >> np.uint64(self._qshift)
-        dirs = np.zeros((1 << bits) + 1, dtype=np.int32 if n < 1 << 31 else np.int64)
-        np.cumsum(np.bincount(bucket.astype(np.intp), minlength=1 << bits), out=dirs[1:])
+        # a bucket is the top bits of the quotient, the id's low q bits,
+        # so rows in hash order come in bucket order
+        dirs = _bucket_starts(((mids[a : a + _BLOCK].view(np.intp) & self._qmask) >> self._qshift
+                               for a in range(0, n, _BLOCK)), 1 << bits, n)
         self._mids, self._keys, self._values = mids, keys, values
         # memoryviews index to Python ints without a numpy scalar
         self._midv, self._keyv, self._dirv = memoryview(mids), memoryview(keys), memoryview(dirs)
@@ -312,14 +331,15 @@ class ReverseMap:
         """(ids, lengths, keys, values) in hash order.
 
         ids is a uint64 array of the minirun ids sorted by quotient, then
-        remainder; lengths (int64) gives each id's list length; keys
-        (uint64) and values (a list, or None when every value is None)
-        hold the entries of those lists one after the other, each list in
-        rank order.
+        remainder; lengths (in _pos_dtype) gives each id's list length;
+        keys (uint64) and values (a list, or None when every value is
+        None) hold the entries of those lists one after the other, each
+        list in rank order.
         """
         mids, keys, values = self._merged()
-        starts = np.flatnonzero(np.diff(mids, prepend=~mids[:1]))
-        return (mids[starts], np.diff(starts, append=len(mids)), keys,
+        first = _group_starts(mids)
+        starts = _where(first)
+        return (mids[first], np.diff(starts, append=starts.dtype.type(len(mids))), keys,
                 None if values is None else list(values))
 
     @classmethod
@@ -329,17 +349,16 @@ class ReverseMap:
         stands for a value of None at every key.
 
         Each list's rows come in rank order.  Rows in hash order become
-        the base as they are; others are stably sorted into it first.
+        the base as they are, and the map keeps the arrays, which the
+        caller no longer uses; others are stably sorted into it first.
         Counts one access per entry, as building it with map_insert
         would.
         """
-        m = cls(qbits)
-        rows = (np.array(mids, dtype=np.uint64), np.array(keys, dtype=np.uint64),
+        rows = (np.asarray(mids, dtype=np.uint64), np.asarray(keys, dtype=np.uint64),
                 _join_values((values, len(keys))))
-        order = _rotr(rows[0], qbits)
-        if (order[1:] < order[:-1]).any():
+        if not _hash_ordered(rows[0], qbits):
             rows = _sort_rows(qbits, *rows)
-        m._set_base(*rows)
+        m = cls(qbits, rows)
         m.accesses = len(keys)
         return m
 
@@ -378,14 +397,13 @@ class ReverseMap:
         rest exactly.  The lengths are summed and checked against the
         bytes at hand before any value is cut out.
         """
-        m = cls(qbits)
+        _check_qbits(qbits)
         body = unseal(data)
         n = len(mids)
         if len(body) < 8 * n:
             raise FormatError(f"map section of {len(body)} bytes is short of {n} keys")
         mids = np.asarray(mids, dtype=np.uint64)
-        order = _rotr(mids, qbits)
-        if (order[1:] < order[:-1]).any():
+        if not _hash_ordered(mids, qbits):
             raise UnsortedInputError("minirun ids are not in hash order")
         keys = np.frombuffer(body, dtype="<u8", count=n).astype(np.uint64)
         rest = body[8 * n :]
@@ -404,5 +422,4 @@ class ReverseMap:
                                   f"the section holds {len(blob)}")
             values = [blob[a - k : a] if h else None
                       for a, k, h in zip(ends.tolist(), lengths.tolist(), held.tolist())]
-        m._set_base(mids, keys, values)
-        return m
+        return cls(qbits, (mids, keys, values))

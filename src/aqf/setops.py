@@ -13,8 +13,11 @@ sequential insertion would have produced (pinned by tests).
 Keys in any order are sorted into hash order once, by ``_hash_order``
 (one ``core._stable_order`` sort of their packed pairs).  ``bulk_load``
 checks its sorted input, and ``_fill``, behind ``workbench.fill_to_load``
-and the CLI's key files, sorts its own; both hand the pairs to
-``_place``, so each key is hashed once.
+and the CLI's key files, sorts its own; both hand the pairs, as bare
+fingerprint columns, to ``_place``, so each key is hashed once.  The
+filter's map keeps the key array it is handed, so neither hands it an
+array that the caller still holds: ``bulk_load`` copies a key array of
+the caller's, and ``_fill`` returns a copy of its sorted keys.
 
 Merge and rebuild take one path, ``_build_rederived``: they read their
 inputs' tables and maps as columns in hash order
@@ -70,7 +73,9 @@ def bulk_load(items, cfg: FilterConfig, policy: Policy | None = None) -> Adaptiv
     packed = split_batch(keys, cfg)
     if np.any(packed[1:] < packed[:-1]):
         raise UnsortedInputError("keys are not in (quotient, remainder) order")
-    return _place(keys, packed, values, cfg, policy)
+    if np.may_share_memory(keys, items):
+        keys = keys.copy()  # the map keeps the keys it is handed
+    return _place(keys, _Cols.bare(packed, cfg), values, cfg, policy)
 
 
 def _hash_order(keys: np.ndarray, cfg: FilterConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -84,18 +89,24 @@ def _hash_order(keys: np.ndarray, cfg: FilterConfig) -> tuple[np.ndarray, np.nda
 
 def _fill(keys: np.ndarray, cfg: FilterConfig,
           policy: Policy | None) -> tuple[AdaptiveFilter, np.ndarray]:
-    """A filter of the uint64 keys, given in any order, and the keys in
-    the hash order they were placed in; each key is hashed once."""
+    """A filter of the uint64 keys, given in any order, and a copy of
+    the keys in the hash order they were placed in (the filter's map
+    keeps the keys themselves); each key is hashed once."""
     order, packed = _hash_order(keys, cfg)
     keys = keys[order]
-    return _place(keys, packed, None, cfg, policy), keys
+    del order
+    cols = _Cols.bare(packed, cfg)
+    del packed
+    f = _place(keys, cols, None, cfg, policy)
+    del cols
+    return f, keys.copy()
 
 
-def _place(keys: np.ndarray, packed: np.ndarray, values: list | None, cfg: FilterConfig,
+def _place(keys: np.ndarray, cols: _Cols, values: list | None, cfg: FilterConfig,
            policy: Policy | None) -> AdaptiveFilter:
-    """A filter of bare fingerprints: keys[i], with values[i] (None: no
-    key has a value), at the pair packed[i]; packed is in hash order."""
-    cols = _Cols.bare(packed, cfg.r)
+    """A filter of the bare fingerprints cols (see _Cols.bare), in hash
+    order: row i holds keys[i], with values[i] (None: no key has a
+    value).  The filter's map keeps keys."""
     arr = SlotArray(cfg)
     arr._lay_out(cols)
     revmap = ReverseMap._from_columns(cfg.q, cols.mids(cfg.q), keys, values)
@@ -130,16 +141,17 @@ def _build_rederived(cols: _Cols, keys: np.ndarray, values: list | None, cfg: Fi
     ext_len = cols.ext_len if keep_ext else np.zeros_like(cols.ext_len)
     width = ext_len + cols.ctr_len
     off = np.cumsum(width) - width
-    chunks = np.empty(int(width.sum()), dtype=np.uint64)
+    arr = SlotArray(cfg, value_bits=value_bits)
+    chunks = np.empty(int(width.sum()), dtype=arr.slots.dtype)
     for t in range(int(ext_len.max(initial=0))):
         rows = np.flatnonzero(ext_len > t)
         chunks[off[rows] + t] = extension_chunk_batch(keys[rows], cfg, t)
     chunks[_ranges(off + ext_len, cols.ctr_len)] = cols.chunks[
         _ranges(cols.ext_off + cols.ext_len, cols.ctr_len)]
+    del width, off
 
-    arr = SlotArray(cfg, value_bits=value_bits)
-    new = _Cols.build(packed >> np.uint64(cfg.r), packed & np.uint64((1 << cfg.r) - 1),
-                      cols.value, ext_len, cols.ctr_len, chunks)
+    new = _Cols.build(cfg, value_bits, packed, cols.value, ext_len, cols.ctr_len, chunks)
+    del cols, packed, chunks
     arr._lay_out(new)
     if values is not None:
         values = list(map(values.__getitem__, order.tolist()))

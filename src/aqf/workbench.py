@@ -323,8 +323,9 @@ def fill_to_load(
         raise InvalidConfigError(f"load {load} outside [0, {cap}]")
     n_keys = int(load * cfg.nslots)
     rng = np.random.default_rng(seed)
-    keys = rng.integers(FILL_SPACE[0], FILL_SPACE[1], size=n_keys, dtype=np.uint64)
-    return _fill(keys, cfg, policy)
+    # handed over without a name, so that _fill drops the draw once sorted
+    return _fill(rng.integers(FILL_SPACE[0], FILL_SPACE[1], size=n_keys, dtype=np.uint64),
+                 cfg, policy)
 
 
 @dataclass(frozen=True, eq=False)

@@ -38,7 +38,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FrozenIndex, _Cols, _ranges, _stable_order, max_used, pack_minirun_id
+from .core import (
+    FrozenIndex,
+    _Cols,
+    _pos_dtype,
+    _ranges,
+    _stable_order,
+    max_used,
+    pack_minirun_id,
+)
 from .errors import (
     ConstructionFailedError,
     FilterFullError,
@@ -268,8 +276,9 @@ def _place_yes(inner: AdaptiveFilter, yes: np.ndarray, ext_len: np.ndarray) -> A
     """A filter like inner holding every YES key, tagged YES, with
     ext_len[i] chunks of its own stream after key i's fingerprint.  yes
     is in hash order, ties in rank order."""
-    bare = np.zeros(len(yes), dtype=np.int64)
-    cols = _Cols.build(bare, bare, np.full(len(yes), YES), ext_len, bare, ())
+    zero = np.zeros(len(yes), dtype=np.uint64)
+    cols = _Cols.build(inner.cfg, inner.value_bits, zero, np.full(len(yes), YES), ext_len,
+                       zero, ())
     return _build_rederived(cols, yes, None, inner.cfg, inner.policy,
                             inner.value_bits, keep_ext=True)
 
@@ -298,7 +307,8 @@ def _no_pass(yes: np.ndarray, packed: np.ndarray, hits: np.ndarray, cfg: FilterC
     # in rank order
     no_of = np.repeat(np.arange(len(hits)), count)
     yes_of = _ranges(lo, count)
-    reach = np.zeros(len(yes_of), dtype=np.int64)  # d + 1
+    pos = _pos_dtype(cfg.nslots)
+    reach = np.zeros(len(yes_of), dtype=pos)  # d + 1
     live = np.arange(len(yes_of))
     for t in range(max_extensions):
         if not live.size:
@@ -309,7 +319,7 @@ def _no_pass(yes: np.ndarray, packed: np.ndarray, hits: np.ndarray, cfg: FilterC
         live = live[same]
     if live.size:
         return None
-    ext_len = np.zeros(len(yes), dtype=np.int64)
+    ext_len = np.zeros(len(yes), dtype=pos)
     np.maximum.at(ext_len, yes_of, reach)
     # the running max of reach per YES key, pairs in list order; reach
     # is at most max_extensions <= 255, so it fits below the key's bits
@@ -357,7 +367,7 @@ def build_static(
     inner, cfg = f.inner, f.inner.cfg
     order, packed = _hash_order(yes, cfg)  # list order stays rank order
     yes = yes[order]
-    hits = no[FrozenIndex(cfg, _Cols.bare(packed, cfg.r)).query_keys(no)]
+    hits = no[FrozenIndex(cfg, _Cols.bare(packed, cfg)).query_keys(no)]
     _check_disjoint(yes, hits)
 
     settled = _no_pass(yes, packed, hits, cfg, inner.policy.max_extensions)

@@ -27,6 +27,7 @@ from oracles import (
     insert_whole,
     payload_bits,
     ref_split,
+    relaid,
     reseal,
     slot_fields,
     with_slot_fields,
@@ -648,6 +649,76 @@ fp_spec = st.tuples(
     st.integers(0, 4),
     st.sampled_from([1, 1, 1, 2, 40]),
 )
+
+
+# slot widths r + value_bits on both sides of each slot dtype's edge
+SLOT_DTYPES = {8: np.uint8, 9: np.uint16, 16: np.uint16, 17: np.uint32, 32: np.uint32,
+               33: np.uint64, 63: np.uint64}
+
+
+@st.composite
+def width_tables(draw):
+    """(cfg, value bits, fingerprint specs, values, long): a table whose
+    payloads are w bits wide for a w of SLOT_DTYPES; with long, q is 9
+    and one fingerprint carries 255 extension chunks and counter digits."""
+    w = draw(st.sampled_from(sorted(SLOT_DTYPES)))
+    long = draw(st.booleans())
+    q = 9 if long else draw(st.integers(2, 6))
+    r = draw(st.integers(1, min(w, 56, 64 - q)))
+    specs = draw(st.lists(fp_spec, max_size=30))
+    values = draw(st.lists(st.integers(0, (1 << (w - r)) - 1), min_size=len(specs),
+                           max_size=len(specs)))
+    cfg = FilterConfig(q=q, r=r, seed=draw(st.integers(0, 1 << 16)))
+    return cfg, w - r, specs, values, long
+
+
+class TestSlotWidths:
+    """Slots, columns and snapshots at the edges of the slot dtypes."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(table=width_tables())
+    def test_tables_round_trip_at_every_slot_width(self, table):
+        cfg, value_bits, specs, values, long = table
+        n, r = cfg.nslots, cfg.r
+        probes = np.random.default_rng(cfg.seed).integers(0, 1 << 64, size=300,
+                                                          dtype=np.uint64)
+        arr = SlotArray(cfg, value_bits=value_bits)
+        if long:
+            # 255 chunks, then c - 1 = 2**(2r) + 1: three counter digits
+            insert_whole(arr, *probe_fp(cfg, int(probes[0]), 255, 255, (1 << 2 * r) + 2),
+                         value=values[0] if values else 0)
+        for (source, a, ext_len, differ, count), value in zip(specs, values):
+            if source == "probe":
+                fp = probe_fp(cfg, int(probes[a % len(probes)]), ext_len, differ, count)
+            else:
+                qt = n - 1 if source == "top" else a % n
+                ext = tuple((a >> (2 * t)) % (1 << r) for t in range(ext_len))
+                fp = (qt, a % (1 << r), ext, count)
+            try:
+                insert_whole(arr, *fp, value=value)
+            except FilterFullError:
+                break
+        assert arr.slots.dtype == SLOT_DTYPES[r + value_bits]
+        cols = arr._columns()
+        assert [col.dtype for col in cols] == [np.int32, *[arr.slots.dtype] * 2,
+                                                *[np.int32] * 3, arr.slots.dtype]
+        if long:
+            assert cols.ext_len.max() == 255 and cols.ctr_len[cols.ext_len.argmax()] == 3
+        # the layout writer rewrites the table's own bytes
+        blob = arr.to_bytes()
+        assert relaid(arr).to_bytes() == blob
+        # the snapshot is the reference packing of the table's bits and payloads
+        bits = [np.unpackbits(vec.view(np.uint8), bitorder="little")[:n].astype(bool)
+                for vec in (arr.occ, arr.run, arr.ext)]
+        assert with_slot_fields(blob, bits, arr.slots) == blob
+        assert np.array_equal(slot_fields(blob)[1], arr.slots)
+        back = SlotArray.from_bytes(blob)
+        assert back.slots.dtype == arr.slots.dtype and back.to_bytes() == blob
+        # the bulk verdicts are the scalar walk's
+        want = [arr.query_fp(HashStream(int(k), cfg.seed)) is not None for k in probes]
+        assert arr.frozen_index().query_keys(probes).tolist() == want
+        if long:
+            assert want[0]
 
 
 class TestFrozenIndexExact:

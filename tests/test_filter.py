@@ -556,6 +556,17 @@ class TestConsistency:
         with pytest.raises(StateCorruptionError):
             f.check_consistency()
 
+    def test_detects_a_missing_or_moved_map_entry(self):
+        f = AdaptiveFilter(FilterConfig(q=8, r=4, seed=62))
+        mid, rank = f.insert(1001)
+        f.insert(1002)
+        f.map.map_remove(mid, rank)
+        with pytest.raises(StateCorruptionError, match="2 fingerprints, 1 map entries"):
+            f.check_consistency()
+        f.map.map_insert(mid ^ 1, 0, 1001)
+        with pytest.raises(StateCorruptionError, match="disagree on minirun ids"):
+            f.check_consistency()
+
     def test_detects_map_tampering(self):
         f = AdaptiveFilter(FilterConfig(q=8, r=4, seed=62))
         mid, rank = f.insert(1001)

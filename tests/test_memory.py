@@ -1,0 +1,44 @@
+"""Memory bounds of the whole-table passes.
+
+tracemalloc counts every numpy array a pass allocates, so the peak of
+one call, over the keys it holds, is the number of bytes per key that
+the pass needs above what was live before it.  At q=16 and 90% load a
+fill peaks at about 42 bytes per key and the first exact index at about
+44 (numpy 2.4), against 151 and 111 with 8-byte slots and columns.  The
+bounds leave about 9% of headroom, so one more whole-table 8-byte
+temporary alive at a pass's peak fails them.
+"""
+
+import gc
+import tracemalloc
+
+from aqf.hashing import FilterConfig
+from aqf.workbench import fill_to_load
+
+CFG = FilterConfig(q=16, r=9, seed=3)
+
+FILL_BYTES_PER_KEY = 46
+INDEX_BYTES_PER_KEY = 48
+
+
+def peak_bytes(call):
+    """(call's result, the tracemalloc peak over the call)."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        out = call()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_fill_stays_under_its_bytes_per_key():
+    fill_to_load(CFG, 0.9, seed=4)  # first-call allocations stay out of the count
+    (_, keys), peak = peak_bytes(lambda: fill_to_load(CFG, 0.9, seed=5))
+    assert peak / len(keys) < FILL_BYTES_PER_KEY
+
+
+def test_the_first_index_stays_under_its_bytes_per_key():
+    f, keys = fill_to_load(CFG, 0.9, seed=5)
+    _, peak = peak_bytes(f.frozen_index)
+    assert peak / len(keys) < INDEX_BYTES_PER_KEY

@@ -34,6 +34,17 @@ def sequential(keys, cfg, value_bits=0, values=None):
 
 
 class TestBulkLoad:
+    def test_a_key_array_is_copied_not_kept(self):
+        """The map keeps the keys it is handed, so bulk_load copies an
+        array of the caller's rather than keep it."""
+        cfg = FilterConfig(q=8, r=6, seed=81)
+        keys = np.array(hash_sorted(np.arange(1, 200, dtype=np.uint64), cfg), dtype=np.uint64)
+        f = bulk_load(keys, cfg)
+        before = f.to_bytes()
+        keys[:] = 0
+        assert f.to_bytes() == before
+        f.check_consistency()
+
     def test_matches_sequential_construction_exactly(self):
         cfg = FilterConfig(q=10, r=6, seed=81)
         rng = np.random.default_rng(82)

@@ -244,6 +244,15 @@ class TestFillAndMeasure:
         assert f.map == ref.map
         assert f.to_bytes() == ref.to_bytes()
 
+    def test_the_returned_keys_are_the_callers_own(self):
+        """The filter's map keeps the placed keys; the fill hands the
+        caller a copy, so writing to it leaves the map as it was."""
+        f, keys = fill_to_load(FilterConfig(q=10, r=6, seed=20), 0.5, seed=21)
+        before = f.to_bytes()
+        keys[:] = 0
+        assert f.to_bytes() == before
+        f.check_consistency()
+
     def test_fill_load_bounds(self):
         cfg = FilterConfig(q=8, r=6, seed=20)
         with pytest.raises(InvalidConfigError):
