@@ -1058,15 +1058,14 @@ class SlotArray:
         rows = np.flatnonzero(tails)
         tail = _ranges(at[rows] + 1, tails[rows]) % n
         digit = _ranges(at[rows] + 1 + cols.ext_len[rows], cols.ctr_len[rows]) % n
-        head = at
-        head %= n
+        at %= n  # each row's head slot
         last = np.ones(len(tails), dtype=bool)  # run terminators
         last[:-1] = cols.quot[1:] != cols.quot[:-1]
         bits = np.zeros((4, n), dtype=bool)
         used, run, ext, occ = bits
-        used[head] = True
+        used[at] = True
         used[tail] = True
-        run[head[last]] = True
+        run[at[last]] = True
         run[digit] = True
         ext[tail] = True
         occ[cols.quot[last]] = True
@@ -1074,8 +1073,7 @@ class SlotArray:
         self._pack(bits, 0)
         del bits, used, run, ext, occ
         self.slots[:] = 0
-        self.slots[head] = (cols.rem << vb) | cols.value
-        del head
+        self.slots[at] = (cols.rem << vb) | cols.value
         self.slots[tail] = cols.chunks[_ranges(cols.ext_off[rows], tails[rows])] << vb
         self.fp_count = len(cols.quot)
         self.ext_slot_count = int(cols.ext_len.sum())

@@ -75,11 +75,6 @@ def _rotr(x: np.ndarray, k: int) -> np.ndarray:
     return (x >> np.uint64(k)) | (x << np.uint64(64 - k))
 
 
-def _check_qbits(qbits: int) -> None:
-    if not 1 <= qbits <= 56:
-        raise InvalidConfigError(f"qbits {qbits} out of range [1, 56]")
-
-
 def _hash_ordered(mids: np.ndarray, q: int) -> bool:
     """Whether ids are in hash order (quotient, then remainder), checked
     a block at a time so that no whole-column temporary is made."""
@@ -113,15 +108,12 @@ class ReverseMap:
     column passes and the decoder count nothing.
     """
 
-    def __init__(self, qbits: int, base: tuple | None = None):
-        """An empty map, or one whose base is the rows base, as
-        _set_base takes them."""
-        _check_qbits(qbits)
+    def __init__(self, qbits: int):
+        if not 1 <= qbits <= 56:
+            raise InvalidConfigError(f"qbits {qbits} out of range [1, 56]")
         self.qbits = qbits
         self.accesses = 0
-        if base is None:
-            base = np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=np.uint64), None
-        self._set_base(*base)
+        self._set_base(np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=np.uint64), None)
 
     def _set_base(self, mids: np.ndarray, keys: np.ndarray, values: list | None) -> None:
         """Make hash-ordered rows the base and empty the overlay; the
@@ -354,11 +346,12 @@ class ReverseMap:
         Counts one access per entry, as building it with map_insert
         would.
         """
+        m = cls(qbits)
         rows = (np.asarray(mids, dtype=np.uint64), np.asarray(keys, dtype=np.uint64),
                 _join_values((values, len(keys))))
         if not _hash_ordered(rows[0], qbits):
             rows = _sort_rows(qbits, *rows)
-        m = cls(qbits, rows)
+        m._set_base(*rows)
         m.accesses = len(keys)
         return m
 
@@ -397,7 +390,7 @@ class ReverseMap:
         rest exactly.  The lengths are summed and checked against the
         bytes at hand before any value is cut out.
         """
-        _check_qbits(qbits)
+        m = cls(qbits)
         body = unseal(data)
         n = len(mids)
         if len(body) < 8 * n:
@@ -422,4 +415,5 @@ class ReverseMap:
                                   f"the section holds {len(blob)}")
             values = [blob[a - k : a] if h else None
                       for a, k, h in zip(ends.tolist(), lengths.tolist(), held.tolist())]
-        return cls(qbits, (mids, keys, values))
+        m._set_base(mids, keys, values)
+        return m

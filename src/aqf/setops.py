@@ -62,6 +62,8 @@ def bulk_load(items, cfg: FilterConfig, policy: Policy | None = None) -> Adaptiv
     """
     if isinstance(items, np.ndarray):
         keys = _key_array(items)
+        if np.may_share_memory(keys, items):
+            keys = keys.copy()  # the map keeps the keys it is handed
         values = None
     else:
         pairs = [it if isinstance(it, tuple) else (it, None) for it in items]
@@ -73,8 +75,6 @@ def bulk_load(items, cfg: FilterConfig, policy: Policy | None = None) -> Adaptiv
     packed = split_batch(keys, cfg)
     if np.any(packed[1:] < packed[:-1]):
         raise UnsortedInputError("keys are not in (quotient, remainder) order")
-    if np.may_share_memory(keys, items):
-        keys = keys.copy()  # the map keeps the keys it is handed
     return _place(keys, _Cols.bare(packed, cfg), values, cfg, policy)
 
 
@@ -151,7 +151,7 @@ def _build_rederived(cols: _Cols, keys: np.ndarray, values: list | None, cfg: Fi
     del width, off
 
     new = _Cols.build(cfg, value_bits, packed, cols.value, ext_len, cols.ctr_len, chunks)
-    del cols, packed, chunks
+    del cols, packed
     arr._lay_out(new)
     if values is not None:
         values = list(map(values.__getitem__, order.tolist()))

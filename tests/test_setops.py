@@ -76,6 +76,20 @@ class TestBulkLoad:
         for i, k in enumerate(keys):
             assert f.lookup(k) == (PRESENT, bytes([i]))
 
+    def test_bare_keys_and_pairs_of_any_value_length_mix(self):
+        """A list may mix bare keys with pairs whose values differ in
+        length; it loads as inserting them one at a time would."""
+        cfg = FilterConfig(q=8, r=8, seed=85)
+        rng = np.random.default_rng(87)
+        keys = hash_sorted(rng.choice(1 << 62, size=60, replace=False), cfg)
+        values = [None if i % 3 == 0 else bytes([i]) * (i * 37 % 1000) for i in range(60)]
+        items = [k if v is None else (k, v) for k, v in zip(keys, values)]
+        f = bulk_load(items, cfg)
+        assert f.to_bytes() == sequential(keys, cfg, values=values).to_bytes()
+        for k, v in zip(keys, values):
+            assert f.lookup(k) == (PRESENT, v)
+        f.check_consistency()
+
     def test_duplicate_keys_occupy_two_ranks(self):
         cfg = FilterConfig(q=8, r=8, seed=87)
         f = bulk_load(hash_sorted([123, 123, 456], cfg) , cfg)
