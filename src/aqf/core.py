@@ -18,9 +18,11 @@ after their canonical slot (Robin Hood displacement, wrapping past the
 top of the array).  Inside a run, fingerprints are ordered by remainder;
 the group sharing one (quotient, remainder) is a minirun, and a
 fingerprint's index inside its minirun is the rank the reverse map keys
-off.  New fingerprints append at the end of their minirun, so existing
-ranks never change, and extending a fingerprint inserts slots in place,
-which is what lets adaptation leave the reverse map untouched.
+off.  A minirun's id is its pair as hash order sorts it, ``(quotient <<
+r) | remainder`` (``pack_minirun_id``).  New fingerprints append at the
+end of their minirun, so existing ranks never change, and extending a
+fingerprint inserts slots in place, which is what lets adaptation leave
+the reverse map untouched.
 
 A slot's duplicate count ``c`` occupies zero extra slots when ``c == 1``
 and otherwise the little-endian base-``2**r`` digits of ``c - 1``.
@@ -46,11 +48,12 @@ through two helpers:
 ``SlotArray._columns`` decodes the table into numpy columns (quotient,
 remainder, value, extension and counter-digit spans), one row per
 fingerprint in hash order (by quotient, then remainder, then rank), for
-the bulk index, consistency checks, snapshot loading, merge and rebuild;
-it is the only code that knows the stored runs are a rotation of that
-order.  ``SlotArray._lay_out`` writes such columns over a table, placing
-every run with one cumulative max, for merge, rebuild and bulk load.
-Both scalar edits leave the layout that ``_lay_out`` would write.
+the bulk index, consistency checks, merge and rebuild.  The stored runs
+are a rotation of that order, which it and the loader
+(``SlotArray._reconstruct_used``) turn back.  ``SlotArray._lay_out``
+writes such columns over a table, placing every run with one cumulative
+max, for merge, rebuild and bulk load.  Both scalar edits leave the
+layout that ``_lay_out`` would write.
 
 Widths.  The payloads are stored in the smallest unsigned dtype that
 holds ``r + value_bits`` bits (``_slot_dtype``: uint16 at r = 9), and
@@ -138,14 +141,14 @@ def max_used(nslots: int) -> int:
     return _LOAD_NUM * nslots // _LOAD_DEN
 
 
-def pack_minirun_id(quotient: int, remainder: int, q: int) -> int:
-    """Minirun ids carry the remainder above the quotient so that the
-    quotient width alone suffices to unpack them."""
-    return (remainder << q) | quotient
+def pack_minirun_id(quotient: int, remainder: int, r: int) -> int:
+    """A minirun's id: its pair packed as hash order sorts it, so hash
+    order is ascending id order."""
+    return (quotient << r) | remainder
 
 
-def unpack_minirun_id(mid: int, q: int) -> tuple[int, int]:
-    return mid & ((1 << q) - 1), mid >> q
+def unpack_minirun_id(mid: int, r: int) -> tuple[int, int]:
+    return mid >> r, mid & ((1 << r) - 1)
 
 
 @dataclass
@@ -402,19 +405,11 @@ class _Cols(NamedTuple):
         return _Cols(*(np.concatenate(pair) for pair in zip(self, moved)))
 
     def packed(self, r: int, rows=slice(None)) -> np.ndarray:
-        """(quotient << r) | remainder: the hash order of each row, or of
+        """(quotient << r) | remainder: the minirun id of each row, or of
         the rows ``rows`` (a slice, indices or a mask)."""
         out = self.quot[rows].astype(np.uint64)
         out <<= np.uint64(r)
         out |= self.rem[rows]
-        return out
-
-    def mids(self, q: int, rows=slice(None)) -> np.ndarray:
-        """Minirun id of each row, or of the rows ``rows`` (see
-        pack_minirun_id)."""
-        out = self.rem[rows].astype(np.uint64)
-        out <<= np.uint64(q)
-        np.bitwise_or(out, self.quot[rows], out=out, dtype=np.uint64, casting="unsafe")
         return out
 
 
@@ -758,13 +753,13 @@ class SlotArray:
             win.occ |= 1 << lo
         self._store(win, lo, self._open_slot(win, at, new_term, 0, payload))
         self.fp_count += 1
-        return pack_minirun_id(qt, rem, self.cfg.q), rank
+        return pack_minirun_id(qt, rem, self.cfg.r), rank
 
     def _minirun(self, mid: int) -> list[tuple[_Win, int | None, int, int, int, int]]:
         """(window, previous fp offset, fp offset, ext group offset, ctr
         offset, next) of each fingerprint of a minirun, in rank order:
         the fingerprints of _run with the minirun's remainder."""
-        qt, rem = unpack_minirun_id(mid, self.cfg.q)
+        qt, rem = unpack_minirun_id(mid, self.cfg.r)
         fps = []
         for win, prev, pos, rem_i, e0, c0, nxt, _ in self._run(qt):
             if rem_i > rem:
@@ -848,7 +843,7 @@ class SlotArray:
         n, vb = self.nslots, self.value_bits
         for i, digit in enumerate(digits[:have]):
             self.slots[(win.base + c0 + i) % n] = digit << vb
-        qt = mid & ((1 << self.cfg.q) - 1)
+        qt = mid >> self.cfg.r
         hi = 0
         for i in range(have, len(digits)):
             hi = self._open_slot(win, c0 + i, 1, 1, digits[i] << vb)
@@ -887,7 +882,7 @@ class SlotArray:
                     for _, x0, y0 in rest]
             for (at, x0, y0), keep in zip(rest, _kept_chunks(exts)):
                 gone += [(i, at) for i in range(x0 + keep, y0)]
-        qt = mid & ((1 << self.cfg.q) - 1)
+        qt = mid >> self.cfg.r
         lo = min(gone)[0]
         if (win.run >> pos) & 1 and prev is None:
             lo = (qt - win.base) % self.nslots
@@ -1298,9 +1293,9 @@ class SlotArray:
         mids = np.empty(len(rems), dtype=np.uint64)
         for part, rows in ((mids[: len(rems) - cut], slice(cut, None)),
                            (mids[len(rems) - cut :], slice(0, cut))):
-            part[:] = rems[rows]
-            part <<= np.uint64(self.cfg.q)
-            np.bitwise_or(part, quot[rows], out=part, dtype=np.uint64, casting="unsafe")
+            part[:] = quot[rows]
+            part <<= np.uint64(self.cfg.r)
+            part |= rems[rows]
         del rems, quot
         self._pack(used[None], rot)
         self.used_count = total
@@ -1315,9 +1310,9 @@ class FrozenIndex:
 
     Built from columns in hash order: a table's decode, or bare
     fingerprints sorted by pair with no table at all.  Baseline pairs,
-    packed as (quotient << r) | remainder, go into one sorted array
-    ``base``.  A quotient directory locates each quotient's pairs
-    without a search, as the counting quotient filter's offsets do:
+    packed as (quotient << r) | remainder, their minirun ids, go into
+    one sorted array ``base``.  A quotient directory locates each
+    quotient's pairs without a search, as the counting quotient filter's offsets do:
     ``base[dir[qt]:dir[qt + 1]]`` holds quotient qt's pairs, so a probe
     gathers its bucket bounds and compares at most the few remainders of
     one bucket.  The rare pairs whose fingerprints are all extended are
@@ -1372,21 +1367,20 @@ class FrozenIndex:
         Each touched pair's ``all_ext`` flag and candidate rows are read
         again from its minirun; the other candidate rows are kept.
         """
-        n, vb, q, r = arr.nslots, arr.value_bits, self.cfg.q, self.cfg.r
+        n, vb = arr.nslots, arr.value_bits
         mids = list(mids)
-        touched = [((m & ((1 << q) - 1)) << r) | (m >> q) for m in mids]
-        at = np.searchsorted(self.base, np.array(touched, dtype=np.uint64)).tolist()
+        at = np.searchsorted(self.base, np.array(mids, dtype=np.uint64)).tolist()
         new = copy.copy(self)
         new.all_ext = self.all_ext.copy()
         pairs, exts = [], []
-        for mid, pair, row in zip(mids, touched, at):
+        for mid, row in zip(mids, at):
             fps = [[arr.slots.item((win.base + i) % n) >> vb for i in range(e0, c0)]
                    for win, _, _, e0, c0, _ in arr._minirun(mid)]
             new.all_ext[row] = all(fps)
             if all(fps):
-                pairs += [pair] * len(fps)
+                pairs += [mid] * len(fps)
                 exts += fps
-        gone = set(touched)
+        gone = set(mids)
         keep = np.array([p not in gone for p in self.cand_packed.tolist()], dtype=bool)
         kept = int(keep.sum())
         cand_packed = np.concatenate([self.cand_packed[keep], np.array(pairs, dtype=np.uint64)])
@@ -1398,7 +1392,7 @@ class FrozenIndex:
         for i, ext in enumerate(exts, kept):
             chunks[i, :len(ext)] = ext
         # stable, so that each pair's rows stay in rank order
-        order = _stable_order(cand_packed, q + r)
+        order = _stable_order(cand_packed, self.cfg.q + self.cfg.r)
         new.cand_packed, new.cand_len, new.cand_chunks = (
             cand_packed[order], cand_len[order], chunks[order])
         return new

@@ -144,7 +144,7 @@ class AdaptiveFilter:
         self.cfg = cfg
         self.policy = policy if policy is not None else Policy()
         self.arr = SlotArray(cfg, value_bits=value_bits)
-        self.map = ReverseMap(cfg.q)
+        self.map = ReverseMap(cfg.q + cfg.r)
         # r bits per extension chunk written by adapt()
         self.adaptivity_bits = 0
         self.adaptations = 0
@@ -186,12 +186,15 @@ class AdaptiveFilter:
         without them).  With dedupe_keys on, re-inserting a key bumps
         its fingerprint's counter, in one walk, instead of storing a
         second copy.
+
+        At the 19/20 load cap, which extension slots share (see lookup),
+        it raises FilterFullError and changes nothing.
         """
         key = _key(key)
         self.map.check_entry(key, value)
         qt, rem = split(HashStream(key, self.cfg.seed), self.cfg)
         if self.policy.dedupe_keys:
-            mid = pack_minirun_id(qt, rem, self.cfg.q)
+            mid = pack_minirun_id(qt, rem, self.cfg.r)
             rank = self.map.find_rank(mid, key)
             if rank is not None:
                 self.arr.add_count(mid, rank, 1)
@@ -214,7 +217,7 @@ class AdaptiveFilter:
         """
         key = _key(key)
         qt, rem = split(HashStream(key, self.cfg.seed), self.cfg)
-        mid = pack_minirun_id(qt, rem, self.cfg.q)
+        mid = pack_minirun_id(qt, rem, self.cfg.r)
         rank = self.map.find_rank(mid, key)
         if rank is None:
             raise NotFoundError(f"key {key} is not stored")
@@ -240,6 +243,12 @@ class AdaptiveFilter:
         adaptation_failures is bumped, once per call, and the call
         adapts no more but keeps reading matches.  It answers PRESENT if
         the key's own fingerprint turns up, else FALSE_POSITIVE.
+
+        Extension slots share the 19/20 load cap with inserts: a filter
+        at load L corrects about (0.95 - L) * 2**q distinct false
+        positives, one slot each.  Past that, corrections fail as above,
+        insert raises FilterFullError, and only rebuild, which drops
+        every correction, gives the room back.
         """
         key = _key(key)
         stream = HashStream(key, self.cfg.seed)
@@ -247,7 +256,7 @@ class AdaptiveFilter:
         hit = self.arr.query_fp(stream, 0, pair)
         if hit is None:
             return LookupResult.NOT_PRESENT, None
-        mid = pack_minirun_id(*pair, self.cfg.q)
+        mid = pack_minirun_id(*pair, self.cfg.r)
         adapting = self.policy.auto_adapt
         verdict = LookupResult.FALSE_POSITIVE_CORRECTED
         while hit is not None:
@@ -356,7 +365,8 @@ class AdaptiveFilter:
         The table's columns and the map's rows both come in hash order,
         ties in rank order, so they hold the same entries exactly when
         every row has the same minirun id in both; the rows are compared
-        a block at a time.
+        a block at a time.  A row's id is also its key's hashed
+        (quotient, remainder) pair.
         """
         cfg = self.cfg
         cols = self.arr._columns()
@@ -366,14 +376,14 @@ class AdaptiveFilter:
         bad = np.empty(len(keys), dtype=bool)
         for a in range(0, len(keys), _BLOCK):
             rows = slice(a, a + _BLOCK)
-            ids = cols.mids(cfg.q, rows)
+            ids = cols.packed(cfg.r, rows)
             off = np.flatnonzero(ids != mids[rows])
             if off.size:
                 at = int(off[0])
                 raise StateCorruptionError(
                     f"filter and map disagree on minirun ids at row {a + at}: "
                     f"{ids[at]} in the filter, {mids[a + at]} in the map")
-            bad[rows] = split_batch(keys[rows], cfg) != cols.packed(cfg.r, rows)
+            bad[rows] = split_batch(keys[rows], cfg) != ids
         for t in range(int(cols.ext_len.max(initial=0))):
             rows = np.flatnonzero(cols.ext_len > t)
             bad[rows] |= (extension_chunk_batch(keys[rows], cfg, t)
@@ -447,7 +457,7 @@ class AdaptiveFilter:
             )
         map_blob = rd.section()
         rd.done()
-        revmap = ReverseMap.from_bytes(map_blob, arr.cfg.q, mids)
+        revmap = ReverseMap.from_bytes(map_blob, arr.cfg.q + arr.cfg.r, mids)
         return cls._from_parts(arr, revmap, policy, *counters)
 
     def save(self, path) -> None:

@@ -4,37 +4,39 @@ The slot array stores fingerprints only; correcting a false positive
 needs the original key so the right extension chunks can be pulled from
 its hash.  Each minirun id owns an ordered list of (key, value) pairs
 whose order mirrors minirun rank order, so an (id, rank) pair coming out
-of the slot array addresses exactly one key here.
+of the slot array addresses exactly one key here.  An id is its
+(quotient, remainder) pair packed as ``(quotient << r) | remainder``,
+whose width q + r is all the map knows of them.
 
 Values are optional byte strings.  Storing them makes the map double as
 a small key-value store (the merged setup); leaving them None keeps the
 map a pure key index (the split setup, values living elsewhere).
 
-The map is stored flat.  The base holds one row per entry in hash order
-(quotient, then remainder; the id rotated right by q bits), ties in rank
-order: a uint64 id array, a uint64 key array, and a list of values that
-is dropped while every value is None.  A directory over the top bits of
-the quotient (the whole quotient once the map holds half as many rows as
-there are quotients), like the slot array's ``FrozenIndex.dir``, bounds
-each bucket's rows, so a scalar read is a dict miss, two directory reads
-and a scan of about one row.  Writes go to an overlay, a dict holding
-the whole list of every id written since the last compaction: the first
-write to an id copies its base rows there, and reads try the overlay
-first.  Once the overlay holds more ids than a fixed share of the base
-rows, it is merged back: its ids are sorted once into hash order, and
-its rows are placed between the kept base rows, which stay in order,
-where the ids' base rows were (``_merged``); a save merges the same way
-and leaves the overlay in place.  Live, a map without
-values takes about 20 bytes per key at q=20: 16 in the two columns, the
-rest in the directory.
+The map is stored flat.  The base holds one row per entry in ascending
+id order, ties in rank order: a uint64 id array, a uint64 key array, and
+a list of values that is dropped while every value is None.  A
+directory over the ids' top bits (the whole quotient once the map holds
+half as many rows as there are quotients), like the slot array's
+``FrozenIndex.dir``, bounds each bucket's rows, so a scalar read is a
+dict miss, two directory reads and a scan of about one row; an id too
+wide for the map is read as missing, and refused by writes.  Writes go
+to an overlay, a dict holding the whole list of every id written since
+the last compaction: the first write to an id copies its base rows
+there, and reads try the overlay first.  Once the overlay holds more
+ids than a fixed share of the base rows, it is merged back: its ids are
+sorted once, and its rows are placed between the kept base rows, which
+stay in order, where the ids' base rows were (``_merged``); a save
+merges the same way and leaves the overlay in place.  Live, a map
+without values takes about 20 bytes per key at q=20: 16 in the two
+columns, the rest in the directory.
 
 Whole-map passes move the map as columns.  ``_merged()`` hands out the
 id, key and value of every row in hash order, the row order of the slot
-array's ``_columns()``, so the two pair row by row, which the filter's
-consistency check compares; ``_columns()`` groups those rows by id, and
-merge and rebuild read it through ``setops._key_columns``.  ``_from_columns()`` stores hash-ordered rows
-as the base; bulk load, merge and rebuild build their maps with it, and
-no map is built by joining two maps.
+array's ``_columns()``, so the two pair row by row: the filter's
+consistency check compares them, and merge and rebuild read them
+through ``setops._key_columns``.  ``_from_columns()`` stores
+hash-ordered rows as the base; bulk load, merge and rebuild build their
+maps with it, and no map is built by joining two maps.
 
 The snapshot (version 2) is the key column in hash order, plus a length
 column and the value bytes only when some value is stored, and a CRC32
@@ -51,7 +53,7 @@ import operator
 
 import numpy as np
 
-from .core import _BLOCK, _bucket_starts, _group_starts, _ranges, _stable_order, _where
+from .core import _BLOCK, _bucket_starts, _ranges, _stable_order
 from .errors import (
     FormatError,
     InvalidConfigError,
@@ -70,19 +72,20 @@ _COMPACT_SHARE = 0.125
 _COMPACT_MIN = 64
 
 
-def _rotr(x: np.ndarray, k: int) -> np.ndarray:
-    """uint64 values rotated right by k bits, 0 < k < 64."""
-    return (x >> np.uint64(k)) | (x << np.uint64(64 - k))
-
-
-def _hash_ordered(mids: np.ndarray, q: int) -> bool:
-    """Whether ids are in hash order (quotient, then remainder), checked
-    a block at a time so that no whole-column temporary is made."""
+def _hash_ordered(mids: np.ndarray) -> bool:
+    """Whether ids ascend, which is hash order, checked a block at a time
+    so that no whole-column temporary is made."""
     for a in range(0, len(mids), _BLOCK):
-        at = _rotr(mids[a : a + _BLOCK + 1], q)
+        at = mids[a : a + _BLOCK + 1]
         if (at[1:] < at[:-1]).any():
             return False
     return True
+
+
+def _check_width(mids: np.ndarray, bits: int) -> None:
+    """Raise InvalidConfigError unless every id fits in bits bits."""
+    if len(mids) and int(mids.max()) >> bits:
+        raise InvalidConfigError(f"minirun id {int(mids.max())} does not fit in {bits} bits")
 
 
 def _join_values(*parts: tuple[list | None, int]) -> list | None:
@@ -93,9 +96,9 @@ def _join_values(*parts: tuple[list | None, int]) -> list | None:
     return [x for v, n in parts for x in (itertools.repeat(None, n) if v is None else v)]
 
 
-def _sort_rows(q: int, mids: np.ndarray, keys: np.ndarray, values: list | None):
+def _sort_rows(bits: int, mids: np.ndarray, keys: np.ndarray, values: list | None):
     """Rows stably sorted into hash order, so each id's rows keep their order."""
-    perm = _stable_order(_rotr(mids, q), 64)
+    perm = _stable_order(mids, bits)
     return (mids[perm], keys[perm],
             None if values is None else list(map(values.__getitem__, perm.tolist())))
 
@@ -108,10 +111,11 @@ class ReverseMap:
     column passes and the decoder count nothing.
     """
 
-    def __init__(self, qbits: int):
-        if not 1 <= qbits <= 56:
-            raise InvalidConfigError(f"qbits {qbits} out of range [1, 56]")
-        self.qbits = qbits
+    def __init__(self, id_bits: int):
+        if not 1 <= id_bits <= 64:
+            raise InvalidConfigError(f"id_bits {id_bits} out of range [1, 64]")
+        self.id_bits = id_bits
+        self._idmask = (1 << id_bits) - 1
         self.accesses = 0
         self._set_base(np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=np.uint64), None)
 
@@ -122,13 +126,11 @@ class ReverseMap:
         values is None when every value is None.
         """
         n = len(mids)
-        # at most one row per bucket on average; a whole quotient per
-        # bucket once the map holds over half as many rows as quotients
-        bits = min(self.qbits, n.bit_length())
-        self._qmask, self._qshift = (1 << self.qbits) - 1, self.qbits - bits
-        # a bucket is the top bits of the quotient, the id's low q bits,
-        # so rows in hash order come in bucket order
-        dirs = _bucket_starts(((mids[a : a + _BLOCK].view(np.intp) & self._qmask) >> self._qshift
+        # a bucket is the ids' top bits: at most one row per bucket on
+        # average, and at most a whole quotient, as a filter's n < 2**q
+        bits = min(self.id_bits, n.bit_length())
+        self._shift = self.id_bits - bits
+        dirs = _bucket_starts(((mids[a : a + _BLOCK] >> np.uint64(self._shift)).view(np.intp)
                                for a in range(0, n, _BLOCK)), 1 << bits, n)
         self._mids, self._keys, self._values = mids, keys, values
         # memoryviews index to Python ints without a numpy scalar
@@ -142,7 +144,7 @@ class ReverseMap:
 
     def _span(self, mid: int) -> tuple[int, int]:
         """Base rows [lo, hi) of mid; an empty range when it has none."""
-        b = (mid & self._qmask) >> self._qshift
+        b = (mid & self._idmask) >> self._shift
         midv, dv = self._midv, self._dirv
         lo, end = dv[b], dv[b + 1]
         while lo < end and midv[lo] != mid:
@@ -191,8 +193,8 @@ class ReverseMap:
     def map_insert(self, mid: int, rank: int, key: int, value: bytes | None = None) -> None:
         """Insert key at position rank; later entries shift back one."""
         self.check_entry(key, value)
-        if not 0 <= mid <= MASK64:
-            raise InvalidConfigError("minirun id must fit in 64 bits")
+        if not 0 <= mid <= self._idmask:
+            raise InvalidConfigError(f"minirun id must fit in {self.id_bits} bits")
         lst = self._writable(mid, rank, 1)
         lst.insert(rank, (key, value))
         self._nids += len(lst) == 1
@@ -260,7 +262,7 @@ class ReverseMap:
     def __eq__(self, other) -> bool:
         if not isinstance(other, ReverseMap):
             return NotImplemented
-        if self.qbits != other.qbits:
+        if self.id_bits != other.id_bits:
             return False
         (ma, ka, va), (mb, kb, vb) = self._merged(), other._merged()
         return (np.array_equal(ma, mb) and np.array_equal(ka, kb)
@@ -280,20 +282,18 @@ class ReverseMap:
         over = self._over
         if not over:
             return self._mids, self._keys, self._values
-        q, mids, values = self.qbits, self._mids, self._values
+        mids, values = self._mids, self._values
         ids = np.fromiter(over, dtype=np.uint64, count=len(over))
         lists = list(over.values())
         lengths = np.fromiter(map(len, lists), dtype=np.int64, count=len(lists))
         flat = list(itertools.chain.from_iterable(lists))
         # the overlay's ids in hash order (they are distinct), and its
         # rows in that order, each list in rank order
-        at = _rotr(ids, q)
-        by_hash = np.argsort(at)
+        by_hash = np.argsort(ids)
         rows = _ranges((np.cumsum(lengths) - lengths)[by_hash], lengths[by_hash])
-        ids, at, lengths = ids[by_hash], at[by_hash], lengths[by_hash]
-        order = _rotr(mids, q)
-        lo = np.searchsorted(order, at, side="left")
-        dropped = np.searchsorted(order, at, side="right") - lo
+        ids, lengths = ids[by_hash], lengths[by_hash]
+        lo = np.searchsorted(mids, ids, side="left")
+        dropped = np.searchsorted(mids, ids, side="right") - lo
         keep = np.ones(len(mids), dtype=bool)
         keep[_ranges(lo, dropped)] = False
 
@@ -319,38 +319,24 @@ class ReverseMap:
         fresh = map(new_values.__getitem__, rows.tolist())
         return out_mids, out_keys, [next(fresh) if m else next(kept) for m in mine.tolist()]
 
-    def _columns(self):
-        """(ids, lengths, keys, values) in hash order.
-
-        ids is a uint64 array of the minirun ids sorted by quotient, then
-        remainder; lengths (in _pos_dtype) gives each id's list length;
-        keys (uint64) and values (a list, or None when every value is
-        None) hold the entries of those lists one after the other, each
-        list in rank order.
-        """
-        mids, keys, values = self._merged()
-        first = _group_starts(mids)
-        starts = _where(first)
-        return (mids[first], np.diff(starts, append=starts.dtype.type(len(mids))), keys,
-                None if values is None else list(values))
-
     @classmethod
-    def _from_columns(cls, qbits: int, mids: np.ndarray, keys: np.ndarray,
+    def _from_columns(cls, id_bits: int, mids: np.ndarray, keys: np.ndarray,
                       values) -> "ReverseMap":
-        """Map holding (keys[i], values[i]) under mids[i]; values None
-        stands for a value of None at every key.
+        """Map of id_bits-bit ids holding (keys[i], values[i]) under
+        mids[i]; values None stands for a value of None at every key.
 
         Each list's rows come in rank order.  Rows in hash order become
         the base as they are, and the map keeps the arrays, which the
         caller no longer uses; others are stably sorted into it first.
         Counts one access per entry, as building it with map_insert
-        would.
+        would.  Ids too wide for the map raise InvalidConfigError.
         """
-        m = cls(qbits)
+        m = cls(id_bits)
         rows = (np.asarray(mids, dtype=np.uint64), np.asarray(keys, dtype=np.uint64),
                 _join_values((values, len(keys))))
-        if not _hash_ordered(rows[0], qbits):
-            rows = _sort_rows(qbits, *rows)
+        _check_width(rows[0], id_bits)
+        if not _hash_ordered(rows[0]):
+            rows = _sort_rows(id_bits, *rows)
         m._set_base(*rows)
         m.accesses = len(keys)
         return m
@@ -381,23 +367,27 @@ class ReverseMap:
         return sealed(parts)
 
     @classmethod
-    def from_bytes(cls, data: bytes, qbits: int, mids: np.ndarray) -> "ReverseMap":
-        """Parse a snapshot whose entries belong to mids, the uint64 id
-        of each entry in hash order (ties: one id per rank).
+    def from_bytes(cls, data: bytes, id_bits: int, mids: np.ndarray) -> "ReverseMap":
+        """Parse a snapshot whose entries belong to mids, the uint64
+        id_bits-bit id of each entry in hash order (ties: one id per
+        rank).
 
         Only what to_bytes writes loads: a length column appears only
         when some entry holds a value, and the value bytes must fill the
         rest exactly.  The lengths are summed and checked against the
-        bytes at hand before any value is cut out.
+        bytes at hand before any value is cut out.  Ids out of order
+        raise UnsortedInputError, ids too wide for the map
+        InvalidConfigError.
         """
-        m = cls(qbits)
+        m = cls(id_bits)
         body = unseal(data)
         n = len(mids)
         if len(body) < 8 * n:
             raise FormatError(f"map section of {len(body)} bytes is short of {n} keys")
         mids = np.asarray(mids, dtype=np.uint64)
-        if not _hash_ordered(mids, qbits):
+        if not _hash_ordered(mids):
             raise UnsortedInputError("minirun ids are not in hash order")
+        _check_width(mids, id_bits)
         keys = np.frombuffer(body, dtype="<u8", count=n).astype(np.uint64)
         rest = body[8 * n :]
         values = None

@@ -21,10 +21,11 @@ the caller's, and ``_fill`` returns a copy of its sorted keys.
 
 Merge and rebuild take one path, ``_build_rederived``: they read their
 inputs' tables and maps as columns in hash order
-(``SlotArray._columns`` and ``ReverseMap._columns``), which pair row by
+(``SlotArray._columns`` and ``ReverseMap._merged``), which pair row by
 row, re-derive every fingerprint from its key under the output config,
-and place the result.  Every output map is built in one pass over
-hash-ordered rows by ``ReverseMap._from_columns``.
+and place the result.  Every build ends in ``_place``: the table is laid
+out, and its map is built in one pass over hash-ordered rows by
+``ReverseMap._from_columns``.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import warnings
 
 import numpy as np
 
-from .core import SlotArray, _Cols, _ranges, _stable_order
+from .core import SlotArray, _Cols, _ranges, _slot_dtype, _stable_order
 from .errors import ConfigMismatchError, UnsortedInputError
 from .filter import AdaptiveFilter, Policy, _key_array
 # HashStream, split and extension_chunk are unused here but stay module
@@ -103,13 +104,15 @@ def _fill(keys: np.ndarray, cfg: FilterConfig,
 
 
 def _place(keys: np.ndarray, cols: _Cols, values: list | None, cfg: FilterConfig,
-           policy: Policy | None) -> AdaptiveFilter:
-    """A filter of the bare fingerprints cols (see _Cols.bare), in hash
-    order: row i holds keys[i], with values[i] (None: no key has a
-    value).  The filter's map keeps keys."""
-    arr = SlotArray(cfg)
+           policy: Policy | None, value_bits: int = 0) -> AdaptiveFilter:
+    """A filter with value_bits value bits of the fingerprints cols (see
+    _Cols), in hash order: row i holds keys[i], with values[i] (None: no
+    key has a value).  The filter's map keeps keys.  The map's id column
+    is made once the table is laid out, so that the layout's peak does
+    not hold it."""
+    arr = SlotArray(cfg, value_bits=value_bits)
     arr._lay_out(cols)
-    revmap = ReverseMap._from_columns(cfg.q, cols.mids(cfg.q), keys, values)
+    revmap = ReverseMap._from_columns(cfg.q + cfg.r, cols.packed(cfg.r), keys, values)
     return AdaptiveFilter._from_parts(arr, revmap, policy if policy is not None else Policy())
 
 
@@ -117,11 +120,11 @@ def _key_columns(f: AdaptiveFilter) -> tuple[_Cols, np.ndarray, list | None]:
     """f's slot columns with each row's key and value (None when every
     value is None).
 
-    Both the table's columns and the map's come in hash order, ties in
-    rank order, which map lists mirror (check_consistency() proves
+    Both the table's columns and the map's rows come in hash order, ties
+    in rank order, which map lists mirror (check_consistency() proves
     that), so row i of one is row i of the other.
     """
-    _, _, keys, values = f.map._columns()
+    _, keys, values = f.map._merged()
     return f.arr._columns(), keys, values
 
 
@@ -141,8 +144,7 @@ def _build_rederived(cols: _Cols, keys: np.ndarray, values: list | None, cfg: Fi
     ext_len = cols.ext_len if keep_ext else np.zeros_like(cols.ext_len)
     width = ext_len + cols.ctr_len
     off = np.cumsum(width) - width
-    arr = SlotArray(cfg, value_bits=value_bits)
-    chunks = np.empty(int(width.sum()), dtype=arr.slots.dtype)
+    chunks = np.empty(int(width.sum()), dtype=_slot_dtype(cfg.r + value_bits))
     for t in range(int(ext_len.max(initial=0))):
         rows = np.flatnonzero(ext_len > t)
         chunks[off[rows] + t] = extension_chunk_batch(keys[rows], cfg, t)
@@ -152,11 +154,10 @@ def _build_rederived(cols: _Cols, keys: np.ndarray, values: list | None, cfg: Fi
 
     new = _Cols.build(cfg, value_bits, packed, cols.value, ext_len, cols.ctr_len, chunks)
     del cols, packed
-    arr._lay_out(new)
     if values is not None:
         values = list(map(values.__getitem__, order.tolist()))
-    revmap = ReverseMap._from_columns(cfg.q, new.mids(cfg.q), keys, values)
-    return AdaptiveFilter._from_parts(arr, revmap, policy)
+    del order
+    return _place(keys, new, values, cfg, policy, value_bits)
 
 
 def merge(a: AdaptiveFilter, b: AdaptiveFilter) -> AdaptiveFilter:

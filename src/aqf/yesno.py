@@ -220,7 +220,7 @@ class YesNoFilter:
         cfg = inner.cfg
         stream = HashStream(key, cfg.seed)
         qt, rem = split(stream, cfg)
-        mid = pack_minirun_id(qt, rem, cfg.q)
+        mid = pack_minirun_id(qt, rem, cfg.r)
         colliders = []
         hit = inner.arr.query_fp(stream, 0, (qt, rem))
         while hit is not None:

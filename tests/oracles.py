@@ -318,10 +318,18 @@ def with_slot_fields(blob: bytes, rows: list[np.ndarray], payloads: np.ndarray) 
     return reseal(bytes(out))
 
 
-def hash_sorted_ids(q: int, entries: dict) -> list[int]:
-    """Minirun ids in hash order (quotient, then remainder)."""
-    qmask = (1 << q) - 1
-    return sorted(entries, key=lambda i: (i & qmask, i >> q))
+def map_lists(m) -> dict:
+    """A reverse map's lists, {minirun id: [(key, value), ...]}, grouped
+    from its _merged() rows, which must come in hash order (ascending
+    ids), each list in rank order; the dict holds the ids in that order."""
+    mids, keys, values = m._merged()
+    ids = mids.tolist()
+    assert ids == sorted(ids), "map rows out of hash order"
+    out = {}
+    for mid, key, value in zip(ids, keys.tolist(),
+                               itertools.repeat(None) if values is None else values):
+        out.setdefault(mid, []).append((key, value))
+    return out
 
 
 def encode_map_v1(q: int, entries: dict) -> bytes:
@@ -329,13 +337,13 @@ def encode_map_v1(q: int, entries: dict) -> bytes:
     entries are {minirun id: [(key, value), ...]} (no empty lists),
     written entry by entry.
 
-    Records in hash order (quotient, then remainder): q u8, minirun id
-    u64, list length u32; then per entry key length u32 (8), key u64,
-    value length u32 (0xFFFFFFFF for None) and the value's bytes.  All
-    little-endian, after magic, version u32 and record count u64.
+    Records in hash order (ascending ids): q u8, minirun id u64, list
+    length u32; then per entry key length u32 (8), key u64, value length
+    u32 (0xFFFFFFFF for None) and the value's bytes.  All little-endian,
+    after magic, version u32 and record count u64.
     """
     out = [struct.pack("<4sIQ", b"AQFM", 1, len(entries))]
-    for mid in hash_sorted_ids(q, entries):
+    for mid in sorted(entries):
         lst = entries[mid]
         out.append(struct.pack("<BQI", q, mid, len(lst)))
         for key, value in lst:
@@ -349,12 +357,12 @@ def encode_map_v1(q: int, entries: dict) -> bytes:
     return b"".join(out)
 
 
-def encode_map_v2(q: int, entries: dict) -> bytes:
+def encode_map_v2(entries: dict) -> bytes:
     """Version 2 map section of the same entries, entry by entry: every
     key (u64) in hash order, each list in rank order; when some value is
     not None, every value length (u32, 0xFFFFFFFF for None) and then
     every value's bytes; a CRC32 of all of it last."""
-    rows = [row for mid in hash_sorted_ids(q, entries) for row in entries[mid]]
+    rows = [row for mid in sorted(entries) for row in entries[mid]]
     out = [key.to_bytes(8, "little") for key, _ in rows]
     if any(value is not None for _, value in rows):
         out += [struct.pack("<I", 0xFFFFFFFF if v is None else len(v)) for _, v in rows]
@@ -414,10 +422,7 @@ def encode_filter_v1(f) -> bytes:
     p = f.policy
     flags = p.auto_adapt | p.dedupe_keys << 1 | p.shorten_on_delete << 2
     head = struct.pack("<4sIBBBB", b"AQFS", 1, flags, p.max_extensions, f.value_bits, 0)
-    mids, lengths, keys, values = f.map._columns()
-    rows = iter(zip(keys.tolist(), itertools.repeat(None) if values is None else values))
-    entries = {mid: [next(rows) for _ in range(n)]
-               for mid, n in zip(mids.tolist(), lengths.tolist())}
+    entries = map_lists(f.map)
     return head + _section(encode_slots_v1(f.arr)) + _section(encode_map_v1(f.cfg.q, entries))
 
 

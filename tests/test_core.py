@@ -17,7 +17,7 @@ from aqf.core import (
 )
 from aqf.errors import FilterFullError, FormatError, NotFoundError
 from aqf.filter import AdaptiveFilter, Policy
-from aqf.hashing import FilterConfig, HashStream, extension_chunk, split
+from aqf.hashing import FilterConfig, HashStream, extension_chunk, split, split_batch
 
 from oracles import (
     _bit,
@@ -54,15 +54,15 @@ def random_fps(rng, q, r, n, max_ext=0, max_count=1):
 
 class TestMinirunIds:
     def test_worked_value(self):
-        assert pack_minirun_id(3, 0xA, q=4) == (0xA << 4) | 3
+        assert pack_minirun_id(3, 0xA, r=4) == (3 << 4) | 0xA
 
     def test_roundtrip(self):
         rng = np.random.default_rng(31)
         for _ in range(200):
-            q = int(rng.integers(1, 57))
-            qt = int(rng.integers(0, 1 << q))
-            rem = int(rng.integers(0, 1 << 56))
-            assert unpack_minirun_id(pack_minirun_id(qt, rem, q), q) == (qt, rem)
+            r = int(rng.integers(1, 57))
+            qt = int(rng.integers(0, 1 << 56))
+            rem = int(rng.integers(0, 1 << r))
+            assert unpack_minirun_id(pack_minirun_id(qt, rem, r), r) == (qt, rem)
 
 
 @st.composite
@@ -138,7 +138,7 @@ class TestInsertPlacement:
     def test_first_insert_lands_on_canonical_slot(self):
         arr = SlotArray(C44)
         mid, rank = arr.insert_fp(3, 0xA)
-        assert (mid, rank) == (pack_minirun_id(3, 0xA, 4), 0)
+        assert (mid, rank) == (pack_minirun_id(3, 0xA, C44.r), 0)
         assert int(arr.slots[3]) == 0xA
         for vec in (arr.occ, arr.run, arr.used):
             assert _bit(vec, 3) == 1
@@ -353,7 +353,7 @@ class TestRemove:
         with pytest.raises(NotFoundError):
             arr.remove_fp(mid, 1)
         with pytest.raises(NotFoundError):
-            arr.remove_fp(pack_minirun_id(6, 2, 4), 0)
+            arr.remove_fp(pack_minirun_id(6, 2, C44.r), 0)
 
 
 class TestExtendTruncate:
@@ -771,23 +771,34 @@ class TestFrozenIndexExact:
 
     @settings(max_examples=60, deadline=None)
     @given(q=st.integers(3, 8), r=st.integers(1, 3), seed=st.integers(0, 1 << 16),
-           n_keys=st.integers(0, 200), shorten=st.booleans(),
+           wide=st.booleans(), n_keys=st.integers(0, 200), shorten=st.booleans(),
            steps=st.lists(st.sampled_from(["lookup", "lookup", "delete", "insert", "again"]),
                           min_size=1, max_size=8))
-    def test_patched_index_equals_a_fresh_build(self, q, r, seed, n_keys, shorten, steps):
+    def test_patched_index_equals_a_fresh_build(self, q, r, seed, wide, n_keys, shorten, steps):
         """Adapting lookups between calls of frozen_index: its index
         equals a fresh FrozenIndex of the table every time, is patched
         from the last one (same base array) after extensions alone, is
         rebuilt after a delete or an insert, comes back as the same
         object when nothing changed, and leaves every index handed out
-        before as it was."""
-        cfg = FilterConfig(q=q, r=r, seed=seed)
+        before as it was.
+
+        Every minirun id is the (quotient << r) | remainder pair that
+        hash order sorts, also when wide remainders (r = 56) put q + r at
+        up to 64 bits: insert returns the key's split_batch pair, the
+        map's ids ascend and are the table's column pairs, and the
+        index's base holds each pair once."""
+        cfg = FilterConfig(q=q, r=56 if wide else r, seed=seed)
         rng = np.random.default_rng(seed)
         f = AdaptiveFilter(cfg, policy=Policy(shorten_on_delete=shorten))
+
+        def insert(key):
+            mid, _ = f.insert(key)
+            assert mid == int(split_batch(np.array([key], dtype=np.uint64), cfg)[0])
+
         stored = []
         for k in rng.integers(0, 1 << 62, size=n_keys, dtype=np.uint64).tolist():
             try:
-                f.insert(k)
+                insert(k)
             except FilterFullError:
                 break
             stored.append(k)
@@ -800,7 +811,7 @@ class TestFrozenIndexExact:
                 f.delete(stored.pop(int(rng.integers(len(stored)))))
             elif step == "insert":
                 try:
-                    f.insert(int(rng.integers(0, 1 << 62)))
+                    insert(int(rng.integers(0, 1 << 62)))
                 except FilterFullError:
                     step = "again"
             elif step == "lookup":
@@ -809,6 +820,10 @@ class TestFrozenIndexExact:
                 step = "again"
             got = f.frozen_index()
             assert_fresh(got, f.arr, probes)
+            mids = f.map._merged()[0]
+            assert (mids[1:] >= mids[:-1]).all()
+            assert np.array_equal(mids, f.arr._columns().packed(cfg.r))
+            assert np.array_equal(got.base, np.unique(got.base))
             if last is not None:
                 if step in ("delete", "insert"):
                     assert got.base is not last.base
@@ -831,14 +846,14 @@ class TestFrozenIndexExact:
             insert_whole(arr, *fp)
         first = arr.frozen_index()
         pair = int(np.searchsorted(first.base, (3 << cfg.r) | 1))
-        twins = pack_minirun_id(3, 1, cfg.q)
+        twins = pack_minirun_id(3, 1, cfg.r)
         arr.extend_fp(twins, 0, [2, 3])
         half = arr.frozen_index()
         assert_fresh(half, arr, probes)
         assert not half.all_ext[pair] and half.cand_len.tolist() == [1]
         arr.extend_fp(twins, 1, [1])
         # a longer extension than any before widens the chunk matrix
-        arr.extend_fp(pack_minirun_id(3, 2, cfg.q), 0, [0, 0, 1])
+        arr.extend_fp(pack_minirun_id(3, 2, cfg.r), 0, [0, 0, 1])
         full = arr.frozen_index()
         assert_fresh(full, arr, probes)
         assert full.all_ext[pair] and full.cand_len.tolist() == [2, 1, 4]

@@ -499,7 +499,7 @@ class TestDelete:
         monkeypatch.undo()
         assert f.arr.to_bytes() == relaid(f.arr).to_bytes()
         for k in keys:
-            mid = pack_minirun_id(*split(HashStream(k, f.cfg.seed), f.cfg), f.cfg.q)
+            mid = pack_minirun_id(*split(HashStream(k, f.cfg.seed), f.cfg), f.cfg.r)
             assert f.arr.get_count(mid, f.map.find_rank(mid, k)) == 2
         for _ in range(2):
             for k in keys:

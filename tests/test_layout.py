@@ -113,7 +113,7 @@ def test_decoder_and_writer_match_the_oracle(table, edits):
         if not live:
             break
         (qt, rem), rank = live[pick % len(live)]
-        mid = pack_minirun_id(qt, rem, cfg.q)
+        mid = pack_minirun_id(qt, rem, cfg.r)
         ext, count, value = model[(qt, rem)][rank]
         index = arr.frozen_index()
         if op == "remove":
@@ -177,7 +177,7 @@ RUN3 = [wide(4, 1), wide(4, 2), wide(4, 3), wide(5, 0), wide(6, 1), wide(9, 2)]
 @pytest.mark.parametrize("k", [0, 1, 2], ids=["first", "middle", "terminator"])
 def test_remove_from_a_run(k):
     arr = filled(RUN3)
-    arr.remove_fp(pack_minirun_id(*RUN3[k][:2], C52.q), 0)
+    arr.remove_fp(pack_minirun_id(*RUN3[k][:2], C52.r), 0)
     check_edit(arr, removed(RUN3, k))
     assert find_run(arr, 4) == (4, 2)
     assert find_run(arr, 5) == (6, 1) and find_run(arr, 6) == (7, 1)
@@ -186,7 +186,7 @@ def test_remove_from_a_run(k):
 
 def test_remove_the_only_fingerprint_of_its_run():
     arr = filled(RUN3)
-    arr.remove_fp(pack_minirun_id(5, 0, C52.q), 0)
+    arr.remove_fp(pack_minirun_id(5, 0, C52.r), 0)
     check_edit(arr, removed(RUN3, 3))
     assert not _bit(arr.occ, 5)
     # quotient 6 moves back one slot, to slot 7: still one past canonical
@@ -201,7 +201,7 @@ def test_remove_from_a_run_that_wraps_the_seam():
     arr = filled(fps)
     assert find_run(arr, 30) == (30, 4)
     assert [find_run(arr, qt)[0] for qt in (31, 0, 1)] == [2, 3, 4]
-    arr.remove_fp(pack_minirun_id(30, 0, C52.q), 0)
+    arr.remove_fp(pack_minirun_id(30, 0, C52.r), 0)
     check_edit(arr, removed(fps, 0))
     assert find_run(arr, 30) == (30, 3)
     assert [find_run(arr, qt)[0] for qt in (31, 0, 1)] == [1, 2, 3]
@@ -215,7 +215,7 @@ def test_the_shift_shrinks_at_a_run_near_its_canonical_slot():
     fps = [wide(10, 1, (2, 3)), wide(11, 0), wide(12, 0), wide(14, 1), wide(16, 0)]
     arr = filled(fps)
     assert [find_run(arr, qt)[0] for qt in (10, 11, 12, 14, 16)] == [10, 13, 14, 15, 16]
-    arr.remove_fp(pack_minirun_id(10, 1, C52.q), 0)
+    arr.remove_fp(pack_minirun_id(10, 1, C52.r), 0)
     check_edit(arr, removed(fps, 0))
     # shifts of 2, 2 and 1, then nothing: slots 13 and 15 fall empty
     assert [find_run(arr, qt)[0] for qt in (11, 12, 14, 16)] == [11, 12, 14, 16]
@@ -228,7 +228,7 @@ def test_remove_a_fingerprint_with_extension_and_counter_slots():
            wide(6, 0), wide(7, 1)]
     arr = filled(fps)
     assert arr.ext_slot_count == 3 and arr.ctr_slot_count == 4
-    arr.remove_fp(pack_minirun_id(4, 2, C52.q), 0)
+    arr.remove_fp(pack_minirun_id(4, 2, C52.r), 0)
     check_edit(arr, removed(fps, 1))
     assert (arr.ext_slot_count, arr.ctr_slot_count, arr.used_count) == (1, 1, 6)
 
@@ -239,7 +239,7 @@ def test_counter_shrinks(before, after, digits):
     # r=2: 10 - 1 takes two base-4 digits, 2 - 1 one, 1 - 1 none
     fps = [wide(4, 1), wide(4, 2, (3,), before), wide(4, 3), wide(5, 0), wide(8, 1)]
     arr = filled(fps)
-    arr.set_count(pack_minirun_id(4, 2, C52.q), 0, after)
+    arr.set_count(pack_minirun_id(4, 2, C52.r), 0, after)
     fps[1] = wide(4, 2, (3,), after)
     check_edit(arr, removed(fps, None))
     assert arr.ctr_slot_count == digits
@@ -248,8 +248,8 @@ def test_counter_shrinks(before, after, digits):
 def test_a_missing_rank_or_quotient_changes_nothing():
     arr = filled(RUN3 + [wide(9, 2, (), 5)])
     blob = arr.to_bytes()
-    for mid, rank in ((pack_minirun_id(4, 1, C52.q), 1), (pack_minirun_id(4, 0, C52.q), 0),
-                      (pack_minirun_id(12, 1, C52.q), 0), (pack_minirun_id(9, 2, C52.q), 2)):
+    for mid, rank in ((pack_minirun_id(4, 1, C52.r), 1), (pack_minirun_id(4, 0, C52.r), 0),
+                      (pack_minirun_id(12, 1, C52.r), 0), (pack_minirun_id(9, 2, C52.r), 2)):
         with pytest.raises(NotFoundError):
             arr.remove_fp(mid, rank)
         with pytest.raises(NotFoundError):
@@ -332,7 +332,7 @@ def test_cluster_reads(q, quots, size, walked, reads):
         ext = chunks(cfg, key, nchunks)
         lst = model.setdefault(fp, [])
         assert insert_whole(arr, *fp, ext, value=value) == (
-            pack_minirun_id(*fp, q), len(lst))
+            pack_minirun_id(*fp, cfg.r), len(lst))
         lst.append((ext, 1, value))
         owner.setdefault(fp, []).append(key)
 
@@ -360,7 +360,7 @@ def test_cluster_reads(q, quots, size, walked, reads):
     insert(next(k for k in spare if split(HashStream(k, cfg.seed), cfg)[0] == middle), 0, 0)
     verify()
     fp = live(middle)
-    mid = pack_minirun_id(*fp, q)
+    mid = pack_minirun_id(*fp, cfg.r)
     ext, count, value = model[fp][0]
     more = chunks(cfg, owner[fp][0], len(ext) + 2)[len(ext):]
     arr.extend_fp(mid, 0, more)
@@ -373,7 +373,7 @@ def test_cluster_reads(q, quots, size, walked, reads):
     # delete at the first, a middle and the last run of the cluster
     for qt in (first, middle, last):
         fp = live(qt)
-        arr.remove_fp(pack_minirun_id(*fp, q), 0)
+        arr.remove_fp(pack_minirun_id(*fp, cfg.r), 0)
         model[fp].pop(0)
         owner[fp].pop(0)
         verify()
@@ -387,7 +387,7 @@ def test_a_table_without_an_unused_slot_fails_the_walk(q):
     with pytest.raises(StateCorruptionError, match="no cluster boundary"):
         find_run(arr, 3)
     with pytest.raises(StateCorruptionError, match="no cluster boundary"):
-        arr.remove_fp(pack_minirun_id(3, 1, q), 0)
+        arr.remove_fp(pack_minirun_id(3, 1, arr.cfg.r), 0)
 
 
 def counting_walks(arr):
@@ -418,7 +418,7 @@ def counting_walks(arr):
 
 
 C64 = FilterConfig(q=6, r=4)
-MID = {qt: pack_minirun_id(qt, rem, C64.q) for qt, rem in [(10, 1), (13, 2), (20, 3)]}
+MID = {qt: pack_minirun_id(qt, rem, C64.r) for qt, rem in [(10, 1), (13, 2), (20, 3)]}
 
 # (edit, reads outside the walk): one walk and one store each.  Slots
 # 10-12 hold (10, 1) with two chunks, 13 holds (13, 2), 20 holds (20, 3)
@@ -530,7 +530,7 @@ def run_edits(program, seen):
             continue
         else:
             key, rank = live[pick % len(live)]
-            mid = pack_minirun_id(*key, cfg.q)
+            mid = pack_minirun_id(*key, cfg.r)
             ext, count, value = model[key][rank]
         try:
             if op == "insert":
@@ -777,7 +777,7 @@ def test_the_loader_derives_the_ids_of_the_columns(table):
             pass
     back, mids = SlotArray._decode(arr.to_bytes())
     assert mids.dtype == np.uint64
-    assert mids.tolist() == arr._columns().mids(cfg.q).tolist()
+    assert mids.tolist() == arr._columns().packed(cfg.r).tolist()
     assert back.fp_count == len(mids) == arr.fp_count
 
 

@@ -26,39 +26,25 @@ from aqf.filter import AdaptiveFilter
 from aqf.hashing import FilterConfig
 from aqf.revmap import ReverseMap
 from aqf.snapshot import section
-from oracles import encode_map_v2, mutants, reseal
+from oracles import encode_map_v2, map_lists, mutants, reseal
 
 NO_IDS = np.zeros(0, dtype=np.uint64)
 
 
-def model_columns(q: int, entries: dict) -> tuple[list, list, list, list]:
-    """(ids, lengths, keys, values) of a dict of lists, in hash order:
-    ids sorted by quotient (the low q bits), then remainder."""
-    ids = sorted(entries, key=lambda i: (i & ((1 << q) - 1), i >> q))
-    rows = [row for mid in ids for row in entries[mid]]
-    return (ids, [len(entries[mid]) for mid in ids],
-            [key for key, _ in rows], [value for _, value in rows])
-
-
-def model_ids(q: int, entries: dict) -> np.ndarray:
-    """The minirun id of every entry in hash order, as the slot array
-    hands them to the map's decoder."""
-    ids, lengths, _, _ = model_columns(q, entries)
-    return np.repeat(np.array(ids, dtype=np.uint64), lengths)
+def model_ids(entries: dict) -> np.ndarray:
+    """The minirun id of every entry in hash order (ascending ids), as the
+    slot array hands them to the map's decoder."""
+    return np.array([mid for mid in sorted(entries) for _ in entries[mid]], dtype=np.uint64)
 
 
 def ids_of(m: ReverseMap) -> np.ndarray:
-    mids, lengths, _, _ = m._columns()
-    return np.repeat(mids, lengths)
+    return model_ids(map_lists(m))
 
 
 def assert_same_content(m: ReverseMap, entries: dict) -> None:
-    """m holds exactly the lists of entries, a dict of non-empty lists."""
-    mids, lengths, keys, values = m._columns()
-    if values is None:  # every value None
-        values = [None] * len(keys)
-    assert (mids.tolist(), lengths.tolist(), keys.tolist(), values) == \
-        model_columns(m.qbits, entries)
+    """m holds exactly the lists of entries, a dict of non-empty lists,
+    in hash order."""
+    assert list(map_lists(m).items()) == sorted(entries.items())
     assert len(m) == len(entries)
     assert m.key_count == sum(map(len, entries.values()))
     for mid, lst in entries.items():
@@ -137,6 +123,54 @@ class TestBasicOps:
         assert m.list_size(1) == 0 and m.accesses == base + 4
 
 
+class TestIdWidth:
+    """Ids at or past 2**id_bits: every entry point that stores ids
+    refuses them, and reads answer as for an id the map does not hold."""
+
+    WIDE = ((1 << 8) | 0x2A, 1 << 8, 1 << 64)
+
+    def test_map_insert_refuses_a_wide_id_and_leaves_the_map(self):
+        m = ReverseMap._from_columns(8, np.array([0x2A, 0x80]), np.array([7, 8]), None)
+        m.map_insert(0x2A, 1, 9)
+        before = (m.to_bytes(), len(m), m.key_count, m.accesses, ids_of(m).tolist())
+        for mid in self.WIDE:
+            with pytest.raises(InvalidConfigError, match="fit in 8 bits"):
+                m.map_insert(mid, 0, 5)
+            assert (m.to_bytes(), len(m), m.key_count, m.accesses,
+                    ids_of(m).tolist()) == before
+
+    def test_reads_of_a_wide_id_find_nothing(self):
+        """A wide id's masked bucket is that of the id with its low bits,
+        which the map holds, and the scan of it finds no match."""
+        m = ReverseMap._from_columns(8, np.array([0x2A, 0x80]), np.array([7, 8]), None)
+        for mid in self.WIDE:
+            with pytest.raises(NotFoundError):
+                m.map_get(mid, 0)
+            with pytest.raises(NotFoundError):
+                m.map_remove(mid, 0)
+            assert m.find_rank(mid, 7) is None and m.list_size(mid) == 0
+        assert m.map_get(0x2A, 0) == (7, None) and m.key_count == 2
+
+    def test_from_bytes_refuses_wide_ids(self):
+        m = ReverseMap(8)
+        m.map_insert(3, 0, 9)
+        m.map_insert(0xFF, 0, 10)
+        blob = m.to_bytes()
+        assert ReverseMap.from_bytes(blob, 8, ids_of(m)) == m
+        for ids in ([3, 1 << 8], [1 << 8, 1 << 9], [3, 1 << 63]):
+            with pytest.raises(InvalidConfigError, match="does not fit in 8 bits"):
+                ReverseMap.from_bytes(blob, 8, np.array(ids, dtype=np.uint64))
+
+    def test_from_columns_refuses_wide_ids(self):
+        keys = np.arange(3, dtype=np.uint64)
+        # the last is out of order and wraps the composite sort of _stable_order
+        for ids in ([3, 5, 1 << 8], [1 << 8, 3, 5], [3, 5, (1 << 64) - 1], [1 << 63, 3, 5]):
+            with pytest.raises(InvalidConfigError, match="does not fit in 8 bits"):
+                ReverseMap._from_columns(8, np.array(ids, dtype=np.uint64), keys, None)
+        assert len(ReverseMap._from_columns(64, np.array([3, 5, (1 << 64) - 1],
+                                                         dtype=np.uint64), keys, None)) == 3
+
+
 class TestDictOracle:
     def test_random_op_stream(self):
         rng = np.random.default_rng(41)
@@ -186,16 +220,16 @@ class TestSnapshot:
         # the bytes record no width: the caller's is the map's
         with pytest.raises(TypeError):
             ReverseMap.from_bytes(blob)
-        assert ReverseMap.from_bytes(blob, 9, NO_IDS).qbits == 9
+        assert ReverseMap.from_bytes(blob, 9, NO_IDS).id_bits == 9
 
     def test_large_random_roundtrip(self):
         rng = np.random.default_rng(43)
-        m = ReverseMap(12)
+        m = ReverseMap(16)  # the ids' width, so that the buckets spread them
         for _ in range(100_000):
             mid = int(rng.integers(0, 40_000))
             value = None if rng.random() < 0.7 else bytes(rng.bytes(int(rng.integers(0, 9))))
             m.map_insert(mid, m.list_size(mid), int(rng.integers(0, 1 << 64, dtype=np.uint64)), value)
-        back = ReverseMap.from_bytes(m.to_bytes(), 12, ids_of(m))
+        back = ReverseMap.from_bytes(m.to_bytes(), 16, ids_of(m))
         assert back == m
         assert back.to_bytes() == m.to_bytes()
 
@@ -220,12 +254,12 @@ entry_st = st.tuples(
 
 @st.composite
 def maps(draw):
-    """(map, its entries as a dict of lists) at the extreme widths and in
-    between; ids up to 2**64 - 1 put high remainder bits above the
-    quotient."""
-    q = draw(st.one_of(st.sampled_from([1, 56]), st.integers(2, 55)))
-    ids = st.one_of(st.integers(0, (1 << 64) - 1), st.integers(0, (1 << (q + 2)) - 1))
-    m = ReverseMap(q)
+    """(map, its entries as a dict of lists) at the extreme id widths and
+    in between; ids up to the width's top bit, and small ones that share
+    the low buckets."""
+    bits = draw(st.one_of(st.sampled_from([1, 64]), st.integers(2, 63)))
+    ids = st.one_of(st.integers(0, (1 << bits) - 1), st.integers(0, (1 << min(bits, 6)) - 1))
+    m = ReverseMap(bits)
     entries = draw(st.dictionaries(ids, st.lists(entry_st, min_size=1, max_size=4),
                                    max_size=12))
     for mid, lst in entries.items():
@@ -240,26 +274,29 @@ class TestColumnarSnapshot:
     def test_bytes_equal_the_entry_by_entry_encoder(self, drawn):
         m, entries = drawn
         blob = m.to_bytes()
-        assert blob == encode_map_v2(m.qbits, entries)
-        ids = model_ids(m.qbits, entries)
-        back = ReverseMap.from_bytes(blob, m.qbits, ids)
+        assert blob == encode_map_v2(entries)
+        ids = model_ids(entries)
+        back = ReverseMap.from_bytes(blob, m.id_bits, ids)
         assert back == m and back.to_bytes() == blob
         assert back.accesses == 0
         # more ids than the section holds keys for
-        extra = np.full(len(blob) // 8 + 1 - len(ids), MASK64, dtype=np.uint64)
+        extra = np.full(len(blob) // 8 + 1 - len(ids), (1 << m.id_bits) - 1, dtype=np.uint64)
         with pytest.raises(FormatError):
-            ReverseMap.from_bytes(blob, m.qbits, np.append(ids, extra))
+            ReverseMap.from_bytes(blob, m.id_bits, np.append(ids, extra))
 
     def test_empty_map_is_just_the_trailer(self):
-        assert ReverseMap(56).to_bytes() == encode_map_v2(56, {}) == bytes(4)
+        assert ReverseMap(64).to_bytes() == encode_map_v2({}) == bytes(4)
 
     def test_columns_come_in_hash_order(self):
-        m = ReverseMap(4)
-        for mid, key in [(0x31, 1), (0x12, 2), (0x21, 3), (0x21, 4)]:
+        """Ids (quotient << 4) | remainder: quotient 1 remainders 2 and 3,
+        then quotient 2 remainder 1, whatever order they were written in."""
+        m = ReverseMap(8)
+        for mid, key in [(0x13, 1), (0x21, 2), (0x12, 3), (0x12, 4)]:
             m.map_insert(mid, m.list_size(mid), key, None if key % 2 else b"v")
-        mids, lengths, keys, values = m._columns()
-        assert mids.tolist() == [0x21, 0x31, 0x12]
-        assert lengths.tolist() == [2, 1, 1]
+        assert list(map_lists(m).items()) == [(0x12, [(3, None), (4, b"v")]),
+                                              (0x13, [(1, None)]), (0x21, [(2, b"v")])]
+        mids, keys, values = m._merged()
+        assert mids.tolist() == [0x12, 0x12, 0x13, 0x21]
         assert keys.tolist() == [3, 4, 1, 2]
         assert values == [None, b"v", None, b"v"]
 
@@ -267,16 +304,16 @@ class TestColumnarSnapshot:
         mids = np.array([5, 5, 9, 7, 7, 7], dtype=np.uint64)
         keys = np.arange(6, dtype=np.uint64)
         values = [None, b"", b"a", None, b"bc", None]
-        m = ReverseMap._from_columns(3, mids, keys, values)
-        want = ReverseMap(3)
+        m = ReverseMap._from_columns(4, mids, keys, values)
+        want = ReverseMap(4)
         for mid, key, value in zip(mids.tolist(), keys.tolist(), values):
             want.map_insert(mid, want.list_size(mid), key, value)
         assert m == want and m.accesses == want.accesses == 6
-        assert ReverseMap._from_columns(3, mids[:0], keys[:0], []) == ReverseMap(3)
+        assert ReverseMap._from_columns(4, mids[:0], keys[:0], []) == ReverseMap(4)
 
 
-def two_records(q=6):
-    m = ReverseMap(q)
+def two_records(bits=6):
+    m = ReverseMap(bits)
     m.map_insert(1, 0, 10, b"x")
     m.map_insert(2, 0, 20)
     return m.to_bytes()
@@ -288,16 +325,15 @@ TWO_IDS = np.array([1, 2], dtype=np.uint64)
 class TestDecoderRejects:
     @pytest.mark.parametrize("swap", [True, False])
     def test_records_out_of_hash_order(self, swap):
-        """The ids handed in must be in hash order: swapped, or sorted as
-        plain integers, which puts a remainder above a small quotient
-        first, they are refused."""
+        """The ids handed in must be in hash order, which is ascending:
+        two swapped, or all reversed, they are refused."""
         m = ReverseMap(6)
-        ids = [(1 << 6) | 2, 3, 5]  # quotients 2, 3, 5
+        ids = [(1 << 3) | 2, (3 << 3) | 1, (3 << 3) | 5]  # at r=3: (1, 2), (3, 1), (3, 5)
         for mid in ids:
             m.map_insert(mid, 0, mid)
         blob = m.to_bytes()
         assert ReverseMap.from_bytes(blob, 6, np.array(ids, dtype=np.uint64)) == m
-        bad = [ids[1], ids[0], ids[2]] if swap else sorted(ids)
+        bad = [ids[1], ids[0], ids[2]] if swap else ids[::-1]
         with pytest.raises(UnsortedInputError):
             ReverseMap.from_bytes(blob, 6, np.array(bad, dtype=np.uint64))
 
@@ -318,11 +354,11 @@ class TestDecoderRejects:
 
 @pytest.fixture(scope="module")
 def small_snapshot():
-    """12 entries under 8 ids at q=6, with None, empty and longer values,
-    and the hash-ordered id of each entry."""
+    """12 entries under 8 ids of 8 bits, with None, empty and longer
+    values, and the hash-ordered id of each entry."""
     rng = np.random.default_rng(44)
     ids = rng.choice(1 << 8, size=8, replace=False).tolist()
-    m = ReverseMap(6)
+    m = ReverseMap(8)
     for i in range(12):
         value = [None, b"", b"val", bytes([i])][i % 4]
         m.map_insert(ids[i % 8], m.list_size(ids[i % 8]),
@@ -334,10 +370,10 @@ def test_every_bit_flip_and_truncation_fails(small_snapshot):
     """No mutant loads: the trailer catches every single-bit flip and
     every cut, key and value bits included."""
     snapshot, ids = small_snapshot
-    assert len(ReverseMap.from_bytes(snapshot, 6, ids)) == 8
+    assert len(ReverseMap.from_bytes(snapshot, 8, ids)) == 8
     for blob in mutants(snapshot):
         with pytest.raises(FormatError):
-            ReverseMap.from_bytes(blob, 6, ids)
+            ReverseMap.from_bytes(blob, 8, ids)
 
 
 def test_every_bit_flip_and_truncation_fails_cleanly_or_reencodes_identically(small_snapshot):
@@ -348,7 +384,7 @@ def test_every_bit_flip_and_truncation_fails_cleanly_or_reencodes_identically(sm
     for blob in mutants(snapshot[:-4]):
         blob = reseal(blob + bytes(4))
         try:
-            m = ReverseMap.from_bytes(blob, 6, ids)
+            m = ReverseMap.from_bytes(blob, 8, ids)
         except FormatError:
             continue
         assert m.to_bytes() == blob
@@ -387,8 +423,8 @@ class TestDecoderBounds:
 
 
 MASK64 = (1 << 64) - 1
-# few ids, so lists grow and share quotients; the wide ones put
-# remainder bits above the quotient
+# few ids, so lists grow and share buckets; the wide ones reach the top
+# bits of the machine's 64-bit ids
 machine_ids = st.one_of(st.integers(0, 24), st.sampled_from([MASK64, 1 << 63, (1 << 40) + 3]))
 machine_keys = st.one_of(st.integers(0, 40), st.integers(0, MASK64))
 machine_values = st.one_of(st.none(), st.just(b""), st.binary(min_size=1, max_size=3))
@@ -398,13 +434,13 @@ class MapMachine(RuleBasedStateMachine):
     """ReverseMap against a dict of lists, writes driving it through
     compaction (the test shrinks the compaction point)."""
 
-    Q = 3
+    BITS = 64
     # times the overlay was merged into the base, over all runs
     compactions = 0
 
     def __init__(self):
         super().__init__()
-        self.m = ReverseMap(self.Q)
+        self.m = ReverseMap(self.BITS)
         self.model: dict[int, list] = {}
         self.accesses = 0
 
@@ -475,8 +511,7 @@ class MapMachine(RuleBasedStateMachine):
 
     @rule()
     def roundtrip(self):
-        self.m = ReverseMap.from_bytes(self.m.to_bytes(), self.Q,
-                                       model_ids(self.Q, self.model))
+        self.m = ReverseMap.from_bytes(self.m.to_bytes(), self.BITS, model_ids(self.model))
         self.accesses = 0
 
     @invariant()
@@ -484,9 +519,9 @@ class MapMachine(RuleBasedStateMachine):
         assert_same_content(self.m, self.model)
         assert self.m.accesses == self.accesses
         blob = self.m.to_bytes()
-        assert blob == encode_map_v2(self.Q, self.model)
+        assert blob == encode_map_v2(self.model)
         # all in the base; self.m may keep part of its content in the overlay
-        flat = ReverseMap.from_bytes(blob, self.Q, model_ids(self.Q, self.model))
+        flat = ReverseMap.from_bytes(blob, self.BITS, model_ids(self.model))
         assert flat == self.m and self.m == flat
 
 

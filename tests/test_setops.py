@@ -162,7 +162,7 @@ class TestMerge:
         a = sequential([x], cfg)
         b = sequential([y], cfg)
         m = merge(a, b)
-        mid = pack_minirun_id(*split(HashStream(x, cfg.seed), cfg), cfg.q)
+        mid = pack_minirun_id(*split(HashStream(x, cfg.seed), cfg), cfg.r)
         assert m.map.find_rank(mid, x) == 0
         assert m.map.find_rank(mid, y) == 1
 
@@ -229,11 +229,11 @@ class TestMergeGrowth:
         x = int(pool[0])
         z = find_colliders(cfg.q, cfg.r, cfg.seed, x, 0, 1)[0]
         assert a.lookup(z)[0] is LookupResult.FALSE_POSITIVE_CORRECTED
-        mid = pack_minirun_id(*split(HashStream(x, cfg.seed), cfg), cfg.q)
+        mid = pack_minirun_id(*split(HashStream(x, cfg.seed), cfg), cfg.r)
         old_len = len(a.arr.get_ext(mid, a.map.find_rank(mid, x)))
         m = merge(a, b)
         assert m.cfg.q == cfg.q + 1
-        grown_mid = pack_minirun_id(*split(HashStream(x, cfg.seed), m.cfg), m.cfg.q)
+        grown_mid = pack_minirun_id(*split(HashStream(x, cfg.seed), m.cfg), m.cfg.r)
         new_len = len(m.arr.get_ext(grown_mid, m.map.find_rank(grown_mid, x)))
         assert new_len == old_len >= 1
         assert m.lookup(x)[0] is PRESENT
@@ -269,7 +269,7 @@ class TestRebuild:
         f.insert(9)
         g = rebuild(f, new_seed=104)
         assert g.lookup(9) == (PRESENT, b"nine")
-        gmid = pack_minirun_id(*split(HashStream(9, 104), g.cfg), g.cfg.q)
+        gmid = pack_minirun_id(*split(HashStream(9, 104), g.cfg), g.cfg.r)
         assert g.arr.get_count(gmid, g.map.find_rank(gmid, 9)) == 2
 
     def test_same_seed_warns(self):
@@ -289,7 +289,7 @@ def fingerprints(f):
     """(minirun id, rank, extension chunks) of every fingerprint of f."""
     ranks = {}
     for qt, rem, ext, _, _ in decode_raw(f.arr):
-        mid = pack_minirun_id(qt, rem, f.cfg.q)
+        mid = pack_minirun_id(qt, rem, f.cfg.r)
         ranks[mid] = ranks.get(mid, -1) + 1
         yield mid, ranks[mid], ext
 
@@ -300,7 +300,7 @@ def hash_order_records(f):
     ranks = {}
     out = []
     for qt, rem, _, _, _ in sorted(decode_raw(f.arr), key=lambda row: row[0]):
-        mid = pack_minirun_id(qt, rem, f.cfg.q)
+        mid = pack_minirun_id(qt, rem, f.cfg.r)
         rank = ranks[mid] = ranks.get(mid, -1) + 1
         out.append(f.map.map_get(mid, rank))
     return out
@@ -314,9 +314,9 @@ def in_hash_order(records, cfg):
 def sequential_map(records, cfg):
     """The map that map_insert builds from records in hash order under
     cfg, each appended to its minirun's list."""
-    m = ReverseMap(cfg.q)
+    m = ReverseMap(cfg.q + cfg.r)
     for key, value in in_hash_order(records, cfg):
-        mid = pack_minirun_id(*ref_split(key, cfg.seed, cfg.q, cfg.r), cfg.q)
+        mid = pack_minirun_id(*ref_split(key, cfg.seed, cfg.q, cfg.r), cfg.r)
         m.map_insert(mid, m.list_size(mid), key, value)
     return m
 

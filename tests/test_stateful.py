@@ -60,7 +60,7 @@ def sync_lengths(miniruns, f):
     minirun is the fingerprint of rank k."""
     q, r = f.cfg.q, f.cfg.r
     for (qt, rem), lst in miniruns.items():
-        mid = pack_minirun_id(qt, rem, q)
+        mid = pack_minirun_id(qt, rem, r)
         for rank, e in enumerate(lst):
             e[1] = q + r + r * len(f.arr.get_ext(mid, rank))
 

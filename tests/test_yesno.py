@@ -506,7 +506,7 @@ class TestDynamic:
         f.yn_insert_yes(x)
         z = find_colliders(cfg.q, cfg.r, cfg.seed, x, 0, 1)[0]
         f.yn_insert_no(z)
-        mid = pack_minirun_id(*split(HashStream(x, cfg.seed), cfg), cfg.q)
+        mid = pack_minirun_id(*split(HashStream(x, cfg.seed), cfg), cfg.r)
         rank = f.inner.map.find_rank(mid, x)
         assert len(f.inner.arr.get_ext(mid, rank)) >= 1
         assert f.yn_query(x) == YES
