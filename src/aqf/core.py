@@ -222,16 +222,16 @@ def _group_starts(*cols: np.ndarray) -> np.ndarray:
     return first
 
 
-def _bucket_starts(blocks, nbuckets: int, nrows: int) -> np.ndarray:
-    """A directory over nrows rows in bucket order, given their bucket
-    numbers in [0, nbuckets) block after block: entry b is the first row
-    of bucket b or a later one, entry nbuckets is nrows.  A block of
-    sorted buckets spans few of them, so each counts into its own span."""
-    out = np.zeros(nbuckets + 1, dtype=_pos_dtype(nrows))
-    for bucket in blocks:
-        if len(bucket):
-            lo = int(bucket[0])
-            out[lo + 1 : int(bucket[-1]) + 2] += np.bincount(bucket - lo)
+def _bucket_starts(buckets: np.ndarray, nbuckets: int) -> np.ndarray:
+    """A directory over sorted bucket numbers in [0, nbuckets): entry b
+    is the first row of bucket b or a later one, entry nbuckets is the
+    row count.  Counted a block at a time: a block of sorted buckets
+    spans few of them, so each counts into its own span."""
+    out = np.zeros(nbuckets + 1, dtype=_pos_dtype(len(buckets)))
+    for a in range(0, len(buckets), _BLOCK):
+        block = buckets[a : a + _BLOCK]
+        lo = int(block[0])
+        out[lo + 1 : int(block[-1]) + 2] += np.bincount(block - lo)
     np.cumsum(out, out=out)
     return out
 
@@ -1333,8 +1333,7 @@ class FrozenIndex:
         pair = np.cumsum(first, dtype=_pos_dtype(len(first)))
         pair -= 1  # each row's pair
         qt = cols.quot[first]
-        self.dir = _bucket_starts((qt[a : a + _BLOCK] for a in range(0, len(qt), _BLOCK)),
-                                  cfg.nslots, len(qt))
+        self.dir = _bucket_starts(qt, cfg.nslots)
         self.base = qt.astype(np.uint64)
         del qt
         self.base <<= np.uint64(cfg.r)

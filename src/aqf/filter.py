@@ -144,7 +144,7 @@ class AdaptiveFilter:
         self.cfg = cfg
         self.policy = policy if policy is not None else Policy()
         self.arr = SlotArray(cfg, value_bits=value_bits)
-        self.map = ReverseMap(cfg.q + cfg.r)
+        self.map = ReverseMap()
         # r bits per extension chunk written by adapt()
         self.adaptivity_bits = 0
         self.adaptations = 0
@@ -457,7 +457,7 @@ class AdaptiveFilter:
             )
         map_blob = rd.section()
         rd.done()
-        revmap = ReverseMap.from_bytes(map_blob, arr.cfg.q + arr.cfg.r, mids)
+        revmap = ReverseMap.from_bytes(map_blob, mids)
         return cls._from_parts(arr, revmap, policy, *counters)
 
     def save(self, path) -> None:

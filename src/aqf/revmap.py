@@ -6,7 +6,7 @@ its hash.  Each minirun id owns an ordered list of (key, value) pairs
 whose order mirrors minirun rank order, so an (id, rank) pair coming out
 of the slot array addresses exactly one key here.  An id is its
 (quotient, remainder) pair packed as ``(quotient << r) | remainder``,
-whose width q + r is all the map knows of them.
+so ascending ids are hash order; the map needs nothing else of them.
 
 Values are optional byte strings.  Storing them makes the map double as
 a small key-value store (the merged setup); leaving them None keeps the
@@ -14,29 +14,27 @@ map a pure key index (the split setup, values living elsewhere).
 
 The map is stored flat.  The base holds one row per entry in ascending
 id order, ties in rank order: a uint64 id array, a uint64 key array, and
-a list of values that is dropped while every value is None.  A
-directory over the ids' top bits (the whole quotient once the map holds
-half as many rows as there are quotients), like the slot array's
-``FrozenIndex.dir``, bounds each bucket's rows, so a scalar read is a
-dict miss, two directory reads and a scan of about one row; an id too
-wide for the map is read as missing, and refused by writes.  Writes go
-to an overlay, a dict holding the whole list of every id written since
-the last compaction: the first write to an id copies its base rows
-there, and reads try the overlay first.  Once the overlay holds more
-ids than a fixed share of the base rows, it is merged back: its ids are
-sorted once, and its rows are placed between the kept base rows, which
-stay in order, where the ids' base rows were (``_merged``); a save
-merges the same way and leaves the overlay in place.  Live, a map
-without values takes about 20 bytes per key at q=20: 16 in the two
-columns, the rest in the directory.
+a list of values that is dropped while every value is None.  A scalar
+read is a dict miss, a bisection of the id column and a scan of about
+one row; an id outside
+[0, 2**64) is read as missing, and refused by writes.  Writes go to an
+overlay, a dict holding the whole list of every id written since the
+last compaction: the first write to an id copies its base rows there,
+and reads try the overlay first.  Once the overlay holds more ids than a
+fixed share of the base rows, it is merged back: its ids are sorted
+once, and its rows are placed between the kept base rows, which stay in
+order, where the ids' base rows were (``_merged``); a save merges the
+same way and leaves the overlay in place.  Live, a map without values
+takes 16 bytes per key, its two columns.
 
 Whole-map passes move the map as columns.  ``_merged()`` hands out the
 id, key and value of every row in hash order, the row order of the slot
 array's ``_columns()``, so the two pair row by row: the filter's
 consistency check compares them, and merge and rebuild read them
 through ``setops._key_columns``.  ``_from_columns()`` stores
-hash-ordered rows as the base; bulk load, merge and rebuild build their
-maps with it, and no map is built by joining two maps.
+hash-ordered rows as the base, and refuses rows out of order; bulk
+load, merge, rebuild and the yes/no build make their maps with it, and
+no map is built by joining two maps.
 
 The snapshot (version 2) is the key column in hash order, plus a length
 column and the value bytes only when some value is stored, and a CRC32
@@ -50,10 +48,11 @@ from __future__ import annotations
 
 import itertools
 import operator
+from bisect import bisect_left
 
 import numpy as np
 
-from .core import _BLOCK, _bucket_starts, _ranges, _stable_order
+from .core import _BLOCK, _ranges
 from .errors import (
     FormatError,
     InvalidConfigError,
@@ -72,20 +71,16 @@ _COMPACT_SHARE = 0.125
 _COMPACT_MIN = 64
 
 
-def _hash_ordered(mids: np.ndarray) -> bool:
-    """Whether ids ascend, which is hash order, checked a block at a time
-    so that no whole-column temporary is made."""
+def _hash_ordered(mids) -> np.ndarray:
+    """mids as a uint64 array; UnsortedInputError unless they ascend,
+    which is hash order.  Checked a block at a time so that no
+    whole-column temporary is made."""
+    mids = np.asarray(mids, dtype=np.uint64)
     for a in range(0, len(mids), _BLOCK):
         at = mids[a : a + _BLOCK + 1]
         if (at[1:] < at[:-1]).any():
-            return False
-    return True
-
-
-def _check_width(mids: np.ndarray, bits: int) -> None:
-    """Raise InvalidConfigError unless every id fits in bits bits."""
-    if len(mids) and int(mids.max()) >> bits:
-        raise InvalidConfigError(f"minirun id {int(mids.max())} does not fit in {bits} bits")
+            raise UnsortedInputError("minirun ids are not in hash order")
+    return mids
 
 
 def _join_values(*parts: tuple[list | None, int]) -> list | None:
@@ -96,13 +91,6 @@ def _join_values(*parts: tuple[list | None, int]) -> list | None:
     return [x for v, n in parts for x in (itertools.repeat(None, n) if v is None else v)]
 
 
-def _sort_rows(bits: int, mids: np.ndarray, keys: np.ndarray, values: list | None):
-    """Rows stably sorted into hash order, so each id's rows keep their order."""
-    perm = _stable_order(mids, bits)
-    return (mids[perm], keys[perm],
-            None if values is None else list(map(values.__getitem__, perm.tolist())))
-
-
 class ReverseMap:
     """Ordered key lists per minirun id, with rank addressing.
 
@@ -111,11 +99,7 @@ class ReverseMap:
     column passes and the decoder count nothing.
     """
 
-    def __init__(self, id_bits: int):
-        if not 1 <= id_bits <= 64:
-            raise InvalidConfigError(f"id_bits {id_bits} out of range [1, 64]")
-        self.id_bits = id_bits
-        self._idmask = (1 << id_bits) - 1
+    def __init__(self):
         self.accesses = 0
         self._set_base(np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=np.uint64), None)
 
@@ -126,30 +110,20 @@ class ReverseMap:
         values is None when every value is None.
         """
         n = len(mids)
-        # a bucket is the ids' top bits: at most one row per bucket on
-        # average, and at most a whole quotient, as a filter's n < 2**q
-        bits = min(self.id_bits, n.bit_length())
-        self._shift = self.id_bits - bits
-        dirs = _bucket_starts(((mids[a : a + _BLOCK] >> np.uint64(self._shift)).view(np.intp)
-                               for a in range(0, n, _BLOCK)), 1 << bits, n)
         self._mids, self._keys, self._values = mids, keys, values
         # memoryviews index to Python ints without a numpy scalar
-        self._midv, self._keyv, self._dirv = memoryview(mids), memoryview(keys), memoryview(dirs)
+        self._midv, self._keyv = memoryview(mids), memoryview(keys)
         self._over: dict[int, list[tuple[int, bytes | None]]] = {}
         self._found = (None, 0, 0)  # (id, lo, hi) of find_rank's last base scan
         self._nkeys = n
-        self._nids = int(np.count_nonzero(mids[1:] != mids[:-1])) + (n > 0)
         # overlay size past which a write compacts
         self._limit = max(_COMPACT_MIN, _COMPACT_SHARE * n)
 
     def _span(self, mid: int) -> tuple[int, int]:
         """Base rows [lo, hi) of mid; an empty range when it has none."""
-        b = (mid & self._idmask) >> self._shift
-        midv, dv = self._midv, self._dirv
-        lo, end = dv[b], dv[b + 1]
-        while lo < end and midv[lo] != mid:
-            lo += 1
-        hi = lo
+        midv = self._midv
+        lo = hi = bisect_left(midv, mid)
+        end = len(midv)
         while hi < end and midv[hi] == mid:
             hi += 1
         return lo, hi
@@ -193,11 +167,10 @@ class ReverseMap:
     def map_insert(self, mid: int, rank: int, key: int, value: bytes | None = None) -> None:
         """Insert key at position rank; later entries shift back one."""
         self.check_entry(key, value)
-        if not 0 <= mid <= self._idmask:
-            raise InvalidConfigError(f"minirun id must fit in {self.id_bits} bits")
+        if not 0 <= mid <= MASK64:
+            raise InvalidConfigError("minirun id must fit in 64 bits")
         lst = self._writable(mid, rank, 1)
         lst.insert(rank, (key, value))
-        self._nids += len(lst) == 1
         self._nkeys += 1
         self.accesses += 1
         if len(self._over) > self._limit:
@@ -221,7 +194,6 @@ class ReverseMap:
         """Remove and return the entry at rank; empty ids are dropped."""
         lst = self._writable(mid, rank, 0)
         out = lst.pop(rank)
-        self._nids -= not lst
         self._nkeys -= 1
         self.accesses += 1
         if len(self._over) > self._limit:
@@ -256,14 +228,9 @@ class ReverseMap:
     def key_count(self) -> int:
         return self._nkeys
 
-    def __len__(self) -> int:
-        return self._nids
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, ReverseMap):
             return NotImplemented
-        if self.id_bits != other.id_bits:
-            return False
         (ma, ka, va), (mb, kb, vb) = self._merged(), other._merged()
         return (np.array_equal(ma, mb) and np.array_equal(ka, kb)
                 and _join_values((va, len(ma))) == _join_values((vb, len(mb))))
@@ -320,24 +287,19 @@ class ReverseMap:
         return out_mids, out_keys, [next(fresh) if m else next(kept) for m in mine.tolist()]
 
     @classmethod
-    def _from_columns(cls, id_bits: int, mids: np.ndarray, keys: np.ndarray,
-                      values) -> "ReverseMap":
-        """Map of id_bits-bit ids holding (keys[i], values[i]) under
-        mids[i]; values None stands for a value of None at every key.
+    def _from_columns(cls, mids: np.ndarray, keys: np.ndarray, values) -> "ReverseMap":
+        """Map holding (keys[i], values[i]) under mids[i]; values None
+        stands for a value of None at every key.
 
-        Each list's rows come in rank order.  Rows in hash order become
-        the base as they are, and the map keeps the arrays, which the
-        caller no longer uses; others are stably sorted into it first.
-        Counts one access per entry, as building it with map_insert
-        would.  Ids too wide for the map raise InvalidConfigError.
+        Rows come in hash order, each list's in rank order, and become
+        the base as they are; the map keeps the arrays, which the caller
+        no longer uses.  Counts one access per entry, as building it
+        with map_insert would.  Ids out of order raise
+        UnsortedInputError.
         """
-        m = cls(id_bits)
-        rows = (np.asarray(mids, dtype=np.uint64), np.asarray(keys, dtype=np.uint64),
-                _join_values((values, len(keys))))
-        _check_width(rows[0], id_bits)
-        if not _hash_ordered(rows[0]):
-            rows = _sort_rows(id_bits, *rows)
-        m._set_base(*rows)
+        m = cls()
+        m._set_base(_hash_ordered(mids), np.asarray(keys, dtype=np.uint64),
+                    _join_values((values, len(keys))))
         m.accesses = len(keys)
         return m
 
@@ -367,27 +329,22 @@ class ReverseMap:
         return sealed(parts)
 
     @classmethod
-    def from_bytes(cls, data: bytes, id_bits: int, mids: np.ndarray) -> "ReverseMap":
-        """Parse a snapshot whose entries belong to mids, the uint64
-        id_bits-bit id of each entry in hash order (ties: one id per
-        rank).
+    def from_bytes(cls, data: bytes, mids: np.ndarray) -> "ReverseMap":
+        """Parse a snapshot whose entries belong to mids, the uint64 id
+        of each entry in hash order (ties: one id per rank).
 
         Only what to_bytes writes loads: a length column appears only
         when some entry holds a value, and the value bytes must fill the
         rest exactly.  The lengths are summed and checked against the
         bytes at hand before any value is cut out.  Ids out of order
-        raise UnsortedInputError, ids too wide for the map
-        InvalidConfigError.
+        raise UnsortedInputError.
         """
-        m = cls(id_bits)
+        m = cls()
         body = unseal(data)
         n = len(mids)
         if len(body) < 8 * n:
             raise FormatError(f"map section of {len(body)} bytes is short of {n} keys")
-        mids = np.asarray(mids, dtype=np.uint64)
-        if not _hash_ordered(mids):
-            raise UnsortedInputError("minirun ids are not in hash order")
-        _check_width(mids, id_bits)
+        mids = _hash_ordered(mids)
         keys = np.frombuffer(body, dtype="<u8", count=n).astype(np.uint64)
         rest = body[8 * n :]
         values = None

@@ -23,8 +23,10 @@ Merge and rebuild take one path, ``_build_rederived``: they read their
 inputs' tables and maps as columns in hash order
 (``SlotArray._columns`` and ``ReverseMap._merged``), which pair row by
 row, re-derive every fingerprint from its key under the output config,
-and place the result.  Every build ends in ``_place``: the table is laid
-out, and its map is built in one pass over hash-ordered rows by
+and place the result.  The yes/no build, whose YES keys are already in
+hash order, skips the re-derivation and hands its extension lengths to
+``_extended_cols`` directly.  Every build ends in ``_place``: the table
+is laid out, and its map is built in one pass over hash-ordered rows by
 ``ReverseMap._from_columns``.
 """
 
@@ -112,7 +114,7 @@ def _place(keys: np.ndarray, cols: _Cols, values: list | None, cfg: FilterConfig
     not hold it."""
     arr = SlotArray(cfg, value_bits=value_bits)
     arr._lay_out(cols)
-    revmap = ReverseMap._from_columns(cfg.q + cfg.r, cols.packed(cfg.r), keys, values)
+    revmap = ReverseMap._from_columns(cols.packed(cfg.r), keys, values)
     return AdaptiveFilter._from_parts(arr, revmap, policy if policy is not None else Policy())
 
 
@@ -141,23 +143,32 @@ def _build_rederived(cols: _Cols, keys: np.ndarray, values: list | None, cfg: Fi
     """
     order, packed = _hash_order(keys, cfg)
     cols, keys = cols.take(order), keys[order]
-    ext_len = cols.ext_len if keep_ext else np.zeros_like(cols.ext_len)
-    width = ext_len + cols.ctr_len
+    if values is not None:
+        values = list(map(values.__getitem__, order.tolist()))
+    del order
+    new = _extended_cols(keys, packed, cols.value,
+                         cols.ext_len if keep_ext else np.zeros_like(cols.ext_len),
+                         cols.ctr_len, cols.chunks[_ranges(cols.ext_off + cols.ext_len,
+                                                           cols.ctr_len)], cfg, value_bits)
+    del cols, packed
+    return _place(keys, new, values, cfg, policy, value_bits)
+
+
+def _extended_cols(keys: np.ndarray, packed: np.ndarray, value, ext_len: np.ndarray,
+                   ctr_len: np.ndarray, digits, cfg: FilterConfig, value_bits: int) -> _Cols:
+    """Columns (see _Cols) of the keys in hash order, packed their pairs:
+    row i is valued value[i], and its fingerprint carries the first
+    ext_len[i] extension chunks of keys[i]'s stream, then ctr_len[i]
+    counter digits, taken in turn from digits."""
+    width = ext_len + ctr_len
     off = np.cumsum(width) - width
     chunks = np.empty(int(width.sum()), dtype=_slot_dtype(cfg.r + value_bits))
     for t in range(int(ext_len.max(initial=0))):
         rows = np.flatnonzero(ext_len > t)
         chunks[off[rows] + t] = extension_chunk_batch(keys[rows], cfg, t)
-    chunks[_ranges(off + ext_len, cols.ctr_len)] = cols.chunks[
-        _ranges(cols.ext_off + cols.ext_len, cols.ctr_len)]
+    chunks[_ranges(off + ext_len, ctr_len)] = digits
     del width, off
-
-    new = _Cols.build(cfg, value_bits, packed, cols.value, ext_len, cols.ctr_len, chunks)
-    del cols, packed
-    if values is not None:
-        values = list(map(values.__getitem__, order.tolist()))
-    del order
-    return _place(keys, new, values, cfg, policy, value_bits)
+    return _Cols.build(cfg, value_bits, packed, value, ext_len, ctr_len, chunks)
 
 
 def merge(a: AdaptiveFilter, b: AdaptiveFilter) -> AdaptiveFilter:

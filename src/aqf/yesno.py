@@ -64,7 +64,7 @@ from .hashing import (  # noqa: F401
     split,
     split_batch,
 )
-from .setops import _build_rederived, _hash_order
+from .setops import _extended_cols, _hash_order, _place
 
 YES = 1
 NO = 0
@@ -272,15 +272,15 @@ def _check_disjoint(yes: np.ndarray, no: np.ndarray) -> None:
         )
 
 
-def _place_yes(inner: AdaptiveFilter, yes: np.ndarray, ext_len: np.ndarray) -> AdaptiveFilter:
+def _place_yes(inner: AdaptiveFilter, yes: np.ndarray, packed: np.ndarray,
+               ext_len: np.ndarray) -> AdaptiveFilter:
     """A filter like inner holding every YES key, tagged YES, with
     ext_len[i] chunks of its own stream after key i's fingerprint.  yes
-    is in hash order, ties in rank order."""
-    zero = np.zeros(len(yes), dtype=np.uint64)
-    cols = _Cols.build(inner.cfg, inner.value_bits, zero, np.full(len(yes), YES), ext_len,
-                       zero, ())
-    return _build_rederived(cols, yes, None, inner.cfg, inner.policy,
-                            inner.value_bits, keep_ext=True)
+    is in hash order, ties in rank order, and packed their pairs."""
+    cfg, bits = inner.cfg, inner.value_bits
+    no_ctr = np.zeros(len(yes), dtype=_pos_dtype(cfg.nslots))
+    cols = _extended_cols(yes, packed, np.full(len(yes), YES), ext_len, no_ctr, (), cfg, bits)
+    return _place(yes, cols, None, cfg, inner.policy, bits)
 
 
 def _no_pass(yes: np.ndarray, packed: np.ndarray, hits: np.ndarray, cfg: FilterConfig,
@@ -373,7 +373,7 @@ def build_static(
     settled = _no_pass(yes, packed, hits, cfg, inner.policy.max_extensions)
     if settled is not None and inner.arr.has_room(len(yes) + int(settled[0].sum())):
         ext_len, adaptations = settled
-        f.inner = _place_yes(inner, yes, ext_len)
+        f.inner = _place_yes(inner, yes, packed, ext_len)
         f.inner.adaptations = adaptations
         f.inner.adaptivity_bits = int(ext_len.sum()) * cfg.r
         f.inner.map.accesses += adaptations
@@ -382,7 +382,7 @@ def build_static(
     # the keys the index rejects answer NOT_PRESENT untouched, so the
     # hits alone reach the state and the first failure of the whole list
     try:
-        f.inner = inner = _place_yes(inner, yes, np.zeros(len(yes), dtype=np.int64))
+        f.inner = inner = _place_yes(inner, yes, packed, np.zeros(len(yes), dtype=np.int64))
     except FilterFullError as exc:
         raise ConstructionFailedError(
             f"filter filled placing the YES keys: {exc}",

@@ -1,4 +1,4 @@
-"""Memory bounds of the whole-table passes.
+"""Memory bounds of the whole-table passes and of a filled filter.
 
 tracemalloc counts every numpy array a pass allocates, so the peak of
 one call, over the keys it holds, is the number of bytes per key that
@@ -7,6 +7,11 @@ fill peaks at about 42 bytes per key and the first exact index at about
 44 (numpy 2.4), against 151 and 111 with 8-byte slots and columns.  The
 bounds leave about 9% of headroom, so one more whole-table 8-byte
 temporary alive at a pass's peak fails them.
+
+What a filled filter keeps is bounded too: at q=16 and 90% load about
+18.8 bytes per key, 2.2 for the slots, 0.6 for the metadata bits and 16
+for the reverse map's id and key columns.  The bound leaves about 5% of
+headroom, so a structure of 1 byte per key beside the columns fails it.
 """
 
 import gc
@@ -19,6 +24,7 @@ CFG = FilterConfig(q=16, r=9, seed=3)
 
 FILL_BYTES_PER_KEY = 46
 INDEX_BYTES_PER_KEY = 48
+LIVE_BYTES_PER_KEY = 19.8
 
 
 def peak_bytes(call):
@@ -42,3 +48,16 @@ def test_the_first_index_stays_under_its_bytes_per_key():
     f, keys = fill_to_load(CFG, 0.9, seed=5)
     _, peak = peak_bytes(f.frozen_index)
     assert peak / len(keys) < INDEX_BYTES_PER_KEY
+
+
+def test_a_filled_filter_keeps_under_its_bytes_per_key():
+    fill_to_load(CFG, 0.9, seed=4)  # first-call allocations stay out of the count
+    gc.collect()
+    tracemalloc.start()
+    try:
+        f = fill_to_load(CFG, 0.9, seed=5)[0]
+        gc.collect()
+        live = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert live / len(f) < LIVE_BYTES_PER_KEY

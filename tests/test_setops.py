@@ -314,7 +314,7 @@ def in_hash_order(records, cfg):
 def sequential_map(records, cfg):
     """The map that map_insert builds from records in hash order under
     cfg, each appended to its minirun's list."""
-    m = ReverseMap(cfg.q + cfg.r)
+    m = ReverseMap()
     for key, value in in_hash_order(records, cfg):
         mid = pack_minirun_id(*ref_split(key, cfg.seed, cfg.q, cfg.r), cfg.r)
         m.map_insert(mid, m.list_size(mid), key, value)

@@ -437,7 +437,7 @@ class TestOneLayout:
         packed = split_batch(yes, cfg)
         order = np.argsort(packed, kind="stable")
         got = FrozenIndex(cfg, _Cols.bare(packed[order], cfg))
-        table = _place_yes(AdaptiveFilter(cfg, value_bits=1), yes[order],
+        table = _place_yes(AdaptiveFilter(cfg, value_bits=1), yes[order], packed[order],
                            np.zeros(len(yes), dtype=np.int64)).arr
         want = FrozenIndex(cfg, table._columns())
         assert vars(got).keys() == vars(want).keys()
