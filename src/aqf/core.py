@@ -44,16 +44,16 @@ the run and the later runs left by one, up to the first run at its
 canonical slot.  An insert is one open; extensions and growing counters
 open one slot per chunk or digit, and deletes, shortening cuts and
 shrinking counters close theirs from the last.  Whole-table work goes
-through two helpers:
-``SlotArray._columns`` decodes the table into numpy columns (quotient,
-remainder, value, extension and counter-digit spans), one row per
-fingerprint in hash order (by quotient, then remainder, then rank), for
-the bulk index, consistency checks, merge and rebuild.  The stored runs
-are a rotation of that order, which it and the loader
-(``SlotArray._reconstruct_used``) turn back.  ``SlotArray._lay_out``
-writes such columns over a table, placing every run with one cumulative
-max, for merge, rebuild and bulk load.  Both scalar edits leave the
-layout that ``_lay_out`` would write.
+through two helpers: ``SlotArray._columns`` decodes the table into numpy
+columns (quotient, remainder, value, extension and counter-digit spans),
+one row per fingerprint in hash order (by quotient, then remainder, then
+rank), for the bulk index (``FrozenIndex``: like the table, a remainder
+per pair under a quotient directory), consistency checks, merge and
+rebuild.  The stored runs are a rotation of that order, which it and
+the loader (``SlotArray._reconstruct_used``) turn back.
+``SlotArray._lay_out`` writes such columns over a table, placing every
+run with one cumulative max, for merge, rebuild and bulk load.  Both
+scalar edits leave the layout that ``_lay_out`` would write.
 
 Widths.  The payloads are stored in the smallest unsigned dtype that
 holds ``r + value_bits`` bits (``_slot_dtype``: uint16 at r = 9), and
@@ -100,6 +100,7 @@ from .hashing import (
     MASK64,
     FilterConfig,
     HashStream,
+    _key_array,
     as_index,
     extension_chunk,
     extension_chunk_batch,
@@ -654,15 +655,14 @@ class SlotArray:
 
     def _run(self, qt: int):
         """Yield (window, previous fp offset, fp offset, remainder, ext
-        group offset, ctr offset, next fp offset, is_terminator) for each
-        fingerprint of quotient ``qt``'s run in storage order, and
-        nothing when ``qt`` is unoccupied.  Offsets are window offsets;
-        the previous fingerprint is the one before it in the run, or None
-        for the run's first.  The next fingerprint starts at the first
-        slot past the remainder slot without the extension bit, and the
-        counter digits at the first slot between them with the runend
-        bit.  The one scalar reader of a run: queries, inserts and
-        minirun access all walk through it."""
+        group offset, ctr offset, next fp offset) for each fingerprint of
+        quotient ``qt``'s run in storage order, and nothing when ``qt`` is
+        unoccupied.  Offsets are window offsets; the previous fingerprint
+        is the one before it in the run, or None for the run's first.  The
+        next fingerprint starts at the first slot past the remainder slot
+        without the extension bit, and the counter digits at the first
+        slot between them with the runend bit.  The one scalar reader of
+        a run: queries, inserts and minirun access all walk through it."""
         if not (self.occ.item(qt >> 6) >> (qt & 63)) & 1:
             return
         win, pos = self._walk_to_run(qt)
@@ -678,7 +678,7 @@ class SlotArray:
                 c0 = e0 + (digits & -digits).bit_length() - 1 if digits else nxt
             else:
                 c0 = nxt = e0
-            yield win, prev, pos, slots.item((base + pos) % n) >> vb, e0, c0, nxt, is_term
+            yield win, prev, pos, slots.item((base + pos) % n) >> vb, e0, c0, nxt
             if is_term:
                 return
             prev, pos = pos, nxt
@@ -703,7 +703,7 @@ class SlotArray:
         qt, rem = split(stream, cfg) if pair is None else pair
         n, vb, slots = self.nslots, self.value_bits, self.slots
         rank = 0
-        for win, _, pos, rem_i, e0, c0, _, _ in self._run(qt):
+        for win, _, pos, rem_i, e0, c0, _ in self._run(qt):
             if rem_i > rem:
                 return None
             if rem_i == rem:
@@ -738,7 +738,7 @@ class SlotArray:
         # goes where the walk finds it would begin
         rank, new_term = 0, 1
         if (self.occ.item(qt >> 6) >> (qt & 63)) & 1:
-            for win, _, pos, rem_i, _, _, nxt, _ in self._run(qt):
+            for win, _, pos, rem_i, _, _, nxt in self._run(qt):
                 if rem_i > rem:
                     at = lo = pos
                     new_term = 0
@@ -761,7 +761,7 @@ class SlotArray:
         the fingerprints of _run with the minirun's remainder."""
         qt, rem = unpack_minirun_id(mid, self.cfg.r)
         fps = []
-        for win, prev, pos, rem_i, e0, c0, nxt, _ in self._run(qt):
+        for win, prev, pos, rem_i, e0, c0, nxt in self._run(qt):
             if rem_i > rem:
                 break
             if rem_i == rem:
@@ -1087,7 +1087,7 @@ class SlotArray:
         leaves it as it is.  An index once handed out never changes.
         """
         if self._index is None:
-            self._index = FrozenIndex(self.cfg, self._columns())
+            self._index = FrozenIndex(self.cfg, self._columns()._replace(value=None, ctr_len=None))
         elif self._touched:
             self._index = self._index.patched(self, self._touched)
         self._touched.clear()
@@ -1309,19 +1309,20 @@ class FrozenIndex:
     """Read-only index of fingerprint columns for bulk membership probes.
 
     Built from columns in hash order: a table's decode, or bare
-    fingerprints sorted by pair with no table at all.  Baseline pairs,
-    packed as (quotient << r) | remainder, their minirun ids, go into
-    one sorted array ``base``.  A quotient directory locates each
-    quotient's pairs without a search, as the counting quotient filter's offsets do:
-    ``base[dir[qt]:dir[qt + 1]]`` holds quotient qt's pairs, so a probe
-    gathers its bucket bounds and compares at most the few remainders of
-    one bucket.  The rare pairs whose fingerprints are all extended are
-    flagged in ``all_ext``; their fingerprints keep their chunks on the
-    side, in a zero-padded matrix that a probe hitting such a pair
-    compares column by column.  Exact for the columns it was built from;
-    after extensions alone, patched() makes it exact again without
-    decoding the table.  Equivalence with the slot-walk query is pinned
-    by tests.
+    fingerprints sorted by pair with no table at all.  Like a quotient
+    filter, it keeps each distinct (quotient, remainder) pair's
+    remainder alone, in the columns' remainder dtype, and lets a
+    quotient directory imply the quotient, as the counting quotient
+    filter's offsets do: ``base[dir[qt]:dir[qt + 1]]`` holds quotient
+    qt's remainders, ascending, so a probe compares at most the few
+    remainders of one bucket.  Each fingerprint of the rare pairs with
+    an extended one is a candidate row: its pair (minirun id) in
+    ``cand_packed``, its extension length in ``cand_len`` (a bare one's
+    0 matches any key of the pair) and its chunks in a zero-padded
+    matrix, which a probe that hits such a pair compares column by
+    column.  Exact for the columns it was built from; after extensions
+    alone, patched() makes it exact again without decoding the table.
+    Equivalence with the slot-walk query is pinned by tests.
     """
 
     # keys probed per pass; bounds the temporaries of a large batch
@@ -1330,32 +1331,23 @@ class FrozenIndex:
     def __init__(self, cfg: FilterConfig, cols: _Cols):
         self.cfg = cfg
         first = _group_starts(cols.quot, cols.rem)  # the first row of each pair
-        pair = np.cumsum(first, dtype=_pos_dtype(len(first)))
-        pair -= 1  # each row's pair
-        qt = cols.quot[first]
-        self.dir = _bucket_starts(qt, cfg.nslots)
-        self.base = qt.astype(np.uint64)
-        del qt
-        self.base <<= np.uint64(cfg.r)
-        self.base |= cols.rem[first]
-        # a pair is all-extended when its first row is and no other row
-        # of it has no chunk
-        extended = cols.ext_len > 0
-        self.all_ext = extended[first]
-        self.all_ext[pair[~(extended | first)]] = False
+        self.dir = _bucket_starts(cols.quot[first], cfg.nslots)
+        self.base = cols.rem[first]
+        # every row of each pair that has an extended fingerprint
+        pair = np.cumsum(first, dtype=_pos_dtype(len(first)))  # each row's pair, from 1
         del first
-        # every fingerprint of an all-extended pair, sorted by pair,
-        # chunks zero-padded to the longest extension
-        rows = np.flatnonzero(extended)
-        cand = cols.take(rows[self.all_ext[pair[rows]]])
-        del pair, extended
-        self.cand_packed = cand.packed(cfg.r)
-        self.cand_len = cand.ext_len
+        listed = np.zeros(len(self.base) + 1, dtype=bool)
+        listed[pair[cols.ext_len > 0]] = True
+        rows = np.flatnonzero(listed[pair])
+        del pair, listed
+        self.cand_packed = cols.packed(cfg.r, rows)
+        self.cand_len = cols.ext_len[rows]
+        off = cols.ext_off[rows]
         width = int(self.cand_len.max(initial=0))
-        self.cand_chunks = np.zeros((len(self.cand_len), width), dtype=_slot_dtype(cfg.r))
-        at = _ranges(cand.ext_off, self.cand_len)
-        row = np.repeat(np.arange(len(self.cand_len)), self.cand_len)
-        self.cand_chunks[row, at - cand.ext_off[row]] = cols.chunks[at]
+        self.cand_chunks = np.zeros((len(rows), width), dtype=_slot_dtype(cfg.r))
+        at = _ranges(off, self.cand_len)
+        row = np.repeat(np.arange(len(rows)), self.cand_len)
+        self.cand_chunks[row, at - off[row]] = cols.chunks[at]
 
     def patched(self, arr: SlotArray, mids) -> "FrozenIndex":
         """A new index equal to the FrozenIndex of arr's columns, given
@@ -1363,24 +1355,19 @@ class FrozenIndex:
         extended since this index was exact for it.
 
         Extension keeps every pair, so ``base`` and ``dir`` are shared.
-        Each touched pair's ``all_ext`` flag and candidate rows are read
-        again from its minirun; the other candidate rows are kept.
+        Each touched pair's candidate rows are read again from its
+        minirun; the other candidate rows are kept.
         """
         n, vb = arr.nslots, arr.value_bits
-        mids = list(mids)
-        at = np.searchsorted(self.base, np.array(mids, dtype=np.uint64)).tolist()
-        new = copy.copy(self)
-        new.all_ext = self.all_ext.copy()
+        touched = set(mids)
         pairs, exts = [], []
-        for mid, row in zip(mids, at):
+        for mid in touched:
             fps = [[arr.slots.item((win.base + i) % n) >> vb for i in range(e0, c0)]
                    for win, _, _, e0, c0, _ in arr._minirun(mid)]
-            new.all_ext[row] = all(fps)
-            if all(fps):
+            if any(fps):
                 pairs += [mid] * len(fps)
                 exts += fps
-        gone = set(mids)
-        keep = np.array([p not in gone for p in self.cand_packed.tolist()], dtype=bool)
+        keep = np.array([p not in touched for p in self.cand_packed.tolist()], dtype=bool)
         kept = int(keep.sum())
         cand_packed = np.concatenate([self.cand_packed[keep], np.array(pairs, dtype=np.uint64)])
         cand_len = np.concatenate([self.cand_len[keep], np.array([len(e) for e in exts],
@@ -1392,13 +1379,14 @@ class FrozenIndex:
             chunks[i, :len(ext)] = ext
         # stable, so that each pair's rows stay in rank order
         order = _stable_order(cand_packed, self.cfg.q + self.cfg.r)
+        new = copy.copy(self)
         new.cand_packed, new.cand_len, new.cand_chunks = (
             cand_packed[order], cand_len[order], chunks[order])
         return new
 
     def query_keys(self, keys: np.ndarray) -> np.ndarray:
         """Membership verdict per key, adaptation frozen."""
-        keys = np.asarray(keys, dtype=np.uint64)
+        keys = _key_array(keys)
         found = np.zeros(len(keys), dtype=bool)
         for a in range(0, len(keys), self.CHUNK):
             part = keys[a : a + self.CHUNK]
@@ -1409,40 +1397,45 @@ class FrozenIndex:
         """query_keys for one chunk of keys."""
         packed = split_batch(keys, self.cfg)
         qt = (packed >> np.uint64(self.cfg.r)).astype(np.intp)
+        rem = (packed & np.uint64((1 << self.cfg.r) - 1)).astype(self.base.dtype)
         pos, end = self.dir[qt], self.dir[qt + 1]
         found = np.zeros(len(keys), dtype=bool)
         # step k compares entry k of every bucket still live: a bucket is
-        # sorted, so a key leaves at its match (pos stays on it), at a
-        # larger pair, or at the bucket's end
+        # sorted, so a key leaves at its match, at a larger remainder, or
+        # at the bucket's end
         live = np.flatnonzero(pos < end)
         while live.size:
             seen = self.base[pos[live]]
-            want = packed[live]
+            want = rem[live]
             found[live[seen == want]] = True
             live = live[(seen < want) & (pos[live] + 1 < end[live])]
             pos[live] += 1
         if self.cand_packed.size:
             recheck = np.flatnonzero(found)
-            recheck = recheck[self.all_ext[pos[recheck]]]
             lo = np.searchsorted(self.cand_packed, packed[recheck], side="left")
             hi = np.searchsorted(self.cand_packed, packed[recheck], side="right")
+            listed = lo < hi
+            recheck, lo, hi = recheck[listed], lo[listed], hi[listed]
             found[recheck] = self._ext_match(keys[recheck], lo, hi)
         return found
 
     def _ext_match(self, keys: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         """Per key: whether one of the candidate rows [lo, hi) has every
-        extension chunk equal to the key's chunk at the same index."""
+        extension chunk equal to the key's chunk at the same index; a
+        bare row matches at once."""
         counts = hi - lo
         key_of = np.repeat(np.arange(len(keys)), counts)
         first = np.cumsum(counts) - counts
         row = np.arange(int(counts.sum())) + np.repeat(lo - first, counts)
         need = self.cand_len[row]
         hit = np.zeros(len(keys), dtype=bool)
+        hit[key_of[need == 0]] = True
+        going = need > 0
         t = 0
-        while key_of.size:
+        while (key_of := key_of[going]).size:
+            row, need = row[going], need[going]
             same = extension_chunk_batch(keys[key_of], self.cfg, t) == self.cand_chunks[row, t]
             hit[key_of[same & (need == t + 1)]] = True
             going = same & (need > t + 1)
-            key_of, row, need = key_of[going], row[going], need[going]
             t += 1
         return hit

@@ -26,9 +26,7 @@ joins them once.
 
 from __future__ import annotations
 
-import array
 import enum
-import operator
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -45,9 +43,10 @@ from .errors import (
     StateCorruptionError,
 )
 from .hashing import (
-    MASK64,
     FilterConfig,
     HashStream,
+    _key,
+    _key_array,
     as_index,
     extension_chunk,
     extension_chunk_batch,
@@ -102,36 +101,6 @@ class LookupResult(enum.Enum):
 
 # verdicts after which no stored fingerprint matches the key
 _SETTLED = (LookupResult.NOT_PRESENT, LookupResult.FALSE_POSITIVE_CORRECTED)
-
-
-def _key(key) -> int:
-    """key as an int; refuses anything but an int in [0, 2**64)."""
-    try:
-        key = operator.index(key)
-    except TypeError as exc:
-        raise InvalidConfigError(f"key must be an int in [0, 2**64): {exc}") from exc
-    if not 0 <= key <= MASK64:
-        raise InvalidConfigError(f"key {key} outside [0, 2**64)")
-    return key
-
-
-def _key_array(keys) -> np.ndarray:
-    """keys as a 1-D uint64 array; refuses anything but ints in [0, 2**64)."""
-    if isinstance(keys, np.ndarray) and keys.dtype.kind in "iu":
-        if keys.ndim != 1:
-            raise InvalidConfigError("keys must be a flat sequence")
-        if keys.dtype.kind == "i" and keys.size and keys.min() < 0:
-            raise InvalidConfigError("keys must be ints in [0, 2**64)")
-        return keys.astype(np.uint64, copy=False)
-    try:
-        # an unsigned 64-bit array takes each element through __index__
-        # and range-checks it, as operator.index and the bounds would; all
-        # but a list go in as an iterator, so bytes count as ints, not as
-        # a raw buffer
-        items = keys if isinstance(keys, list) else iter(keys)
-        return np.frombuffer(array.array("Q", items), dtype=np.uint64)
-    except (OverflowError, TypeError) as exc:
-        raise InvalidConfigError(f"keys must be ints in [0, 2**64): {exc}") from exc
 
 
 class AdaptiveFilter:

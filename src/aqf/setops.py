@@ -38,12 +38,13 @@ import numpy as np
 
 from .core import SlotArray, _Cols, _ranges, _slot_dtype, _stable_order
 from .errors import ConfigMismatchError, UnsortedInputError
-from .filter import AdaptiveFilter, Policy, _key_array
+from .filter import AdaptiveFilter, Policy
 # HashStream, split and extension_chunk are unused here but stay module
 # attributes: the benchmark's tracer (perfbench/spans.py) wraps them
 from .hashing import (  # noqa: F401
     FilterConfig,
     HashStream,
+    _key_array,
     extension_chunk,
     extension_chunk_batch,
     split,

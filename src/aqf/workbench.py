@@ -35,10 +35,10 @@ import numpy as np
 
 from .core import _LOAD_DEN, _LOAD_NUM, _META_BITS, FrozenIndex
 from .errors import InvalidConfigError, StateCorruptionError
-from .filter import AdaptiveFilter, LookupResult, Policy, _key_array
+from .filter import AdaptiveFilter, LookupResult, Policy
 # split_batch and bulk_load are unused here but stay module attributes:
 # the benchmark's tracer (perfbench/spans.py) wraps them
-from .hashing import MASK64, FilterConfig, split_batch  # noqa: F401
+from .hashing import MASK64, FilterConfig, _key_array, split_batch  # noqa: F401
 from .setops import _fill, bulk_load  # noqa: F401
 
 # key-space carve-up (inclusive low, exclusive high)
@@ -358,7 +358,7 @@ class ProbeSets:
     @classmethod
     def from_arrays(cls, arrays) -> "ProbeSets":
         """From plain key arrays, repeats allowed."""
-        return cls.of(np.unique(np.asarray(a, dtype=np.uint64), return_counts=True)
+        return cls.of(np.unique(_key_array(a), return_counts=True)
                       for a in arrays)
 
 
@@ -594,6 +594,7 @@ def report_csv(rows: list[TraceRow], path, meta: dict | None = None) -> None:
 
 
 def parse_csv(path) -> list[TraceRow]:
+    """The rows report_csv wrote; InvalidConfigError names a bad header or row."""
     rows = []
     with open(path, newline="") as fh:
         lines = (ln for ln in fh if not ln.startswith("#"))
@@ -602,6 +603,9 @@ def parse_csv(path) -> list[TraceRow]:
         if header != CSV_HEADER:
             raise InvalidConfigError(f"unexpected CSV header {header}")
         for rec in reader:
-            rows.append(TraceRow(int(rec[0]), float(rec[1]), float(rec[2]),
-                                 int(rec[3]), int(rec[4])))
+            try:  # zip's strict raises ValueError on a wrong field count
+                rows.append(TraceRow(*(cast(x) for cast, x in
+                                       zip((int, float, float, int, int), rec, strict=True))))
+            except ValueError as exc:
+                raise InvalidConfigError(f"bad CSV data row {len(rows) + 1} {rec}: {exc}") from exc
     return rows

@@ -53,12 +53,14 @@ from .errors import (
     FormatError,
     InvalidConfigError,
 )
-from .filter import AdaptiveFilter, LookupResult, Policy, _key, _key_array
+from .filter import AdaptiveFilter, LookupResult, Policy
 # extension_chunk is unused here but stays a module attribute: the
 # benchmark's tracer (perfbench/spans.py) wraps it
 from .hashing import (  # noqa: F401
     FilterConfig,
     HashStream,
+    _key,
+    _key_array,
     extension_chunk,
     extension_chunk_batch,
     split,

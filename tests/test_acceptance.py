@@ -247,7 +247,7 @@ def test_criterion_08_merge_bulk_equivalence():
         union.insert(int(k))
     merged = merge(a, b)
     probes = np.concatenate(
-        [pool, rng.integers(0, 1 << 63, size=100_000, dtype=np.uint64)]
+        [pool.astype(np.uint64), rng.integers(0, 1 << 63, size=100_000, dtype=np.uint64)]
     )
     ok_merge = np.array_equal(
         merged.frozen_index().query_keys(probes),

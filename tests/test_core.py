@@ -762,7 +762,10 @@ class TestFrozenIndexExact:
             insert_whole(arr, *probe_fp(cfg, key, ext_len, differ))
         arr.insert_fp(0, 1)
         index = assert_index_exact(arr, probes)
-        assert index.all_ext.sum() >= 2 and index.dir[-1] == index.base.size
+        # the top quotient's extended pairs, and no other, list their rows
+        listed = {pack_minirun_id(*split(HashStream(k, cfg.seed), cfg), cfg.r) for k in on_top[:3]}
+        assert set(index.cand_packed.tolist()) == listed
+        assert index.dir[-1] == index.base.size
         # slot 0 is used, yet quotient 0's run follows the top run there
         assert _bit(arr.used, 0) and _bit(arr.occ, 0)
         assert find_run(arr, 0)[0] > 0
@@ -786,7 +789,8 @@ class TestFrozenIndexExact:
         hash order sorts, also when wide remainders (r = 56) put q + r at
         up to 64 bits: insert returns the key's split_batch pair, the
         map's ids ascend and are the table's column pairs, and the
-        index's base holds each pair once."""
+        index's base holds each pair's remainder once, the remainders
+        strictly ascending inside every quotient's bucket."""
         cfg = FilterConfig(q=q, r=56 if wide else r, seed=seed)
         rng = np.random.default_rng(seed)
         f = AdaptiveFilter(cfg, policy=Policy(shorten_on_delete=shorten))
@@ -823,7 +827,10 @@ class TestFrozenIndexExact:
             mids = f.map._merged()[0]
             assert (mids[1:] >= mids[:-1]).all()
             assert np.array_equal(mids, f.arr._columns().packed(cfg.r))
-            assert np.array_equal(got.base, np.unique(got.base))
+            starts = np.zeros(got.base.size + 1, dtype=bool)
+            starts[got.dir] = True
+            assert got.dir[-1] == got.base.size
+            assert (got.base[1:] > got.base[:-1])[~starts[1:-1]].all()
             if last is not None:
                 if step in ("delete", "insert"):
                     assert got.base is not last.base
@@ -838,24 +845,25 @@ class TestFrozenIndexExact:
                                  if isinstance(v, np.ndarray)}))
             last = got
 
-    def test_patch_flags_a_pair_once_all_its_fingerprints_are_extended(self):
+    def test_patch_lists_every_row_of_a_pair_once_one_of_its_fingerprints_is_extended(self):
         cfg = FilterConfig(q=4, r=2, seed=7)
         probes = np.arange(3000, dtype=np.uint64)
         arr = SlotArray(cfg)
         for fp in ((3, 1), (3, 1), (3, 2, (1,)), (9, 0)):
             insert_whole(arr, *fp)
         first = arr.frozen_index()
-        pair = int(np.searchsorted(first.base, (3 << cfg.r) | 1))
-        twins = pack_minirun_id(3, 1, cfg.r)
+        twins, other = pack_minirun_id(3, 1, cfg.r), pack_minirun_id(3, 2, cfg.r)
         arr.extend_fp(twins, 0, [2, 3])
         half = arr.frozen_index()
         assert_fresh(half, arr, probes)
-        assert not half.all_ext[pair] and half.cand_len.tolist() == [1]
+        # the twins pair lists its extended row and its bare one
+        assert half.cand_packed.tolist() == [twins, twins, other]
+        assert half.cand_len.tolist() == [2, 0, 1]
         arr.extend_fp(twins, 1, [1])
         # a longer extension than any before widens the chunk matrix
-        arr.extend_fp(pack_minirun_id(3, 2, cfg.r), 0, [0, 0, 1])
+        arr.extend_fp(other, 0, [0, 0, 1])
         full = arr.frozen_index()
         assert_fresh(full, arr, probes)
-        assert full.all_ext[pair] and full.cand_len.tolist() == [2, 1, 4]
+        assert full.cand_len.tolist() == [2, 1, 4]
         assert full.base is half.base is first.base and full.dir is first.dir
-        assert first.cand_len.tolist() == [1] and not first.all_ext[pair]
+        assert first.cand_packed.tolist() == [other] and first.cand_len.tolist() == [1]

@@ -4,9 +4,13 @@ tracemalloc counts every numpy array a pass allocates, so the peak of
 one call, over the keys it holds, is the number of bytes per key that
 the pass needs above what was live before it.  At q=16 and 90% load a
 fill peaks at about 42 bytes per key and the first exact index at about
-44 (numpy 2.4), against 151 and 111 with 8-byte slots and columns.  The
+32 (numpy 2.4), against 151 and 111 with 8-byte slots and columns.  The
 bounds leave about 9% of headroom, so one more whole-table 8-byte
 temporary alive at a pass's peak fails them.
+
+The cached index keeps about 6.4 bytes per key: its quotient directory
+and a 2-byte remainder per pair.  The bound leaves about 9% of headroom,
+so a per-pair 1-byte flag or a packed 8-byte pair column fails it.
 
 What a filled filter keeps is bounded too: at q=16 and 90% load about
 18.8 bytes per key, 2.2 for the slots, 0.6 for the metadata bits and 16
@@ -23,7 +27,8 @@ from aqf.workbench import fill_to_load
 CFG = FilterConfig(q=16, r=9, seed=3)
 
 FILL_BYTES_PER_KEY = 46
-INDEX_BYTES_PER_KEY = 48
+INDEX_BYTES_PER_KEY = 35
+INDEX_LIVE_BYTES_PER_KEY = 7.0
 LIVE_BYTES_PER_KEY = 19.8
 
 
@@ -48,6 +53,19 @@ def test_the_first_index_stays_under_its_bytes_per_key():
     f, keys = fill_to_load(CFG, 0.9, seed=5)
     _, peak = peak_bytes(f.frozen_index)
     assert peak / len(keys) < INDEX_BYTES_PER_KEY
+
+
+def test_the_cached_index_keeps_under_its_bytes_per_key():
+    f, keys = fill_to_load(CFG, 0.9, seed=5)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        f.frozen_index()
+        gc.collect()
+        live = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert live / len(keys) < INDEX_LIVE_BYTES_PER_KEY
 
 
 def test_a_filled_filter_keeps_under_its_bytes_per_key():

@@ -141,7 +141,7 @@ class TestMerge:
         assert m.cfg == self.CFG
         rng = np.random.default_rng(94)
         probes = np.concatenate(
-            [pool, rng.integers(0, 1 << 63, size=30000, dtype=np.uint64)]
+            [pool.astype(np.uint64), rng.integers(0, 1 << 63, size=30000, dtype=np.uint64)]
         )
         want = a.frozen_index().query_keys(probes) | b.frozen_index().query_keys(probes)
         got = m.frozen_index().query_keys(probes)

@@ -282,6 +282,17 @@ class TestFillAndMeasure:
             measure_fpr(f.frozen_index(), [np.arange(5, dtype=np.uint64),
                                            np.zeros(0, dtype=np.uint64)])
 
+    @pytest.mark.parametrize("keys", [[-1], [1 << 64], [1.5], ["3"], [[1, 2]],
+                                      np.array([-1], dtype=np.int64),
+                                      np.array([[1, 2]], dtype=np.uint64)])
+    def test_index_and_measure_fpr_refuse_a_bad_key(self, keys):
+        f, _ = fill_to_load(FilterConfig(q=8, r=4, seed=22), 0.2)
+        index = f.frozen_index()
+        with pytest.raises(InvalidConfigError):
+            index.query_keys(keys)
+        with pytest.raises(InvalidConfigError):
+            measure_fpr(index, [np.arange(5, dtype=np.uint64), keys])
+
     def test_measure_fpr_counts_repeated_probes(self):
         cfg = FilterConfig(q=8, r=3, seed=28)
         f, _ = fill_to_load(cfg, 0.5, seed=29)
@@ -589,6 +600,15 @@ class TestCsv:
         path = tmp_path / "other.csv"
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(InvalidConfigError):
+            parse_csv(path)
+
+    @pytest.mark.parametrize("row", ["1,x,0.0,3,11", "1,0.5,0.0,3", "1,0.5,0.0,3,11,7", ""])
+    def test_a_bad_row_is_rejected_by_its_number(self, tmp_path, row):
+        path = tmp_path / "trace.csv"
+        report_csv([TraceRow(0, 0.1, 0.0, 3, 11)], path)
+        with open(path, "a") as fh:
+            fh.write(row + "\n")
+        with pytest.raises(InvalidConfigError, match="data row 2"):
             parse_csv(path)
 
 
