@@ -44,16 +44,17 @@ the run and the later runs left by one, up to the first run at its
 canonical slot.  An insert is one open; extensions and growing counters
 open one slot per chunk or digit, and deletes, shortening cuts and
 shrinking counters close theirs from the last.  Whole-table work goes
-through two helpers: ``SlotArray._columns`` decodes the table into numpy
-columns (quotient, remainder, value, extension and counter-digit spans),
-one row per fingerprint in hash order (by quotient, then remainder, then
-rank), for the bulk index (``FrozenIndex``: like the table, a remainder
-per pair under a quotient directory), consistency checks, merge and
-rebuild.  The stored runs are a rotation of that order, which it and
-the loader (``SlotArray._reconstruct_used``) turn back.
-``SlotArray._lay_out`` writes such columns over a table, placing every
-run with one cumulative max, for merge, rebuild and bulk load.  Both
-scalar edits leave the layout that ``_lay_out`` would write.
+through two helpers: ``SlotArray._blocks`` decodes the table a block of
+clusters at a time into numpy columns (quotient, remainder, value,
+extension and counter-digit spans), one row per fingerprint in hash
+order (by quotient, then remainder, then rank), for the bulk index
+(``FrozenIndex``: like the table, a remainder per pair under a quotient
+directory), consistency checks and, joined, merge and rebuild.  The
+stored runs are a rotation of that order, which it and the loader
+(``SlotArray._reconstruct_used``) turn back.  ``SlotArray._lay_out``
+writes such columns over a table, placing every run with one cumulative
+max, for merge, rebuild and bulk load.  Both scalar edits leave the
+layout that ``_lay_out`` would write.
 
 Widths.  The payloads are stored in the smallest unsigned dtype that
 holds ``r + value_bits`` bits (``_slot_dtype``: uint16 at r = 9), and
@@ -61,10 +62,9 @@ whole-table columns of slot and row positions, offsets and span lengths
 are int32 while the table has fewer than 2**31 slots, int64 past that
 (``_pos_dtype``); in columns, remainders, values and chunks take the
 slot dtype.  Scalar walks read a slot through ``.item()`` whatever its
-dtype.  Whole-table passes drop each temporary once it is spent, and
-the ones that count rows into buckets sorted by hash (the quotient
-directories) or compare them with hashes go a block of rows at a time
-(``_BLOCK``), so their temporaries stay small.
+dtype.  Whole-table passes drop each temporary once it is spent, or go
+a block of about ``_BLOCK`` slots or rows at a time, so that their
+temporaries stay small.
 
 Snapshot (version 2).  Only the occupied, runend and extension vectors
 and the payloads are written, with a header that names the first unused
@@ -128,7 +128,8 @@ _META_BITS = 3
 # slots a walk reads first on each side of its quotient
 _READ = 128
 
-# rows that a blockwise pass over whole-table columns takes at once
+# slots or rows that a blockwise pass over the table or its columns
+# takes at once
 _BLOCK = 1 << 14
 
 # groups of 64 slots that the payload codec packs or unpacks per pass:
@@ -221,20 +222,6 @@ def _group_starts(*cols: np.ndarray) -> np.ndarray:
     for col in cols:
         first[1:] |= col[1:] != col[:-1]
     return first
-
-
-def _bucket_starts(buckets: np.ndarray, nbuckets: int) -> np.ndarray:
-    """A directory over sorted bucket numbers in [0, nbuckets): entry b
-    is the first row of bucket b or a later one, entry nbuckets is the
-    row count.  Counted a block at a time: a block of sorted buckets
-    spans few of them, so each counts into its own span."""
-    out = np.zeros(nbuckets + 1, dtype=_pos_dtype(len(buckets)))
-    for a in range(0, len(buckets), _BLOCK):
-        block = buckets[a : a + _BLOCK]
-        lo = int(block[0])
-        out[lo + 1 : int(block[-1]) + 2] += np.bincount(block - lo)
-    np.cumsum(out, out=out)
-    return out
 
 
 def _ranges(off: np.ndarray, length: np.ndarray) -> np.ndarray:
@@ -342,11 +329,12 @@ def _check_padding(blob, nbits: int, what: str) -> None:
 
 
 class _Cols(NamedTuple):
-    """Per-fingerprint columns, one row per fingerprint; _columns hands
+    """Per-fingerprint columns, one row per fingerprint; _blocks hands
     them out in hash order, and _lay_out takes them so.
 
     A fingerprint's extension chunks are chunks[ext_off:ext_off+ext_len]
-    and its counter digits the ctr_len entries right after them.
+    and its counter digits the ctr_len entries right after them; value
+    and ctr_len may be None where they are not needed (_blocks).
     Quotients, extension offsets and spans take the table's position
     dtype (_pos_dtype of its slot count), which holds any span a table
     can store; remainders, values and chunks take its slot dtype
@@ -396,14 +384,12 @@ class _Cols(NamedTuple):
         rem &= (1 << cfg.r) - 1
         return quot, rem
 
-    def take(self, idx) -> "_Cols":
-        """The rows idx (indices or a mask), sharing the chunk array."""
-        return _Cols(*(col[idx] for col in self[:-1]), self.chunks)
-
-    def concat(self, other: "_Cols") -> "_Cols":
-        """self's rows followed by other's."""
-        moved = other._replace(ext_off=other.ext_off + len(self.chunks))
-        return _Cols(*(np.concatenate(pair) for pair in zip(self, moved)))
+    @staticmethod
+    def join(parts: list) -> "_Cols":
+        """The rows of parts one after another, ext_off moved to match."""
+        shift = np.cumsum([0] + [len(part.chunks) for part in parts]).tolist()
+        return _Cols(*map(np.concatenate, zip(*(part._replace(ext_off=part.ext_off + at)
+                                                for part, at in zip(parts, shift)))))
 
     def packed(self, r: int, rows=slice(None)) -> np.ndarray:
         """(quotient << r) | remainder: the minirun id of each row, or of
@@ -513,16 +499,19 @@ class SlotArray:
         return [bits & mask, (bits >> step) & mask, (bits >> 2 * step) & mask,
                 (bits >> 3 * step) & mask]
 
-    def _unpack(self, start: int) -> np.ndarray:
-        """Metadata bits of every slot, read circularly from slot start: a
-        (4, nslots) bool array with rows used, run, ext, occ."""
+    def _bits(self, start: int, length: int, rows=slice(None)) -> np.ndarray:
+        """Bools of metadata rows ``rows`` over slots [start, start+length)."""
         n = self.nslots
-        bits = np.unpackbits(self._meta.view(np.uint8), axis=1, bitorder="little")
-        return np.concatenate([bits[:, start:n], bits[:, :start]], axis=1).view(bool)
+        if start + length > n:
+            return np.concatenate([self._bits(start, n - start, rows),
+                                   self._bits(0, start + length - n, rows)], axis=1)
+        words = self._meta[rows, start >> 6 : (start + length + 63) >> 6]
+        bits = np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")
+        return bits[:, start & 63 : (start & 63) + length].view(bool)
 
     def _pack(self, bits: np.ndarray, start: int) -> None:
         """Overwrite the leading rows of the word matrix with bits laid out
-        as _unpack(start)'s: all four rows, or only the used bits."""
+        as _bits(start, nslots)'s: all four rows, or only the used bits."""
         n = self.nslots
         flat = bits  # already laid out as the words are
         if start or n & 63:
@@ -958,52 +947,60 @@ class SlotArray:
     # ------------------------------------------------------------------
     # columnar decode and layout
 
-    def _columns(self) -> _Cols:
-        """Decode the whole table into rows in hash order: by quotient,
-        then remainder, then minirun rank.  That is the order of the
-        reverse map's rows and the order _lay_out takes.
+    def _quotients(self, lo: int, m: int, span: int) -> np.ndarray:
+        """The first m occupied quotients from slot lo on (fewer if so)."""
+        while True:
+            top = min(self.nslots, lo + span)
+            Q = np.flatnonzero(self._bits(lo, top - lo, slice(3, 4))[0])
+            if len(Q) >= m or top == self.nslots:
+                return Q[:m] + lo
+            span <<= 1
 
+    def _blocks(self, full: bool = False):
+        """The table's rows in hash order (by quotient, remainder, rank:
+        the map's order, and _lay_out's) as _Cols of about _BLOCK slots,
+        each cut just past an unused slot so that it holds whole runs.
         The table is read circularly from the first slot of the run of
-        its smallest occupied quotient, so that the runs come in quotient
-        order: the k-th run belongs to the k-th occupied quotient.  A
-        remainder slot is a used slot without the extension bit; the k-th
-        of them with runend set ends the k-th run.  A fingerprint's other
-        slots follow its remainder slot: extension chunks (extension bit
-        only), then counter digits (both bits).
-        """
-        n, vb = self.nslots, self.value_bits
-        pos = _pos_dtype(n)
-        Q = _where(np.unpackbits(self.occ.view(np.uint8), bitorder="little")[:n].view(bool))
-        start = 0
-        if len(Q):
-            win, at = self._walk_to_run(int(Q[0]))
+        its smallest occupied quotient, so that the k-th run belongs to
+        the k-th occupied quotient.  Values and counter spans are
+        decoded only when full is set, and chunks holds the block's tail
+        slots alone."""
+        n, vb, pos = self.nslots, self.value_bits, _pos_dtype(self.nslots)
+        start = next_q = a = 0
+        for qt in self._quotients(0, 1, _READ).tolist():
+            win, at = self._walk_to_run(qt)
             start = (win.base + at) % n
-        used, run, ext = self._unpack(start)[:3]
-        pay = np.concatenate([self.slots[start:], self.slots[:start]])
-        R = _where(used & ~ext)
-        ends_run = run[R]
-        run_of = np.cumsum(ends_run, dtype=pos)
-        run_of -= ends_run  # terminators before each row
-        tails = np.flatnonzero(used & ext)
-        digits = run[tails]
-        del used, run, ext
-        owner = np.searchsorted(R, tails, side="right") - 1
-        if ends_run.sum() != len(Q) or (R.size and not ends_run[-1]) or (owner < 0).any():
+        while a < n:
+            b = min(a + _BLOCK, n)
+            if b < n:  # the cut goes just past the end of the cluster at b - 1
+                win, _ = self._walk_to_run((start + b - 1) % n)
+                b = min(n, b + (win.base + win.used.bit_length() - start - b + 1) % n)
+            at, size, a = (start + a) % n, b - a, b
+            used, run, ext = self._bits(at, size, slice(3))
+            R = np.flatnonzero(used & ~ext)
+            ends = np.flatnonzero(run[R])  # the rows that end a run
+            tails = np.flatnonzero(used & ext)
+            owner = np.searchsorted(R, tails, side="right") - 1
+            Q = self._quotients(next_q, len(ends), size + 64).astype(pos)
+            if len(Q) < len(ends) or (R.size and not run[R[-1]]) or (owner < 0).any():
+                raise StateCorruptionError("runs and occupied quotients do not pair up")
+            next_q = int(Q[-1]) + 1 if len(Q) else next_q
+            ext_off, ext_len, ctr_len = (np.zeros(len(R), dtype=pos) for _ in range(3))
+            if tails.size:  # rare: count the tail slots before each row and its own
+                ext_off[:] = np.searchsorted(tails, R)
+                ctr_len[:] = np.bincount(owner[run[tails]], minlength=len(R))
+                ext_len[:] = np.bincount(owner, minlength=len(R)) - ctr_len
+            pay = self._payloads(at, size)
+            head = pay[R]
+            yield _Cols(np.repeat(Q, np.diff(ends, prepend=-1)), head >> vb,
+                        head & ((1 << vb) - 1) if full else None, ext_off, ext_len,
+                        ctr_len if full else None, pay[tails] >> vb)
+        if self._quotients(next_q, 1, n).size:
             raise StateCorruptionError("runs and occupied quotients do not pair up")
-        del ends_run, tails
-        ctr_len = np.bincount(owner[digits], minlength=len(R)).astype(pos)
-        ext_len = np.bincount(owner, minlength=len(R)).astype(pos)
-        ext_len -= ctr_len
-        del owner, digits
-        # the last columns are made in place of the arrays they come
-        # from, so that the decode holds fewer whole-table temporaries
-        value = pay[R]
-        rem = value >> vb
-        value &= (1 << vb) - 1
-        R += 1  # the extension offsets
-        pay >>= vb  # the chunks
-        return _Cols(quot=Q[run_of], rem=rem, value=value, ext_off=R, ext_len=ext_len,
-                     ctr_len=ctr_len, chunks=pay)
+
+    def _columns(self) -> _Cols:
+        """The whole table's rows in hash order: the blocks joined."""
+        return _Cols.join(list(self._blocks(full=True)))
 
     def _lay_out(self, cols: _Cols) -> None:
         """Write fingerprints over the whole table, replacing whatever it
@@ -1087,7 +1084,7 @@ class SlotArray:
         leaves it as it is.  An index once handed out never changes.
         """
         if self._index is None:
-            self._index = FrozenIndex(self.cfg, self._columns()._replace(value=None, ctr_len=None))
+            self._index = FrozenIndex(self.cfg, self._blocks())
         elif self._touched:
             self._index = self._index.patched(self, self._touched)
         self._touched.clear()
@@ -1141,9 +1138,9 @@ class SlotArray:
                             self.used_count, anchor)]
         nbytes = (self.nslots + 7) >> 3
         for vec in (self.occ, self.run, self.ext):
-            parts += section([le_bytes(vec, "<u8")[:nbytes]])
+            parts.append(section([le_bytes(vec, "<u8")[:nbytes]]))
         w = self.slot_bits
-        parts += section([bytes([w]), memoryview(_pack_slots(self.slots, w))])
+        parts.append(section([bytes([w]), memoryview(_pack_slots(self.slots, w))]))
         return sealed(parts)
 
     @classmethod
@@ -1219,7 +1216,7 @@ class SlotArray:
         if expect_used > max_used(n):
             raise FormatError("used-slot count exceeds the load limit")
         rot = (anchor + 1) % n
-        run, ext, occ = self._unpack(rot)[1:]
+        run, ext, occ = self._bits(rot, n)[1:]
         Q = _where(occ)
         T = _where(run & ~ext)
         if len(T) != len(Q):
@@ -1308,9 +1305,9 @@ class SlotArray:
 class FrozenIndex:
     """Read-only index of fingerprint columns for bulk membership probes.
 
-    Built from columns in hash order: a table's decode, or bare
-    fingerprints sorted by pair with no table at all.  Like a quotient
-    filter, it keeps each distinct (quotient, remainder) pair's
+    Built from columns in hash order: a table's decode, block by block,
+    or bare fingerprints sorted by pair with no table at all.  Like a
+    quotient filter, it keeps each distinct (quotient, remainder) pair's
     remainder alone, in the columns' remainder dtype, and lets a
     quotient directory imply the quotient, as the counting quotient
     filter's offsets do: ``base[dir[qt]:dir[qt + 1]]`` holds quotient
@@ -1328,26 +1325,30 @@ class FrozenIndex:
     # keys probed per pass; bounds the temporaries of a large batch
     CHUNK = 1 << 16
 
-    def __init__(self, cfg: FilterConfig, cols: _Cols):
+    def __init__(self, cfg: FilterConfig, cols):
         self.cfg = cfg
-        first = _group_starts(cols.quot, cols.rem)  # the first row of each pair
-        self.dir = _bucket_starts(cols.quot[first], cfg.nslots)
-        self.base = cols.rem[first]
-        # every row of each pair that has an extended fingerprint
-        pair = np.cumsum(first, dtype=_pos_dtype(len(first)))  # each row's pair, from 1
-        del first
-        listed = np.zeros(len(self.base) + 1, dtype=bool)
-        listed[pair[cols.ext_len > 0]] = True
-        rows = np.flatnonzero(listed[pair])
-        del pair, listed
-        self.cand_packed = cols.packed(cfg.r, rows)
-        self.cand_len = cols.ext_len[rows]
-        off = cols.ext_off[rows]
+        self.dir = np.zeros(cfg.nslots + 1, dtype=_pos_dtype(cfg.nslots))
+        base, cands = [], []
+        for block in [cols] if isinstance(cols, _Cols) else cols:
+            first = np.flatnonzero(_group_starts(block.quot, block.rem))  # each pair's first row
+            quots = block.quot[first]
+            for a in range(0, len(quots), _BLOCK):  # sorted: a block spans few buckets
+                part = quots[a : a + _BLOCK]
+                self.dir[int(part[0]) + 1 : int(part[-1]) + 2] += np.bincount(part - part[0])
+            base.append(block.rem[first])
+            # every row of each pair that has an extended fingerprint
+            pair = np.searchsorted(first, np.flatnonzero(block.ext_len), "right") - 1
+            pair = pair[_group_starts(pair)]
+            bounds = np.append(first, len(block.quot))
+            rows = _ranges(bounds[pair], bounds[pair + 1] - bounds[pair])
+            cands.append((block.packed(cfg.r, rows), block.ext_len[rows],
+                          block.chunks[_ranges(block.ext_off[rows], block.ext_len[rows])]))
+        np.cumsum(self.dir, out=self.dir)  # each bucket's first row
+        self.base = np.concatenate(base)
+        self.cand_packed, self.cand_len, chunks = map(np.concatenate, zip(*cands))
         width = int(self.cand_len.max(initial=0))
-        self.cand_chunks = np.zeros((len(rows), width), dtype=_slot_dtype(cfg.r))
-        at = _ranges(off, self.cand_len)
-        row = np.repeat(np.arange(len(rows)), self.cand_len)
-        self.cand_chunks[row, at - off[row]] = cols.chunks[at]
+        self.cand_chunks = np.zeros((len(self.cand_len), width), dtype=_slot_dtype(cfg.r))
+        self.cand_chunks[np.arange(width) < self.cand_len[:, None]] = chunks  # row-major
 
     def patched(self, arr: SlotArray, mids) -> "FrozenIndex":
         """A new index equal to the FrozenIndex of arr's columns, given
@@ -1425,8 +1426,7 @@ class FrozenIndex:
         bare row matches at once."""
         counts = hi - lo
         key_of = np.repeat(np.arange(len(keys)), counts)
-        first = np.cumsum(counts) - counts
-        row = np.arange(int(counts.sum())) + np.repeat(lo - first, counts)
+        row = _ranges(lo, counts)
         need = self.cand_len[row]
         hit = np.zeros(len(keys), dtype=bool)
         hit[key_of[need == 0]] = True

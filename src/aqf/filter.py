@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import _BLOCK, FrozenIndex, SlotArray, pack_minirun_id
+from .core import FrozenIndex, SlotArray, pack_minirun_id
 from .errors import (
     AdaptationExhaustedError,
     FilterFullError,
@@ -331,35 +331,43 @@ class AdaptiveFilter:
         matching (id, rank), and that every stored fingerprint is a
         prefix of its owner key's hash.  Raises StateCorruptionError.
 
-        The table's columns and the map's rows both come in hash order,
-        ties in rank order, so they hold the same entries exactly when
-        every row has the same minirun id in both; the rows are compared
-        a block at a time.  A row's id is also its key's hashed
-        (quotient, remainder) pair.
+        The table's rows and the map's both come in hash order, ties in
+        rank order, so they hold the same entries exactly when every row
+        has the same minirun id in both.  The table is read a block at a
+        time (SlotArray._blocks), each compared with the map's rows at
+        the same offset; the map's base rows are read in place unless
+        its overlay holds entries (ReverseMap._merged).  A row's id is
+        also its key's hashed (quotient, remainder) pair.  The first
+        fault found, in the order of the checks below, is raised.
         """
         cfg = self.cfg
-        cols = self.arr._columns()
         mids, keys, _ = self.map._merged()
-        if len(mids) != len(cols.quot):
-            raise StateCorruptionError(f"{len(cols.quot)} fingerprints, {len(mids)} map entries")
-        bad = np.empty(len(keys), dtype=bool)
-        for a in range(0, len(keys), _BLOCK):
-            rows = slice(a, a + _BLOCK)
-            ids = cols.packed(cfg.r, rows)
-            off = np.flatnonzero(ids != mids[rows])
+        rows, wrong_id, not_prefix = 0, None, None
+        for cols in self.arr._blocks():
+            lo, rows = rows, rows + len(cols.quot)
+            if wrong_id is not None or rows > len(mids):
+                continue
+            ids, owners = cols.packed(cfg.r), keys[lo:rows]
+            off = np.flatnonzero(ids != mids[lo:rows])
             if off.size:
-                at = int(off[0])
-                raise StateCorruptionError(
-                    f"filter and map disagree on minirun ids at row {a + at}: "
-                    f"{ids[at]} in the filter, {mids[a + at]} in the map")
-            bad[rows] = split_batch(keys[rows], cfg) != ids
-        for t in range(int(cols.ext_len.max(initial=0))):
-            rows = np.flatnonzero(cols.ext_len > t)
-            bad[rows] |= (extension_chunk_batch(keys[rows], cfg, t)
-                          != cols.chunks[cols.ext_off[rows] + t])
-        if bad.any():
-            at = int(np.flatnonzero(bad)[0])
-            first = at  # the minirun's first row
+                wrong_id = lo + int(off[0]), ids[off[0]]
+            if off.size or not_prefix is not None:
+                continue
+            bad = split_batch(owners, cfg) != ids
+            for t in range(int(cols.ext_len.max(initial=0))):
+                ext = np.flatnonzero(cols.ext_len > t)
+                bad[ext] |= (extension_chunk_batch(owners[ext], cfg, t)
+                             != cols.chunks[cols.ext_off[ext] + t])
+            if bad.any():
+                not_prefix = lo + int(np.flatnonzero(bad)[0])
+        if rows != len(mids):
+            raise StateCorruptionError(f"{rows} fingerprints, {len(mids)} map entries")
+        if wrong_id is not None:
+            at, mid = wrong_id
+            raise StateCorruptionError(f"filter and map disagree on minirun ids at row {at}: "
+                                       f"{mid} in the filter, {mids[at]} in the map")
+        if not_prefix is not None:
+            at = first = not_prefix  # and the first row of its minirun
             while first and mids[first - 1] == mids[at]:
                 first -= 1
             raise StateCorruptionError(
@@ -393,7 +401,7 @@ class AdaptiveFilter:
         head = _HEAD.pack(COMBINED_MAGIC, COMBINED_VERSION, flags,
                           self.policy.max_extensions, self.arr.value_bits, 0,
                           self.adaptations, self.adaptivity_bits, self.adaptation_failures)
-        parts = [head, *section(self.arr._parts()), *section(self.map._parts())]
+        parts = [head, section(self.arr._parts()), section(self.map._parts())]
         return b"".join(sealed(parts))
 
     @classmethod

@@ -143,7 +143,7 @@ def _build_rederived(cols: _Cols, keys: np.ndarray, values: list | None, cfg: Fi
     Rows whose fingerprints tie under cfg keep their order as rank order.
     """
     order, packed = _hash_order(keys, cfg)
-    cols, keys = cols.take(order), keys[order]
+    cols, keys = _Cols(*(col[order] for col in cols[:-1]), cols.chunks), keys[order]
     if values is not None:
         values = list(map(values.__getitem__, order.tolist()))
     del order
@@ -193,7 +193,7 @@ def merge(a: AdaptiveFilter, b: AdaptiveFilter) -> AdaptiveFilter:
     if a.arr.used_count + b.arr.used_count > _GROW_AT * cfg.nslots:
         cfg = FilterConfig(q=cfg.q + 1, r=cfg.r, seed=cfg.seed)
     (ca, ka, va), (cb, kb, vb) = _key_columns(a), _key_columns(b)
-    return _build_rederived(ca.concat(cb), np.concatenate([ka, kb]),
+    return _build_rederived(_Cols.join([ca, cb]), np.concatenate([ka, kb]),
                             _join_values((va, len(ka)), (vb, len(kb))), cfg,
                             a.policy, a.value_bits, keep_ext=True)
 

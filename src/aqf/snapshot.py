@@ -10,13 +10,18 @@ object of single bytes (``bytes``, or a ``memoryview`` of an array's
 little-endian bytes, see ``le_bytes``): headers, length prefixes and
 the columns as they lie in memory.  ``sealed`` computes the trailer part
 by part, and the outermost encoder joins the list once, so each byte of
-a column is copied once.
+a column is copied once.  ``section`` and ``sealed`` hand out their
+parts as a run that knows its bytes' CRC32, and a run nested in the
+parts of an outer ``section`` or ``sealed`` enters the outer CRC by
+zlib's crc32_combine arithmetic (``crc32_combine``), so each byte is
+checksummed once too.
 """
 
 from __future__ import annotations
 
 import struct
 import zlib
+from functools import lru_cache
 
 import numpy as np
 
@@ -32,18 +37,78 @@ def le_bytes(a: np.ndarray, dtype: str) -> memoryview:
     return memoryview(np.ascontiguousarray(a, dtype=dtype)).cast("B")
 
 
-def section(parts: list) -> list:
+# zlib's CRC-32 polynomial, bit-reflected
+_POLY = 0xEDB88320
+
+
+def _mulmod(a: int, b: int) -> int:
+    """a * b modulo the CRC-32 polynomial, both bit-reflected; a != 0."""
+    m, p = 1 << 31, 0
+    while True:
+        if a & m:
+            p ^= b
+            if not a & (m - 1):
+                return p
+        m >>= 1
+        b = (b >> 1) ^ _POLY if b & 1 else b >> 1
+
+
+@lru_cache(maxsize=64)
+def _shift(n: int) -> int:
+    """x**(8 * n) modulo the CRC-32 polynomial: the factor that moves a
+    CRC past n bytes of zeros."""
+    p, x = 1 << 31, 1 << 30  # 1, and x**(2**k) for k = 0, 1, ...
+    n *= 8
+    while n:
+        if n & 1:
+            p = _mulmod(x, p)
+        n >>= 1
+        x = _mulmod(x, x)
+    return p
+
+
+def crc32_combine(crc1: int, crc2: int, len2: int) -> int:
+    """The CRC32 of a + b, from crc1 = crc32(a), crc2 = crc32(b) and
+    len2 = len(b), as zlib's crc32_combine computes it."""
+    return (_mulmod(_shift(len2), crc1) if crc1 else 0) ^ crc2
+
+
+class _Run(list):
+    """Parts that know the CRC32 and the length of their bytes."""
+
+    def __init__(self, parts, crc: int, size: int):
+        super().__init__(parts)
+        self.crc, self.size = crc, size
+
+
+def _spliced(parts) -> _Run:
+    """parts as one run, each nested list (a run or not) spliced in: a
+    run's CRC is combined into the whole's, not computed again."""
+    if isinstance(parts, _Run):
+        return parts
+    flat, crc, size = [], 0, 0
+    for part in parts:
+        if isinstance(part, list):
+            part = _spliced(part)
+            flat += part
+            crc, size = crc32_combine(crc, part.crc, part.size), size + part.size
+        else:
+            flat.append(part)
+            crc, size = zlib.crc32(part, crc), size + len(part)
+    return _Run(flat, crc, size)
+
+
+def section(parts: list) -> _Run:
     """parts as one length-prefixed section: their byte count first."""
-    return [_LEN.pack(sum(map(len, parts))), *parts]
+    body = _spliced(parts)
+    return _spliced([_LEN.pack(body.size), body])
 
 
-def sealed(parts: list) -> list:
+def sealed(parts: list) -> _Run:
     """parts followed by the CRC32 trailer of their bytes, computed part
     by part."""
-    crc = 0
-    for part in parts:
-        crc = zlib.crc32(part, crc)
-    return [*parts, _CRC.pack(crc)]
+    body = _spliced(parts)
+    return _spliced([body, _CRC.pack(body.crc)])
 
 
 def unseal(data) -> memoryview:

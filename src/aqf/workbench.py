@@ -9,19 +9,20 @@ with stored keys and every positive probe is a real false positive.
 
 Zipfian ranks are the draws of numpy's ``Generator.zipf`` for the same
 seed, bit for bit, kept while within the universe.  They are made in
-batches of array arithmetic rather than by numpy's one-at-a-time
-rejection loop; since np.power can differ from the libm pow that loop
-calls in the last bit, any attempt that close to an integer or to the
-acceptance boundary is redone in scalar with math.pow, so the stream
-stays the one ``rng.zipf`` gives (see ``_zipf_ranks``).
+batches of array arithmetic, in buffers that every batch of a call
+reuses, rather than by numpy's one-at-a-time rejection loop; since
+np.power can differ from the libm pow that loop calls in the last bit,
+any attempt that close to an integer or to the acceptance boundary is
+redone in scalar with math.pow, so the stream stays the one
+``rng.zipf`` gives (see ``_zipf_ranks``).
 
 The instantaneous false-positive rate is measured with adaptation
 frozen: the filter's read-only index (decoded at the first checkpoint,
 then patched where lookups extended fingerprints) is probed with
 independent query sets drawn from the workload's distribution.  Each
 set is drawn once per trace and kept as its distinct keys with their
-counts, and each checkpoint probes the union of all sets' keys in one
-batch.
+counts; the union of the sets' distinct ranks is permuted onto keys
+once, and each checkpoint probes that union in one batch.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .errors import InvalidConfigError, StateCorruptionError
 from .filter import AdaptiveFilter, LookupResult, Policy
 # split_batch and bulk_load are unused here but stay module attributes:
 # the benchmark's tracer (perfbench/spans.py) wraps them
-from .hashing import MASK64, FilterConfig, _key_array, split_batch  # noqa: F401
+from .hashing import MASK64, FilterConfig, _key_array, as_index, split_batch  # noqa: F401
 from .setops import _fill, bulk_load  # noqa: F401
 
 # key-space carve-up (inclusive low, exclusive high)
@@ -47,13 +48,23 @@ CHURN_SPACE = (1 << 62, 1 << 63)
 
 WORKLOAD_KINDS = ("uniform", "zipfian", "churn")
 
-# zipf attempts per batch, two doubles each: bounds _zipf_ranks' memory
-_ZIPF_BATCH = 1 << 16
+# zipf attempts per batch, two doubles each: _zipf_ranks' buffers hold
+# one batch, small enough to stay in cache
+_ZIPF_BATCH = 1 << 14
 # relative error allowed np.power against libm's pow; an attempt that
 # this much error could change is redone in scalar (_zipf_attempt)
 _POW_SLACK = 32 * float(np.finfo(np.float64).eps)
 # numpy's zipf sampler rejects X above (double)INT64_MAX
 _INT64_MAX_F = float((1 << 63) - 1)
+
+
+def _int_in(value, name: str, low, high):
+    """value as an int (see as_index) in [low, high]; InvalidConfigError
+    for anything else."""
+    value = as_index(value, name)
+    if not low <= value <= high:
+        raise InvalidConfigError(f"{name} must be in [{low}, {high}], got {value}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -85,18 +96,12 @@ class WorkloadSpec:
     def __post_init__(self):
         if self.kind not in WORKLOAD_KINDS:
             raise InvalidConfigError(f"unknown workload kind {self.kind!r}")
-        if self.count < 0:
-            raise InvalidConfigError("count cannot be negative")
-        if self.universe < 1 or self.universe > FILL_SPACE[0]:
-            raise InvalidConfigError(
-                f"universe must stay within [1, 2^32], got {self.universe}"
-            )
+        for name, low, high in (("count", 0, math.inf), ("seed", 0, math.inf),
+                                ("universe", 1, FILL_SPACE[0]), ("interval_pct", 1, 100),
+                                ("replace_pct", 0, 99), ("perm_seed", -math.inf, math.inf)):
+            object.__setattr__(self, name, _int_in(getattr(self, name), name, low, high))
         if self.kind in ("zipfian", "churn") and not self.s > 1:
             raise InvalidConfigError(f"zipf exponent must exceed 1, got {self.s}")
-        if not 1 <= self.interval_pct <= 100:
-            raise InvalidConfigError("interval_pct must be in [1, 100]")
-        if not 0 <= self.replace_pct < 100:
-            raise InvalidConfigError("replace_pct must be in [0, 100)")
 
 
 @dataclass(frozen=True)
@@ -190,9 +195,10 @@ def _zipf_ranks(rng: np.random.Generator, s: float, universe: int, count: int) -
     The ranks are exactly those of ``rng.zipf(s)`` draws kept while at
     most universe: numpy's sampler makes attempts, each on two doubles
     (U01, V), and returns the X of the first one its test accepts.  So
-    the attempts are drawn in batches of _ZIPF_BATCH as ``rng.random``
-    pairs and run as array arithmetic in the C order of operations, and
-    the accepted X up to universe are kept in order.  np.power may
+    the attempts are drawn in batches of at most _ZIPF_BATCH as
+    ``rng.random`` pairs and run as array arithmetic in the C order of
+    operations, each step writing into buffers allocated once per call,
+    and the accepted X up to universe are kept in order.  np.power may
     differ from libm's pow in the last bit, so an attempt whose X lies
     near an integer, or whose test lies near its boundary, is redone by
     _zipf_attempt; the boundary margin grows with X/(s-1), by which
@@ -212,48 +218,49 @@ def _zipf_ranks(rng: np.random.Generator, s: float, universe: int, count: int) -
     # _POW_SLACK * (2 + (x+1)/(s-1)) = (x + k1) * k2 of each other, relative
     near = _POW_SLACK * (universe + 2)
     k1, k2 = 2 * am1 + 1, _POW_SLACK / am1
-    out, got, tried = [], 0, 0
+    ranks = np.empty(count, dtype=np.uint64)
+    floats, flags = np.empty((5, _ZIPF_BATCH)), np.empty((3, _ZIPF_BATCH), dtype=bool)
+    got = tried = 0
     while got < count:
         rate = max(got, 1) / tried if tried else 1.0  # ranks per attempt so far
         pairs = min(_ZIPF_BATCH, int((count - got) / rate * 1.05) + 64)
         tried += pairs
         d = rng.random(2 * pairs)
         u01, v = d[0::2], d[1::2]
+        p, x, t, diff, w = floats[:, :pairs]
+        keep, unsure, f = flags[:, :pairs]
         with np.errstate(all="ignore"):
-            p = 1 - u01
-            p += u01 * umin
+            np.subtract(1, u01, out=p)
+            p += np.multiply(u01, umin, out=w)
             np.power(p, -1.0 / am1, out=p)
             np.minimum(p, top, out=p)
-            x = np.floor(p)
+            np.floor(p, out=x)
             p -= x  # p's fraction
-            t = 1.0 / x
+            np.divide(1.0, x, out=t)
             t += 1.0
             np.power(t, am1, out=t)
-            diff = v * x
-            diff *= t - 1.0
+            np.multiply(v, x, out=diff)
+            diff *= np.subtract(t, 1.0, out=w)
             diff /= b - 1.0
             t /= b
             diff -= t  # the test's left side minus its right side, t/b
-            keep = diff <= 0
-            keep &= x <= universe
+            np.less_equal(diff, 0, out=keep)
+            keep &= np.less_equal(x, universe, out=f)
             np.abs(diff, out=diff)
-            t *= x + k1
+            t *= np.add(x, k1, out=w)
             t *= k2
-            unsure = diff <= t
-            unsure |= p <= near
-            unsure |= p >= 1 - near
+            np.less_equal(diff, t, out=unsure)
+            unsure |= np.less_equal(p, near, out=f)
+            unsure |= np.greater_equal(p, 1 - near, out=f)
         for i in np.flatnonzero(unsure).tolist():
             x[i] = _zipf_attempt(float(u01[i]), float(v[i]), am1, b, umin)
             keep[i] = 1 <= x[i] <= universe
-        ranks = x[keep]
-        out.append(ranks)
-        got += len(ranks)
-    # at most two whole-stream arrays alive at once; X, an integer of at
-    # most 2^32, stays exact through the float subtraction
-    ranks = np.concatenate(out)[:count]
-    del out
-    ranks -= 1
-    return ranks.astype(np.uint64)
+        kept = np.compress(keep, x)[: count - got]
+        # X, an integer of at most 2^32, is exact as an int64 of the same bits
+        ranks.view(np.int64)[got : got + len(kept)] = kept
+        got += len(kept)
+    ranks -= np.uint64(1)
+    return ranks
 
 
 def _draws(spec: WorkloadSpec) -> np.ndarray:
@@ -287,18 +294,8 @@ def gen_workload(spec: WorkloadSpec) -> np.ndarray:
     draws = _draws(spec)
     if spec.kind == "uniform":
         return draws
-    ranks = _sorted_distinct(draws)
-    return _rank_keys(spec, ranks)[np.searchsorted(ranks, draws)]
-
-
-def _distinct_draws(spec: WorkloadSpec) -> tuple[np.ndarray, np.ndarray]:
-    """gen_workload(spec) as its distinct keys, each with its count of
-    draws; the sequence itself is never built."""
-    vals, counts = np.unique(_draws(spec).astype(np.uint32, copy=False),
-                             return_counts=True)
-    if spec.kind == "uniform":
-        return vals.astype(np.uint64), counts
-    return _rank_keys(spec, vals), counts
+    ranks, at = np.unique(draws, return_inverse=True)
+    return _rank_keys(spec, ranks)[at]
 
 
 def zipf_normalizer(s: float, universe: int) -> float:
@@ -394,12 +391,22 @@ def make_probe_sets(spec: WorkloadSpec, probe_sets: int, probe_size: int) -> Pro
     Seeds are derived from the spec's, offset so they never collide
     with the trace stream itself.  Set i holds the distinct keys of
     gen_workload(replace(spec, count=probe_size, seed=...)) with their
-    counts, drawn once; the key sequence is never built.
+    counts, drawn once; the key sequence is never built.  Each set is
+    kept as its distinct draws, and the union of those is permuted onto
+    keys once and sorted into the sets' shared key column.
     """
-    return ProbeSets.of(
-        _distinct_draws(replace(spec, count=probe_size, seed=spec.seed + 7919 * (i + 1)))
-        for i in range(probe_sets)
-    )
+    probe_sets = _int_in(probe_sets, "probe_sets", 1, math.inf)
+    probe_size = _int_in(probe_size, "probe_size", 1, math.inf)
+    sets = [np.unique(_draws(replace(spec, count=probe_size, seed=spec.seed + 7919 * (i + 1)))
+                      .astype(np.uint32, copy=False), return_counts=True)
+            for i in range(probe_sets)]
+    union = _sorted_distinct(np.concatenate([draws for draws, _ in sets]))
+    keys = union.astype(np.uint64) if spec.kind == "uniform" else _rank_keys(spec, union)
+    order = np.argsort(keys)
+    row = np.empty(len(order), dtype=np.intp)  # each union draw's row in the sorted keys
+    row[order] = np.arange(len(order))
+    return ProbeSets(keys[order], tuple(row[np.searchsorted(union, draws)] for draws, _ in sets),
+                     tuple(counts for _, counts in sets), (probe_size,) * probe_sets)
 
 
 def _trace(f: AdaptiveFilter, queries: np.ndarray, probes: ProbeSets,
@@ -450,10 +457,9 @@ def run_adaptation_trace(
     disjoint from the stored ones.  Such a trace holds at least one key,
     and every key is an int in [0, 2**64).
     """
-    if not 1 <= measure_every_pct <= 100:
-        raise InvalidConfigError("measure_every_pct must be in [1, 100]")
-    if probe_size < 1:
-        raise InvalidConfigError(f"probe_size must be at least 1, got {probe_size}")
+    measure_every_pct = _int_in(measure_every_pct, "measure_every_pct", 1, 100)
+    probe_sets = _int_in(probe_sets, "probe_sets", 1, math.inf)
+    probe_size = _int_in(probe_size, "probe_size", 1, math.inf)
     if isinstance(workload, WorkloadSpec):
         queries = gen_workload(workload)
         probes = make_probe_sets(workload, probe_sets, probe_size)
@@ -544,11 +550,9 @@ def run_churn(
     leave, and the fresh keys, come from a fixed seed, the same for
     every spec.
     """
-    if probe_size < 1:
-        raise InvalidConfigError(f"probe_size must be at least 1, got {probe_size}")
+    probes = make_probe_sets(spec, probe_sets, probe_size)
     live = [int(k) for k in live_keys]
     queries = gen_workload(spec)
-    probes = make_probe_sets(spec, probe_sets, probe_size)
     rng = np.random.default_rng(1)
 
     def check(index: FrozenIndex, done: int) -> None:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aqf import revmap
+from aqf import core, revmap
 from aqf.core import SlotArray, pack_minirun_id
 from aqf.errors import (
     AdaptationExhaustedError,
@@ -596,6 +596,33 @@ class TestConsistency:
         f.arr.extend_fp(mid, rank, [wrong])
         with pytest.raises(StateCorruptionError, match="key 1001"):
             f.check_consistency()
+
+    @pytest.mark.parametrize("fault", ["key", "id", "extra", "missing"])
+    def test_blocks_of_a_few_slots_report_the_same_fault(self, fault, monkeypatch):
+        """The check reads the table a block at a time and compares it
+        with the map's base rows in place; it names the same fault, by
+        its row in the whole table, whatever the block size."""
+        f = AdaptiveFilter.from_bytes(fill_to_load(FilterConfig(q=8, r=4, seed=64), 0.6,
+                                                   seed=65)[0].to_bytes())
+        mids, keys = f.map._mids.copy(), f.map._keys.copy()
+        assert not f.map._over and len(mids) > 120
+        if fault == "key":
+            keys[120] += 1 << 40
+        elif fault == "id":
+            mids[120] ^= 1
+        elif fault == "extra":
+            mids, keys = np.append(mids, mids[-1]), np.append(keys, keys[-1])
+        else:
+            mids, keys = mids[:-1], keys[:-1]
+        f.map._set_base(mids, keys, None)
+        messages = []
+        for block in (1 << 14, 5, 1):
+            monkeypatch.setattr(core, "_BLOCK", block)
+            with pytest.raises(StateCorruptionError) as err:
+                f.check_consistency()
+            messages.append(str(err.value))
+        assert len(set(messages)) == 1
+        assert ("row 120" in messages[0]) == (fault == "id")
 
     def test_detects_missing_map_entry(self):
         f = AdaptiveFilter(FilterConfig(q=8, r=4, seed=62))

@@ -45,10 +45,10 @@ def grouped(rows):
     return out
 
 
-def column_rows(arr):
-    """arr._columns() as decode_raw rows, counts rebuilt from the digits."""
-    cols = arr._columns()
-    chunks, r = cols.chunks.tolist(), arr.cfg.r
+def column_rows(cols, r):
+    """Columns (arr._columns() or a block) as decode_raw rows, counts
+    rebuilt from the digits."""
+    chunks = cols.chunks.tolist()
     rows = []
     for qt, rem, value, o, e, d in zip(*(col.tolist() for col in (
             cols.quot, cols.rem, cols.value, cols.ext_off, cols.ext_len, cols.ctr_len))):
@@ -62,7 +62,7 @@ def check(arr, model):
     rows = decode_raw(arr)
     assert grouped(rows) == {k: v for k, v in model.items() if v}
     # hash order: decode_raw's storage order, stably sorted by quotient
-    assert column_rows(arr) == sorted(rows, key=lambda row: row[0])
+    assert column_rows(arr._columns(), arr.cfg.r) == sorted(rows, key=lambda row: row[0])
     # the canonical layout, vacated payloads zeroed: what the snapshot
     # bytes of the benchmark's behaviour line depend on
     assert arr.to_bytes() == relaid(arr).to_bytes()
@@ -162,7 +162,7 @@ def removed(fps, k):
 def check_edit(arr, rows):
     assert decode_raw(arr) == rows
     # hash order: decode_raw's storage order, stably sorted by quotient
-    assert column_rows(arr) == sorted(rows, key=lambda row: row[0])
+    assert column_rows(arr._columns(), arr.cfg.r) == sorted(rows, key=lambda row: row[0])
     assert arr.to_bytes() == relaid(arr).to_bytes()
     assert populations(arr) == (arr.used_count, arr.fp_count, arr.ext_slot_count,
                                 arr.ctr_slot_count)
@@ -816,3 +816,106 @@ def test_a_mutated_snapshot_fails_or_loads_in_the_layout(table, kind, i, j, valu
         return
     assert back.to_bytes() == bad
     assert relaid(back).to_bytes() == bad
+
+
+# ----------------------------------------------------------------------
+# the blockwise decode, with blocks of a few slots
+
+
+def filled_table(table):
+    """The SlotArray of a tables() draw, filled until the load cap."""
+    cfg, value_bits, fps = table
+    arr = SlotArray(cfg, value_bits=value_bits)
+    for (qt, rem, ext, count), value in fps:
+        try:
+            insert_whole(arr, qt, rem, ext, count, value & ((1 << value_bits) - 1))
+        except FilterFullError:
+            pass
+    return arr
+
+
+def assert_same_index(got, want):
+    for name in ("dir", "base", "cand_packed", "cand_len", "cand_chunks"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+@settings(max_examples=200, deadline=None)
+@given(table=tables(), block=st.integers(1, 20))
+def test_blocks_hold_whole_runs_in_hash_order(table, block):
+    """Blocks of a few slots, over tables whose clusters wrap the seam
+    and hold extension chunks, counter digits and value bits: their
+    rows, each block read with its own chunks, are decode_raw's rows in
+    hash order; no run straddles two blocks; a lean block is a full one
+    without values and counter spans; and an index built block by block
+    equals the one built from the joined columns."""
+    arr = filled_table(table)
+    cfg = arr.cfg
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "_BLOCK", block)
+        full, lean = list(arr._blocks(full=True)), list(arr._blocks())
+        blockwise = core.FrozenIndex(cfg, arr._blocks())
+    rows = sorted(decode_raw(arr), key=lambda row: row[0])
+    assert [row for cols in full for row in column_rows(cols, cfg.r)] == rows
+    quots = [cols.quot.tolist() for cols in full if len(cols.quot)]
+    assert all(a[-1] < b[0] for a, b in zip(quots, quots[1:]))
+    assert len(lean) == len(full)
+    for thin, cols in zip(lean, full):
+        assert thin.value is None and thin.ctr_len is None
+        assert all(np.array_equal(getattr(thin, name), getattr(cols, name))
+                   for name in ("quot", "rem", "ext_off", "ext_len", "chunks"))
+    assert_same_index(blockwise, core.FrozenIndex(cfg, arr._columns()))
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 5, 8, 1 << 14])
+def test_blocks_read_a_cluster_across_the_seam(block, monkeypatch):
+    """The top quotients' runs, with extension chunks, counter digits
+    and value bits, wrap the seam and push quotient 0's run past slot 0;
+    every block size cuts the table into whole runs in hash order."""
+    cfg = FilterConfig(q=5, r=3)
+    arr = SlotArray(cfg, value_bits=2)
+    for fp, value in (((30, 1, (5, 6), 1), 3), ((31, 2, (), 300), 1), ((31, 2, (7,), 9), 2),
+                      ((0, 4, (1, 2, 3), 2), 0), ((1, 0, (), 1), 1)):
+        insert_whole(arr, *fp, value=value)
+    assert _bit(arr.used, 0) and find_run(arr, 0)[0] == 9
+    monkeypatch.setattr(core, "_BLOCK", block)
+    blocks = list(arr._blocks(full=True))
+    assert [row for cols in blocks for row in column_rows(cols, cfg.r)] == sorted(
+        decode_raw(arr), key=lambda row: row[0])
+    assert_same_index(arr.frozen_index(), core.FrozenIndex(cfg, arr._columns()))
+
+
+def corrupted(fault):
+    """A table with runs at quotients 3, 4, 9 and 20, broken by fault."""
+    arr = SlotArray(FilterConfig(q=5, r=3))
+    for fp in ((3, 1, (), 1), (3, 5, (), 1), (4, 2, (6,), 1), (9, 0, (), 1), (20, 7, (), 70)):
+        insert_whole(arr, *fp)
+    flip = lambda vec, i: vec.__setitem__(i >> 6, vec[i >> 6] ^ np.uint64(1 << (i & 63)))
+    if fault == "occupied bit cleared":
+        flip(arr.occ, 9)
+    elif fault == "occupied bit added":
+        flip(arr.occ, 28)
+    elif fault == "terminator cleared at a cluster's end":
+        flip(arr.run, 9)
+    elif fault == "terminator cleared inside a cluster":
+        flip(arr.run, 4)  # quotient 3's run now ends at quotient 4's
+    elif fault == "extension bit opening a cluster":
+        flip(arr.ext, 9)
+    else:
+        arr.used[:] = np.uint64((1 << 64) - 1)
+    return arr
+
+
+@pytest.mark.parametrize("block", [1, 4, 1 << 14])
+@pytest.mark.parametrize("fault", [
+    "occupied bit cleared", "occupied bit added", "terminator cleared at a cluster's end",
+    "terminator cleared inside a cluster", "extension bit opening a cluster", "no unused slot"])
+def test_a_corrupt_table_fails_the_blocks(fault, block, monkeypatch):
+    """Terminators that do not pair up with occupied quotients, or a
+    table without an unused slot, raise StateCorruptionError from the
+    decode, the index and the merge's columns, at any block size."""
+    arr = corrupted(fault)
+    monkeypatch.setattr(core, "_BLOCK", block)
+    for decode in (lambda: list(arr._blocks()), arr.frozen_index, arr._columns):
+        with pytest.raises(StateCorruptionError):
+            decode()

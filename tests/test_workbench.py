@@ -17,6 +17,7 @@ from aqf.workbench import (
     CHURN_SPACE,
     FILL_SPACE,
     LatencyModel,
+    ProbeSets,
     TraceRow,
     WorkloadSpec,
     _permute,
@@ -60,6 +61,19 @@ class TestWorkloadSpec:
     def test_rejects_bad_fields(self, kwargs):
         with pytest.raises(InvalidConfigError):
             WorkloadSpec(**kwargs)
+
+    @pytest.mark.parametrize("field, value", [
+        ("count", 2.5), ("seed", -1), ("seed", 1.5), ("universe", 10.5), ("interval_pct", 2.5),
+        ("replace_pct", 2.5), ("perm_seed", 0.5)])
+    def test_a_field_that_is_no_whole_number_in_range_is_refused(self, field, value):
+        """Refused by the spec itself, not later by numpy or a slice."""
+        with pytest.raises(InvalidConfigError, match=field):
+            WorkloadSpec(**{"kind": "zipfian", "count": 10, field: value})
+
+    def test_integral_fields_become_ints(self):
+        spec = WorkloadSpec(kind="zipfian", count=np.int64(10), seed=np.uint8(3), universe=True)
+        assert (spec.count, spec.seed, spec.universe) == (10, 3, 1)
+        assert all(type(v) is int for v in (spec.count, spec.seed, spec.universe))
 
 
 class TestGenWorkload:
@@ -348,11 +362,33 @@ class TestProbeSets:
         if probe_size > 1:
             assert len(probes.keys) < sum(len(k) for k, _ in distinct)
 
+    @pytest.mark.parametrize("kind", SPECS)
+    def test_equal_to_the_sets_of_plain_draws(self, kind):
+        """Each set's distinct draws, permuted once as the union of all
+        sets, give the keys, rows and counts that the plain draws give."""
+        spec = self.SPECS[kind]
+        got = make_probe_sets(spec, 7, 3000)
+        want = ProbeSets.from_arrays(probe_arrays(spec, 7, 3000))
+        assert got.keys.dtype == want.keys.dtype and np.array_equal(got.keys, want.keys)
+        assert got.sizes == want.sizes == (3000,) * 7
+        for rows, counts, want_rows, want_counts in zip(got.rows, got.counts, want.rows,
+                                                        want.counts):
+            order = np.argsort(rows)
+            assert np.array_equal(rows[order], want_rows)
+            assert np.array_equal(counts[order], want_counts)
+
     def test_empty_sets_are_refused(self):
         spec = self.SPECS["zipfian"]
         for n, size in ((0, 10), (2, 0)):
             with pytest.raises(InvalidConfigError):
                 make_probe_sets(spec, n, size)
+
+    @pytest.mark.parametrize("name, value", [("probe_sets", 2.5), ("probe_size", 2.5),
+                                             ("probe_sets", "3"), ("probe_size", -1)])
+    def test_bad_counts_are_refused(self, name, value):
+        args = dict(probe_sets=2, probe_size=10) | {name: value}
+        with pytest.raises(InvalidConfigError, match=name):
+            make_probe_sets(self.SPECS["zipfian"], **args)
 
     @staticmethod
     def count_calls(monkeypatch):
@@ -440,6 +476,19 @@ class TestAdaptationTrace:
             run_adaptation_trace(self._filter(seed=34),
                                  WorkloadSpec(kind="uniform", count=10),
                                  measure_every_pct=0)
+
+    @pytest.mark.parametrize("name", ["measure_every_pct", "probe_sets", "probe_size"])
+    @pytest.mark.parametrize("workload", ["spec", "trace"])
+    def test_a_fractional_count_is_refused(self, name, workload):
+        f = self._filter(seed=34)
+        before = f.to_bytes()
+        if workload == "spec":
+            workload = WorkloadSpec(kind="zipfian", count=10)
+        else:
+            workload = np.arange(10, dtype=np.uint64)
+        with pytest.raises(InvalidConfigError, match=name):
+            run_adaptation_trace(f, workload, **{name: 2.5})
+        assert f.to_bytes() == before
 
     @pytest.mark.parametrize("probe_size", [0, -3])
     @pytest.mark.parametrize("workload", ["spec", "trace"])
@@ -575,6 +624,16 @@ class TestChurn:
         f, keys = fill_to_load(cfg, 0.5, seed=58)
         with pytest.raises(InvalidConfigError):
             run_churn(f, keys, self.SPEC, probe_sets=1, probe_size=0)
+
+    @pytest.mark.parametrize("args", [dict(probe_sets=1, probe_size=2.5),
+                                      dict(probe_sets=2.5, probe_size=10)])
+    def test_fractional_probe_counts_rejected(self, args):
+        cfg = FilterConfig(q=10, r=4, seed=57)
+        f, keys = fill_to_load(cfg, 0.5, seed=58)
+        before = f.to_bytes()
+        with pytest.raises(InvalidConfigError):
+            run_churn(f, keys, self.SPEC, **args)
+        assert f.to_bytes() == before
 
     def test_lost_key_is_caught(self):
         cfg = FilterConfig(q=10, r=4, seed=55)
