@@ -49,9 +49,9 @@ clusters at a time into numpy columns (quotient, remainder, value,
 extension and counter-digit spans), one row per fingerprint in hash
 order (by quotient, then remainder, then rank), for the bulk index
 (``FrozenIndex``: like the table, a remainder per pair under a quotient
-directory), consistency checks and, joined, merge and rebuild.  The
-stored runs are a rotation of that order, which it and the loader
-(``SlotArray._reconstruct_used``) turn back.  ``SlotArray._lay_out``
+directory), consistency checks, the loader's minirun ids and, joined,
+merge and rebuild.  The stored runs are a rotation of that order, which
+it alone turns back.  ``SlotArray._lay_out``
 writes such columns over a table, placing every run with one cumulative
 max, for merge, rebuild and bulk load.  Both scalar edits leave the
 layout that ``_lay_out`` would write.
@@ -75,8 +75,9 @@ the table's words rather than copies (``SlotArray._parts``).  Loading
 accepts only bytes the encoder writes: a table that loads is in the
 layout ``_lay_out`` writes, which ``SlotArray._reconstruct_used``
 checks, with zero padding bits, and encodes back to the same bytes.
-The same pass over the rows yields the minirun ids in hash order, which
-a filter's load hands to the reverse map (``SlotArray._decode``).
+The minirun ids in hash order, which a filter's load hands to the
+reverse map (``SlotArray._decode``), are those of the loaded table's
+blocks.
 """
 
 from __future__ import annotations
@@ -1151,7 +1152,7 @@ class SlotArray:
     @classmethod
     def _decode(cls, data) -> tuple["SlotArray", np.ndarray]:
         """from_bytes, and the minirun id of each fingerprint in hash
-        order, from the same pass over the table's rows."""
+        order (see _reconstruct_used)."""
         rd = ByteReader(unseal(data))
         magic, version, q, r, seed, used_count, anchor = _HEAD.unpack(rd.take(_HEAD.size))
         if magic != SNAPSHOT_MAGIC:
@@ -1191,7 +1192,7 @@ class SlotArray:
         """Rebuild the derived used bits from the canonical vectors, refuse
         a table that is not in the layout the encoder writes, and return
         the minirun id of each fingerprint in hash order, the reverse
-        map's row order: one pass over the table's rows for all of it.
+        map's row order, as _blocks decodes them.
 
         ``anchor`` must name the first unused slot, as the snapshot header
         does.  In coordinates rotated to start just past it no cluster
@@ -1200,23 +1201,23 @@ class SlotArray:
         quotient and the end of run k-1, and ends at the first slot past
         its terminator without the extension bit.  The runs tile the
         clusters, so the used slots are those from each cluster's first
-        run start to its last run end.  Hash order is the rotated order
-        of the rows, turned so that the run of the smallest quotient
-        comes first.  Whole-table temporaries are dropped as soon as
-        they are spent, which bounds the peak of a load.
+        run start to its last run end.  Whole-table temporaries are
+        dropped as soon as they are spent, which bounds the peak of a
+        load.
 
-        The layout checks: every run starts with a remainder slot, the
-        remainders of a run ascend, no extension chunk follows a counter
-        digit, an unused slot holds no payload, an extension or counter
-        slot no value bits, and a fingerprint's last counter digit is not
-        zero (_count_digits writes none).
+        The layout checks: every run starts with a remainder slot, no
+        extension chunk follows a counter digit, an unused slot holds no
+        payload, an extension or counter slot no value bits, a
+        fingerprint's last counter digit is not zero (_count_digits
+        writes none), and the remainders of a run ascend.  No run
+        straddles two blocks and the quotients of the runs ascend, so
+        that last check is that the ids ascend.
         """
         n, vb = self.nslots, self.value_bits
-        pos = _pos_dtype(n)
         if expect_used > max_used(n):
             raise FormatError("used-slot count exceeds the load limit")
         rot = (anchor + 1) % n
-        run, ext, occ = self._bits(rot, n)[1:]
+        run, ext, occ = self._bits(rot, n, slice(1, 4))
         Q = _where(occ)
         T = _where(run & ~ext)
         if len(T) != len(Q):
@@ -1236,7 +1237,7 @@ class SlotArray:
         np.maximum(start, Q, out=start)
         if (T < start).any():
             raise FormatError("run has no terminator")
-        del T
+        del T, Q
         total = int(end.sum()) - int(start.sum())
         if total != expect_used:
             raise FormatError(
@@ -1248,9 +1249,11 @@ class SlotArray:
         # run before it ends starts a cluster, and the run before it ends one
         apart = np.ones(len(start) + 1, dtype=bool)
         apart[1:-1] = start[1:] != end[:-1]
+        first = start[apart[:-1]]  # each cluster's first slot
         edge = np.zeros(n + 1, dtype=np.int8)
-        edge[start[apart[:-1]]] = 1
+        edge[first] = 1
         edge[end[apart[1:]]] = -1
+        del start, end, apart
         used = np.cumsum(edge[:n], dtype=np.int8).view(bool)
         del edge
         if ((run | ext) & ~used).any():
@@ -1258,18 +1261,14 @@ class SlotArray:
         # slots 0 .. anchor - 1 sit at the rotated end, just before the anchor
         if not used[n - 1 - anchor : n - 1].all():
             raise FormatError(f"anchor slot {anchor} is not the first unused slot")
-        if ext[start].any():
+        # any other run starts where the run before it ends, on a slot
+        # without the extension bit
+        if ext[first].any():
             raise FormatError("run starts with an extension or counter slot")
-        del start, end
+        del first
         if (run[:-1] & ext[:-1] & ext[1:] & ~run[1:]).any():
             raise FormatError("extension chunk after a counter digit")
         pay = np.concatenate([self.slots[rot:], self.slots[:rot]])
-        R = _where(used & ~ext)
-        term = run[R]  # whether each row ends its run
-        rems = pay[R] >> vb
-        del R
-        if ((rems[1:] < rems[:-1]) & ~term[:-1]).any():
-            raise FormatError("remainders out of order within a run")
         if np.logical_and(pay, ~used).any():
             raise FormatError("payload in an unused slot")
         if (pay[ext] & ((1 << vb) - 1)).any():
@@ -1277,24 +1276,12 @@ class SlotArray:
         digit = run & ext
         if not pay[digit & ~np.append(digit[1:], False)].all():
             raise FormatError("count ends in a zero counter digit")
-        del pay
-        run_of = np.cumsum(term, dtype=pos)
-        run_of -= term
-        quot = Q[run_of]
-        quot += rot
-        quot &= n - 1
-        # hash order starts at quotient 0: the runs of the rotated
-        # quotients n - rot and up come first
-        cut = int(np.searchsorted(run_of, np.searchsorted(Q, n - rot)))
-        del run_of
-        mids = np.empty(len(rems), dtype=np.uint64)
-        for part, rows in ((mids[: len(rems) - cut], slice(cut, None)),
-                           (mids[len(rems) - cut :], slice(0, cut))):
-            part[:] = quot[rows]
-            part <<= np.uint64(self.cfg.r)
-            part |= rems[rows]
-        del rems, quot
+        del pay, digit, run, ext, occ
         self._pack(used[None], rot)
+        del used
+        mids = np.concatenate([cols.packed(self.cfg.r) for cols in self._blocks()])
+        if (mids[1:] < mids[:-1]).any():
+            raise FormatError("remainders out of order within a run")
         self.used_count = total
         self.fp_count = len(mids)
         self.ext_slot_count = int(np.bitwise_count(self.ext & ~self.run).sum())

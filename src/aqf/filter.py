@@ -18,8 +18,8 @@ space, which is why shortening defaults to off.
 A snapshot (version 2) holds the policy and the adaptation counters in
 its header, then the slot array's snapshot and the reverse map's key
 column, under one CRC32 trailer.  The map's minirun ids are not stored:
-the slot array's loader derives them in hash order from the same pass
-over the rows that checks its layout.  The encoder collects the parts
+the slot array's loader checks its layout and then takes them, in hash
+order, from the table's blocks.  The encoder collects the parts
 of all three (headers, length prefixes and views of the columns) and
 joins them once.
 """
@@ -45,6 +45,7 @@ from .errors import (
 from .hashing import (
     FilterConfig,
     HashStream,
+    _int_in,
     _key,
     _key_array,
     as_index,
@@ -150,17 +151,19 @@ class AdaptiveFilter:
     def insert(self, key: int, value: bytes | None = None, tag: int = 0) -> tuple[int, int]:
         """Store key's fingerprint; returns its (minirun id, rank).
 
-        value lands in the reverse map; tag is a small integer kept in
-        the slot payload's low value_bits (0 when the filter was built
-        without them).  With dedupe_keys on, re-inserting a key bumps
-        its fingerprint's counter, in one walk, instead of storing a
-        second copy.
+        value lands in the reverse map; tag is an int in [0,
+        2**value_bits) kept in the slot payload's low value_bits (only 0
+        when the filter was built without them).  With dedupe_keys on,
+        re-inserting a key bumps its fingerprint's counter, in one walk,
+        instead of storing a second copy.
 
-        At the 19/20 load cap, which extension slots share (see lookup),
-        it raises FilterFullError and changes nothing.
+        A bad key, value or tag raises InvalidConfigError, and at the
+        19/20 load cap, which extension slots share (see lookup), it
+        raises FilterFullError; either way nothing changes.
         """
         key = _key(key)
         self.map.check_entry(key, value)
+        tag = _int_in(tag, "tag", 0, (1 << self.value_bits) - 1)
         qt, rem = split(HashStream(key, self.cfg.seed), self.cfg)
         if self.policy.dedupe_keys:
             mid = pack_minirun_id(qt, rem, self.cfg.r)
@@ -401,7 +404,7 @@ class AdaptiveFilter:
         head = _HEAD.pack(COMBINED_MAGIC, COMBINED_VERSION, flags,
                           self.policy.max_extensions, self.arr.value_bits, 0,
                           self.adaptations, self.adaptivity_bits, self.adaptation_failures)
-        parts = [head, section(self.arr._parts()), section(self.map._parts())]
+        parts = [head, section([self.arr._parts()]), section([self.map._parts()])]
         return b"".join(sealed(parts))
 
     @classmethod

@@ -79,6 +79,15 @@ def as_index(value, name: str) -> int:
         raise InvalidConfigError(f"{name} must be an int, got {value!r}") from exc
 
 
+def _int_in(value, name: str, low, high) -> int:
+    """value as an int (see as_index) in [low, high]; InvalidConfigError
+    for anything else."""
+    value = as_index(value, name)
+    if not low <= value <= high:
+        raise InvalidConfigError(f"{name} must be in [{low}, {high}], got {value}")
+    return value
+
+
 def _key(key) -> int:
     """key as an int; refuses anything but an int in [0, 2**64)."""
     try:

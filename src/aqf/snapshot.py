@@ -10,11 +10,11 @@ object of single bytes (``bytes``, or a ``memoryview`` of an array's
 little-endian bytes, see ``le_bytes``): headers, length prefixes and
 the columns as they lie in memory.  ``sealed`` computes the trailer part
 by part, and the outermost encoder joins the list once, so each byte of
-a column is copied once.  ``section`` and ``sealed`` hand out their
-parts as a run that knows its bytes' CRC32, and a run nested in the
-parts of an outer ``section`` or ``sealed`` enters the outer CRC by
-zlib's crc32_combine arithmetic (``crc32_combine``), so each byte is
-checksummed once too.
+a column is copied once.  ``sealed`` hands out its parts as a run that
+knows its bytes' CRC32, and such a run nested in the parts of an outer
+``sealed`` enters the outer CRC by zlib's crc32_combine arithmetic
+(``crc32_combine``), so each byte is checksummed once for each seal
+around it.  A ``section`` is a plain list of parts.
 """
 
 from __future__ import annotations
@@ -53,17 +53,23 @@ def _mulmod(a: int, b: int) -> int:
         b = (b >> 1) ^ _POLY if b & 1 else b >> 1
 
 
+# x**(2**k) modulo the CRC-32 polynomial for k = 0 .. 31, zlib's
+# x2n_table; x**(2**32) is x again, so k + 32 takes the entry of k
+_X2N = [1 << 30]
+for _ in range(31):
+    _X2N.append(_mulmod(_X2N[-1], _X2N[-1]))
+
+
 @lru_cache(maxsize=64)
 def _shift(n: int) -> int:
     """x**(8 * n) modulo the CRC-32 polynomial: the factor that moves a
-    CRC past n bytes of zeros."""
-    p, x = 1 << 31, 1 << 30  # 1, and x**(2**k) for k = 0, 1, ...
-    n *= 8
+    CRC past n bytes of zeros, one product per set bit of n."""
+    p, k = 1 << 31, 3  # 1, and the k for which n's low bit stands for x**(2**k)
     while n:
         if n & 1:
-            p = _mulmod(x, p)
+            p = _mulmod(_X2N[k & 31], p)
         n >>= 1
-        x = _mulmod(x, x)
+        k += 1
     return p
 
 
@@ -74,41 +80,49 @@ def crc32_combine(crc1: int, crc2: int, len2: int) -> int:
 
 
 class _Run(list):
-    """Parts that know the CRC32 and the length of their bytes."""
+    """The bytes-like parts of a sealed run, with the CRC32 and the
+    length of their bytes."""
 
     def __init__(self, parts, crc: int, size: int):
         super().__init__(parts)
         self.crc, self.size = crc, size
 
 
-def _spliced(parts) -> _Run:
-    """parts as one run, each nested list (a run or not) spliced in: a
-    run's CRC is combined into the whole's, not computed again."""
-    if isinstance(parts, _Run):
-        return parts
-    flat, crc, size = [], 0, 0
+def _nbytes(parts) -> int:
+    """The byte count of parts, nested lists included."""
+    return sum(part.size if isinstance(part, _Run) else
+               _nbytes(part) if isinstance(part, list) else len(part) for part in parts)
+
+
+def _splice(parts, flat: list, crc: int) -> int:
+    """Append the bytes-like parts of parts, nested lists spliced in, to
+    flat, and return crc continued over their bytes: a sealed run among
+    them enters by crc32_combine, its bytes not read again."""
     for part in parts:
-        if isinstance(part, list):
-            part = _spliced(part)
+        if isinstance(part, _Run):
             flat += part
-            crc, size = crc32_combine(crc, part.crc, part.size), size + part.size
+            crc = crc32_combine(crc, part.crc, part.size)
+        elif isinstance(part, list):
+            crc = _splice(part, flat, crc)
         else:
             flat.append(part)
-            crc, size = zlib.crc32(part, crc), size + len(part)
-    return _Run(flat, crc, size)
+            crc = zlib.crc32(part, crc)
+    return crc
 
 
-def section(parts: list) -> _Run:
-    """parts as one length-prefixed section: their byte count first."""
-    body = _spliced(parts)
-    return _spliced([_LEN.pack(body.size), body])
+def section(parts: list) -> list:
+    """parts as one length-prefixed section: their byte count first.  The
+    seal around it checksums its bytes."""
+    return [_LEN.pack(_nbytes(parts)), *parts]
 
 
 def sealed(parts: list) -> _Run:
-    """parts followed by the CRC32 trailer of their bytes, computed part
-    by part."""
-    body = _spliced(parts)
-    return _spliced([body, _CRC.pack(body.crc)])
+    """parts, nested lists spliced in, followed by the CRC32 trailer of
+    their bytes, computed part by part."""
+    flat = []
+    crc = _splice(parts, flat, 0)
+    flat.append(_CRC.pack(crc))
+    return _Run(flat, zlib.crc32(flat[-1], crc), _nbytes(flat))
 
 
 def unseal(data) -> memoryview:

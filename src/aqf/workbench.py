@@ -39,7 +39,7 @@ from .errors import InvalidConfigError, StateCorruptionError
 from .filter import AdaptiveFilter, LookupResult, Policy
 # split_batch and bulk_load are unused here but stay module attributes:
 # the benchmark's tracer (perfbench/spans.py) wraps them
-from .hashing import MASK64, FilterConfig, _key_array, as_index, split_batch  # noqa: F401
+from .hashing import MASK64, FilterConfig, _int_in, _key_array, split_batch  # noqa: F401
 from .setops import _fill, bulk_load  # noqa: F401
 
 # key-space carve-up (inclusive low, exclusive high)
@@ -56,15 +56,6 @@ _ZIPF_BATCH = 1 << 14
 _POW_SLACK = 32 * float(np.finfo(np.float64).eps)
 # numpy's zipf sampler rejects X above (double)INT64_MAX
 _INT64_MAX_F = float((1 << 63) - 1)
-
-
-def _int_in(value, name: str, low, high):
-    """value as an int (see as_index) in [low, high]; InvalidConfigError
-    for anything else."""
-    value = as_index(value, name)
-    if not low <= value <= high:
-        raise InvalidConfigError(f"{name} must be in [{low}, {high}], got {value}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -319,7 +310,7 @@ def fill_to_load(
     if not 0.0 <= load <= cap:
         raise InvalidConfigError(f"load {load} outside [0, {cap}]")
     n_keys = int(load * cfg.nslots)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_int_in(seed, "seed", 0, math.inf))
     # handed over without a name, so that _fill drops the draw once sorted
     return _fill(rng.integers(FILL_SPACE[0], FILL_SPACE[1], size=n_keys, dtype=np.uint64),
                  cfg, policy)
@@ -339,10 +330,10 @@ class ProbeSets:
     sizes: tuple[int, ...]
 
     @classmethod
-    def of(cls, sets) -> "ProbeSets":
-        """From one (distinct keys, counts) pair per set; there must be
-        at least one set, and none may be empty."""
-        sets = list(sets)
+    def from_arrays(cls, arrays) -> "ProbeSets":
+        """From plain key arrays, repeats allowed; there must be at least
+        one array, and none may be empty."""
+        sets = [np.unique(_key_array(a), return_counts=True) for a in arrays]
         if not sets:
             raise InvalidConfigError("need at least one probe set")
         sizes = tuple(int(counts.sum()) for _, counts in sets)
@@ -351,12 +342,6 @@ class ProbeSets:
         keys = _sorted_distinct(np.concatenate([k for k, _ in sets]))
         return cls(keys, tuple(np.searchsorted(keys, k) for k, _ in sets),
                    tuple(counts for _, counts in sets), sizes)
-
-    @classmethod
-    def from_arrays(cls, arrays) -> "ProbeSets":
-        """From plain key arrays, repeats allowed."""
-        return cls.of(np.unique(_key_array(a), return_counts=True)
-                      for a in arrays)
 
 
 def measure_fpr(index: FrozenIndex, probe_sets: ProbeSets | list[np.ndarray]) -> float:
@@ -494,9 +479,10 @@ def run_adversary(
         latency = LatencyModel()
     if not 0.0 <= adv_frac <= 1.0:
         raise InvalidConfigError(f"adv_frac {adv_frac} outside [0, 1]")
-    if warmup < 0 or total < 0 or universe < 1:
-        raise InvalidConfigError(f"need warmup, total >= 0 and universe >= 1, got "
-                                 f"{warmup}, {total}, {universe}")
+    warmup = _int_in(warmup, "warmup", 0, math.inf)
+    total = _int_in(total, "total", 0, math.inf)
+    seed = _int_in(seed, "seed", 0, math.inf)
+    universe = _int_in(universe, "universe", 1, FILL_SPACE[0])
     rng = np.random.default_rng(seed)
     benign = rng.integers(0, universe, size=warmup + total, dtype=np.uint64)
     adversarial = rng.random(size=total) < adv_frac

@@ -159,6 +159,19 @@ class TestInsertLookup:
         mid, rank = f.insert(31, tag=1)
         assert f.arr.get_value(mid, rank) == 1
 
+    @pytest.mark.parametrize("value_bits, tag", [(1, 2), (1, -1), (1, 2.5), (0, 1)],
+                             ids=["past-the-bits", "negative", "fraction", "no-value-bits"])
+    def test_a_tag_outside_the_value_bits_is_refused_without_a_trace(self, value_bits, tag):
+        """A fresh key and, with dedupe_keys on, a stored one, whose
+        count would otherwise go up."""
+        f = AdaptiveFilter(self.CFG, policy=Policy(dedupe_keys=True), value_bits=value_bits)
+        f.insert(31)
+        before = f.to_bytes()
+        for key in (32, 31):
+            with pytest.raises(InvalidConfigError, match="tag"):
+                f.insert(key, tag=tag)
+            assert f.to_bytes() == before
+
 
     @pytest.mark.parametrize("key, value", [(-1, None), (2**64, None), (7, "text")])
     def test_rejected_insert_leaves_no_trace(self, key, value):

@@ -715,20 +715,22 @@ OFF_LAYOUT = {
 
 
 @pytest.mark.parametrize("edit,match", OFF_LAYOUT.values(), ids=OFF_LAYOUT.keys())
-def test_a_snapshot_off_the_layout_is_rejected(laid_filter, edit, match):
+def test_a_snapshot_off_the_layout_is_rejected(laid_filter, edit, match, monkeypatch):
     slots = laid_filter.arr.to_bytes()
     rows, pay = slot_fields(slots)
     assert with_slot_fields(slots, rows, pay) == slots
     edit(rows, pay)
     bad = with_slot_fields(slots, rows, pay)
-    with pytest.raises(FormatError, match=match):
-        SlotArray.from_bytes(bad)
     # the same slot snapshot inside a combined one, every trailer resealed
     whole = laid_filter.to_bytes()
     size = int.from_bytes(whole[36:44], "little")
     assert whole[44 : 44 + size] == slots
-    with pytest.raises(FormatError, match=match):
-        AdaptiveFilter.from_bytes(reseal_filter(whole[:44] + bad + whole[44 + size :]))
+    for block in (1 << 14, 4, 1):  # the loader's blocks: the whole table, or a few slots
+        monkeypatch.setattr(core, "_BLOCK", block)
+        with pytest.raises(FormatError, match=match):
+            SlotArray.from_bytes(bad)
+        with pytest.raises(FormatError, match=match):
+            AdaptiveFilter.from_bytes(reseal_filter(whole[:44] + bad + whole[44 + size :]))
 
 
 PADDED = ("occupied", "runend", "extension", "payload")
@@ -761,13 +763,17 @@ def test_a_set_padding_bit_is_rejected(q, section):
         AdaptiveFilter.from_bytes(reseal_filter(whole[:44] + bad + whole[44 + size :]))
 
 
+# the loader's blocks: the whole table, or a few slots each
+loader_blocks = st.one_of(st.just(1 << 14), st.integers(1, 8))
+
+
 @settings(max_examples=200, deadline=None)
-@given(table=tables())
-def test_the_loader_derives_the_ids_of_the_columns(table):
-    """The minirun ids that a load derives from its one pass over the
-    rows, which the filter's load hands to the reverse map, are those of
-    the loaded table's columns in hash order, whatever cluster wraps the
-    seam and wherever the first unused slot lies."""
+@given(table=tables(), block=loader_blocks)
+def test_the_loader_derives_the_ids_of_the_columns(table, block):
+    """The minirun ids that a load derives from the table's blocks, which
+    the filter's load hands to the reverse map, are those of the loaded
+    table's columns in hash order, whatever cluster wraps the seam and
+    wherever the first unused slot lies."""
     cfg, value_bits, fps = table
     arr = SlotArray(cfg, value_bits=value_bits)
     for (qt, rem, ext, count), v in fps:
@@ -775,7 +781,9 @@ def test_the_loader_derives_the_ids_of_the_columns(table):
             insert_whole(arr, qt, rem, ext, count, v & ((1 << value_bits) - 1))
         except FilterFullError:
             pass
-    back, mids = SlotArray._decode(arr.to_bytes())
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "_BLOCK", block)
+        back, mids = SlotArray._decode(arr.to_bytes())
     assert mids.dtype == np.uint64
     assert mids.tolist() == arr._columns().packed(cfg.r).tolist()
     assert back.fp_count == len(mids) == arr.fp_count
@@ -786,12 +794,13 @@ MUTATIONS = ("swap", "occupied", "runend", "extension", "value")
 
 @settings(max_examples=200, deadline=None)
 @given(table=tables(), kind=st.sampled_from(MUTATIONS), i=st.integers(0, 63),
-       j=st.integers(0, 63), value=st.integers(1, 3))
-def test_a_mutated_snapshot_fails_or_loads_in_the_layout(table, kind, i, j, value):
+       j=st.integers(0, 63), value=st.integers(1, 3), block=loader_blocks)
+def test_a_mutated_snapshot_fails_or_loads_in_the_layout(table, kind, i, j, value, block):
     """One edit of a valid slot snapshot, behind a recomputed trailer:
     two payloads swapped, one occupied, runend or extension bit flipped,
-    or value bits set.  The loader refuses it or loads a table in the
-    layout that _lay_out writes, which encodes back to the same bytes."""
+    or value bits set.  The loader, at any block size, refuses it with
+    FormatError or loads a table in the layout that _lay_out writes,
+    which encodes back to the same bytes."""
     cfg, value_bits, fps = table
     arr = SlotArray(cfg, value_bits=value_bits)
     for (qt, rem, ext, count), v in fps:
@@ -811,7 +820,9 @@ def test_a_mutated_snapshot_fails_or_loads_in_the_layout(table, kind, i, j, valu
         row[i] = not row[i]
     bad = with_slot_fields(blob, rows, pay)
     try:
-        back = SlotArray.from_bytes(bad)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(core, "_BLOCK", block)
+            back = SlotArray.from_bytes(bad)
     except FormatError:
         return
     assert back.to_bytes() == bad

@@ -8,8 +8,12 @@ fill peaks at about 40 bytes per key (numpy 2.4), against 151 with
 check decode the table a block of about 2**14 slots at a time, so their
 peaks are what they keep plus one block's temporaries: about 26.5 and
 17.3 bytes per key at q=16, against 32 and 30 when each decoded the whole
-table at once.  The bounds leave 9% of headroom or more, so one more
-whole-table 8-byte temporary alive at a pass's peak fails them.
+table at once.  A load checks the layout over the whole table and then
+takes the minirun ids from the same blocks: it peaks at about 23.9 bytes
+per key at q=16, the filter it returns included, against 31.9 when it
+built whole-table columns of rows to derive the ids.  The bounds leave
+9% of headroom or more, so one more whole-table 8-byte temporary alive
+at a pass's peak fails them.
 
 The cached index keeps about 6.4 bytes per key: its quotient directory
 and a 2-byte remainder per pair.  The bound leaves about 9% of headroom,
@@ -24,6 +28,7 @@ headroom, so a structure of 1 byte per key beside the columns fails it.
 import gc
 import tracemalloc
 
+from aqf.filter import AdaptiveFilter
 from aqf.hashing import FilterConfig
 from aqf.workbench import fill_to_load
 
@@ -32,6 +37,7 @@ CFG = FilterConfig(q=16, r=9, seed=3)
 FILL_BYTES_PER_KEY = 46
 INDEX_BYTES_PER_KEY = 29
 CHECK_BYTES_PER_KEY = 19
+LOAD_BYTES_PER_KEY = 26
 INDEX_LIVE_BYTES_PER_KEY = 7.0
 LIVE_BYTES_PER_KEY = 19.8
 
@@ -63,6 +69,15 @@ def test_the_consistency_check_stays_under_its_bytes_per_key():
     f, keys = fill_to_load(CFG, 0.9, seed=5)
     _, peak = peak_bytes(f.check_consistency)
     assert peak / len(keys) < CHECK_BYTES_PER_KEY
+
+
+def test_a_load_stays_under_its_bytes_per_key():
+    f, keys = fill_to_load(CFG, 0.9, seed=5)
+    blob = f.to_bytes()
+    del f
+    AdaptiveFilter.from_bytes(blob)  # first-call allocations stay out of the count
+    _, peak = peak_bytes(lambda: AdaptiveFilter.from_bytes(blob))
+    assert peak / len(keys) < LOAD_BYTES_PER_KEY
 
 
 def test_the_cached_index_keeps_under_its_bytes_per_key():

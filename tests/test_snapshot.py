@@ -29,6 +29,17 @@ def test_crc32_combine_at_long_lengths(len2):
     assert crc32_combine(0, 0x1234, len2) == 0x1234
 
 
+@pytest.mark.parametrize("len1, len2", [(1 << 28, 1 << 28), (2**33 + 5, 2**35 + 123)])
+def test_crc32_combine_composes_past_2_to_the_32_bits(len1, len2):
+    """Shifting past len1 and then len2 zero bytes is shifting past
+    len1 + len2: the powers x**(2**k) with k of 32 and more, which no
+    byte string here is long enough to check against zlib, wrap to
+    those of k - 32."""
+    crc = 0xDEADBEEF
+    assert crc32_combine(crc32_combine(crc, 0, len1), 0, len2) == crc32_combine(
+        crc, 0, len1 + len2)
+
+
 def flat_sealed(parts):
     body = b"".join(parts)
     return body + struct.pack("<I", zlib.crc32(body))
@@ -40,11 +51,12 @@ def flat_section(parts):
 
 
 def test_nested_sections_and_seals_write_the_flat_bytes():
-    """Runs nested in the parts of a section or a seal give the bytes
-    and the trailer that the same parts laid out flat give."""
+    """Sections and seals nested in the parts of a section or a seal
+    give the bytes and the trailer that the same parts laid out flat
+    give."""
     col = np.arange(1000, dtype=np.uint64)
     inner = sealed([le_bytes(col, "<u8"), b"tail"])
-    outer = sealed([b"head", section([b"x", section([b"yz"])]), section(inner), [b"plain"]])
+    outer = sealed([b"head", section([b"x", section([b"yz"])]), section([inner]), [b"plain"]])
     want = flat_sealed([b"head", flat_section([b"x", flat_section([b"yz"])]),
                         flat_section([flat_sealed([col.tobytes(), b"tail"])]), b"plain"])
     got = b"".join(outer)

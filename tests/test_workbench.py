@@ -274,6 +274,11 @@ class TestFillAndMeasure:
         with pytest.raises(InvalidConfigError):
             fill_to_load(cfg, -0.1)
 
+    @pytest.mark.parametrize("seed", [-1, 2.5])
+    def test_a_bad_fill_seed_is_refused(self, seed):
+        with pytest.raises(InvalidConfigError, match="seed"):
+            fill_to_load(FilterConfig(q=8, r=6, seed=20), 0.5, seed=seed)
+
     def test_measure_fpr_against_prefix_arithmetic(self):
         cfg = FilterConfig(q=8, r=4, seed=22)
         f, keys = fill_to_load(cfg, 0.2, seed=23)
@@ -574,7 +579,14 @@ class TestAdversary:
         dict(warmup=-1, total=10),
         dict(warmup=10, total=-1),
         dict(warmup=10, total=10, universe=0),
-    ], ids=["negative-warmup", "negative-total", "empty-universe"])
+        dict(warmup=2.5, total=10),
+        dict(warmup=10, total=2.5),
+        dict(warmup=10, total=10, seed=-1),
+        dict(warmup=10, total=10, universe=2**70),
+        dict(warmup=10, total=10, universe=2.5),
+    ], ids=["negative-warmup", "negative-total", "empty-universe", "fractional-warmup",
+            "fractional-total", "negative-seed", "universe-past-the-fill-space",
+            "fractional-universe"])
     def test_counts_and_universe_are_validated_before_any_lookup(self, kwargs):
         f, _ = fill_to_load(FilterConfig(q=8, r=4, seed=46), 0.5)
         # adapt the filter first, so that state a refused call moved shows
