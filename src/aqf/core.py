@@ -68,10 +68,13 @@ temporaries stay small.
 
 Snapshot (version 2).  Only the occupied, runend and extension vectors
 and the payloads are written, with a header that names the first unused
-slot; the used bits are rebuilt from those on load, and a CRC32 trailer
-covers all of it.  The payloads are packed with word arithmetic, 64
-slots to w words (``_pack_slots``), and the encoder hands out views of
-the table's words rather than copies (``SlotArray._parts``).  Loading
+slot, and a CRC32 trailer covers all of it.  The used bits are rebuilt
+on load with the rule the walks use for where runs end (``_run_ends``):
+from the slot past the first unused one, a slot is used while more
+occupied quotients than run ends lie at or before it.  The payloads are
+packed with word arithmetic, 64 slots to w words (``_pack_slots``), and
+the encoder hands out views of the table's words rather than copies
+(``SlotArray._parts``).  Loading
 accepts only bytes the encoder writes: a table that loads is in the
 layout ``_lay_out`` writes, which ``SlotArray._reconstruct_used``
 checks, with zero padding bits, and encodes back to the same bytes.
@@ -210,11 +213,6 @@ def _slot_dtype(bits: int) -> type:
                 if bits <= np.iinfo(t).bits)
 
 
-def _where(mask: np.ndarray) -> np.ndarray:
-    """Positions of the set entries of a bool array, in _pos_dtype."""
-    return np.flatnonzero(mask).astype(_pos_dtype(len(mask)))
-
-
 def _group_starts(*cols: np.ndarray) -> np.ndarray:
     """Mask of the rows that open a group: the first row, and each row
     that differs from the row before it in one of the columns."""
@@ -253,6 +251,13 @@ def _stable_order(keys: np.ndarray, bits: int) -> np.ndarray:
 
 
 _BITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _bools(x: int, n: int) -> np.ndarray:
+    """Bits [0, n) of the int x >= 0 as n bools, bit i at index i."""
+    raw = (x & ((1 << n) - 1)).to_bytes((n + 7) >> 3, "little")
+    return np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=n,
+                         bitorder="little").view(bool)
 
 
 def _ones(x: int) -> list[int]:
@@ -401,6 +406,17 @@ class _Cols(NamedTuple):
         return out
 
 
+def _run_ends(run: int, ext: int) -> int:
+    """Run ends of runend bits run and extension bits ext, ints whose bit
+    i is slot i: bit i is set when slot i is just past a run, past its
+    terminator (runend without extension) and the extension slots that
+    trail it.  Adding each terminator's next bit to the extension bits
+    carries through those slots, so the bits that the sum sets outside
+    the extension bits are the ends.  The one rule for where runs end,
+    for the scalar walks (_Win.ends) and the loader alike."""
+    return (ext + ((run & ~ext) << 1)) & ~ext
+
+
 class _Win:
     """One cluster's used, runend, extension and occupied bits, read at
     once by SlotArray._walk_to_run.
@@ -428,14 +444,9 @@ class _Win:
         self.occ = occ
 
     def ends(self) -> int:
-        """Run ends: bit i is set when offset i is just past a run, past
-        its terminator (runend without extension) and the extension slots
-        that trail it.  Adding each terminator's next bit to the extension
-        bits carries through those slots, so the bits that the sum sets
-        outside the extension bits are the ends; the last run's carry
-        lands on the unused slot past the cluster."""
-        ext = self.ext
-        return (ext + ((self.run & ~ext) << 1)) & ~ext
+        """The window's run ends (_run_ends): the last run's lands on the
+        unused slot past the cluster."""
+        return _run_ends(self.run, self.ext)
 
 
 def _select_end(ends: int, pos: int, k: int) -> int:
@@ -1013,10 +1024,12 @@ class SlotArray:
         placement), so with P the slots taken by the fingerprints before
         row i, row i lands at P[i] + max over j <= i of (quotient j - P[j]):
         one cumulative max.  The overflow past the top of the table pushes
-        the first runs right, so the positions are recomputed with that
-        overflow as a floor until it settles; the load cap leaves a free
-        slot, which ends the chase.  Columns whose slots would pass the cap
-        raise FilterFullError before anything is written.
+        the first runs right, so it floors every row's drift.  The last
+        row's drift is the largest, and the load cap keeps the rows'
+        slots below the table's, so that floor moves the last row not at
+        all: the overflow is the last row's alone.  Columns whose slots
+        would pass the cap raise FilterFullError before anything is
+        written.
         """
         n, vb = self.nslots, self.value_bits
         pos = _pos_dtype(n)
@@ -1029,20 +1042,8 @@ class SlotArray:
         at += np.arange(len(tails), dtype=pos)  # the slots before each row
         drift = cols.quot - at
         np.maximum.accumulate(drift, out=drift)
-        # the overflow past the top of the table, the floor of every
-        # row's drift, follows the last row alone
-        floor = 0
-        if len(at):
-            # the last row's end less its drift, and its drift
-            tip, top = int(at[-1]) + int(tails[-1]) + 1, int(drift[-1])
-            for _ in range(n + 1):
-                over = max(0, tip + max(top, floor) - n)
-                if over == floor:
-                    break
-                floor = over
-            else:
-                raise StateCorruptionError("layout overflow chase did not settle")
-        np.maximum(drift, floor, out=drift)
+        if len(at):  # the last row ends at total + its drift
+            np.maximum(drift, max(0, total + int(drift[-1]) - n), out=drift)
         at += drift
         del drift
 
@@ -1197,13 +1198,13 @@ class SlotArray:
         ``anchor`` must name the first unused slot, as the snapshot header
         does.  In coordinates rotated to start just past it no cluster
         wraps, so the k-th occupied quotient owns the k-th terminator
-        (runend without extension).  Run k starts at the larger of its
-        quotient and the end of run k-1, and ends at the first slot past
-        its terminator without the extension bit.  The runs tile the
-        clusters, so the used slots are those from each cluster's first
-        run start to its last run end.  Whole-table temporaries are
-        dropped as soon as they are spent, which bounds the peak of a
-        load.
+        (runend without extension), and its run ends at the k-th run end
+        of the rule the walks use (_run_ends).  A slot is used while more
+        occupied quotients than run ends lie at or before it: one
+        cumulative sum over the table.  A terminator where that count is
+        not positive lies before its quotient, so that quotient's run has
+        none.  Whole-table temporaries are dropped as soon as they are
+        spent, which bounds the peak of a load.
 
         The layout checks: every run starts with a remainder slot, no
         extension chunk follows a counter digit, an unused slot holds no
@@ -1217,55 +1218,34 @@ class SlotArray:
         if expect_used > max_used(n):
             raise FormatError("used-slot count exceeds the load limit")
         rot = (anchor + 1) % n
-        run, ext, occ = self._bits(rot, n, slice(1, 4))
-        Q = _where(occ)
-        T = _where(run & ~ext)
-        if len(T) != len(Q):
-            raise FormatError(f"{len(T)} run terminators for {len(Q)} occupied quotients")
-        # a run ends at the first slot past its terminator without the
-        # extension bit: past the stretch of extension slots that follows
-        # the terminator, if one does, whose last slot is the first
-        # stretch end at or after the slot past the terminator
-        end = T + 1
-        tails = np.flatnonzero(np.append(ext, False)[end])
-        if tails.size:
-            last = _where(ext & ~np.append(ext[1:], False))
-            end[tails] = last[np.searchsorted(last, end[tails])] + 1
-        start = np.empty_like(end)
-        start[:1] = 0
-        start[1:] = end[:-1]
-        np.maximum(start, Q, out=start)
-        if (T < start).any():
+        _, run, ext, occ = self._read_bits(rot, n)
+        terms, quots = (run & ~ext).bit_count(), occ.bit_count()
+        if terms != quots:
+            raise FormatError(f"{terms} run terminators for {quots} occupied quotients")
+        ends = _bools(_run_ends(run, ext), n).view(np.int8)
+        used = np.cumsum(_bools(occ, n).view(np.int8) - ends, dtype=_pos_dtype(n)) > 0
+        del ends, occ
+        run, ext = _bools(run, n), _bools(ext, n)
+        if (run & ~ext & ~used).any():
             raise FormatError("run has no terminator")
-        del T, Q
-        total = int(end.sum()) - int(start.sum())
+        total = int(np.count_nonzero(used))
         if total != expect_used:
             raise FormatError(
                 f"decoded {total} used slots, header says {expect_used}"
             )
-        if len(end) and end[-1] == n:
+        if used[-1]:
             raise FormatError("anchor slot decoded as used")
-        # the runs tile the clusters: a run that does not start where the
-        # run before it ends starts a cluster, and the run before it ends one
-        apart = np.ones(len(start) + 1, dtype=bool)
-        apart[1:-1] = start[1:] != end[:-1]
-        first = start[apart[:-1]]  # each cluster's first slot
-        edge = np.zeros(n + 1, dtype=np.int8)
-        edge[first] = 1
-        edge[end[apart[1:]]] = -1
-        del start, end, apart
-        used = np.cumsum(edge[:n], dtype=np.int8).view(bool)
-        del edge
         if ((run | ext) & ~used).any():
             raise FormatError("runend or extension bit on an unused slot")
         # slots 0 .. anchor - 1 sit at the rotated end, just before the anchor
         if not used[n - 1 - anchor : n - 1].all():
             raise FormatError(f"anchor slot {anchor} is not the first unused slot")
-        # any other run starts where the run before it ends, on a slot
-        # without the extension bit
-        if ext[first].any():
+        # a cluster starts on a used slot after an unused one (slot 0
+        # after the anchor), and any other run starts where the run before
+        # it ends, on a slot without the extension bit; by now every
+        # extension bit lies on a used slot
+        if (ext & ~np.roll(used, 1)).any():
             raise FormatError("run starts with an extension or counter slot")
-        del first
         if (run[:-1] & ext[:-1] & ext[1:] & ~run[1:]).any():
             raise FormatError("extension chunk after a counter digit")
         pay = np.concatenate([self.slots[rot:], self.slots[:rot]])
@@ -1276,7 +1256,7 @@ class SlotArray:
         digit = run & ext
         if not pay[digit & ~np.append(digit[1:], False)].all():
             raise FormatError("count ends in a zero counter digit")
-        del pay, digit, run, ext, occ
+        del pay, digit, run, ext
         self._pack(used[None], rot)
         del used
         mids = np.concatenate([cols.packed(self.cfg.r) for cols in self._blocks()])

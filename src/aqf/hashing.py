@@ -17,6 +17,7 @@ and the finalizer provides both.
 from __future__ import annotations
 
 import array
+import numbers
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
@@ -85,6 +86,15 @@ def _int_in(value, name: str, low, high) -> int:
     value = as_index(value, name)
     if not low <= value <= high:
         raise InvalidConfigError(f"{name} must be in [{low}, {high}], got {value}")
+    return value
+
+
+def _real(value, name: str):
+    """value, if it is a real number (numbers.Real: an int, a float or a
+    numpy number of either); InvalidConfigError for anything else.  The
+    caller checks its range."""
+    if not isinstance(value, numbers.Real):
+        raise InvalidConfigError(f"{name} must be a real number, got {value!r}")
     return value
 
 

@@ -59,7 +59,7 @@ from .errors import (
     NotFoundError,
     UnsortedInputError,
 )
-from .hashing import MASK64
+from .hashing import MASK64, as_index
 from .snapshot import le_bytes, sealed, unseal
 
 # value length sentinel meaning "no value stored"
@@ -169,6 +169,7 @@ class ReverseMap:
         self.check_entry(key, value)
         if not 0 <= mid <= MASK64:
             raise InvalidConfigError("minirun id must fit in 64 bits")
+        rank = as_index(rank, "rank")
         lst = self._writable(mid, rank, 1)
         lst.insert(rank, (key, value))
         self._nkeys += 1
@@ -192,6 +193,7 @@ class ReverseMap:
 
     def map_remove(self, mid: int, rank: int) -> tuple[int, bytes | None]:
         """Remove and return the entry at rank; empty ids are dropped."""
+        rank = as_index(rank, "rank")
         lst = self._writable(mid, rank, 0)
         out = lst.pop(rank)
         self._nkeys -= 1

@@ -5,10 +5,10 @@ All three build their output by handing fingerprint columns in
 ``SlotArray._lay_out``, instead of repeated single inserts.  Each run
 starts at the larger of its canonical slot and the previous run's end,
 so nothing ever shifts.  A cluster running past the top of the array
-wraps; the writer feeds the wrapped tail back in as a floor for the
-first runs until it stops changing.  Load stays capped at 19/20, so a
-free slot always breaks the chase and the fixpoint is the same layout
-sequential insertion would have produced (pinned by tests).
+wraps; the writer takes how far the last run passes the top as a floor
+for the first runs.  Load stays capped at 19/20, so that floor never
+reaches the last run, and the layout is the one sequential insertion
+would have produced (pinned by tests).
 
 Keys in any order are sorted into hash order once, by ``_hash_order``
 (one ``core._stable_order`` sort of their packed pairs).  ``bulk_load``

@@ -39,7 +39,8 @@ from .errors import InvalidConfigError, StateCorruptionError
 from .filter import AdaptiveFilter, LookupResult, Policy
 # split_batch and bulk_load are unused here but stay module attributes:
 # the benchmark's tracer (perfbench/spans.py) wraps them
-from .hashing import MASK64, FilterConfig, _int_in, _key_array, split_batch  # noqa: F401
+from .hashing import (  # noqa: F401
+    MASK64, FilterConfig, _int_in, _key_array, _real, split_batch)
 from .setops import _fill, bulk_load  # noqa: F401
 
 # key-space carve-up (inclusive low, exclusive high)
@@ -91,7 +92,7 @@ class WorkloadSpec:
                                 ("universe", 1, FILL_SPACE[0]), ("interval_pct", 1, 100),
                                 ("replace_pct", 0, 99), ("perm_seed", -math.inf, math.inf)):
             object.__setattr__(self, name, _int_in(getattr(self, name), name, low, high))
-        if self.kind in ("zipfian", "churn") and not self.s > 1:
+        if self.kind in ("zipfian", "churn") and not _real(self.s, "s") > 1:
             raise InvalidConfigError(f"zipf exponent must exceed 1, got {self.s}")
 
 
@@ -114,6 +115,10 @@ class LatencyModel:
 
     base_ns: int = 1_000
     hit_ns: int = 100_000
+
+    def __post_init__(self):
+        for name in ("base_ns", "hit_ns"):
+            object.__setattr__(self, name, _int_in(getattr(self, name), name, 0, math.inf))
 
 
 @dataclass(frozen=True)
@@ -307,7 +312,7 @@ def fill_to_load(
     order, and placed in one pass.
     """
     cap = _LOAD_NUM / _LOAD_DEN
-    if not 0.0 <= load <= cap:
+    if not 0.0 <= _real(load, "load") <= cap:
         raise InvalidConfigError(f"load {load} outside [0, {cap}]")
     n_keys = int(load * cfg.nslots)
     rng = np.random.default_rng(_int_in(seed, "seed", 0, math.inf))
@@ -477,7 +482,7 @@ def run_adversary(
     """
     if latency is None:
         latency = LatencyModel()
-    if not 0.0 <= adv_frac <= 1.0:
+    if not 0.0 <= _real(adv_frac, "adv_frac") <= 1.0:
         raise InvalidConfigError(f"adv_frac {adv_frac} outside [0, 1]")
     warmup = _int_in(warmup, "warmup", 0, math.inf)
     total = _int_in(total, "total", 0, math.inf)

@@ -59,8 +59,10 @@ from .filter import AdaptiveFilter, LookupResult, Policy
 from .hashing import (  # noqa: F401
     FilterConfig,
     HashStream,
+    _int_in,
     _key,
     _key_array,
+    _real,
     extension_chunk,
     extension_chunk_batch,
     split,
@@ -89,14 +91,12 @@ class YesNoParams:
     u: int | None = None
 
     def __post_init__(self):
-        if self.n < 1:
-            raise InvalidConfigError("need at least one YES key")
-        if self.m < 0:
-            raise InvalidConfigError("NO list size cannot be negative")
-        if not 0.0 < self.epsilon < 1.0:
+        object.__setattr__(self, "n", _int_in(self.n, "n", 1, math.inf))
+        object.__setattr__(self, "m", _int_in(self.m, "m", 0, math.inf))
+        if not 0.0 < _real(self.epsilon, "epsilon") < 1.0:
             raise InvalidConfigError(f"epsilon {self.epsilon} outside (0, 1)")
-        if self.u is not None and self.u < 1:
-            raise InvalidConfigError("universe size must be positive")
+        if self.u is not None:
+            object.__setattr__(self, "u", _int_in(self.u, "u", 1, math.inf))
 
     @property
     def mu(self) -> float:
@@ -112,7 +112,7 @@ def adaptivity_budget(p: YesNoParams, slack: float = 1.5) -> int:
     variance; 1.5 makes the reference construction succeed in at least
     95 of 100 seeds (see the calibration run in the workbench docs).
     """
-    if not 1 <= slack < math.inf:
+    if not 1 <= _real(slack, "slack") < math.inf:
         raise InvalidConfigError(f"slack {slack} must be finite and at least 1")
     return math.ceil(slack * p.n * (2 + math.log2(math.e) + math.log2(1 + p.mu)))
 

@@ -513,11 +513,15 @@ class TestSnapshot:
             SlotArray.from_bytes(encode_slots_v1(arr))
         with pytest.raises(FormatError, match="version 1"):
             SlotArray.from_bytes(reseal(encode_slots_v1(arr) + bytes(4)))
-        # the anchor (bytes 26-33) must be the first unused slot: 0 here
-        for anchor, match in ((1, "not the first unused"), (3, "decoded as used"),
-                              (16, "outside the table")):
+        # the used-slot count (bytes 18-25) must be the table's, 1 here,
+        # and within the load cap, and the anchor (bytes 26-33) must be
+        # the first unused slot: 0 here
+        for at, value, match in ((18, 2, "decoded 1 used slots, header says 2"),
+                                 (18, 16, "used-slot count exceeds the load limit"),
+                                 (26, 1, "not the first unused"), (26, 3, "decoded as used"),
+                                 (26, 16, "outside the table")):
             bad = bytearray(blob)
-            bad[26:34] = anchor.to_bytes(8, "little")
+            bad[at : at + 8] = value.to_bytes(8, "little")
             with pytest.raises(FormatError, match=match):
                 SlotArray.from_bytes(reseal(bad))
 

@@ -704,6 +704,18 @@ def zero_last_digit(rows, pay):
     pay[33] = 0  # count 1 with one digit, where the encoder writes none
 
 
+def unterminated_run(rows, pay):
+    rows[1][11] = False  # quotient 10's terminator
+
+
+def occupied_past_its_run(rows, pay):
+    rows[0][10], rows[0][12] = False, True
+
+
+def extension_on_unused(rows, pay):
+    rows[2][40] = True
+
+
 OFF_LAYOUT = {
     "swapped_remainders": (swap_remainders, "out of order"),
     "digit_before_chunk": (digit_before_chunk, "after a counter digit"),
@@ -711,6 +723,9 @@ OFF_LAYOUT = {
     "payload_in_unused_slot": (payload_in_unused, "payload in an unused slot"),
     "value_bit_on_chunk": (value_bit_on_chunk, "value bits on an extension"),
     "zero_last_digit": (zero_last_digit, "zero counter digit"),
+    "unterminated_run": (unterminated_run, "1 run terminators for 2 occupied quotients"),
+    "occupied_past_its_run": (occupied_past_its_run, "run has no terminator"),
+    "extension_on_unused_slot": (extension_on_unused, "extension bit on an unused slot"),
 }
 
 
@@ -786,7 +801,10 @@ def test_the_loader_derives_the_ids_of_the_columns(table, block):
         back, mids = SlotArray._decode(arr.to_bytes())
     assert mids.dtype == np.uint64
     assert mids.tolist() == arr._columns().packed(cfg.r).tolist()
-    assert back.fp_count == len(mids) == arr.fp_count
+    assert len(mids) == arr.fp_count
+    assert np.array_equal(back.used, arr.used)
+    assert (back.used_count, back.fp_count, back.ext_slot_count, back.ctr_slot_count) == (
+        arr.used_count, arr.fp_count, arr.ext_slot_count, arr.ctr_slot_count)
 
 
 MUTATIONS = ("swap", "occupied", "runend", "extension", "value")

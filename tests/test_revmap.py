@@ -142,6 +142,18 @@ class TestIdRange:
         m.map_insert(MASK64, 0, 5)
         assert m.map_get(MASK64, 0) == (5, None) and m.key_count == 4
 
+    @pytest.mark.parametrize("rank", [0.5, "x"])
+    def test_a_rank_that_is_no_int_is_refused_and_leaves_the_map(self, rank):
+        """Refused before a first write copies the id's rows into the
+        overlay."""
+        m = ReverseMap._from_columns(np.array([0x2A], dtype=np.uint64), np.array([7]), None)
+        before = (m.to_bytes(), m.key_count, m.accesses, map_lists(m), m._over)
+        with pytest.raises(InvalidConfigError, match="rank"):
+            m.map_insert(0x2A, rank, 9)
+        with pytest.raises(InvalidConfigError, match="rank"):
+            m.map_remove(0x2A, rank)
+        assert (m.to_bytes(), m.key_count, m.accesses, map_lists(m), m._over) == before
+
     def test_reads_of_an_absent_id_find_nothing(self):
         """Past every stored id, below them, and outside [0, 2**64)."""
         m = ReverseMap._from_columns(np.array([0x2A, 1 << 40], dtype=np.uint64),

@@ -56,6 +56,8 @@ class TestWorkloadSpec:
             dict(kind="adversarial", count=10),
             dict(kind="churn", count=10, interval_pct=0),
             dict(kind="churn", count=10, replace_pct=100),
+            dict(kind="zipfian", count=10, s="2"),
+            dict(kind="zipfian", count=10, s=None),
         ],
     )
     def test_rejects_bad_fields(self, kwargs):
@@ -273,6 +275,11 @@ class TestFillAndMeasure:
             fill_to_load(cfg, 0.96)
         with pytest.raises(InvalidConfigError):
             fill_to_load(cfg, -0.1)
+
+    @pytest.mark.parametrize("load", ["x", None])
+    def test_a_load_that_is_no_number_is_refused(self, load):
+        with pytest.raises(InvalidConfigError, match="load"):
+            fill_to_load(FilterConfig(q=8, r=6, seed=20), load)
 
     @pytest.mark.parametrize("seed", [-1, 2.5])
     def test_a_bad_fill_seed_is_refused(self, seed):
@@ -574,6 +581,21 @@ class TestAdversary:
         f, _ = fill_to_load(FilterConfig(q=8, r=4, seed=46), 0.5)
         with pytest.raises(InvalidConfigError):
             run_adversary(f, warmup=10, total=10, adv_frac=1.5)
+
+    @pytest.mark.parametrize("adv_frac", ["x", None])
+    def test_an_adv_frac_that_is_no_number_is_refused_before_any_lookup(self, adv_frac):
+        f, _ = fill_to_load(FilterConfig(q=8, r=4, seed=46), 0.5)
+        blob, accesses = f.to_bytes(), f.map.accesses
+        with pytest.raises(InvalidConfigError, match="adv_frac"):
+            run_adversary(f, warmup=10_000, total=10, adv_frac=adv_frac, universe=10**6)
+        assert (f.to_bytes(), f.adaptations, f.map.accesses) == (blob, 0, accesses)
+
+    @pytest.mark.parametrize("field, value", [
+        ("base_ns", "x"), ("hit_ns", "x"), ("base_ns", -1), ("hit_ns", 2.5)])
+    def test_a_latency_that_is_no_whole_number_in_range_is_refused(self, field, value):
+        """Refused by the model itself, before an adversary runs a lookup."""
+        with pytest.raises(InvalidConfigError, match=field):
+            LatencyModel(**{field: value})
 
     @pytest.mark.parametrize("kwargs", [
         dict(warmup=-1, total=10),

@@ -54,11 +54,21 @@ class TestParams:
             dict(n=5, m=5, epsilon=0.0),
             dict(n=5, m=5, epsilon=1.0),
             dict(n=5, m=5, epsilon=0.1, u=0),
+            dict(n=2.5, m=5, epsilon=0.1),
+            dict(n=5, m=0.5, epsilon=0.1),
+            dict(n=5, m=5, epsilon=0.1, u=2.5),
+            dict(n=5, m=5, epsilon=None),
+            dict(n=5, m=5, epsilon="x"),
         ],
     )
     def test_rejects_bad_shapes(self, kwargs):
         with pytest.raises(InvalidConfigError):
             YesNoParams(**kwargs)
+
+    @pytest.mark.parametrize("epsilon", ["x", None])
+    def test_a_build_refuses_an_epsilon_that_is_no_number(self, epsilon):
+        with pytest.raises(InvalidConfigError, match="epsilon"):
+            build_static([2, 4], [1, 3], epsilon=epsilon)
 
 
 class TestBudget:
@@ -72,10 +82,11 @@ class TestBudget:
         with pytest.raises(InvalidConfigError):
             adaptivity_budget(YesNoParams(10, 10, 0.1), slack=0.99)
 
-    @pytest.mark.parametrize("slack", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("slack", [math.nan, math.inf, -math.inf, "x"])
     def test_slack_that_is_not_a_finite_number_is_rejected(self, slack):
-        # NaN compares false against every bound, and an infinite budget
-        # has no ceiling; each build entry point refuses both alike
+        # NaN compares false against every bound, an infinite budget has
+        # no ceiling, and a string is no number; each build entry point
+        # refuses them alike
         with pytest.raises(InvalidConfigError):
             adaptivity_budget(YesNoParams(10, 10, 0.1), slack=slack)
         with pytest.raises(InvalidConfigError):
