@@ -66,9 +66,10 @@ dtype.  Whole-table passes drop each temporary once it is spent, or go
 a block of about ``_BLOCK`` slots or rows at a time, so that their
 temporaries stay small.
 
-Snapshot (version 2).  Only the occupied, runend and extension vectors
-and the payloads are written, with a header that names the first unused
-slot, and a CRC32 trailer covers all of it.  The used bits are rebuilt
+Snapshot.  Only the occupied, runend and extension vectors and the
+payloads are written, with a header that names the first unused slot.
+A slot array's own snapshot ends in a CRC32 trailer; inside a filter's
+snapshot, that snapshot's one trailer covers it.  The used bits are rebuilt
 on load with the rule the walks use for where runs end (``_run_ends``):
 from the slot past the first unused one, a slot is used while more
 occupied quotients than run ends lie at or before it.  The payloads are
@@ -80,7 +81,8 @@ layout ``_lay_out`` writes, which ``SlotArray._reconstruct_used``
 checks, with zero padding bits, and encodes back to the same bytes.
 The minirun ids in hash order, which a filter's load hands to the
 reverse map (``SlotArray._decode``), are those of the loaded table's
-blocks.
+blocks; they are also the top q + r bits of the map's entries, which
+the map's section therefore leaves out.
 """
 
 from __future__ import annotations
@@ -1112,7 +1114,7 @@ class SlotArray:
         )
 
     def to_bytes(self) -> bytes:
-        """Serialize as version 2.
+        """Serialize: _parts, sealed.
 
         Little-endian: magic, version (u32), q (u8), r (u8), seed (u64),
         used-slot count (u64) and the first unused slot (u64), the
@@ -1126,11 +1128,11 @@ class SlotArray:
         bits, past the last slot of a bit vector or the last payload, are
         zero.  A CRC32 of everything before it ends the bytes.
         """
-        return b"".join(self._parts())
+        return b"".join(sealed(self._parts()))
 
     def _parts(self) -> list:
-        """to_bytes as a list of parts (see snapshot), the bit vectors as
-        views of their words."""
+        """to_bytes without its trailer, as a list of parts (see
+        snapshot), the bit vectors as views of their words."""
         cfg = self.cfg
         # the first unused slot, which the load cap guarantees
         word = int(np.flatnonzero(~self.used)[0])
@@ -1143,18 +1145,18 @@ class SlotArray:
             parts.append(section([le_bytes(vec, "<u8")[:nbytes]]))
         w = self.slot_bits
         parts.append(section([bytes([w]), memoryview(_pack_slots(self.slots, w))]))
-        return sealed(parts)
+        return parts
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "SlotArray":
-        """Parse a version 2 snapshot (see to_bytes)."""
-        return cls._decode(data)[0]
+        """Parse a snapshot (see to_bytes)."""
+        return cls._decode(unseal(data))[0]
 
     @classmethod
-    def _decode(cls, data) -> tuple["SlotArray", np.ndarray]:
-        """from_bytes, and the minirun id of each fingerprint in hash
-        order (see _reconstruct_used)."""
-        rd = ByteReader(unseal(data))
+    def _decode(cls, body) -> tuple["SlotArray", np.ndarray]:
+        """from_bytes of the bytes before the trailer, and the minirun id
+        of each fingerprint in hash order (see _reconstruct_used)."""
+        rd = ByteReader(body)
         magic, version, q, r, seed, used_count, anchor = _HEAD.unpack(rd.take(_HEAD.size))
         if magic != SNAPSHOT_MAGIC:
             raise FormatError(f"bad magic {magic!r}, expected {SNAPSHOT_MAGIC!r}")

@@ -15,13 +15,22 @@ not mutated: extensions only ever narrow what a fingerprint matches.
 Deletes with shortening enabled trade that guarantee away to reclaim
 space, which is why shortening defaults to off.
 
-A snapshot (version 2) holds the policy and the adaptation counters in
-its header, then the slot array's snapshot and the reverse map's key
-column, under one CRC32 trailer.  The map's minirun ids are not stored:
-the slot array's loader checks its layout and then takes them, in hash
-order, from the table's blocks.  The encoder collects the parts
-of all three (headers, length prefixes and views of the columns) and
-joins them once.
+The reverse map holds each key's hash word, word 0 of its stream, in
+place of the key: the word is a bijection of the key
+(``hashing.unhash_word``), and lookup, insert and delete already compute
+it, so they compare words.  The key itself is needed only to adapt, for
+the owner's later chunks, and by the whole-filter passes that read
+chunks past word 0 or change the seed.
+
+A snapshot (version 3) holds the policy and the adaptation counters in
+its header, then the slot array's section and the reverse map's, under
+one CRC32 trailer; the sections carry none of their own.  The map's
+minirun ids are not stored: the slot array's loader checks its layout
+and then takes them, in hash order, from the table's blocks.  They are
+the top q + r bits of each hash word, so the map's section holds only
+the other 64 - q - r bits of each.  The encoder collects the parts of
+all three (headers, length prefixes and views of the columns) and joins
+them once.
 """
 
 from __future__ import annotations
@@ -45,28 +54,28 @@ from .errors import (
 from .hashing import (
     FilterConfig,
     HashStream,
+    _chunk_rounds,
     _int_in,
     _key,
     _key_array,
+    _pairs,
     as_index,
     extension_chunk,
-    extension_chunk_batch,
     split,
-    split_batch,
+    unhash_word,
 )
 from .revmap import ReverseMap
 from .snapshot import ByteReader, section, sealed, unseal
 
 COMBINED_MAGIC = b"AQFS"
-COMBINED_VERSION = 2
+COMBINED_VERSION = 3
 # magic, version, flags, max_extensions, value bits, reserved byte, and
 # the adaptations, adaptivity_bits and adaptation_failures counters
 _HEAD = struct.Struct("<4sIBBBBQQQ")
 
-_F_AUTO_ADAPT = 1
-_F_DEDUPE = 2
-_F_SHORTEN = 4
-_F_KNOWN = _F_AUTO_ADAPT | _F_DEDUPE | _F_SHORTEN
+# the header's policy flags: (bit, Policy field)
+_FLAGS = ((1, "auto_adapt"), (2, "dedupe_keys"), (4, "shorten_on_delete"))
+_F_KNOWN = 7
 
 
 @dataclass(frozen=True)
@@ -164,15 +173,17 @@ class AdaptiveFilter:
         key = _key(key)
         self.map.check_entry(key, value)
         tag = _int_in(tag, "tag", 0, (1 << self.value_bits) - 1)
-        qt, rem = split(HashStream(key, self.cfg.seed), self.cfg)
+        stream = HashStream(key, self.cfg.seed)
+        qt, rem = split(stream, self.cfg)
+        word = stream.word(0)
         if self.policy.dedupe_keys:
             mid = pack_minirun_id(qt, rem, self.cfg.r)
-            rank = self.map.find_rank(mid, key)
+            rank = self.map.find_rank(mid, word)
             if rank is not None:
                 self.arr.add_count(mid, rank, 1)
                 return mid, rank
         mid, rank = self.arr.insert_fp(qt, rem, tag)
-        self.map.map_insert(mid, rank, key, value)
+        self.map.map_insert(mid, rank, word, value)
         return mid, rank
 
     def delete(self, key: int) -> None:
@@ -188,9 +199,9 @@ class AdaptiveFilter:
         stay distinct from each other.
         """
         key = _key(key)
-        qt, rem = split(HashStream(key, self.cfg.seed), self.cfg)
-        mid = pack_minirun_id(qt, rem, self.cfg.r)
-        rank = self.map.find_rank(mid, key)
+        stream = HashStream(key, self.cfg.seed)
+        mid = pack_minirun_id(*split(stream, self.cfg), self.cfg.r)
+        rank = self.map.find_rank(mid, stream.word(0))
         if rank is None:
             raise NotFoundError(f"key {key} is not stored")
         if self.arr.ctr_slot_count and self.arr.add_count(mid, rank, -1) >= 1:
@@ -239,11 +250,11 @@ class AdaptiveFilter:
                 raise StateCorruptionError(
                     f"filter matched minirun {mid} rank {rank} with no map entry"
                 ) from exc
-            if owner == key:
+            if owner == stream.word(0):
                 return LookupResult.PRESENT, value
             if adapting:
                 try:
-                    self.adapt(mid, rank, owner, stream)
+                    self.adapt(mid, rank, unhash_word(owner, self.cfg.seed), stream)
                 except (FilterFullError, AdaptationExhaustedError):
                     self.adaptation_failures += 1
                     adapting = False
@@ -340,27 +351,27 @@ class AdaptiveFilter:
         time (SlotArray._blocks), each compared with the map's rows at
         the same offset; the map's base rows are read in place unless
         its overlay holds entries (ReverseMap._merged).  A row's id is
-        also its key's hashed (quotient, remainder) pair.  The first
-        fault found, in the order of the checks below, is raised.
+        also the top q + r bits of its hash word, and only the rows with
+        extension chunks have their words turned back into keys, for the
+        chunks.  The first fault found, in the order of the checks below,
+        is raised.
         """
         cfg = self.cfg
-        mids, keys, _ = self.map._merged()
+        mids, words, _ = self.map._merged()
         rows, wrong_id, not_prefix = 0, None, None
         for cols in self.arr._blocks():
             lo, rows = rows, rows + len(cols.quot)
             if wrong_id is not None or rows > len(mids):
                 continue
-            ids, owners = cols.packed(cfg.r), keys[lo:rows]
+            ids, owners = cols.packed(cfg.r), words[lo:rows]
             off = np.flatnonzero(ids != mids[lo:rows])
             if off.size:
                 wrong_id = lo + int(off[0]), ids[off[0]]
             if off.size or not_prefix is not None:
                 continue
-            bad = split_batch(owners, cfg) != ids
-            for t in range(int(cols.ext_len.max(initial=0))):
-                ext = np.flatnonzero(cols.ext_len > t)
-                bad[ext] |= (extension_chunk_batch(owners[ext], cfg, t)
-                             != cols.chunks[cols.ext_off[ext] + t])
+            bad = _pairs(owners, cfg) != ids
+            for t, ext, chunks in _chunk_rounds(owners, cols.ext_len, cfg):
+                bad[ext] |= chunks != cols.chunks[cols.ext_off[ext] + t]
             if bad.any():
                 not_prefix = lo + int(np.flatnonzero(bad)[0])
         if rows != len(mids):
@@ -374,7 +385,8 @@ class AdaptiveFilter:
             while first and mids[first - 1] == mids[at]:
                 first -= 1
             raise StateCorruptionError(
-                f"minirun {mids[at]} rank {at - first} is not a prefix of key {keys[at]}"
+                f"minirun {mids[at]} rank {at - first} is not a prefix of key "
+                f"{unhash_word(int(words[at]), cfg.seed)}"
             )
 
     def frozen_index(self) -> FrozenIndex:
@@ -385,26 +397,27 @@ class AdaptiveFilter:
     # snapshot
 
     def to_bytes(self) -> bytes:
-        """Serialize as version 2.
+        """Serialize as version 3.
 
         Little-endian: magic, version (u32), policy flags (u8),
         max_extensions (u8), value bits (u8), a reserved zero byte, and
         the adaptations, adaptivity_bits and adaptation_failures
-        counters (u64 each); then the slot array's and the reverse map's
-        snapshots as length-prefixed sections, and a CRC32 of everything
-        before it.
+        counters (u64 each); then two length-prefixed sections, and a
+        CRC32 of everything before it.  The first is the slot array's
+        snapshot without its trailer (SlotArray.to_bytes).  The second is
+        the reverse map's without its trailer, each hash word cut to the
+        w = 64 - q - r bits below its minirun id: the low min(w, 32)
+        bits, then, when w > 32, the other w - 32, each as a column of
+        the narrowest unsigned type that holds it (u32 and u8 for q + r
+        in 24..31); then the map's values as ReverseMap.to_bytes writes
+        them.
         """
-        flags = 0
-        if self.policy.auto_adapt:
-            flags |= _F_AUTO_ADAPT
-        if self.policy.dedupe_keys:
-            flags |= _F_DEDUPE
-        if self.policy.shorten_on_delete:
-            flags |= _F_SHORTEN
+        flags = sum(bit for bit, field in _FLAGS if getattr(self.policy, field))
         head = _HEAD.pack(COMBINED_MAGIC, COMBINED_VERSION, flags,
                           self.policy.max_extensions, self.arr.value_bits, 0,
                           self.adaptations, self.adaptivity_bits, self.adaptation_failures)
-        parts = [head, section([self.arr._parts()]), section([self.map._parts()])]
+        w = 64 - self.cfg.q - self.cfg.r
+        parts = [head, section(self.arr._parts()), section(self.map._parts(w))]
         return b"".join(sealed(parts))
 
     @classmethod
@@ -422,12 +435,8 @@ class AdaptiveFilter:
         if reserved:
             raise FormatError(f"reserved header byte is {reserved}, not 0")
         try:
-            policy = Policy(
-                auto_adapt=bool(flags & _F_AUTO_ADAPT),
-                max_extensions=max_ext,
-                dedupe_keys=bool(flags & _F_DEDUPE),
-                shorten_on_delete=bool(flags & _F_SHORTEN),
-            )
+            policy = Policy(max_extensions=max_ext,
+                            **{field: bool(flags & bit) for bit, field in _FLAGS})
         except InvalidConfigError as exc:
             raise FormatError(str(exc)) from exc
         arr, mids = SlotArray._decode(rd.section())
@@ -437,7 +446,7 @@ class AdaptiveFilter:
             )
         map_blob = rd.section()
         rd.done()
-        revmap = ReverseMap.from_bytes(map_blob, mids)
+        revmap = ReverseMap._decode(map_blob, mids, 64 - arr.cfg.q - arr.cfg.r)
         return cls._from_parts(arr, revmap, policy, *counters)
 
     def save(self, path) -> None:

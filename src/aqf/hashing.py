@@ -11,7 +11,10 @@ fingerprint can be re-derived from nothing but the key and the seed.
 
 The word mixer is a MurmurHash-style 64-bit finalizer.  Nothing here
 needs cryptographic strength; it needs avalanche and cheap vectorization,
-and the finalizer provides both.
+and the finalizer provides both.  Its xorshifts by 33 bits undo
+themselves and its multipliers are odd, so a word is a bijection of its
+key: ``unhash_word`` gives the key back, which lets a filter keep each
+key's word 0 in place of the key.
 """
 
 from __future__ import annotations
@@ -31,15 +34,30 @@ MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xFF51AFD7ED558CCD
 _MIX2 = 0xC4CEB9FE1A85EC53
+# their inverses modulo 2**64
+_UNMIX1 = pow(_MIX1, -1, 1 << 64)
+_UNMIX2 = pow(_MIX2, -1, 1 << 64)
 
 
-def _fmix64(z: int) -> int:
-    """Finalizer round: full avalanche over 64 bits."""
+def _fmix64(z: int, m1: int = _MIX1, m2: int = _MIX2) -> int:
+    """Finalizer round: full avalanche over 64 bits.  With the inverses
+    of its multipliers in swapped order (_UNMIX2, _UNMIX1) it undoes
+    itself."""
     z ^= z >> 33
-    z = (z * _MIX1) & MASK64
+    z = (z * m1) & MASK64
     z ^= z >> 33
-    z = (z * _MIX2) & MASK64
+    z = (z * m2) & MASK64
     z ^= z >> 33
+    return z
+
+
+def _fmix64_batch(z: np.ndarray, m1: int = _MIX1, m2: int = _MIX2) -> np.ndarray:
+    """_fmix64 in place over a uint64 array, which it returns."""
+    z ^= z >> np.uint64(33)
+    z *= np.uint64(m1)
+    z ^= z >> np.uint64(33)
+    z *= np.uint64(m2)
+    z ^= z >> np.uint64(33)
     return z
 
 
@@ -60,14 +78,21 @@ def hash_word_batch(keys: np.ndarray, seed: int, index: int = 0) -> np.ndarray:
 
     Bit-identical to the scalar path; tests pin the equivalence.
     """
-    salt = np.uint64(_salt(seed, index))
     z = keys.astype(np.uint64, copy=True)
-    z ^= salt
-    z ^= z >> np.uint64(33)
-    z *= np.uint64(_MIX1)
-    z ^= z >> np.uint64(33)
-    z *= np.uint64(_MIX2)
-    z ^= z >> np.uint64(33)
+    z ^= np.uint64(_salt(seed, index))
+    return _fmix64_batch(z)
+
+
+def unhash_word(word: int, seed: int) -> int:
+    """The key whose word 0 under ``seed`` is word: the inverse of
+    hash_word."""
+    return _fmix64(word, _UNMIX2, _UNMIX1) ^ _salt(seed, 0)
+
+
+def unhash_word_batch(words: np.ndarray, seed: int) -> np.ndarray:
+    """Vectorized :func:`unhash_word` over a uint64 word array."""
+    z = _fmix64_batch(words.astype(np.uint64, copy=True), _UNMIX2, _UNMIX1)
+    z ^= np.uint64(_salt(seed, 0))
     return z
 
 
@@ -208,8 +233,13 @@ def extension_chunk(stream: HashStream, cfg: FilterConfig, i: int) -> int:
 
 def split_batch(keys: np.ndarray, cfg: FilterConfig) -> np.ndarray:
     """Packed ``(quotient << r) | remainder`` values for a uint64 key array."""
-    word0 = hash_word_batch(keys, cfg.seed, 0)
-    return word0 >> np.uint64(64 - cfg.q - cfg.r)
+    return _pairs(hash_word_batch(keys, cfg.seed, 0), cfg)
+
+
+def _pairs(words: np.ndarray, cfg: FilterConfig) -> np.ndarray:
+    """split_batch of the keys whose words 0 are words: their top q + r
+    bits."""
+    return words >> np.uint64(64 - cfg.q - cfg.r)
 
 
 def extension_chunk_batch(keys: np.ndarray, cfg: FilterConfig, i: int) -> np.ndarray:
@@ -228,3 +258,15 @@ def extension_chunk_batch(keys: np.ndarray, cfg: FilterConfig, i: int) -> np.nda
     right = hi - (w1 << 6)
     nxt = hash_word_batch(keys, cfg.seed, w1)
     return ((word << np.uint64(right)) | (nxt >> np.uint64(64 - right))) & mask
+
+
+def _chunk_rounds(words: np.ndarray, ext_len: np.ndarray, cfg: FilterConfig):
+    """(t, rows, chunks) for t = 0, 1, ...: the rows whose ext_len
+    exceeds t, and the t-th extension chunk of each, drawn from the key
+    whose word 0 under cfg is the row's word.  Only those rows' words
+    are turned back into keys."""
+    rows = np.flatnonzero(ext_len)
+    keys, ext_len = unhash_word_batch(words[rows], cfg.seed), ext_len[rows]
+    for t in range(int(ext_len.max(initial=0))):
+        on = ext_len > t
+        yield t, rows[on], extension_chunk_batch(keys[on], cfg, t)

@@ -4,7 +4,10 @@ The slot array stores fingerprints only; correcting a false positive
 needs the original key so the right extension chunks can be pulled from
 its hash.  Each minirun id owns an ordered list of (key, value) pairs
 whose order mirrors minirun rank order, so an (id, rank) pair coming out
-of the slot array addresses exactly one key here.  An id is its
+of the slot array addresses exactly one key here.  A filter's map holds
+each key's hash word in place of the key (``hashing.unhash_word`` gives
+the key back); the map compares its entries as plain u64s and needs
+nothing else of them.  An id is its
 (quotient, remainder) pair packed as ``(quotient << r) | remainder``,
 so ascending ids are hash order; the map needs nothing else of them.
 
@@ -36,12 +39,16 @@ hash-ordered rows as the base, and refuses rows out of order; bulk
 load, merge, rebuild and the yes/no build make their maps with it, and
 no map is built by joining two maps.
 
-The snapshot (version 2) is the key column in hash order, plus a length
-column and the value bytes only when some value is stored, and a CRC32
-trailer: 8 bytes per key without values.  No minirun id is written.
-The ids are the slot array's, one per fingerprint in hash order, so the
-filter's decoder hands them to ``from_bytes``, which loads the key
-column as an array and checks every length against the bytes at hand.
+A snapshot holds the entries in hash order, then a length column and
+the value bytes only when some value is stored.  No minirun id is
+written: the ids are the slot array's, one per fingerprint in hash
+order, so the filter's decoder hands them to the map's, which checks
+every length against the bytes at hand.  A map's own snapshot
+(``to_bytes``) writes each entry whole, as a u64, under a CRC32
+trailer.  A filter's entries are its keys' hash words, whose top q + r
+bits are their ids, so its section (``_parts(w)``) writes only the low
+w = 64 - q - r bits of each (``_columns_of``): 5 bytes per key for
+q + r in 24..31, and the loader puts each row's id back above them.
 """
 
 from __future__ import annotations
@@ -52,7 +59,7 @@ from bisect import bisect_left
 
 import numpy as np
 
-from .core import _BLOCK, _ranges
+from .core import _BLOCK, _ranges, _slot_dtype
 from .errors import (
     FormatError,
     InvalidConfigError,
@@ -81,6 +88,17 @@ def _hash_ordered(mids) -> np.ndarray:
         if (at[1:] < at[:-1]).any():
             raise UnsortedInputError("minirun ids are not in hash order")
     return mids
+
+
+def _columns_of(w: int) -> list[tuple[int, int, np.dtype]]:
+    """(shift, width, little-endian dtype) of each snapshot column that
+    holds the low w bits of the entries, low bits first: a whole entry
+    (w = 64) is one u64 column; else the low 32 bits, or all w when
+    fewer, then the rest, each column in the narrowest unsigned dtype
+    that holds it (_slot_dtype)."""
+    widths = [(0, 64)] if w == 64 else [(0, min(w, 32)), (32, w - 32)]
+    return [(shift, width, np.dtype(_slot_dtype(width)).newbyteorder("<"))
+            for shift, width in widths if width > 0]
 
 
 def _join_values(*parts: tuple[list | None, int]) -> list | None:
@@ -309,46 +327,67 @@ class ReverseMap:
     # snapshot
 
     def to_bytes(self) -> bytes:
-        """Serialize as version 2: the key column in hash order.
+        """Serialize: every entry whole, then the values, sealed.
 
-        Little-endian: one u64 key per entry, ties in rank order.  When
-        some value is stored, a u32 length per entry follows
+        Little-endian: one u64 entry per row in hash order, ties in rank
+        order.  When some value is stored, a u32 length per entry follows
         (0xFFFFFFFF for None), then the values' bytes one after the
         other.  A CRC32 of everything before it ends the bytes.  The
         minirun ids are not written: the slot array implies them.
         """
-        return b"".join(self._parts())
+        return b"".join(sealed(self._parts(64)))
 
-    def _parts(self) -> list:
-        """to_bytes as a list of parts (see snapshot), the key column as
-        a view of the map's own array."""
+    def _parts(self, w: int) -> list:
+        """The entries' low w bits (see _columns_of) and the values, as a
+        list of parts (see snapshot) without a trailer."""
         _, keys, values = self._merged()
-        parts = [le_bytes(keys, "<u8")]
+        parts = []
+        for shift, width, dt in _columns_of(w):
+            if shift:
+                col = np.right_shift(keys, np.uint64(shift), out=np.empty(len(keys), dtype=dt),
+                                     casting="unsafe")
+            else:
+                col = keys.astype(dt)  # a plain cast: the low bits, and faster than a shift
+            if width < 8 * dt.itemsize:
+                col &= dt.type((1 << width) - 1)
+            parts.append(le_bytes(col, dt))
         if values is not None:
             lengths = np.fromiter((_NO_VALUE if v is None else len(v) for v in values),
                                   dtype="<u4", count=len(values))
             parts += [le_bytes(lengths, "<u4"), b"".join(filter(None, values))]
-        return sealed(parts)
+        return parts
 
     @classmethod
     def from_bytes(cls, data: bytes, mids: np.ndarray) -> "ReverseMap":
         """Parse a snapshot whose entries belong to mids, the uint64 id
-        of each entry in hash order (ties: one id per rank).
+        of each entry in hash order (ties: one id per rank)."""
+        return cls._decode(unseal(data), mids, 64)
 
-        Only what to_bytes writes loads: a length column appears only
-        when some entry holds a value, and the value bytes must fill the
-        rest exactly.  The lengths are summed and checked against the
-        bytes at hand before any value is cut out.  Ids out of order
-        raise UnsortedInputError.
+    @classmethod
+    def _decode(cls, body, mids: np.ndarray, w: int) -> "ReverseMap":
+        """from_bytes of _parts(w): each entry is its id above its w
+        written bits.
+
+        Only what _parts writes loads: no bit set past a column's width,
+        a length column only when some entry holds a value, and value
+        bytes that fill the rest exactly.  The lengths are summed and
+        checked against the bytes at hand before any value is cut out.
+        Ids out of order raise UnsortedInputError.
         """
         m = cls()
-        body = unseal(data)
         n = len(mids)
-        if len(body) < 8 * n:
-            raise FormatError(f"map section of {len(body)} bytes is short of {n} keys")
+        size = n * sum(dt.itemsize for _, _, dt in _columns_of(w))
+        if len(body) < size:
+            raise FormatError(f"map section of {len(body)} bytes is short of {n} entries")
         mids = _hash_ordered(mids)
-        keys = np.frombuffer(body, dtype="<u8", count=n).astype(np.uint64)
-        rest = body[8 * n :]
+        keys = mids.copy()
+        for shift, width, dt in reversed(_columns_of(w)):
+            col = np.frombuffer(body, dtype=dt, count=n, offset=n * shift // 8)
+            if width < 8 * dt.itemsize and int(col.max(initial=0)) >> width:
+                raise FormatError(f"map entry with bits set past its {width}-bit column")
+            keys <<= np.uint64(width)  # numpy shifts a whole entry's id out to 0
+            keys |= col
+        rest = body[size:]
         values = None
         if len(rest):
             if len(rest) < 4 * n:

@@ -316,7 +316,7 @@ def fill_to_load(
         raise InvalidConfigError(f"load {load} outside [0, {cap}]")
     n_keys = int(load * cfg.nslots)
     rng = np.random.default_rng(_int_in(seed, "seed", 0, math.inf))
-    # handed over without a name, so that _fill drops the draw once sorted
+    # handed over without a name, so that _fill drops the draw once hashed
     return _fill(rng.integers(FILL_SPACE[0], FILL_SPACE[1], size=n_keys, dtype=np.uint64),
                  cfg, policy)
 

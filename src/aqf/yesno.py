@@ -65,8 +65,10 @@ from .hashing import (  # noqa: F401
     _real,
     extension_chunk,
     extension_chunk_batch,
+    hash_word_batch,
     split,
     split_batch,
+    unhash_word,
 )
 from .setops import _extended_cols, _hash_order, _place
 
@@ -229,11 +231,11 @@ class YesNoFilter:
             rank, _, tag = hit
             if tag != bit:
                 owner, _ = inner.map.map_get(mid, rank)
-                if owner == key:
+                if owner == stream.word(0):
                     raise InvalidConfigError(
                         f"key {key} is already stored with the opposite answer"
                     )
-                colliders.append((rank, owner))
+                colliders.append((rank, unhash_word(owner, cfg.seed)))
             hit = inner.arr.query_fp(stream, rank + 1, (qt, rem))
         # the insert takes one slot, or at most one counter digit
         need = 1 + sum(len(inner._adapt_chunks(mid, rank, owner, stream))
@@ -278,7 +280,8 @@ def _place_yes(inner: AdaptiveFilter, yes: np.ndarray, packed: np.ndarray,
                ext_len: np.ndarray) -> AdaptiveFilter:
     """A filter like inner holding every YES key, tagged YES, with
     ext_len[i] chunks of its own stream after key i's fingerprint.  yes
-    is in hash order, ties in rank order, and packed their pairs."""
+    are the YES keys' hash words in hash order, ties in rank order, and
+    packed their pairs."""
     cfg, bits = inner.cfg, inner.value_bits
     no_ctr = np.zeros(len(yes), dtype=_pos_dtype(cfg.nslots))
     cols = _extended_cols(yes, packed, np.full(len(yes), YES), ext_len, no_ctr, (), cfg, bits)
@@ -367,7 +370,8 @@ def build_static(
         _check_disjoint(yes, no)
         raise
     inner, cfg = f.inner, f.inner.cfg
-    order, packed = _hash_order(yes, cfg)  # list order stays rank order
+    # list order stays rank order
+    order, words, packed = _hash_order(hash_word_batch(yes, cfg.seed), cfg)
     yes = yes[order]
     hits = no[FrozenIndex(cfg, _Cols.bare(packed, cfg)).query_keys(no)]
     _check_disjoint(yes, hits)
@@ -375,7 +379,7 @@ def build_static(
     settled = _no_pass(yes, packed, hits, cfg, inner.policy.max_extensions)
     if settled is not None and inner.arr.has_room(len(yes) + int(settled[0].sum())):
         ext_len, adaptations = settled
-        f.inner = _place_yes(inner, yes, packed, ext_len)
+        f.inner = _place_yes(inner, words, packed, ext_len)
         f.inner.adaptations = adaptations
         f.inner.adaptivity_bits = int(ext_len.sum()) * cfg.r
         f.inner.map.accesses += adaptations
@@ -384,7 +388,7 @@ def build_static(
     # the keys the index rejects answer NOT_PRESENT untouched, so the
     # hits alone reach the state and the first failure of the whole list
     try:
-        f.inner = inner = _place_yes(inner, yes, packed, np.zeros(len(yes), dtype=np.int64))
+        f.inner = inner = _place_yes(inner, words, packed, np.zeros(len(yes), dtype=np.int64))
     except FilterFullError as exc:
         raise ConstructionFailedError(
             f"filter filled placing the YES keys: {exc}",

@@ -4,8 +4,9 @@ Everything here is rebuilt from the documented definitions: the hash
 from its mixer constants, the slot decoder from the published bit
 layout, the membership model from "a stored fingerprint is a prefix of
 its owner's hash stream", the snapshot encoders from their byte layouts
-(version 1 kept here as the reference its successor is checked
-against), the zipf workload's ranks from numpy's own sampler.  Nothing imports the package's internals beyond reading raw
+(versions 1 and 2 kept here as the references their successors are
+checked against), a filter's map entries turned back into keys from the
+mixer's inverse, the zipf workload's ranks from numpy's own sampler.  Nothing imports the package's internals beyond reading raw
 state off a slot array or the columns of a reverse map, so agreement
 between the two sides is evidence rather than tautology.  The
 exceptions: find_run reports where the package's own walk lands, so
@@ -50,6 +51,18 @@ def mix(z: int) -> int:
 def ref_word(key: int, seed: int, i: int) -> int:
     """Word i of the key's hash stream."""
     return mix((key ^ mix((seed + i * STEP) & MASK64)) & MASK64)
+
+
+def ref_unword(word: int, seed: int) -> int:
+    """The key whose word 0 under seed is word: mix undone step by step
+    (an xorshift by 33 of a 64-bit word is its own inverse, and an odd
+    multiplier has an inverse modulo 2**64), then the salt xored out."""
+    z = word ^ (word >> 33)
+    z = (z * pow(M2, -1, 1 << 64)) & MASK64
+    z ^= z >> 33
+    z = (z * pow(M1, -1, 1 << 64)) & MASK64
+    z ^= z >> 33
+    return z ^ mix(seed)
 
 
 def bit_text(key: int, seed: int, nbits: int) -> str:
@@ -231,8 +244,8 @@ def shorten_minirun(exts: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
 
 
 # ----------------------------------------------------------------------
-# snapshots: the version 1 encoders as they were last written, and the
-# version 2 map section entry by entry
+# snapshots: the version 1 and version 2 encoders as they were last
+# written, and the version 2 map section entry by entry
 
 
 def mutants(snapshot: bytes) -> list[bytes]:
@@ -250,20 +263,6 @@ def reseal(blob: bytes) -> bytes:
     so that a test's edit reaches the field checks behind the trailer."""
     body = bytes(blob[:-4])
     return body + struct.pack("<I", zlib.crc32(body))
-
-
-def reseal_filter(blob: bytes) -> bytes:
-    """A combined snapshot with every trailer recomputed: each of its
-    two sections' (while their length fields still frame them), then
-    the whole's.  The header takes 36 bytes."""
-    out, pos = bytearray(blob[:36]), 36
-    for _ in range(2):
-        size = int.from_bytes(blob[pos : pos + 8], "little")
-        if not 4 <= size <= len(blob) - 4 - pos - 8:
-            return reseal(blob)
-        out += blob[pos : pos + 8] + reseal(blob[pos + 8 : pos + 8 + size])
-        pos += 8 + size
-    return reseal(bytes(out) + blob[pos:])
 
 
 def _slot_offsets(blob: bytes) -> tuple[int, int, int, int]:
@@ -330,6 +329,20 @@ def map_lists(m) -> dict:
                                itertools.repeat(None) if values is None else values):
         out.setdefault(mid, []).append((key, value))
     return out
+
+
+def key_lists(f) -> dict:
+    """map_lists of a filter's map with each entry, its key's hash word,
+    turned back into the key: {minirun id: [(key, value), ...]}."""
+    seed = f.cfg.seed
+    return {mid: [(ref_unword(word, seed), value) for word, value in lst]
+            for mid, lst in map_lists(f.map).items()}
+
+
+def key_rank(f, mid: int, key: int) -> int:
+    """The rank of key's first entry in minirun mid of f's map, read
+    through key_lists."""
+    return [k for k, _ in key_lists(f)[mid]].index(key)
 
 
 def encode_map_v1(q: int, entries: dict) -> bytes:
@@ -422,8 +435,23 @@ def encode_filter_v1(f) -> bytes:
     p = f.policy
     flags = p.auto_adapt | p.dedupe_keys << 1 | p.shorten_on_delete << 2
     head = struct.pack("<4sIBBBB", b"AQFS", 1, flags, p.max_extensions, f.value_bits, 0)
-    entries = map_lists(f.map)
+    entries = key_lists(f)
     return head + _section(encode_slots_v1(f.arr)) + _section(encode_map_v1(f.cfg.q, entries))
+
+
+def encode_filter_v2(f) -> bytes:
+    """Version 2 combined snapshot of an adaptive filter: magic,
+    version, policy flags, max_extensions, value bits, a zero byte and
+    the adaptations, adaptivity_bits and adaptation_failures counters
+    (u64 each); then as sections the slot array's own snapshot, trailer
+    included, and the version 2 map section of its keys; then a CRC32 of
+    all of it."""
+    p = f.policy
+    flags = p.auto_adapt | p.dedupe_keys << 1 | p.shorten_on_delete << 2
+    head = struct.pack("<4sIBBBBQQQ", b"AQFS", 2, flags, p.max_extensions, f.value_bits, 0,
+                       f.adaptations, f.adaptivity_bits, f.adaptation_failures)
+    body = head + _section(f.arr.to_bytes()) + _section(encode_map_v2(key_lists(f)))
+    return reseal(body + bytes(4))
 
 
 # ----------------------------------------------------------------------

@@ -3,6 +3,8 @@ string extractor in oracles.py."""
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from aqf.errors import InvalidConfigError
 from aqf.hashing import (
@@ -14,9 +16,14 @@ from aqf.hashing import (
     hash_word_batch,
     split,
     split_batch,
+    unhash_word,
+    unhash_word_batch,
 )
 
-from oracles import ref_chunk, ref_split, ref_word
+from oracles import ref_chunk, ref_split, ref_unword, ref_word
+
+# 64-bit values with both ends of the range drawn often
+u64 = st.one_of(st.sampled_from([0, 1, (1 << 64) - 1]), st.integers(0, (1 << 64) - 1))
 
 
 def fixed_stream(*words) -> HashStream:
@@ -73,6 +80,25 @@ class TestHashWord:
         n_pairs = len(keys) * (len(keys) - 1) // 2
         expect = n_pairs / 65536
         assert abs(pairs - expect) < 4 * np.sqrt(expect)
+
+
+class TestUnhashWord:
+    @given(key=u64, seed=u64)
+    def test_unhash_inverts_word_0(self, key, seed):
+        word = hash_word(key, seed, 0)
+        assert unhash_word(word, seed) == key == ref_unword(word, seed)
+
+    @given(word=u64, seed=u64)
+    def test_every_word_has_one_key(self, word, seed):
+        """The mixer is a bijection: any 64-bit word is some key's."""
+        assert hash_word(unhash_word(word, seed), seed, 0) == word
+
+    @given(keys=st.lists(u64, max_size=50), seed=u64)
+    def test_batch_matches_scalar(self, keys, seed):
+        words = hash_word_batch(np.array(keys, dtype=np.uint64), seed)
+        back = unhash_word_batch(words, seed)
+        assert back.dtype == np.uint64
+        assert back.tolist() == [unhash_word(int(w), seed) for w in words] == keys
 
 
 class TestSplit:

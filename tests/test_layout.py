@@ -15,6 +15,7 @@ from aqf.core import SlotArray, pack_minirun_id
 from aqf.errors import FilterFullError, FormatError, NotFoundError, StateCorruptionError
 from aqf.filter import AdaptiveFilter, LookupResult, Policy
 from aqf.hashing import FilterConfig, HashStream, extension_chunk, split, split_batch
+from aqf.snapshot import unseal
 
 from oracles import (
     _bit,
@@ -23,7 +24,6 @@ from oracles import (
     insert_whole,
     relaid,
     reseal,
-    reseal_filter,
     shorten_minirun,
     slot_fields,
     with_slot_fields,
@@ -736,16 +736,16 @@ def test_a_snapshot_off_the_layout_is_rejected(laid_filter, edit, match, monkeyp
     assert with_slot_fields(slots, rows, pay) == slots
     edit(rows, pay)
     bad = with_slot_fields(slots, rows, pay)
-    # the same slot snapshot inside a combined one, every trailer resealed
+    # the same slot snapshot, less its trailer, inside a combined one, resealed
     whole = laid_filter.to_bytes()
     size = int.from_bytes(whole[36:44], "little")
-    assert whole[44 : 44 + size] == slots
+    assert whole[44 : 44 + size] == slots[:-4]
     for block in (1 << 14, 4, 1):  # the loader's blocks: the whole table, or a few slots
         monkeypatch.setattr(core, "_BLOCK", block)
         with pytest.raises(FormatError, match=match):
             SlotArray.from_bytes(bad)
         with pytest.raises(FormatError, match=match):
-            AdaptiveFilter.from_bytes(reseal_filter(whole[:44] + bad + whole[44 + size :]))
+            AdaptiveFilter.from_bytes(reseal(whole[:44] + bad[:-4] + whole[44 + size :]))
 
 
 PADDED = ("occupied", "runend", "extension", "payload")
@@ -773,9 +773,9 @@ def test_a_set_padding_bit_is_rejected(q, section):
         SlotArray.from_bytes(bad)
     whole = f.to_bytes()
     size = int.from_bytes(whole[36:44], "little")
-    assert whole[44 : 44 + size] == slots
+    assert whole[44 : 44 + size] == slots[:-4]
     with pytest.raises(FormatError, match="padding bits"):
-        AdaptiveFilter.from_bytes(reseal_filter(whole[:44] + bad + whole[44 + size :]))
+        AdaptiveFilter.from_bytes(reseal(whole[:44] + bad[:-4] + whole[44 + size :]))
 
 
 # the loader's blocks: the whole table, or a few slots each
@@ -798,7 +798,7 @@ def test_the_loader_derives_the_ids_of_the_columns(table, block):
             pass
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(core, "_BLOCK", block)
-        back, mids = SlotArray._decode(arr.to_bytes())
+        back, mids = SlotArray._decode(unseal(arr.to_bytes()))
     assert mids.dtype == np.uint64
     assert mids.tolist() == arr._columns().packed(cfg.r).tolist()
     assert len(mids) == arr.fp_count

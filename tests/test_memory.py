@@ -23,6 +23,11 @@ What a filled filter keeps is bounded too: at q=16 and 90% load about
 18.8 bytes per key, 2.2 for the slots, 0.6 for the metadata bits and 16
 for the reverse map's id and key columns.  The bound leaves about 5% of
 headroom, so a structure of 1 byte per key beside the columns fails it.
+
+A snapshot holds, per key, the slots and metadata bits (about 1.8 bytes
+at q=16 and 85% load) and the map's entries cut to the 64 - q - r bits
+below their minirun ids: 5 bytes at q + r = 25.  The bound, 6.8 bytes
+per key, fails a map section that writes whole 8-byte entries (9.8).
 """
 
 import gc
@@ -40,6 +45,7 @@ CHECK_BYTES_PER_KEY = 19
 LOAD_BYTES_PER_KEY = 26
 INDEX_LIVE_BYTES_PER_KEY = 7.0
 LIVE_BYTES_PER_KEY = 19.8
+SNAPSHOT_BYTES_PER_KEY = 6.8
 
 
 def peak_bytes(call):
@@ -104,3 +110,8 @@ def test_a_filled_filter_keeps_under_its_bytes_per_key():
     finally:
         tracemalloc.stop()
     assert live / len(f) < LIVE_BYTES_PER_KEY
+
+
+def test_a_snapshot_stays_under_its_bytes_per_key():
+    f, keys = fill_to_load(CFG, 0.85, seed=5)
+    assert len(f.to_bytes()) / len(keys) <= SNAPSHOT_BYTES_PER_KEY

@@ -16,7 +16,7 @@ from aqf.filter import AdaptiveFilter, LookupResult, Policy
 from aqf.hashing import FilterConfig, HashStream, split, split_batch
 from aqf.revmap import ReverseMap
 from aqf.setops import _GROW_AT, bulk_load, merge, rebuild
-from oracles import decode_raw, find_colliders, ref_split
+from oracles import decode_raw, find_colliders, key_lists, key_rank, map_lists, ref_split
 
 PRESENT = LookupResult.PRESENT
 
@@ -163,8 +163,8 @@ class TestMerge:
         b = sequential([y], cfg)
         m = merge(a, b)
         mid = pack_minirun_id(*split(HashStream(x, cfg.seed), cfg), cfg.r)
-        assert m.map.find_rank(mid, x) == 0
-        assert m.map.find_rank(mid, y) == 1
+        assert key_rank(m, mid, x) == 0
+        assert key_rank(m, mid, y) == 1
 
     def test_counts_and_policy_come_from_the_left(self):
         cfg = FilterConfig(q=9, r=6, seed=96)
@@ -230,11 +230,11 @@ class TestMergeGrowth:
         z = find_colliders(cfg.q, cfg.r, cfg.seed, x, 0, 1)[0]
         assert a.lookup(z)[0] is LookupResult.FALSE_POSITIVE_CORRECTED
         mid = pack_minirun_id(*split(HashStream(x, cfg.seed), cfg), cfg.r)
-        old_len = len(a.arr.get_ext(mid, a.map.find_rank(mid, x)))
+        old_len = len(a.arr.get_ext(mid, key_rank(a, mid, x)))
         m = merge(a, b)
         assert m.cfg.q == cfg.q + 1
         grown_mid = pack_minirun_id(*split(HashStream(x, cfg.seed), m.cfg), m.cfg.r)
-        new_len = len(m.arr.get_ext(grown_mid, m.map.find_rank(grown_mid, x)))
+        new_len = len(m.arr.get_ext(grown_mid, key_rank(m, grown_mid, x)))
         assert new_len == old_len >= 1
         assert m.lookup(x)[0] is PRESENT
 
@@ -270,7 +270,7 @@ class TestRebuild:
         g = rebuild(f, new_seed=104)
         assert g.lookup(9) == (PRESENT, b"nine")
         gmid = pack_minirun_id(*split(HashStream(9, 104), g.cfg), g.cfg.r)
-        assert g.arr.get_count(gmid, g.map.find_rank(gmid, 9)) == 2
+        assert g.arr.get_count(gmid, key_rank(g, gmid, 9)) == 2
 
     def test_same_seed_warns(self):
         f = sequential([1, 2, 3], FilterConfig(q=8, r=8, seed=105))
@@ -299,10 +299,11 @@ def hash_order_records(f):
     order: the raw decoder's rows stably sorted by quotient."""
     ranks = {}
     out = []
+    lists = key_lists(f)
     for qt, rem, _, _, _ in sorted(decode_raw(f.arr), key=lambda row: row[0]):
         mid = pack_minirun_id(qt, rem, f.cfg.r)
         rank = ranks[mid] = ranks.get(mid, -1) + 1
-        out.append(f.map.map_get(mid, rank))
+        out.append(lists[mid][rank])
     return out
 
 
@@ -342,7 +343,7 @@ class TestMapsMatchSequentialConstruction:
         cfg = FilterConfig(q=5, r=3, seed=seed)
         records = in_hash_order(records, cfg)
         f = bulk_load(records, cfg)
-        assert f.map == sequential_map(records, cfg)
+        assert key_lists(f) == map_lists(sequential_map(records, cfg))
         assert f.to_bytes() == adapted(records, cfg, ()).to_bytes()
 
     @settings(max_examples=100, deadline=None)
@@ -352,7 +353,7 @@ class TestMapsMatchSequentialConstruction:
         f = adapted(records, FilterConfig(q=5, r=3, seed=seed), probes)
         g = rebuild(f, new_seed=seed + 10)
         records = hash_order_records(f)
-        assert g.map == sequential_map(records, g.cfg)
+        assert key_lists(g) == map_lists(sequential_map(records, g.cfg))
         assert g.to_bytes() == adapted(in_hash_order(records, g.cfg), g.cfg, ()).to_bytes()
         g.check_consistency()
 
@@ -365,7 +366,8 @@ class TestMapsMatchSequentialConstruction:
         assume(a.arr.used_count + b.arr.used_count <= _GROW_AT * cfg.nslots)
         m = merge(a, b)
         assert m.cfg == cfg
-        assert m.map == sequential_map(hash_order_records(a) + hash_order_records(b), cfg)
+        assert key_lists(m) == map_lists(sequential_map(hash_order_records(a)
+                                                       + hash_order_records(b), cfg))
         # every key keeps its chunks; b's entries follow a's in a minirun
         for mid, rank, ext in fingerprints(a):
             assert m.map.map_get(mid, rank) == a.map.map_get(mid, rank)
@@ -389,5 +391,6 @@ class TestMapsMatchSequentialConstruction:
         a, b = adapted(left, cfg, probes), adapted(right, cfg, ())
         m = merge(a, b)
         assert m.cfg.q == cfg.q + 1
-        assert m.map == sequential_map(hash_order_records(a) + hash_order_records(b), m.cfg)
+        assert key_lists(m) == map_lists(sequential_map(hash_order_records(a)
+                                                       + hash_order_records(b), m.cfg))
         m.check_consistency()

@@ -29,7 +29,7 @@ from aqf.yesno import (
     expected_adaptivity_bits,
     lower_bound_bits,
 )
-from oracles import build_static_sequential, find_colliders
+from oracles import build_static_sequential, find_colliders, key_rank
 
 
 def adversarial_lists(seed, q, r, depth, n):
@@ -518,7 +518,7 @@ class TestDynamic:
         z = find_colliders(cfg.q, cfg.r, cfg.seed, x, 0, 1)[0]
         f.yn_insert_no(z)
         mid = pack_minirun_id(*split(HashStream(x, cfg.seed), cfg), cfg.r)
-        rank = f.inner.map.find_rank(mid, x)
+        rank = key_rank(f.inner, mid, x)
         assert len(f.inner.arr.get_ext(mid, rank)) >= 1
         assert f.yn_query(x) == YES
         assert f.yn_query(z) == NO
