@@ -113,7 +113,7 @@ from .hashing import (
     split,
     split_batch,
 )
-from .snapshot import ByteReader, le_bytes, section, sealed, unseal
+from .snapshot import ByteReader, le_bytes, seal, section, unseal
 
 SNAPSHOT_MAGIC = b"AQF1"
 SNAPSHOT_VERSION = 2
@@ -1128,7 +1128,7 @@ class SlotArray:
         bits, past the last slot of a bit vector or the last payload, are
         zero.  A CRC32 of everything before it ends the bytes.
         """
-        return b"".join(sealed(self._parts()))
+        return seal(self._parts())
 
     def _parts(self) -> list:
         """to_bytes without its trailer, as a list of parts (see

@@ -64,8 +64,8 @@ from .hashing import (
     split,
     unhash_word,
 )
-from .revmap import ReverseMap
-from .snapshot import ByteReader, section, sealed, unseal
+from .revmap import ReverseMap, _joined, _reader
+from .snapshot import ByteReader, seal, section, unseal
 
 COMBINED_MAGIC = b"AQFS"
 COMBINED_VERSION = 3
@@ -349,45 +349,58 @@ class AdaptiveFilter:
         rank order, so they hold the same entries exactly when every row
         has the same minirun id in both.  The table is read a block at a
         time (SlotArray._blocks), each compared with the map's rows at
-        the same offset; the map's base rows are read in place unless
-        its overlay holds entries (ReverseMap._merged).  A row's id is
-        also the top q + r bits of its hash word, and only the rows with
-        extension chunks have their words turned back into keys, for the
-        chunks.  The first fault found, in the order of the checks below,
-        is raised.
+        the same offset, read from its blocks in place (ReverseMap._runs)
+        and joined only where a table block spans more than one.  A
+        row's id is also the top q + r bits of its hash word, and only
+        the rows with extension chunks have their words turned back into
+        keys, for the chunks.  The first fault found, in the order of the
+        checks in _fault, is raised.
         """
+        fault = self._fault()
+        if fault is not None:
+            raise StateCorruptionError(fault)
+
+    def _fault(self) -> str | None:
+        """The message of check_consistency's first fault; None when
+        there is none.  The views of the map's blocks that it reads go
+        with this call, before the check raises (ReverseMap._runs)."""
         cfg = self.cfg
-        mids, words, _ = self.map._merged()
+        runs = self.map._runs()
+        entries = sum(len(ids) for ids, _ in runs)
+        take = _reader(runs)
         rows, wrong_id, not_prefix = 0, None, None
         for cols in self.arr._blocks():
             lo, rows = rows, rows + len(cols.quot)
-            if wrong_id is not None or rows > len(mids):
+            pieces = take(len(cols.quot))
+            mids, owners = _joined(pieces, 0), _joined(pieces, 1)
+            if wrong_id is not None or rows > entries:
                 continue
-            ids, owners = cols.packed(cfg.r), words[lo:rows]
-            off = np.flatnonzero(ids != mids[lo:rows])
+            ids = cols.packed(cfg.r)
+            off = np.flatnonzero(ids != mids)
             if off.size:
-                wrong_id = lo + int(off[0]), ids[off[0]]
+                wrong_id = lo + int(off[0]), ids[off[0]], mids[off[0]]
             if off.size or not_prefix is not None:
                 continue
             bad = _pairs(owners, cfg) != ids
             for t, ext, chunks in _chunk_rounds(owners, cols.ext_len, cfg):
                 bad[ext] |= chunks != cols.chunks[cols.ext_off[ext] + t]
             if bad.any():
-                not_prefix = lo + int(np.flatnonzero(bad)[0])
-        if rows != len(mids):
-            raise StateCorruptionError(f"{rows} fingerprints, {len(mids)} map entries")
+                # a block holds whole runs, so the minirun's first row too
+                at = first = int(np.flatnonzero(bad)[0])
+                while first and mids[first - 1] == mids[at]:
+                    first -= 1
+                not_prefix = mids[at], at - first, owners[at]
+        if rows != entries:
+            return f"{rows} fingerprints, {entries} map entries"
         if wrong_id is not None:
-            at, mid = wrong_id
-            raise StateCorruptionError(f"filter and map disagree on minirun ids at row {at}: "
-                                       f"{mid} in the filter, {mids[at]} in the map")
+            at, mid, entry = wrong_id
+            return (f"filter and map disagree on minirun ids at row {at}: "
+                    f"{mid} in the filter, {entry} in the map")
         if not_prefix is not None:
-            at = first = not_prefix  # and the first row of its minirun
-            while first and mids[first - 1] == mids[at]:
-                first -= 1
-            raise StateCorruptionError(
-                f"minirun {mids[at]} rank {at - first} is not a prefix of key "
-                f"{unhash_word(int(words[at]), cfg.seed)}"
-            )
+            mid, rank, word = not_prefix
+            return (f"minirun {mid} rank {rank} is not a prefix of key "
+                    f"{unhash_word(int(word), cfg.seed)}")
+        return None
 
     def frozen_index(self) -> FrozenIndex:
         """Read-only snapshot for bulk probing; stale after any mutation."""
@@ -418,7 +431,7 @@ class AdaptiveFilter:
                           self.adaptations, self.adaptivity_bits, self.adaptation_failures)
         w = 64 - self.cfg.q - self.cfg.r
         parts = [head, section(self.arr._parts()), section(self.map._parts(w))]
-        return b"".join(sealed(parts))
+        return seal(parts)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "AdaptiveFilter":

@@ -15,29 +15,34 @@ Values are optional byte strings.  Storing them makes the map double as
 a small key-value store (the merged setup); leaving them None keeps the
 map a pure key index (the split setup, values living elsewhere).
 
-The map is stored flat.  The base holds one row per entry in ascending
-id order, ties in rank order: a uint64 id array, a uint64 key array, and
-a list of values that is dropped while every value is None.  A scalar
-read is a dict miss, a bisection of the id column and a scan of about
-one row; an id outside
-[0, 2**64) is read as missing, and refused by writes.  Writes go to an
-overlay, a dict holding the whole list of every id written since the
-last compaction: the first write to an id copies its base rows there,
-and reads try the overlay first.  Once the overlay holds more ids than a
-fixed share of the base rows, it is merged back: its ids are sorted
-once, and its rows are placed between the kept base rows, which stay in
-order, where the ids' base rows were (``_merged``); a save merges the
-same way and leaves the overlay in place.  Live, a map without values
-takes 16 bytes per key, its two columns.
+The map is the leaf level of a B-tree held in memory: a list of blocks
+in hash order, each holding rows of a uint64 id, a uint64 key and, when
+some value in it is set, a value, in ascending id order, ties in rank
+order.  An id's rows never straddle two blocks.  A directory keeps each
+block's first id.  A scalar read bisects the directory, then the block;
+an id outside [0, 2**64) is read as missing, and refused by writes.  A
+write shifts the rows after it within its block.  A block holds up to
+_ROWS rows (more only when one id's rows need them) with room at its
+end; a full one is cut in two, and one that falls below a quarter of
+_ROWS joins a neighbour (``_recut``).  A map built from columns
+(``_from_columns``, the loader) cuts them into unwritten blocks of about
+_BLOCK rows, views of the columns, with no copy; a write to one cuts
+out the piece of about half a block that it writes, and copies only
+that piece into room (``_own``).  Live, a map without values takes 16
+bytes per key while no block has been written; a written block holds
+copies of its rows, and the columns are let go once no block views
+them.
 
-Whole-map passes move the map as columns.  ``_merged()`` hands out the
-id, key and value of every row in hash order, the row order of the slot
-array's ``_columns()``, so the two pair row by row: the filter's
-consistency check compares them, and merge and rebuild read them
-through ``setops._key_columns``.  ``_from_columns()`` stores
-hash-ordered rows as the base, and refuses rows out of order; bulk
-load, merge, rebuild and the yes/no build make their maps with it, and
-no map is built by joining two maps.
+Whole-map passes read the blocks as views, one per written block and
+one per stretch of unwritten ones (``_runs``), the base columns
+themselves while no block has been written.  Their rows are in hash
+order, the row order of the slot array's ``_columns()``, so the two
+pair row by row: the filter's consistency check compares them a table
+block at a time (``_reader``), merge and rebuild read them joined
+through ``_rows`` (``setops._key_columns``), and a save writes them
+block by block into the snapshot.  ``_from_columns()`` refuses rows out
+of order; bulk load, merge, rebuild and the yes/no build make their
+maps with it, and no map is built by joining two maps.
 
 A snapshot holds the entries in hash order, then a length column and
 the value bytes only when some value is stored.  No minirun id is
@@ -54,12 +59,15 @@ q + r in 24..31, and the loader puts each row's id back above them.
 from __future__ import annotations
 
 import itertools
-import operator
-from bisect import bisect_left
+import sys
+from array import array
+from bisect import bisect_left, bisect_right
+from functools import cache, partial
+from operator import attrgetter
 
 import numpy as np
 
-from .core import _BLOCK, _ranges, _slot_dtype
+from .core import _BLOCK, _slot_dtype
 from .errors import (
     FormatError,
     InvalidConfigError,
@@ -67,15 +75,20 @@ from .errors import (
     UnsortedInputError,
 )
 from .hashing import MASK64, as_index
-from .snapshot import le_bytes, sealed, unseal
+from .snapshot import Fill, le_bytes, seal, unseal
 
 # value length sentinel meaning "no value stored"
 _NO_VALUE = 0xFFFFFFFF
 
-# the overlay is merged into the base once it holds more ids than this
-# share of the base rows, and more than _COMPACT_MIN
-_COMPACT_SHARE = 0.125
-_COMPACT_MIN = 64
+# rows a written block holds before an insert cuts it in two; blocks
+# are cut into pieces of about half that, and join a neighbour below a
+# quarter
+_ROWS = 1024
+
+_NONE = np.zeros(0, dtype=np.uint64)
+
+# which of a uint64's two 32-bit halves, in memory, holds its high bits
+_HIGH = int(sys.byteorder == "little")
 
 
 def _hash_ordered(mids) -> np.ndarray:
@@ -90,15 +103,16 @@ def _hash_ordered(mids) -> np.ndarray:
     return mids
 
 
-def _columns_of(w: int) -> list[tuple[int, int, np.dtype]]:
+@cache
+def _columns_of(w: int) -> tuple[tuple[int, int, np.dtype], ...]:
     """(shift, width, little-endian dtype) of each snapshot column that
     holds the low w bits of the entries, low bits first: a whole entry
     (w = 64) is one u64 column; else the low 32 bits, or all w when
     fewer, then the rest, each column in the narrowest unsigned dtype
     that holds it (_slot_dtype)."""
     widths = [(0, 64)] if w == 64 else [(0, min(w, 32)), (32, w - 32)]
-    return [(shift, width, np.dtype(_slot_dtype(width)).newbyteorder("<"))
-            for shift, width in widths if width > 0]
+    return tuple((shift, width, np.dtype(_slot_dtype(width)).newbyteorder("<"))
+                 for shift, width in widths if width > 0)
 
 
 def _join_values(*parts: tuple[list | None, int]) -> list | None:
@@ -109,70 +123,178 @@ def _join_values(*parts: tuple[list | None, int]) -> list | None:
     return [x for v, n in parts for x in (itertools.repeat(None, n) if v is None else v)]
 
 
+def _cuts(ids, lo: int, hi: int, rows: int) -> list[int]:
+    """Row offsets that cut hash-ordered ids[lo:hi] into pieces of about
+    rows rows, each cut at the first row of an id: lo, the cuts, hi."""
+    k = -(-(hi - lo) // rows)
+    cuts = [lo]
+    for i in range(1, k):
+        at = bisect_left(ids, ids[lo + i * (hi - lo) // k], lo, hi)
+        if at > cuts[-1]:
+            cuts.append(at)
+    return cuts + [hi]
+
+
+class _Block:
+    """Rows [lo, hi) of ids and keys, sequences that index to Python
+    ints, and their values, vals[i] that of row lo + i, None while every
+    value is None.  An unwritten block's ids and keys are memoryviews of
+    columns it shares with the blocks around it, and cap is 0: a write
+    copies it first.  A written block owns them as arrays ('Q'), which
+    hold its rows alone (lo is 0, hi their length), and is cut anew once
+    it holds cap rows."""
+
+    __slots__ = ("ids", "keys", "lo", "hi", "vals", "cap")
+
+    def __init__(self, ids, keys, lo: int, hi: int, vals: list | None, cap: int = 0):
+        self.ids, self.keys, self.lo, self.hi, self.vals, self.cap = ids, keys, lo, hi, vals, cap
+
+    @classmethod
+    def owned(cls, ids: np.ndarray, keys: np.ndarray, vals: list | None) -> "_Block":
+        """A written block of copies of the rows, cut anew at twice as
+        many rows, and _ROWS at least."""
+        blk = cls(array("Q"), array("Q"), 0, len(ids), vals, max(_ROWS, 2 * len(ids)))
+        blk.ids.frombytes(memoryview(ids).cast("B"))
+        blk.keys.frombytes(memoryview(keys).cast("B"))
+        return blk
+
+
+def _reader(runs: list):
+    """take(n): the next n rows of runs, (ids, keys) views such as
+    ReverseMap._runs hands out (ids may be None), as a list of such
+    pairs of n rows in all, fewer once the runs run out."""
+    runs = iter(runs)
+    ids, keys = None, _NONE
+
+    def take(n: int) -> list[tuple[np.ndarray | None, np.ndarray]]:
+        nonlocal ids, keys
+        pieces = []
+        while n:
+            if not len(keys):
+                run = next(runs, None)
+                if run is None:
+                    break
+                ids, keys = run
+                continue
+            pieces.append((None if ids is None else ids[:n], keys[:n]))
+            ids, keys = None if ids is None else ids[n:], keys[n:]
+            n -= len(pieces[-1][1])
+        return pieces
+
+    return take
+
+
+def _joined(pieces: list, c: int) -> np.ndarray:
+    """Column c of pieces that a reader's take hands out, as one array: a
+    view when there is one piece."""
+    return pieces[0][c] if len(pieces) == 1 else np.concatenate([p[c] for p in pieces] or [_NONE])
+
+
+def _write_columns(runs: list, w: int, dest: memoryview) -> None:
+    """Write the columns of the low w bits of the keys of runs (see
+    _columns_of), one after the other, into dest, a _BLOCK of rows at a
+    time, so that each column reads them from cache.  Each column is a
+    cast, which keeps the low bits of each key, or of its high half."""
+    n, outs = sum(len(keys) for _, keys in runs), []
+    for shift, width, dt in _columns_of(w):
+        outs.append((shift, np.frombuffer(dest[: n * dt.itemsize], dtype=dt)))
+        dest = dest[n * dt.itemsize :]
+    take, at = _reader(runs), 0
+    while chunk := [keys for _, keys in take(_BLOCK)]:
+        rows = sum(map(len, chunk))
+        for shift, out in outs:
+            cols = [keys.view(np.uint32)[_HIGH::2] for keys in chunk] if shift else chunk
+            np.concatenate(cols, out=out[at : at + rows], casting="unsafe")
+        at += rows
+    for (_, width, dt), (_, out) in zip(_columns_of(w), outs):
+        if width < 8 * dt.itemsize:
+            out &= dt.type((1 << width) - 1)
+
+
 class ReverseMap:
     """Ordered key lists per minirun id, with rank addressing.
 
     ``accesses`` counts every list read or write and exists so callers
-    can prove a code path never touched the map.  Compaction, the
-    column passes and the decoder count nothing.
+    can prove a code path never touched the map.  Block cuts and joins,
+    the column passes and the decoder count nothing.
     """
 
     def __init__(self):
         self.accesses = 0
-        self._set_base(np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=np.uint64), None)
+        self._set_columns(_NONE, _NONE, None)
 
-    def _set_base(self, mids: np.ndarray, keys: np.ndarray, values: list | None) -> None:
-        """Make hash-ordered rows the base and empty the overlay; the
-        map keeps the arrays it is handed.
+    def _set_columns(self, mids: np.ndarray, keys: np.ndarray, values: list | None) -> None:
+        """Make hash-ordered rows the map's, as unwritten blocks of about
+        _BLOCK rows, views of the arrays, which the map keeps; values is
+        None when every value is None."""
+        self._cols = mids, keys, values
+        self._blocks = [_Block(memoryview(mids), memoryview(keys), 0, len(mids), values)]
+        self._firsts = [0]  # the directory
+        self._nkeys = len(mids)
+        self._unwritten = 1
+        self._cut_view(0, _cuts(memoryview(mids), 0, len(mids), _BLOCK))
 
-        values is None when every value is None.
-        """
-        n = len(mids)
-        self._mids, self._keys, self._values = mids, keys, values
-        # memoryviews index to Python ints without a numpy scalar
-        self._midv, self._keyv = memoryview(mids), memoryview(keys)
-        self._over: dict[int, list[tuple[int, bytes | None]]] = {}
-        self._found = (None, 0, 0)  # (id, lo, hi) of find_rank's last base scan
-        self._nkeys = n
-        # overlay size past which a write compacts
-        self._limit = max(_COMPACT_MIN, _COMPACT_SHARE * n)
+    def _cut_view(self, b: int, cuts: list[int]) -> None:
+        """Cut unwritten block b at cuts, rows that ascend from its first
+        to its end, into unwritten blocks, views of the same columns."""
+        blk = self._blocks[b]
+        self._blocks[b : b + 1] = [
+            _Block(blk.ids, blk.keys, lo, hi,
+                   None if blk.vals is None else blk.vals[lo - blk.lo : hi - blk.lo])
+            for lo, hi in itertools.pairwise(cuts)]
+        if blk.hi > blk.lo:
+            self._firsts[b : b + 1] = [blk.ids[cut] for cut in cuts[:-1]]
+        self._unwritten += len(cuts) - 2
 
-    def _span(self, mid: int) -> tuple[int, int]:
-        """Base rows [lo, hi) of mid; an empty range when it has none."""
-        midv = self._midv
-        lo = hi = bisect_left(midv, mid)
-        end = len(midv)
-        while hi < end and midv[hi] == mid:
-            hi += 1
-        return lo, hi
+    def _find(self, mid: int) -> tuple[int, _Block, int]:
+        """(b, block b, row): the block where mid's rows are, or would
+        go (block 0 for an id below every block), and its first row at
+        or past mid, where mid's rows start when it has some."""
+        b = bisect_right(self._firsts, mid) - 1
+        if b < 0:
+            b = 0
+        blk = self._blocks[b]
+        return b, blk, bisect_left(blk.ids, mid, blk.lo, blk.hi)
 
-    def _writable(self, mid: int, rank: int, room: int) -> list:
-        """mid's overlay list, for a write at a rank below its length
-        plus room; a first write copies the id's base rows there.  The
-        rows come from find_rank's scan when it was the last to look mid
-        up in the base, so a delete or a deduplicated insert scans once."""
-        lst = self._over.get(mid)
-        if lst is None:
-            found, lo, hi = self._found
-            if found != mid:
-                lo, hi = self._span(mid)
-            size = hi - lo
-        else:
-            size = len(lst)
-        if not 0 <= rank < size + room:
-            raise NotFoundError(f"rank {rank} out of bounds for the {size} entries "
-                                f"of minirun {mid}")
-        if lst is None:
-            keyv, values = self._keyv, self._values
-            lst = self._over[mid] = []
-            while lo < hi:
-                lst.append((keyv[lo], None if values is None else values[lo]))
-                lo += 1
-        return lst
+    def _recut(self, a: int, b: int) -> None:
+        """Copy the rows of blocks [a, b) into written blocks, cut into
+        pieces of about half a block (_cuts)."""
+        old = self._blocks[a:b]
+        rows = list(map(self._rows_of, old))
+        ids = np.concatenate([ids for ids, _ in rows])
+        keys = np.concatenate([keys for _, keys in rows])
+        vals = _join_values(*((blk.vals, blk.hi - blk.lo) for blk in old))
+        self._unwritten -= sum(not blk.cap for blk in old)
+        if not self._unwritten:  # no block views the columns any more
+            self._cols = _NONE, _NONE, None
+        idv = memoryview(ids)
+        cuts = _cuts(idv, 0, len(ids), _ROWS // 2)
+        self._blocks[a:b] = [_Block.owned(ids[lo:hi], keys[lo:hi],
+                                          None if vals is None else vals[lo:hi])
+                             for lo, hi in itertools.pairwise(cuts)]
+        self._firsts[a:b] = [idv[cut] for cut in cuts[:-1]] if len(ids) else [0]
 
-    def _compact(self) -> None:
-        """Merge the overlay into the base."""
-        self._set_base(*self._merged())
+    def _own(self, b: int, mid: int) -> tuple[int, _Block, int]:
+        """Write block b, where mid's rows are or would go, anew, with
+        room, and _find mid again: from an unwritten block, the piece of
+        about half a block that holds mid's rows is first cut out as an
+        unwritten block of its own, so that only it is copied; a full one
+        is cut in two."""
+        blk = self._blocks[b]
+        if not blk.cap and blk.hi - blk.lo > _ROWS // 2:
+            # of the pieces _cuts would cut, only mid's is cut out
+            cuts = _cuts(blk.ids, blk.lo, blk.hi, _ROWS // 2)
+            j = max(1, bisect_right([blk.ids[cut] for cut in cuts[:-1]], mid))
+            inner = [cut for cut in cuts[j - 1 : j + 1] if blk.lo < cut < blk.hi]
+            self._cut_view(b, [blk.lo, *inner, blk.hi])
+            b = self._find(mid)[0]
+        self._recut(b, b + 1)
+        return self._find(mid)
+
+    @property
+    def _written(self) -> bool:
+        """Whether some block has been written."""
+        return self._unwritten < len(self._blocks)
 
     @staticmethod
     def check_entry(key: int, value: bytes | None) -> None:
@@ -188,61 +310,73 @@ class ReverseMap:
         if not 0 <= mid <= MASK64:
             raise InvalidConfigError("minirun id must fit in 64 bits")
         rank = as_index(rank, "rank")
-        lst = self._writable(mid, rank, 1)
-        lst.insert(rank, (key, value))
+        b, blk, row = self._find(mid)
+        at = row + rank
+        # rank is in bounds when it is 0 or mid holds the row before it
+        if rank < 0 or rank and (at > blk.hi or blk.ids[at - 1] != mid):
+            raise NotFoundError(f"rank {rank} out of bounds for the "
+                                f"{self.list_size(mid)} entries of minirun {mid}")
+        if blk.hi >= blk.cap:  # unwritten, or full
+            b, blk, row = self._own(b, mid)
+            at = row + rank
+        blk.ids.insert(at, mid)
+        blk.keys.insert(at, key)
+        if value is not None and blk.vals is None:
+            blk.vals = [None] * blk.hi
+        if blk.vals is not None:
+            blk.vals.insert(at, value)
+        blk.hi += 1
+        if not at:
+            self._firsts[b] = mid
         self._nkeys += 1
         self.accesses += 1
-        if len(self._over) > self._limit:
-            self._compact()
 
     def map_get(self, mid: int, rank: int) -> tuple[int, bytes | None]:
-        lst = self._over.get(mid)
-        if lst is not None:
-            if not 0 <= rank < len(lst):
-                raise NotFoundError(f"minirun {mid} has no entry at rank {rank}")
-            self.accesses += 1
-            return lst[rank]
-        lo, hi = self._span(mid)
-        if not 0 <= rank < hi - lo:
+        _, blk, row = self._find(mid)
+        at = row + rank
+        if rank < 0 or at >= blk.hi or blk.ids[at] != mid:
             raise NotFoundError(f"minirun {mid} has no entry at rank {rank}")
         self.accesses += 1
-        values = self._values
-        return self._keyv[lo + rank], None if values is None else values[lo + rank]
+        vals = blk.vals
+        return blk.keys[at], None if vals is None else vals[at - blk.lo]
 
     def map_remove(self, mid: int, rank: int) -> tuple[int, bytes | None]:
         """Remove and return the entry at rank; empty ids are dropped."""
         rank = as_index(rank, "rank")
-        lst = self._writable(mid, rank, 0)
-        out = lst.pop(rank)
+        b, blk, row = self._find(mid)
+        at = row + rank
+        if rank < 0 or at >= blk.hi or blk.ids[at] != mid:
+            raise NotFoundError(f"minirun {mid} has no entry at rank {rank}")
+        if not blk.cap:
+            b, blk, row = self._own(b, mid)
+            at = row + rank
+        del blk.ids[at]
+        out = blk.keys.pop(at), None if blk.vals is None else blk.vals.pop(at)
+        blk.hi -= 1
+        if not at and blk.hi:
+            self._firsts[b] = blk.ids[0]
+        if blk.hi < _ROWS // 4 and len(self._blocks) > 1:  # join a neighbour
+            a = b if b + 1 < len(self._blocks) else b - 1
+            self._recut(a, a + 2)
         self._nkeys -= 1
         self.accesses += 1
-        if len(self._over) > self._limit:
-            self._compact()
         return out
 
     def find_rank(self, mid: int, key: int) -> int | None:
         """Rank of the first exact occurrence of key, or None."""
         self.accesses += 1
-        lst = self._over.get(mid)
-        if lst is not None:
-            for rank, (k, _) in enumerate(lst):
-                if k == key:
-                    return rank
-            return None
-        lo, hi = self._span(mid)
-        self._found = (mid, lo, hi)
-        keyv = self._keyv
-        for row in range(lo, hi):
-            if keyv[row] == key:
-                return row - lo
+        _, blk, first = self._find(mid)
+        ids, keys, hi = blk.ids, blk.keys, blk.hi
+        row = first
+        while row < hi and ids[row] == mid:
+            if keys[row] == key:
+                return row - first
+            row += 1
         return None
 
     def list_size(self, mid: int) -> int:
-        lst = self._over.get(mid)
-        if lst is not None:
-            return len(lst)
-        lo, hi = self._span(mid)
-        return hi - lo
+        _, blk, row = self._find(mid)
+        return bisect_right(blk.ids, mid, row, blk.hi) - row
 
     @property
     def key_count(self) -> int:
@@ -251,75 +385,80 @@ class ReverseMap:
     def __eq__(self, other) -> bool:
         if not isinstance(other, ReverseMap):
             return NotImplemented
-        (ma, ka, va), (mb, kb, vb) = self._merged(), other._merged()
-        return (np.array_equal(ma, mb) and np.array_equal(ka, kb)
-                and _join_values((va, len(ma))) == _join_values((vb, len(mb))))
+        (ma, ka, va), (mb, kb, vb) = self._rows(), other._rows()
+        return np.array_equal(ma, mb) and np.array_equal(ka, kb) and va == vb
 
     # ------------------------------------------------------------------
     # columns: the one way out of the map and the one way in
 
-    def _merged(self) -> tuple[np.ndarray, np.ndarray, list | None]:
-        """(ids, keys, values) of every entry, overlay included.
+    def _runs(self, with_ids: bool = True) -> list[tuple[np.ndarray | None, np.ndarray]]:
+        """(ids, keys) views of the rows in hash order, ties in rank
+        order, ids None unless with_ids: one per non-empty written block
+        and one per stretch of unwritten blocks, which lie side by side
+        in the columns they share (the rows between two of them can only
+        go through a write, which writes their block).
 
-        Rows in hash order, ties in rank order; values is None when
-        every value is None.  The base rows of the overlay's ids are
-        dropped and its lists take their place; nothing is re-sorted but
-        the overlay's ids.
+        A view of a written block's arrays keeps them from growing, so
+        no view may outlive the pass that reads them; _rows hands out
+        copies of them.
         """
-        over = self._over
-        if not over:
-            return self._mids, self._keys, self._values
-        mids, values = self._mids, self._values
-        ids = np.fromiter(over, dtype=np.uint64, count=len(over))
-        lists = list(over.values())
-        lengths = np.fromiter(map(len, lists), dtype=np.int64, count=len(lists))
-        flat = list(itertools.chain.from_iterable(lists))
-        # the overlay's ids in hash order (they are distinct), and its
-        # rows in that order, each list in rank order
-        by_hash = np.argsort(ids)
-        rows = _ranges((np.cumsum(lengths) - lengths)[by_hash], lengths[by_hash])
-        ids, lengths = ids[by_hash], lengths[by_hash]
-        lo = np.searchsorted(mids, ids, side="left")
-        dropped = np.searchsorted(mids, ids, side="right") - lo
-        keep = np.ones(len(mids), dtype=bool)
-        keep[_ranges(lo, dropped)] = False
+        ids, keys, _ = self._cols
+        if not self._written:
+            return [(ids if with_ids else None, keys)]
+        runs = []
+        for cap, group in itertools.groupby(self._blocks, attrgetter("cap")):
+            if cap:
+                runs += [self._rows_of(blk, with_ids) for blk in group if blk.hi]
+            else:
+                stretch = list(group)
+                lo, hi = stretch[0].lo, stretch[-1].hi
+                runs.append((ids[lo:hi] if with_ids else None, keys[lo:hi]))
+        return runs
 
-        # the kept rows stay in hash order, and an id's overlay rows go
-        # where its base rows were: after the kept rows below it and the
-        # overlay rows of the ids below it
-        start = lo - (np.cumsum(dropped) - dropped) + (np.cumsum(lengths) - lengths)
-        mine = np.zeros(len(mids) - int(dropped.sum()) + len(flat), dtype=bool)
-        mine[_ranges(start, lengths)] = True
-        base = ~mine
-        out_mids = np.empty(len(mine), dtype=np.uint64)
-        out_mids[mine] = np.repeat(ids, lengths)
-        out_mids[base] = mids[keep]
-        out_keys = np.empty(len(mine), dtype=np.uint64)
-        out_keys[mine] = np.fromiter(map(operator.itemgetter(0), flat), dtype=np.uint64,
-                                     count=len(flat))[rows]
-        out_keys[base] = self._keys[keep]
-        new_values = list(map(operator.itemgetter(1), flat))
-        kept_values = [] if values is None else list(itertools.compress(values, keep.tolist()))
-        if kept_values.count(None) == len(kept_values) and new_values.count(None) == len(flat):
-            return out_mids, out_keys, None
-        kept = iter(kept_values or itertools.repeat(None))
-        fresh = map(new_values.__getitem__, rows.tolist())
-        return out_mids, out_keys, [next(fresh) if m else next(kept) for m in mine.tolist()]
+    def _rows_of(self, blk: _Block, with_ids: bool = True) -> tuple[np.ndarray | None, np.ndarray]:
+        """blk's rows' ids, None unless with_ids, and keys, as uint64
+        views."""
+        if not blk.cap:
+            ids, keys, _ = self._cols
+            return ids[blk.lo : blk.hi] if with_ids else None, keys[blk.lo : blk.hi]
+        return (np.frombuffer(blk.ids, dtype=np.uint64) if with_ids else None,
+                np.frombuffer(blk.keys, dtype=np.uint64))
+
+    def _values(self) -> list | None:
+        """The value of every row in hash order; None when every value
+        is None."""
+        if not self._written:
+            return self._cols[2]
+        if not any(map(attrgetter("vals"), self._blocks)):
+            return None
+        return _join_values(*((blk.vals, blk.hi - blk.lo) for blk in self._blocks))
+
+    def _rows(self) -> tuple[np.ndarray, np.ndarray, list | None]:
+        """(ids, keys, values) of every row in hash order, ties in rank
+        order; values is None when every value is None.  The map's
+        columns themselves while no block has been written, else joined
+        copies."""
+        runs = self._runs()
+        if not self._written:
+            (ids, keys), = runs
+        else:
+            ids = np.concatenate([ids for ids, _ in runs] or [_NONE])
+            keys = np.concatenate([keys for _, keys in runs] or [_NONE])
+        return ids, keys, self._values()
 
     @classmethod
     def _from_columns(cls, mids: np.ndarray, keys: np.ndarray, values) -> "ReverseMap":
         """Map holding (keys[i], values[i]) under mids[i]; values None
         stands for a value of None at every key.
 
-        Rows come in hash order, each list's in rank order, and become
-        the base as they are; the map keeps the arrays, which the caller
-        no longer uses.  Counts one access per entry, as building it
-        with map_insert would.  Ids out of order raise
-        UnsortedInputError.
+        Rows come in hash order, each list's in rank order; the map's
+        blocks are views of the arrays, which the caller no longer uses.
+        Counts one access per entry, as building it with map_insert
+        would.  Ids out of order raise UnsortedInputError.
         """
         m = cls()
-        m._set_base(_hash_ordered(mids), np.asarray(keys, dtype=np.uint64),
-                    _join_values((values, len(keys))))
+        m._set_columns(_hash_ordered(mids), np.asarray(keys, dtype=np.uint64),
+                       _join_values((values, len(keys))))
         m.accesses = len(keys)
         return m
 
@@ -335,22 +474,16 @@ class ReverseMap:
         other.  A CRC32 of everything before it ends the bytes.  The
         minirun ids are not written: the slot array implies them.
         """
-        return b"".join(sealed(self._parts(64)))
+        return seal(self._parts(64))
 
     def _parts(self, w: int) -> list:
         """The entries' low w bits (see _columns_of) and the values, as a
-        list of parts (see snapshot) without a trailer."""
-        _, keys, values = self._merged()
-        parts = []
-        for shift, width, dt in _columns_of(w):
-            if shift:
-                col = np.right_shift(keys, np.uint64(shift), out=np.empty(len(keys), dtype=dt),
-                                     casting="unsafe")
-            else:
-                col = keys.astype(dt)  # a plain cast: the low bits, and faster than a shift
-            if width < 8 * dt.itemsize:
-                col &= dt.type((1 << width) - 1)
-            parts.append(le_bytes(col, dt))
+        list of parts (see snapshot) without a trailer.  The entry
+        columns are one Fill, which writes the blocks' keys straight into
+        the snapshot (_write_columns)."""
+        size = self._nkeys * sum(dt.itemsize for _, _, dt in _columns_of(w))
+        parts = [Fill(size, partial(_write_columns, self._runs(with_ids=False), w))]
+        values = self._values()
         if values is not None:
             lengths = np.fromiter((_NO_VALUE if v is None else len(v) for v in values),
                                   dtype="<u4", count=len(values))
@@ -403,5 +536,5 @@ class ReverseMap:
                                   f"the section holds {len(blob)}")
             values = [blob[a - k : a] if h else None
                       for a, k, h in zip(ends.tolist(), lengths.tolist(), held.tolist())]
-        m._set_base(mids, keys, values)
+        m._set_columns(mids, keys, values)
         return m

@@ -21,8 +21,9 @@ hand the pairs, as bare fingerprint columns, and the words to
 placed words back into keys (``hashing.unhash_word_batch``).
 
 Merge and rebuild take one path, ``_build_rederived``: they read their
-inputs' tables and maps as columns in hash order
-(``SlotArray._columns`` and ``ReverseMap._merged``), which pair row by
+inputs' tables and maps as columns in hash order (``SlotArray._columns``,
+and ``ReverseMap._rows``, the map's blocks joined, or its columns
+themselves while no block has been written), which pair row by
 row, re-derive every fingerprint from its word under the output config,
 and place the result.  Merge keeps the seed, so the words stand as they
 are; rebuild turns them back into keys and hashes those under its new
@@ -136,7 +137,7 @@ def _key_columns(f: AdaptiveFilter) -> tuple[_Cols, np.ndarray, list | None]:
     in rank order, which map lists mirror (check_consistency() proves
     that), so row i of one is row i of the other.
     """
-    _, words, values = f.map._merged()
+    _, words, values = f.map._rows()
     return f.arr._columns(), words, values
 
 

@@ -3,22 +3,27 @@
 All integers are little-endian.  Variable-size payloads travel as
 length-prefixed sections: a u64 byte count followed by the raw bytes.
 Every snapshot ends in a CRC32 (zlib's) of all the bytes before it,
-written by ``sealed`` and checked by ``unseal`` before any field is read.
+written by ``seal`` and checked by ``unseal`` before any field is read.
 
 An encoder builds its snapshot as a list of parts, each a bytes-like
 object of single bytes (``bytes``, or a ``memoryview`` of an array's
 little-endian bytes, see ``le_bytes``): headers, length prefixes and
-the columns as they lie in memory.  ``sealed`` computes the trailer part
-by part, and the encoder joins the list once, so each byte of a column
-is copied once.  A ``section`` is a plain list of parts.  One seal
-covers a whole snapshot: the sections nested in it carry no trailer of
-their own, so a save and a load checksum each byte once.
+the columns as they lie in memory; or a ``Fill``, which writes its
+bytes in place, so that a column made for the snapshot is made where it
+lies in the snapshot.  ``seal`` lays the parts out in the one buffer
+that becomes the snapshot and computes the trailer part by part, so
+each byte of a column is copied once.  A ``section`` is a plain list of
+parts.  One seal covers a whole snapshot: the sections nested in it
+carry no trailer of their own, so a save and a load checksum each byte
+once.
 """
 
 from __future__ import annotations
 
+import io
 import struct
 import zlib
+from collections.abc import Callable
 
 import numpy as np
 
@@ -34,21 +39,31 @@ def le_bytes(a: np.ndarray, dtype: str) -> memoryview:
     return memoryview(np.ascontiguousarray(a, dtype=dtype)).cast("B")
 
 
+class Fill:
+    """A part of nbytes bytes that write(dest) puts in dest, the
+    writable byte memoryview where they lie in the snapshot."""
+
+    __slots__ = ("nbytes", "write")
+
+    def __init__(self, nbytes: int, write: Callable[[memoryview], None]):
+        self.nbytes, self.write = nbytes, write
+
+    def __len__(self) -> int:
+        return self.nbytes
+
+
 def _nbytes(parts) -> int:
     """The byte count of parts, nested lists included."""
     return sum(_nbytes(part) if isinstance(part, list) else len(part) for part in parts)
 
 
-def _splice(parts, flat: list, crc: int) -> int:
-    """Append the bytes-like parts of parts, nested lists spliced in, to
-    flat, and return crc continued over their bytes."""
+def _flat(parts):
+    """The bytes-like and Fill parts of parts, nested lists spliced in."""
     for part in parts:
         if isinstance(part, list):
-            crc = _splice(part, flat, crc)
+            yield from _flat(part)
         else:
-            flat.append(part)
-            crc = zlib.crc32(part, crc)
-    return crc
+            yield part
 
 
 def section(parts: list) -> list:
@@ -57,13 +72,30 @@ def section(parts: list) -> list:
     return [_LEN.pack(_nbytes(parts)), *parts]
 
 
-def sealed(parts: list) -> list:
+def seal(parts: list) -> bytes:
     """parts, nested lists spliced in, followed by the CRC32 trailer of
-    their bytes, computed part by part."""
-    flat = []
-    crc = _splice(parts, flat, 0)
-    flat.append(_CRC.pack(crc))
-    return flat
+    their bytes, as one bytes object.
+
+    The parts are laid out in a BytesIO's buffer of the snapshot's size,
+    which getvalue hands out without a copy once no view of it is left,
+    so a snapshot takes no memory beyond its bytes but what its parts
+    take.
+    """
+    parts = list(_flat(parts))
+    out = io.BytesIO(bytes(sum(map(len, parts)) + _CRC.size))
+    at = crc = 0
+    with out.getbuffer() as buf:
+        for part in parts:
+            if isinstance(part, Fill):
+                with buf[at : at + len(part)] as dest:
+                    part.write(dest)
+                    crc = zlib.crc32(dest, crc)
+            else:
+                buf[at : at + len(part)] = part
+                crc = zlib.crc32(part, crc)
+            at += len(part)
+        buf[at:] = _CRC.pack(crc)
+    return out.getvalue()
 
 
 def unseal(data) -> memoryview:

@@ -319,9 +319,9 @@ def with_slot_fields(blob: bytes, rows: list[np.ndarray], payloads: np.ndarray) 
 
 def map_lists(m) -> dict:
     """A reverse map's lists, {minirun id: [(key, value), ...]}, grouped
-    from its _merged() rows, which must come in hash order (ascending
-    ids), each list in rank order; the dict holds the ids in that order."""
-    mids, keys, values = m._merged()
+    from its _rows(), which must come in hash order (ascending ids),
+    each list in rank order; the dict holds the ids in that order."""
+    mids, keys, values = m._rows()
     ids = mids.tolist()
     assert ids == sorted(ids), "map rows out of hash order"
     out = {}

@@ -528,22 +528,26 @@ class TestDelete:
         assert len(f) == 0 and f.arr.used_count == 0
 
     def test_delete_scans_the_map_bucket_once(self, monkeypatch):
-        """find_rank's scan of the id's base rows serves map_remove too;
-        the map still counts two accesses per delete."""
+        """find_rank scans the id's rows; map_remove bisects straight to
+        the row at its rank and scans none.  A delete looks its id's
+        block up twice, once for each, and the map counts two accesses
+        per delete.  The first delete copies the map's lone, unwritten
+        block into room and looks it up once more."""
         f, keys = fill_to_load(FilterConfig(q=10, r=6, seed=61), 0.5, seed=62)
+        assert len(f.map._blocks) == 1 and not f.map._blocks[0].cap
         scans = Counter()
-        span = f.map._span
+        find = f.map._find
 
         def counted(mid):
             scans["scans"] += 1
-            return span(mid)
+            return find(mid)
 
-        monkeypatch.setattr(f.map, "_span", counted)
+        monkeypatch.setattr(f.map, "_find", counted)
         before = f.map.accesses
         victims = [int(k) for k in keys[:50]]
         for k in victims:
             f.delete(k)
-        assert scans["scans"] == len(victims)
+        assert scans["scans"] == 2 * len(victims) + 1
         assert f.map.accesses == before + 2 * len(victims)
         monkeypatch.undo()
         f.check_consistency()
@@ -588,24 +592,32 @@ class TestConsistency:
         with pytest.raises(StateCorruptionError, match="disagree on minirun ids"):
             f.check_consistency()
 
+    @staticmethod
+    def written(f, mid) -> bool:
+        """Whether the map block that holds mid has been written."""
+        return bool(f.map._find(mid)[1].cap)
+
     def test_detects_map_tampering(self):
         f = AdaptiveFilter(FilterConfig(q=8, r=4, seed=62))
         mid, rank = f.insert(1001)
-        assert f.map._over
+        assert self.written(f, mid)
         self.swap_key(f, mid, rank)
-        assert f.map._over
+        assert self.written(f, mid)
 
-    def test_detects_map_tampering_in_the_base_columns(self, monkeypatch):
+    def test_detects_map_tampering_in_the_base_columns(self):
         f = AdaptiveFilter(FilterConfig(q=8, r=4, seed=62))
         mid, rank = f.insert(1001)
-        # a reload puts every entry in the map's base columns, and
-        # compacting on every write puts the swapped entry there too
-        monkeypatch.setattr(revmap, "_COMPACT_MIN", 0)
-        monkeypatch.setattr(revmap, "_COMPACT_SHARE", 0)
+        # a reload puts every entry in unwritten blocks, views of the
+        # map's columns, and the swap goes into those columns in place
         f = AdaptiveFilter.from_bytes(f.to_bytes())
-        assert not f.map._over
-        self.swap_key(f, mid, rank)
-        assert not f.map._over
+        assert not self.written(f, mid)
+        _, keys, _ = f.map._rows()  # the columns themselves
+        _, blk, row = f.map._find(mid)
+        keys[row + rank] = 2002
+        assert f.map.map_get(mid, rank) == (2002, None)
+        with pytest.raises(StateCorruptionError):
+            f.check_consistency()
+        assert not self.written(f, mid)
 
     def test_detects_an_extension_its_owner_does_not_share(self):
         cfg = FilterConfig(q=8, r=4, seed=62)
@@ -621,12 +633,15 @@ class TestConsistency:
     @pytest.mark.parametrize("fault", ["key", "id", "extra", "missing"])
     def test_blocks_of_a_few_slots_report_the_same_fault(self, fault, monkeypatch):
         """The check reads the table a block at a time and compares it
-        with the map's base rows in place; it names the same fault, by
-        its row in the whole table, whatever the block size."""
+        with the map's rows, read from its blocks in place; it names the
+        same fault, by its row in the whole table, whatever the table's
+        block size, and whether the map's blocks are unwritten views of
+        its columns or written blocks of a few rows each."""
         f = AdaptiveFilter.from_bytes(fill_to_load(FilterConfig(q=8, r=4, seed=64), 0.6,
                                                    seed=65)[0].to_bytes())
-        mids, keys = f.map._mids.copy(), f.map._keys.copy()
-        assert not f.map._over and len(mids) > 120
+        mids, keys, _ = f.map._rows()
+        mids, keys = mids.copy(), keys.copy()
+        assert not any(blk.cap for blk in f.map._blocks) and len(mids) > 120
         if fault == "key":
             keys[120] ^= 1 << 63
         elif fault == "id":
@@ -635,13 +650,18 @@ class TestConsistency:
             mids, keys = np.append(mids, mids[-1]), np.append(keys, keys[-1])
         else:
             mids, keys = mids[:-1], keys[:-1]
-        f.map._set_base(mids, keys, None)
+        f.map._set_columns(mids, keys, None)
         messages = []
-        for block in (1 << 14, 5, 1):
-            monkeypatch.setattr(core, "_BLOCK", block)
-            with pytest.raises(StateCorruptionError) as err:
-                f.check_consistency()
-            messages.append(str(err.value))
+        for written in (False, True):
+            if written:  # every block written, of about 3 rows
+                monkeypatch.setattr(revmap, "_ROWS", 6)
+                f.map._recut(0, len(f.map._blocks))
+                assert len(f.map._blocks) > 40 and all(blk.cap for blk in f.map._blocks)
+            for block in (1 << 14, 5, 1):
+                monkeypatch.setattr(core, "_BLOCK", block)
+                with pytest.raises(StateCorruptionError) as err:
+                    f.check_consistency()
+                messages.append(str(err.value))
         assert len(set(messages)) == 1
         assert ("row 120" in messages[0]) == (fault == "id")
 

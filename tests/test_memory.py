@@ -15,6 +15,15 @@ built whole-table columns of rows to derive the ids.  The bounds leave
 9% of headroom or more, so one more whole-table 8-byte temporary alive
 at a pass's peak fails them.
 
+After 100 fresh inserts, which write about 100 of the reverse map's
+blocks, the check reads the map's rows from its blocks and joins only
+the rows of a table block that spans several: at q=16 it peaks at about
+22.7 bytes per key, against 33.3 when a map with written entries was
+merged into whole new columns first.  A save writes the map's entry
+columns straight into the snapshot, a block of rows at a time: beyond
+its blob it peaks at about 7.3 bytes per key, against 21.9 with the
+merge.  The bounds fail one more whole-map 8-byte temporary.
+
 The cached index keeps about 6.4 bytes per key: its quotient directory
 and a 2-byte remainder per pair.  The bound leaves about 9% of headroom,
 so a per-pair 1-byte flag or a packed 8-byte pair column fails it.
@@ -33,6 +42,8 @@ per key, fails a map section that writes whole 8-byte entries (9.8).
 import gc
 import tracemalloc
 
+import numpy as np
+
 from aqf.filter import AdaptiveFilter
 from aqf.hashing import FilterConfig
 from aqf.workbench import fill_to_load
@@ -42,6 +53,8 @@ CFG = FilterConfig(q=16, r=9, seed=3)
 FILL_BYTES_PER_KEY = 46
 INDEX_BYTES_PER_KEY = 29
 CHECK_BYTES_PER_KEY = 19
+CHECK_AFTER_INSERTS_BYTES_PER_KEY = 25
+SAVE_BEYOND_BLOB_BYTES_PER_KEY = 9
 LOAD_BYTES_PER_KEY = 26
 INDEX_LIVE_BYTES_PER_KEY = 7.0
 LIVE_BYTES_PER_KEY = 19.8
@@ -75,6 +88,27 @@ def test_the_consistency_check_stays_under_its_bytes_per_key():
     f, keys = fill_to_load(CFG, 0.9, seed=5)
     _, peak = peak_bytes(f.check_consistency)
     assert peak / len(keys) < CHECK_BYTES_PER_KEY
+
+
+def filled_and_written():
+    """A filter filled to 90% and then given 100 fresh keys."""
+    f, _ = fill_to_load(CFG, 0.9, seed=5)
+    for key in np.random.default_rng(6).integers(1 << 62, 1 << 63, size=100,
+                                                  dtype=np.uint64).tolist():
+        f.insert(key)
+    return f
+
+
+def test_the_check_after_fresh_inserts_stays_under_its_bytes_per_key():
+    f = filled_and_written()
+    _, peak = peak_bytes(f.check_consistency)
+    assert peak / len(f) < CHECK_AFTER_INSERTS_BYTES_PER_KEY
+
+
+def test_a_save_after_fresh_inserts_stays_under_its_bytes_per_key_beyond_its_blob():
+    f = filled_and_written()
+    blob, peak = peak_bytes(f.to_bytes)
+    assert (peak - len(blob)) / len(f) < SAVE_BEYOND_BLOB_BYTES_PER_KEY
 
 
 def test_a_load_stays_under_its_bytes_per_key():

@@ -11,6 +11,7 @@ from hypothesis.stateful import (
     RuleBasedStateMachine,
     initialize,
     invariant,
+    precondition,
     rule,
     run_state_machine_as_test,
 )
@@ -40,6 +41,31 @@ def model_ids(entries: dict) -> np.ndarray:
 
 def ids_of(m: ReverseMap) -> np.ndarray:
     return model_ids(map_lists(m))
+
+
+def block_layout(m: ReverseMap) -> list:
+    """(cap, lo, hi) of each of m's blocks, and its directory."""
+    return [(blk.cap, blk.lo, blk.hi) for blk in m._blocks], list(m._firsts)
+
+
+def assert_blocks_hold(m: ReverseMap) -> None:
+    """m's blocks are non-empty, but for a lone one, each within its
+    ids and keys; the directory holds each one's first id; an id's rows
+    never straddle two blocks; and the map counts its unwritten blocks."""
+    blocks = m._blocks
+    assert blocks and len(m._firsts) == len(blocks)
+    for blk, first, nxt in zip(blocks, m._firsts, blocks[1:] + [None]):
+        assert 0 <= blk.lo <= blk.hi <= len(blk.ids) == len(blk.keys)
+        if blk.cap:  # written: it holds its rows alone, and no more than cap
+            assert blk.lo == 0 and blk.hi == len(blk.ids) <= blk.cap
+        assert blk.vals is None or len(blk.vals) == blk.hi - blk.lo
+        if len(blocks) > 1:
+            assert blk.hi > blk.lo and blk.ids[blk.lo] == first
+        if nxt is not None:
+            assert blk.ids[blk.hi - 1] < nxt.ids[nxt.lo]
+    assert m._unwritten == sum(not blk.cap for blk in blocks)
+    if not m._unwritten:  # no block views the columns, which the map lets go
+        assert not len(m._cols[0])
 
 
 def assert_same_content(m: ReverseMap, entries: dict) -> None:
@@ -144,15 +170,15 @@ class TestIdRange:
 
     @pytest.mark.parametrize("rank", [0.5, "x"])
     def test_a_rank_that_is_no_int_is_refused_and_leaves_the_map(self, rank):
-        """Refused before a first write copies the id's rows into the
-        overlay."""
+        """Refused before a first write copies the id's block into
+        room."""
         m = ReverseMap._from_columns(np.array([0x2A], dtype=np.uint64), np.array([7]), None)
-        before = (m.to_bytes(), m.key_count, m.accesses, map_lists(m), m._over)
+        before = (m.to_bytes(), m.key_count, m.accesses, map_lists(m), block_layout(m))
         with pytest.raises(InvalidConfigError, match="rank"):
             m.map_insert(0x2A, rank, 9)
         with pytest.raises(InvalidConfigError, match="rank"):
             m.map_remove(0x2A, rank)
-        assert (m.to_bytes(), m.key_count, m.accesses, map_lists(m), m._over) == before
+        assert (m.to_bytes(), m.key_count, m.accesses, map_lists(m), block_layout(m)) == before
 
     def test_reads_of_an_absent_id_find_nothing(self):
         """Past every stored id, below them, and outside [0, 2**64)."""
@@ -307,7 +333,7 @@ class TestColumnarSnapshot:
             m.map_insert(mid, m.list_size(mid), key, None if key % 2 else b"v")
         assert list(map_lists(m).items()) == [(0x12, [(3, None), (4, b"v")]),
                                               (0x13, [(1, None)]), (0x21, [(2, b"v")])]
-        mids, keys, values = m._merged()
+        mids, keys, values = m._rows()
         assert mids.tolist() == [0x12, 0x12, 0x13, 0x21]
         assert keys.tolist() == [3, 4, 1, 2]
         assert values == [None, b"v", None, b"v"]
@@ -446,10 +472,10 @@ machine_values = st.one_of(st.none(), st.just(b""), st.binary(min_size=1, max_si
 
 class MapMachine(RuleBasedStateMachine):
     """ReverseMap against a dict of lists, writes driving it through
-    compaction (the test shrinks the compaction point)."""
+    block splits and joins (the test shrinks the blocks)."""
 
-    # times the overlay was merged into the base, over all runs
-    compactions = 0
+    # blocks cut in two and blocks joined with a neighbour, over all runs
+    splits = joins = 0
 
     def __init__(self):
         super().__init__()
@@ -457,13 +483,12 @@ class MapMachine(RuleBasedStateMachine):
         self.model: dict[int, list] = {}
         self.accesses = 0
 
-    @initialize(mids=st.lists(machine_ids, min_size=4, max_size=6, unique=True),
+    @initialize(mids=st.lists(machine_ids, min_size=9, max_size=11, unique=True),
                 key=machine_keys, value=machine_values)
     def spread(self, mids, key, value):
-        """Write to more distinct ids than the shrunken compaction point
-        lets the overlay of the empty base hold, so that every run
-        compacts at least once before its rules take over."""
-        assert len(mids) > revmap._COMPACT_MIN
+        """Write more rows than the shrunken block holds, so that every
+        run cuts a block in two before its rules take over."""
+        assert len(mids) > revmap._ROWS
         for mid in mids:
             self.insert(mid, 0, key, value)
 
@@ -509,6 +534,13 @@ class MapMachine(RuleBasedStateMachine):
             del self.model[mid]
         self.accesses += 1
 
+    @precondition(lambda self: self.model)
+    @rule(pick=st.integers(0, 1 << 16), rank=st.integers(0, 4))
+    def remove_stored(self, pick, rank):
+        """Remove an entry the map holds, so that blocks shrink and join."""
+        mid = sorted(self.model)[pick % len(self.model)]
+        self.remove(mid, rank % len(self.model[mid]))
+
     @rule(mid=machine_ids, pick=st.integers(0, 4), key=machine_keys)
     def find_rank(self, mid, pick, key):
         lst = self.model.get(mid, [])
@@ -533,22 +565,95 @@ class MapMachine(RuleBasedStateMachine):
         assert self.m.accesses == self.accesses
         blob = self.m.to_bytes()
         assert blob == encode_map_v2(self.model)
-        # all in the base; self.m may keep part of its content in the overlay
+        # all in unwritten blocks; self.m may hold written ones
         flat = ReverseMap.from_bytes(blob, model_ids(self.model))
         assert flat == self.m and self.m == flat
+        assert_blocks_hold(self.m)
 
 
-def test_map_machine_through_compaction(monkeypatch):
-    compact = ReverseMap._compact
+def counting_recuts(monkeypatch, counts) -> None:
+    """Make ReverseMap._recut add its splits (a block cut in more) and
+    joins (two blocks cut anew) to the attributes of counts."""
+    recut = ReverseMap._recut
 
-    def counted(m):
-        compact(m)
-        MapMachine.compactions += 1
+    def counted(m, a, b):
+        blocks = len(m._blocks)
+        recut(m, a, b)
+        if b - a == 2:
+            counts.joins += 1
+        elif len(m._blocks) > blocks:
+            counts.splits += 1
 
-    monkeypatch.setattr(ReverseMap, "_compact", counted)
-    monkeypatch.setattr(revmap, "_COMPACT_MIN", 3)
-    monkeypatch.setattr(revmap, "_COMPACT_SHARE", 0.5)
-    MapMachine.compactions = 0
+    monkeypatch.setattr(ReverseMap, "_recut", counted)
+
+
+def test_map_machine_through_splits_and_joins(monkeypatch):
+    counting_recuts(monkeypatch, MapMachine)
+    monkeypatch.setattr(revmap, "_ROWS", 8)
+    MapMachine.splits = MapMachine.joins = 0
     run_state_machine_as_test(MapMachine, settings=settings(
         max_examples=150, stateful_step_count=40, deadline=None))
-    assert MapMachine.compactions > 0
+    assert MapMachine.splits > 0 and MapMachine.joins > 0
+
+
+class BlockCounts:
+    """Splits and joins that counting_recuts adds up, for one run."""
+
+    splits = joins = 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.integers(4, 8), data=st.data())
+def test_value_maps_in_small_blocks_match_the_lists(rows, data):
+    """Maps with values, in blocks shrunk to a few rows, against
+    oracles.map_lists of a dict of lists through map_insert, map_remove
+    and find_rank: a fill of several blocks' rows splits blocks, a drain
+    down to a few rows joins them, and a save and load gives the map
+    back."""
+    m, model, counts = ReverseMap(), {}, BlockCounts()
+    mids = st.one_of(st.integers(0, 63), st.integers(0, MASK64))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(revmap, "_ROWS", rows)
+        counting_recuts(mp, counts)
+
+        def insert(mid, key, value):
+            rank = data.draw(st.integers(0, len(model.get(mid, []))))
+            m.map_insert(mid, rank, key, value)
+            model.setdefault(mid, []).insert(rank, (key, value))
+
+        def remove():
+            mid = data.draw(st.sampled_from(sorted(model)))
+            rank = data.draw(st.integers(0, len(model[mid]) - 1))
+            assert m.map_remove(mid, rank) == model[mid].pop(rank)
+            if not model[mid]:
+                del model[mid]
+
+        # distinct ids, since an id's rows never straddle two blocks
+        fill = data.draw(st.lists(st.integers(0, 63), min_size=3 * rows, max_size=6 * rows,
+                                  unique=True))
+        for mid, (key, value) in zip(fill, data.draw(st.lists(entry_st, min_size=len(fill),
+                                                              max_size=len(fill)))):
+            insert(mid, key, value)
+        assert len(m._blocks) > 1
+        for step in data.draw(st.lists(st.sampled_from(["insert", "remove", "find"]),
+                                       max_size=3 * rows)):
+            if step == "insert":
+                insert(data.draw(mids), *data.draw(entry_st))
+            elif step == "remove":
+                remove()
+            else:
+                mid = data.draw(st.sampled_from(sorted(model)))
+                lst = model[mid]
+                key = data.draw(st.one_of(st.sampled_from([k for k, _ in lst]),
+                                          st.integers(0, MASK64)))
+                want = next((rank for rank, (k, _) in enumerate(lst) if k == key), None)
+                assert m.find_rank(mid, key) == want
+            assert list(map_lists(m).items()) == sorted(model.items())
+        while sum(map(len, model.values())) > 2:
+            remove()
+        assert list(map_lists(m).items()) == sorted(model.items())
+        assert_blocks_hold(m)
+        assert counts.splits > 0 and counts.joins > 0
+        back = ReverseMap.from_bytes(m.to_bytes(), model_ids(model))
+    assert back == m and m == back
+    assert list(map_lists(back).items()) == sorted(model.items())
