@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
 
 import numpy as np
 
@@ -176,35 +175,6 @@ def cmd_merge(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    f, keys = _build_filter(args)
-    rng = np.random.default_rng(args.seed + 1)
-    pos = rng.choice(keys, size=min(args.count, len(keys)))
-    neg = rng.integers(CHURN_SPACE[0], CHURN_SPACE[1], size=args.count, dtype=np.uint64)
-
-    # scalar lookups: a hit reads the reverse map, a miss does not
-    t0 = time.perf_counter()
-    for k in pos:
-        f.lookup(int(k))
-    t1 = time.perf_counter()
-    for k in neg:
-        f.lookup(int(k))
-    t2 = time.perf_counter()
-    # the cached index is built before the batches are timed
-    idx = f.frozen_index()
-    t3 = time.perf_counter()
-    f.lookup_many(neg)
-    t4 = time.perf_counter()
-    idx.query_keys(neg)
-    t5 = time.perf_counter()
-
-    print(f"positive lookups {len(pos) / (t1 - t0):,.0f}/s")
-    print(f"negative lookups {len(neg) / (t2 - t1):,.0f}/s")
-    print(f"batch lookups    {len(neg) / (t4 - t3):,.0f}/s")
-    print(f"frozen batch     {len(neg) / (t5 - t4):,.0f}/s")
-    return 0
-
-
 def _add_geometry(p, load=True):
     p.add_argument("--qbits", type=int, required=True, help="log2 of the slot count")
     p.add_argument("--rbits", type=int, required=True, help="remainder bits per slot")
@@ -273,11 +243,6 @@ def build_parser() -> _Parser:
     p.add_argument("b")
     p.add_argument("out")
     p.set_defaults(func=cmd_merge)
-
-    p = sub.add_parser("bench", help="lookup throughput on a filled filter")
-    _add_geometry(p)
-    p.add_argument("--count", type=int, default=100_000, help="queries per phase")
-    p.set_defaults(func=cmd_bench)
 
     return top
 

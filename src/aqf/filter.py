@@ -20,17 +20,19 @@ place of the key: the word is a bijection of the key
 (``hashing.unhash_word``), and lookup, insert and delete already compute
 it, so they compare words.  The key itself is needed only to adapt, for
 the owner's later chunks, and by the whole-filter passes that read
-chunks past word 0 or change the seed.
+chunks past word 0 or change the seed.  A word's top q + r bits are its
+minirun id, so the map keeps no id column: it reads each row's id from
+its word.
 
 A snapshot (version 3) holds the policy and the adaptation counters in
 its header, then the slot array's section and the reverse map's, under
 one CRC32 trailer; the sections carry none of their own.  The map's
 minirun ids are not stored: the slot array's loader checks its layout
-and then takes them, in hash order, from the table's blocks.  They are
-the top q + r bits of each hash word, so the map's section holds only
-the other 64 - q - r bits of each.  The encoder collects the parts of
-all three (headers, length prefixes and views of the columns) and joins
-them once.
+and then takes them, in hash order, from the table's blocks, and the
+map's loader puts each back above the other 64 - q - r bits of its
+word, which are all its section holds.  The encoder collects the parts
+of all three (headers, length prefixes and views of the columns) and
+joins them once.
 """
 
 from __future__ import annotations
@@ -123,7 +125,7 @@ class AdaptiveFilter:
         self.cfg = cfg
         self.policy = policy if policy is not None else Policy()
         self.arr = SlotArray(cfg, value_bits=value_bits)
-        self.map = ReverseMap()
+        self.map = ReverseMap(64 - cfg.q - cfg.r)
         # r bits per extension chunk written by adapt()
         self.adaptivity_bits = 0
         self.adaptations = 0
@@ -347,14 +349,15 @@ class AdaptiveFilter:
 
         The table's rows and the map's both come in hash order, ties in
         rank order, so they hold the same entries exactly when every row
-        has the same minirun id in both.  The table is read a block at a
-        time (SlotArray._blocks), each compared with the map's rows at
-        the same offset, read from its blocks in place (ReverseMap._runs)
-        and joined only where a table block spans more than one.  A
-        row's id is also the top q + r bits of its hash word, and only
-        the rows with extension chunks have their words turned back into
-        keys, for the chunks.  The first fault found, in the order of the
-        checks in _fault, is raised.
+        has the same minirun id in both.  The map's id of a row is the top
+        q + r bits of its hash word (hashing._pairs), so that comparison
+        also checks the pair half of the prefix.  The table is read a
+        block at a time (SlotArray._blocks), each compared with the map's
+        rows at the same offset, read from its blocks in place
+        (ReverseMap._runs) and joined only where a table block spans more
+        than one.  Only the rows with extension chunks have their words
+        turned back into keys, for the chunks.  The first fault found, in
+        the order of the checks in _fault, is raised.
         """
         fault = self._fault()
         if fault is not None:
@@ -366,30 +369,30 @@ class AdaptiveFilter:
         with this call, before the check raises (ReverseMap._runs)."""
         cfg = self.cfg
         runs = self.map._runs()
-        entries = sum(len(ids) for ids, _ in runs)
+        entries = sum(map(len, runs))
         take = _reader(runs)
         rows, wrong_id, not_prefix = 0, None, None
         for cols in self.arr._blocks():
             lo, rows = rows, rows + len(cols.quot)
-            pieces = take(len(cols.quot))
-            mids, owners = _joined(pieces, 0), _joined(pieces, 1)
+            owners = _joined(take(len(cols.quot)))
             if wrong_id is not None or rows > entries:
                 continue
             ids = cols.packed(cfg.r)
-            off = np.flatnonzero(ids != mids)
+            off = np.flatnonzero(ids != _pairs(owners, cfg))
             if off.size:
-                wrong_id = lo + int(off[0]), ids[off[0]], mids[off[0]]
+                at = int(off[0])
+                wrong_id = lo + at, ids[at], _pairs(owners[at : at + 1], cfg)[0]
             if off.size or not_prefix is not None:
                 continue
-            bad = _pairs(owners, cfg) != ids
+            bad = np.zeros(len(ids), dtype=bool)
             for t, ext, chunks in _chunk_rounds(owners, cols.ext_len, cfg):
                 bad[ext] |= chunks != cols.chunks[cols.ext_off[ext] + t]
             if bad.any():
                 # a block holds whole runs, so the minirun's first row too
                 at = first = int(np.flatnonzero(bad)[0])
-                while first and mids[first - 1] == mids[at]:
+                while first and ids[first - 1] == ids[at]:
                     first -= 1
-                not_prefix = mids[at], at - first, owners[at]
+                not_prefix = ids[at], at - first, owners[at]
         if rows != entries:
             return f"{rows} fingerprints, {entries} map entries"
         if wrong_id is not None:
@@ -422,15 +425,14 @@ class AdaptiveFilter:
         w = 64 - q - r bits below its minirun id: the low min(w, 32)
         bits, then, when w > 32, the other w - 32, each as a column of
         the narrowest unsigned type that holds it (u32 and u8 for q + r
-        in 24..31); then the map's values as ReverseMap.to_bytes writes
-        them.
+        in 24..31); then the map's value lengths and bytes, when some
+        value is stored (ReverseMap._parts).
         """
         flags = sum(bit for bit, field in _FLAGS if getattr(self.policy, field))
         head = _HEAD.pack(COMBINED_MAGIC, COMBINED_VERSION, flags,
                           self.policy.max_extensions, self.arr.value_bits, 0,
                           self.adaptations, self.adaptivity_bits, self.adaptation_failures)
-        w = 64 - self.cfg.q - self.cfg.r
-        parts = [head, section(self.arr._parts()), section(self.map._parts(w))]
+        parts = [head, section(self.arr._parts()), section(self.map._parts())]
         return seal(parts)
 
     @classmethod

@@ -22,10 +22,10 @@ placed words back into keys (``hashing.unhash_word_batch``).
 
 Merge and rebuild take one path, ``_build_rederived``: they read their
 inputs' tables and maps as columns in hash order (``SlotArray._columns``,
-and ``ReverseMap._rows``, the map's blocks joined, or its columns
-themselves while no block has been written), which pair row by
-row, re-derive every fingerprint from its word under the output config,
-and place the result.  Merge keeps the seed, so the words stand as they
+and ``ReverseMap._rows``, the map's blocks joined, or its column
+itself while no block has been written), which pair row by row,
+re-derive every fingerprint from its word under the output config, and
+place the result.  Merge keeps the seed, so the words stand as they
 are; rebuild turns them back into keys and hashes those under its new
 seed.  Extension chunks past the pair are drawn from the keys of the
 rows that carry them.  The yes/no build, whose YES keys are already in
@@ -121,11 +121,10 @@ def _place(words: np.ndarray, cols: _Cols, values: list | None, cfg: FilterConfi
     """A filter with value_bits value bits of the fingerprints cols (see
     _Cols), in hash order: row i holds the key whose hash word is
     words[i], with values[i] (None: no key has a value).  The filter's
-    map keeps words.  The map's id column is made once the table is laid
-    out, so that the layout's peak does not hold it."""
+    map keeps words, whose top q + r bits are their minirun ids."""
     arr = SlotArray(cfg, value_bits=value_bits)
     arr._lay_out(cols)
-    revmap = ReverseMap._from_columns(cols.packed(cfg.r), words, values)
+    revmap = ReverseMap._from_columns(words, values, 64 - cfg.q - cfg.r)
     return AdaptiveFilter._from_parts(arr, revmap, policy if policy is not None else Policy())
 
 
@@ -137,7 +136,7 @@ def _key_columns(f: AdaptiveFilter) -> tuple[_Cols, np.ndarray, list | None]:
     in rank order, which map lists mirror (check_consistency() proves
     that), so row i of one is row i of the other.
     """
-    _, words, values = f.map._rows()
+    words, values = f.map._rows()
     return f.arr._columns(), words, values
 
 

@@ -317,15 +317,22 @@ def with_slot_fields(blob: bytes, rows: list[np.ndarray], payloads: np.ndarray) 
     return reseal(bytes(out))
 
 
+def entry(mid: int, low: int, w: int) -> int:
+    """A reverse-map entry with w bits below its minirun id: mid above
+    the low w bits of low."""
+    return (mid << w) | (low & ((1 << w) - 1))
+
+
 def map_lists(m) -> dict:
-    """A reverse map's lists, {minirun id: [(key, value), ...]}, grouped
-    from its _rows(), which must come in hash order (ascending ids),
-    each list in rank order; the dict holds the ids in that order."""
-    mids, keys, values = m._rows()
-    ids = mids.tolist()
+    """A reverse map's lists, {minirun id: [(entry, value), ...]},
+    grouped from its _rows(), each entry's id its bits above the map's
+    w; the rows must come in hash order (ascending ids), each list in
+    rank order, and the dict holds the ids in that order."""
+    entries, values = m._rows()
+    ids = (entries >> np.uint64(m._w)).tolist()
     assert ids == sorted(ids), "map rows out of hash order"
     out = {}
-    for mid, key, value in zip(ids, keys.tolist(),
+    for mid, key, value in zip(ids, entries.tolist(),
                                itertools.repeat(None) if values is None else values):
         out.setdefault(mid, []).append((key, value))
     return out
@@ -370,17 +377,40 @@ def encode_map_v1(q: int, entries: dict) -> bytes:
     return b"".join(out)
 
 
+def _value_columns(rows: list) -> list[bytes]:
+    """When some value of rows, (entry, value) pairs, is not None, every
+    value length (u32, 0xFFFFFFFF for None) and then every value's
+    bytes; else nothing."""
+    if all(value is None for _, value in rows):
+        return []
+    return ([struct.pack("<I", 0xFFFFFFFF if v is None else len(v)) for _, v in rows]
+            + [v for _, v in rows if v is not None])
+
+
 def encode_map_v2(entries: dict) -> bytes:
     """Version 2 map section of the same entries, entry by entry: every
     key (u64) in hash order, each list in rank order; when some value is
     not None, every value length (u32, 0xFFFFFFFF for None) and then
     every value's bytes; a CRC32 of all of it last."""
     rows = [row for mid in sorted(entries) for row in entries[mid]]
-    out = [key.to_bytes(8, "little") for key, _ in rows]
-    if any(value is not None for _, value in rows):
-        out += [struct.pack("<I", 0xFFFFFFFF if v is None else len(v)) for _, v in rows]
-        out += [v for _, v in rows if v is not None]
+    out = [key.to_bytes(8, "little") for key, _ in rows] + _value_columns(rows)
     return reseal(b"".join(out) + bytes(4))
+
+
+def encode_map(entries: dict, w: int) -> bytes:
+    """A reverse map's sealed section of the same entries, entry by
+    entry: the low min(w, 32) bits of every entry in hash order, each
+    list in rank order, then, when w > 32, their other w - 32 bits, each
+    column of the fewest of 1, 2, 4 or 8 bytes that hold its bits; then
+    the values as version 2 writes them; a CRC32 of all of it last."""
+    rows = [row for mid in sorted(entries) for row in entries[mid]]
+    out = []
+    for shift, width in ((0, min(w, 32)), (32, w - 32)):
+        if width > 0:
+            size = next(n for n in (1, 2, 4, 8) if width <= 8 * n)
+            out += [(key >> shift & ((1 << width) - 1)).to_bytes(size, "little")
+                    for key, _ in rows]
+    return reseal(b"".join(out + _value_columns(rows)) + bytes(4))
 
 
 def _section(payload: bytes) -> bytes:

@@ -26,6 +26,7 @@ from aqf.hashing import (
     extension_chunk_batch,
     hash_word_batch,
     split,
+    unhash_word,
 )
 from aqf.setops import rebuild
 from aqf.workbench import CHURN_SPACE, fill_to_load
@@ -33,6 +34,7 @@ from aqf.workbench import CHURN_SPACE, fill_to_load
 from oracles import (
     encode_filter_v1,
     encode_filter_v2,
+    entry,
     key_rank,
     mutants,
     relaid,
@@ -572,12 +574,27 @@ class TestConsistency:
         f.check_consistency()
 
     @staticmethod
-    def swap_key(f, mid, rank):
-        """Put another key at (mid, rank) of f's map; check_consistency
-        must notice."""
-        f.map.map_remove(mid, rank)
-        f.map.map_insert(mid, rank, 2002)
-        assert f.map.map_get(mid, rank) == (2002, None)
+    def extended(f, key):
+        """Insert key and extend its fingerprint by its own first chunk;
+        its (minirun id, rank)."""
+        mid, rank = f.insert(key)
+        f.arr.extend_fp(mid, rank, [extension_chunk(HashStream(key, f.cfg.seed), f.cfg, 0)])
+        f.check_consistency()
+        return mid, rank
+
+    @staticmethod
+    def other_word(f, word):
+        """The hash word of another key: word's minirun id, but another
+        first extension chunk."""
+        return word ^ 1 << (63 - f.cfg.q - f.cfg.r)
+
+    @classmethod
+    def swap_key(cls, f, mid, rank):
+        """Put another key at (mid, rank) of f's map, whose fingerprint
+        is extended; check_consistency must notice."""
+        word = cls.other_word(f, f.map.map_remove(mid, rank)[0])
+        f.map.map_insert(mid, rank, word)
+        assert f.map.map_get(mid, rank) == (word, None)
         with pytest.raises(StateCorruptionError):
             f.check_consistency()
 
@@ -588,7 +605,7 @@ class TestConsistency:
         f.map.map_remove(mid, rank)
         with pytest.raises(StateCorruptionError, match="2 fingerprints, 1 map entries"):
             f.check_consistency()
-        f.map.map_insert(mid ^ 1, 0, 1001)
+        f.map.map_insert(mid ^ 1, 0, entry(mid ^ 1, 1001, 64 - 8 - 4))
         with pytest.raises(StateCorruptionError, match="disagree on minirun ids"):
             f.check_consistency()
 
@@ -599,22 +616,23 @@ class TestConsistency:
 
     def test_detects_map_tampering(self):
         f = AdaptiveFilter(FilterConfig(q=8, r=4, seed=62))
-        mid, rank = f.insert(1001)
+        mid, rank = self.extended(f, 1001)
         assert self.written(f, mid)
         self.swap_key(f, mid, rank)
         assert self.written(f, mid)
 
     def test_detects_map_tampering_in_the_base_columns(self):
         f = AdaptiveFilter(FilterConfig(q=8, r=4, seed=62))
-        mid, rank = f.insert(1001)
+        mid, rank = self.extended(f, 1001)
         # a reload puts every entry in unwritten blocks, views of the
-        # map's columns, and the swap goes into those columns in place
+        # map's column, and the swap goes into that column in place
         f = AdaptiveFilter.from_bytes(f.to_bytes())
         assert not self.written(f, mid)
-        _, keys, _ = f.map._rows()  # the columns themselves
+        keys, _ = f.map._rows()  # the column itself
         _, blk, row = f.map._find(mid)
-        keys[row + rank] = 2002
-        assert f.map.map_get(mid, rank) == (2002, None)
+        word = self.other_word(f, int(keys[row + rank]))
+        keys[row + rank] = word
+        assert f.map.map_get(mid, rank) == (word, None)
         with pytest.raises(StateCorruptionError):
             f.check_consistency()
         assert not self.written(f, mid)
@@ -639,18 +657,22 @@ class TestConsistency:
         its columns or written blocks of a few rows each."""
         f = AdaptiveFilter.from_bytes(fill_to_load(FilterConfig(q=8, r=4, seed=64), 0.6,
                                                    seed=65)[0].to_bytes())
-        mids, keys, _ = f.map._rows()
-        mids, keys = mids.copy(), keys.copy()
-        assert not any(blk.cap for blk in f.map._blocks) and len(mids) > 120
-        if fault == "key":
-            keys[120] ^= 1 << 63
+        keys = f.map._rows()[0].copy()
+        w = 64 - f.cfg.q - f.cfg.r
+        assert not any(blk.cap for blk in f.map._blocks) and len(keys) > 120
+        if fault == "key":  # row 120's fingerprint extended, and another key's word
+            mid = int(keys[120]) >> w
+            rank = 120 - int(np.searchsorted(keys >> np.uint64(w), mid))
+            key = unhash_word(int(keys[120]), f.cfg.seed)
+            f.arr.extend_fp(mid, rank, [extension_chunk(HashStream(key, f.cfg.seed), f.cfg, 0)])
+            keys[120] = self.other_word(f, int(keys[120]))
         elif fault == "id":
-            mids[120] ^= 1
+            keys[120] ^= np.uint64(1 << w)
         elif fault == "extra":
-            mids, keys = np.append(mids, mids[-1]), np.append(keys, keys[-1])
+            keys = np.append(keys, keys[-1])
         else:
-            mids, keys = mids[:-1], keys[:-1]
-        f.map._set_columns(mids, keys, None)
+            keys = keys[:-1]
+        f.map._set_columns(keys, None)
         messages = []
         for written in (False, True):
             if written:  # every block written, of about 3 rows

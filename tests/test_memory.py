@@ -18,20 +18,21 @@ at a pass's peak fails them.
 After 100 fresh inserts, which write about 100 of the reverse map's
 blocks, the check reads the map's rows from its blocks and joins only
 the rows of a table block that spans several: at q=16 it peaks at about
-22.7 bytes per key, against 33.3 when a map with written entries was
-merged into whole new columns first.  A save writes the map's entry
-columns straight into the snapshot, a block of rows at a time: beyond
-its blob it peaks at about 7.3 bytes per key, against 21.9 with the
-merge.  The bounds fail one more whole-map 8-byte temporary.
+19.9 bytes per key (22.7 while the map kept an id column beside its
+entries), against 33.3 when a map with written entries was merged into
+whole new columns first.  A save writes the map's entry columns
+straight into the snapshot, a block of rows at a time: beyond its blob
+it peaks at about 2.2 bytes per key, against 21.9 with the merge.  The bounds fail one more whole-map 8-byte temporary.
 
 The cached index keeps about 6.4 bytes per key: its quotient directory
 and a 2-byte remainder per pair.  The bound leaves about 9% of headroom,
 so a per-pair 1-byte flag or a packed 8-byte pair column fails it.
 
 What a filled filter keeps is bounded too: at q=16 and 90% load about
-18.8 bytes per key, 2.2 for the slots, 0.6 for the metadata bits and 16
-for the reverse map's id and key columns.  The bound leaves about 5% of
-headroom, so a structure of 1 byte per key beside the columns fails it.
+10.8 bytes per key, 2.2 for the slots, 0.6 for the metadata bits and 8
+for the reverse map's entry column, against 18.8 when the map kept a
+uint64 id column beside it.  The bound leaves about 5% of headroom, so
+a structure of 1 byte per key beside the columns fails it.
 
 A snapshot holds, per key, the slots and metadata bits (about 1.8 bytes
 at q=16 and 85% load) and the map's entries cut to the 64 - q - r bits
@@ -57,7 +58,7 @@ CHECK_AFTER_INSERTS_BYTES_PER_KEY = 25
 SAVE_BEYOND_BLOB_BYTES_PER_KEY = 9
 LOAD_BYTES_PER_KEY = 26
 INDEX_LIVE_BYTES_PER_KEY = 7.0
-LIVE_BYTES_PER_KEY = 19.8
+LIVE_BYTES_PER_KEY = 11.4
 SNAPSHOT_BYTES_PER_KEY = 6.8
 
 

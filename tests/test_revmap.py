@@ -2,6 +2,7 @@
 
 import time
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -27,10 +28,18 @@ from aqf.filter import AdaptiveFilter
 from aqf.hashing import FilterConfig
 from aqf.revmap import ReverseMap
 from aqf.snapshot import section
-from oracles import encode_map_v2, map_lists, mutants, reseal
+from oracles import encode_map, entry, map_lists, mutants, reseal
 
 NO_IDS = np.zeros(0, dtype=np.uint64)
 MASK64 = (1 << 64) - 1
+# entry bits below the minirun id, as at q + r = 24, and the largest id
+W = 40
+TOP = (1 << 64 - W) - 1
+
+
+def e(mid: int, low: int) -> int:
+    """The entry of minirun mid with the low W bits of low."""
+    return entry(mid, low, W)
 
 
 def model_ids(entries: dict) -> np.ndarray:
@@ -50,21 +59,21 @@ def block_layout(m: ReverseMap) -> list:
 
 def assert_blocks_hold(m: ReverseMap) -> None:
     """m's blocks are non-empty, but for a lone one, each within its
-    ids and keys; the directory holds each one's first id; an id's rows
+    entries; the directory holds each one's first id; an id's rows
     never straddle two blocks; and the map counts its unwritten blocks."""
-    blocks = m._blocks
+    blocks, w = m._blocks, m._w
     assert blocks and len(m._firsts) == len(blocks)
     for blk, first, nxt in zip(blocks, m._firsts, blocks[1:] + [None]):
-        assert 0 <= blk.lo <= blk.hi <= len(blk.ids) == len(blk.keys)
+        assert 0 <= blk.lo <= blk.hi <= len(blk.entries)
         if blk.cap:  # written: it holds its rows alone, and no more than cap
-            assert blk.lo == 0 and blk.hi == len(blk.ids) <= blk.cap
+            assert blk.lo == 0 and blk.hi == len(blk.entries) <= blk.cap
         assert blk.vals is None or len(blk.vals) == blk.hi - blk.lo
         if len(blocks) > 1:
-            assert blk.hi > blk.lo and blk.ids[blk.lo] == first
+            assert blk.hi > blk.lo and blk.entries[blk.lo] >> w == first
         if nxt is not None:
-            assert blk.ids[blk.hi - 1] < nxt.ids[nxt.lo]
+            assert blk.entries[blk.hi - 1] >> w < nxt.entries[nxt.lo] >> w
     assert m._unwritten == sum(not blk.cap for blk in blocks)
-    if not m._unwritten:  # no block views the columns, which the map lets go
+    if not m._unwritten:  # no block views the column, which the map lets go
         assert not len(m._cols[0])
 
 
@@ -80,140 +89,172 @@ def assert_same_content(m: ReverseMap, entries: dict) -> None:
 
 class TestBasicOps:
     def test_first_insert_starts_a_list(self):
-        m = ReverseMap()
-        m.map_insert(42, 0, 1001)
-        assert m.map_get(42, 0) == (1001, None)
+        m = ReverseMap(W)
+        m.map_insert(42, 0, e(42, 1001))
+        assert m.map_get(42, 0) == (e(42, 1001), None)
         assert m.list_size(42) == 1
 
     def test_insert_at_tail_extends(self):
-        m = ReverseMap()
-        m.map_insert(42, 0, 1)
-        m.map_insert(42, 1, 2, b"v")
-        assert [m.map_get(42, k) for k in range(2)] == [(1, None), (2, b"v")]
+        m = ReverseMap(W)
+        m.map_insert(42, 0, e(42, 1))
+        m.map_insert(42, 1, e(42, 2), b"v")
+        assert [m.map_get(42, k) for k in range(2)] == [(e(42, 1), None), (e(42, 2), b"v")]
 
     def test_insert_mid_list_shifts_later_ranks(self):
-        m = ReverseMap()
-        m.map_insert(42, 0, 1)
-        m.map_insert(42, 1, 3)
-        m.map_insert(42, 1, 2)
-        assert [m.map_get(42, k)[0] for k in range(3)] == [1, 2, 3]
+        m = ReverseMap(W)
+        m.map_insert(42, 0, e(42, 1))
+        m.map_insert(42, 1, e(42, 3))
+        m.map_insert(42, 1, e(42, 2))
+        assert [m.map_get(42, k)[0] for k in range(3)] == [e(42, 1), e(42, 2), e(42, 3)]
 
     def test_out_of_bounds_are_not_found(self):
-        m = ReverseMap()
+        m = ReverseMap(W)
         with pytest.raises(NotFoundError):
             m.map_get(42, 0)
-        m.map_insert(42, 0, 1)
+        m.map_insert(42, 0, e(42, 1))
         with pytest.raises(NotFoundError):
             m.map_get(42, 1)
         with pytest.raises(NotFoundError):
-            m.map_insert(42, 2, 9)
+            m.map_insert(42, 2, e(42, 9))
         with pytest.raises(NotFoundError):
             m.map_remove(43, 0)
 
     def test_remove_drops_empty_ids(self):
-        m = ReverseMap()
-        m.map_insert(7, 0, 11)
-        assert m.map_remove(7, 0) == (11, None)
+        m = ReverseMap(W)
+        m.map_insert(7, 0, e(7, 11))
+        assert m.map_remove(7, 0) == (e(7, 11), None)
         assert m.list_size(7) == 0
         assert map_lists(m) == {}
 
     def test_remove_head_keeps_tail(self):
-        m = ReverseMap()
-        m.map_insert(7, 0, 11)
-        m.map_insert(7, 1, 22)
+        m = ReverseMap(W)
+        m.map_insert(7, 0, e(7, 11))
+        m.map_insert(7, 1, e(7, 22))
         m.map_remove(7, 0)
-        assert m.map_get(7, 0) == (22, None)
+        assert m.map_get(7, 0) == (e(7, 22), None)
 
     def test_find_rank_returns_first_occurrence(self):
-        m = ReverseMap()
+        m = ReverseMap(W)
         for rank, key in enumerate([5, 6, 5]):
-            m.map_insert(9, rank, key)
-        assert m.find_rank(9, 5) == 0
-        assert m.find_rank(9, 6) == 1
-        assert m.find_rank(9, 99) is None
+            m.map_insert(9, rank, e(9, key))
+        assert m.find_rank(9, e(9, 5)) == 0
+        assert m.find_rank(9, e(9, 6)) == 1
+        assert m.find_rank(9, e(9, 99)) is None
 
     def test_rejects_oversized_keys_and_non_byte_values(self):
-        m = ReverseMap()
+        m = ReverseMap(W)
         with pytest.raises(InvalidConfigError):
             m.map_insert(1, 0, 1 << 64)
         with pytest.raises(InvalidConfigError):
-            m.map_insert(1, 0, 5, value="text")
+            m.map_insert(1, 0, e(1, 5), value="text")
 
     def test_access_counter_covers_reads_and_writes(self):
-        m = ReverseMap()
+        m = ReverseMap(W)
         base = m.accesses
-        m.map_insert(1, 0, 5)
+        m.map_insert(1, 0, e(1, 5))
         m.map_get(1, 0)
-        m.find_rank(1, 5)
+        m.find_rank(1, e(1, 5))
         m.map_remove(1, 0)
         assert m.accesses == base + 4
         assert m.list_size(1) == 0 and m.accesses == base + 4
 
+    @pytest.mark.parametrize("w", [-1, 64, 1.5, "40"])
+    def test_a_width_outside_0_to_63_is_refused(self, w):
+        with pytest.raises(InvalidConfigError):
+            ReverseMap(w)
+
+
+def rows_of(m: ReverseMap) -> tuple[list, list | None]:
+    """m's _rows() as lists."""
+    entries, values = m._rows()
+    return entries.tolist(), values
+
 
 class TestIdRange:
-    """Ids are any uint64: map_insert refuses an id outside [0, 2**64),
-    and reads of one answer as for an id the map does not hold."""
+    """Ids are the top 64 - W bits of an entry, any of [0, 2**(64 - W)):
+    map_insert refuses an id outside it, as an entry that does not carry
+    its id, and reads of one answer as for an id the map does not hold."""
 
-    OUT = (-1, 1 << 64)
+    OUT = (-1, TOP + 1)
 
     def test_map_insert_refuses_an_id_out_of_range_and_leaves_the_map(self):
-        m = ReverseMap._from_columns(np.array([0x2A, 1 << 63], dtype=np.uint64),
-                                     np.array([7, 8]), None)
-        m.map_insert(0x2A, 1, 9)
+        m = ReverseMap._from_columns(np.array([e(0x2A, 7), e(1 << 63 - W, 8)], dtype=np.uint64),
+                                     None, W)
+        m.map_insert(0x2A, 1, e(0x2A, 9))
         before = (m.to_bytes(), m.key_count, m.accesses, map_lists(m))
         for mid in self.OUT:
-            with pytest.raises(InvalidConfigError, match="fit in 64 bits"):
+            with pytest.raises(InvalidConfigError, match="does not carry minirun id"):
                 m.map_insert(mid, 0, 5)
             assert (m.to_bytes(), m.key_count, m.accesses, map_lists(m)) == before
-        m.map_insert(MASK64, 0, 5)
-        assert m.map_get(MASK64, 0) == (5, None) and m.key_count == 4
+        m.map_insert(TOP, 0, e(TOP, 5))
+        assert m.map_get(TOP, 0) == (e(TOP, 5), None) and m.key_count == 4
+
+    def test_map_insert_refuses_an_entry_that_does_not_carry_its_id(self):
+        """Refused before anything changes, in an unwritten block and in
+        a written one: another id's entry, a flipped id bit, the entry
+        of an id's neighbour, and a low part with no id above it."""
+        m = ReverseMap._from_columns(np.array([e(0x2A, 7), e(0x40, 8)], dtype=np.uint64),
+                                     [b"a", None], W)
+        for written in (False, True):
+            if written:
+                m.map_insert(0x2A, 1, e(0x2A, 9))
+                assert m._written
+            before = (rows_of(m), m.accesses, m.key_count, m.to_bytes())
+            for mid, key in ((0x2A, e(0x40, 7)), (0x2A, e(0x2A, 7) ^ 1 << 63), (0x2A, e(0x2B, 7)),
+                             (0x2A, 7), (0x40, e(0x2A, 9))):
+                with pytest.raises(InvalidConfigError, match="does not carry minirun id"):
+                    m.map_insert(mid, 0, key, b"v")
+                assert (rows_of(m), m.accesses, m.key_count, m.to_bytes()) == before
 
     @pytest.mark.parametrize("rank", [0.5, "x"])
     def test_a_rank_that_is_no_int_is_refused_and_leaves_the_map(self, rank):
         """Refused before a first write copies the id's block into
         room."""
-        m = ReverseMap._from_columns(np.array([0x2A], dtype=np.uint64), np.array([7]), None)
+        m = ReverseMap._from_columns(np.array([e(0x2A, 7)], dtype=np.uint64), None, W)
         before = (m.to_bytes(), m.key_count, m.accesses, map_lists(m), block_layout(m))
         with pytest.raises(InvalidConfigError, match="rank"):
-            m.map_insert(0x2A, rank, 9)
+            m.map_insert(0x2A, rank, e(0x2A, 9))
         with pytest.raises(InvalidConfigError, match="rank"):
             m.map_remove(0x2A, rank)
         assert (m.to_bytes(), m.key_count, m.accesses, map_lists(m), block_layout(m)) == before
 
     def test_reads_of_an_absent_id_find_nothing(self):
-        """Past every stored id, below them, and outside [0, 2**64)."""
-        m = ReverseMap._from_columns(np.array([0x2A, 1 << 40], dtype=np.uint64),
-                                     np.array([7, 8]), None)
-        for mid in ((1 << 40) + 1, MASK64, 0x29, *self.OUT):
+        """Past every stored id, below them, and outside [0, 2**(64 - W))."""
+        m = ReverseMap._from_columns(np.array([e(0x2A, 7), e(1 << 20, 8)], dtype=np.uint64),
+                                     None, W)
+        for mid in ((1 << 20) + 1, TOP, 0x29, *self.OUT):
             with pytest.raises(NotFoundError):
                 m.map_get(mid, 0)
             with pytest.raises(NotFoundError):
                 m.map_remove(mid, 0)
-            assert m.find_rank(mid, 7) is None and m.list_size(mid) == 0
-        assert m.map_get(0x2A, 0) == (7, None) and m.key_count == 2
+            assert m.find_rank(mid, e(0x2A, 7)) is None and m.list_size(mid) == 0
+        assert m.map_get(0x2A, 0) == (e(0x2A, 7), None) and m.key_count == 2
 
     def test_from_bytes_takes_every_uint64_id(self):
-        m = ReverseMap()
-        for mid in (3, 1 << 63, MASK64):
-            m.map_insert(mid, 0, mid >> 1)
-        back = ReverseMap.from_bytes(m.to_bytes(), ids_of(m))
+        """Every id that a uint64 entry carries above its low W bits, up
+        to TOP."""
+        m = ReverseMap(W)
+        for mid in (3, 1 << 63 - W, TOP):
+            m.map_insert(mid, 0, e(mid, mid >> 1))
+        back = ReverseMap.from_bytes(m.to_bytes(), ids_of(m), W)
         assert back == m
-        assert [back.map_get(mid, 0) for mid in (3, 1 << 63, MASK64)] == [
-            (1, None), (1 << 62, None), (MASK64 >> 1, None)]
+        assert [back.map_get(mid, 0) for mid in (3, 1 << 63 - W, TOP)] == [
+            (e(3, 1), None), (e(1 << 63 - W, 1 << 62 - W), None), (e(TOP, TOP >> 1), None)]
 
     def test_from_columns_takes_every_uint64_id(self):
-        keys = np.arange(3, dtype=np.uint64)
-        m = ReverseMap._from_columns(np.array([3, 5, MASK64], dtype=np.uint64), keys, None)
-        assert list(map_lists(m)) == [3, 5, MASK64]
+        """As for from_bytes."""
+        entries = np.array([e(3, 0), e(5, 1), e(TOP, 2)], dtype=np.uint64)
+        m = ReverseMap._from_columns(entries, None, W)
+        assert list(map_lists(m)) == [3, 5, TOP]
         # out of order, as the top id ahead of the others, is refused
         with pytest.raises(UnsortedInputError):
-            ReverseMap._from_columns(np.array([1 << 63, 3, 5], dtype=np.uint64), keys, None)
+            ReverseMap._from_columns(entries[[2, 0, 1]], None, W)
 
 
 class TestDictOracle:
     def test_random_op_stream(self):
         rng = np.random.default_rng(41)
-        m = ReverseMap()
+        m = ReverseMap(W)
         oracle: dict[int, list] = {}
         for _ in range(100_000):
             mid = int(rng.integers(0, 160))
@@ -221,7 +262,7 @@ class TestDictOracle:
             op = rng.random()
             if op < 0.45:
                 rank = int(rng.integers(0, len(lst) + 1))
-                key = int(rng.integers(0, 1 << 64, dtype=np.uint64))
+                key = e(mid, int(rng.integers(0, 1 << 64, dtype=np.uint64)))
                 value = None if rng.random() < 0.5 else bytes(rng.bytes(3))
                 m.map_insert(mid, rank, key, value)
                 oracle.setdefault(mid, []).insert(rank, (key, value))
@@ -248,42 +289,44 @@ class TestDictOracle:
 
 class TestSnapshot:
     def test_single_entry_roundtrip(self):
-        m = ReverseMap()
-        m.map_insert(3, 0, 123, b"payload")
-        assert ReverseMap.from_bytes(m.to_bytes(), ids_of(m)) == m
+        m = ReverseMap(W)
+        m.map_insert(3, 0, e(3, 123), b"payload")
+        assert ReverseMap.from_bytes(m.to_bytes(), ids_of(m), W) == m
 
     def test_empty_roundtrip_needs_explicit_ids(self):
-        m = ReverseMap()
+        m = ReverseMap(W)
         blob = m.to_bytes()
-        assert ReverseMap.from_bytes(blob, NO_IDS) == m
+        assert ReverseMap.from_bytes(blob, NO_IDS, W) == m
         # the bytes record no ids: the caller hands them in
         with pytest.raises(TypeError):
             ReverseMap.from_bytes(blob)
 
     def test_large_random_roundtrip(self):
         rng = np.random.default_rng(43)
-        m = ReverseMap()
+        m = ReverseMap(W)
         for _ in range(100_000):
             mid = int(rng.integers(0, 40_000))
             value = None if rng.random() < 0.7 else bytes(rng.bytes(int(rng.integers(0, 9))))
-            m.map_insert(mid, m.list_size(mid), int(rng.integers(0, 1 << 64, dtype=np.uint64)), value)
-        back = ReverseMap.from_bytes(m.to_bytes(), ids_of(m))
+            m.map_insert(mid, m.list_size(mid),
+                         e(mid, int(rng.integers(0, 1 << 64, dtype=np.uint64))), value)
+        back = ReverseMap.from_bytes(m.to_bytes(), ids_of(m), W)
         assert back == m
         assert back.to_bytes() == m.to_bytes()
 
     def test_rejects_corruption(self):
-        m = ReverseMap()
-        m.map_insert(3, 0, 123)
+        m = ReverseMap(W)
+        m.map_insert(3, 0, e(3, 123))
         blob, ids = m.to_bytes(), ids_of(m)
         for bad in (bytes([blob[0] ^ 1]) + blob[1:], blob[:-2], blob + b"\0"):
             with pytest.raises(FormatError, match="checksum"):
-                ReverseMap.from_bytes(bad, ids)
+                ReverseMap.from_bytes(bad, ids, W)
         # a section whose size does not fit the id count
         for other in (NO_IDS, np.repeat(ids, 2)):
             with pytest.raises(FormatError):
-                ReverseMap.from_bytes(blob, other)
+                ReverseMap.from_bytes(blob, other, W)
 
 
+# (low part of an entry, value)
 entry_st = st.tuples(
     st.integers(0, (1 << 64) - 1),
     st.one_of(st.none(), st.just(b""), st.binary(min_size=1, max_size=6)),
@@ -292,14 +335,15 @@ entry_st = st.tuples(
 
 @st.composite
 def maps(draw):
-    """(map, its entries as a dict of lists): ids anywhere in [0, 2**64)
+    """(map, its entries as a dict of lists): ids anywhere in [0, TOP]
     mixed with small ones, or small ones only, all at the bottom of the
     id range."""
     low = st.integers(0, 63)
-    ids = draw(st.sampled_from([low, st.one_of(st.integers(0, MASK64), low)]))
-    m = ReverseMap()
-    entries = draw(st.dictionaries(ids, st.lists(entry_st, min_size=1, max_size=4),
-                                   max_size=12))
+    ids = draw(st.sampled_from([low, st.one_of(st.integers(0, TOP), low)]))
+    m = ReverseMap(W)
+    drawn = draw(st.dictionaries(ids, st.lists(entry_st, min_size=1, max_size=4),
+                                 max_size=12))
+    entries = {mid: [(e(mid, key), value) for key, value in lst] for mid, lst in drawn.items()}
     for mid, lst in entries.items():
         for key, value in lst:
             m.map_insert(mid, m.list_size(mid), key, value)
@@ -312,51 +356,64 @@ class TestColumnarSnapshot:
     def test_bytes_equal_the_entry_by_entry_encoder(self, drawn):
         m, entries = drawn
         blob = m.to_bytes()
-        assert blob == encode_map_v2(entries)
+        assert blob == encode_map(entries, W)
         ids = model_ids(entries)
-        back = ReverseMap.from_bytes(blob, ids)
+        back = ReverseMap.from_bytes(blob, ids, W)
         assert back == m and back.to_bytes() == blob
         assert back.accesses == 0
-        # more ids than the section holds keys for
-        extra = np.full(len(blob) // 8 + 1 - len(ids), MASK64, dtype=np.uint64)
+        # more ids than the section holds entries for
+        extra = np.full(len(blob) // 5 + 1 - len(ids), TOP, dtype=np.uint64)
         with pytest.raises(FormatError):
-            ReverseMap.from_bytes(blob, np.append(ids, extra))
+            ReverseMap.from_bytes(blob, np.append(ids, extra), W)
+
+    @pytest.mark.parametrize("w", [0, 7, 8, 31, 32, 33, 48, 63])
+    def test_bytes_equal_the_entry_by_entry_encoder_at_every_width(self, w):
+        entries = {0: [(entry(0, 0, w), None), (entry(0, MASK64, w), b"v")],
+                   1: [(entry(1, 0x0123456789ABCDEF, w), None)]}
+        m = ReverseMap._from_columns(np.array([k for lst in entries.values() for k, _ in lst],
+                                              dtype=np.uint64), [None, b"v", None], w)
+        assert m.to_bytes() == encode_map(entries, w)
+        assert ReverseMap.from_bytes(m.to_bytes(), model_ids(entries), w) == m
 
     def test_empty_map_is_just_the_trailer(self):
-        assert ReverseMap().to_bytes() == encode_map_v2({}) == bytes(4)
+        assert ReverseMap(W).to_bytes() == encode_map({}, W) == bytes(4)
 
     def test_columns_come_in_hash_order(self):
         """Ids (quotient << 4) | remainder: quotient 1 remainders 2 and 3,
         then quotient 2 remainder 1, whatever order they were written in."""
-        m = ReverseMap()
+        m = ReverseMap(W)
         for mid, key in [(0x13, 1), (0x21, 2), (0x12, 3), (0x12, 4)]:
-            m.map_insert(mid, m.list_size(mid), key, None if key % 2 else b"v")
-        assert list(map_lists(m).items()) == [(0x12, [(3, None), (4, b"v")]),
-                                              (0x13, [(1, None)]), (0x21, [(2, b"v")])]
-        mids, keys, values = m._rows()
-        assert mids.tolist() == [0x12, 0x12, 0x13, 0x21]
-        assert keys.tolist() == [3, 4, 1, 2]
+            m.map_insert(mid, m.list_size(mid), e(mid, key), None if key % 2 else b"v")
+        assert list(map_lists(m).items()) == [(0x12, [(e(0x12, 3), None), (e(0x12, 4), b"v")]),
+                                              (0x13, [(e(0x13, 1), None)]),
+                                              (0x21, [(e(0x21, 2), b"v")])]
+        entries, values = m._rows()
+        assert (entries >> np.uint64(W)).tolist() == [0x12, 0x12, 0x13, 0x21]
+        assert (entries & np.uint64((1 << W) - 1)).tolist() == [3, 4, 1, 2]
         assert values == [None, b"v", None, b"v"]
 
     def test_from_columns_slices_one_list_per_id(self):
-        mids = np.array([5, 5, 7, 7, 7, 9], dtype=np.uint64)
-        keys = np.array([0, 1, 3, 4, 5, 2], dtype=np.uint64)
+        mids = [5, 5, 7, 7, 7, 9]
+        entries = np.array([e(mid, key) for mid, key in zip(mids, [0, 1, 3, 4, 5, 2])],
+                           dtype=np.uint64)
         values = [None, b"", None, b"bc", None, b"a"]
-        m = ReverseMap._from_columns(mids, keys, values)
-        want = ReverseMap()
-        for mid, key, value in zip(mids.tolist(), keys.tolist(), values):
+        m = ReverseMap._from_columns(entries, values, W)
+        want = ReverseMap(W)
+        for mid, key, value in zip(mids, entries.tolist(), values):
             want.map_insert(mid, want.list_size(mid), key, value)
         assert m == want and m.accesses == want.accesses == 6
-        assert ReverseMap._from_columns(mids[:0], keys[:0], []) == ReverseMap()
+        assert ReverseMap._from_columns(entries[:0], [], W) == ReverseMap(W)
+        # maps of other widths differ, whatever their entries
+        assert m != ReverseMap._from_columns(entries, values, W - 1)
         # rows out of hash order are refused, not sorted
         with pytest.raises(UnsortedInputError):
-            ReverseMap._from_columns(mids[[0, 1, 5, 2, 3, 4]], keys, values)
+            ReverseMap._from_columns(entries[[0, 1, 5, 2, 3, 4]], values, W)
 
 
 def two_records():
-    m = ReverseMap()
-    m.map_insert(1, 0, 10, b"x")
-    m.map_insert(2, 0, 20)
+    m = ReverseMap(W)
+    m.map_insert(1, 0, e(1, 10), b"x")
+    m.map_insert(2, 0, e(2, 20))
     return m.to_bytes()
 
 
@@ -368,15 +425,15 @@ class TestDecoderRejects:
     def test_records_out_of_hash_order(self, swap):
         """The ids handed in must be in hash order, which is ascending:
         two swapped, or all reversed, they are refused."""
-        m = ReverseMap()
+        m = ReverseMap(W)
         ids = [(1 << 3) | 2, (3 << 3) | 1, (3 << 3) | 5]  # at r=3: (1, 2), (3, 1), (3, 5)
         for mid in ids:
-            m.map_insert(mid, 0, mid)
+            m.map_insert(mid, 0, e(mid, mid))
         blob = m.to_bytes()
-        assert ReverseMap.from_bytes(blob, np.array(ids, dtype=np.uint64)) == m
+        assert ReverseMap.from_bytes(blob, np.array(ids, dtype=np.uint64), W) == m
         bad = [ids[1], ids[0], ids[2]] if swap else ids[::-1]
         with pytest.raises(UnsortedInputError):
-            ReverseMap.from_bytes(blob, np.array(bad, dtype=np.uint64))
+            ReverseMap.from_bytes(blob, np.array(bad, dtype=np.uint64), W)
 
     @pytest.mark.parametrize("q", [0, 57, 255])
     def test_record_width_out_of_range(self, q):
@@ -399,11 +456,11 @@ def small_snapshot():
     values, and the hash-ordered id of each entry."""
     rng = np.random.default_rng(44)
     ids = rng.choice(1 << 8, size=8, replace=False).tolist()
-    m = ReverseMap()
+    m = ReverseMap(W)
     for i in range(12):
         value = [None, b"", b"val", bytes([i])][i % 4]
         m.map_insert(ids[i % 8], m.list_size(ids[i % 8]),
-                     int(rng.integers(0, 1 << 64, dtype=np.uint64)), value)
+                     e(ids[i % 8], int(rng.integers(0, 1 << 64, dtype=np.uint64))), value)
     return m.to_bytes(), ids_of(m)
 
 
@@ -411,10 +468,10 @@ def test_every_bit_flip_and_truncation_fails(small_snapshot):
     """No mutant loads: the trailer catches every single-bit flip and
     every cut, key and value bits included."""
     snapshot, ids = small_snapshot
-    assert len(map_lists(ReverseMap.from_bytes(snapshot, ids))) == 8
+    assert len(map_lists(ReverseMap.from_bytes(snapshot, ids, W))) == 8
     for blob in mutants(snapshot):
         with pytest.raises(FormatError):
-            ReverseMap.from_bytes(blob, ids)
+            ReverseMap.from_bytes(blob, ids, W)
 
 
 def test_every_bit_flip_and_truncation_fails_cleanly_or_reencodes_identically(small_snapshot):
@@ -425,13 +482,14 @@ def test_every_bit_flip_and_truncation_fails_cleanly_or_reencodes_identically(sm
     for blob in mutants(snapshot[:-4]):
         blob = reseal(blob + bytes(4))
         try:
-            m = ReverseMap.from_bytes(blob, ids)
+            m = ReverseMap.from_bytes(blob, ids, W)
         except FormatError:
             continue
         assert m.to_bytes() == blob
         loaded += 1
-    # key and value bits carry no redundancy, so their flips must load
-    assert loaded >= 12 * 64
+    # the W written bits of each entry and the value bits carry no
+    # redundancy, so their flips must load
+    assert loaded >= 12 * W
 
 
 class TestDecoderBounds:
@@ -443,7 +501,7 @@ class TestDecoderBounds:
         t = time.perf_counter()
         try:
             with pytest.raises(FormatError, match=match):
-                ReverseMap.from_bytes(blob, ids)
+                ReverseMap.from_bytes(blob, ids, W)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -454,18 +512,19 @@ class TestDecoderBounds:
         self.fails_fast(two_records(), np.repeat(TWO_IDS, 1 << 22), "short of")
 
     def test_value_length_of_two_to_the_32_minus_1(self):
-        """The first entry's length field, after the two keys, claims
-        2^32-1 bytes, which reads as no value and leaves no value at all,
-        or 2^32-2 bytes."""
+        """The first entry's length field, after the two entries' u32
+        and u8 columns, claims 2^32-1 bytes, which reads as no value and
+        leaves no value at all, or 2^32-2 bytes."""
         for length, match in ((0xFFFFFFFF, "without a value"), (0xFFFFFFFE, "add up to")):
             blob = bytearray(two_records())
-            blob[16:20] = length.to_bytes(4, "little")
+            blob[10:14] = length.to_bytes(4, "little")
             self.fails_fast(reseal(blob), TWO_IDS, match)
 
 
-# few ids, so lists grow, and some anywhere in [0, 2**64), up to its top
-machine_ids = st.one_of(st.integers(0, 24), st.sampled_from([MASK64, 1 << 63, (1 << 40) + 3]),
-                        st.integers(0, MASK64))
+# few ids, so lists grow, and some anywhere in [0, TOP], up to its top
+machine_ids = st.one_of(st.integers(0, 24), st.sampled_from([TOP, 1 << 63 - W, (1 << 20) + 3]),
+                        st.integers(0, TOP))
+# the low parts of entries
 machine_keys = st.one_of(st.integers(0, 40), st.integers(0, MASK64))
 machine_values = st.one_of(st.none(), st.just(b""), st.binary(min_size=1, max_size=3))
 
@@ -479,7 +538,7 @@ class MapMachine(RuleBasedStateMachine):
 
     def __init__(self):
         super().__init__()
-        self.m = ReverseMap()
+        self.m = ReverseMap(W)
         self.model: dict[int, list] = {}
         self.accesses = 0
 
@@ -504,6 +563,7 @@ class MapMachine(RuleBasedStateMachine):
 
     @rule(mid=machine_ids, rank=st.integers(-1, 4), key=machine_keys, value=machine_values)
     def insert(self, mid, rank, key, value):
+        key = e(mid, key)
         args = (mid, rank, key) if value is None else (mid, rank, key, value)
         lst = self.model.get(mid, [])
         if not 0 <= rank <= len(lst):
@@ -544,8 +604,7 @@ class MapMachine(RuleBasedStateMachine):
     @rule(mid=machine_ids, pick=st.integers(0, 4), key=machine_keys)
     def find_rank(self, mid, pick, key):
         lst = self.model.get(mid, [])
-        if pick < len(lst):
-            key = lst[pick][0]
+        key = lst[pick][0] if pick < len(lst) else e(mid, key)
         want = next((rank for rank, (k, _) in enumerate(lst) if k == key), None)
         assert self.m.find_rank(mid, key) == want
         self.accesses += 1
@@ -556,7 +615,7 @@ class MapMachine(RuleBasedStateMachine):
 
     @rule()
     def roundtrip(self):
-        self.m = ReverseMap.from_bytes(self.m.to_bytes(), model_ids(self.model))
+        self.m = ReverseMap.from_bytes(self.m.to_bytes(), model_ids(self.model), W)
         self.accesses = 0
 
     @invariant()
@@ -564,9 +623,9 @@ class MapMachine(RuleBasedStateMachine):
         assert_same_content(self.m, self.model)
         assert self.m.accesses == self.accesses
         blob = self.m.to_bytes()
-        assert blob == encode_map_v2(self.model)
+        assert blob == encode_map(self.model, W)
         # all in unwritten blocks; self.m may hold written ones
-        flat = ReverseMap.from_bytes(blob, model_ids(self.model))
+        flat = ReverseMap.from_bytes(blob, model_ids(self.model), W)
         assert flat == self.m and self.m == flat
         assert_blocks_hold(self.m)
 
@@ -610,13 +669,14 @@ def test_value_maps_in_small_blocks_match_the_lists(rows, data):
     and find_rank: a fill of several blocks' rows splits blocks, a drain
     down to a few rows joins them, and a save and load gives the map
     back."""
-    m, model, counts = ReverseMap(), {}, BlockCounts()
-    mids = st.one_of(st.integers(0, 63), st.integers(0, MASK64))
+    m, model, counts = ReverseMap(W), {}, BlockCounts()
+    mids = st.one_of(st.integers(0, 63), st.integers(0, TOP))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(revmap, "_ROWS", rows)
         counting_recuts(mp, counts)
 
         def insert(mid, key, value):
+            key = e(mid, key)
             rank = data.draw(st.integers(0, len(model.get(mid, []))))
             m.map_insert(mid, rank, key, value)
             model.setdefault(mid, []).insert(rank, (key, value))
@@ -645,7 +705,7 @@ def test_value_maps_in_small_blocks_match_the_lists(rows, data):
                 mid = data.draw(st.sampled_from(sorted(model)))
                 lst = model[mid]
                 key = data.draw(st.one_of(st.sampled_from([k for k, _ in lst]),
-                                          st.integers(0, MASK64)))
+                                          st.integers(0, MASK64).map(partial(e, mid))))
                 want = next((rank for rank, (k, _) in enumerate(lst) if k == key), None)
                 assert m.find_rank(mid, key) == want
             assert list(map_lists(m).items()) == sorted(model.items())
@@ -654,6 +714,6 @@ def test_value_maps_in_small_blocks_match_the_lists(rows, data):
         assert list(map_lists(m).items()) == sorted(model.items())
         assert_blocks_hold(m)
         assert counts.splits > 0 and counts.joins > 0
-        back = ReverseMap.from_bytes(m.to_bytes(), model_ids(model))
+        back = ReverseMap.from_bytes(m.to_bytes(), model_ids(model), W)
     assert back == m and m == back
     assert list(map_lists(back).items()) == sorted(model.items())

@@ -16,7 +16,15 @@ from aqf.filter import AdaptiveFilter, LookupResult, Policy
 from aqf.hashing import FilterConfig, HashStream, split, split_batch
 from aqf.revmap import ReverseMap
 from aqf.setops import _GROW_AT, bulk_load, merge, rebuild
-from oracles import decode_raw, find_colliders, key_lists, key_rank, map_lists, ref_split
+from oracles import (
+    decode_raw,
+    find_colliders,
+    key_lists,
+    key_rank,
+    map_lists,
+    ref_split,
+    ref_word,
+)
 
 PRESENT = LookupResult.PRESENT
 
@@ -314,11 +322,11 @@ def in_hash_order(records, cfg):
 
 def sequential_map(records, cfg):
     """The map that map_insert builds from records in hash order under
-    cfg, each appended to its minirun's list."""
-    m = ReverseMap()
+    cfg, each key's hash word appended to its minirun's list."""
+    m = ReverseMap(64 - cfg.q - cfg.r)
     for key, value in in_hash_order(records, cfg):
         mid = pack_minirun_id(*ref_split(key, cfg.seed, cfg.q, cfg.r), cfg.r)
-        m.map_insert(mid, m.list_size(mid), key, value)
+        m.map_insert(mid, m.list_size(mid), ref_word(key, cfg.seed, 0), value)
     return m
 
 
@@ -343,7 +351,7 @@ class TestMapsMatchSequentialConstruction:
         cfg = FilterConfig(q=5, r=3, seed=seed)
         records = in_hash_order(records, cfg)
         f = bulk_load(records, cfg)
-        assert key_lists(f) == map_lists(sequential_map(records, cfg))
+        assert map_lists(f.map) == map_lists(sequential_map(records, cfg))
         assert f.to_bytes() == adapted(records, cfg, ()).to_bytes()
 
     @settings(max_examples=100, deadline=None)
@@ -353,7 +361,7 @@ class TestMapsMatchSequentialConstruction:
         f = adapted(records, FilterConfig(q=5, r=3, seed=seed), probes)
         g = rebuild(f, new_seed=seed + 10)
         records = hash_order_records(f)
-        assert key_lists(g) == map_lists(sequential_map(records, g.cfg))
+        assert map_lists(g.map) == map_lists(sequential_map(records, g.cfg))
         assert g.to_bytes() == adapted(in_hash_order(records, g.cfg), g.cfg, ()).to_bytes()
         g.check_consistency()
 
@@ -366,8 +374,8 @@ class TestMapsMatchSequentialConstruction:
         assume(a.arr.used_count + b.arr.used_count <= _GROW_AT * cfg.nslots)
         m = merge(a, b)
         assert m.cfg == cfg
-        assert key_lists(m) == map_lists(sequential_map(hash_order_records(a)
-                                                       + hash_order_records(b), cfg))
+        assert map_lists(m.map) == map_lists(sequential_map(hash_order_records(a)
+                                                            + hash_order_records(b), cfg))
         # every key keeps its chunks; b's entries follow a's in a minirun
         for mid, rank, ext in fingerprints(a):
             assert m.map.map_get(mid, rank) == a.map.map_get(mid, rank)
@@ -391,6 +399,6 @@ class TestMapsMatchSequentialConstruction:
         a, b = adapted(left, cfg, probes), adapted(right, cfg, ())
         m = merge(a, b)
         assert m.cfg.q == cfg.q + 1
-        assert key_lists(m) == map_lists(sequential_map(hash_order_records(a)
-                                                       + hash_order_records(b), m.cfg))
+        assert map_lists(m.map) == map_lists(sequential_map(hash_order_records(a)
+                                                            + hash_order_records(b), m.cfg))
         m.check_consistency()

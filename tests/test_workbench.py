@@ -766,15 +766,6 @@ class TestCli:
         merged = AdaptiveFilter.load(po)
         assert len(merged) == 40
 
-    def test_bench_runs(self, capsys):
-        rc = main(["bench", "--qbits", "8", "--rbits", "8", "--load", "0.5",
-                   "--count", "200"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        for line in ("positive lookups", "negative lookups", "batch lookups", "frozen batch"):
-            assert line in out
-        assert out.count("/s") == 4
-
     def test_usage_errors_exit_one(self):
         with pytest.raises(SystemExit) as info:
             main(["trace", "--qbits", "8"])  # missing --rbits

@@ -17,7 +17,7 @@ from aqf.errors import (
     InvalidConfigError,
 )
 from aqf.filter import AdaptiveFilter, Policy
-from aqf.hashing import FilterConfig, HashStream, split, split_batch
+from aqf.hashing import FilterConfig, HashStream, hash_word_batch, split, split_batch
 from aqf.yesno import (
     NO,
     YES,
@@ -448,7 +448,9 @@ class TestOneLayout:
         packed = split_batch(yes, cfg)
         order = np.argsort(packed, kind="stable")
         got = FrozenIndex(cfg, _Cols.bare(packed[order], cfg))
-        table = _place_yes(AdaptiveFilter(cfg, value_bits=1), yes[order], packed[order],
+        # _place_yes takes the keys' hash words, whose top bits the map checks
+        words = hash_word_batch(yes, cfg.seed)
+        table = _place_yes(AdaptiveFilter(cfg, value_bits=1), words[order], packed[order],
                            np.zeros(len(yes), dtype=np.int64)).arr
         want = FrozenIndex(cfg, table._columns())
         assert vars(got).keys() == vars(want).keys()
