@@ -48,10 +48,12 @@ def _parse_dist(text: str, count: int, seed: int) -> WorkloadSpec:
 
 
 def _load_keys(path: str) -> np.ndarray:
-    keys = np.fromfile(path, dtype="<u8")
-    if keys.size == 0:
+    data = np.fromfile(path, dtype=np.uint8)
+    if data.size % 8:
+        raise ValueError(f"{path} holds {data.size} bytes, not a whole number of 8-byte keys")
+    if data.size == 0:
         raise ValueError(f"{path} holds no keys")
-    return keys
+    return data.view("<u8")
 
 
 def _build_filter(args) -> tuple[AdaptiveFilter, np.ndarray]:

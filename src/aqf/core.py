@@ -761,8 +761,9 @@ class SlotArray:
     def _minirun(self, mid: int) -> list[tuple[_Win, int | None, int, int, int, int]]:
         """(window, previous fp offset, fp offset, ext group offset, ctr
         offset, next) of each fingerprint of a minirun, in rank order:
-        the fingerprints of _run with the minirun's remainder."""
-        qt, rem = unpack_minirun_id(mid, self.cfg.r)
+        the fingerprints of _run with the minirun's remainder.
+        InvalidConfigError for an id that is no int."""
+        qt, rem = unpack_minirun_id(as_index(mid, "minirun id"), self.cfg.r)
         fps = []
         for win, prev, pos, rem_i, e0, c0, nxt in self._run(qt):
             if rem_i > rem:
@@ -773,7 +774,8 @@ class SlotArray:
 
     def _locate_fp(self, mid: int, rank: int) -> tuple[_Win, int | None, int, int, int, int]:
         """The rank-th fingerprint of a minirun as _minirun lists it.
-        Raises if missing."""
+        Raises if missing, InvalidConfigError for a rank that is no int."""
+        rank = as_index(rank, "rank")
         fps = self._minirun(mid)
         if not 0 <= rank < len(fps):
             raise NotFoundError(f"minirun {mid} has no rank {rank}")
@@ -873,6 +875,7 @@ class SlotArray:
         window the walk read, and one store writes the moved bits with the
         moved terminator or the cleared occupied bit.
         """
+        rank = as_index(rank, "rank")
         fps = self._minirun(mid)
         if not 0 <= rank < len(fps):
             raise NotFoundError(f"minirun {mid} has no rank {rank}")

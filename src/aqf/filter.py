@@ -66,7 +66,7 @@ from .hashing import (
     split,
     unhash_word,
 )
-from .revmap import ReverseMap, _joined, _reader
+from .revmap import ReverseMap, _reader
 from .snapshot import ByteReader, seal, section, unseal
 
 COMBINED_MAGIC = b"AQFS"
@@ -354,10 +354,10 @@ class AdaptiveFilter:
         also checks the pair half of the prefix.  The table is read a
         block at a time (SlotArray._blocks), each compared with the map's
         rows at the same offset, read from its blocks in place
-        (ReverseMap._runs) and joined only where a table block spans more
-        than one.  Only the rows with extension chunks have their words
-        turned back into keys, for the chunks.  The first fault found, in
-        the order of the checks in _fault, is raised.
+        (ReverseMap._runs), a piece of a map block at a time.  Only the
+        rows with extension chunks have their words turned back into
+        keys, for the chunks.  The first fault found, in the order of the
+        checks in _fault, is raised.
         """
         fault = self._fault()
         if fault is not None:
@@ -365,8 +365,9 @@ class AdaptiveFilter:
 
     def _fault(self) -> str | None:
         """The message of check_consistency's first fault; None when
-        there is none.  The views of the map's blocks that it reads go
-        with this call, before the check raises (ReverseMap._runs)."""
+        there is none.  The views of the map's blocks that it reads,
+        each of which keeps its block from growing, go with this call,
+        before the check raises (ReverseMap._runs)."""
         cfg = self.cfg
         runs = self.map._runs()
         entries = sum(map(len, runs))
@@ -374,25 +375,30 @@ class AdaptiveFilter:
         rows, wrong_id, not_prefix = 0, None, None
         for cols in self.arr._blocks():
             lo, rows = rows, rows + len(cols.quot)
-            owners = _joined(take(len(cols.quot)))
+            pieces = take(len(cols.quot))
             if wrong_id is not None or rows > entries:
                 continue
-            ids = cols.packed(cfg.r)
-            off = np.flatnonzero(ids != _pairs(owners, cfg))
-            if off.size:
-                at = int(off[0])
-                wrong_id = lo + at, ids[at], _pairs(owners[at : at + 1], cfg)[0]
-            if off.size or not_prefix is not None:
-                continue
-            bad = np.zeros(len(ids), dtype=bool)
-            for t, ext, chunks in _chunk_rounds(owners, cols.ext_len, cfg):
-                bad[ext] |= chunks != cols.chunks[cols.ext_off[ext] + t]
-            if bad.any():
-                # a block holds whole runs, so the minirun's first row too
-                at = first = int(np.flatnonzero(bad)[0])
-                while first and ids[first - 1] == ids[at]:
-                    first -= 1
-                not_prefix = ids[at], at - first, owners[at]
+            packed, b = cols.packed(cfg.r), 0
+            # a piece is where a table block and a map block meet: both
+            # hold whole ids, so it holds the minirun of each of its rows
+            for owners in pieces:
+                a, b = b, b + len(owners)
+                ids = packed[a:b]
+                off = np.flatnonzero(ids != _pairs(owners, cfg))
+                if off.size:
+                    at = int(off[0])
+                    wrong_id = lo + a + at, ids[at], _pairs(owners[at : at + 1], cfg)[0]
+                    break
+                if not_prefix is not None:
+                    continue
+                bad = np.zeros(len(ids), dtype=bool)
+                for t, ext, chunks in _chunk_rounds(owners, cols.ext_len[a:b], cfg):
+                    bad[ext] |= chunks != cols.chunks[cols.ext_off[a:b][ext] + t]
+                if bad.any():
+                    at = first = int(np.flatnonzero(bad)[0])
+                    while first and ids[first - 1] == ids[at]:
+                        first -= 1
+                    not_prefix = ids[at], at - first, owners[at]
         if rows != entries:
             return f"{rows} fingerprints, {entries} map entries"
         if wrong_id is not None:

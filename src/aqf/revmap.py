@@ -18,32 +18,29 @@ a small key-value store (the merged setup); leaving them None keeps the
 map a pure key index (the split setup, values living elsewhere).
 
 The map is the leaf level of a B-tree held in memory: a list of blocks
-in hash order, each holding rows of a uint64 entry and, when some value
-in it is set, a value, in ascending id order, ties in rank order.  An
-id's rows never straddle two blocks.  A directory keeps each block's
-first id.  A scalar read bisects the directory, then the block's entries
-for ``mid << w``.  A write shifts the rows after it within its block.  A
-block holds up to _ROWS rows (more only when one id's rows need them)
-with room at its end; a full one is cut in two, and one that falls
-below a quarter of _ROWS joins a neighbour (``_recut``).  A map built
-from a column (``_from_columns``, the loader) cuts it into unwritten
-blocks of about _BLOCK rows, views of the column, with no copy; a write
-to one cuts out the piece of about half a block that it writes, and
-copies only that piece into room (``_own``).  Live, a map without
-values takes 8 bytes per key while no block has been written; a written
-block holds copies of its rows, and the column is let go once no block
-views it.
+in hash order, each owning its rows as an array ('Q') of entries and,
+when some value in it is set, a list of values, in ascending id order,
+ties in rank order.  An id's rows never straddle two blocks.  A
+directory keeps each block's first id.  A scalar read bisects the
+directory, then the block's entries for ``mid << w``.  A write shifts
+the rows after it within its block.  A write to a full block first cuts
+it anew into pieces of about half of _ROWS rows, each with room for as
+many rows again (``_recut``), and a block that falls below a quarter of
+_ROWS joins a neighbour.  A map built from a column (``_from_columns``,
+the loader) copies it into blocks of about _BLOCK rows, each born full,
+so that the first write to one cuts it into pieces like any other.
+Live, a map without values takes 8 bytes per key, and a little more in
+the written blocks, which keep room.
 
-Whole-map passes read the blocks as views, one per written block and
-one per stretch of unwritten ones (``_runs``), the base column itself
-while no block has been written.  Their rows are in hash order, the row
-order of the slot array's ``_columns()``, so the two pair row by row:
-the filter's consistency check compares them a table block at a time
-(``_reader``), merge and rebuild read them joined through ``_rows``
-(``setops._key_columns``), and a save writes them block by block into
-the snapshot.  ``_from_columns()`` refuses rows out of order; bulk load,
-merge, rebuild and the yes/no build make their maps with it, and no map
-is built by joining two maps.
+Whole-map passes read the blocks' entries as views, one per block
+(``_runs``).  Their rows are in hash order, the row order of the slot
+array's ``_columns()``, so the two pair row by row: the filter's
+consistency check compares them a table block at a time (``_reader``),
+merge and rebuild read them run by run (``setops.merge``, ``rebuild``),
+and a save writes them a _BLOCK of rows at a time into the snapshot.
+``_from_columns()`` refuses rows out of order; bulk load, merge, rebuild
+and the yes/no build make their maps with it, and no map is built by
+joining two maps.
 
 A snapshot holds the entries in hash order, then a length column and
 the value bytes only when some value is stored.  No minirun id is
@@ -62,7 +59,6 @@ import sys
 from array import array
 from bisect import bisect_left, bisect_right
 from functools import cache, partial
-from operator import attrgetter
 
 import numpy as np
 
@@ -79,8 +75,8 @@ from .snapshot import Fill, le_bytes, seal, unseal
 # value length sentinel meaning "no value stored"
 _NO_VALUE = 0xFFFFFFFF
 
-# rows a written block holds before an insert cuts it in two; blocks
-# are cut into pieces of about half that, and join a neighbour below a
+# rows a written block holds before a write cuts it in two; blocks are
+# cut into pieces of about half that, and join a neighbour below a
 # quarter
 _ROWS = 1024
 
@@ -120,40 +116,33 @@ def _join_values(*parts: tuple[list | None, int]) -> list | None:
     return [x for v, n in parts for x in (itertools.repeat(None, n) if v is None else v)]
 
 
-def _cuts(entries, w: int, lo: int, hi: int, rows: int) -> list[int]:
-    """Row offsets that cut hash-ordered entries[lo:hi] of w bits below
-    their ids into pieces of about rows rows, each cut at the first row
-    of an id: lo, the cuts, hi."""
-    k = -(-(hi - lo) // rows)
-    cuts = [lo]
+def _cuts(keys, w: int, rows: int) -> list[int]:
+    """Row offsets that cut hash-ordered keys, whose ids are key >> w,
+    into pieces of about rows rows, each cut at the first row of an id:
+    0, the cuts, len(keys)."""
+    n = len(keys)
+    k = -(-n // rows)
+    cuts = [0]
     for i in range(1, k):
-        at = bisect_left(entries, entries[lo + i * (hi - lo) // k] >> w << w, lo, hi)
+        at = bisect_left(keys, keys[i * n // k] >> w << w)
         if at > cuts[-1]:
             cuts.append(at)
-    return cuts + [hi]
+    return cuts + [n]
 
 
 class _Block:
-    """Rows [lo, hi) of entries, a sequence that indexes to Python ints,
-    and their values, vals[i] that of row lo + i, None while every value
-    is None.  An unwritten block's entries are a memoryview of the column
-    it shares with the blocks around it, and cap is 0: a write copies it
-    first.  A written block owns them as an array ('Q'), which holds its
-    rows alone (lo is 0, hi their length), and is cut anew once it holds
-    cap rows."""
+    """A block's rows: entries, an array ('Q') of their entries, which
+    the block owns, and vals, vals[i] the value of row i, None while
+    every value is None.  A write to a block that holds cap rows cuts it
+    anew first (ReverseMap._recut)."""
 
-    __slots__ = ("entries", "lo", "hi", "vals", "cap")
+    __slots__ = ("entries", "vals", "cap")
 
-    def __init__(self, entries, lo: int, hi: int, vals: list | None, cap: int = 0):
-        self.entries, self.lo, self.hi, self.vals, self.cap = entries, lo, hi, vals, cap
-
-    @classmethod
-    def owned(cls, entries: np.ndarray, vals: list | None) -> "_Block":
-        """A written block of copies of the rows, cut anew at twice as
-        many rows, and _ROWS at least."""
-        blk = cls(array("Q"), 0, len(entries), vals, max(_ROWS, 2 * len(entries)))
-        blk.entries.frombytes(memoryview(entries).cast("B"))
-        return blk
+    def __init__(self, rows: np.ndarray, vals: list | None, cap: int):
+        # sized exactly, where frombytes would keep a sixteenth more room
+        self.entries = array("Q", [0]) * len(rows)
+        np.frombuffer(self.entries, dtype=np.uint64)[:] = rows
+        self.vals, self.cap = vals, cap
 
 
 def _reader(runs: list):
@@ -179,12 +168,6 @@ def _reader(runs: list):
         return pieces
 
     return take
-
-
-def _joined(pieces: list) -> np.ndarray:
-    """The entry arrays that a reader's take hands out, as one array: a
-    view when there is one."""
-    return pieces[0] if len(pieces) == 1 else np.concatenate(pieces or [_NONE])
 
 
 def _write_columns(runs: list, w: int, dest: memoryview) -> None:
@@ -220,77 +203,46 @@ class ReverseMap:
     def __init__(self, w: int):
         self.accesses = 0
         self._w = _int_in(w, "entry bits below the minirun id", 0, 63)
-        self._set_columns(_NONE, None)
-
-    def _set_columns(self, entries: np.ndarray, values: list | None) -> None:
-        """Make hash-ordered rows the map's, as unwritten blocks of about
-        _BLOCK rows, views of the array, which the map keeps; values is
-        None when every value is None."""
-        self._cols = entries, values
-        self._blocks = [_Block(memoryview(entries), 0, len(entries), values)]
+        self._blocks = [_Block(_NONE, None, 0)]
         self._firsts = [0]  # the directory
-        self._nkeys = len(entries)
-        self._unwritten = 1
-        self._cut_view(0, _cuts(memoryview(entries), self._w, 0, len(entries), _BLOCK))
+        self._nkeys = 0
 
-    def _cut_view(self, b: int, cuts: list[int]) -> None:
-        """Cut unwritten block b at cuts, rows that ascend from its first
-        to its end, into unwritten blocks, views of the same column."""
-        blk = self._blocks[b]
-        self._blocks[b : b + 1] = [
-            _Block(blk.entries, lo, hi,
-                   None if blk.vals is None else blk.vals[lo - blk.lo : hi - blk.lo])
+    def _cut(self, a: int, b: int, keys, w: int, rows: int, piece, vals: list | None,
+             full: bool) -> None:
+        """Put blocks of hash-ordered rows, whose ids are keys >> w, in
+        place of blocks [a, b): cut into pieces of about rows rows at the
+        first row of an id (_cuts), each block a copy of piece(lo, hi),
+        the entries of its rows [lo, hi), with vals[lo:hi] (vals None:
+        every value is None).  A block is born full, or else with room
+        for as many rows again, and for _ROWS at least."""
+        keys = memoryview(keys)
+        cuts = _cuts(keys, w, rows)
+        self._blocks[a:b] = [
+            _Block(piece(lo, hi), None if vals is None else vals[lo:hi],
+                   hi - lo if full else max(_ROWS, 2 * (hi - lo)))
             for lo, hi in itertools.pairwise(cuts)]
-        if blk.hi > blk.lo:
-            self._firsts[b : b + 1] = [blk.entries[cut] >> self._w for cut in cuts[:-1]]
-        self._unwritten += len(cuts) - 2
+        self._firsts[a:b] = [keys[cut] >> w for cut in cuts[:-1]] if len(keys) else [0]
 
     def _find(self, mid: int) -> tuple[int, _Block, int]:
         """(b, block b, row): the block where mid's rows are, or would
         go (block 0 for an id below every block), and its first row at
-        or past mid, where mid's rows start when it has some."""
+        or past mid, where mid's rows start when it has some.
+        InvalidConfigError for an id that is no int."""
+        mid = as_index(mid, "minirun id")
         b = bisect_right(self._firsts, mid) - 1
         if b < 0:
             b = 0
         blk = self._blocks[b]
-        return b, blk, bisect_left(blk.entries, mid << self._w, blk.lo, blk.hi)
+        return b, blk, bisect_left(blk.entries, mid << self._w)
 
     def _recut(self, a: int, b: int) -> None:
-        """Copy the rows of blocks [a, b) into written blocks, cut into
-        pieces of about half a block (_cuts)."""
+        """Cut the rows of blocks [a, b) anew into blocks of about half
+        of _ROWS rows, with room (_cut)."""
         old = self._blocks[a:b]
-        entries = np.concatenate(list(map(self._rows_of, old)))
-        vals = _join_values(*((blk.vals, blk.hi - blk.lo) for blk in old))
-        self._unwritten -= sum(not blk.cap for blk in old)
-        if not self._unwritten:  # no block views the column any more
-            self._cols = _NONE, None
-        view = memoryview(entries)
-        cuts = _cuts(view, self._w, 0, len(entries), _ROWS // 2)
-        self._blocks[a:b] = [_Block.owned(entries[lo:hi], None if vals is None else vals[lo:hi])
-                             for lo, hi in itertools.pairwise(cuts)]
-        self._firsts[a:b] = [view[cut] >> self._w for cut in cuts[:-1]] if len(entries) else [0]
-
-    def _own(self, b: int, mid: int) -> tuple[int, _Block, int]:
-        """Write block b, where mid's rows are or would go, anew, with
-        room, and _find mid again: from an unwritten block, the piece of
-        about half a block that holds mid's rows is first cut out as an
-        unwritten block of its own, so that only it is copied; a full one
-        is cut in two."""
-        blk = self._blocks[b]
-        if not blk.cap and blk.hi - blk.lo > _ROWS // 2:
-            # of the pieces _cuts would cut, only mid's is cut out
-            cuts = _cuts(blk.entries, self._w, blk.lo, blk.hi, _ROWS // 2)
-            j = max(1, bisect_right([blk.entries[cut] >> self._w for cut in cuts[:-1]], mid))
-            inner = [cut for cut in cuts[j - 1 : j + 1] if blk.lo < cut < blk.hi]
-            self._cut_view(b, [blk.lo, *inner, blk.hi])
-            b = self._find(mid)[0]
-        self._recut(b, b + 1)
-        return self._find(mid)
-
-    @property
-    def _written(self) -> bool:
-        """Whether some block has been written."""
-        return self._unwritten < len(self._blocks)
+        entries = np.concatenate([np.frombuffer(blk.entries, dtype=np.uint64) for blk in old])
+        vals = _join_values(*((blk.vals, len(blk.entries)) for blk in old))
+        self._cut(a, b, entries, self._w, _ROWS // 2, lambda lo, hi: entries[lo:hi], vals,
+                  full=False)
 
     @staticmethod
     def check_entry(key: int, value: bytes | None) -> None:
@@ -312,47 +264,48 @@ class ReverseMap:
         b, blk, row = self._find(mid)
         at = row + rank
         # rank is in bounds when it is 0 or mid holds the row before it
-        if rank < 0 or rank and (at > blk.hi or blk.entries[at - 1] >> w != mid):
+        if rank < 0 or rank and (at > len(blk.entries) or blk.entries[at - 1] >> w != mid):
             raise NotFoundError(f"rank {rank} out of bounds for the "
                                 f"{self.list_size(mid)} entries of minirun {mid}")
-        if blk.hi >= blk.cap:  # unwritten, or full
-            b, blk, row = self._own(b, mid)
+        if len(blk.entries) >= blk.cap:
+            self._recut(b, b + 1)
+            b, blk, row = self._find(mid)
             at = row + rank
-        blk.entries.insert(at, key)
         if value is not None and blk.vals is None:
-            blk.vals = [None] * blk.hi
+            blk.vals = [None] * len(blk.entries)
         if blk.vals is not None:
             blk.vals.insert(at, value)
-        blk.hi += 1
+        blk.entries.insert(at, key)
         if not at:
             self._firsts[b] = key >> w
         self._nkeys += 1
         self.accesses += 1
 
     def map_get(self, mid: int, rank: int) -> tuple[int, bytes | None]:
+        rank = as_index(rank, "rank")
         _, blk, row = self._find(mid)
         at = row + rank
-        if rank < 0 or at >= blk.hi or blk.entries[at] >> self._w != mid:
+        entries = blk.entries
+        if rank < 0 or at >= len(entries) or entries[at] >> self._w != mid:
             raise NotFoundError(f"minirun {mid} has no entry at rank {rank}")
         self.accesses += 1
-        vals = blk.vals
-        return blk.entries[at], None if vals is None else vals[at - blk.lo]
+        return entries[at], None if blk.vals is None else blk.vals[at]
 
     def map_remove(self, mid: int, rank: int) -> tuple[int, bytes | None]:
         """Remove and return the entry at rank; empty ids are dropped."""
         rank = as_index(rank, "rank")
         b, blk, row = self._find(mid)
         at = row + rank
-        if rank < 0 or at >= blk.hi or blk.entries[at] >> self._w != mid:
+        if rank < 0 or at >= len(blk.entries) or blk.entries[at] >> self._w != mid:
             raise NotFoundError(f"minirun {mid} has no entry at rank {rank}")
-        if not blk.cap:
-            b, blk, row = self._own(b, mid)
+        if len(blk.entries) >= blk.cap:
+            self._recut(b, b + 1)
+            b, blk, row = self._find(mid)
             at = row + rank
         out = blk.entries.pop(at), None if blk.vals is None else blk.vals.pop(at)
-        blk.hi -= 1
-        if not at and blk.hi:
+        if not at and blk.entries:
             self._firsts[b] = blk.entries[0] >> self._w
-        if blk.hi < _ROWS // 4 and len(self._blocks) > 1:  # join a neighbour
+        if len(blk.entries) < _ROWS // 4 and len(self._blocks) > 1:  # join a neighbour
             a = b if b + 1 < len(self._blocks) else b - 1
             self._recut(a, a + 2)
         self._nkeys -= 1
@@ -361,11 +314,11 @@ class ReverseMap:
 
     def find_rank(self, mid: int, key: int) -> int | None:
         """Rank of the first exact occurrence of key, or None."""
-        self.accesses += 1
         _, blk, first = self._find(mid)
-        entries, hi, w = blk.entries, blk.hi, self._w
+        self.accesses += 1
+        entries, w = blk.entries, self._w
         row = first
-        while row < hi and (entry := entries[row]) >> w == mid:
+        while row < len(entries) and (entry := entries[row]) >> w == mid:
             if entry == key:
                 return row - first
             row += 1
@@ -373,7 +326,7 @@ class ReverseMap:
 
     def list_size(self, mid: int) -> int:
         _, blk, row = self._find(mid)
-        return bisect_left(blk.entries, (mid + 1) << self._w, row, blk.hi) - row
+        return bisect_left(blk.entries, (mid + 1) << self._w, row) - row
 
     @property
     def key_count(self) -> int:
@@ -389,51 +342,24 @@ class ReverseMap:
     # columns: the one way out of the map and the one way in
 
     def _runs(self) -> list[np.ndarray]:
-        """Entry views of the rows in hash order, ties in rank order:
-        one per non-empty written block and one per stretch of unwritten
-        blocks, which lie side by side in the column they share (the
-        rows between two of them can only go through a write, which
-        writes their block).
+        """Views of the blocks' entries as uint64 arrays, in hash order,
+        ties in rank order; an empty map has one, empty.
 
-        A view of a written block's array keeps it from growing, so no
-        view may outlive the pass that reads it; _rows hands out copies
-        of them.
+        A view of a block's array keeps it from growing, so no view may
+        outlive the pass that reads it; _rows hands out a copy.
         """
-        entries, _ = self._cols
-        if not self._written:
-            return [entries]
-        runs = []
-        for cap, group in itertools.groupby(self._blocks, attrgetter("cap")):
-            if cap:
-                runs += [self._rows_of(blk) for blk in group if blk.hi]
-            else:
-                stretch = list(group)
-                runs.append(entries[stretch[0].lo : stretch[-1].hi])
-        return runs
-
-    def _rows_of(self, blk: _Block) -> np.ndarray:
-        """blk's rows' entries, as a uint64 view."""
-        if not blk.cap:
-            return self._cols[0][blk.lo : blk.hi]
-        return np.frombuffer(blk.entries, dtype=np.uint64)
+        return [np.frombuffer(blk.entries, dtype=np.uint64) for blk in self._blocks]
 
     def _values(self) -> list | None:
         """The value of every row in hash order; None when every value
         is None."""
-        if not self._written:
-            return self._cols[1]
-        if not any(map(attrgetter("vals"), self._blocks)):
-            return None
-        return _join_values(*((blk.vals, blk.hi - blk.lo) for blk in self._blocks))
+        return _join_values(*((blk.vals, len(blk.entries)) for blk in self._blocks))
 
     def _rows(self) -> tuple[np.ndarray, list | None]:
         """(entries, values) of every row in hash order, ties in rank
-        order; values is None when every value is None.  The map's
-        column itself while no block has been written, else a joined
-        copy."""
-        runs = self._runs()
-        entries = runs[0] if not self._written else np.concatenate(runs or [_NONE])
-        return entries, self._values()
+        order, the entries joined in a copy; values is None when every
+        value is None."""
+        return np.concatenate(self._runs()), self._values()
 
     @classmethod
     def _from_columns(cls, entries: np.ndarray, values, w: int) -> "ReverseMap":
@@ -441,15 +367,16 @@ class ReverseMap:
         minirun id above its low w bits; values None stands for a value
         of None at every entry.
 
-        Rows come in hash order, each list's in rank order; the map's
-        blocks are views of the array, which the caller no longer uses.
+        Rows come in hash order, each list's in rank order; the map
+        copies them into blocks of about _BLOCK rows, born full (_cut).
         Counts one access per entry, as building it with map_insert
         would.  Ids out of order raise UnsortedInputError.
         """
         m = cls(w)
         entries = _hash_ordered(entries, m._w)
-        m._set_columns(entries, _join_values((values, len(entries))))
-        m.accesses = len(entries)
+        m._cut(0, 1, entries, m._w, _BLOCK, lambda lo, hi: entries[lo:hi],
+               _join_values((values, len(entries))), full=True)
+        m._nkeys = m.accesses = len(entries)
         return m
 
     # ------------------------------------------------------------------
@@ -493,20 +420,18 @@ class ReverseMap:
         a length column only when some entry holds a value, and value
         bytes that fill the rest exactly.  The lengths are summed and
         checked against the bytes at hand before any value is cut out.
-        Ids out of order raise UnsortedInputError.
+        Ids out of order raise UnsortedInputError.  Each block is built
+        from its own slice of mids and of the columns, blocks born full
+        as _from_columns cuts them, so no whole-column temporary is made.
         """
         m = cls(w)
         n = len(mids)
         size = n * sum(dt.itemsize for _, _, dt in _columns_of(w))
         if len(body) < size:
             raise FormatError(f"map section of {len(body)} bytes is short of {n} entries")
-        entries = _hash_ordered(mids, 0).copy()
-        for shift, width, dt in reversed(_columns_of(w)):
-            col = np.frombuffer(body, dtype=dt, count=n, offset=n * shift // 8)
-            if width < 8 * dt.itemsize and int(col.max(initial=0)) >> width:
-                raise FormatError(f"map entry with bits set past its {width}-bit column")
-            entries <<= np.uint64(width)
-            entries |= col
+        mids = _hash_ordered(mids, 0)
+        cols = [(width, np.frombuffer(body, dtype=dt, count=n, offset=n * shift // 8))
+                for shift, width, dt in reversed(_columns_of(w))]
         rest = body[size:]
         values = None
         if len(rest):
@@ -523,5 +448,17 @@ class ReverseMap:
                                   f"the section holds {len(blob)}")
             values = [blob[a - k : a] if h else None
                       for a, k, h in zip(ends.tolist(), lengths.tolist(), held.tolist())]
-        m._set_columns(entries, values)
+
+        def piece(lo: int, hi: int) -> np.ndarray:
+            entries = mids[lo:hi].copy()
+            for width, col in cols:
+                col = col[lo:hi]
+                if width < 8 * col.itemsize and int(col.max(initial=0)) >> width:
+                    raise FormatError(f"map entry with bits set past its {width}-bit column")
+                entries <<= np.uint64(width)
+                entries |= col
+            return entries
+
+        m._cut(0, 1, mids, 0, _BLOCK, piece, values, full=True)
+        m._nkeys = n
         return m

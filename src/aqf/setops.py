@@ -22,16 +22,18 @@ placed words back into keys (``hashing.unhash_word_batch``).
 
 Merge and rebuild take one path, ``_build_rederived``: they read their
 inputs' tables and maps as columns in hash order (``SlotArray._columns``,
-and ``ReverseMap._rows``, the map's blocks joined, or its column
-itself while no block has been written), which pair row by row,
-re-derive every fingerprint from its word under the output config, and
-place the result.  Merge keeps the seed, so the words stand as they
-are; rebuild turns them back into keys and hashes those under its new
-seed.  Extension chunks past the pair are drawn from the keys of the
-rows that carry them.  The yes/no build, whose YES keys are already in
-hash order, skips the re-derivation and hands its extension lengths to
-``_extended_cols`` directly.  Every build ends in ``_place``: the table
-is laid out, and its map is built in one pass over hash-ordered rows by
+and ``ReverseMap._runs``, views of the map's blocks), which pair row by
+row: both come in hash order, ties in rank order, which map lists
+mirror (``check_consistency()`` proves that).  They re-derive every
+fingerprint from its word under the output config, and place the
+result.  Merge keeps the seed, so the words stand as they
+are, joined in one array; rebuild turns them back into keys and hashes
+those under its new seed, run by run into one array.  Extension chunks
+past the pair are drawn from the keys of the rows that carry them.  The
+yes/no build, whose YES keys are already in hash order, skips the
+re-derivation and hands its extension lengths to ``_extended_cols``
+directly.  Every build ends in ``_place``: the table is laid out, and
+its map is built in one pass over hash-ordered rows by
 ``ReverseMap._from_columns``.
 """
 
@@ -128,16 +130,15 @@ def _place(words: np.ndarray, cols: _Cols, values: list | None, cfg: FilterConfi
     return AdaptiveFilter._from_parts(arr, revmap, policy if policy is not None else Policy())
 
 
-def _key_columns(f: AdaptiveFilter) -> tuple[_Cols, np.ndarray, list | None]:
-    """f's slot columns with each row's hash word and value (None when
-    every value is None).
-
-    Both the table's columns and the map's rows come in hash order, ties
-    in rank order, which map lists mirror (check_consistency() proves
-    that), so row i of one is row i of the other.
-    """
-    words, values = f.map._rows()
-    return f.arr._columns(), words, values
+def _rehashed(runs: list, seed: int, new_seed: int) -> np.ndarray:
+    """The hash words under new_seed of the keys whose words under seed
+    are the runs', in one array, hashed a run at a time."""
+    words = np.empty(sum(map(len, runs)), dtype=np.uint64)
+    at = 0
+    for run in runs:
+        words[at : at + len(run)] = hash_word_batch(unhash_word_batch(run, seed), new_seed)
+        at += len(run)
+    return words
 
 
 def _build_rederived(cols: _Cols, words: np.ndarray, values: list | None, cfg: FilterConfig,
@@ -202,9 +203,12 @@ def merge(a: AdaptiveFilter, b: AdaptiveFilter) -> AdaptiveFilter:
     cfg = a.cfg
     if a.arr.used_count + b.arr.used_count > _GROW_AT * cfg.nslots:
         cfg = FilterConfig(q=cfg.q + 1, r=cfg.r, seed=cfg.seed)
-    (ca, wa, va), (cb, wb, vb) = _key_columns(a), _key_columns(b)
-    return _build_rederived(_Cols.join([ca, cb]), np.concatenate([wa, wb]),
-                            _join_values((va, len(wa)), (vb, len(wb))), cfg,
+    # the inputs' columns and the views of their maps' blocks go with the
+    # calls that join them, before the build
+    return _build_rederived(_Cols.join([a.arr._columns(), b.arr._columns()]),
+                            np.concatenate(a.map._runs() + b.map._runs()),
+                            _join_values((a.map._values(), a.map.key_count),
+                                         (b.map._values(), b.map.key_count)), cfg,
                             a.policy, a.value_bits, keep_ext=True)
 
 
@@ -219,7 +223,6 @@ def rebuild(f: AdaptiveFilter, new_seed: int) -> AdaptiveFilter:
         warnings.warn("rebuilding with the same seed keeps the same collisions",
                       stacklevel=2)
     cfg = FilterConfig(q=f.cfg.q, r=f.cfg.r, seed=new_seed)
-    cols, words, values = _key_columns(f)
     # the new words go without a name, so that _build_rederived drops them once sorted
-    return _build_rederived(cols, hash_word_batch(unhash_word_batch(words, f.cfg.seed), new_seed),
-                            values, cfg, f.policy, f.value_bits, keep_ext=False)
+    return _build_rederived(f.arr._columns(), _rehashed(f.map._runs(), f.cfg.seed, new_seed),
+                            f.map._values(), cfg, f.policy, f.value_bits, keep_ext=False)

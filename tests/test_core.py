@@ -1,6 +1,7 @@
 """Slot array behavior, cross-checked by the raw-state decoder."""
 
 from collections import Counter
+from functools import partial
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from aqf.core import (
     pack_minirun_id,
     unpack_minirun_id,
 )
-from aqf.errors import FilterFullError, FormatError, NotFoundError
+from aqf.errors import FilterFullError, FormatError, InvalidConfigError, NotFoundError
 from aqf.filter import AdaptiveFilter, Policy
 from aqf.hashing import FilterConfig, HashStream, extension_chunk, split, split_batch
 
@@ -354,6 +355,27 @@ class TestRemove:
             arr.remove_fp(mid, 1)
         with pytest.raises(NotFoundError):
             arr.remove_fp(pack_minirun_id(6, 2, C44.r), 0)
+
+    @pytest.mark.parametrize("bad", [0.5, "0"])
+    def test_a_rank_or_id_that_is_no_int_is_refused_and_leaves_the_table(self, bad):
+        """get_ext, extend_fp and remove_fp refuse a rank, or an id, that
+        is no int, a float equal to the id included, before anything
+        changes; so does a filter's adapt."""
+        arr = SlotArray(C44)
+        mid, _ = insert_whole(arr, 5, 2, (7,), 3)
+        before = arr.to_bytes()
+        for at in ((mid, bad), (float(mid), 0), (bad, 0)):
+            for call in (arr.get_ext, partial(arr.remove_fp, shorten=True),
+                         lambda mid, rank: arr.extend_fp(mid, rank, [1])):
+                with pytest.raises(InvalidConfigError, match="rank|minirun id"):
+                    call(*at)
+        assert arr.to_bytes() == before
+        f = AdaptiveFilter(C44)
+        mid, _ = f.insert(1001)
+        before = f.to_bytes()
+        with pytest.raises(InvalidConfigError, match="rank"):
+            f.adapt(mid, bad, 1001, HashStream(1002, C44.seed))
+        assert f.to_bytes() == before and f.adaptations == 0
 
 
 class TestExtendTruncate:

@@ -28,7 +28,7 @@ from aqf.hashing import (
     split,
     unhash_word,
 )
-from aqf.setops import rebuild
+from aqf.setops import merge, rebuild
 from aqf.workbench import CHURN_SPACE, fill_to_load
 
 from oracles import (
@@ -533,10 +533,10 @@ class TestDelete:
         """find_rank scans the id's rows; map_remove bisects straight to
         the row at its rank and scans none.  A delete looks its id's
         block up twice, once for each, and the map counts two accesses
-        per delete.  The first delete copies the map's lone, unwritten
-        block into room and looks it up once more."""
+        per delete.  The first delete cuts the map's lone block, born
+        full, anew with room and looks it up once more."""
         f, keys = fill_to_load(FilterConfig(q=10, r=6, seed=61), 0.5, seed=62)
-        assert len(f.map._blocks) == 1 and not f.map._blocks[0].cap
+        assert len(f.map._blocks) == 1 and len(f.map._blocks[0].entries) == f.map._blocks[0].cap
         scans = Counter()
         find = f.map._find
 
@@ -611,8 +611,10 @@ class TestConsistency:
 
     @staticmethod
     def written(f, mid) -> bool:
-        """Whether the map block that holds mid has been written."""
-        return bool(f.map._find(mid)[1].cap)
+        """Whether the map block that holds mid has been written: cut
+        anew with room, where a block cut from a column is born full."""
+        blk = f.map._find(mid)[1]
+        return len(blk.entries) < blk.cap
 
     def test_detects_map_tampering(self):
         f = AdaptiveFilter(FilterConfig(q=8, r=4, seed=62))
@@ -624,14 +626,13 @@ class TestConsistency:
     def test_detects_map_tampering_in_the_base_columns(self):
         f = AdaptiveFilter(FilterConfig(q=8, r=4, seed=62))
         mid, rank = self.extended(f, 1001)
-        # a reload puts every entry in unwritten blocks, views of the
-        # map's column, and the swap goes into that column in place
+        # a reload puts every entry in blocks born full, and the swap
+        # goes into the block's entries in place
         f = AdaptiveFilter.from_bytes(f.to_bytes())
         assert not self.written(f, mid)
-        keys, _ = f.map._rows()  # the column itself
         _, blk, row = f.map._find(mid)
-        word = self.other_word(f, int(keys[row + rank]))
-        keys[row + rank] = word
+        word = self.other_word(f, blk.entries[row + rank])
+        blk.entries[row + rank] = word
         assert f.map.map_get(mid, rank) == (word, None)
         with pytest.raises(StateCorruptionError):
             f.check_consistency()
@@ -653,13 +654,13 @@ class TestConsistency:
         """The check reads the table a block at a time and compares it
         with the map's rows, read from its blocks in place; it names the
         same fault, by its row in the whole table, whatever the table's
-        block size, and whether the map's blocks are unwritten views of
-        its columns or written blocks of a few rows each."""
+        block size, and whether the map's blocks are born full, as a
+        load cuts them, or written blocks of a few rows each."""
         f = AdaptiveFilter.from_bytes(fill_to_load(FilterConfig(q=8, r=4, seed=64), 0.6,
                                                    seed=65)[0].to_bytes())
-        keys = f.map._rows()[0].copy()
+        keys = f.map._rows()[0]
         w = 64 - f.cfg.q - f.cfg.r
-        assert not any(blk.cap for blk in f.map._blocks) and len(keys) > 120
+        assert all(len(blk.entries) == blk.cap for blk in f.map._blocks) and len(keys) > 120
         if fault == "key":  # row 120's fingerprint extended, and another key's word
             mid = int(keys[120]) >> w
             rank = 120 - int(np.searchsorted(keys >> np.uint64(w), mid))
@@ -672,13 +673,16 @@ class TestConsistency:
             keys = np.append(keys, keys[-1])
         else:
             keys = keys[:-1]
-        f.map._set_columns(keys, None)
+        # blocks born full, as a load cuts them, with no check of the order
+        f.map._cut(0, len(f.map._blocks), keys, w, revmap._BLOCK, lambda lo, hi: keys[lo:hi],
+                   None, full=True)
         messages = []
         for written in (False, True):
             if written:  # every block written, of about 3 rows
                 monkeypatch.setattr(revmap, "_ROWS", 6)
                 f.map._recut(0, len(f.map._blocks))
-                assert len(f.map._blocks) > 40 and all(blk.cap for blk in f.map._blocks)
+                assert len(f.map._blocks) > 40 and all(len(blk.entries) < blk.cap
+                                                       for blk in f.map._blocks)
             for block in (1 << 14, 5, 1):
                 monkeypatch.setattr(core, "_BLOCK", block)
                 with pytest.raises(StateCorruptionError) as err:
@@ -693,6 +697,44 @@ class TestConsistency:
         f.map.map_remove(mid, rank)
         with pytest.raises(StateCorruptionError):
             f.check_consistency()
+
+
+def write_every_block(f) -> None:
+    """Insert a word at rank 0 of the first id of each of f's map blocks
+    and remove it again, so that every block takes a write and the map
+    holds what it held."""
+    w = 64 - f.cfg.q - f.cfg.r
+    for mid in [blk.entries[0] >> w for blk in f.map._blocks]:
+        f.map.map_insert(mid, 0, mid << w)
+        assert f.map.map_remove(mid, 0) == (mid << w, None)
+
+
+@pytest.mark.parametrize("whole_map_pass", ["save", "check", "failing check", "rows", "merge",
+                                            "rebuild"])
+def test_every_block_takes_a_write_after_a_whole_map_pass(whole_map_pass, monkeypatch):
+    """A map block owns its entries in an array ('Q'), which a numpy view
+    of it keeps from growing (BufferError), and a whole-map pass reads
+    the blocks through such views: none may outlive its pass.  After
+    the pass every block of a freshly loaded map takes a write, which
+    cuts it anew, and after a second pass every block takes a write in
+    place."""
+    monkeypatch.setattr(revmap, "_BLOCK", 64)
+    f = AdaptiveFilter.from_bytes(fill_to_load(FilterConfig(q=10, r=6, seed=66), 0.9,
+                                               seed=67)[0].to_bytes())
+    assert len(f.map._blocks) > 8
+    if whole_map_pass == "failing check":  # a fingerprint fewer than map entries
+        mid = f.map._blocks[0].entries[0] >> 64 - f.cfg.q - f.cfg.r
+        f.arr.remove_fp(mid, 0)
+    run = {"save": f.to_bytes, "rows": f.map._rows, "merge": lambda: merge(f, f),
+           "rebuild": lambda: rebuild(f, 68)}.get(whole_map_pass, f.check_consistency)
+    for _ in range(2):
+        if whole_map_pass == "failing check":
+            with pytest.raises(StateCorruptionError):
+                run()
+        else:
+            run()
+        write_every_block(f)
+    assert all(len(blk.entries) <= blk.cap for blk in f.map._blocks)
 
 
 class TestCombinedSnapshot:

@@ -7,7 +7,7 @@ fill peaks at about 40 bytes per key (numpy 2.4), against 151 with
 8-byte slots and columns.  The first exact index and the consistency
 check decode the table a block of about 2**14 slots at a time, so their
 peaks are what they keep plus one block's temporaries: about 26.5 and
-17.3 bytes per key at q=16, against 32 and 30 when each decoded the whole
+17.1 bytes per key at q=16, against 32 and 30 when each decoded the whole
 table at once.  A load checks the layout over the whole table and then
 takes the minirun ids from the same blocks: it peaks at about 23.9 bytes
 per key at q=16, the filter it returns included, against 31.9 when it
@@ -16,13 +16,15 @@ built whole-table columns of rows to derive the ids.  The bounds leave
 at a pass's peak fails them.
 
 After 100 fresh inserts, which write about 100 of the reverse map's
-blocks, the check reads the map's rows from its blocks and joins only
-the rows of a table block that spans several: at q=16 it peaks at about
-19.9 bytes per key (22.7 while the map kept an id column beside its
-entries), against 33.3 when a map with written entries was merged into
-whole new columns first.  A save writes the map's entry columns
-straight into the snapshot, a block of rows at a time: beyond its blob
-it peaks at about 2.2 bytes per key, against 21.9 with the merge.  The bounds fail one more whole-map 8-byte temporary.
+blocks, the check reads the map's rows from its blocks in place, a
+piece where a table block and a map block meet at a time: at q=16 it
+peaks at about 18.0 bytes per key (19.9 while it joined the rows of a
+table block that spans several map blocks, 22.7 while the map kept an
+id column beside its entries), against 33.3 when a map with written
+entries was merged into whole new columns first.  A save writes the
+map's entry columns straight into the snapshot, a block of rows at a
+time: beyond its blob it peaks at about 2.4 bytes per key, against 21.9
+with the merge.  The bounds fail one more whole-map 8-byte temporary.
 
 The cached index keeps about 6.4 bytes per key: its quotient directory
 and a 2-byte remainder per pair.  The bound leaves about 9% of headroom,
@@ -30,9 +32,13 @@ so a per-pair 1-byte flag or a packed 8-byte pair column fails it.
 
 What a filled filter keeps is bounded too: at q=16 and 90% load about
 10.8 bytes per key, 2.2 for the slots, 0.6 for the metadata bits and 8
-for the reverse map's entry column, against 18.8 when the map kept a
-uint64 id column beside it.  The bound leaves about 5% of headroom, so
-a structure of 1 byte per key beside the columns fails it.
+for the reverse map's entries, against 18.8 when the map kept a uint64
+id column beside them.  The bound leaves about 5% of headroom, so a
+structure of 1 byte per key beside the columns fails it.  The same
+bound holds a loaded filter after deletes that write into half of its
+map's blocks: every block owns its rows, so it keeps about 11.1 bytes
+per key, against 15.5 while a loaded map kept its whole load-time
+column as long as any unwritten block was a view of it.
 
 A snapshot holds, per key, the slots and metadata bits (about 1.8 bytes
 at q=16 and 85% load) and the map's entries cut to the 64 - q - r bits
@@ -140,6 +146,27 @@ def test_a_filled_filter_keeps_under_its_bytes_per_key():
     tracemalloc.start()
     try:
         f = fill_to_load(CFG, 0.9, seed=5)[0]
+        gc.collect()
+        live = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert live / len(f) < LIVE_BYTES_PER_KEY
+
+
+def test_a_loaded_filter_half_written_keeps_under_its_bytes_per_key():
+    """Deletes of every 64th key of the first half of hash order write
+    into every map block that holds that half: each block owns its
+    rows, so the map keeps no load-time column beside its copies."""
+    f, keys = fill_to_load(CFG, 0.9, seed=5)
+    blob = f.to_bytes()
+    del f
+    AdaptiveFilter.from_bytes(blob).delete(int(keys[0]))  # first-call allocations stay out
+    gc.collect()
+    tracemalloc.start()
+    try:
+        f = AdaptiveFilter.from_bytes(blob)
+        for key in keys[: len(keys) // 2 : 64].tolist():
+            f.delete(key)
         gc.collect()
         live = tracemalloc.get_traced_memory()[0]
     finally:

@@ -53,28 +53,23 @@ def ids_of(m: ReverseMap) -> np.ndarray:
 
 
 def block_layout(m: ReverseMap) -> list:
-    """(cap, lo, hi) of each of m's blocks, and its directory."""
-    return [(blk.cap, blk.lo, blk.hi) for blk in m._blocks], list(m._firsts)
+    """(cap, rows) of each of m's blocks, and its directory."""
+    return [(blk.cap, len(blk.entries)) for blk in m._blocks], list(m._firsts)
 
 
 def assert_blocks_hold(m: ReverseMap) -> None:
-    """m's blocks are non-empty, but for a lone one, each within its
-    entries; the directory holds each one's first id; an id's rows
-    never straddle two blocks; and the map counts its unwritten blocks."""
+    """m's blocks are non-empty, but for a lone one, and hold no more
+    than cap rows each; the directory holds each one's first id; and an
+    id's rows never straddle two blocks."""
     blocks, w = m._blocks, m._w
     assert blocks and len(m._firsts) == len(blocks)
     for blk, first, nxt in zip(blocks, m._firsts, blocks[1:] + [None]):
-        assert 0 <= blk.lo <= blk.hi <= len(blk.entries)
-        if blk.cap:  # written: it holds its rows alone, and no more than cap
-            assert blk.lo == 0 and blk.hi == len(blk.entries) <= blk.cap
-        assert blk.vals is None or len(blk.vals) == blk.hi - blk.lo
+        assert len(blk.entries) <= blk.cap or not blk.entries
+        assert blk.vals is None or len(blk.vals) == len(blk.entries)
         if len(blocks) > 1:
-            assert blk.hi > blk.lo and blk.entries[blk.lo] >> w == first
+            assert blk.entries and blk.entries[0] >> w == first
         if nxt is not None:
-            assert blk.entries[blk.hi - 1] >> w < nxt.entries[nxt.lo] >> w
-    assert m._unwritten == sum(not blk.cap for blk in blocks)
-    if not m._unwritten:  # no block views the column, which the map lets go
-        assert not len(m._cols[0])
+            assert blk.entries[-1] >> w < nxt.entries[0] >> w
 
 
 def assert_same_content(m: ReverseMap, entries: dict) -> None:
@@ -190,7 +185,7 @@ class TestIdRange:
         assert m.map_get(TOP, 0) == (e(TOP, 5), None) and m.key_count == 4
 
     def test_map_insert_refuses_an_entry_that_does_not_carry_its_id(self):
-        """Refused before anything changes, in an unwritten block and in
+        """Refused before anything changes, in a block born full and in
         a written one: another id's entry, a flipped id bit, the entry
         of an id's neighbour, and a low part with no id above it."""
         m = ReverseMap._from_columns(np.array([e(0x2A, 7), e(0x40, 8)], dtype=np.uint64),
@@ -198,7 +193,7 @@ class TestIdRange:
         for written in (False, True):
             if written:
                 m.map_insert(0x2A, 1, e(0x2A, 9))
-                assert m._written
+                assert all(len(blk.entries) < blk.cap for blk in m._blocks)
             before = (rows_of(m), m.accesses, m.key_count, m.to_bytes())
             for mid, key in ((0x2A, e(0x40, 7)), (0x2A, e(0x2A, 7) ^ 1 << 63), (0x2A, e(0x2B, 7)),
                              (0x2A, 7), (0x40, e(0x2A, 9))):
@@ -208,14 +203,21 @@ class TestIdRange:
 
     @pytest.mark.parametrize("rank", [0.5, "x"])
     def test_a_rank_that_is_no_int_is_refused_and_leaves_the_map(self, rank):
-        """Refused before a first write copies the id's block into
-        room."""
+        """Refused before a first write cuts the id's block, born full,
+        anew; so is an id that is no int, a float that equals the id
+        included, by every call that takes one."""
         m = ReverseMap._from_columns(np.array([e(0x2A, 7)], dtype=np.uint64), None, W)
         before = (m.to_bytes(), m.key_count, m.accesses, map_lists(m), block_layout(m))
-        with pytest.raises(InvalidConfigError, match="rank"):
-            m.map_insert(0x2A, rank, e(0x2A, 9))
-        with pytest.raises(InvalidConfigError, match="rank"):
-            m.map_remove(0x2A, rank)
+        for call in (partial(m.map_insert, 0x2A, rank, e(0x2A, 9)),
+                     partial(m.map_remove, 0x2A, rank), partial(m.map_get, 0x2A, rank)):
+            with pytest.raises(InvalidConfigError, match="rank"):
+                call()
+        for mid in (float(0x2A), 0x2A + 0.5, rank):
+            for call in (partial(m.map_insert, mid, 0, e(0x2A, 9)), partial(m.map_remove, mid, 0),
+                         partial(m.map_get, mid, 0), partial(m.find_rank, mid, e(0x2A, 7)),
+                         partial(m.list_size, mid)):
+                with pytest.raises(InvalidConfigError, match="minirun id"):
+                    call()
         assert (m.to_bytes(), m.key_count, m.accesses, map_lists(m), block_layout(m)) == before
 
     def test_reads_of_an_absent_id_find_nothing(self):
@@ -624,7 +626,7 @@ class MapMachine(RuleBasedStateMachine):
         assert self.m.accesses == self.accesses
         blob = self.m.to_bytes()
         assert blob == encode_map(self.model, W)
-        # all in unwritten blocks; self.m may hold written ones
+        # all in blocks born full; self.m may hold written ones
         flat = ReverseMap.from_bytes(blob, model_ids(self.model), W)
         assert flat == self.m and self.m == flat
         assert_blocks_hold(self.m)

@@ -778,6 +778,17 @@ class TestCli:
                    "--keys-file", str(empty)])
         assert rc == 1
 
+    @pytest.mark.parametrize("size", [1, 7, 9, 15])
+    def test_a_keys_file_of_a_partial_key_exits_one(self, tmp_path, capsys, size):
+        """A keys file holds whole 8-byte keys: any other size is refused,
+        not read as the keys that fit."""
+        path, snap = tmp_path / "keys.u64", tmp_path / "f.aqf"
+        path.write_bytes(bytes(range(size)))
+        assert main(["build", "--qbits", "8", "--rbits", "4", "--keys-file", str(path),
+                     "--out", str(snap)]) == 1
+        assert f"holds {size} bytes" in capsys.readouterr().err
+        assert not snap.exists()
+
     def test_build_from_a_keys_file_places_them_in_hash_order(self, tmp_path, capsys):
         """Keys from a file, repeats included, go in as bulk_load of the
         same keys sorted by the stable argsort of their hashes."""
