@@ -67,7 +67,7 @@ from .hashing import (
     unhash_word,
 )
 from .revmap import ReverseMap, _reader
-from .snapshot import ByteReader, seal, section, unseal
+from .snapshot import ByteReader, replace_file, seal, section, unseal
 
 COMBINED_MAGIC = b"AQFS"
 COMBINED_VERSION = 3
@@ -113,6 +113,33 @@ class LookupResult(enum.Enum):
 
 # verdicts after which no stored fingerprint matches the key
 _SETTLED = (LookupResult.NOT_PRESENT, LookupResult.FALSE_POSITIVE_CORRECTED)
+
+
+def _block_faults(cols, owners: np.ndarray, lo: int, cfg: FilterConfig, not_prefix):
+    """(wrong_id, not_prefix) of AdaptiveFilter._fault after the table
+    block cols, whose first row is row lo of the table: not_prefix as it
+    was, or the block's first row whose fingerprint is no prefix of its
+    owner's hash, when it was None; wrong_id, the block's first row whose
+    id the map does not hold, or None.  owners is a copy of the map's
+    rows at the block's rows, which the extension check reads as words
+    and which then holds their ids.  Its temporaries go with the call,
+    before the next block is decoded."""
+    ids = cols.packed(cfg.r)
+    if not_prefix is None:
+        bad = np.zeros(len(ids), dtype=bool)
+        for t, ext, chunks in _chunk_rounds(owners, cols.ext_len, cfg):
+            bad[ext] |= chunks != cols.chunks[cols.ext_off[ext] + t]
+        if bad.any():
+            at = first = int(np.flatnonzero(bad)[0])
+            while first and ids[first - 1] == ids[at]:
+                first -= 1
+            not_prefix = ids[at], at - first, owners[at]
+    _pairs(owners, cfg, out=owners)
+    off = np.flatnonzero(ids != owners)
+    if not off.size:
+        return None, not_prefix
+    at = int(off[0])
+    return (lo + at, ids[at], owners[at]), not_prefix
 
 
 class AdaptiveFilter:
@@ -353,11 +380,11 @@ class AdaptiveFilter:
         q + r bits of its hash word (hashing._pairs), so that comparison
         also checks the pair half of the prefix.  The table is read a
         block at a time (SlotArray._blocks), each compared with the map's
-        rows at the same offset, read from its blocks in place
-        (ReverseMap._runs), a piece of a map block at a time.  Only the
-        rows with extension chunks have their words turned back into
-        keys, for the chunks.  The first fault found, in the order of the
-        checks in _fault, is raised.
+        rows at the same offset, read from its blocks (ReverseMap._runs)
+        and joined in one copy per table block.  Only the rows with
+        extension chunks have their words turned back into keys, for the
+        chunks.  The first fault found, in the order of the checks in
+        _fault, is raised.
         """
         fault = self._fault()
         if fault is not None:
@@ -376,29 +403,9 @@ class AdaptiveFilter:
         for cols in self.arr._blocks():
             lo, rows = rows, rows + len(cols.quot)
             pieces = take(len(cols.quot))
-            if wrong_id is not None or rows > entries:
-                continue
-            packed, b = cols.packed(cfg.r), 0
-            # a piece is where a table block and a map block meet: both
-            # hold whole ids, so it holds the minirun of each of its rows
-            for owners in pieces:
-                a, b = b, b + len(owners)
-                ids = packed[a:b]
-                off = np.flatnonzero(ids != _pairs(owners, cfg))
-                if off.size:
-                    at = int(off[0])
-                    wrong_id = lo + a + at, ids[at], _pairs(owners[at : at + 1], cfg)[0]
-                    break
-                if not_prefix is not None:
-                    continue
-                bad = np.zeros(len(ids), dtype=bool)
-                for t, ext, chunks in _chunk_rounds(owners, cols.ext_len[a:b], cfg):
-                    bad[ext] |= chunks != cols.chunks[cols.ext_off[a:b][ext] + t]
-                if bad.any():
-                    at = first = int(np.flatnonzero(bad)[0])
-                    while first and ids[first - 1] == ids[at]:
-                        first -= 1
-                    not_prefix = ids[at], at - first, owners[at]
+            if wrong_id is None and rows <= entries and pieces:
+                wrong_id, not_prefix = _block_faults(cols, np.concatenate(pieces), lo, cfg,
+                                                     not_prefix)
         if rows != entries:
             return f"{rows} fingerprints, {entries} map entries"
         if wrong_id is not None:
@@ -471,7 +478,9 @@ class AdaptiveFilter:
         return cls._from_parts(arr, revmap, policy, *counters)
 
     def save(self, path) -> None:
-        Path(path).write_bytes(self.to_bytes())
+        """Write the snapshot to path, replacing the file there whole or
+        not at all (snapshot.replace_file)."""
+        replace_file(path, self.to_bytes())
 
     @classmethod
     def load(cls, path) -> "AdaptiveFilter":

@@ -236,10 +236,11 @@ def split_batch(keys: np.ndarray, cfg: FilterConfig) -> np.ndarray:
     return _pairs(hash_word_batch(keys, cfg.seed, 0), cfg)
 
 
-def _pairs(words: np.ndarray, cfg: FilterConfig) -> np.ndarray:
+def _pairs(words: np.ndarray, cfg: FilterConfig, out: np.ndarray | None = None) -> np.ndarray:
     """split_batch of the keys whose words 0 are words: their top q + r
-    bits."""
-    return words >> np.uint64(64 - cfg.q - cfg.r)
+    bits, written into out when given (words itself for a shift in
+    place)."""
+    return np.right_shift(words, np.uint64(64 - cfg.q - cfg.r), out=out)
 
 
 def extension_chunk_batch(keys: np.ndarray, cfg: FilterConfig, i: int) -> np.ndarray:

@@ -23,21 +23,20 @@ when some value in it is set, a list of values, in ascending id order,
 ties in rank order.  An id's rows never straddle two blocks.  A
 directory keeps each block's first id.  A scalar read bisects the
 directory, then the block's entries for ``mid << w``.  A write shifts
-the rows after it within its block.  A write to a full block first cuts
-it anew into pieces of about half of _ROWS rows, each with room for as
-many rows again (``_recut``), and a block that falls below a quarter of
-_ROWS joins a neighbour.  A map built from a column (``_from_columns``,
-the loader) copies it into blocks of about _BLOCK rows, each born full,
-so that the first write to one cuts it into pieces like any other.
-Live, a map without values takes 8 bytes per key, and a little more in
-the written blocks, which keep room.
+the rows after it within its block.  Builds, loads and recuts all cut
+blocks of about half of _ROWS rows (``_cuts``), with room for as many
+again.  An insert that leaves a block past _ROWS rows cuts it anew with
+the next one, and a remove that leaves it below a quarter of _ROWS
+joins it to a neighbour (``_recut``); a block of one id, which no cut
+can split, is left whole, and a fresh id past it starts the next
+block.  A map without values takes 8 bytes per key and the room its
+arrays keep.
 
-Whole-map passes read the blocks' entries as views, one per block
-(``_runs``).  Their rows are in hash order, the row order of the slot
-array's ``_columns()``, so the two pair row by row: the filter's
-consistency check compares them a table block at a time (``_reader``),
-merge and rebuild read them run by run (``setops.merge``, ``rebuild``),
-and a save writes them a _BLOCK of rows at a time into the snapshot.
+Whole-map passes read the blocks' entries, in hash order, the row
+order of the slot array's ``_columns()``, so the two pair row by row:
+the filter's consistency check compares them a table block at a time
+(``_reader``), and merge, rebuild and a save read them run by run
+(``_runs``): a save casts each block's rows into the snapshot's columns.
 ``_from_columns()`` refuses rows out of order; bulk load, merge, rebuild
 and the yes/no build make their maps with it, and no map is built by
 joining two maps.
@@ -75,10 +74,10 @@ from .snapshot import Fill, le_bytes, seal, unseal
 # value length sentinel meaning "no value stored"
 _NO_VALUE = 0xFFFFFFFF
 
-# rows a written block holds before a write cuts it in two; blocks are
-# cut into pieces of about half that, and join a neighbour below a
-# quarter
-_ROWS = 1024
+# rows a block holds before an insert cuts it anew; builds, loads and
+# recuts cut blocks of about half that, and a block joins a neighbour
+# below a quarter
+_ROWS = 8192
 
 _NONE = np.zeros(0, dtype=np.uint64)
 
@@ -116,16 +115,20 @@ def _join_values(*parts: tuple[list | None, int]) -> list | None:
     return [x for v, n in parts for x in (itertools.repeat(None, n) if v is None else v)]
 
 
-def _cuts(keys, w: int, rows: int) -> list[int]:
+def _cuts(keys, w: int) -> list[int]:
     """Row offsets that cut hash-ordered keys, whose ids are key >> w,
-    into pieces of about rows rows, each cut at the first row of an id:
-    0, the cuts, len(keys)."""
+    into pieces of about half of _ROWS rows: 0, the cuts, len(keys).  A
+    cut is at the first row of the id at its mark, or past that id when
+    it starts at the last cut: only a piece of one id reaches _ROWS."""
     n = len(keys)
-    k = -(-n // rows)
+    k = -(-n // (_ROWS // 2))
     cuts = [0]
     for i in range(1, k):
-        at = bisect_left(keys, keys[i * n // k] >> w << w)
-        if at > cuts[-1]:
+        mid = keys[i * n // k] >> w
+        at = bisect_left(keys, mid << w)
+        if at <= cuts[-1]:
+            at = bisect_left(keys, mid + 1 << w, at)
+        if cuts[-1] < at < n:
             cuts.append(at)
     return cuts + [n]
 
@@ -133,35 +136,29 @@ def _cuts(keys, w: int, rows: int) -> list[int]:
 class _Block:
     """A block's rows: entries, an array ('Q') of their entries, which
     the block owns, and vals, vals[i] the value of row i, None while
-    every value is None.  A write to a block that holds cap rows cuts it
-    anew first (ReverseMap._recut)."""
+    every value is None.  Cut with about half of _ROWS rows, a block
+    takes writes in place until it holds more than _ROWS."""
 
-    __slots__ = ("entries", "vals", "cap")
+    __slots__ = ("entries", "vals")
 
-    def __init__(self, rows: np.ndarray, vals: list | None, cap: int):
+    def __init__(self, rows: np.ndarray, vals: list | None):
         # sized exactly, where frombytes would keep a sixteenth more room
         self.entries = array("Q", [0]) * len(rows)
         np.frombuffer(self.entries, dtype=np.uint64)[:] = rows
-        self.vals, self.cap = vals, cap
+        self.vals = vals
 
 
 def _reader(runs: list):
     """take(n): the next n rows of runs, entry arrays such as
     ReverseMap._runs hands out, as a list of such arrays of n rows in
     all, fewer once the runs run out."""
-    runs = iter(runs)
-    rest = _NONE
+    runs, rest = iter(runs), _NONE
 
     def take(n: int) -> list[np.ndarray]:
         nonlocal rest
         pieces = []
-        while n:
-            if not len(rest):
-                rest = next(runs, None)
-                if rest is None:
-                    rest = _NONE
-                    break
-                continue
+        # the next run once this one is read, until there is none
+        while n and (len(rest) or (rest := next(runs, _NONE)) is not _NONE):
             pieces.append(rest[:n])
             rest = rest[n:]
             n -= len(pieces[-1])
@@ -172,20 +169,17 @@ def _reader(runs: list):
 
 def _write_columns(runs: list, w: int, dest: memoryview) -> None:
     """Write the columns of the low w bits of the entries of runs (see
-    _columns_of), one after the other, into dest, a _BLOCK of rows at a
-    time, so that each column reads them from cache.  Each column is a
+    _columns_of), one after the other, into dest, a run at a time, so
+    that each column reads a block's rows from cache.  Each column is a
     cast, which keeps the low bits of each entry, or of its high half."""
-    n, outs = sum(map(len, runs)), []
+    n, outs, at = sum(map(len, runs)), [], 0
     for shift, width, dt in _columns_of(w):
         outs.append((shift, np.frombuffer(dest[: n * dt.itemsize], dtype=dt)))
         dest = dest[n * dt.itemsize :]
-    take, at = _reader(runs), 0
-    while chunk := take(_BLOCK):
-        rows = sum(map(len, chunk))
+    for entries in runs:
         for shift, out in outs:
-            cols = [entries.view(np.uint32)[_HIGH::2] for entries in chunk] if shift else chunk
-            np.concatenate(cols, out=out[at : at + rows], casting="unsafe")
-        at += rows
+            out[at : at + len(entries)] = entries.view(np.uint32)[_HIGH::2] if shift else entries
+        at += len(entries)
     for (_, width, dt), (_, out) in zip(_columns_of(w), outs):
         if width < 8 * dt.itemsize:
             out &= dt.type((1 << width) - 1)
@@ -203,24 +197,20 @@ class ReverseMap:
     def __init__(self, w: int):
         self.accesses = 0
         self._w = _int_in(w, "entry bits below the minirun id", 0, 63)
-        self._blocks = [_Block(_NONE, None, 0)]
+        self._blocks = [_Block(_NONE, None)]
         self._firsts = [0]  # the directory
         self._nkeys = 0
 
-    def _cut(self, a: int, b: int, keys, w: int, rows: int, piece, vals: list | None,
-             full: bool) -> None:
+    def _cut(self, a: int, b: int, keys, w: int, piece, vals: list | None) -> None:
         """Put blocks of hash-ordered rows, whose ids are keys >> w, in
-        place of blocks [a, b): cut into pieces of about rows rows at the
-        first row of an id (_cuts), each block a copy of piece(lo, hi),
-        the entries of its rows [lo, hi), with vals[lo:hi] (vals None:
-        every value is None).  A block is born full, or else with room
-        for as many rows again, and for _ROWS at least."""
+        place of blocks [a, b): cut into pieces at the first row of an id
+        (_cuts), each block a copy of piece(lo, hi), the entries of its
+        rows [lo, hi), with vals[lo:hi] (vals None: every value is
+        None)."""
         keys = memoryview(keys)
-        cuts = _cuts(keys, w, rows)
-        self._blocks[a:b] = [
-            _Block(piece(lo, hi), None if vals is None else vals[lo:hi],
-                   hi - lo if full else max(_ROWS, 2 * (hi - lo)))
-            for lo, hi in itertools.pairwise(cuts)]
+        cuts = _cuts(keys, w)
+        self._blocks[a:b] = [_Block(piece(lo, hi), None if vals is None else vals[lo:hi])
+                             for lo, hi in itertools.pairwise(cuts)]
         self._firsts[a:b] = [keys[cut] >> w for cut in cuts[:-1]] if len(keys) else [0]
 
     def _find(self, mid: int) -> tuple[int, _Block, int]:
@@ -236,13 +226,11 @@ class ReverseMap:
         return b, blk, bisect_left(blk.entries, mid << self._w)
 
     def _recut(self, a: int, b: int) -> None:
-        """Cut the rows of blocks [a, b) anew into blocks of about half
-        of _ROWS rows, with room (_cut)."""
+        """Cut the rows of blocks [a, b) anew (_cut)."""
         old = self._blocks[a:b]
         entries = np.concatenate([np.frombuffer(blk.entries, dtype=np.uint64) for blk in old])
         vals = _join_values(*((blk.vals, len(blk.entries)) for blk in old))
-        self._cut(a, b, entries, self._w, _ROWS // 2, lambda lo, hi: entries[lo:hi], vals,
-                  full=False)
+        self._cut(a, b, entries, self._w, lambda lo, hi: entries[lo:hi], vals)
 
     @staticmethod
     def check_entry(key: int, value: bytes | None) -> None:
@@ -267,10 +255,11 @@ class ReverseMap:
         if rank < 0 or rank and (at > len(blk.entries) or blk.entries[at - 1] >> w != mid):
             raise NotFoundError(f"rank {rank} out of bounds for the "
                                 f"{self.list_size(mid)} entries of minirun {mid}")
-        if len(blk.entries) >= blk.cap:
-            self._recut(b, b + 1)
-            b, blk, row = self._find(mid)
-            at = row + rank
+        # a fresh id past the end of a block of _ROWS rows starts the next
+        # block, so that a block of one id, which no cut splits, is not
+        # cut anew at each such insert
+        if at == len(blk.entries) >= _ROWS and not rank and b + 1 < len(self._blocks):
+            b, blk, at = b + 1, self._blocks[b + 1], 0
         if value is not None and blk.vals is None:
             blk.vals = [None] * len(blk.entries)
         if blk.vals is not None:
@@ -278,6 +267,10 @@ class ReverseMap:
         blk.entries.insert(at, key)
         if not at:
             self._firsts[b] = key >> w
+        # cut with the next block, which so takes in what a cut leaves
+        # past an id too large to share a block
+        if len(blk.entries) > _ROWS and blk.entries[0] >> w != blk.entries[-1] >> w:
+            self._recut(b, b + 2)
         self._nkeys += 1
         self.accesses += 1
 
@@ -298,10 +291,6 @@ class ReverseMap:
         at = row + rank
         if rank < 0 or at >= len(blk.entries) or blk.entries[at] >> self._w != mid:
             raise NotFoundError(f"minirun {mid} has no entry at rank {rank}")
-        if len(blk.entries) >= blk.cap:
-            self._recut(b, b + 1)
-            b, blk, row = self._find(mid)
-            at = row + rank
         out = blk.entries.pop(at), None if blk.vals is None else blk.vals.pop(at)
         if not at and blk.entries:
             self._firsts[b] = blk.entries[0] >> self._w
@@ -352,7 +341,9 @@ class ReverseMap:
 
     def _values(self) -> list | None:
         """The value of every row in hash order; None when every value
-        is None."""
+        is None, which a map that holds none learns joining nothing."""
+        if all(blk.vals is None for blk in self._blocks):
+            return None
         return _join_values(*((blk.vals, len(blk.entries)) for blk in self._blocks))
 
     def _rows(self) -> tuple[np.ndarray, list | None]:
@@ -368,14 +359,14 @@ class ReverseMap:
         of None at every entry.
 
         Rows come in hash order, each list's in rank order; the map
-        copies them into blocks of about _BLOCK rows, born full (_cut).
-        Counts one access per entry, as building it with map_insert
-        would.  Ids out of order raise UnsortedInputError.
+        copies them into blocks (_cut).  Counts one access per entry, as
+        building it with map_insert would.  Ids out of order raise
+        UnsortedInputError.
         """
         m = cls(w)
         entries = _hash_ordered(entries, m._w)
-        m._cut(0, 1, entries, m._w, _BLOCK, lambda lo, hi: entries[lo:hi],
-               _join_values((values, len(entries))), full=True)
+        m._cut(0, 1, entries, m._w, lambda lo, hi: entries[lo:hi],
+               _join_values((values, len(entries))))
         m._nkeys = m.accesses = len(entries)
         return m
 
@@ -420,9 +411,9 @@ class ReverseMap:
         a length column only when some entry holds a value, and value
         bytes that fill the rest exactly.  The lengths are summed and
         checked against the bytes at hand before any value is cut out.
-        Ids out of order raise UnsortedInputError.  Each block is built
-        from its own slice of mids and of the columns, blocks born full
-        as _from_columns cuts them, so no whole-column temporary is made.
+        Ids out of order raise UnsortedInputError.  The blocks, cut as
+        _from_columns cuts them, are decoded from mids and the columns a
+        _BLOCK of rows at a time: no whole-column temporary is made.
         """
         m = cls(w)
         n = len(mids)
@@ -449,16 +440,23 @@ class ReverseMap:
             values = [blob[a - k : a] if h else None
                       for a, k, h in zip(ends.tolist(), lengths.tolist(), held.tolist())]
 
-        def piece(lo: int, hi: int) -> np.ndarray:
-            entries = mids[lo:hi].copy()
-            for width, col in cols:
-                col = col[lo:hi]
-                if width < 8 * col.itemsize and int(col.max(initial=0)) >> width:
-                    raise FormatError(f"map entry with bits set past its {width}-bit column")
-                entries <<= np.uint64(width)
-                entries |= col
-            return entries
+        decoded = [0, 0, _NONE]  # rows [a, b) and their entries
 
-        m._cut(0, 1, mids, 0, _BLOCK, piece, values, full=True)
+        def piece(lo: int, hi: int) -> np.ndarray:
+            # rows [lo, hi), asked for in row order, from a decoded chunk
+            a, b, entries = decoded
+            if hi > b:
+                a, b = lo, max(hi, min(lo + _BLOCK, n))
+                entries = mids[a:b].copy()
+                for width, col in cols:
+                    col = col[a:b]
+                    if width < 8 * col.itemsize and int(col.max(initial=0)) >> width:
+                        raise FormatError(f"map entry with bits set past its {width}-bit column")
+                    entries <<= np.uint64(width)
+                    entries |= col
+                decoded[:] = a, b, entries
+            return entries[lo - a : hi - a]
+
+        m._cut(0, 1, mids, 0, piece, values)
         m._nkeys = n
         return m

@@ -21,9 +21,12 @@ once.
 from __future__ import annotations
 
 import io
+import os
+import secrets
 import struct
 import zlib
 from collections.abc import Callable
+from pathlib import Path
 
 import numpy as np
 
@@ -31,6 +34,27 @@ from .errors import FormatError
 
 _CRC = struct.Struct("<I")
 _LEN = struct.Struct("<Q")
+
+
+def replace_file(path, data) -> None:
+    """Put the bytes data in the file at path, or at no point a part of
+    them: they go to a new file beside it, which is flushed and synced
+    (os.fsync) and then renamed onto path (os.replace), so that a reader
+    of path finds the old file or the new one, whole, and a handle open
+    on the old file keeps reading it.  On any failure the new file is
+    removed and the error raised as it came (an OSError stays one), and
+    the file at path is as it was."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{secrets.token_hex(8)}.tmp")
+    try:
+        with open(tmp, "xb") as out:
+            out.write(data)
+            out.flush()
+            os.fsync(out.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def le_bytes(a: np.ndarray, dtype: str) -> memoryview:

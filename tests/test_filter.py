@@ -1,12 +1,18 @@
 """Adaptive filter behavior: lookup semantics, correction, degradation."""
 
+import errno
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import aqf
 from aqf import core, revmap
 from aqf.core import SlotArray, pack_minirun_id
 from aqf.errors import (
@@ -533,23 +539,29 @@ class TestDelete:
         """find_rank scans the id's rows; map_remove bisects straight to
         the row at its rank and scans none.  A delete looks its id's
         block up twice, once for each, and the map counts two accesses
-        per delete.  The first delete cuts the map's lone block, born
-        full, anew with room and looks it up once more."""
+        per delete.  The joins of the map blocks that the deletes leave
+        short look nothing up."""
+        monkeypatch.setattr(revmap, "_ROWS", 64)
         f, keys = fill_to_load(FilterConfig(q=10, r=6, seed=61), 0.5, seed=62)
-        assert len(f.map._blocks) == 1 and len(f.map._blocks[0].entries) == f.map._blocks[0].cap
+        assert len(f.map._blocks) > 8
         scans = Counter()
-        find = f.map._find
+        find, recut = f.map._find, f.map._recut
 
         def counted(mid):
             scans["scans"] += 1
             return find(mid)
 
+        def counted_recut(a, b):
+            scans["recuts"] += 1
+            recut(a, b)
+
         monkeypatch.setattr(f.map, "_find", counted)
+        monkeypatch.setattr(f.map, "_recut", counted_recut)
         before = f.map.accesses
         victims = [int(k) for k in keys[:50]]
         for k in victims:
             f.delete(k)
-        assert scans["scans"] == 2 * len(victims) + 1
+        assert scans["scans"] == 2 * len(victims) and scans["recuts"] > 0
         assert f.map.accesses == before + 2 * len(victims)
         monkeypatch.undo()
         f.check_consistency()
@@ -610,33 +622,35 @@ class TestConsistency:
             f.check_consistency()
 
     @staticmethod
-    def written(f, mid) -> bool:
-        """Whether the map block that holds mid has been written: cut
-        anew with room, where a block cut from a column is born full."""
-        blk = f.map._find(mid)[1]
-        return len(blk.entries) < blk.cap
+    def layout(f) -> tuple[list, list]:
+        """The row count of each of f's map blocks, and its directory."""
+        return [len(blk.entries) for blk in f.map._blocks], list(f.map._firsts)
 
     def test_detects_map_tampering(self):
         f = AdaptiveFilter(FilterConfig(q=8, r=4, seed=62))
         mid, rank = self.extended(f, 1001)
-        assert self.written(f, mid)
+        before = self.layout(f)
         self.swap_key(f, mid, rank)
-        assert self.written(f, mid)
+        assert self.layout(f) == before
 
-    def test_detects_map_tampering_in_the_base_columns(self):
+    def test_detects_map_tampering_in_the_base_columns(self, monkeypatch):
+        monkeypatch.setattr(revmap, "_ROWS", 8)
         f = AdaptiveFilter(FilterConfig(q=8, r=4, seed=62))
+        for k in range(40):
+            f.insert(k)
         mid, rank = self.extended(f, 1001)
-        # a reload puts every entry in blocks born full, and the swap
-        # goes into the block's entries in place
+        # a reload cuts every entry into blocks anew, and the swap goes
+        # into a block's entries in place
         f = AdaptiveFilter.from_bytes(f.to_bytes())
-        assert not self.written(f, mid)
+        before = self.layout(f)
+        assert len(before[0]) > 4
         _, blk, row = f.map._find(mid)
         word = self.other_word(f, blk.entries[row + rank])
         blk.entries[row + rank] = word
         assert f.map.map_get(mid, rank) == (word, None)
         with pytest.raises(StateCorruptionError):
             f.check_consistency()
-        assert not self.written(f, mid)
+        assert self.layout(f) == before
 
     def test_detects_an_extension_its_owner_does_not_share(self):
         cfg = FilterConfig(q=8, r=4, seed=62)
@@ -652,15 +666,15 @@ class TestConsistency:
     @pytest.mark.parametrize("fault", ["key", "id", "extra", "missing"])
     def test_blocks_of_a_few_slots_report_the_same_fault(self, fault, monkeypatch):
         """The check reads the table a block at a time and compares it
-        with the map's rows, read from its blocks in place; it names the
-        same fault, by its row in the whole table, whatever the table's
-        block size, and whether the map's blocks are born full, as a
-        load cuts them, or written blocks of a few rows each."""
+        with the map's rows, read from its blocks; it names the same
+        fault, by its row in the whole table, whatever the table's block
+        size, and whether the map's blocks are cut as a load cuts them or
+        shrunk to a few rows each."""
         f = AdaptiveFilter.from_bytes(fill_to_load(FilterConfig(q=8, r=4, seed=64), 0.6,
                                                    seed=65)[0].to_bytes())
         keys = f.map._rows()[0]
         w = 64 - f.cfg.q - f.cfg.r
-        assert all(len(blk.entries) == blk.cap for blk in f.map._blocks) and len(keys) > 120
+        assert len(f.map._blocks) == 1 and len(keys) > 120
         if fault == "key":  # row 120's fingerprint extended, and another key's word
             mid = int(keys[120]) >> w
             rank = 120 - int(np.searchsorted(keys >> np.uint64(w), mid))
@@ -673,15 +687,14 @@ class TestConsistency:
             keys = np.append(keys, keys[-1])
         else:
             keys = keys[:-1]
-        # blocks born full, as a load cuts them, with no check of the order
-        f.map._cut(0, len(f.map._blocks), keys, w, revmap._BLOCK, lambda lo, hi: keys[lo:hi],
-                   None, full=True)
+        # cut as a load cuts them, with no check of the order
+        f.map._cut(0, len(f.map._blocks), keys, w, lambda lo, hi: keys[lo:hi], None)
         messages = []
-        for written in (False, True):
-            if written:  # every block written, of about 3 rows
+        for shrunk in (False, True):
+            if shrunk:  # blocks of about 3 rows
                 monkeypatch.setattr(revmap, "_ROWS", 6)
                 f.map._recut(0, len(f.map._blocks))
-                assert len(f.map._blocks) > 40 and all(len(blk.entries) < blk.cap
+                assert len(f.map._blocks) > 40 and all(len(blk.entries) <= revmap._ROWS
                                                        for blk in f.map._blocks)
             for block in (1 << 14, 5, 1):
                 monkeypatch.setattr(core, "_BLOCK", block)
@@ -715,10 +728,9 @@ def test_every_block_takes_a_write_after_a_whole_map_pass(whole_map_pass, monkey
     """A map block owns its entries in an array ('Q'), which a numpy view
     of it keeps from growing (BufferError), and a whole-map pass reads
     the blocks through such views: none may outlive its pass.  After
-    the pass every block of a freshly loaded map takes a write, which
-    cuts it anew, and after a second pass every block takes a write in
-    place."""
-    monkeypatch.setattr(revmap, "_BLOCK", 64)
+    the pass every block of a freshly loaded map, cut with room, takes a
+    write in place, and so again after a second pass."""
+    monkeypatch.setattr(revmap, "_ROWS", 128)
     f = AdaptiveFilter.from_bytes(fill_to_load(FilterConfig(q=10, r=6, seed=66), 0.9,
                                                seed=67)[0].to_bytes())
     assert len(f.map._blocks) > 8
@@ -734,7 +746,67 @@ def test_every_block_takes_a_write_after_a_whole_map_pass(whole_map_pass, monkey
         else:
             run()
         write_every_block(f)
-    assert all(len(blk.entries) <= blk.cap for blk in f.map._blocks)
+    assert all(len(blk.entries) <= revmap._ROWS for blk in f.map._blocks)
+
+
+class TestSaveReplacesTheFile:
+    """A save writes the snapshot into a new file beside its target and
+    renames it onto the target: a save that fails partway leaves the
+    last good snapshot whole, and no file of its own."""
+
+    @staticmethod
+    def saved(tmp_path):
+        """(a filter, a path holding an older snapshot, that snapshot)."""
+        path = tmp_path / "filter.aqfs"
+        AdaptiveFilter(FilterConfig(q=10, r=6, seed=70)).save(path)
+        f, _ = fill_to_load(FilterConfig(q=10, r=6, seed=70), 0.9, seed=71)
+        return f, path, path.read_bytes()
+
+    def test_a_save_past_the_file_size_limit_keeps_the_old_file(self, tmp_path):
+        f, path, old = self.saved(tmp_path)
+        blob = f.to_bytes()
+        (tmp_path / "source.bin").write_bytes(blob)
+        limit = len(blob) // 2
+        assert len(old) < limit
+        script = (
+            "import errno, resource, signal, sys\n"
+            "from aqf.filter import AdaptiveFilter\n"
+            "f = AdaptiveFilter.from_bytes(open(sys.argv[1], 'rb').read())\n"
+            "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
+            "resource.setrlimit(resource.RLIMIT_FSIZE, (int(sys.argv[3]), int(sys.argv[3])))\n"
+            "try:\n"
+            "    f.save(sys.argv[2])\n"
+            "except OSError as err:\n"
+            "    print(errno.errorcode[err.errno])\n")
+        src = str(Path(aqf.__file__).parent.parent)
+        out = subprocess.run([sys.executable, "-c", script, str(tmp_path / "source.bin"),
+                              str(path), str(limit)], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src}, timeout=120)
+        assert out.returncode == 0 and out.stdout.strip() == "EFBIG", out.stderr
+        assert path.read_bytes() == old
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["filter.aqfs", "source.bin"]
+        f.save(path)
+        assert path.read_bytes() == blob
+
+    def test_a_failed_sync_keeps_the_old_file(self, tmp_path, monkeypatch):
+        f, path, old = self.saved(tmp_path)
+
+        def fail(fd):
+            raise OSError(errno.EIO, "sync failed")
+
+        monkeypatch.setattr(os, "fsync", fail)
+        with pytest.raises(OSError, match="sync failed"):
+            f.save(path)
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["filter.aqfs"]
+
+    def test_a_reader_of_the_old_file_keeps_its_bytes(self, tmp_path):
+        f, path, old = self.saved(tmp_path)
+        with open(path, "rb") as reader:
+            head = reader.read(10)
+            f.save(path)
+            assert head + reader.read() == old
+        assert path.read_bytes() == f.to_bytes()
 
 
 class TestCombinedSnapshot:

@@ -7,7 +7,7 @@ fill peaks at about 40 bytes per key (numpy 2.4), against 151 with
 8-byte slots and columns.  The first exact index and the consistency
 check decode the table a block of about 2**14 slots at a time, so their
 peaks are what they keep plus one block's temporaries: about 26.5 and
-17.1 bytes per key at q=16, against 32 and 30 when each decoded the whole
+15.5 bytes per key at q=16, against 32 and 30 when each decoded the whole
 table at once.  A load checks the layout over the whole table and then
 takes the minirun ids from the same blocks: it peaks at about 23.9 bytes
 per key at q=16, the filter it returns included, against 31.9 when it
@@ -15,16 +15,17 @@ built whole-table columns of rows to derive the ids.  The bounds leave
 9% of headroom or more, so one more whole-table 8-byte temporary alive
 at a pass's peak fails them.
 
-After 100 fresh inserts, which write about 100 of the reverse map's
-blocks, the check reads the map's rows from its blocks in place, a
-piece where a table block and a map block meet at a time: at q=16 it
-peaks at about 18.0 bytes per key (19.9 while it joined the rows of a
-table block that spans several map blocks, 22.7 while the map kept an
-id column beside its entries), against 33.3 when a map with written
-entries was merged into whole new columns first.  A save writes the
-map's entry columns straight into the snapshot, a block of rows at a
-time: beyond its blob it peaks at about 2.4 bytes per key, against 21.9
-with the merge.  The bounds fail one more whole-map 8-byte temporary.
+After 100 fresh inserts, which write into the reverse map's blocks in
+place, the check joins the map's rows of one table block at a time, as
+it does on a fresh filter: at q=16 it peaks at about 15.5 bytes per key
+(18.0 while it compared the pieces where a table block and a map block
+meet one at a time, 22.7 while the map kept an id column beside its
+entries), against 33.3 when a map with
+written entries was merged into whole new columns first.  A save writes
+the map's entry columns straight into the snapshot, a block's rows at a
+time: beyond its blob it peaks at about 1.5 bytes per key, against 21.9
+with the merge.  The bounds fail one more
+whole-map 8-byte temporary.
 
 The cached index keeps about 6.4 bytes per key: its quotient directory
 and a 2-byte remainder per pair.  The bound leaves about 9% of headroom,

@@ -28,6 +28,7 @@ from aqf.filter import AdaptiveFilter
 from aqf.hashing import FilterConfig
 from aqf.revmap import ReverseMap
 from aqf.snapshot import section
+from aqf.workbench import fill_to_load
 from oracles import encode_map, entry, map_lists, mutants, reseal
 
 NO_IDS = np.zeros(0, dtype=np.uint64)
@@ -53,18 +54,27 @@ def ids_of(m: ReverseMap) -> np.ndarray:
 
 
 def block_layout(m: ReverseMap) -> list:
-    """(cap, rows) of each of m's blocks, and its directory."""
-    return [(blk.cap, len(blk.entries)) for blk in m._blocks], list(m._firsts)
+    """The row count of each of m's blocks, and its directory."""
+    return [len(blk.entries) for blk in m._blocks], list(m._firsts)
 
 
-def assert_blocks_hold(m: ReverseMap) -> None:
-    """m's blocks are non-empty, but for a lone one, and hold no more
-    than cap rows each; the directory holds each one's first id; and an
-    id's rows never straddle two blocks."""
+def assert_blocks_hold(m: ReverseMap, largest: int | None = None) -> None:
+    """m's blocks are non-empty, but for a lone one; the directory holds
+    each one's first id; an id's rows never straddle two blocks; and the
+    blocks keep their shape.  A block of more than one id holds at most
+    _ROWS rows: only one id's rows, which no cut can split, make more.  A
+    block but a lone one holds a quarter of _ROWS rows or more, short of
+    that by less than largest, the most rows an id of m has held (by
+    default, the most an id holds now): a cut falls between ids, so it
+    may fall that far before its mark."""
     blocks, w = m._blocks, m._w
     assert blocks and len(m._firsts) == len(blocks)
+    if largest is None:
+        ids = np.concatenate(m._runs()) >> np.uint64(w)
+        largest = int(np.unique(ids, return_counts=True)[1].max(initial=1))
     for blk, first, nxt in zip(blocks, m._firsts, blocks[1:] + [None]):
-        assert len(blk.entries) <= blk.cap or not blk.entries
+        assert len(blk.entries) <= revmap._ROWS or blk.entries[0] >> w == blk.entries[-1] >> w
+        assert len(blk.entries) > revmap._ROWS // 4 - largest or len(blocks) == 1
         assert blk.vals is None or len(blk.vals) == len(blk.entries)
         if len(blocks) > 1:
             assert blk.entries and blk.entries[0] >> w == first
@@ -185,15 +195,15 @@ class TestIdRange:
         assert m.map_get(TOP, 0) == (e(TOP, 5), None) and m.key_count == 4
 
     def test_map_insert_refuses_an_entry_that_does_not_carry_its_id(self):
-        """Refused before anything changes, in a block born full and in
-        a written one: another id's entry, a flipped id bit, the entry
+        """Refused before anything changes, in a block as built and after
+        a write to it: another id's entry, a flipped id bit, the entry
         of an id's neighbour, and a low part with no id above it."""
         m = ReverseMap._from_columns(np.array([e(0x2A, 7), e(0x40, 8)], dtype=np.uint64),
                                      [b"a", None], W)
         for written in (False, True):
             if written:
                 m.map_insert(0x2A, 1, e(0x2A, 9))
-                assert all(len(blk.entries) < blk.cap for blk in m._blocks)
+                assert m.list_size(0x2A) == 2 and m.key_count == 3
             before = (rows_of(m), m.accesses, m.key_count, m.to_bytes())
             for mid, key in ((0x2A, e(0x40, 7)), (0x2A, e(0x2A, 7) ^ 1 << 63), (0x2A, e(0x2B, 7)),
                              (0x2A, 7), (0x40, e(0x2A, 9))):
@@ -203,9 +213,9 @@ class TestIdRange:
 
     @pytest.mark.parametrize("rank", [0.5, "x"])
     def test_a_rank_that_is_no_int_is_refused_and_leaves_the_map(self, rank):
-        """Refused before a first write cuts the id's block, born full,
-        anew; so is an id that is no int, a float that equals the id
-        included, by every call that takes one."""
+        """Refused before anything changes, the blocks' rows included;
+        so is an id that is no int, a float that equals the id included,
+        by every call that takes one."""
         m = ReverseMap._from_columns(np.array([e(0x2A, 7)], dtype=np.uint64), None, W)
         before = (m.to_bytes(), m.key_count, m.accesses, map_lists(m), block_layout(m))
         for call in (partial(m.map_insert, 0x2A, rank, e(0x2A, 9)),
@@ -543,6 +553,7 @@ class MapMachine(RuleBasedStateMachine):
         self.m = ReverseMap(W)
         self.model: dict[int, list] = {}
         self.accesses = 0
+        self.largest = 1
 
     @initialize(mids=st.lists(machine_ids, min_size=9, max_size=11, unique=True),
                 key=machine_keys, value=machine_values)
@@ -574,6 +585,7 @@ class MapMachine(RuleBasedStateMachine):
         self.m.map_insert(*args)
         self.model[mid] = lst
         lst.insert(rank, (key, value))
+        self.largest = max(self.largest, len(lst))
         self.accesses += 1
 
     @rule(mid=machine_ids, rank=st.integers(-1, 4))
@@ -626,24 +638,25 @@ class MapMachine(RuleBasedStateMachine):
         assert self.m.accesses == self.accesses
         blob = self.m.to_bytes()
         assert blob == encode_map(self.model, W)
-        # all in blocks born full; self.m may hold written ones
+        # as a load cuts them; self.m may hold blocks written since
         flat = ReverseMap.from_bytes(blob, model_ids(self.model), W)
         assert flat == self.m and self.m == flat
-        assert_blocks_hold(self.m)
+        assert_blocks_hold(self.m, self.largest)
 
 
 def counting_recuts(monkeypatch, counts) -> None:
-    """Make ReverseMap._recut add its splits (a block cut in more) and
-    joins (two blocks cut anew) to the attributes of counts."""
+    """Make ReverseMap._recut add its splits (blocks cut into more) and
+    joins (blocks cut into as many or fewer) to the attributes of
+    counts."""
     recut = ReverseMap._recut
 
     def counted(m, a, b):
         blocks = len(m._blocks)
         recut(m, a, b)
-        if b - a == 2:
-            counts.joins += 1
-        elif len(m._blocks) > blocks:
+        if len(m._blocks) > blocks:
             counts.splits += 1
+        else:
+            counts.joins += 1
 
     monkeypatch.setattr(ReverseMap, "_recut", counted)
 
@@ -671,7 +684,7 @@ def test_value_maps_in_small_blocks_match_the_lists(rows, data):
     and find_rank: a fill of several blocks' rows splits blocks, a drain
     down to a few rows joins them, and a save and load gives the map
     back."""
-    m, model, counts = ReverseMap(W), {}, BlockCounts()
+    m, model, counts, largest = ReverseMap(W), {}, BlockCounts(), [1]
     mids = st.one_of(st.integers(0, 63), st.integers(0, TOP))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(revmap, "_ROWS", rows)
@@ -682,6 +695,7 @@ def test_value_maps_in_small_blocks_match_the_lists(rows, data):
             rank = data.draw(st.integers(0, len(model.get(mid, []))))
             m.map_insert(mid, rank, key, value)
             model.setdefault(mid, []).insert(rank, (key, value))
+            largest[0] = max(largest[0], len(model[mid]))
 
         def remove():
             mid = data.draw(st.sampled_from(sorted(model)))
@@ -714,8 +728,71 @@ def test_value_maps_in_small_blocks_match_the_lists(rows, data):
         while sum(map(len, model.values())) > 2:
             remove()
         assert list(map_lists(m).items()) == sorted(model.items())
-        assert_blocks_hold(m)
+        assert_blocks_hold(m, largest[0])
         assert counts.splits > 0 and counts.joins > 0
         back = ReverseMap.from_bytes(m.to_bytes(), model_ids(model), W)
     assert back == m and m == back
     assert list(map_lists(back).items()) == sorted(model.items())
+
+
+def test_a_minirun_past_rows_takes_writes_without_recuts(monkeypatch):
+    """An id of more rows than _ROWS fills a block that no cut can split,
+    so no write cuts it: the recuts grow with the writes over _ROWS, not
+    with the writes.  One id takes inserts at every rank while fresh ids
+    land just past it and just before it, then the id is drained; the
+    blocks keep their shape and the map its lists throughout.  The fresh
+    ids past the large one start the next block, so they share blocks
+    with its rows rather than one block each, and their inserts cut no
+    more than those of other ids: a split at most every _ROWS // 2 of
+    them, where cutting the large block anew at each would make one
+    recut per fresh id."""
+    monkeypatch.setattr(revmap, "_ROWS", 16)
+    counts = BlockCounts()
+    counting_recuts(monkeypatch, counts)
+    rng = np.random.default_rng(90)
+    m, model, big, writes, fresh = ReverseMap(W), {}, 1000, 0, 0
+
+    def insert(mid, rank, key):
+        nonlocal writes, fresh
+        m.map_insert(mid, rank, e(mid, key))
+        model.setdefault(mid, []).insert(rank, (e(mid, key), None))
+        writes += 1
+        fresh += mid != big
+
+    for mid in (500, 600, 2000, 2100):
+        insert(mid, 0, mid)
+    for i in range(2000):
+        insert(big, int(rng.integers(0, len(model.get(big, [])) + 1)), i)
+        if i % 8 == 0:
+            insert(big + 250 - i // 8, 0, i)
+            insert(big - 1 - i // 8, 0, i)
+    largest = len(model[big])
+    assert largest > 100 * revmap._ROWS
+    assert_blocks_hold(m, largest)
+    assert (len(m._blocks) - 1) * revmap._ROWS // 4 <= m.key_count - largest
+    assert counts.splits + counts.joins <= 2 * fresh // revmap._ROWS
+    while model[big]:
+        rank = int(rng.integers(0, len(model[big])))
+        assert m.map_remove(big, rank) == model[big].pop(rank)
+        writes += 1
+    del model[big]
+    assert_blocks_hold(m, largest)
+    assert_same_content(m, model)
+    assert counts.splits + counts.joins <= 2 * writes // revmap._ROWS
+    assert counts.splits > 0 and counts.joins > 0
+
+
+def test_fresh_inserts_keep_the_blocks_of_a_load():
+    """A load cuts the map into blocks with room, so 100 fresh inserts
+    into a loaded q=16 filter write into them in place: the block count
+    stays within 1.1x of the load's, where blocks born full each cut
+    into pieces of about 512 rows at their first write."""
+    f, _ = fill_to_load(FilterConfig(q=16, r=9, seed=3), 0.9, seed=5)
+    f = AdaptiveFilter.from_bytes(f.to_bytes())
+    blocks = len(f.map._blocks)
+    for key in np.random.default_rng(6).integers(1 << 62, 1 << 63, size=100,
+                                                  dtype=np.uint64).tolist():
+        f.insert(key)
+    assert len(f.map._blocks) <= 1.1 * blocks
+    assert_blocks_hold(f.map)
+    f.check_consistency()
