@@ -10,10 +10,16 @@ during adaptation, which is what keeps it cheap.  With adaptation off,
 or once an extension finds no room, the walk still goes on, so a stored
 key answers PRESENT whatever fingerprints of other keys precede its own.
 
-Once corrected, a query key stays corrected for as long as the filter is
-not mutated: extensions only ever narrow what a fingerprint matches.
-Deletes with shortening enabled trade that guarantee away to reclaim
-space, which is why shortening defaults to off.
+Adaptivity is strong, as the paper states it: once a query key is
+corrected, it matches no fingerprint of a key that was stored then and
+has stayed stored since.  Extensions only ever narrow what a
+fingerprint matches, and inserts, deletes, merges and reloads keep the
+extensions of every fingerprint they do not remove.  A key stored later
+may collide with the query afresh, and is corrected in its turn.  Two
+things end the guarantee: a delete with shortening enabled, which cuts
+back the extensions of its minirun's survivors and so may bring back a
+false positive they had fixed (which is why shortening defaults to off),
+and rebuild, which drops every extension under its new seed.
 
 The reverse map holds each key's hash word, word 0 of its stream, in
 place of the key: the word is a bijection of the key
@@ -255,6 +261,12 @@ class AdaptiveFilter:
         adaptation_failures is bumped, once per call, and the call
         adapts no more but keeps reading matches.  It answers PRESENT if
         the key's own fingerprint turns up, else FALSE_POSITIVE.
+
+        A key corrected here matches none of the fingerprints it was
+        corrected against for as long as their keys stay stored,
+        whatever inserts, deletes, merges and reloads follow; only a
+        shortening delete in its minirun and a rebuild undo that (see
+        the module docstring).
 
         Extension slots share the 19/20 load cap with inserts: a filter
         at load L corrects about (0.95 - L) * 2**q distinct false

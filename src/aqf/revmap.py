@@ -17,20 +17,22 @@ Values are optional byte strings.  Storing them makes the map double as
 a small key-value store (the merged setup); leaving them None keeps the
 map a pure key index (the split setup, values living elsewhere).
 
-The map is the leaf level of a B-tree held in memory: a list of blocks
-in hash order, each owning its rows as an array ('Q') of entries and,
-when some value in it is set, a list of values, in ascending id order,
-ties in rank order.  An id's rows never straddle two blocks.  A
-directory keeps each block's first id.  A scalar read bisects the
-directory, then the block's entries for ``mid << w``.  A write shifts
-the rows after it within its block.  Builds, loads and recuts all cut
-blocks of about half of _ROWS rows (``_cuts``), with room for as many
-again.  An insert that leaves a block past _ROWS rows cuts it anew with
-the next one, and a remove that leaves it below a quarter of _ROWS
-joins it to a neighbour (``_recut``); a block of one id, which no cut
-can split, is left whole, and a fresh id past it starts the next
-block.  A map without values takes 8 bytes per key and the room its
-arrays keep.
+The map is a list of 2**k blocks, block i holding the rows whose ids'
+top k bits are i, each block owning its rows as an array ('Q') of
+entries and, when some value in it is set, a list of values, in
+ascending id order, ties in rank order.  k is the fewest bits, at most
+the id's q + r, that keep the average block at _ROWS rows or fewer; an
+entry is a hash word, whose top bits are uniform, so the blocks come
+out about even.  A scalar read finds its id's block by the id's top k
+bits, ``(mid >> shift) & (len(blocks) - 1)``, then bisects the block's
+entries for ``mid << w``.  A write shifts the rows after it within its
+block.  One path slices hash-ordered rows into blocks (``_fill``):
+builds and loads take it, and so does an insert that takes the map past
+_ROWS rows per block, which slices the map's rows again with one bit
+more.  Removes never slice: a drained map keeps its blocks until it is
+built or loaded again.  Keys whose hashes share their top bits, or one
+key stored many times, make one large block, as they make one long run
+in the slot array.  A map without values takes 8 bytes per key.
 
 Whole-map passes read the blocks' entries, in hash order, the row
 order of the slot array's ``_columns()``, so the two pair row by row:
@@ -56,7 +58,7 @@ from __future__ import annotations
 import itertools
 import sys
 from array import array
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from functools import cache, partial
 
 import numpy as np
@@ -74,10 +76,9 @@ from .snapshot import Fill, le_bytes, seal, unseal
 # value length sentinel meaning "no value stored"
 _NO_VALUE = 0xFFFFFFFF
 
-# rows a block holds before an insert cuts it anew; builds, loads and
-# recuts cut blocks of about half that, and a block joins a neighbour
-# below a quarter
-_ROWS = 8192
+# the most rows a block holds on average: past that, an insert slices
+# the map anew with one more bit
+_ROWS = 4096
 
 _NONE = np.zeros(0, dtype=np.uint64)
 
@@ -115,29 +116,11 @@ def _join_values(*parts: tuple[list | None, int]) -> list | None:
     return [x for v, n in parts for x in (itertools.repeat(None, n) if v is None else v)]
 
 
-def _cuts(keys, w: int) -> list[int]:
-    """Row offsets that cut hash-ordered keys, whose ids are key >> w,
-    into pieces of about half of _ROWS rows: 0, the cuts, len(keys).  A
-    cut is at the first row of the id at its mark, or past that id when
-    it starts at the last cut: only a piece of one id reaches _ROWS."""
-    n = len(keys)
-    k = -(-n // (_ROWS // 2))
-    cuts = [0]
-    for i in range(1, k):
-        mid = keys[i * n // k] >> w
-        at = bisect_left(keys, mid << w)
-        if at <= cuts[-1]:
-            at = bisect_left(keys, mid + 1 << w, at)
-        if cuts[-1] < at < n:
-            cuts.append(at)
-    return cuts + [n]
-
-
 class _Block:
     """A block's rows: entries, an array ('Q') of their entries, which
     the block owns, and vals, vals[i] the value of row i, None while
-    every value is None.  Cut with about half of _ROWS rows, a block
-    takes writes in place until it holds more than _ROWS."""
+    every value is None.  A block takes every write to its slice of
+    the ids in place."""
 
     __slots__ = ("entries", "vals")
 
@@ -190,47 +173,39 @@ class ReverseMap:
     entry carries its id in its bits above the low w.
 
     ``accesses`` counts every list read or write and exists so callers
-    can prove a code path never touched the map.  Block cuts and joins,
-    the column passes and the decoder count nothing.
+    can prove a code path never touched the map.  Slicing the map, the
+    column passes and the decoder count nothing.
     """
 
     def __init__(self, w: int):
         self.accesses = 0
         self._w = _int_in(w, "entry bits below the minirun id", 0, 63)
         self._blocks = [_Block(_NONE, None)]
-        self._firsts = [0]  # the directory
+        self._shift = 64 - self._w  # an id's block is its bits above this
         self._nkeys = 0
 
-    def _cut(self, a: int, b: int, keys, w: int, piece, vals: list | None) -> None:
-        """Put blocks of hash-ordered rows, whose ids are keys >> w, in
-        place of blocks [a, b): cut into pieces at the first row of an id
-        (_cuts), each block a copy of piece(lo, hi), the entries of its
-        rows [lo, hi), with vals[lo:hi] (vals None: every value is
-        None)."""
-        keys = memoryview(keys)
-        cuts = _cuts(keys, w)
-        self._blocks[a:b] = [_Block(piece(lo, hi), None if vals is None else vals[lo:hi])
-                             for lo, hi in itertools.pairwise(cuts)]
-        self._firsts[a:b] = [keys[cut] >> w for cut in cuts[:-1]] if len(keys) else [0]
+    def _fill(self, keys, w: int, piece, vals: list | None) -> None:
+        """Put in place of the blocks the slices of hash-ordered rows,
+        whose ids are keys >> w: block i a copy of piece(lo, hi), the
+        entries of rows [lo, hi), those whose ids' top k bits are i,
+        with vals[lo:hi] (vals None: every value is None), k the fewest
+        bits that keep the average block at _ROWS rows or fewer."""
+        n, bits = len(keys), 64 - self._w
+        k = min(bits, ((max(n, 1) - 1) // _ROWS).bit_length())
+        self._shift = bits - k
+        starts = np.array([i << self._shift + w for i in range(1 << k)], dtype=np.uint64)
+        cuts = np.searchsorted(keys, starts).tolist() + [n]
+        self._blocks = [_Block(piece(lo, hi), None if vals is None else vals[lo:hi])
+                        for lo, hi in itertools.pairwise(cuts)]
 
-    def _find(self, mid: int) -> tuple[int, _Block, int]:
-        """(b, block b, row): the block where mid's rows are, or would
-        go (block 0 for an id below every block), and its first row at
-        or past mid, where mid's rows start when it has some.
+    def _find(self, mid: int) -> tuple[_Block, int]:
+        """(block, row): the block of mid's slice, and its first row at
+        or past mid, where mid's rows start when it has some.  An id
+        outside [0, 2**(64 - w)) lands in a block that does not hold it.
         InvalidConfigError for an id that is no int."""
         mid = as_index(mid, "minirun id")
-        b = bisect_right(self._firsts, mid) - 1
-        if b < 0:
-            b = 0
-        blk = self._blocks[b]
-        return b, blk, bisect_left(blk.entries, mid << self._w)
-
-    def _recut(self, a: int, b: int) -> None:
-        """Cut the rows of blocks [a, b) anew (_cut)."""
-        old = self._blocks[a:b]
-        entries = np.concatenate([np.frombuffer(blk.entries, dtype=np.uint64) for blk in old])
-        vals = _join_values(*((blk.vals, len(blk.entries)) for blk in old))
-        self._cut(a, b, entries, self._w, lambda lo, hi: entries[lo:hi], vals)
+        blk = self._blocks[(mid >> self._shift) & (len(self._blocks) - 1)]
+        return blk, bisect_left(blk.entries, mid << self._w)
 
     @staticmethod
     def check_entry(key: int, value: bytes | None) -> None:
@@ -249,34 +224,26 @@ class ReverseMap:
             raise InvalidConfigError(f"entry {key:#x} does not carry minirun id {mid} "
                                      f"in its top {64 - w} bits")
         rank = as_index(rank, "rank")
-        b, blk, row = self._find(mid)
+        blk, row = self._find(mid)
         at = row + rank
         # rank is in bounds when it is 0 or mid holds the row before it
         if rank < 0 or rank and (at > len(blk.entries) or blk.entries[at - 1] >> w != mid):
             raise NotFoundError(f"rank {rank} out of bounds for the "
                                 f"{self.list_size(mid)} entries of minirun {mid}")
-        # a fresh id past the end of a block of _ROWS rows starts the next
-        # block, so that a block of one id, which no cut splits, is not
-        # cut anew at each such insert
-        if at == len(blk.entries) >= _ROWS and not rank and b + 1 < len(self._blocks):
-            b, blk, at = b + 1, self._blocks[b + 1], 0
         if value is not None and blk.vals is None:
             blk.vals = [None] * len(blk.entries)
         if blk.vals is not None:
             blk.vals.insert(at, value)
         blk.entries.insert(at, key)
-        if not at:
-            self._firsts[b] = key >> w
-        # cut with the next block, which so takes in what a cut leaves
-        # past an id too large to share a block
-        if len(blk.entries) > _ROWS and blk.entries[0] >> w != blk.entries[-1] >> w:
-            self._recut(b, b + 2)
         self._nkeys += 1
         self.accesses += 1
+        if self._nkeys > _ROWS * len(self._blocks) and self._shift:  # slice anew
+            entries, vals = self._rows()
+            self._fill(entries, w, lambda lo, hi: entries[lo:hi], vals)
 
     def map_get(self, mid: int, rank: int) -> tuple[int, bytes | None]:
         rank = as_index(rank, "rank")
-        _, blk, row = self._find(mid)
+        blk, row = self._find(mid)
         at = row + rank
         entries = blk.entries
         if rank < 0 or at >= len(entries) or entries[at] >> self._w != mid:
@@ -287,23 +254,18 @@ class ReverseMap:
     def map_remove(self, mid: int, rank: int) -> tuple[int, bytes | None]:
         """Remove and return the entry at rank; empty ids are dropped."""
         rank = as_index(rank, "rank")
-        b, blk, row = self._find(mid)
+        blk, row = self._find(mid)
         at = row + rank
         if rank < 0 or at >= len(blk.entries) or blk.entries[at] >> self._w != mid:
             raise NotFoundError(f"minirun {mid} has no entry at rank {rank}")
         out = blk.entries.pop(at), None if blk.vals is None else blk.vals.pop(at)
-        if not at and blk.entries:
-            self._firsts[b] = blk.entries[0] >> self._w
-        if len(blk.entries) < _ROWS // 4 and len(self._blocks) > 1:  # join a neighbour
-            a = b if b + 1 < len(self._blocks) else b - 1
-            self._recut(a, a + 2)
         self._nkeys -= 1
         self.accesses += 1
         return out
 
     def find_rank(self, mid: int, key: int) -> int | None:
         """Rank of the first exact occurrence of key, or None."""
-        _, blk, first = self._find(mid)
+        blk, first = self._find(mid)
         self.accesses += 1
         entries, w = blk.entries, self._w
         row = first
@@ -314,7 +276,7 @@ class ReverseMap:
         return None
 
     def list_size(self, mid: int) -> int:
-        _, blk, row = self._find(mid)
+        blk, row = self._find(mid)
         return bisect_left(blk.entries, (mid + 1) << self._w, row) - row
 
     @property
@@ -359,14 +321,14 @@ class ReverseMap:
         of None at every entry.
 
         Rows come in hash order, each list's in rank order; the map
-        copies them into blocks (_cut).  Counts one access per entry, as
+        copies them into blocks (_fill).  Counts one access per entry, as
         building it with map_insert would.  Ids out of order raise
         UnsortedInputError.
         """
         m = cls(w)
         entries = _hash_ordered(entries, m._w)
-        m._cut(0, 1, entries, m._w, lambda lo, hi: entries[lo:hi],
-               _join_values((values, len(entries))))
+        m._fill(entries, m._w, lambda lo, hi: entries[lo:hi],
+                _join_values((values, len(entries))))
         m._nkeys = m.accesses = len(entries)
         return m
 
@@ -411,8 +373,8 @@ class ReverseMap:
         a length column only when some entry holds a value, and value
         bytes that fill the rest exactly.  The lengths are summed and
         checked against the bytes at hand before any value is cut out.
-        Ids out of order raise UnsortedInputError.  The blocks, cut as
-        _from_columns cuts them, are decoded from mids and the columns a
+        Ids out of order raise UnsortedInputError.  The blocks, sliced as
+        _from_columns slices them, are decoded from mids and the columns a
         _BLOCK of rows at a time: no whole-column temporary is made.
         """
         m = cls(w)
@@ -457,6 +419,6 @@ class ReverseMap:
                 decoded[:] = a, b, entries
             return entries[lo - a : hi - a]
 
-        m._cut(0, 1, mids, 0, piece, values)
+        m._fill(mids, 0, piece, values)
         m._nkeys = n
         return m

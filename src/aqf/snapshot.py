@@ -41,9 +41,12 @@ def replace_file(path, data) -> None:
     them: they go to a new file beside it, which is flushed and synced
     (os.fsync) and then renamed onto path (os.replace), so that a reader
     of path finds the old file or the new one, whole, and a handle open
-    on the old file keeps reading it.  On any failure the new file is
-    removed and the error raised as it came (an OSError stays one), and
-    the file at path is as it was."""
+    on the old file keeps reading it.  On any failure up to the rename
+    the new file is removed and the error raised as it came (an OSError
+    stays one), and the file at path is as it was.  On POSIX the
+    directory of path is then synced too, so that the rename outlives a
+    crash; a failure of that sync is raised with the new file already
+    in place at path."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{secrets.token_hex(8)}.tmp")
     try:
@@ -55,6 +58,12 @@ def replace_file(path, data) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+    if os.name == "posix":
+        fd = os.open(path.parent, os.O_RDONLY)
+        try:
+            os.fsync(fd)
+        finally:
+            os.close(fd)
 
 
 def le_bytes(a: np.ndarray, dtype: str) -> memoryview:

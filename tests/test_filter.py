@@ -2,6 +2,7 @@
 
 import errno
 import os
+import stat
 import subprocess
 import sys
 from collections import Counter
@@ -539,29 +540,28 @@ class TestDelete:
         """find_rank scans the id's rows; map_remove bisects straight to
         the row at its rank and scans none.  A delete looks its id's
         block up twice, once for each, and the map counts two accesses
-        per delete.  The joins of the map blocks that the deletes leave
-        short look nothing up."""
-        monkeypatch.setattr(revmap, "_ROWS", 64)
+        per delete.  The deletes slice nothing anew."""
+        monkeypatch.setattr(revmap, "_ROWS", 32)
         f, keys = fill_to_load(FilterConfig(q=10, r=6, seed=61), 0.5, seed=62)
         assert len(f.map._blocks) > 8
         scans = Counter()
-        find, recut = f.map._find, f.map._recut
+        find, fill = f.map._find, f.map._fill
 
         def counted(mid):
             scans["scans"] += 1
             return find(mid)
 
-        def counted_recut(a, b):
-            scans["recuts"] += 1
-            recut(a, b)
+        def counted_fill(*args):
+            scans["fills"] += 1
+            fill(*args)
 
         monkeypatch.setattr(f.map, "_find", counted)
-        monkeypatch.setattr(f.map, "_recut", counted_recut)
+        monkeypatch.setattr(f.map, "_fill", counted_fill)
         before = f.map.accesses
         victims = [int(k) for k in keys[:50]]
         for k in victims:
             f.delete(k)
-        assert scans["scans"] == 2 * len(victims) and scans["recuts"] > 0
+        assert scans["scans"] == 2 * len(victims) and scans["fills"] == 0
         assert f.map.accesses == before + 2 * len(victims)
         monkeypatch.undo()
         f.check_consistency()
@@ -622,9 +622,10 @@ class TestConsistency:
             f.check_consistency()
 
     @staticmethod
-    def layout(f) -> tuple[list, list]:
-        """The row count of each of f's map blocks, and its directory."""
-        return [len(blk.entries) for blk in f.map._blocks], list(f.map._firsts)
+    def layout(f) -> tuple[list, int]:
+        """The row count of each of f's map blocks, and the shift that
+        takes an id to its block."""
+        return [len(blk.entries) for blk in f.map._blocks], f.map._shift
 
     def test_detects_map_tampering(self):
         f = AdaptiveFilter(FilterConfig(q=8, r=4, seed=62))
@@ -639,12 +640,12 @@ class TestConsistency:
         for k in range(40):
             f.insert(k)
         mid, rank = self.extended(f, 1001)
-        # a reload cuts every entry into blocks anew, and the swap goes
+        # a reload slices every entry into blocks anew, and the swap goes
         # into a block's entries in place
         f = AdaptiveFilter.from_bytes(f.to_bytes())
         before = self.layout(f)
         assert len(before[0]) > 4
-        _, blk, row = f.map._find(mid)
+        blk, row = f.map._find(mid)
         word = self.other_word(f, blk.entries[row + rank])
         blk.entries[row + rank] = word
         assert f.map.map_get(mid, rank) == (word, None)
@@ -668,8 +669,8 @@ class TestConsistency:
         """The check reads the table a block at a time and compares it
         with the map's rows, read from its blocks; it names the same
         fault, by its row in the whole table, whatever the table's block
-        size, and whether the map's blocks are cut as a load cuts them or
-        shrunk to a few rows each."""
+        size, and whether the map's blocks are sliced as a load slices
+        them or shrunk to a few rows each."""
         f = AdaptiveFilter.from_bytes(fill_to_load(FilterConfig(q=8, r=4, seed=64), 0.6,
                                                    seed=65)[0].to_bytes())
         keys = f.map._rows()[0]
@@ -687,15 +688,15 @@ class TestConsistency:
             keys = np.append(keys, keys[-1])
         else:
             keys = keys[:-1]
-        # cut as a load cuts them, with no check of the order
-        f.map._cut(0, len(f.map._blocks), keys, w, lambda lo, hi: keys[lo:hi], None)
         messages = []
         for shrunk in (False, True):
-            if shrunk:  # blocks of about 3 rows
-                monkeypatch.setattr(revmap, "_ROWS", 6)
-                f.map._recut(0, len(f.map._blocks))
-                assert len(f.map._blocks) > 40 and all(len(blk.entries) <= revmap._ROWS
-                                                       for blk in f.map._blocks)
+            if shrunk:  # blocks of about 3 rows or fewer
+                monkeypatch.setattr(revmap, "_ROWS", 3)
+            # sliced as a load slices them, with no check of the order
+            f.map._fill(keys, w, lambda lo, hi: keys[lo:hi], None)
+            assert sum(len(blk.entries) for blk in f.map._blocks) == len(keys)
+            if shrunk:
+                assert len(f.map._blocks) > 40
             for block in (1 << 14, 5, 1):
                 monkeypatch.setattr(core, "_BLOCK", block)
                 with pytest.raises(StateCorruptionError) as err:
@@ -728,9 +729,9 @@ def test_every_block_takes_a_write_after_a_whole_map_pass(whole_map_pass, monkey
     """A map block owns its entries in an array ('Q'), which a numpy view
     of it keeps from growing (BufferError), and a whole-map pass reads
     the blocks through such views: none may outlive its pass.  After
-    the pass every block of a freshly loaded map, cut with room, takes a
-    write in place, and so again after a second pass."""
-    monkeypatch.setattr(revmap, "_ROWS", 128)
+    the pass every block of a freshly loaded map takes a write in place,
+    and so again after a second pass."""
+    monkeypatch.setattr(revmap, "_ROWS", 64)
     f = AdaptiveFilter.from_bytes(fill_to_load(FilterConfig(q=10, r=6, seed=66), 0.9,
                                                seed=67)[0].to_bytes())
     assert len(f.map._blocks) > 8
@@ -739,6 +740,7 @@ def test_every_block_takes_a_write_after_a_whole_map_pass(whole_map_pass, monkey
         f.arr.remove_fp(mid, 0)
     run = {"save": f.to_bytes, "rows": f.map._rows, "merge": lambda: merge(f, f),
            "rebuild": lambda: rebuild(f, 68)}.get(whole_map_pass, f.check_consistency)
+    layout = [len(blk.entries) for blk in f.map._blocks], f.map._shift
     for _ in range(2):
         if whole_map_pass == "failing check":
             with pytest.raises(StateCorruptionError):
@@ -746,7 +748,7 @@ def test_every_block_takes_a_write_after_a_whole_map_pass(whole_map_pass, monkey
         else:
             run()
         write_every_block(f)
-    assert all(len(blk.entries) <= revmap._ROWS for blk in f.map._blocks)
+    assert ([len(blk.entries) for blk in f.map._blocks], f.map._shift) == layout
 
 
 class TestSaveReplacesTheFile:
@@ -798,6 +800,42 @@ class TestSaveReplacesTheFile:
         with pytest.raises(OSError, match="sync failed"):
             f.save(path)
         assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["filter.aqfs"]
+
+    def test_the_rename_is_synced_with_its_directory(self, tmp_path, monkeypatch):
+        """The new file is synced before the rename, and the target's
+        directory after it, so that a crash loses neither."""
+        f, path, _ = self.saved(tmp_path)
+        blob, synced, sync = f.to_bytes(), [], os.fsync
+
+        def recorded(fd):
+            st = os.fstat(fd)
+            synced.append((stat.S_ISDIR(st.st_mode), (st.st_dev, st.st_ino),
+                           path.read_bytes() == blob))
+            sync(fd)
+
+        monkeypatch.setattr(os, "fsync", recorded)
+        f.save(path)
+        new, here = os.stat(path), os.stat(tmp_path)
+        # (a directory, which file, the new bytes already at path)
+        assert synced == [(False, (new.st_dev, new.st_ino), False),
+                          (True, (here.st_dev, here.st_ino), True)]
+
+    def test_a_failed_directory_sync_leaves_the_new_file(self, tmp_path, monkeypatch):
+        """The rename is done when the directory's sync fails: its error
+        comes out, and the target holds the new snapshot, whole."""
+        f, path, _ = self.saved(tmp_path)
+        sync = os.fsync
+
+        def fail_on_directories(fd):
+            if stat.S_ISDIR(os.fstat(fd).st_mode):
+                raise OSError(errno.EIO, "directory sync failed")
+            sync(fd)
+
+        monkeypatch.setattr(os, "fsync", fail_on_directories)
+        with pytest.raises(OSError, match="directory sync failed"):
+            f.save(path)
+        assert path.read_bytes() == f.to_bytes()
         assert [p.name for p in tmp_path.iterdir()] == ["filter.aqfs"]
 
     def test_a_reader_of_the_old_file_keeps_its_bytes(self, tmp_path):

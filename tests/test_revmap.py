@@ -1,5 +1,6 @@
 """Reverse map semantics against a plain dictionary-of-lists oracle."""
 
+import math
 import time
 import tracemalloc
 from functools import partial
@@ -53,33 +54,27 @@ def ids_of(m: ReverseMap) -> np.ndarray:
     return model_ids(map_lists(m))
 
 
-def block_layout(m: ReverseMap) -> list:
-    """The row count of each of m's blocks, and its directory."""
-    return [len(blk.entries) for blk in m._blocks], list(m._firsts)
+def block_layout(m: ReverseMap) -> tuple[list, int]:
+    """The row count of each of m's blocks, and the shift that takes an
+    id to its block."""
+    return [len(blk.entries) for blk in m._blocks], m._shift
 
 
-def assert_blocks_hold(m: ReverseMap, largest: int | None = None) -> None:
-    """m's blocks are non-empty, but for a lone one; the directory holds
-    each one's first id; an id's rows never straddle two blocks; and the
-    blocks keep their shape.  A block of more than one id holds at most
-    _ROWS rows: only one id's rows, which no cut can split, make more.  A
-    block but a lone one holds a quarter of _ROWS rows or more, short of
-    that by less than largest, the most rows an id of m has held (by
-    default, the most an id holds now): a cut falls between ids, so it
-    may fall that far before its mark."""
+def assert_blocks_hold(m: ReverseMap) -> None:
+    """m's blocks are the slices of its ids' top k bits: 2**k blocks,
+    block i holding exactly the rows whose ids' top k bits are i, in
+    ascending id order, and a value per row when it holds values.  The
+    rows fill them to _ROWS rows on average or fewer, unless the ids
+    have no bit left to slice by."""
     blocks, w = m._blocks, m._w
-    assert blocks and len(m._firsts) == len(blocks)
-    if largest is None:
-        ids = np.concatenate(m._runs()) >> np.uint64(w)
-        largest = int(np.unique(ids, return_counts=True)[1].max(initial=1))
-    for blk, first, nxt in zip(blocks, m._firsts, blocks[1:] + [None]):
-        assert len(blk.entries) <= revmap._ROWS or blk.entries[0] >> w == blk.entries[-1] >> w
-        assert len(blk.entries) > revmap._ROWS // 4 - largest or len(blocks) == 1
+    k = 64 - w - m._shift
+    assert 0 <= k <= 64 - w and len(blocks) == 1 << k
+    assert m.key_count <= revmap._ROWS * len(blocks) or not m._shift
+    for i, blk in enumerate(blocks):
+        ids = np.frombuffer(blk.entries, dtype=np.uint64) >> np.uint64(w)
+        assert (ids[1:] >= ids[:-1]).all()
+        assert (ids >> np.uint64(m._shift) == i).all()
         assert blk.vals is None or len(blk.vals) == len(blk.entries)
-        if len(blocks) > 1:
-            assert blk.entries and blk.entries[0] >> w == first
-        if nxt is not None:
-            assert blk.entries[-1] >> w < nxt.entries[0] >> w
 
 
 def assert_same_content(m: ReverseMap, entries: dict) -> None:
@@ -542,24 +537,23 @@ machine_values = st.one_of(st.none(), st.just(b""), st.binary(min_size=1, max_si
 
 
 class MapMachine(RuleBasedStateMachine):
-    """ReverseMap against a dict of lists, writes driving it through
-    block splits and joins (the test shrinks the blocks)."""
+    """ReverseMap against a dict of lists, inserts driving it through
+    slicings anew (the test shrinks the blocks)."""
 
-    # blocks cut in two and blocks joined with a neighbour, over all runs
-    splits = joins = 0
+    # maps sliced anew by an insert, over all runs
+    recuts = 0
 
     def __init__(self):
         super().__init__()
         self.m = ReverseMap(W)
         self.model: dict[int, list] = {}
         self.accesses = 0
-        self.largest = 1
 
     @initialize(mids=st.lists(machine_ids, min_size=9, max_size=11, unique=True),
                 key=machine_keys, value=machine_values)
     def spread(self, mids, key, value):
         """Write more rows than the shrunken block holds, so that every
-        run cuts a block in two before its rules take over."""
+        run slices the map anew before its rules take over."""
         assert len(mids) > revmap._ROWS
         for mid in mids:
             self.insert(mid, 0, key, value)
@@ -585,7 +579,6 @@ class MapMachine(RuleBasedStateMachine):
         self.m.map_insert(*args)
         self.model[mid] = lst
         lst.insert(rank, (key, value))
-        self.largest = max(self.largest, len(lst))
         self.accesses += 1
 
     @rule(mid=machine_ids, rank=st.integers(-1, 4))
@@ -611,7 +604,7 @@ class MapMachine(RuleBasedStateMachine):
     @precondition(lambda self: self.model)
     @rule(pick=st.integers(0, 1 << 16), rank=st.integers(0, 4))
     def remove_stored(self, pick, rank):
-        """Remove an entry the map holds, so that blocks shrink and join."""
+        """Remove an entry the map holds, so that blocks shrink."""
         mid = sorted(self.model)[pick % len(self.model)]
         self.remove(mid, rank % len(self.model[mid]))
 
@@ -638,42 +631,38 @@ class MapMachine(RuleBasedStateMachine):
         assert self.m.accesses == self.accesses
         blob = self.m.to_bytes()
         assert blob == encode_map(self.model, W)
-        # as a load cuts them; self.m may hold blocks written since
+        # as a load slices them; self.m may hold blocks written since
         flat = ReverseMap.from_bytes(blob, model_ids(self.model), W)
         assert flat == self.m and self.m == flat
-        assert_blocks_hold(self.m, self.largest)
+        assert_blocks_hold(self.m)
 
 
 def counting_recuts(monkeypatch, counts) -> None:
-    """Make ReverseMap._recut add its splits (blocks cut into more) and
-    joins (blocks cut into as many or fewer) to the attributes of
-    counts."""
-    recut = ReverseMap._recut
+    """Make ReverseMap._fill add 1 to counts.recuts each time it slices
+    a map that holds rows anew (an insert's; a build or a load slices a
+    map that holds none yet)."""
+    fill = ReverseMap._fill
 
-    def counted(m, a, b):
-        blocks = len(m._blocks)
-        recut(m, a, b)
-        if len(m._blocks) > blocks:
-            counts.splits += 1
-        else:
-            counts.joins += 1
+    def counted(m, keys, *args):
+        counts.recuts += bool(m.key_count)
+        fill(m, keys, *args)
 
-    monkeypatch.setattr(ReverseMap, "_recut", counted)
+    monkeypatch.setattr(ReverseMap, "_fill", counted)
+
+
+class BlockCounts:
+    """Slicings anew that counting_recuts adds up, for one run."""
+
+    recuts = 0
 
 
 def test_map_machine_through_splits_and_joins(monkeypatch):
     counting_recuts(monkeypatch, MapMachine)
     monkeypatch.setattr(revmap, "_ROWS", 8)
-    MapMachine.splits = MapMachine.joins = 0
+    MapMachine.recuts = 0
     run_state_machine_as_test(MapMachine, settings=settings(
         max_examples=150, stateful_step_count=40, deadline=None))
-    assert MapMachine.splits > 0 and MapMachine.joins > 0
-
-
-class BlockCounts:
-    """Splits and joins that counting_recuts adds up, for one run."""
-
-    splits = joins = 0
+    assert MapMachine.recuts > 0
 
 
 @settings(max_examples=60, deadline=None)
@@ -681,10 +670,10 @@ class BlockCounts:
 def test_value_maps_in_small_blocks_match_the_lists(rows, data):
     """Maps with values, in blocks shrunk to a few rows, against
     oracles.map_lists of a dict of lists through map_insert, map_remove
-    and find_rank: a fill of several blocks' rows splits blocks, a drain
-    down to a few rows joins them, and a save and load gives the map
-    back."""
-    m, model, counts, largest = ReverseMap(W), {}, BlockCounts(), [1]
+    and find_rank: a fill of several blocks' rows slices the map anew,
+    a drain down to a few rows keeps its blocks, and a save and load
+    gives the map back."""
+    m, model, counts = ReverseMap(W), {}, BlockCounts()
     mids = st.one_of(st.integers(0, 63), st.integers(0, TOP))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(revmap, "_ROWS", rows)
@@ -695,7 +684,6 @@ def test_value_maps_in_small_blocks_match_the_lists(rows, data):
             rank = data.draw(st.integers(0, len(model.get(mid, []))))
             m.map_insert(mid, rank, key, value)
             model.setdefault(mid, []).insert(rank, (key, value))
-            largest[0] = max(largest[0], len(model[mid]))
 
         def remove():
             mid = data.draw(st.sampled_from(sorted(model)))
@@ -704,9 +692,8 @@ def test_value_maps_in_small_blocks_match_the_lists(rows, data):
             if not model[mid]:
                 del model[mid]
 
-        # distinct ids, since an id's rows never straddle two blocks
-        fill = data.draw(st.lists(st.integers(0, 63), min_size=3 * rows, max_size=6 * rows,
-                                  unique=True))
+        # distinct ids, so that the fill spreads over the blocks
+        fill = data.draw(st.lists(mids, min_size=3 * rows, max_size=6 * rows, unique=True))
         for mid, (key, value) in zip(fill, data.draw(st.lists(entry_st, min_size=len(fill),
                                                               max_size=len(fill)))):
             insert(mid, key, value)
@@ -725,39 +712,34 @@ def test_value_maps_in_small_blocks_match_the_lists(rows, data):
                 want = next((rank for rank, (k, _) in enumerate(lst) if k == key), None)
                 assert m.find_rank(mid, key) == want
             assert list(map_lists(m).items()) == sorted(model.items())
+        layout, recuts = block_layout(m)[1], counts.recuts
         while sum(map(len, model.values())) > 2:
             remove()
         assert list(map_lists(m).items()) == sorted(model.items())
-        assert_blocks_hold(m, largest[0])
-        assert counts.splits > 0 and counts.joins > 0
+        assert_blocks_hold(m)
+        assert counts.recuts == recuts > 0 and block_layout(m)[1] == layout
         back = ReverseMap.from_bytes(m.to_bytes(), model_ids(model), W)
     assert back == m and m == back
     assert list(map_lists(back).items()) == sorted(model.items())
 
 
 def test_a_minirun_past_rows_takes_writes_without_recuts(monkeypatch):
-    """An id of more rows than _ROWS fills a block that no cut can split,
-    so no write cuts it: the recuts grow with the writes over _ROWS, not
-    with the writes.  One id takes inserts at every rank while fresh ids
-    land just past it and just before it, then the id is drained; the
-    blocks keep their shape and the map its lists throughout.  The fresh
-    ids past the large one start the next block, so they share blocks
-    with its rows rather than one block each, and their inserts cut no
-    more than those of other ids: a split at most every _ROWS // 2 of
-    them, where cutting the large block anew at each would make one
-    recut per fresh id."""
+    """An id of more rows than _ROWS fills one block, which no slice can
+    split, and its writes slice the map anew no more often than any
+    rows do: one id takes inserts at every rank while fresh ids land
+    just past it and just before it, then the id is drained.  The map
+    is sliced anew only as it doubles, at most ceil(log2(n / _ROWS))
+    times for n rows, the drain slices nothing, and the blocks keep
+    their slices and the map its lists throughout."""
     monkeypatch.setattr(revmap, "_ROWS", 16)
     counts = BlockCounts()
     counting_recuts(monkeypatch, counts)
     rng = np.random.default_rng(90)
-    m, model, big, writes, fresh = ReverseMap(W), {}, 1000, 0, 0
+    m, model, big = ReverseMap(W), {}, 1000
 
     def insert(mid, rank, key):
-        nonlocal writes, fresh
         m.map_insert(mid, rank, e(mid, key))
         model.setdefault(mid, []).insert(rank, (e(mid, key), None))
-        writes += 1
-        fresh += mid != big
 
     for mid in (500, 600, 2000, 2100):
         insert(mid, 0, mid)
@@ -768,31 +750,89 @@ def test_a_minirun_past_rows_takes_writes_without_recuts(monkeypatch):
             insert(big - 1 - i // 8, 0, i)
     largest = len(model[big])
     assert largest > 100 * revmap._ROWS
-    assert_blocks_hold(m, largest)
-    assert (len(m._blocks) - 1) * revmap._ROWS // 4 <= m.key_count - largest
-    assert counts.splits + counts.joins <= 2 * fresh // revmap._ROWS
+    assert_blocks_hold(m)
+    assert_same_content(m, model)
+    assert 0 < counts.recuts <= math.ceil(math.log2(m.key_count / revmap._ROWS))
+    recuts, layout = counts.recuts, block_layout(m)[1]
     while model[big]:
         rank = int(rng.integers(0, len(model[big])))
         assert m.map_remove(big, rank) == model[big].pop(rank)
-        writes += 1
     del model[big]
-    assert_blocks_hold(m, largest)
+    assert_blocks_hold(m)
     assert_same_content(m, model)
-    assert counts.splits + counts.joins <= 2 * writes // revmap._ROWS
-    assert counts.splits > 0 and counts.joins > 0
+    assert counts.recuts == recuts and block_layout(m)[1] == layout
+
+
+def test_removes_beside_a_large_id_copy_no_rows(monkeypatch):
+    """Removes never cut the map: 10 removes from ids of a few rows next
+    to an id of 2,000 rows copy no row into a new block, where joining
+    the short block with the large id's would copy its rows again at
+    each later remove."""
+    monkeypatch.setattr(revmap, "_ROWS", 16)
+    m, big = ReverseMap(W), 1000
+    for i in range(2000):
+        m.map_insert(big, i, e(big, i))
+    for mid in range(big + 1, big + 11):
+        m.map_insert(mid, 0, e(mid, mid))
+    copied = [0]
+    init = revmap._Block.__init__
+
+    def counted(blk, rows, vals):
+        copied[0] += len(rows)
+        init(blk, rows, vals)
+
+    monkeypatch.setattr(revmap._Block, "__init__", counted)
+    for mid in range(big + 1, big + 11):
+        assert m.map_remove(mid, 0) == (e(mid, mid), None)
+    assert copied[0] == 0
+    assert m.key_count == 2000 and m.list_size(big) == 2000
 
 
 def test_fresh_inserts_keep_the_blocks_of_a_load():
-    """A load cuts the map into blocks with room, so 100 fresh inserts
-    into a loaded q=16 filter write into them in place: the block count
-    stays within 1.1x of the load's, where blocks born full each cut
-    into pieces of about 512 rows at their first write."""
+    """A load slices the map so that its blocks hold up to _ROWS rows on
+    average, so 100 fresh inserts into a loaded q=16 filter write into
+    them in place and keep its layout."""
     f, _ = fill_to_load(FilterConfig(q=16, r=9, seed=3), 0.9, seed=5)
     f = AdaptiveFilter.from_bytes(f.to_bytes())
     blocks = len(f.map._blocks)
+    shift = f.map._shift
     for key in np.random.default_rng(6).integers(1 << 62, 1 << 63, size=100,
                                                   dtype=np.uint64).tolist():
         f.insert(key)
-    assert len(f.map._blocks) <= 1.1 * blocks
+    assert len(f.map._blocks) == blocks > 1 and f.map._shift == shift
     assert_blocks_hold(f.map)
     f.check_consistency()
+
+
+def test_a_map_grown_by_inserts_is_sliced_as_a_build_and_a_load():
+    """A filter's map grown by inserts alone has the blocks that
+    _from_columns and a load of the same rows give it: the slices of
+    the fewest top bits that keep a block at _ROWS rows on average."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(revmap, "_ROWS", 64)
+        f = AdaptiveFilter(FilterConfig(q=12, r=8, seed=91))
+        for key in np.random.default_rng(92).integers(0, 1 << 62, size=3000).tolist():
+            f.insert(key)
+        entries, values = f.map._rows()
+        built = ReverseMap._from_columns(entries, values, f.map._w)
+        loaded = AdaptiveFilter.from_bytes(f.to_bytes()).map
+        assert len(f.map._blocks) == 64
+        for m in (f.map, built, loaded):
+            assert_blocks_hold(m)
+        assert block_layout(f.map) == block_layout(built) == block_layout(loaded)
+
+
+@pytest.mark.parametrize("n", [1, 16, 17, 1000, 4097])
+def test_growth_from_empty_cuts_once_per_doubling(n, monkeypatch):
+    """A map grown from empty to n rows by inserts is sliced anew
+    ceil(log2(n / _ROWS)) times, once each time it passes _ROWS rows a
+    block, with one bit more each time."""
+    monkeypatch.setattr(revmap, "_ROWS", 16)
+    counts = BlockCounts()
+    counting_recuts(monkeypatch, counts)
+    m = ReverseMap(W)
+    for mid in np.random.default_rng(n).integers(0, TOP + 1, size=n).tolist():
+        m.map_insert(mid, 0, e(mid, n))
+    assert_blocks_hold(m)
+    assert counts.recuts == max(0, math.ceil(math.log2(n / revmap._ROWS)))
+    assert len(m._blocks) == 1 << counts.recuts

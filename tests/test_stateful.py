@@ -11,7 +11,11 @@ stored key is missed, the table's positives are exactly the model's
 over a probe universe, a key answered FALSE_POSITIVE_CORRECTED answers
 NOT_PRESENT until the next insert, delete or rebuild (or a merge with a
 filter that matches it), check_consistency() passes, and the table is
-byte for byte what the layout writer makes of its columns.  For the
+byte for byte what the layout writer makes of its columns.  Strong
+adaptivity, as the paper states it: a corrected key matches no
+fingerprint of a key stored when it was corrected and stored without a
+break since, through inserts, deletes, merges and reloads; only a
+delete that shortens the key's minirun, and a rebuild, end it.  For the
 yes/no filter, every stored key answers its own class.  A refused
 mutation leaves the snapshot bytes as they were, and a reload
 keeps the bytes and the counters.
@@ -41,13 +45,23 @@ from aqf.hashing import FilterConfig
 from aqf.setops import _GROW_AT, merge, rebuild
 from aqf.yesno import NO, YES, YesNoFilter, YesNoParams
 
-from oracles import PrefixModel, ref_chunk, ref_split, relaid, shorten_minirun, vector_word0
+from oracles import (
+    PrefixModel,
+    bit_text,
+    ref_chunk,
+    ref_split,
+    relaid,
+    shorten_minirun,
+    vector_word0,
+)
 
 # stored keys come from [0, 300]; probes also from above it, so some
 # probes are never stored
 STORED = st.integers(0, 300)
 PROBES = np.arange(600, dtype=np.uint64)
 PROBE = st.integers(0, len(PROBES) - 1)
+# keys stored into the minirun of a corrected key, none of them a probe
+BESIDE = np.arange(len(PROBES), 1 << 16, dtype=np.uint64)
 
 
 def value_of(key):
@@ -82,7 +96,11 @@ class FilterMachine(RuleBasedStateMachine):
         self.model = PrefixModel(q, r, seed, adapt=self.AUTO_ADAPT)
         # id() of a model entry -> copies folded into it by dedupe
         self.extra: dict[int, int] = {}
+        # keys corrected since the last insert, delete or rebuild
         self.corrected: set[int] = set()
+        # corrected key -> the model entries of its minirun when it was
+        # corrected, the only ones whose fingerprints it could match
+        self.fixed: dict[int, list] = {}
         self.word0 = vector_word0(PROBES, seed)
 
     def use(self, **policy):
@@ -92,6 +110,11 @@ class FilterMachine(RuleBasedStateMachine):
         """key's minirun in the model and its first entry there, or None."""
         lst = self.model.miniruns.get(ref_split(key, self.cfg.seed, self.cfg.q, self.cfg.r), [])
         return lst, next((e for e in lst if e[0] == key), None)
+
+    def correct(self, key):
+        """key was answered FALSE_POSITIVE_CORRECTED."""
+        self.corrected.add(key)
+        self.fixed[key] = list(self.entry(key)[0])
 
     def resync(self):
         """Take every entry's length from the table, after a lookup that
@@ -129,12 +152,49 @@ class FilterMachine(RuleBasedStateMachine):
             return
         self.extra.pop(id(e), None)
         assert self.model.delete(key)
+        # corrections against no stored entry hold nothing more to check
+        live = {id(e) for lst in self.model.miniruns.values() for e in lst}
+        self.fixed = {k: v for k, v in self.fixed.items() if any(id(e) in live for e in v)}
         if shorten and lst:
             q, r, seed = self.cfg.q, self.cfg.r, self.cfg.seed
             exts = [tuple(ref_chunk(owner, seed, q, r, i) for i in range((nbits - q - r) // r))
                     for owner, nbits in lst]
+            lengths = [e[1] for e in lst]
             for e, ext in zip(lst, shorten_minirun(exts)):
                 e[1] = q + r + r * len(ext)
+            if [e[1] for e in lst] != lengths:  # a cut may bring back its minirun's FPs
+                qr = ref_split(key, seed, q, r)
+                self.fixed = {k: v for k, v in self.fixed.items()
+                              if ref_split(k, seed, q, r) != qr}
+
+    @rule(pick=st.integers(0, 1 << 16), dedupe=st.booleans(),
+          shorten=st.one_of(st.none(), st.booleans()))
+    def write_beside_corrected(self, pick, dedupe, shorten):
+        """Correct a probe that some stored fingerprint matches, or pick
+        a corrected one; store a key in its minirun and, unless shorten
+        is None, delete a key of that minirun, the new one when it went
+        in: the minirun's other fingerprints keep their extensions,
+        unless the delete shortens them."""
+        stored = np.isin(PROBES, np.array(self.model.keys(), dtype=np.uint64))
+        matched = PROBES[self.f.frozen_index().query_keys(PROBES) & ~stored].tolist()
+        keys = sorted(set(matched) | set(self.fixed))
+        if not keys:
+            return
+        key = keys[pick % len(keys)]
+        if key not in self.fixed:
+            self.check_lookup(key)
+            if key not in self.fixed:
+                return
+        shift = np.uint64(64 - self.cfg.q - self.cfg.r)
+        mid = vector_word0(np.array([key], dtype=np.uint64), self.cfg.seed)[0] >> shift
+        beside = BESIDE[vector_word0(BESIDE, self.cfg.seed) >> shift == mid].tolist()
+        new = beside[pick % len(beside)] if beside else None
+        if new is not None:
+            self.insert([new], dedupe)
+        owners = [e[0] for e in self.entry(key)[0]]
+        if shorten is not None and owners:
+            victim = new if new in owners else owners[pick % len(owners)]
+            self.delete(self.model.keys().index(victim), shorten)
 
     @rule(key=st.integers(301, 600))
     def delete_absent(self, key):
@@ -157,7 +217,7 @@ class FilterMachine(RuleBasedStateMachine):
             verdict = self.model.lookup(key)
         assert got == (LookupResult(verdict), value_of(key) if verdict == "present" else None)
         if verdict == "false_positive_corrected":
-            self.corrected.add(key)
+            self.correct(key)
 
     @rule(i=PROBE)
     def lookup(self, i):
@@ -174,8 +234,9 @@ class FilterMachine(RuleBasedStateMachine):
         failures = self.f.adaptation_failures
         got = self.f.lookup_many(keys)
         verdicts = [v for v, _ in got]
-        self.corrected.update(k for k, v in zip(keys, verdicts)
-                              if v is LookupResult.FALSE_POSITIVE_CORRECTED)
+        for k, v in zip(keys, verdicts):
+            if v is LookupResult.FALSE_POSITIVE_CORRECTED:
+                self.correct(k)
         for k, answer in zip(keys, got):
             if self.entry(k)[1] is not None:
                 assert answer == (LookupResult.PRESENT, value_of(k))
@@ -229,6 +290,7 @@ class FilterMachine(RuleBasedStateMachine):
         self.regroup(self.f.cfg, 0)
         self.word0 = vector_word0(PROBES, seed)
         self.corrected.clear()
+        self.fixed.clear()
         self.lookup_stored()
 
     @rule()
@@ -255,6 +317,20 @@ class FilterMachine(RuleBasedStateMachine):
         assert (index.query_keys(PROBES) == self.model.positive_mask(PROBES, self.word0)).all()
         for key in self.corrected:
             assert self.f.lookup(key)[0] is LookupResult.NOT_PRESENT
+
+    @invariant()
+    def corrections_stay(self):
+        """No corrected key matches the fingerprint, as the table holds
+        it, of an entry of its minirun stored when it was corrected and
+        stored since."""
+        cfg = self.cfg
+        for key, entries in self.fixed.items():
+            qr = ref_split(key, cfg.seed, cfg.q, cfg.r)
+            mid = pack_minirun_id(*qr, cfg.r)
+            for rank, e in enumerate(self.model.miniruns.get(qr, [])):
+                if any(e is old for old in entries):
+                    nbits = cfg.q + cfg.r + cfg.r * len(self.f.arr.get_ext(mid, rank))
+                    assert bit_text(key, cfg.seed, nbits) != bit_text(e[0], cfg.seed, nbits)
 
 
 def test_filter_machine():
