@@ -1035,16 +1035,24 @@ class SlotArray:
         all: the overflow is the last row's alone.  Columns whose slots
         would pass the cap raise FilterFullError before anything is
         written.
+
+        No pass compacts: the head slots are distinct, so the terminator
+        mask is assigned at them, not gathered.  The tail passes run only
+        when some row has extension chunks or counter digits; with none,
+        as in a fill, the slots before row i are i.
         """
-        n, vb = self.nslots, self.value_bits
+        n, vb, fps = self.nslots, self.value_bits, len(cols.quot)
         pos = _pos_dtype(n)
-        tails = cols.ext_len + cols.ctr_len
-        total = int(tails.sum()) + len(tails)
+        ext_slots, ctr_slots = int(cols.ext_len.sum()), int(cols.ctr_len.sum())
+        total = fps + ext_slots + ctr_slots
         if total > max_used(n):
             raise FilterFullError(f"{total} slots exceed the load limit of {n}")
-        at = np.cumsum(tails, dtype=pos)
-        at -= tails
-        at += np.arange(len(tails), dtype=pos)  # the slots before each row
+        at = np.arange(fps, dtype=pos)  # the slots before each row
+        tails = rows = tail = digit = np.zeros(0, dtype=pos)
+        if total > fps:
+            tails = cols.ext_len + cols.ctr_len
+            at += np.cumsum(tails, dtype=pos)
+            at -= tails
         drift = cols.quot - at
         np.maximum.accumulate(drift, out=drift)
         if len(at):  # the last row ends at total + its drift
@@ -1054,29 +1062,29 @@ class SlotArray:
 
         # each row's remainder lands at its head slot, and its extension
         # chunks, then its counter digits, in the tail slots after it
-        rows = np.flatnonzero(tails)
-        tail = _ranges(at[rows] + 1, tails[rows]) % n
-        digit = _ranges(at[rows] + 1 + cols.ext_len[rows], cols.ctr_len[rows]) % n
-        at %= n  # each row's head slot
-        last = np.ones(len(tails), dtype=bool)  # run terminators
-        last[:-1] = cols.quot[1:] != cols.quot[:-1]
+        if total > fps:
+            rows = np.flatnonzero(tails)
+            tail = _ranges(at[rows] + 1, tails[rows]) % n
+            digit = _ranges(at[rows] + 1 + cols.ext_len[rows], cols.ctr_len[rows]) % n
+        if len(at) and at[-1] >= n:  # slots ascend: wrap the rows past the top
+            np.subtract(at, n, out=at, where=at >= n)
+        last = np.ones(fps, dtype=bool)  # run terminators
+        np.not_equal(cols.quot[1:], cols.quot[:-1], out=last[:-1])
         bits = np.zeros((4, n), dtype=bool)
         used, run, ext, occ = bits
         used[at] = True
         used[tail] = True
-        run[at[last]] = True
+        run[at] = last
         run[digit] = True
         ext[tail] = True
-        occ[cols.quot[last]] = True
+        occ[cols.quot] = True
         del last, digit
         self._pack(bits, 0)
         del bits, used, run, ext, occ
         self.slots[:] = 0
-        self.slots[at] = (cols.rem << vb) | cols.value
+        self.slots[at] = (cols.rem << vb) | cols.value if vb else cols.rem
         self.slots[tail] = cols.chunks[_ranges(cols.ext_off[rows], tails[rows])] << vb
-        self.fp_count = len(cols.quot)
-        self.ext_slot_count = int(cols.ext_len.sum())
-        self.ctr_slot_count = int(cols.ctr_len.sum())
+        self.fp_count, self.ext_slot_count, self.ctr_slot_count = fps, ext_slots, ctr_slots
         self.used_count = total
 
     # ------------------------------------------------------------------

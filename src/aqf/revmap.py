@@ -27,10 +27,11 @@ out about even.  A scalar read finds its id's block by the id's top k
 bits, ``(mid >> shift) & (len(blocks) - 1)``, then bisects the block's
 entries for ``mid << w``.  A write shifts the rows after it within its
 block.  One path slices hash-ordered rows into blocks (``_fill``):
-builds and loads take it, and so does an insert that takes the map past
-_ROWS rows per block, which slices the map's rows again with one bit
-more.  Removes never slice: a drained map keeps its blocks until it is
-built or loaded again.  Keys whose hashes share their top bits, or one
+builds and loads take it.  An insert that takes the map past _ROWS rows
+per block cuts each block in two at one more bit (``_split``), block i
+into blocks 2i and 2i + 1, which are the slices ``_fill`` would cut.
+Removes never slice: a drained map keeps its blocks until it is built
+or loaded again.  Keys whose hashes share their top bits, or one
 key stored many times, make one large block, as they make one long run
 in the slot array.  A map without values takes 8 bytes per key.
 
@@ -198,6 +199,21 @@ class ReverseMap:
         self._blocks = [_Block(piece(lo, hi), None if vals is None else vals[lo:hi])
                         for lo, hi in itertools.pairwise(cuts)]
 
+    def _split(self) -> None:
+        """Slice the map with one more bit: old block i is cut, at its
+        first entry whose id is at or past (2i + 1) << shift, the new
+        shift, into new blocks 2i and 2i + 1, exactly the slices that
+        _fill would cut.  Each row is copied once, and each old block is
+        dropped once it is cut."""
+        self._shift -= 1
+        old, self._blocks = self._blocks, []
+        for i in range(len(old)):
+            blk, old[i] = old[i], None
+            rows, vals = np.frombuffer(blk.entries, dtype=np.uint64), blk.vals
+            cut = bisect_left(blk.entries, ((2 * i + 1) << self._shift) << self._w)
+            self._blocks += (_Block(rows[:cut], None if vals is None else vals[:cut]),
+                             _Block(rows[cut:], None if vals is None else vals[cut:]))
+
     def _find(self, mid: int) -> tuple[_Block, int]:
         """(block, row): the block of mid's slice, and its first row at
         or past mid, where mid's rows start when it has some.  An id
@@ -237,9 +253,8 @@ class ReverseMap:
         blk.entries.insert(at, key)
         self._nkeys += 1
         self.accesses += 1
-        if self._nkeys > _ROWS * len(self._blocks) and self._shift:  # slice anew
-            entries, vals = self._rows()
-            self._fill(entries, w, lambda lo, hi: entries[lo:hi], vals)
+        if self._nkeys > _ROWS * len(self._blocks) and self._shift:
+            self._split()
 
     def map_get(self, mid: int, rank: int) -> tuple[int, bytes | None]:
         rank = as_index(rank, "rank")

@@ -12,10 +12,12 @@ between the two sides is evidence rather than tautology.  The
 exceptions: find_run reports where the package's own walk lands, so
 that layout tests can pin it; relaid lays a table's own columns out
 again, so that scalar edits can be held to the one layout writer;
-insert_whole stores an extended or counted fingerprint through the
-package's own insert, extend and count edits; and the sequential yes/no
-build and the rebuilt adaptation trace run the package's own pieces the
-slow, plain way, so that its faster paths must match them.
+lay_out_reference is that writer's earlier body, kept frozen so that
+the writer is held to its bytes; insert_whole stores an extended or
+counted fingerprint through the package's own insert, extend and count
+edits; and the sequential yes/no build and the rebuilt adaptation
+trace run the package's own pieces the slow, plain way, so that its
+faster paths must match them.
 
 The bit-string extractor is deliberately naive: materialize hash words
 as binary text and slice.  Slow and obviously correct, which is the
@@ -143,6 +145,56 @@ def relaid(arr):
     out = type(arr)(arr.cfg, value_bits=arr.value_bits)
     out._lay_out(arr._columns())
     return out
+
+
+def lay_out_reference(arr, cols) -> None:
+    """SlotArray._lay_out as it stood while its passes still compacted
+    masks (the terminator mask gathered at the run ends, the occupied
+    bits set from the terminators' quotients, the tail passes always
+    run, every head slot taken modulo the table), frozen here so that
+    the package's writer is held to its bytes: the same placement by one
+    cumulative max, the same FilterFullError before anything is written
+    past the load cap."""
+    from aqf.core import _pos_dtype, _ranges, max_used
+    from aqf.errors import FilterFullError
+
+    n, vb = arr.nslots, arr.value_bits
+    pos = _pos_dtype(n)
+    tails = cols.ext_len + cols.ctr_len
+    total = int(tails.sum()) + len(tails)
+    if total > max_used(n):
+        raise FilterFullError(f"{total} slots exceed the load limit of {n}")
+    at = np.cumsum(tails, dtype=pos)
+    at -= tails
+    at += np.arange(len(tails), dtype=pos)  # the slots before each row
+    drift = cols.quot - at
+    np.maximum.accumulate(drift, out=drift)
+    if len(at):  # the last row ends at total + its drift
+        np.maximum(drift, max(0, total + int(drift[-1]) - n), out=drift)
+    at += drift
+
+    rows = np.flatnonzero(tails)
+    tail = _ranges(at[rows] + 1, tails[rows]) % n
+    digit = _ranges(at[rows] + 1 + cols.ext_len[rows], cols.ctr_len[rows]) % n
+    at %= n  # each row's head slot
+    last = np.ones(len(tails), dtype=bool)  # run terminators
+    last[:-1] = cols.quot[1:] != cols.quot[:-1]
+    bits = np.zeros((4, n), dtype=bool)
+    used, run, ext, occ = bits
+    used[at] = True
+    used[tail] = True
+    run[at[last]] = True
+    run[digit] = True
+    ext[tail] = True
+    occ[cols.quot[last]] = True
+    arr._pack(bits, 0)
+    arr.slots[:] = 0
+    arr.slots[at] = (cols.rem << vb) | cols.value
+    arr.slots[tail] = cols.chunks[_ranges(cols.ext_off[rows], tails[rows])] << vb
+    arr.fp_count = len(cols.quot)
+    arr.ext_slot_count = int(cols.ext_len.sum())
+    arr.ctr_slot_count = int(cols.ctr_len.sum())
+    arr.used_count = total
 
 
 def insert_whole(arr, qt: int, rem: int, ext=(), count: int = 1,

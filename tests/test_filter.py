@@ -545,7 +545,7 @@ class TestDelete:
         f, keys = fill_to_load(FilterConfig(q=10, r=6, seed=61), 0.5, seed=62)
         assert len(f.map._blocks) > 8
         scans = Counter()
-        find, fill = f.map._find, f.map._fill
+        find, fill, split = f.map._find, f.map._fill, f.map._split
 
         def counted(mid):
             scans["scans"] += 1
@@ -555,8 +555,13 @@ class TestDelete:
             scans["fills"] += 1
             fill(*args)
 
+        def counted_split():
+            scans["fills"] += 1
+            split()
+
         monkeypatch.setattr(f.map, "_find", counted)
         monkeypatch.setattr(f.map, "_fill", counted_fill)
+        monkeypatch.setattr(f.map, "_split", counted_split)
         before = f.map.accesses
         victims = [int(k) for k in keys[:50]]
         for k in victims:

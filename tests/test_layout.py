@@ -22,6 +22,7 @@ from oracles import (
     decode_raw,
     find_run,
     insert_whole,
+    lay_out_reference,
     relaid,
     reseal,
     shorten_minirun,
@@ -132,6 +133,68 @@ def test_decoder_and_writer_match_the_oracle(table, edits):
         # any removal rebuilds the cached index; a count edit keeps it
         assert (arr.frozen_index() is index) == (op == "count")
         check(arr, model)
+
+
+@st.composite
+def layout_columns(draw):
+    """(cfg, value bits, columns, over the cap) for the layout writer:
+    up to the load cap of rows and tail slots, or past it, in hash
+    order, some share of them at quotients near the top, so that the
+    overflow of the last runs wraps past the top of the table."""
+    q, r, vb = draw(st.integers(2, 12)), draw(st.integers(2, 4)), draw(st.integers(0, 2))
+    cfg, n = FilterConfig(q=q, r=r), 1 << q
+    cap = core.max_used(n)
+    over = draw(st.booleans())
+    total = cap + draw(st.integers(1, 3)) if over else draw(
+        st.one_of(st.just(cap), st.integers(0, cap)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    tail_share = draw(st.sampled_from([0.0, 0.1, 0.5]))
+    top_share = draw(st.sampled_from([0.0, 0.3, 1.0]))
+    # each row takes its head slot and 0-2 tail slots, until total slots
+    width = 1 + (rng.random(total) < tail_share) * rng.integers(1, 3, total)
+    rows = int(np.searchsorted(np.cumsum(width), total, side="right"))
+    width = width[:rows]
+    width[-1:] += total - int(width.sum())  # the last row takes the rest
+    ext_len = rng.integers(0, width)  # the tail slots split into chunks and digits
+    ctr_len = width - 1 - ext_len
+    quot = np.where(rng.random(rows) < top_share, rng.integers(max(0, n - 4), n, rows),
+                    rng.integers(0, n, rows))
+    packed = np.sort((quot.astype(np.uint64) << np.uint64(r))
+                     | rng.integers(0, 1 << r, rows, dtype=np.uint64))
+    chunks = rng.integers(0, 1 << r, int((width - 1).sum()))
+    value = rng.integers(0, 1 << vb, rows)
+    return cfg, vb, core._Cols.build(cfg, vb, packed, value, ext_len, ctr_len, chunks), over
+
+
+def laid_state(arr):
+    return (arr._meta.tobytes(), arr.slots.tobytes(), arr.fp_count, arr.ext_slot_count,
+            arr.ctr_slot_count, arr.used_count)
+
+
+@settings(max_examples=300, deadline=None)
+@given(drawn=layout_columns())
+@example(drawn=(FilterConfig(q=2, r=2), 0, core._Cols.bare(np.zeros(0, dtype=np.uint64),
+                                                           FilterConfig(q=2, r=2)), False))
+def test_the_writer_matches_its_frozen_reference(drawn):
+    """_lay_out writes the bytes and counters that lay_out_reference
+    writes from the same columns; past the load cap both raise and leave
+    the table as it was."""
+    cfg, vb, cols, over = drawn
+    arr, ref = SlotArray(cfg, value_bits=vb), SlotArray(cfg, value_bits=vb)
+    if over:
+        # a table already written, which the failed call must leave alone
+        arr._lay_out(core._Cols.bare(cols.packed(cfg.r)[:1], cfg))
+        before = laid_state(arr)
+        with pytest.raises(FilterFullError):
+            lay_out_reference(ref, cols)
+        with pytest.raises(FilterFullError):
+            arr._lay_out(cols)
+        assert laid_state(arr) == before
+        return
+    lay_out_reference(ref, cols)
+    arr._lay_out(cols)
+    assert laid_state(arr) == laid_state(ref)
+    assert arr.used_count == int((1 + cols.ext_len + cols.ctr_len).sum())
 
 
 # Deterministic cases of the in-place delete and counter shrink: each is

@@ -3,10 +3,11 @@
 tracemalloc counts every numpy array a pass allocates, so the peak of
 one call, over the keys it holds, is the number of bytes per key that
 the pass needs above what was live before it.  At q=16 and 90% load a
-fill peaks at about 40 bytes per key (numpy 2.4), against 151 with
-8-byte slots and columns.  The first exact index and the consistency
-check decode the table a block of about 2**14 slots at a time, so their
-peaks are what they keep plus one block's temporaries: about 26.5 and
+fill peaks at about 34.9 bytes per key (numpy 2.4), against 40.1 while
+the layout writer compacted its masks and 151 with 8-byte slots and
+columns.  The first exact index and the consistency check decode the
+table a block of about 2**14 slots at a time, so their peaks are what
+they keep plus one block's temporaries: about 26.5 and
 15.5 bytes per key at q=16, against 32 and 30 when each decoded the whole
 table at once.  A load checks the layout over the whole table and then
 takes the minirun ids from the same blocks: it peaks at about 23.9 bytes
@@ -58,7 +59,7 @@ from aqf.workbench import fill_to_load
 
 CFG = FilterConfig(q=16, r=9, seed=3)
 
-FILL_BYTES_PER_KEY = 46
+FILL_BYTES_PER_KEY = 38.1
 INDEX_BYTES_PER_KEY = 29
 CHECK_BYTES_PER_KEY = 19
 CHECK_AFTER_INSERTS_BYTES_PER_KEY = 25

@@ -638,16 +638,15 @@ class MapMachine(RuleBasedStateMachine):
 
 
 def counting_recuts(monkeypatch, counts) -> None:
-    """Make ReverseMap._fill add 1 to counts.recuts each time it slices
-    a map that holds rows anew (an insert's; a build or a load slices a
-    map that holds none yet)."""
-    fill = ReverseMap._fill
+    """Make ReverseMap._split add 1 to counts.recuts each time an insert
+    slices the map anew with one more bit."""
+    split = ReverseMap._split
 
-    def counted(m, keys, *args):
-        counts.recuts += bool(m.key_count)
-        fill(m, keys, *args)
+    def counted(m):
+        counts.recuts += 1
+        split(m)
 
-    monkeypatch.setattr(ReverseMap, "_fill", counted)
+    monkeypatch.setattr(ReverseMap, "_split", counted)
 
 
 class BlockCounts:
