@@ -27,44 +27,46 @@ the reverse map untouched.
 A slot's duplicate count ``c`` occupies zero extra slots when ``c == 1``
 and otherwise the little-endian base-``2**r`` digits of ``c - 1``.
 
-Metadata bit vectors are the uint64 rows of one word matrix.  Scalar
-work stays cluster local: a walk reads the four rows over its whole
-cluster into Python ints at once, a window (``SlotArray._walk_to_run``,
-which widens the read by its missing margins until both cluster bounds
-fall inside it), and bit-twiddles from there, finding run ends and
-fingerprint bounds a word at a time.  One generator, ``SlotArray._run``,
-reads a run fingerprint by fingerprint; it is the only scalar walk,
-behind queries, inserts and the minirun access of extension, counter
-edits and delete.  A mutation edits the window it walked and writes it
-back once (``SlotArray._store``), one slot at a time: an open
+Metadata bit vectors are the uint64 rows of one word matrix.  As in the
+counting quotient filter, each 64-slot block keeps the offset from its
+first slot to the run end of the last occupied quotient before it
+(``SlotArray.offsets``, derived, never saved), so a walk
+(``SlotArray._walk_to_run``) ranks its quotient in its block and
+selects run ends past the offset, reading rightwards into Python ints,
+a window.  One generator, ``SlotArray._run``, reads a run fingerprint by
+fingerprint; it is the only scalar walk, behind queries, inserts and
+the minirun access of extension, counter edits and delete.  A mutation
+reads on to its cluster's end, edits the window and writes it back once
+(``SlotArray._store``), one slot at a time: an open
 (``SlotArray._open_slot``) moves the cluster's tail right by one into
 the unused slot past it, joining the next cluster when that slot was
 its last gap, and a close (``SlotArray._close_slot``) moves the rest of
 the run and the later runs left by one, up to the first run at its
-canonical slot.  An insert is one open; extensions and growing counters
-open one slot per chunk or digit, and deletes, shortening cuts and
-shrinking counters close theirs from the last.  Whole-table work goes
-through two helpers: ``SlotArray._blocks`` decodes the table a block of
-clusters at a time into numpy columns (quotient, remainder, value,
-extension and counter-digit spans), one row per fingerprint in hash
-order (by quotient, then remainder, then rank), for the bulk index
+canonical slot; the offsets in the moved span move by one with them.
+An insert is one open; extensions and growing counters open one slot
+per chunk or digit, and deletes, shortening cuts and shrinking counters
+close theirs from the last.  Whole-table work goes through two
+helpers: ``SlotArray._blocks`` decodes the table a block of clusters at
+a time into numpy columns (quotient, remainder, value, extension and
+counter-digit spans), one row per fingerprint in hash order (by
+quotient, then remainder, then rank), for the bulk index
 (``FrozenIndex``: like the table, a remainder per pair under a quotient
 directory), consistency checks, the loader's minirun ids and, joined,
 merge and rebuild.  The stored runs are a rotation of that order, which
-it alone turns back.  ``SlotArray._lay_out``
-writes such columns over a table, placing every run with one cumulative
-max, for merge, rebuild and bulk load.  Both scalar edits leave the
-layout that ``_lay_out`` would write.
+it alone turns back.  ``SlotArray._lay_out`` writes such columns over a
+table, placing every run with one cumulative max, for merge, rebuild
+and bulk load.  Both scalar edits leave the layout that ``_lay_out``
+would write.
 
 Widths.  The payloads are stored in the smallest unsigned dtype that
 holds ``r + value_bits`` bits (``_slot_dtype``: uint16 at r = 9), and
 whole-table columns of slot and row positions, offsets and span lengths
 are int32 while the table has fewer than 2**31 slots, int64 past that
 (``_pos_dtype``); in columns, remainders, values and chunks take the
-slot dtype.  Scalar walks read a slot through ``.item()`` whatever its
-dtype.  Whole-table passes drop each temporary once it is spent, or go
-a block of about ``_BLOCK`` slots or rows at a time, so that their
-temporaries stay small.
+slot dtype.  Scalar walks read words, payloads and offsets as Python
+ints through memoryviews.  Whole-table passes drop each temporary once
+it is spent, or go a block of about ``_BLOCK`` slots or rows at a time,
+so that their temporaries stay small.
 
 Snapshot.  Only the occupied, runend and extension vectors and the
 payloads are written, with a header that names the first unused slot.
@@ -90,7 +92,6 @@ from __future__ import annotations
 import copy
 import struct
 from dataclasses import dataclass
-from itertools import compress, count
 from typing import NamedTuple
 
 import numpy as np
@@ -252,20 +253,11 @@ def _stable_order(keys: np.ndarray, bits: int) -> np.ndarray:
     return order.view(np.intp)
 
 
-_BITS = bytes.maketrans(b"01", b"\0\1")
-
-
 def _bools(x: int, n: int) -> np.ndarray:
     """Bits [0, n) of the int x >= 0 as n bools, bit i at index i."""
     raw = (x & ((1 << n) - 1)).to_bytes((n + 7) >> 3, "little")
     return np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=n,
                          bitorder="little").view(bool)
-
-
-def _ones(x: int) -> list[int]:
-    """Positions of the set bits of x, lowest first, found in C: one
-    byte per bit of x's binary text, and compress keeps the nonzero."""
-    return list(compress(count(), bin(x)[:1:-1].encode().translate(_BITS)))
 
 
 def _codec_plan(w: int):
@@ -415,18 +407,19 @@ def _run_ends(run: int, ext: int) -> int:
     trail it.  Adding each terminator's next bit to the extension bits
     carries through those slots, so the bits that the sum sets outside
     the extension bits are the ends.  The one rule for where runs end,
-    for the scalar walks (_Win.ends) and the loader alike."""
+    for the scalar walks, the offsets and the loader alike."""
     return (ext + ((run & ~ext) << 1)) & ~ext
 
 
 class _Win:
-    """One cluster's used, runend, extension and occupied bits, read at
-    once by SlotArray._walk_to_run.
+    """The used, runend, extension and occupied bits from one quotient's
+    slot to its run's end or past (SlotArray._walk_to_run), or its
+    cluster's end (SlotArray._read_rest, before edits).
 
-    ``base`` is the cluster's first slot, and bit i of each row is slot
+    ``base`` is that quotient's slot, and bit i of each row is slot
     base + i, wrapping past the top of the table.  Every bit past the
-    cluster is zero, so walks stop at its end without bounds checks: the
-    unused slot there ends the last run, and no fingerprint follows it.
+    window is zero, and the quotient's run ends inside it, so walks stop
+    without bounds checks.
 
     Scalar mutations edit these ints and store them back in one write
     (SlotArray._store), opening or closing one slot per edit.  A close
@@ -445,17 +438,14 @@ class _Win:
         self.ext = ext
         self.occ = occ
 
-    def ends(self) -> int:
-        """The window's run ends (_run_ends): the last run's lands on the
-        unused slot past the cluster."""
-        return _run_ends(self.run, self.ext)
 
-
-def _select_end(ends: int, pos: int, k: int) -> int:
-    """Offset just past the k-th run ending at or after offset pos, given
-    the run ends of _Win.ends, selected a word at a time."""
+def _select_end(ends: int, at: int, pos: int, k: int) -> int:
+    """Where the run after the k-th run ending past offset ``at`` starts,
+    if not before offset pos >= at: the run ends (_run_ends) by pos are
+    counted off, and the rest selected a word at a time."""
+    k -= ((ends >> (at + 1)) & ((1 << (pos - at)) - 1)).bit_count()
     ends >>= pos + 1
-    while ends:
+    while k > 0:  # the walk's read holds them
         word = ends & MASK64
         have = word.bit_count()
         if have >= k:
@@ -465,7 +455,7 @@ def _select_end(ends: int, pos: int, k: int) -> int:
         k -= have
         ends >>= 64
         pos += 64
-    raise StateCorruptionError("run without a terminator")
+    return pos
 
 
 class SlotArray:
@@ -486,6 +476,11 @@ class SlotArray:
         self._meta = np.zeros((4, self.nwords), dtype=np.uint64)
         self.used, self.run, self.ext, self.occ = self._meta
         self.slots = np.zeros(n, dtype=_slot_dtype(self.slot_bits))
+        # block offsets (_block_offsets); words (row r's j-th at r * nwords
+        # + j), payloads and offsets as walks read them
+        self.offsets = np.zeros(self.nwords, dtype=_pos_dtype(n))
+        self._words = memoryview(self._meta).cast("B").cast("Q")
+        self._pay, self._offs = memoryview(self.slots), memoryview(self.offsets)
         self.used_count = 0
         self.fp_count = 0
         self.ext_slot_count = 0
@@ -534,12 +529,12 @@ class SlotArray:
             flat[:, :start] = bits[:, n - start :]
         self._meta[: len(bits)] = np.packbits(flat, axis=1, bitorder="little").view(np.uint64)
 
-    def _payloads(self, start: int, length: int) -> np.ndarray:
-        """Payloads of slots [start, start+length) circularly: a view of
-        the table, or across the seam a copy that _set_payloads stores."""
+    def _payloads(self, start: int, length: int):
+        """Payloads of slots [start, start+length) circularly: a memoryview
+        of the table, or across the seam a copy that _set_payloads stores."""
         n = self.nslots
         if start + length <= n:
-            return self.slots[start : start + length]
+            return self._pay[start : start + length]
         return np.concatenate((self.slots[start:], self.slots[: start + length - n]))
 
     def _set_payloads(self, start: int, buf: np.ndarray) -> None:
@@ -550,8 +545,8 @@ class SlotArray:
             self.slots[: len(buf) - head] = buf[head:]
 
     def _store(self, win: _Win, lo: int, hi: int) -> None:
-        """Write the window's four rows over its offsets [lo, hi): one
-        read-modify-write of the words they touch, two across the seam."""
+        """Write the window's rows over its offsets [lo, hi) in one read-
+        modify-write, two across the seam; edits moved the block offsets."""
         n = self.nslots
         start = (win.base + lo) % n
         if start + hi - lo > n:
@@ -575,27 +570,15 @@ class SlotArray:
         (_store) with its own bit edits.
 
         The slots [at, end) move right by one into the unused slot at
-        the cluster's end, which is where _lay_out places every run.
+        the cluster's end, which is where _lay_out places every run, and
+        so do the run ends and the offsets of the blocks there (_shift).
         That slot may lie just before the next cluster, which the open
-        then joins; the window is known only up to the edit.  So when
-        the table has the slot at the window's end used, an earlier open
-        on this window joined the cluster that begins there, and this one
-        reads it in first, a margin at a time as _walk_to_run grows its
-        reads.  A lone open reads nothing past the walk's window.
+        then joins, so each open first reads in the rest of the cluster
+        that the window's end lies in (_read_rest).
         """
         n = self.nslots
-        end = win.used.bit_length()
-        width = _READ if n > _READ else n
-        s = (win.base + end) % n
-        while (self.used.item(s >> 6) >> (s & 63)) & 1:
-            rows = self._read_bits(s, width)
-            part = ((rows[0] + 1) & ~rows[0]).bit_length() - 1  # the used slots leading it
-            keep = (1 << part) - 1
-            win.used, win.run, win.ext, win.occ = (
-                x | (y & keep) << end for x, y in zip((win.used, win.run, win.ext, win.occ), rows))
-            end += part
-            s = (win.base + end) % n
-            width <<= 1
+        end = self._read_rest(win)
+        self._shift(win, end, 1)
         low = (1 << at) - 1
         win.used |= 1 << end
         win.run = win.run & low | (win.run & ~low) << 1 | run << at
@@ -608,53 +591,75 @@ class SlotArray:
         self.used_count += 1
         return end + 1
 
+    def _read_rest(self, win: _Win) -> int:
+        """Read the rest of the window's cluster in, a doubling margin at a
+        time, and return the offset of the unused slot past it."""
+        n = self.nslots
+        end = win.used.bit_length()
+        width = _READ if n > _READ else n
+        s = (win.base + end) % n
+        while (self._words[s >> 6] >> (s & 63)) & 1:
+            if end >= n:
+                raise StateCorruptionError("no cluster boundary found")
+            rows = self._read_bits(s, width)
+            part = ((rows[0] + 1) & ~rows[0]).bit_length() - 1  # the used slots leading it
+            keep = (1 << part) - 1
+            win.used, win.run, win.ext, win.occ = (
+                x | (y & keep) << end for x, y in zip((win.used, win.run, win.ext, win.occ), rows))
+            end += part
+            s = (win.base + end) % n
+            width <<= 1
+        return end
+
+    def _shift(self, win: _Win, stop: int, step: int) -> None:
+        """Move by step, floored at 0, the offset of each block whose first
+        slot lies at window offset p in (0, stop], where an open or close
+        moves every run end.  A new run ends one past the run before it,
+        and an emptied one where it began, so neither needs more."""
+        n, offs, base = self.nslots, self._offs, win.base
+        size = n if n < 64 else 64
+        for p in range(-base % size or size, stop + 1, size):
+            b = (base + p) % n >> 6
+            offs[b] = max(offs[b] + step, 0)
+
     # ------------------------------------------------------------------
     # run navigation
 
     def _walk_to_run(self, qt: int) -> tuple[_Win, int]:
-        """(window over the cluster holding slot ``qt``, run start offset).
+        """(window from slot ``qt`` to its run's end or past, run start).
 
-        The run located is the one for quotient ``qt`` if occupied, else
-        the position where that run would begin.  One read of all four
-        metadata rows over slots [qt - _READ, qt + _READ), or the whole
-        table if that is smaller, finds the cluster's bounds, the unused
-        slots nearest to qt on either side.  While a bound lies outside
-        the read, the read grows on that side by as much as it already
-        holds there, reading only the new margin.  An unused slot ``qt``
-        gets an empty window based at it.
+        The run of quotient ``qt``, or where it would begin, is found by
+        rank and select: of the k occupied quotients of qt's block before
+        qt, the k-th run end past the block's offset ends the run before
+        qt's (_select_end).  One read of two words of each row (or the
+        table) from the block's first slot doubles until that run end,
+        and qt's own if it is occupied, lie inside it; nothing left of
+        the block is read.  The window holds the used slots from qt on
+        that the read holds.
         """
-        n = self.nslots
-        left = right = _READ if n > _READ else n  # slots read before qt, and from it on
-        used, run, ext, occ = self._read_bits((qt - left) % n, 2 * left)
-        if not (used >> left) & 1:
-            return _Win(qt, 0, 0, 0, 0), 0
-        while True:
-            lo = (~used & ((1 << left) - 1)).bit_length()  # the cluster's first slot
-            tail = used >> left
-            end = ((tail + 1) & ~tail).bit_length() - 1  # its end, counted from qt
-            if lo and end < right:
-                break
-            if (not lo and left >= n) or (end >= right and right >= n):
-                raise StateCorruptionError("no cluster boundary found")
-            if not lo:
-                more = self._read_bits((qt - 2 * left) % n, left)
-                used, run, ext, occ = (m | (x << left) for m, x in zip(more, (used, run, ext, occ)))
-                left <<= 1
-            if end >= right:
-                more = self._read_bits((qt + right) % n, right)
-                used, run, ext, occ = (x | (m << (left + right))
-                                       for x, m in zip((used, run, ext, occ), more))
-                right <<= 1
-        keep = (1 << (left - lo + end)) - 1
-        run, ext, occ = (run >> lo) & keep, (ext >> lo) & keep, (occ >> lo) & keep
-        win = _Win((qt - left + lo) % n, (used >> lo) & keep, run, ext, occ)
-        # qt's run starts at the end of the run of the last occupied
-        # quotient before qt; of those runs, the ones ending by qt's slot
-        # are counted off, and the rest end past it
-        dist = left - lo
-        ends = win.ends()
-        skip = (occ & ((1 << dist) - 1)).bit_count() - (ends & ((2 << dist) - 1)).bit_count()
-        return win, _select_end(ends, dist, skip) if skip else dist
+        n, nw, w = self.nslots, self.nwords, self._words
+        b, d = qt >> 6, qt & 63
+        occ, at = w[3 * nw + b], self._offs[b]
+        k, need = (occ & ((1 << d) - 1)).bit_count(), (occ >> d) & 1
+        width = _READ if n > _READ else n
+        if width == 128:  # the usual read: two words of each row, no numpy call
+            c = (b + 1) % nw
+            used, run, ext, occ = (w[b] | w[c] << 64, w[nw + b] | w[nw + c] << 64,
+                                   w[2 * nw + b] | w[2 * nw + c] << 64, occ | w[3 * nw + c] << 64)
+        else:
+            used, run, ext, occ = self._read_bits(qt - d, width)
+        while ((ends := _run_ends(run, ext) & ((1 << width) - 1)) >> (at + 1)).bit_count() < k + need:
+            if width >= d + n:
+                raise StateCorruptionError("run without a terminator")
+            more = self._read_bits((qt - d + width) % n, width)
+            used, run, ext, occ = (x | (m << width) for x, m in zip((used, run, ext, occ), more))
+            width <<= 1
+        p = at if at > d else d
+        if k:
+            p = _select_end(ends, at, p, k)
+        tail = used >> d
+        keep = (1 << (((tail + 1) & ~tail).bit_length() - 1)) - 1
+        return _Win(qt, keep, (run >> d) & keep, (ext >> d) & keep, (occ >> d) & keep), p - d
 
     def _run(self, qt: int):
         """Yield (window, previous fp offset, fp offset, remainder, ext
@@ -666,10 +671,10 @@ class SlotArray:
         without the extension bit, and the counter digits at the first
         slot between them with the runend bit.  The one scalar reader of
         a run: queries, inserts and minirun access all walk through it."""
-        if not (self.occ.item(qt >> 6) >> (qt & 63)) & 1:
+        if not (self._words[3 * self.nwords + (qt >> 6)] >> (qt & 63)) & 1:
             return
         win, pos = self._walk_to_run(qt)
-        n, vb, slots, base = self.nslots, self.value_bits, self.slots, win.base
+        n, vb, slots, base = self.nslots, self.value_bits, self._pay, win.base
         prev = None
         while True:
             is_term = (win.run >> pos) & 1
@@ -681,7 +686,7 @@ class SlotArray:
                 c0 = e0 + (digits & -digits).bit_length() - 1 if digits else nxt
             else:
                 c0 = nxt = e0
-            yield win, prev, pos, slots.item((base + pos) % n) >> vb, e0, c0, nxt
+            yield win, prev, pos, slots[(base + pos) % n] >> vb, e0, c0, nxt
             if is_term:
                 return
             prev, pos = pos, nxt
@@ -693,29 +698,34 @@ class SlotArray:
         """Whether ``extra`` more used slots stay within the load cap."""
         return self.used_count + extra <= max_used(self.nslots)
 
-    def query_fp(self, stream: HashStream, start: int = 0,
+    def query_fp(self, stream: HashStream | list, start: int = 0,
                  pair: tuple[int, int] | None = None) -> tuple[int, int, int] | None:
         """First stored fingerprint that is a prefix of ``stream``, at
         minirun rank ``start`` or later.  ``pair`` is the stream's
-        (quotient, remainder) when the caller has split it already.
+        (quotient, remainder) when the caller has split it already; only
+        with it, ``stream`` may be a one-item list holding the key, where
+        the key's HashStream is put when chunks are first compared, so
+        that the caller builds it at most once.
 
         Returns (minirun rank, matched extension length, value bits of
         its remainder slot) or None.
         """
         cfg = self.cfg
         qt, rem = split(stream, cfg) if pair is None else pair
-        n, vb, slots = self.nslots, self.value_bits, self.slots
+        n, vb, slots = self.nslots, self.value_bits, self._pay
         rank = 0
         for win, _, pos, rem_i, e0, c0, _ in self._run(qt):
             if rem_i > rem:
                 return None
             if rem_i == rem:
                 if rank >= start:
+                    if c0 > e0 and isinstance(stream, list):  # [key]: stream it
+                        stream[0] = stream = HashStream(stream[0], cfg.seed)
                     for t in range(c0 - e0):
-                        if slots.item((win.base + e0 + t) % n) >> vb != extension_chunk(stream, cfg, t):
+                        if slots[(win.base + e0 + t) % n] >> vb != extension_chunk(stream, cfg, t):
                             break
                     else:
-                        value = slots.item((win.base + pos) % n) & ((1 << vb) - 1)
+                        value = slots[(win.base + pos) % n] & ((1 << vb) - 1)
                         return rank, c0 - e0, value
                 rank += 1
         return None
@@ -740,7 +750,7 @@ class SlotArray:
         # or past its terminator, taking over the runend bit; a new run
         # goes where the walk finds it would begin
         rank, new_term = 0, 1
-        if (self.occ.item(qt >> 6) >> (qt & 63)) & 1:
+        if (self._words[3 * self.nwords + (qt >> 6)] >> (qt & 63)) & 1:
             for win, _, pos, rem_i, _, _, nxt in self._run(qt):
                 if rem_i > rem:
                     at = lo = pos
@@ -752,8 +762,7 @@ class SlotArray:
                 lo, at = pos, nxt
         else:
             win, at = self._walk_to_run(qt)
-            lo = (qt - win.base) % self.nslots
-            win.occ |= 1 << lo
+            lo, win.occ = 0, win.occ | 1
         self._store(win, lo, self._open_slot(win, at, new_term, 0, payload))
         self.fp_count += 1
         return pack_minirun_id(qt, rem, self.cfg.r), rank
@@ -810,7 +819,7 @@ class SlotArray:
     def set_count(self, mid: int, rank: int, count: int) -> None:
         if count < 1:
             raise InvalidConfigError("count must be at least 1")
-        self._write_count(mid, self._locate_fp(mid, rank), count)
+        self._write_count(self._locate_fp(mid, rank), count)
 
     def add_count(self, mid: int, rank: int, delta: int) -> int:
         """Add delta to one fingerprint's count, reading and rewriting it
@@ -820,7 +829,7 @@ class SlotArray:
         fp = self._locate_fp(mid, rank)
         count = self._count(fp) + delta
         if count >= 1:
-            self._write_count(mid, fp, count)
+            self._write_count(fp, count)
         return count
 
     def _count(self, fp: tuple[_Win, int | None, int, int, int, int]) -> int:
@@ -833,10 +842,9 @@ class SlotArray:
             v |= (self.slots.item((win.base + c0 + i) % n) >> vb) << (i * r)
         return v + 1
 
-    def _write_count(self, mid: int, fp: tuple[_Win, int | None, int, int, int, int],
-                     count: int) -> None:
-        """Rewrite the counter digits of minirun mid's fingerprint fp (as
-        _minirun lists it) in place.  The digits it keeps are
+    def _write_count(self, fp: tuple[_Win, int | None, int, int, int, int], count: int) -> None:
+        """Rewrite the counter digits of the fingerprint fp (as _minirun
+        lists it) in place.  The digits it keeps are
         overwritten; growth opens the new ones behind them one at a time
         (_open_slot), shrinkage closes the dropped ones from the last
         (_close_slot), all on the walk's window, stored once."""
@@ -848,12 +856,12 @@ class SlotArray:
         n, vb = self.nslots, self.value_bits
         for i, digit in enumerate(digits[:have]):
             self.slots[(win.base + c0 + i) % n] = digit << vb
-        qt = mid >> self.cfg.r
         hi = 0
         for i in range(have, len(digits)):
             hi = self._open_slot(win, c0 + i, 1, 1, digits[i] << vb)
+        self._read_rest(win)  # for the closes
         for at in range(nxt - 1, c0 + len(digits) - 1, -1):
-            hi = max(hi, self._close_slot(win, qt, pos, at))
+            hi = max(hi, self._close_slot(win, pos, at))
         if len(digits) != have:
             self._store(win, c0 + min(have, len(digits)), hi)
         self.ctr_slot_count += len(digits) - have
@@ -888,17 +896,16 @@ class SlotArray:
                     for _, x0, y0 in rest]
             for (at, x0, y0), keep in zip(rest, _kept_chunks(exts)):
                 gone += [(i, at) for i in range(x0 + keep, y0)]
-        qt = mid >> self.cfg.r
         lo = min(gone)[0]
         if (win.run >> pos) & 1 and prev is None:
-            lo = (qt - win.base) % self.nslots
-            win.occ ^= 1 << lo
+            lo, win.occ = 0, win.occ ^ 1
         elif (win.run >> pos) & 1:
             lo = min(lo, prev)
             win.run |= 1 << prev
+        self._read_rest(win)  # for the closes
         hi = 0
         for at, fp in sorted(gone, reverse=True):
-            hi = max(hi, self._close_slot(win, qt, fp, at))
+            hi = max(hi, self._close_slot(win, fp, at))
         self._store(win, lo, hi)
         cut = len(gone) - (nxt - pos)
         self.fp_count -= 1
@@ -906,48 +913,40 @@ class SlotArray:
         self.ctr_slot_count -= nxt - c0
         self._index = None
 
-    def _close_slot(self, win: _Win, qt: int, fp: int, at: int) -> int:
+    def _close_slot(self, win: _Win, fp: int, at: int) -> int:
         """Remove the slot at window offset ``at``, a slot of the
-        fingerprint at offset fp in the run of quotient qt, and close the
-        gap: the inverse of _open_slot.  Returns the offset just past the
-        edit, which the caller stores (_store).
+        fingerprint at offset fp in the run of the window's quotient, and
+        close the gap: the inverse of _open_slot.  Returns the offset just
+        past the edit, which the caller stores (_store).
 
         The rest of the run moves left by one, and so does each later
         run of the cluster up to the first one already at its canonical
         slot, which is where _lay_out would place them; with no such run
-        the shift reaches the end of the cluster.  A run sits at its
-        canonical slot when its start and its quotient are the same
-        distance past qt's slot: the run starts and the occupied bits
-        are paired off in order (_ones), from a prefix of the cluster
-        that doubles until it holds such a run.  Nothing is read when no
-        run follows, or the next one does not move.  The window's
-        runend, extension and used bits move as bit strings, the payloads
-        as one slice, and the slot the shift leaves behind is cleared.
-        The occupied bits, the store and the fingerprint counters are the
+        the shift reaches the end of the cluster.  The k-th run past fp's
+        belongs to the k-th occupied quotient past the window's, so a run
+        at an occupied slot is at its canonical one when as many runs and
+        occupied quotients lie up to it.  The run ends in (at, hi] and
+        the offsets of the blocks there move left by one (_shift), the
+        runend, extension and used bits as bit strings, the payloads as
+        one slice, and the slot the shift leaves behind is cleared.  The
+        occupied bits, the store and the fingerprint counters are the
         caller's.
         """
         n = self.nslots
-        ends = win.ends()
+        ends = _run_ends(win.run, win.ext)
         rest = ends >> (fp + 1)
         end = fp + (rest & -rest).bit_length()  # just past fp's run
         used = win.used >> end
         hi = end + ((used + 1) & ~used).bit_length() - 1  # the cluster's end
-        q0 = (qt - win.base) % n + 1
-        occ = win.occ >> q0
-        if end < hi and (occ & -occ).bit_length() - 1 == end - q0:
-            hi = end
-        elif end < hi:
-            reach = 64
-            while True:
-                lim = min(hi, end + reach)
-                starts = _ones(((ends >> end) & ((1 << (lim - end)) - 1)) << (end - q0))
-                quots = _ones(occ & ((1 << (lim - q0)) - 1))
-                fixed = [s for s, t in zip(starts, quots) if s == t]
-                if fixed or lim == hi:
-                    break
-                reach <<= 1
-            if fixed:
-                hi = q0 + fixed[0]
+        occ = win.occ & -2  # the quotients past the window's own
+        cand = ends & occ & ((1 << hi) - (1 << end))
+        while cand:
+            x = (cand & -cand).bit_length() - 1
+            if (occ & ((2 << x) - 1)).bit_count() == (ends >> end & ((2 << (x - end)) - 1)).bit_count():
+                hi = x
+                break
+            cand &= cand - 1
+        self._shift(win, hi, -1)
         start = (win.base + at) % n
         buf = self._payloads(start, hi - at)
         buf[:-1] = buf[1:]
@@ -990,8 +989,7 @@ class SlotArray:
         while a < n:
             b = min(a + _BLOCK, n)
             if b < n:  # the cut goes just past the end of the cluster at b - 1
-                win, _ = self._walk_to_run((start + b - 1) % n)
-                b = min(n, b + (win.base + win.used.bit_length() - start - b + 1) % n)
+                b = min(n, b + self._read_rest(_Win((start + b - 1) % n, 0, 0, 0, 0)))
             at, size, a = (start + a) % n, b - a, b
             used, run, ext = self._bits(at, size, slice(3))
             R = np.flatnonzero(used & ~ext)
@@ -1007,7 +1005,7 @@ class SlotArray:
                 ext_off[:] = np.searchsorted(tails, R)
                 ctr_len[:] = np.bincount(owner[run[tails]], minlength=len(R))
                 ext_len[:] = np.bincount(owner, minlength=len(R)) - ctr_len
-            pay = self._payloads(at, size)
+            pay = np.asarray(self._payloads(at, size))
             head = pay[R]
             yield _Cols(np.repeat(Q, np.diff(ends, prepend=-1)), head >> vb,
                         head & ((1 << vb) - 1) if full else None, ext_off, ext_len,
@@ -1059,6 +1057,14 @@ class SlotArray:
             np.maximum(drift, max(0, total + int(drift[-1]) - n), out=drift)
         at += drift
         del drift
+        self.offsets[:] = 0
+        # from the rows in hand, where _block_offsets would read the table back
+        if fps:  # the end of the last row of each block's last quotient before it
+            first = np.arange(0, n, 64, dtype=pos)
+            row = np.searchsorted(cols.quot, first) - 1
+            end = at[row] + 1 - first + (tails[row] if total > fps else 0)
+            end[row < 0] -= n  # the top quotient's run, a turn before
+            np.maximum(end, 0, out=self.offsets)
 
         # each row's remainder lands at its head slot, and its extension
         # chunks, then its counter digits, in the tail slots after it
@@ -1086,6 +1092,30 @@ class SlotArray:
         self.slots[tail] = cols.chunks[_ranges(cols.ext_off[rows], tails[rows])] << vb
         self.fp_count, self.ext_slot_count, self.ctr_slot_count = fps, ext_slots, ctr_slots
         self.used_count = total
+
+    def _anchor(self) -> int:
+        """The first unused slot, which the load cap guarantees."""
+        word = int(np.flatnonzero(~self.used)[0])
+        free = ~int(self.used[word])
+        return (word << 6) + (free & -free).bit_length() - 1
+
+    def _block_offsets(self, rot: int = 0, ends: np.ndarray | None = None) -> np.ndarray:
+        """Each block's offset afresh: from slot rot, just past an unused
+        one, the k-th occupied quotient owns the k-th run end, whose
+        bools from rot on are ends (read from the table if not given)."""
+        n = self.nslots
+        if ends is None:
+            rot = (self._anchor() + 1) % n
+            _, run, ext, _ = self._read_bits(rot, n)
+            ends = _bools(_run_ends(run, ext), n)
+        pos = np.flatnonzero(ends)
+        first = np.arange(0, n, 64)
+        k = np.cumsum(np.bitwise_count(self.occ), dtype=np.int64)
+        k -= np.bitwise_count(self.occ)  # before each block's first slot
+        k -= k[rot >> 6] + (int(self.occ[rot >> 6]) & ((1 << (rot & 63)) - 1)).bit_count()
+        k[first < rot] += len(pos)  # ... counted from rot on
+        end = pos[k - 1] - (first - rot) % n if len(pos) else k
+        return np.where(k > 0, np.maximum(end, 0), 0).astype(_pos_dtype(n))
 
     # ------------------------------------------------------------------
     # bulk probing
@@ -1145,12 +1175,8 @@ class SlotArray:
         """to_bytes without its trailer, as a list of parts (see
         snapshot), the bit vectors as views of their words."""
         cfg = self.cfg
-        # the first unused slot, which the load cap guarantees
-        word = int(np.flatnonzero(~self.used)[0])
-        free = ~int(self.used[word])
-        anchor = (word << 6) + (free & -free).bit_length() - 1
         parts = [_HEAD.pack(SNAPSHOT_MAGIC, SNAPSHOT_VERSION, cfg.q, cfg.r, cfg.seed,
-                            self.used_count, anchor)]
+                            self.used_count, self._anchor())]
         nbytes = (self.nslots + 7) >> 3
         for vec in (self.occ, self.run, self.ext):
             parts.append(section([le_bytes(vec, "<u8")[:nbytes]]))
@@ -1200,6 +1226,7 @@ class SlotArray:
             vec[:] = _le_words(blob, arr.nwords)
         _check_padding(payload[1:], n * w, "last payload")
         arr.slots = _unpack_slots(payload[1:], n, w)
+        arr._pay = memoryview(arr.slots)
         return arr, arr._reconstruct_used(used_count, anchor)
 
     def _reconstruct_used(self, expect_used: int, anchor: int) -> np.ndarray:
@@ -1235,9 +1262,8 @@ class SlotArray:
         terms, quots = (run & ~ext).bit_count(), occ.bit_count()
         if terms != quots:
             raise FormatError(f"{terms} run terminators for {quots} occupied quotients")
-        ends = _bools(_run_ends(run, ext), n).view(np.int8)
-        used = np.cumsum(_bools(occ, n).view(np.int8) - ends, dtype=_pos_dtype(n)) > 0
-        del ends, occ
+        ends = _bools(_run_ends(run, ext), n)
+        used = np.cumsum(_bools(occ, n).view(np.int8) - ends.view(np.int8), dtype=_pos_dtype(n)) > 0
         run, ext = _bools(run, n), _bools(ext, n)
         if (run & ~ext & ~used).any():
             raise FormatError("run has no terminator")
@@ -1248,6 +1274,8 @@ class SlotArray:
             )
         if used[-1]:
             raise FormatError("anchor slot decoded as used")
+        self.offsets[:] = self._block_offsets(rot, ends)  # every run ends by the anchor
+        del ends
         if ((run | ext) & ~used).any():
             raise FormatError("runend or extension bit on an unused slot")
         # slots 0 .. anchor - 1 sit at the rotated end, just before the anchor

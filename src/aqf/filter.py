@@ -50,7 +50,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import FrozenIndex, SlotArray, pack_minirun_id
+from .core import FrozenIndex, SlotArray, unpack_minirun_id
 from .errors import (
     AdaptationExhaustedError,
     FilterFullError,
@@ -69,6 +69,8 @@ from .hashing import (
     _pairs,
     as_index,
     extension_chunk,
+    hash_word,
+    minirun_id,
     split,
     unhash_word,
 )
@@ -205,19 +207,17 @@ class AdaptiveFilter:
         19/20 load cap, which extension slots share (see lookup), it
         raises FilterFullError; either way nothing changes.
         """
-        key = _key(key)
+        key, cfg = _key(key), self.cfg
         self.map.check_entry(key, value)
         tag = _int_in(tag, "tag", 0, (1 << self.value_bits) - 1)
-        stream = HashStream(key, self.cfg.seed)
-        qt, rem = split(stream, self.cfg)
-        word = stream.word(0)
+        word = hash_word(key, cfg.seed, 0)
+        mid = minirun_id(word, cfg)
         if self.policy.dedupe_keys:
-            mid = pack_minirun_id(qt, rem, self.cfg.r)
             rank = self.map.find_rank(mid, word)
             if rank is not None:
                 self.arr.add_count(mid, rank, 1)
                 return mid, rank
-        mid, rank = self.arr.insert_fp(qt, rem, tag)
+        mid, rank = self.arr.insert_fp(*unpack_minirun_id(mid, cfg.r), tag)
         self.map.map_insert(mid, rank, word, value)
         return mid, rank
 
@@ -233,10 +233,10 @@ class AdaptiveFilter:
         its minirun are also cut back to the extension chunks they need to
         stay distinct from each other.
         """
-        key = _key(key)
-        stream = HashStream(key, self.cfg.seed)
-        mid = pack_minirun_id(*split(stream, self.cfg), self.cfg.r)
-        rank = self.map.find_rank(mid, stream.word(0))
+        key, cfg = _key(key), self.cfg
+        word = hash_word(key, cfg.seed, 0)
+        mid = minirun_id(word, cfg)
+        rank = self.map.find_rank(mid, word)
         if rank is None:
             raise NotFoundError(f"key {key} is not stored")
         if self.arr.ctr_slot_count and self.arr.add_count(mid, rank, -1) >= 1:
@@ -274,13 +274,13 @@ class AdaptiveFilter:
         insert raises FilterFullError, and only rebuild, which drops
         every correction, gives the room back.
         """
-        key = _key(key)
-        stream = HashStream(key, self.cfg.seed)
-        pair = split(stream, self.cfg)
-        hit = self.arr.query_fp(stream, 0, pair)
+        key, cfg = _key(key), self.cfg
+        word = hash_word(key, cfg.seed, 0)
+        mid = minirun_id(word, cfg)
+        pair, box = unpack_minirun_id(mid, cfg.r), [key]  # the key, or its stream once built
+        hit = self.arr.query_fp(box, 0, pair)
         if hit is None:
             return LookupResult.NOT_PRESENT, None
-        mid = pack_minirun_id(*pair, self.cfg.r)
         adapting = self.policy.auto_adapt
         verdict = LookupResult.FALSE_POSITIVE_CORRECTED
         while hit is not None:
@@ -291,11 +291,13 @@ class AdaptiveFilter:
                 raise StateCorruptionError(
                     f"filter matched minirun {mid} rank {rank} with no map entry"
                 ) from exc
-            if owner == stream.word(0):
+            if owner == word:
                 return LookupResult.PRESENT, value
+            if box[0] is key:
+                box[0] = HashStream(key, cfg.seed)
             if adapting:
                 try:
-                    self.adapt(mid, rank, unhash_word(owner, self.cfg.seed), stream)
+                    self.adapt(mid, rank, unhash_word(owner, cfg.seed), box[0])
                 except (FilterFullError, AdaptationExhaustedError):
                     self.adaptation_failures += 1
                     adapting = False
@@ -303,7 +305,7 @@ class AdaptiveFilter:
                 verdict = LookupResult.FALSE_POSITIVE
             # extension only narrows matches: the ranks before this one
             # still miss, and an adapted one now misses too
-            hit = self.arr.query_fp(stream, rank + 1, pair)
+            hit = self.arr.query_fp(box[0], rank + 1, pair)
         return verdict, None
 
     def lookup_many(self, keys) -> list[tuple[LookupResult, bytes | None]]:
@@ -382,7 +384,7 @@ class AdaptiveFilter:
     def check_consistency(self) -> None:
         """Full cross-check of slot array against reverse map.
 
-        Verifies the map holds exactly one entry per fingerprint at the
+        Verifies the block offsets, one map entry per fingerprint at the
         matching (id, rank), and that every stored fingerprint is a
         prefix of its owner key's hash.  Raises StateCorruptionError.
 
@@ -407,12 +409,15 @@ class AdaptiveFilter:
         there is none.  The views of the map's blocks that it reads,
         each of which keeps its block from growing, go with this call,
         before the check raises (ReverseMap._runs)."""
-        cfg = self.cfg
+        cfg, arr = self.cfg, self.arr
+        fresh = arr._block_offsets()
+        for b in np.flatnonzero(arr.offsets != fresh)[:1].tolist():
+            return f"block {b} keeps offset {arr.offsets[b]}, where its runs give {fresh[b]}"
         runs = self.map._runs()
         entries = sum(map(len, runs))
         take = _reader(runs)
         rows, wrong_id, not_prefix = 0, None, None
-        for cols in self.arr._blocks():
+        for cols in arr._blocks():
             lo, rows = rows, rows + len(cols.quot)
             pieces = take(len(cols.quot))
             if wrong_id is None and rows <= entries and pieces:

@@ -216,11 +216,16 @@ class HashStream:
         return (self.bits(lo, left) << right) | self.bits(w1 << 6, right)
 
 
+def minirun_id(word: int, cfg: FilterConfig) -> int:
+    """The packed ``(quotient << r) | remainder`` of the stream whose word
+    0 is word: its top q + r bits."""
+    return word >> (64 - cfg.q - cfg.r)
+
+
 def split(stream: HashStream, cfg: FilterConfig) -> tuple[int, int]:
     """Leading (quotient, remainder) pair of the stream under ``cfg``."""
-    r = cfg.r
-    pair = stream._words[0] >> (64 - cfg.q - r)
-    return pair >> r, pair & ((1 << r) - 1)
+    pair = minirun_id(stream._words[0], cfg)
+    return pair >> cfg.r, pair & ((1 << cfg.r) - 1)
 
 
 def extension_chunk(stream: HashStream, cfg: FilterConfig, i: int) -> int:

@@ -6,11 +6,12 @@ layout, the membership model from "a stored fingerprint is a prefix of
 its owner's hash stream", the snapshot encoders from their byte layouts
 (versions 1 and 2 kept here as the references their successors are
 checked against), a filter's map entries turned back into keys from the
-mixer's inverse, the zipf workload's ranks from numpy's own sampler.  Nothing imports the package's internals beyond reading raw
+mixer's inverse, the zipf workload's ranks from numpy's own sampler,
+each run's bounds and each block's offset from the bit vectors with a
+plain loop.  Nothing imports the package's internals beyond reading raw
 state off a slot array or the columns of a reverse map, so agreement
 between the two sides is evidence rather than tautology.  The
-exceptions: find_run reports where the package's own walk lands, so
-that layout tests can pin it; relaid lays a table's own columns out
+exceptions: relaid lays a table's own columns out
 again, so that scalar edits can be held to the one layout writer;
 lay_out_reference is that writer's earlier body, kept frozen so that
 the writer is held to its bytes; insert_whole stores an extended or
@@ -125,17 +126,58 @@ def _bit(vec, i: int) -> int:
     return (int(vec[i >> 6]) >> (i & 63)) & 1
 
 
+def run_bounds(arr) -> dict[int, tuple[int, int]]:
+    """{quotient: (first slot of its run, slots up to its end)} of every
+    occupied quotient, trailing extension and counter slots included,
+    from the bit vectors with a plain loop.  From the slot past the first
+    unused one no cluster wraps, so after it the k-th occupied quotient
+    owns the k-th run end: the first slot past a terminator (runend
+    without extension) and the extension slots trailing it.  A run starts
+    at the larger of its quotient and the end of the run before it.
+    Positions here count on from that slot, and a run's first slot is
+    taken back mod the table's size."""
+    n = arr.nslots
+    free = next(i for i in range(n) if not _bit(arr.used, i))
+    at = lambda i: (free + 1 + i) % n
+    ends, tail = [], False
+    for i in range(n):
+        ext = _bit(arr.ext, at(i))
+        if tail and not ext:
+            ends.append(i)
+        tail = (_bit(arr.run, at(i)) and not ext) or (tail and ext)
+    quots = [i for i in range(n) if _bit(arr.occ, at(i))]
+    assert len(ends) == len(quots), "runs and occupied quotients do not pair up"
+    out, end = {}, 0
+    for qt, run_end in zip(quots, ends):
+        start = max(qt, end)
+        out[at(qt)] = (at(start), run_end - start)
+        end = run_end
+    return out
+
+
 def find_run(arr, quotient: int) -> tuple[int, int] | None:
     """Physical (start, length) of quotient's run, trailing extension and
-    counter slots included, or None if unoccupied.  Read through the
-    package's own walk (SlotArray._walk_to_run), so that tests can pin
-    where the walk lands."""
-    from aqf.core import _select_end
+    counter slots included (run_bounds), or None if unoccupied."""
+    return run_bounds(arr).get(quotient)
 
-    if not _bit(arr.occ, quotient):
-        return None
-    win, start = arr._walk_to_run(quotient)
-    return (win.base + start) % arr.nslots, _select_end(win.ends(), start, 1) - start
+
+def block_offsets(arr) -> list[int]:
+    """Each 64-slot block's offset, from run_bounds: how far past the
+    block's first slot the run of the last occupied quotient before it
+    ends, or 0.  Before block 0 that is the top occupied quotient, whose
+    run may wrap past slot 0; before any block with no occupied quotient
+    before it in the table, the same."""
+    n = arr.nslots
+    ends = {qt: qt + (start - qt) % n + length for qt, (start, length) in run_bounds(arr).items()}
+    out = []
+    for first in range(0, n, 64):
+        before = [qt for qt in ends if qt < first]
+        if before:
+            end = ends[max(before)]
+        else:  # the top occupied quotient's, a turn before
+            end = ends[max(ends)] - n if ends else first
+        out.append(max(end - first, 0))
+    return out
 
 
 def relaid(arr):

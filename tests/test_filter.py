@@ -91,6 +91,73 @@ class TestPolicy:
         assert Policy(max_extensions=255).max_extensions == 255
 
 
+class TestOneMixPerOp:
+    """insert, delete and lookup mix the key once, into word 0 of its
+    stream, which gives the map entry, the minirun id, the quotient and
+    the remainder; the key's HashStream is built only when an extension
+    chunk is compared or a false positive is adapted, which also reads
+    the owner's stream."""
+
+    CFG = FilterConfig(q=10, r=6, seed=70)
+
+    @staticmethod
+    def counting(monkeypatch) -> Counter:
+        """Count every _fmix64 call and HashStream construction (by key),
+        wherever the package looks them up."""
+        counts = Counter()
+        mix = aqf.hashing._fmix64
+
+        def counted_mix(*args):
+            counts["mixes"] += 1
+            return mix(*args)
+
+        class CountedStream(HashStream):
+            __slots__ = ()
+
+            def __init__(self, key, seed):
+                counts[key] += 1
+                super().__init__(key, seed)
+
+        monkeypatch.setattr(aqf.hashing, "_fmix64", counted_mix)
+        monkeypatch.setattr(aqf.filter, "HashStream", CountedStream)
+        monkeypatch.setattr(core, "HashStream", CountedStream)
+        return counts
+
+    def test_bare_operations_mix_once_and_build_no_stream(self, monkeypatch):
+        f = AdaptiveFilter(self.CFG)
+        for k in range(100):
+            f.insert(k)
+        # keys whose miniruns are empty: no fingerprint to compare or adapt
+        key, negative = [k for k in range(1000, 2000) if not f.arr._minirun(
+            pack_minirun_id(*split(HashStream(k, self.CFG.seed), self.CFG), self.CFG.r))][:2]
+        counts = self.counting(monkeypatch)
+        results = []
+        for call in (lambda: f.insert(key), lambda: f.lookup(key), lambda: f.lookup(negative),
+                     lambda: f.delete(key)):
+            counts.clear()
+            results.append(call())
+            assert counts == {"mixes": 1}
+        assert results[1:] == [(PRESENT, None), (NOT_PRESENT, None), None]
+
+    def test_a_stream_is_built_to_adapt_or_to_compare_chunks(self, monkeypatch):
+        f = AdaptiveFilter(self.CFG)
+        owner = 5
+        f.insert(owner)
+        query, = colliders(self.CFG, owner, 0, 1)
+        deeper, = colliders(self.CFG, owner, 1, 1)  # it also shares owner's first chunk
+        counts = self.counting(monkeypatch)
+        assert f.lookup(query) == (CORRECTED, None)  # a match, adapted
+        assert counts[query] == counts[owner] == 1 and f.arr.ext_slot_count == 1
+        for key, verdict in ((owner, PRESENT), (query, NOT_PRESENT)):  # chunks compared
+            counts.clear()
+            assert f.lookup(key)[0] is verdict
+            assert counts[key] == 1 and sum(counts.values()) - counts["mixes"] == 1
+        counts.clear()  # chunks compared, then the match adapted: one stream for both
+        assert f.lookup(deeper) == (CORRECTED, None)
+        assert counts[deeper] == counts[owner] == 1 and f.arr.ext_slot_count == 2
+        assert sum(counts.values()) - counts["mixes"] == 2
+
+
 def _count_of_zero():
     arr = SlotArray(FilterConfig(q=4, r=4))
     arr.set_count(*arr.insert_fp(0, 0), 0)
@@ -709,6 +776,26 @@ class TestConsistency:
                 messages.append(str(err.value))
         assert len(set(messages)) == 1
         assert ("row 120" in messages[0]) == (fault == "id")
+
+    @pytest.mark.parametrize("delta", [1, -1])
+    def test_detects_a_wrong_block_offset(self, delta):
+        """Block offsets are derived, not stored, so the check derives
+        them afresh from the bit vectors: one planted off by one slot
+        either way is named, in the last block with a nonzero offset and
+        in the block of the first occupied quotient, where the table's
+        decode starts, alike; put back, the check passes."""
+        f = AdaptiveFilter(FilterConfig(q=10, r=5, seed=66))
+        for k in range(900):
+            f.insert(k)
+        f.check_consistency()
+        offsets, first = f.arr.offsets, int(np.flatnonzero(f.arr.occ)[0])
+        for b in (int(np.flatnonzero(offsets)[-1]), first):
+            offsets[b] += delta
+            with pytest.raises(StateCorruptionError,
+                               match=f"block {b} keeps offset {offsets[b]}, where its runs give"):
+                f.check_consistency()
+            offsets[b] -= delta
+            f.check_consistency()
 
     def test_detects_missing_map_entry(self):
         f = AdaptiveFilter(FilterConfig(q=8, r=4, seed=62))

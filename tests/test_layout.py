@@ -19,12 +19,14 @@ from aqf.snapshot import unseal
 
 from oracles import (
     _bit,
+    block_offsets,
     decode_raw,
     find_run,
     insert_whole,
     lay_out_reference,
     relaid,
     reseal,
+    run_bounds,
     shorten_minirun,
     slot_fields,
     with_slot_fields,
@@ -69,9 +71,11 @@ def check(arr, model):
     assert arr.to_bytes() == relaid(arr).to_bytes()
     assert populations(arr) == (arr.used_count, arr.fp_count, arr.ext_slot_count,
                                 arr.ctr_slot_count)
+    assert arr.offsets.tolist() == block_offsets(arr)
     back = SlotArray.from_bytes(arr.to_bytes())
     assert decode_raw(back) == rows
     assert populations(back) == populations(arr)
+    assert back.offsets.tolist() == block_offsets(back)
 
 
 @st.composite
@@ -229,6 +233,7 @@ def check_edit(arr, rows):
     assert arr.to_bytes() == relaid(arr).to_bytes()
     assert populations(arr) == (arr.used_count, arr.fp_count, arr.ext_slot_count,
                                 arr.ctr_slot_count)
+    assert arr.offsets.tolist() == block_offsets(arr)
 
 
 # quotient 4 holds a three-fingerprint run at slots 4-6, which pushes
@@ -323,8 +328,9 @@ def test_a_missing_rank_or_quotient_changes_nothing():
         assert arr.to_bytes() == blob
 
 
-# Walks read their whole cluster at once: a long cluster whose read
-# doubles, a cluster across the seam, and a table smaller than one read.
+# Walks read from their quotient's 64-slot block rightwards, never left
+# of it: a block whose offset lies past the first read, so the read
+# grows, a cluster across the seam, and a table smaller than one read.
 # Fingerprints come from keys, so query_fp can be checked against the
 # prefix model: a query matches the first fingerprint of its minirun,
 # in rank order, whose extension chunks are a prefix of its own.
@@ -364,21 +370,26 @@ def counting_reads(arr):
 
 
 def reads_of_walk(arr, qt):
-    """How many bit reads one walk to quotient qt's run makes."""
+    """The (start, length) of each bit read (_read_bits) of one walk to
+    quotient qt's run, each start counted from the first slot of qt's
+    block.  In a table of more than 128 slots the walk's first read, of
+    two words of each row from that slot, takes no _read_bits call."""
     calls = counting_reads(arr)
     try:
         arr._walk_to_run(qt)
     finally:
         del arr._read_bits
-    return len(calls)
+    return [((start - (qt & ~63)) % arr.nslots, length) for start, length in calls]
 
 
 @pytest.mark.parametrize("q,quots,size,walked,reads", [
-    # the walked run sits 299 slots into the cluster: one read, then both
-    # sides grow twice, 128 -> 256 -> 512 slots, one margin read each time
-    (10, range(100, 400), 600, 399, 5),
-    (8, range(-30, 10), 60, 5, 1),  # the cluster wraps past slot 255
-    (5, range(8, 22), 16, 20, 1),  # 32 slots: one read holds the table twice
+    # the walked quotient's block, slots 384-447, has an offset past the
+    # first 128 slots from its first slot: margins of 128 and 256 slots
+    # until the run of quotient 399 ends inside the read
+    (10, range(100, 400), 600, 399, [(128, 128), (256, 256)]),
+    # the cluster wraps past slot 255, so block 0's offset is 23
+    (8, range(-30, 10), 60, 5, []),
+    (5, range(8, 22), 16, 20, [(0, 32)]),  # 32 slots: one read holds the table
 ], ids=["doubling", "seam", "small"])
 def test_cluster_reads(q, quots, size, walked, reads):
     cfg = FilterConfig(q=q, r=4, seed=q)
@@ -408,13 +419,15 @@ def test_cluster_reads(q, quots, size, walked, reads):
         insert(key, (i % 7 == 0) + (i % 11 == 0), i & 1)
     verify()
     assert _bit(arr.used, walked) and reads_of_walk(arr, walked) == reads
-    win, _ = arr._walk_to_run(walked)
+    assert arr.offsets.tolist() == block_offsets(arr)
     if q == 8:
-        assert (win.base - walked) % n > n // 2 and win.used >> (n - win.base)  # wraps
-    # the runs of walked's cluster, in storage order
-    length = win.used.bit_length()
-    runs = sorted((qt for qt in {fp[0] for fp, lst in model.items() if lst}
-                   if (qt - win.base) % n < length), key=lambda qt: (qt - win.base) % n)
+        assert block_offsets(arr)[0] == 23  # the top quotient's run ends past slot 0
+    # the runs of walked's cluster, from the unused slot before it, in
+    # storage order
+    base = (walked - next(i for i in range(n) if not _bit(arr.used, (walked - i) % n)) + 1) % n
+    length = next(i for i in range(n) if not _bit(arr.used, (base + i) % n))
+    at = {qt: (start - base) % n for qt, (start, _) in run_bounds(arr).items()}
+    runs = sorted((qt for qt in at if at[qt] < length), key=at.get)
     first, middle, last = runs[0], runs[len(runs) // 2], runs[-1]
     live = lambda qt: min(fp for fp, lst in model.items() if fp[0] == qt and lst)
 
@@ -442,15 +455,85 @@ def test_cluster_reads(q, quots, size, walked, reads):
         verify()
 
 
+def assert_offsets_and_walks(arr):
+    """arr's block offsets are the oracle's, and the walk to each
+    occupied quotient starts where the oracle's run does."""
+    assert arr.offsets.tolist() == block_offsets(arr)
+    for qt, (start, _) in run_bounds(arr).items():
+        win, at = arr._walk_to_run(qt)
+        assert (win.base + at) % arr.nslots == start
+
+
+def test_the_offsets_follow_a_cluster_across_the_seam():
+    """Quotients 120-127 of a q=7 table, two blocks of 64 slots, hold two
+    fingerprints each, so their runs wrap past slot 127 and push
+    quotients 0 and 1 to slots 8 and 9: block 0's offset is the 8 slots
+    that quotient 127's run takes past slot 0.  An extension, an insert,
+    counter growth and removes at the top move it, each store split at
+    the seam, and the walks follow; a reload derives the same."""
+    cfg = FilterConfig(q=7, r=3)
+    arr = SlotArray(cfg)
+    for qt in range(120, 128):
+        arr.insert_fp(qt, 1)
+        arr.insert_fp(qt, 2)
+    for qt in (0, 1, 64):
+        arr.insert_fp(qt, 0)
+    assert arr.offsets.tolist() == block_offsets(arr) == [8, 0]
+    assert find_run(arr, 0) == (8, 1) and find_run(arr, 127) == (6, 2)
+    assert_offsets_and_walks(arr)
+    arr.extend_fp(pack_minirun_id(124, 2, cfg.r), 0, [5, 6])
+    assert arr.offsets.tolist() == [10, 0]
+    assert_offsets_and_walks(arr)
+    arr.insert_fp(127, 3)
+    arr.set_count(pack_minirun_id(127, 3, cfg.r), 0, 50)  # r=3: two digits
+    assert arr.offsets.tolist() == [13, 0]
+    assert_offsets_and_walks(arr)
+    for qt, rem in ((120, 1), (127, 3), (124, 2), (125, 1), (125, 2)):
+        arr.remove_fp(pack_minirun_id(qt, rem, cfg.r), 0)
+        assert_offsets_and_walks(arr)
+    assert arr.offsets.tolist() == [4, 0] and find_run(arr, 0) == (4, 1)
+    back = SlotArray.from_bytes(arr.to_bytes())
+    assert back.offsets.tolist() == [4, 0]
+    assert_offsets_and_walks(back)
+
+
+@pytest.mark.parametrize("counts,offset", [((3, 3), 2), ((4, 0), 0)], ids=["past", "at"])
+def test_a_new_or_emptied_run_moves_the_offsets_by_one(counts, offset):
+    """Quotients 60 and 61 of a q=7 table hold counts fingerprints, so
+    block 1 (slots 64-127) starts offset slots before their runs end.  A
+    fingerprint for the new quotient 62 starts its run just there, so it
+    defines block 1 and ends one slot later; removed, its run ends where
+    it began.  Only the opens' and closes' moves by one touch the
+    offsets, and they agree with the oracle throughout."""
+    cfg = FilterConfig(q=7, r=3)
+    arr = SlotArray(cfg)
+    for qt, count in zip((60, 61, 100), counts + (1,)):
+        for rem in range(count):
+            arr.insert_fp(qt, rem)
+    assert arr.offsets.tolist() == block_offsets(arr) == [0, offset]
+    mid, _ = arr.insert_fp(62, 5)
+    assert arr.offsets.tolist() == block_offsets(arr) == [0, offset + 1]
+    assert find_run(arr, 62) == (64 + offset, 1)
+    assert_offsets_and_walks(arr)
+    arr.remove_fp(mid, 0)
+    assert arr.offsets.tolist() == block_offsets(arr) == [0, offset]
+    assert_offsets_and_walks(arr)
+
+
 @pytest.mark.parametrize("q", [5, 10])
 def test_a_table_without_an_unused_slot_fails_the_walk(q):
+    """The walk reads up to its run's end, and an edit then reads on to
+    the cluster's end, which such a table does not have: the insert and
+    the remove fail before they write anything."""
     arr = SlotArray(FilterConfig(q=q, r=2))
     arr.insert_fp(3, 1)
     arr.used[:] = np.uint64((1 << 64) - 1)
+    blob = arr.slots.tobytes() + arr._meta.tobytes() + arr.offsets.tobytes()
     with pytest.raises(StateCorruptionError, match="no cluster boundary"):
-        find_run(arr, 3)
+        arr.insert_fp(3, 2)
     with pytest.raises(StateCorruptionError, match="no cluster boundary"):
         arr.remove_fp(pack_minirun_id(3, 1, arr.cfg.r), 0)
+    assert arr.slots.tobytes() + arr._meta.tobytes() + arr.offsets.tobytes() == blob
 
 
 def counting_walks(arr):
@@ -540,8 +623,8 @@ def count_cases(arr, seen):
         seen[CASES[2]] += (win.base + at) % n + stop - at > n
         return stop
 
-    def closed(win, qt, fp, at):
-        hi = close_slot(win, qt, fp, at)
+    def closed(win, fp, at):
+        hi = close_slot(win, fp, at)
         seen[CASES[3]] += (win.base + at) % n + hi - at > n
         return hi
 

@@ -835,3 +835,26 @@ def test_growth_from_empty_cuts_once_per_doubling(n, monkeypatch):
     assert_blocks_hold(m)
     assert counts.recuts == max(0, math.ceil(math.log2(n / revmap._ROWS)))
     assert len(m._blocks) == 1 << counts.recuts
+
+
+@pytest.mark.parametrize("w", [W, 40 + 8])
+def test_a_drained_map_saves_the_bytes_of_the_encoder(w, monkeypatch):
+    """Removes never slice the map anew, so a drained map keeps blocks of
+    a few rows among full ones; a save still writes the bytes of the
+    entry-by-entry encoder, and a load gives the map back.  Here blocks
+    2-5 and 7 are drained to a few rows and the others keep theirs."""
+    monkeypatch.setattr(revmap, "_ROWS", 64)
+    top = (1 << 64 - w) - 1
+    ids = np.sort(np.random.default_rng(w).integers(0, top + 1, size=500, dtype=np.uint64))
+    m = ReverseMap._from_columns(ids << np.uint64(w) | ids, None, w)
+    assert len(m._blocks) == 8
+    for b in (2, 3, 4, 5, 7):
+        for mid in sorted(set((np.frombuffer(m._blocks[b].entries, dtype=np.uint64)
+                               >> np.uint64(w)).tolist()))[3:]:
+            while m.list_size(mid):
+                m.map_remove(mid, 0)
+    lengths = [len(blk.entries) for blk in m._blocks]
+    assert [x < 16 for x in lengths] == [False, False, True, True, True, True, False, True]
+    blob = m.to_bytes()
+    assert blob == encode_map(map_lists(m), w)
+    assert ReverseMap.from_bytes(blob, ids_of(m), w) == m

@@ -11,7 +11,8 @@ stored key is missed, the table's positives are exactly the model's
 over a probe universe, a key answered FALSE_POSITIVE_CORRECTED answers
 NOT_PRESENT until the next insert, delete or rebuild (or a merge with a
 filter that matches it), check_consistency() passes, and the table is
-byte for byte what the layout writer makes of its columns.  Strong
+byte for byte what the layout writer makes of its columns, its block
+offsets those of oracles.block_offsets.  Strong
 adaptivity, as the paper states it: a corrected key matches no
 fingerprint of a key stored when it was corrected and stored without a
 break since, through inserts, deletes, merges and reloads; only a
@@ -48,6 +49,7 @@ from aqf.yesno import NO, YES, YesNoFilter, YesNoParams
 from oracles import (
     PrefixModel,
     bit_text,
+    block_offsets,
     ref_chunk,
     ref_split,
     relaid,
@@ -305,8 +307,10 @@ class FilterMachine(RuleBasedStateMachine):
     @invariant()
     def laid_out_as_the_columns_say(self):
         """Every scalar insert, adaptation, counter bump and delete leaves
-        the bytes that the layout writer makes of the table's columns."""
+        the bytes that the layout writer makes of the table's columns, and
+        every step, reloads too, the block offsets of the oracle."""
         assert self.f.arr.to_bytes() == relaid(self.f.arr).to_bytes()
+        assert self.f.arr.offsets.tolist() == block_offsets(self.f.arr)
 
     @invariant()
     def guarantees_hold(self):
