@@ -30,22 +30,22 @@ and otherwise the little-endian base-``2**r`` digits of ``c - 1``.
 Metadata bit vectors are the uint64 rows of one word matrix.  As in the
 counting quotient filter, each 64-slot block keeps the offset from its
 first slot to the run end of the last occupied quotient before it
-(``SlotArray.offsets``, derived, never saved), so a walk
-(``SlotArray._walk_to_run``) ranks its quotient in its block and
-selects run ends past the offset, reading rightwards into Python ints,
-a window.  One generator, ``SlotArray._run``, reads a run fingerprint by
-fingerprint; it is the only scalar walk, behind queries, inserts and
-the minirun access of extension, counter edits and delete.  A mutation
-reads on to its cluster's end, edits the window and writes it back once
-(``SlotArray._store``), one slot at a time: an open
-(``SlotArray._open_slot``) moves the cluster's tail right by one into
-the unused slot past it, joining the next cluster when that slot was
-its last gap, and a close (``SlotArray._close_slot``) moves the rest of
-the run and the later runs left by one, up to the first run at its
-canonical slot; the offsets in the moved span move by one with them.
-An insert is one open; extensions and growing counters open one slot
-per chunk or digit, and deletes, shortening cuts and shrinking counters
-close theirs from the last.  Whole-table work goes through two
+(``SlotArray.offsets``, derived, never saved), so one rank and select
+(``SlotArray._find_run``) finds a run from its block, reading rightwards
+into Python ints.  A query scans the runend and extension rows bare; a
+mutation's walk (``SlotArray._walk_to_run``) cuts all four to a window,
+which ``SlotArray._run`` reads fingerprint by fingerprint (both by the
+rule of ``_fp_span``).  A mutation reads on to its cluster's end, edits
+the window and writes it back once (``SlotArray._store``), one slot at
+a time: an open (``SlotArray._open_slot``) moves the cluster's tail
+right by one into the unused slot past it, joining the next cluster
+when that slot was its last gap, and a close (``SlotArray._close_slot``)
+moves the rest of the run and the later runs left by one, up to the
+first run at its canonical slot, which the offsets help find; the
+offsets in the moved span move by one with them.  An insert is one
+open; extensions and growing counters open one slot per chunk or digit,
+and deletes, shortening cuts and shrinking counters close theirs from
+the last.  Whole-table work goes through two
 helpers: ``SlotArray._blocks`` decodes the table a block of clusters at
 a time into numpy columns (quotient, remainder, value, extension and
 counter-digit spans), one row per fingerprint in hash order (by
@@ -104,7 +104,6 @@ from .errors import (
     StateCorruptionError,
 )
 from .hashing import (
-    MASK64,
     FilterConfig,
     HashStream,
     _key_array,
@@ -414,7 +413,7 @@ def _run_ends(run: int, ext: int) -> int:
 class _Win:
     """The used, runend, extension and occupied bits from one quotient's
     slot to its run's end or past (SlotArray._walk_to_run), or its
-    cluster's end (SlotArray._read_rest, before edits).
+    cluster's end (SlotArray._read_rest, before edits); queries need none.
 
     ``base`` is that quotient's slot, and bit i of each row is slot
     base + i, wrapping past the top of the table.  Every bit past the
@@ -439,23 +438,17 @@ class _Win:
         self.occ = occ
 
 
-def _select_end(ends: int, at: int, pos: int, k: int) -> int:
-    """Where the run after the k-th run ending past offset ``at`` starts,
-    if not before offset pos >= at: the run ends (_run_ends) by pos are
-    counted off, and the rest selected a word at a time."""
-    k -= ((ends >> (at + 1)) & ((1 << (pos - at)) - 1)).bit_count()
-    ends >>= pos + 1
-    while k > 0:  # the walk's read holds them
-        word = ends & MASK64
-        have = word.bit_count()
-        if have >= k:
-            for _ in range(k - 1):
-                word &= word - 1
-            return pos + (word & -word).bit_length()
-        k -= have
-        ends >>= 64
-        pos += 64
-    return pos
+def _fp_span(run: int, ext: int, e0: int) -> tuple[int, int]:
+    """(counter offset, next fingerprint offset) of the fingerprint whose
+    remainder slot lies just before offset e0: the next fingerprint
+    starts at the first slot from e0 on without the extension bit, the
+    counter digits at the first between with the runend bit.  The one
+    rule for where a fingerprint's tail slots end; its callers skip it
+    when slot e0 lacks the extension bit, where both offsets are e0."""
+    tail = ext >> e0
+    nxt = e0 + ((tail + 1) & ~tail).bit_length() - 1
+    digits = (run >> e0) & ((1 << (nxt - e0)) - 1)
+    return (e0 + (digits & -digits).bit_length() - 1 if digits else nxt), nxt
 
 
 class SlotArray:
@@ -625,17 +618,17 @@ class SlotArray:
     # ------------------------------------------------------------------
     # run navigation
 
-    def _walk_to_run(self, qt: int) -> tuple[_Win, int]:
-        """(window from slot ``qt`` to its run's end or past, run start).
+    def _find_run(self, qt: int, full: bool = False) -> tuple[int, int, int, int, int]:
+        """(run, ext, used, occ, start): the word matrix's rows as ints
+        whose bit i is slot (qt & ~63) + i, and the offset there at which
+        quotient ``qt``'s run starts, or would begin; used and occ only
+        when ``full`` (a query needs neither).
 
-        The run of quotient ``qt``, or where it would begin, is found by
-        rank and select: of the k occupied quotients of qt's block before
+        Rank and select: of the k occupied quotients of qt's block before
         qt, the k-th run end past the block's offset ends the run before
-        qt's (_select_end).  One read of two words of each row (or the
-        table) from the block's first slot doubles until that run end,
-        and qt's own if it is occupied, lie inside it; nothing left of
-        the block is read.  The window holds the used slots from qt on
-        that the read holds.
+        qt's.  One read of two words of each row (or the table) from the
+        block's first slot doubles until that run end, and qt's own if it
+        is occupied, lie inside it.
         """
         n, nw, w = self.nslots, self.nwords, self._words
         b, d = qt >> 6, qt & 63
@@ -644,19 +637,31 @@ class SlotArray:
         width = _READ if n > _READ else n
         if width == 128:  # the usual read: two words of each row, no numpy call
             c = (b + 1) % nw
-            used, run, ext, occ = (w[b] | w[c] << 64, w[nw + b] | w[nw + c] << 64,
-                                   w[2 * nw + b] | w[2 * nw + c] << 64, occ | w[3 * nw + c] << 64)
+            run, ext = w[nw + b] | w[nw + c] << 64, w[2 * nw + b] | w[2 * nw + c] << 64
+            used, occ = (w[b] | w[c] << 64, occ | w[3 * nw + c] << 64) if full else (0, 0)
         else:
             used, run, ext, occ = self._read_bits(qt - d, width)
-        while ((ends := _run_ends(run, ext) & ((1 << width) - 1)) >> (at + 1)).bit_count() < k + need:
+        while ((ends := _run_ends(run, ext) & ((1 << width) - 1) & -2 << at)).bit_count() < k + need:
             if width >= d + n:
                 raise StateCorruptionError("run without a terminator")
             more = self._read_bits((qt - d + width) % n, width)
             used, run, ext, occ = (x | (m << width) for x, m in zip((used, run, ext, occ), more))
             width <<= 1
         p = at if at > d else d
-        if k:
-            p = _select_end(ends, at, p, k)
+        k -= (ends & ((2 << p) - 1)).bit_count()  # the runs that end by p
+        if k > 0:  # qt's run starts at the k-th run end past p
+            ends >>= p + 1
+            for _ in range(k - 1):
+                ends &= ends - 1
+            p += (ends & -ends).bit_length()
+        return run, ext, used, occ, p
+
+    def _walk_to_run(self, qt: int) -> tuple[_Win, int]:
+        """(window from slot ``qt`` to its run's end or past, run start):
+        _find_run's rows from qt on, cut at the first unused slot.  The
+        mutators' walk."""
+        run, ext, used, occ, p = self._find_run(qt, True)
+        d = qt & 63
         tail = used >> d
         keep = (1 << (((tail + 1) & ~tail).bit_length() - 1)) - 1
         return _Win(qt, keep, (run >> d) & keep, (ext >> d) & keep, (occ >> d) & keep), p - d
@@ -666,11 +671,8 @@ class SlotArray:
         group offset, ctr offset, next fp offset) for each fingerprint of
         quotient ``qt``'s run in storage order, and nothing when ``qt`` is
         unoccupied.  Offsets are window offsets; the previous fingerprint
-        is the one before it in the run, or None for the run's first.  The
-        next fingerprint starts at the first slot past the remainder slot
-        without the extension bit, and the counter digits at the first
-        slot between them with the runend bit.  The one scalar reader of
-        a run: queries, inserts and minirun access all walk through it."""
+        is the one before it in the run, or None for the run's first.
+        The mutators' reader of a run: inserts and minirun access."""
         if not (self._words[3 * self.nwords + (qt >> 6)] >> (qt & 63)) & 1:
             return
         win, pos = self._walk_to_run(qt)
@@ -678,15 +680,10 @@ class SlotArray:
         prev = None
         while True:
             is_term = (win.run >> pos) & 1
-            e0 = pos + 1
-            tail = win.ext >> e0
-            if tail & 1:
-                nxt = e0 + ((tail + 1) & ~tail).bit_length() - 1
-                digits = (win.run >> e0) & ((1 << (nxt - e0)) - 1)
-                c0 = e0 + (digits & -digits).bit_length() - 1 if digits else nxt
-            else:
-                c0 = nxt = e0
-            yield win, prev, pos, slots[(base + pos) % n] >> vb, e0, c0, nxt
+            c0 = nxt = pos + 1
+            if (win.ext >> nxt) & 1:  # extension or counter slots follow
+                c0, nxt = _fp_span(win.run, win.ext, nxt)
+            yield win, prev, pos, slots[(base + pos) % n] >> vb, pos + 1, c0, nxt
             if is_term:
                 return
             prev, pos = pos, nxt
@@ -708,27 +705,36 @@ class SlotArray:
         that the caller builds it at most once.
 
         Returns (minirun rank, matched extension length, value bits of
-        its remainder slot) or None.
+        its remainder slot) or None.  The scan reads _find_run's rows
+        bare, and stops at a larger remainder or the run's terminator.
         """
         cfg = self.cfg
         qt, rem = split(stream, cfg) if pair is None else pair
-        n, vb, slots = self.nslots, self.value_bits, self._pay
+        if not (self._words[3 * self.nwords + (qt >> 6)] >> (qt & 63)) & 1:
+            return None
+        run, ext, _, _, pos = self._find_run(qt)
+        n, vb, slots, base = self.nslots, self.value_bits, self._pay, qt - (qt & 63)
         rank = 0
-        for win, _, pos, rem_i, e0, c0, _ in self._run(qt):
-            if rem_i > rem:
+        while True:  # over the run's remainders, which ascend
+            payload = slots[(base + pos) % n]
+            if (rem_i := payload >> vb) > rem:
                 return None
+            c0 = nxt = pos + 1
+            if (ext >> nxt) & 1:  # extension or counter slots follow
+                c0, nxt = _fp_span(run, ext, nxt)
             if rem_i == rem:
                 if rank >= start:
-                    if c0 > e0 and isinstance(stream, list):  # [key]: stream it
+                    if c0 > pos + 1 and isinstance(stream, list):  # [key]: stream it
                         stream[0] = stream = HashStream(stream[0], cfg.seed)
-                    for t in range(c0 - e0):
-                        if slots[(win.base + e0 + t) % n] >> vb != extension_chunk(stream, cfg, t):
+                    for t in range(c0 - pos - 1):
+                        if slots[(base + pos + 1 + t) % n] >> vb != extension_chunk(stream, cfg, t):
                             break
                     else:
-                        value = slots[(win.base + pos) % n] & ((1 << vb) - 1)
-                        return rank, c0 - e0, value
+                        return rank, c0 - pos - 1, payload & ((1 << vb) - 1)
                 rank += 1
-        return None
+            if (run >> pos) & 1:
+                return None
+            pos = nxt
 
     def insert_fp(self, qt: int, rem: int, value: int = 0) -> tuple[int, int]:
         """Insert the bare fingerprint (qt, rem) with value bits ``value``;
@@ -922,30 +928,46 @@ class SlotArray:
         The rest of the run moves left by one, and so does each later
         run of the cluster up to the first one already at its canonical
         slot, which is where _lay_out would place them; with no such run
-        the shift reaches the end of the cluster.  The k-th run past fp's
-        belongs to the k-th occupied quotient past the window's, so a run
-        at an occupied slot is at its canonical one when as many runs and
-        occupied quotients lie up to it.  The run ends in (at, hi] and
-        the offsets of the blocks there move left by one (_shift), the
-        runend, extension and used bits as bit strings, the payloads as
-        one slice, and the slot the shift leaves behind is cleared.  The
-        occupied bits, the store and the fingerprint counters are the
-        caller's.
+        the shift reaches the end of the cluster.  A run that starts at an
+        occupied slot x is at its canonical one when no run of an earlier
+        quotient still waits at x: counted in x's block, whose runs start
+        past its offset t, as the block's quotients before x less the run
+        ends in (t, x] (in the window's own block, the quotients past its
+        own less the run ends past fp's run).  Starts before t are
+        skipped, and when w runs wait at x, the search goes on from
+        x + w + 1, since they and x's own end at distinct slots past x.
+
+        The run ends in (at, hi] and the offsets of the blocks there
+        move left by one (_shift), the runend, extension and used bits
+        as bit strings, the payloads as one slice, and the slot the shift
+        leaves behind is cleared.  The occupied bits, the store and the
+        fingerprint counters are the caller's.
         """
-        n = self.nslots
+        n, offs, base, occ = self.nslots, self._offs, win.base, win.occ
         ends = _run_ends(win.run, win.ext)
         rest = ends >> (fp + 1)
         end = fp + (rest & -rest).bit_length()  # just past fp's run
         used = win.used >> end
         hi = end + ((used + 1) & ~used).bit_length() - 1  # the cluster's end
-        occ = win.occ & -2  # the quotients past the window's own
-        cand = ends & occ & ((1 << hi) - (1 << end))
+        size = n if n < 64 else 64
+        f = -base % size or size  # the first block past the window's quotient
+        s, t = 1, end  # before it: the quotients past qt, the run ends past fp's run
+        o, e = occ >> s, ends >> (t + 1)
+        cand = ends & occ & ((1 << hi) - (1 << end))  # runs that start at an occupied slot
         while cand:
             x = (cand & -cand).bit_length() - 1
-            if (occ & ((2 << x) - 1)).bit_count() == (ends >> end & ((2 << (x - end)) - 1)).bit_count():
+            if x >= f:  # x's block: its quotients, the run ends past its offset
+                s = x - (x - f) % size
+                f, t = s + size, s + offs[(base + s) % n >> 6]
+                o, e = occ >> s, ends >> (t + 1)
+                if x < t:  # the runs before the block end past x
+                    cand &= -1 << t
+                    continue
+            wait = (o & ((1 << (x - s)) - 1)).bit_count() - (e & ((1 << (x - t)) - 1)).bit_count()
+            if wait <= 0:  # below 0 only with wrong offsets: stop all the same
                 hi = x
                 break
-            cand &= cand - 1
+            cand &= -1 << (x + wait + 1)
         self._shift(win, hi, -1)
         start = (win.base + at) % n
         buf = self._payloads(start, hi - at)
@@ -984,8 +1006,7 @@ class SlotArray:
         n, vb, pos = self.nslots, self.value_bits, _pos_dtype(self.nslots)
         start = next_q = a = 0
         for qt in self._quotients(0, 1, _READ).tolist():
-            win, at = self._walk_to_run(qt)
-            start = (win.base + at) % n
+            start = (qt - (qt & 63) + self._find_run(qt)[4]) % n
         while a < n:
             b = min(a + _BLOCK, n)
             if b < n:  # the cut goes just past the end of the cluster at b - 1

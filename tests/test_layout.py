@@ -328,12 +328,13 @@ def test_a_missing_rank_or_quotient_changes_nothing():
         assert arr.to_bytes() == blob
 
 
-# Walks read from their quotient's 64-slot block rightwards, never left
-# of it: a block whose offset lies past the first read, so the read
-# grows, a cluster across the seam, and a table smaller than one read.
-# Fingerprints come from keys, so query_fp can be checked against the
-# prefix model: a query matches the first fingerprint of its minirun,
-# in rank order, whose extension chunks are a prefix of its own.
+# Walks and queries read from their quotient's 64-slot block rightwards,
+# never left of it: a block whose offset lies past the first read, so
+# the read grows, a cluster across the seam, and a table smaller than
+# one read.  Fingerprints come from keys, so query_fp can be checked
+# against the prefix model: a query matches the first fingerprint of its
+# minirun, in rank order from its start rank, whose extension chunks are
+# a prefix of its own.
 
 
 def chunks(cfg, key, count):
@@ -341,10 +342,11 @@ def chunks(cfg, key, count):
     return tuple(extension_chunk(stream, cfg, t) for t in range(count))
 
 
-def model_query(cfg, model, key):
-    """(rank, extension length, value) of the prefix model's match, or None."""
+def model_query(cfg, model, key, start=0):
+    """(rank, extension length, value) of the prefix model's match at
+    rank start or later, or None."""
     for rank, (ext, _, value) in enumerate(model.get(split(HashStream(key, cfg.seed), cfg), [])):
-        if ext == chunks(cfg, key, len(ext)):
+        if rank >= start and ext == chunks(cfg, key, len(ext)):
             return rank, len(ext), value
     return None
 
@@ -369,14 +371,15 @@ def counting_reads(arr):
     return calls
 
 
-def reads_of_walk(arr, qt):
-    """The (start, length) of each bit read (_read_bits) of one walk to
-    quotient qt's run, each start counted from the first slot of qt's
-    block.  In a table of more than 128 slots the walk's first read, of
-    two words of each row from that slot, takes no _read_bits call."""
+def reads_of(arr, qt, call):
+    """The (start, length) of each bit read (_read_bits) that call()
+    makes, each start counted from the first slot of quotient qt's
+    block.  In a table of more than 128 slots the first read of a walk or
+    a query, of two words of each row from that slot, takes no
+    _read_bits call."""
     calls = counting_reads(arr)
     try:
-        arr._walk_to_run(qt)
+        call()
     finally:
         del arr._read_bits
     return [((start - (qt & ~63)) % arr.nslots, length) for start, length in calls]
@@ -418,7 +421,12 @@ def test_cluster_reads(q, quots, size, walked, reads):
     for i, key in enumerate(keys):
         insert(key, (i % 7 == 0) + (i % 11 == 0), i & 1)
     verify()
-    assert _bit(arr.used, walked) and reads_of_walk(arr, walked) == reads
+    assert _bit(arr.used, walked) and reads_of(arr, walked, lambda: arr._walk_to_run(walked)) == reads
+    # a query of the first stored quotient from walked on reads what the
+    # walk reads
+    past, key = min(((split(HashStream(k, cfg.seed), cfg)[0] - walked) % n, k) for k in keys)
+    qt = (walked + past) % n
+    assert reads_of(arr, qt, lambda: arr.query_fp(HashStream(key, cfg.seed))) == reads
     assert arr.offsets.tolist() == block_offsets(arr)
     if q == 8:
         assert block_offsets(arr)[0] == 23  # the top quotient's run ends past slot 0
@@ -453,6 +461,49 @@ def test_cluster_reads(q, quots, size, walked, reads):
         model[fp].pop(0)
         owner[fp].pop(0)
         verify()
+
+
+@st.composite
+def shared_miniruns(draw):
+    """(cfg, keys, extension lengths, values, probes) for a table where
+    keys share miniruns: two remainder bits, and the keys of the pairs
+    that most of the probes share stored first."""
+    cfg = FilterConfig(q=draw(st.integers(4, 8)), r=2, seed=draw(st.integers(0, 3)))
+    pool = draw(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=60, unique=True))
+    pairs = {}
+    for key in pool:
+        pairs.setdefault(split(HashStream(key, cfg.seed), cfg), []).append(key)
+    keys = [key for group in sorted(pairs.values(), key=len, reverse=True) for key in group]
+    keys = keys[: (1 << cfg.q) // 4]  # three slots at most each
+    nchunks = draw(st.lists(st.integers(0, 2), min_size=len(keys), max_size=len(keys)))
+    values = draw(st.lists(st.integers(0, 1), min_size=len(keys), max_size=len(keys)))
+    return cfg, keys, nchunks, values, pool
+
+
+@settings(max_examples=60, deadline=None)
+@given(drawn=shared_miniruns(), start=st.integers(0, 3))
+def test_a_query_matches_the_prefix_model_from_any_rank(drawn, start):
+    """query_fp from rank start on answers as the prefix model does, with
+    a HashStream or with the key in a one-item list and its pair; the
+    list gets the key's stream exactly when the query compares chunks,
+    that is, when some fingerprint of the minirun at rank start or later,
+    up to the match, has them."""
+    cfg, keys, nchunks, values, probes = drawn
+    arr = SlotArray(cfg, value_bits=1)
+    model = {}
+    for key, k, value in zip(keys, nchunks, values):
+        fp = split(HashStream(key, cfg.seed), cfg)
+        insert_whole(arr, *fp, chunks(cfg, key, k), value=value)
+        model.setdefault(fp, []).append((chunks(cfg, key, k), 1, value))
+    for key in probes:
+        pair = split(HashStream(key, cfg.seed), cfg)
+        want = model_query(cfg, model, key, start)
+        assert arr.query_fp(HashStream(key, cfg.seed), start) == want
+        box = [key]
+        assert arr.query_fp(box, start, pair) == want
+        seen = model.get(pair, [])[start : None if want is None else want[0] + 1]
+        assert isinstance(box[0], HashStream) == any(ext for ext, _, _ in seen)
+        assert box[0] == key or box[0].key == key
 
 
 def assert_offsets_and_walks(arr):
@@ -600,13 +651,18 @@ def test_a_scalar_edit_walks_once_and_stores_once(edit, reads):
 # past one cluster are counted, as test_cluster_reads counts reads, and
 # every run must meet each of them: an open that merges its cluster with
 # the next one, a later open on the same window that reads in the
-# cluster an earlier one joined, an open and a close across the seam,
-# and a walk whose read grows.  The first read is narrowed for some
-# tables, so that walks grow their reads on tables smaller than the
-# usual read.
+# cluster an earlier one joined, an open and a close across the seam, a
+# walk whose read grows, and, on tables of several 64-slot blocks, a
+# close whose shift stops at the first run of a later block, which that
+# block's offset puts at its canonical slot, and one that passes the
+# shifted first run of a later block and stops at a run at its canonical
+# slot further in.  The first read is narrowed for some tables, so that
+# walks grow their reads on tables smaller than the usual read.
 
 CASES = ("open merges clusters", "a later open reads the cluster it joins",
-         "open across the seam", "close across the seam", "walk grows its read")
+         "open across the seam", "close across the seam", "walk grows its read",
+         "close stops at a later block's first run",
+         "close passes a later block's shifted first run")
 
 
 def count_cases(arr, seen):
@@ -624,8 +680,16 @@ def count_cases(arr, seen):
         return stop
 
     def closed(win, fp, at):
+        offsets = arr.offsets.tolist()
         hi = close_slot(win, fp, at)
         seen[CASES[3]] += (win.base + at) % n + hi - at > n
+        stop = (win.base + hi) % n
+        first = stop - stop % 64  # the first slot of the stop's block
+        if n > 64 and (win.used >> hi) & 1 and 0 < (first - win.base) % n <= hi:
+            # the shift stopped at a run at its canonical slot in a later block
+            x = next(x for x in range(first, stop + 1) if _bit(arr.occ, x))
+            seen[CASES[5]] += x == stop
+            seen[CASES[6]] += x < first + offsets[first >> 6]
         return hi
 
     def walked(qt):
@@ -638,10 +702,11 @@ def count_cases(arr, seen):
 
 
 @st.composite
-def edit_programs(draw):
-    q = draw(st.integers(2, 6))
+def edit_programs(draw, qs=(2, 6)):
+    q = draw(st.integers(*qs))
     r = draw(st.integers(2, 4))
     n = 1 << q
+    size = min(n, 64)  # tables of several blocks take as many edits as one
     quot = st.one_of(st.integers(n - 3, n - 1), st.integers(0, n - 1))
     ext = st.lists(st.integers(0, (1 << r) - 1), max_size=3).map(tuple)
     count = st.one_of(st.just(1), st.integers(2, 1 << (2 * r + 1)))
@@ -654,9 +719,9 @@ def edit_programs(draw):
         st.tuples(st.just("remove"), pick, st.booleans()),
     )
     # enough inserts to run into the load cap, then edits of every kind
-    fill = draw(st.lists(insert, min_size=n // 2, max_size=n))
+    fill = draw(st.lists(insert, min_size=size // 2, max_size=size))
     return (FilterConfig(q=q, r=r), draw(st.integers(0, 2)), draw(st.sampled_from([1, 4, core._READ])),
-            fill + draw(st.lists(edit, max_size=3 * n)))
+            fill + draw(st.lists(edit, max_size=3 * size)))
 
 
 def run_edits(program, seen):
@@ -715,17 +780,43 @@ PINNED = (FilterConfig(q=4, r=2), 0, 1, [
     ("insert", 10, 0, (), 1, 0), ("insert", 8, 0, (1, 2), 1, 0), ("remove", 0, False)])
 
 
-@settings(max_examples=60, deadline=None)
-@given(program=edit_programs())
-@example(program=PINNED)
-def run_edit_programs(program, monkeypatch):
-    monkeypatch.setattr(core, "_READ", program[2])
-    run_edits(program, EDIT_CASES)
+# four blocks.  Quotient 10's two fingerprints push quotient 11 to slot
+# 12 and 12 to 13, so the close after removing one of 10's fails at
+# slot 12, where one run still waits, and stops two slots on, at 14.
+# Quotient 58's five push quotient 61 to slot 63, and quotient 64 sits
+# at its canonical slot, block 1's offset 0: a close in 58's run stops
+# there.  Quotients 124-127 run to slot 131, block 2's offset 4, so 129's
+# two wait at slots 132-133, 130's at 134, 134's at 135, and 136 sits at
+# its canonical slot: a close in 124's run skips the run that starts at
+# slot 129, fails at 134 and stops at 136
+PINNED_BLOCKS = (FilterConfig(q=8, r=2), 0, core._READ, [
+    ("insert", qt, rem, (), 1, 0) for qt, rem in
+    [(10, 0), (10, 1), (11, 0), (12, 0), (14, 0),
+     (58, 0), (58, 0), (58, 1), (58, 2), (58, 3), (61, 0), (64, 0),
+     (124, 0), (124, 1), (124, 2), (125, 0), (125, 1), (127, 0), (127, 1), (127, 2),
+     (129, 0), (129, 1), (130, 0), (134, 0), (136, 0)]]
+    + [("remove", 0, False), ("remove", 4, False), ("remove", 10, False)])
+
+
+def edit_program_runner(qs, examples, pinned):
+    @settings(max_examples=examples, deadline=None)
+    @given(program=edit_programs(qs))
+    @example(program=pinned)
+    def run(program, monkeypatch):
+        monkeypatch.setattr(core, "_READ", program[2])
+        run_edits(program, EDIT_CASES)
+    return run
+
+
+run_edit_programs = edit_program_runner((2, 6), 60, PINNED)
+# tables of two to four blocks, whose closes reach the block offsets
+run_block_edit_programs = edit_program_runner((7, 8), 4, PINNED_BLOCKS)
 
 
 def test_scalar_edits_keep_the_layout(monkeypatch):
     EDIT_CASES.clear()
     run_edit_programs(monkeypatch=monkeypatch)
+    run_block_edit_programs(monkeypatch=monkeypatch)
     assert all(EDIT_CASES[case] for case in CASES), EDIT_CASES
 
 
