@@ -44,8 +44,8 @@ moves the rest of the run and the later runs left by one, up to the
 first run at its canonical slot, which the offsets help find; the
 offsets in the moved span move by one with them.  An insert is one
 open; extensions and growing counters open one slot per chunk or digit,
-and deletes, shortening cuts and shrinking counters close theirs from
-the last.  Whole-table work goes through two
+and deletes and shrinking counters close theirs from the last.
+Whole-table work goes through two
 helpers: ``SlotArray._blocks`` decodes the table a block of clusters at
 a time into numpy columns (quotient, remainder, value, extension and
 counter-digit spans), one row per fingerprint in hash order (by
@@ -178,26 +178,6 @@ def _count_digits(count: int, r: int) -> list[int]:
         out.append(v & ((1 << r) - 1))
         v >>= r
     return out
-
-
-def _common_prefix(a: list, b: list) -> int:
-    """Length of the longest common prefix of a and b."""
-    n = 0
-    for x, y in zip(a, b):
-        if x != y:
-            break
-        n += 1
-    return n
-
-
-def _kept_chunks(exts: list[list[int]]) -> list[int]:
-    """How many leading extension chunks each of one minirun's surviving
-    fingerprints keeps after a shortening delete: one past its longest
-    common prefix with any other of them (identical twins stay whole),
-    and none for a lone survivor."""
-    return [max((min(_common_prefix(ext, other) + 1, len(ext))
-                 for j, other in enumerate(exts) if j != k), default=0)
-            for k, ext in enumerate(exts)]
 
 
 def _pos_dtype(n: int) -> type:
@@ -876,46 +856,35 @@ class SlotArray:
         win, _, pos, _, _, _ = self._locate_fp(mid, rank)
         return self.slots.item((win.base + pos) % self.nslots) & ((1 << self.value_bits) - 1)
 
-    def remove_fp(self, mid: int, rank: int, shorten: bool = False) -> None:
+    def remove_fp(self, mid: int, rank: int) -> None:
         """Remove one fingerprint with its extension and counter slots.
 
-        Its slots close one at a time (see _close_slot).  If it ended its
-        run, the runend bit moves to the fingerprint before it, and an
-        emptied run clears its occupied bit.  With shorten, the survivors
-        of its minirun also drop the extension chunks they no longer need
-        to stay apart from each other (see _kept_chunks).  The slots close
-        from the last backwards, so that the offsets below each stay valid
-        and every state on the way is a layout.  All of it edits the one
-        window the walk read, and one store writes the moved bits with the
-        moved terminator or the cleared occupied bit.
+        Its slots close one at a time (see _close_slot), from the last
+        backwards, so that the offsets below each stay valid and every
+        state on the way is a layout.  If it ended its run, the runend bit
+        moves to the fingerprint before it, and an emptied run clears its
+        occupied bit.  All of it edits the one window the walk read, and
+        one store writes the moved bits with the moved terminator or the
+        cleared occupied bit.
         """
         rank = as_index(rank, "rank")
         fps = self._minirun(mid)
         if not 0 <= rank < len(fps):
             raise NotFoundError(f"minirun {mid} has no rank {rank}")
         win, prev, pos, e0, c0, nxt = fps[rank]
-        gone = [(at, pos) for at in range(pos, nxt)]  # (slot, its fingerprint's offset)
-        if shorten:
-            n, vb = self.nslots, self.value_bits
-            rest = [fp[2:5] for i, fp in enumerate(fps) if i != rank]
-            exts = [[self.slots.item((win.base + i) % n) >> vb for i in range(x0, y0)]
-                    for _, x0, y0 in rest]
-            for (at, x0, y0), keep in zip(rest, _kept_chunks(exts)):
-                gone += [(i, at) for i in range(x0 + keep, y0)]
-        lo = min(gone)[0]
+        lo = pos
         if (win.run >> pos) & 1 and prev is None:
             lo, win.occ = 0, win.occ ^ 1
         elif (win.run >> pos) & 1:
-            lo = min(lo, prev)
+            lo = prev
             win.run |= 1 << prev
         self._read_rest(win)  # for the closes
         hi = 0
-        for at, fp in sorted(gone, reverse=True):
-            hi = max(hi, self._close_slot(win, fp, at))
+        for at in range(nxt - 1, pos - 1, -1):
+            hi = max(hi, self._close_slot(win, pos, at))
         self._store(win, lo, hi)
-        cut = len(gone) - (nxt - pos)
         self.fp_count -= 1
-        self.ext_slot_count -= c0 - e0 + cut
+        self.ext_slot_count -= c0 - e0
         self.ctr_slot_count -= nxt - c0
         self._index = None
 

@@ -15,11 +15,9 @@ corrected, it matches no fingerprint of a key that was stored then and
 has stayed stored since.  Extensions only ever narrow what a
 fingerprint matches, and inserts, deletes, merges and reloads keep the
 extensions of every fingerprint they do not remove.  A key stored later
-may collide with the query afresh, and is corrected in its turn.  Two
-things end the guarantee: a delete with shortening enabled, which cuts
-back the extensions of its minirun's survivors and so may bring back a
-false positive they had fixed (which is why shortening defaults to off),
-and rebuild, which drops every extension under its new seed.
+may collide with the query afresh, and is corrected in its turn.  Only
+rebuild ends the guarantee, since it drops every extension under its
+new seed.
 
 The reverse map holds each key's hash word, word 0 of its stream, in
 place of the key: the word is a bijection of the key
@@ -67,7 +65,6 @@ from .hashing import (
     _key,
     _key_array,
     _pairs,
-    as_index,
     extension_chunk,
     hash_word,
     minirun_id,
@@ -84,8 +81,8 @@ COMBINED_VERSION = 3
 _HEAD = struct.Struct("<4sIBBBBQQQ")
 
 # the header's policy flags: (bit, Policy field)
-_FLAGS = ((1, "auto_adapt"), (2, "dedupe_keys"), (4, "shorten_on_delete"))
-_F_KNOWN = 7
+_FLAGS = ((1, "auto_adapt"), (2, "dedupe_keys"))
+_F_KNOWN = 3
 
 
 @dataclass(frozen=True)
@@ -100,14 +97,19 @@ class Policy:
     auto_adapt: bool = True
     max_extensions: int = 56
     dedupe_keys: bool = False
-    shorten_on_delete: bool = False
 
     def __post_init__(self):
-        as_index(self.max_extensions, "max_extensions")
-        if not 1 <= self.max_extensions <= 255:
-            raise InvalidConfigError(
-                f"max_extensions {self.max_extensions} out of range [1, 255]"
-            )
+        _int_in(self.max_extensions, "max_extensions", 1, 255)
+        for _, field in _FLAGS:
+            if not isinstance(getattr(self, field), bool):
+                raise InvalidConfigError(f"{field} must be a bool, got {getattr(self, field)!r}")
+
+
+def _policy(policy: Policy | None) -> Policy:
+    """policy, or the default Policy for None; InvalidConfigError for anything else."""
+    if policy is not None and not isinstance(policy, Policy):
+        raise InvalidConfigError(f"policy must be a Policy, got {policy!r}")
+    return policy or Policy()
 
 
 class LookupResult(enum.Enum):
@@ -158,7 +160,7 @@ class AdaptiveFilter:
         value_bits: int = 0,
     ):
         self.cfg = cfg
-        self.policy = policy if policy is not None else Policy()
+        self.policy = _policy(policy)
         self.arr = SlotArray(cfg, value_bits=value_bits)
         self.map = ReverseMap(64 - cfg.q - cfg.r)
         # r bits per extension chunk written by adapt()
@@ -229,9 +231,8 @@ class AdaptiveFilter:
         fingerprints and skips reading the count.  Otherwise the
         fingerprint's slots close in place, moving only the slots between
         it and the first run at its canonical slot (see
-        SlotArray.remove_fp).  With shorten_on_delete on, the survivors of
-        its minirun are also cut back to the extension chunks they need to
-        stay distinct from each other.
+        SlotArray.remove_fp).  The other fingerprints keep their
+        extensions, so every correction made against them stays.
         """
         key, cfg = _key(key), self.cfg
         word = hash_word(key, cfg.seed, 0)
@@ -241,7 +242,7 @@ class AdaptiveFilter:
             raise NotFoundError(f"key {key} is not stored")
         if self.arr.ctr_slot_count and self.arr.add_count(mid, rank, -1) >= 1:
             return
-        self.arr.remove_fp(mid, rank, shorten=self.policy.shorten_on_delete)
+        self.arr.remove_fp(mid, rank)
         self.map.map_remove(mid, rank)
 
     # ------------------------------------------------------------------
@@ -265,8 +266,7 @@ class AdaptiveFilter:
         A key corrected here matches none of the fingerprints it was
         corrected against for as long as their keys stay stored,
         whatever inserts, deletes, merges and reloads follow; only a
-        shortening delete in its minirun and a rebuild undo that (see
-        the module docstring).
+        rebuild undoes that (see the module docstring).
 
         Extension slots share the 19/20 load cap with inserts: a filter
         at load L corrects about (0.95 - L) * 2**q distinct false

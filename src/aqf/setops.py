@@ -45,7 +45,7 @@ import numpy as np
 
 from .core import SlotArray, _Cols, _ranges, _slot_dtype, _stable_order
 from .errors import ConfigMismatchError, UnsortedInputError
-from .filter import AdaptiveFilter, Policy
+from .filter import AdaptiveFilter, Policy, _policy
 # HashStream, split, extension_chunk and split_batch are unused here but
 # stay module attributes: the benchmark's tracer (perfbench/spans.py)
 # wraps them
@@ -124,10 +124,11 @@ def _place(words: np.ndarray, cols: _Cols, values: list | None, cfg: FilterConfi
     _Cols), in hash order: row i holds the key whose hash word is
     words[i], with values[i] (None: no key has a value).  The filter's
     map keeps words, whose top q + r bits are their minirun ids."""
+    policy = _policy(policy)
     arr = SlotArray(cfg, value_bits=value_bits)
     arr._lay_out(cols)
     revmap = ReverseMap._from_columns(words, values, 64 - cfg.q - cfg.r)
-    return AdaptiveFilter._from_parts(arr, revmap, policy if policy is not None else Policy())
+    return AdaptiveFilter._from_parts(arr, revmap, policy)
 
 
 def _rehashed(runs: list, seed: int, new_seed: int) -> np.ndarray:

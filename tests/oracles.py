@@ -316,27 +316,6 @@ def decode_raw(arr) -> list[tuple[int, int, tuple[int, ...], int, int]]:
     return out
 
 
-def shorten_minirun(exts: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """Extensions of one minirun's survivors after a shortening delete.
-
-    Each survivor keeps one chunk past its longest common prefix with
-    any other survivor (identical twins stay whole); a lone survivor
-    goes back to its baseline.  Pairwise, chunk by chunk.
-    """
-    out = []
-    for k, ext in enumerate(exts):
-        need = 0
-        for j, other in enumerate(exts):
-            if j == k:
-                continue
-            lcp = 0
-            while lcp < len(ext) and lcp < len(other) and ext[lcp] == other[lcp]:
-                lcp += 1
-            need = max(need, min(lcp + 1, len(ext)))
-        out.append(ext[:need])
-    return out
-
-
 # ----------------------------------------------------------------------
 # snapshots: the version 1 and version 2 encoders as they were last
 # written, and the version 2 map section entry by entry
@@ -553,11 +532,11 @@ def encode_slots_v1(arr) -> bytes:
 
 def encode_filter_v1(f) -> bytes:
     """Version 1 combined snapshot of an adaptive filter: magic, version,
-    policy flags (auto_adapt 1, dedupe 2, shorten 4), max_extensions,
+    policy flags (auto_adapt 1, dedupe 2), max_extensions,
     value bits and a zero byte, then the slot array's and the map's
     version 1 snapshots as sections.  No counters, no checksum."""
     p = f.policy
-    flags = p.auto_adapt | p.dedupe_keys << 1 | p.shorten_on_delete << 2
+    flags = p.auto_adapt | p.dedupe_keys << 1
     head = struct.pack("<4sIBBBB", b"AQFS", 1, flags, p.max_extensions, f.value_bits, 0)
     entries = key_lists(f)
     return head + _section(encode_slots_v1(f.arr)) + _section(encode_map_v1(f.cfg.q, entries))
@@ -571,7 +550,7 @@ def encode_filter_v2(f) -> bytes:
     included, and the version 2 map section of its keys; then a CRC32 of
     all of it."""
     p = f.policy
-    flags = p.auto_adapt | p.dedupe_keys << 1 | p.shorten_on_delete << 2
+    flags = p.auto_adapt | p.dedupe_keys << 1
     head = struct.pack("<4sIBBBBQQQ", b"AQFS", 2, flags, p.max_extensions, f.value_bits, 0,
                        f.adaptations, f.adaptivity_bits, f.adaptation_failures)
     body = head + _section(f.arr.to_bytes()) + _section(encode_map_v2(key_lists(f)))

@@ -1,7 +1,6 @@
 """Slot array behavior, cross-checked by the raw-state decoder."""
 
 from collections import Counter
-from functools import partial
 
 import numpy as np
 import pytest
@@ -17,7 +16,7 @@ from aqf.core import (
     unpack_minirun_id,
 )
 from aqf.errors import FilterFullError, FormatError, InvalidConfigError, NotFoundError
-from aqf.filter import AdaptiveFilter, Policy
+from aqf.filter import AdaptiveFilter
 from aqf.hashing import FilterConfig, HashStream, extension_chunk, split, split_batch
 
 from oracles import (
@@ -365,7 +364,7 @@ class TestRemove:
         mid, _ = insert_whole(arr, 5, 2, (7,), 3)
         before = arr.to_bytes()
         for at in ((mid, bad), (float(mid), 0), (bad, 0)):
-            for call in (arr.get_ext, partial(arr.remove_fp, shorten=True),
+            for call in (arr.get_ext, arr.remove_fp,
                          lambda mid, rank: arr.extend_fp(mid, rank, [1])):
                 with pytest.raises(InvalidConfigError, match="rank|minirun id"):
                     call(*at)
@@ -395,36 +394,6 @@ class TestExtendTruncate:
         mid, rank = arr.insert_fp(qt, rem)
         arr.extend_fp(mid, rank, [extension_chunk(s, cfg, 0), extension_chunk(s, cfg, 1)])
         assert arr.query_fp(s) == (0, 2, 0)
-
-    def test_truncate_back_to_baseline(self):
-        # a shortening remove cuts (3, 0xA, (1, 2, 3)) to one chunk past
-        # its common prefix with the other survivor, then, once it is
-        # alone, back to its baseline
-        arr = SlotArray(C44)
-        mid, _ = insert_whole(arr, 3, 0xA, (7,))
-        insert_whole(arr, 3, 0xA, (1, 2, 3))
-        insert_whole(arr, 3, 0xA, (4,))
-        arr.remove_fp(mid, 0, shorten=True)
-        assert decode_raw(arr) == [(3, 0xA, (1,), 1, 0), (3, 0xA, (4,), 1, 0)]
-        arr.remove_fp(mid, 1, shorten=True)
-        assert decode_raw(arr) == [(3, 0xA, (), 1, 0)]
-        assert arr.used_count == 1 and arr.ext_slot_count == 0
-
-    def test_truncate_keeping_everything_is_a_no_op(self):
-        # survivors that need every chunk they have: the shortening
-        # remove writes what a plain one does and, as every removal
-        # does, drops the cached index
-        plain, short = SlotArray(C44), SlotArray(C44)
-        for arr in (plain, short):
-            mid, _ = insert_whole(arr, 3, 0xA, (1,))
-            insert_whole(arr, 3, 0xA, (1, 2))
-            insert_whole(arr, 3, 0xA, (1, 3))
-        index = short.frozen_index()
-        plain.remove_fp(mid, 0)
-        short.remove_fp(mid, 0, shorten=True)
-        assert short.to_bytes() == plain.to_bytes()
-        assert decode_raw(short) == [(3, 0xA, (1, 2), 1, 0), (3, 0xA, (1, 3), 1, 0)]
-        assert short.frozen_index() is not index
 
     def test_random_extend_sequences_match_decoder(self):
         rng = np.random.default_rng(36)
@@ -800,10 +769,10 @@ class TestFrozenIndexExact:
 
     @settings(max_examples=60, deadline=None)
     @given(q=st.integers(3, 8), r=st.integers(1, 3), seed=st.integers(0, 1 << 16),
-           wide=st.booleans(), n_keys=st.integers(0, 200), shorten=st.booleans(),
+           wide=st.booleans(), n_keys=st.integers(0, 200),
            steps=st.lists(st.sampled_from(["lookup", "lookup", "delete", "insert", "again"]),
                           min_size=1, max_size=8))
-    def test_patched_index_equals_a_fresh_build(self, q, r, seed, wide, n_keys, shorten, steps):
+    def test_patched_index_equals_a_fresh_build(self, q, r, seed, wide, n_keys, steps):
         """Adapting lookups between calls of frozen_index: its index
         equals a fresh FrozenIndex of the table every time, is patched
         from the last one (same base array) after extensions alone, is
@@ -819,7 +788,7 @@ class TestFrozenIndexExact:
         strictly ascending inside every quotient's bucket."""
         cfg = FilterConfig(q=q, r=56 if wide else r, seed=seed)
         rng = np.random.default_rng(seed)
-        f = AdaptiveFilter(cfg, policy=Policy(shorten_on_delete=shorten))
+        f = AdaptiveFilter(cfg)
 
         def insert(key):
             mid, _ = f.insert(key)

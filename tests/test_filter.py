@@ -35,7 +35,7 @@ from aqf.hashing import (
     split,
     unhash_word,
 )
-from aqf.setops import merge, rebuild
+from aqf.setops import bulk_load, merge, rebuild
 from aqf.workbench import CHURN_SPACE, fill_to_load
 
 from oracles import (
@@ -46,7 +46,6 @@ from oracles import (
     mutants,
     relaid,
     reseal,
-    shorten_minirun,
 )
 
 NOT_PRESENT = LookupResult.NOT_PRESENT
@@ -172,6 +171,11 @@ BAD_CONFIGS = {
     "value_bits_too_wide": lambda: AdaptiveFilter(FilterConfig(q=8, r=4), value_bits=60),
     "value_bits_negative": lambda: AdaptiveFilter(FilterConfig(q=8, r=4), value_bits=-1),
     "max_extensions_float": lambda: Policy(max_extensions=2.5),
+    "auto_adapt_str": lambda: Policy(auto_adapt="no"),
+    "dedupe_keys_int": lambda: Policy(dedupe_keys=2),
+    "policy_dict": lambda: AdaptiveFilter(FilterConfig(q=8, r=4), policy={"auto_adapt": False}),
+    "bulk_load_policy_dict": lambda: bulk_load([], FilterConfig(q=8, r=4),
+                                               policy={"auto_adapt": False}),
     "chunk_index_negative": lambda: extension_chunk(HashStream(1, 0), FilterConfig(q=4, r=4), -1),
     "chunk_batch_index_negative": lambda: extension_chunk_batch(
         np.arange(3, dtype=np.uint64), FilterConfig(q=4, r=4), -1),
@@ -501,9 +505,9 @@ class TestDelete:
         with pytest.raises(NotFoundError):
             f.delete(999)
 
-    def _extended_siblings(self, policy):
+    def test_delete_keeps_the_survivors_extensions(self):
         cfg = self.CFG
-        f = AdaptiveFilter(cfg, policy=policy)
+        f = AdaptiveFilter(cfg)
         x = 161803
         y = colliders(cfg, x, 0, 1)[0]
         mid, _ = f.insert(x)
@@ -518,35 +522,24 @@ class TestDelete:
             != extension_chunk(HashStream(x, cfg.seed), cfg, 0)
         )
         assert f.lookup(z)[0] is CORRECTED
-        assert len(f.arr.get_ext(mid, 1)) >= 1
-        return f, mid, x
-
-    def test_shortening_strips_a_lone_survivor(self):
-        f, mid, x = self._extended_siblings(Policy(shorten_on_delete=True))
+        ext = f.arr.get_ext(mid, 1)
+        assert len(ext) >= 1
         f.delete(x)
-        assert f.arr.get_ext(mid, 0) == ()
+        assert f.arr.get_ext(mid, 0) == ext
 
-    def test_without_shortening_extensions_stay(self):
-        f, mid, x = self._extended_siblings(Policy())
-        f.delete(x)
-        assert len(f.arr.get_ext(mid, 0)) >= 1
-
-    def test_shortening_delete_is_one_cluster_edit(self, monkeypatch):
-        """A plain or a shortening delete closes gaps in place in one walk of
-        the minirun: no columnar decode or layout of the cluster, and no
-        per-fingerprint relocation or read."""
+    def test_delete_is_one_cluster_edit(self, monkeypatch):
+        """A delete closes gaps in place in one walk of the minirun: no
+        columnar decode or layout of the cluster, and no per-fingerprint
+        relocation or read."""
         cfg = self.CFG
         x = 271828
         keys = [x, *colliders(cfg, x, 0, 3)]
         z = colliders(cfg, x, 0, 1, salt=2)[0]
         assert z not in keys
-        filters = []
-        for policy in (Policy(), Policy(shorten_on_delete=True)):
-            f = AdaptiveFilter(cfg, policy=policy)
-            for k in keys:
-                mid, _ = f.insert(k)
-            assert f.lookup(z)[0] is CORRECTED  # extends all four fingerprints
-            filters.append(f)
+        f = AdaptiveFilter(cfg)
+        for k in keys:
+            mid, _ = f.insert(k)
+        assert f.lookup(z)[0] is CORRECTED  # extends all four fingerprints
         exts = [f.arr.get_ext(mid, rank) for rank in range(4)]
         assert all(exts) and f.arr.ctr_slot_count == 0
         calls = Counter()
@@ -559,15 +552,11 @@ class TestDelete:
 
         for name in ("_columns", "_lay_out", "_locate_fp", "get_ext", "get_count"):
             monkeypatch.setattr(SlotArray, name, counted(name, getattr(SlotArray, name)))
-        for f in filters:
-            f.delete(x)
+        f.delete(x)
         monkeypatch.undo()
         assert calls == {}
-        plain, short = filters
-        assert [plain.arr.get_ext(mid, rank) for rank in range(3)] == exts[1:]
-        assert [short.arr.get_ext(mid, rank) for rank in range(3)] == shorten_minirun(exts[1:])
-        for f in filters:
-            f.check_consistency()
+        assert [f.arr.get_ext(mid, rank) for rank in range(3)] == exts[1:]
+        f.check_consistency()
 
     def test_counted_duplicates_take_one_walk(self, monkeypatch):
         """A counted re-insert and a counted delete read and rewrite the
@@ -942,8 +931,7 @@ class TestSaveReplacesTheFile:
 class TestCombinedSnapshot:
     def test_roundtrip_preserves_answers_and_policy(self, tmp_path):
         cfg = FilterConfig(q=9, r=6, seed=63)
-        policy = Policy(auto_adapt=False, max_extensions=20, dedupe_keys=True,
-                        shorten_on_delete=True)
+        policy = Policy(auto_adapt=False, max_extensions=20, dedupe_keys=True)
         f = AdaptiveFilter(cfg, policy=policy, value_bits=1)
         rng = np.random.default_rng(64)
         keys = [int(k) for k in rng.integers(0, 1 << 60, size=150, dtype=np.uint64)]
@@ -1040,8 +1028,8 @@ class TestCombinedSnapshot:
         with pytest.raises(FormatError, match="bits set past"):
             AdaptiveFilter.from_bytes(reseal(blob))
 
-    @pytest.mark.parametrize("at, value", [(8, 8), (8, 0x80), (8, 0xFF), (11, 1), (11, 0x80),
-                                           (9, 0)])
+    @pytest.mark.parametrize("at, value", [(8, 5), (8, 8), (8, 0x80), (8, 0xFF), (11, 1),
+                                           (11, 0x80), (9, 0)])
     def test_unknown_flags_and_reserved_byte_are_rejected(self, at, value):
         """Unknown flag bits, a reserved byte other than 0 and a
         max_extensions of 0, each behind a recomputed trailer."""

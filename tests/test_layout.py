@@ -27,7 +27,6 @@ from oracles import (
     relaid,
     reseal,
     run_bounds,
-    shorten_minirun,
     slot_fields,
     with_slot_fields,
 )
@@ -95,7 +94,7 @@ def tables(draw):
             draw(st.lists(st.tuples(fp, st.integers(0, 3)), max_size=40)))
 
 
-edit_st = st.tuples(st.sampled_from(["remove", "shorten", "count"]),
+edit_st = st.tuples(st.sampled_from(["remove", "count"]),
                     st.integers(0, 10**6), st.integers(0, 10**6))
 
 
@@ -124,12 +123,6 @@ def test_decoder_and_writer_match_the_oracle(table, edits):
         if op == "remove":
             arr.remove_fp(mid, rank)
             model[(qt, rem)].pop(rank)
-        elif op == "shorten":
-            arr.remove_fp(mid, rank, shorten=True)
-            rest = model[(qt, rem)]
-            rest.pop(rank)
-            exts = shorten_minirun([row[0] for row in rest])
-            model[(qt, rem)] = [(e, *row[1:]) for e, row in zip(exts, rest)]
         else:
             count = 1 + arg % count
             arr.set_count(mid, rank, count)
@@ -320,8 +313,6 @@ def test_a_missing_rank_or_quotient_changes_nothing():
                       (pack_minirun_id(12, 1, C52.r), 0), (pack_minirun_id(9, 2, C52.r), 2)):
         with pytest.raises(NotFoundError):
             arr.remove_fp(mid, rank)
-        with pytest.raises(NotFoundError):
-            arr.remove_fp(mid, rank, shorten=True)
         for count in (1, 2, 100):
             with pytest.raises(NotFoundError):
                 arr.set_count(mid, rank, count)
@@ -716,7 +707,7 @@ def edit_programs(draw, qs=(2, 6)):
         insert,
         st.tuples(st.just("extend"), pick, ext.filter(bool)),
         st.tuples(st.just("count"), pick, count),
-        st.tuples(st.just("remove"), pick, st.booleans()),
+        st.tuples(st.just("remove"), pick),
     )
     # enough inserts to run into the load cap, then edits of every kind
     fill = draw(st.lists(insert, min_size=size // 2, max_size=size))
@@ -754,12 +745,8 @@ def run_edits(program, seen):
                 arr.set_count(mid, rank, args[0])
                 model[key][rank] = (ext, args[0], value)
             else:
-                arr.remove_fp(mid, rank, shorten=args[0])
-                rest = model[key]
-                rest.pop(rank)
-                if args[0]:
-                    exts = shorten_minirun([row[0] for row in rest])
-                    model[key] = [(e, *row[1:]) for e, row in zip(exts, rest)]
+                arr.remove_fp(mid, rank)
+                model[key].pop(rank)
         except FilterFullError:
             assert arr.to_bytes() == blob
             continue
@@ -777,7 +764,7 @@ EDIT_CASES = Counter()
 PINNED = (FilterConfig(q=4, r=2), 0, 1, [
     ("insert", 14, 0, (), 1, 0), ("insert", 14, 1, (), 1, 0), ("insert", 15, 0, (), 1, 0),
     ("insert", 14, 0, (), 1, 0), ("insert", 3, 0, (), 1, 0), ("insert", 2, 0, (), 1, 0),
-    ("insert", 10, 0, (), 1, 0), ("insert", 8, 0, (1, 2), 1, 0), ("remove", 0, False)])
+    ("insert", 10, 0, (), 1, 0), ("insert", 8, 0, (1, 2), 1, 0), ("remove", 0)])
 
 
 # four blocks.  Quotient 10's two fingerprints push quotient 11 to slot
@@ -795,7 +782,7 @@ PINNED_BLOCKS = (FilterConfig(q=8, r=2), 0, core._READ, [
      (58, 0), (58, 0), (58, 1), (58, 2), (58, 3), (61, 0), (64, 0),
      (124, 0), (124, 1), (124, 2), (125, 0), (125, 1), (127, 0), (127, 1), (127, 2),
      (129, 0), (129, 1), (130, 0), (134, 0), (136, 0)]]
-    + [("remove", 0, False), ("remove", 4, False), ("remove", 10, False)])
+    + [("remove", 0), ("remove", 4), ("remove", 10)])
 
 
 def edit_program_runner(qs, examples, pinned):

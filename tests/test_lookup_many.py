@@ -63,13 +63,12 @@ step_st = st.one_of(
 @given(
     auto_adapt=st.booleans(),
     dedupe=st.booleans(),
-    shorten=st.booleans(),
     with_values=st.booleans(),
     stored=st.lists(keys_st, max_size=30),
     steps=st.lists(step_st, max_size=8),
 )
-def test_matches_the_scalar_loop(auto_adapt, dedupe, shorten, with_values, stored, steps):
-    policy = Policy(auto_adapt=auto_adapt, dedupe_keys=dedupe, shorten_on_delete=shorten)
+def test_matches_the_scalar_loop(auto_adapt, dedupe, with_values, stored, steps):
+    policy = Policy(auto_adapt=auto_adapt, dedupe_keys=dedupe)
     a, b = twins(policy, stored, with_values)
     live = list(stored)
     for op, arg, flag in steps:
@@ -212,37 +211,6 @@ def test_a_delete_drops_the_cached_index(monkeypatch):
     calls = counting_lookup(b, monkeypatch)
     assert b.lookup_many([probe]) == scalar(a, [probe]) == [(LookupResult.NOT_PRESENT, None)]
     assert calls == []
-    assert state(a) == state(b)
-
-
-def test_shortening_between_batches_drops_the_cached_index():
-    cfg = FilterConfig(q=8, r=4, seed=11)
-    owner = 12345
-    mates = same_pair_keys(cfg, owner, 400)
-    policy = Policy(shorten_on_delete=True)
-    fs = []
-    for _ in range(2):
-        f = AdaptiveFilter(cfg, policy=policy)
-        f.insert(owner)
-        f.insert(mates[0])
-        fs.append(f)
-    a, b = fs
-    # both fingerprints of the pair get extended, then patched into the
-    # cached index
-    assert b.lookup_many(mates[:60]) == scalar(a, mates[:60])
-    stale = b.frozen_index()
-    assert b.frozen_index() is stale
-    # a key of the pair that the extended fingerprints both reject
-    probe = next(k for k in mates[60:]
-                 if not stale.query_keys(np.array([k], dtype=np.uint64))[0])
-    a.delete(mates[0])
-    b.delete(mates[0])
-    # the owner's extension is gone, so probe collides with it again
-    want = scalar(a, [probe])
-    assert want[0][0] is LookupResult.FALSE_POSITIVE_CORRECTED
-    assert b.lookup_many([probe]) == want
-    # the delete dropped the index: the batch's one is built anew
-    assert b.frozen_index().base is not stale.base
     assert state(a) == state(b)
 
 

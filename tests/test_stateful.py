@@ -16,7 +16,7 @@ offsets those of oracles.block_offsets.  Strong
 adaptivity, as the paper states it: a corrected key matches no
 fingerprint of a key stored when it was corrected and stored without a
 break since, through inserts, deletes, merges and reloads; only a
-delete that shortens the key's minirun, and a rebuild, end it.  For the
+rebuild ends it.  For the
 yes/no filter, every stored key answers its own class.  A refused
 mutation leaves the snapshot bytes as they were, and a reload
 keeps the bytes and the counters.
@@ -50,10 +50,8 @@ from oracles import (
     PrefixModel,
     bit_text,
     block_offsets,
-    ref_chunk,
     ref_split,
     relaid,
-    shorten_minirun,
     vector_word0,
 )
 
@@ -141,14 +139,13 @@ class FilterMachine(RuleBasedStateMachine):
                 self.model.insert(key)
 
     @precondition(lambda self: self.model.miniruns)
-    @rule(pick=st.integers(0, 1 << 16), shorten=st.booleans())
-    def delete(self, pick, shorten):
+    @rule(pick=st.integers(0, 1 << 16))
+    def delete(self, pick):
         keys = self.model.keys()
         key = keys[pick % len(keys)]
-        self.use(shorten_on_delete=shorten)
         self.f.delete(key)
         self.corrected.clear()
-        lst, e = self.entry(key)
+        _, e = self.entry(key)
         if self.extra.get(id(e)):
             self.extra[id(e)] -= 1
             return
@@ -157,26 +154,13 @@ class FilterMachine(RuleBasedStateMachine):
         # corrections against no stored entry hold nothing more to check
         live = {id(e) for lst in self.model.miniruns.values() for e in lst}
         self.fixed = {k: v for k, v in self.fixed.items() if any(id(e) in live for e in v)}
-        if shorten and lst:
-            q, r, seed = self.cfg.q, self.cfg.r, self.cfg.seed
-            exts = [tuple(ref_chunk(owner, seed, q, r, i) for i in range((nbits - q - r) // r))
-                    for owner, nbits in lst]
-            lengths = [e[1] for e in lst]
-            for e, ext in zip(lst, shorten_minirun(exts)):
-                e[1] = q + r + r * len(ext)
-            if [e[1] for e in lst] != lengths:  # a cut may bring back its minirun's FPs
-                qr = ref_split(key, seed, q, r)
-                self.fixed = {k: v for k, v in self.fixed.items()
-                              if ref_split(k, seed, q, r) != qr}
 
-    @rule(pick=st.integers(0, 1 << 16), dedupe=st.booleans(),
-          shorten=st.one_of(st.none(), st.booleans()))
-    def write_beside_corrected(self, pick, dedupe, shorten):
+    @rule(pick=st.integers(0, 1 << 16), dedupe=st.booleans(), then_delete=st.booleans())
+    def write_beside_corrected(self, pick, dedupe, then_delete):
         """Correct a probe that some stored fingerprint matches, or pick
-        a corrected one; store a key in its minirun and, unless shorten
-        is None, delete a key of that minirun, the new one when it went
-        in: the minirun's other fingerprints keep their extensions,
-        unless the delete shortens them."""
+        a corrected one; store a key in its minirun and, with then_delete,
+        delete a key of that minirun, the new one when it went in: the
+        minirun's other fingerprints keep their extensions."""
         stored = np.isin(PROBES, np.array(self.model.keys(), dtype=np.uint64))
         matched = PROBES[self.f.frozen_index().query_keys(PROBES) & ~stored].tolist()
         keys = sorted(set(matched) | set(self.fixed))
@@ -194,9 +178,9 @@ class FilterMachine(RuleBasedStateMachine):
         if new is not None:
             self.insert([new], dedupe)
         owners = [e[0] for e in self.entry(key)[0]]
-        if shorten is not None and owners:
+        if then_delete and owners:
             victim = new if new in owners else owners[pick % len(owners)]
-            self.delete(self.model.keys().index(victim), shorten)
+            self.delete(self.model.keys().index(victim))
 
     @rule(key=st.integers(301, 600))
     def delete_absent(self, key):
