@@ -1303,8 +1303,7 @@ class SlotArray:
 class FrozenIndex:
     """Read-only index of fingerprint columns for bulk membership probes.
 
-    Built from columns in hash order: a table's decode, block by block,
-    or bare fingerprints sorted by pair with no table at all.  Like a
+    Built from a table's decode, blocks of columns in hash order.  Like a
     quotient filter, it keeps each distinct (quotient, remainder) pair's
     remainder alone, in the columns' remainder dtype, and lets a
     quotient directory imply the quotient, as the counting quotient
@@ -1323,11 +1322,11 @@ class FrozenIndex:
     # keys probed per pass; bounds the temporaries of a large batch
     CHUNK = 1 << 16
 
-    def __init__(self, cfg: FilterConfig, cols):
+    def __init__(self, cfg: FilterConfig, blocks):
         self.cfg = cfg
         self.dir = np.zeros(cfg.nslots + 1, dtype=_pos_dtype(cfg.nslots))
         base, cands = [], []
-        for block in [cols] if isinstance(cols, _Cols) else cols:
+        for block in blocks:
             first = np.flatnonzero(_group_starts(block.quot, block.rem))  # each pair's first row
             quots = block.quot[first]
             for a in range(0, len(quots), _BLOCK):  # sorted: a block spans few buckets

@@ -9,12 +9,15 @@ baseline false-positive rate.
 
 The result is the one the paper's sequential construction leaves:
 insert every YES key, then look up every NO key in order and adapt each
-false positive away.  It is reached in bulk.  An index of the YES keys'
-bare fingerprints, sorted by pair, rejects almost every NO key; for
-each remaining pair of a NO key and a YES key with the same
-fingerprint, the first chunk at which their hash streams differ fixes
-how far that fingerprint must grow, and whether the NO key's lookup
-would have adapted it.  The YES keys are then laid out once with those
+false positive away.  It is reached in bulk, and the NO pass needs no
+table or index, only the YES keys' (quotient, remainder) pairs, sorted.
+The NO keys are read and hashed a chunk at a time.  A 32-bit mask per
+quotient, with bit pair & 31 set for each YES pair, rejects almost all
+of them, and a binary search of the sorted pairs settles the rest.  For
+each pair of a NO key and a YES key with the same fingerprint, the
+first chunk at which their hash streams differ fixes how far that
+fingerprint must grow, and whether the NO key's lookup would have
+adapted it.  The YES keys are then laid out once with those
 extensions.  When they would not fit, the bare YES keys are laid out
 and the remaining NO keys looked up one by one, so that the failure is
 the sequential one.
@@ -39,8 +42,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    FrozenIndex,
-    _Cols,
     _pos_dtype,
     _ranges,
     _stable_order,
@@ -77,6 +78,9 @@ NO = 0
 
 # advisory floor on the universe for the lower bound's regime
 _UNIVERSE_FACTOR = 10
+
+# NO keys per NO-pass step; slices of 2**14 ints convert as fast as a whole list
+_NO_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -276,6 +280,29 @@ def _check_disjoint(yes: np.ndarray, no: np.ndarray) -> None:
         )
 
 
+def _no_hits(no, packed: np.ndarray, cfg: FilterConfig) -> np.ndarray:
+    """The keys of no, a uint64 array or a list, in list order, whose
+    (quotient, remainder) pair is in packed, the YES keys' pairs sorted.
+    A chunk of keys is checked and hashed at a time; one gather from
+    the quotients' masks rejects almost every key, and a binary search
+    of packed settles the rest."""
+    mask = np.zeros(cfg.nslots, dtype=np.uint32)
+    low = (packed & np.uint64(31)).astype(np.uint32)
+    np.bitwise_or.at(mask, packed >> np.uint64(cfg.r), np.uint32(1) << low)
+    hits = [np.zeros(0, dtype=np.uint64)]
+    for a in range(0, len(no), _NO_CHUNK):
+        keys = _key_array(no[a : a + _NO_CHUNK])
+        pairs = split_batch(keys, cfg)
+        low = pairs.astype(np.uint32) & np.uint32(31)
+        seen = mask.take((pairs >> np.uint64(cfg.r)).view(np.int64))
+        seen >>= low
+        seen &= np.uint32(1)
+        maybe = np.flatnonzero(seen.astype(bool))
+        at = np.minimum(np.searchsorted(packed, pairs[maybe]), len(packed) - 1)
+        hits.append(keys[maybe[packed[at] == pairs[maybe]]])
+    return np.concatenate(hits)
+
+
 def _place_yes(inner: AdaptiveFilter, yes: np.ndarray, packed: np.ndarray,
                ext_len: np.ndarray) -> AdaptiveFilter:
     """A filter like inner holding every YES key, tagged YES, with
@@ -344,21 +371,25 @@ def build_static(
 
     Leaves what inserting every YES key and then looking up every NO key
     in order leaves: the same bytes, counters and errors.  The YES keys
-    are sorted into hash order once, and the NO keys probed against an
-    index of their bare fingerprints; the few that share a YES key's
-    (quotient, remainder) pair settle in closed form (see _no_pass), and
-    the YES keys are placed with the extensions that leaves, in the one
-    layout of the build.  True negatives cost nothing and nothing from
-    the NO list is ever stored.  When the extensions would pass the load
-    cap, or a NO key agrees with a YES key for policy.max_extensions
-    chunks, the bare YES keys are placed and the hits looked up one by
-    one instead, so the failure is the sequential one.  Both lists are
-    uint64 arrays or iterables of ints in [0, 2**64).  Raises
+    are sorted into hash order once, and the NO keys probed against
+    their sorted (quotient, remainder) pairs (see _no_hits); the few
+    that share a YES key's pair settle in closed form (see _no_pass),
+    and the YES keys are placed with the extensions that leaves, in the
+    one layout of the build.  True negatives cost nothing and nothing
+    from the NO list is ever stored.  When the extensions would pass the
+    load cap, or a NO key agrees with a YES key for
+    policy.max_extensions chunks, the bare YES keys are placed and the
+    hits looked up one by one instead, so the failure is the sequential
+    one.  Both lists are uint64 arrays or iterables of ints in
+    [0, 2**64); a NO list is converted a chunk at a time.  Raises
     ConstructionFailedError, with consumed vs budgeted bits attached, if
     the filter fills before the NO list is exhausted.
     """
-    yes, no = _key_array(yes_keys), _key_array(no_keys)
+    yes = _key_array(yes_keys)
+    # a NO list is checked by the NO pass, a chunk at a time
+    no = no_keys if isinstance(no_keys, list) else _key_array(no_keys)
     if not len(yes):
+        _key_array(no)  # a bad NO key is reported first
         raise InvalidConfigError("need at least one YES key")
     # overlapping lists are reported ahead of every other error, as a
     # sequential build reports them; without an error, the hits below
@@ -367,13 +398,13 @@ def build_static(
         params = YesNoParams(n=len(yes), m=len(no), epsilon=epsilon)
         f = YesNoFilter.create(params, slack=slack, seed=seed)
     except InvalidConfigError:
-        _check_disjoint(yes, no)
+        _check_disjoint(yes, _key_array(no))
         raise
     inner, cfg = f.inner, f.inner.cfg
     # list order stays rank order
     order, words, packed = _hash_order(hash_word_batch(yes, cfg.seed), cfg)
     yes = yes[order]
-    hits = no[FrozenIndex(cfg, _Cols.bare(packed, cfg)).query_keys(no)]
+    hits = _no_hits(no, packed, cfg)
     _check_disjoint(yes, hits)
 
     settled = _no_pass(yes, packed, hits, cfg, inner.policy.max_extensions)

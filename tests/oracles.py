@@ -670,7 +670,7 @@ def trace_fprs_rebuilt(f, workload, measure_every_pct, probe_sets, probe_size) -
         probes = [rng.choice(queries, size=probe_size) for _ in range(probe_sets)]
 
     def checkpoint() -> float:
-        index = FrozenIndex(f.cfg, f.arr._columns())
+        index = FrozenIndex(f.cfg, [f.arr._columns()])
         fracs = [float(np.mean(index.query_keys(p))) for p in probes]
         return sum(fracs) / len(fracs)
 

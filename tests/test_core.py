@@ -592,7 +592,7 @@ class TestFrozenIndex:
         for (mid, rank), k in list(zip(mids, keys))[::3]:
             s = HashStream(int(k), 10)
             arr.extend_fp(mid, rank, [extension_chunk(s, cfg, 0)])
-        index = FrozenIndex(arr.cfg, arr._columns())
+        index = FrozenIndex(arr.cfg, [arr._columns()])
         probes = np.concatenate([keys, rng.integers(0, 1 << 62, size=20_000, dtype=np.uint64)])
         got = index.query_keys(probes)
         assert got[: len(keys)].all()
@@ -603,7 +603,7 @@ class TestFrozenIndex:
 
 def assert_index_exact(arr, probes):
     """FrozenIndex verdicts equal the slot walk on every probe."""
-    index = FrozenIndex(arr.cfg, arr._columns())
+    index = FrozenIndex(arr.cfg, [arr._columns()])
     got = index.query_keys(probes)
     want = [arr.query_fp(HashStream(int(k), arr.cfg.seed)) is not None for k in probes]
     assert got.tolist() == want
@@ -624,7 +624,7 @@ def probe_fp(cfg, key, ext_len, differ, count=1):
 def assert_fresh(index, arr, probes):
     """index equals a fresh FrozenIndex of arr's columns, field for field
     and on the probes."""
-    want = FrozenIndex(arr.cfg, arr._columns())
+    want = FrozenIndex(arr.cfg, [arr._columns()])
     assert vars(index).keys() == vars(want).keys() and index.cfg == want.cfg
     for name, col in vars(want).items():
         if isinstance(col, np.ndarray):

@@ -1117,7 +1117,7 @@ def test_blocks_hold_whole_runs_in_hash_order(table, block):
         assert thin.value is None and thin.ctr_len is None
         assert all(np.array_equal(getattr(thin, name), getattr(cols, name))
                    for name in ("quot", "rem", "ext_off", "ext_len", "chunks"))
-    assert_same_index(blockwise, core.FrozenIndex(cfg, arr._columns()))
+    assert_same_index(blockwise, core.FrozenIndex(cfg, [arr._columns()]))
 
 
 @pytest.mark.parametrize("block", [1, 2, 3, 5, 8, 1 << 14])
@@ -1135,7 +1135,7 @@ def test_blocks_read_a_cluster_across_the_seam(block, monkeypatch):
     blocks = list(arr._blocks(full=True))
     assert [row for cols in blocks for row in column_rows(cols, cfg.r)] == sorted(
         decode_raw(arr), key=lambda row: row[0])
-    assert_same_index(arr.frozen_index(), core.FrozenIndex(cfg, arr._columns()))
+    assert_same_index(arr.frozen_index(), core.FrozenIndex(cfg, [arr._columns()]))
 
 
 def corrupted(fault):

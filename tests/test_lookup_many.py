@@ -297,7 +297,7 @@ def test_frozen_recheck_matches_the_slot_walk_on_long_extensions():
             insert_whole(arr, qt, rem, tuple(ext))
         if i % 10 == 0:  # a pair with a bare fingerprint is always positive
             arr.insert_fp(qt, rem)
-    index = FrozenIndex(arr.cfg, arr._columns())
+    index = FrozenIndex(arr.cfg, [arr._columns()])
     got = index.query_keys(np.array(probes, dtype=np.uint64))
     want = [arr.query_fp(HashStream(k, cfg.seed)) is not None for k in probes]
     assert got.tolist() == want

@@ -46,6 +46,13 @@ A snapshot holds, per key, the slots and metadata bits (about 1.8 bytes
 at q=16 and 85% load) and the map's entries cut to the 64 - q - r bits
 below their minirun ids: 5 bytes at q + r = 25.  The bound, 6.8 bytes
 per key, fails a map section that writes whole 8-byte entries (9.8).
+
+A static yes/no build reads a NO list of 2**20 ints a chunk at a time
+and keeps only the keys that share a YES key's pair: with 2**12 YES
+keys it peaks at about 0.84 bytes per NO key, against 11.4 while it
+converted the whole list to a uint64 array and probed it against an
+index of the YES fingerprints.  The bound leaves about 9% of headroom,
+so a whole-list temporary of 1 byte per NO key fails it.
 """
 
 import gc
@@ -56,6 +63,7 @@ import numpy as np
 from aqf.filter import AdaptiveFilter
 from aqf.hashing import FilterConfig
 from aqf.workbench import fill_to_load
+from aqf.yesno import build_static
 
 CFG = FilterConfig(q=16, r=9, seed=3)
 
@@ -68,6 +76,7 @@ LOAD_BYTES_PER_KEY = 26
 INDEX_LIVE_BYTES_PER_KEY = 7.0
 LIVE_BYTES_PER_KEY = 11.4
 SNAPSHOT_BYTES_PER_KEY = 6.8
+BUILD_BYTES_PER_NO_KEY = 0.92
 
 
 def peak_bytes(call):
@@ -179,3 +188,12 @@ def test_a_loaded_filter_half_written_keeps_under_its_bytes_per_key():
 def test_a_snapshot_stays_under_its_bytes_per_key():
     f, keys = fill_to_load(CFG, 0.85, seed=5)
     assert len(f.to_bytes()) / len(keys) <= SNAPSHOT_BYTES_PER_KEY
+
+
+def test_a_static_build_from_lists_stays_under_its_bytes_per_no_key():
+    rng = np.random.default_rng(9)
+    yes = rng.integers(0, 1 << 62, size=1 << 12, dtype=np.uint64).tolist()
+    no = rng.integers(1 << 62, 1 << 63, size=1 << 20, dtype=np.uint64).tolist()
+    build_static(yes[:100], no[:1000], 2**-9, seed=3)  # first-call allocations stay out
+    _, peak = peak_bytes(lambda: build_static(yes, no, 2**-9, seed=3))
+    assert peak / len(no) < BUILD_BYTES_PER_NO_KEY

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aqf.core import FrozenIndex, SlotArray, _Cols, pack_minirun_id
+from aqf import yesno
+from aqf.core import FrozenIndex, SlotArray, pack_minirun_id
 from aqf.errors import (
     ConstructionFailedError,
     FilterFullError,
@@ -17,12 +18,20 @@ from aqf.errors import (
     InvalidConfigError,
 )
 from aqf.filter import AdaptiveFilter, Policy
-from aqf.hashing import FilterConfig, HashStream, hash_word_batch, split, split_batch
+from aqf.hashing import (
+    FilterConfig,
+    HashStream,
+    _key_array,
+    hash_word_batch,
+    split,
+    split_batch,
+)
 from aqf.yesno import (
     NO,
     YES,
     YesNoFilter,
     YesNoParams,
+    _no_hits,
     _place_yes,
     adaptivity_budget,
     build_static,
@@ -419,27 +428,32 @@ class TestClosedFormNoPass:
 
 class TestOneLayout:
     """build_static finds the NO keys that reach a YES fingerprint with
-    an index of the YES keys' bare fingerprints, sorted by pair, rather
-    than of a table holding them."""
+    a remainder mask per quotient and a binary search of the YES keys'
+    sorted pairs, rather than with an index or a table holding them."""
 
     def test_a_closed_form_build_lays_out_one_table_and_decodes_none(self, monkeypatch):
-        calls = {"_lay_out": 0, "_columns": 0}
-        for name in calls:
-            def counted(self, *args, _name=name, _fn=getattr(SlotArray, name)):
+        calls = {"_lay_out": 0, "_columns": 0, "__init__": 0}
+        for owner, name in ((SlotArray, "_lay_out"), (SlotArray, "_columns"),
+                            (FrozenIndex, "__init__")):
+            def counted(self, *args, _name=name, _fn=getattr(owner, name)):
                 calls[_name] += 1
                 return _fn(self, *args)
 
-            monkeypatch.setattr(SlotArray, name, counted)
+            monkeypatch.setattr(owner, name, counted)
         pool = np.random.default_rng(79).choice(1 << 62, size=10300, replace=False)
         f = build_static(pool[:300], pool[300:], 2**-4, seed=5)
         assert f.inner.adaptations > 100
-        assert calls == {"_lay_out": 1, "_columns": 0}
+        assert calls == {"_lay_out": 1, "_columns": 0, "__init__": 0}
 
     @settings(max_examples=120, deadline=None)
     @given(q=st.integers(1, 8), r=st.integers(1, 5), seed=st.integers(0, 1 << 16),
            keys=st.lists(st.one_of(st.integers(0, 30), st.integers(0, 2**64 - 1)),
-                         min_size=1, max_size=240))
-    def test_bare_sorted_columns_index_like_the_laid_out_table(self, q, r, seed, keys):
+                         min_size=1, max_size=240),
+           as_list=st.booleans())
+    def test_the_no_pass_probe_hits_like_the_laid_out_tables_index(self, q, r, seed, keys,
+                                                                     as_list):
+        # tables under 64 slots, and remainders no wider than the mask's
+        # 5-bit index, whose bit then takes quotient bits too
         cfg = FilterConfig(q=q, r=r, seed=seed)
         # small draws repeat keys; the table must stay under the load cap
         yes = np.array(keys[: cfg.nslots * 19 // 20], dtype=np.uint64)
@@ -447,23 +461,73 @@ class TestOneLayout:
             return
         packed = split_batch(yes, cfg)
         order = np.argsort(packed, kind="stable")
-        got = FrozenIndex(cfg, _Cols.bare(packed[order], cfg))
         # _place_yes takes the keys' hash words, whose top bits the map checks
         words = hash_word_batch(yes, cfg.seed)
         table = _place_yes(AdaptiveFilter(cfg, value_bits=1), words[order], packed[order],
                            np.zeros(len(yes), dtype=np.int64)).arr
-        want = FrozenIndex(cfg, table._columns())
-        assert vars(got).keys() == vars(want).keys()
-        for name, col in vars(want).items():
-            if isinstance(col, np.ndarray):
-                other = getattr(got, name)
-                assert other.dtype == col.dtype and other.shape == col.shape, name
-                assert (other == col).all(), name
         probes = np.concatenate([
             yes, np.random.default_rng(seed).integers(0, 1 << 64, size=300, dtype=np.uint64)])
-        verdicts = got.query_keys(probes)
-        assert verdicts[: len(yes)].all()
-        assert verdicts.tolist() == want.query_keys(probes).tolist()
+        hits = _no_hits(probes.tolist() if as_list else probes, packed[order], cfg)
+        assert hits[: len(yes)].tolist() == yes.tolist()  # every YES key hits
+        assert hits.tolist() == probes[table.frozen_index().query_keys(probes)].tolist()
+
+
+class TestChunkedNoList:
+    """A NO list is read, checked and probed a chunk at a time; a list
+    of six chunks builds, and fails, as the same keys in one array."""
+
+    CHUNK = 64
+    EPSILON = 2**-2
+
+    @pytest.fixture(autouse=True)
+    def small_chunks(self, monkeypatch):
+        monkeypatch.setattr(yesno, "_NO_CHUNK", self.CHUNK)
+
+    def _lists(self):
+        pool = np.random.default_rng(83).choice(1 << 62, size=40 + 5 * self.CHUNK + 7,
+                                                replace=False)
+        return pool[:40].tolist(), pool[40:].tolist()
+
+    def test_a_list_of_several_chunks_builds_like_an_array_and_a_generator(self):
+        yes, no = self._lists()
+        want = _outcome(build_static_sequential, yes, no, self.EPSILON, 1.5, 6)
+        assert want[3] > 5  # adaptations
+        for form in (no, np.array(no, dtype=np.uint64), (k for k in no)):
+            assert _outcome(build_static, yes, form, self.EPSILON, 1.5, 6) == want
+
+    @pytest.mark.parametrize("bad", [-1, 7.0, 2**64])
+    @pytest.mark.parametrize("at", [0, -1])
+    def test_a_bad_key_in_the_first_or_last_chunk_is_refused(self, bad, at):
+        yes, no = self._lists()
+        no[at] = bad
+        with pytest.raises(InvalidConfigError) as want:
+            _key_array(no)
+        # ahead of a key on both lists, in another chunk
+        no[-1 - at] = yes[0]
+        with pytest.raises(InvalidConfigError) as got:
+            build_static(yes, no, self.EPSILON, seed=6)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("yes", [[], None])
+    @pytest.mark.parametrize("epsilon", [0.0, 1.5, "x", 2**-2])
+    def test_a_bad_key_is_reported_ahead_of_every_other_error(self, yes, epsilon):
+        yes = self._lists()[0] if yes is None else yes
+        no = self._lists()[1] + yes[:1] + [-1]
+        with pytest.raises(InvalidConfigError, match="keys must be ints"):
+            build_static(yes, no, epsilon)
+
+    @pytest.mark.parametrize("epsilon", [0.0, "x", 2**-2])
+    def test_a_key_on_both_lists_is_reported_ahead_of_a_bad_epsilon(self, epsilon):
+        yes, no = self._lists()
+        no[-1] = yes[-1]
+        with pytest.raises(InvalidConfigError, match="both lists"):
+            build_static(yes, no, epsilon)
+
+    @pytest.mark.parametrize("no", [np.array(5, dtype=np.uint64), np.array(5.0),
+                                    np.zeros((2, 3), dtype=np.uint64)])
+    def test_an_array_that_is_not_flat_is_refused(self, no):
+        with pytest.raises(InvalidConfigError):
+            build_static([1, 2], no, self.EPSILON)
 
 
 class TestConstructionFailure:
