@@ -49,14 +49,14 @@ Whole-table work goes through two
 helpers: ``SlotArray._blocks`` decodes the table a block of clusters at
 a time into numpy columns (quotient, remainder, value, extension and
 counter-digit spans), one row per fingerprint in hash order (by
-quotient, then remainder, then rank), for the bulk index
-(``FrozenIndex``: like the table, a remainder per pair under a quotient
-directory), consistency checks, the loader's minirun ids and, joined,
-merge and rebuild.  The stored runs are a rotation of that order, which
-it alone turns back.  ``SlotArray._lay_out`` writes such columns over a
-table, placing every run with one cumulative max, for merge, rebuild
-and bulk load.  Both scalar edits leave the layout that ``_lay_out``
-would write.
+quotient, then remainder, then rank), for consistency checks, the
+loader's minirun ids and, joined, merge and rebuild; a batch query
+decodes nothing, but takes the walks' rank and select for every key at
+once (``SlotArray.contains_many``).  The stored runs are a rotation of
+that order, which it alone turns back.  ``SlotArray._lay_out`` writes
+such columns over a table, placing every run with one cumulative max,
+for merge, rebuild and bulk load.  Both scalar edits leave the layout
+that ``_lay_out`` would write.
 
 Widths.  The payloads are stored in the smallest unsigned dtype that
 holds ``r + value_bits`` bits (``_slot_dtype``: uint16 at r = 9), and
@@ -138,6 +138,10 @@ _READ = 128
 # takes at once
 _BLOCK = 1 << 14
 
+# keys that a batch probe takes per pass (SlotArray.contains_many):
+# bounds its temporaries
+_PROBE = 1 << 15
+
 # groups of 64 slots that the payload codec packs or unpacks per pass:
 # 256 KiB of slots, so that a pass's steps find them and their packed
 # words still in cache
@@ -193,16 +197,6 @@ def _slot_dtype(bits: int) -> type:
     and chunks in columns, take it."""
     return next(t for t in (np.uint8, np.uint16, np.uint32, np.uint64)
                 if bits <= np.iinfo(t).bits)
-
-
-def _group_starts(*cols: np.ndarray) -> np.ndarray:
-    """Mask of the rows that open a group: the first row, and each row
-    that differs from the row before it in one of the columns."""
-    first = np.zeros(len(cols[0]), dtype=bool)
-    first[:1] = True
-    for col in cols:
-        first[1:] |= col[1:] != col[:-1]
-    return first
 
 
 def _ranges(off: np.ndarray, length: np.ndarray) -> np.ndarray:
@@ -301,6 +295,25 @@ def _unpack_slots(data, n: int, w: int) -> np.ndarray:
     return slots.reshape(-1)[:n]
 
 
+# the broadword select's byte masks (_select64), and its table:
+# _SELECT8[(v << 3) | i] is the position of the (i + 1)-th set bit of byte v
+_L8, _H8 = np.uint64(0x0101010101010101), np.uint64(0x8080808080808080)
+_SELECT8 = np.array([([p for p in range(8) if v >> p & 1] + [0] * 8)[:8] for v in range(256)],
+                    dtype=np.uint64).reshape(-1)
+
+
+def _select64(x: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """The position of the set bit of each uint64 of x with j set bits
+    below it: broadword, as in Vigna (WEA 2008).  The bytes' bit counts,
+    summed up to each byte by one multiply, name its byte; a table, the
+    bit in it."""
+    u = np.uint64
+    sums = np.bitwise_count(x.view(np.uint8)).view(u) * _L8
+    byte = np.bitwise_count(((j * _L8) | _H8) - sums & _H8).astype(u) << u(3)
+    rank = j - (((sums << u(8)) >> byte) & u(0xFF))
+    return byte + _SELECT8[(((x >> byte) & u(0xFF)) << u(3)) | rank]
+
+
 def _check_padding(blob, nbits: int, what: str) -> None:
     """Refuse a set bit past the first nbits bits of blob's last byte."""
     if nbits & 7 and blob[-1] >> (nbits & 7):
@@ -370,12 +383,11 @@ class _Cols(NamedTuple):
         return _Cols(*map(np.concatenate, zip(*(part._replace(ext_off=part.ext_off + at)
                                                 for part, at in zip(parts, shift)))))
 
-    def packed(self, r: int, rows=slice(None)) -> np.ndarray:
-        """(quotient << r) | remainder: the minirun id of each row, or of
-        the rows ``rows`` (a slice, indices or a mask)."""
-        out = self.quot[rows].astype(np.uint64)
+    def packed(self, r: int) -> np.ndarray:
+        """(quotient << r) | remainder: the minirun id of each row."""
+        out = self.quot.astype(np.uint64)
         out <<= np.uint64(r)
-        out |= self.rem[rows]
+        out |= self.rem
         return out
 
 
@@ -444,24 +456,29 @@ class SlotArray:
         n = cfg.nslots
         self.nslots = n
         self.nwords = (n + 63) >> 6
-        # the four metadata bit vectors are rows of one word matrix, so
-        # that a range of all four moves in one numpy call
-        self._meta = np.zeros((4, self.nwords), dtype=np.uint64)
-        self.used, self.run, self.ext, self.occ = self._meta
-        self.slots = np.zeros(n, dtype=_slot_dtype(self.slot_bits))
-        # block offsets (_block_offsets); words (row r's j-th at r * nwords
-        # + j), payloads and offsets as walks read them
-        self.offsets = np.zeros(self.nwords, dtype=_pos_dtype(n))
-        self._words = memoryview(self._meta).cast("B").cast("Q")
-        self._pay, self._offs = memoryview(self.slots), memoryview(self.offsets)
+        self._bind(np.zeros((4, self.nwords), dtype=np.uint64),
+                   np.zeros(n, dtype=_slot_dtype(self.slot_bits)),
+                   np.zeros(self.nwords, dtype=_pos_dtype(n)))
         self.used_count = 0
         self.fp_count = 0
         self.ext_slot_count = 0
         self.ctr_slot_count = 0
-        # the last exact FrozenIndex, or None, and the minirun ids
-        # extended since it was built; see frozen_index()
-        self._index = None
-        self._touched = set()
+
+    def _bind(self, meta: np.ndarray, slots: np.ndarray, offsets: np.ndarray) -> None:
+        """Take the word matrix (the four metadata rows, so that a range
+        of all four moves in one numpy call), slots and block offsets;
+        walks read words (row r's j-th at r * nwords + j), payloads and
+        offsets through memoryviews of them."""
+        self._meta, self.slots, self.offsets = meta, slots, offsets
+        self.used, self.run, self.ext, self.occ = meta
+        self._words = memoryview(meta).cast("B").cast("Q")
+        self._pay, self._offs = memoryview(slots), memoryview(offsets)
+
+    def _copy(self) -> "SlotArray":
+        """A table equal to this one that shares none of its arrays."""
+        new = copy.copy(self)
+        new._bind(self._meta.copy(), self.slots.copy(), self.offsets.copy())
+        return new
 
     # ------------------------------------------------------------------
     # word-level bit plumbing
@@ -728,7 +745,6 @@ class SlotArray:
         """
         if not self.has_room(1):
             raise FilterFullError("insert would exceed the load limit")
-        self._index = None
         vb = self.value_bits
         payload = (rem << vb) | (value & ((1 << vb) - 1))
 
@@ -796,8 +812,6 @@ class SlotArray:
             hi = self._open_slot(win, c0 + i, 0, 1, chunk << vb)
         self._store(win, c0, hi)
         self.ext_slot_count += len(chunks)
-        if self._index is not None:
-            self._touched.add(mid)
 
     def get_count(self, mid: int, rank: int) -> int:
         return self._count(self._locate_fp(mid, rank))
@@ -886,7 +900,6 @@ class SlotArray:
         self.fp_count -= 1
         self.ext_slot_count -= c0 - e0
         self.ctr_slot_count -= nxt - c0
-        self._index = None
 
     def _close_slot(self, win: _Win, fp: int, at: int) -> int:
         """Remove the slot at window offset ``at``, a slot of the
@@ -1111,19 +1124,120 @@ class SlotArray:
     # bulk probing
 
     def frozen_index(self) -> "FrozenIndex":
-        """Exact index of the table as it is now.
+        """A snapshot of the table for batch probes, which edits spare."""
+        return FrozenIndex(self)
 
-        The last index is cached.  insert_fp and remove_fp drop it, and
-        the table is decoded again; extend_fp records its minirun id, and
-        the cached index is patched (FrozenIndex.patched); a count edit
-        leaves it as it is.  An index once handed out never changes.
+    def contains_many(self, keys) -> np.ndarray:
+        """Whether query_fp matches each key, as one batch: the table's
+        answer to contains, which never adapts.  keys is a uint64 array
+        or an iterable of ints in [0, 2**64).
+
+        The keys go _PROBE at a time through one vectorized rank and
+        select (_probe); a key that its two-word read cannot settle goes
+        through query_fp, which stays the judge.
         """
-        if self._index is None:
-            self._index = FrozenIndex(self.cfg, self._blocks())
-        elif self._touched:
-            self._index = self._index.patched(self, self._touched)
-        self._touched.clear()
-        return self._index
+        keys = _key_array(keys)
+        found = np.zeros(len(keys), dtype=bool)
+        for a in range(0, len(keys), _PROBE):
+            hit, unsure = self._probe(part := keys[a : a + _PROBE])
+            for i in np.flatnonzero(unsure).tolist():
+                hit[i] = self.query_fp(HashStream(int(part[i]), self.cfg.seed)) is not None
+            found[a : a + len(part)] = hit
+        return found
+
+    def _probe(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(hit, unsure) of each key: unsure where the two-word read cannot
+        tell whether query_fp matches it, and elsewhere hit where it does.
+
+        _find_run's rank and select for every key at once, from the same
+        two words of each row.  Of the k occupied quotients of the
+        block before the key's, those whose runs end past the block's
+        offset and past the key's slot end j runs there, so its run
+        starts at the j-th run end past its slot (at the slot when j is
+        0) and ends at the next (_select64).  Its head slots (no
+        extension bit) are then compared in rounds, the first left
+        first, as query_fp scans them; a key leaves at a head with its
+        remainder and every extension chunk of its own (_chunks_match),
+        at a larger remainder, or past its run's last head.  Unsure: an
+        offset of 63 or more, and a run that ends past the 64 slots from
+        the key's.  A table of n < 64 slots repeats its n bits across the
+        two words, where they wrap as the table does.
+        """
+        r, n, vb, u = self.cfg.r, self.nslots, self.value_bits, np.uint64
+        hit, unsure = np.zeros((2, len(keys)), dtype=bool)
+        packed = split_batch(keys, self.cfg)
+        qt = packed >> u(r)
+        d = qt & u(63)
+        b = (qt >> u(6)).astype(np.intp)
+        occ = self.occ[b]
+        live = np.flatnonzero(((occ >> d) & u(1)).astype(bool))
+        qt, d, b, occ = qt[live], d[live], b[live], occ[live]
+        c = (b + 1) & (self.nwords - 1)
+        run, ext = self.run, self.ext
+        if n < 64:
+            run, ext = (x * u(((1 << 64) - 1) // ((1 << n) - 1)) for x in (run, ext))
+        run_lo, run_hi, ext_lo, ext_hi = run[b], run[c], ext[b], ext[c]
+        at = self.offsets[b].astype(u)
+        # _run_ends over the two words, the carry passed from one to the
+        # other: the offset, where the runs before the block end, and the
+        # ends past it
+        term = run_lo & ~ext_lo
+        end_lo = ext_lo + (term << u(1))
+        end_hi = ext_hi + (((run_hi & ~ext_hi) << u(1)) | (term >> u(63))) + (end_lo < ext_lo)
+        end_lo &= ~ext_lo
+        end_lo = end_lo & -(at_bit := u(1) << np.minimum(at, u(62))) | at_bit
+        end_hi &= ~ext_hi
+        j = np.bitwise_count(occ & ((u(1) << d) - u(1))).astype(u) + u(1)
+        j -= np.bitwise_count(end_lo & ((u(2) << d) - u(1)))
+
+        def frame(lo, hi):  # bits d .. d + 63 of lo | hi << 64
+            return (lo >> d) | ((hi << u(1)) << (u(63) - d))
+
+        # the ends from the key's slot on, that slot itself counted as one
+        ends = frame(end_lo, end_hi) | u(1)
+        count = np.bitwise_count(ends).astype(u)
+        first = _select64(ends, np.minimum(j, count - u(1)))
+        rest = (ends >> first) >> u(1)
+        ext, run = frame(ext_lo, ext_hi), frame(run_lo, run_hi)
+        # the run's slots from its first, as bits 0 .. length - 1: its
+        # head slots (none where unsure), and its extension chunks
+        # (extension bit, no runend)
+        heads = (((rest & -rest) - u(1)) << u(1) | u(1)) & ~(ext >> first)
+        unsure_at = np.flatnonzero((at >= u(63)) | (count <= j + u(1)))
+        unsure[live[unsure_at]] = True
+        heads[unsure_at] = 0
+        chunks = (ext & ~run) >> first
+        slot = (qt + first).astype(np.intp)
+        rem = (packed[live] & u((1 << r) - 1)).astype(self.slots.dtype)
+        at = live
+        while at.size:
+            low = heads & -heads
+            heads ^= low
+            pos = np.bitwise_count(low - u(1))
+            seen = self.slots[(slot + pos) & (n - 1)] >> vb
+            same = np.flatnonzero(seen == rem)
+            tail = same[(chunks[same] & (low[same] << u(1))) != u(0)]
+            hit[at[same]] = True
+            go = (seen < rem) & (heads != u(0))
+            if tail.size:  # rare: a fingerprint with extension chunks
+                after = chunks[tail] >> (pos[tail] + u(1))  # its chunks lead
+                ok = self._chunks_match(keys[at[tail]], slot[tail] + pos[tail] + 1,
+                                        np.bitwise_count((~after & (after + u(1))) - u(1)))
+                hit[at[tail]] = ok
+                go[tail[~ok]] = heads[tail[~ok]] != u(0)  # a later head may match
+            go = np.flatnonzero(go)
+            at, heads, chunks, slot, rem = at[go], heads[go], chunks[go], slot[go], rem[go]
+        return hit, unsure
+
+    def _chunks_match(self, keys: np.ndarray, start: np.ndarray, length: np.ndarray) -> np.ndarray:
+        """Whether the length extension chunks of slots start on, one run
+        per key, are the key's own, compared chunk by chunk."""
+        ok = np.ones(len(keys), dtype=bool)
+        for t in range(int(length.max())):
+            on = np.flatnonzero(ok & (length > t))
+            seen = self.slots[(start[on] + t) & (self.nslots - 1)] >> self.value_bits
+            ok[on] = seen == extension_chunk_batch(keys[on], self.cfg, t)
+        return ok
 
     # ------------------------------------------------------------------
     # accounting and serialization
@@ -1215,8 +1329,7 @@ class SlotArray:
             _check_padding(blob, n, f"last slot's {name} bit")
             vec[:] = _le_words(blob, arr.nwords)
         _check_padding(payload[1:], n * w, "last payload")
-        arr.slots = _unpack_slots(payload[1:], n, w)
-        arr._pay = memoryview(arr.slots)
+        arr._bind(arr._meta, _unpack_slots(payload[1:], n, w), arr.offsets)
         return arr, arr._reconstruct_used(used_count, anchor)
 
     def _reconstruct_used(self, expect_used: int, anchor: int) -> np.ndarray:
@@ -1301,138 +1414,11 @@ class SlotArray:
 
 
 class FrozenIndex:
-    """Read-only index of fingerprint columns for bulk membership probes.
+    """A snapshot of a table for batch probes (SlotArray._copy)."""
 
-    Built from a table's decode, blocks of columns in hash order.  Like a
-    quotient filter, it keeps each distinct (quotient, remainder) pair's
-    remainder alone, in the columns' remainder dtype, and lets a
-    quotient directory imply the quotient, as the counting quotient
-    filter's offsets do: ``base[dir[qt]:dir[qt + 1]]`` holds quotient
-    qt's remainders, ascending, so a probe compares at most the few
-    remainders of one bucket.  Each fingerprint of the rare pairs with
-    an extended one is a candidate row: its pair (minirun id) in
-    ``cand_packed``, its extension length in ``cand_len`` (a bare one's
-    0 matches any key of the pair) and its chunks in a zero-padded
-    matrix, which a probe that hits such a pair compares column by
-    column.  Exact for the columns it was built from; after extensions
-    alone, patched() makes it exact again without decoding the table.
-    Equivalence with the slot-walk query is pinned by tests.
-    """
+    def __init__(self, arr: SlotArray):
+        self.table = arr._copy()
 
-    # keys probed per pass; bounds the temporaries of a large batch
-    CHUNK = 1 << 16
-
-    def __init__(self, cfg: FilterConfig, blocks):
-        self.cfg = cfg
-        self.dir = np.zeros(cfg.nslots + 1, dtype=_pos_dtype(cfg.nslots))
-        base, cands = [], []
-        for block in blocks:
-            first = np.flatnonzero(_group_starts(block.quot, block.rem))  # each pair's first row
-            quots = block.quot[first]
-            for a in range(0, len(quots), _BLOCK):  # sorted: a block spans few buckets
-                part = quots[a : a + _BLOCK]
-                self.dir[int(part[0]) + 1 : int(part[-1]) + 2] += np.bincount(part - part[0])
-            base.append(block.rem[first])
-            # every row of each pair that has an extended fingerprint
-            pair = np.searchsorted(first, np.flatnonzero(block.ext_len), "right") - 1
-            pair = pair[_group_starts(pair)]
-            bounds = np.append(first, len(block.quot))
-            rows = _ranges(bounds[pair], bounds[pair + 1] - bounds[pair])
-            cands.append((block.packed(cfg.r, rows), block.ext_len[rows],
-                          block.chunks[_ranges(block.ext_off[rows], block.ext_len[rows])]))
-        np.cumsum(self.dir, out=self.dir)  # each bucket's first row
-        self.base = np.concatenate(base)
-        self.cand_packed, self.cand_len, chunks = map(np.concatenate, zip(*cands))
-        width = int(self.cand_len.max(initial=0))
-        self.cand_chunks = np.zeros((len(self.cand_len), width), dtype=_slot_dtype(cfg.r))
-        self.cand_chunks[np.arange(width) < self.cand_len[:, None]] = chunks  # row-major
-
-    def patched(self, arr: SlotArray, mids) -> "FrozenIndex":
-        """A new index equal to the FrozenIndex of arr's columns, given
-        that arr has had only fingerprints of the miniruns ``mids``
-        extended since this index was exact for it.
-
-        Extension keeps every pair, so ``base`` and ``dir`` are shared.
-        Each touched pair's candidate rows are read again from its
-        minirun; the other candidate rows are kept.
-        """
-        n, vb = arr.nslots, arr.value_bits
-        touched = set(mids)
-        pairs, exts = [], []
-        for mid in touched:
-            fps = [[arr.slots.item((win.base + i) % n) >> vb for i in range(e0, c0)]
-                   for win, _, _, e0, c0, _ in arr._minirun(mid)]
-            if any(fps):
-                pairs += [mid] * len(fps)
-                exts += fps
-        keep = np.array([p not in touched for p in self.cand_packed.tolist()], dtype=bool)
-        kept = int(keep.sum())
-        cand_packed = np.concatenate([self.cand_packed[keep], np.array(pairs, dtype=np.uint64)])
-        cand_len = np.concatenate([self.cand_len[keep], np.array([len(e) for e in exts],
-                                                                 dtype=self.cand_len.dtype)])
-        chunks = np.zeros((cand_len.size, int(cand_len.max(initial=0))),
-                          dtype=self.cand_chunks.dtype)
-        chunks[:kept, :self.cand_chunks.shape[1]] = self.cand_chunks[keep]
-        for i, ext in enumerate(exts, kept):
-            chunks[i, :len(ext)] = ext
-        # stable, so that each pair's rows stay in rank order
-        order = _stable_order(cand_packed, self.cfg.q + self.cfg.r)
-        new = copy.copy(self)
-        new.cand_packed, new.cand_len, new.cand_chunks = (
-            cand_packed[order], cand_len[order], chunks[order])
-        return new
-
-    def query_keys(self, keys: np.ndarray) -> np.ndarray:
-        """Membership verdict per key, adaptation frozen."""
-        keys = _key_array(keys)
-        found = np.zeros(len(keys), dtype=bool)
-        for a in range(0, len(keys), self.CHUNK):
-            part = keys[a : a + self.CHUNK]
-            found[a : a + len(part)] = self._probe(part)
-        return found
-
-    def _probe(self, keys: np.ndarray) -> np.ndarray:
-        """query_keys for one chunk of keys."""
-        packed = split_batch(keys, self.cfg)
-        qt = (packed >> np.uint64(self.cfg.r)).astype(np.intp)
-        rem = (packed & np.uint64((1 << self.cfg.r) - 1)).astype(self.base.dtype)
-        pos, end = self.dir[qt], self.dir[qt + 1]
-        found = np.zeros(len(keys), dtype=bool)
-        # step k compares entry k of every bucket still live: a bucket is
-        # sorted, so a key leaves at its match, at a larger remainder, or
-        # at the bucket's end
-        live = np.flatnonzero(pos < end)
-        while live.size:
-            seen = self.base[pos[live]]
-            want = rem[live]
-            found[live[seen == want]] = True
-            live = live[(seen < want) & (pos[live] + 1 < end[live])]
-            pos[live] += 1
-        if self.cand_packed.size:
-            recheck = np.flatnonzero(found)
-            lo = np.searchsorted(self.cand_packed, packed[recheck], side="left")
-            hi = np.searchsorted(self.cand_packed, packed[recheck], side="right")
-            listed = lo < hi
-            recheck, lo, hi = recheck[listed], lo[listed], hi[listed]
-            found[recheck] = self._ext_match(keys[recheck], lo, hi)
-        return found
-
-    def _ext_match(self, keys: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        """Per key: whether one of the candidate rows [lo, hi) has every
-        extension chunk equal to the key's chunk at the same index; a
-        bare row matches at once."""
-        counts = hi - lo
-        key_of = np.repeat(np.arange(len(keys)), counts)
-        row = _ranges(lo, counts)
-        need = self.cand_len[row]
-        hit = np.zeros(len(keys), dtype=bool)
-        hit[key_of[need == 0]] = True
-        going = need > 0
-        t = 0
-        while (key_of := key_of[going]).size:
-            row, need = row[going], need[going]
-            same = extension_chunk_batch(keys[key_of], self.cfg, t) == self.cand_chunks[row, t]
-            hit[key_of[same & (need == t + 1)]] = True
-            going = same & (need > t + 1)
-            t += 1
-        return hit
+    def query_keys(self, keys) -> np.ndarray:
+        """The snapshot's contains_many."""
+        return self.table.contains_many(keys)

@@ -124,6 +124,9 @@ class LookupResult(enum.Enum):
 # verdicts after which no stored fingerprint matches the key
 _SETTLED = (LookupResult.NOT_PRESENT, LookupResult.FALSE_POSITIVE_CORRECTED)
 
+# keys at the head of a batch that lookup_many looks at for repeats
+_SAMPLE = 1 << 10
+
 
 def _block_faults(cols, owners: np.ndarray, lo: int, cfg: FilterConfig, not_prefix):
     """(wrong_id, not_prefix) of AdaptiveFilter._fault after the table
@@ -314,9 +317,12 @@ class AdaptiveFilter:
         Element i is what lookup(keys[i]) returns when the keys are
         looked up one by one in order, and the filter, its counters and
         the reverse map end in the same state.  The batch is first
-        probed against the array's exact index (frozen_index): a key it
-        rejects cannot match now, nor after any adaptation of this batch,
-        so it answers NOT_PRESENT without a walk.  The survivors go through
+        probed against the table (SlotArray.contains_many): a key it
+        rejects matches no fingerprint now, nor after any adaptation of
+        this batch, since extension only narrows matches, so it answers
+        NOT_PRESENT without a walk.  When the first _SAMPLE keys repeat
+        (fewer than half of them distinct), each distinct key of the
+        batch is probed once.  The survivors go through
         lookup() in order, except for settled keys: once lookup() has
         answered a key NOT_PRESENT or FALSE_POSITIVE_CORRECTED, no
         fingerprint matches it, and the only mutation inside a batch is
@@ -329,7 +335,12 @@ class AdaptiveFilter:
         """
         keys = _key_array(keys)
         out = [(LookupResult.NOT_PRESENT, None)] * len(keys)
-        survivors = np.flatnonzero(self.arr.frozen_index().query_keys(keys))
+        probe, head = keys, np.sort(keys[:_SAMPLE])
+        if 2 * (np.count_nonzero(head[1:] != head[:-1]) + 1) < len(head):
+            probe = np.sort(keys)
+            probe = probe[np.append(True, probe[1:] != probe[:-1])]
+        hit = self.arr.contains_many(probe)
+        survivors = np.flatnonzero(hit if probe is keys else np.isin(keys, probe[hit]))
         settled = set()
         for i, key in zip(survivors.tolist(), keys[survivors].tolist()):
             if key in settled:
@@ -436,7 +447,7 @@ class AdaptiveFilter:
         return None
 
     def frozen_index(self) -> FrozenIndex:
-        """Read-only snapshot for bulk probing; stale after any mutation."""
+        """A snapshot of the table for batch probes (SlotArray.frozen_index)."""
         return self.arr.frozen_index()
 
     # ------------------------------------------------------------------

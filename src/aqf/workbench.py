@@ -17,9 +17,9 @@ redone in scalar with math.pow, so the stream stays the one
 ``rng.zipf`` gives (see ``_zipf_ranks``).
 
 The instantaneous false-positive rate is measured with adaptation
-frozen: the filter's read-only index (decoded at the first checkpoint,
-then patched where lookups extended fingerprints) is probed with
-independent query sets drawn from the workload's distribution.  Each
+frozen: the filter's table answers independent query sets drawn from
+the workload's distribution through its batch query, which never
+adapts (``SlotArray.contains_many``).  Each
 set is drawn once per trace and kept as its distinct keys with their
 counts; the union of the sets' distinct ranks is permuted onto keys
 once, and each checkpoint probes that union in one batch.
@@ -34,7 +34,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import _LOAD_DEN, _LOAD_NUM, _META_BITS, FrozenIndex
+from .core import _LOAD_DEN, _LOAD_NUM, _META_BITS, SlotArray
 from .errors import InvalidConfigError, StateCorruptionError
 from .filter import AdaptiveFilter, LookupResult, Policy
 # split_batch and bulk_load are unused here but stay module attributes:
@@ -349,8 +349,8 @@ class ProbeSets:
                    tuple(counts for _, counts in sets), sizes)
 
 
-def measure_fpr(index: FrozenIndex, probe_sets: ProbeSets | list[np.ndarray]) -> float:
-    """Mean false-positive fraction over independent, non-empty probe sets.
+def measure_fpr(table: SlotArray, probe_sets: ProbeSets | list[np.ndarray]) -> float:
+    """Mean false-positive fraction of table.contains_many over probe sets.
 
     Probes must be true negatives (the key-space carve-up guarantees
     this for generated workloads), so every positive verdict counts.
@@ -360,7 +360,7 @@ def measure_fpr(index: FrozenIndex, probe_sets: ProbeSets | list[np.ndarray]) ->
     """
     if not isinstance(probe_sets, ProbeSets):
         probe_sets = ProbeSets.from_arrays(probe_sets)
-    hit = index.query_keys(probe_sets.keys)
+    hit = table.contains_many(probe_sets.keys)
     fracs = [int(counts[hit[rows]].sum()) / size for rows, counts, size
              in zip(probe_sets.rows, probe_sets.counts, probe_sets.sizes)]
     return sum(fracs) / len(fracs)
@@ -402,17 +402,16 @@ def make_probe_sets(spec: WorkloadSpec, probe_sets: int, probe_size: int) -> Pro
 def _trace(f: AdaptiveFilter, queries: np.ndarray, probes: ProbeSets,
            every_pct: int, check=None, event=None) -> list[TraceRow]:
     """Adapting lookups of queries in steps of every_pct percent, with a
-    checkpoint row before the first step and after each.  check(index,
-    done) vets each checkpoint's frozen index; event() runs between steps."""
+    checkpoint row before the first step and after each.  check(done)
+    vets the filter at each checkpoint; event() runs between steps."""
     t0 = time.perf_counter_ns()
 
     def checkpoint(done: int) -> TraceRow:
-        index = f.frozen_index()
         if check is not None:
-            check(index, done)
+            check(done)
         return TraceRow(
             ops_done=done,
-            instantaneous_fpr=measure_fpr(index, probes),
+            instantaneous_fpr=measure_fpr(f.arr, probes),
             bits_per_item_extra=extra_bits_per_item(f),
             map_accesses=f.map_accesses,
             wall_nanos=time.perf_counter_ns() - t0,
@@ -537,7 +536,8 @@ def run_churn(
     Every spec.interval_pct of the run, spec.replace_pct percent of the
     live keys leave and as many fresh ones arrive.  Checkpoints land
     immediately before each churn event and at the end, and each one
-    re-checks that every live key still answers positive.  Which keys
+    re-checks that every live key still answers positive in the table's
+    batch query (contains_many).  Which keys
     leave, and the fresh keys, come from a fixed seed, the same for
     every spec.
     """
@@ -546,8 +546,8 @@ def run_churn(
     queries = gen_workload(spec)
     rng = np.random.default_rng(1)
 
-    def check(index: FrozenIndex, done: int) -> None:
-        alive = index.query_keys(np.array(live, dtype=np.uint64))
+    def check(done: int) -> None:
+        alive = f.arr.contains_many(np.array(live, dtype=np.uint64))
         if not alive.all():
             raise StateCorruptionError(
                 f"{int((~alive).sum())} live keys answered negative at op {done}"

@@ -655,10 +655,8 @@ def probe_arrays(spec, probe_sets: int, probe_size: int) -> list[np.ndarray]:
 
 
 def trace_fprs_rebuilt(f, workload, measure_every_pct, probe_sets, probe_size) -> list[float]:
-    """run_adaptation_trace's FPR column, each checkpoint a fresh
-    FrozenIndex of the table probed with every probe, duplicates
-    included, and averaged with np.mean."""
-    from aqf.core import FrozenIndex
+    """run_adaptation_trace's FPR column, each checkpoint the scalar
+    contains of every probe, duplicates included, averaged with np.mean."""
     from aqf.workbench import WorkloadSpec
 
     if isinstance(workload, WorkloadSpec):
@@ -670,8 +668,7 @@ def trace_fprs_rebuilt(f, workload, measure_every_pct, probe_sets, probe_size) -
         probes = [rng.choice(queries, size=probe_size) for _ in range(probe_sets)]
 
     def checkpoint() -> float:
-        index = FrozenIndex(f.cfg, [f.arr._columns()])
-        fracs = [float(np.mean(index.query_keys(p))) for p in probes]
+        fracs = [float(np.mean([f.contains(k) for k in p.tolist()])) for p in probes]
         return sum(fracs) / len(fracs)
 
     fprs = [checkpoint()]

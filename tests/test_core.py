@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from aqf import core
 from aqf.core import (
-    FrozenIndex,
     HEADER_BITS,
     SlotArray,
     pack_minirun_id,
@@ -592,24 +591,28 @@ class TestFrozenIndex:
         for (mid, rank), k in list(zip(mids, keys))[::3]:
             s = HashStream(int(k), 10)
             arr.extend_fp(mid, rank, [extension_chunk(s, cfg, 0)])
-        index = FrozenIndex(arr.cfg, [arr._columns()])
+        index = arr.frozen_index()
         probes = np.concatenate([keys, rng.integers(0, 1 << 62, size=20_000, dtype=np.uint64)])
         got = index.query_keys(probes)
         assert got[: len(keys)].all()
+        assert arr.contains_many(probes).tolist() == got.tolist()
         for k, verdict in zip(probes[::37], got[::37]):
             assert verdict == (arr.query_fp(HashStream(int(k), 10)) is not None)
             assert index.query_keys(np.array([k], dtype=np.uint64))[0] == verdict
 
 
 def assert_index_exact(arr, probes):
-    """FrozenIndex verdicts equal the slot walk on every probe."""
-    index = FrozenIndex(arr.cfg, [arr._columns()])
-    got = index.query_keys(probes)
+    """The batch query's verdicts (contains_many) equal the slot walk on
+    every probe, also with probe chunk boundaries mid-batch and from a
+    snapshot of the table.  Returns them."""
     want = [arr.query_fp(HashStream(int(k), arr.cfg.seed)) is not None for k in probes]
+    got = arr.contains_many(probes)
     assert got.tolist() == want
-    index.CHUNK = 37  # probe chunk boundaries fall mid-batch
-    assert index.query_keys(probes).tolist() == want
-    return index
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "_PROBE", 37)  # probe chunk boundaries fall mid-batch
+        assert arr.contains_many(probes).tolist() == want
+    assert arr.frozen_index().query_keys(probes).tolist() == want
+    return got
 
 
 def probe_fp(cfg, key, ext_len, differ, count=1):
@@ -622,16 +625,10 @@ def probe_fp(cfg, key, ext_len, differ, count=1):
 
 
 def assert_fresh(index, arr, probes):
-    """index equals a fresh FrozenIndex of arr's columns, field for field
-    and on the probes."""
-    want = FrozenIndex(arr.cfg, [arr._columns()])
-    assert vars(index).keys() == vars(want).keys() and index.cfg == want.cfg
-    for name, col in vars(want).items():
-        if isinstance(col, np.ndarray):
-            got = getattr(index, name)
-            assert got.dtype == col.dtype and got.shape == col.shape, name
-            assert (got == col).all(), name
-    assert index.query_keys(probes).tolist() == want.query_keys(probes).tolist()
+    """index is a copy of the table arr as it is now, and answers the
+    probes as the slot walk of arr does."""
+    assert index.table is not arr and index.table.to_bytes() == arr.to_bytes()
+    assert index.query_keys(probes).tolist() == assert_index_exact(arr, probes).tolist()
 
 
 # where a stored fingerprint comes from: a probe key's own hash (so probes
@@ -738,54 +735,49 @@ class TestFrozenIndexExact:
         assert_index_exact(arr, probes)
 
     def test_empty_table(self):
-        arr = SlotArray(FilterConfig(q=3, r=2, seed=1))
-        probes = np.arange(2000, dtype=np.uint64)
-        index = assert_index_exact(arr, probes)
-        assert index.base.size == 0 and not index.query_keys(probes).any()
+        for q in (3, 9):
+            arr = SlotArray(FilterConfig(q=q, r=2, seed=1))
+            probes = np.arange(2000, dtype=np.uint64)
+            assert not assert_index_exact(arr, probes).any()
+            assert not arr.frozen_index().query_keys(probes).any()
 
     def test_all_extended_cluster_across_the_seam(self):
-        cfg = FilterConfig(q=4, r=2, seed=5)
-        top = (1 << cfg.q) - 1
-        probes = np.arange(4000, dtype=np.uint64)
-        on_top = [int(k) for k in probes
-                  if split(HashStream(int(k), cfg.seed), cfg)[0] == top]
-        arr = SlotArray(cfg)
-        # three all-extended fingerprints in the top quotient's run, one
-        # of them a two-fingerprint minirun, and a bare pair at quotient 0
-        for key, ext_len, differ in ((on_top[0], 1, 5), (on_top[0], 2, 1),
-                                     (on_top[1], 2, 0), (on_top[2], 1, 5)):
-            insert_whole(arr, *probe_fp(cfg, key, ext_len, differ))
-        arr.insert_fp(0, 1)
-        index = assert_index_exact(arr, probes)
-        # the top quotient's extended pairs, and no other, list their rows
-        listed = {pack_minirun_id(*split(HashStream(k, cfg.seed), cfg), cfg.r) for k in on_top[:3]}
-        assert set(index.cand_packed.tolist()) == listed
-        assert index.dir[-1] == index.base.size
-        # slot 0 is used, yet quotient 0's run follows the top run there
-        assert _bit(arr.used, 0) and _bit(arr.occ, 0)
-        assert find_run(arr, 0)[0] > 0
-        hits = index.query_keys(probes)
-        assert hits[[on_top[0], on_top[2]]].all() and 0 < hits.sum() < len(probes)
+        for q in (4, 8):  # one table read whole, one read two words at a time
+            cfg = FilterConfig(q=q, r=2, seed=5)
+            top = (1 << cfg.q) - 1
+            probes = np.arange(4000 if q == 4 else 16000, dtype=np.uint64)
+            on_top = [int(k) for k in probes
+                      if split(HashStream(int(k), cfg.seed), cfg)[0] == top]
+            arr = SlotArray(cfg)
+            # three all-extended fingerprints in the top quotient's run, one
+            # of them a two-fingerprint minirun, and a bare pair at quotient 0
+            for key, ext_len, differ in ((on_top[0], 1, 5), (on_top[0], 2, 1),
+                                         (on_top[1], 2, 0), (on_top[2], 1, 5)):
+                insert_whole(arr, *probe_fp(cfg, key, ext_len, differ))
+            arr.insert_fp(0, 1)
+            hits = assert_index_exact(arr, probes)
+            # the top quotient's fingerprints, and no other, carry chunks
+            assert arr.ext_slot_count == 6
+            # slot 0 is used, yet quotient 0's run follows the top run there
+            assert _bit(arr.used, 0) and _bit(arr.occ, 0)
+            assert find_run(arr, 0)[0] > 0
+            assert hits[[on_top[0], on_top[2]]].all() and 0 < hits.sum() < len(probes)
 
     @settings(max_examples=60, deadline=None)
     @given(q=st.integers(3, 8), r=st.integers(1, 3), seed=st.integers(0, 1 << 16),
            wide=st.booleans(), n_keys=st.integers(0, 200),
            steps=st.lists(st.sampled_from(["lookup", "lookup", "delete", "insert", "again"]),
                           min_size=1, max_size=8))
-    def test_patched_index_equals_a_fresh_build(self, q, r, seed, wide, n_keys, steps):
-        """Adapting lookups between calls of frozen_index: its index
-        equals a fresh FrozenIndex of the table every time, is patched
-        from the last one (same base array) after extensions alone, is
-        rebuilt after a delete or an insert, comes back as the same
-        object when nothing changed, and leaves every index handed out
-        before as it was.
+    def test_snapshots_answer_as_their_table_did(self, q, r, seed, wide, n_keys, steps):
+        """Adapting lookups, deletes and inserts between calls of
+        frozen_index: each snapshot is a copy of the table as it is,
+        answers as the slot walk does, and every snapshot handed out
+        before stays as it was.
 
         Every minirun id is the (quotient << r) | remainder pair that
         hash order sorts, also when wide remainders (r = 56) put q + r at
-        up to 64 bits: insert returns the key's split_batch pair, the
-        map's ids ascend and are the table's column pairs, and the
-        index's base holds each pair's remainder once, the remainders
-        strictly ascending inside every quotient's bucket."""
+        up to 64 bits: insert returns the key's split_batch pair, and the
+        map's ids ascend and are the table's column pairs."""
         cfg = FilterConfig(q=q, r=56 if wide else r, seed=seed)
         rng = np.random.default_rng(seed)
         f = AdaptiveFilter(cfg)
@@ -801,47 +793,31 @@ class TestFrozenIndexExact:
             except FilterFullError:
                 break
             stored.append(k)
-        probes = rng.integers(1 << 62, 1 << 63, size=400, dtype=np.uint64)
-        handed = []  # (index, copy of its arrays)
-        last = None
+        probes = rng.integers(1 << 62, 1 << 63, size=150, dtype=np.uint64)
+        handed = []  # (snapshot, the table's bytes and verdicts when it was taken)
         for step in steps:
-            adapted = f.adaptations
             if step == "delete" and stored:
                 f.delete(stored.pop(int(rng.integers(len(stored)))))
             elif step == "insert":
                 try:
                     insert(int(rng.integers(0, 1 << 62)))
                 except FilterFullError:
-                    step = "again"
+                    pass
             elif step == "lookup":
                 f.lookup_many(rng.choice(probes, size=60))
-            else:
-                step = "again"
             got = f.frozen_index()
             assert_fresh(got, f.arr, probes)
             mids = f.map._rows()[0] >> np.uint64(64 - cfg.q - cfg.r)
             assert (mids[1:] >= mids[:-1]).all()
             assert np.array_equal(mids, f.arr._columns().packed(cfg.r))
-            starts = np.zeros(got.base.size + 1, dtype=bool)
-            starts[got.dir] = True
-            assert got.dir[-1] == got.base.size
-            assert (got.base[1:] > got.base[:-1])[~starts[1:-1]].all()
-            if last is not None:
-                if step in ("delete", "insert"):
-                    assert got.base is not last.base
-                elif f.adaptations > adapted:
-                    assert got is not last and got.base is last.base
-                else:
-                    assert got is last
-            assert f.frozen_index() is got
-            for index, arrays in handed:
-                assert all((getattr(index, k) == v).all() for k, v in arrays.items())
-            handed.append((got, {k: v.copy() for k, v in vars(got).items()
-                                 if isinstance(v, np.ndarray)}))
-            last = got
+            assert f.frozen_index() is not got
+            for index, blob, verdicts in handed:
+                assert index.table.to_bytes() == blob
+                assert index.query_keys(probes).tolist() == verdicts
+            handed.append((got, f.arr.to_bytes(), got.query_keys(probes).tolist()))
 
-    def test_patch_lists_every_row_of_a_pair_once_one_of_its_fingerprints_is_extended(self):
-        cfg = FilterConfig(q=4, r=2, seed=7)
+    def test_extended_miniruns_answer_as_the_slot_walk(self):
+        cfg = FilterConfig(q=8, r=2, seed=7)
         probes = np.arange(3000, dtype=np.uint64)
         arr = SlotArray(cfg)
         for fp in ((3, 1), (3, 1), (3, 2, (1,)), (9, 0)):
@@ -851,14 +827,80 @@ class TestFrozenIndexExact:
         arr.extend_fp(twins, 0, [2, 3])
         half = arr.frozen_index()
         assert_fresh(half, arr, probes)
-        # the twins pair lists its extended row and its bare one
-        assert half.cand_packed.tolist() == [twins, twins, other]
-        assert half.cand_len.tolist() == [2, 0, 1]
+        # the twins pair still matches every key of it through its bare row
+        twin_keys = split_batch(probes, cfg) == np.uint64(twins)
+        assert twin_keys.any() and half.query_keys(probes)[twin_keys].all()
         arr.extend_fp(twins, 1, [1])
-        # a longer extension than any before widens the chunk matrix
+        # a longer extension than any before
         arr.extend_fp(other, 0, [0, 0, 1])
         full = arr.frozen_index()
         assert_fresh(full, arr, probes)
-        assert full.cand_len.tolist() == [2, 1, 4]
-        assert full.base is half.base is first.base and full.dir is first.dir
-        assert first.cand_packed.tolist() == [other] and first.cand_len.tolist() == [1]
+        assert arr.ext_slot_count == 7
+        # the snapshot taken first still answers as the table did then
+        assert first.query_keys(probes)[twin_keys].all()
+        assert not full.query_keys(probes)[twin_keys].all()
+
+
+@st.composite
+def batch_tables(draw):
+    """(table, probes) for the batch query: a table of 2**7 to 2**10
+    slots, filled in bulk to some load and then given, by scalar edits,
+    fingerprints with long extensions (chunks across the 64-bit word
+    boundary), counters, value bits, runs at the top quotient (a cluster
+    across the seam) and crowded quotients (runs and clusters past the
+    two-word read), with remainders of 1 to 56 bits."""
+    q = draw(st.integers(7, 10))
+    r = draw(st.sampled_from([1, 2, 3, 9, min(56, 64 - q)]))
+    value_bits = draw(st.sampled_from([0, 0, 1, 3]))
+    cfg = FilterConfig(q=q, r=r, seed=draw(st.integers(0, 1 << 16)))
+    rng = np.random.default_rng(cfg.seed)
+    probes = rng.integers(0, 1 << 64, size=600, dtype=np.uint64)
+    arr = SlotArray(cfg, value_bits=value_bits)
+    bulk = int(cfg.nslots * draw(st.sampled_from([0.0, 0.5, 0.85, 0.93])))
+    packed = np.sort(split_batch(rng.integers(0, 1 << 64, size=bulk, dtype=np.uint64), cfg))
+    values = rng.integers(0, 1 << value_bits, size=bulk)
+    arr._lay_out(core._Cols.build(cfg, value_bits, packed, values, np.zeros(bulk),
+                                  np.zeros(bulk), []))
+    specs = draw(st.lists(st.tuples(
+        st.sampled_from(["probe", "probe", "top", "crowd"]), st.integers(0, 1 << 16),
+        st.sampled_from([0, 1, 2, 7, 12]), st.integers(0, 12), st.sampled_from([1, 1, 3, 600]),
+        st.integers(0, 7)), max_size=40))
+    for source, a, ext_len, differ, count, value in specs:
+        if source == "probe":
+            fp = probe_fp(cfg, int(probes[a % len(probes)]), ext_len, differ, count)
+        else:
+            qt = cfg.nslots - 1 - a % 3 if source == "top" else a % 4
+            fp = (qt, a % (1 << r), tuple((a >> t) % (1 << r) for t in range(ext_len)), count)
+        try:
+            insert_whole(arr, *fp, value=value & ((1 << value_bits) - 1))
+        except FilterFullError:
+            break
+    return arr, probes
+
+
+class TestBatchQuery:
+    @settings(max_examples=70, deadline=None)
+    @given(table=batch_tables())
+    def test_each_key_answers_as_the_slot_walk(self, table):
+        """contains_many holds to query_fp key by key, the stored
+        fingerprints' own keys among the probes, with probe chunk
+        boundaries mid-batch and from a snapshot."""
+        arr, probes = table
+        assert_index_exact(arr, probes)
+
+    def test_runs_past_the_two_word_read_go_to_the_walk(self):
+        """A crowded quotient's run of 100 fingerprints passes both words
+        of its block's read, and the quotients after it start past them:
+        their keys go through query_fp and answer as it does."""
+        cfg = FilterConfig(q=9, r=3, seed=12)
+        arr = SlotArray(cfg)
+        probes = np.arange(80_000, dtype=np.uint64)
+        pairs = split_batch(probes, cfg)
+        for p in pairs[(pairs >> np.uint64(3)) == np.uint64(5)][:100].tolist():
+            arr.insert_fp(p >> 3, p & 7)
+        for p in pairs[:60].tolist():
+            arr.insert_fp(p >> 3, p & 7)
+        hit, unsure = arr._probe(probes)
+        assert unsure.sum() > 100 and hit.any()
+        some = np.concatenate([probes[unsure][:300], probes[:2000]])
+        assert assert_index_exact(arr, some)[300:360].all()

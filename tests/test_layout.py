@@ -119,7 +119,7 @@ def test_decoder_and_writer_match_the_oracle(table, edits):
         (qt, rem), rank = live[pick % len(live)]
         mid = pack_minirun_id(qt, rem, cfg.r)
         ext, count, value = model[(qt, rem)][rank]
-        index = arr.frozen_index()
+        index, before = arr.frozen_index(), arr.to_bytes()
         if op == "remove":
             arr.remove_fp(mid, rank)
             model[(qt, rem)].pop(rank)
@@ -127,8 +127,8 @@ def test_decoder_and_writer_match_the_oracle(table, edits):
             count = 1 + arg % count
             arr.set_count(mid, rank, count)
             model[(qt, rem)][rank] = (ext, count, value)
-        # any removal rebuilds the cached index; a count edit keeps it
-        assert (arr.frozen_index() is index) == (op == "count")
+        # a snapshot taken before an edit stays as the table was
+        assert index.table.to_bytes() == before
         check(arr, model)
 
 
@@ -1087,10 +1087,11 @@ def filled_table(table):
     return arr
 
 
-def assert_same_index(got, want):
-    for name in ("dir", "base", "cand_packed", "cand_len", "cand_chunks"):
-        a, b = getattr(got, name), getattr(want, name)
-        assert a.dtype == b.dtype and np.array_equal(a, b), name
+def assert_walk_verdicts(arr, seed=0):
+    """The batch query answers 300 probes as the slot walk does."""
+    probes = np.random.default_rng(seed).integers(0, 1 << 64, size=300, dtype=np.uint64)
+    want = [arr.query_fp(HashStream(int(k), arr.cfg.seed)) is not None for k in probes]
+    assert arr.contains_many(probes).tolist() == want
 
 
 @settings(max_examples=200, deadline=None)
@@ -1100,14 +1101,13 @@ def test_blocks_hold_whole_runs_in_hash_order(table, block):
     and hold extension chunks, counter digits and value bits: their
     rows, each block read with its own chunks, are decode_raw's rows in
     hash order; no run straddles two blocks; a lean block is a full one
-    without values and counter spans; and an index built block by block
-    equals the one built from the joined columns."""
+    without values and counter spans; and the batch query answers as
+    the slot walk does."""
     arr = filled_table(table)
     cfg = arr.cfg
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(core, "_BLOCK", block)
         full, lean = list(arr._blocks(full=True)), list(arr._blocks())
-        blockwise = core.FrozenIndex(cfg, arr._blocks())
     rows = sorted(decode_raw(arr), key=lambda row: row[0])
     assert [row for cols in full for row in column_rows(cols, cfg.r)] == rows
     quots = [cols.quot.tolist() for cols in full if len(cols.quot)]
@@ -1117,7 +1117,7 @@ def test_blocks_hold_whole_runs_in_hash_order(table, block):
         assert thin.value is None and thin.ctr_len is None
         assert all(np.array_equal(getattr(thin, name), getattr(cols, name))
                    for name in ("quot", "rem", "ext_off", "ext_len", "chunks"))
-    assert_same_index(blockwise, core.FrozenIndex(cfg, [arr._columns()]))
+    assert_walk_verdicts(arr, block)
 
 
 @pytest.mark.parametrize("block", [1, 2, 3, 5, 8, 1 << 14])
@@ -1135,7 +1135,7 @@ def test_blocks_read_a_cluster_across_the_seam(block, monkeypatch):
     blocks = list(arr._blocks(full=True))
     assert [row for cols in blocks for row in column_rows(cols, cfg.r)] == sorted(
         decode_raw(arr), key=lambda row: row[0])
-    assert_same_index(arr.frozen_index(), core.FrozenIndex(cfg, [arr._columns()]))
+    assert_walk_verdicts(arr, block)
 
 
 def corrupted(fault):
@@ -1166,9 +1166,9 @@ def corrupted(fault):
 def test_a_corrupt_table_fails_the_blocks(fault, block, monkeypatch):
     """Terminators that do not pair up with occupied quotients, or a
     table without an unused slot, raise StateCorruptionError from the
-    decode, the index and the merge's columns, at any block size."""
+    decode and the merge's columns, at any block size."""
     arr = corrupted(fault)
     monkeypatch.setattr(core, "_BLOCK", block)
-    for decode in (lambda: list(arr._blocks()), arr.frozen_index, arr._columns):
+    for decode in (lambda: list(arr._blocks()), arr._columns):
         with pytest.raises(StateCorruptionError):
             decode()

@@ -1,12 +1,14 @@
 """Batched lookups: lookup_many against the scalar lookup loop, and the
-vectorized extension recheck of FrozenIndex against the slot walk."""
+vectorized extension recheck of the table's batch query (contains_many)
+against the slot walk."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aqf.core import FrozenIndex, SlotArray
+from aqf import core
+from aqf.core import SlotArray
 from aqf.errors import FilterFullError, InvalidConfigError
 from aqf.filter import AdaptiveFilter, LookupResult, Policy
 from aqf.hashing import FilterConfig, HashStream, extension_chunk, split, split_batch
@@ -96,7 +98,7 @@ def test_matches_the_scalar_loop(auto_adapt, dedupe, with_values, stored, steps)
 def test_repeated_false_positive_without_adaptation():
     a, b = twins(Policy(auto_adapt=False), list(range(30)), False)
     probes = np.arange(100, 1000, dtype=np.uint64)
-    fp = int(probes[a.frozen_index().query_keys(probes)][0])
+    fp = int(probes[a.arr.contains_many(probes)][0])
     got = b.lookup_many([fp, fp, fp])
     assert got == [(LookupResult.FALSE_POSITIVE, None)] * 3
     assert got == scalar(a, [fp, fp, fp])
@@ -154,7 +156,7 @@ def test_repeated_false_positives_on_a_full_table_fail_every_copy(monkeypatch):
         fs.append(f)
     a, b = fs
     probes = np.arange(1000, 2000, dtype=np.uint64)
-    fp = int(probes[a.frozen_index().query_keys(probes)][0])
+    fp = int(probes[a.arr.contains_many(probes)][0])
     calls = counting_lookup(b, monkeypatch)
     got = b.lookup_many([fp] * 4)
     assert got == scalar(a, [fp] * 4) == [(LookupResult.FALSE_POSITIVE, None)] * 4
@@ -166,19 +168,19 @@ def test_repeated_false_positives_on_a_full_table_fail_every_copy(monkeypatch):
 def test_a_corrected_key_is_walked_once_per_batch(monkeypatch):
     a, b = twins(Policy(), list(range(30)), False)
     probes = np.arange(100, 1000, dtype=np.uint64)
-    fp = int(probes[a.frozen_index().query_keys(probes)][0])
+    fp = int(probes[a.arr.contains_many(probes)][0])
     calls = counting_lookup(b, monkeypatch)
     batch = [fp] * 6 + [3, fp]
     got = b.lookup_many(batch)
     assert got == scalar(a, batch)
     assert got[0][0] is LookupResult.FALSE_POSITIVE_CORRECTED
     assert calls == [fp, 3]
-    # the next batch patches fp's correction into the cached index,
-    # which then rejects every copy of fp without a walk
+    # the next batch's probe reads fp's correction from the table, and
+    # rejects every copy of fp without a walk
     calls.clear()
     assert b.lookup_many([fp] * 3) == scalar(a, [fp] * 3)
     assert calls == []
-    assert not b.frozen_index().query_keys(np.array([fp], dtype=np.uint64))[0]
+    assert not b.arr.contains_many(np.array([fp], dtype=np.uint64))[0]
     assert state(a) == state(b)
 
 
@@ -198,14 +200,14 @@ def test_insert_between_batches_is_seen():
     assert f.lookup_many([500]) == [(LookupResult.PRESENT, None)]
 
 
-def test_a_delete_drops_the_cached_index(monkeypatch):
+def test_a_batch_after_a_delete_equals_the_scalar_loop(monkeypatch):
     owner = 12345
     probe = same_pair_keys(SMALL, owner, 1)[0]
     a, b = twins(Policy(), [owner], False)
-    # the first batch builds the index, which matches probe through
-    # owner's fingerprint, the only one stored
+    # the table matches probe through owner's fingerprint, the only one
+    # stored
     assert b.lookup_many([owner]) == scalar(a, [owner])
-    assert b.frozen_index().query_keys(np.array([probe], dtype=np.uint64))[0]
+    assert b.arr.contains_many(np.array([probe], dtype=np.uint64))[0]
     a.delete(owner)
     b.delete(owner)
     calls = counting_lookup(b, monkeypatch)
@@ -297,8 +299,85 @@ def test_frozen_recheck_matches_the_slot_walk_on_long_extensions():
             insert_whole(arr, qt, rem, tuple(ext))
         if i % 10 == 0:  # a pair with a bare fingerprint is always positive
             arr.insert_fp(qt, rem)
-    index = FrozenIndex(arr.cfg, [arr._columns()])
-    got = index.query_keys(np.array(probes, dtype=np.uint64))
     want = [arr.query_fp(HashStream(k, cfg.seed)) is not None for k in probes]
+    got = arr.contains_many(np.array(probes, dtype=np.uint64))
     assert got.tolist() == want
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "_PROBE", 37)  # probe chunk boundaries fall mid-batch
+        assert arr.contains_many(probes).tolist() == want
+    assert arr.frozen_index().query_keys(probes).tolist() == want
     assert 0 < sum(want[:200]) < 200
+
+
+# 1024 slots, read two words at a time: the batch probe settles most keys
+# itself
+WIDE = FilterConfig(q=10, r=2, seed=5)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    auto_adapt=st.booleans(),
+    dedupe=st.booleans(),
+    with_values=st.booleans(),
+    n_stored=st.integers(0, 900),
+    batches=st.lists(st.tuples(st.integers(0, 1 << 16), st.integers(0, 3000),
+                               st.sampled_from([1, 4, 64])), max_size=4),
+)
+def test_matches_the_scalar_loop_on_a_table_the_probe_reads(auto_adapt, dedupe, with_values,
+                                                            n_stored, batches):
+    """Stored keys, repeated keys and false positives in batches that
+    may repeat (so that each distinct key is probed once) or not, on a
+    table whose runs the vectorized probe finds itself."""
+    policy = Policy(auto_adapt=auto_adapt, dedupe_keys=dedupe)
+    stored = list(range(1 << 20, (1 << 20) + n_stored))
+    fs = []
+    for _ in range(2):
+        f = AdaptiveFilter(WIDE, policy=policy)
+        for k in stored:
+            try:
+                f.insert(k, value=k.to_bytes(8, "little") if with_values else None)
+            except FilterFullError:
+                break
+        fs.append(f)
+    a, b = fs
+    for seed, size, spread in batches:
+        rng = np.random.default_rng(seed)
+        pool = np.concatenate([rng.integers(0, 1 << 20, size=max(1, size // spread),
+                                            dtype=np.uint64),
+                               np.array(stored[:50], dtype=np.uint64)])
+        batch = rng.choice(pool, size=size)
+        assert b.lookup_many(batch) == scalar(a, batch)
+        assert state(a) == state(b)
+
+
+def test_stored_keys_share_miniruns_with_keys_that_adapt_in_the_batch():
+    """Each stored key's minirun also holds the fingerprints of other
+    stored keys, and the batch's false positives of those miniruns adapt
+    them between the stored keys' lookups: every stored key still
+    answers PRESENT, and the batch equals the scalar loop."""
+    cfg = FilterConfig(q=10, r=4, seed=8)
+    owners = list(range(1 << 30, (1 << 30) + 200))
+    pairs = split_batch(np.array(owners, dtype=np.uint64), cfg)
+    stored = owners + [k for p, k in zip(pairs.tolist(), owners)
+                       for k in same_pair_keys(cfg, k, 2, seed=p)]
+    fs = []
+    for _ in range(2):
+        f = AdaptiveFilter(cfg)
+        for k in stored:
+            f.insert(k)
+        fs.append(f)
+    a, b = fs
+    # keys of the stored pairs that are stored nowhere: false positives
+    # of those miniruns, each adapting one of their fingerprints
+    intruders = [k for p, k in zip(pairs.tolist(), owners)
+                 for k in same_pair_keys(cfg, k, 3, seed=p + 1)]
+    rng = np.random.default_rng(9)
+    batch = rng.permutation(np.array(stored + intruders + stored[::7], dtype=np.uint64))
+    want = scalar(a, batch)
+    assert b.lookup_many(batch) == want
+    assert a.adaptations > 0
+    assert {v for v, _ in want[: len(batch)]} >= {LookupResult.PRESENT,
+                                                 LookupResult.FALSE_POSITIVE_CORRECTED}
+    assert all(v is LookupResult.PRESENT for k, (v, _) in zip(batch.tolist(), want)
+               if k in set(stored))
+    assert state(a) == state(b)

@@ -5,11 +5,13 @@ one call, over the keys it holds, is the number of bytes per key that
 the pass needs above what was live before it.  At q=16 and 90% load a
 fill peaks at about 34.9 bytes per key (numpy 2.4), against 40.1 while
 the layout writer compacted its masks and 151 with 8-byte slots and
-columns.  The first exact index and the consistency check decode the
-table a block of about 2**14 slots at a time, so their peaks are what
-they keep plus one block's temporaries: about 26.5 and
-15.5 bytes per key at q=16, against 32 and 30 when each decoded the whole
-table at once.  A load checks the layout over the whole table and then
+columns.  The consistency check decodes the table a block of about
+2**14 slots at a time, so its peak is what it keeps plus one block's
+temporaries: about 15.5 bytes per key at q=16, against 30 when it
+decoded the whole table at once.  A snapshot for batch probes
+(frozen_index) copies the table's words, slots and offsets: about 2.9
+bytes per key, at its peak and kept, against 26.5 and 6.4 for the
+decoded exact index it replaced.  A load checks the layout over the whole table and then
 takes the minirun ids from the same blocks: it peaks at about 23.9 bytes
 per key at q=16, the filter it returns included, against 31.9 when it
 built whole-table columns of rows to derive the ids.  The bounds leave
@@ -28,9 +30,11 @@ time: beyond its blob it peaks at about 1.5 bytes per key, against 21.9
 with the merge.  The bounds fail one more
 whole-map 8-byte temporary.
 
-The cached index keeps about 6.4 bytes per key: its quotient directory
-and a 2-byte remainder per pair.  The bound leaves about 9% of headroom,
-so a per-pair 1-byte flag or a packed 8-byte pair column fails it.
+A batch of lookups reads the table itself (SlotArray.contains_many),
+so a filter that has answered lookup_many keeps what it kept before:
+about 0.004 bytes per key more at q=16 after 100k negatives, against 6.7
+while the first batch built and cached an exact index.  The bound, 1
+byte per key, fails any per-key structure that a batch leaves behind.
 
 What a filled filter keeps is bounded too: at q=16 and 90% load about
 10.8 bytes per key, 2.2 for the slots, 0.6 for the metadata bits and 8
@@ -68,12 +72,13 @@ from aqf.yesno import build_static
 CFG = FilterConfig(q=16, r=9, seed=3)
 
 FILL_BYTES_PER_KEY = 38.1
-INDEX_BYTES_PER_KEY = 29
+INDEX_BYTES_PER_KEY = 3.2
 CHECK_BYTES_PER_KEY = 19
 CHECK_AFTER_INSERTS_BYTES_PER_KEY = 25
 SAVE_BEYOND_BLOB_BYTES_PER_KEY = 9
 LOAD_BYTES_PER_KEY = 26
-INDEX_LIVE_BYTES_PER_KEY = 7.0
+INDEX_LIVE_BYTES_PER_KEY = 3.2
+LOOKUP_KEPT_BYTES_PER_KEY = 1.0
 LIVE_BYTES_PER_KEY = 11.4
 SNAPSHOT_BYTES_PER_KEY = 6.8
 BUILD_BYTES_PER_NO_KEY = 0.92
@@ -143,12 +148,28 @@ def test_the_cached_index_keeps_under_its_bytes_per_key():
     gc.collect()
     tracemalloc.start()
     try:
-        f.frozen_index()
+        index = f.frozen_index()
         gc.collect()
         live = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
+    assert index.table is not f.arr
     assert live / len(keys) < INDEX_LIVE_BYTES_PER_KEY
+
+
+def test_a_batch_of_lookups_leaves_under_a_byte_per_key_behind():
+    f, keys = fill_to_load(CFG, 0.9, seed=5)
+    probes = np.random.default_rng(7).integers(0, 1 << 62, size=100_000, dtype=np.uint64)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        f.lookup_many(probes)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept / len(keys) < LOOKUP_KEPT_BYTES_PER_KEY
 
 
 def test_a_filled_filter_keeps_under_its_bytes_per_key():

@@ -8,7 +8,7 @@ import pytest
 
 import aqf.workbench as workbench
 from aqf.cli import main
-from aqf.core import FrozenIndex
+from aqf.core import SlotArray
 from aqf.errors import InvalidConfigError, StateCorruptionError
 from aqf.filter import AdaptiveFilter, Policy
 from aqf.hashing import FilterConfig, split_batch
@@ -298,37 +298,36 @@ class TestFillAndMeasure:
             sum(bit_text(int(p), cfg.seed, cfg.q + cfg.r) in stored for p in ps) / len(ps)
             for ps in probe_sets
         ) / 2
-        assert measure_fpr(f.frozen_index(), probe_sets) == pytest.approx(want)
+        assert measure_fpr(f.arr, probe_sets) == pytest.approx(want)
 
     def test_measure_fpr_needs_probes(self):
         f, _ = fill_to_load(FilterConfig(q=8, r=4, seed=22), 0.2)
         with pytest.raises(InvalidConfigError):
-            measure_fpr(f.frozen_index(), [])
+            measure_fpr(f.arr, [])
         with pytest.raises(InvalidConfigError):
-            measure_fpr(f.frozen_index(), [np.arange(5, dtype=np.uint64),
-                                           np.zeros(0, dtype=np.uint64)])
+            measure_fpr(f.arr, [np.arange(5, dtype=np.uint64), np.zeros(0, dtype=np.uint64)])
 
     @pytest.mark.parametrize("keys", [[-1], [1 << 64], [1.5], ["3"], [[1, 2]],
                                       np.array([-1], dtype=np.int64),
                                       np.array([[1, 2]], dtype=np.uint64)])
     def test_index_and_measure_fpr_refuse_a_bad_key(self, keys):
         f, _ = fill_to_load(FilterConfig(q=8, r=4, seed=22), 0.2)
-        index = f.frozen_index()
         with pytest.raises(InvalidConfigError):
-            index.query_keys(keys)
+            f.frozen_index().query_keys(keys)
         with pytest.raises(InvalidConfigError):
-            measure_fpr(index, [np.arange(5, dtype=np.uint64), keys])
+            f.arr.contains_many(keys)
+        with pytest.raises(InvalidConfigError):
+            measure_fpr(f.arr, [np.arange(5, dtype=np.uint64), keys])
 
     def test_measure_fpr_counts_repeated_probes(self):
         cfg = FilterConfig(q=8, r=3, seed=28)
         f, _ = fill_to_load(cfg, 0.5, seed=29)
-        index = f.frozen_index()
         rng = np.random.default_rng(30)
         pool = rng.integers(0, 1 << 20, size=400, dtype=np.uint64)
         probe_sets = [rng.choice(pool, size=n) for n in (1, 7, 3000, 4999)]
-        want = [float(np.mean(index.query_keys(p))) for p in probe_sets]
+        want = [float(np.mean(f.arr.contains_many(p))) for p in probe_sets]
         assert 0 < sum(want) < len(want)
-        assert measure_fpr(index, probe_sets) == sum(want) / len(want)
+        assert measure_fpr(f.arr, probe_sets) == sum(want) / len(want)
 
     def test_extra_bits_accounting(self):
         cfg = FilterConfig(q=10, r=4, seed=25)
@@ -336,7 +335,7 @@ class TestFillAndMeasure:
         assert extra_bits_per_item(AdaptiveFilter(cfg)) == 0.0
         rng = np.random.default_rng(27)
         probes = rng.integers(0, 1 << 30, size=30000, dtype=np.uint64)
-        for p in probes[f.frozen_index().query_keys(probes)][:25]:
+        for p in probes[f.arr.contains_many(probes)][:25]:
             f.lookup(int(p))
         assert f.arr.ext_slot_count > 0
         want = f.arr.ext_slot_count * (cfg.r + 3) / f.arr.fp_count
@@ -354,12 +353,12 @@ class TestProbeSets:
     @pytest.mark.parametrize("kind", SPECS)
     def test_measure_fpr_is_the_mean_over_every_draw(self, kind, probe_size):
         spec, n = self.SPECS[kind], 6
-        index = fill_to_load(FilterConfig(q=8, r=3, seed=64), 0.5, seed=65)[0].frozen_index()
+        table = fill_to_load(FilterConfig(q=8, r=3, seed=64), 0.5, seed=65)[0].arr
         sets = probe_arrays(spec, n, probe_size)
-        want = sum(float(np.mean(index.query_keys(p))) for p in sets) / n
+        want = sum(float(np.mean(table.contains_many(p))) for p in sets) / n
         probes = make_probe_sets(spec, n, probe_size)
-        assert measure_fpr(index, probes) == want
-        assert measure_fpr(index, sets) == want
+        assert measure_fpr(table, probes) == want
+        assert measure_fpr(table, sets) == want
         if probe_size > 1:
             assert want > 0
         # each set is its distinct draws with their counts, and the union
@@ -404,14 +403,15 @@ class TestProbeSets:
 
     @staticmethod
     def count_calls(monkeypatch):
-        """Count FrozenIndex.query_keys (with its batch sizes),
+        """Count SlotArray.contains_many (with its batch sizes),
         workbench._zipf_ranks and np.unique calls."""
-        calls = {"query_keys": [], "_zipf_ranks": 0, "unique": 0}
-        query_keys, zipf_ranks, unique = FrozenIndex.query_keys, workbench._zipf_ranks, np.unique
+        calls = {"contains_many": [], "_zipf_ranks": 0, "unique": 0}
+        contains_many, zipf_ranks, unique = (SlotArray.contains_many, workbench._zipf_ranks,
+                                             np.unique)
 
-        def counted_query(index, keys):
-            calls["query_keys"].append(len(keys))
-            return query_keys(index, keys)
+        def counted_query(table, keys):
+            calls["contains_many"].append(len(keys))
+            return contains_many(table, keys)
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -419,7 +419,7 @@ class TestProbeSets:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(FrozenIndex, "query_keys", counted_query)
+        monkeypatch.setattr(SlotArray, "contains_many", counted_query)
         monkeypatch.setattr(workbench, "_zipf_ranks", counted("_zipf_ranks", zipf_ranks))
         monkeypatch.setattr(np, "unique", counted("unique", unique))
         return calls
@@ -429,14 +429,19 @@ class TestProbeSets:
         f = fill_to_load(FilterConfig(q=10, r=4, seed=66), 0.5, seed=67)[0]
         spec = replace(self.SPECS["zipfian"], count=3000)
         union = len(make_probe_sets(spec, 4, 500).keys)
+        step = 3000 * every_pct // 100
+        queries = gen_workload(spec)
+        batches = [(len(np.unique(queries[a : a + step])), step) for a in range(0, 3000, step)]
         calls = self.count_calls(monkeypatch)
         rows = run_adaptation_trace(f, spec, measure_every_pct=every_pct, probe_sets=4,
                                     probe_size=500)
         assert len(rows) == 1 + 100 // every_pct
         # a checkpoint probes the union once; between checkpoints
-        # lookup_many probes its batch against the cached frozen_index()
-        step = 3000 * every_pct // 100
-        assert calls["query_keys"] == [union, step] * (len(rows) - 1) + [union]
+        # lookup_many probes its batch, or the batch's distinct keys,
+        # once against the table
+        assert calls["contains_many"][::2] == [union] * len(rows)
+        assert len(calls["contains_many"]) == 2 * len(rows) - 1
+        assert all(n in batch for n, batch in zip(calls["contains_many"][1::2], batches))
         assert calls["_zipf_ranks"] == 4 + 1
         # the trace's ranks, each set's draws and the sets' union
         assert calls["unique"] == 1 + 4 + 1
@@ -446,12 +451,17 @@ class TestProbeSets:
         spec = WorkloadSpec(kind="churn", count=2000, seed=70, universe=10**5,
                             interval_pct=25, replace_pct=20)
         union = len(make_probe_sets(spec, 3, 400).keys)
+        queries = gen_workload(spec)
+        batches = [(len(np.unique(queries[a : a + 500])), 500) for a in range(0, 2000, 500)]
         calls = self.count_calls(monkeypatch)
         rows = run_churn(f, keys, spec, probe_sets=3, probe_size=400)
         # each checkpoint: the live-key check, then the probe sets' union;
-        # lookup_many's frozen_index() probe of each step's batch in between
-        assert calls["query_keys"] == [len(keys), union, 500] * (len(rows) - 1) + [
-            len(keys), union]
+        # lookup_many's probe of each step's batch, or of its distinct
+        # keys, in between
+        got = calls["contains_many"]
+        assert len(got) == 3 * len(rows) - 1
+        assert got[0::3] == [len(keys)] * len(rows) and got[1::3] == [union] * len(rows)
+        assert all(n in batch for n, batch in zip(got[2::3], batches))
         assert calls["_zipf_ranks"] == 3 + 1
 
 
